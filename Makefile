@@ -22,7 +22,7 @@ BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./interna
 # gate there.
 MAX_REGRESS ?= 0.30
 
-.PHONY: all build test race lint fmt bench bench-sched bench-virtid bench-fleet bench-json bench-check run smoke smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race lint fmt bench bench-sched bench-virtid bench-fleet bench-json bench-check bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -86,6 +86,13 @@ bench-check:
 	$(GO) run ./cmd/benchjson -check BENCH_sched.json -max-regress $(MAX_REGRESS) < BENCH_check.tmp; \
 		status=$$?; rm -f BENCH_check.tmp; exit $$status
 
+# bench-smoke mirrors CI's bench-smoke job: the repository benchmark
+# (bench/, BENCHMARK.json) at 1/16 of its rank counts, for its checks —
+# byte-identical stdout, fault-free fingerprint after recovery, islands
+# ≡ serial, sweep pools agree — not for its numbers.
+bench-smoke:
+	$(GO) run ./bench -smoke
+
 run:
 	$(GO) run ./cmd/manasim
 
@@ -95,6 +102,21 @@ smoke:
 	$(GO) run ./cmd/manasim > /tmp/manasim-run1.txt
 	$(GO) run ./cmd/manasim > /tmp/manasim-run2.txt
 	cmp /tmp/manasim-run1.txt /tmp/manasim-run2.txt
+
+# smoke-wide mirrors CI's wide smoke: 65536 ranks that each touch a few
+# bytes, run twice and compared byte for byte, with each run's peak RSS
+# (ru_maxrss of the child, in KiB on Linux) held under 1.5 GiB — memory
+# must follow the pages a run touches, not its address space.
+smoke-wide:
+	$(GO) build -o /tmp/manasim-wide ./cmd/manasim
+	@set -e; for i in 1 2; do \
+	  python3 -c 'import resource, subprocess, sys; \
+	subprocess.run(["/tmp/manasim-wide", "-ranks", "65536", "-steps", "5", "-no-fail"], stdout=open(sys.argv[1], "wb"), check=True); \
+	mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024; \
+	print("smoke-wide: run %s peak RSS %.0f MiB" % (sys.argv[2], mib)); \
+	sys.exit(0 if mib < 1536 else "smoke-wide: peak RSS over 1.5 GiB")' /tmp/manasim-wide$$i.txt $$i; \
+	done
+	cmp /tmp/manasim-wide1.txt /tmp/manasim-wide2.txt
 
 # smoke-matrix mirrors CI's determinism matrix: every combination of
 # handle-table implementation, image mode and library scenario spec runs

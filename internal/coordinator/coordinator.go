@@ -613,6 +613,14 @@ type Coordinator struct {
 	// count was iterations x ranks; here it scales with actual work.
 	events     uint64
 	rankVisits uint64
+
+	// digestBuf is the scratch the fingerprint digests are rendered into.
+	// final memoises FinalFingerprint while finalOK; fingerprintPasses
+	// counts how often it was actually computed.
+	digestBuf         []byte
+	final             uint64
+	finalOK           bool
+	fingerprintPasses int
 }
 
 // drainReq is one rank's staged payload awaiting its asynchronous
@@ -1175,6 +1183,7 @@ func (c *Coordinator) dispatch(ev event) (failed bool) {
 // event in the exact merged (time, seq) order — byte-identical to the
 // single-queue scheduler.
 func (c *Coordinator) Run() (Outcome, error) {
+	c.finalOK = false
 	for {
 		for len(c.pending) > 0 && c.atSafePoint() {
 			crashed, err := c.checkpoint()
@@ -1503,47 +1512,10 @@ func (c *Coordinator) releaseStaged(g *generation) {
 	}
 }
 
-// digestImage folds one image into the checkpoint fingerprint. Every
-// payload iterated here is sorted by construction (regions by address,
-// pages by index, virtid entries by virtual id), so the digest is
-// deterministic across runs.
+// digestImage folds one image into the checkpoint fingerprint.
 func (c *Coordinator) digestImage(h io.Writer, img rank.Image) {
-	if !img.Complete {
-		// A torn image digests its partial size so two runs of the same
-		// fault plan fingerprint identically while differing from the
-		// clean image. Content hashes below come from the capture-time
-		// memos either way.
-		fmt.Fprintf(h, "torn(%d/%d);", img.WrittenBytes, img.Bytes())
-	}
-	if img.Full {
-		fmt.Fprintf(h, "%d:%d:%d:%x:%+v;", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(), img.Stats)
-	} else {
-		fmt.Fprintf(h, "%d:%d:%d:delta(%d<-%d,brk=%x):%+v;",
-			img.RankID, img.PC, img.Clock, img.Seq, img.Base, img.Delta.Brk, img.Stats)
-		for _, rd := range img.Delta.Regions {
-			fmt.Fprintf(h, "rd(%q,%d,%d,%x,%d,%d", rd.Name, rd.Half, rd.Kind, rd.Addr, rd.Size, rd.DataLen)
-			for _, p := range rd.Pages {
-				fmt.Fprintf(h, ",%d=%x", p.Index, p.Hash)
-			}
-			fmt.Fprint(h, ");")
-		}
-	}
-	for _, m := range img.Inbox {
-		fmt.Fprintf(h, "in(%d,%d,%d,%d,%d);", m.Src, m.Dst, m.Tag, m.Bytes, m.Arrive)
-	}
-	for k := 0; k < virtid.NumKinds; k++ {
-		fmt.Fprintf(h, "vt(%d,%d", k, img.Virt.Next[k])
-		for _, e := range img.Virt.Entries[k] {
-			fmt.Fprintf(h, ",%d=%x", e.VID, e.Real)
-		}
-		fmt.Fprint(h, ");")
-	}
-	for _, req := range img.PendingReqs {
-		fmt.Fprintf(h, "pr(%d);", req)
-	}
-	for i := range img.Comms {
-		fmt.Fprintf(h, "cm(%d,%d,%d);", i, img.Comms[i], img.CommIDs[i])
-	}
+	c.digestBuf = appendImageDigest(c.digestBuf[:0], img)
+	h.Write(c.digestBuf)
 }
 
 // commitStage installs the captured link as the newest committed state:
@@ -1669,8 +1641,8 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 // byte-accurate partial size and kills the job at the commit point
 // (crashed=true), a page-corruption silently damages the payload — the
 // capture-time hash memos go stale, which is exactly what restart
-// verification later trips over. Full-image corruption deep-copies the
-// touched regions first (snapshot payloads alias live sealed slices).
+// verification later trips over. Corruption lands on private copies of
+// the damaged pages (image payloads share pages with the live ranks).
 func (c *Coordinator) applyImageFaults(images []rank.Image, rec *CheckpointRecord) (crashed bool) {
 	for i, f := range c.faults {
 		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != faultplan.HopStage || f.N != rec.Seq {
@@ -1783,6 +1755,7 @@ func (c *Coordinator) Restart() error {
 	if len(c.gens) == 0 {
 		return fmt.Errorf("coordinator: no committed checkpoint to restart from")
 	}
+	c.finalOK = false
 	c.restartAttempts++
 	newest := c.newestSeq()
 	gi, prefix := -1, 0
@@ -1994,14 +1967,21 @@ func bwString(bw float64) string {
 }
 
 // FinalFingerprint digests every rank's final clock and upper-half
-// memory, so two runs can be compared for bit-identical results.
+// memory, so two runs can be compared for bit-identical results. The
+// ranks' address spaces are hashed in place, and the result is kept until
+// the job next moves (Run, Restart): a finished run is fingerprinted once
+// however many callers — the report, the fleet result — ask.
 func (c *Coordinator) FinalFingerprint() uint64 {
-	h := fnv.New64a()
-	for _, r := range c.ranks {
-		snap := r.Mem().SnapshotUpperHalf()
-		fmt.Fprintf(h, "%d:%d:%x;", r.ID(), r.Clock().Now(), snap.Fingerprint())
+	if !c.finalOK {
+		h := fnv.New64a()
+		for _, r := range c.ranks {
+			c.digestBuf = appendFinalDigest(c.digestBuf[:0], r)
+			h.Write(c.digestBuf)
+		}
+		c.final, c.finalOK = h.Sum64(), true
+		c.fingerprintPasses++
 	}
-	return h.Sum64()
+	return c.final
 }
 
 // Report renders a deterministic plain-text summary of the run as one

@@ -1,0 +1,218 @@
+package coordinator
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"mana/internal/memsim"
+	"mana/internal/netsim"
+	"mana/internal/rank"
+	"mana/internal/scenario"
+	"mana/internal/virtid"
+	"mana/internal/vtime"
+)
+
+// fmtImageDigest is the reference rendering of an image's contribution to
+// a checkpoint fingerprint: the fmt calls digestImage was written with.
+// Every fingerprint ever recorded hashes exactly these bytes, so
+// appendImageDigest must reproduce them.
+func fmtImageDigest(h io.Writer, img rank.Image) {
+	if !img.Complete {
+		fmt.Fprintf(h, "torn(%d/%d);", img.WrittenBytes, img.Bytes())
+	}
+	if img.Full {
+		fmt.Fprintf(h, "%d:%d:%d:%x:%+v;", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(), img.Stats)
+	} else {
+		fmt.Fprintf(h, "%d:%d:%d:delta(%d<-%d,brk=%x):%+v;",
+			img.RankID, img.PC, img.Clock, img.Seq, img.Base, img.Delta.Brk, img.Stats)
+		for _, rd := range img.Delta.Regions {
+			fmt.Fprintf(h, "rd(%q,%d,%d,%x,%d,%d", rd.Name, rd.Half, rd.Kind, rd.Addr, rd.Size, rd.DataLen)
+			for _, p := range rd.Pages {
+				fmt.Fprintf(h, ",%d=%x", p.Index, p.Hash)
+			}
+			fmt.Fprint(h, ");")
+		}
+	}
+	for _, m := range img.Inbox {
+		fmt.Fprintf(h, "in(%d,%d,%d,%d,%d);", m.Src, m.Dst, m.Tag, m.Bytes, m.Arrive)
+	}
+	for k := 0; k < virtid.NumKinds; k++ {
+		fmt.Fprintf(h, "vt(%d,%d", k, img.Virt.Next[k])
+		for _, e := range img.Virt.Entries[k] {
+			fmt.Fprintf(h, ",%d=%x", e.VID, e.Real)
+		}
+		fmt.Fprint(h, ");")
+	}
+	for _, req := range img.PendingReqs {
+		fmt.Fprintf(h, "pr(%d);", req)
+	}
+	for i := range img.Comms {
+		fmt.Fprintf(h, "cm(%d,%d,%d);", i, img.Comms[i], img.CommIDs[i])
+	}
+}
+
+// randomStats fills every field of rank.Stats by reflection, so a field
+// added to the struct reaches the fmt reference (which prints all of
+// them) and fails the comparison until appendStats prints it too.
+func randomStats(t *testing.T, rng *rand.Rand) rank.Stats {
+	var st rank.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(rng.Uint64() >> uint(rng.Intn(64)))
+		case reflect.Int64:
+			f.SetInt(rng.Int63() >> uint(rng.Intn(63)))
+		default:
+			t.Fatalf("rank.Stats.%s has kind %v: teach randomStats and appendStats about it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return st
+}
+
+func randomImage(t *testing.T, rng *rand.Rand) rank.Image {
+	img := rank.Image{
+		RankID: rng.Intn(1 << 20), PC: rng.Intn(1 << 16), Clock: vtime.Time(rng.Int63n(1 << 40)),
+		Seq: 1 + rng.Intn(50), Base: rng.Intn(50), Full: rng.Intn(2) == 0, Complete: rng.Intn(4) != 0,
+		WrittenBytes: rng.Uint64() >> 30, Stats: randomStats(t, rng),
+	}
+	// Real memory payloads: a small space, committed full and then delta.
+	a := memsim.NewAddressSpace()
+	names := []string{"app.state", "[heap]", `q"uote\`, "naïve\x00\n", ""}
+	var regions []*memsim.Region
+	for i := 0; i < 1+rng.Intn(4); i++ {
+		regions = append(regions, a.MmapZero(names[rng.Intn(len(names))], memsim.UpperHalf, memsim.Kind(rng.Intn(6)), uint64(1+rng.Intn(5*memsim.PageSize))))
+	}
+	img.Mem = a.CommitUpperHalf()
+	for _, r := range regions {
+		if rng.Intn(2) == 0 {
+			if err := a.Write(r.Addr, uint64(rng.Intn(int(r.Size))), []byte{byte(1 + rng.Intn(255))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	img.Delta = a.CommitUpperHalfDelta()
+	if img.Full {
+		img.Delta = memsim.Delta{}
+	}
+	for i := 0; i < rng.Intn(4); i++ {
+		img.Inbox = append(img.Inbox, netsim.Message{Src: rng.Intn(100), Dst: rng.Intn(100), Tag: rng.Intn(9) - 4,
+			Bytes: rng.Uint64() >> 40, Arrive: vtime.Time(rng.Int63n(1 << 40))})
+	}
+	for k := 0; k < virtid.NumKinds; k++ {
+		img.Virt.Next[k] = rng.Uint64() >> 50
+		for i := 0; i < rng.Intn(4); i++ {
+			img.Virt.Entries[k] = append(img.Virt.Entries[k], virtid.Entry{VID: virtid.VID(rng.Uint64() >> 50), Real: virtid.Real(rng.Uint64() >> uint(rng.Intn(64)))})
+		}
+	}
+	for i := 0; i < rng.Intn(4); i++ {
+		img.PendingReqs = append(img.PendingReqs, virtid.VID(rng.Uint64()>>50))
+		img.Comms = append(img.Comms, virtid.VID(rng.Uint64()>>50))
+		img.CommIDs = append(img.CommIDs, rng.Intn(1000))
+	}
+	return img
+}
+
+// TestDigestMatchesFmt pins the strconv rendering of both digests to the
+// fmt rendering they replaced, byte for byte, over random images.
+func TestDigestMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		img := randomImage(t, rng)
+		var want bytes.Buffer
+		fmtImageDigest(&want, img)
+		if got := appendImageDigest(nil, img); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("image %d renders differently\n got %s\nwant %s", i, got, want.Bytes())
+		}
+	}
+	for _, r := range New(DefaultConfig()).ranks {
+		want := fmt.Sprintf("%d:%d:%x;", r.ID(), r.Clock().Now(), r.Mem().SnapshotUpperHalf().Fingerprint())
+		if got := appendFinalDigest(nil, r); string(got) != want {
+			t.Fatalf("final digest of rank %d renders %s, want %s", r.ID(), got, want)
+		}
+	}
+}
+
+// TestOneFingerprintPassPerRun: the report and the fleet result both
+// need the final fingerprint; a finished run computes it once, and a run
+// that moves again computes it afresh.
+func TestOneFingerprintPassPerRun(t *testing.T) {
+	c := New(DefaultConfig())
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c.WriteReport(io.Discard)
+	fp := c.FinalFingerprint()
+	c.WriteReport(io.Discard)
+	if c.fingerprintPasses != 1 {
+		t.Fatalf("report + result + report took %d fingerprint passes, want 1", c.fingerprintPasses)
+	}
+	plain := New(func() Config { cfg := DefaultConfig(); cfg.Triggers = nil; return cfg }())
+	if _, err := plain.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fp != plain.FinalFingerprint() {
+		t.Fatal("memoised fingerprint differs from an uncheckpointed run's")
+	}
+
+	cfg := DefaultConfig()
+	cfg.Triggers = []Trigger{{At: vtime.Time(2 * vtime.Millisecond)}}
+	cfg.FailAtCheckpoint = 1
+	c = New(cfg)
+	if out, err := c.Run(); err != nil || out != Failed {
+		t.Fatalf("Run = %v, %v; want the injected failure", out, err)
+	}
+	mid := c.FinalFingerprint()
+	if err := c.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if c.FinalFingerprint() == mid || c.FinalFingerprint() != plain.FinalFingerprint() || c.fingerprintPasses != 2 {
+		t.Fatalf("fingerprint after restart: stale=%v passes=%d", c.FinalFingerprint() == mid, c.fingerprintPasses)
+	}
+}
+
+// wideIdleBudget is the live heap a finished wide-idle rank may hold:
+// its touched state page (4 KiB), the sharded handle table, a dozen
+// region records with their bitmaps, the compiled program and its share
+// of the scheduler — measured at 10.7 KiB. The flat 64 KiB state region
+// alone was four times the budget.
+const wideIdleBudget = 16 << 10
+
+// TestWideIdleMemoryBudget holds the benchmark's wide-idle workload —
+// many ranks that each touch a few bytes — to a per-rank memory budget in
+// tier 1, so memory proportional to address-space size cannot come back
+// unnoticed.
+func TestWideIdleMemoryBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 8192 ranks")
+	}
+	const ranks = 8192
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cfg := BaseConfig()
+	cfg.Ranks = ranks
+	cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: ranks, Steps: 5, Seed: 42})
+	c := New(cfg)
+	if out, err := c.Run(); err != nil || out != Completed {
+		t.Fatalf("Run = %v, %v", out, err)
+	}
+	c.WriteReport(io.Discard)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perRank := (after.HeapAlloc - before.HeapAlloc) / ranks
+	t.Logf("live heap after New → Run → WriteReport: %d B/rank; allocated in total: %d B/rank",
+		perRank, (after.TotalAlloc-before.TotalAlloc)/ranks)
+	if perRank > wideIdleBudget {
+		t.Errorf("live heap is %d B/rank, budget %d", perRank, wideIdleBudget)
+	}
+	runtime.KeepAlive(c)
+}

@@ -9,7 +9,7 @@ import (
 // Scratch holds the expensive per-run allocations a retired run leaves
 // behind so the next run can reuse them: the sharded event-queue lanes,
 // the per-rank bookkeeping slices, the collective rendezvous instances
-// and the memsim buffer pool. It exists for fleet mode — thousands of
+// and the memsim page pool. It exists for fleet mode — thousands of
 // simulations in one process — where cold-allocating these per run is
 // the dominant cost.
 //
@@ -18,7 +18,7 @@ import (
 // Coordinator.Release moves it back reset. A Scratch therefore backs at
 // most one live Coordinator; sharing one across concurrent runs is a
 // caller bug. The zero point is always restored before reuse — cleared
-// slices, cleared map, Reset queues, zeroed buffers — so a run on
+// slices, cleared map, Reset queues, zeroed pages — so a run on
 // recycled storage is byte-identical to a cold one.
 type Scratch struct {
 	queues      *vtime.IslandQueues[event]
@@ -44,7 +44,7 @@ func NewScratch() *Scratch {
 	}
 }
 
-// MemStats exposes the buffer pool's allocation counters (gets, hits)
+// MemStats exposes the page pool's allocation counters (gets, hits)
 // for tests that pin warm-run reuse.
 func (s *Scratch) MemStats() (gets, hits uint64) { return s.mem.Stats() }
 
@@ -132,8 +132,9 @@ func (s *Scratch) takeForming() []*forming {
 }
 
 // Release moves the run's pooled storage back into the Scratch it was
-// built from and retires the coordinator: every rank's memsim buffers
-// return to the shared pool and the coordinator must not be used again.
+// built from and retires the coordinator: the pages every rank still
+// owns return to the shared pool (pages a checkpoint image references
+// never do) and the coordinator must not be used again.
 // A run built without a Scratch only releases rank memory (a no-op
 // without a memsim pool). Callers should Release only runs that ended
 // cleanly (Completed, or Failed awaiting no further Restart); a run

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -112,4 +114,44 @@ func BenchmarkFleetThroughput(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEndToEnd times what a user of `manasim -ranks N -steps 5
+// -no-fail` waits for, with nothing excluded: a cold engine loads and
+// compiles the spec, builds every rank, runs the job and renders the
+// report bytes. B/rank is everything allocated along the way divided by
+// the rank count — construction dominates it, so it is the figure that
+// says whether a rank's cost follows what the rank touches.
+func BenchmarkEndToEnd(b *testing.B) {
+	for _, ranks := range []int{8192, 65536} {
+		b.Run(fmt.Sprint(ranks), func(b *testing.B) {
+			spec, err := scenario.Load("default")
+			if err != nil {
+				b.Fatal(err)
+			}
+			job := Job{
+				Spec:   spec,
+				Ranks:  ranks,
+				Steps:  5,
+				Seed:   42,
+				Virtid: virtid.ImplSharded,
+				CkptAt: vtime.Time(5 * time.Millisecond),
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				report := countingWriter{w: io.Discard}
+				if _, err := NewEngine().RunJob(job, &report); err != nil {
+					b.Fatal(err)
+				}
+				if report.n == 0 {
+					b.Fatal("no report bytes")
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(ranks), "B/rank")
+		})
+	}
 }

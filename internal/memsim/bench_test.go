@@ -8,7 +8,7 @@ import (
 
 // rankLikeSpace builds an address space shaped like one simulated rank's
 // upper half: several contentless text/stack mappings plus one 64 KiB
-// materialised state region — the layout whose snapshot cost the
+// zero-filled state region — the layout whose snapshot cost the
 // checkpoint path pays per rank per checkpoint.
 func rankLikeSpace() (*AddressSpace, uint64) {
 	a := NewAddressSpace()
@@ -17,16 +17,16 @@ func rankLikeSpace() (*AddressSpace, uint64) {
 	a.Mmap("libc.text", UpperHalf, KindText, 1800<<10)
 	a.Mmap("libmpi.text(link)", UpperHalf, KindText, 4<<20)
 	a.Mmap("[stack]", UpperHalf, KindStack, 256<<10)
-	state := a.MmapWithData("app.state", UpperHalf, KindData, make([]byte, 64<<10))
+	state := a.MmapZero("app.state", UpperHalf, KindData, 64<<10)
 	a.Mmap("libmpi.so(active)", LowerHalf, KindText, 4<<20)
 	return a, state.Addr
 }
 
 // benchCapture measures the steady-state capture loop — one small write,
-// one capture — and asserts an allocation ceiling per op. With the
-// copy-on-write seal the only per-op copies are the dirtied region (full
-// mode) or its dirty pages (delta mode) plus a handful of snapshot
-// slices; a regression that re-deep-copies clean regions fails the
+// one capture — and asserts an allocation ceiling per op. Captures share
+// pages, so the only per-op allocations are the written page's
+// copy-on-write buffer plus a handful of snapshot slices and page
+// tables; a regression that deep-copies region contents fails the
 // assertion instead of silently shifting the numbers.
 func benchCapture(b *testing.B, maxAllocsPerOp float64, capture func(a *AddressSpace) uint64) {
 	a, state := rankLikeSpace()
@@ -61,8 +61,8 @@ func benchCapture(b *testing.B, maxAllocsPerOp float64, capture func(a *AddressS
 	b.ReportMetric(float64(sink)/float64(b.N), "image-bytes/op")
 }
 
-// BenchmarkSnapshotUpperHalf pins the full-capture path: only the one
-// dirtied region is copied per op, the clean regions alias their seals.
+// BenchmarkSnapshotUpperHalf pins the full-capture path: no contents are
+// copied, whatever is dirty.
 func BenchmarkSnapshotUpperHalf(b *testing.B) {
 	benchCapture(b, 12, func(a *AddressSpace) uint64 {
 		return a.CommitUpperHalf().TotalBytes()
@@ -70,7 +70,7 @@ func BenchmarkSnapshotUpperHalf(b *testing.B) {
 }
 
 // BenchmarkSnapshotUpperHalfDelta pins the incremental path: per-op work
-// is one dirty page copied and hashed, independent of address-space size.
+// is one dirty page compared and hashed, independent of address-space size.
 func BenchmarkSnapshotUpperHalfDelta(b *testing.B) {
 	benchCapture(b, 12, func(a *AddressSpace) uint64 {
 		return a.CommitUpperHalfDelta().PayloadBytes()

@@ -1,10 +1,6 @@
 package memsim
 
-import (
-	"bytes"
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // PageDelta is one dirty page carried by an incremental snapshot.
 type PageDelta struct {
@@ -13,8 +9,13 @@ type PageDelta struct {
 	// Hash is the FNV-1a digest of the page's contents, used for the
 	// checkpoint fingerprint and for cross-generation dedup accounting.
 	Hash uint64
-	// Data is the page's contents, clipped to the region's recorded data
-	// length (the last page of a partially materialised region is short).
+	// Len is the page's content length: PageSize, or less for the last
+	// page of a region whose data length is not page-aligned.
+	Len int
+	// Data is the page's contents, Len bytes of a frozen page buffer
+	// shared with the live space — never written through — or nil for a
+	// page nothing has been written to: Len zero bytes, carried without
+	// being materialised.
 	Data []byte
 }
 
@@ -27,10 +28,10 @@ type RegionDelta struct {
 	Kind Kind
 	Addr uint64
 	Size uint64
-	// DataLen is the region's materialised content length (len(Data) on
-	// the live region). It is part of the checkpointable state: Equal and
-	// Fingerprint distinguish a zero-filled region from a materialised
-	// one, so the overlay must reproduce it exactly.
+	// DataLen is the region's logical content length (Region.DataLen). It
+	// is part of the checkpointable state: Equal and Fingerprint
+	// distinguish a contentless region from one holding zeros, so the
+	// overlay must reproduce it exactly.
 	DataLen uint64
 	// Pages holds the dirty pages whose content changed since the base
 	// generation, sorted by ascending Index.
@@ -63,13 +64,22 @@ type Delta struct {
 	DedupBytes uint64
 }
 
+// contentHash digests the page's contents; an unmaterialised page is Len
+// zeros.
+func (p PageDelta) contentHash() uint64 {
+	if p.Data == nil {
+		return uint64(fnvOffset.zeros(uint64(p.Len)))
+	}
+	return uint64(fnvOffset.bytes(p.Data))
+}
+
 // PayloadBytes returns the page content bytes the delta carries — the
 // quantity an incremental image write is charged for.
 func (d Delta) PayloadBytes() uint64 {
 	var total uint64
 	for _, rd := range d.Regions {
 		for _, p := range rd.Pages {
-			total += uint64(len(p.Data))
+			total += uint64(p.Len)
 		}
 	}
 	return total
@@ -85,35 +95,20 @@ func (d Delta) FullBytes() uint64 {
 	return total
 }
 
-// pageHash digests one page's contents.
-func pageHash(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
-}
-
-// pageExtent returns the [start, end) byte range of page idx clipped to
-// dataLen; start >= end means the page has no materialised content.
-func pageExtent(idx int, dataLen uint64) (uint64, uint64) {
-	start := uint64(idx) * PageSize
-	end := start + PageSize
-	if end > dataLen {
-		end = dataLen
-	}
-	return start, end
-}
-
 // CommitUpperHalfDelta captures an incremental snapshot — only the pages
 // dirtied since the last committed generation, plus layout metadata for
-// every live upper-half region — and seals the current contents as the
+// every live upper-half region — and records the current contents as the
 // new committed generation, exactly as CommitUpperHalf does. Dirty pages
 // whose contents are bit-identical to the base (rewritten with the same
 // values) are deduplicated: the overlay falls back to the base content
-// for any page the delta does not carry, so dropping them is lossless (up
-// to the 64-bit comparison being an exact bytes.Equal, not a hash check).
+// for any page the delta does not carry, so dropping them is lossless (the
+// comparison is of the bytes themselves, not of a hash). A carried page is
+// shared, not copied: the delta references the live page, which is frozen
+// by the commit. A dirty page that was never written counts like any
+// other — scanned, dirty, carried — but stays unmaterialised.
 //
 // Determinism rules: regions are ordered by ascending address, pages by
-// ascending index; map iteration order never reaches the payload.
+// ascending index.
 //
 // The call panics if no generation has been committed yet: the first
 // capture of a space must be a full CommitUpperHalf.
@@ -124,60 +119,38 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 		panic("memsim: incremental capture with no committed base generation")
 	}
 	d := Delta{BaseGen: a.gen, Brk: a.brk}
-	for _, r := range a.sortedUpperLocked() {
+	for _, r := range a.regions[UpperHalf] {
 		rd := RegionDelta{
 			Name: r.Name, Half: r.Half, Kind: r.Kind,
-			Addr: r.Addr, Size: r.Size, DataLen: uint64(len(r.Data)),
+			Addr: r.Addr, Size: r.Size, DataLen: r.DataLen,
 		}
 		d.ScannedPages += pageCount(r.Size)
-		dirty := r.dirtyPages()
-		for _, idx := range dirty {
+		for _, idx := range r.dirty.indices() {
 			start, end := pageExtent(idx, rd.DataLen)
 			if start >= end {
 				continue
 			}
-			cur := r.Data[start:end]
+			n := end - start
+			cur := pageAt(r.pages, idx)
 			d.DirtyPages++
-			d.DirtyBytes += end - start
-			if r.hasSeal && end <= uint64(len(r.sealed)) && bytes.Equal(cur, r.sealed[start:end]) {
-				d.DedupBytes += end - start
+			d.DirtyBytes += n
+			if end <= r.baseLen && samePage(cur, pageAt(r.base, idx), n) {
+				d.DedupBytes += n
 				continue
 			}
-			page := PageDelta{Index: idx, Hash: pageHash(cur), Data: make([]byte, len(cur))}
-			copy(page.Data, cur)
-			rd.Pages = append(rd.Pages, page)
+			pd := PageDelta{Index: idx, Len: int(n)}
+			if cur != nil {
+				pd.Data = cur[:n]
+			}
+			pd.Hash = pd.contentHash()
+			rd.Pages = append(rd.Pages, pd)
 		}
 		d.Regions = append(d.Regions, rd)
-		// Seal the region at its current contents: the next delta is
-		// relative to this generation. Clean regions keep their seal
-		// (and their memoised hash) untouched. A seal no snapshot aliases
-		// is patched in place — only the dirty extents are copied — so
-		// steady-state delta commits copy O(dirty bytes), not O(region).
-		if !r.isClean() {
-			switch {
-			case r.hasSeal && !r.sealShared && len(r.sealed) == len(r.Data):
-				for _, idx := range dirty {
-					start, end := pageExtent(idx, rd.DataLen)
-					if start < end {
-						copy(r.sealed[start:end], r.Data[start:end])
-					}
-				}
-			case r.Data != nil:
-				sealed := make([]byte, len(r.Data))
-				copy(sealed, r.Data)
-				r.sealed = sealed
-				r.sealShared = false
-			default:
-				r.sealed = nil
-				r.sealShared = false
-			}
-			r.hasSeal = true
-			r.clearDirty()
-			// The content-hash memo stays invalidated: deltas never need
-			// the region digest, and recomputing it here would put an
-			// O(region) hash back on the O(dirty) capture path. The next
-			// Fingerprint refreshes it lazily.
-		}
+		// The content-hash memo of a dirty region stays invalidated:
+		// deltas never need the region digest, and recomputing it here
+		// would put a hash of every present page back on the O(dirty)
+		// capture path. The next Fingerprint refreshes it lazily.
+		r.rebase()
 	}
 	a.gen++
 	return d
@@ -188,7 +161,8 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 // bit-identical (layout, contents, data lengths, fingerprint) to the full
 // CommitUpperHalf that would have been taken at the same instant. Regions
 // the delta does not mention are dropped; regions without a matching base
-// region are rebuilt from zero-filled content plus carried pages.
+// region are rebuilt from absent pages plus carried ones. The result
+// shares pages with both inputs; none is copied.
 func ApplyDelta(base Snapshot, d Delta) Snapshot {
 	baseIdx := make(map[uint64]int, len(base.Regions))
 	for i := range base.Regions {
@@ -201,53 +175,50 @@ func ApplyDelta(base Snapshot, d Delta) Snapshot {
 		RegionHashes: make([]uint64, 0, len(d.Regions)),
 	}
 	for _, rd := range d.Regions {
-		var data []byte
-		var hash uint64
-		hashKnown := false
-		if i, ok := baseIdx[rd.Addr]; ok {
-			b := &base.Regions[i]
-			if b.Name != rd.Name || b.Size != rd.Size || b.Half != rd.Half || b.Kind != rd.Kind {
+		r := Region{Name: rd.Name, Half: rd.Half, Kind: rd.Kind, Addr: rd.Addr, Size: rd.Size, DataLen: rd.DataLen}
+		var b *Region
+		bi, ok := baseIdx[rd.Addr]
+		if ok {
+			b = &base.Regions[bi]
+			if b.Name != rd.Name || b.Size != rd.Size || b.Half != rd.Half || b.Kind != rd.Kind || b.DataLen > rd.DataLen {
 				// The address was reused by a structurally different
 				// region; the capture marked it all-dirty, so rebuilding
 				// from pages alone is lossless.
-				data = zeroFilled(rd.DataLen)
-			} else if uint64(len(b.Data)) == rd.DataLen && len(rd.Pages) == 0 {
-				// Untouched region: alias the base backing slice (both are
-				// immutable image payloads) and reuse its digest.
-				data = b.Data
-				if baseHashes {
-					hash, hashKnown = base.RegionHashes[i], true
+				b = nil
+			}
+		}
+		var hash uint64
+		known := false
+		switch {
+		case b != nil && b.DataLen == rd.DataLen && len(rd.Pages) == 0:
+			// Untouched region: share the base's page table (both are
+			// immutable image payloads) and reuse its digest.
+			r.pages = b.pages
+			if baseHashes {
+				hash, known = base.RegionHashes[bi], true
+			}
+		case (b != nil && b.pages != nil) || len(rd.Pages) > 0:
+			r.pages = make([]*page, pageCount(rd.DataLen))
+			if b != nil {
+				copy(r.pages, b.pages)
+			}
+			for _, p := range rd.Pages {
+				start, end := pageExtent(p.Index, rd.DataLen)
+				if uint64(p.Len) != end-start || (p.Data != nil && len(p.Data) != p.Len) {
+					panic(fmt.Sprintf("memsim: delta page %d of region %q carries %d bytes (%d present), extent is %d",
+						p.Index, rd.Name, p.Len, len(p.Data), end-start))
 				}
-			} else {
-				data = zeroFilled(rd.DataLen)
-				copy(data, b.Data)
+				r.pages[p.Index] = nil
+				if p.Data != nil {
+					r.pages[p.Index] = pageOf(p.Data)
+				}
 			}
-		} else {
-			data = zeroFilled(rd.DataLen)
 		}
-		for _, p := range rd.Pages {
-			start, end := pageExtent(p.Index, rd.DataLen)
-			if uint64(len(p.Data)) != end-start {
-				panic(fmt.Sprintf("memsim: delta page %d of region %q carries %d bytes, extent is %d",
-					p.Index, rd.Name, len(p.Data), end-start))
-			}
-			copy(data[start:end], p.Data)
-		}
-		r := Region{Name: rd.Name, Half: rd.Half, Kind: rd.Kind, Addr: rd.Addr, Size: rd.Size, Data: data}
-		if !hashKnown {
-			hash = contentHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, r.Data)
+		if !known {
+			hash = r.contentHash()
 		}
 		out.Regions = append(out.Regions, r)
 		out.RegionHashes = append(out.RegionHashes, hash)
 	}
 	return out
-}
-
-// zeroFilled returns a zero slice of length n, preserving nil for n == 0
-// so materialised and never-materialised regions stay distinguishable.
-func zeroFilled(n uint64) []byte {
-	if n == 0 {
-		return nil
-	}
-	return make([]byte, n)
 }

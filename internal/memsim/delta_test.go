@@ -108,9 +108,8 @@ func TestDeltaDedupsRewrittenIdenticalPages(t *testing.T) {
 	}
 	// The deduped page must still restore correctly from the base.
 	got := ApplyDelta(base, d)
-	if got.Regions[0].Data[0] != 7 || got.Regions[0].Data[PageSize] != 9 {
-		t.Errorf("overlay contents wrong: page0[0]=%d page1[0]=%d, want 7 and 9",
-			got.Regions[0].Data[0], got.Regions[0].Data[PageSize])
+	if data := flat(&got.Regions[0]); data[0] != 7 || data[PageSize] != 9 {
+		t.Errorf("overlay contents wrong: page0[0]=%d page1[0]=%d, want 7 and 9", data[0], data[PageSize])
 	}
 }
 
@@ -204,27 +203,30 @@ func TestDeltaWithoutBasePanics(t *testing.T) {
 	a.CommitUpperHalfDelta()
 }
 
-// TestCommitAliasesCleanRegions pins the copy-on-write property: a
-// committed region that has not been written since simply aliases the
-// sealed backing slice — no copy — while a dirtied region gets a fresh
-// one, and live writes never reach captured snapshots.
+// TestCommitAliasesCleanRegions pins the copy-on-write property at page
+// granularity: consecutive commits of an unwritten region share every
+// page, a write replaces only the page it touches, and live writes never
+// reach captured snapshots.
 func TestCommitAliasesCleanRegions(t *testing.T) {
 	a := NewAddressSpace()
-	r := a.MmapWithData("state", UpperHalf, KindData, make([]byte, 2*PageSize))
+	r := a.MmapWithData("state", UpperHalf, KindData, bytes.Repeat([]byte{5}, 2*PageSize))
 	s1 := a.CommitUpperHalf()
 	s2 := a.CommitUpperHalf()
-	if &s1.Regions[0].Data[0] != &s2.Regions[0].Data[0] {
-		t.Error("clean region was re-copied: consecutive commits should alias the seal")
+	if s1.Regions[0].pages[0] != s2.Regions[0].pages[0] {
+		t.Error("clean region was re-copied: consecutive commits should share its pages")
 	}
 	mustWrite(t, a, r.Addr, 0, []byte{1})
 	s3 := a.CommitUpperHalf()
-	if &s3.Regions[0].Data[0] == &s2.Regions[0].Data[0] {
-		t.Error("dirty region aliased the old seal: the stored image would see live writes")
+	if s3.Regions[0].pages[0] == s2.Regions[0].pages[0] {
+		t.Error("written page still shared with the old commit: the stored image would see live writes")
 	}
-	if s2.Regions[0].Data[0] != 0 {
+	if s3.Regions[0].pages[1] != s2.Regions[0].pages[1] {
+		t.Error("untouched page of a written region was copied")
+	}
+	if flat(&s2.Regions[0])[0] != 5 {
 		t.Error("write leaked into the previously committed snapshot")
 	}
-	if s3.Regions[0].Data[0] != 1 {
+	if flat(&s3.Regions[0])[0] != 1 {
 		t.Error("new commit missed the write")
 	}
 }

@@ -14,20 +14,22 @@
 // program's data segment unless interposed, §2.1); and it produces
 // Snapshots containing exactly the regions a checkpoint image must carry.
 //
-// Checkpoint cost is made proportional to touched memory, not address-space
-// size, by page-granular (4 KiB) dirty tracking: every write path marks
-// pages in a per-region dirty bitmap, CommitUpperHalf seals region contents
-// copy-on-write (a clean region's snapshot aliases the last committed
-// backing slice instead of being deep-copied), and CommitUpperHalfDelta
-// (delta.go) emits only the dirty pages plus per-page content hashes.
+// Memory and checkpoint cost are proportional to the pages a run touches,
+// not to address-space size. Region contents live in a sparse page store
+// (pages.go): a region records its logical data length and holds a 4 KiB
+// buffer only for pages that were written; a page nothing wrote reads as
+// zeros and costs nothing to keep, capture, compare or hash. Captures
+// share pages instead of copying them — a page is owned by its live
+// region until a snapshot, delta or restore references it, and frozen
+// (copied on the next write) from then on. Every write path also marks a
+// per-region dirty bitmap, so CommitUpperHalfDelta (delta.go) emits only
+// the dirty pages plus per-page content hashes. Digests cover logical
+// contents only, never which pages happen to be materialised.
 package memsim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math/bits"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -137,26 +139,33 @@ type Region struct {
 	Addr uint64
 	// Size is the region length in bytes.
 	Size uint64
-	// Data optionally carries the region's contents. Regions without
-	// explicit contents (e.g. library text modelled only for size
-	// accounting) checkpoint as zero-filled pages of length Size.
-	Data []byte
+	// DataLen is the logical length of the region's contents: zero for a
+	// region modelled only for size accounting (library text), Size once
+	// anything has been written. It is checkpointable state — Equal and
+	// Fingerprint distinguish a contentless region from one holding
+	// DataLen zero bytes — while the pages behind it are not.
+	DataLen uint64
 
-	// dirty is the per-page dirty bitmap of the live region: bit i set
-	// means page i has been written since the last committed snapshot.
-	// Snapshot copies of a Region never carry a bitmap.
-	dirty []uint64
-	// sealed is the region's content at the last committed snapshot. It
-	// is immutable once captured — committed snapshots alias it, writes
-	// go to Data — so a clean region's next snapshot needs no copy.
-	sealed []byte
-	// hasSeal reports whether sealed is meaningful (a nil sealed slice is
-	// a valid seal for a region whose contents were never materialised).
-	hasSeal bool
-	// sealShared reports whether some snapshot aliases sealed. A shared
-	// seal is immutable (delta commits must replace it); an unshared one
-	// can be patched in place, keeping delta commit copies O(dirty bytes).
-	sealShared bool
+	// pages is the sparse page table behind DataLen (see page). Nil, or
+	// one slot per page of DataLen.
+	pages []*page
+
+	// The fields below track the live region only; snapshot copies of a
+	// Region carry none of them.
+
+	// owned has bit i set while this region is the only reference to
+	// pages[i], so the page may be written in place. Only bits below
+	// len(pages) mean anything.
+	owned bitmap
+	// dirty has bit i set when page i has been written since the last
+	// committed generation.
+	dirty bitmap
+	// base is the page table of the last committed generation and baseLen
+	// its data length: what a delta commit dedups dirty pages against.
+	// baseLen is zero when the region has not been committed since it was
+	// created, restored or resized.
+	base    []*page
+	baseLen uint64
 	// hash memoises the region's content digest; hashOK is cleared by
 	// every mutation so Fingerprint never re-hashes clean regions.
 	hash   uint64
@@ -166,128 +175,21 @@ type Region struct {
 // End returns the first address past the region.
 func (r *Region) End() uint64 { return r.Addr + r.Size }
 
-// pageCount returns the number of PageSize pages covering n bytes.
-func pageCount(n uint64) int { return int((n + PageSize - 1) / PageSize) }
-
-// markDirty sets the dirty bits for the byte range [off, off+n).
-func (r *Region) markDirty(off, n uint64) {
-	if n == 0 {
-		return
-	}
-	r.ensureBitmap()
-	first := int(off / PageSize)
-	last := int((off + n - 1) / PageSize)
-	for p := first; p <= last; p++ {
-		r.dirty[p/64] |= 1 << (uint(p) % 64)
-	}
-	r.hashOK = false
-}
-
-// markAllDirty sets every page's dirty bit (newborn or resized regions).
-func (r *Region) markAllDirty() {
-	r.dirty = nil
-	r.ensureBitmap()
-	for i := range r.dirty {
-		r.dirty[i] = ^uint64(0)
-	}
-	// Mask the bits past the last page so popcounts stay exact.
-	if extra := uint(pageCount(r.Size)) % 64; extra != 0 && len(r.dirty) > 0 {
-		r.dirty[len(r.dirty)-1] = (1 << extra) - 1
-	}
-	r.hashOK = false
-}
-
-func (r *Region) ensureBitmap() {
-	if words := (pageCount(r.Size) + 63) / 64; len(r.dirty) != words {
-		grown := make([]uint64, words)
-		copy(grown, r.dirty)
-		r.dirty = grown
-	}
-}
-
-func (r *Region) clearDirty() {
-	for i := range r.dirty {
-		r.dirty[i] = 0
-	}
-}
-
-func (r *Region) anyDirty() bool {
-	for _, w := range r.dirty {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// dirtyPages returns the dirty page indices in ascending order — the
-// deterministic iteration order every delta payload is built in.
-func (r *Region) dirtyPages() []int {
-	var out []int
-	for w, word := range r.dirty {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, w*64+bits.TrailingZeros64(word))
-		}
-	}
-	return out
-}
-
-// isClean reports whether the region's contents are bit-identical to its
-// last committed seal, so a snapshot may alias the sealed slice.
-func (r *Region) isClean() bool { return r.hasSeal && !r.anyDirty() }
-
-// invalidateSeal forgets the committed seal (used when the region is
-// resized: page indices no longer line up with the sealed content, so the
-// next delta must carry the region in full).
-func (r *Region) invalidateSeal() {
-	r.sealed = nil
-	r.hasSeal = false
-	r.sealShared = false
-	r.markAllDirty()
-}
-
 // clone returns a deep copy of the region's checkpointable state
-// (metadata and contents); the live-space tracking fields (dirty bitmap,
-// seal, hash memo) deliberately do not travel with the copy.
+// (metadata and contents, present pages copied); the live-space tracking
+// fields deliberately do not travel with the copy.
 func (r *Region) clone() Region {
-	c := Region{Name: r.Name, Half: r.Half, Kind: r.Kind, Addr: r.Addr, Size: r.Size}
-	if r.Data != nil {
-		c.Data = make([]byte, len(r.Data))
-		copy(c.Data, r.Data)
+	c := Region{Name: r.Name, Half: r.Half, Kind: r.Kind, Addr: r.Addr, Size: r.Size, DataLen: r.DataLen}
+	if r.pages != nil {
+		c.pages = make([]*page, len(r.pages))
+		for i, p := range r.pages {
+			if p != nil {
+				cp := *p
+				c.pages[i] = &cp
+			}
+		}
 	}
 	return c
-}
-
-// contentHash digests one region's checkpointable state: layout metadata
-// and contents. Snapshot.Fingerprint combines these per-region digests, so
-// memoising them per region (invalidated by the dirty bitmap) makes
-// repeated fingerprints of a mostly-clean space cheap.
-func contentHash(name string, half Half, kind Kind, addr, size uint64, data []byte) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeU64(uint64(len(name)))
-	h.Write([]byte(name))
-	writeU64(uint64(half))
-	writeU64(uint64(kind))
-	writeU64(addr)
-	writeU64(size)
-	writeU64(uint64(len(data)))
-	h.Write(data)
-	return h.Sum64()
-}
-
-// contentHashNow returns the region's memoised content digest, refreshing
-// it if a write invalidated the memo.
-func (r *Region) contentHashNow() uint64 {
-	if !r.hashOK {
-		r.hash = contentHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, r.Data)
-		r.hashOK = true
-	}
-	return r.hash
 }
 
 // Layout constants for the simulated address space. The exact values are
@@ -303,8 +205,12 @@ const (
 // concurrent use; the checkpoint helper thread reads it while the
 // application allocates.
 type AddressSpace struct {
-	mu          sync.RWMutex
-	regions     map[uint64]*Region // keyed by start address
+	mu sync.RWMutex
+	// regions holds each half's regions in ascending address order.
+	// Addresses are handed out monotonically per half, so a new mapping
+	// appends and every capture path iterates in place: no map, and so no
+	// map order, ever stands between the space and an image.
+	regions     [2][]*Region
 	nextUpper   uint64
 	nextLower   uint64
 	brk         uint64 // simulated program break (upper-half data segment end)
@@ -314,8 +220,8 @@ type AddressSpace struct {
 	// gen counts committed snapshot generations (CommitUpperHalf and
 	// CommitUpperHalfDelta); deltas are always relative to generation gen.
 	gen uint64
-	// pool optionally recycles live-region Data buffers across address-
-	// space lifetimes (see Pool); nil means plain make allocation.
+	// pool optionally recycles owned page buffers across address-space
+	// lifetimes (see Pool); nil means plain allocation.
 	pool *Pool
 }
 
@@ -325,12 +231,11 @@ func NewAddressSpace() *AddressSpace {
 	return NewAddressSpacePooled(nil)
 }
 
-// NewAddressSpacePooled returns an empty address space whose region
-// backing buffers are drawn from (and returned to, via Release) the
-// given pool. A nil pool is equivalent to NewAddressSpace.
+// NewAddressSpacePooled returns an empty address space whose page
+// buffers are drawn from (and returned to, via Release) the given pool.
+// A nil pool is equivalent to NewAddressSpace.
 func NewAddressSpacePooled(pool *Pool) *AddressSpace {
 	return &AddressSpace{
-		regions:   make(map[uint64]*Region),
 		nextUpper: upperBase,
 		nextLower: lowerBase,
 		brkBase:   upperBase,
@@ -340,33 +245,28 @@ func NewAddressSpacePooled(pool *Pool) *AddressSpace {
 	}
 }
 
-// allocData returns a zeroed n-byte buffer for live-region contents,
-// recycled from the pool when one is attached.
-func (a *AddressSpace) allocData(n int) []byte {
-	if a.pool != nil {
-		return a.pool.get(n)
-	}
-	return make([]byte, n)
-}
-
-// Release returns every live region's uniquely-owned Data buffer to the
-// attached pool and empties the address space. Seals and snapshot
-// payloads are never recycled — committed checkpoint images alias them
-// and must stay immutable. The space must not be used after Release;
-// callers that captured Regions()/Lookup() copies keep them (those are
-// deep copies). Without an attached pool Release only empties the map.
+// Release returns every page buffer a live region still owns to the
+// attached pool and empties the address space. Frozen pages are never
+// recycled — committed checkpoint images reference them and must stay
+// immutable. The space must not be used after Release; callers that
+// captured Regions()/Lookup() copies keep them (those are deep copies).
+// Without an attached pool Release only empties the space.
 func (a *AddressSpace) Release() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.pool != nil {
-		for _, r := range a.regions {
-			if r.Data != nil {
-				a.pool.put(r.Data)
-				r.Data = nil
+	for half := range a.regions {
+		if a.pool != nil {
+			for _, r := range a.regions[half] {
+				for i, p := range r.pages {
+					if p != nil && r.owned.test(i) {
+						a.pool.put(p)
+					}
+				}
+				r.pages = nil
 			}
 		}
+		a.regions[half] = nil
 	}
-	clear(a.regions)
 }
 
 // SetSbrkInterposition enables or disables MANA's interposition on sbrk.
@@ -407,8 +307,32 @@ func align(n uint64) uint64 {
 	return n
 }
 
+// find returns the live region starting at addr, or nil, and its index
+// in its half's list. The halves occupy disjoint address ranges, so the
+// address picks the list; within it regions are sorted.
+func (a *AddressSpace) find(addr uint64) (*Region, Half, int) {
+	half := UpperHalf
+	if addr >= lowerBase {
+		half = LowerHalf
+	}
+	list := a.regions[half]
+	lo, hi := 0, len(list)
+	for lo < hi {
+		if mid := (lo + hi) / 2; list[mid].Addr < addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(list) && list[lo].Addr == addr {
+		return list[lo], half, lo
+	}
+	return nil, half, -1
+}
+
 // Mmap creates a new region in the given half and returns it. Size is
-// rounded up to the page size.
+// rounded up to the page size. The region has no contents (DataLen 0)
+// until it is first written.
 func (a *AddressSpace) Mmap(name string, half Half, kind Kind, size uint64) *Region {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -432,7 +356,7 @@ func (a *AddressSpace) mmapLocked(name string, half Half, kind Kind, size uint64
 	// A newborn region is entirely dirty: the next incremental snapshot
 	// must carry it whole (there is no committed base to delta against).
 	r.markAllDirty()
-	a.regions[addr] = r
+	a.regions[half] = append(a.regions[half], r)
 	return r
 }
 
@@ -441,8 +365,23 @@ func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []by
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	r := a.mmapLocked(name, half, kind, uint64(len(data)))
-	r.Data = a.allocData(len(data))
-	copy(r.Data, data)
+	r.DataLen = uint64(len(data))
+	if len(data) > 0 {
+		r.pages = make([]*page, pageCount(r.DataLen))
+		a.store(r, 0, data)
+	}
+	return r
+}
+
+// MmapZero creates a region whose contents are n zero bytes. It is
+// MmapWithData(make([]byte, n)) without the bytes: no page is
+// materialised until one is written, while the data length — which
+// fingerprints and images record — is n from the start.
+func (a *AddressSpace) MmapZero(name string, half Half, kind Kind, n uint64) *Region {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	r := a.mmapLocked(name, half, kind, n)
+	r.DataLen = n
 	return r
 }
 
@@ -451,10 +390,11 @@ func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []by
 func (a *AddressSpace) Munmap(addr uint64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if _, ok := a.regions[addr]; !ok {
+	r, half, i := a.find(addr)
+	if r == nil {
 		return false
 	}
-	delete(a.regions, addr)
+	a.regions[half] = slices.Delete(a.regions[half], i, i+1)
 	return true
 }
 
@@ -465,13 +405,8 @@ func (a *AddressSpace) Munmap(addr uint64) bool {
 func (a *AddressSpace) UnmapHalf(half Half) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var released uint64
-	for addr, r := range a.regions {
-		if r.Half == half {
-			released += r.Size
-			delete(a.regions, addr)
-		}
-	}
+	released := a.bytesLocked(half)
+	a.regions[half] = nil
 	return released
 }
 
@@ -513,38 +448,34 @@ func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
 // heap (most recently allocated heap regions first, mirroring how a real
 // brk retreats) and returns the number of bytes actually released. A
 // region shrunk partially keeps its address but loses its tail; its dirty
-// bitmap and committed seal are reset so the next incremental snapshot
+// bitmap and committed base are reset so the next incremental snapshot
 // carries the resized region in full — page indices no longer line up
-// with the old seal, so deltas against it would be unsound.
+// with the old base, so deltas against it would be unsound.
 func (a *AddressSpace) SbrkShrink(delta uint64) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	heaps := make([]*Region, 0, 4)
-	for _, r := range a.regions {
-		if r.Half == UpperHalf && r.Kind == KindHeap {
-			heaps = append(heaps, r)
-		}
-	}
-	sort.Slice(heaps, func(i, j int) bool { return heaps[i].Addr > heaps[j].Addr })
+	upper := a.regions[UpperHalf]
 	var released uint64
-	for _, r := range heaps {
-		if delta == 0 {
-			break
+	for i := len(upper) - 1; i >= 0 && delta > 0; i-- {
+		r := upper[i]
+		if r.Kind != KindHeap {
+			continue
 		}
 		if delta >= r.Size {
 			delta -= r.Size
 			released += r.Size
-			delete(a.regions, r.Addr)
+			upper = slices.Delete(upper, i, i+1)
 			continue
 		}
 		r.Size -= delta
-		if uint64(len(r.Data)) > r.Size {
-			r.Data = r.Data[:r.Size]
+		if r.DataLen > r.Size {
+			a.truncate(r, r.Size)
 		}
-		r.invalidateSeal()
+		r.dropBase()
 		released += delta
 		delta = 0
 	}
+	a.regions[UpperHalf] = upper
 	if a.brk > a.brkBase+released {
 		a.brk -= released
 	} else if a.brk > a.brkBase {
@@ -557,37 +488,40 @@ func (a *AddressSpace) SbrkShrink(delta uint64) uint64 {
 func (a *AddressSpace) Regions() []Region {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	out := make([]Region, 0, len(a.regions))
-	for _, r := range a.regions {
-		out = append(out, r.clone())
+	// The upper half's address range lies below the lower half's.
+	out := make([]Region, 0, len(a.regions[UpperHalf])+len(a.regions[LowerHalf]))
+	for _, list := range a.regions {
+		for _, r := range list {
+			out = append(out, r.clone())
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
 
 // RegionsOf returns the regions belonging to one half, sorted by address.
 func (a *AddressSpace) RegionsOf(half Half) []Region {
-	all := a.Regions()
-	out := all[:0]
-	for _, r := range all {
-		if r.Half == half {
-			out = append(out, r)
-		}
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	out := make([]Region, 0, len(a.regions[half]))
+	for _, r := range a.regions[half] {
+		out = append(out, r.clone())
 	}
 	return out
+}
+
+func (a *AddressSpace) bytesLocked(half Half) uint64 {
+	var total uint64
+	for _, r := range a.regions[half] {
+		total += r.Size
+	}
+	return total
 }
 
 // BytesOf returns the total size in bytes of all regions in one half.
 func (a *AddressSpace) BytesOf(half Half) uint64 {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	var total uint64
-	for _, r := range a.regions {
-		if r.Half == half {
-			total += r.Size
-		}
-	}
-	return total
+	return a.bytesLocked(half)
 }
 
 // BytesOfKind returns the total size of regions of a given half and kind.
@@ -595,8 +529,8 @@ func (a *AddressSpace) BytesOfKind(half Half, kind Kind) uint64 {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	var total uint64
-	for _, r := range a.regions {
-		if r.Half == half && r.Kind == kind {
+	for _, r := range a.regions[half] {
+		if r.Kind == kind {
 			total += r.Size
 		}
 	}
@@ -607,8 +541,8 @@ func (a *AddressSpace) BytesOfKind(half Half, kind Kind) uint64 {
 func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	r, ok := a.regions[addr]
-	if !ok {
+	r, _, _ := a.find(addr)
+	if r == nil {
 		return Region{}, false
 	}
 	return r.clone(), true
@@ -616,59 +550,67 @@ func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
 
 // Write stores data into the region starting at addr at the given offset.
 // It returns an error if the region does not exist or the write would
-// overflow it.
+// overflow it. Only the pages the write touches are materialised.
 func (a *AddressSpace) Write(addr uint64, offset uint64, data []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	r, ok := a.regions[addr]
-	if !ok {
+	r, _, _ := a.find(addr)
+	if r == nil {
 		return fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
 	}
 	if offset+uint64(len(data)) > r.Size {
 		return fmt.Errorf("memsim: write of %d bytes at offset %d overflows region %q (size %d)",
 			len(data), offset, r.Name, r.Size)
 	}
-	if r.Data == nil {
-		r.Data = a.allocData(int(r.Size))
-		// Materialising the backing store changes the region's recorded
-		// data length, which is part of the checkpointable state; the
-		// whole region must reach the next incremental image.
-		r.markAllDirty()
-	} else if uint64(len(r.Data)) < r.Size {
-		grown := a.allocData(int(r.Size))
-		copy(grown, r.Data)
-		if a.pool != nil {
-			a.pool.put(r.Data)
-		}
-		r.Data = grown
+	if r.DataLen < r.Size {
+		// The first write gives the region contents of its full size. The
+		// data length is part of the checkpointable state, so the whole
+		// region must reach the next incremental image.
+		r.DataLen = r.Size
 		r.markAllDirty()
 	}
-	copy(r.Data[offset:], data)
+	if len(data) == 0 {
+		return nil
+	}
+	if n := pageCount(r.DataLen); len(r.pages) < n {
+		r.pages = append(r.pages, make([]*page, n-len(r.pages))...)
+	}
+	a.store(r, offset, data)
 	r.markDirty(offset, uint64(len(data)))
 	return nil
+}
+
+// store copies data into the region's pages at offset, page by page.
+func (a *AddressSpace) store(r *Region, offset uint64, data []byte) {
+	for len(data) > 0 {
+		n := copy(a.writable(r, int(offset/PageSize))[offset%PageSize:], data)
+		data = data[n:]
+		offset += uint64(n)
+	}
 }
 
 // Read copies length bytes from the region starting at addr at offset.
 func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	r, ok := a.regions[addr]
-	if !ok {
+	r, _, _ := a.find(addr)
+	if r == nil {
 		return nil, fmt.Errorf("memsim: read from unmapped region 0x%x", addr)
 	}
 	if offset+length > r.Size {
 		return nil, fmt.Errorf("memsim: read of %d bytes at offset %d overflows region %q (size %d)",
 			length, offset, r.Name, r.Size)
 	}
+	// Absent pages, and everything past DataLen, read as zeros — which
+	// out already holds.
 	out := make([]byte, length)
-	if r.Data != nil {
-		end := offset + length
-		if end > uint64(len(r.Data)) {
-			end = uint64(len(r.Data))
+	for done := uint64(0); done < length; {
+		at := offset + done
+		n := min(PageSize-at%PageSize, length-done)
+		if idx := int(at / PageSize); idx < len(r.pages) && r.pages[idx] != nil {
+			copy(out[done:done+n], r.pages[idx][at%PageSize:])
 		}
-		if offset < end {
-			copy(out, r.Data[offset:end])
-		}
+		done += n
 	}
 	return out, nil
 }
@@ -686,53 +628,24 @@ type Snapshot struct {
 	RegionHashes []uint64
 }
 
-// sortedUpperLocked returns the live upper-half regions in ascending
-// address order — the only iteration order capture paths ever use, so map
-// order never leaks into images, deltas or fingerprints.
-func (a *AddressSpace) sortedUpperLocked() []*Region {
-	out := make([]*Region, 0, len(a.regions))
-	for _, r := range a.regions {
-		if r.Half == UpperHalf {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// captureLocked builds a full snapshot. Clean regions — unchanged since
-// the last commit — alias the immutable sealed slice instead of being
-// deep-copied, so steady-state capture cost is proportional to dirty
-// bytes. When commit is set, freshly copied contents become the new seal
-// and the dirty bitmaps are cleared: the snapshot is the new base every
-// later delta is relative to.
+// captureLocked builds a full snapshot by sharing, not copying: each
+// region contributes a copy of its page table, and the pages themselves
+// are frozen so the live space copies one on its next write to it. When
+// commit is set the captured contents also become the base generation
+// every later delta is relative to, and the dirty bitmaps are cleared.
 func (a *AddressSpace) captureLocked(commit bool) Snapshot {
-	upper := a.sortedUpperLocked()
+	upper := a.regions[UpperHalf]
 	snap := Snapshot{
 		Brk:          a.brk,
 		Regions:      make([]Region, 0, len(upper)),
 		RegionHashes: make([]uint64, 0, len(upper)),
 	}
 	for _, r := range upper {
-		var data []byte
-		if r.isClean() {
-			data = r.sealed
-			r.sealShared = true
-		} else {
-			if r.Data != nil {
-				data = make([]byte, len(r.Data))
-				copy(data, r.Data)
-			}
-			if commit {
-				r.sealed = data
-				r.hasSeal = true
-				r.sealShared = true
-				r.clearDirty()
-			}
-		}
-		c := Region{Name: r.Name, Half: r.Half, Kind: r.Kind, Addr: r.Addr, Size: r.Size, Data: data}
-		snap.Regions = append(snap.Regions, c)
+		snap.Regions = append(snap.Regions, r.view())
 		snap.RegionHashes = append(snap.RegionHashes, r.contentHashNow())
+		if commit {
+			r.rebase()
+		}
 	}
 	if commit {
 		a.gen++
@@ -741,23 +654,36 @@ func (a *AddressSpace) captureLocked(commit bool) Snapshot {
 }
 
 // SnapshotUpperHalf captures all upper-half regions without committing:
-// the dirty bitmaps and seals are left untouched, so observing the space
-// (reports, final fingerprints) never perturbs incremental checkpointing.
-// Regions clean against the last commit alias the sealed contents.
+// the dirty bitmaps and the committed base are left untouched, so
+// observing the space never perturbs incremental checkpointing.
 func (a *AddressSpace) SnapshotUpperHalf() Snapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.captureLocked(false)
 }
 
-// CommitUpperHalf captures all upper-half regions and seals the result as
-// the new committed generation: dirty bitmaps are cleared and the next
+// CommitUpperHalf captures all upper-half regions and records the result
+// as the new committed generation: dirty bitmaps are cleared and the next
 // delta (CommitUpperHalfDelta) is relative to this snapshot. This is what
 // MANA's checkpoint helper writes to a full image file.
 func (a *AddressSpace) CommitUpperHalf() Snapshot {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.captureLocked(true)
+}
+
+// Fingerprint returns SnapshotUpperHalf().Fingerprint() without building
+// the snapshot: the live regions are hashed in place (per-region memo,
+// absent pages skipped), nothing is copied and no page is frozen.
+func (a *AddressSpace) Fingerprint() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	upper := a.regions[UpperHalf]
+	h := fnvOffset.u64(a.brk).u64(uint64(len(upper)))
+	for _, r := range upper {
+		h = h.u64(r.contentHashNow())
+	}
+	return uint64(h)
 }
 
 // Generation returns the number of committed snapshots (full or delta)
@@ -775,11 +701,11 @@ func (a *AddressSpace) Generation() uint64 {
 func (a *AddressSpace) DirtyPages(addr uint64) ([]int, bool) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	r, ok := a.regions[addr]
-	if !ok {
+	r, _, _ := a.find(addr)
+	if r == nil {
 		return nil, false
 	}
-	return r.dirtyPages(), true
+	return r.dirty.indices(), true
 }
 
 // TotalBytes returns the number of bytes of memory captured by the
@@ -801,59 +727,51 @@ func (s Snapshot) TotalBytes() uint64 {
 // filled them in — the digest is identical whether or not the memo is
 // present, because the per-region function is the same.
 func (s Snapshot) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	writeU64(s.Brk)
-	writeU64(uint64(len(s.Regions)))
+	h := fnvOffset.u64(s.Brk).u64(uint64(len(s.Regions)))
 	memoised := len(s.RegionHashes) == len(s.Regions)
 	for i := range s.Regions {
 		if memoised {
-			writeU64(s.RegionHashes[i])
-			continue
+			h = h.u64(s.RegionHashes[i])
+		} else {
+			h = h.u64(s.Regions[i].contentHash())
 		}
-		r := &s.Regions[i]
-		writeU64(contentHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, r.Data))
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // RestoreUpperHalf rebuilds the upper half of the address space from a
 // snapshot. Existing upper-half regions are discarded first (the restore
 // happens into the bootstrap program's address space, whose upper half is
 // empty apart from the restore stub). Lower-half regions are untouched:
-// they belong to the freshly initialised MPI library.
+// they belong to the freshly initialised MPI library. The snapshot's
+// regions must be in ascending address order, as every capture and
+// ApplyDelta produces them.
 func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for addr, r := range a.regions {
-		if r.Half == UpperHalf {
-			delete(a.regions, addr)
-		}
-	}
+	upper := make([]*Region, 0, len(s.Regions))
 	maxEnd := uint64(upperBase)
 	for i := range s.Regions {
-		// Restored regions deep-copy the image contents into fresh live
-		// buffers (the image must stay immutable) and start entirely
-		// dirty with no seal: restart begins a new incremental chain.
+		// A restored region shares the image's frozen pages — the image
+		// stays immutable because the region owns none of them and copies
+		// before it writes — and starts entirely dirty with no committed
+		// base: restart begins a new incremental chain.
 		src := &s.Regions[i]
-		c := Region{Name: src.Name, Half: src.Half, Kind: src.Kind, Addr: src.Addr, Size: src.Size}
-		if src.Data != nil {
-			c.Data = a.allocData(len(src.Data))
-			copy(c.Data, src.Data)
+		if len(upper) > 0 && src.Addr <= upper[len(upper)-1].Addr {
+			panic(fmt.Sprintf("memsim: snapshot region %q at 0x%x is out of address order", src.Name, src.Addr))
+		}
+		c := &Region{
+			Name: src.Name, Half: src.Half, Kind: src.Kind, Addr: src.Addr, Size: src.Size,
+			DataLen: src.DataLen, pages: slices.Clone(src.pages),
 		}
 		c.markAllDirty()
 		if len(s.RegionHashes) == len(s.Regions) {
 			c.hash, c.hashOK = s.RegionHashes[i], true
 		}
-		a.regions[c.Addr] = &c
-		if c.End() > maxEnd {
-			maxEnd = c.End()
-		}
+		upper = append(upper, c)
+		maxEnd = max(maxEnd, c.End())
 	}
+	a.regions[UpperHalf] = upper
 	if a.nextUpper < maxEnd+mmapAlignment {
 		a.nextUpper = maxEnd + mmapAlignment
 	}
@@ -865,22 +783,24 @@ func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
 }
 
 // Equal reports whether two snapshots describe identical upper-half memory
-// (same regions, same contents). Used by tests to prove checkpoint/restore
+// (same regions, same data lengths, same logical contents — an absent page
+// equals a page of zeros). Used by tests to prove checkpoint/restore
 // round-trips are lossless.
 func (s Snapshot) Equal(o Snapshot) bool {
 	if len(s.Regions) != len(o.Regions) || s.Brk != o.Brk {
 		return false
 	}
 	for i := range s.Regions {
-		a, b := s.Regions[i], o.Regions[i]
+		a, b := &s.Regions[i], &o.Regions[i]
 		if a.Addr != b.Addr || a.Size != b.Size || a.Half != b.Half || a.Kind != b.Kind || a.Name != b.Name {
 			return false
 		}
-		if len(a.Data) != len(b.Data) {
+		if a.DataLen != b.DataLen {
 			return false
 		}
-		for j := range a.Data {
-			if a.Data[j] != b.Data[j] {
+		for idx := 0; idx < pageCount(a.DataLen); idx++ {
+			start, end := pageExtent(idx, a.DataLen)
+			if !samePage(pageAt(a.pages, idx), pageAt(b.pages, idx), end-start) {
 				return false
 			}
 		}

@@ -2,76 +2,63 @@ package memsim
 
 import "sync"
 
-// Pool recycles region backing buffers across address-space lifetimes,
-// so a fleet of simulations does not re-allocate the same page-aligned
-// data slices for every run.
+// Pool recycles page buffers across address-space lifetimes, so a fleet
+// of simulations does not re-allocate the same pages for every run.
 //
-// Only live-region Data buffers ever enter the pool. They are safe to
-// recycle because the address space keeps them uniquely owned for the
-// whole region lifetime: MmapWithData and RestoreUpperHalf copy into
-// fresh storage, Write materialises fresh storage, and every snapshot,
-// seal or delta payload is either a fresh copy or an alias of the
-// immutable sealed slice — never of Data. Seals and snapshot payloads
-// are deliberately NOT recycled: committed checkpoint images alias
-// them, so reusing that storage would corrupt retained images.
+// Only pages a live region still owns at Release ever enter the pool.
+// They are safe to recycle because an owned page has exactly one
+// reference: every capture freezes the pages it shares, and a frozen
+// page is never owned again — the next write copies it. Frozen pages are
+// deliberately NOT recycled: committed checkpoint images reference them,
+// so reusing that storage would corrupt retained images.
 //
-// Buffers are zeroed on the way out, so a pooled allocation is
-// indistinguishable from make([]byte, n) — the property the
+// Pages are zeroed on the way out, so a pooled page is
+// indistinguishable from new(page) — the property the
 // byte-identical-report tests rely on.
 type Pool struct {
-	mu sync.Mutex
-	// free holds recycled buffers keyed by capacity. Region sizes are
-	// mmap-aligned and repeat across runs (the simulated memory layout
-	// is fixed per workload), so exact-capacity matching hits in the
-	// steady state.
-	free map[int][][]byte
-	// gets counts allocations served, hits the subset served from the
+	mu   sync.Mutex
+	free []*page
+	// gets counts pages served, hits the subset served from the
 	// freelist — the warm-vs-cold observable the fleet tests pin.
 	gets uint64
 	hits uint64
 }
 
-// NewPool returns an empty buffer pool. A Pool is safe for concurrent
+// NewPool returns an empty page pool. A Pool is safe for concurrent
 // use: within one run, island workers write regions concurrently, and a
 // fleet engine may share one pool across sequential runs.
 func NewPool() *Pool {
-	return &Pool{free: make(map[int][][]byte)}
+	return &Pool{}
 }
 
-// get returns a zeroed slice of length n, recycled when a buffer of
-// exactly that capacity is free.
-func (p *Pool) get(n int) []byte {
+// get returns a zeroed page, recycled when one is free.
+func (p *Pool) get() *page {
 	p.mu.Lock()
 	p.gets++
-	list := p.free[n]
-	if len(list) == 0 {
+	n := len(p.free)
+	if n == 0 {
 		p.mu.Unlock()
-		return make([]byte, n)
+		return new(page)
 	}
-	b := list[len(list)-1]
-	list[len(list)-1] = nil
-	p.free[n] = list[:len(list)-1]
+	pg := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
 	p.hits++
 	p.mu.Unlock()
-	clear(b)
-	return b[:n]
+	clear(pg[:])
+	return pg
 }
 
-// put returns a buffer to the pool. The caller must not retain any
-// reference to it (or any alias of it) afterwards.
-func (p *Pool) put(b []byte) {
-	c := cap(b)
-	if c == 0 {
-		return
-	}
-	b = b[:c]
+// put returns a page to the pool. The caller must hold the only
+// reference to it and must not use it afterwards.
+func (p *Pool) put(pg *page) {
 	p.mu.Lock()
-	p.free[c] = append(p.free[c], b)
+	p.free = append(p.free, pg)
 	p.mu.Unlock()
 }
 
-// Stats returns the allocations served and the subset that came from
-// the freelist instead of make.
+// Stats returns the pages served and the subset that came from the
+// freelist instead of the allocator.
 func (p *Pool) Stats() (gets, hits uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -1,23 +1,19 @@
 package memsim
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestPoolRecyclesZeroed pins the pool's core contract: a recycled
-// buffer comes back zeroed, so a pooled allocation is indistinguishable
-// from a fresh make([]byte, n).
+// page comes back zeroed, so a pooled page is indistinguishable from a
+// fresh new(page).
 func TestPoolRecyclesZeroed(t *testing.T) {
 	p := NewPool()
-	b := p.get(64)
-	for i := range b {
-		b[i] = 0xAB
+	pg := p.get()
+	for i := range pg {
+		pg[i] = 0xAB
 	}
-	p.put(b)
-	b2 := p.get(64)
-	if !bytes.Equal(b2, make([]byte, 64)) {
-		t.Fatal("recycled buffer is not zeroed")
+	p.put(pg)
+	if pg2 := p.get(); pg2 != pg || !isZero(pg2[:]) {
+		t.Fatal("recycled page is not the pooled one, zeroed")
 	}
 	gets, hits := p.Stats()
 	if gets != 2 || hits != 1 {
@@ -25,21 +21,7 @@ func TestPoolRecyclesZeroed(t *testing.T) {
 	}
 }
 
-// TestPoolSizeClasses checks that buffers only satisfy requests of
-// their exact capacity class — a smaller request never aliases into a
-// larger recycled buffer's tail.
-func TestPoolSizeClasses(t *testing.T) {
-	p := NewPool()
-	p.put(make([]byte, 128))
-	if b := p.get(64); cap(b) == 128 {
-		t.Fatal("64-byte request satisfied from the 128-byte class")
-	}
-	if b := p.get(128); cap(b) != 128 {
-		t.Fatalf("128-byte request missed its class: cap = %d", cap(b))
-	}
-}
-
-// TestAddressSpaceReleaseRecycles checks the full round trip: regions
+// TestAddressSpaceReleaseRecycles checks the full round trip: pages
 // materialised in one address space feed the next one built on the same
 // pool, and the replayed writes see zeroed backing first.
 func TestAddressSpaceReleaseRecycles(t *testing.T) {

@@ -2,20 +2,22 @@ package memsim
 
 import "fmt"
 
-// Verify recomputes every region's content digest and compares it against
-// the RegionHashes memo captured at commit time, returning the number of
-// pages rehashed and an error naming the first mismatching region. A
-// snapshot without a hash memo cannot be verified — full images always
-// carry one, so a missing memo is itself reported as unverifiable.
+// Verify recomputes every region's content digest — rehashing every
+// present page; an absent page is zeros by construction — and compares it
+// against the RegionHashes memo captured at commit time, returning the
+// number of pages the regions' contents span and an error naming the
+// first mismatching region. A snapshot without a hash memo cannot be
+// verified — full images always carry one, so a missing memo is itself
+// reported as unverifiable.
 func (s Snapshot) Verify() (pages int, err error) {
 	if len(s.RegionHashes) != len(s.Regions) {
 		return 0, fmt.Errorf("memsim: snapshot carries no region hash memo (%d hashes for %d regions)",
 			len(s.RegionHashes), len(s.Regions))
 	}
-	for i, r := range s.Regions {
-		pages += pageCount(uint64(len(r.Data)))
-		got := contentHash(r.Name, r.Half, r.Kind, r.Addr, r.Size, r.Data)
-		if got != s.RegionHashes[i] {
+	for i := range s.Regions {
+		r := &s.Regions[i]
+		pages += pageCount(r.DataLen)
+		if got := r.contentHash(); got != s.RegionHashes[i] {
 			return pages, fmt.Errorf("memsim: region %q content hash %016x does not match recorded %016x",
 				r.Name, got, s.RegionHashes[i])
 		}
@@ -30,7 +32,7 @@ func (d Delta) Verify() (pages int, err error) {
 	for _, rd := range d.Regions {
 		for _, p := range rd.Pages {
 			pages++
-			if got := pageHash(p.Data); got != p.Hash {
+			if got := p.contentHash(); got != p.Hash {
 				return pages, fmt.Errorf("memsim: region %q page %d hash %016x does not match recorded %016x",
 					rd.Name, p.Index, got, p.Hash)
 			}
@@ -39,13 +41,24 @@ func (d Delta) Verify() (pages int, err error) {
 	return pages, nil
 }
 
+// damaged returns a private copy of the n content bytes behind src (zeros
+// when src is nil) with the first byte flipped. Image payloads share
+// their pages with the live space and with each other, so damage always
+// lands on a fresh buffer: it reaches the one image being corrupted and
+// nothing else.
+func damaged(src []byte) *page {
+	p := new(page)
+	copy(p[:], src)
+	p[0] ^= 0xFF
+	return p
+}
+
 // CorruptSnapshot flips one byte at the start of each of the first n
-// materialised pages of the snapshot, walking regions in order, and
-// returns how many pages were actually damaged. Touched regions have their
-// payload deep-copied first: snapshot payloads alias the live space's
-// sealed slices, and corrupting those in place would damage the running
-// ranks rather than the on-disk image. The RegionHashes memo is left
-// untouched — the stale digests are exactly what Verify later trips over.
+// pages of the snapshot's contents, walking regions in order, and returns
+// how many pages were actually damaged. A damaged page — present or not
+// — is materialised as a private copy in a private page table first. The
+// RegionHashes memo is left untouched: the stale digests are exactly what
+// Verify later trips over.
 func CorruptSnapshot(s *Snapshot, n int) int {
 	done := 0
 	for i := range s.Regions {
@@ -53,25 +66,28 @@ func CorruptSnapshot(s *Snapshot, n int) int {
 			break
 		}
 		r := &s.Regions[i]
-		if len(r.Data) == 0 {
+		if r.DataLen == 0 {
 			continue
 		}
-		data := make([]byte, len(r.Data))
-		copy(data, r.Data)
-		for off := 0; off < len(data) && done < n; off += PageSize {
-			data[off] ^= 0xFF
+		pages := make([]*page, pageCount(r.DataLen))
+		copy(pages, r.pages)
+		for idx := 0; idx < len(pages) && done < n; idx++ {
+			var src []byte
+			if pages[idx] != nil {
+				src = pages[idx][:]
+			}
+			pages[idx] = damaged(src)
 			done++
 		}
-		r.Data = data
+		r.pages = pages
 	}
 	return done
 }
 
 // CorruptDelta flips one byte at the start of each of the first n carried
 // pages of the delta, walking regions and pages in order, and returns how
-// many pages were actually damaged. Page payloads are private copies made
-// at capture time, so they can be damaged in place; the recorded page
-// hashes are left stale for Verify to detect.
+// many pages were actually damaged. The recorded page hashes are left
+// stale for Verify to detect.
 func CorruptDelta(d *Delta, n int) int {
 	done := 0
 	for ri := range d.Regions {
@@ -81,10 +97,10 @@ func CorruptDelta(d *Delta, n int) int {
 				return done
 			}
 			p := &rd.Pages[pi]
-			if len(p.Data) == 0 {
+			if p.Len == 0 {
 				continue
 			}
-			p.Data[0] ^= 0xFF
+			p.Data = damaged(p.Data)[:p.Len]
 			done++
 		}
 	}

@@ -197,7 +197,7 @@ type Rank struct {
 	island int
 	clock  *vtime.Clock
 	mem    *memsim.AddressSpace
-	// pool, when non-nil, backs mem's region buffers; Restore threads it
+	// pool, when non-nil, backs mem's page buffers; Restore threads it
 	// into the rebuilt address space and ReleaseMem recycles into it.
 	pool   *memsim.Pool
 	kernel *kernelsim.Kernel
@@ -282,10 +282,10 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 	return NewPooled(id, personality, impl, script, nil)
 }
 
-// NewPooled is New with the rank's address-space backing buffers drawn
+// NewPooled is New with the rank's address-space page buffers drawn
 // from (and, via ReleaseMem, returned to) a shared memsim.Pool. A nil
 // pool is equivalent to New. Pooled allocation is invisible to the
-// simulation: buffers come out zeroed, exactly like fresh ones, so a
+// simulation: pages come out zeroed, exactly like fresh ones, so a
 // pooled rank's run is bit-identical to an unpooled one.
 func NewPooled(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program, pool *memsim.Pool) *Rank {
 	r := &Rank{
@@ -313,7 +313,7 @@ func (r *Rank) initUpperHalf() {
 	r.mem.Mmap("libmpi.text(link)", memsim.UpperHalf, memsim.KindText, 4<<20)
 	r.mem.Mmap("[stack]", memsim.UpperHalf, memsim.KindStack, 256<<10)
 	r.mem.Mmap("[environ]", memsim.UpperHalf, memsim.KindEnviron, 4<<10)
-	state := r.mem.MmapWithData("app.state", memsim.UpperHalf, memsim.KindData, make([]byte, stateRegionSize))
+	state := r.mem.MmapZero("app.state", memsim.UpperHalf, memsim.KindData, stateRegionSize)
 	r.stateRegion = state.Addr
 }
 
@@ -787,13 +787,13 @@ func (r *Rank) BufferDrained(m *netsim.Message) {
 }
 
 // CaptureImage produces the rank's checkpoint image and commits the
-// memory generation it captures (sealing region contents, clearing dirty
-// bitmaps). With incremental set — and a previously committed generation
-// to delta against — the image carries only the pages dirtied since the
-// last checkpoint; the first capture after construction or restart always
-// falls back to a self-contained full image. Every image owns its payload:
-// full snapshots alias only immutable sealed slices, deltas carry fresh
-// page copies, and the small state is deep-copied.
+// memory generation it captures (freezing the captured pages, clearing
+// dirty bitmaps). With incremental set — and a previously committed
+// generation to delta against — the image carries only the pages dirtied
+// since the last checkpoint; the first capture after construction or
+// restart always falls back to a self-contained full image. An image's
+// memory payload references frozen pages only — the live space copies a
+// page before writing to it again — and the small state is deep-copied.
 func (r *Rank) CaptureImage(incremental bool) Image {
 	if r.state == InCollective {
 		panic(fmt.Sprintf("rank %d: checkpoint while inside a collective", r.id))
@@ -896,8 +896,9 @@ func (r *Rank) Restore(img Image) {
 	// fresh one, exactly as the real bootstrap does. Rebuilding from
 	// scratch also keeps the mmap allocation cursor bit-identical to an
 	// uncheckpointed run, so replayed allocations land at the same
-	// addresses. The dead space's buffers go back to the pool first —
-	// nothing aliases them (images alias seals, never live Data).
+	// addresses. The pages the dead space still owned go back to the pool
+	// first — nothing else references them (images hold frozen pages) —
+	// and the restored space shares the image's pages rather than copying.
 	r.mem.Release()
 	r.mem = memsim.NewAddressSpacePooled(r.pool)
 	r.InitLowerHalf()
@@ -924,7 +925,7 @@ func (r *Rank) Restore(img Image) {
 	r.stats = img.Stats
 }
 
-// ReleaseMem returns the rank's address-space buffers to the pool it was
+// ReleaseMem returns the rank's owned page buffers to the pool it was
 // built with (a no-op for unpooled ranks). The rank must not be used
 // afterwards; a fleet engine calls this when its run retires.
 func (r *Rank) ReleaseMem() {

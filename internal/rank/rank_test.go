@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"runtime"
 	"testing"
 
 	"mana/internal/kernelsim"
@@ -13,6 +14,42 @@ import (
 
 func testNet() *netsim.Network {
 	return netsim.New(netsim.Params{Latency: 1000 * vtime.Nanosecond, BandwidthBytesPerSec: 1e9})
+}
+
+// TestNewRankMaterialisesNoStatePage pins construction cost to what a
+// rank touches: app.state keeps its 64 KiB data length — fingerprints and
+// images record it — but holds no page until a step writes one, so a new
+// rank allocates a few KiB of bookkeeping, not its address space.
+func TestNewRankMaterialisesNoStatePage(t *testing.T) {
+	const n = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ranks := make([]*Rank, n)
+	for i := range ranks {
+		ranks[i] = New(i, kernelsim.Unpatched, virtid.ImplSharded, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 16<<10 {
+		t.Errorf("rank.New allocated %d bytes per rank, want <= 16 KiB", per)
+	}
+	r := ranks[0]
+	state, ok := r.Mem().Lookup(r.stateRegion)
+	if !ok || state.Name != "app.state" || state.DataLen != stateRegionSize {
+		t.Fatalf("app.state = %+v, want a %d-byte data length", state, stateRegionSize)
+	}
+	// The zero-filled mapping is the same checkpointable state as the
+	// 64 KiB of written zeros it replaced.
+	flat := memsim.NewAddressSpace()
+	for _, reg := range r.Mem().RegionsOf(memsim.UpperHalf) {
+		if reg.Name == "app.state" {
+			flat.MmapWithData(reg.Name, reg.Half, reg.Kind, make([]byte, stateRegionSize))
+		} else {
+			flat.Mmap(reg.Name, reg.Half, reg.Kind, reg.Size)
+		}
+	}
+	if got, want := r.Mem().Fingerprint(), flat.Fingerprint(); got != want {
+		t.Errorf("new rank fingerprints %016x, with a materialised state region %016x", got, want)
+	}
 }
 
 func TestMPICallChargesManaOverhead(t *testing.T) {

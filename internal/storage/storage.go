@@ -262,10 +262,7 @@ func (c *Config) PageStored(kind memsim.Kind, data []byte) uint64 {
 		}
 	}
 	if zero {
-		if raw < zeroPageStored {
-			return raw
-		}
-		return zeroPageStored
+		return zeroStored(raw)
 	}
 	stored := uint64(float64(raw)*c.Ratio(kind) + 0.5)
 	if stored < 1 {
@@ -277,15 +274,27 @@ func (c *Config) PageStored(kind memsim.Kind, data []byte) uint64 {
 	return stored
 }
 
+// zeroStored is the stored size of raw zero bytes: the run-length header,
+// or the bytes themselves when they are shorter than one.
+func zeroStored(raw uint64) uint64 {
+	return min(raw, zeroPageStored)
+}
+
 // CompressDelta runs the page compressor over a delta payload, returning
 // the stored (compressed) page bytes and the raw page bytes consumed.
 // Iteration is regions by ascending address, pages by ascending index —
-// the delta's construction order — so the result is deterministic.
+// the delta's construction order — so the result is deterministic. A page
+// the delta carries unmaterialised (nil Data: Len zero bytes nothing ever
+// wrote) is a zero page without being scanned.
 func (c *Config) CompressDelta(d *memsim.Delta) (stored, raw uint64) {
 	for _, rd := range d.Regions {
 		for _, p := range rd.Pages {
-			stored += c.PageStored(rd.Kind, p.Data)
-			raw += uint64(len(p.Data))
+			if p.Data == nil {
+				stored += zeroStored(uint64(p.Len))
+			} else {
+				stored += c.PageStored(rd.Kind, p.Data)
+			}
+			raw += uint64(p.Len)
 		}
 	}
 	return stored, raw

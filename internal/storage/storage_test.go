@@ -161,6 +161,17 @@ func TestPageStored(t *testing.T) {
 	if got := cfg.PageStored(memsim.KindText, nil); got != 0 {
 		t.Errorf("empty page stored %d bytes, want 0", got)
 	}
+	// A delta carries a page nothing ever wrote without its bytes; it must
+	// store exactly as the same page of materialised zeros does.
+	for _, n := range []int{4096, 8} {
+		absent := memsim.Delta{Regions: []memsim.RegionDelta{{Kind: memsim.KindHeap, Pages: []memsim.PageDelta{{Len: n}}}}}
+		zeros := memsim.Delta{Regions: []memsim.RegionDelta{{Kind: memsim.KindHeap, Pages: []memsim.PageDelta{{Len: n, Data: make([]byte, n)}}}}}
+		as, ar := cfg.CompressDelta(&absent)
+		zs, zr := cfg.CompressDelta(&zeros)
+		if as != zs || ar != zr || ar != uint64(n) {
+			t.Errorf("unmaterialised %d-byte zero page stores %d of %d bytes, materialised %d of %d", n, as, ar, zs, zr)
+		}
+	}
 }
 
 // TestPFSContention pins the FIFO queue model: back-to-back arrivals
