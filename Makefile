@@ -22,7 +22,7 @@ BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./interna
 # gate there.
 MAX_REGRESS ?= 0.30
 
-.PHONY: all build test race lint fmt bench bench-sched bench-virtid bench-fleet bench-json bench-check bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race fuzz-smoke lint fmt bench bench-sched bench-virtid bench-fleet bench-json bench-check bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -34,6 +34,18 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
+
+# fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
+# `go test` only replays their seed corpus): the sparse page store
+# against a flat []byte model, and the dense netsim pair tables against
+# a map[Pair] model. -fuzz takes one target in one package per run.
+# -fuzzminimizetime 1x: minimising every coverage-expanding input is on
+# by default with a 60 s budget and stalls a 10 s run after its first
+# find; a failing input is still reported and saved under testdata/fuzz.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsFlat$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
+	$(GO) test -run='^$$' -fuzz='^FuzzNetsimVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/netsim
 
 lint:
 	$(GO) vet ./...

@@ -1,5 +1,8 @@
-// Command isolint enforces the fleet-mode isolation audit: no new
-// package-level mutable state under internal/. Concurrent simulations
+// Command isolint enforces two structural rules on internal/ that code
+// review alone would let rot.
+//
+// Rule 1, the fleet-mode isolation audit: no new package-level mutable
+// state under internal/. Concurrent simulations
 // in one process (internal/fleet) are only byte-identical to standalone
 // runs because every run's state hangs off its own Coordinator — a
 // package-level var is shared by all of them and would either race or,
@@ -12,6 +15,14 @@
 // that no longer matches anything is itself an error, so the list
 // cannot rot.
 //
+// Rule 2, the single-owner audit: the structs named in lockFree —
+// per-rank state read and written on every simulated event, and owned
+// by exactly one goroutine at a time (see vtime.Clock) — declare no
+// field of a sync or sync/atomic type. An uncontended lock there is
+// pure per-event cost, and nothing else would notice one creeping back.
+// A lockFree entry naming a struct that no longer exists is an error
+// too.
+//
 // Usage:
 //
 //	go run ./cmd/isolint [dir]   # dir defaults to ./internal
@@ -22,6 +33,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -43,15 +55,82 @@ var allowed = map[string]string{
 	"storage.defaultRatios":                 "compressibility-default table, initialised once and only read",
 }
 
-// finding is one package-level var outside the allowlist.
+// lockFree maps "package.Struct" to why it must stay free of
+// synchronisation fields.
+var lockFree = map[string]string{
+	"vtime.Clock":         "one word per rank, read and written on every event by the goroutine driving the rank",
+	"memsim.AddressSpace": "written on every workload step by the goroutine driving the rank",
+	"memsim.Region":       "live regions belong to one AddressSpace; captured copies are immutable",
+}
+
+// finding is one violation: a package-level var outside the allowlist,
+// or (field != "") a synchronisation field on a lockFree struct.
 type finding struct {
-	pos  token.Position
-	name string // "package.var"
+	pos   token.Position
+	name  string // "package.var" or "package.Struct"
+	field string // rule 2: the offending field and its type
+}
+
+// syncPackages are the import paths whose types rule 2 forbids.
+var syncPackages = map[string]bool{"sync": true, "sync/atomic": true}
+
+// syncNames returns the names this file refers to the sync packages by.
+func syncNames(file *ast.File) map[string]bool {
+	names := make(map[string]bool)
+	for _, imp := range file.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		if !syncPackages[path] {
+			continue
+		}
+		name := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		names[name] = true
+	}
+	return names
+}
+
+// usesSync reports whether a field's type expression mentions a type
+// from one of the sync packages, at any depth (a pointer to, slice of,
+// or generic instantiation of one counts).
+func usesSync(expr ast.Expr, names map[string]bool) bool {
+	found := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if pkg, ok := sel.X.(*ast.Ident); ok && names[pkg.Name] {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// syncFields returns one finding per field of the struct whose type
+// mentions a sync package.
+func syncFields(fset *token.FileSet, key string, st *ast.StructType, names map[string]bool) []finding {
+	var findings []finding
+	for _, f := range st.Fields.List {
+		if !usesSync(f.Type, names) {
+			continue
+		}
+		label := "(embedded)"
+		if len(f.Names) > 0 {
+			label = f.Names[0].Name
+		}
+		findings = append(findings, finding{
+			pos: fset.Position(f.Pos()), name: key,
+			field: label + " " + types.ExprString(f.Type),
+		})
+	}
+	return findings
 }
 
 // scan walks every non-test Go file under root and returns the
-// package-level var declarations outside the allowlist, plus the set of
-// allowlist keys that matched (so stale entries can be reported).
+// package-level var declarations outside the allowlist and the
+// synchronisation fields on lockFree structs, plus the set of allowlist
+// and lockFree keys that matched (so stale entries can be reported).
 func scan(root string) (findings []finding, matched map[string]bool, err error) {
 	fset := token.NewFileSet()
 	matched = make(map[string]bool)
@@ -66,9 +145,26 @@ func scan(root string) (findings []finding, matched map[string]bool, err error) 
 		if err != nil {
 			return fmt.Errorf("parsing %s: %w", path, err)
 		}
+		names := syncNames(file)
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
+			if !ok {
+				continue
+			}
+			if gd.Tok == token.TYPE {
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					key := file.Name.Name + "." + ts.Name.Name
+					st, isStruct := ts.Type.(*ast.StructType)
+					if _, listed := lockFree[key]; !listed || !isStruct {
+						continue
+					}
+					matched[key] = true
+					findings = append(findings, syncFields(fset, key, st, names)...)
+				}
+				continue
+			}
+			if gd.Tok != token.VAR {
 				continue
 			}
 			for _, spec := range gd.Specs {
@@ -110,6 +206,12 @@ func report(w *os.File, findings []finding, matched map[string]bool) bool {
 	clean := true
 	for _, f := range findings {
 		clean = false
+		if f.field != "" {
+			fmt.Fprintf(w, "isolint: %s: %s declares synchronisation field %q: %s "+
+				"(single-owner state takes no lock; see the ownership rule on vtime.Clock)\n",
+				f.pos, f.name, f.field, lockFree[f.name])
+			continue
+		}
 		fmt.Fprintf(w, "isolint: %s: package-level var %s: "+
 			"per-run state must hang off the Coordinator/Engine so concurrent fleet runs stay isolated "+
 			"(if this is write-once read-only, allowlist it in cmd/isolint with a justification)\n",
@@ -121,10 +223,15 @@ func report(w *os.File, findings []finding, matched map[string]bool) bool {
 			stale = append(stale, key)
 		}
 	}
+	for key := range lockFree {
+		if !matched[key] {
+			stale = append(stale, key)
+		}
+	}
 	sort.Strings(stale)
 	for _, key := range stale {
 		clean = false
-		fmt.Fprintf(w, "isolint: allowlist entry %q matches nothing — remove it from cmd/isolint\n", key)
+		fmt.Fprintf(w, "isolint: entry %q matches nothing — remove it from cmd/isolint\n", key)
 	}
 	return clean
 }
@@ -142,5 +249,5 @@ func main() {
 	if !report(os.Stderr, findings, matched) {
 		os.Exit(1)
 	}
-	fmt.Printf("isolint: %s clean — no package-level mutable state outside the allowlist\n", root)
+	fmt.Printf("isolint: %s clean — no package-level mutable state outside the allowlist, no lock on single-owner state\n", root)
 }

@@ -89,21 +89,129 @@ var emptyLUT = 1
 	}
 }
 
+// TestScanFlagsSyncFieldsOnLockFreeStructs pins the second rule: a
+// field of a sync or sync/atomic type on a lockFree struct is a finding
+// however it is spelled — named, embedded, behind a pointer, through a
+// renamed import — and the same field on any other struct is not.
+func TestScanFlagsSyncFieldsOnLockFreeStructs(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"vtime/clock.go": `package vtime
+
+import "sync"
+
+type Clock struct {
+	mu  sync.Mutex
+	now int64
+}
+
+type EventQueue struct{ mu sync.Mutex }
+`,
+		"memsim/space.go": `package memsim
+
+import (
+	"sync"
+	sa "sync/atomic"
+)
+
+type AddressSpace struct {
+	sync.RWMutex
+	gen sa.Uint64
+	brk uint64
+}
+
+type Region struct {
+	guard *sync.Mutex
+	sync  int
+}
+
+type Pool struct{ mu sync.Mutex }
+`,
+	})
+	findings, matched, err := scan(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, f.name+":"+f.field)
+	}
+	want := []string{
+		"memsim.AddressSpace:(embedded) sync.RWMutex",
+		"memsim.AddressSpace:gen sa.Uint64",
+		"memsim.Region:guard *sync.Mutex",
+		"vtime.Clock:mu sync.Mutex",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("scan found:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for key := range lockFree {
+		if !matched[key] {
+			t.Errorf("lockFree struct %s present in the tree but not matched", key)
+		}
+	}
+}
+
+// TestLockFreeEntriesCannotGoStale is the rule's completeness check, in
+// both directions: a lockFree entry whose struct is gone (renamed, or
+// turned into a non-struct type) makes report call the tree dirty, and
+// every entry names a struct the repository really declares.
+func TestLockFreeEntriesCannotGoStale(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"vtime/clock.go":  "package vtime\n\ntype Clock int64\n",
+		"memsim/space.go": "package memsim\n\ntype AddressSpace struct{}\n\ntype Region struct{}\n",
+	})
+	findings, matched, err := scan(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Errorf("clean structs flagged: %v", findings)
+	}
+	if matched["vtime.Clock"] {
+		t.Error("a non-struct Clock satisfied the vtime.Clock entry")
+	}
+	for key := range allowed {
+		matched[key] = true // isolate the lockFree half of report
+	}
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	if clean := report(devnull, findings, matched); clean {
+		t.Error("report ignored a lockFree entry that matches no struct")
+	}
+
+	_, matched, err = scan(filepath.Join("..", "..", "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := range lockFree {
+		if !matched[key] {
+			t.Errorf("lockFree entry %q names no struct under internal/", key)
+		}
+	}
+}
+
 // TestRepoInternalIsClean is the live gate: the repository's own
-// internal/ tree must scan clean, with every allowlist entry in use.
+// internal/ tree must scan clean — no package-level mutable state, no
+// synchronisation field on single-owner state — with every allowlist
+// entry in use.
 func TestRepoInternalIsClean(t *testing.T) {
 	findings, matched, err := scan(filepath.Join("..", "..", "internal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
+		if f.field != "" {
+			t.Errorf("synchronisation field %q on single-owner struct %s at %s", f.field, f.name, f.pos)
+			continue
+		}
 		t.Errorf("package-level mutable state: %s at %s", f.name, f.pos)
 	}
-	if len(matched) != len(allowed) {
-		for key := range allowed {
-			if !matched[key] {
-				t.Errorf("stale allowlist entry %q", key)
-			}
+	for key := range allowed {
+		if !matched[key] {
+			t.Errorf("stale allowlist entry %q", key)
 		}
 	}
 }

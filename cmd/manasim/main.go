@@ -61,6 +61,7 @@
 //	                     [-pfs-bandwidth 16e9] [-bb-bandwidth 8e9] [-bb-capacity 268435456]
 //	                     [-compress] [-compress-cost 0.3] [-legacy-straggler]
 //	                     [-islands 8] [-workers 4]
+//	                     [-cpuprofile cpu.pprof] [-memprofile heap.pprof]
 //	go run ./cmd/manasim -sweep [-sweep-specs default,overlap] [-sweep-ranks 4,8]
 //	                     [-sweep-ckpt 1ms,5ms] [-sweep-virtid sharded,mutex]
 //	                     [-sweep-incremental false,true] [-sweep-storage direct,staged]
@@ -84,6 +85,10 @@
 // any -sweep-workers setting. Flags that only make sense for a single
 // run (-record, -trace, -group) are rejected under -sweep, and
 // -sweep-* dimension flags are rejected without -sweep.
+//
+// -cpuprofile and -memprofile write pprof profiles of the simulator
+// itself (host time and heap, not virtual time) to the named files, in
+// either mode; they never touch the report or the aggregate.
 package main
 
 import (
@@ -92,6 +97,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -158,6 +165,11 @@ type scenarioOpts struct {
 	// SweepWorkers bounds how many sweep cells run concurrently
 	// (0 = GOMAXPROCS); -workers still parallelises within each run.
 	SweepWorkers int
+
+	// CPUProfile and MemProfile name files to write pprof profiles of
+	// the simulator itself to; valid in single-run and sweep mode.
+	CPUProfile string
+	MemProfile string
 
 	RanksSet           bool
 	StepsSet           bool
@@ -849,6 +861,8 @@ func main() {
 	flag.StringVar(&s.SweepIncr, "sweep-incremental", "", "with -sweep: comma-separated booleans for incremental images (default: -incremental)")
 	flag.StringVar(&s.SweepStorage, "sweep-storage", "", "with -sweep: comma-separated storage profiles/files for the grid (default: the single-run storage flags)")
 	flag.IntVar(&s.SweepWorkers, "sweep-workers", 0, "with -sweep: concurrent simulations in the pool (0 = GOMAXPROCS)")
+	flag.StringVar(&s.CPUProfile, "cpuprofile", "", "write a pprof CPU profile of the simulator to this file (never part of the report)")
+	flag.StringVar(&s.MemProfile, "memprofile", "", "write a pprof heap profile of the simulator to this file when the run ends (never part of the report)")
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -891,32 +905,94 @@ func main() {
 		}
 	})
 
+	code, err := execute(s, os.Stdout)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "manasim: %v\n", err)
+	}
+	os.Exit(code)
+}
+
+// execute runs what the parsed flags ask for — one scenario or a sweep —
+// writing the report or aggregate to w, and returns the process exit
+// code: 2 with a usage error, 1 with a run-time failure.
+func execute(s scenarioOpts, w io.Writer) (int, error) {
+	stop, err := startProfiles(s.CPUProfile, s.MemProfile)
+	if err != nil {
+		return 1, err
+	}
+	code, err := simulate(s, w)
+	if perr := stop(); err == nil && perr != nil {
+		code, err = 1, perr
+	}
+	return code, err
+}
+
+// simulate is execute without the profiles: build the sweep or the
+// single job from the flags and run it.
+func simulate(s scenarioOpts, w io.Writer) (int, error) {
 	if s.Sweep {
 		sw, err := buildSweep(s)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "manasim: %v\n", err)
-			os.Exit(2)
+			return 2, err
 		}
-		if err := runSweep(sw, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "manasim: %v\n", err)
-			os.Exit(1)
+		if err := runSweep(sw, w); err != nil {
+			return 1, err
 		}
-		return
+		return 0, nil
 	}
-
 	cfg, err := buildConfig(s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "manasim: %v\n", err)
-		os.Exit(2)
+		return 2, err
 	}
 	if s.Record != "" {
 		if err := recordTrace(s.Record, cfg.Programs); err != nil {
-			fmt.Fprintf(os.Stderr, "manasim: %v\n", err)
-			os.Exit(1)
+			return 1, err
 		}
 	}
-	if err := runScenario(cfg, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "manasim: %v\n", err)
-		os.Exit(1)
+	if err := runScenario(cfg, w); err != nil {
+		return 1, err
 	}
+	return 0, nil
+}
+
+// startProfiles begins a CPU profile into cpuPath and returns the
+// function that ends it and writes a heap profile into memPath; an
+// empty path skips that profile. Profiles go to the named files only —
+// nothing about them reaches the report, which stays byte-identical
+// with and without them.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile %s: %w", cpuPath, err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("-cpuprofile %s: %w", cpuPath, err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		mem, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		runtime.GC() // a heap profile describes the last completed collection
+		if err := pprof.WriteHeapProfile(mem); err != nil {
+			mem.Close()
+			return fmt.Errorf("-memprofile %s: %w", memPath, err)
+		}
+		if err := mem.Close(); err != nil {
+			return fmt.Errorf("-memprofile %s: %w", memPath, err)
+		}
+		return nil
+	}, nil
 }

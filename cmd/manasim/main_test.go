@@ -484,3 +484,46 @@ func TestSpecIslandsHint(t *testing.T) {
 		t.Errorf("-islands should override the spec hint: cfg.Islands = %d, want 2", cfg.Islands)
 	}
 }
+
+// TestProfileFlagsLeaveOutputAlone pins -cpuprofile/-memprofile: both
+// files are written, in single-run and sweep mode, and what the
+// simulator prints is byte-identical with and without them — profiles
+// go to the named files and nowhere else.
+func TestProfileFlagsLeaveOutputAlone(t *testing.T) {
+	// Wall-clock fields are the only bytes of a sweep aggregate that
+	// differ between any two runs.
+	wall := regexp.MustCompile(`"(wall_ms|runs_per_sec)": [0-9.e+-]+`)
+	sweep := defaultScenario()
+	sweep.Sweep = true
+	sweep.Steps = 6
+	sweep.SweepRanks = "4,8"
+	for name, s := range map[string]scenarioOpts{"single": defaultScenario(), "sweep": sweep} {
+		t.Run(name, func(t *testing.T) {
+			run := func(s scenarioOpts) string {
+				t.Helper()
+				var buf bytes.Buffer
+				if code, err := execute(s, &buf); code != 0 || err != nil {
+					t.Fatalf("execute = %d, %v", code, err)
+				}
+				return wall.ReplaceAllString(buf.String(), "")
+			}
+			plain := run(s)
+			dir := t.TempDir()
+			s.CPUProfile = filepath.Join(dir, "cpu.pprof")
+			s.MemProfile = filepath.Join(dir, "heap.pprof")
+			if profiled := run(s); profiled != plain {
+				t.Error("output differs with -cpuprofile/-memprofile set")
+			}
+			for _, path := range []string{s.CPUProfile, s.MemProfile} {
+				if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+					t.Errorf("profile %s missing or empty (err %v)", filepath.Base(path), err)
+				}
+			}
+		})
+	}
+	s := defaultScenario()
+	s.CPUProfile = filepath.Join(t.TempDir(), "no-such-dir", "cpu.pprof")
+	if code, err := execute(s, &bytes.Buffer{}); code != 1 || err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: execute = %d, %v; want exit 1 naming the flag", code, err)
+	}
+}

@@ -433,7 +433,7 @@ func (g *generation) materializeLink(li, i int) (rank.Image, uint64) {
 }
 
 // eventKind identifies one scheduler event type.
-type eventKind int
+type eventKind uint8
 
 const (
 	// evRankReady dispatches one rank's next scripted operation.
@@ -455,16 +455,26 @@ const (
 	evDrainDone
 )
 
-// event is one entry on the virtual-time queue. Exactly one payload
-// field group is meaningful per kind.
+// event is one entry on the virtual-time queue. It is 16 bytes — every
+// heap sift copies it — so it carries one pointer and one index, and
+// the kinds that need more look it up where it already lives: a
+// collective completion in the forming record of its communicator (its
+// completion time is the event's own time), a drain completion in the
+// drainDones table.
 type event struct {
-	kind       eventKind
-	rank       int             // evRankReady; evDrainDone: draining rank
-	msg        *netsim.Message // evDelivery
-	trigger    int             // evTrigger: index into cfg.Triggers; evFail: index into faults; evDrainDone: checkpoint seq
-	completion vtime.Time      // evCollectiveDone
-	comm       int             // evCollectiveDone: communicator the collective ran over
-	seq        uint64          // evCollectiveDone: forming-instance number (staleness guard)
+	msg *netsim.Message // evDelivery
+	// arg is the kind's one index: the rank (evRankReady), the
+	// communicator id (evCollectiveDone), the index into cfg.Triggers
+	// (evTrigger), into faults (evFail) or into drainDones (evDrainDone).
+	arg  int32
+	kind eventKind
+}
+
+// drainDone is the payload of one evDrainDone event: which rank's drain
+// of which checkpoint completed.
+type drainDone struct {
+	rank int32
+	seq  int32
 }
 
 // comm is one communicator the job knows: id 0 is MPI_COMM_WORLD,
@@ -480,16 +490,19 @@ type comm struct {
 // the collective is part of the current drain plan, and which live
 // members the plan still expects to arrive.
 type forming struct {
-	commID    int
-	seq       uint64 // global collective-instance number (deterministic)
-	kind      netsim.CollectiveKind
-	bytes     uint64
-	stamps    []vtime.Stamp
-	ranks     []int
-	colors    []int // per-arrival colours, comm-splits only
-	scheduled bool
-	planned   bool
-	waiting   map[int]bool
+	commID int
+	seq    uint64 // global collective-instance number (deterministic)
+	kind   netsim.CollectiveKind
+	bytes  uint64
+	stamps []vtime.Stamp
+	ranks  []int
+	colors []int // per-arrival colours, comm-splits only
+	// scheduled marks that the completion event is queued, at time
+	// completion; an evCollectiveDone at any other time is stale.
+	scheduled  bool
+	completion vtime.Time
+	planned    bool
+	waiting    map[int]bool
 }
 
 // Coordinator owns the ranks, the network and the checkpoint protocol.
@@ -522,6 +535,9 @@ type Coordinator struct {
 	// workers run.
 	inWindow bool
 	lanebufs []laneBuf
+	// merged is the barrier's scratch for the time-ordered replay of the
+	// lanes' buffered collective arrivals, reused across windows.
+	merged []pendingArrival
 
 	triggers []Trigger
 	fired    []bool
@@ -606,6 +622,13 @@ type Coordinator struct {
 	pfs       storage.PFS
 	bbUsed    []uint64
 	drainReqs []drainReq
+	// drainDones holds the payloads of the queued evDrainDone events
+	// (the event carries an index). Entries are appended as drains are
+	// scheduled and the table is emptied whenever none is outstanding —
+	// drainsQueued counts the events still on the queue — and on
+	// restart, which clears the queue.
+	drainDones   []drainDone
+	drainsQueued int
 
 	// events counts dispatched queue events; rankVisits counts how many
 	// times the scheduler touched a rank (op execution, wake attempt,
@@ -681,6 +704,7 @@ func New(cfg Config) *Coordinator {
 		islandOf:    takeSlice(&sc.islandOf, cfg.Ranks),
 		lookahead:   cfg.Net.CrossLookahead(),
 		lanebufs:    sc.takeLanebufs(islands),
+		merged:      sc.takeMerged(),
 		triggers:    append([]Trigger(nil), cfg.Triggers...),
 		fired:       takeSlice(&sc.fired, len(cfg.Triggers)),
 		unfired:     len(cfg.Triggers),
@@ -711,7 +735,7 @@ func New(cfg Config) *Coordinator {
 	}
 	c.net.SetDeliveryScheduler(c)
 	for i, t := range c.triggers {
-		c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, trigger: i})
+		c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, arg: int32(i)})
 	}
 	// The fault plan: the legacy FailAtCheckpoint/FailDelay pair compiles
 	// to a one-fault plan appended after the declarative faults, so the
@@ -732,7 +756,7 @@ func New(cfg Config) *Coordinator {
 	}
 	for i, f := range c.faults {
 		if f.Anchor == faultplan.AtVirtualTime {
-			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, trigger: i})
+			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, arg: int32(i)})
 		}
 	}
 	for id := 0; id < cfg.Ranks; id++ {
@@ -779,7 +803,7 @@ func (c *Coordinator) ScheduleDelivery(m *netsim.Message) {
 // if it has one.
 func (c *Coordinator) scheduleReady(r *rank.Rank) {
 	if t, ok := r.NextReady(); ok {
-		c.queues.Push(c.islandOf[r.ID()], t, event{kind: evRankReady, rank: r.ID()})
+		c.queues.Push(c.islandOf[r.ID()], t, event{kind: evRankReady, arg: int32(r.ID())})
 	}
 }
 
@@ -964,8 +988,8 @@ func (c *Coordinator) maybeScheduleCollectiveDone(f *forming) {
 	}
 	latest := vtime.MaxStamp(f.stamps)
 	completion := latest.When.Add(c.cfg.Net.CollectiveCost(f.kind, n, f.bytes))
-	f.scheduled = true
-	c.queues.Push(c.globalLane(), completion, event{kind: evCollectiveDone, comm: f.commID, seq: f.seq, completion: completion})
+	f.scheduled, f.completion = true, completion
+	c.queues.Push(c.globalLane(), completion, event{kind: evCollectiveDone, arg: int32(f.commID)})
 }
 
 // collectiveKindOf maps a collective op onto the network cost model.
@@ -988,7 +1012,7 @@ func collectiveKindOf(k scenario.OpKind) netsim.CollectiveKind {
 // joins the plan (only ranks the plan needs reach this point — everyone
 // else is held at the boundary), and a planned collective's waiting set
 // shrinks with each arrival.
-func (c *Coordinator) joinCollective(r *rank.Rank, tr rank.Transition) {
+func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) {
 	commID := r.CommID(tr.Op.Comm)
 	kind := collectiveKindOf(tr.Op.Kind)
 	f := c.colls[commID]
@@ -1028,9 +1052,9 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr rank.Transition) {
 // members sorted), each group is assigned the next global communicator
 // id, and every member registers the new handle in its virtualisation
 // table — all deterministic, so restart replay re-mints identical ids.
-func (c *Coordinator) completeCollective(commID int, seq uint64, completion vtime.Time) {
+func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 	f := c.colls[commID]
-	if f == nil || f.seq != seq {
+	if f == nil || !f.scheduled || f.completion != completion {
 		return // stale event from an abandoned timeline
 	}
 	if f.kind == netsim.CommSplit {
@@ -1105,12 +1129,12 @@ func (c *Coordinator) afterRankProgress(r *rank.Rank) {
 	}
 }
 
-// dispatch executes one popped event. It returns failed=true when the
-// injected failure fired.
-func (c *Coordinator) dispatch(ev event) (failed bool) {
+// dispatch executes one event popped at virtual time t. It returns
+// failed=true when the injected failure fired.
+func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool) {
 	switch ev.kind {
 	case evRankReady:
-		r := c.ranks[ev.rank]
+		r := c.ranks[ev.arg]
 		if r.State() != rank.Running {
 			return false // stale: the timeline this event belonged to is gone
 		}
@@ -1137,7 +1161,7 @@ func (c *Coordinator) dispatch(ev event) (failed bool) {
 			}
 		case rank.JoinedCollective:
 			c.noteClock(r.Clock().Now())
-			c.joinCollective(r, tr)
+			c.joinCollective(r, &tr)
 		}
 	case evDelivery:
 		m := ev.msg
@@ -1153,18 +1177,22 @@ func (c *Coordinator) dispatch(ev event) (failed bool) {
 		// the arrival gate passes) or its drained inbox when its own ready
 		// event reaches the receive, so the event is a no-op.
 	case evCollectiveDone:
-		c.completeCollective(ev.comm, ev.seq, ev.completion)
+		c.completeCollective(int(ev.arg), t)
 	case evTrigger:
-		c.armTrigger(ev.trigger)
+		c.armTrigger(int(ev.arg))
 	case evFail:
 		// Faults are one-shot: ordinal-anchored crashes were marked
 		// consumed when scheduled; a virtual-time crash is consumed here,
 		// so the restarted timeline replays through its firing point
 		// without dying again.
-		c.faultFired[ev.trigger] = true
+		c.faultFired[ev.arg] = true
 		return true
 	case evDrainDone:
-		c.finishDrain(ev.trigger, ev.rank)
+		d := c.drainDones[ev.arg]
+		if c.drainsQueued--; c.drainsQueued == 0 {
+			c.drainDones = c.drainDones[:0]
+		}
+		c.finishDrain(int(d.seq), int(d.rank))
 	}
 	return false
 }
@@ -1215,7 +1243,7 @@ func (c *Coordinator) Run() (Outcome, error) {
 		if c.parallelEligible() && c.runWindow() {
 			continue
 		}
-		ev, ok := c.pop()
+		t, ev, ok := c.pop()
 		if !ok {
 			// Before reporting the generic stall, check whether the
 			// in-flight collectives explain it: a dependency cycle between
@@ -1230,7 +1258,7 @@ func (c *Coordinator) Run() (Outcome, error) {
 				"coordinator: deadlock after %d events — %d ranks not done, %d in collective, %d messages in flight, no event can wake them",
 				c.events, c.nonDone(), c.inCollective(), c.net.InFlight())
 		}
-		if c.dispatch(ev) {
+		if c.dispatch(t, ev) {
 			return Failed, nil
 		}
 		c.checkArmedTriggers()
@@ -1270,12 +1298,12 @@ func (c *Coordinator) sweepStaleDeliveries() {
 
 // pop removes the globally earliest event across all lanes — the exact
 // order the old single-queue scheduler popped in.
-func (c *Coordinator) pop() (event, bool) {
-	_, _, ev, ok := c.queues.PopMin()
+func (c *Coordinator) pop() (vtime.Time, event, bool) {
+	_, t, ev, ok := c.queues.PopMin()
 	if ok {
 		c.events++
 	}
-	return ev, ok
+	return t, ev, ok
 }
 
 // drain runs phase 1's message drain: every in-flight message is received
@@ -1455,7 +1483,9 @@ func (c *Coordinator) scheduleDrains(rec *CheckpointRecord) {
 		if done > rec.DurableAt {
 			rec.DurableAt = done
 		}
-		c.queues.Push(c.globalLane(), done, event{kind: evDrainDone, rank: dr.rank, trigger: rec.Seq})
+		c.queues.Push(c.globalLane(), done, event{kind: evDrainDone, arg: int32(len(c.drainDones))})
+		c.drainDones = append(c.drainDones, drainDone{rank: int32(dr.rank), seq: int32(rec.Seq)})
+		c.drainsQueued++
 	}
 	c.drainReqs = c.drainReqs[:0]
 }
@@ -1630,7 +1660,7 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtCheckpointCommit && f.N == rec.Seq {
 			c.faultFired[i] = true
-			c.queues.Push(c.globalLane(), rec.SafeAt.Add(f.Delay), event{kind: evFail, trigger: i})
+			c.queues.Push(c.globalLane(), rec.SafeAt.Add(f.Delay), event{kind: evFail, arg: int32(i)})
 		}
 	}
 	return crashed, nil
@@ -1828,14 +1858,15 @@ func (c *Coordinator) Restart() error {
 		c.bbUsed[i] = 0
 	}
 	c.drainReqs = c.drainReqs[:0]
+	c.drainDones, c.drainsQueued = c.drainDones[:0], 0
 	for i, t := range c.triggers {
 		if !c.fired[i] {
-			c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, trigger: i})
+			c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, arg: int32(i)})
 		}
 	}
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
-			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, trigger: i})
+			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, arg: int32(i)})
 		}
 	}
 	c.doneCount = 0

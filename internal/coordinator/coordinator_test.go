@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"mana/internal/kernelsim"
@@ -339,37 +338,6 @@ func TestRestartWithoutCheckpointFails(t *testing.T) {
 	if err := c.Restart(); err == nil {
 		t.Error("Restart with no committed checkpoint should fail")
 	}
-}
-
-// TestConcurrentClockObserversRaceClean reads rank clocks from a helper
-// goroutine while the scheduler runs, mirroring MANA's checkpoint helper
-// thread; under -race this pins down the locking contract.
-func TestConcurrentClockObserversRaceClean(t *testing.T) {
-	cfg := smallConfig(4, 10)
-	cfg.Triggers = []Trigger{{At: vtime.Time(500 * vtime.Microsecond)}}
-	c := New(cfg)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				for _, r := range c.Ranks() {
-					_ = r.Clock().Now()
-				}
-				_ = c.Net().InFlight()
-			}
-		}
-	}()
-	if _, err := c.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	close(done)
-	wg.Wait()
 }
 
 // TestSortedPairsDeterministic covers the report helper.

@@ -2,6 +2,7 @@ package coordinator
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -189,6 +190,51 @@ func TestWorkerDeterminismLibrarySpec(t *testing.T) {
 	}
 	if fp != wantFP {
 		t.Errorf("stencil: fingerprint %016x, want %016x", fp, wantFP)
+	}
+}
+
+// TestWindowOwnershipRaceClean pins the ownership rule the per-rank
+// state relies on (vtime.Clock's doc comment): clocks, address spaces
+// and handle tables carry no lock because only the goroutine driving a
+// rank touches them, and the window barrier hands them between the
+// workers and the coordinator. Under -race this is the test that would
+// catch a second toucher. Library specs run at Islands=8, Workers=4
+// through checkpoints (capture reads every rank's state from the
+// coordinator goroutine between windows), an injected failure and a
+// restart (which rewrites it), and must print the serial run's bytes.
+func TestWindowOwnershipRaceClean(t *testing.T) {
+	for _, spec := range []string{"stencil", "default"} {
+		t.Run(spec, func(t *testing.T) {
+			mk := func(islands, workers int) Config {
+				cfg := DefaultConfig()
+				cfg.Ranks = 64
+				cfg.Programs = scenario.MustPrograms(spec, scenario.Params{Ranks: 64, Steps: 12, Seed: 11, Group: 8})
+				cfg.Net.GroupSize = 8
+				cfg.Net.CrossGroupLatency = 5 * vtime.Microsecond
+				cfg.Incremental = true
+				cfg.Triggers = []Trigger{
+					{At: vtime.Time(50 * vtime.Microsecond)},
+					{At: vtime.Time(60 * vtime.Microsecond), InFlight: true},
+					{At: vtime.Time(400 * vtime.Microsecond)},
+				}
+				cfg.FailAtCheckpoint = 2
+				cfg.FailDelay = 100 * vtime.Microsecond
+				cfg.Islands = islands
+				cfg.Workers = workers
+				return cfg
+			}
+			wantReport, wantFP := runToCompletion(t, mk(1, 1))
+			if !strings.Contains(wantReport, "restart") {
+				t.Fatal("scenario did not restart; the test would not cover Restore")
+			}
+			report, fp := runToCompletion(t, mk(8, 4))
+			if report != wantReport {
+				t.Errorf("islands=8 workers=4: report differs from serial run")
+			}
+			if fp != wantFP {
+				t.Errorf("islands=8 workers=4: fingerprint %016x, want %016x", fp, wantFP)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"mana/internal/scenario"
 	"mana/internal/vtime"
@@ -320,4 +321,13 @@ func benchIslands(b *testing.B, ranks, islands, workers int, maxAllocsPerEvent f
 func BenchmarkScheduler65536Ranks(b *testing.B) { benchIslands(b, 65536, 16, 1, 1.0) }
 func BenchmarkScheduler65536Ranks4Workers(b *testing.B) {
 	benchIslands(b, 65536, 16, 4, 0)
+}
+
+// TestEventFitsSixteenBytes pins the event's size: every heap sift copies
+// it, so a field added carelessly costs every simulated event. The fat
+// kinds keep their payload elsewhere (see the event doc comment).
+func TestEventFitsSixteenBytes(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 16 {
+		t.Errorf("event is %d bytes, want <= 16", size)
+	}
 }

@@ -26,6 +26,7 @@ type Scratch struct {
 	inCollComm  []int
 	fired       []bool
 	lanebufs    []laneBuf
+	merged      []pendingArrival
 	held        map[int]bool
 	ranks       []*rank.Rank
 	formingPool []*forming
@@ -99,6 +100,15 @@ func (s *Scratch) takeLanebufs(n int) []laneBuf {
 	return bufs
 }
 
+// takeMerged moves the barrier's arrival scratch out of the scratch,
+// empty. Release cleared it, so no transition of the previous run
+// survives in its capacity.
+func (s *Scratch) takeMerged() []pendingArrival {
+	m := s.merged
+	s.merged = nil
+	return m[:0]
+}
+
 // takeHeld moves the held-rank set out of the scratch, cleared.
 func (s *Scratch) takeHeld() map[int]bool {
 	m := s.held
@@ -153,6 +163,8 @@ func (c *Coordinator) Release() {
 	s.inCollComm = c.inCollComm
 	s.fired = c.fired
 	s.lanebufs = c.lanebufs
+	clear(c.merged[:cap(c.merged)])
+	s.merged = c.merged
 	clear(c.held)
 	s.held = c.held
 	clear(c.ranks)

@@ -1,8 +1,9 @@
 package coordinator
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"mana/internal/netsim"
@@ -153,7 +154,7 @@ func (c *Coordinator) drainLane(lane int, horizon vtime.Time) {
 func (c *Coordinator) dispatchWindow(lane int, buf *laneBuf, t vtime.Time, ev event) {
 	switch ev.kind {
 	case evRankReady:
-		r := c.ranks[ev.rank]
+		r := c.ranks[ev.arg]
 		if r.State() != rank.Running {
 			return // stale: the timeline this event belonged to is gone
 		}
@@ -197,7 +198,7 @@ func (c *Coordinator) noteProgressWindow(lane int, buf *laneBuf, r *rank.Rank) {
 		return
 	}
 	if t, ok := r.NextReady(); ok {
-		c.queues.WorkerPush(lane, t, event{kind: evRankReady, rank: r.ID()})
+		c.queues.WorkerPush(lane, t, event{kind: evRankReady, arg: int32(r.ID())})
 	}
 }
 
@@ -230,7 +231,7 @@ func (c *Coordinator) mergeWindow() {
 		buf.msgs = buf.msgs[:0]
 	}
 	if arrivals > 0 {
-		merged := make([]pendingArrival, 0, arrivals)
+		merged := c.merged[:0]
 		for lane := range c.lanebufs {
 			buf := &c.lanebufs[lane]
 			merged = append(merged, buf.arrivals...)
@@ -239,10 +240,11 @@ func (c *Coordinator) mergeWindow() {
 		// Stable sort: equal times keep lane order (lanes were appended
 		// ascending), and within a lane the buffered order is already
 		// the lane's execution order.
-		sort.SliceStable(merged, func(i, j int) bool { return merged[i].at < merged[j].at })
-		for _, a := range merged {
-			c.joinCollective(c.ranks[a.rankID], a.tr)
+		slices.SortStableFunc(merged, func(a, b pendingArrival) int { return cmp.Compare(a.at, b.at) })
+		for i := range merged {
+			c.joinCollective(c.ranks[merged[i].rankID], &merged[i].tr)
 		}
+		c.merged = merged
 	}
 	for _, f := range c.collList {
 		c.maybeScheduleCollectiveDone(f)

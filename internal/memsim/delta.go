@@ -113,8 +113,6 @@ func (d Delta) FullBytes() uint64 {
 // The call panics if no generation has been committed yet: the first
 // capture of a space must be a full CommitUpperHalf.
 func (a *AddressSpace) CommitUpperHalfDelta() Delta {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.gen == 0 {
 		panic("memsim: incremental capture with no committed base generation")
 	}

@@ -30,7 +30,6 @@ package memsim
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // Half identifies which program of the split process owns a region.
@@ -201,11 +200,17 @@ const (
 	mmapAlignment = 4096
 )
 
-// AddressSpace is the simulated process memory map. It is safe for
-// concurrent use; the checkpoint helper thread reads it while the
-// application allocates.
+// AddressSpace is the simulated process memory map.
+//
+// It follows the single-owner rule vtime.Clock documents: an address
+// space belongs to one rank and is touched only by the goroutine
+// currently driving that rank — the scheduler goroutine in serial mode,
+// the owning island's worker inside a parallel window, the coordinator
+// between windows (capture, restore, fingerprint). It therefore carries
+// no lock, and cmd/isolint rejects a sync or atomic field on it or on
+// Region. What ranks do share is the Pool behind their page buffers,
+// which is locked, and frozen pages, which are immutable.
 type AddressSpace struct {
-	mu sync.RWMutex
 	// regions holds each half's regions in ascending address order.
 	// Addresses are handed out monotonically per half, so a new mapping
 	// appends and every capture path iterates in place: no map, and so no
@@ -252,8 +257,6 @@ func NewAddressSpacePooled(pool *Pool) *AddressSpace {
 // captured Regions()/Lookup() copies keep them (those are deep copies).
 // Without an attached pool Release only empties the space.
 func (a *AddressSpace) Release() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for half := range a.regions {
 		if a.pool != nil {
 			for _, r := range a.regions[half] {
@@ -272,15 +275,11 @@ func (a *AddressSpace) Release() {
 // SetSbrkInterposition enables or disables MANA's interposition on sbrk.
 // Disabling it exposes the §2.1 hazard, which the tests exercise.
 func (a *AddressSpace) SetSbrkInterposition(on bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.sbrkInter = on
 }
 
 // SbrkInterposed reports whether sbrk interposition is enabled.
 func (a *AddressSpace) SbrkInterposed() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.sbrkInter
 }
 
@@ -288,15 +287,11 @@ func (a *AddressSpace) SbrkInterposed() bool {
 // from a checkpoint image, which changes sbrk behaviour (the kernel's brk
 // now refers to the bootstrap program).
 func (a *AddressSpace) MarkPostRestart() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.postRestart = true
 }
 
 // PostRestart reports whether the space was rebuilt from an image.
 func (a *AddressSpace) PostRestart() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.postRestart
 }
 
@@ -334,12 +329,6 @@ func (a *AddressSpace) find(addr uint64) (*Region, Half, int) {
 // rounded up to the page size. The region has no contents (DataLen 0)
 // until it is first written.
 func (a *AddressSpace) Mmap(name string, half Half, kind Kind, size uint64) *Region {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.mmapLocked(name, half, kind, size)
-}
-
-func (a *AddressSpace) mmapLocked(name string, half Half, kind Kind, size uint64) *Region {
 	size = align(size)
 	var addr uint64
 	switch half {
@@ -362,9 +351,7 @@ func (a *AddressSpace) mmapLocked(name string, half Half, kind Kind, size uint64
 
 // MmapWithData creates a region initialised with the given contents.
 func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []byte) *Region {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.mmapLocked(name, half, kind, uint64(len(data)))
+	r := a.Mmap(name, half, kind, uint64(len(data)))
 	r.DataLen = uint64(len(data))
 	if len(data) > 0 {
 		r.pages = make([]*page, pageCount(r.DataLen))
@@ -378,9 +365,7 @@ func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []by
 // materialised until one is written, while the data length — which
 // fingerprints and images record — is n from the start.
 func (a *AddressSpace) MmapZero(name string, half Half, kind Kind, n uint64) *Region {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	r := a.mmapLocked(name, half, kind, n)
+	r := a.Mmap(name, half, kind, n)
 	r.DataLen = n
 	return r
 }
@@ -388,8 +373,6 @@ func (a *AddressSpace) MmapZero(name string, half Half, kind Kind, n uint64) *Re
 // Munmap removes the region starting at addr. It reports whether a region
 // was found.
 func (a *AddressSpace) Munmap(addr uint64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	r, half, i := a.find(addr)
 	if r == nil {
 		return false
@@ -403,9 +386,7 @@ func (a *AddressSpace) Munmap(addr uint64) bool {
 // before restoring a checkpoint image, and to model the "ephemeral" MPI
 // library.
 func (a *AddressSpace) UnmapHalf(half Half) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	released := a.bytesLocked(half)
+	released := a.BytesOf(half)
 	a.regions[half] = nil
 	return released
 }
@@ -427,19 +408,17 @@ type SbrkResult struct {
 // Sbrk grows the heap by delta bytes and reports how the request was
 // satisfied.
 func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if a.sbrkInter {
-		r := a.mmapLocked("[heap-mmap]", UpperHalf, KindHeap, delta)
+		r := a.Mmap("[heap-mmap]", UpperHalf, KindHeap, delta)
 		return SbrkResult{Region: r, UsedMmap: true}
 	}
 	if a.postRestart {
 		// The kernel's brk refers to the bootstrap (lower-half) program.
-		r := a.mmapLocked("[lower-brk-growth]", LowerHalf, KindData, delta)
+		r := a.Mmap("[lower-brk-growth]", LowerHalf, KindData, delta)
 		return SbrkResult{Region: r, CorruptedLowerHalf: true}
 	}
 	// Pre-checkpoint, the brk belongs to the original upper-half program.
-	r := a.mmapLocked("[heap]", UpperHalf, KindHeap, delta)
+	r := a.Mmap("[heap]", UpperHalf, KindHeap, delta)
 	a.brk += align(delta)
 	return SbrkResult{Region: r}
 }
@@ -452,8 +431,6 @@ func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
 // carries the resized region in full — page indices no longer line up
 // with the old base, so deltas against it would be unsound.
 func (a *AddressSpace) SbrkShrink(delta uint64) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	upper := a.regions[UpperHalf]
 	var released uint64
 	for i := len(upper) - 1; i >= 0 && delta > 0; i-- {
@@ -486,8 +463,6 @@ func (a *AddressSpace) SbrkShrink(delta uint64) uint64 {
 
 // Regions returns a snapshot slice of all regions sorted by address.
 func (a *AddressSpace) Regions() []Region {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	// The upper half's address range lies below the lower half's.
 	out := make([]Region, 0, len(a.regions[UpperHalf])+len(a.regions[LowerHalf]))
 	for _, list := range a.regions {
@@ -500,8 +475,6 @@ func (a *AddressSpace) Regions() []Region {
 
 // RegionsOf returns the regions belonging to one half, sorted by address.
 func (a *AddressSpace) RegionsOf(half Half) []Region {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	out := make([]Region, 0, len(a.regions[half]))
 	for _, r := range a.regions[half] {
 		out = append(out, r.clone())
@@ -509,7 +482,8 @@ func (a *AddressSpace) RegionsOf(half Half) []Region {
 	return out
 }
 
-func (a *AddressSpace) bytesLocked(half Half) uint64 {
+// BytesOf returns the total size in bytes of all regions in one half.
+func (a *AddressSpace) BytesOf(half Half) uint64 {
 	var total uint64
 	for _, r := range a.regions[half] {
 		total += r.Size
@@ -517,17 +491,8 @@ func (a *AddressSpace) bytesLocked(half Half) uint64 {
 	return total
 }
 
-// BytesOf returns the total size in bytes of all regions in one half.
-func (a *AddressSpace) BytesOf(half Half) uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.bytesLocked(half)
-}
-
 // BytesOfKind returns the total size of regions of a given half and kind.
 func (a *AddressSpace) BytesOfKind(half Half, kind Kind) uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	var total uint64
 	for _, r := range a.regions[half] {
 		if r.Kind == kind {
@@ -539,8 +504,6 @@ func (a *AddressSpace) BytesOfKind(half Half, kind Kind) uint64 {
 
 // Lookup returns the region starting at addr, if any.
 func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	r, _, _ := a.find(addr)
 	if r == nil {
 		return Region{}, false
@@ -552,8 +515,6 @@ func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
 // It returns an error if the region does not exist or the write would
 // overflow it. Only the pages the write touches are materialised.
 func (a *AddressSpace) Write(addr uint64, offset uint64, data []byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	r, _, _ := a.find(addr)
 	if r == nil {
 		return fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
@@ -591,8 +552,6 @@ func (a *AddressSpace) store(r *Region, offset uint64, data []byte) {
 
 // Read copies length bytes from the region starting at addr at offset.
 func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, error) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	r, _, _ := a.find(addr)
 	if r == nil {
 		return nil, fmt.Errorf("memsim: read from unmapped region 0x%x", addr)
@@ -628,12 +587,12 @@ type Snapshot struct {
 	RegionHashes []uint64
 }
 
-// captureLocked builds a full snapshot by sharing, not copying: each
+// capture builds a full snapshot by sharing, not copying: each
 // region contributes a copy of its page table, and the pages themselves
 // are frozen so the live space copies one on its next write to it. When
 // commit is set the captured contents also become the base generation
 // every later delta is relative to, and the dirty bitmaps are cleared.
-func (a *AddressSpace) captureLocked(commit bool) Snapshot {
+func (a *AddressSpace) capture(commit bool) Snapshot {
 	upper := a.regions[UpperHalf]
 	snap := Snapshot{
 		Brk:          a.brk,
@@ -657,9 +616,7 @@ func (a *AddressSpace) captureLocked(commit bool) Snapshot {
 // the dirty bitmaps and the committed base are left untouched, so
 // observing the space never perturbs incremental checkpointing.
 func (a *AddressSpace) SnapshotUpperHalf() Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.captureLocked(false)
+	return a.capture(false)
 }
 
 // CommitUpperHalf captures all upper-half regions and records the result
@@ -667,17 +624,13 @@ func (a *AddressSpace) SnapshotUpperHalf() Snapshot {
 // delta (CommitUpperHalfDelta) is relative to this snapshot. This is what
 // MANA's checkpoint helper writes to a full image file.
 func (a *AddressSpace) CommitUpperHalf() Snapshot {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.captureLocked(true)
+	return a.capture(true)
 }
 
 // Fingerprint returns SnapshotUpperHalf().Fingerprint() without building
 // the snapshot: the live regions are hashed in place (per-region memo,
 // absent pages skipped), nothing is copied and no page is frozen.
 func (a *AddressSpace) Fingerprint() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	upper := a.regions[UpperHalf]
 	h := fnvOffset.u64(a.brk).u64(uint64(len(upper)))
 	for _, r := range upper {
@@ -690,8 +643,6 @@ func (a *AddressSpace) Fingerprint() uint64 {
 // taken of this space. Zero means no base exists yet, so an incremental
 // capture must fall back to a full one.
 func (a *AddressSpace) Generation() uint64 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	return a.gen
 }
 
@@ -699,8 +650,6 @@ func (a *AddressSpace) Generation() uint64 {
 // ascending order, and whether the region exists. Tests and diagnostics
 // use it to observe the bitmap without capturing.
 func (a *AddressSpace) DirtyPages(addr uint64) ([]int, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	r, _, _ := a.find(addr)
 	if r == nil {
 		return nil, false
@@ -747,8 +696,6 @@ func (s Snapshot) Fingerprint() uint64 {
 // regions must be in ascending address order, as every capture and
 // ApplyDelta produces them.
 func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	upper := make([]*Region, 0, len(s.Regions))
 	maxEnd := uint64(upperBase)
 	for i := range s.Regions {

@@ -19,7 +19,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"mana/internal/vtime"
@@ -219,16 +219,64 @@ type DeliveryScheduler interface {
 	ScheduleDelivery(m *Message)
 }
 
+// pairState is one directed pair's state, kept at its destination: the
+// FIFO of in-flight messages and the §3.1 send/receive counters. The
+// FIFO is a ring over a power-of-two buffer, so a pair that is never
+// fully drained still reuses its storage instead of creeping through a
+// slice.
+type pairState struct {
+	src   int
+	count PairCount
+	buf   []*Message
+	head  int // index of the oldest message in buf
+	n     int // messages queued
+}
+
+func (p *pairState) push(m *Message) {
+	if p.n == len(p.buf) {
+		grown := make([]*Message, max(2, 2*len(p.buf)))
+		for i := 0; i < p.n; i++ {
+			grown[i] = p.buf[(p.head+i)&(len(p.buf)-1)]
+		}
+		p.buf, p.head = grown, 0
+	}
+	p.buf[(p.head+p.n)&(len(p.buf)-1)] = m
+	p.n++
+}
+
+// pop removes the oldest message; the caller has checked p.n > 0.
+func (p *pairState) pop() *Message {
+	m := p.buf[p.head]
+	p.buf[p.head] = nil
+	p.head = (p.head + 1) & (len(p.buf) - 1)
+	p.n--
+	return m
+}
+
 // Network is the simulated interconnect: per-pair FIFO queues plus the
-// send/receive counters the drain protocol uses. It is safe for concurrent
-// use, though the deterministic scheduler drives it from one goroutine.
+// send/receive counters the drain protocol uses.
+//
+// Pair state is indexed, never hashed: peers[dst] lists the pairs that
+// end at dst, sorted by source rank, each created by the first send on
+// it. A rank talks to a handful of peers (2–4 in a stencil), so finding
+// a pair is a search over a few entries, and everything the drain phase
+// asks about one destination — PeersTo, InFlightTo, DrainTo — costs its
+// in-degree rather than a scan of every pair in the job. The
+// map-shaped Counters type exists only at the edges, where the paper's
+// counters are actually compared: CountersSnapshot builds it at a
+// checkpoint commit and Restore consumes it at restart.
+//
+// The Network is the one object a parallel window's workers genuinely
+// share — a rank on one island sends to a rank on another — so, unlike
+// the single-owner per-rank state (see vtime.Clock), it is locked: one
+// mutex covers the tables, including their growth, so no reader ever
+// sees a peer list mid-reallocation.
 type Network struct {
 	params Params
 
-	mu       sync.Mutex
-	nextSeq  uint64
-	queues   map[Pair][]*Message
-	counters Counters
+	mu      sync.Mutex
+	nextSeq uint64
+	peers   [][]pairState // indexed by destination rank, grown on demand
 	// inflight counts sent-but-not-received messages, maintained
 	// incrementally so the scheduler's per-event trigger checks are O(1)
 	// instead of a scan over every pair.
@@ -239,11 +287,7 @@ type Network struct {
 
 // New returns an empty network with the given parameters.
 func New(params Params) *Network {
-	return &Network{
-		params:   params,
-		queues:   make(map[Pair][]*Message),
-		counters: make(Counters),
-	}
+	return &Network{params: params}
 }
 
 // Params returns the cost-model parameters.
@@ -258,15 +302,48 @@ func (n *Network) SetDeliveryScheduler(s DeliveryScheduler) {
 	n.scheduler = s
 }
 
+// peersOf returns dst's peer list: nil for a rank nobody has sent to.
+func (n *Network) peersOf(dst int) []pairState {
+	if dst >= len(n.peers) {
+		return nil
+	}
+	return n.peers[dst]
+}
+
+// find returns the position of pair (src, dst) in dst's peer list and
+// whether it exists; when it does not, the position is where it would
+// be inserted to keep the list sorted by source.
+func (n *Network) find(src, dst int) (int, bool) {
+	list := n.peersOf(dst)
+	lo, hi := 0, len(list)
+	for lo < hi {
+		if mid := (lo + hi) / 2; list[mid].src < src {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(list) && list[lo].src == src
+}
+
+// pair returns pair (src, dst)'s state, creating it on first use.
+func (n *Network) pair(src, dst int) *pairState {
+	i, ok := n.find(src, dst)
+	if !ok {
+		if dst >= len(n.peers) {
+			n.peers = append(n.peers, make([][]pairState, dst+1-len(n.peers))...)
+		}
+		n.peers[dst] = slices.Insert(n.peers[dst], i, pairState{src: src})
+	}
+	return &n.peers[dst][i]
+}
+
 // Send injects a message and returns it together with the duration the
 // sender's link is busy (charged to the sender's clock by the rank
 // runtime). The arrival time is computed from the piggybacked stamp.
 func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Message, vtime.Duration) {
-	n.mu.Lock()
 	busy := n.params.SerializeCost(bytes)
-	n.nextSeq++
 	m := &Message{
-		Seq:    n.nextSeq,
 		Src:    src,
 		Dst:    dst,
 		Tag:    tag,
@@ -274,11 +351,12 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 		Sent:   sent,
 		Arrive: sent.When.Add(busy + n.params.WireLatency(src, dst)),
 	}
-	p := Pair{Src: src, Dst: dst}
-	n.queues[p] = append(n.queues[p], m)
-	pc := n.counters[p]
-	pc.Sent++
-	n.counters[p] = pc
+	n.mu.Lock()
+	n.nextSeq++
+	m.Seq = n.nextSeq
+	p := n.pair(src, dst)
+	p.push(m)
+	p.count.Sent++
 	n.inflight++
 	scheduler := n.scheduler
 	n.mu.Unlock()
@@ -305,18 +383,17 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	p := Pair{Src: src, Dst: dst}
-	q := n.queues[p]
-	if len(q) == 0 || q[0].Arrive > by {
+	i, ok := n.find(src, dst)
+	if !ok {
 		return nil
 	}
-	m := q[0]
-	n.queues[p] = q[1:]
-	pc := n.counters[p]
-	pc.Received++
-	n.counters[p] = pc
+	p := &n.peers[dst][i]
+	if p.n == 0 || p.buf[p.head].Arrive > by {
+		return nil
+	}
+	p.count.Received++
 	n.inflight--
-	return m
+	return p.pop()
 }
 
 // DrainTo pops every in-flight message destined for dst, in deterministic
@@ -326,22 +403,15 @@ func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 func (n *Network) DrainTo(dst int) []*Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var pairs []Pair
-	for p, q := range n.queues {
-		if p.Dst == dst && len(q) > 0 {
-			pairs = append(pairs, p)
-		}
-	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Src < pairs[j].Src })
 	var out []*Message
-	for _, p := range pairs {
-		q := n.queues[p]
-		out = append(out, q...)
-		pc := n.counters[p]
-		pc.Received += uint64(len(q))
-		n.counters[p] = pc
-		n.inflight -= uint64(len(q))
-		delete(n.queues, p)
+	list := n.peersOf(dst)
+	for i := range list {
+		p := &list[i]
+		p.count.Received += uint64(p.n)
+		n.inflight -= uint64(p.n)
+		for p.n > 0 {
+			out = append(out, p.pop())
+		}
 	}
 	return out
 }
@@ -360,10 +430,9 @@ func (n *Network) InFlightTo(dst int) uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var total uint64
-	for p, q := range n.queues {
-		if p.Dst == dst {
-			total += uint64(len(q))
-		}
+	list := n.peersOf(dst)
+	for i := range list {
+		total += uint64(list[i].n)
 	}
 	return total
 }
@@ -374,20 +443,25 @@ func (n *Network) InFlightTo(dst int) uint64 {
 func (n *Network) PeersTo(dst int) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	peers := 0
-	for p := range n.counters {
-		if p.Dst == dst {
-			peers++
-		}
-	}
-	return peers
+	return len(n.peersOf(dst))
 }
 
-// CountersSnapshot returns a deep copy of the per-pair counters.
+// CountersSnapshot returns the per-pair counters as a map, built fresh
+// from the pair tables.
 func (n *Network) CountersSnapshot() Counters {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.counters.Clone()
+	pairs := 0
+	for _, list := range n.peers {
+		pairs += len(list)
+	}
+	out := make(Counters, pairs)
+	for dst, list := range n.peers {
+		for i := range list {
+			out[Pair{Src: list[i].src, Dst: dst}] = list[i].count
+		}
+	}
+	return out
 }
 
 // Restore resets the network to a checkpointed state: all queues are
@@ -396,8 +470,13 @@ func (n *Network) CountersSnapshot() Counters {
 func (n *Network) Restore(c Counters) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.queues = make(map[Pair][]*Message)
-	n.counters = c.Clone()
+	for dst, list := range n.peers {
+		clear(list) // release the abandoned timeline's messages
+		n.peers[dst] = list[:0]
+	}
+	for pr, pc := range c {
+		n.pair(pr.Src, pr.Dst).count = pc
+	}
 	// The queues are the ground truth for deliverable messages, and they
 	// have just been discarded (a correct checkpoint drains to zero).
 	n.inflight = 0
@@ -408,8 +487,10 @@ func (n *Network) TotalSent() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var total uint64
-	for _, pc := range n.counters {
-		total += pc.Sent
+	for _, list := range n.peers {
+		for i := range list {
+			total += list[i].count.Sent
+		}
 	}
 	return total
 }

@@ -410,13 +410,15 @@ func (r *Rank) ChargeCkptOverhead(d vtime.Duration) {
 	}
 }
 
-// Op returns the rank's current scripted operation. It panics if the
-// script is exhausted; callers must check State first.
-func (r *Rank) Op() scenario.Op {
+// Op returns the rank's current scripted operation: a pointer into the
+// program, which is immutable and shared, so the 56-byte Op is never
+// copied on the per-event path and must not be written through. It
+// panics if the script is exhausted; callers must check State first.
+func (r *Rank) Op() *scenario.Op {
 	if r.pc >= len(r.script) {
 		panic(fmt.Sprintf("rank %d: Op() past end of script", r.id))
 	}
-	return r.script[r.pc]
+	return &r.script[r.pc]
 }
 
 // InboxLen returns the number of drain-buffered messages awaiting the
@@ -502,7 +504,7 @@ func (r *Rank) writeStateMarker() {
 
 // DoCompute executes a compute op: advance the clock by the phase
 // duration and touch application memory.
-func (r *Rank) DoCompute(op scenario.Op) {
+func (r *Rank) DoCompute(op *scenario.Op) {
 	r.clock.Advance(op.Dur)
 	r.stats.ComputeTime += op.Dur
 	r.writeStateMarker()
@@ -515,7 +517,7 @@ func (r *Rank) DoCompute(op scenario.Op) {
 // (one lookup per translated handle, metadata record for the drain
 // counters), inject the message with a piggybacked timestamp, and occupy
 // the sender for the serialisation time.
-func (r *Rank) DoSend(net *netsim.Network, op scenario.Op) *netsim.Message {
+func (r *Rank) DoSend(net *netsim.Network, op *scenario.Op) *netsim.Message {
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	r.chargeMPICall(virtid.LookupCounts{Comm: 1, Datatype: 1}, 0, true)
@@ -533,7 +535,7 @@ func (r *Rank) DoSend(net *netsim.Network, op scenario.Op) *netsim.Message {
 // pending FIFO, both part of the checkpoint image — until the matching
 // wait retires it. The message itself is on the wire immediately; only
 // its completion handle is outstanding.
-func (r *Rank) DoIsend(net *netsim.Network, op scenario.Op) *netsim.Message {
+func (r *Rank) DoIsend(net *netsim.Network, op *scenario.Op) *netsim.Message {
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	req := r.postRequest()
@@ -574,11 +576,12 @@ func (r *Rank) DoWait() {
 // and the property the island scheduler's lookahead window relies on.
 // It returns false, leaving the pc unchanged, if no matching message is
 // visible yet — the message's delivery event wakes the rank later.
-func (r *Rank) TryRecv(net *netsim.Network, op scenario.Op, by vtime.Time) bool {
-	for i, m := range r.inbox {
-		if m.Src == op.Peer {
+func (r *Rank) TryRecv(net *netsim.Network, op *scenario.Op, by vtime.Time) bool {
+	for i := range r.inbox {
+		if r.inbox[i].Src == op.Peer {
+			m := r.inbox[i]
 			r.inbox = append(r.inbox[:i:i], r.inbox[i+1:]...)
-			r.completeRecv(m)
+			r.completeRecv(&m)
 			return true
 		}
 	}
@@ -586,11 +589,11 @@ func (r *Rank) TryRecv(net *netsim.Network, op scenario.Op, by vtime.Time) bool 
 	if m == nil {
 		return false
 	}
-	r.completeRecv(*m)
+	r.completeRecv(m)
 	return true
 }
 
-func (r *Rank) completeRecv(m netsim.Message) {
+func (r *Rank) completeRecv(m *netsim.Message) {
 	r.translate(virtid.Comm, r.commHandle(r.Op().Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	r.chargeMPICall(virtid.LookupCounts{Comm: 1, Datatype: 1}, 0, true)
@@ -622,8 +625,9 @@ const (
 // what the event loop needs to schedule follow-up events.
 type Transition struct {
 	Kind TransitionKind
-	// Op is the operation that was attempted.
-	Op scenario.Op
+	// Op is the operation that was attempted, in place in the rank's
+	// (immutable) program.
+	Op *scenario.Op
 	// Msg is the injected message for an Advanced send (its delivery
 	// event is scheduled by the network's DeliveryScheduler hook).
 	Msg *netsim.Message
@@ -696,9 +700,8 @@ func (r *Rank) Wake(net *netsim.Network, at vtime.Time) bool {
 	if r.state != BlockedRecv {
 		return false
 	}
-	op := r.script[r.pc]
 	r.state = Running
-	if r.TryRecv(net, op, at) {
+	if r.TryRecv(net, &r.script[r.pc], at) {
 		return true
 	}
 	r.state = BlockedRecv
@@ -772,7 +775,7 @@ func (r *Rank) FinishCommSplit(completion vtime.Time, commID int, real virtid.Re
 
 // DoSbrk executes a heap-growth op through the simulated address space,
 // charging the syscall cost.
-func (r *Rank) DoSbrk(op scenario.Op) memsim.SbrkResult {
+func (r *Rank) DoSbrk(op *scenario.Op) memsim.SbrkResult {
 	r.clock.Advance(r.kernel.SyscallCost())
 	res := r.mem.Sbrk(op.Bytes)
 	r.pc++

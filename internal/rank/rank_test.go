@@ -56,7 +56,7 @@ func TestMPICallChargesManaOverhead(t *testing.T) {
 	script := []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 0, Tag: 0}}
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
 	k := kernelsim.NewForTable(kernelsim.Unpatched, virtid.ImplSharded)
-	r.DoSend(testNet(), script[0])
+	r.DoSend(testNet(), &script[0])
 	st := r.Stats()
 	if st.MPICalls != 1 {
 		t.Fatalf("MPICalls = %d, want 1", st.MPICalls)
@@ -84,8 +84,8 @@ func TestPatchedKernelCheaperPerCall(t *testing.T) {
 	script := []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 0}}
 	unp := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
 	pat := New(0, kernelsim.Patched, virtid.ImplSharded, script)
-	unp.DoSend(testNet(), script[0])
-	pat.DoSend(testNet(), script[0])
+	unp.DoSend(testNet(), &script[0])
+	pat.DoSend(testNet(), &script[0])
 	if pat.Stats().ManaOverhead >= unp.Stats().ManaOverhead {
 		t.Errorf("patched overhead %v should be below unpatched %v",
 			pat.Stats().ManaOverhead, unp.Stats().ManaOverhead)
@@ -150,12 +150,12 @@ func TestImageRoundTripRestoresExactState(t *testing.T) {
 		{Kind: scenario.OpCompute, Dur: 2 * vtime.Millisecond},
 	}
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
-	r.DoCompute(script[0])
-	r.DoSbrk(script[1])
+	r.DoCompute(&script[0])
+	r.DoSbrk(&script[1])
 	img := r.CaptureImage(false)
 
 	// Run past the checkpoint, then restore.
-	r.DoCompute(script[2])
+	r.DoCompute(&script[2])
 	if r.State() != Done {
 		t.Fatalf("state = %v, want done before restore", r.State())
 	}
@@ -174,7 +174,7 @@ func TestImageRoundTripRestoresExactState(t *testing.T) {
 	if got := r.Mem().BytesOf(memsim.LowerHalf); got == 0 {
 		t.Error("lower half empty after restore; restart must rebuild it")
 	}
-	r.DoCompute(script[2])
+	r.DoCompute(&script[2])
 	if r.State() != Done {
 		t.Errorf("replay did not complete the script")
 	}
@@ -225,9 +225,9 @@ func TestStatsRestoredFromImage(t *testing.T) {
 		{Kind: scenario.OpSend, Peer: 1, Bytes: 100},
 	}
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
-	r.DoSend(net, script[0])
+	r.DoSend(net, &script[0])
 	img := r.CaptureImage(false)
-	r.DoSend(net, script[1])
+	r.DoSend(net, &script[1])
 	if r.Stats().MsgsSent != 2 {
 		t.Fatalf("MsgsSent = %d, want 2", r.Stats().MsgsSent)
 	}

@@ -58,7 +58,7 @@ func (s *Spec) compileRank(id int, p Params) Program {
 	right := (id + 1) % p.Ranks
 	left := (id - 1 + p.Ranks) % p.Ranks
 
-	var prog Program
+	prog := make(Program, 0, s.opCount(id, p))
 	for _, sp := range s.Splits {
 		g := sp.Group
 		if p.Group > 0 {
@@ -81,7 +81,8 @@ func (s *Spec) compileRank(id int, p Params) Program {
 			steps = p.Steps
 		}
 		for ps := 0; ps < steps; ps++ {
-			for _, op := range ph.Ops {
+			for i := range ph.Ops {
+				op := &ph.Ops[i]
 				if !op.When.match(ps) {
 					continue
 				}
@@ -176,6 +177,64 @@ func (s *Spec) compileRank(id int, p Params) Program {
 		}
 	}
 	return prog
+}
+
+// opCount is a dry pass over compileRank's loops: the exact number of
+// ops rank id's program will hold, so the program is allocated once at
+// its final size instead of grown by append (jitter only shapes op
+// fields, never how many ops are emitted, so no RNG is needed here).
+func (s *Spec) opCount(id int, p Params) int {
+	n := len(s.Splits)
+	for _, ph := range s.Phases {
+		steps := ph.Steps
+		if steps == 0 {
+			steps = p.Steps
+		}
+		for ps := 0; ps < steps; ps++ {
+			for i := range ph.Ops {
+				if op := &ph.Ops[i]; op.When.match(ps) && op.emitFor(id) {
+					n += op.emitCount(id, p.Ranks)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// emitCount is how many ops one firing of the op appends to rank id's
+// program; it mirrors the switch in compileRank case by case.
+func (op *OpSpec) emitCount(id, ranks int) int {
+	switch op.Op {
+	case "compute", "allreduce", "barrier", "sbrk":
+		return 1
+	}
+	if ranks < 2 {
+		return 0
+	}
+	switch op.Op {
+	case "ring":
+		if op.Mode == "isend" {
+			return 3
+		}
+		return 2
+	case "alltoall":
+		return 2 * (ranks - 1)
+	case "scatter", "gather":
+		if id == op.Root {
+			return ranks - 1
+		}
+		return 1
+	case "pipeline":
+		n := 0
+		if id > 0 {
+			n++
+		}
+		if id < ranks-1 {
+			n++
+		}
+		return n
+	}
+	return 0
 }
 
 // emitFor applies the op's Who selector for the given rank.

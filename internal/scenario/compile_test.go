@@ -187,3 +187,23 @@ func TestMultiPhaseSpecs(t *testing.T) {
 		t.Errorf("last exchange tag = %d, want 4", last.Tag)
 	}
 }
+
+// TestCompileSizesProgramsExactly pins opCount against compileRank: every
+// library spec, at rank counts on both sides of the ranks<2 special
+// cases and with root and non-root ranks, compiles each program into a
+// slice allocated once at its final length. A pattern added to
+// compileRank without its emitCount case shows here as spare or missing
+// capacity.
+func TestCompileSizesProgramsExactly(t *testing.T) {
+	for _, name := range Names() {
+		for _, ranks := range []int{1, 2, 9} {
+			progs := MustPrograms(name, Params{Ranks: ranks, Steps: 7, Seed: 3})
+			for id, prog := range progs {
+				if len(prog) != cap(prog) {
+					t.Errorf("%s ranks=%d rank %d: len %d, cap %d — opCount disagrees with compileRank",
+						name, ranks, id, len(prog), cap(prog))
+				}
+			}
+		}
+	}
+}

@@ -14,6 +14,13 @@ package vtime
 // -internal order. This is what keeps reports byte-identical across runs
 // of the same seed.
 //
+// The heap is 4-ary: half the depth of a binary heap, and the four
+// children of a node sit in adjacent entries, so a sift touches fewer
+// cache lines. Sifts move a hole instead of swapping — one entry copy
+// per level — and compare against the moving entry's key held in
+// registers. Heap shape is invisible to callers: (time, seq) is a total
+// order, so any correct heap pops the same sequence.
+//
 // The queue is not safe for concurrent use; a deterministic scheduler
 // drives each queue from a single goroutine at a time. In the island
 // scheduler one EventQueue is one island's lane inside an IslandQueues
@@ -67,24 +74,55 @@ func (q *EventQueue[T]) Push(t Time, v T) {
 // with Push on the same queue is only meaningful if the caller's seqs are
 // coordinated with the internal counter.
 func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
-	q.heap = append(q.heap, eventEntry[T]{time: t, seq: seq, val: v})
-	q.siftUp(len(q.heap) - 1)
+	q.heap = append(q.heap, eventEntry[T]{})
+	h := q.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !keyLess(t, seq, h[parent].time, h[parent].seq) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = eventEntry[T]{time: t, seq: seq, val: v}
 }
 
 // Pop removes and returns the earliest event; ties pop in Push order.
 // The third result is false when the queue is empty.
 func (q *EventQueue[T]) Pop() (Time, T, bool) {
-	if len(q.heap) == 0 {
+	h := q.heap
+	if len(h) == 0 {
 		var zero T
 		return 0, zero, false
 	}
-	top := q.heap[0]
-	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
-	q.heap[last] = eventEntry[T]{} // release the payload for GC
-	q.heap = q.heap[:last]
-	if last > 0 {
-		q.siftDown(0)
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = eventEntry[T]{} // release the payload for GC
+	h = h[:n]
+	q.heap = h
+	if n > 0 {
+		// Sift the hole at the root down to where last belongs.
+		i := 0
+		for {
+			first := heapArity*i + 1
+			if first >= n {
+				break
+			}
+			best := first
+			for c := first + 1; c < first+heapArity && c < n; c++ {
+				if keyLess(h[c].time, h[c].seq, h[best].time, h[best].seq) {
+					best = c
+				}
+			}
+			if !keyLess(h[best].time, h[best].seq, last.time, last.seq) {
+				break
+			}
+			h[i] = h[best]
+			i = best
+		}
+		h[i] = last
 	}
 	return top.time, top.val, true
 }
@@ -118,39 +156,11 @@ func (q *EventQueue[T]) Clear() {
 	q.heap = q.heap[:0]
 }
 
-func (q *EventQueue[T]) less(i, j int) bool {
-	if q.heap[i].time != q.heap[j].time {
-		return q.heap[i].time < q.heap[j].time
-	}
-	return q.heap[i].seq < q.heap[j].seq
-}
+// heapArity is the heap's branching factor.
+const heapArity = 4
 
-func (q *EventQueue[T]) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			return
-		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
-		i = parent
-	}
-}
-
-func (q *EventQueue[T]) siftDown(i int) {
-	n := len(q.heap)
-	for {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && q.less(left, smallest) {
-			smallest = left
-		}
-		if right < n && q.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		q.heap[i], q.heap[smallest] = q.heap[smallest], q.heap[i]
-		i = smallest
-	}
+// keyLess is the queue's total order: earlier time first, FIFO seq at
+// equal times.
+func keyLess(t1 Time, s1 uint64, t2 Time, s2 uint64) bool {
+	return t1 < t2 || (t1 == t2 && s1 < s2)
 }

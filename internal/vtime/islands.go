@@ -117,7 +117,7 @@ func (iq *IslandQueues[T]) minLane() int {
 		if !ok {
 			continue
 		}
-		if best < 0 || t < bestT || (t == bestT && s < bestS) {
+		if best < 0 || keyLess(t, s, bestT, bestS) {
 			best, bestT, bestS = i, t, s
 		}
 	}

@@ -22,7 +22,6 @@ package vtime
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -88,11 +87,19 @@ func MaxDuration(a, b Duration) Duration {
 	return b
 }
 
-// Clock is a per-rank virtual clock. It is safe for concurrent use: the
-// owning rank advances it while helper goroutines (e.g. the checkpoint
-// helper thread) may read it.
+// Clock is a per-rank virtual clock.
+//
+// Ownership rule (the same move-based discipline coordinator.Scratch
+// documents for its storage): a rank's clock — like its address space
+// and handle table — is touched only by the goroutine currently driving
+// that rank. That is the scheduler goroutine in serial mode, the worker
+// that owns the rank's island lane inside a parallel window, and the
+// coordinator between windows (checkpoint, restart, report); the window
+// barrier is the hand-over point that orders them. No goroutine ever
+// observes a clock from outside, so a Clock carries no lock: it is one
+// word, read and written on every simulated event, and cmd/isolint
+// fails the build if a sync or atomic field is added to it.
 type Clock struct {
-	mu  sync.Mutex
 	now Time
 }
 
@@ -102,17 +109,11 @@ func NewClock(start Time) *Clock {
 }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() Time { return c.now }
 
 // Advance moves the clock forward by d and returns the new time. Negative
 // durations are ignored so that cost models can never move time backwards.
 func (c *Clock) Advance(d Duration) Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if d > 0 {
 		c.now += Time(d)
 	}
@@ -124,8 +125,6 @@ func (c *Clock) Advance(d Duration) Time {
 // primitive used when a rank must wait for a message or a collective whose
 // completion time is t.
 func (c *Clock) AdvanceTo(t Time) Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if t > c.now {
 		c.now = t
 	}
@@ -134,11 +133,7 @@ func (c *Clock) AdvanceTo(t Time) Time {
 
 // Set forcibly positions the clock, used when restoring a rank from a
 // checkpoint image.
-func (c *Clock) Set(t Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = t
-}
+func (c *Clock) Set(t Time) { c.now = t }
 
 // Stamp is a virtual timestamp piggybacked onto a simulated network
 // message: the sender's rank and clock value at the moment the message

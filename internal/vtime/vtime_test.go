@@ -1,7 +1,6 @@
 package vtime
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -68,26 +67,6 @@ func TestClockSet(t *testing.T) {
 	c.Set(5)
 	if c.Now() != 5 {
 		t.Errorf("Set failed, now=%v", c.Now())
-	}
-}
-
-func TestClockConcurrentAdvance(t *testing.T) {
-	c := NewClock(0)
-	const workers = 8
-	const perWorker = 1000
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < perWorker; j++ {
-				c.Advance(Nanosecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Now() != Time(workers*perWorker) {
-		t.Errorf("concurrent advance lost updates: now=%v want %v", c.Now(), workers*perWorker)
 	}
 }
 
