@@ -37,14 +37,16 @@ race:
 
 # fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
 # `go test` only replays their seed corpus): the sparse page store
-# against a flat []byte model, and the dense netsim pair tables against
-# a map[Pair] model. -fuzz takes one target in one package per run.
+# against a flat []byte model, the zero-run FNV kernel against hash/fnv,
+# and the dense netsim pair tables against a map[Pair] model. -fuzz takes
+# one target in one package per run.
 # -fuzzminimizetime 1x: minimising every coverage-expanding input is on
 # by default with a 60 s budget and stalls a 10 s run after its first
 # find; a failing input is still reported and saved under testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsFlat$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
+	$(GO) test -run='^$$' -fuzz='^FuzzFNVKernel$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
 	$(GO) test -run='^$$' -fuzz='^FuzzNetsimVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/netsim
 
 lint:

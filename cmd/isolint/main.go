@@ -48,6 +48,7 @@ var allowed = map[string]string{
 	"virtid.emptyLUT":                       "immutable empty lookup table, shared read-only sentinel",
 	"scenario.libraryFS":                    "embed.FS of the spec library, read-only by construction",
 	"memsim.kindNames":                      "region-kind name table, initialised once and only read",
+	"memsim.zeroPow":                        "FNV prime-power table, filled once by init and only read (a pure function of its index)",
 	"coordinator.ErrRestartFault":           "errors.New sentinel, written once at init and only compared",
 	"coordinator.ErrNoVerifiableGeneration": "errors.New sentinel, written once at init and only compared",
 	"fleet.ErrRestartsExhausted":            "errors.New sentinel, written once at init and only compared",

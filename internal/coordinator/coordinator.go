@@ -421,13 +421,17 @@ type generation struct {
 
 // materializeLink folds rank i's image chain up to (and including) link
 // index li into one full image, returning it together with the bytes
-// restart had to read to do so.
-func (g *generation) materializeLink(li, i int) (rank.Image, uint64) {
-	img := g.links[0].images[i]
+// restart had to read to do so. The result is the generation's own full
+// image when li is 0 and otherwise lives in *scratch; either way it is
+// only to be read.
+func (g *generation) materializeLink(li, i int, scratch *rank.Image) (*rank.Image, uint64) {
+	img := &g.links[0].images[i]
 	readBytes := img.Bytes()
-	for _, link := range g.links[1 : li+1] {
-		readBytes += link.images[i].Bytes()
-		img = rank.Overlay(img, link.images[i])
+	for l := 1; l <= li; l++ {
+		delta := &g.links[l].images[i]
+		readBytes += delta.Bytes()
+		*scratch = delta.OverlayOn(img)
+		img = scratch
 	}
 	return img, readBytes
 }
@@ -595,7 +599,8 @@ type Coordinator struct {
 	// Fault-plan state: faults is the compiled plan (legacy
 	// FailAtCheckpoint appended as a one-fault plan), faultFired marks
 	// each as consumed (every fault is one-shot), poisoned records the
-	// checkpoint seqs an injected restart fault destroyed mid-restore, and
+	// checkpoint seqs an injected restart fault destroyed mid-restore (and
+	// the restart attempt that did it), and
 	// restartAttempts counts Restart calls (failed ones included) — the
 	// ordinal restart faults key on. pendTorn/pendCorrupt/pendVerifyPages/
 	// pendVerifyTime accumulate verification-walk accounting across the
@@ -603,7 +608,7 @@ type Coordinator struct {
 	// attempt that succeeds.
 	faults          []faultplan.Fault
 	faultFired      []bool
-	poisoned        map[int]bool
+	poisoned        map[int]int
 	restartAttempts int
 	pendTorn        int
 	pendCorrupt     int
@@ -637,10 +642,12 @@ type Coordinator struct {
 	events     uint64
 	rankVisits uint64
 
-	// digestBuf is the scratch the fingerprint digests are rendered into.
+	// digestBuf is the scratch the fingerprint digests are rendered into
+	// and regionHeads the cache of the delta-region heads they repeat.
 	// final memoises FinalFingerprint while finalOK; fingerprintPasses
 	// counts how often it was actually computed.
 	digestBuf         []byte
+	regionHeads       regionHeads
 	final             uint64
 	finalOK           bool
 	fingerprintPasses int
@@ -710,6 +717,7 @@ func New(cfg Config) *Coordinator {
 		unfired:     len(cfg.Triggers),
 		ranks:       sc.takeRanks(cfg.Ranks),
 		formingPool: sc.takeForming(),
+		regionHeads: sc.takeRegionHeads(),
 		comms:       []comm{{members: world}},
 		colls:       make(map[int]*forming),
 		inCollComm:  takeSlice(&sc.inCollComm, cfg.Ranks),
@@ -1363,7 +1371,7 @@ func (c *Coordinator) captureStage(r *rank.Rank, incremental bool, seq int) rank
 // accountStage folds one image's size accounting into the record.
 // ImageBytes counts what actually reached the filesystem, so a torn image
 // contributes only its partial written size.
-func (c *Coordinator) accountStage(img rank.Image, rec *CheckpointRecord) {
+func (c *Coordinator) accountStage(img *rank.Image, rec *CheckpointRecord) {
 	rec.ImageBytes += img.WrittenBytes
 	rec.StoredBytes += img.StoredBytes
 	rec.FullBytes += img.FullBytes()
@@ -1543,8 +1551,8 @@ func (c *Coordinator) releaseStaged(g *generation) {
 }
 
 // digestImage folds one image into the checkpoint fingerprint.
-func (c *Coordinator) digestImage(h io.Writer, img rank.Image) {
-	c.digestBuf = appendImageDigest(c.digestBuf[:0], img)
+func (c *Coordinator) digestImage(h io.Writer, img *rank.Image) {
+	c.digestBuf = c.regionHeads.appendImageDigest(c.digestBuf[:0], img)
 	h.Write(c.digestBuf)
 }
 
@@ -1556,8 +1564,8 @@ func (c *Coordinator) digestImage(h io.Writer, img rank.Image) {
 // mix means the coordinator's mode decision and the ranks' fallback logic
 // disagree.
 func (c *Coordinator) commitStage(images []rank.Image, rec *CheckpointRecord) {
-	for _, img := range images[1:] {
-		if img.Full != images[0].Full {
+	for i := range images[1:] {
+		if images[i+1].Full != images[0].Full {
 			panic(fmt.Sprintf("coordinator: checkpoint #%d mixes full and delta images", rec.Seq))
 		}
 	}
@@ -1638,9 +1646,9 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	h := fnv.New64a()
 	c.drainReqs = c.drainReqs[:0]
 	for i, r := range c.ranks {
-		c.accountStage(images[i], &rec)
+		c.accountStage(&images[i], &rec)
 		c.writeStage(r, &images[i], &rec)
-		c.digestImage(h, images[i])
+		c.digestImage(h, &images[i])
 	}
 	rec.Fingerprint = h.Sum64()
 	c.commitStage(images, &rec)
@@ -1751,8 +1759,10 @@ func (c *Coordinator) applyDrainFaults(rec *CheckpointRecord) {
 // injected restart fault after its restore point was chosen — the link
 // being read is destroyed, and the caller retries to fall back past it.
 // ErrNoVerifiableGeneration means the verification walk rejected every
-// retained link (torn, corrupt or poisoned): nothing on the simulated
-// filesystem can be trusted, so the job is unrecoverable.
+// retained link (torn, corrupt, poisoned or never drained out of the
+// burst buffers): nothing on the simulated filesystem can be trusted, so
+// the job is unrecoverable. The error wrapping it lists every retained
+// link, newest first, with the reason it was rejected.
 var (
 	ErrRestartFault           = errors.New("coordinator: injected restart fault")
 	ErrNoVerifiableGeneration = errors.New("coordinator: no verifiable checkpoint generation")
@@ -1789,13 +1799,16 @@ func (c *Coordinator) Restart() error {
 	c.restartAttempts++
 	newest := c.newestSeq()
 	gi, prefix := -1, 0
+	var rejected []error // why each generation's full link failed, newest first
 	for g := len(c.gens) - 1; g >= 0 && prefix == 0; g-- {
-		prefix = c.verifyPrefix(c.gens[g])
+		var why error
+		prefix, why = c.verifyPrefix(c.gens[g])
 		gi = g
+		rejected = append(rejected, why)
 	}
 	if prefix == 0 {
-		return fmt.Errorf("coordinator: %d generations retained, newest committed #%d: %w",
-			len(c.gens), newest, ErrNoVerifiableGeneration)
+		return fmt.Errorf("coordinator: %d generations retained, newest committed #%d: %w%s",
+			len(c.gens), newest, ErrNoVerifiableGeneration, c.rejectedLinks(rejected))
 	}
 	g := c.gens[gi]
 	link := &g.links[prefix-1]
@@ -1807,17 +1820,18 @@ func (c *Coordinator) Restart() error {
 			// and is folded into the record of the attempt that succeeds.
 			c.faultFired[i] = true
 			if c.poisoned == nil {
-				c.poisoned = make(map[int]bool)
+				c.poisoned = make(map[int]int)
 			}
-			c.poisoned[link.seq] = true
+			c.poisoned[link.seq] = c.restartAttempts
 			return fmt.Errorf("coordinator: restart from checkpoint #%d crashed mid-restore: %w", link.seq, ErrRestartFault)
 		}
 	}
 	preClock := c.maxClock
+	var overlaid rank.Image
 	for i, r := range c.ranks {
-		img, readBytes := g.materializeLink(prefix-1, i)
+		img, readBytes := g.materializeLink(prefix-1, i, &overlaid)
 		readTime := ioTime(readBytes, c.cfg.CkptReadBandwidth)
-		r.Restore(img)
+		r.RestoreFrom(img)
 		r.ChargeCkptOverhead(r.Kernel().RestartReinitCost() + readTime)
 	}
 	c.net.Restore(link.counters)
@@ -1908,18 +1922,35 @@ func (c *Coordinator) newestSeq() int {
 	return g.links[len(g.links)-1].seq
 }
 
+// rejectedLinks renders the walk that found nothing to restore, one line
+// per retained link, newest first. rejected[k] is why the k-th newest
+// generation's full link failed; the deltas chained onto it were never
+// examined — without their base they restore nothing.
+func (c *Coordinator) rejectedLinks(rejected []error) string {
+	var b strings.Builder
+	for k, why := range rejected {
+		links := c.gens[len(c.gens)-1-k].links
+		for li := len(links) - 1; li > 0; li-- {
+			fmt.Fprintf(&b, "\n  #%d: not examined: a delta whose chain starts at rejected #%d", links[li].seq, links[0].seq)
+		}
+		fmt.Fprintf(&b, "\n  #%d: %v", links[0].seq, why)
+	}
+	return b.String()
+}
+
 // verifyPrefix returns the length of the longest usable prefix of the
-// generation's links, stopping at the first poisoned, torn or corrupt
-// link. Every page of every image checked is rehashed at the kernel's
-// per-page hash rate, charged to the owning rank's checkpoint-overhead
-// clock and accumulated for the restart record; iteration is links
-// ascending, ranks ascending, so the charges are deterministic.
-func (c *Coordinator) verifyPrefix(g *generation) int {
-	n := 0
+// generation's links, stopping at the first poisoned, buffer-only, torn
+// or corrupt link, and why it stopped there (nil when every link
+// verified). Every page of every image checked is rehashed at the
+// kernel's per-page hash rate, charged to the owning rank's
+// checkpoint-overhead clock and accumulated for the restart record;
+// iteration is links ascending, ranks ascending, so the charges are
+// deterministic.
+func (c *Coordinator) verifyPrefix(g *generation) (n int, stopped error) {
 	for li := range g.links {
 		link := &g.links[li]
-		if c.poisoned[link.seq] {
-			break
+		if attempt := c.poisoned[link.seq]; attempt != 0 {
+			return n, fmt.Errorf("poisoned: restart attempt %d crashed while reading it (injected restart fault)", attempt)
 		}
 		if !link.durable {
 			// The link's images were staged in node burst buffers but
@@ -1927,11 +1958,11 @@ func (c *Coordinator) verifyPrefix(g *generation) int {
 			// only copies died with the node. Rejected on metadata alone
 			// — there is nothing on the filesystem to rehash.
 			c.pendBufferOnly++
-			break
+			return n, fmt.Errorf("buffer-only: %d of %d ranks' images were still in the node burst buffers when the job died; the last drain to the PFS was due @%v",
+				link.pendingDrains, len(link.images), c.records[link.seq-1].DurableAt)
 		}
-		ok := true
 		for i, r := range c.ranks {
-			pages, err := rank.VerifyImage(link.images[i])
+			pages, err := link.images[i].Verify()
 			cost := vtime.Duration(pages) * r.Kernel().PageHashCost()
 			r.ChargeCkptOverhead(cost)
 			c.pendVerifyPages += pages
@@ -1942,16 +1973,12 @@ func (c *Coordinator) verifyPrefix(g *generation) int {
 				} else {
 					c.pendCorrupt++
 				}
-				ok = false
-				break
+				return n, err
 			}
-		}
-		if !ok {
-			break
 		}
 		n++
 	}
-	return n
+	return n, nil
 }
 
 // rebuildComms reconstructs the communicator registry from the restored

@@ -3,16 +3,19 @@ package coordinator
 import (
 	"strconv"
 
+	"mana/internal/memsim"
 	"mana/internal/rank"
-	"mana/internal/virtid"
 	"mana/internal/vtime"
 )
 
 // The fingerprint digests are FNV hashes over text. The text is the
 // contract — every recorded fingerprint depends on it byte for byte — but
 // rendering it through fmt cost more than hashing it, so it is appended
-// with strconv into a buffer the coordinator reuses. digest_test.go keeps
-// the fmt rendering as the reference and compares the two.
+// with strconv into a buffer the coordinator reuses, and the two segments
+// that repeat from image to image are appended as bytes: a delta region's
+// head (regionHeads) and the handle table (virtid.Snapshot.AppendText).
+// digest_test.go keeps the fmt rendering as the reference and compares
+// the two.
 
 func appendInt[T ~int | ~int64](b []byte, v T) []byte { return strconv.AppendInt(b, int64(v), 10) }
 
@@ -22,7 +25,7 @@ func appendHex[T ~uint64](b []byte, v T) []byte { return strconv.AppendUint(b, u
 
 // appendStats renders st exactly as fmt's %+v does: every field of
 // rank.Stats in declaration order, durations through their String method.
-func appendStats(b []byte, st rank.Stats) []byte {
+func appendStats(b []byte, st *rank.Stats) []byte {
 	count := func(name string, v uint64) {
 		b = appendUint(append(b, name...), v)
 	}
@@ -48,11 +51,48 @@ func appendStats(b []byte, st rank.Stats) []byte {
 	return append(b, '}')
 }
 
+// regionHead is the rendered head of one delta region's digest segment —
+// `rd("name",half,kind,addr,size,datalen` — beside the values it renders.
+type regionHead struct {
+	name                string
+	half                memsim.Half
+	kind                memsim.Kind
+	addr, size, dataLen uint64
+	text                []byte // empty until the slot is first rendered
+}
+
+// regionHeads caches those heads by the region's position in its delta.
+// Every rank of a job lays its upper half out the same way and a layout
+// changes only on sbrk or resize, so slot i nearly always holds exactly
+// the head rank after rank asks for; a slot holding anything else is
+// rendered over. Entries are pure functions of the values stored beside
+// them, so the table outlives its run through Scratch.
+type regionHeads []regionHead
+
+// append appends the head of rd, the i-th region of its delta.
+func (t *regionHeads) append(b []byte, i int, rd *memsim.RegionDelta) []byte {
+	for i >= len(*t) {
+		*t = append(*t, regionHead{})
+	}
+	e := &(*t)[i]
+	if len(e.text) == 0 || e.addr != rd.Addr || e.size != rd.Size || e.dataLen != rd.DataLen ||
+		e.half != rd.Half || e.kind != rd.Kind || e.name != rd.Name {
+		e.name, e.half, e.kind, e.addr, e.size, e.dataLen = rd.Name, rd.Half, rd.Kind, rd.Addr, rd.Size, rd.DataLen
+		e.text = strconv.AppendQuote(append(e.text[:0], "rd("...), rd.Name)
+		e.text = appendInt(append(e.text, ','), rd.Half)
+		e.text = appendInt(append(e.text, ','), rd.Kind)
+		e.text = appendHex(append(e.text, ','), rd.Addr)
+		e.text = appendUint(append(e.text, ','), rd.Size)
+		e.text = appendUint(append(e.text, ','), rd.DataLen)
+	}
+	return append(b, e.text...)
+}
+
 // appendImageDigest renders what one image contributes to its
 // checkpoint's fingerprint. Every payload iterated here is sorted by
 // construction (regions by address, pages by index, virtid entries by
 // virtual id), so the digest is deterministic across runs.
-func appendImageDigest(b []byte, img rank.Image) []byte {
+func (t *regionHeads) appendImageDigest(b []byte, img *rank.Image) []byte {
 	if !img.Complete {
 		// A torn image digests its partial size so two runs of the same
 		// fault plan fingerprint identically while differing from the
@@ -73,23 +113,20 @@ func appendImageDigest(b []byte, img rank.Image) []byte {
 		b = appendHex(append(b, ",brk="...), img.Delta.Brk)
 		b = append(b, ')')
 	}
-	b = append(appendStats(append(b, ':'), img.Stats), ';')
+	b = append(appendStats(append(b, ':'), &img.Stats), ';')
 	if !img.Full {
-		for _, rd := range img.Delta.Regions {
-			b = strconv.AppendQuote(append(b, "rd("...), rd.Name)
-			b = appendInt(append(b, ','), rd.Half)
-			b = appendInt(append(b, ','), rd.Kind)
-			b = appendHex(append(b, ','), rd.Addr)
-			b = appendUint(append(b, ','), rd.Size)
-			b = appendUint(append(b, ','), rd.DataLen)
-			for _, p := range rd.Pages {
-				b = appendInt(append(b, ','), p.Index)
-				b = appendHex(append(b, '='), p.Hash)
+		for i := range img.Delta.Regions {
+			rd := &img.Delta.Regions[i]
+			b = t.append(b, i, rd)
+			for pi := range rd.Pages {
+				b = appendInt(append(b, ','), rd.Pages[pi].Index)
+				b = appendHex(append(b, '='), rd.Pages[pi].Hash)
 			}
 			b = append(b, ");"...)
 		}
 	}
-	for _, m := range img.Inbox {
+	for i := range img.Inbox {
+		m := &img.Inbox[i]
 		b = appendInt(append(b, "in("...), m.Src)
 		b = appendInt(append(b, ','), m.Dst)
 		b = appendInt(append(b, ','), m.Tag)
@@ -97,15 +134,7 @@ func appendImageDigest(b []byte, img rank.Image) []byte {
 		b = appendInt(append(b, ','), m.Arrive)
 		b = append(b, ");"...)
 	}
-	for k := 0; k < virtid.NumKinds; k++ {
-		b = appendInt(append(b, "vt("...), k)
-		b = appendUint(append(b, ','), img.Virt.Next[k])
-		for _, e := range img.Virt.Entries[k] {
-			b = appendUint(append(b, ','), e.VID)
-			b = appendHex(append(b, '='), e.Real)
-		}
-		b = append(b, ");"...)
-	}
+	b = img.Virt.AppendText(b)
 	for _, req := range img.PendingReqs {
 		b = appendUint(append(b, "pr("...), req)
 		b = append(b, ");"...)

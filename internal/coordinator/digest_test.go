@@ -104,10 +104,25 @@ func randomImage(t *testing.T, rng *rand.Rand) rank.Image {
 		img.Inbox = append(img.Inbox, netsim.Message{Src: rng.Intn(100), Dst: rng.Intn(100), Tag: rng.Intn(9) - 4,
 			Bytes: rng.Uint64() >> 40, Arrive: vtime.Time(rng.Int63n(1 << 40))})
 	}
-	for k := 0; k < virtid.NumKinds; k++ {
-		img.Virt.Next[k] = rng.Uint64() >> 50
-		for i := 0; i < rng.Intn(4); i++ {
-			img.Virt.Entries[k] = append(img.Virt.Entries[k], virtid.Entry{VID: virtid.VID(rng.Uint64() >> 50), Real: virtid.Real(rng.Uint64() >> uint(rng.Intn(64)))})
+	if rng.Intn(2) == 0 {
+		// A snapshot as a rank captures it: taken from a live sharded
+		// table, so it carries its digest text pre-rendered.
+		tbl := virtid.New(virtid.ImplSharded)
+		for i := 0; i < rng.Intn(12); i++ {
+			k := virtid.Kind(rng.Intn(virtid.NumKinds))
+			v := tbl.Register(k, virtid.Real(rng.Uint64()>>uint(rng.Intn(64))))
+			if rng.Intn(3) == 0 {
+				tbl.Deregister(k, v)
+			}
+		}
+		tbl.Snapshot()
+		img.Virt = tbl.Snapshot() // the memoised one
+	} else {
+		for k := 0; k < virtid.NumKinds; k++ {
+			img.Virt.Next[k] = rng.Uint64() >> 50
+			for i := 0; i < rng.Intn(4); i++ {
+				img.Virt.Entries[k] = append(img.Virt.Entries[k], virtid.Entry{VID: virtid.VID(rng.Uint64() >> 50), Real: virtid.Real(rng.Uint64() >> uint(rng.Intn(64)))})
+			}
 		}
 	}
 	for i := 0; i < rng.Intn(4); i++ {
@@ -119,16 +134,25 @@ func randomImage(t *testing.T, rng *rand.Rand) rank.Image {
 }
 
 // TestDigestMatchesFmt pins the strconv rendering of both digests to the
-// fmt rendering they replaced, byte for byte, over random images.
+// fmt rendering they replaced, byte for byte, over random images. One
+// region-head cache serves the whole sequence, as one serves a run: the
+// random layouts keep replacing its slots, and every image is digested
+// again after a later one has been, so hits, misses and slots that went
+// stale in between are all compared against the reference.
 func TestDigestMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var heads regionHeads
+	var prev rank.Image
 	for i := 0; i < 500; i++ {
 		img := randomImage(t, rng)
-		var want bytes.Buffer
-		fmtImageDigest(&want, img)
-		if got := appendImageDigest(nil, img); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("image %d renders differently\n got %s\nwant %s", i, got, want.Bytes())
+		for _, im := range []*rank.Image{&img, &img, &prev, &img} {
+			var want bytes.Buffer
+			fmtImageDigest(&want, *im)
+			if got := heads.appendImageDigest(nil, im); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("image %d renders differently\n got %s\nwant %s", i, got, want.Bytes())
+			}
 		}
+		prev = img
 	}
 	for _, r := range New(DefaultConfig()).ranks {
 		want := fmt.Sprintf("%d:%d:%x;", r.ID(), r.Clock().Now(), r.Mem().SnapshotUpperHalf().Fingerprint())

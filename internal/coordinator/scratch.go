@@ -30,6 +30,9 @@ type Scratch struct {
 	held        map[int]bool
 	ranks       []*rank.Rank
 	formingPool []*forming
+	// regionHeads keeps its entries from run to run: each is a pure
+	// function of the layout values stored beside it (see regionHeads).
+	regionHeads regionHeads
 	// mem is shared with every rank the run builds; unlike the slices
 	// above it is internally locked and never moves — rank.ReleaseMem
 	// feeds it at retirement and NewPooled draws from it at build time.
@@ -141,6 +144,14 @@ func (s *Scratch) takeForming() []*forming {
 	return f
 }
 
+// takeRegionHeads moves the digest's region-head cache out of the
+// scratch, entries intact.
+func (s *Scratch) takeRegionHeads() regionHeads {
+	t := s.regionHeads
+	s.regionHeads = nil
+	return t
+}
+
 // Release moves the run's pooled storage back into the Scratch it was
 // built from and retires the coordinator: the pages every rank still
 // owns return to the shared pool (pages a checkpoint image references
@@ -172,6 +183,7 @@ func (c *Coordinator) Release() {
 	// Only instances already reset by removeForming are recyclable;
 	// in-flight rendezvous (possible on a Failed run) die with the run.
 	s.formingPool = c.formingPool
+	s.regionHeads = c.regionHeads
 	c.queues = nil
 	c.ranks = nil
 	c.cfg.Scratch = nil

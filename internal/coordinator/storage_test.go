@@ -2,6 +2,8 @@ package coordinator
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -302,5 +304,94 @@ func TestLegacyStragglerMatchesRetiredModel(t *testing.T) {
 		if rec.PFSWait != 0 || rec.StagedBytes != 0 || rec.CompressSavedBytes != 0 {
 			t.Errorf("#%d: legacy run accrued pipeline metrics: %+v", rec.Seq, rec)
 		}
+	}
+}
+
+// TestUnrecoverableRestartExplainsEveryLink pins what a restart that finds
+// nothing to restore says: every retained link, newest first, each with
+// the reason the verification walk rejected it — here one whose burst-
+// buffer copies never reached the PFS, one torn on the drain hop and one
+// corrupted on it — in an error that still is ErrNoVerifiableGeneration.
+func TestUnrecoverableRestartExplainsEveryLink(t *testing.T) {
+	cfg := stagedConfig()
+	cfg.Incremental = false // three full images: three generations
+	cfg.RetainGenerations = 2
+	cfg.Faults = []faultplan.Fault{
+		{Anchor: faultplan.AtImageWrite, Hop: faultplan.HopDrain, N: 1, Kind: faultplan.PageCorruption, Rank: 3, Pages: 1},
+		{Anchor: faultplan.AtImageWrite, Hop: faultplan.HopDrain, N: 2, Kind: faultplan.TornWrite, Rank: 5},
+		{Anchor: faultplan.AtCheckpointCommit, N: 3, Kind: faultplan.RankCrash, Delay: 1 * vtime.Microsecond},
+	}
+	c := New(cfg)
+	if out, err := c.Run(); err != nil || out != Failed {
+		t.Fatalf("Run = %v, %v; want the injected crash", out, err)
+	}
+	err := c.Restart()
+	if !errors.Is(err, ErrNoVerifiableGeneration) {
+		t.Fatalf("Restart error = %v, want ErrNoVerifiableGeneration", err)
+	}
+	lines := strings.Split(err.Error(), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("error has %d lines, want a summary and one line per link:\n%v", len(lines), err)
+	}
+	img := &c.gens[1].links[0].images[5]
+	recs := c.Records()
+	for i, want := range []string{
+		"coordinator: 3 generations retained, newest committed #3: " + ErrNoVerifiableGeneration.Error(),
+		fmt.Sprintf("  #3: buffer-only: %d of %d ranks' images were still in the node burst buffers when the job died; the last drain to the PFS was due @%v",
+			cfg.Ranks, cfg.Ranks, recs[2].DurableAt),
+		fmt.Sprintf("  #2: rank 5: image for checkpoint #2 is torn: %d of %d bytes written", img.WrittenBytes, img.Bytes()),
+		`  #1: rank 3: image for checkpoint #1 is corrupt: memsim: region "app.state" content hash `,
+	} {
+		if !strings.HasPrefix(lines[i], want) || (i < 3 && lines[i] != want) {
+			t.Errorf("line %d:\n got %q\nwant %q", i, lines[i], want)
+		}
+	}
+
+	// The deltas chained onto a rejected full image are accounted for too.
+	cfg = faultConfig()
+	cfg.Incremental = true
+	cfg.RetainGenerations = 0
+	cfg.Faults = []faultplan.Fault{
+		{Anchor: faultplan.AtImageWrite, N: 1, Kind: faultplan.PageCorruption, Rank: 2, Pages: 1},
+		{Anchor: faultplan.AtCheckpointCommit, N: 3, Kind: faultplan.RankCrash, Delay: 250 * vtime.Microsecond},
+	}
+	c = New(cfg)
+	if out, err := c.Run(); err != nil || out != Failed {
+		t.Fatalf("Run = %v, %v; want the injected crash", out, err)
+	}
+	err = c.Restart()
+	if !errors.Is(err, ErrNoVerifiableGeneration) {
+		t.Fatalf("Restart error = %v, want ErrNoVerifiableGeneration", err)
+	}
+	for _, want := range []string{
+		"\n  #3: not examined: a delta whose chain starts at rejected #1",
+		"\n  #2: not examined: a delta whose chain starts at rejected #1",
+		"\n  #1: rank 2: image for checkpoint #1 is corrupt: memsim: region ",
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error does not say %q:\n%v", want, err)
+		}
+	}
+	if strings.Index(err.Error(), "#3") > strings.Index(err.Error(), "#2: not") {
+		t.Errorf("links are not listed newest first:\n%v", err)
+	}
+
+	// And so is a link a crashed restart attempt destroyed.
+	cfg = faultConfig()
+	cfg.RetainGenerations = 0
+	cfg.Faults = []faultplan.Fault{
+		{Anchor: faultplan.AtCheckpointCommit, N: 2, Kind: faultplan.RankCrash, Delay: 250 * vtime.Microsecond},
+		{Anchor: faultplan.AtRestart, N: 1, Kind: faultplan.RankCrash},
+	}
+	c = New(cfg)
+	if out, err := c.Run(); err != nil || out != Failed {
+		t.Fatalf("Run = %v, %v; want the injected crash", out, err)
+	}
+	if err := c.Restart(); !errors.Is(err, ErrRestartFault) {
+		t.Fatalf("first Restart error = %v, want ErrRestartFault", err)
+	}
+	err = c.Restart()
+	if want := "\n  #2: poisoned: restart attempt 1 crashed while reading it (injected restart fault)"; !errors.Is(err, ErrNoVerifiableGeneration) || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("second Restart error = %v, want ErrNoVerifiableGeneration ending %q", err, want)
 	}
 }

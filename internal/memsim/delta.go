@@ -1,6 +1,9 @@
 package memsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // PageDelta is one dirty page carried by an incremental snapshot.
 type PageDelta struct {
@@ -66,7 +69,7 @@ type Delta struct {
 
 // contentHash digests the page's contents; an unmaterialised page is Len
 // zeros.
-func (p PageDelta) contentHash() uint64 {
+func (p *PageDelta) contentHash() uint64 {
 	if p.Data == nil {
 		return uint64(fnvOffset.zeros(uint64(p.Len)))
 	}
@@ -77,9 +80,10 @@ func (p PageDelta) contentHash() uint64 {
 // quantity an incremental image write is charged for.
 func (d Delta) PayloadBytes() uint64 {
 	var total uint64
-	for _, rd := range d.Regions {
-		for _, p := range rd.Pages {
-			total += uint64(p.Len)
+	for i := range d.Regions {
+		pages := d.Regions[i].Pages
+		for pi := range pages {
+			total += uint64(pages[pi].Len)
 		}
 	}
 	return total
@@ -89,8 +93,8 @@ func (d Delta) PayloadBytes() uint64 {
 // carried (the sum of region sizes), for full-vs-incremental reporting.
 func (d Delta) FullBytes() uint64 {
 	var total uint64
-	for _, rd := range d.Regions {
-		total += rd.Size
+	for i := range d.Regions {
+		total += d.Regions[i].Size
 	}
 	return total
 }
@@ -116,34 +120,40 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 	if a.gen == 0 {
 		panic("memsim: incremental capture with no committed base generation")
 	}
-	d := Delta{BaseGen: a.gen, Brk: a.brk}
-	for _, r := range a.regions[UpperHalf] {
-		rd := RegionDelta{
-			Name: r.Name, Half: r.Half, Kind: r.Kind,
-			Addr: r.Addr, Size: r.Size, DataLen: r.DataLen,
-		}
+	upper := a.regions[UpperHalf]
+	d := Delta{BaseGen: a.gen, Brk: a.brk, Regions: make([]RegionDelta, len(upper))}
+	for i, r := range upper {
+		rd := &d.Regions[i]
+		rd.Name, rd.Half, rd.Kind = r.Name, r.Half, r.Kind
+		rd.Addr, rd.Size, rd.DataLen = r.Addr, r.Size, r.DataLen
 		d.ScannedPages += pageCount(r.Size)
-		for _, idx := range r.dirty.indices() {
-			start, end := pageExtent(idx, rd.DataLen)
-			if start >= end {
-				continue
+		// Only dirty pages inside the contents can be carried; a clean
+		// region — the common one — allocates and visits nothing.
+		left := r.dirty.countBelow(pageCount(r.DataLen))
+		for w := 0; left > 0; w++ {
+			for word := r.dirty[w]; word != 0 && left > 0; word &= word - 1 {
+				idx := w*64 + bits.TrailingZeros64(word)
+				left--
+				start, end := pageExtent(idx, rd.DataLen)
+				n := end - start
+				cur := pageAt(r.pages, idx)
+				d.DirtyPages++
+				d.DirtyBytes += n
+				if end <= r.baseLen && samePage(cur, pageAt(r.base, idx), n) {
+					d.DedupBytes += n
+					continue
+				}
+				pd := PageDelta{Index: idx, Len: int(n)}
+				if cur != nil {
+					pd.Data = cur[:n]
+				}
+				pd.Hash = pd.contentHash()
+				if rd.Pages == nil {
+					rd.Pages = make([]PageDelta, 0, left+1)
+				}
+				rd.Pages = append(rd.Pages, pd)
 			}
-			n := end - start
-			cur := pageAt(r.pages, idx)
-			d.DirtyPages++
-			d.DirtyBytes += n
-			if end <= r.baseLen && samePage(cur, pageAt(r.base, idx), n) {
-				d.DedupBytes += n
-				continue
-			}
-			pd := PageDelta{Index: idx, Len: int(n)}
-			if cur != nil {
-				pd.Data = cur[:n]
-			}
-			pd.Hash = pd.contentHash()
-			rd.Pages = append(rd.Pages, pd)
 		}
-		d.Regions = append(d.Regions, rd)
 		// The content-hash memo of a dirty region stays invalidated:
 		// deltas never need the region digest, and recomputing it here
 		// would put a hash of every present page back on the O(dirty)
@@ -161,22 +171,32 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 // the delta does not mention are dropped; regions without a matching base
 // region are rebuilt from absent pages plus carried ones. The result
 // shares pages with both inputs; none is copied.
+//
+// Both region lists ascend by address — every capture and every
+// ApplyDelta produces them so — and are joined by walking them together.
+// A delta out of that order is a bug and panics, which also keeps the
+// result a valid base for the next link of a chain.
 func ApplyDelta(base Snapshot, d Delta) Snapshot {
-	baseIdx := make(map[uint64]int, len(base.Regions))
-	for i := range base.Regions {
-		baseIdx[base.Regions[i].Addr] = i
-	}
 	baseHashes := len(base.RegionHashes) == len(base.Regions)
 	out := Snapshot{
 		Brk:          d.Brk,
-		Regions:      make([]Region, 0, len(d.Regions)),
-		RegionHashes: make([]uint64, 0, len(d.Regions)),
+		Regions:      make([]Region, len(d.Regions)),
+		RegionHashes: make([]uint64, len(d.Regions)),
 	}
-	for _, rd := range d.Regions {
-		r := Region{Name: rd.Name, Half: rd.Half, Kind: rd.Kind, Addr: rd.Addr, Size: rd.Size, DataLen: rd.DataLen}
+	bi := 0 // the first base region not below the current delta region
+	for i := range d.Regions {
+		rd := &d.Regions[i]
+		if i > 0 && rd.Addr <= d.Regions[i-1].Addr {
+			panic(fmt.Sprintf("memsim: delta region %q at 0x%x is out of address order", rd.Name, rd.Addr))
+		}
+		r := &out.Regions[i]
+		r.Name, r.Half, r.Kind = rd.Name, rd.Half, rd.Kind
+		r.Addr, r.Size, r.DataLen = rd.Addr, rd.Size, rd.DataLen
+		for bi < len(base.Regions) && base.Regions[bi].Addr < rd.Addr {
+			bi++
+		}
 		var b *Region
-		bi, ok := baseIdx[rd.Addr]
-		if ok {
+		if bi < len(base.Regions) && base.Regions[bi].Addr == rd.Addr {
 			b = &base.Regions[bi]
 			if b.Name != rd.Name || b.Size != rd.Size || b.Half != rd.Half || b.Kind != rd.Kind || b.DataLen > rd.DataLen {
 				// The address was reused by a structurally different
@@ -185,22 +205,22 @@ func ApplyDelta(base Snapshot, d Delta) Snapshot {
 				b = nil
 			}
 		}
-		var hash uint64
-		known := false
 		switch {
 		case b != nil && b.DataLen == rd.DataLen && len(rd.Pages) == 0:
 			// Untouched region: share the base's page table (both are
 			// immutable image payloads) and reuse its digest.
 			r.pages = b.pages
 			if baseHashes {
-				hash, known = base.RegionHashes[bi], true
+				out.RegionHashes[i] = base.RegionHashes[bi]
+				continue
 			}
 		case (b != nil && b.pages != nil) || len(rd.Pages) > 0:
 			r.pages = make([]*page, pageCount(rd.DataLen))
 			if b != nil {
 				copy(r.pages, b.pages)
 			}
-			for _, p := range rd.Pages {
+			for pi := range rd.Pages {
+				p := &rd.Pages[pi]
 				start, end := pageExtent(p.Index, rd.DataLen)
 				if uint64(p.Len) != end-start || (p.Data != nil && len(p.Data) != p.Len) {
 					panic(fmt.Sprintf("memsim: delta page %d of region %q carries %d bytes (%d present), extent is %d",
@@ -212,11 +232,7 @@ func ApplyDelta(base Snapshot, d Delta) Snapshot {
 				}
 			}
 		}
-		if !known {
-			hash = r.contentHash()
-		}
-		out.Regions = append(out.Regions, r)
-		out.RegionHashes = append(out.RegionHashes, hash)
+		out.RegionHashes[i] = r.contentHash()
 	}
 	return out
 }

@@ -228,6 +228,11 @@ type AddressSpace struct {
 	// pool optionally recycles owned page buffers across address-space
 	// lifetimes (see Pool); nil means plain allocation.
 	pool *Pool
+	// lastWrite is the live region the previous Write resolved its address
+	// to, tried before the search: a workload step writes the same region
+	// over and over. Nil after anything that takes regions out of the
+	// space.
+	lastWrite *Region
 }
 
 // NewAddressSpace returns an empty address space with MANA's sbrk
@@ -257,6 +262,7 @@ func NewAddressSpacePooled(pool *Pool) *AddressSpace {
 // captured Regions()/Lookup() copies keep them (those are deep copies).
 // Without an attached pool Release only empties the space.
 func (a *AddressSpace) Release() {
+	a.lastWrite = nil
 	for half := range a.regions {
 		if a.pool != nil {
 			for _, r := range a.regions[half] {
@@ -378,6 +384,7 @@ func (a *AddressSpace) Munmap(addr uint64) bool {
 		return false
 	}
 	a.regions[half] = slices.Delete(a.regions[half], i, i+1)
+	a.lastWrite = nil
 	return true
 }
 
@@ -388,6 +395,7 @@ func (a *AddressSpace) Munmap(addr uint64) bool {
 func (a *AddressSpace) UnmapHalf(half Half) uint64 {
 	released := a.BytesOf(half)
 	a.regions[half] = nil
+	a.lastWrite = nil
 	return released
 }
 
@@ -432,6 +440,7 @@ func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
 // with the old base, so deltas against it would be unsound.
 func (a *AddressSpace) SbrkShrink(delta uint64) uint64 {
 	upper := a.regions[UpperHalf]
+	a.lastWrite = nil
 	var released uint64
 	for i := len(upper) - 1; i >= 0 && delta > 0; i-- {
 		r := upper[i]
@@ -515,9 +524,12 @@ func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
 // It returns an error if the region does not exist or the write would
 // overflow it. Only the pages the write touches are materialised.
 func (a *AddressSpace) Write(addr uint64, offset uint64, data []byte) error {
-	r, _, _ := a.find(addr)
-	if r == nil {
-		return fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
+	r := a.lastWrite
+	if r == nil || r.Addr != addr {
+		if r, _, _ = a.find(addr); r == nil {
+			return fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
+		}
+		a.lastWrite = r
 	}
 	if offset+uint64(len(data)) > r.Size {
 		return fmt.Errorf("memsim: write of %d bytes at offset %d overflows region %q (size %d)",
@@ -596,12 +608,12 @@ func (a *AddressSpace) capture(commit bool) Snapshot {
 	upper := a.regions[UpperHalf]
 	snap := Snapshot{
 		Brk:          a.brk,
-		Regions:      make([]Region, 0, len(upper)),
-		RegionHashes: make([]uint64, 0, len(upper)),
+		Regions:      make([]Region, len(upper)),
+		RegionHashes: make([]uint64, len(upper)),
 	}
-	for _, r := range upper {
-		snap.Regions = append(snap.Regions, r.view())
-		snap.RegionHashes = append(snap.RegionHashes, r.contentHashNow())
+	for i, r := range upper {
+		r.view(&snap.Regions[i])
+		snap.RegionHashes[i] = r.contentHashNow()
 		if commit {
 			r.rebase()
 		}
@@ -661,8 +673,8 @@ func (a *AddressSpace) DirtyPages(addr uint64) ([]int, bool) {
 // snapshot; this is the per-rank checkpoint image payload size.
 func (s Snapshot) TotalBytes() uint64 {
 	var total uint64
-	for _, r := range s.Regions {
-		total += r.Size
+	for i := range s.Regions {
+		total += s.Regions[i].Size
 	}
 	return total
 }
@@ -696,7 +708,15 @@ func (s Snapshot) Fingerprint() uint64 {
 // regions must be in ascending address order, as every capture and
 // ApplyDelta produces them.
 func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
-	upper := make([]*Region, 0, len(s.Regions))
+	// The region records and their dirty bitmaps are cut from one
+	// allocation each, sized exactly, instead of two per region.
+	upper := make([]*Region, len(s.Regions))
+	regions := make([]Region, len(s.Regions))
+	words := 0
+	for i := range s.Regions {
+		words += bitmapWords(pageCount(s.Regions[i].Size))
+	}
+	bitmaps := make(bitmap, words)
 	maxEnd := uint64(upperBase)
 	for i := range s.Regions {
 		// A restored region shares the image's frozen pages — the image
@@ -704,21 +724,23 @@ func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
 		// before it writes — and starts entirely dirty with no committed
 		// base: restart begins a new incremental chain.
 		src := &s.Regions[i]
-		if len(upper) > 0 && src.Addr <= upper[len(upper)-1].Addr {
+		if i > 0 && src.Addr <= s.Regions[i-1].Addr {
 			panic(fmt.Sprintf("memsim: snapshot region %q at 0x%x is out of address order", src.Name, src.Addr))
 		}
-		c := &Region{
-			Name: src.Name, Half: src.Half, Kind: src.Kind, Addr: src.Addr, Size: src.Size,
-			DataLen: src.DataLen, pages: slices.Clone(src.pages),
-		}
+		c := &regions[i]
+		c.Name, c.Half, c.Kind, c.Addr, c.Size = src.Name, src.Half, src.Kind, src.Addr, src.Size
+		c.DataLen, c.pages = src.DataLen, slices.Clone(src.pages)
+		n := bitmapWords(pageCount(c.Size))
+		c.dirty, bitmaps = bitmaps[:n:n], bitmaps[n:]
 		c.markAllDirty()
 		if len(s.RegionHashes) == len(s.Regions) {
 			c.hash, c.hashOK = s.RegionHashes[i], true
 		}
-		upper = append(upper, c)
+		upper[i] = c
 		maxEnd = max(maxEnd, c.End())
 	}
 	a.regions[UpperHalf] = upper
+	a.lastWrite = nil
 	if a.nextUpper < maxEnd+mmapAlignment {
 		a.nextUpper = maxEnd + mmapAlignment
 	}

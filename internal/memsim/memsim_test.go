@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -401,4 +402,68 @@ func TestSnapshotIsolatedFromLiveSpace(t *testing.T) {
 	if flat(&snap.Regions[0])[0] == 99 || snap.Fingerprint() != fp {
 		t.Error("writing a restored space leaked into the image it came from")
 	}
+}
+
+// TestWriteAfterRegionLeaves pins the one thing Write's last-region cache
+// must never do: resolve an address to a region that has left the space.
+// After each way a region can leave, a write to its address fails exactly
+// as it would have without the cache, or lands in the region that now
+// owns the address.
+func TestWriteAfterRegionLeaves(t *testing.T) {
+	unmapped := func(t *testing.T, a *AddressSpace, addr uint64) {
+		t.Helper()
+		err := a.Write(addr, 0, []byte{1})
+		if want := fmt.Sprintf("memsim: write to unmapped region 0x%x", addr); err == nil || err.Error() != want {
+			t.Fatalf("write to a departed region: %v, want %q", err, want)
+		}
+	}
+	warm := func(t *testing.T, a *AddressSpace, addr uint64) {
+		t.Helper()
+		if err := a.Write(addr, 0, []byte{0xaa}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Run("Munmap", func(t *testing.T) {
+		a := NewAddressSpace()
+		r := a.Mmap("x", UpperHalf, KindData, PageSize)
+		warm(t, a, r.Addr)
+		a.Munmap(r.Addr)
+		unmapped(t, a, r.Addr)
+	})
+	t.Run("UnmapHalf", func(t *testing.T) {
+		a := NewAddressSpace()
+		r := a.Mmap("x", LowerHalf, KindData, PageSize)
+		warm(t, a, r.Addr)
+		a.UnmapHalf(LowerHalf)
+		unmapped(t, a, r.Addr)
+	})
+	t.Run("SbrkShrink", func(t *testing.T) {
+		a := NewAddressSpace()
+		r := a.Sbrk(PageSize).Region
+		warm(t, a, r.Addr)
+		a.SbrkShrink(PageSize)
+		unmapped(t, a, r.Addr)
+	})
+	t.Run("Release", func(t *testing.T) {
+		a := NewAddressSpacePooled(NewPool())
+		r := a.Mmap("x", UpperHalf, KindData, PageSize)
+		warm(t, a, r.Addr)
+		a.Release()
+		unmapped(t, a, r.Addr)
+	})
+	t.Run("RestoreUpperHalf", func(t *testing.T) {
+		a := NewAddressSpace()
+		r := a.Mmap("x", UpperHalf, KindData, PageSize)
+		snap := a.CommitUpperHalf() // x is empty in the image
+		warm(t, a, r.Addr)
+		a.RestoreUpperHalf(snap)
+		// Same address, new region record: the write must reach it.
+		if err := a.Write(r.Addr, 1, []byte{0xbb}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Read(r.Addr, 0, 2)
+		if err != nil || got[0] != 0 || got[1] != 0xbb {
+			t.Fatalf("after restore the region reads % x (%v), want 00 bb: the write went to the region it replaced", got, err)
+		}
+	})
 }

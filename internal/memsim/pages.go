@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 )
@@ -56,7 +57,13 @@ func pageAt(pages []*page, idx int) *page {
 	return pages[idx]
 }
 
+// isZero reports whether b holds only zero bytes, a word at a time.
 func isZero(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if binary.LittleEndian.Uint64(b) != 0 {
+			return false
+		}
+	}
 	for _, c := range b {
 		if c != 0 {
 			return false
@@ -94,8 +101,23 @@ func (b bitmap) any() bool {
 	return false
 }
 
-// indices returns the set bits in ascending order — the deterministic
-// iteration order every delta payload is built in.
+// countBelow returns how many bits with an index below n are set.
+func (b bitmap) countBelow(n int) int {
+	total := 0
+	for w, word := range b {
+		if rem := n - w*64; rem < 64 {
+			if rem > 0 {
+				total += bits.OnesCount64(word & (1<<uint(rem) - 1))
+			}
+			break
+		}
+		total += bits.OnesCount64(word)
+	}
+	return total
+}
+
+// indices returns the set bits in ascending order, for diagnostics; the
+// capture path walks the words in place, in the same order.
 func (b bitmap) indices() []int {
 	var out []int
 	for w, word := range b {
@@ -106,10 +128,13 @@ func (b bitmap) indices() []int {
 	return out
 }
 
+// bitmapWords returns the length of a bitmap covering n pages.
+func bitmapWords(n int) int { return (n + 63) / 64 }
+
 // sized returns the bitmap resized to cover n pages, keeping the bits
 // that still fit.
 func (b bitmap) sized(n int) bitmap {
-	if words := (n + 63) / 64; len(b) != words {
+	if words := bitmapWords(n); len(b) != words {
 		grown := make(bitmap, words)
 		copy(grown, b)
 		return grown
@@ -120,9 +145,11 @@ func (b bitmap) sized(n int) bitmap {
 // 64-bit FNV-1a, the digest every content hash in this package uses. It
 // is written out here rather than taken from hash/fnv for zeros: FNV-1a
 // folds a byte c in as h = (h XOR c) * prime, so a zero byte is one
-// multiply and a run of n zero bytes is h * prime^n mod 2^64. Absent
-// pages are hashed that way, in O(log n) multiplies instead of n, and
-// the digest is bit-identical to hashing the materialised zeros.
+// multiply and a run of n zero bytes is h * prime^n mod 2^64. Zeros are
+// hashed that way wherever they are — absent pages between present ones
+// (contents) and the zero words inside a present page (bytes) — and the
+// digest is bit-identical to hashing the bytes one at a time. Hashing
+// therefore costs what a page holds, not what it could hold.
 type fnv64a uint64
 
 const (
@@ -130,7 +157,48 @@ const (
 	fnvPrime  fnv64a = 1099511628211
 )
 
+// zeroPow[n] is fnvPrime^n mod 2^64: the factor n zero bytes fold in as,
+// for every run that fits a page. Written once by init, read-only after.
+var zeroPow [PageSize + 1]fnv64a
+
+func init() {
+	zeroPow[0] = 1
+	for n := 1; n < len(zeroPow); n++ {
+		zeroPow[n] = zeroPow[n-1] * fnvPrime
+	}
+}
+
+// bytes folds in p. It reads p in 8-byte words: a zero word only
+// lengthens the pending zero run (whole 32-byte blocks of zeros at a time
+// once inside one), and a run is folded in as a single multiply when the
+// next non-zero byte — or the end of p — is reached. A non-zero word is
+// folded byte by byte from the loaded word up to its last non-zero byte;
+// its high zero bytes start the next run. Data without zeros pays the one
+// multiply per byte FNV-1a asks for.
 func (h fnv64a) bytes(p []byte) fnv64a {
+	var run uint64
+	for len(p) >= 8 {
+		w := binary.LittleEndian.Uint64(p)
+		p = p[8:]
+		if w == 0 {
+			run += 8
+			for len(p) >= 32 && binary.LittleEndian.Uint64(p)|binary.LittleEndian.Uint64(p[8:])|
+				binary.LittleEndian.Uint64(p[16:])|binary.LittleEndian.Uint64(p[24:]) == 0 {
+				run += 32
+				p = p[32:]
+			}
+			continue
+		}
+		if run != 0 {
+			h = h.zeros(run)
+		}
+		run = 8
+		for ; w != 0; w >>= 8 {
+			h = (h ^ fnv64a(w&0xff)) * fnvPrime
+			run--
+		}
+	}
+	h = h.zeros(run)
 	for _, c := range p {
 		h = (h ^ fnv64a(c)) * fnvPrime
 	}
@@ -144,17 +212,24 @@ func (h fnv64a) str(s string) fnv64a {
 	return h
 }
 
-// u64 folds in v as eight little-endian bytes.
+// u64 folds in v as eight little-endian bytes: byte by byte up to its
+// last non-zero byte, the zero bytes above that as one run. Most of what
+// it is handed — lengths, tags, sizes — is mostly zeros.
 func (h fnv64a) u64(v uint64) fnv64a {
-	for i := 0; i < 8; i++ {
-		h = (h ^ fnv64a(byte(v))) * fnvPrime
-		v >>= 8
+	run := 8
+	for ; v != 0; v >>= 8 {
+		h = (h ^ fnv64a(v&0xff)) * fnvPrime
+		run--
 	}
-	return h
+	return h * zeroPow[run]
 }
 
-// zeros folds in n zero bytes: h * prime^n by square-and-multiply.
+// zeros folds in n zero bytes: h * prime^n, from the power table for a
+// run that fits a page and by square-and-multiply beyond it.
 func (h fnv64a) zeros(n uint64) fnv64a {
+	if n < uint64(len(zeroPow)) {
+		return h * zeroPow[n]
+	}
 	for p := fnvPrime; n != 0; n >>= 1 {
 		if n&1 != 0 {
 			h *= p
@@ -165,8 +240,8 @@ func (h fnv64a) zeros(n uint64) fnv64a {
 }
 
 // contents folds in the dataLen logical bytes a page table describes.
-// Present pages are hashed byte by byte; each run of absent pages costs
-// one zeros call.
+// Present pages go through bytes; each run of absent pages costs one
+// zeros call.
 func (h fnv64a) contents(pages []*page, dataLen uint64) fnv64a {
 	if pages == nil {
 		return h.zeros(dataLen)
@@ -235,16 +310,14 @@ func (r *Region) markAllDirty() {
 	r.hashOK = false
 }
 
-// view returns the region as a capture carries it: metadata, data length
-// and a private copy of the page table. Every page the live region owned
-// is frozen by the call — the view now shares it — so later writes copy
-// the page instead of reaching the capture.
-func (r *Region) view() Region {
+// view fills in *c with the region as a capture carries it: metadata,
+// data length and a private copy of the page table. Every page the live
+// region owned is frozen by the call — the view now shares it — so later
+// writes copy the page instead of reaching the capture.
+func (r *Region) view(c *Region) {
 	clear(r.owned)
-	return Region{
-		Name: r.Name, Half: r.Half, Kind: r.Kind, Addr: r.Addr, Size: r.Size,
-		DataLen: r.DataLen, pages: slices.Clone(r.pages),
-	}
+	c.Name, c.Half, c.Kind, c.Addr, c.Size = r.Name, r.Half, r.Kind, r.Addr, r.Size
+	c.DataLen, c.pages = r.DataLen, slices.Clone(r.pages)
 }
 
 // rebase makes the region's current contents the committed generation:

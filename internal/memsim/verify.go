@@ -29,8 +29,10 @@ func (s Snapshot) Verify() (pages int, err error) {
 // against the hash recorded at capture time, returning the number of pages
 // rehashed and an error naming the first mismatching region and page.
 func (d Delta) Verify() (pages int, err error) {
-	for _, rd := range d.Regions {
-		for _, p := range rd.Pages {
+	for i := range d.Regions {
+		rd := &d.Regions[i]
+		for pi := range rd.Pages {
+			p := &rd.Pages[pi]
 			pages++
 			if got := p.contentHash(); got != p.Hash {
 				return pages, fmt.Errorf("memsim: region %q page %d hash %016x does not match recorded %016x",

@@ -29,6 +29,7 @@ package rank
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mana/internal/kernelsim"
 	"mana/internal/memsim"
@@ -159,32 +160,27 @@ type Image struct {
 // Bytes returns the payload the image writes to the parallel filesystem:
 // the full memory snapshot, or only the carried dirty pages for an
 // incremental image, plus buffered drained messages either way.
-func (img Image) Bytes() uint64 {
-	var total uint64
+func (img *Image) Bytes() uint64 {
 	if img.Full {
-		total = img.Mem.TotalBytes()
-	} else {
-		total = img.Delta.PayloadBytes()
+		return img.Mem.TotalBytes() + img.inboxBytes()
 	}
-	for _, m := range img.Inbox {
-		total += m.Bytes
+	return img.Delta.PayloadBytes() + img.inboxBytes()
+}
+
+func (img *Image) inboxBytes() (total uint64) {
+	for i := range img.Inbox {
+		total += img.Inbox[i].Bytes
 	}
 	return total
 }
 
 // FullBytes returns what a self-contained image of the same state would
 // have written — the full-vs-incremental comparison the report records.
-func (img Image) FullBytes() uint64 {
-	var total uint64
+func (img *Image) FullBytes() uint64 {
 	if img.Full {
-		total = img.Mem.TotalBytes()
-	} else {
-		total = img.Delta.FullBytes()
+		return img.Mem.TotalBytes() + img.inboxBytes()
 	}
-	for _, m := range img.Inbox {
-		total += m.Bytes
-	}
-	return total
+	return img.Delta.FullBytes() + img.inboxBytes()
 }
 
 // Rank is one simulated MPI process.
@@ -796,28 +792,21 @@ func (r *Rank) BufferDrained(m *netsim.Message) {
 // since the last checkpoint; the first capture after construction or
 // restart always falls back to a self-contained full image. An image's
 // memory payload references frozen pages only — the live space copies a
-// page before writing to it again — and the small state is deep-copied.
+// page before writing to it again — and the small state is deep-copied,
+// which for an empty inbox or request FIFO allocates nothing.
 func (r *Rank) CaptureImage(incremental bool) Image {
 	if r.state == InCollective {
 		panic(fmt.Sprintf("rank %d: checkpoint while inside a collective", r.id))
 	}
-	inbox := make([]netsim.Message, len(r.inbox))
-	copy(inbox, r.inbox)
-	pending := make([]virtid.VID, len(r.pending))
-	copy(pending, r.pending)
-	comms := make([]virtid.VID, len(r.comms))
-	copy(comms, r.comms)
-	commIDs := make([]int, len(r.commIDs))
-	copy(commIDs, r.commIDs)
 	img := Image{
 		RankID:      r.id,
 		PC:          r.pc,
 		Clock:       r.clock.Now(),
-		Inbox:       inbox,
+		Inbox:       slices.Clone(r.inbox),
 		Virt:        r.vt.Snapshot(),
-		PendingReqs: pending,
-		Comms:       comms,
-		CommIDs:     commIDs,
+		PendingReqs: slices.Clone(r.pending),
+		Comms:       slices.Clone(r.comms),
+		CommIDs:     slices.Clone(r.commIDs),
 		Stats:       r.stats,
 	}
 	if incremental && r.mem.Generation() > 0 {
@@ -836,9 +825,13 @@ func (r *Rank) CaptureImage(incremental bool) Image {
 // image is full, bit-identical to the full image that would have been
 // captured at the delta's commit point. A full img passes through
 // untouched, so a restart loop can fold an arbitrary base+delta chain.
-func Overlay(base, img Image) Image {
+func Overlay(base, img Image) Image { return img.OverlayOn(&base) }
+
+// OverlayOn is Overlay(*base, *img) on images in place: the coordinator's
+// stages hand the 520-byte Image around by pointer.
+func (img *Image) OverlayOn(base *Image) Image {
 	if img.Full {
-		return img
+		return *img
 	}
 	if base.RankID != img.RankID {
 		panic(fmt.Sprintf("rank: overlay of rank %d delta onto rank %d base", img.RankID, base.RankID))
@@ -850,7 +843,7 @@ func Overlay(base, img Image) Image {
 		panic(fmt.Sprintf("rank %d: delta seq %d applies to base seq %d, got base seq %d",
 			img.RankID, img.Seq, img.Base, base.Seq))
 	}
-	out := img
+	out := *img
 	out.Full = true
 	out.Base = 0
 	out.Mem = memsim.ApplyDelta(base.Mem, img.Delta)
@@ -866,7 +859,10 @@ func Overlay(base, img Image) Image {
 // same FNV digests recorded at capture time. It returns the number of
 // pages rehashed — the coordinator charges restart verify cost per page —
 // and an error naming what failed.
-func VerifyImage(img Image) (pages int, err error) {
+func VerifyImage(img Image) (pages int, err error) { return img.Verify() }
+
+// Verify is VerifyImage on the image in place.
+func (img *Image) Verify() (pages int, err error) {
 	if !img.Complete {
 		return 0, fmt.Errorf("rank %d: image for checkpoint #%d is torn: %d of %d bytes written",
 			img.RankID, img.Seq, img.WrittenBytes, img.Bytes())
@@ -887,7 +883,10 @@ func VerifyImage(img Image) (pages int, err error) {
 // one (InitLowerHalf), then map the saved upper-half regions over it and
 // resume the application state. Checkpoint-overhead accounting is
 // preserved across the restore — it describes the run, not the image.
-func (r *Rank) Restore(img Image) {
+func (r *Rank) Restore(img Image) { r.RestoreFrom(&img) }
+
+// RestoreFrom is Restore from an image in place; the image is only read.
+func (r *Rank) RestoreFrom(img *Image) {
 	if img.RankID != r.id {
 		panic(fmt.Sprintf("rank %d: restore from image of rank %d", r.id, img.RankID))
 	}
@@ -914,17 +913,15 @@ func (r *Rank) Restore(img Image) {
 	r.vt = virtid.New(r.vimpl)
 	r.vt.Restore(img.Virt)
 	r.reqSeq = img.Virt.Next[virtid.Request]
-	r.pending = make([]virtid.VID, len(img.PendingReqs))
-	copy(r.pending, img.PendingReqs)
-	r.comms = make([]virtid.VID, len(img.Comms))
-	copy(r.comms, img.Comms)
-	r.commIDs = make([]int, len(img.CommIDs))
-	copy(r.commIDs, img.CommIDs)
+	// The small state is deep-copied; an empty FIFO or inbox allocates
+	// nothing.
+	r.pending = slices.Clone(img.PendingReqs)
+	r.comms = slices.Clone(img.Comms)
+	r.commIDs = slices.Clone(img.CommIDs)
 	r.clock.Set(img.Clock)
 	r.pc = img.PC
 	r.state = Running
-	r.inbox = make([]netsim.Message, len(img.Inbox))
-	copy(r.inbox, img.Inbox)
+	r.inbox = slices.Clone(img.Inbox)
 	r.stats = img.Stats
 }
 

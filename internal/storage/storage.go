@@ -287,8 +287,10 @@ func zeroStored(raw uint64) uint64 {
 // the delta carries unmaterialised (nil Data: Len zero bytes nothing ever
 // wrote) is a zero page without being scanned.
 func (c *Config) CompressDelta(d *memsim.Delta) (stored, raw uint64) {
-	for _, rd := range d.Regions {
-		for _, p := range rd.Pages {
+	for i := range d.Regions {
+		rd := &d.Regions[i]
+		for pi := range rd.Pages {
+			p := &rd.Pages[pi]
 			if p.Data == nil {
 				stored += zeroStored(uint64(p.Len))
 			} else {

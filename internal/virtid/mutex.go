@@ -110,14 +110,3 @@ func (t *MutexTable) Restore(s Snapshot) {
 		t.entries[k] = append([]Entry(nil), s.Entries[k]...)
 	}
 }
-
-// sortedEntries flattens a mapping into entries sorted by virtual id, so
-// that Go map iteration order never escapes the table.
-func sortedEntries(m map[VID]Real) []Entry {
-	entries := make([]Entry, 0, len(m))
-	for v, r := range m {
-		entries = append(entries, Entry{VID: v, Real: r})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].VID < entries[j].VID })
-	return entries
-}

@@ -1,6 +1,8 @@
 package virtid
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -27,10 +29,18 @@ type lut struct {
 	mask  uint64
 	slots []Entry
 	live  int
+	// small backs slots for a table of up to two entries — nearly every
+	// shard of an MPI handle table — so such a lut is one allocation.
+	small [minSlots]Entry
 }
 
-// emptyLUT is the pre-published table of a fresh shard.
-var emptyLUT = &lut{mask: 3, slots: make([]Entry, 4)}
+// minSlots is the smallest slot array: two entries at load factor 1/2.
+const minSlots = 4
+
+// emptyLUT is the published table of every shard that holds nothing: a
+// fresh shard's, and one a Restore leaves empty. It is shared by every
+// table in the process and never written — writers build a replacement.
+var emptyLUT = &lut{mask: minSlots - 1, slots: make([]Entry, minSlots)}
 
 // shard is one slot of a kind's shard array. Readers never take the
 // mutex: they atomically load the published lut and probe it. Writers
@@ -54,6 +64,11 @@ type shard struct {
 type ShardedTable struct {
 	next   [NumKinds]atomic.Uint64
 	shards [NumKinds][numShards]shard
+	// memo is the last Snapshot taken, dropped by the next Register,
+	// Deregister or Restore: checkpoints between which the rank minted and
+	// retired no handle share one immutable snapshot, entries and digest
+	// text alike, instead of gathering and sorting the table again.
+	memo atomic.Pointer[Snapshot]
 }
 
 // NewShardedTable returns an empty sharded table with every shard's
@@ -93,21 +108,42 @@ func fnvOf(v VID) uint64 {
 // shardOf selects a shard from the low FNV bits.
 func shardOf(v VID) int { return int(fnvOf(v) & (numShards - 1)) }
 
-// rebuild constructs a new lut holding the given entries. Size is chosen
-// so the load factor stays at or below 1/2, which bounds linear-probe
-// runs and guarantees an empty slot terminates every miss probe.
-func rebuild(entries []Entry) *lut {
-	size := uint64(4)
-	for size < uint64(len(entries))*2 {
+// newLUT returns an empty private lut sized for n entries: the load
+// factor stays at or below 1/2, which bounds linear-probe runs and
+// guarantees an empty slot terminates every miss probe.
+func newLUT(n int) *lut {
+	size := uint64(minSlots)
+	for size < uint64(n)*2 {
 		size <<= 1
 	}
-	n := &lut{mask: size - 1, slots: make([]Entry, size), live: len(entries)}
+	l := &lut{mask: size - 1}
+	if size == minSlots {
+		l.slots = l.small[:]
+	} else {
+		l.slots = make([]Entry, size)
+	}
+	return l
+}
+
+// insert adds an entry to a lut that is still private to its builder.
+func (l *lut) insert(e Entry) {
+	i := (fnvOf(e.VID) >> shardBits) & l.mask
+	for l.slots[i].VID != 0 {
+		i = (i + 1) & l.mask
+	}
+	l.slots[i] = e
+	l.live++
+}
+
+// rebuild constructs a new lut holding the given entries; none at all is
+// the shared emptyLUT.
+func rebuild(entries []Entry) *lut {
+	if len(entries) == 0 {
+		return emptyLUT
+	}
+	n := newLUT(len(entries))
 	for _, e := range entries {
-		i := (fnvOf(e.VID) >> shardBits) & n.mask
-		for n.slots[i].VID != 0 {
-			i = (i + 1) & n.mask
-		}
-		n.slots[i] = e
+		n.insert(e)
 	}
 	return n
 }
@@ -138,6 +174,7 @@ func (t *ShardedTable) Register(k Kind, real Real) VID {
 		}
 	}
 	s.lut.Store(rebuild(append(entries, Entry{VID: v, Real: real})))
+	t.dropMemo()
 	return v
 }
 
@@ -172,6 +209,7 @@ func (t *ShardedTable) Deregister(k Kind, v VID) bool {
 	for i, e := range entries {
 		if e.VID == v {
 			s.lut.Store(rebuild(append(entries[:i], entries[i+1:]...)))
+			t.dropMemo()
 			return true
 		}
 	}
@@ -190,43 +228,81 @@ func (t *ShardedTable) Len(k Kind) int {
 // Impl identifies the implementation.
 func (t *ShardedTable) Impl() Impl { return ImplSharded }
 
-// Snapshot captures the table state with entries sorted by virtual id.
-// The caller must quiesce writers first (the checkpoint protocol does:
-// images are captured only after every rank has stopped at a call
-// boundary), as a snapshot concurrent with a Register could otherwise
-// straddle the allocation counter and the published tables.
+// dropMemo forgets the memoised snapshot after a write. The load keeps
+// request churn, which follows no snapshot, from writing a shared line.
+func (t *ShardedTable) dropMemo() {
+	if t.memo.Load() != nil {
+		t.memo.Store(nil)
+	}
+}
+
+// Snapshot captures the table state with entries sorted by virtual id:
+// gathered from the shards into one exact-size slice and sorted there.
+// The result is memoised until the table next changes, so it is shared
+// and must be treated as immutable. The caller must quiesce writers first
+// (the checkpoint protocol does: images are captured only after every
+// rank has stopped at a call boundary), as a snapshot concurrent with a
+// Register could otherwise straddle the allocation counter and the
+// published tables.
 func (t *ShardedTable) Snapshot() Snapshot {
-	var s Snapshot
+	if m := t.memo.Load(); m != nil {
+		return *m
+	}
+	s := new(Snapshot)
+	total := 0
+	for k := 0; k < NumKinds; k++ {
+		total += t.Len(Kind(k))
+	}
+	all := make([]Entry, 0, total)
 	for k := 0; k < NumKinds; k++ {
 		s.Next[k] = t.next[k].Load()
-		merged := make(map[VID]Real)
+		start := len(all)
 		for i := range t.shards[k] {
-			for _, e := range t.shards[k][i].lut.Load().slots {
-				if e.VID != 0 {
-					merged[e.VID] = e.Real
+			if l := t.shards[k][i].lut.Load(); l.live > 0 {
+				for _, e := range l.slots {
+					if e.VID != 0 {
+						all = append(all, e)
+					}
 				}
 			}
 		}
-		s.Entries[k] = sortedEntries(merged)
+		if es := all[start:len(all):len(all)]; len(es) > 0 {
+			slices.SortFunc(es, func(a, b Entry) int { return cmp.Compare(a.VID, b.VID) })
+			s.Entries[k] = es
+		}
 	}
-	return s
+	// "vt(k,next);" per kind plus ",vid=real" per entry, generously.
+	s.text = s.appendText(make([]byte, 0, 32*NumKinds+40*total))
+	t.memo.Store(s)
+	return *s
 }
 
-// Restore replaces the table's contents with the snapshot's, rebuilding
-// and republishing every shard.
+// Restore replaces the table's contents with the snapshot's. Every shard
+// the snapshot leaves empty publishes the shared emptyLUT; only the
+// others — a handful, for an MPI handle population — are rebuilt.
 func (t *ShardedTable) Restore(s Snapshot) {
 	for k := 0; k < NumKinds; k++ {
 		t.next[k].Store(s.Next[k])
-		var fresh [numShards][]Entry
+		var count [numShards]int
 		for _, e := range s.Entries[k] {
-			sh := shardOf(e.VID)
-			fresh[sh] = append(fresh[sh], e)
+			count[shardOf(e.VID)]++
+		}
+		var luts [numShards]*lut
+		for i, n := range count {
+			luts[i] = emptyLUT
+			if n > 0 {
+				luts[i] = newLUT(n)
+			}
+		}
+		for _, e := range s.Entries[k] {
+			luts[shardOf(e.VID)].insert(e)
 		}
 		for i := range t.shards[k] {
 			sh := &t.shards[k][i]
 			sh.mu.Lock()
-			sh.lut.Store(rebuild(fresh[i]))
+			sh.lut.Store(luts[i])
 			sh.mu.Unlock()
 		}
 	}
+	t.dropMemo()
 }

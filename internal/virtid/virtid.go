@@ -33,6 +33,7 @@ package virtid
 
 import (
 	"fmt"
+	"strconv"
 
 	"mana/internal/vtime"
 )
@@ -218,10 +219,39 @@ type Entry struct {
 
 // Snapshot is a deterministic capture of a table: per-kind entries sorted
 // by virtual id, plus the per-kind allocation counters so that replayed
-// registrations after restart reproduce the same virtual ids.
+// registrations after restart reproduce the same virtual ids. A snapshot
+// taken from a table may be shared with other captures of the same state:
+// treat it as immutable.
 type Snapshot struct {
 	Next    [NumKinds]uint64
 	Entries [NumKinds][]Entry
+	// text is AppendText's output, rendered once when a ShardedTable took
+	// the snapshot; empty for a snapshot assembled any other way.
+	text []byte
+}
+
+// AppendText appends the snapshot's canonical text — per kind,
+// "vt(kind,next,vid=real,...);" with real handles in hex — which is what
+// a checkpoint fingerprint digests of the table. A snapshot that carries
+// the text pre-rendered appends it as bytes.
+func (s *Snapshot) AppendText(b []byte) []byte {
+	if len(s.text) > 0 {
+		return append(b, s.text...)
+	}
+	return s.appendText(b)
+}
+
+func (s *Snapshot) appendText(b []byte) []byte {
+	for k := 0; k < NumKinds; k++ {
+		b = strconv.AppendInt(append(b, "vt("...), int64(k), 10)
+		b = strconv.AppendUint(append(b, ','), s.Next[k], 10)
+		for _, e := range s.Entries[k] {
+			b = strconv.AppendUint(append(b, ','), uint64(e.VID), 10)
+			b = strconv.AppendUint(append(b, '='), uint64(e.Real), 16)
+		}
+		b = append(b, ");"...)
+	}
+	return b
 }
 
 // Live returns the total number of mappings in the snapshot.
