@@ -2,27 +2,8 @@
 # passes locally" and "it passes in CI" mean the same thing.
 
 GO ?= go
-# BENCHTIME feeds -benchtime for the bench-json artifact; CI overrides it
-# to 1x so the benchmarks smoke-run on every push without burning minutes.
-BENCHTIME ?= 1s
-# BENCH_PATTERN/BENCH_PKGS select the benchmarks the BENCH_sched.json
-# artifact records: scheduler scaling, virtid contention, checkpoint
-# capture (full vs incremental image bytes), the collective drain
-# planner (overlapping vs serialised collectives) and fleet throughput
-# (complete simulations per second; its runs/sec metric gates
-# higher-is-better in bench-check), the storage pipeline (checkpoint
-# commit under each profile; max-write-ns records the staging win over
-# the contended PFS) and the compression pay-off sweep (CPU charged vs
-# bytes saved across per-byte costs).
-BENCH_PATTERN ?= BenchmarkScheduler|BenchmarkVirtid|BenchmarkCheckpointCapture|BenchmarkSnapshotUpperHalf|BenchmarkOverlapDrain|BenchmarkFleetThroughput|BenchmarkRestartFallback|BenchmarkCheckpointCommit|BenchmarkCompressionPayoff
-BENCH_PKGS ?= ./internal/coordinator ./internal/virtid ./internal/rank ./internal/memsim ./internal/fleet
-# MAX_REGRESS is bench-check's tolerated ns/op regression vs the
-# committed artifact (0.30 = 30%); CI loosens it because -benchtime=1x
-# timings are noise — only staleness and order-of-magnitude regressions
-# gate there.
-MAX_REGRESS ?= 0.30
 
-.PHONY: all build test race fuzz-smoke lint fmt bench bench-sched bench-virtid bench-fleet bench-json bench-check bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race fuzz-smoke lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -59,46 +40,18 @@ lint:
 fmt:
 	gofmt -w .
 
-# bench runs every benchmark, including the scheduler-scaling set
-# (BenchmarkScheduler{64,512,4096,65536}Ranks in internal/coordinator;
-# the 65536-rank variants run serial and island-parallel).
+# bench is the repository benchmark (bench/, BENCHMARK.json): manasim as
+# a child process on five named workloads, end to end and layer by layer.
+# It is the one measurement system; `go run ./bench -compare old.json
+# new.json` gates a change against its parent.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./...
+	$(GO) run ./bench
 
-# bench-sched runs only the event-scheduler scaling benchmarks.
-bench-sched:
-	$(GO) test -bench='BenchmarkScheduler' -benchmem -run=^$$ ./internal/coordinator
-
-# bench-fleet runs the multi-run engine benchmarks: complete simulations
-# per second at pool widths 1/4/8, plus allocs/run warm vs cold.
-bench-fleet:
-	$(GO) test -bench='BenchmarkFleetThroughput' -benchmem -run=^$$ ./internal/fleet
-
-# bench-virtid runs the handle-virtualisation contention benchmarks:
-# MutexTable vs ShardedTable at 1/4/16 goroutines, plus request churn.
-bench-virtid:
-	$(GO) test -bench='BenchmarkVirtid' -benchmem -run=^$$ ./internal/virtid
-
-# bench-json regenerates BENCH_sched.json, the machine-readable record of
-# the scheduler, virtid and checkpoint-capture benchmarks (name, ns/op,
-# allocs/op, events, image-bytes) that tracks the perf trajectory across
-# PRs. The bench output goes through a temp file, not a pipe, so a
-# benchmark failure fails the target instead of writing a silently
-# truncated artifact.
-bench-json:
-	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem \
-		-benchtime=$(BENCHTIME) -run=^$$ $(BENCH_PKGS) > BENCH_sched.tmp
-	$(GO) run ./cmd/benchjson < BENCH_sched.tmp > BENCH_sched.json
-	rm -f BENCH_sched.tmp
-
-# bench-check reruns the artifact benchmarks and fails if BENCH_sched.json
-# is stale (benchmarks added/removed without `make bench-json`) or if any
-# benchmark regressed more than MAX_REGRESS vs the committed numbers.
-bench-check:
-	$(GO) test -bench='$(BENCH_PATTERN)' -benchmem \
-		-benchtime=$(BENCHTIME) -run=^$$ $(BENCH_PKGS) > BENCH_check.tmp
-	$(GO) run ./cmd/benchjson -check BENCH_sched.json -max-regress $(MAX_REGRESS) < BENCH_check.tmp; \
-		status=$$?; rm -f BENCH_check.tmp; exit $$status
+# microbench runs every Benchmark* function — one layer each, several
+# carrying allocation assertions no test repeats. CI's bench-smoke job
+# runs the same command at -benchtime=1x; the numbers gate nothing.
+microbench:
+	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # bench-smoke mirrors CI's bench-smoke job: the repository benchmark
 # (bench/, BENCHMARK.json) at 1/16 of its rank counts, for its checks —

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,96 +11,31 @@ import (
 )
 
 // TestFailFlagValidation covers the failure-flag surface's error paths:
-// legacy flags that would be silently ignored — by each other, by a
-// -faults plan, or by a spec-declared plan — are rejected naming the
-// offending flag, and malformed values are refused.
+// -no-fail where a -faults plan or a spec-declared plan would silently
+// override it is rejected naming the flag, and unreadable or malformed
+// plans are refused — for a single run and a sweep alike.
 func TestFailFlagValidation(t *testing.T) {
-	specWithFaults := filepath.Join(t.TempDir(), "faulty.json")
-	body := `{
-		"name": "faulty",
-		"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}],
-		"faults": {"faults": [{"at": "checkpoint-commit", "n": 1, "kind": "rank-crash"}]}
-	}`
-	if err := os.WriteFile(specWithFaults, []byte(body), 0o644); err != nil {
+	specWithFaults := writeSpec(t, "faulty", `"faults": {"faults": [{"at": "checkpoint-commit", "n": 1, "kind": "rank-crash"}]}`)
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"faults":[{"at":"checkpoint-commit","n":1,"kind":"meteor"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		name string
 		want string // substring the error must carry (the offending flag)
-		mut  func(*scenarioOpts)
+		args []string
 	}{
-		{"negative fail-after", "-fail-after", func(s *scenarioOpts) { s.FailAfter = -1 }},
-		{"fail-delay with no-fail", "-fail-delay has no effect with -no-fail", func(s *scenarioOpts) {
-			s.FailDelaySet = true
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
-		{"fail-delay without fail-after", "-fail-delay has no effect without -fail-after", func(s *scenarioOpts) {
-			s.FailDelaySet = true
-		}},
-		{"non-positive fail-delay", "-fail-delay must be positive", func(s *scenarioOpts) {
-			s.FailDelay = 0
-			s.FailDelaySet = true
-			s.FailAfterSet = true
-		}},
-		{"fail-after with no-fail", "-fail-after has no effect with -no-fail", func(s *scenarioOpts) {
-			s.FailAfterSet = true
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
-		{"fail-after with faults", "-fail-after cannot be combined with -faults", func(s *scenarioOpts) {
-			s.Faults = "testdata/faults/multi-failure.json"
-			s.FailAfterSet = true
-		}},
-		{"fail-delay with faults", "-fail-delay cannot be combined with -faults", func(s *scenarioOpts) {
-			s.Faults = "testdata/faults/multi-failure.json"
-			s.FailDelaySet = true
-		}},
-		{"no-fail with faults", "-no-fail cannot be combined with -faults", func(s *scenarioOpts) {
-			s.Faults = "testdata/faults/multi-failure.json"
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
-		{"missing faults file", "-faults", func(s *scenarioOpts) { s.Faults = "testdata/faults/no-such-plan.json" }},
-		{"invalid faults file", "faults[0].kind", func(s *scenarioOpts) {
-			bad := filepath.Join(t.TempDir(), "bad.json")
-			if err := os.WriteFile(bad, []byte(`{"faults":[{"at":"checkpoint-commit","n":1,"kind":"meteor"}]}`), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			s.Faults = bad
-		}},
-		{"fail-after with spec plan", "declares its own fault plan", func(s *scenarioOpts) {
-			s.Spec = specWithFaults
-			s.SpecSet = true
-			s.FailAfterSet = true
-		}},
-		{"no-fail with spec plan", "declares its own fault plan", func(s *scenarioOpts) {
-			s.Spec = specWithFaults
-			s.SpecSet = true
-			s.NoFail = true
-			s.NoFailSet = true
-		}},
+		{"no-fail with faults", "-no-fail cannot be combined with -faults", []string{"-no-fail", "-faults", "testdata/faults/multi-failure.json"}},
+		{"missing faults file", "-faults", []string{"-faults", "testdata/faults/no-such-plan.json"}},
+		{"invalid faults file", "faults[0].kind", []string{"-faults", bad}},
+		{"no-fail with spec plan", "declares its own fault plan", []string{"-spec", specWithFaults, "-no-fail"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			tc.mut(&s)
-			_, err := buildConfig(s)
-			if err == nil {
-				t.Fatalf("buildConfig accepted invalid options %+v", s)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not carry %q", err, tc.want)
-			}
-			// The sweep builder shares the failure-flag surface; the
-			// spec-plan cases resolve specs per cell, so only the
-			// flag-level rejections apply there.
-			if strings.Contains(tc.name, "spec plan") {
-				return
-			}
-			s.Sweep = true
-			if _, err := buildSweep(s); err == nil {
-				t.Errorf("buildSweep accepted invalid options %+v", s)
+			for _, args := range [][]string{tc.args, append([]string{"-sweep"}, tc.args...)} {
+				if err := usageError(t, args...); !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("manasim %v: error %q does not carry %q", args, err, tc.want)
+				}
 			}
 		})
 	}
@@ -112,22 +44,10 @@ func TestFailFlagValidation(t *testing.T) {
 // TestFaultPlanOverridesSpecPlan pins the precedence contract: -faults
 // replaces a spec-declared plan outright rather than layering onto it.
 func TestFaultPlanOverridesSpecPlan(t *testing.T) {
-	spec := filepath.Join(t.TempDir(), "faulty.json")
-	body := `{
-		"name": "faulty",
-		"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}],
-		"faults": {"faults": [{"at": "virtual-time", "time": "1us", "kind": "rank-crash"}]}
-	}`
-	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := defaultScenario()
-	s.Spec = spec
-	s.SpecSet = true
-	s.Faults = "testdata/faults/virtual-time-crash.json"
-	cfg, err := buildConfig(s)
+	spec := writeSpec(t, "faulty", `"faults": {"faults": [{"at": "virtual-time", "time": "1us", "kind": "rank-crash"}]}`)
+	cfg, err := configOf("-spec", spec, "-faults", "testdata/faults/virtual-time-crash.json")
 	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
+		t.Fatal(err)
 	}
 	if len(cfg.Faults) != 1 {
 		t.Fatalf("compiled faults = %d, want 1 (the CLI plan, not the spec's)", len(cfg.Faults))
@@ -144,27 +64,8 @@ func TestFaultPlanOverridesSpecPlan(t *testing.T) {
 // byte-identical output across repeated runs at -islands 8 -workers 4,
 // and land on the fault-free final fingerprint.
 func TestMultiFailurePlanAcceptance(t *testing.T) {
-	s := defaultScenario()
-	s.Faults = filepath.Join("testdata", "faults", "multi-failure.json")
-	s.Islands = 8
-	s.IslandsSet = true
-	s.Workers = 4
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	first, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	second, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
+	args := []string{"-faults", filepath.Join("testdata", "faults", "multi-failure.json"), "-islands", "8", "-workers", "4"}
+	first, second := report(t, args...), report(t, args...)
 	if first != second {
 		t.Errorf("multi-failure output differs between identical runs at -islands 8 -workers 4:\n--- run 1\n%s\n--- run 2\n%s",
 			first, second)
@@ -181,32 +82,21 @@ func TestMultiFailurePlanAcceptance(t *testing.T) {
 			t.Errorf("multi-failure output missing %q:\n%s", want, first)
 		}
 	}
-	if !regexpMustFind(t, first, `lost-work=[1-9]`) {
+	if !regexp.MustCompile(`lost-work=[1-9]`).MatchString(first) {
 		t.Errorf("multi-failure output does not report non-zero lost work:\n%s", first)
 	}
 
 	// The recovery contract: the final application state matches the
 	// fault-free run's bit for bit.
-	clean := defaultScenario()
-	clean.NoFail = true
-	cleanCfg, err := buildConfig(clean)
-	if err != nil {
-		t.Fatalf("buildConfig (fault-free): %v", err)
-	}
-	cleanOut, err := runScenarioString(cleanCfg)
-	if err != nil {
-		t.Fatalf("fault-free run: %v", err)
-	}
 	fp := func(out string) string {
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "final fingerprint: ") {
-				return strings.TrimPrefix(line, "final fingerprint: ")
-			}
+		_, rest, ok := strings.Cut(out, "final fingerprint: ")
+		if !ok {
+			t.Fatalf("no final fingerprint line in:\n%s", out)
 		}
-		t.Fatalf("no final fingerprint line in:\n%s", out)
-		return ""
+		line, _, _ := strings.Cut(rest, "\n")
+		return line
 	}
-	if got, want := fp(first), fp(cleanOut); got != want {
+	if got, want := fp(first), fp(report(t, "-no-fail")); got != want {
 		t.Errorf("final fingerprint %s differs from fault-free %s", got, want)
 	}
 }
@@ -216,23 +106,9 @@ func TestMultiFailurePlanAcceptance(t *testing.T) {
 // byte-identical across pool widths, and each cell's hash matches the
 // standalone invocation's bytes.
 func TestSweepWithFaultPlan(t *testing.T) {
-	run := func(poolWorkers int) *bytes.Buffer {
-		s := defaultScenario()
-		s.Sweep = true
-		s.Faults = filepath.Join("testdata", "faults", "multi-failure.json")
-		s.SweepWorkers = poolWorkers
-		s.SweepWorkersSet = true
-		sw, err := buildSweep(s)
-		if err != nil {
-			t.Fatalf("buildSweep: %v", err)
-		}
-		var out bytes.Buffer
-		if err := runSweep(sw, &out); err != nil {
-			t.Fatalf("runSweep (pool=%d): %v", poolWorkers, err)
-		}
-		return &out
-	}
-	narrow, wide := run(1), run(4)
+	plan := filepath.Join("testdata", "faults", "multi-failure.json")
+	narrow := report(t, "-sweep", "-faults", plan, "-sweep-workers", "1")
+	wide := report(t, "-sweep", "-faults", plan, "-sweep-workers", "4")
 
 	var doc struct {
 		Cells []struct {
@@ -242,8 +118,8 @@ func TestSweepWithFaultPlan(t *testing.T) {
 			ReportFNV64   string `json:"report_fnv64"`
 		} `json:"cells"`
 	}
-	if err := json.Unmarshal(narrow.Bytes(), &doc); err != nil {
-		t.Fatalf("aggregate is not valid JSON: %v\n%s", err, narrow.String())
+	if err := json.Unmarshal([]byte(narrow), &doc); err != nil {
+		t.Fatalf("aggregate is not valid JSON: %v\n%s", err, narrow)
 	}
 	if len(doc.Cells) != 1 {
 		t.Fatalf("cells = %d, want 1", len(doc.Cells))
@@ -263,44 +139,12 @@ func TestSweepWithFaultPlan(t *testing.T) {
 	}
 
 	// Pool width must not leak into the aggregate outside wall-clock
-	// fields: compare after zeroing them.
-	strip := func(b []byte) string {
-		out := string(b)
-		out = regexpReplaceAll(t, out, `"wall_ms": [0-9.e+-]+`, `"wall_ms": 0`)
-		out = regexpReplaceAll(t, out, `"runs_per_sec": [0-9.e+-]+`, `"runs_per_sec": 0`)
-		out = regexpReplaceAll(t, out, `"pool_workers": [0-9]+`, `"pool_workers": 0`)
-		return out
+	// fields: compare after dropping them.
+	strip := regexp.MustCompile(`"(wall_ms|runs_per_sec|pool_workers)": [0-9.e+-]+`)
+	if strip.ReplaceAllString(narrow, "") != strip.ReplaceAllString(wide, "") {
+		t.Errorf("sweep aggregate differs between pool widths 1 and 4:\n--- pool 1\n%s\n--- pool 4\n%s", narrow, wide)
 	}
-	if strip(narrow.Bytes()) != strip(wide.Bytes()) {
-		t.Errorf("sweep aggregate differs between pool widths 1 and 4:\n--- pool 1\n%s\n--- pool 4\n%s",
-			narrow.String(), wide.String())
-	}
-
-	// Cell hash matches the standalone run's bytes.
-	single := defaultScenario()
-	single.Faults = filepath.Join("testdata", "faults", "multi-failure.json")
-	cfg, err := buildConfig(single)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	report, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("standalone run: %v", err)
-	}
-	h := fnv.New64a()
-	h.Write([]byte(report))
-	if want := fmt.Sprintf("%016x", h.Sum64()); cell.ReportFNV64 != want {
+	if want := reportHash(report(t, "-faults", plan)); cell.ReportFNV64 != want {
 		t.Errorf("sweep cell hash %s, standalone bytes hash %s", cell.ReportFNV64, want)
 	}
-}
-
-// regexpReplaceAll is a test helper wrapping regexp replacement with
-// pattern-compile failure reporting.
-func regexpReplaceAll(t *testing.T, s, pattern, repl string) string {
-	t.Helper()
-	re, err := regexp.Compile(pattern)
-	if err != nil {
-		t.Fatalf("bad pattern %q: %v", pattern, err)
-	}
-	return re.ReplaceAllString(s, repl)
 }

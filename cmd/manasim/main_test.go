@@ -3,26 +3,90 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	"mana/internal/coordinator"
+	"mana/internal/fleet"
 	"mana/internal/storage"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// runScenarioString captures runScenario's streamed output as a string,
-// the shape most tests compare.
-func runScenarioString(cfg coordinator.Config) (string, error) {
-	var buf bytes.Buffer
-	if err := runScenario(cfg, &buf); err != nil {
-		return "", err
+// run executes a command line the way main does and returns what it
+// printed, the exit code and the error. Every test drives the CLI through
+// it (or configOf), so none can build a state the parser cannot.
+func run(args ...string) (string, int, error) {
+	o, err := parseFlags(args)
+	if err != nil {
+		return "", 2, err
 	}
-	return buf.String(), nil
+	var buf bytes.Buffer
+	code, err := execute(&o, &buf)
+	return buf.String(), code, err
+}
+
+// report is run for command lines that must succeed.
+func report(t *testing.T, args ...string) string {
+	t.Helper()
+	out, code, err := run(args...)
+	if code != 0 || err != nil {
+		t.Fatalf("manasim %v: exit %d, %v", args, code, err)
+	}
+	return out
+}
+
+// configOf translates a single-run command line into the coordinator
+// configuration it would run, along the path simulate takes.
+func configOf(args ...string) (coordinator.Config, error) {
+	o, err := parseFlags(args)
+	if err != nil {
+		return coordinator.Config{}, err
+	}
+	j, err := o.job()
+	if err != nil {
+		return coordinator.Config{}, err
+	}
+	eng := fleet.NewEngine()
+	if j, err = o.oneRun(eng, j); err != nil {
+		return coordinator.Config{}, err
+	}
+	return eng.Config(j)
+}
+
+// usageError runs a command line that must be refused before anything
+// runs, and returns the refusal.
+func usageError(t *testing.T, args ...string) error {
+	t.Helper()
+	_, code, err := run(args...)
+	if code != 2 || err == nil {
+		t.Fatalf("manasim %v: exit %d, %v; want a usage error (exit 2)", args, code, err)
+	}
+	return err
+}
+
+// checkGolden compares got with testdata/<name>_report.golden, rewriting
+// the file first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name+"_report.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s report deviates from golden file.\n--- got\n%s\n--- want\n%s", name, got, want)
+	}
 }
 
 // TestDefaultScenarioReportGolden pins the default scenario's report
@@ -32,146 +96,42 @@ func runScenarioString(cfg coordinator.Config) (string, error) {
 //
 //	go test ./cmd/manasim -run TestDefaultScenarioReportGolden -update
 func TestDefaultScenarioReportGolden(t *testing.T) {
-	cfg, err := buildConfig(defaultScenario())
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	got, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
-	golden := filepath.Join("testdata", "default_report.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("default-scenario report deviates from golden file.\n--- got\n%s\n--- want\n%s", got, want)
-	}
+	checkGolden(t, "default", report(t))
 }
 
 // TestIncrementalScenarioReportGolden pins the -incremental scenario the
 // same way: the default workload checkpointed with delta images (full
-// every 4th), failure and restart included. Regenerate deliberately with:
-//
-//	go test ./cmd/manasim -run TestIncrementalScenarioReportGolden -update
+// every 4th), failure and restart included.
 func TestIncrementalScenarioReportGolden(t *testing.T) {
-	s := defaultScenario()
-	s.Incremental = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	got, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
+	got := report(t, "-incremental")
 	if !strings.Contains(got, "incremental=true") {
 		t.Errorf("incremental report does not surface its mode:\n%s", got)
 	}
-	golden := filepath.Join("testdata", "incremental_report.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("incremental-scenario report deviates from golden file.\n--- got\n%s\n--- want\n%s", got, want)
-	}
+	checkGolden(t, "incremental", got)
 }
 
-// TestOverlapScenarioReportGolden pins the -workload overlap scenario:
+// TestOverlapScenarioReportGolden pins the -spec overlap scenario:
 // staggered sub-communicator collectives, a checkpoint requested while
 // at least two of them are in flight (so the topological-sort drain
 // planner orders a real dependency graph), failure and restart.
-// Regenerate deliberately with:
-//
-//	go test ./cmd/manasim -run TestOverlapScenarioReportGolden -update
 func TestOverlapScenarioReportGolden(t *testing.T) {
-	s := defaultScenario()
-	s.Workload = "overlap"
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	got, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("runScenario: %v", err)
-	}
+	got := report(t, "-spec", "overlap")
 	// The acceptance bar for the drain planner: at least one checkpoint
 	// drained >= 2 simultaneously in-flight collectives.
-	if !regexpMustFind(t, got, `coll-drain: planned=([2-9]|\d\d+) overlap-width=([2-9]|\d\d+)`) {
+	if !regexp.MustCompile(`coll-drain: planned=([2-9]|\d\d+) overlap-width=([2-9]|\d\d+)`).MatchString(got) {
 		t.Errorf("no checkpoint drained >= 2 overlapping collectives:\n%s", got)
 	}
 	if !strings.Contains(got, "comm-splits executed=16") {
 		t.Errorf("overlap report missing comm-split accounting:\n%s", got)
 	}
-	golden := filepath.Join("testdata", "overlap_report.golden")
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("overlap-scenario report deviates from golden file.\n--- got\n%s\n--- want\n%s", got, want)
-	}
-}
-
-// regexpMustFind reports whether the pattern matches, failing the test
-// on a malformed pattern.
-func regexpMustFind(t *testing.T, s, pattern string) bool {
-	t.Helper()
-	re, err := regexp.Compile(pattern)
-	if err != nil {
-		t.Fatalf("bad pattern %q: %v", pattern, err)
-	}
-	return re.MatchString(s)
+	checkGolden(t, "overlap", got)
 }
 
 // TestScenarioByteIdenticalAcrossRuns is the CLI-level determinism
 // check: the same scenario must render the same bytes every time.
 func TestScenarioByteIdenticalAcrossRuns(t *testing.T) {
-	s := defaultScenario()
-	s.Ranks = 4
-	s.Steps = 10
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	r1, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	r2, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
+	r1 := report(t, "-ranks", "4", "-steps", "10")
+	r2 := report(t, "-ranks", "4", "-steps", "10")
 	if r1 != r2 {
 		t.Errorf("reports differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s", r1, r2)
 	}
@@ -180,28 +140,8 @@ func TestScenarioByteIdenticalAcrossRuns(t *testing.T) {
 // TestKernelFlagChangesReport exercises the patched-kernel path through
 // the CLI plumbing.
 func TestKernelFlagChangesReport(t *testing.T) {
-	s := defaultScenario()
-	s.Ranks = 4
-	s.Steps = 6
-	s.NoFail = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	unpatched, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("unpatched run: %v", err)
-	}
-	s.Kernel = "patched"
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	patched, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("patched run: %v", err)
-	}
-	if unpatched == patched {
+	small := []string{"-ranks", "4", "-steps", "6", "-no-fail"}
+	if report(t, small...) == report(t, append(small, "-kernel", "patched")...) {
 		t.Error("kernel personality had no effect on the report")
 	}
 }
@@ -210,27 +150,8 @@ func TestKernelFlagChangesReport(t *testing.T) {
 // baseline charges a higher per-lookup cost, so the report must differ
 // from the sharded default.
 func TestVirtidFlagChangesReport(t *testing.T) {
-	s := defaultScenario()
-	s.Ranks = 4
-	s.Steps = 6
-	s.NoFail = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	sharded, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("sharded run: %v", err)
-	}
-	s.Virtid = "mutex"
-	cfg, err = buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	mutex, err := runScenarioString(cfg)
-	if err != nil {
-		t.Fatalf("mutex run: %v", err)
-	}
+	small := []string{"-ranks", "4", "-steps", "6", "-no-fail"}
+	sharded, mutex := report(t, small...), report(t, append(small, "-virtid", "mutex")...)
 	if sharded == mutex {
 		t.Error("virtid implementation had no effect on the report")
 	}
@@ -241,93 +162,117 @@ func TestVirtidFlagChangesReport(t *testing.T) {
 	}
 }
 
-// TestBuildConfigValidation covers the error paths that used to live in
-// main's flag handling.
+// TestBuildConfigValidation covers the single-run command lines that are
+// refused before anything runs: exit code 2, the message naming the
+// offending flag (or file).
 func TestBuildConfigValidation(t *testing.T) {
+	drainPlan := filepath.Join("testdata", "faults", "staging", "drain-torn-fallback.json")
 	cases := []struct {
-		name string
-		mut  func(*scenarioOpts)
+		name, want string
+		args       []string
 	}{
-		{"zero ranks", func(s *scenarioOpts) { s.Ranks = 0 }},
-		{"negative steps", func(s *scenarioOpts) { s.Steps = -1 }},
-		{"unknown kernel", func(s *scenarioOpts) { s.Kernel = "plan9" }},
-		{"unknown virtid", func(s *scenarioOpts) { s.Virtid = "bogolock" }},
-		{"unknown workload", func(s *scenarioOpts) { s.Workload = "spiral" }},
-		{"tiny overlap group", func(s *scenarioOpts) { s.Workload = "overlap"; s.GroupSize = 1; s.GroupSet = true }},
-		{"negative full-every", func(s *scenarioOpts) { s.FullEvery = -1 }},
-		{"group without splits", func(s *scenarioOpts) { s.GroupSize = 4; s.GroupSet = true }},
-		{"group on splitless spec", func(s *scenarioOpts) { s.Spec = "stencil"; s.SpecSet = true; s.GroupSize = 4; s.GroupSet = true }},
-		{"spec and workload", func(s *scenarioOpts) {
-			s.Spec = "overlap"
-			s.SpecSet = true
-			s.Workload = "overlap"
-			s.WorkloadSet = true
-		}},
-		{"unknown spec", func(s *scenarioOpts) { s.Spec = "no-such-spec.json"; s.SpecSet = true }},
-		{"trace and spec", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.Spec = "stencil"; s.SpecSet = true }},
-		{"trace and workload", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.WorkloadSet = true }},
-		{"trace and group", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.GroupSet = true }},
-		{"trace and ranks", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.RanksSet = true }},
-		{"trace and steps", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true; s.StepsSet = true }},
-		{"missing trace file", func(s *scenarioOpts) { s.Trace = "testdata/no-such.trace"; s.TraceSet = true }},
-		{"negative islands", func(s *scenarioOpts) { s.Islands = -1; s.IslandsSet = true }},
-		{"zero workers", func(s *scenarioOpts) { s.Workers = 0 }},
-		{"workers without islands", func(s *scenarioOpts) { s.Workers = 4 }},
-		{"compress without incremental", func(s *scenarioOpts) { s.Compress = true; s.CompressSet = true }},
-		{"compress-cost without compress", func(s *scenarioOpts) { s.CompressCost = 0.5; s.CompressCostSet = true }},
-		{"unknown storage profile", func(s *scenarioOpts) { s.Storage = "quantum"; s.StorageSet = true }},
-		{"compressed profile without incremental", func(s *scenarioOpts) { s.Storage = "staged-compressed"; s.StorageSet = true }},
-		{"legacy straggler with storage", func(s *scenarioOpts) {
-			s.LegacyStraggler = true
-			s.LegacyStragglerSet = true
-			s.Storage = "staged"
-			s.StorageSet = true
-		}},
-		{"legacy straggler with storage flag", func(s *scenarioOpts) {
-			s.LegacyStraggler = true
-			s.LegacyStragglerSet = true
-			s.BBCapacity = 1 << 20
-			s.BBCapacitySet = true
-		}},
-		{"sweep-storage without sweep", func(s *scenarioOpts) { s.SweepStorage = "direct,staged" }},
-		{"drain-hop plan without staging", func(s *scenarioOpts) {
-			s.Faults = filepath.Join("testdata", "faults", "staging", "drain-torn-fallback.json")
-		}},
+		{"zero ranks", "-ranks must be at least 1", []string{"-ranks", "0"}},
+		{"negative steps", "-steps must be at least 0", []string{"-steps", "-1"}},
+		{"unknown kernel", "-kernel", []string{"-kernel", "plan9"}},
+		{"unknown virtid", "-virtid", []string{"-virtid", "bogolock"}},
+		{"tiny overlap group", "-group must be at least 2", []string{"-spec", "overlap", "-group", "1"}},
+		{"negative full-every", "-full-every", []string{"-full-every", "-1"}},
+		{"group without splits", `-group has no effect on spec "default"`, []string{"-group", "4"}},
+		{"group on splitless spec", `-group has no effect on spec "stencil"`, []string{"-spec", "stencil", "-group", "4"}},
+		{"unknown spec", "no-such-spec.json", []string{"-spec", "no-such-spec.json"}},
+		{"trace and spec", "-spec cannot be combined with -trace", []string{"-trace", "x.trace", "-spec", "stencil"}},
+		{"trace and group", "-group cannot be combined with -trace", []string{"-trace", "x.trace", "-group", "4"}},
+		{"trace and ranks", "-ranks cannot be combined with -trace", []string{"-trace", "x.trace", "-ranks", "8"}},
+		{"trace and steps", "-steps cannot be combined with -trace", []string{"-trace", "x.trace", "-steps", "30"}},
+		{"missing trace file", "-trace", []string{"-trace", "testdata/no-such.trace"}},
+		{"negative islands", "-islands", []string{"-islands", "-1"}},
+		{"zero workers", "-workers must be at least 1", []string{"-workers", "0"}},
+		{"workers without islands", "-workers 4 has no effect without -islands", []string{"-workers", "4"}},
+		{"compress without incremental", "-compress enables compression", []string{"-compress"}},
+		{"compress-cost without compress", "-compress-cost has no effect without -compress", []string{"-compress-cost", "0.5"}},
+		{"unknown storage profile", "-storage", []string{"-storage", "quantum"}},
+		{"compressed profile without incremental", `-storage "staged-compressed" enables compression`, []string{"-storage", "staged-compressed"}},
+		{"sweep-storage without sweep", "-sweep-storage has no effect without -sweep", []string{"-sweep-storage", "direct,staged"}},
+		{"drain-hop plan without staging", "image-write/drain", []string{"-faults", drainPlan}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			tc.mut(&s)
-			if _, err := buildConfig(s); err == nil {
-				t.Errorf("buildConfig accepted invalid scenario %+v", s)
+			if err := usageError(t, tc.args...); !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("manasim %v: error %q does not carry %q", tc.args, err, tc.want)
 			}
 		})
 	}
 }
 
-// TestLegacyStragglerReportGolden pins the -legacy-straggler escape
-// hatch to the retired flat-bandwidth model's exact bytes: the golden is
-// a frozen copy of the pre-pipeline default report and is deliberately
-// NOT regenerable with -update — if this test fails, the escape hatch
-// broke its compatibility promise.
-func TestLegacyStragglerReportGolden(t *testing.T) {
-	s := defaultScenario()
-	s.LegacyStraggler = true
-	s.LegacyStragglerSet = true
-	cfg, err := buildConfig(s)
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
+// TestModesAgree pins that a single run and a sweep check the shared
+// flags by one rule: each invalid command line is refused as given and
+// with -sweep prepended, naming the same flag both times.
+func TestModesAgree(t *testing.T) {
+	for _, invalid := range [][]string{
+		{"-workers", "4"}, // without -islands
+		{"-ckpt-at", "-1ms"},
+		{"-storage", "staged-compressed"}, // with no incremental run or cell
+		{"-full-every", "-1"},
+		{"-steps", "-1"},
+		{"-islands", "-1"},
+		{"-kernel", "plan9"},
+		{"-virtid", "bogolock"},
+	} {
+		name := invalid[0]
+		t.Run(name, func(t *testing.T) {
+			names := regexp.MustCompile(`(^|\s)` + name + `\b`)
+			for _, args := range [][]string{invalid, append([]string{"-sweep"}, invalid...)} {
+				if err := usageError(t, args...); !names.MatchString(err.Error()) {
+					t.Errorf("manasim %v: error %q does not name %s", args, err, name)
+				}
+			}
+		})
 	}
-	got, err := runScenarioString(cfg)
+}
+
+// TestRuleTableIsComplete keeps the flag set, the rule table and the
+// package doc's usage block describing the same flags: a flag added
+// without a row, a row (or a conflict) naming a flag that is gone, a
+// minimum of the wrong type, or a flag the usage omits all fail here.
+func TestRuleTableIsComplete(t *testing.T) {
+	src, err := os.ReadFile("main.go")
 	if err != nil {
-		t.Fatalf("runScenario: %v", err)
+		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "legacy_straggler_report.golden"))
-	if err != nil {
-		t.Fatalf("read frozen golden: %v", err)
+	var usage string // the doc's indented lines are the usage block
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "//\t") {
+			usage += line + "\n"
+		}
 	}
-	if got != string(want) {
-		t.Errorf("-legacy-straggler deviates from the retired model's frozen bytes.\n--- got\n%s\n--- want\n%s", got, want)
+	fs := newFlagSet(new(opts))
+	fs.VisitAll(func(f *flag.Flag) {
+		r, ok := rules[f.Name]
+		if !ok {
+			t.Errorf("flag -%s has no row in rules", f.Name)
+		}
+		if r.modes == 0 || r.modes&^everywhere != 0 {
+			t.Errorf("rules[%q]: modes %b names no known mode", f.Name, r.modes)
+		}
+		if value := f.Value.(flag.Getter).Get(); r.min != nil && reflect.TypeOf(r.min) != reflect.TypeOf(value) {
+			t.Errorf("rules[%q]: min is a %T, the flag holds a %T", f.Name, r.min, value)
+		}
+		if !regexp.MustCompile(`-` + f.Name + `[ \]]`).MatchString(usage) {
+			t.Errorf("flag -%s is missing from the package doc's usage block", f.Name)
+		}
+	})
+	for name, r := range rules {
+		if fs.Lookup(name) == nil {
+			t.Errorf("rules[%q] names no registered flag", name)
+		}
+		for _, other := range r.conflicts {
+			if fs.Lookup(other) == nil {
+				t.Errorf("rules[%q] conflicts with -%s, which is not a registered flag", name, other)
+			}
+		}
+		if (len(r.conflicts) > 0) != (r.why != "") {
+			t.Errorf("rules[%q]: conflicts and why go together", name)
+		}
 	}
 }
 
@@ -335,76 +280,63 @@ func TestLegacyStragglerReportGolden(t *testing.T) {
 // surface: profiles resolve, individual flags overlay them, and a lone
 // burst-buffer flag completes from the model defaults.
 func TestStorageFlagResolution(t *testing.T) {
-	s := defaultScenario()
-	s.Storage = "staged"
-	s.StorageSet = true
-	cfg, err := buildConfig(s)
+	cfg, err := configOf("-storage", "staged")
 	if err != nil {
-		t.Fatalf("buildConfig(-storage staged): %v", err)
+		t.Fatalf("-storage staged: %v", err)
 	}
 	if !cfg.Storage.Staging || cfg.Storage.BBCapacity != storage.DefaultBBCapacity {
 		t.Errorf("-storage staged compiled wrong: %+v", cfg.Storage)
 	}
-
-	s.PFSBandwidth = 2e9
-	s.PFSBandwidthSet = true
-	cfg, err = buildConfig(s)
+	cfg, err = configOf("-storage", "staged", "-pfs-bandwidth", "2e9")
 	if err != nil {
-		t.Fatalf("buildConfig(-storage staged -pfs-bandwidth): %v", err)
+		t.Fatalf("-storage staged -pfs-bandwidth: %v", err)
 	}
 	if cfg.Storage.PFSBandwidth != 2e9 || !cfg.Storage.Staging {
 		t.Errorf("-pfs-bandwidth did not overlay the profile: %+v", cfg.Storage)
 	}
-
-	s2 := defaultScenario()
-	s2.BBCapacity = 1 << 20
-	s2.BBCapacitySet = true
-	cfg, err = buildConfig(s2)
+	cfg, err = configOf("-bb-capacity", "1048576")
 	if err != nil {
-		t.Fatalf("buildConfig(-bb-capacity alone): %v", err)
+		t.Fatalf("-bb-capacity alone: %v", err)
 	}
 	if !cfg.Storage.Staging || cfg.Storage.BBCapacity != 1<<20 || cfg.Storage.BBBandwidth != storage.DefaultBBBandwidth {
 		t.Errorf("lone -bb-capacity did not complete a burst buffer from defaults: %+v", cfg.Storage)
 	}
 }
 
+// writeSpec writes a minimal spec carrying one extra top-level block.
+func writeSpec(t *testing.T, name, block string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name+".json")
+	body := fmt.Sprintf(`{
+		"name": %q,
+		"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}],
+		%s
+	}`, name, block)
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestSpecStorageBlock covers a spec-declared storage block: it
 // resolves, individual flags may not silently reshape it, and -storage
 // overrides it whole.
 func TestSpecStorageBlock(t *testing.T) {
-	spec := filepath.Join(t.TempDir(), "st.json")
-	body := `{
-		"name": "st",
-		"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}],
-		"storage": {"burst_buffer": {"bandwidth": 4e9, "capacity": 1048576}}
-	}`
-	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := defaultScenario()
-	s.Spec = spec
-	s.SpecSet = true
-	cfg, err := buildConfig(s)
+	spec := writeSpec(t, "st", `"storage": {"burst_buffer": {"bandwidth": 4e9, "capacity": 1048576}}`)
+	cfg, err := configOf("-spec", spec)
 	if err != nil {
-		t.Fatalf("buildConfig(spec block): %v", err)
+		t.Fatalf("spec block: %v", err)
 	}
 	if !cfg.Storage.Staging || cfg.Storage.BBBandwidth != 4e9 || cfg.Storage.BBCapacity != 1<<20 {
 		t.Errorf("spec storage block not applied: %+v", cfg.Storage)
 	}
-
-	s.BBCapacity = 2 << 20
-	s.BBCapacitySet = true
-	_, err = buildConfig(s)
-	if err == nil || !strings.Contains(err.Error(), "-bb-capacity has no effect on spec") {
+	err = usageError(t, "-spec", spec, "-bb-capacity", "2097152")
+	if !strings.Contains(err.Error(), "-bb-capacity has no effect on spec") {
 		t.Errorf("flag alongside spec block: err = %v, want named rejection", err)
 	}
-
-	s.BBCapacitySet = false
-	s.Storage = "direct"
-	s.StorageSet = true
-	cfg, err = buildConfig(s)
+	cfg, err = configOf("-spec", spec, "-storage", "direct")
 	if err != nil {
-		t.Fatalf("buildConfig(-storage overrides block): %v", err)
+		t.Fatalf("-storage overrides block: %v", err)
 	}
 	if cfg.Storage.Staging {
 		t.Errorf("-storage direct did not override the spec block: %+v", cfg.Storage)
@@ -416,37 +348,14 @@ func TestSpecStorageBlock(t *testing.T) {
 // performance knobs, so every setting must reproduce the serial
 // report byte for byte.
 func TestIslandFlagsAreReportNeutral(t *testing.T) {
-	baseCfg, err := buildConfig(defaultScenario())
-	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
-	}
-	base, err := runScenarioString(baseCfg)
-	if err != nil {
-		t.Fatalf("serial runScenario: %v", err)
-	}
-	for _, tc := range []struct {
-		name             string
-		islands, workers int
-	}{
-		{"islands only", 4, 1},
-		{"islands and workers", 8, 4},
+	base := report(t)
+	for name, args := range map[string][]string{
+		"islands only":        {"-islands", "4"},
+		"islands and workers": {"-islands", "8", "-workers", "4"},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			s.Islands = tc.islands
-			s.IslandsSet = true
-			s.Workers = tc.workers
-			cfg, err := buildConfig(s)
-			if err != nil {
-				t.Fatalf("buildConfig: %v", err)
-			}
-			got, err := runScenarioString(cfg)
-			if err != nil {
-				t.Fatalf("runScenario: %v", err)
-			}
-			if got != base {
-				t.Errorf("-islands %d -workers %d changed the report.\n--- sharded\n%s\n--- serial\n%s",
-					tc.islands, tc.workers, got, base)
+		t.Run(name, func(t *testing.T) {
+			if got := report(t, args...); got != base {
+				t.Errorf("%v changed the report.\n--- sharded\n%s\n--- serial\n%s", args, got, base)
 			}
 		})
 	}
@@ -455,30 +364,17 @@ func TestIslandFlagsAreReportNeutral(t *testing.T) {
 // TestSpecIslandsHint checks that a spec's islands field seeds the
 // partition, and that an explicit -islands flag overrides it.
 func TestSpecIslandsHint(t *testing.T) {
-	spec := filepath.Join(t.TempDir(), "hint.json")
-	body := `{
-		"name": "hint",
-		"islands": 4,
-		"phases": [{"name": "main", "steps": 2, "ops": [{"op": "compute", "mean": "1ms"}]}]
-	}`
-	if err := os.WriteFile(spec, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := defaultScenario()
-	s.Spec = spec
-	s.SpecSet = true
-	cfg, err := buildConfig(s)
+	spec := writeSpec(t, "hint", `"islands": 4`)
+	cfg, err := configOf("-spec", spec)
 	if err != nil {
-		t.Fatalf("buildConfig: %v", err)
+		t.Fatal(err)
 	}
 	if cfg.Islands != 4 {
 		t.Errorf("spec hint not applied: cfg.Islands = %d, want 4", cfg.Islands)
 	}
-	s.Islands = 2
-	s.IslandsSet = true
-	cfg, err = buildConfig(s)
+	cfg, err = configOf("-spec", spec, "-islands", "2")
 	if err != nil {
-		t.Fatalf("buildConfig with -islands override: %v", err)
+		t.Fatal(err)
 	}
 	if cfg.Islands != 2 {
 		t.Errorf("-islands should override the spec hint: cfg.Islands = %d, want 2", cfg.Islands)
@@ -493,37 +389,26 @@ func TestProfileFlagsLeaveOutputAlone(t *testing.T) {
 	// Wall-clock fields are the only bytes of a sweep aggregate that
 	// differ between any two runs.
 	wall := regexp.MustCompile(`"(wall_ms|runs_per_sec)": [0-9.e+-]+`)
-	sweep := defaultScenario()
-	sweep.Sweep = true
-	sweep.Steps = 6
-	sweep.SweepRanks = "4,8"
-	for name, s := range map[string]scenarioOpts{"single": defaultScenario(), "sweep": sweep} {
+	for name, args := range map[string][]string{
+		"single": nil,
+		"sweep":  {"-sweep", "-steps", "6", "-sweep-ranks", "4,8"},
+	} {
 		t.Run(name, func(t *testing.T) {
-			run := func(s scenarioOpts) string {
-				t.Helper()
-				var buf bytes.Buffer
-				if code, err := execute(s, &buf); code != 0 || err != nil {
-					t.Fatalf("execute = %d, %v", code, err)
-				}
-				return wall.ReplaceAllString(buf.String(), "")
-			}
-			plain := run(s)
-			dir := t.TempDir()
-			s.CPUProfile = filepath.Join(dir, "cpu.pprof")
-			s.MemProfile = filepath.Join(dir, "heap.pprof")
-			if profiled := run(s); profiled != plain {
+			plain := wall.ReplaceAllString(report(t, args...), "")
+			cpu, heap := filepath.Join(t.TempDir(), "cpu.pprof"), filepath.Join(t.TempDir(), "heap.pprof")
+			profiled := report(t, append(args, "-cpuprofile", cpu, "-memprofile", heap)...)
+			if wall.ReplaceAllString(profiled, "") != plain {
 				t.Error("output differs with -cpuprofile/-memprofile set")
 			}
-			for _, path := range []string{s.CPUProfile, s.MemProfile} {
+			for _, path := range []string{cpu, heap} {
 				if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
 					t.Errorf("profile %s missing or empty (err %v)", filepath.Base(path), err)
 				}
 			}
 		})
 	}
-	s := defaultScenario()
-	s.CPUProfile = filepath.Join(t.TempDir(), "no-such-dir", "cpu.pprof")
-	if code, err := execute(s, &bytes.Buffer{}); code != 1 || err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
-		t.Errorf("unwritable -cpuprofile: execute = %d, %v; want exit 1 naming the flag", code, err)
+	_, code, err := run("-cpuprofile", filepath.Join(t.TempDir(), "no-such-dir", "cpu.pprof"))
+	if code != 1 || err == nil || !strings.Contains(err.Error(), "-cpuprofile") {
+		t.Errorf("unwritable -cpuprofile: exit %d, %v; want exit 1 naming the flag", code, err)
 	}
 }

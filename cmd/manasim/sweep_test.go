@@ -1,13 +1,16 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"mana/internal/fleet"
 )
 
 // TestBuildSweepValidation covers the sweep flag surface's error paths:
@@ -17,35 +20,23 @@ func TestBuildSweepValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		want string // substring the error must carry (the offending flag)
-		mut  func(*scenarioOpts)
+		args []string
 	}{
-		{"record with sweep", "-record", func(s *scenarioOpts) { s.Record = "out.trace" }},
-		{"trace with sweep", "-trace", func(s *scenarioOpts) { s.Trace = "x.trace"; s.TraceSet = true }},
-		{"group with sweep", "-group", func(s *scenarioOpts) { s.GroupSize = 4; s.GroupSet = true }},
-		{"spec and workload", "-workload", func(s *scenarioOpts) {
-			s.Spec = "overlap"
-			s.SpecSet = true
-			s.WorkloadSet = true
-		}},
-		{"bad ranks entry", "-sweep-ranks", func(s *scenarioOpts) { s.SweepRanks = "8,zero" }},
-		{"zero ranks entry", "-sweep-ranks", func(s *scenarioOpts) { s.SweepRanks = "0" }},
-		{"bad ckpt entry", "-sweep-ckpt", func(s *scenarioOpts) { s.SweepCkpt = "5ms,eventually" }},
-		{"negative ckpt entry", "-sweep-ckpt", func(s *scenarioOpts) { s.SweepCkpt = "-1ms" }},
-		{"bad virtid entry", "-sweep-virtid", func(s *scenarioOpts) { s.SweepVirtid = "sharded,bogolock" }},
-		{"bad incremental entry", "-sweep-incremental", func(s *scenarioOpts) { s.SweepIncr = "true,maybe" }},
-		{"zero sweep workers", "-sweep-workers", func(s *scenarioOpts) { s.SweepWorkers = 0; s.SweepWorkersSet = true }},
-		{"unknown kernel", "-kernel", func(s *scenarioOpts) { s.Kernel = "plan9" }},
-		{"unknown workload", "-workload", func(s *scenarioOpts) { s.Workload = "spiral" }},
+		{"record with sweep", "-record", []string{"-record", "out.trace"}},
+		{"trace with sweep", "-trace", []string{"-trace", "x.trace"}},
+		{"group with sweep", "-group", []string{"-group", "4"}},
+		{"bad ranks entry", "-sweep-ranks", []string{"-sweep-ranks", "8,zero"}},
+		{"zero ranks entry", "-sweep-ranks", []string{"-sweep-ranks", "0"}},
+		{"bad ckpt entry", "-sweep-ckpt", []string{"-sweep-ckpt", "5ms,eventually"}},
+		{"negative ckpt entry", "-sweep-ckpt", []string{"-sweep-ckpt", "-1ms"}},
+		{"bad virtid entry", "-sweep-virtid", []string{"-sweep-virtid", "sharded,bogolock"}},
+		{"bad incremental entry", "-sweep-incremental", []string{"-sweep-incremental", "true,maybe"}},
+		{"zero sweep workers", "-sweep-workers", []string{"-sweep-workers", "0"}},
+		{"unknown kernel", "-kernel", []string{"-kernel", "plan9"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := defaultScenario()
-			s.Sweep = true
-			tc.mut(&s)
-			_, err := buildSweep(s)
-			if err == nil {
-				t.Fatalf("buildSweep accepted invalid options %+v", s)
-			}
+			err := usageError(t, append([]string{"-sweep"}, tc.args...)...)
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not name %s", err, tc.want)
 			}
@@ -57,58 +48,53 @@ func TestBuildSweepValidation(t *testing.T) {
 // dimension flag without -sweep is rejected naming the flag instead of
 // being silently ignored.
 func TestBuildConfigRejectsSweepFlags(t *testing.T) {
-	cases := []struct {
-		flag string
-		mut  func(*scenarioOpts)
-	}{
-		{"-sweep-specs", func(s *scenarioOpts) { s.SweepSpecs = "default,overlap" }},
-		{"-sweep-ranks", func(s *scenarioOpts) { s.SweepRanks = "4,8" }},
-		{"-sweep-ckpt", func(s *scenarioOpts) { s.SweepCkpt = "1ms" }},
-		{"-sweep-virtid", func(s *scenarioOpts) { s.SweepVirtid = "mutex" }},
-		{"-sweep-incremental", func(s *scenarioOpts) { s.SweepIncr = "true" }},
-		{"-sweep-workers", func(s *scenarioOpts) { s.SweepWorkers = 4; s.SweepWorkersSet = true }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.flag, func(t *testing.T) {
-			s := defaultScenario()
-			tc.mut(&s)
-			_, err := buildConfig(s)
-			if err == nil {
-				t.Fatalf("buildConfig accepted %s without -sweep", tc.flag)
-			}
-			if !strings.Contains(err.Error(), tc.flag) {
-				t.Errorf("error %q does not name %s", err, tc.flag)
+	for name, value := range map[string]string{
+		"-sweep-specs":       "default,overlap",
+		"-sweep-ranks":       "4,8",
+		"-sweep-ckpt":        "1ms",
+		"-sweep-virtid":      "mutex",
+		"-sweep-incremental": "true",
+		"-sweep-workers":     "4",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if err := usageError(t, name, value); !strings.Contains(err.Error(), name+" has no effect without -sweep") {
+				t.Errorf("error %q does not name %s", err, name)
 			}
 		})
 	}
 }
 
+// sweepOf translates a command line into the grid it would run.
+func sweepOf(t *testing.T, args ...string) fleet.Sweep {
+	t.Helper()
+	o, err := parseFlags(args)
+	if err != nil {
+		t.Fatalf("parseFlags %v: %v", args, err)
+	}
+	j, err := o.job()
+	if err != nil {
+		t.Fatalf("job %v: %v", args, err)
+	}
+	sw, err := o.grid(fleet.NewEngine(), j)
+	if err != nil {
+		t.Fatalf("grid %v: %v", args, err)
+	}
+	return sw
+}
+
 // TestBuildSweepDefaultsToSingleRunFlags checks that `-sweep` alone is
 // a 1-cell grid of exactly the single-run scenario.
 func TestBuildSweepDefaultsToSingleRunFlags(t *testing.T) {
-	s := defaultScenario()
-	s.Sweep = true
-	sw, err := buildSweep(s)
-	if err != nil {
-		t.Fatalf("buildSweep: %v", err)
+	sw := sweepOf(t, "-sweep")
+	want := fleet.Sweep{
+		Specs: []string{"default"}, Ranks: []int{8}, CkptAt: []time.Duration{5 * time.Millisecond},
+		Virtids: []string{"sharded"}, Incremental: []bool{false}, Base: sw.Base,
 	}
-	if len(sw.Specs) != 1 || sw.Specs[0] != "default" {
-		t.Errorf("Specs = %v, want [default]", sw.Specs)
+	if !reflect.DeepEqual(sw, want) {
+		t.Errorf("-sweep alone builds %+v, want the one default cell %+v", sw, want)
 	}
-	if len(sw.Ranks) != 1 || sw.Ranks[0] != s.Ranks {
-		t.Errorf("Ranks = %v, want [%d]", sw.Ranks, s.Ranks)
-	}
-	if len(sw.CkptAt) != 1 || sw.CkptAt[0] != s.CkptAt {
-		t.Errorf("CkptAt = %v, want [%v]", sw.CkptAt, s.CkptAt)
-	}
-	if len(sw.Virtids) != 1 || sw.Virtids[0] != "sharded" {
-		t.Errorf("Virtids = %v, want [sharded]", sw.Virtids)
-	}
-	if len(sw.Incremental) != 1 || sw.Incremental[0] {
-		t.Errorf("Incremental = %v, want [false]", sw.Incremental)
-	}
-	if sw.Base.FailAfter != s.FailAfter {
-		t.Errorf("Base.FailAfter = %d, want %d", sw.Base.FailAfter, s.FailAfter)
+	if sw.Base.FailAfter != defaultFailAfter {
+		t.Errorf("Base.FailAfter = %d, want %d", sw.Base.FailAfter, defaultFailAfter)
 	}
 }
 
@@ -135,27 +121,11 @@ type sweepDoc struct {
 // must equal the FNV-64a of the bytes the equivalent standalone manasim
 // invocation prints.
 func TestSweepCellsMatchStandaloneRuns(t *testing.T) {
-	s := defaultScenario()
-	s.Sweep = true
-	s.Steps = 10
-	s.SweepSpecs = "default,overlap"
-	s.SweepRanks = "4,8"
-	s.SweepCkpt = "1ms"
-	s.SweepVirtid = "sharded,mutex"
-	s.SweepIncr = "false,true"
-	s.SweepWorkers = 4
-	s.SweepWorkersSet = true
-	sw, err := buildSweep(s)
-	if err != nil {
-		t.Fatalf("buildSweep: %v", err)
-	}
-	var out bytes.Buffer
-	if err := runSweep(sw, &out); err != nil {
-		t.Fatalf("runSweep: %v", err)
-	}
+	out := report(t, "-sweep", "-steps", "10", "-sweep-specs", "default,overlap", "-sweep-ranks", "4,8",
+		"-sweep-ckpt", "1ms", "-sweep-virtid", "sharded,mutex", "-sweep-incremental", "false,true", "-sweep-workers", "4")
 	var doc sweepDoc
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("aggregate is not valid JSON: %v\n%s", err, out.String())
+	if err := json.Unmarshal([]byte(out), &doc); err != nil {
+		t.Fatalf("aggregate is not valid JSON: %v\n%s", err, out)
 	}
 	if doc.Totals.Runs != 16 || len(doc.Cells) != 16 {
 		t.Fatalf("grid has %d cells / %d runs, want 16", len(doc.Cells), doc.Totals.Runs)
@@ -164,35 +134,22 @@ func TestSweepCellsMatchStandaloneRuns(t *testing.T) {
 		t.Errorf("SpecCompiles = %d, want 4 (2 specs x 2 rank counts)", doc.Totals.SpecCompiles)
 	}
 	for _, cell := range doc.Cells {
-		ckptAt, err := time.ParseDuration(cell.CkptAt)
-		if err != nil {
-			t.Fatalf("cell ckpt_at %q: %v", cell.CkptAt, err)
-		}
-		single := defaultScenario()
-		single.Spec = cell.Spec
-		single.SpecSet = true
-		single.Steps = s.Steps
-		single.Ranks = cell.Ranks
-		single.Virtid = cell.Virtid
-		single.Incremental = cell.Incremental
-		single.CkptAt = ckptAt
-		cfg, err := buildConfig(single)
-		if err != nil {
-			t.Fatalf("buildConfig for cell %+v: %v", cell, err)
-		}
-		report, err := runScenarioString(cfg)
-		if err != nil {
-			t.Fatalf("standalone run for cell %+v: %v", cell, err)
-		}
-		h := fnv.New64a()
-		h.Write([]byte(report))
-		if want := fmt.Sprintf("%016x", h.Sum64()); cell.ReportFNV64 != want {
+		single := report(t, "-steps", "10", "-spec", cell.Spec, "-ranks", strconv.Itoa(cell.Ranks), "-ckpt-at", cell.CkptAt,
+			"-virtid", cell.Virtid, "-incremental="+strconv.FormatBool(cell.Incremental))
+		if want := reportHash(single); cell.ReportFNV64 != want {
 			t.Errorf("cell %s/ranks=%d/virtid=%s/incr=%v: aggregate hash %s, standalone bytes hash %s",
 				cell.Spec, cell.Ranks, cell.Virtid, cell.Incremental, cell.ReportFNV64, want)
 		}
-		if cell.ReportBytes != len(report) {
+		if cell.ReportBytes != len(single) {
 			t.Errorf("cell %s/ranks=%d: aggregate says %d report bytes, standalone printed %d",
-				cell.Spec, cell.Ranks, cell.ReportBytes, len(report))
+				cell.Spec, cell.Ranks, cell.ReportBytes, len(single))
 		}
 	}
+}
+
+// reportHash is the FNV-64a a sweep cell records for these report bytes.
+func reportHash(report string) string {
+	h := fnv.New64a()
+	h.Write([]byte(report))
+	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -45,8 +45,9 @@
 //	pages rewritten to identical contents deduplicated against the last
 //	committed generation), is charged the page-table scan and per-page
 //	hash costs of the capture, and then the image write time per dirty
-//	byte actually carried (with the §3.4 parallel-filesystem straggler
-//	model), all to its checkpoint-overhead account.
+//	byte actually carried (queued on the contended parallel filesystem,
+//	where the §3.4 stragglers emerge), all to its checkpoint-overhead
+//	account.
 //
 // Restart discards every rank's lower half, bootstraps a fresh one,
 // replays the saved upper-half region maps, restores clocks and network
@@ -118,28 +119,13 @@ type Config struct {
 	// a contended aggregate-bandwidth PFS, optional per-node burst-buffer
 	// staging with asynchronous drain, and optional delta-page
 	// compression. BaseConfig sets the direct contended default
-	// (storage.DefaultConfig); Storage.LegacyStraggler reinstates the
-	// retired flat-bandwidth write path below.
+	// (storage.DefaultConfig). Write stragglers (§3.4) emerge from PFS
+	// queueing contention; there is no dialled-in multiplier.
 	Storage storage.Config
-	// CkptWriteBandwidth is the per-rank flat write bandwidth of the
-	// retired §3.4 model.
-	//
-	// Deprecated: consulted only when Storage.LegacyStraggler is set;
-	// the storage pipeline's contended PFS replaces it. CkptReadBandwidth
-	// remains live: restart reads are per-rank in either model.
-	CkptWriteBandwidth float64
 	// CkptReadBandwidth is the per-rank parallel-filesystem bandwidth for
 	// restart reads. Zero or negative values model free (instantaneous)
 	// I/O, matching netsim.Params.SerializeCost.
 	CkptReadBandwidth float64
-	// StragglerP and StragglerMax drive the retired §3.4 dialled-in
-	// write-straggler model.
-	//
-	// Deprecated: consulted only when Storage.LegacyStraggler is set.
-	// In the storage pipeline stragglers emerge from PFS queueing
-	// contention instead of a random multiplier.
-	StragglerP   float64
-	StragglerMax float64
 	// Incremental enables delta checkpoint images: after the first (full)
 	// checkpoint, images carry only the pages dirtied since the previous
 	// one, so commit cost tracks dirty bytes instead of address-space
@@ -164,8 +150,8 @@ type Config struct {
 	// Worker count never changes observable output either, only
 	// wall-clock time.
 	Workers int
-	// Seed drives the straggler RNG (and nothing else — the scheduler
-	// itself is deterministic).
+	// Seed is the seed the programs were compiled with; the coordinator
+	// only prints it (the scheduler itself is deterministic).
 	Seed uint64
 	// Triggers are the scheduled checkpoint requests.
 	Triggers []Trigger
@@ -202,23 +188,20 @@ type Config struct {
 }
 
 // BaseConfig returns the default cost-model parameters — bandwidths,
-// straggler model, network, failure delay — without compiling any
-// programs. Callers (the CLI's buildConfig, the fleet engine) overlay
-// ranks, programs and triggers on top; DefaultConfig adds the default
-// 8-rank workload for tests that want a complete runnable config.
+// network, failure delay — without compiling any programs. The fleet
+// engine overlays ranks, programs and triggers on top; DefaultConfig adds
+// the default 8-rank workload for tests that want a complete runnable
+// config.
 func BaseConfig() Config {
 	return Config{
-		Ranks:              8,
-		Personality:        kernelsim.Unpatched,
-		Virtid:             virtid.ImplSharded,
-		Net:                netsim.DefaultParams(),
-		Storage:            storage.DefaultConfig(),
-		CkptWriteBandwidth: 2e9,
-		CkptReadBandwidth:  4e9,
-		StragglerP:         0.1,
-		StragglerMax:       4.0,
-		FullImageEvery:     4,
-		Seed:               42,
+		Ranks:             8,
+		Personality:       kernelsim.Unpatched,
+		Virtid:            virtid.ImplSharded,
+		Net:               netsim.DefaultParams(),
+		Storage:           storage.DefaultConfig(),
+		CkptReadBandwidth: 4e9,
+		FullImageEvery:    4,
+		Seed:              42,
 		// FailDelay is the deterministic mapping of the old scheduler's
 		// 25-iteration failure countdown: at the default workload
 		// granularity one full-scan iteration advanced virtual time by
@@ -291,7 +274,7 @@ type CheckpointRecord struct {
 	// no committed base falls back to full even mid-chain).
 	FullImages  int
 	DeltaImages int
-	// MaxWriteTime is the slowest rank's image write (straggler-scaled);
+	// MaxWriteTime is the slowest rank's image write (PFS queueing included);
 	// for incremental checkpoints it is charged per dirty byte carried.
 	MaxWriteTime vtime.Duration
 	// DrainPlanned counts the in-flight collectives the dependency-
@@ -321,11 +304,11 @@ type CheckpointRecord struct {
 	// PFSWait is the total virtual time this checkpoint's PFS transfers
 	// — direct writes, capacity spills, asynchronous drains — spent
 	// queued behind other transfers on the contended filesystem: the
-	// emergent-straggler signal that replaced the dialled-in model.
+	// emergent-straggler signal.
 	PFSWait vtime.Duration
 	// DurableAt is when this checkpoint's link finished draining to the
 	// PFS and became a durable restore candidate; for direct writes it
-	// equals SafeAt + MaxWriteTime. Zero in legacy-straggler mode.
+	// equals SafeAt + MaxWriteTime.
 	DurableAt vtime.Time
 	// TornImages counts per-rank images whose PFS write was interrupted by
 	// an injected torn-write fault (Complete == false, partial payload);
@@ -405,7 +388,7 @@ type chainLink struct {
 	// pendingDrains counts the per-rank drains still in flight;
 	// staged[r] records rank r's staged bytes so the drain-done event
 	// (or generation retirement) can free its buffer occupancy. staged
-	// is nil for direct/legacy links.
+	// is nil for direct links.
 	pendingDrains int
 	staged        []uint64
 }
@@ -514,7 +497,6 @@ type Coordinator struct {
 	cfg   Config
 	ranks []*rank.Rank
 	net   *netsim.Network
-	rng   *vtime.RNG
 	// mempool backs every rank's address-space buffers; it comes from
 	// the run's Scratch so buffers recycle across runs (and across
 	// restarts within a run).
@@ -702,7 +684,6 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg: cfg,
 		net: netsim.New(cfg.Net),
-		rng: vtime.NewRNG(cfg.Seed),
 		// One lane per island plus the global lane, each preallocated
 		// for its steady-state population (one ready event per rank).
 		queues:      sc.takeQueues(islands+1, cfg.Ranks/islands+16),
@@ -725,7 +706,7 @@ func New(cfg Config) *Coordinator {
 		mempool:     sc.mem,
 		pfs:         storage.NewPFS(cfg.Storage.PFSBandwidth),
 	}
-	if cfg.Storage.Staging && !cfg.Storage.LegacyStraggler {
+	if cfg.Storage.Staging {
 		c.bbUsed = make([]uint64, cfg.Ranks)
 	}
 	for id := range c.islandOf {
@@ -742,14 +723,9 @@ func New(cfg Config) *Coordinator {
 		c.inCollComm[i] = -1
 	}
 	c.net.SetDeliveryScheduler(c)
-	for i, t := range c.triggers {
-		c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, arg: int32(i)})
-	}
-	// The fault plan: the legacy FailAtCheckpoint/FailDelay pair compiles
-	// to a one-fault plan appended after the declarative faults, so the
-	// two mechanisms are one engine. Virtual-time faults are scheduled up
-	// front like triggers — on the global lane, so parallel windows never
-	// run past one.
+	// The fault plan: the FailAtCheckpoint/FailDelay pair compiles to a
+	// one-fault plan appended after the declarative faults, so the two
+	// mechanisms are one engine.
 	c.faults = append(c.faults, cfg.Faults...)
 	if cfg.FailAtCheckpoint > 0 {
 		c.faults = append(c.faults, faultplan.Fault{
@@ -762,22 +738,38 @@ func New(cfg Config) *Coordinator {
 	if len(c.faults) > 0 {
 		c.faultFired = make([]bool, len(c.faults))
 	}
-	for i, f := range c.faults {
-		if f.Anchor == faultplan.AtVirtualTime {
-			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, arg: int32(i)})
-		}
-	}
 	for id := 0; id < cfg.Ranks; id++ {
 		r := rank.NewPooled(id, cfg.Personality, cfg.Virtid, cfg.Programs[id], c.mempool)
 		r.SetIsland(c.islandOf[id])
 		c.ranks = append(c.ranks, r)
+	}
+	c.seed()
+	return c
+}
+
+// seed fills the empty event queue from the job's state, at construction
+// and after every restart: the unfired triggers, the unfired virtual-time
+// faults — on the global lane like the triggers, so parallel windows never
+// run past one — and one ready event per unfinished rank.
+func (c *Coordinator) seed() {
+	for i, t := range c.triggers {
+		if !c.fired[i] {
+			c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, arg: int32(i)})
+		}
+	}
+	for i, f := range c.faults {
+		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
+			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, arg: int32(i)})
+		}
+	}
+	c.doneCount = 0
+	for _, r := range c.ranks {
 		if r.State() == rank.Done {
 			c.doneCount++
 		} else {
 			c.scheduleReady(r)
 		}
 	}
-	return c
 }
 
 // globalLane is the lane index of the global (cross-island) event lane.
@@ -1392,7 +1384,7 @@ func (c *Coordinator) accountStage(img *rank.Image, rec *CheckpointRecord) {
 // are the chain's integrity anchor, and a torn write was aborted mid-copy.
 func (c *Coordinator) compressStage(r *rank.Rank, img *rank.Image, rec *CheckpointRecord) {
 	sc := &c.cfg.Storage
-	if sc.LegacyStraggler || !sc.Compression || img.Full || !img.Complete {
+	if !sc.Compression || img.Full || !img.Complete {
 		return
 	}
 	stored, raw := sc.CompressDelta(&img.Delta)
@@ -1407,27 +1399,14 @@ func (c *Coordinator) compressStage(r *rank.Rank, img *rank.Image, rec *Checkpoi
 // actually carried, so incremental checkpoints pay for dirty pages only
 // and a torn write pays only up to the tear.
 //
-// In the storage pipeline the write is either a direct transfer on the
-// contended PFS (stragglers emerge from queueing behind the other ranks'
-// writes) or a staging copy into the rank's node burst buffer at local
-// bandwidth, with payload beyond the buffer's free capacity written
-// through synchronously to the contended PFS. Staged bytes become a
-// drain request, queued on the PFS once the staging copy finishes.
-// Legacy-straggler mode reinstates the retired §3.4 flat-bandwidth write
-// with the dialled-in random straggler multiplier.
+// The write is either a direct transfer on the contended PFS (stragglers
+// emerge from queueing behind the other ranks' writes) or a staging copy
+// into the rank's node burst buffer at local bandwidth, with payload
+// beyond the buffer's free capacity written through synchronously to the
+// contended PFS. Staged bytes become a drain request, queued on the PFS
+// once the staging copy finishes.
 func (c *Coordinator) writeStage(r *rank.Rank, img *rank.Image, rec *CheckpointRecord) {
 	sc := &c.cfg.Storage
-	if sc.LegacyStraggler {
-		writeTime := ioTime(img.WrittenBytes, c.cfg.CkptWriteBandwidth)
-		if c.cfg.StragglerP > 0 {
-			writeTime = vtime.Duration(float64(writeTime) * c.rng.Straggler(c.cfg.StragglerP, c.cfg.StragglerMax))
-		}
-		r.ChargeCkptOverhead(writeTime)
-		if writeTime > rec.MaxWriteTime {
-			rec.MaxWriteTime = writeTime
-		}
-		return
-	}
 	start := rec.SafeAt
 	var writeTime vtime.Duration
 	if !sc.Staging {
@@ -1464,7 +1443,7 @@ func (c *Coordinator) writeStage(r *rank.Rank, img *rank.Image, rec *CheckpointR
 }
 
 // scheduleDrains installs the just-committed link's durability state: a
-// direct or legacy write is durable at commit; a staged link queues one
+// direct write is durable at commit; a staged link queues one
 // PFS drain per rank (rank order, so the FIFO contention is
 // deterministic) and schedules each completion as a global-lane event.
 // The link becomes durable only when its last drain lands — until then
@@ -1472,12 +1451,7 @@ func (c *Coordinator) writeStage(r *rank.Rank, img *rank.Image, rec *CheckpointR
 func (c *Coordinator) scheduleDrains(rec *CheckpointRecord) {
 	g := c.gens[len(c.gens)-1]
 	link := &g.links[len(g.links)-1]
-	sc := &c.cfg.Storage
-	if sc.LegacyStraggler {
-		link.durable = true
-		return
-	}
-	if !sc.Staging || len(c.drainReqs) == 0 {
+	if !c.cfg.Storage.Staging || len(c.drainReqs) == 0 {
 		link.durable = true
 		rec.DurableAt = rec.SafeAt.Add(rec.MaxWriteTime)
 		return
@@ -1632,14 +1606,13 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	// links) can damage the captured payloads before compression,
 	// accounting, write charging and digesting see them; for a clean
 	// checkpoint the split loop is byte-identical to the fused one
-	// (captures do not interact across ranks, and in legacy mode the
-	// straggler RNG draws stay in rank order).
+	// (captures do not interact across ranks).
 	incremental := c.wantIncremental()
 	images := make([]rank.Image, len(c.ranks))
 	for i, r := range c.ranks {
 		images[i] = c.captureStage(r, incremental, rec.Seq)
 	}
-	crashed = c.applyImageFaults(images, &rec)
+	crashed = c.applyWriteFaults(faultplan.HopStage, images, &rec)
 	for i, r := range c.ranks {
 		c.compressStage(r, &images[i], &rec)
 	}
@@ -1652,11 +1625,10 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	}
 	rec.Fingerprint = h.Sum64()
 	c.commitStage(images, &rec)
-	// Drain-hop faults damage the committed link's durable copy after
-	// the fingerprint digested the clean staged payload; the drains are
-	// then queued on the contended PFS and their completions scheduled
-	// as global-lane events.
-	c.applyDrainFaults(&rec)
+	// Drain-hop faults damage the committed link's durable copy (images
+	// is that copy now); the drains are then queued on the contended PFS
+	// and their completions scheduled as global-lane events.
+	c.applyWriteFaults(faultplan.HopDrain, images, &rec)
 	c.scheduleDrains(&rec)
 	c.records = append(c.records, rec)
 
@@ -1674,16 +1646,29 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	return crashed, nil
 }
 
-// applyImageFaults fires the image-write faults anchored to this
-// checkpoint: a torn-write truncates the target rank's image at a
-// byte-accurate partial size and kills the job at the commit point
-// (crashed=true), a page-corruption silently damages the payload — the
-// capture-time hash memos go stale, which is exactly what restart
-// verification later trips over. Corruption lands on private copies of
-// the damaged pages (image payloads share pages with the live ranks).
-func (c *Coordinator) applyImageFaults(images []rank.Image, rec *CheckpointRecord) (crashed bool) {
+// applyWriteFaults fires the image-write faults anchored to this
+// checkpoint at one hop of the write path, damaging images in place: a
+// torn-write truncates the target rank's image at a byte-accurate partial
+// size, a page-corruption silently damages the payload — the capture-time
+// hash memos go stale, which is exactly what restart verification later
+// trips over. Corruption lands on private copies of the damaged pages
+// (image payloads share pages with the live ranks).
+//
+// At the stage hop the images are the captured payloads, before
+// compression, accounting and digesting see them, and a torn write kills
+// the job at the commit point (crashed=true). At the drain hop they are
+// the committed link's durable copy, damaged after the commit
+// fingerprinted the clean staged payload: the drain is asynchronous, so
+// nothing observes the damage at commit time, the job does not crash, and
+// a torn or corrupted durable copy surfaces only when a later restart's
+// verification walk rehashes the link.
+func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, rec *CheckpointRecord) (crashed bool) {
+	torn, corrupt := &rec.TornImages, &rec.CorruptPages
+	if hop == faultplan.HopDrain {
+		torn, corrupt = &rec.DrainTornImages, &rec.DrainCorruptPages
+	}
 	for i, f := range c.faults {
-		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != faultplan.HopStage || f.N != rec.Seq {
+		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != hop || f.N != rec.Seq {
 			continue
 		}
 		c.faultFired[i] = true
@@ -1701,57 +1686,17 @@ func (c *Coordinator) applyImageFaults(images []rank.Image, rec *CheckpointRecor
 			img.Complete = false
 			img.WrittenBytes = written
 			img.StoredBytes = written
-			rec.TornImages++
-			crashed = true
+			*torn++
+			crashed = hop == faultplan.HopStage
 		case faultplan.PageCorruption:
 			if img.Full {
-				rec.CorruptPages += memsim.CorruptSnapshot(&img.Mem, f.Pages)
+				*corrupt += memsim.CorruptSnapshot(&img.Mem, f.Pages)
 			} else {
-				rec.CorruptPages += memsim.CorruptDelta(&img.Delta, f.Pages)
+				*corrupt += memsim.CorruptDelta(&img.Delta, f.Pages)
 			}
 		}
 	}
 	return crashed
-}
-
-// applyDrainFaults fires the image-write faults qualified to the
-// buffer→PFS drain hop for the just-committed checkpoint. The damage
-// lands on the committed link's images — the durable copy — after the
-// commit fingerprinted the clean staged payload: the job does not crash
-// (the drain is asynchronous; nothing observes the damage at commit
-// time), and a torn or corrupted durable copy surfaces only when a
-// later restart's verification walk rehashes the link.
-func (c *Coordinator) applyDrainFaults(rec *CheckpointRecord) {
-	g := c.gens[len(c.gens)-1]
-	link := &g.links[len(g.links)-1]
-	for i, f := range c.faults {
-		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != faultplan.HopDrain || f.N != rec.Seq {
-			continue
-		}
-		c.faultFired[i] = true
-		img := &link.images[f.Rank]
-		switch f.Kind {
-		case faultplan.TornWrite:
-			total := img.Bytes()
-			written := total / 2
-			if f.Pages > 0 {
-				written = uint64(f.Pages) * memsim.PageSize
-			}
-			if written > total {
-				written = total
-			}
-			img.Complete = false
-			img.WrittenBytes = written
-			img.StoredBytes = written
-			rec.DrainTornImages++
-		case faultplan.PageCorruption:
-			if img.Full {
-				rec.DrainCorruptPages += memsim.CorruptSnapshot(&img.Mem, f.Pages)
-			} else {
-				rec.DrainCorruptPages += memsim.CorruptDelta(&img.Delta, f.Pages)
-			}
-		}
-	}
 }
 
 // ErrRestartFault and ErrNoVerifiableGeneration are the named failures of
@@ -1873,24 +1818,7 @@ func (c *Coordinator) Restart() error {
 	}
 	c.drainReqs = c.drainReqs[:0]
 	c.drainDones, c.drainsQueued = c.drainDones[:0], 0
-	for i, t := range c.triggers {
-		if !c.fired[i] {
-			c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, arg: int32(i)})
-		}
-	}
-	for i, f := range c.faults {
-		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
-			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, arg: int32(i)})
-		}
-	}
-	c.doneCount = 0
-	for _, r := range c.ranks {
-		if r.State() == rank.Done {
-			c.doneCount++
-		} else {
-			c.scheduleReady(r)
-		}
-	}
+	c.seed()
 	c.maxClock = c.MaxClock()
 	// Everything newer than the restore point failed verification or was
 	// poisoned — drop it so the next committed delta chains onto what was
@@ -2070,18 +1998,17 @@ func (c *Coordinator) WriteReport(w io.Writer) {
 	}
 	fmt.Fprintf(w, "comms: %d (1 world + %d split), comm-splits executed=%d\n",
 		len(c.comms), len(c.comms)-1, splits)
-	if sc := &c.cfg.Storage; !sc.LegacyStraggler {
-		fmt.Fprintf(w, "storage: pfs-aggregate=%s", bwString(sc.PFSBandwidth))
-		if sc.Staging {
-			fmt.Fprintf(w, ", burst-buffer=%s cap=%d", bwString(sc.BBBandwidth), sc.BBCapacity)
-		} else {
-			fmt.Fprintf(w, ", staging=off")
-		}
-		if sc.Compression {
-			fmt.Fprintf(w, ", compression=on cost=%gns/B\n", sc.CompressCost)
-		} else {
-			fmt.Fprintf(w, ", compression=off\n")
-		}
+	sc := &c.cfg.Storage
+	fmt.Fprintf(w, "storage: pfs-aggregate=%s", bwString(sc.PFSBandwidth))
+	if sc.Staging {
+		fmt.Fprintf(w, ", burst-buffer=%s cap=%d", bwString(sc.BBBandwidth), sc.BBCapacity)
+	} else {
+		fmt.Fprintf(w, ", staging=off")
+	}
+	if sc.Compression {
+		fmt.Fprintf(w, ", compression=on cost=%gns/B\n", sc.CompressCost)
+	} else {
+		fmt.Fprintf(w, ", compression=off\n")
 	}
 
 	fmt.Fprintf(w, "\nranks:\n")
@@ -2106,16 +2033,14 @@ func (c *Coordinator) WriteReport(w io.Writer) {
 			rec.FullBytes, rec.DirtyBytes, rec.DedupRatio())
 		fmt.Fprintf(w, "     coll-drain: planned=%d overlap-width=%d drain-events=%d\n",
 			rec.DrainPlanned, rec.OverlapWidth, rec.DrainEvents)
-		if !c.cfg.Storage.LegacyStraggler {
-			fmt.Fprintf(w, "     io: stored %d bytes", rec.StoredBytes)
-			if c.cfg.Storage.Compression {
-				fmt.Fprintf(w, " (saved %d, cpu %v)", rec.CompressSavedBytes, rec.CompressTime)
-			}
-			if c.cfg.Storage.Staging {
-				fmt.Fprintf(w, ", staged %d spilled %d", rec.StagedBytes, rec.SpilledBytes)
-			}
-			fmt.Fprintf(w, ", pfs-wait %v, durable@%v\n", rec.PFSWait, rec.DurableAt)
+		fmt.Fprintf(w, "     io: stored %d bytes", rec.StoredBytes)
+		if sc.Compression {
+			fmt.Fprintf(w, " (saved %d, cpu %v)", rec.CompressSavedBytes, rec.CompressTime)
 		}
+		if sc.Staging {
+			fmt.Fprintf(w, ", staged %d spilled %d", rec.StagedBytes, rec.SpilledBytes)
+		}
+		fmt.Fprintf(w, ", pfs-wait %v, durable@%v\n", rec.PFSWait, rec.DurableAt)
 		if rec.TornImages > 0 || rec.CorruptPages > 0 || rec.DrainTornImages > 0 || rec.DrainCorruptPages > 0 {
 			fmt.Fprintf(w, "     faults: torn-images=%d corrupt-pages=%d", rec.TornImages, rec.CorruptPages)
 			if rec.DrainTornImages > 0 || rec.DrainCorruptPages > 0 {
@@ -2174,20 +2099,4 @@ func (c *Coordinator) memorySummary() [2]uint64 {
 		r.Mem().BytesOf(memsim.UpperHalf),
 		r.Mem().BytesOf(memsim.LowerHalf),
 	}
-}
-
-// SortedPairs returns the network's counter pairs in deterministic order,
-// for report and test consumption.
-func SortedPairs(counters netsim.Counters) []netsim.Pair {
-	pairs := make([]netsim.Pair, 0, len(counters))
-	for p := range counters {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].Src != pairs[j].Src {
-			return pairs[i].Src < pairs[j].Src
-		}
-		return pairs[i].Dst < pairs[j].Dst
-	})
-	return pairs
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mana/internal/kernelsim"
-	"mana/internal/netsim"
 	"mana/internal/scenario"
 	"mana/internal/virtid"
 	"mana/internal/vtime"
@@ -25,7 +24,6 @@ func smallConfig(ranks, steps int) Config {
 // — and that the buffered message still reaches the application.
 func TestDrainReachesZeroBeforeSnapshot(t *testing.T) {
 	cfg := smallConfig(2, 0)
-	cfg.StragglerP = 0
 	cfg.Triggers = []Trigger{{At: 0, InFlight: true}}
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
@@ -80,7 +78,6 @@ func TestDrainReachesZeroBeforeSnapshot(t *testing.T) {
 // checkpoint until the collective completes.
 func TestMidCollectiveCheckpointDeferred(t *testing.T) {
 	cfg := smallConfig(4, 0)
-	cfg.StragglerP = 0
 	cfg.Triggers = []Trigger{{At: 0, MidCollective: true}}
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		return []scenario.Op{
@@ -254,7 +251,6 @@ func TestReportByteIdentical(t *testing.T) {
 // own state.
 func TestRestartDiscardsPendingRequests(t *testing.T) {
 	cfg := smallConfig(4, 0)
-	cfg.StragglerP = 0
 	cfg.Triggers = []Trigger{
 		{At: 0},
 		// Fires mid-collective before the failure; ranks must finish the
@@ -337,22 +333,6 @@ func TestRestartWithoutCheckpointFails(t *testing.T) {
 	c := New(smallConfig(2, 2))
 	if err := c.Restart(); err == nil {
 		t.Error("Restart with no committed checkpoint should fail")
-	}
-}
-
-// TestSortedPairsDeterministic covers the report helper.
-func TestSortedPairsDeterministic(t *testing.T) {
-	counters := netsim.Counters{
-		{Src: 2, Dst: 0}: {Sent: 1},
-		{Src: 0, Dst: 1}: {Sent: 1},
-		{Src: 0, Dst: 0}: {Sent: 1},
-	}
-	pairs := SortedPairs(counters)
-	want := []netsim.Pair{{Src: 0, Dst: 0}, {Src: 0, Dst: 1}, {Src: 2, Dst: 0}}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("pairs[%d] = %+v, want %+v", i, pairs[i], want[i])
-		}
 	}
 }
 

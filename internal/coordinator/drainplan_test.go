@@ -304,7 +304,6 @@ func TestRestartBeforeSplitsReplaysCommIDs(t *testing.T) {
 // entered — while the planned collective's members complete theirs.
 func TestDrainHoldsUnneededRanks(t *testing.T) {
 	cfg := smallConfig(4, 0)
-	cfg.StragglerP = 0
 	// One split: comm 1 = {0,1} (colour 0), comm 2 = {2,3} (colour 1).
 	// Slot 1 on every rank names its own group's communicator.
 	compute := map[int]vtime.Duration{
@@ -368,7 +367,6 @@ func TestDrainHoldsUnneededRanks(t *testing.T) {
 // holding rank 2 and stalling the drain.
 func TestDrainExtendsPlanThroughBlockedChain(t *testing.T) {
 	cfg := smallConfig(4, 0)
-	cfg.StragglerP = 0
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		switch id {
 		case 0:

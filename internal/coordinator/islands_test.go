@@ -49,7 +49,6 @@ func groupedPrograms(ranks, groupSize, steps int, barriers bool) []scenario.Prog
 func groupedConfig(ranks, groupSize, islands, workers, steps int, barriers bool) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
-	cfg.StragglerP = 0
 	cfg.Triggers = nil
 	cfg.Net.GroupSize = groupSize
 	cfg.Net.CrossGroupLatency = 10 * vtime.Microsecond
@@ -174,7 +173,6 @@ func TestWorkerDeterminismLibrarySpec(t *testing.T) {
 	mk := func(workers int) Config {
 		cfg := DefaultConfig()
 		cfg.Ranks = 64
-		cfg.StragglerP = 0
 		cfg.Triggers = nil
 		cfg.Programs = scenario.MustPrograms("stencil", scenario.Params{Ranks: 64, Steps: 8, Seed: 7, Group: 8})
 		cfg.Net.GroupSize = 8

@@ -19,7 +19,6 @@ import (
 func idleHeavyConfig(ranks int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
-	cfg.StragglerP = 0
 	cfg.Triggers = nil
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
@@ -46,7 +45,6 @@ func TestBlockedRanksConsumeZeroSchedulerWork(t *testing.T) {
 	const computePhases = 100
 	cfg := DefaultConfig()
 	cfg.Ranks = 3
-	cfg.StragglerP = 0
 	cfg.Triggers = nil
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
@@ -174,7 +172,6 @@ func benchOverlapDrain(b *testing.B, overlap bool) {
 	mkConfig := func() Config {
 		cfg := DefaultConfig()
 		cfg.Ranks = ranks
-		cfg.StragglerP = 0
 		cfg.Seed = 11
 		if overlap {
 			cfg.Programs = wl
@@ -244,7 +241,6 @@ func islandBenchConfig(ranks, islands, workers int) Config {
 	groupSize := ranks / islands
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
-	cfg.StragglerP = 0
 	cfg.Triggers = nil
 	cfg.Net.GroupSize = groupSize
 	cfg.Net.CrossGroupLatency = 10 * vtime.Microsecond
@@ -316,8 +312,7 @@ func benchIslands(b *testing.B, ranks, islands, workers int, maxAllocsPerEvent f
 // BenchmarkScheduler65536Ranks pins the 64Ki-rank scale target. The
 // serial variant carries the allocs/op assertion (roughly half the
 // events are sends at one netsim.Message allocation each); the 4-worker
-// variant records the parallel wall-clock on the same partition, so the
-// BENCH_sched.json artifact tracks the serial-vs-parallel trajectory.
+// variant records the parallel wall-clock on the same partition.
 func BenchmarkScheduler65536Ranks(b *testing.B) { benchIslands(b, 65536, 16, 1, 1.0) }
 func BenchmarkScheduler65536Ranks4Workers(b *testing.B) {
 	benchIslands(b, 65536, 16, 4, 0)

@@ -281,32 +281,6 @@ func TestDrainHopTornSurfacesAtRestart(t *testing.T) {
 	}
 }
 
-// TestLegacyStragglerMatchesRetiredModel pins the escape hatch: a config
-// with Storage.LegacyStraggler renders the same report as the retired
-// flat-bandwidth model did — no storage header, no io lines, RNG-drawn
-// stragglers.
-func TestLegacyStragglerMatchesRetiredModel(t *testing.T) {
-	cfg := faultConfig()
-	cfg.FailAtCheckpoint = 2
-	cfg.FailDelay = 250 * vtime.Microsecond
-	cfg.Storage.LegacyStraggler = true
-	c := New(cfg)
-	completeWithRecovery(t, c)
-	var buf bytes.Buffer
-	c.WriteReport(&buf)
-	report := buf.String()
-	for _, banned := range []string{"storage:", "io: stored", "pfs-wait", "durable@"} {
-		if strings.Contains(report, banned) {
-			t.Errorf("legacy report leaks pipeline accounting (%q):\n%s", banned, report)
-		}
-	}
-	for _, rec := range c.Records() {
-		if rec.PFSWait != 0 || rec.StagedBytes != 0 || rec.CompressSavedBytes != 0 {
-			t.Errorf("#%d: legacy run accrued pipeline metrics: %+v", rec.Seq, rec)
-		}
-	}
-}
-
 // TestUnrecoverableRestartExplainsEveryLink pins what a restart that finds
 // nothing to restore says: every retained link, newest first, each with
 // the reason the verification walk rejected it — here one whose burst-

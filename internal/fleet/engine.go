@@ -49,14 +49,20 @@ import (
 var ErrRestartsExhausted = errors.New("fleet: restart budget exhausted")
 
 // Job names one simulation the engine can run: the workload spec plus
-// the knobs cmd/manasim exposes as flags, mapped verbatim. Note the
+// the knobs cmd/manasim exposes as flags, mapped verbatim. It is the only
+// description of a run there is: the CLI's single run, every sweep cell
+// and a replayed trace are all Jobs that Config translates. Note the
 // zero Virtid is virtid.ImplMutex (the MANA baseline), not the sharded
 // table the CLI defaults to.
 type Job struct {
-	Spec  *scenario.Spec
-	Ranks int
-	Steps int
-	Seed  uint64
+	Spec *scenario.Spec
+	// Programs, when non-nil, run as given — a replayed trace — instead
+	// of programs compiled from Spec, and fix the rank count; Spec then
+	// contributes only its policy blocks (an empty one means none).
+	Programs []scenario.Program
+	Ranks    int
+	Steps    int
+	Seed     uint64
 	// Group is the sub-communicator width for specs that split
 	// communicators; 0 uses the spec's own default.
 	Group  int
@@ -64,14 +70,13 @@ type Job struct {
 	Virtid virtid.Impl
 	// CkptAt anchors the spec's checkpoint policy in virtual time.
 	CkptAt vtime.Time
-	// FailAfter injects a failure after this checkpoint commits
-	// (0 = never); the engine's Run restarts and completes the job.
+	// FailAfter is the default scenario's crash: a failure injected the
+	// coordinator's FailDelay after this checkpoint commits (0 = never);
+	// the engine's Run restarts and completes the job. Any other failure
+	// is a fault plan.
 	FailAfter int
-	// FailDelay overrides how long after the commit the legacy failure
-	// fires (0 keeps the coordinator default).
-	FailDelay vtime.Duration
 	// Faults, when non-nil, is a declarative fault plan that replaces
-	// the legacy FailAfter knob (and any plan the spec itself declares).
+	// FailAfter (and any plan the spec itself declares).
 	// It is compiled per job because rank counts vary across sweep
 	// cells.
 	Faults      *faultplan.Plan
@@ -82,9 +87,6 @@ type Job struct {
 	// replaces any storage block the spec itself declares. Nil uses the
 	// spec's block, or the direct-to-PFS default when the spec has none.
 	Storage *storage.Spec
-	// LegacyStraggler restores the pre-storage flat-bandwidth write model
-	// with RNG-drawn stragglers. Mutually exclusive with Storage.
-	LegacyStraggler bool
 	// Islands <= 0 applies the spec's lane-count hint (or serial);
 	// Workers <= 1 drains serially. Both are pure performance knobs.
 	Islands int
@@ -213,11 +215,11 @@ func (e *Engine) Compiles() uint64 {
 	return e.compiles
 }
 
-// Triggers translates a spec's checkpoint policy into coordinator
+// triggers translates a spec's checkpoint policy into coordinator
 // triggers, all anchored at the given virtual time. A spec (or a trace,
 // which carries no policy) without one gets the classic
 // three-checkpoint sequence.
-func Triggers(cks []scenario.CheckpointSpec, at vtime.Time) []coordinator.Trigger {
+func triggers(cks []scenario.CheckpointSpec, at vtime.Time) []coordinator.Trigger {
 	if len(cks) == 0 {
 		return []coordinator.Trigger{
 			{At: at},
@@ -242,42 +244,43 @@ func Triggers(cks []scenario.CheckpointSpec, at vtime.Time) []coordinator.Trigge
 }
 
 // Config compiles the job (through the cache) and translates it into a
-// coordinator configuration — field for field what cmd/manasim's
-// buildConfig produces for the same parameters, so a fleet run's report
-// is byte-identical to the standalone run's.
+// coordinator configuration. It is the one translation: cmd/manasim's
+// single run and every sweep cell go through it, which is why a fleet
+// run's report is byte-identical to the standalone run's.
 func (e *Engine) Config(j Job) (coordinator.Config, error) {
 	if j.Spec == nil {
 		return coordinator.Config{}, fmt.Errorf("fleet: job has no spec")
 	}
-	progs, err := e.Programs(j.Spec, scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed, Group: j.Group})
-	if err != nil {
-		return coordinator.Config{}, err
+	progs := j.Programs
+	if progs == nil {
+		var err error
+		progs, err = e.Programs(j.Spec, scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed, Group: j.Group})
+		if err != nil {
+			return coordinator.Config{}, err
+		}
 	}
 	cfg := coordinator.BaseConfig()
-	cfg.Ranks = j.Ranks
+	cfg.Ranks = len(progs)
 	cfg.Personality = j.Kernel
 	cfg.Virtid = j.Virtid
 	cfg.Seed = j.Seed
 	cfg.Incremental = j.Incremental
 	cfg.FullImageEvery = j.FullEvery
 	cfg.Programs = progs
-	cfg.Triggers = Triggers(j.Spec.Checkpoints, j.CkptAt)
+	cfg.Triggers = triggers(j.Spec.Checkpoints, j.CkptAt)
 	cfg.FailAtCheckpoint = j.FailAfter
-	if j.FailDelay > 0 {
-		cfg.FailDelay = j.FailDelay
-	}
 	plan := j.Faults
 	if plan == nil {
 		plan = j.Spec.Faults
 	}
 	if plan != nil {
-		faults, err := plan.Compile(j.Ranks)
+		faults, err := plan.Compile(cfg.Ranks)
 		if err != nil {
 			return coordinator.Config{}, err
 		}
 		cfg.Faults = faults
-		// A declarative plan owns failure injection outright; the
-		// legacy knob is suppressed rather than layered on top.
+		// A declarative plan owns failure injection outright; FailAfter
+		// is suppressed rather than layered on top.
 		cfg.FailAtCheckpoint = 0
 		if plan.MaxRestarts > 0 {
 			cfg.MaxRestarts = plan.MaxRestarts
@@ -287,18 +290,11 @@ func (e *Engine) Config(j Job) (coordinator.Config, error) {
 	if spec == nil {
 		spec = j.Spec.Storage
 	}
-	if j.LegacyStraggler {
-		if spec != nil {
-			return coordinator.Config{}, fmt.Errorf("fleet: job sets LegacyStraggler alongside a storage spec; the legacy write model has no storage pipeline")
-		}
-		cfg.Storage.LegacyStraggler = true
-	} else {
-		st, err := storage.Compile(spec)
-		if err != nil {
-			return coordinator.Config{}, err
-		}
-		cfg.Storage = st
+	st, err := storage.Compile(spec)
+	if err != nil {
+		return coordinator.Config{}, err
 	}
+	cfg.Storage = st
 	if faultplan.AnyDrainHop(cfg.Faults) && !cfg.Storage.Staging {
 		return coordinator.Config{}, fmt.Errorf("fleet: fault plan anchors on \"image-write/drain\" but the job's storage has no burst buffer; drain faults need staging")
 	}

@@ -52,7 +52,7 @@ func standalone(t *testing.T, name string, incremental bool) string {
 	cfg.Incremental = j.Incremental
 	cfg.FullImageEvery = j.FullEvery
 	cfg.Programs = progs
-	cfg.Triggers = Triggers(spec.Checkpoints, j.CkptAt)
+	cfg.Triggers = triggers(spec.Checkpoints, j.CkptAt)
 	cfg.FailAtCheckpoint = j.FailAfter
 	if spec.Islands > 0 {
 		cfg.Islands = spec.Islands
@@ -278,7 +278,7 @@ func TestSweepAggregateStableAcrossPoolWidths(t *testing.T) {
 			t.Errorf("cell %d carries no report fingerprint: %+v", i, a)
 		}
 		if a.Restarts == 0 {
-			t.Errorf("cell %d took no restart despite fail-after=2: %+v", i, a)
+			t.Errorf("cell %d took no restart despite FailAfter=2: %+v", i, a)
 		}
 	}
 	// 2 specs x 2 rank counts = 4 compile keys, each compiled once no

@@ -31,7 +31,7 @@ type Sweep struct {
 	Incremental []bool
 	// Storage values are built-in profile names or JSON file paths
 	// (storage.Load); empty runs one storage point per cell taken from
-	// Base (Base.Storage / Base.LegacyStraggler).
+	// Base.Storage.
 	Storage []string
 	Base    Job
 	// PoolWorkers bounds how many cells run concurrently
@@ -162,7 +162,6 @@ func (e *Engine) enumerate(s Sweep) ([]cellJob, error) {
 							j.Incremental = incr
 							if sname != "" {
 								j.Storage = storageSpecs[sname]
-								j.LegacyStraggler = false
 							}
 							cells = append(cells, cellJob{
 								cell: Cell{

@@ -18,11 +18,6 @@
 //     cost constants; the Kernel is constructed with the cost of the
 //     selected implementation and charges it per translated handle in
 //     MANAPerCallOverhead.
-//
-// The package also models sbrk() semantics for the simulated address space:
-// after restart the kernel would extend the *lower-half* data segment on
-// sbrk because that is the program it originally loaded, which is why MANA
-// interposes on sbrk in the upper-half libc and uses mmap instead (§2.1).
 package kernelsim
 
 import (
@@ -235,39 +230,4 @@ func (k *Kernel) CompressCost(bytes uint64, nsPerByte float64) vtime.Duration {
 		return 0
 	}
 	return vtime.Duration(float64(bytes) * nsPerByte)
-}
-
-// SbrkBehavior describes what the (real) kernel would do on an sbrk call in
-// a split process, and what MANA does about it.
-type SbrkBehavior int
-
-const (
-	// SbrkExtendsLowerHalf models the hazard described in §2.1: after
-	// restart, the kernel's notion of "the" data segment belongs to the
-	// lower-half bootstrap program, so a naive sbrk would grow lower-half
-	// memory and corrupt the split.
-	SbrkExtendsLowerHalf SbrkBehavior = iota
-	// SbrkRedirectedToMmap is MANA's resolution: interpose on sbrk in the
-	// upper-half libc and satisfy the request with mmap'd upper-half
-	// regions instead.
-	SbrkRedirectedToMmap
-)
-
-// SbrkBehaviorFor reports how a heap-growth request is handled.
-// afterRestart indicates whether the process has been restored from a
-// checkpoint image (when the kernel's brk pointer refers to the bootstrap
-// program's data segment); interposed indicates whether MANA's sbrk wrapper
-// is active.
-func SbrkBehaviorFor(afterRestart, interposed bool) SbrkBehavior {
-	if interposed {
-		return SbrkRedirectedToMmap
-	}
-	if afterRestart {
-		return SbrkExtendsLowerHalf
-	}
-	// Before the first checkpoint the kernel's brk still refers to the
-	// original (upper-half) program, so plain sbrk is harmless; MANA still
-	// interposes for uniformity, but the hazard only materialises after
-	// restart.
-	return SbrkRedirectedToMmap
 }

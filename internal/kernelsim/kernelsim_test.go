@@ -114,20 +114,3 @@ func TestAuxiliaryCostsPositive(t *testing.T) {
 		t.Errorf("page scan %v should be well below page hash %v", k.PageScanCost(), k.PageHashCost())
 	}
 }
-
-func TestSbrkBehavior(t *testing.T) {
-	cases := []struct {
-		afterRestart, interposed bool
-		want                     SbrkBehavior
-	}{
-		{false, true, SbrkRedirectedToMmap},
-		{true, true, SbrkRedirectedToMmap},
-		{true, false, SbrkExtendsLowerHalf},
-		{false, false, SbrkRedirectedToMmap},
-	}
-	for _, c := range cases {
-		if got := SbrkBehaviorFor(c.afterRestart, c.interposed); got != c.want {
-			t.Errorf("SbrkBehaviorFor(%v,%v) = %v, want %v", c.afterRestart, c.interposed, got, c.want)
-		}
-	}
-}

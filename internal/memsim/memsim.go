@@ -414,7 +414,10 @@ type SbrkResult struct {
 }
 
 // Sbrk grows the heap by delta bytes and reports how the request was
-// satisfied.
+// satisfied. After restart the kernel would extend the *lower-half* data
+// segment on sbrk, because that is the program it originally loaded,
+// which is why MANA interposes on sbrk in the upper-half libc and uses
+// mmap instead (§2.1).
 func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
 	if a.sbrkInter {
 		r := a.Mmap("[heap-mmap]", UpperHalf, KindHeap, delta)

@@ -12,9 +12,9 @@ import (
 
 // benchCheckpointCapture measures steady-state checkpoint capture: one
 // executed workload step (which dirties the state region) followed by one
-// image capture. The reported image-bytes/op metric is what BENCH_sched.json
-// tracks across PRs — the full-vs-incremental bytes-written trajectory —
-// and the assertions pin the incremental mode's costs to O(dirty pages):
+// image capture. The reported image-bytes/op metric is the
+// full-vs-incremental bytes written, and the assertions pin the
+// incremental mode's costs to O(dirty pages):
 // a bounded allocation count and a payload orders of magnitude below the
 // address-space size.
 func benchCheckpointCapture(b *testing.B, incremental bool) {

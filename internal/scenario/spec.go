@@ -44,8 +44,8 @@ type Spec struct {
 	// Faults is the spec's declarative fault-injection plan (see the
 	// faultplan package): an ordered list of one-shot failures at named
 	// protocol points, plus an optional restart budget. The CLI's -faults
-	// flag overrides it; when either is present the legacy
-	// -fail-after/-fail-delay failure scenario is disabled.
+	// flag overrides it; when either is present the default scenario's
+	// crash after checkpoint #2 is disabled.
 	Faults *faultplan.Plan `json:"faults,omitempty"`
 	// Storage is the spec's checkpoint I/O configuration (see the storage
 	// package): contended PFS bandwidth, burst-buffer staging, delta-page

@@ -64,7 +64,10 @@ func WriteTrace(w io.Writer, progs []Program) error {
 }
 
 // ReadTrace decodes a trace, returning one Program per rank. Errors name
-// the offending line.
+// the offending line. Beyond syntax it checks what a rank would otherwise
+// trip over mid-run, each a static property of one rank's op stream: a
+// peer is a rank of the job, a wait has an isend outstanding, and a
+// communicator slot was minted by an earlier split.
 func ReadTrace(r io.Reader) ([]Program, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -83,6 +86,9 @@ func ReadTrace(r io.Reader) ([]Program, error) {
 		return nil, fmt.Errorf("scenario: trace line 1: bad rank count in header %q", header)
 	}
 	progs := make([]Program, ranks)
+	// isends[id] counts rank id's isends not yet waited for, splits[id]
+	// the communicator slots its splits have minted beyond slot 0.
+	isends, splits := make([]int, ranks), make([]int, ranks)
 	for lineNo := 2; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -97,8 +103,31 @@ func ReadTrace(r io.Reader) ([]Program, error) {
 			return nil, fmt.Errorf("scenario: trace line %d: rank %q out of range [0, %d)", lineNo, fields[0], ranks)
 		}
 		op, err := parseTraceOp(fields[1], fields[2:])
+		if err == nil {
+			switch op.Kind {
+			case OpSend, OpIsend, OpRecv:
+				if op.Peer < 0 || op.Peer >= ranks {
+					err = fmt.Errorf("op %s: peer %d out of range [0, %d)", fields[1], op.Peer, ranks)
+				}
+			case OpWait:
+				if isends[id] == 0 {
+					err = fmt.Errorf("op wait: rank %d has no outstanding isend", id)
+				}
+				isends[id]--
+			case OpBarrier, OpAllreduce, OpCommSplit:
+				if op.Comm < 0 || op.Comm > splits[id] {
+					err = fmt.Errorf("op %s: comm slot %d out of range (rank %d has split %d times)", fields[1], op.Comm, id, splits[id])
+				}
+			}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("scenario: trace line %d: %w", lineNo, err)
+		}
+		switch op.Kind {
+		case OpIsend:
+			isends[id]++
+		case OpCommSplit:
+			splits[id]++
 		}
 		progs[id] = append(progs[id], op)
 	}

@@ -85,6 +85,10 @@ func TestTraceParseErrorsNameLine(t *testing.T) {
 		{"duplicate field", "manatrace v1 ranks=1\n0 sbrk bytes=1 bytes=2\n", "line 2: field bytes: duplicated"},
 		{"negative dur", "manatrace v1 ranks=1\n0 compute dur=-5\n", "line 2: op compute: negative dur"},
 		{"short line", "manatrace v1 ranks=1\n0\n", "line 2"},
+		// Well-formed lines a rank would panic on mid-run.
+		{"peer out of range", "manatrace v1 ranks=2\n0 send peer=5 bytes=8 tag=0\n", "line 2: op send: peer 5 out of range [0, 2)"},
+		{"wait without isend", "manatrace v1 ranks=2\n0 wait\n", "line 2: op wait: rank 0 has no outstanding isend"},
+		{"unminted comm slot", "manatrace v1 ranks=2\n0 barrier comm=3\n", "line 2: op barrier: comm slot 3 out of range"},
 	}
 	for _, tc := range cases {
 		_, err := ReadTrace(strings.NewReader(tc.src))

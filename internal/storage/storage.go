@@ -4,12 +4,11 @@
 // commit time, and an asynchronous drain engine feeds them to a shared
 // parallel filesystem whose aggregate bandwidth is contended across every
 // concurrent writer. Writes queue on the PFS in virtual time, so commit
-// stragglers emerge from contention instead of the retired dialled-in
-// StragglerP/StragglerMax model. On top of the tiering sits optional
-// per-page compression of the incremental delta payload: each 4 KiB dirty
-// page is shrunk by a per-region-class compressibility ratio (all-zero
-// pages collapse to a header), trading kernel CPU time per input byte
-// against PFS bytes.
+// stragglers (§3.4) emerge from contention; none is dialled in. On top of
+// the tiering sits optional per-page compression of the incremental delta
+// payload: each 4 KiB dirty page is shrunk by a per-region-class
+// compressibility ratio (all-zero pages collapse to a header), trading
+// kernel CPU time per input byte against PFS bytes.
 //
 // Configuration arrives either as a `storage` block inside a scenario
 // spec or as a standalone JSON document (or built-in profile name) via
@@ -31,10 +30,10 @@ import (
 )
 
 // Default model parameters: a flat-fabric 8-node job sharing a 16 GB/s
-// parallel filesystem (twice the retired per-rank 2 GB/s flat bandwidth in
-// aggregate, so the default job is bandwidth-contended), 8 GB/s node-local
-// burst buffers of 256 MiB, and an lz4-class compressor costing 0.3 ns of
-// CPU per input byte (~3.3 GB/s).
+// parallel filesystem (2 GB/s per rank when all eight write at once, so
+// the default job is bandwidth-contended), 8 GB/s node-local burst
+// buffers of 256 MiB, and an lz4-class compressor costing 0.3 ns of CPU
+// per input byte (~3.3 GB/s).
 const (
 	DefaultPFSBandwidth = 16e9
 	DefaultBBBandwidth  = 8e9
@@ -177,11 +176,6 @@ type Config struct {
 	Compression  bool
 	CompressCost float64
 	Ratios       map[memsim.Kind]float64
-	// LegacyStraggler bypasses the whole pipeline and reinstates the
-	// retired §3.4 flat-bandwidth write with the dialled-in
-	// StragglerP/StragglerMax model, byte-identical to pre-pipeline
-	// reports.
-	LegacyStraggler bool
 }
 
 // defaultRatios is the per-region-class compressibility model: code and

@@ -79,14 +79,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// MaxDuration returns the larger of a and b.
-func MaxDuration(a, b Duration) Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Clock is a per-rank virtual clock.
 //
 // Ownership rule (the same move-based discipline coordinator.Scratch
@@ -170,26 +162,10 @@ func MaxStamp(stamps []Stamp) Stamp {
 	return max
 }
 
-// Stopwatch measures a span of virtual time on a clock.
-type Stopwatch struct {
-	clock *Clock
-	start Time
-}
-
-// StartStopwatch begins measuring from the clock's current time.
-func StartStopwatch(c *Clock) Stopwatch {
-	return Stopwatch{clock: c, start: c.Now()}
-}
-
-// Elapsed reports virtual time accumulated since the stopwatch started.
-func (s Stopwatch) Elapsed() Duration {
-	return s.clock.Now().Sub(s.start)
-}
-
 // RNG is a small deterministic pseudo-random number generator
 // (SplitMix64). It is used wherever the simulation needs variability —
-// straggler write times, per-run jitter — while remaining reproducible for
-// a given seed. math/rand would also work, but a self-contained generator
+// compute jitter, message sizes — while remaining reproducible for a
+// given seed. math/rand would also work, but a self-contained generator
 // keeps the substrate free of global state and seed-ordering surprises.
 type RNG struct {
 	state uint64
@@ -226,16 +202,4 @@ func (r *RNG) Intn(n int) int {
 // perturb modelled costs.
 func (r *RNG) Jitter(spread float64) float64 {
 	return 1 + spread*(2*r.Float64()-1)
-}
-
-// Straggler returns a multiplicative slowdown factor: with probability p
-// the factor is drawn uniformly from [1, maxFactor], otherwise it is 1.
-// This models the parallel-filesystem write stragglers reported in the
-// paper (§3.4: one rank's write can take up to 4x the time of 90% of the
-// other ranks).
-func (r *RNG) Straggler(p, maxFactor float64) float64 {
-	if r.Float64() >= p {
-		return 1
-	}
-	return 1 + (maxFactor-1)*r.Float64()
 }
