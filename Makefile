@@ -19,8 +19,9 @@ race:
 # fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
 # `go test` only replays their seed corpus): the sparse page store
 # against a flat []byte model, the zero-run FNV kernel against hash/fnv,
-# and the dense netsim pair tables against a map[Pair] model. -fuzz takes
-# one target in one package per run.
+# the dense netsim pair tables against a map[Pair] model, and the ops
+# ranks resolve from shared compiled streams against the per-rank
+# materialising compiler. -fuzz takes one target in one package per run.
 # -fuzzminimizetime 1x: minimising every coverage-expanding input is on
 # by default with a 60 s budget and stalls a 10 s run after its first
 # find; a failing input is still reported and saved under testdata/fuzz.
@@ -29,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsFlat$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
 	$(GO) test -run='^$$' -fuzz='^FuzzFNVKernel$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
 	$(GO) test -run='^$$' -fuzz='^FuzzNetsimVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/netsim
+	$(GO) test -run='^$$' -fuzz='^FuzzCompileVsMaterialised$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario
 
 lint:
 	$(GO) vet ./...
@@ -70,20 +72,30 @@ smoke:
 	$(GO) run ./cmd/manasim > /tmp/manasim-run2.txt
 	cmp /tmp/manasim-run1.txt /tmp/manasim-run2.txt
 
-# smoke-wide mirrors CI's wide smoke: 65536 ranks that each touch a few
-# bytes, run twice and compared byte for byte, with each run's peak RSS
-# (ru_maxrss of the child, in KiB on Linux) held under 1.5 GiB — memory
-# must follow the pages a run touches, not its address space.
+# smoke-wide mirrors CI's two memory smokes, each run twice and compared
+# byte for byte with each run's peak RSS (ru_maxrss of the child, in KiB
+# on Linux) held under a ceiling. Wide: 65536 ranks that each touch a
+# few bytes, under 1.5 GiB — memory must follow the pages a run touches,
+# not its address space. Deep: the benchmark's deep-stencil workload
+# (512 ranks, 800 steps, 2.2 M ops), under 110 MiB — memory must follow
+# the spec, not one private copy of the op stream per rank (217 MiB).
+# RSS_RUN takes: output file, label, ceiling in MiB, manasim arguments.
+RSS_RUN = python3 -c 'import resource, subprocess, sys; \
+	out, label, limit = sys.argv[1], sys.argv[2], int(sys.argv[3]); \
+	subprocess.run(["/tmp/manasim-wide"] + sys.argv[4:], stdout=open(out, "wb"), check=True); \
+	mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024; \
+	print("smoke-wide: %s peak RSS %.0f MiB" % (label, mib)); \
+	sys.exit(0 if mib < limit else "smoke-wide: %s peak RSS over %d MiB" % (label, limit))'
 smoke-wide:
 	$(GO) build -o /tmp/manasim-wide ./cmd/manasim
 	@set -e; for i in 1 2; do \
-	  python3 -c 'import resource, subprocess, sys; \
-	subprocess.run(["/tmp/manasim-wide", "-ranks", "65536", "-steps", "5", "-no-fail"], stdout=open(sys.argv[1], "wb"), check=True); \
-	mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024; \
-	print("smoke-wide: run %s peak RSS %.0f MiB" % (sys.argv[2], mib)); \
-	sys.exit(0 if mib < 1536 else "smoke-wide: peak RSS over 1.5 GiB")' /tmp/manasim-wide$$i.txt $$i; \
+	  $(RSS_RUN) /tmp/manasim-wide$$i.txt "wide run $$i" 1536 -ranks 65536 -steps 5 -no-fail; \
 	done
 	cmp /tmp/manasim-wide1.txt /tmp/manasim-wide2.txt
+	@set -e; for i in 1 2; do \
+	  $(RSS_RUN) /tmp/manasim-deep$$i.txt "deep run $$i" 110 -spec stencil -ranks 512 -steps 800 -no-fail; \
+	done
+	cmp /tmp/manasim-deep1.txt /tmp/manasim-deep2.txt
 
 # smoke-matrix mirrors CI's determinism matrix: every combination of
 # handle-table implementation, image mode and library scenario spec runs

@@ -111,9 +111,11 @@ type Config struct {
 	// Net is the interconnect cost model.
 	Net netsim.Params
 	// Programs carries one op stream per rank (index = rank id), compiled
-	// from a scenario spec, read from a recorded trace, or — in tests —
-	// built directly (scenario.PerRank) to stage precise protocol
-	// situations. New panics unless len(Programs) == Ranks.
+	// from a scenario spec (ranks of the same shape then share one
+	// stream, which each resolves from its id), read from a recorded
+	// trace, or — in tests — built directly (scenario.PerRank) to stage
+	// precise protocol situations. New panics unless len(Programs) ==
+	// Ranks.
 	Programs []scenario.Program
 	// Storage is the two-tier checkpoint I/O model (internal/storage):
 	// a contended aggregate-bandwidth PFS, optional per-node burst-buffer

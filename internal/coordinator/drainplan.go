@@ -36,7 +36,6 @@ import (
 	"mana/internal/faultplan"
 	"mana/internal/netsim"
 	"mana/internal/rank"
-	"mana/internal/scenario"
 )
 
 // drainNode is one in-flight collective in the dependency graph: the
@@ -333,13 +332,11 @@ func (c *Coordinator) markNeeded(id int) {
 // needed rank blocked during the drain (the dispatcher's
 // BlockedOnRecv case).
 func (c *Coordinator) shouldHold(r *rank.Rank) bool {
-	op := r.Op()
-	switch op.Kind {
-	case scenario.OpBarrier, scenario.OpAllreduce, scenario.OpCommSplit:
-	default:
+	slot, ok := r.AtCollective()
+	if !ok {
 		return false
 	}
-	if f := c.colls[r.CommID(op.Comm)]; f != nil && f.planned {
+	if f := c.colls[r.CommID(slot)]; f != nil && f.planned {
 		return false
 	}
 	return c.plan.needed[r.ID()] == 0

@@ -249,7 +249,7 @@ func TestParallelSpeedup(t *testing.T) {
 		t.Skipf("need >= 4 CPUs for a meaningful 4-worker speedup, have %d", runtime.NumCPU())
 	}
 	run := func(workers int) time.Duration {
-		cfg := islandBenchConfig(65536, 16, workers)
+		cfg := islandBenchConfig(65536, 16, workers, islandBenchSteps)
 		c := New(cfg)
 		start := time.Now()
 		outcome, err := c.Run()

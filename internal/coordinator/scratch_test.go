@@ -68,7 +68,7 @@ func TestScratchReuseByteIdentical(t *testing.T) {
 // stale state bleeding through.
 func TestScratchReuseAcrossSizes(t *testing.T) {
 	mk := func(sc *Scratch, ranks, islands int) Config {
-		cfg := islandBenchConfig(ranks, islands, 1)
+		cfg := islandBenchConfig(ranks, islands, 1, islandBenchSteps)
 		cfg.Scratch = sc
 		return cfg
 	}

@@ -14,10 +14,12 @@
 //     collective rendezvous instances and memsim region buffers, all
 //     handed over reset so a warm run is byte-identical to a cold one;
 //   - a keyed compile cache shares scenario programs: a spec compiled
-//     for a given (spec, ranks, steps, seed, group) is compiled once
-//     and the resulting programs are read-only thereafter — ranks only
-//     ever index their script — so any number of concurrent runs can
-//     execute the same compiled workload.
+//     for a given (spec, ranks, steps, seed, group) is compiled once.
+//     What it holds is small — one rank-parametric op stream per class
+//     of ranks and a slice header per rank, not a copy per rank — and
+//     read-only: a rank resolves the op under its pc by value
+//     (scenario.Op.Resolve) and writes nothing back, so any number of
+//     concurrent runs can execute the same compiled workload.
 //
 // Spec compilation itself is serialised under the engine lock:
 // scenario.Spec.Compile re-validates its receiver in place (parsed
@@ -187,9 +189,10 @@ func (e *Engine) LoadSpec(name string) (*scenario.Spec, error) {
 }
 
 // Programs returns the compiled per-rank programs for (spec, p),
-// compiling at most once per key. The returned slice and everything it
-// references are shared and read-only: callers hand them to
-// coordinator.Config verbatim and never mutate them.
+// compiling at most once per key. The returned slice and the op streams
+// it references — shared between the ranks of a class as well as
+// between runs — are read-only: callers hand them to coordinator.Config
+// verbatim and never mutate them.
 func (e *Engine) Programs(spec *scenario.Spec, p scenario.Params) ([]scenario.Program, error) {
 	key := compileKey{spec: spec, ranks: p.Ranks, steps: p.Steps, group: p.Group, seed: p.Seed}
 	e.mu.Lock()

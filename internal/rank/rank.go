@@ -267,8 +267,10 @@ const (
 
 // New returns a rank with an initialised split-process address space,
 // the selected handle-virtualisation table and the given program — the
-// rank's complete op stream, from a compiled scenario spec, a recorded
-// trace, or built directly by a test. The upper half models the
+// rank's complete op stream, from a compiled scenario spec (possibly
+// shared with other ranks; the rank reads it through Op.Resolve with its
+// own id and never writes it), a recorded trace, or built directly by a
+// test. The upper half models the
 // application, its libc and its link-time MPI library; the lower half
 // models the bootstrap program and the active network stack. The world
 // communicator and the workload's datatype are registered in the
@@ -406,15 +408,28 @@ func (r *Rank) ChargeCkptOverhead(d vtime.Duration) {
 	}
 }
 
-// Op returns the rank's current scripted operation: a pointer into the
-// program, which is immutable and shared, so the 56-byte Op is never
-// copied on the per-event path and must not be written through. It
-// panics if the script is exhausted; callers must check State first.
-func (r *Rank) Op() *scenario.Op {
+// Op returns the rank's current scripted operation, resolved for this
+// rank: the program is immutable and may be shared with every rank of
+// the same shape, so what is returned is this rank's own literal copy
+// and stays valid after the rank moves on. It panics if the script is
+// exhausted; callers must check State first.
+func (r *Rank) Op() scenario.Op {
 	if r.pc >= len(r.script) {
 		panic(fmt.Sprintf("rank %d: Op() past end of script", r.id))
 	}
-	return &r.script[r.pc]
+	return r.script[r.pc].Resolve(r.id)
+}
+
+// AtCollective reports whether the rank's next operation is a
+// collective and, if so, the communicator slot it runs over — what the
+// drain planner asks of every ready rank. Neither depends on the rank,
+// so nothing is resolved. The script must not be exhausted.
+func (r *Rank) AtCollective() (slot int, ok bool) {
+	switch op := &r.script[r.pc]; op.Kind {
+	case scenario.OpBarrier, scenario.OpAllreduce, scenario.OpCommSplit:
+		return op.Comm, true
+	}
+	return 0, false
 }
 
 // InboxLen returns the number of drain-buffered messages awaiting the
@@ -573,15 +588,19 @@ func (r *Rank) DoWait() {
 // It returns false, leaving the pc unchanged, if no matching message is
 // visible yet — the message's delivery event wakes the rank later.
 func (r *Rank) TryRecv(net *netsim.Network, op *scenario.Op, by vtime.Time) bool {
+	return r.tryRecvFrom(net, op.Peer, by)
+}
+
+func (r *Rank) tryRecvFrom(net *netsim.Network, peer int, by vtime.Time) bool {
 	for i := range r.inbox {
-		if r.inbox[i].Src == op.Peer {
+		if r.inbox[i].Src == peer {
 			m := r.inbox[i]
 			r.inbox = append(r.inbox[:i:i], r.inbox[i+1:]...)
 			r.completeRecv(&m)
 			return true
 		}
 	}
-	m := net.Recv(r.id, op.Peer, by)
+	m := net.Recv(r.id, peer, by)
 	if m == nil {
 		return false
 	}
@@ -590,7 +609,8 @@ func (r *Rank) TryRecv(net *netsim.Network, op *scenario.Op, by vtime.Time) bool
 }
 
 func (r *Rank) completeRecv(m *netsim.Message) {
-	r.translate(virtid.Comm, r.commHandle(r.Op().Comm))
+	// Comm (like Kind) is never rank-dependent: read in place.
+	r.translate(virtid.Comm, r.commHandle(r.script[r.pc].Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	r.chargeMPICall(virtid.LookupCounts{Comm: 1, Datatype: 1}, 0, true)
 	// Piggyback synchronisation: the receiver cannot observe the message
@@ -621,9 +641,11 @@ const (
 // what the event loop needs to schedule follow-up events.
 type Transition struct {
 	Kind TransitionKind
-	// Op is the operation that was attempted, in place in the rank's
-	// (immutable) program.
-	Op *scenario.Op
+	// Op is the operation that was attempted, as resolved for the rank:
+	// a value of the transition's own, so it outlives the rank's next
+	// step (a collective arrival is read after the window it was
+	// buffered in).
+	Op scenario.Op
 	// Msg is the injected message for an Advanced send (its delivery
 	// event is scheduled by the network's DeliveryScheduler hook).
 	Msg *netsim.Message
@@ -645,36 +667,35 @@ func (r *Rank) NextReady() (vtime.Time, bool) {
 // Execute runs the rank's next scripted operation atomically and returns
 // the resulting transition. Callers must only invoke it when NextReady
 // reports true.
-func (r *Rank) Execute(net *netsim.Network) Transition {
-	op := r.Op()
+func (r *Rank) Execute(net *netsim.Network) (tr Transition) {
+	// The op is resolved once, into the transition (callers checked the
+	// rank is not done, so pc is in range); Advanced is the zero Kind.
+	tr.Op = r.script[r.pc].Resolve(r.id)
+	op := &tr.Op
 	switch op.Kind {
 	case scenario.OpCompute:
 		r.DoCompute(op)
-		return Transition{Kind: Advanced, Op: op}
 	case scenario.OpSend:
-		m := r.DoSend(net, op)
-		return Transition{Kind: Advanced, Op: op, Msg: m}
+		tr.Msg = r.DoSend(net, op)
 	case scenario.OpIsend:
-		m := r.DoIsend(net, op)
-		return Transition{Kind: Advanced, Op: op, Msg: m}
+		tr.Msg = r.DoIsend(net, op)
 	case scenario.OpWait:
 		r.DoWait()
-		return Transition{Kind: Advanced, Op: op}
 	case scenario.OpRecv:
-		if r.TryRecv(net, op, r.clock.Now()) {
-			return Transition{Kind: Advanced, Op: op}
+		if !r.TryRecv(net, op, r.clock.Now()) {
+			r.state = BlockedRecv
+			r.blockedPeer = op.Peer
+			tr.Kind = BlockedOnRecv
 		}
-		r.state = BlockedRecv
-		r.blockedPeer = op.Peer
-		return Transition{Kind: BlockedOnRecv, Op: op}
 	case scenario.OpBarrier, scenario.OpAllreduce, scenario.OpCommSplit:
-		return Transition{Kind: JoinedCollective, Op: op, Stamp: r.ArriveAtCollective()}
+		tr.Kind = JoinedCollective
+		tr.Stamp = r.arriveAt(op)
 	case scenario.OpSbrk:
 		r.DoSbrk(op)
-		return Transition{Kind: Advanced, Op: op}
 	default:
 		panic(fmt.Sprintf("rank %d: Execute of unknown op kind %v", r.id, op.Kind))
 	}
+	return tr
 }
 
 // BlockedOn returns the peer of the receive the rank is blocked on; ok is
@@ -697,7 +718,8 @@ func (r *Rank) Wake(net *netsim.Network, at vtime.Time) bool {
 		return false
 	}
 	r.state = Running
-	if r.TryRecv(net, &r.script[r.pc], at) {
+	// The peer was resolved when the receive blocked.
+	if r.tryRecvFrom(net, r.blockedPeer, at) {
 		return true
 	}
 	r.state = BlockedRecv
@@ -711,10 +733,14 @@ func (r *Rank) Wake(net *netsim.Network, at vtime.Time) bool {
 // overhead, mark the rank as waiting, and return the piggyback stamp the
 // coordinator gathers to compute the completion time.
 func (r *Rank) ArriveAtCollective() vtime.Stamp {
+	op := r.Op()
+	return r.arriveAt(&op)
+}
+
+func (r *Rank) arriveAt(op *scenario.Op) vtime.Stamp {
 	if r.State() != Running {
 		panic(fmt.Sprintf("rank %d: ArriveAtCollective in state %v", r.id, r.state))
 	}
-	op := r.Op()
 	lookups := virtid.LookupCounts{Comm: 1}
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	if op.Kind == scenario.OpAllreduce {
@@ -751,8 +777,8 @@ func (r *Rank) FinishCommSplit(completion vtime.Time, commID int, real virtid.Re
 	if r.state != InCollective {
 		panic(fmt.Sprintf("rank %d: FinishCommSplit in state %v", r.id, r.state))
 	}
-	if r.Op().Kind != scenario.OpCommSplit {
-		panic(fmt.Sprintf("rank %d: FinishCommSplit while waiting in %v", r.id, r.Op().Kind))
+	if kind := r.script[r.pc].Kind; kind != scenario.OpCommSplit {
+		panic(fmt.Sprintf("rank %d: FinishCommSplit while waiting in %v", r.id, kind))
 	}
 	r.clock.AdvanceTo(completion)
 	v := r.vt.Register(virtid.Comm, real)

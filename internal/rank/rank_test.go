@@ -12,6 +12,13 @@ import (
 	"mana/internal/vtime"
 )
 
+// cur returns the rank's current op, resolved, in the pointer form the
+// Do* methods take.
+func cur(r *Rank) *scenario.Op {
+	op := r.Op()
+	return &op
+}
+
 func testNet() *netsim.Network {
 	return netsim.New(netsim.Params{Latency: 1000 * vtime.Nanosecond, BandwidthBytesPerSec: 1e9})
 }
@@ -98,17 +105,17 @@ func TestRecvObservesPiggybackedArrival(t *testing.T) {
 	receiver := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpRecv, Peer: 0}})
 
 	// Receiver posts first: nothing in flight yet.
-	if receiver.TryRecv(net, receiver.Op(), receiver.Clock().Now()) {
+	if receiver.TryRecv(net, cur(receiver), receiver.Clock().Now()) {
 		t.Fatal("TryRecv succeeded with nothing in flight")
 	}
-	sender.DoCompute(sender.Op())
-	m := sender.DoSend(net, sender.Op())
+	sender.DoCompute(cur(sender))
+	m := sender.DoSend(net, cur(sender))
 	// The message is in flight but has not arrived: the receiver (clock
 	// near zero) cannot observe it yet.
-	if receiver.TryRecv(net, receiver.Op(), receiver.Clock().Now()) {
+	if receiver.TryRecv(net, cur(receiver), receiver.Clock().Now()) {
 		t.Fatal("TryRecv consumed a message before its arrival time")
 	}
-	if !receiver.TryRecv(net, receiver.Op(), m.Arrive) {
+	if !receiver.TryRecv(net, cur(receiver), m.Arrive) {
 		t.Fatal("TryRecv failed with an arrived message in flight")
 	}
 	// The receiver (clock near zero) must advance to the arrival time.
@@ -185,7 +192,7 @@ func TestDrainedInboxSurvivesCheckpointAndFeedsRecv(t *testing.T) {
 	net := testNet()
 	sender := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 500, Tag: 9}})
 	receiver := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpRecv, Peer: 0, Tag: 9}})
-	sender.DoSend(net, sender.Op())
+	sender.DoSend(net, cur(sender))
 
 	// Checkpoint-time drain: the in-flight message is buffered at the
 	// receiver, the network quiesces, and the image carries the buffer.
@@ -207,7 +214,7 @@ func TestDrainedInboxSurvivesCheckpointAndFeedsRecv(t *testing.T) {
 	// The restored receiver consumes the buffered message with no network
 	// traffic at all — and with no arrival gate: the drain already
 	// received it off the network.
-	if !receiver.TryRecv(net, receiver.Op(), receiver.Clock().Now()) {
+	if !receiver.TryRecv(net, cur(receiver), receiver.Clock().Now()) {
 		t.Fatal("recv after restore failed to consume drained message")
 	}
 	if receiver.InboxLen() != 0 {
@@ -343,7 +350,7 @@ func TestIsendWaitRequestLifecycle(t *testing.T) {
 		{Kind: scenario.OpIsend, Peer: 1, Bytes: 100, Tag: 1},
 		{Kind: scenario.OpWait},
 	})
-	r.DoIsend(net, r.Op())
+	r.DoIsend(net, cur(r))
 	pending := r.PendingRequests()
 	if len(pending) != 1 {
 		t.Fatalf("pending requests = %d, want 1", len(pending))
@@ -406,7 +413,7 @@ func TestSendPanicsOnMissingHandle(t *testing.T) {
 			t.Error("DoSend with a missing communicator handle did not panic")
 		}
 	}()
-	r.DoSend(testNet(), r.Op())
+	r.DoSend(testNet(), cur(r))
 }
 
 // TestVirtidRebuiltFromImageAndStaleHandlesDie is the §3.2 restart

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestCompileIndependentOfGOMAXPROCS is the compile half of the
@@ -40,7 +41,7 @@ func TestSeedChangesJitterOnly(t *testing.T) {
 			t.Fatalf("rank %d: seed changed program length %d -> %d", id, len(a[id]), len(b[id]))
 		}
 		for i := range a[id] {
-			x, y := a[id][i], b[id][i]
+			x, y := a[id][i].Resolve(id), b[id][i].Resolve(id)
 			if x.Kind != y.Kind || x.Peer != y.Peer || x.Tag != y.Tag || x.Comm != y.Comm || x.Color != y.Color {
 				t.Fatalf("rank %d op %d: seed changed structure: %+v vs %+v", id, i, x, y)
 			}
@@ -65,11 +66,11 @@ func TestOverlapCompiledShape(t *testing.T) {
 		if prog[0].Kind != OpCommSplit || prog[1].Kind != OpCommSplit {
 			t.Fatalf("rank %d: program does not open with two comm-splits", id)
 		}
-		if prog[0].Color != id/group {
-			t.Errorf("rank %d: first split colour %d, want %d", id, prog[0].Color, id/group)
+		if got := prog[0].Resolve(id).Color; got != id/group {
+			t.Errorf("rank %d: first split colour %d, want %d", id, got, id/group)
 		}
-		if prog[1].Color != (id+group/2)/group {
-			t.Errorf("rank %d: second split colour %d, want %d", id, prog[1].Color, (id+group/2)/group)
+		if got := prog[1].Resolve(id).Color; got != (id+group/2)/group {
+			t.Errorf("rank %d: second split colour %d, want %d", id, got, (id+group/2)/group)
 		}
 		var allreduces, barriers int
 		lastAllreduce := -1
@@ -188,22 +189,58 @@ func TestMultiPhaseSpecs(t *testing.T) {
 	}
 }
 
-// TestCompileSizesProgramsExactly pins opCount against compileRank: every
-// library spec, at rank counts on both sides of the ranks<2 special
-// cases and with root and non-root ranks, compiles each program into a
-// slice allocated once at its final length. A pattern added to
-// compileRank without its emitCount case shows here as spare or missing
-// capacity.
+// TestCompileSizesProgramsExactly: every library spec, at rank counts on
+// both sides of the ranks<2 special cases and with root and non-root
+// ranks, compiles each stream into a slice allocated once at its final
+// length (emit counts with the same walk that fills).
 func TestCompileSizesProgramsExactly(t *testing.T) {
 	for _, name := range Names() {
 		for _, ranks := range []int{1, 2, 9} {
 			progs := MustPrograms(name, Params{Ranks: ranks, Steps: 7, Seed: 3})
 			for id, prog := range progs {
 				if len(prog) != cap(prog) {
-					t.Errorf("%s ranks=%d rank %d: len %d, cap %d — opCount disagrees with compileRank",
+					t.Errorf("%s ranks=%d rank %d: len %d, cap %d — the stream was grown, not sized",
 						name, ranks, id, len(prog), cap(prog))
 				}
 			}
 		}
+	}
+}
+
+// compileBytes returns the heap bytes one compilation allocates.
+func compileBytes(t *testing.T, name string, p Params) uint64 {
+	t.Helper()
+	spec, err := Load(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	progs, err := spec.Compile(p)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(progs)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCompileMemoryFollowsSpecNotRanks pins what sharing buys. On an
+// SPMD spec the op stream is the same size at any rank count, so 4032
+// more ranks cost 4032 more slice headers and nothing else (a page of
+// slack covers the allocator rounding the header array up). And an
+// all-to-all's 2·(ranks-1) ops per burst are held once, not once per
+// rank: two bursts at 4096 ranks compile into a couple of MiB where
+// materialising them took 4096 × 16,391 ops × 56 B = 3.7 GB.
+func TestCompileMemoryFollowsSpecNotRanks(t *testing.T) {
+	const header = uint64(unsafe.Sizeof(Program(nil)))
+	small := compileBytes(t, "stencil", Params{Ranks: 64, Steps: 200, Seed: 1})
+	large := compileBytes(t, "stencil", Params{Ranks: 4096, Steps: 200, Seed: 1})
+	if limit := small + (4096-64)*header + 8192; large > limit {
+		t.Errorf("stencil: compiling 4096 ranks allocated %d B, 64 ranks %d B; want at most a %d-byte slice header per extra rank (%d B)",
+			large, small, header, limit)
+	}
+	if got := compileBytes(t, "bursty-alltoall", Params{Ranks: 4096, Steps: 8, Seed: 1}); got > 8<<20 {
+		t.Errorf("bursty-alltoall at 4096 ranks: compile allocated %d B, want under 8 MiB", got)
 	}
 }

@@ -110,14 +110,16 @@ func legacyOverlapScript(id int, cfg legacyConfig) []Op {
 	return script
 }
 
-func diffPrograms(t *testing.T, label string, got Program, want []Op) {
+// diffPrograms compares what rank id resolves from its compiled program
+// with the legacy generator's literal script.
+func diffPrograms(t *testing.T, label string, id int, got Program, want []Op) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: compiled %d ops, legacy generator produced %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: op %d differs:\n  compiled: %+v\n  legacy:   %+v", label, i, got[i], want[i])
+		if op := got[i].Resolve(id); op != want[i] {
+			t.Fatalf("%s: op %d differs:\n  compiled: %+v\n  legacy:   %+v", label, i, op, want[i])
 		}
 	}
 }
@@ -146,7 +148,7 @@ func TestDefaultSpecMatchesLegacyGenerator(t *testing.T) {
 		cfg := legacyDefaults(tc.ranks, tc.steps, tc.seed)
 		for id := 0; id < tc.ranks; id++ {
 			label := fmtLabel("default", tc.ranks, tc.steps, tc.seed, 0, id)
-			diffPrograms(t, label, progs[id], legacyDefaultScript(id, cfg))
+			diffPrograms(t, label, id, progs[id], legacyDefaultScript(id, cfg))
 		}
 	}
 }
@@ -179,7 +181,7 @@ func TestOverlapSpecMatchesLegacyGenerator(t *testing.T) {
 		}
 		for id := 0; id < tc.ranks; id++ {
 			label := fmtLabel("overlap", tc.ranks, tc.steps, tc.seed, tc.group, id)
-			diffPrograms(t, label, progs[id], legacyOverlapScript(id, cfg))
+			diffPrograms(t, label, id, progs[id], legacyOverlapScript(id, cfg))
 		}
 	}
 }

@@ -5,10 +5,14 @@
 // phases, per-step communication patterns, compute and message-size
 // distributions, checkpoint-trigger policy — parsed from a small JSON
 // schema whose validation errors name the offending field. Compile turns
-// a Spec into one Program per rank: an explicit, fully materialised op
-// stream. Compilation is deterministic (same spec, same Params, same
-// programs, bit for bit), which is what lets the simulator's determinism
-// guarantees extend to data-defined workloads.
+// a Spec into one Program per rank, but not into one copy per rank: as
+// in the paper's split process, where every rank runs the same
+// upper-half binary, ranks whose op streams have the same shape share
+// one stream, and each resolves the op under its program counter to
+// concrete values from its own id when it executes it (Op.Resolve).
+// Compilation and resolution are deterministic (same spec, same Params,
+// same resolved ops, bit for bit), which is what lets the simulator's
+// determinism guarantees extend to data-defined workloads.
 //
 // The package also defines a trace format (WriteTrace/ReadTrace): a
 // recorded per-rank op stream that replays a prior run exactly, without
@@ -74,6 +78,13 @@ func (k OpKind) String() string {
 // the operation runs over (0 is MPI_COMM_WORLD; slots above 0 are
 // sub-communicators in the order the rank's comm-splits created them),
 // and Color is the rank's colour contribution to an OpCommSplit.
+//
+// An op built from these fields alone — by a test, by ReadTrace — is
+// literal: it means the same to every rank. An op in a compiled Program
+// may instead be shared by many ranks, with Peer, Color, Dur or Bytes
+// holding one ingredient of a value that depends on the rank; Resolve
+// is the one way to read such a program, and returns a literal op.
+// Kind, Tag and Comm never depend on the rank.
 type Op struct {
 	Kind  OpKind
 	Dur   vtime.Duration
@@ -82,11 +93,75 @@ type Op struct {
 	Tag   int
 	Comm  int
 	Color int
+
+	par param
 }
 
-// Program is one rank's fully materialised op stream — the only script
-// source the rank runtime consumes. Programs come from Spec compilation
-// or from a recorded trace; tests build them directly (see PerRank).
+// param is the rank-parametric part of a compiled op; the zero param
+// marks a literal op. Each part that is set makes one field of the op a
+// function of the executing rank's id. Everything a rank needs beyond
+// its id (world size, job seed) is carried here, so a Program is
+// self-contained.
+type param struct {
+	// ranks, when non-zero, is the world size and makes Peer an offset
+	// in [0, ranks): the peer is (id + Peer) mod ranks.
+	ranks int
+	// group, when non-zero, makes Color a shift: the colour is
+	// (id + Color) / group.
+	group int
+	// draw, when non-zero, makes Dur (of a compute) or Bytes (of a send)
+	// the mean of a jittered quantity: the value is mean × j, where j
+	// is the draw-th jitter factor (counting from 1) of the rank's
+	// stream — SplitMix64 seeded from seed and the rank id — at the
+	// given spread. A compute's duration is further multiplied by scale.
+	draw          uint64
+	seed          uint64
+	spread, scale float64
+}
+
+// rankSeedStride spreads the job seed into one jitter-stream seed per
+// rank: rank id's stream is seeded with seed ^ (id+1)·rankSeedStride.
+const rankSeedStride = 0x9e3779b97f4a7c15
+
+// Resolve returns the op as rank id executes it: a literal op, equal
+// field for field to what a per-rank compilation would have stored. It
+// returns by value and writes nothing, so any number of ranks, on any
+// goroutines, may resolve the same shared op concurrently. Resolving a
+// literal op returns it unchanged.
+func (op *Op) Resolve(id int) Op {
+	// Built field by field: the result carries no parametric part, and
+	// copying the whole op only to clear that part again is measurable
+	// on the per-event path.
+	out := Op{Kind: op.Kind, Dur: op.Dur, Peer: op.Peer, Bytes: op.Bytes, Tag: op.Tag, Comm: op.Comm, Color: op.Color}
+	par := &op.par
+	if par.ranks != 0 {
+		// id and the offset are both below ranks: one subtraction is the
+		// modulo.
+		if out.Peer += id; out.Peer >= par.ranks {
+			out.Peer -= par.ranks
+		}
+	}
+	if par.group != 0 {
+		out.Color = (id + op.Color) / par.group
+	}
+	if par.draw != 0 {
+		rng := vtime.RNGAt(par.seed^(uint64(id)+1)*rankSeedStride, par.draw)
+		j := rng.Jitter(par.spread)
+		if op.Kind == OpCompute {
+			out.Dur = vtime.Duration(float64(op.Dur) * j * par.scale)
+		} else {
+			out.Bytes = uint64(float64(op.Bytes) * j)
+		}
+	}
+	return out
+}
+
+// Program is one rank's op stream — the only script source the rank
+// runtime consumes; len is the rank's op count. Programs come from Spec
+// compilation (where the ranks of a class share one backing array, read
+// through Op.Resolve), from a recorded trace, or from a test building
+// literal ops directly (see PerRank). A Program is never written after
+// it is built.
 type Program []Op
 
 // PerRank builds one Program per rank from a function. It is the

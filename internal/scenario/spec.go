@@ -158,6 +158,19 @@ type CheckpointSpec struct {
 	Colls int `json:"colls,omitempty"`
 }
 
+// Limits on quantities that arrive from outside the program (a spec
+// file, a trace file, a command line) and size an allocation. Each is a
+// fixed property of the simulator, checked where the input is read.
+const (
+	// MaxRanks bounds the ranks of one job. Per-rank tables are sized
+	// from it before the first op is read.
+	MaxRanks = 1 << 20
+	// MaxSbrkBytes bounds one sbrk op's heap growth (1 TiB). The heap's
+	// pages are stored sparsely, but its dirty bitmap is one bit per
+	// page of the growth.
+	MaxSbrkBytes = 1 << 40
+)
+
 // Parse decodes and validates a spec. Unknown fields, malformed JSON and
 // semantic errors are all reported with the offending field named.
 func Parse(data []byte) (*Spec, error) {
@@ -293,7 +306,6 @@ func (s *Spec) validateOp(op *OpSpec, path string) error {
 		}
 		return nil
 	}
-	p2p := false
 	switch op.Op {
 	case "compute":
 		if op.Mean == "" {
@@ -318,15 +330,16 @@ func (s *Spec) validateOp(op *OpSpec, path string) error {
 		if err := needBytes(); err != nil {
 			return err
 		}
-		p2p = true
 	case "alltoall", "scatter", "gather", "pipeline":
 		if err := needBytes(); err != nil {
 			return err
 		}
-		p2p = true
 	case "allreduce", "sbrk":
 		if err := needBytes(); err != nil {
 			return err
+		}
+		if op.Op == "sbrk" && op.Bytes > MaxSbrkBytes {
+			return s.errf(path+".bytes", "must be at most %d for op \"sbrk\" (got %d)", uint64(MaxSbrkBytes), op.Bytes)
 		}
 	case "barrier":
 		if op.Bytes != 0 {
@@ -344,7 +357,7 @@ func (s *Spec) validateOp(op *OpSpec, path string) error {
 	if op.Scale != 0 && op.Op != "compute" {
 		return s.errf(path+".scale", "only valid for op \"compute\"")
 	}
-	if op.BytesJitter > 0 && !p2p {
+	if op.BytesJitter > 0 && !op.pointToPoint() {
 		return s.errf(path+".bytes_jitter", "only valid for point-to-point ops (op %q would break SPMD agreement)", op.Op)
 	}
 	if op.Who != "" && op.Op != "compute" && op.Op != "sbrk" {

@@ -40,6 +40,7 @@ func TestParseErrorsNameOffendingField(t *testing.T) {
 		{"colls on plain trigger", `{"name":"x","phases":[{"name":"p","ops":[{"op":"barrier"}]}],"checkpoints":[{"kind":"at","colls":2}]}`, "checkpoints[0].colls: only valid"},
 		{"negative steps", `{"name":"x","phases":[{"name":"p","steps":-1,"ops":[{"op":"barrier"}]}]}`, "phases[0].steps"},
 		{"negative islands", `{"name":"x","islands":-2,"phases":[{"name":"p","ops":[{"op":"barrier"}]}]}`, "islands: must be non-negative"},
+		{"absurd sbrk", `{"name":"x","phases":[{"name":"p","ops":[{"op":"sbrk","bytes":9000000000000000000}]}]}`, `phases[0].ops[0].bytes: must be at most 1099511627776 for op "sbrk" (got 9000000000000000000)`},
 	}
 	for _, tc := range cases {
 		_, err := Parse([]byte(tc.src))
@@ -61,6 +62,9 @@ func TestCompileValidatesParams(t *testing.T) {
 	}
 	if _, err := spec.Compile(Params{Ranks: 0, Steps: 5}); err == nil || !strings.Contains(err.Error(), "ranks") {
 		t.Errorf("zero ranks: err = %v, want a ranks error", err)
+	}
+	if _, err := spec.Compile(Params{Ranks: MaxRanks + 1, Steps: 5}); err == nil || !strings.Contains(err.Error(), "ranks must be at most 1048576") {
+		t.Errorf("absurd ranks: err = %v, want a ranks error naming the limit", err)
 	}
 	if _, err := spec.Compile(Params{Ranks: 4, Steps: -1}); err == nil || !strings.Contains(err.Error(), "steps") {
 		t.Errorf("negative steps: err = %v, want a steps error", err)
@@ -144,8 +148,8 @@ func TestLibrarySpecsAreSPMD(t *testing.T) {
 		var ref []collective
 		for id, prog := range progs {
 			var colls []collective
-			for _, op := range prog {
-				switch op.Kind {
+			for pc := range prog {
+				switch op := prog[pc].Resolve(id); op.Kind {
 				case OpBarrier, OpAllreduce, OpCommSplit:
 					c := collective{kind: op.Kind, comm: op.Comm, bytes: op.Bytes}
 					// Colours legitimately differ per rank; only the split's

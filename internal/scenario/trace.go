@@ -30,12 +30,15 @@ import (
 
 const traceHeaderPrefix = "manatrace v1 ranks="
 
-// WriteTrace encodes the programs in trace format.
+// WriteTrace encodes the programs in trace format, resolving each op
+// for its rank as it writes: a trace holds literal ops only, whatever
+// the programs share in memory.
 func WriteTrace(w io.Writer, progs []Program) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%s%d\n", traceHeaderPrefix, len(progs))
 	for id, prog := range progs {
-		for _, op := range prog {
+		for pc := range prog {
+			op := prog[pc].Resolve(id)
 			switch op.Kind {
 			case OpCompute:
 				fmt.Fprintf(bw, "%d compute dur=%d\n", id, int64(op.Dur))
@@ -84,6 +87,10 @@ func ReadTrace(r io.Reader) ([]Program, error) {
 	ranks, err := strconv.Atoi(strings.TrimPrefix(header, traceHeaderPrefix))
 	if err != nil || ranks < 1 {
 		return nil, fmt.Errorf("scenario: trace line 1: bad rank count in header %q", header)
+	}
+	if ranks > MaxRanks {
+		// Checked before anything is sized from it.
+		return nil, fmt.Errorf("scenario: trace line 1: %d ranks in header, limit is %d", ranks, MaxRanks)
 	}
 	progs := make([]Program, ranks)
 	// isends[id] counts rank id's isends not yet waited for, splits[id]
@@ -210,6 +217,15 @@ func parseTraceOp(kind string, kvs []string) (Op, error) {
 	}
 	if err != nil {
 		return op, err
+	}
+	// Bytes and Tag are unsigned quantities read through a signed parse.
+	for _, k := range [...]string{"bytes", "tag"} {
+		if vals[k] < 0 {
+			return op, fmt.Errorf("op %s: negative %s %d", kind, k, vals[k])
+		}
+	}
+	if op.Kind == OpSbrk && uint64(vals["bytes"]) > MaxSbrkBytes {
+		return op, fmt.Errorf("op sbrk: bytes %d over the limit of %d", vals["bytes"], uint64(MaxSbrkBytes))
 	}
 	op.Dur = vtime.Duration(vals["dur"])
 	op.Peer = int(vals["peer"])

@@ -8,20 +8,38 @@ import (
 )
 
 // TestTraceRoundTrip pins the trace format's core property: writing any
-// compiled library spec and reading it back reproduces the programs
-// exactly, for every op kind the compiler can emit.
+// compiled library spec and reading it back reproduces, as literal ops,
+// exactly what each rank resolves from the compiled programs — for
+// every op kind the compiler can emit. The programs are compared
+// against the materialising oracle too, so the writer is pinned to the
+// bytes it produced before programs were shared.
 func TestTraceRoundTrip(t *testing.T) {
 	for _, name := range Names() {
-		progs := MustPrograms(name, Params{Ranks: 6, Steps: 12, Seed: 3})
-		var buf bytes.Buffer
+		spec, err := Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Params{Ranks: 6, Steps: 12, Seed: 3}
+		progs, err := spec.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		literal := spec.materialise(p)
+		var buf, oracle bytes.Buffer
 		if err := WriteTrace(&buf, progs); err != nil {
 			t.Fatalf("%s: WriteTrace: %v", name, err)
+		}
+		if err := WriteTrace(&oracle, literal); err != nil {
+			t.Fatalf("%s: WriteTrace of the materialised programs: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), oracle.Bytes()) {
+			t.Errorf("spec %s: trace of the compiled programs differs from the trace of the materialised ones", name)
 		}
 		got, err := ReadTrace(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: ReadTrace: %v", name, err)
 		}
-		if !reflect.DeepEqual(got, progs) {
+		if !reflect.DeepEqual(got, literal) {
 			t.Errorf("spec %s: trace round-trip altered the programs", name)
 		}
 	}
@@ -89,6 +107,13 @@ func TestTraceParseErrorsNameLine(t *testing.T) {
 		{"peer out of range", "manatrace v1 ranks=2\n0 send peer=5 bytes=8 tag=0\n", "line 2: op send: peer 5 out of range [0, 2)"},
 		{"wait without isend", "manatrace v1 ranks=2\n0 wait\n", "line 2: op wait: rank 0 has no outstanding isend"},
 		{"unminted comm slot", "manatrace v1 ranks=2\n0 barrier comm=3\n", "line 2: op barrier: comm slot 3 out of range"},
+		// Well-formed lines that would size an allocation from the input
+		// and end the process in the runtime's out-of-memory abort.
+		{"absurd rank count", "manatrace v1 ranks=9999999999999\n0 wait\n", "line 1: 9999999999999 ranks in header, limit is 1048576"},
+		{"absurd sbrk", "manatrace v1 ranks=1\n0 sbrk bytes=9000000000000000000\n", "line 2: op sbrk: bytes 9000000000000000000 over the limit of 1099511627776"},
+		{"negative sbrk", "manatrace v1 ranks=1\n0 sbrk bytes=-1\n", "line 2: op sbrk: negative bytes -1"},
+		{"negative payload", "manatrace v1 ranks=2\n0 send peer=1 bytes=-8 tag=0\n", "line 2: op send: negative bytes -8"},
+		{"negative tag", "manatrace v1 ranks=2\n0 recv peer=1 tag=-3\n", "line 2: op recv: negative tag -3"},
 	}
 	for _, tc := range cases {
 		_, err := ReadTrace(strings.NewReader(tc.src))

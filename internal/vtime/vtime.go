@@ -171,14 +171,27 @@ type RNG struct {
 	state uint64
 }
 
+// gamma is SplitMix64's state increment: the generator's state is a
+// counter stepped by gamma, which is what makes the stream random-access.
+const gamma = 0x9e3779b97f4a7c15
+
 // NewRNG returns a generator seeded with the given value.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{state: seed + 0x9e3779b97f4a7c15}
+	return &RNG{state: seed + gamma}
+}
+
+// RNGAt returns NewRNG(seed) positioned just before its k-th output
+// (k counts from 1), without producing the k-1 before it: the state
+// after n outputs is seed + (n+1)*gamma, so any draw of a stream is a
+// function of (seed, k) alone. It returns a value so a caller that
+// needs one draw keeps the generator on its stack.
+func RNGAt(seed, k uint64) RNG {
+	return RNG{state: seed + k*gamma}
 }
 
 // Uint64 returns the next 64-bit pseudo-random value.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -88,6 +88,30 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGAtMatchesSequentialStream proves the random-access form: for
+// any seed, the generator RNGAt(seed, k) returns continues NewRNG(seed)
+// from its k-th output on, Uint64 and Jitter alike, including across
+// the counter's wrap-around.
+func TestRNGAtMatchesSequentialStream(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, 1<<63 + 12345, ^uint64(0)} {
+		seq := NewRNG(seed)
+		for k := uint64(1); k <= 2000; k++ {
+			want := seq.Uint64()
+			at := RNGAt(seed, k)
+			if got := at.Uint64(); got != want {
+				t.Fatalf("seed %#x: draw %d = %#x, sequential stream has %#x", seed, k, got, want)
+			}
+			if k%97 == 0 {
+				// The positioned generator keeps going in step.
+				next := RNGAt(seed, k+1)
+				if a, b := at.Jitter(0.3), next.Jitter(0.3); a != b {
+					t.Fatalf("seed %#x: jitter after draw %d = %v, draw %d read directly = %v", seed, k, a, k+1, b)
+				}
+			}
+		}
+	}
+}
+
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(7)
 	for i := 0; i < 10000; i++ {
