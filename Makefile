@@ -72,26 +72,34 @@ smoke:
 	$(GO) run ./cmd/manasim > /tmp/manasim-run2.txt
 	cmp /tmp/manasim-run1.txt /tmp/manasim-run2.txt
 
-# smoke-wide mirrors CI's two memory smokes, each run twice and compared
-# byte for byte with each run's peak RSS (ru_maxrss of the child, in KiB
-# on Linux) held under a ceiling. Wide: 65536 ranks that each touch a
-# few bytes, under 1.5 GiB — memory must follow the pages a run touches,
-# not its address space. Deep: the benchmark's deep-stencil workload
-# (512 ranks, 800 steps, 2.2 M ops), under 110 MiB — memory must follow
-# the spec, not one private copy of the op stream per rank (217 MiB).
+# smoke-wide mirrors CI's three memory smokes; each run prints its peak
+# RSS (ru_maxrss of the child, in KiB on Linux), wall and system time,
+# and holds the RSS under a ceiling. Wide: 65536 ranks that each write
+# 150 bytes, twice, byte-identical, under 450 MiB — memory must follow the
+# bytes a run writes, not its address space or its page size (648 MiB
+# with a 4 KiB page and a private memory map per rank). Very wide: 262144
+# ranks, once, under 2 GiB (2.8 GiB and 40 s before). Deep: the
+# benchmark's deep-stencil workload (512 ranks, 800 steps, 2.2 M ops),
+# twice, byte-identical, under 110 MiB — memory must follow the spec, not
+# one private copy of the op stream per rank (217 MiB). The system time
+# is the kernel faulting pages in: the term that grows faster than the
+# rank count when per-rank memory does.
 # RSS_RUN takes: output file, label, ceiling in MiB, manasim arguments.
-RSS_RUN = python3 -c 'import resource, subprocess, sys; \
+RSS_RUN = python3 -c 'import resource, subprocess, sys, time; \
 	out, label, limit = sys.argv[1], sys.argv[2], int(sys.argv[3]); \
+	start = time.time(); \
 	subprocess.run(["/tmp/manasim-wide"] + sys.argv[4:], stdout=open(out, "wb"), check=True); \
-	mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024; \
-	print("smoke-wide: %s peak RSS %.0f MiB" % (label, mib)); \
+	wall, ru = time.time() - start, resource.getrusage(resource.RUSAGE_CHILDREN); \
+	mib = ru.ru_maxrss / 1024; \
+	print("smoke-wide: %s peak RSS %.0f MiB, wall %.2f s, sys %.2f s" % (label, mib, wall, ru.ru_stime)); \
 	sys.exit(0 if mib < limit else "smoke-wide: %s peak RSS over %d MiB" % (label, limit))'
 smoke-wide:
 	$(GO) build -o /tmp/manasim-wide ./cmd/manasim
 	@set -e; for i in 1 2; do \
-	  $(RSS_RUN) /tmp/manasim-wide$$i.txt "wide run $$i" 1536 -ranks 65536 -steps 5 -no-fail; \
+	  $(RSS_RUN) /tmp/manasim-wide$$i.txt "wide run $$i" 450 -ranks 65536 -steps 5 -no-fail; \
 	done
 	cmp /tmp/manasim-wide1.txt /tmp/manasim-wide2.txt
+	@$(RSS_RUN) /dev/null "very wide run" 2048 -ranks 262144 -steps 5 -no-fail
 	@set -e; for i in 1 2; do \
 	  $(RSS_RUN) /tmp/manasim-deep$$i.txt "deep run $$i" 110 -spec stencil -ranks 512 -steps 800 -no-fail; \
 	done

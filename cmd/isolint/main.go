@@ -49,6 +49,8 @@ var allowed = map[string]string{
 	"scenario.libraryFS":                    "embed.FS of the spec library, read-only by construction",
 	"memsim.kindNames":                      "region-kind name table, initialised once and only read",
 	"memsim.zeroPow":                        "FNV prime-power table, filled once by init and only read (a pure function of its index)",
+	"rank.splitProcess":                     "the split-process memory map every rank is built from, immutable once memsim.AddressSpace.Layout returns it",
+	"rank.stateRegion":                      "address of app.state in that map, a pure function of it",
 	"coordinator.ErrRestartFault":           "errors.New sentinel, written once at init and only compared",
 	"coordinator.ErrNoVerifiableGeneration": "errors.New sentinel, written once at init and only compared",
 	"fleet.ErrRestartsExhausted":            "errors.New sentinel, written once at init and only compared",
@@ -61,7 +63,9 @@ var allowed = map[string]string{
 var lockFree = map[string]string{
 	"vtime.Clock":         "one word per rank, read and written on every event by the goroutine driving the rank",
 	"memsim.AddressSpace": "written on every workload step by the goroutine driving the rank",
-	"memsim.Region":       "live regions belong to one AddressSpace; captured copies are immutable",
+	"memsim.Region":       "immutable once handed out; layouts share them across ranks, pool workers and island lanes",
+	"memsim.liveRegion":   "belongs to one AddressSpace; what it shares (its descriptor, frozen pages) is read-only",
+	"memsim.contents":     "a live region's private page table and dirtiness, written on every workload step",
 }
 
 // finding is one violation: a package-level var outside the allowlist,

@@ -124,6 +124,13 @@ type Region struct {
 	sync  int
 }
 
+type liveRegion struct {
+	desc *Region
+	once sync.Once
+}
+
+type contents struct{ dataLen uint64 }
+
 type Pool struct{ mu sync.Mutex }
 `,
 	})
@@ -139,6 +146,7 @@ type Pool struct{ mu sync.Mutex }
 		"memsim.AddressSpace:(embedded) sync.RWMutex",
 		"memsim.AddressSpace:gen sa.Uint64",
 		"memsim.Region:guard *sync.Mutex",
+		"memsim.liveRegion:once sync.Once",
 		"vtime.Clock:mu sync.Mutex",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -204,14 +204,19 @@ func TestOneFingerprintPassPerRun(t *testing.T) {
 }
 
 // wideIdleBudget is the live heap a finished wide-idle rank may hold:
-// its touched state page (4 KiB), the sharded handle table, a dozen
-// region records with their bitmaps and its share of the scheduler —
-// measured at 9,189 B, plus 20 %. The compiled program is not a per-rank
-// cost: every rank of the job holds a slice header onto one shared op
-// stream (a private copy was another 1 KiB per rank at this job's five
-// steps, and grew with the step count). The flat 64 KiB state region
-// alone was six times the budget.
-const wideIdleBudget = 9189 * 12 / 10
+// the sharded handle table (1.9 KiB, the largest term now), the rank,
+// clock and kernel records, its share of the scheduler and of netsim's
+// pair tables, and of memory: one address-space record, twelve four-word
+// region entries pointing into the job's shared layout, and for the one
+// region it wrote a page table and a 256-byte buffer holding its 18
+// eight-byte markers — measured at 2,845 B, plus 20 %. Not per-rank
+// costs: the compiled program (every rank holds a slice header onto one
+// shared op stream), the memory map (one immutable layout per process)
+// and the unwritten 3,952 bytes of the touched page (a buffer is as long
+// as the written prefix). A full state page and twelve private region
+// records with bitmaps were 9,189 B; the flat 64 KiB state region alone
+// was twenty times the budget.
+const wideIdleBudget = 2845 * 12 / 10
 
 // TestWideIdleMemoryBudget holds the benchmark's wide-idle workload —
 // many ranks that each touch a few bytes — to a per-rank memory budget in

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"mana/internal/scenario"
 )
 
 // runToReport drives a config through the full scenario — run, any
@@ -88,15 +90,22 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 }
 
 // TestScratchMemPoolHits pins that warm runs actually draw from the
-// recycled buffer pool — the perf contract, not just correctness.
+// recycled buffer pool — the perf contract, not just correctness. The
+// runs are long enough for ranks to fill state pages end to end: only
+// full-size page buffers go through the pool.
 func TestScratchMemPoolHits(t *testing.T) {
-	cfg := DefaultConfig()
+	long := func() Config {
+		cfg := DefaultConfig()
+		cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: 8, Steps: 400, Seed: 42})
+		return cfg
+	}
+	cfg := long()
 	sc := NewScratch()
 	cfg.Scratch = sc
 	runToReport(t, cfg)
 	_, hitsCold := sc.MemStats()
 
-	cfg2 := DefaultConfig()
+	cfg2 := long()
 	cfg2.Scratch = sc
 	runToReport(t, cfg2)
 	_, hitsWarm := sc.MemStats()

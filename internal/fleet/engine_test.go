@@ -150,6 +150,9 @@ func TestFleetWarmPoolAllocsLess(t *testing.T) {
 	}
 	e := NewEngine()
 	job := testJob(spec, false)
+	// Long enough for every rank to fill state pages end to end: only
+	// full-size page buffers go through the pool.
+	job.Steps = 400
 	// TotalAlloc is monotonic, so no GC fencing is needed — and an
 	// explicit GC here could evict the engine's sync.Pool scratch and
 	// turn a warm run cold.

@@ -43,7 +43,7 @@ func applyDeltaByMap(base Snapshot, d Delta) Snapshot {
 			for _, p := range rd.Pages {
 				r.pages[p.Index] = nil
 				if p.Data != nil {
-					r.pages[p.Index] = pageOf(p.Data)
+					r.pages[p.Index] = &page{b: p.Data}
 				}
 			}
 		}

@@ -13,12 +13,14 @@ type PageDelta struct {
 	// checkpoint fingerprint and for cross-generation dedup accounting.
 	Hash uint64
 	// Len is the page's content length: PageSize, or less for the last
-	// page of a region whose data length is not page-aligned.
+	// page of a region whose data length is not page-aligned. It is what
+	// the page counts for — payload, dirty and stored bytes.
 	Len int
-	// Data is the page's contents, Len bytes of a frozen page buffer
-	// shared with the live space — never written through — or nil for a
-	// page nothing has been written to: Len zero bytes, carried without
-	// being materialised.
+	// Data is the written prefix of those Len bytes — a frozen page buffer
+	// shared with the live space, never written through. It may be
+	// shorter than Len, and is nil for a page nothing has been written
+	// to: the bytes from len(Data) to Len are zeros, carried without being
+	// materialised.
 	Data []byte
 }
 
@@ -67,13 +69,10 @@ type Delta struct {
 	DedupBytes uint64
 }
 
-// contentHash digests the page's contents; an unmaterialised page is Len
-// zeros.
+// contentHash digests the page's Len content bytes: the prefix it
+// carries, then the zeros it implies.
 func (p *PageDelta) contentHash() uint64 {
-	if p.Data == nil {
-		return uint64(fnvOffset.zeros(uint64(p.Len)))
-	}
-	return uint64(fnvOffset.bytes(p.Data))
+	return uint64(fnvOffset.bytes(p.Data).zeros(uint64(p.Len - len(p.Data))))
 }
 
 // PayloadBytes returns the page content bytes the delta carries — the
@@ -122,36 +121,49 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 	}
 	upper := a.regions[UpperHalf]
 	d := Delta{BaseGen: a.gen, Brk: a.brk, Regions: make([]RegionDelta, len(upper))}
-	for i, r := range upper {
-		rd := &d.Regions[i]
-		rd.Name, rd.Half, rd.Kind = r.Name, r.Half, r.Kind
-		rd.Addr, rd.Size, rd.DataLen = r.Addr, r.Size, r.DataLen
-		d.ScannedPages += pageCount(r.Size)
+	for i := range upper {
+		r, rd := &upper[i], &d.Regions[i]
+		rd.Name, rd.Half, rd.Kind = r.desc.Name, r.desc.Half, r.desc.Kind
+		rd.Addr, rd.Size, rd.DataLen = r.desc.Addr, r.desc.Size, r.dataLen()
+		d.ScannedPages += pageCount(rd.Size)
 		// Only dirty pages inside the contents can be carried; a clean
 		// region — the common one — allocates and visits nothing.
-		left := r.dirty.countBelow(pageCount(r.DataLen))
-		for w := 0; left > 0; w++ {
-			for word := r.dirty[w]; word != 0 && left > 0; word &= word - 1 {
-				idx := w*64 + bits.TrailingZeros64(word)
-				left--
-				start, end := pageExtent(idx, rd.DataLen)
-				n := end - start
-				cur := pageAt(r.pages, idx)
-				d.DirtyPages++
-				d.DirtyBytes += n
-				if end <= r.baseLen && samePage(cur, pageAt(r.base, idx), n) {
-					d.DedupBytes += n
-					continue
+		pages := r.pages()
+		base, baseLen := r.committed()
+		// carry accounts for dirty page idx and, unless its contents equal
+		// the committed generation's, appends it to rd; left is how many
+		// dirty pages of the region remain, this one included.
+		carry := func(idx, left int) {
+			start, end := pageExtent(idx, rd.DataLen)
+			n := end - start
+			cur := pageAt(pages, idx)
+			d.DirtyPages++
+			d.DirtyBytes += n
+			if end <= baseLen && samePage(cur, pageAt(base, idx), n) {
+				d.DedupBytes += n
+				return
+			}
+			pd := PageDelta{Index: idx, Len: int(n), Data: cur.prefix(n)}
+			pd.Hash = pd.contentHash()
+			if rd.Pages == nil {
+				rd.Pages = make([]PageDelta, 0, left)
+			}
+			rd.Pages = append(rd.Pages, pd)
+		}
+		within := pageCount(rd.DataLen)
+		switch {
+		case r.allDirty:
+			for idx := 0; idx < within; idx++ {
+				carry(idx, within-idx)
+			}
+		case r.mut != nil:
+			dirty := r.mut.dirty
+			left := dirty.countBelow(within)
+			for w := 0; left > 0; w++ {
+				for word := dirty[w]; word != 0 && left > 0; word &= word - 1 {
+					carry(w*64+bits.TrailingZeros64(word), left)
+					left--
 				}
-				pd := PageDelta{Index: idx, Len: int(n)}
-				if cur != nil {
-					pd.Data = cur[:n]
-				}
-				pd.Hash = pd.contentHash()
-				if rd.Pages == nil {
-					rd.Pages = make([]PageDelta, 0, left+1)
-				}
-				rd.Pages = append(rd.Pages, pd)
 			}
 		}
 		// The content-hash memo of a dirty region stays invalidated:
@@ -170,7 +182,7 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 // CommitUpperHalf that would have been taken at the same instant. Regions
 // the delta does not mention are dropped; regions without a matching base
 // region are rebuilt from absent pages plus carried ones. The result
-// shares pages with both inputs; none is copied.
+// shares page buffers with both inputs; none is copied.
 //
 // Both region lists ascend by address — every capture and every
 // ApplyDelta produces them so — and are joined by walking them together.
@@ -219,16 +231,21 @@ func ApplyDelta(base Snapshot, d Delta) Snapshot {
 			if b != nil {
 				copy(r.pages, b.pages)
 			}
+			// The carried prefixes become the pages as they are — frozen,
+			// like everything an image holds — behind headers cut from one
+			// allocation.
+			carried := make([]page, len(rd.Pages))
 			for pi := range rd.Pages {
 				p := &rd.Pages[pi]
 				start, end := pageExtent(p.Index, rd.DataLen)
-				if uint64(p.Len) != end-start || (p.Data != nil && len(p.Data) != p.Len) {
+				if uint64(p.Len) != end-start || len(p.Data) > p.Len {
 					panic(fmt.Sprintf("memsim: delta page %d of region %q carries %d bytes (%d present), extent is %d",
 						p.Index, rd.Name, p.Len, len(p.Data), end-start))
 				}
 				r.pages[p.Index] = nil
 				if p.Data != nil {
-					r.pages[p.Index] = pageOf(p.Data)
+					carried[pi].b = p.Data
+					r.pages[p.Index] = &carried[pi]
 				}
 			}
 		}

@@ -138,7 +138,7 @@ var hashSink fnv64a
 // 5.9 us -> under 1 us, dense within 10 % of the byte loop (2-CPU Xeon
 // 2.1 GHz).
 func BenchmarkContentHash(b *testing.B) {
-	sparse, dense := new(page), new(page)
+	sparse, dense := new([PageSize]byte), new([PageSize]byte)
 	for i := 0; i < 23; i++ {
 		binary.LittleEndian.PutUint64(sparse[i*176:], uint64(i)+1)
 	}
@@ -147,7 +147,7 @@ func BenchmarkContentHash(b *testing.B) {
 	}
 	for _, pg := range []struct {
 		name string
-		p    *page
+		p    *[PageSize]byte
 	}{{"sparse", sparse}, {"dense", dense}} {
 		for _, fn := range []struct {
 			suffix string

@@ -14,17 +14,23 @@
 // program's data segment unless interposed, §2.1); and it produces
 // Snapshots containing exactly the regions a checkpoint image must carry.
 //
-// Memory and checkpoint cost are proportional to the pages a run touches,
-// not to address-space size. Region contents live in a sparse page store
-// (pages.go): a region records its logical data length and holds a 4 KiB
-// buffer only for pages that were written; a page nothing wrote reads as
-// zeros and costs nothing to keep, capture, compare or hash. Captures
-// share pages instead of copying them — a page is owned by its live
-// region until a snapshot, delta or restore references it, and frozen
-// (copied on the next write) from then on. Every write path also marks a
-// per-region dirty bitmap, so CommitUpperHalfDelta (delta.go) emits only
-// the dirty pages plus per-page content hashes. Digests cover logical
-// contents only, never which pages happen to be materialised.
+// Memory and checkpoint cost are proportional to the bytes a run writes
+// and to what is particular to one space, not to address-space size.
+// Region contents live in a sparse page store (pages.go): a region
+// records its logical data length and holds a buffer only for pages that
+// were written, only as long as the prefix of the page that was written
+// (64 B to 4 KiB); an absent page, and the tail past a short buffer, read
+// as zeros and cost nothing to keep, capture, compare or hash. What a
+// region is — name, half, kind, address, size — is an immutable Region
+// that spaces with the same map share (Layout); a live region (live.go)
+// is a pointer to it plus the contents and dirtiness this space added.
+// Captures share pages instead of copying them — a page is owned by its
+// live region until a snapshot, delta or restore references it, and
+// frozen (copied on the next write) from then on. Every write path also
+// marks the region's dirty pages, so CommitUpperHalfDelta (delta.go)
+// emits only those plus per-page content hashes. Digests cover logical
+// contents only, never which pages happen to be materialised or how long
+// their buffers are.
 package memsim
 
 import (
@@ -125,7 +131,10 @@ func KindNames() []string {
 // x86-64 base page size the real MANA's mem-region scan operates on.
 const PageSize = 4096
 
-// Region is one contiguous mapping in the simulated address space.
+// Region is one contiguous mapping in the simulated address space, as a
+// capture, Regions, RegionsOf and Lookup hand it out, and as live spaces
+// share it to describe a mapping (liveRegion.desc). It is immutable once
+// handed out.
 type Region struct {
 	// Name is a human-readable label, e.g. "libmpich.so.text" or
 	// "[heap]".
@@ -146,50 +155,12 @@ type Region struct {
 	DataLen uint64
 
 	// pages is the sparse page table behind DataLen (see page). Nil, or
-	// one slot per page of DataLen.
+	// one slot per page of DataLen. Every page in it is frozen.
 	pages []*page
-
-	// The fields below track the live region only; snapshot copies of a
-	// Region carry none of them.
-
-	// owned has bit i set while this region is the only reference to
-	// pages[i], so the page may be written in place. Only bits below
-	// len(pages) mean anything.
-	owned bitmap
-	// dirty has bit i set when page i has been written since the last
-	// committed generation.
-	dirty bitmap
-	// base is the page table of the last committed generation and baseLen
-	// its data length: what a delta commit dedups dirty pages against.
-	// baseLen is zero when the region has not been committed since it was
-	// created, restored or resized.
-	base    []*page
-	baseLen uint64
-	// hash memoises the region's content digest; hashOK is cleared by
-	// every mutation so Fingerprint never re-hashes clean regions.
-	hash   uint64
-	hashOK bool
 }
 
 // End returns the first address past the region.
 func (r *Region) End() uint64 { return r.Addr + r.Size }
-
-// clone returns a deep copy of the region's checkpointable state
-// (metadata and contents, present pages copied); the live-space tracking
-// fields deliberately do not travel with the copy.
-func (r *Region) clone() Region {
-	c := Region{Name: r.Name, Half: r.Half, Kind: r.Kind, Addr: r.Addr, Size: r.Size, DataLen: r.DataLen}
-	if r.pages != nil {
-		c.pages = make([]*page, len(r.pages))
-		for i, p := range r.pages {
-			if p != nil {
-				cp := *p
-				c.pages[i] = &cp
-			}
-		}
-	}
-	return c
-}
 
 // Layout constants for the simulated address space. The exact values are
 // arbitrary; they only need to keep the halves disjoint, mirroring how the
@@ -207,15 +178,16 @@ const (
 // currently driving that rank — the scheduler goroutine in serial mode,
 // the owning island's worker inside a parallel window, the coordinator
 // between windows (capture, restore, fingerprint). It therefore carries
-// no lock, and cmd/isolint rejects a sync or atomic field on it or on
-// Region. What ranks do share is the Pool behind their page buffers,
-// which is locked, and frozen pages, which are immutable.
+// no lock, and cmd/isolint rejects a sync or atomic field on it, on
+// Region or on its live regions. What ranks do share is the Pool behind
+// their page buffers, which is locked, and Region descriptors and frozen
+// pages, which are immutable.
 type AddressSpace struct {
 	// regions holds each half's regions in ascending address order.
 	// Addresses are handed out monotonically per half, so a new mapping
 	// appends and every capture path iterates in place: no map, and so no
 	// map order, ever stands between the space and an image.
-	regions     [2][]*Region
+	regions     [2][]liveRegion
 	nextUpper   uint64
 	nextLower   uint64
 	brk         uint64 // simulated program break (upper-half data segment end)
@@ -230,9 +202,9 @@ type AddressSpace struct {
 	pool *Pool
 	// lastWrite is the live region the previous Write resolved its address
 	// to, tried before the search: a workload step writes the same region
-	// over and over. Nil after anything that takes regions out of the
-	// space.
-	lastWrite *Region
+	// over and over. Nil after anything that adds regions to the space or
+	// takes them out (it points into regions).
+	lastWrite *liveRegion
 }
 
 // NewAddressSpace returns an empty address space with MANA's sbrk
@@ -258,7 +230,8 @@ func NewAddressSpacePooled(pool *Pool) *AddressSpace {
 // Release returns every page buffer a live region still owns to the
 // attached pool and empties the address space. Frozen pages are never
 // recycled — committed checkpoint images reference them and must stay
-// immutable. The space must not be used after Release; callers that
+// immutable — and buffers shorter than a page are left to the allocator.
+// The space must not be used after Release; callers that
 // captured Regions()/Lookup() copies keep them (those are deep copies).
 // Without an attached pool Release only empties the space.
 func (a *AddressSpace) Release() {
@@ -266,12 +239,16 @@ func (a *AddressSpace) Release() {
 	for half := range a.regions {
 		if a.pool != nil {
 			for _, r := range a.regions[half] {
-				for i, p := range r.pages {
-					if p != nil && r.owned.test(i) {
+				m := r.mut
+				if m == nil {
+					continue
+				}
+				for i, p := range m.pages {
+					if p != nil && len(p.b) == PageSize && m.owned.test(i) {
 						a.pool.put(p)
 					}
 				}
-				r.pages = nil
+				m.pages = nil
 			}
 		}
 		a.regions[half] = nil
@@ -311,7 +288,7 @@ func align(n uint64) uint64 {
 // find returns the live region starting at addr, or nil, and its index
 // in its half's list. The halves occupy disjoint address ranges, so the
 // address picks the list; within it regions are sorted.
-func (a *AddressSpace) find(addr uint64) (*Region, Half, int) {
+func (a *AddressSpace) find(addr uint64) (*liveRegion, Half, int) {
 	half := UpperHalf
 	if addr >= lowerBase {
 		half = LowerHalf
@@ -319,22 +296,29 @@ func (a *AddressSpace) find(addr uint64) (*Region, Half, int) {
 	list := a.regions[half]
 	lo, hi := 0, len(list)
 	for lo < hi {
-		if mid := (lo + hi) / 2; list[mid].Addr < addr {
+		if mid := (lo + hi) / 2; list[mid].desc.Addr < addr {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(list) && list[lo].Addr == addr {
-		return list[lo], half, lo
+	if lo < len(list) && list[lo].desc.Addr == addr {
+		return &list[lo], half, lo
 	}
 	return nil, half, -1
 }
 
-// Mmap creates a new region in the given half and returns it. Size is
-// rounded up to the page size. The region has no contents (DataLen 0)
-// until it is first written.
+// Mmap creates a new region in the given half and returns its
+// descriptor as mapped, which the caller must not modify. Size is rounded
+// up to the page size. The region has no contents (DataLen 0) until it is
+// first written.
 func (a *AddressSpace) Mmap(name string, half Half, kind Kind, size uint64) *Region {
+	return a.mmap(name, half, kind, size, 0).desc
+}
+
+// mmap is Mmap for a region that starts with dataLen zero bytes of
+// contents, returning the live region.
+func (a *AddressSpace) mmap(name string, half Half, kind Kind, size, dataLen uint64) *liveRegion {
 	size = align(size)
 	var addr uint64
 	switch half {
@@ -347,23 +331,26 @@ func (a *AddressSpace) Mmap(name string, half Half, kind Kind, size uint64) *Reg
 	default:
 		panic(fmt.Sprintf("memsim: invalid half %d", half))
 	}
-	r := &Region{Name: name, Half: half, Kind: kind, Addr: addr, Size: size}
 	// A newborn region is entirely dirty: the next incremental snapshot
 	// must carry it whole (there is no committed base to delta against).
-	r.markAllDirty()
-	a.regions[half] = append(a.regions[half], r)
-	return r
+	a.regions[half] = append(a.regions[half], liveRegion{
+		desc:     &Region{Name: name, Half: half, Kind: kind, Addr: addr, Size: size, DataLen: dataLen},
+		allDirty: true,
+	})
+	a.lastWrite = nil
+	return &a.regions[half][len(a.regions[half])-1]
 }
 
 // MmapWithData creates a region initialised with the given contents.
 func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []byte) *Region {
-	r := a.Mmap(name, half, kind, uint64(len(data)))
-	r.DataLen = uint64(len(data))
+	r := a.mmap(name, half, kind, uint64(len(data)), 0)
 	if len(data) > 0 {
-		r.pages = make([]*page, pageCount(r.DataLen))
-		a.store(r, 0, data)
+		m := r.own()
+		m.dataLen = uint64(len(data))
+		m.pages = make([]*page, pageCount(m.dataLen))
+		a.store(m, 0, data)
 	}
-	return r
+	return r.desc
 }
 
 // MmapZero creates a region whose contents are n zero bytes. It is
@@ -371,9 +358,7 @@ func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []by
 // materialised until one is written, while the data length — which
 // fingerprints and images record — is n from the start.
 func (a *AddressSpace) MmapZero(name string, half Half, kind Kind, n uint64) *Region {
-	r := a.Mmap(name, half, kind, n)
-	r.DataLen = n
-	return r
+	return a.mmap(name, half, kind, n, n).desc
 }
 
 // Munmap removes the region starting at addr. It reports whether a region
@@ -401,8 +386,8 @@ func (a *AddressSpace) UnmapHalf(half Half) uint64 {
 
 // SbrkResult describes the outcome of a heap-growth request.
 type SbrkResult struct {
-	// Region is the upper-half region that satisfied the request (either
-	// the grown data segment or a fresh mmap).
+	// Region describes the region that satisfied the request (either the
+	// grown data segment or a fresh mmap) as it was mapped; read-only.
 	Region *Region
 	// UsedMmap reports whether the request was redirected to mmap by
 	// MANA's interposition.
@@ -437,30 +422,25 @@ func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
 // SbrkShrink releases up to delta bytes from the top of the upper-half
 // heap (most recently allocated heap regions first, mirroring how a real
 // brk retreats) and returns the number of bytes actually released. A
-// region shrunk partially keeps its address but loses its tail; its dirty
-// bitmap and committed base are reset so the next incremental snapshot
-// carries the resized region in full — page indices no longer line up
-// with the old base, so deltas against it would be unsound.
+// region shrunk partially keeps its address but loses its tail; its
+// dirtiness and committed base are reset (resize) so the next incremental
+// snapshot carries the resized region in full.
 func (a *AddressSpace) SbrkShrink(delta uint64) uint64 {
 	upper := a.regions[UpperHalf]
 	a.lastWrite = nil
 	var released uint64
 	for i := len(upper) - 1; i >= 0 && delta > 0; i-- {
-		r := upper[i]
-		if r.Kind != KindHeap {
+		r := &upper[i]
+		if r.desc.Kind != KindHeap {
 			continue
 		}
-		if delta >= r.Size {
-			delta -= r.Size
-			released += r.Size
+		if size := r.desc.Size; delta >= size {
+			delta -= size
+			released += size
 			upper = slices.Delete(upper, i, i+1)
 			continue
 		}
-		r.Size -= delta
-		if r.DataLen > r.Size {
-			a.truncate(r, r.Size)
-		}
-		r.dropBase()
+		a.resize(r, r.desc.Size-delta)
 		released += delta
 		delta = 0
 	}
@@ -478,8 +458,8 @@ func (a *AddressSpace) Regions() []Region {
 	// The upper half's address range lies below the lower half's.
 	out := make([]Region, 0, len(a.regions[UpperHalf])+len(a.regions[LowerHalf]))
 	for _, list := range a.regions {
-		for _, r := range list {
-			out = append(out, r.clone())
+		for i := range list {
+			out = append(out, list[i].clone())
 		}
 	}
 	return out
@@ -488,8 +468,8 @@ func (a *AddressSpace) Regions() []Region {
 // RegionsOf returns the regions belonging to one half, sorted by address.
 func (a *AddressSpace) RegionsOf(half Half) []Region {
 	out := make([]Region, 0, len(a.regions[half]))
-	for _, r := range a.regions[half] {
-		out = append(out, r.clone())
+	for i := range a.regions[half] {
+		out = append(out, a.regions[half][i].clone())
 	}
 	return out
 }
@@ -498,7 +478,7 @@ func (a *AddressSpace) RegionsOf(half Half) []Region {
 func (a *AddressSpace) BytesOf(half Half) uint64 {
 	var total uint64
 	for _, r := range a.regions[half] {
-		total += r.Size
+		total += r.desc.Size
 	}
 	return total
 }
@@ -507,8 +487,8 @@ func (a *AddressSpace) BytesOf(half Half) uint64 {
 func (a *AddressSpace) BytesOfKind(half Half, kind Kind) uint64 {
 	var total uint64
 	for _, r := range a.regions[half] {
-		if r.Kind == kind {
-			total += r.Size
+		if r.desc.Kind == kind {
+			total += r.desc.Size
 		}
 	}
 	return total
@@ -525,41 +505,49 @@ func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
 
 // Write stores data into the region starting at addr at the given offset.
 // It returns an error if the region does not exist or the write would
-// overflow it. Only the pages the write touches are materialised.
+// overflow it. Only the pages the write touches are materialised, and
+// only as far as the write reaches into them.
 func (a *AddressSpace) Write(addr uint64, offset uint64, data []byte) error {
 	r := a.lastWrite
-	if r == nil || r.Addr != addr {
+	if r == nil || r.desc.Addr != addr {
 		if r, _, _ = a.find(addr); r == nil {
 			return fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
 		}
 		a.lastWrite = r
 	}
-	if offset+uint64(len(data)) > r.Size {
+	size, n := r.desc.Size, uint64(len(data))
+	if offset > size || n > size-offset {
 		return fmt.Errorf("memsim: write of %d bytes at offset %d overflows region %q (size %d)",
-			len(data), offset, r.Name, r.Size)
+			n, offset, r.desc.Name, size)
 	}
-	if r.DataLen < r.Size {
+	m := r.mut
+	if m == nil {
+		m = r.own()
+	}
+	if m.dataLen < size {
 		// The first write gives the region contents of its full size. The
 		// data length is part of the checkpointable state, so the whole
 		// region must reach the next incremental image.
-		r.DataLen = r.Size
+		m.dataLen = size
 		r.markAllDirty()
 	}
-	if len(data) == 0 {
+	if n == 0 {
 		return nil
 	}
-	if n := pageCount(r.DataLen); len(r.pages) < n {
-		r.pages = append(r.pages, make([]*page, n-len(r.pages))...)
+	if want := pageCount(size); len(m.pages) < want {
+		m.pages = append(m.pages, make([]*page, want-len(m.pages))...)
 	}
-	a.store(r, offset, data)
-	r.markDirty(offset, uint64(len(data)))
+	a.store(m, offset, data)
+	r.markDirty(offset, n)
 	return nil
 }
 
-// store copies data into the region's pages at offset, page by page.
-func (a *AddressSpace) store(r *Region, offset uint64, data []byte) {
+// store copies data into the contents' pages at offset, page by page.
+func (a *AddressSpace) store(m *contents, offset uint64, data []byte) {
 	for len(data) > 0 {
-		n := copy(a.writable(r, int(offset/PageSize))[offset%PageSize:], data)
+		at := int(offset % PageSize)
+		n := min(PageSize-at, len(data))
+		copy(a.writable(m, int(offset/PageSize), at+n)[at:], data[:n])
 		data = data[n:]
 		offset += uint64(n)
 	}
@@ -571,18 +559,19 @@ func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, 
 	if r == nil {
 		return nil, fmt.Errorf("memsim: read from unmapped region 0x%x", addr)
 	}
-	if offset+length > r.Size {
+	if size := r.desc.Size; offset > size || length > size-offset {
 		return nil, fmt.Errorf("memsim: read of %d bytes at offset %d overflows region %q (size %d)",
-			length, offset, r.Name, r.Size)
+			length, offset, r.desc.Name, size)
 	}
-	// Absent pages, and everything past DataLen, read as zeros — which
-	// out already holds.
+	// Absent pages, the tail past a short buffer and everything past the
+	// data length read as zeros — which out already holds.
 	out := make([]byte, length)
+	pages := r.pages()
 	for done := uint64(0); done < length; {
 		at := offset + done
 		n := min(PageSize-at%PageSize, length-done)
-		if idx := int(at / PageSize); idx < len(r.pages) && r.pages[idx] != nil {
-			copy(out[done:done+n], r.pages[idx][at%PageSize:])
+		if b := pageAt(pages, int(at/PageSize)).buf(); at%PageSize < uint64(len(b)) {
+			copy(out[done:done+n], b[at%PageSize:])
 		}
 		done += n
 	}
@@ -614,7 +603,8 @@ func (a *AddressSpace) capture(commit bool) Snapshot {
 		Regions:      make([]Region, len(upper)),
 		RegionHashes: make([]uint64, len(upper)),
 	}
-	for i, r := range upper {
+	for i := range upper {
+		r := &upper[i]
 		r.view(&snap.Regions[i])
 		snap.RegionHashes[i] = r.contentHashNow()
 		if commit {
@@ -648,8 +638,8 @@ func (a *AddressSpace) CommitUpperHalf() Snapshot {
 func (a *AddressSpace) Fingerprint() uint64 {
 	upper := a.regions[UpperHalf]
 	h := fnvOffset.u64(a.brk).u64(uint64(len(upper)))
-	for _, r := range upper {
-		h = h.u64(r.contentHashNow())
+	for i := range upper {
+		h = h.u64(upper[i].contentHashNow())
 	}
 	return uint64(h)
 }
@@ -669,7 +659,7 @@ func (a *AddressSpace) DirtyPages(addr uint64) ([]int, bool) {
 	if r == nil {
 		return nil, false
 	}
-	return r.dirty.indices(), true
+	return r.dirtyPages(), true
 }
 
 // TotalBytes returns the number of bytes of memory captured by the
@@ -711,36 +701,27 @@ func (s Snapshot) Fingerprint() uint64 {
 // regions must be in ascending address order, as every capture and
 // ApplyDelta produces them.
 func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
-	// The region records and their dirty bitmaps are cut from one
-	// allocation each, sized exactly, instead of two per region.
-	upper := make([]*Region, len(s.Regions))
-	regions := make([]Region, len(s.Regions))
-	words := 0
-	for i := range s.Regions {
-		words += bitmapWords(pageCount(s.Regions[i].Size))
-	}
-	bitmaps := make(bitmap, words)
+	// A restored region shares the image's contents — its descriptor is a
+	// copy of the image's Region, page table included, and a write copies
+	// table and page first, so the image stays immutable — and starts
+	// entirely dirty with no committed base: restart begins a new
+	// incremental chain. Two allocations, whatever the region count. (The
+	// descriptors are copies because CorruptSnapshot edits an image's
+	// Region values in place.)
+	descs := slices.Clone(s.Regions)
+	upper := make([]liveRegion, len(descs))
+	memoised := len(s.RegionHashes) == len(descs)
 	maxEnd := uint64(upperBase)
-	for i := range s.Regions {
-		// A restored region shares the image's frozen pages — the image
-		// stays immutable because the region owns none of them and copies
-		// before it writes — and starts entirely dirty with no committed
-		// base: restart begins a new incremental chain.
-		src := &s.Regions[i]
-		if i > 0 && src.Addr <= s.Regions[i-1].Addr {
-			panic(fmt.Sprintf("memsim: snapshot region %q at 0x%x is out of address order", src.Name, src.Addr))
+	for i := range descs {
+		d := &descs[i]
+		if i > 0 && d.Addr <= descs[i-1].Addr {
+			panic(fmt.Sprintf("memsim: snapshot region %q at 0x%x is out of address order", d.Name, d.Addr))
 		}
-		c := &regions[i]
-		c.Name, c.Half, c.Kind, c.Addr, c.Size = src.Name, src.Half, src.Kind, src.Addr, src.Size
-		c.DataLen, c.pages = src.DataLen, slices.Clone(src.pages)
-		n := bitmapWords(pageCount(c.Size))
-		c.dirty, bitmaps = bitmaps[:n:n], bitmaps[n:]
-		c.markAllDirty()
-		if len(s.RegionHashes) == len(s.Regions) {
-			c.hash, c.hashOK = s.RegionHashes[i], true
+		upper[i] = liveRegion{desc: d, allDirty: true}
+		if memoised {
+			upper[i].hash, upper[i].hashOK = s.RegionHashes[i], true
 		}
-		upper[i] = c
-		maxEnd = max(maxEnd, c.End())
+		maxEnd = max(maxEnd, d.End())
 	}
 	a.regions[UpperHalf] = upper
 	a.lastWrite = nil

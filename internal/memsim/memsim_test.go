@@ -2,6 +2,7 @@ package memsim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -194,6 +195,48 @@ func TestWriteReadErrors(t *testing.T) {
 	}
 	if _, err := a.Read(0xdead, 0, 1); err == nil {
 		t.Errorf("read from unmapped region did not error")
+	}
+}
+
+// TestWriteReadBoundsDoNotWrap holds the bounds checks at the two places
+// offset+length can mislead: around the region's size and around 2^64,
+// where the sum wraps to a small number. (Write at offset 2^64-4 of eight
+// bytes used to pass the check and die indexing the page table.)
+func TestWriteReadBoundsDoNotWrap(t *testing.T) {
+	a := NewAddressSpace()
+	r := a.Mmap("small", UpperHalf, KindHeap, 2*PageSize)
+	const top = ^uint64(0)
+	for _, tc := range []struct {
+		off, n uint64
+		ok     bool
+	}{
+		{0, 0, true},
+		{0, r.Size, true},
+		{r.Size - 8, 8, true},
+		{r.Size, 0, true},
+		{r.Size - 7, 8, false},
+		{r.Size, 1, false},
+		{r.Size + 1, 0, false},
+		{0, r.Size + 1, false},
+		{top - 3, 8, false},
+		{top, 1, false},
+		{top, 0, false},
+		{top - r.Size + 1, r.Size, false},
+		{1 << 63, 8, false},
+	} {
+		werr := a.Write(r.Addr, tc.off, make([]byte, tc.n))
+		_, rerr := a.Read(r.Addr, tc.off, tc.n)
+		if (werr == nil) != tc.ok || (rerr == nil) != tc.ok {
+			t.Errorf("offset %d length %d: Write %v, Read %v; want ok=%v", tc.off, tc.n, werr, rerr, tc.ok)
+		}
+		for _, err := range []error{werr, rerr} {
+			if err != nil && !strings.Contains(err.Error(), `overflows region "small"`) {
+				t.Errorf("offset %d length %d: error %q does not name the overflow", tc.off, tc.n, err)
+			}
+		}
+	}
+	if _, err := a.Read(r.Addr, 0, top); err == nil {
+		t.Error("a read of 2^64-1 bytes did not error")
 	}
 }
 

@@ -4,23 +4,69 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
-	"slices"
 )
 
-// page is the buffer behind one PageSize page of a region. A region's
-// page table ([]*page) has one slot per page of its DataLen; a nil slot
-// (or a nil table) is a page nothing was ever written to, which reads as
-// zeros. Bytes of a buffer past the region's DataLen are always zero, so
-// a region's data length can grow without touching its pages.
+// page is the buffer behind one PageSize page of a region — as much of
+// it as was ever written. b covers bytes [0, len(b)) of the page; every
+// byte past it is zero by definition, exactly as every byte of an absent
+// page is: a region's page table ([]*page) has one slot per page of its
+// DataLen, and a nil slot (or a nil table) is a page nothing was ever
+// written to. Every reader follows the one rule "prefix, then implied
+// zeros" (prefix, samePage, fnv64a.contents). Bytes of a buffer past the
+// region's DataLen are always zero, so a region's data length can grow
+// without touching its pages.
 //
-// A buffer is in one of two states. It is owned while exactly one live
-// region references it: that region's owned bit is set, writes go to it
-// in place and Release may hand it to the Pool. It is frozen once any
-// capture has shared it — with a snapshot, a delta, the region's
-// committed base or a restored space: nothing writes to it again, the
-// next write to that page copies it first, and it is never pooled.
-// Snapshot and delta values reference frozen pages only.
-type page [PageSize]byte
+// A buffer the live space allocates is as long as the written extent
+// rounded up to a power of two, 64 B to PageSize (bufClass) — the
+// allocator's own size classes. A write past it replaces the page with a
+// longer one holding the old prefix; the page behind a slot is never
+// lengthened in place, so whoever else holds it keeps what they had. A
+// buffer adopted from a delta (ApplyDelta) may have any length up to
+// PageSize.
+//
+// A page is in one of two states. It is owned while exactly one live
+// region references it: that region's owned bit is set, writes inside
+// the buffer go to it in place and Release may hand a full-size one to
+// the Pool. It is frozen once any capture has shared it — with a
+// snapshot, a delta, the region's committed base, a layout or a restored
+// space: nothing writes to it again, the next write to that page copies
+// its prefix first, and it is never pooled. Snapshot and delta values
+// reference frozen pages only.
+type page struct {
+	b []byte
+}
+
+// minPageBuf is the shortest buffer a written page gets.
+const minPageBuf = 64
+
+// bufClass returns the buffer length for a page written up to byte n,
+// 0 < n <= PageSize: n rounded up to a power of two, at least minPageBuf.
+func bufClass(n int) int {
+	if n <= minPageBuf {
+		return minPageBuf
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
+// newPage returns an owned page with a zeroed buffer of the given length.
+func newPage(size int) *page { return &page{b: make([]byte, size)} }
+
+// buf returns the page's buffer, nil for an absent (nil) page.
+func (p *page) buf() []byte {
+	if p == nil {
+		return nil
+	}
+	return p.b
+}
+
+// prefix returns the materialised part of the page's first n bytes; the
+// rest of them, and all of them for an absent page, are zeros.
+func (p *page) prefix(n uint64) []byte {
+	if b := p.buf(); uint64(len(b)) > n {
+		return b[:n]
+	}
+	return p.buf()
+}
 
 // pageCount returns the number of PageSize pages covering n bytes.
 func pageCount(n uint64) int { return int((n + PageSize - 1) / PageSize) }
@@ -34,18 +80,6 @@ func pageExtent(idx int, dataLen uint64) (uint64, uint64) {
 		end = dataLen
 	}
 	return start, end
-}
-
-// pageOf returns a page buffer holding data, which must not be longer
-// than a page. A full page is adopted as is (the caller guarantees it is
-// never written again); a short one is copied so the tail stays zero.
-func pageOf(data []byte) *page {
-	if len(data) == PageSize {
-		return (*page)(data)
-	}
-	p := new(page)
-	copy(p[:], data)
-	return p
 }
 
 // pageAt returns slot idx of a page table, nil — absent — when the table
@@ -73,18 +107,18 @@ func isZero(b []byte) bool {
 }
 
 // samePage reports whether the first n bytes of two page slots hold the
-// same logical contents. Absent and all-zero are the same contents.
+// same logical contents: the shorter prefix equals the head of the longer
+// one and what the longer one has beyond it is zeros. Absent, all-zero
+// and short-with-a-zero-tail are the same contents.
 func samePage(a, b *page, n uint64) bool {
-	switch {
-	case a == b:
+	if a == b {
 		return true
-	case a == nil:
-		return isZero(b[:n])
-	case b == nil:
-		return isZero(a[:n])
-	default:
-		return bytes.Equal(a[:n], b[:n])
 	}
+	short, long := a.prefix(n), b.prefix(n)
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	return bytes.Equal(short, long[:len(short)]) && isZero(long[len(short):])
 }
 
 // bitmap is a page-indexed bit set. The nil bitmap is empty.
@@ -240,8 +274,9 @@ func (h fnv64a) zeros(n uint64) fnv64a {
 }
 
 // contents folds in the dataLen logical bytes a page table describes.
-// Present pages go through bytes; each run of absent pages costs one
-// zeros call.
+// Present pages go through bytes, as far as their buffers reach; the
+// zeros a short buffer implies join the run of absent pages after it, and
+// each run costs one zeros call.
 func (h fnv64a) contents(pages []*page, dataLen uint64) fnv64a {
 	if pages == nil {
 		return h.zeros(dataLen)
@@ -253,135 +288,27 @@ func (h fnv64a) contents(pages []*page, dataLen uint64) fnv64a {
 			run += end - start
 			continue
 		}
-		h = h.zeros(run).bytes(p[:end-start])
-		run = 0
+		b := p.prefix(end - start)
+		h = h.zeros(run).bytes(b)
+		run = end - start - uint64(len(b))
 	}
 	return h.zeros(run)
 }
 
 // contentHash digests the region's checkpointable state: layout metadata,
 // data length and logical contents. How many pages happen to be
-// materialised never reaches the digest — a region that was written with
-// zeros, one that was never written and one rebuilt from an image hash
-// alike when their bytes are alike. Snapshot.Fingerprint combines these
-// per-region digests, so memoising them per region (invalidated by every
-// write) makes repeated fingerprints of a mostly-clean space cheap.
-func (r *Region) contentHash() uint64 {
+// materialised, and how long their buffers are, never reaches the digest
+// — a region that was written with zeros, one that was never written and
+// one rebuilt from an image hash alike when their bytes are alike.
+// Snapshot.Fingerprint combines these per-region digests, so memoising
+// them per region (invalidated by every write) makes repeated
+// fingerprints of a mostly-clean space cheap.
+func (r *Region) contentHash() uint64 { return r.hashWith(r.DataLen, r.pages) }
+
+// hashWith is contentHash with the contents given apart from the layout
+// metadata: a live region's own, while r describes only where it is.
+func (r *Region) hashWith(dataLen uint64, pages []*page) uint64 {
 	h := fnvOffset.u64(uint64(len(r.Name))).str(r.Name)
 	h = h.u64(uint64(r.Half)).u64(uint64(r.Kind)).u64(r.Addr).u64(r.Size)
-	return uint64(h.u64(r.DataLen).contents(r.pages, r.DataLen))
-}
-
-// contentHashNow returns the live region's memoised content digest,
-// refreshing it if a write invalidated the memo.
-func (r *Region) contentHashNow() uint64 {
-	if !r.hashOK {
-		r.hash = r.contentHash()
-		r.hashOK = true
-	}
-	return r.hash
-}
-
-// markDirty sets the dirty bits for the byte range [off, off+n).
-func (r *Region) markDirty(off, n uint64) {
-	if n == 0 {
-		return
-	}
-	r.dirty = r.dirty.sized(pageCount(r.Size))
-	first := int(off / PageSize)
-	last := int((off + n - 1) / PageSize)
-	for p := first; p <= last; p++ {
-		r.dirty[p/64] |= 1 << (uint(p) % 64)
-	}
-	r.hashOK = false
-}
-
-// markAllDirty sets every page's dirty bit (newborn, resized, restored
-// or newly lengthened regions).
-func (r *Region) markAllDirty() {
-	r.dirty = r.dirty.sized(pageCount(r.Size))
-	for i := range r.dirty {
-		r.dirty[i] = ^uint64(0)
-	}
-	// Mask the bits past the last page so popcounts stay exact.
-	if extra := uint(pageCount(r.Size)) % 64; extra != 0 && len(r.dirty) > 0 {
-		r.dirty[len(r.dirty)-1] = (1 << extra) - 1
-	}
-	r.hashOK = false
-}
-
-// view fills in *c with the region as a capture carries it: metadata,
-// data length and a private copy of the page table. Every page the live
-// region owned is frozen by the call — the view now shares it — so later
-// writes copy the page instead of reaching the capture.
-func (r *Region) view(c *Region) {
-	clear(r.owned)
-	c.Name, c.Half, c.Kind, c.Addr, c.Size = r.Name, r.Half, r.Kind, r.Addr, r.Size
-	c.DataLen, c.pages = r.DataLen, slices.Clone(r.pages)
-}
-
-// rebase makes the region's current contents the committed generation:
-// the page table a later delta dedups dirty pages against. All pages are
-// frozen (the generation's snapshot or delta references them) and the
-// dirty bits are cleared. A clean region keeps its base untouched.
-func (r *Region) rebase() {
-	if !r.dirty.any() {
-		return
-	}
-	if len(r.base) != len(r.pages) {
-		r.base = make([]*page, len(r.pages))
-	}
-	copy(r.base, r.pages)
-	r.baseLen = r.DataLen
-	clear(r.owned)
-	clear(r.dirty)
-}
-
-// dropBase forgets the committed generation (used when the region is
-// resized: page indices no longer line up with the committed contents,
-// so the next delta must carry the region in full).
-func (r *Region) dropBase() {
-	r.base, r.baseLen = nil, 0
-	r.markAllDirty()
-}
-
-// truncate cuts the contents to n bytes, n < DataLen.
-func (a *AddressSpace) truncate(r *Region, n uint64) {
-	keep := pageCount(n)
-	if r.pages != nil {
-		clear(r.pages[keep:])
-		r.pages = r.pages[:keep]
-		if cut := n % PageSize; cut != 0 && r.pages[keep-1] != nil {
-			// Restore the zero tail on a private copy of the cut page.
-			p := a.writable(r, keep-1)
-			clear(p[cut:])
-		}
-	}
-	r.DataLen = n
-}
-
-// writable returns page idx of the region as a buffer the region owns,
-// materialising an absent page and copying a frozen one.
-func (a *AddressSpace) writable(r *Region, idx int) *page {
-	p := r.pages[idx]
-	if p != nil && r.owned.test(idx) {
-		return p
-	}
-	fresh := a.newPage()
-	if p != nil {
-		*fresh = *p
-	}
-	r.pages[idx] = fresh
-	r.owned = r.owned.sized(pageCount(r.Size))
-	r.owned[idx/64] |= 1 << (uint(idx) % 64)
-	return fresh
-}
-
-// newPage returns a zeroed page buffer, recycled from the pool when one
-// is attached.
-func (a *AddressSpace) newPage() *page {
-	if a.pool != nil {
-		return a.pool.get()
-	}
-	return new(page)
+	return uint64(h.u64(dataLen).contents(pages, dataLen))
 }

@@ -2,8 +2,10 @@ package memsim
 
 import "sync"
 
-// Pool recycles page buffers across address-space lifetimes, so a fleet
-// of simulations does not re-allocate the same pages for every run.
+// Pool recycles full-size page buffers across address-space lifetimes,
+// so a fleet of simulations does not re-allocate the same pages for every
+// run. Pages with a shorter buffer never pass through it: those are the
+// allocator's business.
 //
 // Only pages a live region still owns at Release ever enter the pool.
 // They are safe to recycle because an owned page has exactly one
@@ -13,7 +15,7 @@ import "sync"
 // so reusing that storage would corrupt retained images.
 //
 // Pages are zeroed on the way out, so a pooled page is
-// indistinguishable from new(page) — the property the
+// indistinguishable from newPage(PageSize) — the property the
 // byte-identical-report tests rely on.
 type Pool struct {
 	mu   sync.Mutex
@@ -31,26 +33,26 @@ func NewPool() *Pool {
 	return &Pool{}
 }
 
-// get returns a zeroed page, recycled when one is free.
+// get returns a zeroed full-size page, recycled when one is free.
 func (p *Pool) get() *page {
 	p.mu.Lock()
 	p.gets++
 	n := len(p.free)
 	if n == 0 {
 		p.mu.Unlock()
-		return new(page)
+		return newPage(PageSize)
 	}
 	pg := p.free[n-1]
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
 	p.hits++
 	p.mu.Unlock()
-	clear(pg[:])
+	clear(pg.b)
 	return pg
 }
 
-// put returns a page to the pool. The caller must hold the only
-// reference to it and must not use it afterwards.
+// put returns a full-size page to the pool. The caller must hold the
+// only reference to it and must not use it afterwards.
 func (p *Pool) put(pg *page) {
 	p.mu.Lock()
 	p.free = append(p.free, pg)

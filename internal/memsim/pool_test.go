@@ -4,15 +4,15 @@ import "testing"
 
 // TestPoolRecyclesZeroed pins the pool's core contract: a recycled
 // page comes back zeroed, so a pooled page is indistinguishable from a
-// fresh new(page).
+// fresh newPage(PageSize).
 func TestPoolRecyclesZeroed(t *testing.T) {
 	p := NewPool()
 	pg := p.get()
-	for i := range pg {
-		pg[i] = 0xAB
+	for i := range pg.b {
+		pg.b[i] = 0xAB
 	}
 	p.put(pg)
-	if pg2 := p.get(); pg2 != pg || !isZero(pg2[:]) {
+	if pg2 := p.get(); pg2 != pg || len(pg2.b) != PageSize || !isZero(pg2.b) {
 		t.Fatal("recycled page is not the pooled one, zeroed")
 	}
 	gets, hits := p.Stats()

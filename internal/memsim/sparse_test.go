@@ -8,15 +8,22 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 )
 
 // This file drives the sparse page store against a reference model that
-// keeps every region as one flat []byte — the representation the package
-// used before the page store, with its region-granular seal, transcribed
-// here and used nowhere else. One interpreter turns a byte string into a
-// sequence of address-space operations and applies each to both; after
-// every step everything observable must agree.
+// keeps every region as one flat []byte with its own record and one dirty
+// flag per page — the representation the package used before the page
+// store, with its region-granular seal, transcribed here and used nowhere
+// else. One interpreter turns a byte string into a sequence of
+// address-space operations and applies each to both; after every step
+// everything observable must agree. Besides the general operations it has
+// ones aimed at what the model does not have: page buffers shorter than a
+// page (runs of appended markers, writes past, out of and into short and
+// frozen short pages, cuts inside them) and regions that are a pointer to
+// a shared descriptor until written (layouts, bootstrap-and-restore,
+// commit cycles over regions that never get contents).
 
 // flat materialises a region's logical contents: DataLen bytes, nil when
 // the region has none.
@@ -28,7 +35,7 @@ func flat(r *Region) []byte {
 	for idx, p := range r.pages {
 		if p != nil {
 			start, end := pageExtent(idx, r.DataLen)
-			copy(out[start:end], p[:end-start])
+			copy(out[start:end], p.prefix(end-start))
 		}
 	}
 	return out
@@ -181,7 +188,26 @@ func (m *flatSpace) snapshot(commit bool) flatSnap {
 	return s
 }
 
-func (m *flatSpace) restore(s flatSnap) {
+// relayout is the model of rebuilding the space from a Layout of itself:
+// the same regions and contents, nothing committed.
+func (m *flatSpace) relayout() {
+	for _, r := range m.regions {
+		r.sealed, r.hasSeal = nil, false
+		r.markAllDirty()
+	}
+	m.gen = 0
+}
+
+// restore replaces the upper half with the image's; keepLower says
+// whether the lower half survives (a bootstrap from a layout) or the
+// space starts empty.
+func (m *flatSpace) restore(s flatSnap, keepLower bool) {
+	lower := m.regions[:0:0]
+	for _, r := range m.regions {
+		if keepLower && r.Half == LowerHalf {
+			lower = append(lower, r)
+		}
+	}
 	m.regions = nil
 	for i := range s.Regions {
 		c := s.Regions[i]
@@ -190,8 +216,9 @@ func (m *flatSpace) restore(s flatSnap) {
 		c.markAllDirty()
 		m.regions = append(m.regions, &c)
 	}
+	m.regions = append(m.regions, lower...) // the lower half lies above the upper
 	m.brk = s.Brk
-	m.gen = 0
+	m.relayout()
 }
 
 func flatContentHash(r *flatRegion) uint64 {
@@ -371,6 +398,13 @@ type harness struct {
 	lastFlat flatDelta
 	hasDelta bool
 	step     int
+
+	// twin is a space built from a Layout of a at some step and never
+	// touched again, twinFlat the model's snapshot at that step: whatever
+	// a does afterwards, the two share descriptors and pages and the twin
+	// must not change.
+	twin     *AddressSpace
+	twinFlat flatSnap
 }
 
 func (h *harness) failf(format string, args ...any) {
@@ -398,12 +432,16 @@ func (h *harness) payload(n int) []byte {
 const maxRegions = 12
 
 func (h *harness) mmap() {
-	if len(h.m.regions) >= maxRegions {
-		return
-	}
 	half := UpperHalf
 	if h.p.next()%5 == 0 {
 		half = LowerHalf
+	}
+	h.mmapIn(half)
+}
+
+func (h *harness) mmapIn(half Half) {
+	if len(h.m.regions) >= maxRegions {
+		return
 	}
 	kind := []Kind{KindData, KindHeap, KindText, KindStack}[h.p.next()%4]
 	n := uint64(1 + h.p.next()*97%(5*PageSize))
@@ -453,22 +491,170 @@ func (h *harness) write() {
 }
 
 func (h *harness) sbrk() {
+	h.sbrkBy(uint64(1 + h.p.next()*53%(3*PageSize)))
+}
+
+// sbrkBy grows the heap in both representations and returns the model's
+// new region, nil when the live set is full.
+func (h *harness) sbrkBy(delta uint64) *flatRegion {
 	if len(h.m.regions) >= maxRegions {
-		return
+		return nil
 	}
-	delta := uint64(1 + h.p.next()*53%(3*PageSize))
 	res := h.a.Sbrk(delta)
 	h.m.add(res.Region, nil)
 	if !res.UsedMmap && !res.CorruptedLowerHalf {
 		h.m.brk += align(delta)
 	}
+	return h.m.find(res.Region.Addr)
 }
 
 func (h *harness) shrink() {
-	delta := uint64(1 + h.p.next()*61%(2*PageSize))
+	h.shrinkBy(uint64(1 + h.p.next()*61%(2*PageSize)))
+}
+
+func (h *harness) shrinkBy(delta uint64) {
 	if got, want := h.a.SbrkShrink(delta), h.m.shrink(delta); got != want {
 		h.failf("SbrkShrink(%d) released %d, model %d", delta, got, want)
 	}
+}
+
+// put writes data at off into region r of both representations; a write
+// that does not fit (a region can be a few bytes long after a shrink) is
+// skipped.
+func (h *harness) put(r *flatRegion, off uint64, data []byte) {
+	if off > r.Size || uint64(len(data)) > r.Size-off {
+		return
+	}
+	if err := h.a.Write(r.Addr, off, data); err != nil {
+		h.failf("Write(%q, %d, %d bytes): %v", r.Name, off, len(data), err)
+	}
+	h.m.write(r.Addr, off, data)
+}
+
+// marker returns the eight bytes a rank stores for progress point i.
+func marker(i int) []byte {
+	return binary.LittleEndian.AppendUint64(nil, uint64(i)+1)
+}
+
+// shortPage writes a few bytes at the start of a page of r — if nothing
+// else was written there the page's buffer is now the shortest there is
+// — and returns the page's offset in the region.
+func (h *harness) shortPage(r *flatRegion) uint64 {
+	base := uint64(h.p.next()%pageCount(r.Size)) * PageSize
+	h.put(r, base, h.payload(1+h.p.next()%8))
+	return base
+}
+
+// appendRun stores markers at consecutive offsets from the start of a
+// page, the way a rank's state page fills: the buffer under them grows a
+// class at a time, up to a full page at 512 markers.
+func (h *harness) appendRun() {
+	r := h.pick()
+	if r == nil {
+		return
+	}
+	base := uint64(h.p.next()%pageCount(r.Size)) * PageSize
+	for i, n := 0, 2*(1+h.p.next()); i < n; i++ {
+		h.put(r, base+uint64(i)*8, marker(i))
+	}
+}
+
+// pastShortPage writes the last eight bytes of a page whose buffer is 64
+// bytes, or eight bytes across the boundary behind it.
+func (h *harness) pastShortPage(straddle bool) {
+	r := h.pick()
+	if r == nil {
+		return
+	}
+	off := h.shortPage(r) + PageSize - 8
+	if straddle {
+		off += 4
+	}
+	h.put(r, off, marker(h.step))
+}
+
+// intoFrozenShortPage commits a short page and writes it again, inside
+// the frozen buffer or past it: the image must keep what it had.
+func (h *harness) intoFrozenShortPage() {
+	r := h.pick()
+	if r == nil {
+		return
+	}
+	base := h.shortPage(r)
+	if h.p.next()%2 == 0 {
+		h.commitFull()
+	} else {
+		h.commitDelta()
+	}
+	if r = h.m.find(r.Addr); r != nil {
+		h.put(r, base+uint64(h.p.next())*3, h.payload(1+h.p.next()%8))
+	}
+}
+
+// shrinkInsideShortPage grows the heap by two pages, leaves a 64-byte
+// buffer on the second, cuts the region inside that buffer or just past
+// it, and grows again: over the cut page's tail, then with a new region.
+func (h *harness) shrinkInsideShortPage() {
+	r := h.sbrkBy(2 * PageSize)
+	if r == nil {
+		return
+	}
+	h.put(r, PageSize+16, marker(h.step))
+	keep := uint64(40) // inside the buffer
+	if h.p.next()%2 == 0 {
+		keep = 100 // past it
+	}
+	addr := r.Addr
+	if h.p.next()%3 == 0 {
+		h.commitDelta() // the cut page is frozen
+	}
+	h.shrinkBy(PageSize - keep)
+	if r = h.m.find(addr); r != nil && r.Size >= 8 {
+		h.put(r, r.Size-8, marker(h.step))
+	}
+	h.sbrkBy(PageSize)
+}
+
+// lowerHalfRestart discards the lower half and maps a new one, which is
+// what a restart does to it.
+func (h *harness) lowerHalfRestart() {
+	var want uint64
+	for _, r := range append([]*flatRegion(nil), h.m.regions...) {
+		if r.Half == LowerHalf {
+			want += r.Size
+			h.m.remove(r.Addr)
+		}
+	}
+	if got := h.a.UnmapHalf(LowerHalf); got != want {
+		h.failf("UnmapHalf released %d bytes, model %d", got, want)
+	}
+	for n := 1 + h.p.next()%3; n > 0; n-- {
+		h.mmapIn(LowerHalf)
+	}
+}
+
+// relayout takes a Layout of the space, keeps a twin built from it, and
+// either goes on with the space (its pages are now frozen) or replaces it
+// with another one built from the layout (nothing committed, all dirty).
+func (h *harness) relayout() {
+	l := h.a.Layout()
+	h.twin, h.twinFlat = l.NewSpace(nil), h.m.snapshot(false)
+	if h.p.next()%2 == 0 {
+		h.a.Release()
+		h.a = l.NewSpace(h.pool)
+		h.m.relayout()
+		h.hasDelta = false
+	}
+}
+
+// cycle runs commits, deltas and a restore back to back over whatever
+// regions there are — most of them never written.
+func (h *harness) cycle() {
+	h.commitFull()
+	h.commitDelta()
+	h.restore()
+	h.commitDelta()
+	h.commitDelta()
 }
 
 func (h *harness) munmap() {
@@ -535,11 +721,12 @@ func (h *harness) check() {
 			h.failf("region %q dirty pages %v, model %v", fr.Name, dirty, fr.dirtyPages())
 		}
 		r, _, _ := h.a.find(fr.Addr)
-		if n := len(r.pages); n != 0 && n != pageCount(r.DataLen) {
-			h.failf("region %q has a %d-slot page table for %d bytes", fr.Name, n, r.DataLen)
+		pages, dataLen := r.pages(), r.dataLen()
+		if n := len(pages); n != 0 && n != pageCount(dataLen) {
+			h.failf("region %q has a %d-slot page table for %d bytes", fr.Name, n, dataLen)
 		}
-		if cut := r.DataLen % PageSize; cut != 0 && r.pages != nil {
-			if p := r.pages[len(r.pages)-1]; p != nil && !isZero(p[cut:]) {
+		if cut := dataLen % PageSize; cut != 0 && len(pages) > 0 {
+			if b := pages[len(pages)-1].prefix(PageSize); uint64(len(b)) > cut && !isZero(b[cut:]) {
 				h.failf("region %q has bytes past its data length", fr.Name)
 			}
 		}
@@ -554,6 +741,9 @@ func (h *harness) check() {
 		if _, err := s.Verify(); err != nil {
 			h.failf("a retained capture changed after it was taken: %v", err)
 		}
+	}
+	if h.twin != nil {
+		h.sameSnapshot("twin from a layout of an earlier step", h.twin.SnapshotUpperHalf(), h.twinFlat)
 	}
 }
 
@@ -603,7 +793,7 @@ func (h *harness) commitDelta() {
 				h.failf("delta page %q[%d]: index %d hash %016x len %d, model %d %016x %d",
 					rd.Name, j, p.Index, p.Hash, p.Len, fp.Index, fp.Hash, len(fp.Data))
 			}
-			if p.Data == nil && !isZero(fp.Data) || p.Data != nil && !bytes.Equal(p.Data, fp.Data) {
+			if len(p.Data) > p.Len || !bytes.Equal(p.Data, fp.Data[:len(p.Data)]) || !isZero(fp.Data[len(p.Data):]) {
 				h.failf("delta page %q[%d] contents differ", rd.Name, p.Index)
 			}
 			carried++
@@ -685,16 +875,22 @@ func (h *harness) corrupt() {
 }
 
 // restore rebuilds the space from the retained image the way rank.Restore
-// does: the dead space's pages go back to the pool, a fresh space maps the
-// image. The image itself must come through intact (check, every step).
+// does: the dead space's pages go back to the pool, a fresh space — empty,
+// or the bootstrap of a layout, with its lower half — maps the image. The
+// image itself must come through intact (check, every step).
 func (h *harness) restore() {
 	if !h.hasImg {
 		return
 	}
+	bootstrap := h.p.next()%2 == 0
+	fresh := NewAddressSpacePooled(h.pool)
+	if bootstrap {
+		fresh = h.a.Layout().Bootstrap(h.pool)
+	}
 	h.a.Release()
-	h.a = NewAddressSpacePooled(h.pool)
+	h.a = fresh
 	h.a.RestoreUpperHalf(h.img)
-	h.m.restore(h.flatImg)
+	h.m.restore(h.flatImg, bootstrap)
 	h.hasDelta = false
 	if h.a.Generation() != 0 {
 		h.failf("restored space at generation %d", h.a.Generation())
@@ -709,7 +905,7 @@ func runDifferential(t *testing.T, prog []byte) {
 		a: NewAddressSpacePooled(pool), m: &flatSpace{brk: upperBase},
 	}
 	for ; !h.p.done() && h.step < 300; h.step++ {
-		switch op := h.p.next() % 16; op {
+		switch op := h.p.next() % 24; op {
 		case 0, 1:
 			h.mmap()
 		case 2, 3, 4, 5, 6:
@@ -735,6 +931,20 @@ func runDifferential(t *testing.T, prog []byte) {
 			} else {
 				h.restore()
 			}
+		case 16:
+			h.appendRun()
+		case 17, 18:
+			h.pastShortPage(op == 18)
+		case 19:
+			h.intoFrozenShortPage()
+		case 20:
+			h.shrinkInsideShortPage()
+		case 21:
+			h.lowerHalfRestart()
+		case 22:
+			h.relayout()
+		case 23:
+			h.cycle()
 		}
 		h.check()
 	}
@@ -786,9 +996,9 @@ func TestZeroRunIdentity(t *testing.T) {
 	pages := make([]*page, pageCount(dataLen))
 	model := make([]byte, dataLen)
 	for _, idx := range []int{1, 4} {
-		pages[idx] = new(page)
-		rng.Read(pages[idx][:])
-		copy(model[idx*PageSize:], pages[idx][:])
+		pages[idx] = newPage(PageSize)
+		rng.Read(pages[idx].b)
+		copy(model[idx*PageSize:], pages[idx].b)
 	}
 	ref := fnv.New64a()
 	ref.Write(model)
@@ -800,10 +1010,52 @@ func TestZeroRunIdentity(t *testing.T) {
 	}
 }
 
+// TestShortPageDigest pins the rule every digest of a short page rests
+// on: a prefix followed by the zeros it implies hashes as the materialised
+// bytes do, through the page-table hash, the delta page hash and the
+// page comparison alike.
+func TestShortPageDigest(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 2000; trial++ {
+		extent := 1 + rng.Intn(PageSize)
+		prefix := make([]byte, rng.Intn(extent+1))
+		rng.Read(prefix)
+		if rng.Intn(4) == 0 {
+			clear(prefix[len(prefix)/2:]) // a written zero tail inside the buffer
+		}
+		whole := make([]byte, extent)
+		copy(whole, prefix)
+		ref := fnv.New64a()
+		ref.Write(whole)
+		short, full := &page{b: prefix}, &page{b: whole}
+		if got := uint64(fnvOffset.contents([]*page{short}, uint64(extent))); got != ref.Sum64() {
+			t.Fatalf("prefix %d of extent %d: contents gives %016x, hash/fnv over the bytes %016x", len(prefix), extent, got, ref.Sum64())
+		}
+		pd := PageDelta{Len: extent, Data: prefix}
+		if got := pd.contentHash(); got != ref.Sum64() {
+			t.Fatalf("prefix %d of extent %d: delta page hash %016x, hash/fnv over the bytes %016x", len(prefix), extent, got, ref.Sum64())
+		}
+		if !samePage(short, full, uint64(extent)) || !samePage(full, short, uint64(extent)) {
+			t.Fatalf("prefix %d of extent %d compares unequal to its materialised page", len(prefix), extent)
+		}
+		if isZero(prefix) != samePage(short, nil, uint64(extent)) {
+			t.Fatalf("prefix %d of extent %d: equality with the absent page is %v", len(prefix), extent, !isZero(prefix))
+		}
+		// Two pages in a row: the implied tail joins the next page's bytes.
+		ref2 := fnv.New64a()
+		ref2.Write(prefix)
+		ref2.Write(make([]byte, PageSize-len(prefix)))
+		ref2.Write(whole)
+		if got := uint64(fnvOffset.contents([]*page{short, full}, uint64(PageSize+extent))); got != ref2.Sum64() {
+			t.Fatalf("short page %d followed by a %d-byte one: contents gives %016x, want %016x", len(prefix), extent, got, ref2.Sum64())
+		}
+	}
+}
+
 // present counts the materialised pages of the live region at addr.
 func present(a *AddressSpace, addr uint64) (n int) {
 	r, _, _ := a.find(addr)
-	for _, p := range r.pages {
+	for _, p := range r.pages() {
 		if p != nil {
 			n++
 		}
@@ -811,21 +1063,27 @@ func present(a *AddressSpace, addr uint64) (n int) {
 	return n
 }
 
+// allocated returns the bytes and the objects f allocates.
+func allocated(f func()) (bytes, objects uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
 // TestWriteMaterialisesOnlyTouchedPages pins the memory contract: a
-// write costs the pages it touches plus the region's page table, however
-// large the region is. (One byte into an 8 MiB region used to allocate
-// all 8 MiB.)
+// write costs the bytes it reaches into the pages it touches, plus the
+// region's page table, however large the region is. (One byte into an
+// 8 MiB region used to allocate all 8 MiB; eight bytes into a fresh page
+// used to allocate 4 KiB.)
 func TestWriteMaterialisesOnlyTouchedPages(t *testing.T) {
 	a := NewAddressSpace()
 	pinned := a.Mmap("nic.pinned", LowerHalf, KindPinned, 8<<20)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	mustWrite(t, a, pinned.Addr, 5<<20+17, []byte{1})
-	runtime.ReadMemStats(&after)
-	// One 4 KiB page, a 2048-slot page table (16 KiB, twice under the race
-	// detector, which builds it in two steps) and two bitmaps.
-	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-		t.Errorf("one-byte write into an 8 MiB region allocated %d bytes, want <= 64 KiB", got)
+	// One 64-byte buffer and a 2048-slot page table (16 KiB, twice under
+	// the race detector, which builds it in two steps).
+	if got, _ := allocated(func() { mustWrite(t, a, pinned.Addr, 5<<20+17, []byte{1}) }); got > 40<<10 {
+		t.Errorf("one-byte write into an 8 MiB region allocated %d bytes, want <= 40 KiB", got)
 	}
 	if n := present(a, pinned.Addr); n != 1 {
 		t.Errorf("one-byte write materialised %d pages, want 1", n)
@@ -838,9 +1096,28 @@ func TestWriteMaterialisesOnlyTouchedPages(t *testing.T) {
 	if n := present(a, state.Addr); n != 0 {
 		t.Errorf("MmapZero materialised %d pages, want 0", n)
 	}
-	mustWrite(t, a, state.Addr, 3*PageSize-4, []byte("straddle"))
-	if n := present(a, state.Addr); n != 2 {
-		t.Errorf("a write straddling one page boundary materialised %d pages, want 2", n)
+	const table = 16 * 8 // app.state's page table
+	got, _ := allocated(func() { mustWrite(t, a, state.Addr, 0, marker(0)) })
+	if got > table+512 {
+		t.Errorf("the first eight bytes into a fresh 64 KiB region allocated %d bytes, want <= %d beyond the %d-byte page table", got, 512, table)
+	}
+	// A rank's state page fills by appended markers: the buffer grows a
+	// class at a time and ends as exactly one full-size buffer.
+	for i := 1; i < PageSize/8; i++ {
+		mustWrite(t, a, state.Addr, uint64(i)*8, marker(i))
+	}
+	r, _, _ := a.find(state.Addr)
+	if n, p := present(a, state.Addr), r.pages()[0]; n != 1 || len(p.b) != PageSize {
+		t.Errorf("512 appended markers ended in %d pages, the first %d bytes long; want one full-size buffer", n, len(p.b))
+	}
+	mustWrite(t, a, state.Addr, 4*PageSize-4, []byte("straddle"))
+	if n := present(a, state.Addr); n != 3 {
+		t.Errorf("a write straddling one page boundary materialised %d more pages, want 2", n-1)
+	}
+	// The page the write ran out of is full, the one it ran into as short
+	// as a buffer gets.
+	if out, in := r.pages()[3], r.pages()[4]; len(out.b) != PageSize || len(in.b) != minPageBuf {
+		t.Errorf("straddling write left buffers of %d and %d bytes, want %d and %d", len(out.b), len(in.b), PageSize, minPageBuf)
 	}
 	// Never-written contents and written zeros are the same contents.
 	b := NewAddressSpace()
@@ -849,6 +1126,116 @@ func TestWriteMaterialisesOnlyTouchedPages(t *testing.T) {
 	c.MmapZero("app.state", UpperHalf, KindData, 64<<10)
 	if !b.SnapshotUpperHalf().Equal(c.SnapshotUpperHalf()) || b.Fingerprint() != c.Fingerprint() {
 		t.Error("a region of written zeros and a never-written one compare or hash differently")
+	}
+}
+
+// TestDenseWriteAllocatesOnce pins the other end: a page written end to
+// end at once gets its full-size buffer directly — the buffer and the
+// page header in front of it, no chain of shorter ones — and eight bytes
+// into a buffer the region owns and that is long enough allocate nothing.
+func TestDenseWriteAllocatesOnce(t *testing.T) {
+	a := NewAddressSpace()
+	state := a.MmapZero("app.state", UpperHalf, KindData, 64<<10)
+	mustWrite(t, a, state.Addr, 5*PageSize, marker(0)) // page table and contents record exist now
+	dense := bytes.Repeat([]byte{0xDD}, PageSize)
+	bytes, objects := allocated(func() { mustWrite(t, a, state.Addr, 0, dense) })
+	if objects > 2 || bytes > PageSize+64 {
+		t.Errorf("a page written end to end allocated %d bytes in %d objects, want the buffer and its header", bytes, objects)
+	}
+	eight := marker(1)
+	if n := testing.AllocsPerRun(100, func() { mustWrite(t, a, state.Addr, 128, eight) }); n != 0 {
+		t.Errorf("eight bytes into an owned full-size buffer allocate %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { mustWrite(t, a, state.Addr, 5*PageSize+8, eight) }); n != 0 {
+		t.Errorf("eight bytes inside an owned 64-byte buffer allocate %v times", n)
+	}
+}
+
+// TestFrozenShortPageNeverGrownInPlace: a capture that shares a short
+// page keeps exactly what it had when the live space writes past the
+// buffer, inside it, or fills the page — and the live space sees its own
+// writes.
+func TestFrozenShortPageNeverGrownInPlace(t *testing.T) {
+	pool := NewPool()
+	a := NewAddressSpacePooled(pool)
+	state := a.MmapZero("app.state", UpperHalf, KindData, 64<<10)
+	mustWrite(t, a, state.Addr, 0, marker(0))
+	img := a.CommitUpperHalf()
+	frozen := img.Regions[0].pages[0]
+	before := bytes.Clone(frozen.b)
+	fp := img.Fingerprint()
+	mustWrite(t, a, state.Addr, 8, marker(1))    // inside the frozen 64 bytes
+	mustWrite(t, a, state.Addr, 1000, marker(2)) // past them
+	mustWrite(t, a, state.Addr, 0, bytes.Repeat([]byte{9}, PageSize))
+	if !bytes.Equal(frozen.b, before) || len(frozen.b) != minPageBuf {
+		t.Errorf("the captured page changed under live writes: %d bytes % x", len(frozen.b), frozen.b[:16])
+	}
+	if _, err := img.Verify(); err != nil || img.Fingerprint() != fp {
+		t.Errorf("image damaged by writes after the commit: %v", err)
+	}
+	a.Release()
+	if n := len(pool.free); n != 1 {
+		t.Fatalf("Release pooled %d pages, want the one full-size page written since the commit", n)
+	}
+	if pool.free[0] == frozen {
+		t.Fatal("Release pooled the page the image holds")
+	}
+}
+
+// TestLayoutSharedAcrossGoroutines builds spaces from one layout on
+// several goroutines at once and writes, commits and restores them there:
+// under -race this is the check that nothing writes a descriptor, and
+// every space must end with the fingerprint a space built alone has.
+func TestLayoutSharedAcrossGoroutines(t *testing.T) {
+	proto, state := rankLikeSpace()
+	l := proto.Layout()
+	work := func(a *AddressSpace) uint64 {
+		for i := 0; i < 40; i++ {
+			if err := a.Write(state, uint64(i)*8, marker(i)); err != nil {
+				panic(err)
+			}
+			if i == 10 {
+				a.CommitUpperHalf()
+			}
+			if i == 20 {
+				d := a.CommitUpperHalfDelta()
+				d.Verify()
+			}
+		}
+		img := a.CommitUpperHalf()
+		b := l.Bootstrap(nil)
+		b.RestoreUpperHalf(img)
+		if err := b.Write(state, 512, marker(99)); err != nil {
+			panic(err)
+		}
+		return b.Fingerprint()
+	}
+	alone := NewAddressSpace()
+	for _, r := range proto.Regions() {
+		if r.DataLen > 0 {
+			alone.MmapZero(r.Name, r.Half, r.Kind, r.DataLen)
+		} else {
+			alone.Mmap(r.Name, r.Half, r.Kind, r.Size)
+		}
+	}
+	want := work(alone)
+	got := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = work(l.NewSpace(nil))
+		}()
+	}
+	wg.Wait()
+	for g, fp := range got {
+		if fp != want {
+			t.Errorf("space %d built from the shared layout ends at %016x, one built by Mmap calls at %016x", g, fp, want)
+		}
+	}
+	if l.NewSpace(nil).Fingerprint() != proto.Fingerprint() {
+		t.Error("the layout changed while spaces built from it were written")
 	}
 }
 
@@ -867,8 +1254,8 @@ func TestFrozenPagesNeverPooled(t *testing.T) {
 		t.Fatalf("Release pooled %d pages, want only the one written since the commit", n)
 	}
 	pg := pool.get()
-	for i := range pg {
-		pg[i] = 0xEE
+	for i := range pg.b {
+		pg.b[i] = 0xEE
 	}
 	if pages, err := img.Verify(); err != nil || pages != 3 || img.Fingerprint() != fp {
 		t.Fatalf("image damaged by recycling: %d pages, %v", pages, err)

@@ -3,7 +3,8 @@ package memsim
 import "fmt"
 
 // Verify recomputes every region's content digest — rehashing every
-// present page; an absent page is zeros by construction — and compares it
+// present page as far as its buffer reaches; an absent page and the tail
+// past a short buffer are zeros by construction — and compares it
 // against the RegionHashes memo captured at commit time, returning the
 // number of pages the regions' contents span and an error naming the
 // first mismatching region. A snapshot without a hash memo cannot be
@@ -43,15 +44,15 @@ func (d Delta) Verify() (pages int, err error) {
 	return pages, nil
 }
 
-// damaged returns a private copy of the n content bytes behind src (zeros
-// when src is nil) with the first byte flipped. Image payloads share
-// their pages with the live space and with each other, so damage always
-// lands on a fresh buffer: it reaches the one image being corrupted and
-// nothing else.
+// damaged returns a page holding a private copy of the prefix src (of a
+// page at least one byte long; zeros when src is empty) with the first
+// byte flipped. Image payloads share their pages with the live space and
+// with each other, so damage always lands on a fresh buffer: it reaches
+// the one image being corrupted and nothing else.
 func damaged(src []byte) *page {
-	p := new(page)
-	copy(p[:], src)
-	p[0] ^= 0xFF
+	p := newPage(max(len(src), 1))
+	copy(p.b, src)
+	p.b[0] ^= 0xFF
 	return p
 }
 
@@ -74,11 +75,7 @@ func CorruptSnapshot(s *Snapshot, n int) int {
 		pages := make([]*page, pageCount(r.DataLen))
 		copy(pages, r.pages)
 		for idx := 0; idx < len(pages) && done < n; idx++ {
-			var src []byte
-			if pages[idx] != nil {
-				src = pages[idx][:]
-			}
-			pages[idx] = damaged(src)
+			pages[idx] = damaged(pages[idx].buf())
 			done++
 		}
 		r.pages = pages
@@ -102,7 +99,7 @@ func CorruptDelta(d *Delta, n int) int {
 			if p.Len == 0 {
 				continue
 			}
-			p.Data = damaged(p.Data)[:p.Len]
+			p.Data = damaged(p.Data).b
 			done++
 		}
 	}

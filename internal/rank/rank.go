@@ -230,11 +230,6 @@ type Rank struct {
 	// on, meaningful only while state == BlockedRecv.
 	blockedPeer int
 
-	// stateRegion is the upper-half data region workload steps write to,
-	// so that memory contents — and therefore snapshot fingerprints —
-	// evolve over the run.
-	stateRegion uint64
-
 	stats Stats
 	// ckptOverhead accumulates virtual time spent on checkpoint/restart
 	// activity (signal delivery, draining, image write/read, lower-half
@@ -267,13 +262,13 @@ const (
 
 // New returns a rank with an initialised split-process address space,
 // the selected handle-virtualisation table and the given program — the
-// rank's complete op stream, from a compiled scenario spec (possibly
-// shared with other ranks; the rank reads it through Op.Resolve with its
-// own id and never writes it), a recorded trace, or built directly by a
-// test. The upper half models the
-// application, its libc and its link-time MPI library; the lower half
-// models the bootstrap program and the active network stack. The world
-// communicator and the workload's datatype are registered in the
+// rank's complete op stream, from a compiled scenario spec, a recorded
+// trace, or built directly by a test. Two things a rank holds are shared
+// with the other ranks and never written: the program (one stream per
+// class of ranks; the rank reads it through Op.Resolve with its own id)
+// and the memory map (splitProcess: every rank's regions point at the
+// same descriptors, and a rank pays only for the contents it writes). The
+// world communicator and the workload's datatype are registered in the
 // virtualisation table exactly as MANA wraps MPI_Init: the application
 // only ever sees their virtual ids.
 func New(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program) *Rank {
@@ -289,7 +284,7 @@ func NewPooled(id int, personality kernelsim.Personality, impl virtid.Impl, scri
 	r := &Rank{
 		id:     id,
 		clock:  vtime.NewClock(0),
-		mem:    memsim.NewAddressSpacePooled(pool),
+		mem:    splitProcess.NewSpace(pool),
 		pool:   pool,
 		kernel: kernelsim.NewForTable(personality, impl),
 		script: script,
@@ -299,33 +294,35 @@ func NewPooled(id int, personality kernelsim.Personality, impl virtid.Impl, scri
 	r.comms = []virtid.VID{r.vt.Register(virtid.Comm, realCommWorld)}
 	r.commIDs = []int{0}
 	r.dtype = r.vt.Register(virtid.Datatype, realDatatypeByte)
-	r.initUpperHalf()
-	r.InitLowerHalf()
 	return r
 }
 
-func (r *Rank) initUpperHalf() {
-	r.mem.Mmap("app.text", memsim.UpperHalf, memsim.KindText, 2<<20)
-	r.mem.Mmap("app.data", memsim.UpperHalf, memsim.KindData, 512<<10)
-	r.mem.Mmap("libc.text", memsim.UpperHalf, memsim.KindText, 1800<<10)
-	r.mem.Mmap("libmpi.text(link)", memsim.UpperHalf, memsim.KindText, 4<<20)
-	r.mem.Mmap("[stack]", memsim.UpperHalf, memsim.KindStack, 256<<10)
-	r.mem.Mmap("[environ]", memsim.UpperHalf, memsim.KindEnviron, 4<<10)
-	state := r.mem.MmapZero("app.state", memsim.UpperHalf, memsim.KindData, stateRegionSize)
-	r.stateRegion = state.Addr
-}
+// splitProcess is the memory map of MANA's split process (§2.1), the
+// same in every rank: the upper half models the application, its libc and
+// its link-time MPI library; the lower half models the ephemeral program
+// — the bootstrap loader, the active MPI and network libraries and their
+// driver mappings — that restart rebuilds from scratch. stateRegion is
+// the address of the upper-half data region workload steps write to, so
+// that memory contents — and therefore snapshot fingerprints — evolve
+// over the run. Both are built once, before main starts, and only read
+// afterwards.
+var splitProcess, stateRegion = func() (*memsim.Layout, uint64) {
+	m := memsim.NewAddressSpace()
+	m.Mmap("app.text", memsim.UpperHalf, memsim.KindText, 2<<20)
+	m.Mmap("app.data", memsim.UpperHalf, memsim.KindData, 512<<10)
+	m.Mmap("libc.text", memsim.UpperHalf, memsim.KindText, 1800<<10)
+	m.Mmap("libmpi.text(link)", memsim.UpperHalf, memsim.KindText, 4<<20)
+	m.Mmap("[stack]", memsim.UpperHalf, memsim.KindStack, 256<<10)
+	m.Mmap("[environ]", memsim.UpperHalf, memsim.KindEnviron, 4<<10)
+	state := m.MmapZero("app.state", memsim.UpperHalf, memsim.KindData, stateRegionSize)
 
-// InitLowerHalf (re)creates the ephemeral lower half: the bootstrap
-// loader, the active MPI and network libraries and their driver mappings.
-// The coordinator calls it again on restart, after discarding the old
-// lower half, to model rebuilding the lower half from scratch.
-func (r *Rank) InitLowerHalf() {
-	r.mem.Mmap("bootstrap.text", memsim.LowerHalf, memsim.KindText, 128<<10)
-	r.mem.Mmap("libmpi.so(active)", memsim.LowerHalf, memsim.KindText, 4<<20)
-	r.mem.Mmap("libfabric.so", memsim.LowerHalf, memsim.KindText, 1<<20)
-	r.mem.Mmap("nic.pinned", memsim.LowerHalf, memsim.KindPinned, 8<<20)
-	r.mem.Mmap("driver.shm", memsim.LowerHalf, memsim.KindSharedMem, 2<<20)
-}
+	m.Mmap("bootstrap.text", memsim.LowerHalf, memsim.KindText, 128<<10)
+	m.Mmap("libmpi.so(active)", memsim.LowerHalf, memsim.KindText, 4<<20)
+	m.Mmap("libfabric.so", memsim.LowerHalf, memsim.KindText, 1<<20)
+	m.Mmap("nic.pinned", memsim.LowerHalf, memsim.KindPinned, 8<<20)
+	m.Mmap("driver.shm", memsim.LowerHalf, memsim.KindSharedMem, 2<<20)
+	return m.Layout(), state.Addr
+}()
 
 // ID returns the rank's MPI rank number.
 func (r *Rank) ID() int { return r.id }
@@ -508,7 +505,7 @@ func (r *Rank) writeStateMarker() {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(r.pc)+1)
 	off := (uint64(r.pc) * 8) % (stateRegionSize - 8)
-	if err := r.mem.Write(r.stateRegion, off, buf[:]); err != nil {
+	if err := r.mem.Write(stateRegion, off, buf[:]); err != nil {
 		panic(fmt.Sprintf("rank %d: state marker write: %v", r.id, err))
 	}
 }
@@ -906,7 +903,7 @@ func (img *Image) Verify() (pages int, err error) {
 
 // Restore rebuilds the rank from a checkpoint image, modelling MANA's
 // restart path: discard the dead process's lower half, bootstrap a fresh
-// one (InitLowerHalf), then map the saved upper-half regions over it and
+// one (splitProcess's), then map the saved upper-half regions over it and
 // resume the application state. Checkpoint-overhead accounting is
 // preserved across the restore — it describes the run, not the image.
 func (r *Rank) Restore(img Image) { r.RestoreFrom(&img) }
@@ -928,8 +925,7 @@ func (r *Rank) RestoreFrom(img *Image) {
 	// first — nothing else references them (images hold frozen pages) —
 	// and the restored space shares the image's pages rather than copying.
 	r.mem.Release()
-	r.mem = memsim.NewAddressSpacePooled(r.pool)
-	r.InitLowerHalf()
+	r.mem = splitProcess.Bootstrap(r.pool)
 	r.mem.RestoreUpperHalf(img.Mem)
 	// The virtualisation table is rebuilt from the image, exactly as MANA
 	// repopulates it after the fresh lower half comes up: virtual ids live

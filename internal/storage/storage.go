@@ -244,12 +244,19 @@ func (c *Config) Ratio(kind memsim.Kind) float64 {
 // an all-zero page collapses to a run-length header, anything else shrinks
 // by its region class's ratio (never below one byte, never above raw).
 func (c *Config) PageStored(kind memsim.Kind, data []byte) uint64 {
-	raw := uint64(len(data))
+	return c.pageStored(kind, data, uint64(len(data)))
+}
+
+// pageStored is PageStored for a page of raw bytes carried as its written
+// prefix: the bytes past the prefix are zeros, so the prefix alone decides
+// whether the page is a zero page, and the page is priced at its full
+// length either way.
+func (c *Config) pageStored(kind memsim.Kind, prefix []byte, raw uint64) uint64 {
 	if raw == 0 {
 		return 0
 	}
 	zero := true
-	for _, b := range data {
+	for _, b := range prefix {
 		if b != 0 {
 			zero = false
 			break
@@ -278,18 +285,15 @@ func zeroStored(raw uint64) uint64 {
 // the stored (compressed) page bytes and the raw page bytes consumed.
 // Iteration is regions by ascending address, pages by ascending index —
 // the delta's construction order — so the result is deterministic. A page
-// the delta carries unmaterialised (nil Data: Len zero bytes nothing ever
-// wrote) is a zero page without being scanned.
+// counts for its Len bytes however short the prefix the delta carries of
+// it (memsim.PageDelta.Data): the rest is zeros nothing ever wrote, and a
+// page carried with no prefix at all is a zero page without being scanned.
 func (c *Config) CompressDelta(d *memsim.Delta) (stored, raw uint64) {
 	for i := range d.Regions {
 		rd := &d.Regions[i]
 		for pi := range rd.Pages {
 			p := &rd.Pages[pi]
-			if p.Data == nil {
-				stored += zeroStored(uint64(p.Len))
-			} else {
-				stored += c.PageStored(rd.Kind, p.Data)
-			}
+			stored += c.pageStored(rd.Kind, p.Data, uint64(p.Len))
 			raw += uint64(p.Len)
 		}
 	}

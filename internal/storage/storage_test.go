@@ -174,6 +174,42 @@ func TestPageStored(t *testing.T) {
 	}
 }
 
+// TestShortPrefixPricesAsFullPage: a delta may carry a page as the prefix
+// of it that was written (memsim keeps no buffer for the zeros behind it).
+// Whatever the length of the prefix, the page stores and is charged
+// exactly as the same page carried in full, per region class.
+func TestShortPrefixPricesAsFullPage(t *testing.T) {
+	cfg, err := Compile(&Spec{Compression: &CompressionSpec{Enabled: true}})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	delta := func(kind memsim.Kind, n int, data []byte) *memsim.Delta {
+		return &memsim.Delta{Regions: []memsim.RegionDelta{{Kind: kind, Pages: []memsim.PageDelta{{Len: n, Data: data}}}}}
+	}
+	for _, kind := range []memsim.Kind{memsim.KindData, memsim.KindHeap, memsim.KindText, memsim.KindStack, memsim.KindAnonymous} {
+		for _, n := range []int{4096, 1000} { // a whole page and a region's short last one
+			full := make([]byte, n)
+			for _, written := range []int{0, 8, 64} {
+				clear(full)
+				for i := 0; i < written; i++ {
+					full[i] = byte(i + 1)
+				}
+				fs, fr := cfg.CompressDelta(delta(kind, n, full))
+				for _, carried := range []int{written, 64, 128, n} {
+					if carried < written {
+						continue
+					}
+					ps, pr := cfg.CompressDelta(delta(kind, n, full[:carried]))
+					if ps != fs || pr != fr || pr != uint64(n) {
+						t.Errorf("%v page of %d bytes, %d written, carried as a %d-byte prefix: stored %d of %d, in full %d of %d",
+							kind, n, written, carried, ps, pr, fs, fr)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPFSContention pins the FIFO queue model: back-to-back arrivals
 // serialise, and the second writer's wait is exactly the first one's
 // residual service time.
