@@ -19,9 +19,10 @@ race:
 # fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
 # `go test` only replays their seed corpus): the sparse page store
 # against a flat []byte model, the zero-run FNV kernel against hash/fnv,
-# the dense netsim pair tables against a map[Pair] model, and the ops
+# the dense netsim pair tables against a map[Pair] model, the ops
 # ranks resolve from shared compiled streams against the per-rank
-# materialising compiler. -fuzz takes one target in one package per run.
+# materialising compiler, and the branch-free event heap against a
+# sort. -fuzz takes one target in one package per run.
 # -fuzzminimizetime 1x: minimising every coverage-expanding input is on
 # by default with a 60 s budget and stalls a 10 s run after its first
 # find; a failing input is still reported and saved under testdata/fuzz.
@@ -31,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFNVKernel$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
 	$(GO) test -run='^$$' -fuzz='^FuzzNetsimVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/netsim
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileVsMaterialised$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzQueueVsSort$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/vtime
 
 lint:
 	$(GO) vet ./...

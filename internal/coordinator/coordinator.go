@@ -444,19 +444,45 @@ const (
 	evDrainDone
 )
 
-// event is one entry on the virtual-time queue. It is 16 bytes — every
-// heap sift copies it — so it carries one pointer and one index, and
-// the kinds that need more look it up where it already lives: a
-// collective completion in the forming record of its communicator (its
-// completion time is the event's own time), a drain completion in the
-// drainDones table.
+// event is one entry on the virtual-time queue. It is 8 bytes and holds
+// no pointer — every heap sift copies it, and a pointer-free queue needs
+// no write barriers and is never scanned by the collector — so it
+// carries two small integers, and the kinds that need more look it up
+// where it already lives: a collective completion in the forming record
+// of its communicator (its completion time is the event's own time), a
+// drain completion in the drainDones table. A delivery needs nothing
+// more: its receiver and sender are the only message fields dispatch
+// reads, and its arrival time is the event's time.
 type event struct {
-	msg *netsim.Message // evDelivery
-	// arg is the kind's one index: the rank (evRankReady), the
-	// communicator id (evCollectiveDone), the index into cfg.Triggers
-	// (evTrigger), into faults (evFail) or into drainDones (evDrainDone).
-	arg  int32
-	kind eventKind
+	// arg is the kind's one index: the rank (evRankReady), the receiver
+	// (evDelivery), the communicator id (evCollectiveDone), the index
+	// into cfg.Triggers (evTrigger), into faults (evFail) or into
+	// drainDones (evDrainDone).
+	arg int32
+	// tag is the kind in its low byte and, for evDelivery, the sender
+	// above it.
+	tag uint32
+}
+
+// senderShift places a delivery's sender above the kind byte of
+// event.tag; every rank id must fit the 24 bits left.
+const senderShift = 8
+
+// Compile-time check: a job's largest rank id fits above the kind byte.
+const _ = uint(1<<(32-senderShift) - scenario.MaxRanks)
+
+func (e event) kind() eventKind { return eventKind(e.tag) }
+
+// sender is an evDelivery's sending rank.
+func (e event) sender() int { return int(e.tag >> senderShift) }
+
+// indexEvent is an event of any kind but evDelivery.
+func indexEvent(k eventKind, arg int) event { return event{arg: int32(arg), tag: uint32(k)} }
+
+// deliveryEvent is the event that makes m visible at its receiver, due
+// at m.Arrive.
+func deliveryEvent(m *netsim.Message) event {
+	return event{arg: int32(m.Dst), tag: uint32(m.Src)<<senderShift | uint32(evDelivery)}
 }
 
 // drainDone is the payload of one evDrainDone event: which rank's drain
@@ -625,6 +651,9 @@ type Coordinator struct {
 	// count was iterations x ranks; here it scales with actual work.
 	events     uint64
 	rankVisits uint64
+	// dispatched, when set (tests only, through OnDispatch), is called
+	// with the time of every event the serial loop dispatches.
+	dispatched func(vtime.Time)
 
 	// digestBuf is the scratch the fingerprint digests are rendered into
 	// and regionHeads the cache of the delta-region heads they repeat.
@@ -650,8 +679,8 @@ type drainReq struct {
 // configured triggers scheduled, and every rank's first ready event
 // seeded.
 func New(cfg Config) *Coordinator {
-	if cfg.Ranks <= 0 {
-		panic("coordinator: config needs at least one rank")
+	if cfg.Ranks <= 0 || cfg.Ranks > scenario.MaxRanks {
+		panic(fmt.Sprintf("coordinator: config needs 1 to %d ranks, has %d", scenario.MaxRanks, cfg.Ranks))
 	}
 	if len(cfg.Programs) != cfg.Ranks {
 		panic(fmt.Sprintf("coordinator: config carries %d programs for %d ranks", len(cfg.Programs), cfg.Ranks))
@@ -756,12 +785,12 @@ func New(cfg Config) *Coordinator {
 func (c *Coordinator) seed() {
 	for i, t := range c.triggers {
 		if !c.fired[i] {
-			c.queues.Push(c.globalLane(), t.At, event{kind: evTrigger, arg: int32(i)})
+			c.queues.Push(c.globalLane(), t.At, indexEvent(evTrigger, i))
 		}
 	}
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
-			c.queues.Push(c.globalLane(), f.Time, event{kind: evFail, arg: int32(i)})
+			c.queues.Push(c.globalLane(), f.Time, indexEvent(evFail, i))
 		}
 	}
 	c.doneCount = 0
@@ -791,21 +820,21 @@ func (c *Coordinator) ScheduleDelivery(m *netsim.Message) {
 	if c.inWindow {
 		src := c.islandOf[m.Src]
 		if src == lane {
-			c.queues.WorkerPush(lane, m.Arrive, event{kind: evDelivery, msg: m})
+			c.queues.WorkerPush(lane, m.Arrive, deliveryEvent(m))
 		} else {
 			buf := &c.lanebufs[src]
 			buf.msgs = append(buf.msgs, m)
 		}
 		return
 	}
-	c.queues.Push(lane, m.Arrive, event{kind: evDelivery, msg: m})
+	c.queues.Push(lane, m.Arrive, deliveryEvent(m))
 }
 
 // scheduleReady queues the rank's next ready event on its island lane,
 // if it has one.
 func (c *Coordinator) scheduleReady(r *rank.Rank) {
 	if t, ok := r.NextReady(); ok {
-		c.queues.Push(c.islandOf[r.ID()], t, event{kind: evRankReady, arg: int32(r.ID())})
+		c.queues.Push(c.islandOf[r.ID()], t, indexEvent(evRankReady, r.ID()))
 	}
 }
 
@@ -991,7 +1020,7 @@ func (c *Coordinator) maybeScheduleCollectiveDone(f *forming) {
 	latest := vtime.MaxStamp(f.stamps)
 	completion := latest.When.Add(c.cfg.Net.CollectiveCost(f.kind, n, f.bytes))
 	f.scheduled, f.completion = true, completion
-	c.queues.Push(c.globalLane(), completion, event{kind: evCollectiveDone, arg: int32(f.commID)})
+	c.queues.Push(c.globalLane(), completion, indexEvent(evCollectiveDone, f.commID))
 }
 
 // collectiveKindOf maps a collective op onto the network cost model.
@@ -1015,11 +1044,11 @@ func collectiveKindOf(k scenario.OpKind) netsim.CollectiveKind {
 // else is held at the boundary), and a planned collective's waiting set
 // shrinks with each arrival.
 func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) {
-	commID := r.CommID(tr.Op.Comm)
-	kind := collectiveKindOf(tr.Op.Kind)
+	commID := r.CommID(tr.Coll.Comm)
+	kind := collectiveKindOf(tr.Coll.Kind)
 	f := c.colls[commID]
 	if f == nil {
-		f = c.newForming(commID, kind, tr.Op.Bytes)
+		f = c.newForming(commID, kind, tr.Coll.Bytes)
 	} else {
 		if f.scheduled {
 			panic(fmt.Sprintf("coordinator: rank %d arrived at comm %d %v after its completion was scheduled",
@@ -1033,7 +1062,7 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) {
 	f.stamps = append(f.stamps, tr.Stamp)
 	f.ranks = append(f.ranks, r.ID())
 	if kind == netsim.CommSplit {
-		f.colors = append(f.colors, tr.Op.Color)
+		f.colors = append(f.colors, tr.Coll.Color)
 	}
 	c.inCollComm[r.ID()] = commID
 	if c.draining {
@@ -1134,7 +1163,7 @@ func (c *Coordinator) afterRankProgress(r *rank.Rank) {
 // dispatch executes one event popped at virtual time t. It returns
 // failed=true when the injected failure fired.
 func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool) {
-	switch ev.kind {
+	switch ev.kind() {
 	case evRankReady:
 		r := c.ranks[ev.arg]
 		if r.State() != rank.Running {
@@ -1166,11 +1195,10 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool) {
 			c.joinCollective(r, &tr)
 		}
 	case evDelivery:
-		m := ev.msg
-		r := c.ranks[m.Dst]
-		if peer, ok := r.BlockedOn(); ok && peer == m.Src {
+		r := c.ranks[ev.arg]
+		if peer, ok := r.BlockedOn(); ok && peer == ev.sender() {
 			c.rankVisits++
-			if r.Wake(c.net, m.Arrive) {
+			if r.Wake(c.net, t) {
 				c.afterRankProgress(r)
 			}
 		}
@@ -1260,6 +1288,9 @@ func (c *Coordinator) Run() (Outcome, error) {
 				"coordinator: deadlock after %d events — %d ranks not done, %d in collective, %d messages in flight, no event can wake them",
 				c.events, c.nonDone(), c.inCollective(), c.net.InFlight())
 		}
+		if c.dispatched != nil {
+			c.dispatched(t)
+		}
 		if c.dispatch(t, ev) {
 			return Failed, nil
 		}
@@ -1290,8 +1321,8 @@ func (c *Coordinator) sweepStaleDeliveries() {
 			if !ok {
 				break
 			}
-			if ev.kind != evDelivery {
-				panic(fmt.Sprintf("coordinator: event kind %d queued on island lane %d after completion", ev.kind, lane))
+			if ev.kind() != evDelivery {
+				panic(fmt.Sprintf("coordinator: event kind %d queued on island lane %d after completion", ev.kind(), lane))
 			}
 			c.events++
 		}
@@ -1467,7 +1498,7 @@ func (c *Coordinator) scheduleDrains(rec *CheckpointRecord) {
 		if done > rec.DurableAt {
 			rec.DurableAt = done
 		}
-		c.queues.Push(c.globalLane(), done, event{kind: evDrainDone, arg: int32(len(c.drainDones))})
+		c.queues.Push(c.globalLane(), done, indexEvent(evDrainDone, len(c.drainDones)))
 		c.drainDones = append(c.drainDones, drainDone{rank: int32(dr.rank), seq: int32(rec.Seq)})
 		c.drainsQueued++
 	}
@@ -1642,7 +1673,7 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtCheckpointCommit && f.N == rec.Seq {
 			c.faultFired[i] = true
-			c.queues.Push(c.globalLane(), rec.SafeAt.Add(f.Delay), event{kind: evFail, arg: int32(i)})
+			c.queues.Push(c.globalLane(), rec.SafeAt.Add(f.Delay), indexEvent(evFail, i))
 		}
 	}
 	return crashed, nil

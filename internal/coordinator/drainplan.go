@@ -270,7 +270,7 @@ func (c *Coordinator) beginDrain() error {
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtDrainStart && f.N == seq {
 			c.faultFired[i] = true
-			c.queues.Push(c.globalLane(), c.maxClock.Add(f.Delay), event{kind: evFail, arg: int32(i)})
+			c.queues.Push(c.globalLane(), c.maxClock.Add(f.Delay), indexEvent(evFail, i))
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -333,11 +334,50 @@ func BenchmarkScheduler65536Ranks4Workers(b *testing.B) {
 	benchIslands(b, 65536, 16, 4, 0)
 }
 
-// TestEventFitsSixteenBytes pins the event's size: every heap sift copies
-// it, so a field added carelessly costs every simulated event. The fat
-// kinds keep their payload elsewhere (see the event doc comment).
-func TestEventFitsSixteenBytes(t *testing.T) {
-	if size := unsafe.Sizeof(event{}); size > 16 {
-		t.Errorf("event is %d bytes, want <= 16", size)
+// TestEventLayout pins the event's layout: every heap sift copies it, so
+// a field added carelessly costs every simulated event. It is 8 bytes,
+// its queue entry (time, seq, event) is 24, and it holds no pointer — a
+// pointer would bring back write barriers on every sift and make the
+// collector scan the queue. The fat kinds keep their payload elsewhere
+// (see the event doc comment).
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 8 {
+		t.Errorf("event is %d bytes, want 8", size)
+	}
+	// The queue's entry type is vtime's own, so it is weighed by what a
+	// preallocated queue of 2^16 events costs.
+	const n = 1 << 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	q := vtime.NewEventQueueSized[event](n)
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != 24 || q.Cap() != n {
+		t.Errorf("queue entry is %d bytes, want 24", per)
+	}
+	if path := pointerIn(reflect.TypeOf(event{}), "event"); path != "" {
+		t.Errorf("event holds a pointer at %s", path)
+	}
+}
+
+// pointerIn returns the path of the first field of typ that is or holds
+// a pointer the collector would scan, or "" if there is none.
+func pointerIn(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerIn(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Array:
+		return pointerIn(typ.Elem(), path+"[]")
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	default: // pointers, slices, strings, maps, channels, funcs, interfaces
+		return path
 	}
 }

@@ -152,7 +152,7 @@ func (c *Coordinator) drainLane(lane int, horizon vtime.Time) {
 // (collective arrivals, done accounting, cross-island sends via
 // ScheduleDelivery) are buffered on the laneBuf for the barrier.
 func (c *Coordinator) dispatchWindow(lane int, buf *laneBuf, t vtime.Time, ev event) {
-	switch ev.kind {
+	switch ev.kind() {
 	case evRankReady:
 		r := c.ranks[ev.arg]
 		if r.State() != rank.Running {
@@ -173,16 +173,15 @@ func (c *Coordinator) dispatchWindow(lane int, buf *laneBuf, t vtime.Time, ev ev
 			buf.arrivals = append(buf.arrivals, pendingArrival{at: t, rankID: r.ID(), tr: tr})
 		}
 	case evDelivery:
-		m := ev.msg
-		r := c.ranks[m.Dst]
-		if peer, ok := r.BlockedOn(); ok && peer == m.Src {
+		r := c.ranks[ev.arg]
+		if peer, ok := r.BlockedOn(); ok && peer == ev.sender() {
 			buf.visits++
-			if r.Wake(c.net, m.Arrive) {
+			if r.Wake(c.net, t) {
 				c.noteProgressWindow(lane, buf, r)
 			}
 		}
 	default:
-		panic(fmt.Sprintf("coordinator: event kind %d on island lane %d", ev.kind, lane))
+		panic(fmt.Sprintf("coordinator: event kind %d on island lane %d", ev.kind(), lane))
 	}
 }
 
@@ -198,7 +197,7 @@ func (c *Coordinator) noteProgressWindow(lane int, buf *laneBuf, r *rank.Rank) {
 		return
 	}
 	if t, ok := r.NextReady(); ok {
-		c.queues.WorkerPush(lane, t, event{kind: evRankReady, arg: int32(r.ID())})
+		c.queues.WorkerPush(lane, t, indexEvent(evRankReady, r.ID()))
 	}
 }
 
@@ -226,7 +225,7 @@ func (c *Coordinator) mergeWindow() {
 	for lane := range c.lanebufs {
 		buf := &c.lanebufs[lane]
 		for _, m := range buf.msgs {
-			c.queues.Push(c.islandOf[m.Dst], m.Arrive, event{kind: evDelivery, msg: m})
+			c.queues.Push(c.islandOf[m.Dst], m.Arrive, deliveryEvent(m))
 		}
 		buf.msgs = buf.msgs[:0]
 	}

@@ -17,9 +17,10 @@
 //     for a given (spec, ranks, steps, seed, group) is compiled once.
 //     What it holds is small — one rank-parametric op stream per class
 //     of ranks and a slice header per rank, not a copy per rank — and
-//     read-only: a rank resolves the op under its pc by value
-//     (scenario.Op.Resolve) and writes nothing back, so any number of
-//     concurrent runs can execute the same compiled workload.
+//     read-only: a rank reads the op under its pc in place, resolving
+//     its rank-dependent values by value (scenario.Op.Scalars), and
+//     writes nothing back, so any number of concurrent runs can execute
+//     the same compiled workload.
 //
 // Spec compilation itself is serialised under the engine lock:
 // scenario.Spec.Compile re-validates its receiver in place (parsed

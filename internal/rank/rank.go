@@ -265,7 +265,7 @@ const (
 // rank's complete op stream, from a compiled scenario spec, a recorded
 // trace, or built directly by a test. Two things a rank holds are shared
 // with the other ranks and never written: the program (one stream per
-// class of ranks; the rank reads it through Op.Resolve with its own id)
+// class of ranks; the rank reads it through Op.Scalars with its own id)
 // and the memory map (splitProcess: every rank's regions point at the
 // same descriptors, and a rank pays only for the contents it writes). The
 // world communicator and the workload's datatype are registered in the
@@ -405,18 +405,6 @@ func (r *Rank) ChargeCkptOverhead(d vtime.Duration) {
 	}
 }
 
-// Op returns the rank's current scripted operation, resolved for this
-// rank: the program is immutable and may be shared with every rank of
-// the same shape, so what is returned is this rank's own literal copy
-// and stays valid after the rank moves on. It panics if the script is
-// exhausted; callers must check State first.
-func (r *Rank) Op() scenario.Op {
-	if r.pc >= len(r.script) {
-		panic(fmt.Sprintf("rank %d: Op() past end of script", r.id))
-	}
-	return r.script[r.pc].Resolve(r.id)
-}
-
 // AtCollective reports whether the rank's next operation is a
 // collective and, if so, the communicator slot it runs over — what the
 // drain planner asks of every ready rank. Neither depends on the rank,
@@ -510,40 +498,46 @@ func (r *Rank) writeStateMarker() {
 	}
 }
 
-// DoCompute executes a compute op: advance the clock by the phase
+// compute executes a compute op: advance the clock by the phase
 // duration and touch application memory.
-func (r *Rank) DoCompute(op *scenario.Op) {
-	r.clock.Advance(op.Dur)
-	r.stats.ComputeTime += op.Dur
+func (r *Rank) compute(dur vtime.Duration) {
+	r.clock.Advance(dur)
+	r.stats.ComputeTime += dur
 	r.writeStateMarker()
 	r.pc++
 }
 
-// DoSend executes a blocking send op: translate the communicator and
+// send executes a blocking send op: translate the communicator and
 // datatype handles (a blocking send surfaces no request to the
 // application, so none is virtualised), charge the MANA call overhead
 // (one lookup per translated handle, metadata record for the drain
 // counters), inject the message with a piggybacked timestamp, and occupy
 // the sender for the serialisation time.
-func (r *Rank) DoSend(net *netsim.Network, op *scenario.Op) *netsim.Message {
+func (r *Rank) send(net *netsim.Network, op *scenario.Op, peer int, bytes uint64) *netsim.Message {
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	r.chargeMPICall(virtid.LookupCounts{Comm: 1, Datatype: 1}, 0, true)
+	return r.inject(net, op.Tag, peer, bytes)
+}
+
+// inject puts the message on the wire with a piggybacked timestamp and
+// occupies the sender for the serialisation time.
+func (r *Rank) inject(net *netsim.Network, tag, peer int, bytes uint64) *netsim.Message {
 	stamp := vtime.StampFrom(r.id, r.clock)
-	m, busy := net.Send(r.id, op.Peer, op.Tag, op.Bytes, stamp)
+	m, busy := net.Send(r.id, peer, tag, bytes, stamp)
 	r.clock.Advance(busy)
 	r.stats.MsgsSent++
-	r.stats.BytesSent += op.Bytes
+	r.stats.BytesSent += bytes
 	r.pc++
 	return m
 }
 
-// DoIsend executes a nonblocking send: like DoSend, but the call also
+// isend executes a nonblocking send: like send, but the call also
 // registers a request handle that stays live — in the table and in the
 // pending FIFO, both part of the checkpoint image — until the matching
 // wait retires it. The message itself is on the wire immediately; only
 // its completion handle is outstanding.
-func (r *Rank) DoIsend(net *netsim.Network, op *scenario.Op) *netsim.Message {
+func (r *Rank) isend(net *netsim.Network, op *scenario.Op, peer int, bytes uint64) *netsim.Message {
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	req := r.postRequest()
@@ -551,19 +545,13 @@ func (r *Rank) DoIsend(net *netsim.Network, op *scenario.Op) *netsim.Message {
 	// The post is a table write (the request is born here), not a lookup;
 	// its first translation happens at the wait.
 	r.chargeMPICall(virtid.LookupCounts{Comm: 1, Datatype: 1}, 1, true)
-	stamp := vtime.StampFrom(r.id, r.clock)
-	m, busy := net.Send(r.id, op.Peer, op.Tag, op.Bytes, stamp)
-	r.clock.Advance(busy)
-	r.stats.MsgsSent++
-	r.stats.BytesSent += op.Bytes
-	r.pc++
-	return m
+	return r.inject(net, op.Tag, peer, bytes)
 }
 
-// DoWait completes the oldest outstanding nonblocking operation: the
+// wait completes the oldest outstanding nonblocking operation: the
 // wait call passes the request handle down (one translation) and retires
 // it from the table — after this the virtual id never resolves again.
-func (r *Rank) DoWait() {
+func (r *Rank) wait() {
 	if len(r.pending) == 0 {
 		panic(fmt.Sprintf("rank %d: wait with no outstanding request", r.id))
 	}
@@ -574,20 +562,17 @@ func (r *Rank) DoWait() {
 	r.pc++
 }
 
-// TryRecv attempts to execute a recv op at virtual time by. Drain-
-// buffered inbox messages from the requested peer are consumed first,
-// with no arrival gate — they were already received off the network by
-// the checkpoint helper and live in the rank's own buffer. Otherwise
-// the network queue is consulted, which only yields messages that have
-// arrived by the given time: a rank can never observe a message before
-// its wire latency has elapsed, which is both the physical semantics
-// and the property the island scheduler's lookahead window relies on.
-// It returns false, leaving the pc unchanged, if no matching message is
-// visible yet — the message's delivery event wakes the rank later.
-func (r *Rank) TryRecv(net *netsim.Network, op *scenario.Op, by vtime.Time) bool {
-	return r.tryRecvFrom(net, op.Peer, by)
-}
-
+// tryRecvFrom attempts to execute a recv op from peer at virtual time
+// by. Drain-buffered inbox messages from the requested peer are consumed
+// first, with no arrival gate — they were already received off the
+// network by the checkpoint helper and live in the rank's own buffer.
+// Otherwise the network queue is consulted, which only yields messages
+// that have arrived by the given time: a rank can never observe a
+// message before its wire latency has elapsed, which is both the
+// physical semantics and the property the island scheduler's lookahead
+// window relies on. It returns false, leaving the pc unchanged, if no
+// matching message is visible yet — the message's delivery event wakes
+// the rank later.
 func (r *Rank) tryRecvFrom(net *netsim.Network, peer int, by vtime.Time) bool {
 	for i := range r.inbox {
 		if r.inbox[i].Src == peer {
@@ -638,16 +623,25 @@ const (
 // what the event loop needs to schedule follow-up events.
 type Transition struct {
 	Kind TransitionKind
-	// Op is the operation that was attempted, as resolved for the rank:
-	// a value of the transition's own, so it outlives the rank's next
-	// step (a collective arrival is read after the window it was
-	// buffered in).
-	Op scenario.Op
 	// Msg is the injected message for an Advanced send (its delivery
 	// event is scheduled by the network's DeliveryScheduler hook).
 	Msg *netsim.Message
 	// Stamp is the arrival stamp for JoinedCollective.
 	Stamp vtime.Stamp
+	// Coll is the collective a JoinedCollective entered. It is a value
+	// of the transition's own, so it outlives the rank's next step (a
+	// window's collective arrivals are replayed after the window).
+	Coll Collective
+}
+
+// Collective is one collective call as a rank made it: its kind, the
+// communicator slot it runs over, its payload and (for a comm-split) the
+// rank's colour.
+type Collective struct {
+	Kind  scenario.OpKind
+	Comm  int
+	Bytes uint64
+	Color int
 }
 
 // NextReady reports when the rank can next execute an operation. It
@@ -665,30 +659,32 @@ func (r *Rank) NextReady() (vtime.Time, bool) {
 // the resulting transition. Callers must only invoke it when NextReady
 // reports true.
 func (r *Rank) Execute(net *netsim.Network) (tr Transition) {
-	// The op is resolved once, into the transition (callers checked the
-	// rank is not done, so pc is in range); Advanced is the zero Kind.
-	tr.Op = r.script[r.pc].Resolve(r.id)
-	op := &tr.Op
+	// Kind, Tag and Comm are read in place from the shared program
+	// (callers checked the rank is not done, so pc is in range); only the
+	// rank-dependent scalars are resolved. Advanced is the zero Kind.
+	op := &r.script[r.pc]
+	v := op.Scalars(r.id)
 	switch op.Kind {
 	case scenario.OpCompute:
-		r.DoCompute(op)
+		r.compute(v.Dur)
 	case scenario.OpSend:
-		tr.Msg = r.DoSend(net, op)
+		tr.Msg = r.send(net, op, v.Peer, v.Bytes)
 	case scenario.OpIsend:
-		tr.Msg = r.DoIsend(net, op)
+		tr.Msg = r.isend(net, op, v.Peer, v.Bytes)
 	case scenario.OpWait:
-		r.DoWait()
+		r.wait()
 	case scenario.OpRecv:
-		if !r.TryRecv(net, op, r.clock.Now()) {
+		if !r.tryRecvFrom(net, v.Peer, r.clock.Now()) {
 			r.state = BlockedRecv
-			r.blockedPeer = op.Peer
+			r.blockedPeer = v.Peer
 			tr.Kind = BlockedOnRecv
 		}
 	case scenario.OpBarrier, scenario.OpAllreduce, scenario.OpCommSplit:
 		tr.Kind = JoinedCollective
 		tr.Stamp = r.arriveAt(op)
+		tr.Coll = Collective{Kind: op.Kind, Comm: op.Comm, Bytes: v.Bytes, Color: v.Color}
 	case scenario.OpSbrk:
-		r.DoSbrk(op)
+		r.sbrk(v.Bytes)
 	default:
 		panic(fmt.Sprintf("rank %d: Execute of unknown op kind %v", r.id, op.Kind))
 	}
@@ -723,21 +719,13 @@ func (r *Rank) Wake(net *netsim.Network, at vtime.Time) bool {
 	return false
 }
 
-// ArriveAtCollective executes the rank-local half of a collective:
-// translate the handles the call passes (every collective names the
-// communicator it runs over — world or a sub-communicator slot; a
-// payload-carrying one also names the datatype), charge the call
-// overhead, mark the rank as waiting, and return the piggyback stamp the
-// coordinator gathers to compute the completion time.
-func (r *Rank) ArriveAtCollective() vtime.Stamp {
-	op := r.Op()
-	return r.arriveAt(&op)
-}
-
+// arriveAt executes the rank-local half of a collective: translate the
+// handles the call passes (every collective names the communicator it
+// runs over — world or a sub-communicator slot; a payload-carrying one
+// also names the datatype), charge the call overhead, mark the rank as
+// waiting, and return the piggyback stamp the coordinator gathers to
+// compute the completion time.
 func (r *Rank) arriveAt(op *scenario.Op) vtime.Stamp {
-	if r.State() != Running {
-		panic(fmt.Sprintf("rank %d: ArriveAtCollective in state %v", r.id, r.state))
-	}
 	lookups := virtid.LookupCounts{Comm: 1}
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	if op.Kind == scenario.OpAllreduce {
@@ -792,13 +780,12 @@ func (r *Rank) FinishCommSplit(completion vtime.Time, commID int, real virtid.Re
 	r.pc++
 }
 
-// DoSbrk executes a heap-growth op through the simulated address space,
+// sbrk executes a heap-growth op through the simulated address space,
 // charging the syscall cost.
-func (r *Rank) DoSbrk(op *scenario.Op) memsim.SbrkResult {
+func (r *Rank) sbrk(bytes uint64) {
 	r.clock.Advance(r.kernel.SyscallCost())
-	res := r.mem.Sbrk(op.Bytes)
+	r.mem.Sbrk(bytes)
 	r.pc++
-	return res
 }
 
 // BufferDrained appends a message delivered by the checkpoint drain phase

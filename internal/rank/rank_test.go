@@ -13,13 +13,6 @@ import (
 	"mana/internal/vtime"
 )
 
-// cur returns the rank's current op, resolved, in the pointer form the
-// Do* methods take.
-func cur(r *Rank) *scenario.Op {
-	op := r.Op()
-	return &op
-}
-
 func testNet() *netsim.Network {
 	return netsim.New(netsim.Params{Latency: 1000 * vtime.Nanosecond, BandwidthBytesPerSec: 1e9})
 }
@@ -102,7 +95,7 @@ func TestMPICallChargesManaOverhead(t *testing.T) {
 	script := []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 0, Tag: 0}}
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
 	k := kernelsim.NewForTable(kernelsim.Unpatched, virtid.ImplSharded)
-	r.DoSend(testNet(), &script[0])
+	r.Execute(testNet())
 	st := r.Stats()
 	if st.MPICalls != 1 {
 		t.Fatalf("MPICalls = %d, want 1", st.MPICalls)
@@ -130,8 +123,8 @@ func TestPatchedKernelCheaperPerCall(t *testing.T) {
 	script := []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 0}}
 	unp := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
 	pat := New(0, kernelsim.Patched, virtid.ImplSharded, script)
-	unp.DoSend(testNet(), &script[0])
-	pat.DoSend(testNet(), &script[0])
+	unp.Execute(testNet())
+	pat.Execute(testNet())
 	if pat.Stats().ManaOverhead >= unp.Stats().ManaOverhead {
 		t.Errorf("patched overhead %v should be below unpatched %v",
 			pat.Stats().ManaOverhead, unp.Stats().ManaOverhead)
@@ -144,18 +137,18 @@ func TestRecvObservesPiggybackedArrival(t *testing.T) {
 	receiver := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpRecv, Peer: 0}})
 
 	// Receiver posts first: nothing in flight yet.
-	if receiver.TryRecv(net, cur(receiver), receiver.Clock().Now()) {
-		t.Fatal("TryRecv succeeded with nothing in flight")
+	if tr := receiver.Execute(net); tr.Kind != BlockedOnRecv {
+		t.Fatalf("recv with nothing in flight: transition %+v, want BlockedOnRecv", tr)
 	}
-	sender.DoCompute(cur(sender))
-	m := sender.DoSend(net, cur(sender))
+	sender.Execute(net)
+	m := sender.Execute(net).Msg
 	// The message is in flight but has not arrived: the receiver (clock
 	// near zero) cannot observe it yet.
-	if receiver.TryRecv(net, cur(receiver), receiver.Clock().Now()) {
-		t.Fatal("TryRecv consumed a message before its arrival time")
+	if receiver.Wake(net, receiver.Clock().Now()) {
+		t.Fatal("receive completed before the message's arrival time")
 	}
-	if !receiver.TryRecv(net, cur(receiver), m.Arrive) {
-		t.Fatal("TryRecv failed with an arrived message in flight")
+	if !receiver.Wake(net, m.Arrive) {
+		t.Fatal("receive failed with an arrived message in flight")
 	}
 	// The receiver (clock near zero) must advance to the arrival time.
 	if got := receiver.Clock().Now(); got < m.Arrive {
@@ -168,7 +161,7 @@ func TestRecvObservesPiggybackedArrival(t *testing.T) {
 
 func TestCollectiveArriveFinish(t *testing.T) {
 	r := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpBarrier}})
-	stamp := r.ArriveAtCollective()
+	stamp := r.Execute(testNet()).Stamp
 	if r.State() != InCollective {
 		t.Fatalf("state after arrive = %v, want in-collective", r.State())
 	}
@@ -196,12 +189,12 @@ func TestImageRoundTripRestoresExactState(t *testing.T) {
 		{Kind: scenario.OpCompute, Dur: 2 * vtime.Millisecond},
 	}
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
-	r.DoCompute(&script[0])
-	r.DoSbrk(&script[1])
+	r.Execute(net)
+	r.Execute(net)
 	img := r.CaptureImage(false)
 
 	// Run past the checkpoint, then restore.
-	r.DoCompute(&script[2])
+	r.Execute(net)
 	if r.State() != Done {
 		t.Fatalf("state = %v, want done before restore", r.State())
 	}
@@ -220,18 +213,17 @@ func TestImageRoundTripRestoresExactState(t *testing.T) {
 	if got := r.Mem().BytesOf(memsim.LowerHalf); got == 0 {
 		t.Error("lower half empty after restore; restart must rebuild it")
 	}
-	r.DoCompute(&script[2])
+	r.Execute(net)
 	if r.State() != Done {
 		t.Errorf("replay did not complete the script")
 	}
-	_ = net
 }
 
 func TestDrainedInboxSurvivesCheckpointAndFeedsRecv(t *testing.T) {
 	net := testNet()
 	sender := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 500, Tag: 9}})
 	receiver := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpRecv, Peer: 0, Tag: 9}})
-	sender.DoSend(net, cur(sender))
+	sender.Execute(net)
 
 	// Checkpoint-time drain: the in-flight message is buffered at the
 	// receiver, the network quiesces, and the image carries the buffer.
@@ -253,8 +245,8 @@ func TestDrainedInboxSurvivesCheckpointAndFeedsRecv(t *testing.T) {
 	// The restored receiver consumes the buffered message with no network
 	// traffic at all — and with no arrival gate: the drain already
 	// received it off the network.
-	if !receiver.TryRecv(net, cur(receiver), receiver.Clock().Now()) {
-		t.Fatal("recv after restore failed to consume drained message")
+	if tr := receiver.Execute(net); tr.Kind != Advanced {
+		t.Fatalf("recv after restore failed to consume drained message: transition %+v", tr)
 	}
 	if receiver.InboxLen() != 0 {
 		t.Errorf("inbox not consumed: %d left", receiver.InboxLen())
@@ -271,9 +263,9 @@ func TestStatsRestoredFromImage(t *testing.T) {
 		{Kind: scenario.OpSend, Peer: 1, Bytes: 100},
 	}
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, script)
-	r.DoSend(net, &script[0])
+	r.Execute(net)
 	img := r.CaptureImage(false)
-	r.DoSend(net, &script[1])
+	r.Execute(net)
 	if r.Stats().MsgsSent != 2 {
 		t.Fatalf("MsgsSent = %d, want 2", r.Stats().MsgsSent)
 	}
@@ -295,8 +287,8 @@ func TestExecuteTransitions(t *testing.T) {
 		t.Fatalf("NextReady = (%v, %v), want (0, true)", tm, ok)
 	}
 	tr := r.Execute(net)
-	if tr.Kind != Advanced || tr.Op.Kind != scenario.OpCompute {
-		t.Fatalf("compute transition = %+v, want Advanced/compute", tr)
+	if tr.Kind != Advanced || r.Stats().ComputeTime != 1*vtime.Millisecond {
+		t.Fatalf("compute transition = %+v with %v computed, want Advanced after 1ms", tr, r.Stats().ComputeTime)
 	}
 	if tm, ok := r.NextReady(); !ok || tm != r.Clock().Now() {
 		t.Fatalf("NextReady after compute = (%v, %v), want clock time", tm, ok)
@@ -389,7 +381,7 @@ func TestIsendWaitRequestLifecycle(t *testing.T) {
 		{Kind: scenario.OpIsend, Peer: 1, Bytes: 100, Tag: 1},
 		{Kind: scenario.OpWait},
 	})
-	r.DoIsend(net, cur(r))
+	r.Execute(net)
 	pending := r.PendingRequests()
 	if len(pending) != 1 {
 		t.Fatalf("pending requests = %d, want 1", len(pending))
@@ -403,7 +395,7 @@ func TestIsendWaitRequestLifecycle(t *testing.T) {
 	if st := r.Stats(); st.RequestLookups != 0 || st.HandleWrites != 1 {
 		t.Errorf("after isend: RequestLookups=%d HandleWrites=%d, want 0/1", st.RequestLookups, st.HandleWrites)
 	}
-	r.DoWait()
+	r.Execute(net)
 	if len(r.PendingRequests()) != 0 {
 		t.Error("pending requests not drained by wait")
 	}
@@ -430,10 +422,10 @@ func TestWaitWithoutRequestPanics(t *testing.T) {
 	r := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpWait}})
 	defer func() {
 		if recover() == nil {
-			t.Error("DoWait with no outstanding request did not panic")
+			t.Error("a wait with no outstanding request did not panic")
 		}
 	}()
-	r.DoWait()
+	r.Execute(testNet())
 }
 
 // TestSendPanicsOnMissingHandle pins the other detectability property:
@@ -449,10 +441,10 @@ func TestSendPanicsOnMissingHandle(t *testing.T) {
 	r.Virtid().Deregister(virtid.Comm, snap.Entries[virtid.Comm][0].VID)
 	defer func() {
 		if recover() == nil {
-			t.Error("DoSend with a missing communicator handle did not panic")
+			t.Error("a send with a missing communicator handle did not panic")
 		}
 	}()
-	r.DoSend(testNet(), cur(r))
+	r.Execute(testNet())
 }
 
 // TestVirtidRebuiltFromImageAndStaleHandlesDie is the §3.2 restart
@@ -552,7 +544,7 @@ func TestCommSplitMintsSlotAndSurvivesImage(t *testing.T) {
 	}
 
 	tr := r.Execute(testNet())
-	if tr.Kind != JoinedCollective || tr.Op.Kind != scenario.OpCommSplit || tr.Op.Color != 3 {
+	if tr.Kind != JoinedCollective || tr.Coll.Kind != scenario.OpCommSplit || tr.Coll.Color != 3 {
 		t.Fatalf("split arrival transition = %+v, want joined-collective comm-split colour 3", tr)
 	}
 	writesBefore := r.Stats().HandleWrites

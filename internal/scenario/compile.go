@@ -24,7 +24,7 @@ type Params struct {
 // op stream per rank. Ranks whose streams have the same shape — every
 // rank no op singles out — share one stream: it is emitted once, with
 // the fields that differ between its ranks left as functions of the rank
-// id (see Op.Resolve), and each of those ranks is handed a slice header
+// id (see Op.Scalars), and each of those ranks is handed a slice header
 // onto the same backing array. A rank some op singles out (a
 // scatter/gather root, the rank a "who" selector names, the first and
 // last pipeline stage) is a class of one with a stream of its own.
@@ -122,7 +122,7 @@ func (s *Spec) emit(rep int, p Params) Program {
 // walk emits, in order, the ops of the class rank rep stands for. rep
 // decides only which ops appear (the tests against op.Root, 0 and
 // ranks-1 below); every value that differs between the ranks of a class
-// is emitted in the parametric form Op.Resolve evaluates:
+// is emitted in the parametric form Op.Scalars evaluates:
 //
 //   - a ring, all-to-all or pipeline peer as an offset modulo the world
 //     size;

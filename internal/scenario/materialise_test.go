@@ -238,8 +238,16 @@ func diffAgainstOracle(t testing.TB, spec *Spec, p Params) {
 			t.Fatalf("%s %+v rank %d: %d ops, oracle has %d", spec.Name, p, id, len(progs[id]), len(want[id]))
 		}
 		for pc := range want[id] {
-			if got := progs[id][pc].Resolve(id); got != want[id][pc] {
-				t.Fatalf("%s %+v rank %d op %d: resolved %+v, oracle has %+v", spec.Name, p, id, pc, got, want[id][pc])
+			op, w := &progs[id][pc], want[id][pc]
+			if got := op.Resolve(id); got != w {
+				t.Fatalf("%s %+v rank %d op %d: resolved %+v, oracle has %+v", spec.Name, p, id, pc, got, w)
+			}
+			// The execute path reads Kind, Tag and Comm in place and only
+			// the scalars through Scalars: they must be the oracle's too.
+			if got, ws := op.Scalars(id), (Scalars{Peer: w.Peer, Dur: w.Dur, Bytes: w.Bytes, Color: w.Color}); got != ws ||
+				op.Kind != w.Kind || op.Tag != w.Tag || op.Comm != w.Comm {
+				t.Fatalf("%s %+v rank %d op %d: in place %v tag %d comm %d scalars %+v, oracle has %+v",
+					spec.Name, p, id, pc, op.Kind, op.Tag, op.Comm, got, w)
 			}
 		}
 	}

@@ -9,7 +9,7 @@
 // in the paper's split process, where every rank runs the same
 // upper-half binary, ranks whose op streams have the same shape share
 // one stream, and each resolves the op under its program counter to
-// concrete values from its own id when it executes it (Op.Resolve).
+// concrete values from its own id when it executes it (Op.Scalars).
 // Compilation and resolution are deterministic (same spec, same Params,
 // same resolved ops, bit for bit), which is what lets the simulator's
 // determinism guarantees extend to data-defined workloads.
@@ -82,9 +82,10 @@ func (k OpKind) String() string {
 // An op built from these fields alone — by a test, by ReadTrace — is
 // literal: it means the same to every rank. An op in a compiled Program
 // may instead be shared by many ranks, with Peer, Color, Dur or Bytes
-// holding one ingredient of a value that depends on the rank; Resolve
-// is the one way to read such a program, and returns a literal op.
-// Kind, Tag and Comm never depend on the rank.
+// holding one ingredient of a value that depends on the rank; Scalars
+// (or Resolve, which returns a literal op built on it) is the one way to
+// read those fields of such a program. Kind, Tag and Comm never depend
+// on the rank.
 type Op struct {
 	Kind  OpKind
 	Dur   vtime.Duration
@@ -123,43 +124,59 @@ type param struct {
 // rank: rank id's stream is seeded with seed ^ (id+1)·rankSeedStride.
 const rankSeedStride = 0x9e3779b97f4a7c15
 
-// Resolve returns the op as rank id executes it: a literal op, equal
-// field for field to what a per-rank compilation would have stored. It
-// returns by value and writes nothing, so any number of ranks, on any
-// goroutines, may resolve the same shared op concurrently. Resolving a
-// literal op returns it unchanged.
-func (op *Op) Resolve(id int) Op {
-	// Built field by field: the result carries no parametric part, and
-	// copying the whole op only to clear that part again is measurable
-	// on the per-event path.
-	out := Op{Kind: op.Kind, Dur: op.Dur, Peer: op.Peer, Bytes: op.Bytes, Tag: op.Tag, Comm: op.Comm, Color: op.Color}
+// Scalars are the fields of an op that may depend on the executing
+// rank, as that rank executes it. Which are meaningful follows Kind (see
+// Op); the rest are copied through.
+type Scalars struct {
+	Peer  int
+	Dur   vtime.Duration
+	Bytes uint64
+	Color int
+}
+
+// Scalars resolves only the rank-dependent fields of the op for rank id:
+// the one resolver, which Resolve and the rank's execute path share. The
+// result is four words, returned in registers, so an executing rank
+// reads Kind, Tag and Comm in place from the shared op and never copies
+// the op itself. It writes nothing, so any number of ranks, on any
+// goroutines, may resolve the same shared op concurrently.
+func (op *Op) Scalars(id int) Scalars {
+	v := Scalars{Peer: op.Peer, Dur: op.Dur, Bytes: op.Bytes, Color: op.Color}
 	par := &op.par
 	if par.ranks != 0 {
 		// id and the offset are both below ranks: one subtraction is the
 		// modulo.
-		if out.Peer += id; out.Peer >= par.ranks {
-			out.Peer -= par.ranks
+		if v.Peer += id; v.Peer >= par.ranks {
+			v.Peer -= par.ranks
 		}
 	}
 	if par.group != 0 {
-		out.Color = (id + op.Color) / par.group
+		v.Color = (id + op.Color) / par.group
 	}
 	if par.draw != 0 {
 		rng := vtime.RNGAt(par.seed^(uint64(id)+1)*rankSeedStride, par.draw)
 		j := rng.Jitter(par.spread)
 		if op.Kind == OpCompute {
-			out.Dur = vtime.Duration(float64(op.Dur) * j * par.scale)
+			v.Dur = vtime.Duration(float64(op.Dur) * j * par.scale)
 		} else {
-			out.Bytes = uint64(float64(op.Bytes) * j)
+			v.Bytes = uint64(float64(op.Bytes) * j)
 		}
 	}
-	return out
+	return v
+}
+
+// Resolve returns the op as rank id executes it: a literal op, equal
+// field for field to what a per-rank compilation would have stored.
+// Resolving a literal op returns it unchanged.
+func (op *Op) Resolve(id int) Op {
+	v := op.Scalars(id)
+	return Op{Kind: op.Kind, Dur: v.Dur, Peer: v.Peer, Bytes: v.Bytes, Tag: op.Tag, Comm: op.Comm, Color: v.Color}
 }
 
 // Program is one rank's op stream — the only script source the rank
 // runtime consumes; len is the rank's op count. Programs come from Spec
 // compilation (where the ranks of a class share one backing array, read
-// through Op.Resolve), from a recorded trace, or from a test building
+// through Op.Scalars), from a recorded trace, or from a test building
 // literal ops directly (see PerRank). A Program is never written after
 // it is built.
 type Program []Op

@@ -1,5 +1,7 @@
 package vtime
 
+import "math/bits"
+
 // EventQueue is a deterministic priority queue of scheduler events keyed
 // on virtual time. It is the core data structure of the event-driven
 // scheduler: instead of scanning every rank on every iteration, the
@@ -18,8 +20,19 @@ package vtime
 // children of a node sit in adjacent entries, so a sift touches fewer
 // cache lines. Sifts move a hole instead of swapping — one entry copy
 // per level — and compare against the moving entry's key held in
-// registers. Heap shape is invisible to callers: (time, seq) is a total
-// order, so any correct heap pops the same sequence.
+// registers. Choosing the least of four children is where a comparison
+// heap loses its time: on a random key the winner is unpredictable, so
+// every level costs branch mispredictions, not cache misses. Pop
+// therefore picks it without branching: (time, seq) compares as one
+// 128-bit unsigned key (time with its sign bit flipped, so negative times
+// order below positive ones) through a borrow chain, and a two-round
+// tournament selects the winner's index with masks. Heap shape is
+// invisible to callers: (time, seq) is a total order, so any correct
+// heap pops the same sequence.
+//
+// An entry is the key plus the payload. The scheduler's payload is eight
+// bytes with no pointer, so its entries are 24 bytes, sifts copy them
+// without write barriers, and the collector never scans the heap.
 //
 // The queue is not safe for concurrent use; a deterministic scheduler
 // drives each queue from a single goroutine at a time. In the island
@@ -92,38 +105,64 @@ func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
 // The third result is false when the queue is empty.
 func (q *EventQueue[T]) Pop() (Time, T, bool) {
 	h := q.heap
-	if len(h) == 0 {
+	n := len(h) - 1
+	if n < 0 {
 		var zero T
 		return 0, zero, false
 	}
 	top := h[0]
-	n := len(h) - 1
 	last := h[n]
 	h[n] = eventEntry[T]{} // release the payload for GC
 	h = h[:n]
 	q.heap = h
-	if n > 0 {
-		// Sift the hole at the root down to where last belongs.
-		i := 0
-		for {
-			first := heapArity*i + 1
-			if first >= n {
-				break
+	if n == 0 {
+		return top.time, top.val, true
+	}
+	// Sift the hole at the root down to where last belongs. Every node
+	// above the bottom family has four children: pick the least of them
+	// without a branch.
+	lt, ls := orderKey(last.time), last.seq
+	i := 0
+	for {
+		first := heapArity*i + 1
+		if first+heapArity > n {
+			break
+		}
+		c := h[first : first+heapArity : first+heapArity]
+		t0, s0 := orderKey(c[0].time), c[0].seq
+		t1, s1 := orderKey(c[1].time), c[1].seq
+		t2, s2 := orderKey(c[2].time), c[2].seq
+		t3, s3 := orderKey(c[3].time), c[3].seq
+		// Round one: the lesser of children 0/1 and of children 2/3,
+		// each kept as (index, key) by masked select.
+		m := -less128(t1, s1, t0, s0)
+		a, at, as := m&1, t0^((t0^t1)&m), s0^((s0^s1)&m)
+		m = -less128(t3, s3, t2, s2)
+		b, bt, bs := 2+m&1, t2^((t2^t3)&m), s2^((s2^s3)&m)
+		// Round two: the lesser of the two winners.
+		m = -less128(bt, bs, at, as)
+		best, bestT, bestS := a^((a^b)&m), at^((at^bt)&m), as^((as^bs)&m)
+		if less128(bestT, bestS, lt, ls) == 0 {
+			h[i] = last
+			return top.time, top.val, true
+		}
+		h[i] = c[best]
+		i = first + int(best)
+	}
+	// The bottom family may have fewer than four children.
+	if first := heapArity*i + 1; first < n {
+		best := first
+		for c := first + 1; c < n; c++ {
+			if keyLess(h[c].time, h[c].seq, h[best].time, h[best].seq) {
+				best = c
 			}
-			best := first
-			for c := first + 1; c < first+heapArity && c < n; c++ {
-				if keyLess(h[c].time, h[c].seq, h[best].time, h[best].seq) {
-					best = c
-				}
-			}
-			if !keyLess(h[best].time, h[best].seq, last.time, last.seq) {
-				break
-			}
+		}
+		if keyLess(h[best].time, h[best].seq, last.time, last.seq) {
 			h[i] = h[best]
 			i = best
 		}
-		h[i] = last
 	}
+	h[i] = last
 	return top.time, top.val, true
 }
 
@@ -162,5 +201,17 @@ const heapArity = 4
 // keyLess is the queue's total order: earlier time first, FIFO seq at
 // equal times.
 func keyLess(t1 Time, s1 uint64, t2 Time, s2 uint64) bool {
-	return t1 < t2 || (t1 == t2 && s1 < s2)
+	return less128(orderKey(t1), s1, orderKey(t2), s2) != 0
+}
+
+// orderKey maps a time onto an unsigned key with the same order: flipping
+// the sign bit puts MinInt64 at 0 and MaxInt64 at the top.
+func orderKey(t Time) uint64 { return uint64(t) ^ 1<<63 }
+
+// less128 is 1 when the 128-bit key hi1:lo1 is below hi2:lo2 and 0
+// otherwise: the borrow out of the two-word subtraction, with no branch.
+func less128(hi1, lo1, hi2, lo2 uint64) uint64 {
+	_, borrow := bits.Sub64(lo1, lo2, 0)
+	_, borrow = bits.Sub64(hi1, hi2, borrow)
+	return borrow
 }

@@ -1,7 +1,9 @@
 package vtime
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -27,6 +29,15 @@ func (r *refQueue) push(t Time, seq uint64, v int) {
 }
 
 func (r *refQueue) pop() (refEntry, bool) {
+	e, ok := r.head()
+	if ok {
+		r.entries = r.entries[1:]
+	}
+	return e, ok
+}
+
+// head returns the earliest entry without removing it.
+func (r *refQueue) head() (refEntry, bool) {
 	if len(r.entries) == 0 {
 		return refEntry{}, false
 	}
@@ -37,9 +48,7 @@ func (r *refQueue) pop() (refEntry, bool) {
 		}
 		return a.seq < b.seq
 	})
-	e := r.entries[0]
-	r.entries = r.entries[1:]
-	return e, true
+	return r.entries[0], true
 }
 
 // TestEventQueueVsSortedReference drives one EventQueue and the sorted
@@ -171,4 +180,122 @@ func TestIslandQueuesVsSortedReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzQueueVsSort lets arbitrary bytes drive Push, PushAt, Pop, PeekKey
+// and Clear against the sorted reference. The first byte picks who
+// numbers the events: the queue itself (Push), or the caller (PushAt)
+// with seqs shaped like IslandQueues' — one shared counter, and windows
+// that draw from per-lane blocks above it, out of order across lanes.
+// Each push then takes its time from one of five shapes: a full 64-bit
+// value (negative times and both extremes included, which the sign flip
+// of the branch-free comparison must order correctly), one of a handful
+// of boundary values, a small range dense with equal times, a repeat of
+// the previous time, or a time below the last popped one — what the
+// drain's release step does when it re-seeds held ranks at their own
+// clocks.
+func FuzzQueueVsSort(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 0, 3, 4, 0, 5, 6, 7})
+	f.Add([]byte{1, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 2, 3, 0, 4, 4})
+	f.Add([]byte{1, 5, 3, 0, 1, 7, 1, 3, 2, 9, 0, 2, 0, 3, 3, 6, 8, 8, 8})
+	f.Add([]byte{0, 0, 4, 9, 0, 4, 2, 6, 0, 3, 200, 0, 1, 2, 0, 3, 5, 8, 8, 8, 8})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		callerSeq := data[0]&1 == 1
+		data = data[1:]
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		boundary := []Time{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+		q := NewEventQueue[int]()
+		ref := &refQueue{}
+		var seq uint64
+		var prev, popped Time
+		id := 0
+		pushTime := func() Time {
+			switch next() % 5 {
+			case 0:
+				var b [8]byte
+				for i := range b {
+					b[i] = next()
+				}
+				prev = Time(binary.LittleEndian.Uint64(b[:]))
+			case 1:
+				prev = boundary[int(next())%len(boundary)]
+			case 2:
+				prev = Time(next() % 8)
+			case 3: // the previous time again
+			case 4:
+				if d := Time(next()) + 1; popped >= math.MinInt64+d {
+					prev = popped - d
+				} else {
+					prev = math.MinInt64
+				}
+			}
+			return prev
+		}
+		push := func(s uint64) {
+			tm := pushTime()
+			if callerSeq {
+				q.PushAt(tm, s, id)
+			} else {
+				q.Push(tm, id)
+			}
+			ref.push(tm, s, id)
+			id++
+		}
+		for step := 0; len(data) > 0; step++ {
+			switch op := next() % 8; {
+			case op < 3:
+				seq++
+				push(seq)
+			case op == 3 && callerSeq: // a window: per-lane blocks above the counter
+				base := seq
+				var wseq [4]uint64
+				for n := next() % 8; n > 0; n-- {
+					lane := next() % 4
+					wseq[lane]++
+					push(base + uint64(lane+1)<<windowShift + wseq[lane])
+				}
+				seq = base + uint64(len(wseq)+1)<<windowShift
+			case op < 7:
+				want, wantOK := ref.head()
+				if pt, ps, ok := q.PeekKey(); ok != wantOK || pt != want.time || ps != want.seq {
+					t.Fatalf("step %d: PeekKey = (%d, %d, %v), reference head (%d, %d, %v)",
+						step, pt, ps, ok, want.time, want.seq, wantOK)
+				}
+				ref.pop()
+				gt, gv, ok := q.Pop()
+				if ok != wantOK || gt != want.time || gv != want.val {
+					t.Fatalf("step %d: Pop = (%d, %d, %v), reference (%d, %d, %v)",
+						step, gt, gv, ok, want.time, want.val, wantOK)
+				}
+				if ok {
+					popped = gt
+				}
+			default:
+				q.Clear()
+				ref.entries = ref.entries[:0]
+			}
+			if q.Len() != len(ref.entries) {
+				t.Fatalf("step %d: Len = %d, reference holds %d", step, q.Len(), len(ref.entries))
+			}
+		}
+		for len(ref.entries) > 0 {
+			want, _ := ref.pop()
+			if gt, gv, ok := q.Pop(); !ok || gt != want.time || gv != want.val {
+				t.Fatalf("drain: Pop = (%d, %d, %v), reference (%d, %d)", gt, gv, ok, want.time, want.val)
+			}
+		}
+		if _, _, ok := q.Pop(); ok {
+			t.Fatal("drain: queue holds more events than the reference")
+		}
+	})
 }
