@@ -21,8 +21,9 @@ race:
 # against a flat []byte model, the zero-run FNV kernel against hash/fnv,
 # the dense netsim pair tables against a map[Pair] model, the ops
 # ranks resolve from shared compiled streams against the per-rank
-# materialising compiler, and the branch-free event heap against a
-# sort. -fuzz takes one target in one package per run.
+# materialising compiler, the branch-free event heap against a sort,
+# and the handle table against a map. -fuzz takes one target in one
+# package per run.
 # -fuzzminimizetime 1x: minimising every coverage-expanding input is on
 # by default with a 60 s budget and stalls a 10 s run after its first
 # find; a failing input is still reported and saved under testdata/fuzz.
@@ -33,6 +34,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzNetsimVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/netsim
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileVsMaterialised$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueVsSort$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/vtime
+	$(GO) test -run='^$$' -fuzz='^FuzzTableVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/virtid
 
 lint:
 	$(GO) vet ./...

@@ -62,9 +62,9 @@ var testOnly = map[string]bool{}
 // reported stale by report().
 func TestScanHonoursAllowlist(t *testing.T) {
 	root := writeTree(t, map[string]string{
-		"virtid/lut.go": `package virtid
+		"memsim/kinds.go": `package memsim
 
-var emptyLUT = 1
+var kindNames = 1
 `,
 	})
 	findings, matched, err := scan(root)
@@ -74,10 +74,10 @@ var emptyLUT = 1
 	if len(findings) != 0 {
 		t.Errorf("allowlisted var flagged: %v", findings)
 	}
-	if !matched["virtid.emptyLUT"] {
+	if !matched["memsim.kindNames"] {
 		t.Error("allowlist match not recorded")
 	}
-	// Only one of the three allowlist entries matched, so report must
+	// Only one of the allowlist entries matched, so report must
 	// call the tree dirty on staleness grounds.
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
@@ -133,6 +133,17 @@ type contents struct{ dataLen uint64 }
 
 type Pool struct{ mu sync.Mutex }
 `,
+		"virtid/table.go": `package virtid
+
+import "sync/atomic"
+
+type Table struct {
+	memo atomic.Pointer[int]
+	live int
+}
+
+type window struct{ live int }
+`,
 	})
 	findings, matched, err := scan(root)
 	if err != nil {
@@ -147,6 +158,7 @@ type Pool struct{ mu sync.Mutex }
 		"memsim.AddressSpace:gen sa.Uint64",
 		"memsim.Region:guard *sync.Mutex",
 		"memsim.liveRegion:once sync.Once",
+		"virtid.Table:memo atomic.Pointer[int]",
 		"vtime.Clock:mu sync.Mutex",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -179,7 +179,7 @@ func newFlagSet(o *opts) *flag.FlagSet {
 	fs.IntVar(&o.steps, "steps", 30, "workload iterations per rank")
 	fs.Uint64Var(&o.seed, "seed", 42, "deterministic seed for workload jitter")
 	fs.StringVar(&o.kernel, "kernel", "unpatched", "kernel personality: unpatched or patched")
-	fs.StringVar(&o.virtid, "virtid", "sharded", "handle-virtualisation table: sharded (lock-free reads) or mutex (MANA baseline)")
+	fs.StringVar(&o.virtid, "virtid", "sharded", "handle-table design the MPI calls are priced as: sharded (lock-free reads) or mutex (MANA baseline)")
 	fs.StringVar(&o.spec, "spec", "default", "scenario spec: a library name ("+strings.Join(scenario.Names(), ", ")+") or a JSON spec file")
 	fs.StringVar(&o.trace, "trace", "", "replay a recorded per-rank op trace instead of compiling a spec")
 	fs.StringVar(&o.record, "record", "", "write the job's per-rank op streams to this trace file before running")

@@ -1,6 +1,7 @@
 package coordinator_test
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -19,22 +20,40 @@ import (
 // small scope: a checkpoint may be requested at any moment, so for every
 // library spec at 2, 3, 5 and 8 ranks it requests one at every distinct
 // time the fault-free run dispatched an event — a message arrival, a
-// collective completion, a rank becoming ready — crashes the job right
-// after the first checkpoint commits, and requires the restarted run to
-// end in the fault-free run's final state, with full and with
-// incremental images. The cuts must include the hard cases: per spec,
-// at least one checkpoint taken while a collective was partially
-// arrived, one that drained in-flight messages into the image, and on a
-// spec that splits communicators one whose drain had to order two
-// overlapping collectives.
+// collective completion, a rank becoming ready — and crashes the job at
+// one of two protocol points: right after the first checkpoint commits,
+// or as the first checkpoint's collective drain begins, with its topo
+// order unexecuted. Every cut runs with full and with incremental
+// images, written directly to the filesystem or staged through burst
+// buffers, and the recovered run must end in the fault-free run's final
+// state. A crash that leaves nothing restorable (no checkpoint committed
+// yet, or none drained out of the burst buffers) is recovered the way a
+// real job would be, by relaunching it. The cuts must include the hard
+// cases: per spec, at least one checkpoint taken while a collective was
+// partially arrived, one that drained in-flight messages into the image,
+// and on a spec that splits communicators one whose drain had to order
+// two overlapping collectives.
 func TestEveryCutIsSafe(t *testing.T) {
 	eng := fleet.NewEngine()
 	direct, err := storage.Load("direct")
 	if err != nil {
 		t.Fatal(err)
 	}
-	crash := &faultplan.Plan{Faults: []faultplan.Spec{{At: "checkpoint-commit", N: 1, Kind: "rank-crash"}}}
-	var runs, restarted int
+	// Burst buffers draining to a filesystem, both free: a generation is
+	// durable the moment it commits, so a crash right after the commit
+	// restarts from it through the staged path. With any drain time the
+	// zero-delay crash always wins the race and every run would relaunch;
+	// the staging fault plans under cmd/manasim/testdata cover that race.
+	staged := &storage.Spec{PFS: &storage.PFSSpec{}, BurstBuffer: &storage.BurstBufferSpec{Capacity: 512 << 20}}
+	stores := []*storage.Spec{direct, staged}
+	plans := []*faultplan.Plan{
+		{Faults: []faultplan.Spec{{At: "checkpoint-commit", N: 1, Kind: "rank-crash"}}},
+		{Faults: []faultplan.Spec{{At: "drain-start", N: 1, Kind: "rank-crash"}}},
+	}
+	// restarted and relaunched count, per plan and storage, the runs that
+	// crashed and came back from an image or from the start.
+	var runs int
+	var restarted, relaunched [2][2]int
 	for _, name := range scenario.Names() {
 		spec, err := eng.LoadSpec(name)
 		if err != nil {
@@ -56,24 +75,30 @@ func TestEveryCutIsSafe(t *testing.T) {
 			slices.Sort(times)
 			times = slices.Compact(times)
 
-			job.Faults = crash
-			for _, at := range times {
-				job.CkptAt = at
-				for _, incremental := range []bool{false, true} {
-					job.Incremental = incremental
-					c := runToEnd(t, newRun(t, eng, job))
-					runs++
-					if len(c.Restarts()) > 0 {
-						restarted++
-					}
-					if got := c.FinalFingerprint(); got != want {
-						t.Errorf("%s ranks=%d ckpt-at=%v incremental=%v: final fingerprint %016x, fault-free %016x",
-							name, ranks, at, incremental, got, want)
-					}
-					for _, rec := range c.Records() {
-						midCollective = midCollective || rec.MidCollective
-						drained = drained || rec.DrainedMsgs > 0
-						overlapped = overlapped || rec.OverlapWidth > 1
+			for pi, plan := range plans {
+				for si, st := range stores {
+					job.Faults, job.Storage = plan, st
+					for _, at := range times {
+						job.CkptAt = at
+						for _, incremental := range []bool{false, true} {
+							job.Incremental = incremental
+							c, fresh := recoverJob(t, eng, job)
+							runs++
+							if fresh {
+								relaunched[pi][si]++
+							} else if len(c.Restarts()) > 0 {
+								restarted[pi][si]++
+							}
+							if got := c.FinalFingerprint(); got != want {
+								t.Errorf("%s ranks=%d ckpt-at=%v crash at %s %d storage=%d incremental=%v: final fingerprint %016x, fault-free %016x",
+									name, ranks, at, plan.Faults[0].At, plan.Faults[0].N, si, incremental, got, want)
+							}
+							for _, rec := range c.Records() {
+								midCollective = midCollective || rec.MidCollective
+								drained = drained || rec.DrainedMsgs > 0
+								overlapped = overlapped || rec.OverlapWidth > 1
+							}
+						}
 					}
 				}
 			}
@@ -83,12 +108,23 @@ func TestEveryCutIsSafe(t *testing.T) {
 				name, midCollective, drained, overlapped)
 		}
 	}
-	// Almost every cut commits a checkpoint and crashes after it; the
-	// exceptions are requests so late the job ends first.
-	if restarted < runs*3/4 {
-		t.Errorf("only %d of %d runs crashed and restarted", restarted, runs)
+	t.Logf("%d runs; by plan and storage, restarted from an image %v, relaunched %v", runs, restarted, relaunched)
+	// Almost every commit crash restarts from the image it follows; the
+	// exceptions are requests so late the job ends first. A drain-start
+	// crash mostly lands before anything has committed, so it must crash
+	// on both storages and restart from an image at least once.
+	perPair := runs / len(plans) / len(stores)
+	for si := range stores {
+		if restarted[0][si] < perPair*3/4 {
+			t.Errorf("storage %d: only %d of %d commit-crash runs restarted", si, restarted[0][si], perPair)
+		}
+		if restarted[1][si]+relaunched[1][si] == 0 {
+			t.Errorf("storage %d: no drain-start crash fired", si)
+		}
 	}
-	t.Logf("%d runs, %d restarted", runs, restarted)
+	if restarted[1][0]+restarted[1][1] == 0 {
+		t.Error("no drain-start crash restarted from an image")
+	}
 }
 
 func newRun(t *testing.T, eng *fleet.Engine, j fleet.Job) *coordinator.Coordinator {
@@ -117,4 +153,31 @@ func runToEnd(t *testing.T, c *coordinator.Coordinator) *coordinator.Coordinator
 		t.Fatal(err)
 	}
 	return c
+}
+
+// recoverJob runs job to completion like runToEnd, except that a first
+// failure with nothing to restore from — no checkpoint committed, or none
+// verifiable on the filesystem — relaunches the job from the start: a
+// new run with its one-shot fault spent, which is the run without it.
+func recoverJob(t *testing.T, eng *fleet.Engine, job fleet.Job) (c *coordinator.Coordinator, relaunched bool) {
+	t.Helper()
+	c = newRun(t, eng, job)
+	out, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != coordinator.Failed {
+		return c, false
+	}
+	if len(c.Records()) > 0 {
+		err = c.Restart()
+		if err == nil {
+			return runToEnd(t, c), false
+		}
+		if !errors.Is(err, coordinator.ErrNoVerifiableGeneration) {
+			t.Fatal(err)
+		}
+	}
+	job.Faults = nil
+	return runToEnd(t, newRun(t, eng, job)), true
 }

@@ -12,11 +12,11 @@
 //     few nanoseconds.
 //  2. Handle virtualisation: a table lookup plus locking for every MPI
 //     call that passes a communicator, datatype or request handle. The
-//     virtual-to-real translation table itself lives in internal/virtid
-//     (two implementations: the MutexTable baseline and the sharded
-//     lock-free-read optimisation), along with the calibrated per-lookup
-//     cost constants; the Kernel is constructed with the cost of the
-//     selected implementation and charges it per translated handle in
+//     virtual-to-real translation table itself lives in internal/virtid,
+//     along with the calibrated costs of the two MANA designs it can be
+//     priced as (the mutex baseline and the sharded lock-free-read
+//     optimisation); the Kernel is constructed with the cost of the
+//     selected design and charges it per translated handle in
 //     MANAPerCallOverhead.
 package kernelsim
 
@@ -103,7 +103,7 @@ type Kernel struct {
 }
 
 // New returns a kernel model with the given personality, charging the
-// baseline (MutexTable) virtualisation figures.
+// baseline (ImplMutex) virtualisation figures.
 func New(p Personality) *Kernel {
 	return NewForTable(p, virtid.ImplMutex)
 }

@@ -85,7 +85,7 @@ func TestOverheadMonotoneInHandles(t *testing.T) {
 // the sharded table charges cheaper MPI calls than the mutex baseline.
 func TestLookupCostTracksVirtidImpl(t *testing.T) {
 	if New(Unpatched).VirtualizationLookupCost() != virtid.MutexLookupCost {
-		t.Error("New must default to the MutexTable baseline figure")
+		t.Error("New must default to the mutex baseline figure")
 	}
 	mutex := NewForTable(Unpatched, virtid.ImplMutex)
 	sharded := NewForTable(Unpatched, virtid.ImplSharded)

@@ -191,26 +191,27 @@ type Rank struct {
 	// rule and never changed, so a rank's whole lifetime stays on one
 	// worker goroutine.
 	island int
-	clock  *vtime.Clock
-	mem    *memsim.AddressSpace
+	// clock, kernel and vt are held by value: three small per-rank
+	// objects that would otherwise each be a heap allocation. The zero
+	// clock reads time 0.
+	clock vtime.Clock
+	mem   *memsim.AddressSpace
 	// pool, when non-nil, backs mem's page buffers; Restore threads it
 	// into the rebuilt address space and ReleaseMem recycles into it.
 	pool   *memsim.Pool
-	kernel *kernelsim.Kernel
+	kernel kernelsim.Kernel
 	script scenario.Program
 	pc     int
 	state  State
 
-	// vt is the handle-virtualisation table (paper §3.3); vimpl records
-	// which implementation the job selected so restart can rebuild the
-	// same one. comms holds the virtual communicator handle per slot
-	// (slot 0 = MPI_COMM_WORLD, later slots minted by comm-splits in
-	// execution order) with commIDs carrying the coordinator's global
-	// communicator id for each slot; dtype is the datatype handle
-	// registered at init. Every MPI call translates its handles through
-	// the table.
+	// vt is the handle-virtualisation table (paper §3.3), priced as the
+	// implementation the job selected. comms holds the virtual
+	// communicator handle per slot (slot 0 = MPI_COMM_WORLD, later slots
+	// minted by comm-splits in execution order) with commIDs carrying the
+	// coordinator's global communicator id for each slot; dtype is the
+	// datatype handle registered at init. Every MPI call translates its
+	// handles through the table.
 	vt      virtid.Table
-	vimpl   virtid.Impl
 	comms   []virtid.VID
 	commIDs []int
 	dtype   virtid.VID
@@ -283,13 +284,11 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 func NewPooled(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program, pool *memsim.Pool) *Rank {
 	r := &Rank{
 		id:     id,
-		clock:  vtime.NewClock(0),
 		mem:    splitProcess.NewSpace(pool),
 		pool:   pool,
-		kernel: kernelsim.NewForTable(personality, impl),
+		kernel: *kernelsim.NewForTable(personality, impl),
 		script: script,
 		vt:     virtid.New(impl),
-		vimpl:  impl,
 	}
 	r.comms = []virtid.VID{r.vt.Register(virtid.Comm, realCommWorld)}
 	r.commIDs = []int{0}
@@ -336,20 +335,17 @@ func (r *Rank) Island() int { return r.island }
 func (r *Rank) SetIsland(island int) { r.island = island }
 
 // Clock returns the rank's virtual clock.
-func (r *Rank) Clock() *vtime.Clock { return r.clock }
+func (r *Rank) Clock() *vtime.Clock { return &r.clock }
 
 // Mem returns the rank's simulated address space.
 func (r *Rank) Mem() *memsim.AddressSpace { return r.mem }
 
 // Kernel returns the rank's kernel cost model.
-func (r *Rank) Kernel() *kernelsim.Kernel { return r.kernel }
+func (r *Rank) Kernel() *kernelsim.Kernel { return &r.kernel }
 
 // Virtid returns the rank's handle-virtualisation table. Tests use it to
 // inspect table state and to stage dead-timeline handles.
-func (r *Rank) Virtid() virtid.Table { return r.vt }
-
-// VirtidImpl returns the table implementation the rank was built with.
-func (r *Rank) VirtidImpl() virtid.Impl { return r.vimpl }
+func (r *Rank) Virtid() *virtid.Table { return &r.vt }
 
 // CommCount returns the number of communicator slots the rank holds
 // (1 for a rank that has performed no comm-splits: MPI_COMM_WORLD).
@@ -523,7 +519,7 @@ func (r *Rank) send(net *netsim.Network, op *scenario.Op, peer int, bytes uint64
 // inject puts the message on the wire with a piggybacked timestamp and
 // occupies the sender for the serialisation time.
 func (r *Rank) inject(net *netsim.Network, tag, peer int, bytes uint64) *netsim.Message {
-	stamp := vtime.StampFrom(r.id, r.clock)
+	stamp := vtime.StampFrom(r.id, &r.clock)
 	m, busy := net.Send(r.id, peer, tag, bytes, stamp)
 	r.clock.Advance(busy)
 	r.stats.MsgsSent++
@@ -734,7 +730,7 @@ func (r *Rank) arriveAt(op *scenario.Op) vtime.Stamp {
 	}
 	r.chargeMPICall(lookups, 0, true)
 	r.state = InCollective
-	return vtime.StampFrom(r.id, r.clock)
+	return vtime.StampFrom(r.id, &r.clock)
 }
 
 // FinishCollective completes the collective the rank is waiting in: the
@@ -919,7 +915,6 @@ func (r *Rank) RestoreFrom(img *Image) {
 	// at checkpoint time resolve again, ids minted in the abandoned
 	// timeline do not, and the restored allocation counters make replayed
 	// registrations bit-identical.
-	r.vt = virtid.New(r.vimpl)
 	r.vt.Restore(img.Virt)
 	r.reqSeq = img.Virt.Next[virtid.Request]
 	// The small state is deep-copied; an empty FIFO or inbox allocates

@@ -6,24 +6,20 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// mapSnapshot is how ShardedTable.Snapshot was built before it gathered
-// straight from the shards: every published entry merged into a
-// map[VID]Real per kind, flattened and sorted. It stays here as the
-// oracle for the gather.
-func mapSnapshot(t *ShardedTable) Snapshot {
+// mapSnapshot is a snapshot built without relying on the windows'
+// order: every live slot merged into a map[VID]Real per kind, flattened
+// and sorted. It is the oracle for Snapshot's in-order walk.
+func mapSnapshot(t *Table) Snapshot {
 	var s Snapshot
 	for k := 0; k < NumKinds; k++ {
-		s.Next[k] = t.next[k].Load()
+		s.Next[k] = t.kinds[k].next
 		merged := make(map[VID]Real)
-		for i := range t.shards[k] {
-			for _, e := range t.shards[k][i].lut.Load().slots {
-				if e.VID != 0 {
-					merged[e.VID] = e.Real
-				}
+		for _, e := range t.kinds[k].slots {
+			if e.VID != 0 {
+				merged[e.VID] = e.Real
 			}
 		}
 		for v, r := range merged {
@@ -64,7 +60,7 @@ func sameSnapshot(t *testing.T, what string, got, want Snapshot) {
 }
 
 // churn applies n random registrations and retirements.
-func churn(rng *rand.Rand, tab Table, live *[NumKinds][]VID, n int) {
+func churn(rng *rand.Rand, tab *Table, live *[NumKinds][]VID, n int) {
 	for ; n > 0; n-- {
 		k := Kind(rng.Intn(NumKinds))
 		if vs := live[k]; len(vs) > 0 && rng.Intn(3) == 0 {
@@ -84,22 +80,22 @@ func churn(rng *rand.Rand, tab Table, live *[NumKinds][]VID, n int) {
 func TestSnapshotRestoreRoundTripRandomTables(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		tab := NewShardedTable()
+		tab := New(ImplSharded)
 		var live [NumKinds][]VID
-		churn(rng, tab, &live, rng.Intn(80))
+		churn(rng, &tab, &live, rng.Intn(80))
 		snap := tab.Snapshot()
-		sameSnapshot(t, "snapshot vs map reference", snap, mapSnapshot(tab))
+		sameSnapshot(t, "snapshot vs map reference", snap, mapSnapshot(&tab))
 
-		fresh := NewShardedTable()
+		fresh := New(ImplSharded)
 		fresh.Restore(snap)
 		sameSnapshot(t, "fresh table after Restore", fresh.Snapshot(), snap)
-		sameSnapshot(t, "fresh table after Restore, by the map reference", mapSnapshot(fresh), snap)
+		sameSnapshot(t, "fresh table after Restore, by the map reference", mapSnapshot(&fresh), snap)
 
 		later := live
 		for k := range later {
 			later[k] = slices.Clone(later[k])
 		}
-		churn(rng, tab, &later, 1+rng.Intn(40))
+		churn(rng, &tab, &later, 1+rng.Intn(40))
 		tab.Restore(snap)
 		sameSnapshot(t, "churned table after Restore", tab.Snapshot(), snap)
 		for k := 0; k < NumKinds; k++ {
@@ -135,7 +131,7 @@ func shared(a, b Snapshot) bool {
 // between them are one capture and allocate nothing the second time; a
 // Register, a Deregister and a Restore each force a fresh, correct one.
 func TestSnapshotMemoInvalidatedByEveryWrite(t *testing.T) {
-	tab := NewShardedTable()
+	tab := New(ImplSharded)
 	comm := tab.Register(Comm, 0x44000000)
 	tab.Register(Datatype, 0x4c00010d)
 	first := tab.Snapshot()
@@ -161,7 +157,7 @@ func TestSnapshotMemoInvalidatedByEveryWrite(t *testing.T) {
 		if shared(before, after) { // the datatype entry is always there to tell storage apart by
 			t.Errorf("%s: the snapshot taken before it is still served", w.name)
 		}
-		sameSnapshot(t, "after "+w.name, after, mapSnapshot(tab))
+		sameSnapshot(t, "after "+w.name, after, mapSnapshot(&tab))
 		if !shared(after, tab.Snapshot()) {
 			t.Errorf("%s: the snapshot after it is not memoised", w.name)
 		}
@@ -172,66 +168,4 @@ func TestSnapshotMemoInvalidatedByEveryWrite(t *testing.T) {
 		t.Fatal("Deregister of an unknown handle succeeded")
 	}
 	sameSnapshot(t, "after a failed Deregister", tab.Snapshot(), before)
-}
-
-// TestEmptyLUTNeverWritten: every shard a Restore leaves empty publishes
-// the one shared emptyLUT, and no amount of restoring and registering —
-// from two goroutines at once, so -race sees a write if there is one —
-// ever changes it.
-func TestEmptyLUTNeverWritten(t *testing.T) {
-	src := NewShardedTable()
-	src.Register(Comm, 0x44000000)
-	src.Register(Datatype, 0x4c00010d)
-	for i := 0; i < 5; i++ {
-		src.Register(Request, Real(0x98000000+i))
-	}
-	snap := src.Snapshot()
-
-	var wg sync.WaitGroup
-	tabs := [2]*ShardedTable{NewShardedTable(), NewShardedTable()}
-	for _, tab := range tabs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for round := 0; round < 200; round++ {
-				tab.Restore(snap)
-				v := tab.Register(Request, 0xdead)
-				if _, ok := tab.Lookup(Request, v); !ok {
-					t.Error("a handle registered after Restore does not resolve")
-				}
-				tab.Deregister(Request, v)
-				tab.Restore(Snapshot{})
-			}
-			tab.Restore(snap)
-		}()
-	}
-	wg.Wait()
-
-	if emptyLUT.live != 0 || emptyLUT.mask != minSlots-1 || len(emptyLUT.slots) != minSlots {
-		t.Fatalf("emptyLUT changed shape: %+v", *emptyLUT)
-	}
-	for i, e := range emptyLUT.slots {
-		if e != (Entry{}) {
-			t.Fatalf("emptyLUT slot %d was written: %+v", i, e)
-		}
-	}
-	for _, tab := range tabs {
-		sharedShards, populated := 0, 0
-		for k := range tab.shards {
-			for i := range tab.shards[k] {
-				switch l := tab.shards[k][i].lut.Load(); {
-				case l == emptyLUT:
-					sharedShards++
-				case l.live == 0:
-					t.Errorf("%v shard %d is empty but has a private lut", Kind(k), i)
-				default:
-					populated++
-				}
-			}
-		}
-		if populated > snap.Live() || sharedShards+populated != NumKinds*numShards {
-			t.Errorf("%d shards share emptyLUT and %d are populated, for %d entries", sharedShards, populated, snap.Live())
-		}
-		sameSnapshot(t, "concurrently restored table", tab.Snapshot(), snap)
-	}
 }

@@ -12,23 +12,25 @@
 // exactly this bookkeeping, a hash-table lookup behind a lock, as the
 // dominant steady-state overhead at scale.
 //
-// The package provides two interchangeable implementations so the lookup
-// cost can be measured and optimised under contention:
+// The simulator models that cost rather than incurring it. Table is one
+// single-owner structure per rank: per kind, a dense window of slots
+// indexed by virtual id, with no lock, because only the goroutine
+// driving the rank ever touches it. Impl names which of two MANA designs
+// the rank is priced as, and kernelsim charges that design's calibrated
+// per-lookup and per-write figures:
 //
-//   - MutexTable: a single global sync.Mutex around per-kind maps —
-//     MANA's original design, and the calibrated baseline
-//     (MutexLookupCost).
-//   - ShardedTable: per-kind shard arrays selected by an FNV-1a hash of
-//     the virtual id. Each shard publishes a read-only copy-on-write map
-//     through sync/atomic, so steady-state lookups take no lock and
-//     perform zero allocations; only registration and deregistration
-//     (rare: communicator/datatype creation, request churn) pay the
-//     shard-local copy under a shard mutex.
+//   - ImplMutex: one global mutex around an ordered map — MANA's original
+//     design (DMTCP's VirtualIdTable), the baseline.
+//   - ImplSharded: FNV-sharded copy-on-write tables with lock-free reads —
+//     cheaper lookups, dearer writes.
+//
+// The figures are modelled properties of those designs, not measurements
+// of this process's table.
 //
 // Determinism rule: virtual ids are allocated from per-kind counters in
-// registration order, and Snapshot returns entries sorted by virtual id —
-// table iteration order (Go map order) never reaches a checkpoint image,
-// a fingerprint or a report.
+// registration order, and Snapshot returns entries sorted by virtual id,
+// so a checkpoint image, a fingerprint or a report depends only on the
+// sequence of registrations.
 package virtid
 
 import (
@@ -91,46 +93,42 @@ type LookupCounts struct {
 // Total returns the total number of lookups the counts describe.
 func (c LookupCounts) Total() uint64 { return c.Comm + c.Datatype + c.Request }
 
-// Calibrated per-operation virtual-time costs. MutexLookupCost is the
-// figure that previously lived in kernelsim as virtualizationLookupCost:
-// a table probe plus the acquisition of a (globally shared) mutex. The
-// sharded table's lock-free read path drops the lock acquisition and the
-// shared cache-line bounce, leaving little more than the hash probe
-// itself; the ratio mirrors what BenchmarkVirtidLookup{Mutex,Sharded}
-// measures under contention.
+// Calibrated per-operation virtual-time costs of the two modelled MANA
+// designs. MutexLookupCost is a table probe plus the acquisition of a
+// globally shared mutex. The sharded design's lock-free read path drops
+// the lock acquisition and the shared cache-line bounce, leaving little
+// more than the hash probe itself.
 //
 // Writes (Register/Deregister) price the opposite way: the baseline
 // appends or shifts under the lock it already holds, while the sharded
-// table pays a shard-local copy-on-write rebuild so that readers never
-// block. The write figures are calibrated from the shapes
-// BenchmarkVirtidRequestChurn measures — the design bet, as in MANA
-// itself, is that lookups outnumber handle births by orders of
-// magnitude, so the read saving dominates.
+// design pays a shard-local copy-on-write rebuild so that readers never
+// block. The design bet, as in MANA itself, is that lookups outnumber
+// handle births by orders of magnitude, so the read saving dominates.
 const (
-	// MutexLookupCost is the calibrated cost of one translation through
-	// the MutexTable baseline (ordered probe + global lock).
+	// MutexLookupCost is the calibrated cost of one translation in the
+	// baseline design (ordered probe + global lock).
 	MutexLookupCost = 35 * vtime.Nanosecond
-	// ShardedLookupCost is the calibrated cost of one translation through
-	// the ShardedTable's lock-free read path (FNV hash + atomic load +
+	// ShardedLookupCost is the calibrated cost of one translation on the
+	// sharded design's lock-free read path (FNV hash + atomic load +
 	// open-addressed probe).
 	ShardedLookupCost = 8 * vtime.Nanosecond
 	// MutexWriteCost is the calibrated cost of one Register or Deregister
 	// in the baseline: an append or shift under the same global lock.
 	MutexWriteCost = 20 * vtime.Nanosecond
 	// ShardedWriteCost is the calibrated cost of one Register or
-	// Deregister in the sharded table: the shard-local copy-on-write
+	// Deregister in the sharded design: the shard-local copy-on-write
 	// rebuild plus the atomic publication.
 	ShardedWriteCost = 110 * vtime.Nanosecond
 )
 
-// Impl selects a table implementation.
+// Impl selects the MANA table design a rank is priced as.
 type Impl int
 
 const (
 	// ImplMutex is the single-global-mutex baseline, matching MANA's
 	// original design.
 	ImplMutex Impl = iota
-	// ImplSharded is the optimised table: FNV-sharded, lock-free reads.
+	// ImplSharded is the optimised design: FNV-sharded, lock-free reads.
 	ImplSharded
 )
 
@@ -158,7 +156,7 @@ func ParseImpl(s string) (Impl, error) {
 	}
 }
 
-// LookupCost returns the implementation's calibrated per-lookup cost.
+// LookupCost returns the design's calibrated per-lookup cost.
 func (i Impl) LookupCost() vtime.Duration {
 	if i == ImplSharded {
 		return ShardedLookupCost
@@ -166,49 +164,13 @@ func (i Impl) LookupCost() vtime.Duration {
 	return MutexLookupCost
 }
 
-// WriteCost returns the implementation's calibrated cost of one Register
-// or Deregister.
+// WriteCost returns the design's calibrated cost of one Register or
+// Deregister.
 func (i Impl) WriteCost() vtime.Duration {
 	if i == ImplSharded {
 		return ShardedWriteCost
 	}
 	return MutexWriteCost
-}
-
-// Table is the virtual-to-real translation table. Lookup is the hot
-// path — every MPI call that passes a handle performs at least one — and
-// must be safe for concurrent use with Register/Deregister (the
-// checkpoint helper thread resolves handles while the application runs).
-type Table interface {
-	// Register allocates the next virtual id in the kind's namespace and
-	// maps it to the given real handle.
-	Register(k Kind, real Real) VID
-	// Lookup translates a virtual id; ok is false for ids that were never
-	// registered or have been deregistered (a miss is a virtualisation
-	// bug in the caller, or a stale handle from a dead timeline).
-	Lookup(k Kind, v VID) (Real, bool)
-	// Deregister removes a mapping, reporting whether it existed. Virtual
-	// ids are never reused: the allocation counter only moves forward.
-	Deregister(k Kind, v VID) bool
-	// Len reports the number of live mappings of one kind.
-	Len(k Kind) int
-	// Impl identifies the implementation (and thereby its LookupCost).
-	Impl() Impl
-	// Snapshot captures the full table state deterministically (entries
-	// sorted by virtual id) for inclusion in a checkpoint image.
-	Snapshot() Snapshot
-	// Restore replaces the table's contents with a snapshot's. Mappings
-	// registered after the snapshot was taken — handles of the dead
-	// timeline — no longer resolve afterwards.
-	Restore(Snapshot)
-}
-
-// New returns an empty table of the selected implementation.
-func New(i Impl) Table {
-	if i == ImplSharded {
-		return NewShardedTable()
-	}
-	return NewMutexTable()
 }
 
 // Entry is one virtual-to-real mapping in a snapshot.
@@ -225,8 +187,8 @@ type Entry struct {
 type Snapshot struct {
 	Next    [NumKinds]uint64
 	Entries [NumKinds][]Entry
-	// text is AppendText's output, rendered once when a ShardedTable took
-	// the snapshot; empty for a snapshot assembled any other way.
+	// text is AppendText's output, rendered once when a Table took the
+	// snapshot; empty for a snapshot assembled any other way.
 	text []byte
 }
 
