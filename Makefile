@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race fuzz-smoke cuts lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -19,7 +19,8 @@ race:
 # fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
 # `go test` only replays their seed corpus): the sparse page store
 # against a flat []byte model, the zero-run FNV kernel against hash/fnv,
-# the dense netsim pair tables against a map[Pair] model, the ops
+# the FNV segment fold against the byte loop, the dense netsim pair
+# tables against a map[Pair] model, the ops
 # ranks resolve from shared compiled streams against the per-rank
 # materialising compiler, the branch-free event heap against a sort,
 # and the handle table against a map. -fuzz takes one target in one
@@ -30,11 +31,19 @@ race:
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsFlat$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
-	$(GO) test -run='^$$' -fuzz='^FuzzFNVKernel$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
+	$(GO) test -run='^$$' -fuzz='^FuzzFNVKernel$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/fnv1a
+	$(GO) test -run='^$$' -fuzz='^FuzzSegmentFold$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/fnv1a
 	$(GO) test -run='^$$' -fuzz='^FuzzNetsimVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/netsim
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileVsMaterialised$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueVsSort$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/vtime
 	$(GO) test -run='^$$' -fuzz='^FuzzTableVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/virtid
+
+# cuts runs the exhaustive checkpoint-anywhere test at a wider scope
+# than `go test ./...` affords: ranks {2, 3, 5, 8, 13} and 10 steps, about
+# 67,000 crash-and-recover runs (~15 s on a 2-CPU Xeon 2.1 GHz). CI's
+# fault-matrix job runs it.
+cuts:
+	$(GO) test -count=1 -run='^TestEveryCutIsSafe$$' ./internal/coordinator -args -cuts.wide
 
 lint:
 	$(GO) vet ./...

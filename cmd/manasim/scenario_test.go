@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"mana/internal/coordinator"
 	"mana/internal/scenario"
 )
 
@@ -76,5 +78,20 @@ func TestSpecFileEqualsLibrary(t *testing.T) {
 	}
 	if report(t, "-spec", "pipeline") != report(t, "-spec", path) {
 		t.Error("a file copy of the pipeline spec renders a different report than the library spec")
+	}
+}
+
+// TestMismatchedCollectiveTraceFails replays a recorded trace edited so
+// that rank 0 enters a barrier where the others enter an allreduce: the
+// run fails with the coordinator's named error and exit status 1, on the
+// serial scheduler and with parallel islands, instead of panicking.
+func TestMismatchedCollectiveTraceFails(t *testing.T) {
+	trace := filepath.Join("testdata", "collective-mismatch.trace")
+	for _, extra := range [][]string{nil, {"-islands", "2", "-workers", "2"}} {
+		args := append([]string{"-trace", trace, "-no-fail"}, extra...)
+		_, code, err := run(args...)
+		if code != 1 || !errors.Is(err, coordinator.ErrCollectiveMismatch) || !strings.HasPrefix(err.Error(), "run failed: ") {
+			t.Errorf("manasim %v: exit %d, %v; want exit 1 with run failed: and ErrCollectiveMismatch", args, code, err)
+		}
 	}
 }

@@ -61,12 +61,12 @@ package coordinator
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"strings"
 
 	"mana/internal/faultplan"
+	"mana/internal/fnv1a"
 	"mana/internal/kernelsim"
 	"mana/internal/memsim"
 	"mana/internal/netsim"
@@ -655,12 +655,10 @@ type Coordinator struct {
 	// with the time of every event the serial loop dispatches.
 	dispatched func(vtime.Time)
 
-	// digestBuf is the scratch the fingerprint digests are rendered into
-	// and regionHeads the cache of the delta-region heads they repeat.
-	// final memoises FinalFingerprint while finalOK; fingerprintPasses
-	// counts how often it was actually computed.
-	digestBuf         []byte
-	regionHeads       regionHeads
+	// digest folds checkpoint images into their fingerprint, keeping the
+	// text they repeat. final memoises FinalFingerprint while finalOK;
+	// fingerprintPasses counts how often it was actually computed.
+	digest            digester
 	final             uint64
 	finalOK           bool
 	fingerprintPasses int
@@ -729,7 +727,7 @@ func New(cfg Config) *Coordinator {
 		unfired:     len(cfg.Triggers),
 		ranks:       sc.takeRanks(cfg.Ranks),
 		formingPool: sc.takeForming(),
-		regionHeads: sc.takeRegionHeads(),
+		digest:      sc.takeDigester(),
 		comms:       []comm{{members: world}},
 		colls:       make(map[int]*forming),
 		inCollComm:  takeSlice(&sc.inCollComm, cfg.Ranks),
@@ -1037,27 +1035,32 @@ func collectiveKindOf(k scenario.OpKind) netsim.CollectiveKind {
 	}
 }
 
+// ErrCollectiveMismatch means the ranks' programs disagree on a
+// collective: a rank arrived at a different kind of collective than the
+// one forming on its communicator, or arrived after every live member
+// had and the completion was scheduled. Programs compiled from a spec
+// cannot do that; a hand-edited or foreign trace can.
+var ErrCollectiveMismatch = errors.New("coordinator: ranks disagree on a collective")
+
 // joinCollective records one rank's arrival at the collective forming on
 // its target communicator, starting the rendezvous if this is the first
 // arrival. While a drain is in progress, a newly started collective
 // joins the plan (only ranks the plan needs reach this point — everyone
 // else is held at the boundary), and a planned collective's waiting set
 // shrinks with each arrival.
-func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) {
+func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
 	commID := r.CommID(tr.Coll.Comm)
 	kind := collectiveKindOf(tr.Coll.Kind)
 	f := c.colls[commID]
-	if f == nil {
+	switch {
+	case f == nil:
 		f = c.newForming(commID, kind, tr.Coll.Bytes)
-	} else {
-		if f.scheduled {
-			panic(fmt.Sprintf("coordinator: rank %d arrived at comm %d %v after its completion was scheduled",
-				r.ID(), commID, kind))
-		}
-		if f.kind != kind {
-			panic(fmt.Sprintf("coordinator: rank %d arrived at %v while %v is forming on comm %d (non-SPMD script)",
-				r.ID(), kind, f.kind, commID))
-		}
+	case f.scheduled:
+		return fmt.Errorf("%w: rank %d arrived at %v on comm %d after its completion was scheduled",
+			ErrCollectiveMismatch, r.ID(), kind, commID)
+	case f.kind != kind:
+		return fmt.Errorf("%w: rank %d arrived at %v while %v is forming on comm %d",
+			ErrCollectiveMismatch, r.ID(), kind, f.kind, commID)
 	}
 	f.stamps = append(f.stamps, tr.Stamp)
 	f.ranks = append(f.ranks, r.ID())
@@ -1074,6 +1077,7 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) {
 		}
 	}
 	c.maybeScheduleCollectiveDone(f)
+	return nil
 }
 
 // completeCollective finishes one communicator's collective for every
@@ -1161,20 +1165,21 @@ func (c *Coordinator) afterRankProgress(r *rank.Rank) {
 }
 
 // dispatch executes one event popped at virtual time t. It returns
-// failed=true when the injected failure fired.
-func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool) {
+// failed=true when the injected failure fired, and an error when the
+// ranks' programs turn out to disagree.
+func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) {
 	switch ev.kind() {
 	case evRankReady:
 		r := c.ranks[ev.arg]
 		if r.State() != rank.Running {
-			return false // stale: the timeline this event belonged to is gone
+			return false, nil // stale: the timeline this event belonged to is gone
 		}
 		if c.draining && c.shouldHold(r) {
 			// The rank reached its safe point for the in-progress drain:
 			// it is held (no ready event) until the checkpoint commits or
 			// the plan turns out to need it.
 			c.held[r.ID()] = true
-			return false
+			return false, nil
 		}
 		c.rankVisits++
 		tr := r.Execute(c.net)
@@ -1192,7 +1197,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool) {
 			}
 		case rank.JoinedCollective:
 			c.noteClock(r.Clock().Now())
-			c.joinCollective(r, &tr)
+			return false, c.joinCollective(r, &tr)
 		}
 	case evDelivery:
 		r := c.ranks[ev.arg]
@@ -1216,7 +1221,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool) {
 		// so the restarted timeline replays through its firing point
 		// without dying again.
 		c.faultFired[ev.arg] = true
-		return true
+		return true, nil
 	case evDrainDone:
 		d := c.drainDones[ev.arg]
 		if c.drainsQueued--; c.drainsQueued == 0 {
@@ -1224,7 +1229,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool) {
 		}
 		c.finishDrain(int(d.seq), int(d.rank))
 	}
-	return false
+	return false, nil
 }
 
 // Run drives the event loop until the job completes or the configured
@@ -1270,8 +1275,14 @@ func (c *Coordinator) Run() (Outcome, error) {
 			c.sweepStaleDeliveries()
 			return Completed, nil
 		}
-		if c.parallelEligible() && c.runWindow() {
-			continue
+		if c.parallelEligible() {
+			ran, err := c.runWindow()
+			if err != nil {
+				return Failed, err
+			}
+			if ran {
+				continue
+			}
 		}
 		t, ev, ok := c.pop()
 		if !ok {
@@ -1291,8 +1302,8 @@ func (c *Coordinator) Run() (Outcome, error) {
 		if c.dispatched != nil {
 			c.dispatched(t)
 		}
-		if c.dispatch(t, ev) {
-			return Failed, nil
+		if failed, err := c.dispatch(t, ev); err != nil || failed {
+			return Failed, err
 		}
 		c.checkArmedTriggers()
 	}
@@ -1557,12 +1568,6 @@ func (c *Coordinator) releaseStaged(g *generation) {
 	}
 }
 
-// digestImage folds one image into the checkpoint fingerprint.
-func (c *Coordinator) digestImage(h io.Writer, img *rank.Image) {
-	c.digestBuf = c.regionHeads.appendImageDigest(c.digestBuf[:0], img)
-	h.Write(c.digestBuf)
-}
-
 // commitStage installs the captured link as the newest committed state:
 // a full link starts a fresh generation (trimming the retained set to
 // Config.RetainGenerations older ones), an incremental link extends the
@@ -1649,14 +1654,14 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	for i, r := range c.ranks {
 		c.compressStage(r, &images[i], &rec)
 	}
-	h := fnv.New64a()
+	h := fnv1a.Offset
 	c.drainReqs = c.drainReqs[:0]
 	for i, r := range c.ranks {
 		c.accountStage(&images[i], &rec)
 		c.writeStage(r, &images[i], &rec)
-		c.digestImage(h, &images[i])
+		h = c.digest.image(h, &images[i])
 	}
-	rec.Fingerprint = h.Sum64()
+	rec.Fingerprint = uint64(h)
 	c.commitStage(images, &rec)
 	// Drain-hop faults damage the committed link's durable copy (images
 	// is that copy now); the drains are then queued on the contended PFS
@@ -1992,12 +1997,11 @@ func bwString(bw float64) string {
 // however many callers — the report, the fleet result — ask.
 func (c *Coordinator) FinalFingerprint() uint64 {
 	if !c.finalOK {
-		h := fnv.New64a()
+		h := fnv1a.Offset
 		for _, r := range c.ranks {
-			c.digestBuf = appendFinalDigest(c.digestBuf[:0], r)
-			h.Write(c.digestBuf)
+			h = foldFinal(h, r)
 		}
-		c.final, c.finalOK = h.Sum64(), true
+		c.final, c.finalOK = uint64(h), true
 		c.fingerprintPasses++
 	}
 	return c.final

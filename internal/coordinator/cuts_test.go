@@ -2,6 +2,7 @@ package coordinator_test
 
 import (
 	"errors"
+	"flag"
 	"math"
 	"slices"
 	"testing"
@@ -16,11 +17,16 @@ import (
 	"mana/internal/vtime"
 )
 
+// wideCuts widens TestEveryCutIsSafe's scope from ranks {2, 3, 5, 8} and
+// 6 steps to ranks {2, 3, 5, 8, 13} and 10 steps; `make cuts` sets it.
+var wideCuts = flag.Bool("cuts.wide", false, "TestEveryCutIsSafe: ranks {2,3,5,8,13} and 10 steps")
+
 // TestEveryCutIsSafe checks the paper's safety claim exhaustively at
 // small scope: a checkpoint may be requested at any moment, so for every
-// library spec at 2, 3, 5 and 8 ranks it requests one at every distinct
-// time the fault-free run dispatched an event — a message arrival, a
-// collective completion, a rank becoming ready — and crashes the job at
+// library spec at 2, 3, 5 and 8 ranks (-cuts.wide adds 13, and longer
+// jobs) it requests one at every distinct time the fault-free run
+// dispatched an event — a message arrival, a collective completion, a
+// rank becoming ready — and crashes the job at
 // one of two protocol points: right after the first checkpoint commits,
 // or as the first checkpoint's collective drain begins, with its topo
 // order unexecuted. Every cut runs with full and with incremental
@@ -54,15 +60,19 @@ func TestEveryCutIsSafe(t *testing.T) {
 	// crashed and came back from an image or from the start.
 	var runs int
 	var restarted, relaunched [2][2]int
+	rankCounts, steps := []int{2, 3, 5, 8}, 6
+	if *wideCuts {
+		rankCounts, steps = []int{2, 3, 5, 8, 13}, 10
+	}
 	for _, name := range scenario.Names() {
 		spec, err := eng.LoadSpec(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var midCollective, drained, overlapped bool
-		for _, ranks := range []int{2, 3, 5, 8} {
+		for _, ranks := range rankCounts {
 			job := fleet.Job{
-				Spec: spec, Ranks: ranks, Steps: 6, Seed: 42,
+				Spec: spec, Ranks: ranks, Steps: steps, Seed: 42,
 				Kernel: kernelsim.Unpatched, Virtid: virtid.ImplSharded,
 				// Anchored past the end of the job: the fault-free run
 				// takes no checkpoint.

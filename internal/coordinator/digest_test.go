@@ -3,12 +3,14 @@ package coordinator
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"mana/internal/fnv1a"
 	"mana/internal/memsim"
 	"mana/internal/netsim"
 	"mana/internal/rank"
@@ -18,9 +20,9 @@ import (
 )
 
 // fmtImageDigest is the reference rendering of an image's contribution to
-// a checkpoint fingerprint: the fmt calls digestImage was written with.
+// a checkpoint fingerprint: the fmt calls the digest was written with.
 // Every fingerprint ever recorded hashes exactly these bytes, so
-// appendImageDigest must reproduce them.
+// digester.image must fold the hash of them.
 func fmtImageDigest(h io.Writer, img rank.Image) {
 	if !img.Complete {
 		fmt.Fprintf(h, "torn(%d/%d);", img.WrittenBytes, img.Bytes())
@@ -86,7 +88,14 @@ func randomImage(t *testing.T, rng *rand.Rand) rank.Image {
 	names := []string{"app.state", "[heap]", `q"uote\`, "naïve\x00\n", ""}
 	var regions []*memsim.Region
 	for i := 0; i < 1+rng.Intn(4); i++ {
-		regions = append(regions, a.MmapZero(names[rng.Intn(len(names))], memsim.UpperHalf, memsim.Kind(rng.Intn(6)), uint64(1+rng.Intn(5*memsim.PageSize))))
+		// Mmap starts a region with no contents, MmapZero with all of it
+		// zeros: the same layout then renders heads that differ only in
+		// their data length.
+		mmap := a.MmapZero
+		if rng.Intn(2) == 0 {
+			mmap = a.Mmap
+		}
+		regions = append(regions, mmap(names[rng.Intn(len(names))], memsim.UpperHalf, memsim.Kind(rng.Intn(6)), uint64(1+rng.Intn(5*memsim.PageSize))))
 	}
 	img.Mem = a.CommitUpperHalf()
 	for _, r := range regions {
@@ -133,32 +142,53 @@ func randomImage(t *testing.T, rng *rand.Rand) rank.Image {
 	return img
 }
 
-// TestDigestMatchesFmt pins the strconv rendering of both digests to the
-// fmt rendering they replaced, byte for byte, over random images. One
-// region-head cache serves the whole sequence, as one serves a run: the
-// random layouts keep replacing its slots, and every image is digested
-// again after a later one has been, so hits, misses and slots that went
-// stale in between are all compared against the reference.
+// TestDigestMatchesFmt pins the folded digests to hash/fnv over the fmt
+// rendering they replaced, over a chain of random images: each image is
+// folded from the state the previous one left, as a checkpoint folds its
+// link, and the chain starts from every low byte an incoming state can
+// have. One digester serves the whole sequence, as one serves a run: the
+// random layouts keep replacing its region-head slots, every image is
+// folded again after a later one has been (so slots and the handle-table
+// segment are hit, missed, and re-rendered after going stale), and the
+// handle-table text changes between images.
 func TestDigestMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var heads regionHeads
+	var d digester
 	var prev rank.Image
-	for i := 0; i < 500; i++ {
+	h := fnv1a.Offset
+	for i := 0; i < 512; i++ {
 		img := randomImage(t, rng)
+		// The chain carries on in the high bits; the low byte, which picks
+		// the table entry every segment folds through, takes each value
+		// twice over the run.
+		h = h&^0xff | fnv1a.Hash(uint8(i))
 		for _, im := range []*rank.Image{&img, &img, &prev, &img} {
-			var want bytes.Buffer
-			fmtImageDigest(&want, *im)
-			if got := heads.appendImageDigest(nil, im); !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("image %d renders differently\n got %s\nwant %s", i, got, want.Bytes())
+			var text bytes.Buffer
+			fmtImageDigest(&text, *im)
+			ref := fnv.New64a()
+			ref.Write(text.Bytes())
+			if got := uint64(d.image(fnv1a.Offset, im)); got != ref.Sum64() {
+				t.Fatalf("image %d folds to %016x, hash/fnv over the fmt text to %016x\n%s", i, got, ref.Sum64(), text.Bytes())
 			}
+			// hash/fnv starts only from the offset basis; from the chain's
+			// state the reference is the byte loop (fnv1a's fuzz targets
+			// tie the two together).
+			want := h.Text(text.Bytes())
+			if got := d.image(h, im); got != want {
+				t.Fatalf("image %d from state %016x folds to %016x, the fmt text to %016x\n%s", i, uint64(h), uint64(got), uint64(want), text.Bytes())
+			}
+			h = want
 		}
 		prev = img
 	}
+	ref := fnv.New64a()
+	h = fnv1a.Offset
 	for _, r := range New(DefaultConfig()).ranks {
-		want := fmt.Sprintf("%d:%d:%x;", r.ID(), r.Clock().Now(), r.Mem().SnapshotUpperHalf().Fingerprint())
-		if got := appendFinalDigest(nil, r); string(got) != want {
-			t.Fatalf("final digest of rank %d renders %s, want %s", r.ID(), got, want)
-		}
+		fmt.Fprintf(ref, "%d:%d:%x;", r.ID(), r.Clock().Now(), r.Mem().SnapshotUpperHalf().Fingerprint())
+		h = foldFinal(h, r)
+	}
+	if uint64(h) != ref.Sum64() {
+		t.Fatalf("final digest folds to %016x, hash/fnv over the fmt text to %016x", uint64(h), ref.Sum64())
 	}
 }
 
@@ -247,4 +277,53 @@ func TestWideIdleMemoryBudget(t *testing.T) {
 		t.Errorf("live heap is %d B/rank, budget %d", perRank, wideIdleBudget)
 	}
 	runtime.KeepAlive(c)
+}
+
+// digestSink keeps the benchmark's result alive.
+var digestSink fnv1a.Hash
+
+// BenchmarkCheckpointDigest prices the checkpoint fingerprint alone,
+// per image: the last delta link of a ckpt-storm-shaped run (the default
+// spec at 2,048 ranks, incremental, a checkpoint requested at 1us and a
+// mid-collective one after it) folded the way checkpoint folds a link,
+// by one digester that has seen the link before — as it has from the
+// second commit of a run on.
+func BenchmarkCheckpointDigest(b *testing.B) {
+	const ranks = 2048
+	cfg := BaseConfig()
+	cfg.Ranks = ranks
+	cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: ranks, Steps: 40, Seed: 42})
+	cfg.Incremental, cfg.FullImageEvery = true, 4
+	cfg.Triggers = []Trigger{{At: vtime.Time(vtime.Microsecond)}, {At: vtime.Time(vtime.Microsecond)},
+		{At: vtime.Time(vtime.Microsecond), MidCollective: true}}
+	c := New(cfg)
+	if out, err := c.Run(); err != nil || out != Completed {
+		b.Fatalf("Run = %v, %v", out, err)
+	}
+	var images []rank.Image
+	for _, g := range c.gens {
+		for _, link := range g.links {
+			if !link.images[0].Full {
+				images = link.images
+			}
+		}
+	}
+	if len(images) != ranks {
+		b.Fatalf("no delta link of %d images", ranks)
+	}
+	var d digester
+	fold := func() {
+		h := fnv1a.Offset
+		for i := range images {
+			h = d.image(h, &images[i])
+		}
+		digestSink = h
+	}
+	fold()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fold()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ranks), "ns/image")
 }

@@ -30,9 +30,9 @@ type Scratch struct {
 	held        map[int]bool
 	ranks       []*rank.Rank
 	formingPool []*forming
-	// regionHeads keeps its entries from run to run: each is a pure
-	// function of the layout values stored beside it (see regionHeads).
-	regionHeads regionHeads
+	// digest keeps its segments from run to run: each is a pure function
+	// of the text stored with it (see digester).
+	digest digester
 	// mem is shared with every rank the run builds; unlike the slices
 	// above it is internally locked and never moves — rank.ReleaseMem
 	// feeds it at retirement and NewPooled draws from it at build time.
@@ -144,12 +144,12 @@ func (s *Scratch) takeForming() []*forming {
 	return f
 }
 
-// takeRegionHeads moves the digest's region-head cache out of the
-// scratch, entries intact.
-func (s *Scratch) takeRegionHeads() regionHeads {
-	t := s.regionHeads
-	s.regionHeads = nil
-	return t
+// takeDigester moves the fingerprint's segments out of the scratch,
+// tables intact.
+func (s *Scratch) takeDigester() digester {
+	d := s.digest
+	s.digest = digester{}
+	return d
 }
 
 // Release moves the run's pooled storage back into the Scratch it was
@@ -183,7 +183,7 @@ func (c *Coordinator) Release() {
 	// Only instances already reset by removeForming are recyclable;
 	// in-flight rendezvous (possible on a Failed run) die with the run.
 	s.formingPool = c.formingPool
-	s.regionHeads = c.regionHeads
+	s.digest = c.digest
 	c.queues = nil
 	c.ranks = nil
 	c.cfg.Scratch = nil

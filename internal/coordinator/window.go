@@ -87,8 +87,9 @@ func (c *Coordinator) parallelEligible() bool {
 
 // runWindow executes one conservative window. It returns false without
 // processing anything when no island event precedes the horizon (the
-// next event is on the global lane — the caller pops it serially).
-func (c *Coordinator) runWindow() bool {
+// next event is on the global lane — the caller pops it serially), and
+// the barrier's error when the ranks' programs disagree.
+func (c *Coordinator) runWindow() (bool, error) {
 	var tmin vtime.Time
 	have := false
 	for i := 0; i < c.islands; i++ {
@@ -97,14 +98,14 @@ func (c *Coordinator) runWindow() bool {
 		}
 	}
 	if !have {
-		return false
+		return false, nil
 	}
 	horizon := tmin.Add(c.lookahead)
 	if g, ok := c.queues.Lane(c.globalLane()).PeekTime(); ok && g < horizon {
 		horizon = g
 	}
 	if horizon <= tmin {
-		return false
+		return false, nil
 	}
 
 	c.queues.BeginWindow()
@@ -125,8 +126,7 @@ func (c *Coordinator) runWindow() bool {
 	wg.Wait()
 	c.inWindow = false
 	c.queues.EndWindow()
-	c.mergeWindow()
-	return true
+	return true, c.mergeWindow()
 }
 
 // drainLane pops and dispatches one island lane's events strictly below
@@ -210,8 +210,9 @@ func (c *Coordinator) noteProgressWindow(lane int, buf *laneBuf, r *rank.Rank) {
 // finished its script during the window lowers its communicators'
 // bars, exactly what noteDone does serially). Every order used here
 // depends only on the partition and the event times, never on worker
-// count or goroutine timing.
-func (c *Coordinator) mergeWindow() {
+// count or goroutine timing. An arrival the rendezvous refuses ends the
+// merge with joinCollective's error: the run is over.
+func (c *Coordinator) mergeWindow() error {
 	arrivals := 0
 	for lane := range c.lanebufs {
 		buf := &c.lanebufs[lane]
@@ -240,12 +241,15 @@ func (c *Coordinator) mergeWindow() {
 		// ascending), and within a lane the buffered order is already
 		// the lane's execution order.
 		slices.SortStableFunc(merged, func(a, b pendingArrival) int { return cmp.Compare(a.at, b.at) })
-		for i := range merged {
-			c.joinCollective(c.ranks[merged[i].rankID], &merged[i].tr)
-		}
 		c.merged = merged
+		for i := range merged {
+			if err := c.joinCollective(c.ranks[merged[i].rankID], &merged[i].tr); err != nil {
+				return err
+			}
+		}
 	}
 	for _, f := range c.collList {
 		c.maybeScheduleCollectiveDone(f)
 	}
+	return nil
 }

@@ -3,6 +3,8 @@ package memsim
 import (
 	"fmt"
 	"math/bits"
+
+	"mana/internal/fnv1a"
 )
 
 // PageDelta is one dirty page carried by an incremental snapshot.
@@ -72,7 +74,7 @@ type Delta struct {
 // contentHash digests the page's Len content bytes: the prefix it
 // carries, then the zeros it implies.
 func (p *PageDelta) contentHash() uint64 {
-	return uint64(fnvOffset.bytes(p.Data).zeros(uint64(p.Len - len(p.Data))))
+	return uint64(fnv1a.Offset.Bytes(p.Data).Zeros(uint64(p.Len - len(p.Data))))
 }
 
 // PayloadBytes returns the page content bytes the delta carries — the

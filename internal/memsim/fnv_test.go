@@ -6,36 +6,28 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"testing"
+
+	"mana/internal/fnv1a"
 )
 
-// byteLoop is FNV-1a one byte at a time: what fnv64a.bytes was before it
-// learned to skip zero runs, kept here as the second oracle (beside
-// hash/fnv) and as the benchmark's baseline.
-func (h fnv64a) byteLoop(p []byte) fnv64a {
-	for _, c := range p {
-		h = (h ^ fnv64a(c)) * fnvPrime
-	}
-	return h
-}
-
-// checkKernel hashes data through consecutive bytes calls split at cuts
-// (each the length of the next chunk, clipped to what is left) and
+// checkKernel hashes data through consecutive fnv1a Bytes calls split at
+// cuts (each the length of the next chunk, clipped to what is left) and
 // compares against hash/fnv and the byte loop over the whole of it.
 func checkKernel(t *testing.T, data []byte, cuts []int) {
 	t.Helper()
 	ref := fnv.New64a()
 	ref.Write(data)
-	h, rest := fnvOffset, data
+	h, rest := fnv1a.Offset, data
 	for _, c := range cuts {
 		n := min(max(c, 0), len(rest))
-		h = h.bytes(rest[:n])
+		h = h.Bytes(rest[:n])
 		rest = rest[n:]
 	}
-	h = h.bytes(rest)
+	h = h.Bytes(rest)
 	if uint64(h) != ref.Sum64() {
 		t.Fatalf("%d bytes split at %v: kernel %016x, hash/fnv %016x", len(data), cuts, uint64(h), ref.Sum64())
 	}
-	if loop := fnvOffset.byteLoop(data); loop != h {
+	if loop := fnv1a.Offset.Text(data); loop != h {
 		t.Fatalf("%d bytes split at %v: kernel %016x, byte loop %016x", len(data), cuts, uint64(h), uint64(loop))
 	}
 }
@@ -45,8 +37,11 @@ func zerosThen(n int, tail ...byte) []byte {
 	return append(make([]byte, n), tail...)
 }
 
-// TestFNVKernelEdges drives the kernel over the boundaries its word scan,
-// 32-byte zero blocks, power table and chunked calls each introduce.
+// TestFNVKernelEdges drives the shared FNV-1a kernel over the page-shaped
+// inputs every content hash here hands it: the boundaries its word scan,
+// 32-byte zero blocks, page-long power table and chunked calls each
+// introduce. fnv1a.FuzzFNVKernel attacks the same kernel with arbitrary
+// bytes.
 func TestFNVKernelEdges(t *testing.T) {
 	dense := bytes.Repeat([]byte{0xa5, 0x01, 0xff, 0x80}, 3*PageSize/4)
 	marker := func(n, at int, v uint64) []byte {
@@ -99,69 +94,5 @@ func TestFNVKernelEdges(t *testing.T) {
 			binary.LittleEndian.PutUint64(buf[rng.Intn(len(buf)-8):], rng.Uint64()>>uint(rng.Intn(64)))
 		}
 		checkKernel(t, buf[rng.Intn(8):], []int{rng.Intn(PageSize), rng.Intn(PageSize)})
-	}
-}
-
-// FuzzFNVKernel: arbitrary bytes with a zero run of arbitrary length (up
-// to three pages, so longer than the power table) spliced in at an
-// arbitrary offset, fed to the kernel in arbitrary consecutive chunks,
-// must hash exactly as hash/fnv and the byte loop hash the whole.
-func FuzzFNVKernel(f *testing.F) {
-	f.Add([]byte{}, []byte{}, uint16(0), uint16(0))
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2}, []byte{3}, uint16(4), uint16(PageSize))
-	f.Add(bytes.Repeat([]byte{0, 0, 0, 7}, 40), []byte{1, 2, 3, 250}, uint16(77), uint16(3*PageSize-1))
-	f.Add(bytes.Repeat([]byte{0xff}, 100), []byte{8, 8, 8}, uint16(50), uint16(PageSize+1))
-	f.Fuzz(func(t *testing.T, data, chunks []byte, at, run uint16) {
-		cut := min(int(at), len(data))
-		zeros := int(run) % (3 * PageSize)
-		spliced := append(append(append([]byte(nil), data[:cut]...), make([]byte, zeros)...), data[cut:]...)
-		cuts := make([]int, len(chunks))
-		for i, c := range chunks {
-			// Small chunks exercise the tails; every fourth is stretched so
-			// a cut can also land deep inside the spliced run.
-			cuts[i] = int(c)
-			if i%4 == 3 {
-				cuts[i] *= 67
-			}
-		}
-		checkKernel(t, spliced, cuts)
-	})
-}
-
-// hashSink keeps the benchmark loops' results alive.
-var hashSink fnv64a
-
-// BenchmarkContentHash documents what the zero-run kernel buys and what
-// it may not cost. sparse is a state page as every workload leaves it —
-// 23 eight-byte markers in 4 KiB of zeros; dense has no zero byte. Each
-// runs through the kernel and through the byte loop it replaced: sparse
-// 5.9 us -> under 1 us, dense within 10 % of the byte loop (2-CPU Xeon
-// 2.1 GHz).
-func BenchmarkContentHash(b *testing.B) {
-	sparse, dense := new([PageSize]byte), new([PageSize]byte)
-	for i := 0; i < 23; i++ {
-		binary.LittleEndian.PutUint64(sparse[i*176:], uint64(i)+1)
-	}
-	for i := range dense {
-		dense[i] = byte(i%255) + 1
-	}
-	for _, pg := range []struct {
-		name string
-		p    *[PageSize]byte
-	}{{"sparse", sparse}, {"dense", dense}} {
-		for _, fn := range []struct {
-			suffix string
-			hash   func(fnv64a, []byte) fnv64a
-		}{{"", fnv64a.bytes}, {"-byteloop", fnv64a.byteLoop}} {
-			b.Run(pg.name+fn.suffix, func(b *testing.B) {
-				if fnvOffset.bytes(pg.p[:]) != fnvOffset.byteLoop(pg.p[:]) {
-					b.Fatal("kernel and byte loop disagree")
-				}
-				b.SetBytes(PageSize)
-				for i := 0; i < b.N; i++ {
-					hashSink += fn.hash(fnvOffset, pg.p[:])
-				}
-			})
-		}
 	}
 }

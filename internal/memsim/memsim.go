@@ -36,6 +36,8 @@ package memsim
 import (
 	"fmt"
 	"slices"
+
+	"mana/internal/fnv1a"
 )
 
 // Half identifies which program of the split process owns a region.
@@ -637,9 +639,9 @@ func (a *AddressSpace) CommitUpperHalf() Snapshot {
 // absent pages skipped), nothing is copied and no page is frozen.
 func (a *AddressSpace) Fingerprint() uint64 {
 	upper := a.regions[UpperHalf]
-	h := fnvOffset.u64(a.brk).u64(uint64(len(upper)))
+	h := fnv1a.Offset.U64(a.brk).U64(uint64(len(upper)))
 	for i := range upper {
-		h = h.u64(upper[i].contentHashNow())
+		h = h.U64(upper[i].contentHashNow())
 	}
 	return uint64(h)
 }
@@ -681,13 +683,13 @@ func (s Snapshot) TotalBytes() uint64 {
 // filled them in — the digest is identical whether or not the memo is
 // present, because the per-region function is the same.
 func (s Snapshot) Fingerprint() uint64 {
-	h := fnvOffset.u64(s.Brk).u64(uint64(len(s.Regions)))
+	h := fnv1a.Offset.U64(s.Brk).U64(uint64(len(s.Regions)))
 	memoised := len(s.RegionHashes) == len(s.Regions)
 	for i := range s.Regions {
 		if memoised {
-			h = h.u64(s.RegionHashes[i])
+			h = h.U64(s.RegionHashes[i])
 		} else {
-			h = h.u64(s.Regions[i].contentHash())
+			h = h.U64(s.Regions[i].contentHash())
 		}
 	}
 	return uint64(h)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+
+	"mana/internal/fnv1a"
 )
 
 // page is the buffer behind one PageSize page of a region — as much of
@@ -12,7 +14,7 @@ import (
 // page is: a region's page table ([]*page) has one slot per page of its
 // DataLen, and a nil slot (or a nil table) is a page nothing was ever
 // written to. Every reader follows the one rule "prefix, then implied
-// zeros" (prefix, samePage, fnv64a.contents). Bytes of a buffer past the
+// zeros" (prefix, samePage, hashContents). Bytes of a buffer past the
 // region's DataLen are always zero, so a region's data length can grow
 // without touching its pages.
 //
@@ -176,110 +178,15 @@ func (b bitmap) sized(n int) bitmap {
 	return b
 }
 
-// 64-bit FNV-1a, the digest every content hash in this package uses. It
-// is written out here rather than taken from hash/fnv for zeros: FNV-1a
-// folds a byte c in as h = (h XOR c) * prime, so a zero byte is one
-// multiply and a run of n zero bytes is h * prime^n mod 2^64. Zeros are
-// hashed that way wherever they are — absent pages between present ones
-// (contents) and the zero words inside a present page (bytes) — and the
-// digest is bit-identical to hashing the bytes one at a time. Hashing
-// therefore costs what a page holds, not what it could hold.
-type fnv64a uint64
-
-const (
-	fnvOffset fnv64a = 14695981039346656037
-	fnvPrime  fnv64a = 1099511628211
-)
-
-// zeroPow[n] is fnvPrime^n mod 2^64: the factor n zero bytes fold in as,
-// for every run that fits a page. Written once by init, read-only after.
-var zeroPow [PageSize + 1]fnv64a
-
-func init() {
-	zeroPow[0] = 1
-	for n := 1; n < len(zeroPow); n++ {
-		zeroPow[n] = zeroPow[n-1] * fnvPrime
-	}
-}
-
-// bytes folds in p. It reads p in 8-byte words: a zero word only
-// lengthens the pending zero run (whole 32-byte blocks of zeros at a time
-// once inside one), and a run is folded in as a single multiply when the
-// next non-zero byte — or the end of p — is reached. A non-zero word is
-// folded byte by byte from the loaded word up to its last non-zero byte;
-// its high zero bytes start the next run. Data without zeros pays the one
-// multiply per byte FNV-1a asks for.
-func (h fnv64a) bytes(p []byte) fnv64a {
-	var run uint64
-	for len(p) >= 8 {
-		w := binary.LittleEndian.Uint64(p)
-		p = p[8:]
-		if w == 0 {
-			run += 8
-			for len(p) >= 32 && binary.LittleEndian.Uint64(p)|binary.LittleEndian.Uint64(p[8:])|
-				binary.LittleEndian.Uint64(p[16:])|binary.LittleEndian.Uint64(p[24:]) == 0 {
-				run += 32
-				p = p[32:]
-			}
-			continue
-		}
-		if run != 0 {
-			h = h.zeros(run)
-		}
-		run = 8
-		for ; w != 0; w >>= 8 {
-			h = (h ^ fnv64a(w&0xff)) * fnvPrime
-			run--
-		}
-	}
-	h = h.zeros(run)
-	for _, c := range p {
-		h = (h ^ fnv64a(c)) * fnvPrime
-	}
-	return h
-}
-
-func (h fnv64a) str(s string) fnv64a {
-	for i := 0; i < len(s); i++ {
-		h = (h ^ fnv64a(s[i])) * fnvPrime
-	}
-	return h
-}
-
-// u64 folds in v as eight little-endian bytes: byte by byte up to its
-// last non-zero byte, the zero bytes above that as one run. Most of what
-// it is handed — lengths, tags, sizes — is mostly zeros.
-func (h fnv64a) u64(v uint64) fnv64a {
-	run := 8
-	for ; v != 0; v >>= 8 {
-		h = (h ^ fnv64a(v&0xff)) * fnvPrime
-		run--
-	}
-	return h * zeroPow[run]
-}
-
-// zeros folds in n zero bytes: h * prime^n, from the power table for a
-// run that fits a page and by square-and-multiply beyond it.
-func (h fnv64a) zeros(n uint64) fnv64a {
-	if n < uint64(len(zeroPow)) {
-		return h * zeroPow[n]
-	}
-	for p := fnvPrime; n != 0; n >>= 1 {
-		if n&1 != 0 {
-			h *= p
-		}
-		p *= p
-	}
-	return h
-}
-
-// contents folds in the dataLen logical bytes a page table describes.
-// Present pages go through bytes, as far as their buffers reach; the
-// zeros a short buffer implies join the run of absent pages after it, and
-// each run costs one zeros call.
-func (h fnv64a) contents(pages []*page, dataLen uint64) fnv64a {
+// hashContents folds in the dataLen logical bytes a page table describes,
+// through the shared FNV-1a kernel, which folds a zero run of any length
+// as one multiply. Present pages go through Bytes, as far as their
+// buffers reach; the zeros a short buffer implies join the run of absent
+// pages after it, and each run costs one Zeros call. Hashing therefore
+// costs what a page holds, not what it could hold.
+func hashContents(h fnv1a.Hash, pages []*page, dataLen uint64) fnv1a.Hash {
 	if pages == nil {
-		return h.zeros(dataLen)
+		return h.Zeros(dataLen)
 	}
 	var run uint64
 	for idx, p := range pages {
@@ -289,10 +196,10 @@ func (h fnv64a) contents(pages []*page, dataLen uint64) fnv64a {
 			continue
 		}
 		b := p.prefix(end - start)
-		h = h.zeros(run).bytes(b)
+		h = h.Zeros(run).Bytes(b)
 		run = end - start - uint64(len(b))
 	}
-	return h.zeros(run)
+	return h.Zeros(run)
 }
 
 // contentHash digests the region's checkpointable state: layout metadata,
@@ -308,7 +215,7 @@ func (r *Region) contentHash() uint64 { return r.hashWith(r.DataLen, r.pages) }
 // hashWith is contentHash with the contents given apart from the layout
 // metadata: a live region's own, while r describes only where it is.
 func (r *Region) hashWith(dataLen uint64, pages []*page) uint64 {
-	h := fnvOffset.u64(uint64(len(r.Name))).str(r.Name)
-	h = h.u64(uint64(r.Half)).u64(uint64(r.Kind)).u64(r.Addr).u64(r.Size)
-	return uint64(h.u64(dataLen).contents(pages, dataLen))
+	h := fnv1a.Offset.U64(uint64(len(r.Name))).Str(r.Name)
+	h = h.U64(uint64(r.Half)).U64(uint64(r.Kind)).U64(r.Addr).U64(r.Size)
+	return uint64(hashContents(h.U64(dataLen), pages, dataLen))
 }

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"mana/internal/fnv1a"
 )
 
 // This file drives the sparse page store against a reference model that
@@ -985,7 +987,7 @@ func TestZeroRunIdentity(t *testing.T) {
 			ref := fnv.New64a()
 			ref.Write(prefix)
 			ref.Write(make([]byte, n))
-			if got := uint64(fnvOffset.bytes(prefix).zeros(n)); got != ref.Sum64() {
+			if got := uint64(fnv1a.Offset.Bytes(prefix).Zeros(n)); got != ref.Sum64() {
 				t.Errorf("n=%d after a %d-byte prefix: zeros gives %016x, hash/fnv %016x", n, len(prefix), got, ref.Sum64())
 			}
 		}
@@ -1002,10 +1004,10 @@ func TestZeroRunIdentity(t *testing.T) {
 	}
 	ref := fnv.New64a()
 	ref.Write(model)
-	if got := uint64(fnvOffset.contents(pages, dataLen)); got != ref.Sum64() {
+	if got := uint64(hashContents(fnv1a.Offset, pages, dataLen)); got != ref.Sum64() {
 		t.Errorf("sparse contents hash %016x, flat %016x", got, ref.Sum64())
 	}
-	if got := uint64(fnvOffset.contents(nil, dataLen)); got != uint64(fnvOffset.zeros(dataLen)) {
+	if got := uint64(hashContents(fnv1a.Offset, nil, dataLen)); got != uint64(fnv1a.Offset.Zeros(dataLen)) {
 		t.Errorf("nil page table hashes to %016x, want %d zeros", got, dataLen)
 	}
 }
@@ -1028,7 +1030,7 @@ func TestShortPageDigest(t *testing.T) {
 		ref := fnv.New64a()
 		ref.Write(whole)
 		short, full := &page{b: prefix}, &page{b: whole}
-		if got := uint64(fnvOffset.contents([]*page{short}, uint64(extent))); got != ref.Sum64() {
+		if got := uint64(hashContents(fnv1a.Offset, []*page{short}, uint64(extent))); got != ref.Sum64() {
 			t.Fatalf("prefix %d of extent %d: contents gives %016x, hash/fnv over the bytes %016x", len(prefix), extent, got, ref.Sum64())
 		}
 		pd := PageDelta{Len: extent, Data: prefix}
@@ -1046,7 +1048,7 @@ func TestShortPageDigest(t *testing.T) {
 		ref2.Write(prefix)
 		ref2.Write(make([]byte, PageSize-len(prefix)))
 		ref2.Write(whole)
-		if got := uint64(fnvOffset.contents([]*page{short, full}, uint64(PageSize+extent))); got != ref2.Sum64() {
+		if got := uint64(hashContents(fnv1a.Offset, []*page{short, full}, uint64(PageSize+extent))); got != ref2.Sum64() {
 			t.Fatalf("short page %d followed by a %d-byte one: contents gives %016x, want %016x", len(prefix), extent, got, ref2.Sum64())
 		}
 	}

@@ -30,7 +30,7 @@ func mapSnapshot(t *Table) Snapshot {
 	return s
 }
 
-// fmtText is the fmt rendering AppendText must reproduce (the same calls
+// fmtText is the fmt rendering Text must reproduce (the same calls
 // the coordinator's digest oracle makes).
 func fmtText(s Snapshot) string {
 	var b strings.Builder
@@ -54,7 +54,7 @@ func sameSnapshot(t *testing.T, what string, got, want Snapshot) {
 			t.Fatalf("%s: %v entries = %v, want %v", what, Kind(k), got.Entries[k], want.Entries[k])
 		}
 	}
-	if text := string(got.AppendText(nil)); text != fmtText(want) {
+	if text := string(got.Text()); text != fmtText(want) {
 		t.Fatalf("%s: text %q, want %q", what, text, fmtText(want))
 	}
 }

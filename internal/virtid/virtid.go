@@ -187,20 +187,21 @@ type Entry struct {
 type Snapshot struct {
 	Next    [NumKinds]uint64
 	Entries [NumKinds][]Entry
-	// text is AppendText's output, rendered once when a Table took the
+	// text is Text's result, rendered once when a Table took the
 	// snapshot; empty for a snapshot assembled any other way.
 	text []byte
 }
 
-// AppendText appends the snapshot's canonical text — per kind,
+// Text returns the snapshot's canonical text — per kind,
 // "vt(kind,next,vid=real,...);" with real handles in hex — which is what
 // a checkpoint fingerprint digests of the table. A snapshot that carries
-// the text pre-rendered appends it as bytes.
-func (s *Snapshot) AppendText(b []byte) []byte {
+// the text pre-rendered returns it, shared: the caller must not modify
+// it. Any other snapshot renders it afresh.
+func (s *Snapshot) Text() []byte {
 	if len(s.text) > 0 {
-		return append(b, s.text...)
+		return s.text
 	}
-	return s.appendText(b)
+	return s.appendText(nil)
 }
 
 func (s *Snapshot) appendText(b []byte) []byte {
