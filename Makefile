@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke cuts lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race identity fuzz-smoke cuts lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -15,6 +15,14 @@ test:
 
 race:
 	$(GO) test -race -count=1 ./...
+
+# identity regenerates the byte-identity corpus
+# (cmd/manasim/testdata/identity.txt: one manasim invocation per row,
+# pinned by the FNV-64a of its stdout and stderr and its exit code) from
+# this tree, printing the argument vector of every row that moved. CI
+# runs it and fails when the file then differs from the committed one.
+identity:
+	$(GO) test -count=1 -v ./cmd/manasim -run '^TestIdentityCorpus$$' -update
 
 # fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
 # `go test` only replays their seed corpus): the sparse page store
