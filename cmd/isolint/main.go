@@ -45,18 +45,18 @@ import (
 // concurrent runs. Nothing mutable belongs here — only vars that are
 // written once before main starts and read-only forever after.
 var allowed = map[string]string{
-	"scenario.libraryFS":                    "embed.FS of the spec library, read-only by construction",
-	"memsim.kindNames":                      "region-kind name table, initialised once and only read",
-	"fnv1a.zeroPow":                         "FNV prime-power table, filled once by init and only read (a pure function of its index)",
-	"coordinator.statLabels":                "fnv1a segments of the rank.Stats labels, tables computed whole at init and only read",
-	"rank.splitProcess":                     "the split-process memory map every rank is built from, immutable once memsim.AddressSpace.Layout returns it",
-	"rank.stateRegion":                      "address of app.state in that map, a pure function of it",
-	"coordinator.ErrRestartFault":           "errors.New sentinel, written once at init and only compared",
-	"coordinator.ErrNoVerifiableGeneration": "errors.New sentinel, written once at init and only compared",
-	"coordinator.ErrCollectiveMismatch":     "errors.New sentinel, written once at init and only compared",
-	"fleet.ErrRestartsExhausted":            "errors.New sentinel, written once at init and only compared",
-	"storage.profiles":                      "built-in profile table, initialised once and only read (Profile deep-copies)",
-	"storage.defaultRatios":                 "compressibility-default table, initialised once and only read",
+	"scenario.libraryFS":                  "embed.FS of the spec library, read-only by construction",
+	"memsim.kindNames":                    "region-kind name table, initialised once and only read",
+	"fnv1a.zeroPow":                       "FNV prime-power table, filled once by init and only read (a pure function of its index)",
+	"coordinator.statLabels":              "fnv1a segments of the rank.Stats labels, tables computed whole at init and only read",
+	"rank.splitProcess":                   "the split-process memory map every rank is built from, immutable once memsim.AddressSpace.Layout returns it",
+	"rank.stateRegion":                    "address of app.state in that map, a pure function of it",
+	"coordinator.ErrRestartFault":         "errors.New sentinel, written once at init and only compared",
+	"ckptstore.ErrNoVerifiableGeneration": "errors.New sentinel, written once at init and only compared",
+	"coordinator.ErrCollectiveMismatch":   "errors.New sentinel, written once at init and only compared",
+	"fleet.ErrRestartsExhausted":          "errors.New sentinel, written once at init and only compared",
+	"storage.profiles":                    "built-in profile table, initialised once and only read (Profile deep-copies)",
+	"storage.defaultRatios":               "compressibility-default table, initialised once and only read",
 }
 
 // lockFree maps "package.Struct" to why it must stay free of

@@ -38,24 +38,29 @@
 //	received into the destination rank's buffer, until the counters
 //	agree that the network is quiescent.
 //
-//	Phase 2 (commit): a per-rank pipeline — capture, dedup, write. Each
-//	rank captures its image (full on the first checkpoint and on the
-//	Config.FullImageEvery cadence, otherwise an incremental delta
-//	carrying only the pages dirtied since the previous checkpoint, with
-//	pages rewritten to identical contents deduplicated against the last
-//	committed generation), is charged the page-table scan and per-page
-//	hash costs of the capture, and then the image write time per dirty
-//	byte actually carried (queued on the contended parallel filesystem,
-//	where the §3.4 stragglers emerge), all to its checkpoint-overhead
-//	account.
+//	Phase 2 (commit): a per-rank pipeline — capture, compress, account,
+//	write. Each rank captures its image (full on the first checkpoint and
+//	on the Config.FullImageEvery cadence, otherwise an incremental delta
+//	of the pages dirtied since the previous checkpoint, deduplicated
+//	against the last committed generation) and is charged the capture's
+//	page-table scan and per-page hashes, then the write of the bytes
+//	carried, all to its checkpoint-overhead account. The generation store
+//	(internal/ckptstore) prices that write — the contended parallel
+//	filesystem where the §3.4 stragglers emerge, or burst-buffer staging —
+//	and keeps the committed generations; the coordinator turns the drains
+//	it queues into drain-done events.
 //
-// Restart discards every rank's lower half, bootstraps a fresh one,
-// replays the saved upper-half region maps, restores clocks and network
-// counters, clears the event queue (events of the abandoned timeline die
-// with it) and re-seeds ready events from the restored state. Because
-// checkpoint activity is accounted outside the application clocks, a
-// restarted run reaches bit-identical virtual-time results to an
-// uncheckpointed one — the property the determinism tests pin down.
+// Restart takes the store's newest verifiable restore point, charging each
+// rank the verification the store reports, then discards every rank's
+// lower half, bootstraps a fresh one, replays the saved upper-half region
+// maps, restores clocks and network counters, clears the event queue
+// (events of the abandoned timeline die with it) and re-seeds ready
+// events from the restored state. Injected faults are the coordinator's:
+// it damages images at their write hops and poisons the link a crashed
+// restart attempt was reading. Because checkpoint activity is accounted
+// outside the application clocks, a restarted run reaches bit-identical
+// virtual-time results to an uncheckpointed one — the property the
+// determinism tests pin down.
 package coordinator
 
 import (
@@ -65,6 +70,7 @@ import (
 	"sort"
 	"strings"
 
+	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
 	"mana/internal/fnv1a"
 	"mana/internal/kernelsim"
@@ -117,17 +123,10 @@ type Config struct {
 	// precise protocol situations. New panics unless len(Programs) ==
 	// Ranks.
 	Programs []scenario.Program
-	// Storage is the two-tier checkpoint I/O model (internal/storage):
-	// a contended aggregate-bandwidth PFS, optional per-node burst-buffer
-	// staging with asynchronous drain, and optional delta-page
-	// compression. BaseConfig sets the direct contended default
-	// (storage.DefaultConfig). Write stragglers (§3.4) emerge from PFS
-	// queueing contention; there is no dialled-in multiplier.
+	// Storage is the checkpoint I/O pipeline (internal/storage): the PFS,
+	// optional burst-buffer staging and delta-page compression. BaseConfig
+	// sets the direct contended default.
 	Storage storage.Config
-	// CkptReadBandwidth is the per-rank parallel-filesystem bandwidth for
-	// restart reads. Zero or negative values model free (instantaneous)
-	// I/O, matching netsim.Params.SerializeCost.
-	CkptReadBandwidth float64
 	// Incremental enables delta checkpoint images: after the first (full)
 	// checkpoint, images carry only the pages dirtied since the previous
 	// one, so commit cost tracks dirty bytes instead of address-space
@@ -196,14 +195,13 @@ type Config struct {
 // config.
 func BaseConfig() Config {
 	return Config{
-		Ranks:             8,
-		Personality:       kernelsim.Unpatched,
-		Virtid:            virtid.ImplSharded,
-		Net:               netsim.DefaultParams(),
-		Storage:           storage.DefaultConfig(),
-		CkptReadBandwidth: 4e9,
-		FullImageEvery:    4,
-		Seed:              42,
+		Ranks:          8,
+		Personality:    kernelsim.Unpatched,
+		Virtid:         virtid.ImplSharded,
+		Net:            netsim.DefaultParams(),
+		Storage:        storage.DefaultConfig(),
+		FullImageEvery: 4,
+		Seed:           42,
 		// FailDelay is the deterministic mapping of the old scheduler's
 		// 25-iteration failure countdown: at the default workload
 		// granularity one full-scan iteration advanced virtual time by
@@ -337,34 +335,9 @@ func (r CheckpointRecord) DedupRatio() float64 {
 	return float64(r.DedupBytes) / float64(r.DirtyBytes)
 }
 
-// RestartRecord describes one successful restart.
-type RestartRecord struct {
-	FromSeq int
-	// ResumeClock is the restored maximum rank clock.
-	ResumeClock vtime.Time
-	// FallbackDepth is how many committed checkpoints the restore point
-	// sits behind the newest (0 = restored from the newest link; each
-	// torn, corrupt or poisoned link walks it one deeper).
-	FallbackDepth int
-	// LostWork is the virtual application time the fallback discards: the
-	// dead timeline's high-water clock minus the restored clock — work the
-	// replay must recompute.
-	LostWork vtime.Duration
-	// TornLinks and CorruptLinks count chain links rejected during the
-	// verification walk (across retried attempts of this restart);
-	// VerifiedPages and VerifyTime account the per-page FNV rehash cost
-	// the walk charged to the ranks' checkpoint-overhead clocks.
-	TornLinks     int
-	CorruptLinks  int
-	VerifiedPages int
-	VerifyTime    vtime.Duration
-	// BufferOnlyLinks counts links the walk skipped because their images
-	// were staged in node burst buffers but never finished draining to
-	// the PFS when the job died — copies that died with the node, not
-	// restore candidates. They are rejected on metadata alone, without
-	// per-page verification cost.
-	BufferOnlyLinks int
-}
+// RestartRecord describes one successful restart; the generation store
+// accumulates it (ckptstore.RestartRecord).
+type RestartRecord = ckptstore.RestartRecord
 
 // request is one in-flight checkpoint request.
 type request struct {
@@ -373,52 +346,6 @@ type request struct {
 	// trigger is the index of the trigger that fired this request, so a
 	// restart can un-consume triggers whose checkpoint never committed.
 	trigger int
-}
-
-// chainLink is one committed checkpoint: the per-rank images plus the
-// network counter snapshot taken at its commit point, so restart can
-// resume from any verified link of a chain, not only the newest.
-type chainLink struct {
-	seq      int
-	images   []rank.Image
-	counters netsim.Counters
-	// durable marks the link's images safe on the PFS: written directly,
-	// or with every burst-buffer copy drained. Restart only restores
-	// from durable links — a staged-but-undrained copy dies with the
-	// node's buffers.
-	durable bool
-	// pendingDrains counts the per-rank drains still in flight;
-	// staged[r] records rank r's staged bytes so the drain-done event
-	// (or generation retirement) can free its buffer occupancy. staged
-	// is nil for direct links.
-	pendingDrains int
-	staged        []uint64
-}
-
-// generation is one full-image checkpoint plus the incremental links
-// committed on top of it: links[0] is always full, every later link a
-// delta onto its predecessor. The coordinator retains the newest
-// generation plus Config.RetainGenerations older ones, and restart walks
-// them newest-first to the newest verifiable restore point.
-type generation struct {
-	links []chainLink
-}
-
-// materializeLink folds rank i's image chain up to (and including) link
-// index li into one full image, returning it together with the bytes
-// restart had to read to do so. The result is the generation's own full
-// image when li is 0 and otherwise lives in *scratch; either way it is
-// only to be read.
-func (g *generation) materializeLink(li, i int, scratch *rank.Image) (*rank.Image, uint64) {
-	img := &g.links[0].images[i]
-	readBytes := img.Bytes()
-	for l := 1; l <= li; l++ {
-		delta := &g.links[l].images[i]
-		readBytes += delta.Bytes()
-		*scratch = delta.OverlayOn(img)
-		img = scratch
-	}
-	return img, readBytes
 }
 
 // eventKind identifies one scheduler event type.
@@ -439,7 +366,7 @@ const (
 	evFail
 	// evDrainDone completes one rank's asynchronous burst-buffer→PFS
 	// drain for one committed checkpoint. It lives on the global lane —
-	// it mutates chain-link durability, cross-island state — so parallel
+	// it mutates the generation store, cross-island state — so parallel
 	// windows never run past one.
 	evDrainDone
 )
@@ -447,50 +374,44 @@ const (
 // event is one entry on the virtual-time queue. It is 8 bytes and holds
 // no pointer — every heap sift copies it, and a pointer-free queue needs
 // no write barriers and is never scanned by the collector — so it
-// carries two small integers, and the kinds that need more look it up
-// where it already lives: a collective completion in the forming record
-// of its communicator (its completion time is the event's own time), a
-// drain completion in the drainDones table. A delivery needs nothing
-// more: its receiver and sender are the only message fields dispatch
-// reads, and its arrival time is the event's time.
+// carries two small integers. A collective completion looks the rest up
+// in the forming record of its communicator; a delivery (receiver,
+// sender) and a drain completion (checkpoint, rank) need nothing more.
 type event struct {
 	// arg is the kind's one index: the rank (evRankReady), the receiver
 	// (evDelivery), the communicator id (evCollectiveDone), the index
-	// into cfg.Triggers (evTrigger), into faults (evFail) or into
-	// drainDones (evDrainDone).
+	// into cfg.Triggers (evTrigger) or into faults (evFail), or the
+	// checkpoint seq (evDrainDone).
 	arg int32
-	// tag is the kind in its low byte and, for evDelivery, the sender
-	// above it.
+	// tag is the kind in its low byte and, for evDelivery and
+	// evDrainDone, a rank above it: the sender, the draining rank.
 	tag uint32
 }
 
-// senderShift places a delivery's sender above the kind byte of
+// rankShift places an event's second rank above the kind byte of
 // event.tag; every rank id must fit the 24 bits left.
-const senderShift = 8
+const rankShift = 8
 
 // Compile-time check: a job's largest rank id fits above the kind byte.
-const _ = uint(1<<(32-senderShift) - scenario.MaxRanks)
+const _ = uint(1<<(32-rankShift) - scenario.MaxRanks)
 
 func (e event) kind() eventKind { return eventKind(e.tag) }
 
-// sender is an evDelivery's sending rank.
-func (e event) sender() int { return int(e.tag >> senderShift) }
+// rank is the rank above the kind byte: an evDelivery's sender, an
+// evDrainDone's draining rank.
+func (e event) rank() int { return int(e.tag >> rankShift) }
 
-// indexEvent is an event of any kind but evDelivery.
+// indexEvent is an event of a kind that carries no rank above its kind.
 func indexEvent(k eventKind, arg int) event { return event{arg: int32(arg), tag: uint32(k)} }
+
+// rankEvent is an event of kind k carrying arg and, above the kind, rank.
+func rankEvent(k eventKind, arg, rank int) event {
+	return event{arg: int32(arg), tag: uint32(rank)<<rankShift | uint32(k)}
+}
 
 // deliveryEvent is the event that makes m visible at its receiver, due
 // at m.Arrive.
-func deliveryEvent(m *netsim.Message) event {
-	return event{arg: int32(m.Dst), tag: uint32(m.Src)<<senderShift | uint32(evDelivery)}
-}
-
-// drainDone is the payload of one evDrainDone event: which rank's drain
-// of which checkpoint completed.
-type drainDone struct {
-	rank int32
-	seq  int32
-}
+func deliveryEvent(m *netsim.Message) event { return rankEvent(evDelivery, m.Dst, m.Src) }
 
 // comm is one communicator the job knows: id 0 is MPI_COMM_WORLD,
 // higher ids are minted by comm-split completions in deterministic
@@ -601,49 +522,18 @@ type Coordinator struct {
 
 	records  []CheckpointRecord
 	restarts []RestartRecord
-	// gens holds the retained committed generations, oldest first; the
-	// last element is the chain new deltas extend. Empty until the first
-	// checkpoint commits.
-	gens []*generation
+	// store holds the retained generations and the storage pipeline; it
+	// is per run, so concurrent fleet runs never share queue state.
+	store *ckptstore.Store
 
 	// Fault-plan state: faults is the compiled plan (legacy
 	// FailAtCheckpoint appended as a one-fault plan), faultFired marks
-	// each as consumed (every fault is one-shot), poisoned records the
-	// checkpoint seqs an injected restart fault destroyed mid-restore (and
-	// the restart attempt that did it), and
-	// restartAttempts counts Restart calls (failed ones included) — the
-	// ordinal restart faults key on. pendTorn/pendCorrupt/pendVerifyPages/
-	// pendVerifyTime accumulate verification-walk accounting across the
-	// failed attempts of one restart, folded into the RestartRecord of the
-	// attempt that succeeds.
+	// each as consumed (every fault is one-shot), and restartAttempts
+	// counts Restart calls (failed ones included) — the ordinal restart
+	// faults key on.
 	faults          []faultplan.Fault
 	faultFired      []bool
-	poisoned        map[int]int
 	restartAttempts int
-	pendTorn        int
-	pendCorrupt     int
-	pendVerifyPages int
-	pendVerifyTime  vtime.Duration
-	pendBufferOnly  int
-
-	// Storage-pipeline state: pfs is the contended shared-filesystem
-	// server every synchronous write, capacity spill and asynchronous
-	// drain queues on; bbUsed tracks each rank's staged-but-undrained
-	// burst-buffer occupancy (allocated only when staging is on);
-	// drainReqs is the per-checkpoint drain-request scratch. All of it
-	// hangs off the Coordinator, so concurrent fleet runs never share
-	// queue state, and Restart resets it — transfers of an abandoned
-	// timeline die with it.
-	pfs       storage.PFS
-	bbUsed    []uint64
-	drainReqs []drainReq
-	// drainDones holds the payloads of the queued evDrainDone events
-	// (the event carries an index). Entries are appended as drains are
-	// scheduled and the table is emptied whenever none is outstanding —
-	// drainsQueued counts the events still on the queue — and on
-	// restart, which clears the queue.
-	drainDones   []drainDone
-	drainsQueued int
 
 	// events counts dispatched queue events; rankVisits counts how many
 	// times the scheduler touched a rank (op execution, wake attempt,
@@ -662,14 +552,6 @@ type Coordinator struct {
 	final             uint64
 	finalOK           bool
 	fingerprintPasses int
-}
-
-// drainReq is one rank's staged payload awaiting its asynchronous
-// burst-buffer→PFS drain, queued at the time its staging write finished.
-type drainReq struct {
-	rank   int
-	bytes  uint64
-	arrive vtime.Time
 }
 
 // New builds a job from the config: one rank per ID with a generated
@@ -733,10 +615,7 @@ func New(cfg Config) *Coordinator {
 		inCollComm:  takeSlice(&sc.inCollComm, cfg.Ranks),
 		held:        sc.takeHeld(),
 		mempool:     sc.mem,
-		pfs:         storage.NewPFS(cfg.Storage.PFSBandwidth),
-	}
-	if cfg.Storage.Staging {
-		c.bbUsed = make([]uint64, cfg.Ranks)
+		store:       ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
 	}
 	for id := range c.islandOf {
 		if cfg.Net.GroupSize > 0 {
@@ -768,9 +647,7 @@ func New(cfg Config) *Coordinator {
 		c.faultFired = make([]bool, len(c.faults))
 	}
 	for id := 0; id < cfg.Ranks; id++ {
-		r := rank.NewPooled(id, cfg.Personality, cfg.Virtid, cfg.Programs[id], c.mempool)
-		r.SetIsland(c.islandOf[id])
-		c.ranks = append(c.ranks, r)
+		c.ranks = append(c.ranks, rank.NewPooled(id, cfg.Personality, cfg.Virtid, cfg.Programs[id], c.mempool))
 	}
 	c.seed()
 	return c
@@ -1201,7 +1078,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 		}
 	case evDelivery:
 		r := c.ranks[ev.arg]
-		if peer, ok := r.BlockedOn(); ok && peer == ev.sender() {
+		if peer, ok := r.BlockedOn(); ok && peer == ev.rank() {
 			c.rankVisits++
 			if r.Wake(c.net, t) {
 				c.afterRankProgress(r)
@@ -1223,11 +1100,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 		c.faultFired[ev.arg] = true
 		return true, nil
 	case evDrainDone:
-		d := c.drainDones[ev.arg]
-		if c.drainsQueued--; c.drainsQueued == 0 {
-			c.drainDones = c.drainDones[:0]
-		}
-		c.finishDrain(int(d.seq), int(d.rank))
+		c.store.DrainDone(int(ev.arg), ev.rank())
 	}
 	return false, nil
 }
@@ -1379,13 +1252,8 @@ func (c *Coordinator) drain(rec *CheckpointRecord) error {
 // and when the FullImageEvery cadence has not come due (each full image
 // starts a new chain, bounding how many links a restart must read).
 func (c *Coordinator) wantIncremental() bool {
-	if !c.cfg.Incremental || len(c.gens) == 0 {
-		return false
-	}
-	if c.cfg.FullImageEvery > 0 && len(c.gens[len(c.gens)-1].links) >= c.cfg.FullImageEvery {
-		return false
-	}
-	return true
+	n := c.store.ChainLen()
+	return c.cfg.Incremental && n > 0 && (c.cfg.FullImageEvery <= 0 || n < c.cfg.FullImageEvery)
 }
 
 // captureStage captures one rank's image in the requested mode, charges
@@ -1439,165 +1307,16 @@ func (c *Coordinator) compressStage(r *rank.Rank, img *rank.Image, rec *Checkpoi
 	rec.CompressTime += cost
 }
 
-// writeStage charges one rank's commit-time image write, per byte
-// actually carried, so incremental checkpoints pay for dirty pages only
-// and a torn write pays only up to the tear.
-//
-// The write is either a direct transfer on the contended PFS (stragglers
-// emerge from queueing behind the other ranks' writes) or a staging copy
-// into the rank's node burst buffer at local bandwidth, with payload
-// beyond the buffer's free capacity written through synchronously to the
-// contended PFS. Staged bytes become a drain request, queued on the PFS
-// once the staging copy finishes.
+// writeStage charges one rank the write of its stored payload, as the
+// generation store prices it: per byte carried, so a delta pays for its
+// dirty pages and a torn image only up to the tear.
 func (c *Coordinator) writeStage(r *rank.Rank, img *rank.Image, rec *CheckpointRecord) {
-	sc := &c.cfg.Storage
-	start := rec.SafeAt
-	var writeTime vtime.Duration
-	if !sc.Staging {
-		done, wait := c.pfs.Write(start, img.StoredBytes)
-		rec.PFSWait += wait
-		writeTime = done.Sub(start)
-	} else {
-		var free uint64
-		if sc.BBCapacity > c.bbUsed[r.ID()] {
-			free = sc.BBCapacity - c.bbUsed[r.ID()]
-		}
-		staged := img.StoredBytes
-		if staged > free {
-			staged = free
-		}
-		spill := img.StoredBytes - staged
-		writeTime = ioTime(staged, sc.BBBandwidth)
-		if spill > 0 {
-			done, wait := c.pfs.Write(start.Add(writeTime), spill)
-			rec.PFSWait += wait
-			rec.SpilledBytes += spill
-			writeTime = done.Sub(start)
-		}
-		c.bbUsed[r.ID()] += staged
-		rec.StagedBytes += staged
-		if staged > 0 {
-			c.drainReqs = append(c.drainReqs, drainReq{rank: r.ID(), bytes: staged, arrive: start.Add(writeTime)})
-		}
-	}
-	r.ChargeCkptOverhead(writeTime)
-	if writeTime > rec.MaxWriteTime {
-		rec.MaxWriteTime = writeTime
-	}
-}
-
-// scheduleDrains installs the just-committed link's durability state: a
-// direct write is durable at commit; a staged link queues one
-// PFS drain per rank (rank order, so the FIFO contention is
-// deterministic) and schedules each completion as a global-lane event.
-// The link becomes durable only when its last drain lands — until then
-// it is a buffer-only copy a restart must skip.
-func (c *Coordinator) scheduleDrains(rec *CheckpointRecord) {
-	g := c.gens[len(c.gens)-1]
-	link := &g.links[len(g.links)-1]
-	if !c.cfg.Storage.Staging || len(c.drainReqs) == 0 {
-		link.durable = true
-		rec.DurableAt = rec.SafeAt.Add(rec.MaxWriteTime)
-		return
-	}
-	link.staged = make([]uint64, len(c.ranks))
-	for _, dr := range c.drainReqs {
-		done, wait := c.pfs.Write(dr.arrive, dr.bytes)
-		rec.PFSWait += wait
-		link.staged[dr.rank] = dr.bytes
-		link.pendingDrains++
-		if done > rec.DurableAt {
-			rec.DurableAt = done
-		}
-		c.queues.Push(c.globalLane(), done, indexEvent(evDrainDone, len(c.drainDones)))
-		c.drainDones = append(c.drainDones, drainDone{rank: int32(dr.rank), seq: int32(rec.Seq)})
-		c.drainsQueued++
-	}
-	c.drainReqs = c.drainReqs[:0]
-}
-
-// finishDrain completes one rank's asynchronous drain for checkpoint
-// seq: the burst-buffer occupancy is freed and, when this was the last
-// outstanding drain, the link becomes durable. A link already retired
-// from the retained set freed its occupancy when it was dropped, so a
-// stale completion is a no-op.
-func (c *Coordinator) finishDrain(seq, rankID int) {
-	link := c.findLink(seq)
-	if link == nil || link.staged == nil {
-		return
-	}
-	c.bbUsed[rankID] -= link.staged[rankID]
-	link.staged[rankID] = 0
-	link.pendingDrains--
-	if link.pendingDrains == 0 {
-		link.staged = nil
-		link.durable = true
-	}
-}
-
-// findLink locates a retained chain link by checkpoint sequence number,
-// newest first (drain completions almost always target the newest link).
-func (c *Coordinator) findLink(seq int) *chainLink {
-	for gi := len(c.gens) - 1; gi >= 0; gi-- {
-		links := c.gens[gi].links
-		for li := len(links) - 1; li >= 0; li-- {
-			if links[li].seq == seq {
-				return &links[li]
-			}
-		}
-	}
-	return nil
-}
-
-// releaseStaged frees the burst-buffer occupancy of every link in a
-// generation being retired from the retained set: the simulated
-// filesystem deletes the generation, so its staged copies stop holding
-// buffer space. Any still-queued drain-done events for these links find
-// them gone and no-op.
-func (c *Coordinator) releaseStaged(g *generation) {
-	for li := range g.links {
-		link := &g.links[li]
-		if link.staged == nil {
-			continue
-		}
-		for r, b := range link.staged {
-			c.bbUsed[r] -= b
-		}
-		link.staged = nil
-		link.pendingDrains = 0
-	}
-}
-
-// commitStage installs the captured link as the newest committed state:
-// a full link starts a fresh generation (trimming the retained set to
-// Config.RetainGenerations older ones), an incremental link extends the
-// newest generation's chain. A link must be uniformly full or uniformly
-// delta — ranks are constructed, checkpointed and restored together, so a
-// mix means the coordinator's mode decision and the ranks' fallback logic
-// disagree.
-func (c *Coordinator) commitStage(images []rank.Image, rec *CheckpointRecord) {
-	for i := range images[1:] {
-		if images[i+1].Full != images[0].Full {
-			panic(fmt.Sprintf("coordinator: checkpoint #%d mixes full and delta images", rec.Seq))
-		}
-	}
-	link := chainLink{seq: rec.Seq, images: images, counters: c.net.CountersSnapshot()}
-	if images[0].Full || len(c.gens) == 0 {
-		c.gens = append(c.gens, &generation{links: []chainLink{link}})
-		keep := c.cfg.RetainGenerations + 1
-		if keep < 1 {
-			keep = 1
-		}
-		if drop := len(c.gens) - keep; drop > 0 {
-			for _, old := range c.gens[:drop] {
-				c.releaseStaged(old)
-			}
-			c.gens = append(c.gens[:0], c.gens[drop:]...)
-		}
-		return
-	}
-	g := c.gens[len(c.gens)-1]
-	g.links = append(g.links, link)
+	w := c.store.Write(r.ID(), rec.SafeAt, img.StoredBytes)
+	r.ChargeCkptOverhead(w.Time)
+	rec.PFSWait += w.PFSWait
+	rec.StagedBytes += w.Staged
+	rec.SpilledBytes += w.Spilled
+	rec.MaxWriteTime = max(rec.MaxWriteTime, w.Time)
 }
 
 // checkpoint services the oldest pending request with the two-phase
@@ -1655,19 +1374,23 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 		c.compressStage(r, &images[i], &rec)
 	}
 	h := fnv1a.Offset
-	c.drainReqs = c.drainReqs[:0]
 	for i, r := range c.ranks {
 		c.accountStage(&images[i], &rec)
 		c.writeStage(r, &images[i], &rec)
 		h = c.digest.image(h, &images[i])
 	}
 	rec.Fingerprint = uint64(h)
-	c.commitStage(images, &rec)
-	// Drain-hop faults damage the committed link's durable copy (images
-	// is that copy now); the drains are then queued on the contended PFS
-	// and their completions scheduled as global-lane events.
+	// Drain-hop faults damage the durable copy the store is about to
+	// commit. A link is durable once written, or when the last of the
+	// drains the store queued for a staged link lands; each drain's
+	// completion is a global-lane event.
 	c.applyWriteFaults(faultplan.HopDrain, images, &rec)
-	c.scheduleDrains(&rec)
+	rec.DurableAt = rec.SafeAt.Add(rec.MaxWriteTime)
+	for _, d := range c.store.Commit(rec.Seq, images, c.net.CountersSnapshot()) {
+		rec.PFSWait += d.Wait
+		rec.DurableAt = max(rec.DurableAt, d.Done)
+		c.queues.Push(c.globalLane(), d.Done, rankEvent(evDrainDone, rec.Seq, d.Rank))
+	}
 	c.records = append(c.records, rec)
 
 	// Checkpoint-commit crashes are events like everything else: each
@@ -1737,64 +1460,34 @@ func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, r
 	return crashed
 }
 
-// ErrRestartFault and ErrNoVerifiableGeneration are the named failures of
-// the restart path. ErrRestartFault marks a restart attempt killed by an
-// injected restart fault after its restore point was chosen — the link
-// being read is destroyed, and the caller retries to fall back past it.
-// ErrNoVerifiableGeneration means the verification walk rejected every
-// retained link (torn, corrupt, poisoned or never drained out of the
-// burst buffers): nothing on the simulated filesystem can be trusted, so
-// the job is unrecoverable. The error wrapping it lists every retained
-// link, newest first, with the reason it was rejected.
-var (
-	ErrRestartFault           = errors.New("coordinator: injected restart fault")
-	ErrNoVerifiableGeneration = errors.New("coordinator: no verifiable checkpoint generation")
-)
+// ErrRestartFault marks a restart attempt killed by an injected restart
+// fault after its restore point was chosen — the link being read is
+// destroyed, and the caller retries to fall back past it. The other named
+// failure of the restart path, ckptstore.ErrNoVerifiableGeneration, means
+// nothing retained verified.
+var ErrRestartFault = errors.New("coordinator: injected restart fault")
 
-// Restart rebuilds the job from the newest verifiable committed
-// checkpoint. The retained generations are walked newest-first; within
-// each, the usable chain is the longest prefix of links every one of
-// whose per-rank images verifies — torn links (partial writes) are
-// rejected outright, corrupt ones by rehashing every carried page or
-// region with the FNV digests recorded at capture (the verify cost is
-// charged to the ranks' checkpoint-overhead clocks). A generation whose
-// full link fails contributes nothing and the walk falls back a whole
-// generation; when every retained link is rejected, Restart returns
-// ErrNoVerifiableGeneration.
-//
-// From the chosen link, every rank discards its lower half, bootstraps a
-// fresh one, replays the saved upper-half region map and resumes its
-// clock, program counter and drained-message buffer; the network counters
-// are restored and its queues cleared (the image was taken on a quiescent
-// network). An incremental link is materialised first — the base full
-// image overlaid with every verified delta in commit order, reading each
-// link off the parallel filesystem (the read time restart is charged for,
-// which is why FullImageEvery bounds the chain). The event queue is
-// cleared — ready, delivery, collective and failure events all referenced
-// the abandoned timeline — and reseeded from the restored state: one
-// ready event per unfinished rank plus the unfired triggers and unfired
-// virtual-time faults.
+// Restart rebuilds the job from the restore point the generation store
+// chooses (ckptstore.Store.Choose), or returns the store's error, which
+// wraps ckptstore.ErrNoVerifiableGeneration, when nothing verifies. Every
+// rank discards its lower half, bootstraps a fresh one, replays the saved
+// upper-half region map and resumes its clock, program counter and
+// drained-message buffer, paying the read of its chain; the network
+// counters are restored and its queues cleared (the image was taken on a
+// quiescent network). The event queue — every event referenced the
+// abandoned timeline — is reseeded from the restored state: one ready
+// event per unfinished rank plus the unfired triggers and virtual-time
+// faults.
 func (c *Coordinator) Restart() error {
-	if len(c.gens) == 0 {
+	if c.store.Newest() == 0 {
 		return fmt.Errorf("coordinator: no committed checkpoint to restart from")
 	}
 	c.finalOK = false
 	c.restartAttempts++
-	newest := c.newestSeq()
-	gi, prefix := -1, 0
-	var rejected []error // why each generation's full link failed, newest first
-	for g := len(c.gens) - 1; g >= 0 && prefix == 0; g-- {
-		var why error
-		prefix, why = c.verifyPrefix(c.gens[g])
-		gi = g
-		rejected = append(rejected, why)
+	rs, err := c.store.Choose(c.chargeVerify)
+	if err != nil {
+		return err
 	}
-	if prefix == 0 {
-		return fmt.Errorf("coordinator: %d generations retained, newest committed #%d: %w%s",
-			len(c.gens), newest, ErrNoVerifiableGeneration, c.rejectedLinks(rejected))
-	}
-	g := c.gens[gi]
-	link := &g.links[prefix-1]
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtRestart && f.N == c.restartAttempts {
 			// The restart process itself crashes while reading the chosen
@@ -1802,22 +1495,18 @@ func (c *Coordinator) Restart() error {
 			// back past it. Verification work already done stays charged
 			// and is folded into the record of the attempt that succeeds.
 			c.faultFired[i] = true
-			if c.poisoned == nil {
-				c.poisoned = make(map[int]int)
-			}
-			c.poisoned[link.seq] = c.restartAttempts
-			return fmt.Errorf("coordinator: restart from checkpoint #%d crashed mid-restore: %w", link.seq, ErrRestartFault)
+			c.store.Poison(rs.Seq, c.restartAttempts)
+			return fmt.Errorf("coordinator: restart from checkpoint #%d crashed mid-restore: %w", rs.Seq, ErrRestartFault)
 		}
 	}
 	preClock := c.maxClock
 	var overlaid rank.Image
 	for i, r := range c.ranks {
-		img, readBytes := g.materializeLink(prefix-1, i, &overlaid)
-		readTime := ioTime(readBytes, c.cfg.CkptReadBandwidth)
+		img, readTime := rs.Image(i, &overlaid)
 		r.RestoreFrom(img)
 		r.ChargeCkptOverhead(r.Kernel().RestartReinitCost() + readTime)
 	}
-	c.net.Restore(link.counters)
+	c.net.Restore(rs.Counters)
 	// In-flight collectives and any drain in progress belonged to the
 	// abandoned timeline: clear the rendezvous state and rebuild the
 	// communicator registry from the restored images (sub-communicators
@@ -1844,107 +1533,27 @@ func (c *Coordinator) Restart() error {
 	}
 	c.pending = nil
 	c.armed = c.armed[:0]
+	// Clearing the queue drops the drain-done events too: the store's
+	// rollback forgets the transfers they completed.
 	c.queues.Clear()
-	// The crash also took the storage pipeline's transient state with
-	// it: in-flight PFS transfers die with their timeline (the queue
-	// clear above already dropped the drain-done events) and the node
-	// burst buffers come back empty — which is exactly why undrained
-	// links stay non-durable forever.
-	c.pfs.Reset()
-	for i := range c.bbUsed {
-		c.bbUsed[i] = 0
-	}
-	c.drainReqs = c.drainReqs[:0]
-	c.drainDones, c.drainsQueued = c.drainDones[:0], 0
 	c.seed()
 	c.maxClock = c.MaxClock()
-	// Everything newer than the restore point failed verification or was
-	// poisoned — drop it so the next committed delta chains onto what was
-	// actually restored.
-	g.links = g.links[:prefix]
-	c.gens = c.gens[:gi+1]
-	rec := RestartRecord{
-		FromSeq:         link.seq,
-		ResumeClock:     c.maxClock,
-		FallbackDepth:   newest - link.seq,
-		TornLinks:       c.pendTorn,
-		CorruptLinks:    c.pendCorrupt,
-		VerifiedPages:   c.pendVerifyPages,
-		VerifyTime:      c.pendVerifyTime,
-		BufferOnlyLinks: c.pendBufferOnly,
-	}
+	rec := c.store.Rollback(rs)
+	rec.ResumeClock = c.maxClock
 	if preClock > c.maxClock {
 		rec.LostWork = preClock.Sub(c.maxClock)
 	}
-	c.pendTorn, c.pendCorrupt, c.pendVerifyPages, c.pendVerifyTime, c.pendBufferOnly = 0, 0, 0, 0, 0
 	c.restarts = append(c.restarts, rec)
 	return nil
 }
 
-// newestSeq returns the newest committed checkpoint's sequence number.
-// The caller guarantees at least one committed generation.
-func (c *Coordinator) newestSeq() int {
-	g := c.gens[len(c.gens)-1]
-	return g.links[len(g.links)-1].seq
-}
-
-// rejectedLinks renders the walk that found nothing to restore, one line
-// per retained link, newest first. rejected[k] is why the k-th newest
-// generation's full link failed; the deltas chained onto it were never
-// examined — without their base they restore nothing.
-func (c *Coordinator) rejectedLinks(rejected []error) string {
-	var b strings.Builder
-	for k, why := range rejected {
-		links := c.gens[len(c.gens)-1-k].links
-		for li := len(links) - 1; li > 0; li-- {
-			fmt.Fprintf(&b, "\n  #%d: not examined: a delta whose chain starts at rejected #%d", links[li].seq, links[0].seq)
-		}
-		fmt.Fprintf(&b, "\n  #%d: %v", links[0].seq, why)
-	}
-	return b.String()
-}
-
-// verifyPrefix returns the length of the longest usable prefix of the
-// generation's links, stopping at the first poisoned, buffer-only, torn
-// or corrupt link, and why it stopped there (nil when every link
-// verified). Every page of every image checked is rehashed at the
-// kernel's per-page hash rate, charged to the owning rank's
-// checkpoint-overhead clock and accumulated for the restart record;
-// iteration is links ascending, ranks ascending, so the charges are
-// deterministic.
-func (c *Coordinator) verifyPrefix(g *generation) (n int, stopped error) {
-	for li := range g.links {
-		link := &g.links[li]
-		if attempt := c.poisoned[link.seq]; attempt != 0 {
-			return n, fmt.Errorf("poisoned: restart attempt %d crashed while reading it (injected restart fault)", attempt)
-		}
-		if !link.durable {
-			// The link's images were staged in node burst buffers but
-			// never finished draining to the PFS before the crash: the
-			// only copies died with the node. Rejected on metadata alone
-			// — there is nothing on the filesystem to rehash.
-			c.pendBufferOnly++
-			return n, fmt.Errorf("buffer-only: %d of %d ranks' images were still in the node burst buffers when the job died; the last drain to the PFS was due @%v",
-				link.pendingDrains, len(link.images), c.records[link.seq-1].DurableAt)
-		}
-		for i, r := range c.ranks {
-			pages, err := link.images[i].Verify()
-			cost := vtime.Duration(pages) * r.Kernel().PageHashCost()
-			r.ChargeCkptOverhead(cost)
-			c.pendVerifyPages += pages
-			c.pendVerifyTime += cost
-			if err != nil {
-				if !link.images[i].Complete {
-					c.pendTorn++
-				} else {
-					c.pendCorrupt++
-				}
-				return n, err
-			}
-		}
-		n++
-	}
-	return n, nil
+// chargeVerify charges rank i the restart verification walk's rehash of
+// pages pages, at its kernel's per-page hash rate, and returns the cost.
+func (c *Coordinator) chargeVerify(i, pages int) vtime.Duration {
+	r := c.ranks[i]
+	cost := vtime.Duration(pages) * r.Kernel().PageHashCost()
+	r.ChargeCkptOverhead(cost)
+	return cost
 }
 
 // rebuildComms reconstructs the communicator registry from the restored
@@ -1970,15 +1579,6 @@ func (c *Coordinator) rebuildComms() {
 		}
 	}
 	c.comms = comms
-}
-
-// ioTime converts an image payload and a filesystem bandwidth into a
-// virtual duration, treating non-positive bandwidth as free I/O.
-func ioTime(bytes uint64, bandwidth float64) vtime.Duration {
-	if bandwidth <= 0 {
-		return 0
-	}
-	return vtime.DurationOf(float64(bytes) / bandwidth)
 }
 
 // bwString renders a storage bandwidth for the report header:

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"mana/internal/ckptstore"
 	"mana/internal/coordinator"
 	"mana/internal/faultplan"
 	"mana/internal/fleet"
@@ -184,7 +185,7 @@ func recoverJob(t *testing.T, eng *fleet.Engine, job fleet.Job) (c *coordinator.
 		if err == nil {
 			return runToEnd(t, c), false
 		}
-		if !errors.Is(err, coordinator.ErrNoVerifiableGeneration) {
+		if !errors.Is(err, ckptstore.ErrNoVerifiableGeneration) {
 			t.Fatal(err)
 		}
 	}

@@ -301,11 +301,9 @@ func BenchmarkCheckpointDigest(b *testing.B) {
 		b.Fatalf("Run = %v, %v", out, err)
 	}
 	var images []rank.Image
-	for _, g := range c.gens {
-		for _, link := range g.links {
-			if !link.images[0].Full {
-				images = link.images
-			}
+	for seq := 1; seq <= len(c.Records()); seq++ {
+		if link := c.store.Images(seq); link != nil && !link[0].Full {
+			images = link
 		}
 	}
 	if len(images) != ranks {

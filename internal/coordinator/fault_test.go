@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
 	"mana/internal/scenario"
 	"mana/internal/vtime"
@@ -223,7 +224,7 @@ func TestRetentionExhaustionNamedError(t *testing.T) {
 		t.Fatalf("Run = %v, %v; want failed outcome", outcome, err)
 	}
 	err = c.Restart()
-	if !errors.Is(err, ErrNoVerifiableGeneration) {
+	if !errors.Is(err, ckptstore.ErrNoVerifiableGeneration) {
 		t.Fatalf("Restart error = %v, want ErrNoVerifiableGeneration", err)
 	}
 	if !strings.Contains(err.Error(), "generations retained") {

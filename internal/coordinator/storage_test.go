@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
 	"mana/internal/storage"
 	"mana/internal/vtime"
@@ -285,7 +286,7 @@ func TestDrainHopTornSurfacesAtRestart(t *testing.T) {
 // nothing to restore says: every retained link, newest first, each with
 // the reason the verification walk rejected it — here one whose burst-
 // buffer copies never reached the PFS, one torn on the drain hop and one
-// corrupted on it — in an error that still is ErrNoVerifiableGeneration.
+// corrupted on it — in an error that still is ckptstore.ErrNoVerifiableGeneration.
 func TestUnrecoverableRestartExplainsEveryLink(t *testing.T) {
 	cfg := stagedConfig()
 	cfg.Incremental = false // three full images: three generations
@@ -300,17 +301,17 @@ func TestUnrecoverableRestartExplainsEveryLink(t *testing.T) {
 		t.Fatalf("Run = %v, %v; want the injected crash", out, err)
 	}
 	err := c.Restart()
-	if !errors.Is(err, ErrNoVerifiableGeneration) {
-		t.Fatalf("Restart error = %v, want ErrNoVerifiableGeneration", err)
+	if !errors.Is(err, ckptstore.ErrNoVerifiableGeneration) {
+		t.Fatalf("Restart error = %v, want ckptstore.ErrNoVerifiableGeneration", err)
 	}
 	lines := strings.Split(err.Error(), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("error has %d lines, want a summary and one line per link:\n%v", len(lines), err)
 	}
-	img := &c.gens[1].links[0].images[5]
+	img := &c.store.Images(2)[5]
 	recs := c.Records()
 	for i, want := range []string{
-		"coordinator: 3 generations retained, newest committed #3: " + ErrNoVerifiableGeneration.Error(),
+		"coordinator: 3 generations retained, newest committed #3: " + ckptstore.ErrNoVerifiableGeneration.Error(),
 		fmt.Sprintf("  #3: buffer-only: %d of %d ranks' images were still in the node burst buffers when the job died; the last drain to the PFS was due @%v",
 			cfg.Ranks, cfg.Ranks, recs[2].DurableAt),
 		fmt.Sprintf("  #2: rank 5: image for checkpoint #2 is torn: %d of %d bytes written", img.WrittenBytes, img.Bytes()),
@@ -334,8 +335,8 @@ func TestUnrecoverableRestartExplainsEveryLink(t *testing.T) {
 		t.Fatalf("Run = %v, %v; want the injected crash", out, err)
 	}
 	err = c.Restart()
-	if !errors.Is(err, ErrNoVerifiableGeneration) {
-		t.Fatalf("Restart error = %v, want ErrNoVerifiableGeneration", err)
+	if !errors.Is(err, ckptstore.ErrNoVerifiableGeneration) {
+		t.Fatalf("Restart error = %v, want ckptstore.ErrNoVerifiableGeneration", err)
 	}
 	for _, want := range []string{
 		"\n  #3: not examined: a delta whose chain starts at rejected #1",
@@ -365,7 +366,7 @@ func TestUnrecoverableRestartExplainsEveryLink(t *testing.T) {
 		t.Fatalf("first Restart error = %v, want ErrRestartFault", err)
 	}
 	err = c.Restart()
-	if want := "\n  #2: poisoned: restart attempt 1 crashed while reading it (injected restart fault)"; !errors.Is(err, ErrNoVerifiableGeneration) || !strings.HasSuffix(err.Error(), want) {
-		t.Errorf("second Restart error = %v, want ErrNoVerifiableGeneration ending %q", err, want)
+	if want := "\n  #2: poisoned: restart attempt 1 crashed while reading it (injected restart fault)"; !errors.Is(err, ckptstore.ErrNoVerifiableGeneration) || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("second Restart error = %v, want ckptstore.ErrNoVerifiableGeneration ending %q", err, want)
 	}
 }

@@ -174,7 +174,7 @@ func (c *Coordinator) dispatchWindow(lane int, buf *laneBuf, t vtime.Time, ev ev
 		}
 	case evDelivery:
 		r := c.ranks[ev.arg]
-		if peer, ok := r.BlockedOn(); ok && peer == ev.sender() {
+		if peer, ok := r.BlockedOn(); ok && peer == ev.rank() {
 			buf.visits++
 			if r.Wake(c.net, t) {
 				c.noteProgressWindow(lane, buf, r)

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"mana/internal/coordinator"
+	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
 	"mana/internal/scenario"
 	"mana/internal/vtime"
@@ -68,7 +68,7 @@ func randomFaultPlan(rng *rand.Rand) *faultplan.Plan {
 // before anything committed.
 func recoverableOrNamed(err error) bool {
 	return errors.Is(err, ErrRestartsExhausted) ||
-		errors.Is(err, coordinator.ErrNoVerifiableGeneration) ||
+		errors.Is(err, ckptstore.ErrNoVerifiableGeneration) ||
 		strings.Contains(err.Error(), "no committed checkpoint to restart from")
 }
 

@@ -186,11 +186,6 @@ func (img *Image) FullBytes() uint64 {
 // Rank is one simulated MPI process.
 type Rank struct {
 	id int
-	// island is the scheduler island (event-queue lane) this rank's
-	// events run on; assigned once by the coordinator's partitioning
-	// rule and never changed, so a rank's whole lifetime stays on one
-	// worker goroutine.
-	island int
 	// clock, kernel and vt are held by value: three small per-rank
 	// objects that would otherwise each be a heap allocation. The zero
 	// clock reads time 0.
@@ -326,14 +321,6 @@ var splitProcess, stateRegion = func() (*memsim.Layout, uint64) {
 // ID returns the rank's MPI rank number.
 func (r *Rank) ID() int { return r.id }
 
-// Island returns the scheduler island this rank is pinned to.
-func (r *Rank) Island() int { return r.island }
-
-// SetIsland pins the rank to a scheduler island. The coordinator calls
-// this once at construction; the affinity must not change mid-run (the
-// rank's events would migrate between worker goroutines).
-func (r *Rank) SetIsland(island int) { r.island = island }
-
 // Clock returns the rank's virtual clock.
 func (r *Rank) Clock() *vtime.Clock { return &r.clock }
 
@@ -381,9 +368,6 @@ func (r *Rank) State() State {
 
 // PC returns the script program counter.
 func (r *Rank) PC() int { return r.pc }
-
-// ScriptLen returns the total number of scripted operations.
-func (r *Rank) ScriptLen() int { return len(r.script) }
 
 // Stats returns a copy of the rank's accounting.
 func (r *Rank) Stats() Stats { return r.stats }

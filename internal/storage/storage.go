@@ -1,14 +1,12 @@
-// Package storage models the two-tier checkpoint I/O pipeline of MANA's
-// NERSC production deployment (arXiv:2103.08546): per-node burst buffers
-// with a bounded capacity and a local bandwidth stage image payloads at
-// commit time, and an asynchronous drain engine feeds them to a shared
-// parallel filesystem whose aggregate bandwidth is contended across every
-// concurrent writer. Writes queue on the PFS in virtual time, so commit
-// stragglers (§3.4) emerge from contention; none is dialled in. On top of
-// the tiering sits optional per-page compression of the incremental delta
-// payload: each 4 KiB dirty page is shrunk by a per-region-class
-// compressibility ratio (all-zero pages collapse to a header), trading
-// kernel CPU time per input byte against PFS bytes.
+// Package storage declares the two-tier checkpoint I/O pipeline of MANA's
+// NERSC production deployment (arXiv:2103.08546) — per-node burst buffers
+// of bounded capacity in front of a shared parallel filesystem — and
+// models two of its parts: the PFS, whose aggregate bandwidth every
+// concurrent writer contends for (commit stragglers, §3.4, emerge from
+// the queueing), and optional per-page compression of incremental delta
+// payloads, each dirty page shrunk by a per-region-class ratio (all-zero
+// pages collapse to a header) at a kernel CPU cost per input byte. The
+// staging, drains and generations run in internal/ckptstore.
 //
 // Configuration arrives either as a `storage` block inside a scenario
 // spec or as a standalone JSON document (or built-in profile name) via
@@ -160,7 +158,8 @@ func (s *Spec) ValidateNamed(errf func(path, format string, args ...any) error) 
 	return nil
 }
 
-// Config is the compiled runtime storage model the coordinator consumes.
+// Config is the compiled runtime storage model the coordinator and the
+// generation store (internal/ckptstore) consume.
 type Config struct {
 	// PFSBandwidth is the contended aggregate parallel-filesystem
 	// bandwidth (<= 0 models free I/O).

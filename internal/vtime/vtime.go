@@ -52,10 +52,6 @@ func (d Duration) Microseconds() float64 { return float64(d) / float64(Microseco
 // Milliseconds reports the duration as floating-point milliseconds.
 func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
 
-// Std converts a virtual duration to a time.Duration of the same nominal
-// length, for interoperability with formatting helpers.
-func (d Duration) Std() time.Duration { return time.Duration(d) }
-
 // String formats the duration using the standard library's formatting.
 func (d Duration) String() string { return time.Duration(d).String() }
 
