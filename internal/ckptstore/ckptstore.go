@@ -14,8 +14,8 @@
 // picks the newest restore point whose chain is durable, unpoisoned and
 // verifies; Rollback makes it the newest committed state.
 //
-// The store knows ranks only as indexes; it never sees the scheduler, the
-// network or the protocol that produced the images.
+// The store knows ranks only as indexes and network counters only as
+// snapshots to hand back; it never sees the scheduler or the protocol.
 package ckptstore
 
 import (
