@@ -89,6 +89,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -605,13 +606,20 @@ func main() {
 
 // execute runs what the parsed flags ask for — one scenario or a sweep —
 // writing the report or aggregate to w, and returns the process exit
-// code: 2 with a usage error, 1 with a run-time failure.
+// code: 2 with a usage error, 1 with a run-time failure. Output goes
+// through one buffer, not one write per line, and the buffer is flushed
+// whatever the outcome, so a failed run's partial output (its restart
+// notices) still reaches w.
 func execute(o *opts, w io.Writer) (int, error) {
 	stop, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
 		return 1, err
 	}
-	code, err := simulate(o, w)
+	out := bufio.NewWriter(w)
+	code, err := simulate(o, out)
+	if ferr := out.Flush(); err == nil && ferr != nil {
+		code, err = 1, ferr
+	}
 	if perr := stop(); err == nil && perr != nil {
 		code, err = 1, perr
 	}

@@ -56,14 +56,15 @@ func TestCheckpointPathAllocationBudget(t *testing.T) {
 	postInit := r.CaptureImage(false)
 	capture := testing.AllocsPerRun(50, func() {
 		r.pc %= 60
-		r.Execute(net) // one compute op: one marker, one dirty page
+		r.marked = r.pc
+		r.Execute(net) // one compute op: one marker, one dirty page at capture
 		if img := r.CaptureImage(true); img.Full || img.Delta.DirtyPages != 1 {
 			t.Fatalf("capture is full=%v with %d dirty pages, want a one-page delta", img.Full, img.Delta.DirtyPages)
 		}
 	})
-	// The marker write's copy of the page the previous capture froze —
-	// a buffer and its header — is the workload's allocation, not the
-	// capture's.
+	// The marker's copy of the page the previous capture froze — a
+	// buffer and its header, made when the capture flushes the marker —
+	// is the workload's allocation, not the capture's.
 	capture -= 2
 	restore := testing.AllocsPerRun(50, func() { r.Restore(postInit) })
 	t.Logf("incremental capture: %v allocations; restore: %v", capture, restore)

@@ -24,6 +24,21 @@
 // receive when a delivery event makes a matching message available. A
 // blocked or collective-waiting rank has no ready time and therefore
 // consumes zero scheduler work until an event transitions it back.
+//
+// Upper-half memory evolves with progress. Every compute, receive,
+// barrier, allreduce and comm-split op the rank completes leaves an
+// eight-byte state marker in the app.state region: the value pc+1 at
+// offset (pc*8) mod (stateRegionSize-8), a pure function of the op's pc
+// and kind, so past pc 8,191 a later marker overwrites an earlier one.
+// The markers are written when memory is read, not when each op
+// completes: Mem and CaptureImage first replay every marker owed since
+// the last read, in pc order, through AddressSpace.Write, so dirty bits,
+// copy-on-write of frozen pages and page growth come out exactly as if
+// each op had written its own, and a timeline that a crash throws away
+// (Restore) never writes its markers at all. The rule that follows: read
+// rank memory through Mem() every time, and never keep the pointer it
+// returns across the rank's progress — that space lacks every marker
+// written since.
 package rank
 
 import (
@@ -197,6 +212,10 @@ type Rank struct {
 	kernel kernelsim.Kernel
 	script scenario.Program
 	pc     int
+	// marked is the pc up to which the state markers are in mem: the ops
+	// in [marked, pc) completed, and flushMarkers writes theirs on the
+	// next read of memory.
+	marked int
 	state  State
 
 	// vt is the handle-virtualisation table (paper §3.3), priced as the
@@ -324,8 +343,33 @@ func (r *Rank) ID() int { return r.id }
 // Clock returns the rank's virtual clock.
 func (r *Rank) Clock() *vtime.Clock { return &r.clock }
 
-// Mem returns the rank's simulated address space.
-func (r *Rank) Mem() *memsim.AddressSpace { return r.mem }
+// Mem returns the rank's simulated address space, with the state markers
+// of every op completed so far written into it. It is, with
+// CaptureImage, the only way to observe rank memory: call it each time,
+// and never keep the pointer across Execute, Wake or a Finish call —
+// that space lacks the markers of the progress made since. Like every
+// per-rank call it belongs to the goroutine that drives the rank.
+func (r *Rank) Mem() *memsim.AddressSpace {
+	r.flushMarkers()
+	return r.mem
+}
+
+// flushMarkers writes the state marker of every op in [marked, pc) that
+// leaves one, in pc order, so a later pc overwrites an earlier one at
+// the same offset just as eager writes would.
+func (r *Rank) flushMarkers() {
+	for ; r.marked < r.pc; r.marked++ {
+		if !marksState(r.script[r.marked].Kind) {
+			continue
+		}
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], uint64(r.marked)+1)
+		off := (uint64(r.marked) * 8) % (stateRegionSize - 8)
+		if err := r.mem.Write(stateRegion, off, buf[:]); err != nil {
+			panic(fmt.Sprintf("rank %d: state marker write: %v", r.id, err))
+		}
+	}
+}
 
 // Kernel returns the rank's kernel cost model.
 func (r *Rank) Kernel() *kernelsim.Kernel { return &r.kernel }
@@ -467,23 +511,12 @@ func (r *Rank) chargeMPICall(lookups virtid.LookupCounts, writes uint64, recorde
 	r.stats.WriteTime += writeTime
 }
 
-// writeStateMarker stores the current pc into the workload state region
-// so memory contents evolve deterministically with progress.
-func (r *Rank) writeStateMarker() {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(r.pc)+1)
-	off := (uint64(r.pc) * 8) % (stateRegionSize - 8)
-	if err := r.mem.Write(stateRegion, off, buf[:]); err != nil {
-		panic(fmt.Sprintf("rank %d: state marker write: %v", r.id, err))
-	}
-}
-
 // compute executes a compute op: advance the clock by the phase
-// duration and touch application memory.
+// duration. Its touch of application memory, the state marker, is
+// written on the next read of memory (flushMarkers).
 func (r *Rank) compute(dur vtime.Duration) {
 	r.clock.Advance(dur)
 	r.stats.ComputeTime += dur
-	r.writeStateMarker()
 	r.pc++
 }
 
@@ -580,7 +613,6 @@ func (r *Rank) completeRecv(m *netsim.Message) {
 	r.clock.Observe(vtime.Stamp{Rank: m.Src, When: m.Arrive})
 	r.stats.MsgsRecvd++
 	r.stats.BytesRecvd += m.Bytes
-	r.writeStateMarker()
 	r.pc++
 }
 
@@ -633,6 +665,17 @@ func (r *Rank) NextReady() (vtime.Time, bool) {
 		return 0, false
 	}
 	return r.clock.Now(), true
+}
+
+// marksState reports whether completing an op of kind k leaves a state
+// marker in memory (flushMarkers): compute, receive and the three
+// collectives do; sends, waits and heap growth do not.
+func marksState(k scenario.OpKind) bool {
+	switch k {
+	case scenario.OpCompute, scenario.OpRecv, scenario.OpBarrier, scenario.OpAllreduce, scenario.OpCommSplit:
+		return true
+	}
+	return false
 }
 
 // Execute runs the rank's next scripted operation atomically and returns
@@ -726,7 +769,6 @@ func (r *Rank) FinishCollective(completion vtime.Time) {
 	r.clock.AdvanceTo(completion)
 	r.state = Running
 	r.stats.Collectives++
-	r.writeStateMarker()
 	r.pc++
 }
 
@@ -756,7 +798,6 @@ func (r *Rank) FinishCommSplit(completion vtime.Time, commID int, real virtid.Re
 	r.stats.ManaOverhead += writeTime
 	r.state = Running
 	r.stats.CommSplits++
-	r.writeStateMarker()
 	r.pc++
 }
 
@@ -788,6 +829,7 @@ func (r *Rank) CaptureImage(incremental bool) Image {
 	if r.state == InCollective {
 		panic(fmt.Sprintf("rank %d: checkpoint while inside a collective", r.id))
 	}
+	r.flushMarkers()
 	img := Image{
 		RankID:      r.id,
 		PC:          r.pc,
@@ -907,7 +949,9 @@ func (r *Rank) RestoreFrom(img *Image) {
 	r.comms = slices.Clone(img.Comms)
 	r.commIDs = slices.Clone(img.CommIDs)
 	r.clock.Set(img.Clock)
-	r.pc = img.PC
+	// The image's memory holds every marker up to its pc; those of the
+	// abandoned timeline past it are never written.
+	r.pc, r.marked = img.PC, img.PC
 	r.state = Running
 	r.inbox = slices.Clone(img.Inbox)
 	r.stats = img.Stats
