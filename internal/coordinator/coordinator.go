@@ -473,6 +473,9 @@ type Coordinator struct {
 	// merged is the barrier's scratch for the time-ordered replay of the
 	// lanes' buffered collective arrivals, reused across windows.
 	merged []pendingArrival
+	// drained is the drain phase's buffer for one rank's messages, reused
+	// from rank to rank and drain to drain.
+	drained []netsim.Message
 
 	triggers []Trigger
 	fired    []bool
@@ -698,7 +701,7 @@ func (c *Coordinator) ScheduleDelivery(m *netsim.Message) {
 			c.queues.WorkerPush(lane, m.Arrive, deliveryEvent(m))
 		} else {
 			buf := &c.lanebufs[src]
-			buf.msgs = append(buf.msgs, m)
+			buf.deliveries = append(buf.deliveries, pendingDelivery{at: m.Arrive, ev: deliveryEvent(m)})
 		}
 		return
 	}
@@ -1236,7 +1239,8 @@ func (c *Coordinator) drain(rec *CheckpointRecord) error {
 			// One counter-comparison probe per peer that has ever sent
 			// to this rank.
 			r.ChargeCkptOverhead(vtime.Duration(c.net.PeersTo(r.ID())) * r.Kernel().DrainProbeCost())
-			for _, m := range c.net.DrainTo(r.ID()) {
+			c.drained = c.net.DrainTo(r.ID(), c.drained[:0])
+			for _, m := range c.drained {
 				r.BufferDrained(m)
 				r.ChargeCkptOverhead(r.Kernel().DrainBufferCost(m.Bytes))
 				rec.DrainedMsgs++

@@ -123,14 +123,7 @@ func TestIdleHeavy4096Ranks(t *testing.T) {
 // Setup (rank construction, address-space bookkeeping) is excluded from
 // the timing so the numbers track scheduler work, which is the quantity
 // that must scale with events rather than ranks.
-//
-// maxAllocsPerEvent, when positive, asserts a ceiling on steady-state
-// allocations per dispatched event inside Run: the event loop reuses its
-// rendezvous scratch and queue storage, so the only per-event allocation
-// left is the network message a send injects. The assertion pins that —
-// a regression that starts allocating per event fails the benchmark
-// rather than silently shifting the numbers.
-func benchEventLoop(b *testing.B, mk func(length int) Config, length int, maxAllocsPerEvent float64) {
+func benchEventLoop(b *testing.B, mk func(length int) Config, length int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -150,19 +143,55 @@ func benchEventLoop(b *testing.B, mk func(length int) Config, length int, maxAll
 			b.ReportMetric(float64(c.EventsDispatched()), "events")
 		}
 	}
-	b.StopTimer()
-	if maxAllocsPerEvent <= 0 {
-		return
+}
+
+// TestSteadyStateAllocatesNothing pins the event loop's steady state at
+// no allocation per event. The loop reuses its rendezvous scratch and
+// queue storage, a message is a value in its pair's ring, and a window's
+// cross-island deliveries are values in reused lane buffers, so once
+// every rank's lazily built state exists nothing is allocated per event;
+// 0.01 per event leaves room for a queue or table growing late, not for
+// anything done per event. It runs the idle-heavy scenario at 512 ranks,
+// the stencil spec (halo exchange, allreduces, heap growth) and the
+// island-scaling traffic on 16 lanes.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	// The stencil spec without its heap growth: an sbrk maps a region,
+	// an allocation the model asks for rather than one the loop makes.
+	stencil := func(steps int) Config {
+		cfg := DefaultConfig()
+		cfg.Ranks = 64
+		cfg.Triggers = nil
+		progs := scenario.MustPrograms("stencil", scenario.Params{Ranks: cfg.Ranks, Steps: steps, Seed: 42})
+		cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+			var ops []scenario.Op
+			for pc := range progs[id] {
+				if op := progs[id][pc].Resolve(id); op.Kind != scenario.OpSbrk {
+					ops = append(ops, op)
+				}
+			}
+			return ops
+		})
+		return cfg
 	}
-	perEvent := steadyAllocsPerEvent(b, mk, length)
-	b.ReportMetric(perEvent, "steady-allocs/event")
-	if perEvent > maxAllocsPerEvent {
-		b.Errorf("steady-state allocations = %.2f/event, want <= %.2f/event", perEvent, maxAllocsPerEvent)
+	for _, tc := range []struct {
+		name   string
+		mk     func(length int) Config
+		length int
+	}{
+		{"idle-heavy-512", func(rounds int) Config { return idleHeavyRounds(512, rounds) }, 1},
+		{"stencil-64", stencil, 24},
+		{"islands-4096", func(steps int) Config { return islandBenchConfig(4096, 16, 1, steps) }, islandBenchSteps},
+	} {
+		perEvent := steadyAllocsPerEvent(t, tc.mk, tc.length)
+		t.Logf("%s: %.4f allocations/event", tc.name, perEvent)
+		if perEvent > 0.01 {
+			t.Errorf("%s: steady-state allocations = %.3f/event, want <= 0.01/event", tc.name, perEvent)
+		}
 	}
 }
 
-// steadyAllocsPerEvent is what the allocation assertions protect: what
-// one more event allocates once every rank's lazily built state exists.
+// steadyAllocsPerEvent is what the allocation test protects: what one
+// more event allocates once every rank's lazily built state exists.
 // It excludes first touch from the count rather than amortising it: the
 // scenario runs (untimed) at the given length and at twice that, and the
 // extra allocations are divided by the extra events, so everything a
@@ -171,29 +200,36 @@ func benchEventLoop(b *testing.B, mk func(length int) Config, length int, maxAll
 // however few events per rank the scenario has. Counting Run whole
 // charged those to the idle-heavy scenario's four events per rank and
 // read 1.5/event with nothing allocating per event.
-func steadyAllocsPerEvent(b *testing.B, mk func(length int) Config, length int) float64 {
+func steadyAllocsPerEvent(tb testing.TB, mk func(length int) Config, length int) float64 {
 	var allocs, events [2]uint64
 	var ms runtime.MemStats
 	for i, n := range [2]int{length, 2 * length} {
-		c := New(mk(n))
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		start := ms.Mallocs
-		outcome, err := c.Run()
-		runtime.ReadMemStats(&ms)
-		if err != nil || outcome != Completed {
-			b.Fatalf("Run at length %d = %v, %v", n, outcome, err)
+		// The fewest of three runs: whatever else the process allocates
+		// meanwhile (the runtime, a test before this one) only adds.
+		for try := 0; try < 3; try++ {
+			c := New(mk(n))
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			start := ms.Mallocs
+			outcome, err := c.Run()
+			runtime.ReadMemStats(&ms)
+			if err != nil || outcome != Completed {
+				tb.Fatalf("Run at length %d = %v, %v", n, outcome, err)
+			}
+			if got := ms.Mallocs - start; try == 0 || got < allocs[i] {
+				allocs[i] = got
+			}
+			events[i] = c.EventsDispatched()
 		}
-		allocs[i], events[i] = ms.Mallocs-start, c.EventsDispatched()
 	}
-	return float64(allocs[1]-allocs[0]) / float64(events[1]-events[0])
+	return (float64(allocs[1]) - float64(allocs[0])) / float64(events[1]-events[0])
 }
 
-func benchScheduler(b *testing.B, ranks int, maxAllocsPerEvent float64) {
-	benchEventLoop(b, func(rounds int) Config { return idleHeavyRounds(ranks, rounds) }, 1, maxAllocsPerEvent)
+func benchScheduler(b *testing.B, ranks int) {
+	benchEventLoop(b, func(rounds int) Config { return idleHeavyRounds(ranks, rounds) }, 1)
 }
 
-func BenchmarkScheduler64Ranks(b *testing.B) { benchScheduler(b, 64, 0) }
+func BenchmarkScheduler64Ranks(b *testing.B) { benchScheduler(b, 64) }
 
 // benchOverlapDrain measures a checkpointed run whose collectives either
 // overlap (staggered sub-communicator layouts, checkpoint requested with
@@ -260,13 +296,8 @@ func BenchmarkOverlapDrain(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchOverlapDrain(b, false) })
 }
 
-// BenchmarkScheduler512Ranks carries the steady-state allocation
-// assertion: one event in four is a send (one netsim.Message allocation
-// each), so a healthy steady state reads 0.25 allocations per event;
-// 1.0 leaves room for map growth while still catching any new per-event
-// allocation.
-func BenchmarkScheduler512Ranks(b *testing.B)  { benchScheduler(b, 512, 1.0) }
-func BenchmarkScheduler4096Ranks(b *testing.B) { benchScheduler(b, 4096, 0) }
+func BenchmarkScheduler512Ranks(b *testing.B)  { benchScheduler(b, 512) }
+func BenchmarkScheduler4096Ranks(b *testing.B) { benchScheduler(b, 4096) }
 
 // islandBenchConfig builds the island-scaling scenario: one topology
 // group per island, a send/recv ring inside each group, and a leader
@@ -316,22 +347,17 @@ func islandBenchConfig(ranks, islands, workers, steps int) Config {
 const islandBenchSteps = 8
 
 // benchIslands measures the island scheduler end to end, serial or
-// parallel, with the same steady-state allocation assertion as
-// benchScheduler: queue storage and window scratch are reused across
-// events and windows, so per-event allocations stay bounded by the
-// network messages the workload injects.
-func benchIslands(b *testing.B, ranks, islands, workers int, maxAllocsPerEvent float64) {
-	benchEventLoop(b, func(steps int) Config { return islandBenchConfig(ranks, islands, workers, steps) }, islandBenchSteps, maxAllocsPerEvent)
+// parallel.
+func benchIslands(b *testing.B, ranks, islands, workers int) {
+	benchEventLoop(b, func(steps int) Config { return islandBenchConfig(ranks, islands, workers, steps) }, islandBenchSteps)
 }
 
-// BenchmarkScheduler65536Ranks pins the 64Ki-rank scale target. The
-// serial variant carries the steady-state allocation assertion (one
-// event in three is a send, at one netsim.Message allocation each:
-// 0.33 per event); the 4-worker variant records the parallel wall-clock
-// on the same partition.
-func BenchmarkScheduler65536Ranks(b *testing.B) { benchIslands(b, 65536, 16, 1, 1.0) }
+// BenchmarkScheduler65536Ranks pins the 64Ki-rank scale target; the
+// 4-worker variant records the parallel wall-clock on the same
+// partition.
+func BenchmarkScheduler65536Ranks(b *testing.B) { benchIslands(b, 65536, 16, 1) }
 func BenchmarkScheduler65536Ranks4Workers(b *testing.B) {
-	benchIslands(b, 65536, 16, 4, 0)
+	benchIslands(b, 65536, 16, 4)
 }
 
 // TestEventLayout pins the event's layout: every heap sift copies it, so
@@ -356,6 +382,15 @@ func TestEventLayout(t *testing.T) {
 	}
 	if path := pointerIn(reflect.TypeOf(event{}), "event"); path != "" {
 		t.Errorf("event holds a pointer at %s", path)
+	}
+	// What a window buffers for the barrier is pointer-free too: a
+	// message's ring slot must not outlive its receipt, so a delivery is
+	// its time and event, and an arrival carries its collective by value.
+	for _, v := range []any{pendingDelivery{}, pendingArrival{}} {
+		typ := reflect.TypeOf(v)
+		if path := pointerIn(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer at %s", typ.Name(), path)
+		}
 	}
 }
 

@@ -79,8 +79,10 @@ func (s *Scratch) takeQueues(k, hint int) *vtime.IslandQueues[event] {
 }
 
 // takeLanebufs moves the window buffers out of the scratch, resized to n
-// islands. Recycled buffers keep their grown msgs/arrivals capacity —
-// the whole point of pooling them — but start logically empty.
+// islands. Recycled buffers keep their grown deliveries/arrivals
+// capacity — the whole point of pooling them — but start logically
+// empty; neither holds a pointer, so what lies past their length keeps
+// nothing of the previous run alive.
 func (s *Scratch) takeLanebufs(n int) []laneBuf {
 	bufs := s.lanebufs
 	s.lanebufs = nil
@@ -90,12 +92,7 @@ func (s *Scratch) takeLanebufs(n int) []laneBuf {
 	bufs = bufs[:n]
 	for i := range bufs {
 		b := &bufs[i]
-		// Stale entries sit in [len:cap] after the barrier's truncation;
-		// clear the full capacity so the previous run's messages and
-		// transitions do not outlive it.
-		clear(b.msgs[:cap(b.msgs)])
-		b.msgs = b.msgs[:0]
-		clear(b.arrivals[:cap(b.arrivals)])
+		b.deliveries = b.deliveries[:0]
 		b.arrivals = b.arrivals[:0]
 		b.events, b.visits, b.dones = 0, 0, 0
 		b.maxClock = 0
@@ -104,8 +101,8 @@ func (s *Scratch) takeLanebufs(n int) []laneBuf {
 }
 
 // takeMerged moves the barrier's arrival scratch out of the scratch,
-// empty. Release cleared it, so no transition of the previous run
-// survives in its capacity.
+// empty. An arrival holds no pointer, so its capacity keeps nothing of
+// the previous run alive.
 func (s *Scratch) takeMerged() []pendingArrival {
 	m := s.merged
 	s.merged = nil
@@ -174,7 +171,6 @@ func (c *Coordinator) Release() {
 	s.inCollComm = c.inCollComm
 	s.fired = c.fired
 	s.lanebufs = c.lanebufs
-	clear(c.merged[:cap(c.merged)])
 	s.merged = c.merged
 	clear(c.held)
 	s.held = c.held

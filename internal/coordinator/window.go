@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 
-	"mana/internal/netsim"
 	"mana/internal/rank"
 	"mana/internal/vtime"
 )
@@ -47,9 +46,10 @@ import (
 // set-defined collective rendezvous), which is what keeps reports
 // byte-identical to the serial scheduler for any worker count.
 type laneBuf struct {
-	// msgs buffers cross-island messages sent from this island, in
-	// emission order; the barrier pushes each onto its destination lane.
-	msgs []*netsim.Message
+	// deliveries buffers the delivery events of cross-island messages
+	// sent from this island, in emission order; the barrier pushes each
+	// onto its destination lane.
+	deliveries []pendingDelivery
 	// arrivals buffers this island's collective arrivals; the barrier
 	// replays them through joinCollective in global time order.
 	arrivals []pendingArrival
@@ -60,6 +60,13 @@ type laneBuf struct {
 	events   uint64
 	visits   uint64
 	maxClock vtime.Time
+}
+
+// pendingDelivery is one buffered cross-island delivery: the message's
+// arrival time and its delivery event, all the barrier needs of it.
+type pendingDelivery struct {
+	at vtime.Time
+	ev event
 }
 
 // pendingArrival is one buffered collective arrival: the event time it
@@ -225,10 +232,10 @@ func (c *Coordinator) mergeWindow() error {
 	}
 	for lane := range c.lanebufs {
 		buf := &c.lanebufs[lane]
-		for _, m := range buf.msgs {
-			c.queues.Push(c.islandOf[m.Dst], m.Arrive, deliveryEvent(m))
+		for _, d := range buf.deliveries {
+			c.queues.Push(c.islandOf[d.ev.arg], d.at, d.ev)
 		}
-		buf.msgs = buf.msgs[:0]
+		buf.deliveries = buf.deliveries[:0]
 	}
 	if arrivals > 0 {
 		merged := c.merged[:0]

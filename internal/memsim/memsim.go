@@ -350,7 +350,7 @@ func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []by
 		m := r.own()
 		m.dataLen = uint64(len(data))
 		m.pages = make([]*page, pageCount(m.dataLen))
-		a.store(m, 0, data)
+		a.store(r, 0, data)
 	}
 	return r.desc
 }
@@ -509,17 +509,54 @@ func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
 // It returns an error if the region does not exist or the write would
 // overflow it. Only the pages the write touches are materialised, and
 // only as far as the write reaches into them.
+//
+// Every write to a live region takes one path: prepareWrite (the region,
+// its contents, data length and page table), then span for each page
+// the bytes reach (the page's own buffer, long enough, and its dirty
+// bit). WriteSpan is the same path for one page, filled in place.
 func (a *AddressSpace) Write(addr uint64, offset uint64, data []byte) error {
+	r, err := a.prepareWrite(addr, offset, uint64(len(data)))
+	if err != nil {
+		return err
+	}
+	a.store(r, offset, data)
+	return nil
+}
+
+// WriteSpan is Write for a caller that fills the bytes in place: it
+// returns the n bytes at offset in the region starting at addr, which
+// must lie within one page, as a buffer the region owns. The caller
+// stores into it what Write's data would have held, before its next call
+// on the space; a byte it leaves alone keeps what the region held. The
+// region comes out as Write of those bytes would leave it — contents,
+// data length, dirty page, buffer length — and the call allocates
+// nothing but, when the page needs one, its new buffer.
+func (a *AddressSpace) WriteSpan(addr uint64, offset, n uint64) ([]byte, error) {
+	if n == 0 || offset/PageSize != (offset+n-1)/PageSize {
+		return nil, fmt.Errorf("memsim: span of %d bytes at offset %d is not within one page", n, offset)
+	}
+	r, err := a.prepareWrite(addr, offset, n)
+	if err != nil {
+		return nil, err
+	}
+	return a.span(r, offset, int(n)), nil
+}
+
+// prepareWrite readies the region starting at addr for a write of n
+// bytes at offset: it resolves the region (the last one written first),
+// checks the bytes fit, gives the region contents of its own, their full
+// data length on the first write and a page table covering them.
+func (a *AddressSpace) prepareWrite(addr, offset, n uint64) (*liveRegion, error) {
 	r := a.lastWrite
 	if r == nil || r.desc.Addr != addr {
 		if r, _, _ = a.find(addr); r == nil {
-			return fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
+			return nil, fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
 		}
 		a.lastWrite = r
 	}
-	size, n := r.desc.Size, uint64(len(data))
+	size := r.desc.Size
 	if offset > size || n > size-offset {
-		return fmt.Errorf("memsim: write of %d bytes at offset %d overflows region %q (size %d)",
+		return nil, fmt.Errorf("memsim: write of %d bytes at offset %d overflows region %q (size %d)",
 			n, offset, r.desc.Name, size)
 	}
 	m := r.mut
@@ -533,26 +570,30 @@ func (a *AddressSpace) Write(addr uint64, offset uint64, data []byte) error {
 		m.dataLen = size
 		r.markAllDirty()
 	}
-	if n == 0 {
-		return nil
-	}
-	if want := pageCount(size); len(m.pages) < want {
+	if want := pageCount(size); n > 0 && len(m.pages) < want {
 		m.pages = append(m.pages, make([]*page, want-len(m.pages))...)
 	}
-	a.store(m, offset, data)
-	r.markDirty(offset, n)
-	return nil
+	return r, nil
 }
 
-// store copies data into the contents' pages at offset, page by page.
-func (a *AddressSpace) store(m *contents, offset uint64, data []byte) {
+// store copies data into the region's pages at offset, a span per page.
+func (a *AddressSpace) store(r *liveRegion, offset uint64, data []byte) {
 	for len(data) > 0 {
-		at := int(offset % PageSize)
-		n := min(PageSize-at, len(data))
-		copy(a.writable(m, int(offset/PageSize), at+n)[at:], data[:n])
+		n := min(PageSize-int(offset%PageSize), len(data))
+		copy(a.span(r, offset, n), data[:n])
 		data = data[n:]
 		offset += uint64(n)
 	}
+}
+
+// span returns bytes [offset, offset+n) of the region, which lie in one
+// page, as a buffer the region owns (writable) and marks them written
+// (markDirty).
+func (a *AddressSpace) span(r *liveRegion, offset uint64, n int) []byte {
+	at := int(offset % PageSize)
+	b := a.writable(r.mut, int(offset/PageSize), at+n)[at : at+n]
+	r.markDirty(offset, uint64(n))
+	return b
 }
 
 // Read copies length bytes from the region starting at addr at offset.

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -561,6 +562,102 @@ func (h *harness) appendRun() {
 	}
 }
 
+// spanRun stores a run of eight-byte markers in one page the way a rank
+// flushes its state markers: one WriteSpan from the first marker to the
+// last, filled in place, with the slots between them marked or left as
+// they were. A twin of the region taken just before gets the same
+// markers as eight-byte Writes; the two must agree on contents, buffer
+// lengths, dirty pages and which pages are owned or frozen, and the
+// model on everything check compares.
+func (h *harness) spanRun() {
+	r := h.pick()
+	if r == nil || r.Size < 8 {
+		return
+	}
+	base := uint64(h.p.next()%pageCount(r.Size)) * PageSize
+	extent := min(PageSize, r.Size-base)
+	if shift := uint64(h.p.next() % 8); extent >= shift+8 {
+		base, extent = base+shift, extent-shift
+	}
+	slots := int(extent / 8)
+	if slots == 0 {
+		return
+	}
+	first := h.p.next() % slots
+	n := 1 + h.p.next()%(slots-first)
+	off := base + uint64(first)*8
+	pattern, v := h.p.next(), h.p.next()
+	twin := twinOf(h.a, r.Addr)
+	span, err := h.a.WriteSpan(r.Addr, off, uint64(n)*8)
+	if err != nil || len(span) != n*8 {
+		h.failf("WriteSpan(%q, %d, %d) = %d bytes, %v", r.Name, off, n*8, len(span), err)
+	}
+	for i := 0; i < n; i++ {
+		if i != 0 && i != n-1 && pattern>>(i%8)&1 == 0 {
+			continue // a slot the run leaves alone
+		}
+		at := off + uint64(i)*8
+		copy(span[i*8:], marker(v+i))
+		if err := twin.Write(r.Addr, at, marker(v+i)); err != nil {
+			h.failf("twin Write(%q, %d): %v", r.Name, at, err)
+		}
+		h.m.write(r.Addr, at, marker(v+i))
+	}
+	x, _, _ := h.a.find(r.Addr)
+	y, _, _ := twin.find(r.Addr)
+	if d := liveDiff(x, y); d != "" {
+		h.failf("a span run into %q at %d (%d slots) differs from eight-byte writes: %s", r.Name, off, n, d)
+	}
+}
+
+// twinOf returns a space holding one live region, a deep copy of the
+// one at addr in a: the same descriptor, page buffers of the same
+// lengths and bytes, the same owned, dirty and all-dirty state.
+func twinOf(a *AddressSpace, addr uint64) *AddressSpace {
+	r, half, _ := a.find(addr)
+	c := *r
+	if m := r.mut; m != nil {
+		mc := *m
+		mc.pages = make([]*page, len(m.pages))
+		for i, p := range m.pages {
+			if p != nil {
+				mc.pages[i] = &page{b: bytes.Clone(p.b)}
+			}
+		}
+		mc.owned, mc.dirty = slices.Clone(m.owned), slices.Clone(m.dirty)
+		c.mut = &mc
+	}
+	t := NewAddressSpace()
+	t.regions[half] = []liveRegion{c}
+	return t
+}
+
+// liveDiff describes the first difference between two live regions'
+// contents and bookkeeping, "" when there is none.
+func liveDiff(x, y *liveRegion) string {
+	if x.dataLen() != y.dataLen() || x.allDirty != y.allDirty || x.hashOK != y.hashOK {
+		return fmt.Sprintf("data length %d/%d, all dirty %v/%v, hash memo %v/%v",
+			x.dataLen(), y.dataLen(), x.allDirty, y.allDirty, x.hashOK, y.hashOK)
+	}
+	if dx, dy := fmt.Sprint(x.dirtyPages()), fmt.Sprint(y.dirtyPages()); dx != dy {
+		return fmt.Sprintf("dirty pages %s/%s", dx, dy)
+	}
+	px, py := x.pages(), y.pages()
+	if len(px) != len(py) {
+		return fmt.Sprintf("page tables of %d/%d slots", len(px), len(py))
+	}
+	owned := func(r *liveRegion, i int) bool { return r.mut != nil && r.mut.owned.test(i) }
+	for i := range px {
+		if (px[i] == nil) != (py[i] == nil) || !bytes.Equal(px[i].buf(), py[i].buf()) {
+			return fmt.Sprintf("page %d holds %d/%d bytes or other ones", i, len(px[i].buf()), len(py[i].buf()))
+		}
+		if owned(x, i) != owned(y, i) {
+			return fmt.Sprintf("page %d owned %v/%v", i, owned(x, i), owned(y, i))
+		}
+	}
+	return ""
+}
+
 // pastShortPage writes the last eight bytes of a page whose buffer is 64
 // bytes, or eight bytes across the boundary behind it.
 func (h *harness) pastShortPage(straddle bool) {
@@ -907,7 +1004,7 @@ func runDifferential(t *testing.T, prog []byte) {
 		a: NewAddressSpacePooled(pool), m: &flatSpace{brk: upperBase},
 	}
 	for ; !h.p.done() && h.step < 300; h.step++ {
-		switch op := h.p.next() % 24; op {
+		switch op := h.p.next() % 25; op {
 		case 0, 1:
 			h.mmap()
 		case 2, 3, 4, 5, 6:
@@ -947,6 +1044,8 @@ func runDifferential(t *testing.T, prog []byte) {
 			h.relayout()
 		case 23:
 			h.cycle()
+		case 24:
+			h.spanRun()
 		}
 		h.check()
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,19 +18,19 @@ import (
 // string into a sequence of network operations and applies each to
 // both; after every step everything observable must agree.
 
-// mapNet is the reference model. Its messages are the real network's
-// own *Message values, so "the same message came out" is pointer
-// equality.
+// mapNet is the reference model. It keeps messages by value, as the
+// network's rings do, so "the same message came out" is equality of
+// every field.
 type mapNet struct {
-	queues   map[Pair][]*Message
+	queues   map[Pair][]Message
 	counters Counters
 }
 
 func newMapNet() *mapNet {
-	return &mapNet{queues: make(map[Pair][]*Message), counters: make(Counters)}
+	return &mapNet{queues: make(map[Pair][]Message), counters: make(Counters)}
 }
 
-func (m *mapNet) send(msg *Message) {
+func (m *mapNet) send(msg Message) {
 	p := Pair{Src: msg.Src, Dst: msg.Dst}
 	m.queues[p] = append(m.queues[p], msg)
 	pc := m.counters[p]
@@ -37,20 +38,20 @@ func (m *mapNet) send(msg *Message) {
 	m.counters[p] = pc
 }
 
-func (m *mapNet) recv(dst, src int, by vtime.Time) *Message {
+func (m *mapNet) recv(dst, src int, by vtime.Time) (Message, bool) {
 	p := Pair{Src: src, Dst: dst}
 	q := m.queues[p]
 	if len(q) == 0 || q[0].Arrive > by {
-		return nil
+		return Message{}, false
 	}
 	m.queues[p] = q[1:]
 	pc := m.counters[p]
 	pc.Received++
 	m.counters[p] = pc
-	return q[0]
+	return q[0], true
 }
 
-func (m *mapNet) drainTo(dst int) []*Message {
+func (m *mapNet) drainTo(dst int) []Message {
 	var pairs []Pair
 	for p, q := range m.queues {
 		if p.Dst == dst && len(q) > 0 {
@@ -58,7 +59,7 @@ func (m *mapNet) drainTo(dst int) []*Message {
 		}
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Src < pairs[j].Src })
-	var out []*Message
+	var out []Message
 	for _, p := range pairs {
 		q := m.queues[p]
 		out = append(out, q...)
@@ -103,7 +104,7 @@ func (m *mapNet) totalSent() (n uint64) {
 }
 
 func (m *mapNet) restore(c Counters) {
-	m.queues = make(map[Pair][]*Message)
+	m.queues = make(map[Pair][]Message)
 	m.counters = c.Clone()
 }
 
@@ -138,6 +139,17 @@ type harness struct {
 	saved    Counters
 	hasSaved bool
 	step     int
+	// held is, per pair, the slot the last Recv on it returned and the
+	// message it held then: the slot-lifetime contract says it stays
+	// intact until the pair's next receive, whatever is sent meanwhile.
+	held map[Pair]heldSlot
+	// drained is the buffer DrainTo appends into, reused call to call.
+	drained []Message
+}
+
+type heldSlot struct {
+	slot *Message
+	want Message
 }
 
 func (h *harness) failf(format string, args ...any) {
@@ -147,42 +159,69 @@ func (h *harness) failf(format string, args ...any) {
 
 func (h *harness) rank() int { return h.p.next() % maxRank }
 
-func sameMessages(a, b []*Message) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (h *harness) send() {
-	src, dst := h.rank(), h.rank()
+func (h *harness) sendOn(src, dst int) {
 	h.now += vtime.Time(h.p.next() % 4 * 500)
 	bytes := uint64(h.p.next()) * 1000
 	msg, _ := h.n.Send(src, dst, h.step, bytes, vtime.Stamp{Rank: src, When: h.now})
-	h.m.send(msg)
+	h.m.send(*msg)
 }
 
+func (h *harness) send() { h.sendOn(h.rank(), h.rank()) }
+
 // recv receives at a time drawn around the send clock, so the arrival
-// gate both passes and blocks.
+// gate both passes and blocks. The pair's held slot is released first —
+// this is its next receive — and the slot returned is held instead.
 func (h *harness) recv() {
 	dst, src := h.rank(), h.rank()
 	by := h.now + vtime.Time(h.p.next()%8*400)
-	got, want := h.n.Recv(dst, src, by), h.m.recv(dst, src, by)
-	if got != want {
-		h.failf("Recv(dst=%d, src=%d, by=%v) = %+v, model %+v", dst, src, by, got, want)
+	pair := Pair{Src: src, Dst: dst}
+	delete(h.held, pair)
+	got := h.n.Recv(dst, src, by)
+	want, ok := h.m.recv(dst, src, by)
+	if (got != nil) != ok || (ok && *got != want) {
+		h.failf("Recv(dst=%d, src=%d, by=%v) = %+v, model %+v (%v)", dst, src, by, got, want, ok)
+	}
+	if ok {
+		h.held[pair] = heldSlot{slot: got, want: want}
 	}
 }
 
-func (h *harness) drainTo() {
-	dst := h.rank()
-	got, want := h.n.DrainTo(dst), h.m.drainTo(dst)
-	if !sameMessages(got, want) {
-		h.failf("DrainTo(%d) returned %d messages, model %d, or in a different order", dst, len(got), len(want))
+// flood keeps sending on a pair whose received slot is held until the
+// pair's ring has filled and grown twice; the held message must come
+// through unchanged (check).
+func (h *harness) flood() {
+	if len(h.held) == 0 {
+		return
+	}
+	pairs := make([]Pair, 0, len(h.held))
+	for p := range h.held {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		return pairs[i].Src < pairs[j].Src || pairs[i].Src == pairs[j].Src && pairs[i].Dst < pairs[j].Dst
+	})
+	pair := pairs[h.p.next()%len(pairs)]
+	i, _ := h.n.find(pair.Src, pair.Dst)
+	start := len(h.n.peers[pair.Dst][i].buf)
+	for len(h.n.peers[pair.Dst][i].buf) < 4*start {
+		h.sendOn(pair.Src, pair.Dst)
+		h.check()
+	}
+}
+
+// drainTo empties one destination's pairs into the reused buffer; the
+// drain is those pairs' next receive, so their held slots are released.
+func (h *harness) drainTo() { h.drainDst(h.rank()) }
+
+func (h *harness) drainDst(dst int) {
+	for p := range h.held {
+		if p.Dst == dst {
+			delete(h.held, p)
+		}
+	}
+	h.drained = h.n.DrainTo(dst, h.drained[:0])
+	if want := h.m.drainTo(dst); !slices.Equal(h.drained, want) {
+		h.failf("DrainTo(%d) returned %d messages, model %d, or in a different order", dst, len(h.drained), len(want))
 	}
 }
 
@@ -190,8 +229,7 @@ func (h *harness) drainTo() {
 // network must be drained first, as the coordinator guarantees.
 func (h *harness) snapshot() {
 	for dst := 0; dst < maxRank; dst++ {
-		h.n.DrainTo(dst)
-		h.m.drainTo(dst)
+		h.drainDst(dst)
 	}
 	h.saved, h.hasSaved = h.n.CountersSnapshot(), true
 }
@@ -202,10 +240,18 @@ func (h *harness) restore() {
 	}
 	h.n.Restore(h.saved)
 	h.m.restore(h.saved)
+	clear(h.held)
 }
 
-// check compares everything the network exposes with the model.
+// check compares everything the network exposes with the model, and
+// every held slot with the message it held when it was received.
 func (h *harness) check() {
+	h.t.Helper()
+	for p, held := range h.held {
+		if *held.slot != held.want {
+			h.failf("the slot Recv returned for pair %v changed before the pair's next receive: %+v, was %+v", p, *held.slot, held.want)
+		}
+	}
 	if got, want := h.n.InFlight(), h.m.inFlight(); got != want {
 		h.failf("InFlight = %d, model %d", got, want)
 	}
@@ -231,9 +277,9 @@ func (h *harness) check() {
 
 // runDifferential interprets prog against both representations.
 func runDifferential(t *testing.T, prog []byte) {
-	h := &harness{t: t, p: &program{b: prog}, n: New(testParams()), m: newMapNet()}
+	h := &harness{t: t, p: &program{b: prog}, n: New(testParams()), m: newMapNet(), held: make(map[Pair]heldSlot)}
 	for ; !h.p.done() && h.step < 400; h.step++ {
-		switch op := h.p.next() % 16; op {
+		switch op := h.p.next() % 17; op {
 		case 0, 1, 2, 3, 4, 5, 6:
 			h.send()
 		case 7, 8, 9, 10, 11:
@@ -244,6 +290,8 @@ func runDifferential(t *testing.T, prog []byte) {
 			h.snapshot()
 		case 15:
 			h.restore()
+		case 16:
+			h.flood()
 		}
 		h.check()
 	}
@@ -274,44 +322,53 @@ func FuzzNetsimVsMap(f *testing.F) {
 
 // TestPairRingWrapsAndGrows pins the FIFO ring directly: a queue that is
 // never fully drained wraps around its buffer instead of growing it, a
-// burst grows it in order, and a popped slot does not keep its message
-// alive.
+// burst grows it in order, and the slot pop returns is not the one the
+// next push writes, even when that push fills the ring's last free slot
+// but one.
 func TestPairRingWrapsAndGrows(t *testing.T) {
 	var p pairState
-	msgs := make([]*Message, 64)
-	for i := range msgs {
-		msgs[i] = &Message{Seq: uint64(i)}
-	}
 	next, want := 0, 0
-	pop := func() {
+	push := func() {
+		p.push(Message{Seq: uint64(next)})
+		next++
+	}
+	pop := func() *Message {
 		t.Helper()
-		if got := p.pop(); got != msgs[want] {
+		got := p.pop()
+		if got.Seq != uint64(want) {
 			t.Fatalf("pop = seq %d, want seq %d", got.Seq, want)
 		}
 		want++
+		return got
 	}
-	p.push(msgs[next])
-	next++
+	push()
 	for i := 0; i < 20; i++ { // one in, one out, never empty
-		p.push(msgs[next])
-		next++
-		pop()
+		push()
+		held := pop()
+		if held.Seq != uint64(want-1) {
+			t.Fatalf("the slot pop returned was overwritten by the next push: seq %d", held.Seq)
+		}
 	}
-	if len(p.buf) != 2 {
-		t.Errorf("steady two-deep queue grew its ring to %d slots", len(p.buf))
+	if len(p.buf) != 4 {
+		t.Errorf("steady two-deep queue grew its ring to %d slots, want 4 (two plus slack)", len(p.buf))
 	}
-	for ; next < len(msgs); next++ { // burst across a wrapped head
-		p.push(msgs[next])
+	for next < 64 { // burst across a wrapped head
+		push()
+	}
+	for p.n > 0 {
+		held := pop()
+		push()
+		if held.Seq != uint64(want-1) {
+			t.Fatalf("a push overwrote the slot pop just returned: seq %d, want %d", held.Seq, want-1)
+		}
+		if next >= 128 {
+			break
+		}
 	}
 	for p.n > 0 {
 		pop()
 	}
-	if want != len(msgs) {
-		t.Errorf("popped %d messages, pushed %d", want, len(msgs))
-	}
-	for i, m := range p.buf {
-		if m != nil {
-			t.Errorf("ring slot %d still references a popped message", i)
-		}
+	if want != next {
+		t.Errorf("popped %d messages, pushed %d", want, next)
 	}
 }

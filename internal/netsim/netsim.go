@@ -15,6 +15,14 @@
 // virtual-time event on the coordinator's queue. Receivers are therefore
 // woken exactly when a matching message becomes visible instead of being
 // polled every scheduler iteration.
+//
+// The network owns every message. A message is a value in its pair's
+// FIFO ring, never a heap object of its own: Send, Recv and the
+// DeliveryScheduler callback hand out pointers to ring slots, and
+// DrainTo copies messages out into a buffer the caller owns. A slot
+// pointer is good for as long as the Network documents (the
+// slot-lifetime contract); whatever outlives that keeps the fields it
+// needs by value.
 package netsim
 
 import (
@@ -152,7 +160,9 @@ func log2ceil(n int) int {
 	return d
 }
 
-// Message is one in-flight point-to-point message.
+// Message is one in-flight point-to-point message. It holds no pointer,
+// so the rings that store messages by value are never scanned by the
+// collector.
 type Message struct {
 	// Seq is a globally unique, monotonically increasing send sequence
 	// number; it makes drain ordering deterministic.
@@ -215,39 +225,51 @@ func (c Counters) InFlight() uint64 {
 type DeliveryScheduler interface {
 	// ScheduleDelivery is called once per Send, after the message's
 	// arrival time has been computed and the network lock has been
-	// released, so implementations are free to inspect the Network.
+	// released, so implementations are free to inspect the Network. m is
+	// the message's ring slot: keep what outlives its receipt by value.
 	ScheduleDelivery(m *Message)
 }
 
 // pairState is one directed pair's state, kept at its destination: the
 // FIFO of in-flight messages and the §3.1 send/receive counters. The
-// FIFO is a ring over a power-of-two buffer, so a pair that is never
-// fully drained still reuses its storage instead of creeping through a
-// slice.
+// FIFO is a ring of message values over a power-of-two buffer, so a pair
+// that is never fully drained still reuses its storage instead of
+// creeping through a slice, and a send into a ring that is large enough
+// allocates nothing. A Message holds no pointer, so neither does the
+// ring: the collector never scans it.
+//
+// The ring keeps one slot of slack — push grows it before it would
+// fill — so the slot pop just vacated is never the next one push
+// writes. The slot-lifetime contract (see Network) rests on it: a
+// message Recv returned stays intact until its receiver's next receive
+// on the pair, even while the sender pushes from another goroutine.
 type pairState struct {
 	src   int
 	count PairCount
-	buf   []*Message
+	buf   []Message
 	head  int // index of the oldest message in buf
 	n     int // messages queued
 }
 
-func (p *pairState) push(m *Message) {
-	if p.n == len(p.buf) {
-		grown := make([]*Message, max(2, 2*len(p.buf)))
+// push appends m to the FIFO and returns its slot.
+func (p *pairState) push(m Message) *Message {
+	if p.n+1 >= len(p.buf) {
+		grown := make([]Message, max(2, 2*len(p.buf)))
 		for i := 0; i < p.n; i++ {
 			grown[i] = p.buf[(p.head+i)&(len(p.buf)-1)]
 		}
 		p.buf, p.head = grown, 0
 	}
-	p.buf[(p.head+p.n)&(len(p.buf)-1)] = m
+	slot := &p.buf[(p.head+p.n)&(len(p.buf)-1)]
+	*slot = m
 	p.n++
+	return slot
 }
 
-// pop removes the oldest message; the caller has checked p.n > 0.
+// pop removes the oldest message and returns its slot, which it leaves
+// as it is; the caller has checked p.n > 0.
 func (p *pairState) pop() *Message {
-	m := p.buf[p.head]
-	p.buf[p.head] = nil
+	m := &p.buf[p.head]
 	p.head = (p.head + 1) & (len(p.buf) - 1)
 	p.n--
 	return m
@@ -265,6 +287,17 @@ func (p *pairState) pop() *Message {
 // map-shaped Counters type exists only at the edges, where the paper's
 // counters are actually compared: CountersSnapshot builds it at a
 // checkpoint commit and Restore consumes it at restart.
+//
+// Slot lifetime. Messages live by value in their pair's ring, and the
+// pointers the Network hands out are pointers to ring slots:
+//   - the message Send returns, and passes to ScheduleDelivery, stays
+//     intact until it is received (by Recv or DrainTo);
+//   - the message Recv returns stays intact until its receiver's next
+//     Recv or DrainTo on the same pair, or a Restore.
+//
+// Never keep a received *Message past that; copy what you need. The
+// ring's one slot of slack (pairState) is what lets a receiver read its
+// message while the sender, on another window worker, pushes the next.
 //
 // The Network is the one object a parallel window's workers genuinely
 // share — a rank on one island sends to a rank on another — so, unlike
@@ -338,24 +371,17 @@ func (n *Network) pair(src, dst int) *pairState {
 	return &n.peers[dst][i]
 }
 
-// Send injects a message and returns it together with the duration the
-// sender's link is busy (charged to the sender's clock by the rank
-// runtime). The arrival time is computed from the piggybacked stamp.
+// Send injects a message and returns its ring slot together with the
+// duration the sender's link is busy (charged to the sender's clock by
+// the rank runtime). The arrival time is computed from the piggybacked
+// stamp.
 func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Message, vtime.Duration) {
 	busy := n.params.SerializeCost(bytes)
-	m := &Message{
-		Src:    src,
-		Dst:    dst,
-		Tag:    tag,
-		Bytes:  bytes,
-		Sent:   sent,
-		Arrive: sent.When.Add(busy + n.params.WireLatency(src, dst)),
-	}
+	arrive := sent.When.Add(busy + n.params.WireLatency(src, dst))
 	n.mu.Lock()
 	n.nextSeq++
-	m.Seq = n.nextSeq
 	p := n.pair(src, dst)
-	p.push(m)
+	m := p.push(Message{Seq: n.nextSeq, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})
 	p.count.Sent++
 	n.inflight++
 	scheduler := n.scheduler
@@ -370,7 +396,9 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 }
 
 // Recv pops the oldest in-flight message from src to dst that has
-// arrived by the given virtual time, preserving MPI's per-pair
+// arrived by the given virtual time and returns its ring slot, which
+// stays intact until dst's next receive from src (see Network),
+// preserving MPI's per-pair
 // non-overtaking order. It returns nil if no message from src has both
 // been sent and arrived — a message becomes visible to its receiver at
 // m.Arrive, never earlier. That arrival gate is what makes the island
@@ -397,20 +425,21 @@ func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 }
 
 // DrainTo pops every in-flight message destined for dst, in deterministic
-// order (by source rank, then send sequence), marking each as received.
-// The coordinator calls this during the drain phase so the messages can be
+// order (by source rank, then send sequence), marking each as received,
+// and appends them by value to out, which it returns: a caller that
+// passes the same buffer back, emptied, drains without allocating. The
+// coordinator calls this during the drain phase so the messages can be
 // buffered into the receiving rank's checkpoint image.
-func (n *Network) DrainTo(dst int) []*Message {
+func (n *Network) DrainTo(dst int, out []Message) []Message {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []*Message
 	list := n.peersOf(dst)
 	for i := range list {
 		p := &list[i]
 		p.count.Received += uint64(p.n)
 		n.inflight -= uint64(p.n)
 		for p.n > 0 {
-			out = append(out, p.pop())
+			out = append(out, *p.pop())
 		}
 	}
 	return out
@@ -471,7 +500,7 @@ func (n *Network) Restore(c Counters) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for dst, list := range n.peers {
-		clear(list) // release the abandoned timeline's messages
+		clear(list) // drop the abandoned timeline's rings
 		n.peers[dst] = list[:0]
 	}
 	for pr, pc := range c {

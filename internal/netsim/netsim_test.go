@@ -80,7 +80,7 @@ func TestDrainToEmptiesAndCounts(t *testing.T) {
 	n.Send(0, 1, 0, 10, s)
 	n.Send(0, 1, 1, 10, s)
 	n.Send(0, 2, 0, 10, s)
-	msgs := n.DrainTo(1)
+	msgs := n.DrainTo(1, nil)
 	if len(msgs) != 3 {
 		t.Fatalf("DrainTo(1) returned %d messages, want 3", len(msgs))
 	}
@@ -139,7 +139,7 @@ func TestPeersTo(t *testing.T) {
 	}
 	// History persists after the queues empty: counters, not queues,
 	// drive the drain probes.
-	n.DrainTo(1)
+	n.DrainTo(1, nil)
 	if got := n.PeersTo(1); got != 2 {
 		t.Errorf("PeersTo(1) after drain = %d, want 2", got)
 	}
@@ -252,3 +252,40 @@ func TestSendCrossGroupArrival(t *testing.T) {
 		t.Errorf("cross-group arrival = %v, want %v", got, want)
 	}
 }
+
+// TestMessagePathAllocatesNothing pins the per-message cost at zero
+// allocations once a pair's ring exists: a message is a value in its
+// pair's ring, and a drain appends values into a buffer the caller
+// reuses.
+func TestMessagePathAllocatesNothing(t *testing.T) {
+	n := New(testParams())
+	n.SetDeliveryScheduler(nopScheduler{})
+	s := vtime.Stamp{Rank: 0, When: 0}
+	var buf []Message
+	for i := 0; i < 3; i++ { // the pair, its ring at three in flight, the drain buffer
+		n.Send(0, 1, 0, 10, s)
+	}
+	buf = n.DrainTo(1, buf[:0])
+	if a := testing.AllocsPerRun(100, func() {
+		m, _ := n.Send(0, 1, 0, 10, s)
+		if n.Recv(1, 0, m.Arrive) != m {
+			t.Fatal("Recv did not return the slot Send filled")
+		}
+	}); a != 0 {
+		t.Errorf("Send+Recv on an existing pair allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 3; i++ {
+			n.Send(0, 1, 0, 10, s)
+		}
+		if buf = n.DrainTo(1, buf[:0]); len(buf) != 3 {
+			t.Fatalf("DrainTo returned %d messages, want 3", len(buf))
+		}
+	}); a != 0 {
+		t.Errorf("DrainTo into a reused buffer allocates %v times, want 0", a)
+	}
+}
+
+type nopScheduler struct{}
+
+func (nopScheduler) ScheduleDelivery(*Message) {}

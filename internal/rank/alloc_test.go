@@ -75,3 +75,34 @@ func TestCheckpointPathAllocationBudget(t *testing.T) {
 		t.Errorf("restore of a post-init image allocates %v times, budget 8", restore)
 	}
 }
+
+// TestMarkerPageRunAllocations pins what flushing one page-run of state
+// markers allocates: at most the page's one new buffer and its header,
+// at the length the furthest marker needs — not a chain of buffers grown
+// a size class at a time — and nothing when the page is the rank's own
+// and already long enough.
+func TestMarkerPageRunAllocations(t *testing.T) {
+	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, computeScript(600))
+	net := testNet()
+	r.Execute(net)
+	r.Mem() // app.state has contents, a page table and page 0's 64-byte buffer now
+	for r.PC() < 400 {
+		r.Execute(net)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r.Mem() // 399 markers into page 0, up to byte 3,200
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 2 {
+		t.Errorf("a 399-marker page-run into a 64-byte page allocated %d objects, want at most its new buffer and header", n)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		r.pc, r.marked = 400, 400
+		for r.PC() < 500 {
+			r.Execute(net)
+		}
+		r.Mem()
+	}); allocs != 0 {
+		t.Errorf("a page-run into an owned full-size page allocates %v times, want 0", allocs)
+	}
+}

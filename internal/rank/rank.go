@@ -32,10 +32,11 @@
 // and kind, so past pc 8,191 a later marker overwrites an earlier one.
 // The markers are written when memory is read, not when each op
 // completes: Mem and CaptureImage first replay every marker owed since
-// the last read, in pc order, through AddressSpace.Write, so dirty bits,
-// copy-on-write of frozen pages and page growth come out exactly as if
-// each op had written its own, and a timeline that a crash throws away
-// (Restore) never writes its markers at all. The rule that follows: read
+// the last read, in pc order and a page at a time, through memsim's one
+// write path (AddressSpace.WriteSpan), so dirty bits, copy-on-write of
+// frozen pages and page contents come out exactly as if each op had
+// written its own, and a timeline that a crash throws away (Restore)
+// never writes its markers at all. The rule that follows: read
 // rank memory through Mem() every time, and never keep the pointer it
 // returns across the rank's progress — that space lacks every marker
 // written since.
@@ -258,6 +259,13 @@ type Rank struct {
 
 const stateRegionSize = 64 * 1024
 
+// The state markers occupy markerSlots 8-byte slots of app.state, op pc's
+// in slot pc mod markerSlots, slotsPerPage of them to a memsim page.
+const (
+	markerSlots  = (stateRegionSize - 8) / 8
+	slotsPerPage = memsim.PageSize / 8
+)
+
 // Real handle values the live lower half hands out, shaped like MPICH's
 // predefined-handle encodings. In a real MANA run these change on every
 // restart (the rebuilt lower half mints fresh ones, which is the whole
@@ -355,18 +363,40 @@ func (r *Rank) Mem() *memsim.AddressSpace {
 }
 
 // flushMarkers writes the state marker of every op in [marked, pc) that
-// leaves one, in pc order, so a later pc overwrites an earlier one at
-// the same offset just as eager writes would.
+// leaves one, a page-run at a time. A page-run is a stretch of
+// consecutive pcs whose marker slots share a page of app.state, cut
+// where the slots wrap at markerSlots. For each run that holds a marker,
+// memsim hands out once the span from its first marker to its last
+// (WriteSpan), and only the markers of marking ops are stored there: the
+// slots of the other ops keep their bytes. Runs go in pc order and so do
+// the markers inside one, so a later pc overwrites an earlier one at the
+// same slot just as eager writes would; only pages that get a marker are
+// touched, so the dirty set is the eager one; and a page's buffer is
+// grown once, straight to the length its furthest marker needs, instead
+// of a size class at a time.
 func (r *Rank) flushMarkers() {
-	for ; r.marked < r.pc; r.marked++ {
-		if !marksState(r.script[r.marked].Kind) {
-			continue
+	for r.marked < r.pc {
+		slot := r.marked % markerSlots
+		end := min(r.pc, r.marked+min(slotsPerPage-slot%slotsPerPage, markerSlots-slot))
+		first, last := r.marked, end-1
+		r.marked = end
+		for first <= last && !marksState(r.script[first].Kind) {
+			first++
 		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(r.marked)+1)
-		off := (uint64(r.marked) * 8) % (stateRegionSize - 8)
-		if err := r.mem.Write(stateRegion, off, buf[:]); err != nil {
+		for last > first && !marksState(r.script[last].Kind) {
+			last--
+		}
+		if first > last {
+			continue // no marker in this run
+		}
+		span, err := r.mem.WriteSpan(stateRegion, uint64(first%markerSlots)*8, uint64(last-first+1)*8)
+		if err != nil {
 			panic(fmt.Sprintf("rank %d: state marker write: %v", r.id, err))
+		}
+		for pc := first; pc <= last; pc++ {
+			if marksState(r.script[pc].Kind) {
+				binary.LittleEndian.PutUint64(span[(pc-first)*8:], uint64(pc)+1)
+			}
 		}
 	}
 }
@@ -526,23 +556,23 @@ func (r *Rank) compute(dur vtime.Duration) {
 // (one lookup per translated handle, metadata record for the drain
 // counters), inject the message with a piggybacked timestamp, and occupy
 // the sender for the serialisation time.
-func (r *Rank) send(net *netsim.Network, op *scenario.Op, peer int, bytes uint64) *netsim.Message {
+func (r *Rank) send(net *netsim.Network, op *scenario.Op, peer int, bytes uint64) {
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	r.chargeMPICall(virtid.LookupCounts{Comm: 1, Datatype: 1}, 0, true)
-	return r.inject(net, op.Tag, peer, bytes)
+	r.inject(net, op.Tag, peer, bytes)
 }
 
 // inject puts the message on the wire with a piggybacked timestamp and
-// occupies the sender for the serialisation time.
-func (r *Rank) inject(net *netsim.Network, tag, peer int, bytes uint64) *netsim.Message {
+// occupies the sender for the serialisation time. The network schedules
+// the message's delivery and owns it from here on.
+func (r *Rank) inject(net *netsim.Network, tag, peer int, bytes uint64) {
 	stamp := vtime.StampFrom(r.id, &r.clock)
-	m, busy := net.Send(r.id, peer, tag, bytes, stamp)
+	_, busy := net.Send(r.id, peer, tag, bytes, stamp)
 	r.clock.Advance(busy)
 	r.stats.MsgsSent++
 	r.stats.BytesSent += bytes
 	r.pc++
-	return m
 }
 
 // isend executes a nonblocking send: like send, but the call also
@@ -550,7 +580,7 @@ func (r *Rank) inject(net *netsim.Network, tag, peer int, bytes uint64) *netsim.
 // pending FIFO, both part of the checkpoint image — until the matching
 // wait retires it. The message itself is on the wire immediately; only
 // its completion handle is outstanding.
-func (r *Rank) isend(net *netsim.Network, op *scenario.Op, peer int, bytes uint64) *netsim.Message {
+func (r *Rank) isend(net *netsim.Network, op *scenario.Op, peer int, bytes uint64) {
 	r.translate(virtid.Comm, r.commHandle(op.Comm))
 	r.translate(virtid.Datatype, r.dtype)
 	req := r.postRequest()
@@ -558,7 +588,7 @@ func (r *Rank) isend(net *netsim.Network, op *scenario.Op, peer int, bytes uint6
 	// The post is a table write (the request is born here), not a lookup;
 	// its first translation happens at the wait.
 	r.chargeMPICall(virtid.LookupCounts{Comm: 1, Datatype: 1}, 1, true)
-	return r.inject(net, op.Tag, peer, bytes)
+	r.inject(net, op.Tag, peer, bytes)
 }
 
 // wait completes the oldest outstanding nonblocking operation: the
@@ -635,9 +665,6 @@ const (
 // what the event loop needs to schedule follow-up events.
 type Transition struct {
 	Kind TransitionKind
-	// Msg is the injected message for an Advanced send (its delivery
-	// event is scheduled by the network's DeliveryScheduler hook).
-	Msg *netsim.Message
 	// Stamp is the arrival stamp for JoinedCollective.
 	Stamp vtime.Stamp
 	// Coll is the collective a JoinedCollective entered. It is a value
@@ -691,9 +718,9 @@ func (r *Rank) Execute(net *netsim.Network) (tr Transition) {
 	case scenario.OpCompute:
 		r.compute(v.Dur)
 	case scenario.OpSend:
-		tr.Msg = r.send(net, op, v.Peer, v.Bytes)
+		r.send(net, op, v.Peer, v.Bytes)
 	case scenario.OpIsend:
-		tr.Msg = r.isend(net, op, v.Peer, v.Bytes)
+		r.isend(net, op, v.Peer, v.Bytes)
 	case scenario.OpWait:
 		r.wait()
 	case scenario.OpRecv:
@@ -812,8 +839,8 @@ func (r *Rank) sbrk(bytes uint64) {
 // BufferDrained appends a message delivered by the checkpoint drain phase
 // to the rank's inbox. The coordinator charges the buffering cost
 // separately via ChargeCkptOverhead.
-func (r *Rank) BufferDrained(m *netsim.Message) {
-	r.inbox = append(r.inbox, *m)
+func (r *Rank) BufferDrained(m netsim.Message) {
+	r.inbox = append(r.inbox, m)
 }
 
 // CaptureImage produces the rank's checkpoint image and commits the

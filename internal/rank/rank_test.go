@@ -17,6 +17,12 @@ func testNet() *netsim.Network {
 	return netsim.New(netsim.Params{Latency: 1000 * vtime.Nanosecond, BandwidthBytesPerSec: 1e9})
 }
 
+// lastSent records, by value, the last message a network scheduled for
+// delivery: how a test learns a send's arrival time.
+type lastSent struct{ m netsim.Message }
+
+func (l *lastSent) ScheduleDelivery(m *netsim.Message) { l.m = *m }
+
 // TestNewRankMaterialisesNoStatePage pins construction cost to what is
 // particular to a rank: app.state keeps its 64 KiB data length —
 // fingerprints and images record it — but holds no page until a step
@@ -132,7 +138,8 @@ func TestPatchedKernelCheaperPerCall(t *testing.T) {
 }
 
 func TestRecvObservesPiggybackedArrival(t *testing.T) {
-	net := testNet()
+	net, sent := testNet(), &lastSent{}
+	net.SetDeliveryScheduler(sent)
 	sender := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpCompute, Dur: 10 * vtime.Millisecond}, {Kind: scenario.OpSend, Peer: 1, Bytes: 1000}})
 	receiver := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpRecv, Peer: 0}})
 
@@ -141,7 +148,8 @@ func TestRecvObservesPiggybackedArrival(t *testing.T) {
 		t.Fatalf("recv with nothing in flight: transition %+v, want BlockedOnRecv", tr)
 	}
 	sender.Execute(net)
-	m := sender.Execute(net).Msg
+	sender.Execute(net)
+	m := sent.m
 	// The message is in flight but has not arrived: the receiver (clock
 	// near zero) cannot observe it yet.
 	if receiver.Wake(net, receiver.Clock().Now()) {
@@ -227,7 +235,7 @@ func TestDrainedInboxSurvivesCheckpointAndFeedsRecv(t *testing.T) {
 
 	// Checkpoint-time drain: the in-flight message is buffered at the
 	// receiver, the network quiesces, and the image carries the buffer.
-	for _, m := range net.DrainTo(1) {
+	for _, m := range net.DrainTo(1, nil) {
 		receiver.BufferDrained(m)
 	}
 	if net.InFlight() != 0 {
@@ -319,9 +327,11 @@ func TestExecuteTransitions(t *testing.T) {
 	}
 
 	// A wake at the matching message's arrival time completes the receive.
+	sent := &lastSent{}
+	net.SetDeliveryScheduler(sent)
 	sender := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpSend, Peer: 0, Bytes: 100}})
-	sm := sender.Execute(net)
-	if !r.Wake(net, sm.Msg.Arrive) {
+	sender.Execute(net)
+	if !r.Wake(net, sent.m.Arrive) {
 		t.Fatal("Wake failed with a matching message arrived")
 	}
 	if r.Stats().MsgsRecvd != 1 {
@@ -358,7 +368,7 @@ func TestWakeConsumesInboxBeforeNetwork(t *testing.T) {
 	// rank is blocked; the wake must find it there.
 	sender := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 64}})
 	sender.Execute(net)
-	for _, m := range net.DrainTo(1) {
+	for _, m := range net.DrainTo(1, nil) {
 		r.BufferDrained(m)
 	}
 	if !r.Wake(net, r.Clock().Now()) {
