@@ -152,7 +152,7 @@ func benchEventLoop(b *testing.B, mk func(length int) Config, length int) {
 // every rank's lazily built state exists nothing is allocated per event;
 // 0.01 per event leaves room for a queue or table growing late, not for
 // anything done per event. It runs the idle-heavy scenario at 512 ranks,
-// the stencil spec (halo exchange, allreduces, heap growth) and the
+// the stencil spec's halo exchange and allreduces, and the
 // island-scaling traffic on 16 lanes.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	// The stencil spec without its heap growth: an sbrk maps a region,

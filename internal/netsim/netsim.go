@@ -396,10 +396,9 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 }
 
 // Recv pops the oldest in-flight message from src to dst that has
-// arrived by the given virtual time and returns its ring slot, which
-// stays intact until dst's next receive from src (see Network),
-// preserving MPI's per-pair
-// non-overtaking order. It returns nil if no message from src has both
+// arrived by the given virtual time, preserving MPI's per-pair
+// non-overtaking order, and returns its ring slot, which stays intact
+// until dst's next receive from src (see Network). It returns nil if no message from src has both
 // been sent and arrived — a message becomes visible to its receiver at
 // m.Arrive, never earlier. That arrival gate is what makes the island
 // scheduler's lookahead sound: a send can only influence another island
