@@ -341,13 +341,20 @@ func TestPairRingWrapsAndGrows(t *testing.T) {
 		want++
 		return got
 	}
-	push()
-	for i := 0; i < 20; i++ { // one in, one out, never empty
-		push()
+	// After every pop the next push must leave the slot pop returned
+	// alone: the ring grows before it would fill.
+	popPush := func() {
+		t.Helper()
 		held := pop()
+		push()
 		if held.Seq != uint64(want-1) {
-			t.Fatalf("the slot pop returned was overwritten by the next push: seq %d", held.Seq)
+			t.Fatalf("a push overwrote the slot pop just returned: seq %d, want %d", held.Seq, want-1)
 		}
+	}
+	push()
+	push()
+	for i := 0; i < 20; i++ { // one out, one in, never below one deep
+		popPush()
 	}
 	if len(p.buf) != 4 {
 		t.Errorf("steady two-deep queue grew its ring to %d slots, want 4 (two plus slack)", len(p.buf))
@@ -355,15 +362,8 @@ func TestPairRingWrapsAndGrows(t *testing.T) {
 	for next < 64 { // burst across a wrapped head
 		push()
 	}
-	for p.n > 0 {
-		held := pop()
-		push()
-		if held.Seq != uint64(want-1) {
-			t.Fatalf("a push overwrote the slot pop just returned: seq %d, want %d", held.Seq, want-1)
-		}
-		if next >= 128 {
-			break
-		}
+	for next < 128 { // a full ring that wraps
+		popPush()
 	}
 	for p.n > 0 {
 		pop()
