@@ -69,8 +69,8 @@
 // dimension lists (each defaulting to the corresponding single-run
 // flag's value, each entry parsed and range-checked as a value of that
 // flag) runs as a grid of complete simulations on a bounded worker pool
-// inside one process, sharing compiled scenario programs and pooled
-// scheduler scratch across runs. The output is a JSON aggregate with one
+// inside one process, sharing compiled scenario programs and a pool of
+// page buffers across runs. The output is a JSON aggregate with one
 // cell per run — its parameters, headline metrics and the FNV-64a hash
 // plus byte count of the report that run printed — and fleet totals
 // (runs, wall time, runs/sec, spec compiles). Cell hashes are

@@ -179,12 +179,11 @@ type Config struct {
 	// past it. Zero or negative means unbounded. BaseConfig sets 8.
 	MaxRestarts int
 
-	// Scratch, when non-nil, lends recycled allocations (event-queue
-	// lanes, collective rendezvous storage, memsim buffers) to this run
-	// and receives them back via Coordinator.Release. A Scratch must
-	// back at most one live Coordinator at a time; the fleet engine owns
-	// that discipline via a sync.Pool. Pooled storage is handed over
-	// reset, so a scratch-backed run is byte-identical to a cold one.
+	// Scratch, when non-nil, is the page pool the run's ranks draw
+	// their full-size page buffers from and Coordinator.Release returns
+	// them to. Any number of concurrent runs may share one; pooled pages
+	// are zeroed, so a scratch-backed run is byte-identical to a cold
+	// one. Nil builds the ranks unpooled.
 	Scratch *Scratch
 }
 
@@ -446,11 +445,6 @@ type Coordinator struct {
 	cfg   Config
 	ranks []*rank.Rank
 	net   *netsim.Network
-	// mempool backs every rank's address-space buffers; it comes from
-	// the run's Scratch so buffers recycle across runs (and across
-	// restarts within a run).
-	mempool *memsim.Pool
-
 	// queues holds islands+1 lanes: lanes [0, islands) carry one
 	// island's ready/delivery events, lane islands (the global lane)
 	// carries collective completions, triggers and the failure event —
@@ -586,39 +580,30 @@ func New(cfg Config) *Coordinator {
 	for i := range world {
 		world[i] = i
 	}
-	// A scratch-backed run draws its expensive storage — queue lanes,
-	// per-rank slices, rendezvous instances, memsim buffers — from the
-	// retired run that fed the scratch; a cold run allocates the same
-	// shapes fresh. Either way the storage starts at its zero point, so
-	// the two runs are byte-identical.
-	sc := cfg.Scratch
-	if sc == nil {
-		sc = NewScratch()
+	var pool *memsim.Pool
+	if cfg.Scratch != nil {
+		pool = cfg.Scratch.mem
 	}
 	c := &Coordinator{
 		cfg: cfg,
 		net: netsim.New(cfg.Net),
 		// One lane per island plus the global lane, each preallocated
 		// for its steady-state population (one ready event per rank).
-		queues:      sc.takeQueues(islands+1, cfg.Ranks/islands+16),
-		islands:     islands,
-		workers:     workers,
-		islandOf:    takeSlice(&sc.islandOf, cfg.Ranks),
-		lookahead:   cfg.Net.CrossLookahead(),
-		lanebufs:    sc.takeLanebufs(islands),
-		merged:      sc.takeMerged(),
-		triggers:    append([]Trigger(nil), cfg.Triggers...),
-		fired:       takeSlice(&sc.fired, len(cfg.Triggers)),
-		unfired:     len(cfg.Triggers),
-		ranks:       sc.takeRanks(cfg.Ranks),
-		formingPool: sc.takeForming(),
-		digest:      sc.takeDigester(),
-		comms:       []comm{{members: world}},
-		colls:       make(map[int]*forming),
-		inCollComm:  takeSlice(&sc.inCollComm, cfg.Ranks),
-		held:        sc.takeHeld(),
-		mempool:     sc.mem,
-		store:       ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
+		queues:     vtime.NewIslandQueues[event](islands+1, cfg.Ranks/islands+16),
+		islands:    islands,
+		workers:    workers,
+		islandOf:   make([]int, cfg.Ranks),
+		lookahead:  cfg.Net.CrossLookahead(),
+		lanebufs:   make([]laneBuf, islands),
+		triggers:   append([]Trigger(nil), cfg.Triggers...),
+		fired:      make([]bool, len(cfg.Triggers)),
+		unfired:    len(cfg.Triggers),
+		ranks:      make([]*rank.Rank, cfg.Ranks),
+		comms:      []comm{{members: world}},
+		colls:      make(map[int]*forming),
+		inCollComm: make([]int, cfg.Ranks),
+		held:       make(map[int]bool),
+		store:      ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
 	}
 	for id := range c.islandOf {
 		if cfg.Net.GroupSize > 0 {
@@ -649,8 +634,8 @@ func New(cfg Config) *Coordinator {
 	if len(c.faults) > 0 {
 		c.faultFired = make([]bool, len(c.faults))
 	}
-	for id := 0; id < cfg.Ranks; id++ {
-		c.ranks = append(c.ranks, rank.NewPooled(id, cfg.Personality, cfg.Virtid, cfg.Programs[id], c.mempool))
+	for id := range c.ranks {
+		c.ranks[id] = rank.NewPooled(id, cfg.Personality, cfg.Virtid, cfg.Programs[id], pool)
 	}
 	c.seed()
 	return c

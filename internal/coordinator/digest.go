@@ -141,8 +141,8 @@ type regionHead struct {
 //   - virt is the last handle-table text seen. Ranks that minted the same
 //     handles share it, and a text that differs replaces it.
 //
-// Every entry is a pure function of the text stored with it, so a
-// digester outlives its run through Scratch.
+// Every entry is a pure function of the text stored with it. A
+// digester lives and dies with its run.
 type digester struct {
 	heads []regionHead
 	virt  fnv1a.Segment

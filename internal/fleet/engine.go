@@ -6,13 +6,13 @@
 // coordinator, its ranks, network and queues share no mutable state
 // with any other run (the isolation lint in cmd/isolint keeps the
 // audit honest — no package-level mutable state exists under
-// internal/). What runs DO share is recycled storage and compiled
-// inputs, the two costs that dominate cold runs:
+// internal/). What runs DO share is page buffers and compiled inputs:
 //
-//   - a sync.Pool of coordinator.Scratch instances lends each run the
-//     previous run's event-queue lanes, per-rank bookkeeping slices,
-//     collective rendezvous instances and memsim region buffers, all
-//     handed over reset so a warm run is byte-identical to a cold one;
+//   - one coordinator.Scratch, whose locked page pool every run's ranks
+//     draw full-size page buffers from and return them to when the run
+//     retires. A pooled page is zeroed, so a warm run is byte-identical
+//     to a cold one. Everything else a run uses — event-queue lanes,
+//     per-rank slices, rendezvous instances — it allocates for itself;
 //   - a keyed compile cache shares scenario programs: a spec compiled
 //     for a given (spec, ranks, steps, seed, group) is compiled once.
 //     What it holds is small — one rank-parametric op stream per class
@@ -134,7 +134,7 @@ type compileKey struct {
 	seed         uint64
 }
 
-// Engine runs simulations with cross-run reuse of scratch storage and
+// Engine runs simulations with cross-run reuse of page buffers and
 // compiled specs. The zero Engine is not usable; call NewEngine. An
 // Engine is safe for concurrent use; specs handed to it (via Job.Spec
 // or LoadSpec) must not be compiled or mutated outside the engine while
@@ -145,11 +145,9 @@ type Engine struct {
 	compiled map[compileKey][]scenario.Program
 	compiles uint64
 
-	// scratch recycles coordinator storage across runs. sync.Pool gives
-	// each concurrent run its own Scratch — the one-live-run-per-Scratch
-	// discipline coordinator.Scratch requires — and drops extras under
-	// memory pressure.
-	scratch sync.Pool
+	// scratch is the page pool every run shares, concurrent runs
+	// included.
+	scratch *coordinator.Scratch
 }
 
 // NewEngine returns an empty engine: the first run on it allocates and
@@ -158,9 +156,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		specs:    make(map[string]*scenario.Spec),
 		compiled: make(map[compileKey][]scenario.Program),
-		scratch: sync.Pool{
-			New: func() any { return coordinator.NewScratch() },
-		},
+		scratch:  coordinator.NewScratch(),
 	}
 }
 
@@ -313,20 +309,17 @@ func (e *Engine) Config(j Job) (coordinator.Config, error) {
 // Run executes one configuration to completion — including any injected
 // failure and the restarts that recover from it — streaming the full
 // deterministic output (restart notices followed by the report) into w.
-// A nil w discards the output. The run borrows a recycled Scratch from
-// the engine and returns it when the run retires; concurrent Runs are
-// safe and each borrows its own.
+// A nil w discards the output. The run draws its page buffers from the
+// engine's Scratch and returns the ones it still owns when it completes;
+// concurrent Runs are safe and share that Scratch.
 func (e *Engine) Run(cfg coordinator.Config, w io.Writer) (Result, error) {
 	if w == nil {
 		w = io.Discard
 	}
-	sc := e.scratch.Get().(*coordinator.Scratch)
-	cfg.Scratch = sc
+	cfg.Scratch = e.scratch
 	c := coordinator.New(cfg)
 	outcome, err := c.Run()
 	if err != nil {
-		// An errored run's storage is mid-flight (queued events, open
-		// rendezvous); drop the scratch rather than recycle it.
 		return Result{}, fmt.Errorf("run failed: %w", err)
 	}
 	attempts := 0
@@ -377,7 +370,6 @@ func (e *Engine) Run(cfg coordinator.Config, w io.Writer) (Result, error) {
 		res.LostWork += rr.LostWork
 	}
 	c.Release()
-	e.scratch.Put(sc)
 	return res, nil
 }
 

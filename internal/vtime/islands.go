@@ -54,9 +54,6 @@ func NewIslandQueues[T any](k, hint int) *IslandQueues[T] {
 	return &IslandQueues[T]{lanes: lanes, wseq: make([]uint64, k)}
 }
 
-// Lanes returns the number of lanes.
-func (iq *IslandQueues[T]) Lanes() int { return len(iq.lanes) }
-
 // Lane returns one lane for direct draining by its worker. Only the
 // owning worker may Pop it, and only between BeginWindow and EndWindow
 // or from the single merge-mode goroutine.
@@ -163,42 +160,4 @@ func (iq *IslandQueues[T]) Clear() {
 	for _, q := range iq.lanes {
 		q.Clear()
 	}
-}
-
-// Reset reshapes the queue set to k empty lanes with the shared counter
-// back at zero, reusing as much existing heap storage as possible: a
-// recycled IslandQueues behaves exactly like NewIslandQueues(k, hint)
-// while keeping the grown lane capacities of its previous life. Unlike
-// Clear, the sequence space restarts — callers must not mix pre- and
-// post-Reset pushes in one ordering domain; Reset is for handing the
-// storage to a fresh, unrelated run.
-func (iq *IslandQueues[T]) Reset(k, hint int) {
-	if k < 1 {
-		panic("vtime: IslandQueues needs at least one lane")
-	}
-	if iq.inWindow {
-		panic("vtime: Reset during a window")
-	}
-	for i, q := range iq.lanes {
-		if i >= k {
-			break
-		}
-		q.Clear()
-		q.seq = 0
-	}
-	for len(iq.lanes) < k {
-		iq.lanes = append(iq.lanes, NewEventQueueSized[T](hint))
-	}
-	if len(iq.lanes) > k {
-		clear(iq.lanes[k:]) // release dropped lanes for GC
-		iq.lanes = iq.lanes[:k]
-	}
-	if cap(iq.wseq) < k {
-		iq.wseq = make([]uint64, k)
-	} else {
-		iq.wseq = iq.wseq[:k]
-		clear(iq.wseq)
-	}
-	iq.seq = 0
-	iq.base = 0
 }

@@ -77,16 +77,15 @@ func Max(a, b Time) Time {
 
 // Clock is a per-rank virtual clock.
 //
-// Ownership rule (the same move-based discipline coordinator.Scratch
-// documents for its storage): a rank's clock — like its address space
-// and handle table — is touched only by the goroutine currently driving
-// that rank. That is the scheduler goroutine in serial mode, the worker
-// that owns the rank's island lane inside a parallel window, and the
-// coordinator between windows (checkpoint, restart, report); the window
-// barrier is the hand-over point that orders them. No goroutine ever
-// observes a clock from outside, so a Clock carries no lock: it is one
-// word, read and written on every simulated event, and cmd/isolint
-// fails the build if a sync or atomic field is added to it.
+// Ownership rule: a rank's clock — like its address space and handle
+// table — is touched only by the goroutine currently driving that rank.
+// That is the scheduler goroutine in serial mode, the worker that owns
+// the rank's island lane inside a parallel window, and the coordinator
+// between windows (checkpoint, restart, report); the window barrier is
+// the hand-over point that orders them. No goroutine ever observes a
+// clock from outside, so a Clock carries no lock: it is one word, read
+// and written on every simulated event, and cmd/isolint fails the build
+// if a sync or atomic field is added to it.
 type Clock struct {
 	now Time
 }
