@@ -125,9 +125,9 @@ func TestScratchReuseByteIdentical(t *testing.T) {
 	}
 }
 
-// TestScratchReuseAcrossSizes checks the resize paths: a scratch grown
-// by a large run must serve a smaller one (and vice versa) without
-// stale state bleeding through.
+// TestScratchReuseAcrossSizes checks that one scratch serves runs of
+// different shapes: a small run after a large one (and vice versa)
+// prints what it prints without a scratch.
 func TestScratchReuseAcrossSizes(t *testing.T) {
 	mk := func(sc *Scratch, ranks, islands int) Config {
 		cfg := islandBenchConfig(ranks, islands, 1, islandBenchSteps)
