@@ -16,8 +16,8 @@
 // cannot rot.
 //
 // Rule 2, the single-owner audit: the structs named in lockFree —
-// per-rank state read and written on every simulated event, and owned
-// by exactly one goroutine at a time (see vtime.Clock) — declare no
+// per-rank and per-run state read and written on every simulated event,
+// and owned by exactly one goroutine at a time (see vtime.Clock) — declare no
 // field of a sync or sync/atomic type. An uncontended lock there is
 // pure per-event cost, and nothing else would notice one creeping back.
 // A lockFree entry naming a struct that no longer exists is an error
@@ -63,8 +63,10 @@ var allowed = map[string]string{
 // synchronisation fields.
 var lockFree = map[string]string{
 	"vtime.Clock":         "one word per rank, read and written on every event by the goroutine driving the rank",
+	"vtime.EventQueue":    "one per run, pushed and popped on every event by the run's single goroutine",
+	"netsim.Network":      "one per run, driven by the run's single goroutine on every send and receive",
 	"memsim.AddressSpace": "written on every workload step by the goroutine driving the rank",
-	"memsim.Region":       "immutable once handed out; layouts share them across ranks, pool workers and island lanes",
+	"memsim.Region":       "immutable once handed out; layouts share them across the ranks of a run and the runs of a fleet",
 	"memsim.liveRegion":   "belongs to one AddressSpace; what it shares (its descriptor, frozen pages) is read-only",
 	"memsim.contents":     "a live region's private page table and dirtiness, written on every workload step",
 	"virtid.Table":        "per-rank, translated on every MPI call by the goroutine driving the rank",

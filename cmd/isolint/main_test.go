@@ -92,7 +92,8 @@ var kindNames = 1
 // TestScanFlagsSyncFieldsOnLockFreeStructs pins the second rule: a
 // field of a sync or sync/atomic type on a lockFree struct is a finding
 // however it is spelled — named, embedded, behind a pointer, through a
-// renamed import — and the same field on any other struct is not.
+// renamed import, on a generic struct — and the same field on any other
+// struct is not.
 func TestScanFlagsSyncFieldsOnLockFreeStructs(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"vtime/clock.go": `package vtime
@@ -104,7 +105,21 @@ type Clock struct {
 	now int64
 }
 
-type EventQueue struct{ mu sync.Mutex }
+type EventQueue[T any] struct {
+	mu   sync.Mutex
+	heap []T
+}
+
+type Stamp struct{ mu sync.Mutex }
+`,
+		"netsim/netsim.go": `package netsim
+
+import "sync"
+
+type Network struct {
+	mu      sync.Mutex
+	nextSeq uint64
+}
 `,
 		"memsim/space.go": `package memsim
 
@@ -158,8 +173,10 @@ type window struct{ live int }
 		"memsim.AddressSpace:gen sa.Uint64",
 		"memsim.Region:guard *sync.Mutex",
 		"memsim.liveRegion:once sync.Once",
+		"netsim.Network:mu sync.Mutex",
 		"virtid.Table:memo atomic.Pointer[int]",
 		"vtime.Clock:mu sync.Mutex",
+		"vtime.EventQueue:mu sync.Mutex",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("scan found:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

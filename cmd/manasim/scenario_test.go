@@ -83,15 +83,12 @@ func TestSpecFileEqualsLibrary(t *testing.T) {
 
 // TestMismatchedCollectiveTraceFails replays a recorded trace edited so
 // that rank 0 enters a barrier where the others enter an allreduce: the
-// run fails with the coordinator's named error and exit status 1, on the
-// serial scheduler and with parallel islands, instead of panicking.
+// run fails with the coordinator's named error and exit status 1
+// instead of panicking.
 func TestMismatchedCollectiveTraceFails(t *testing.T) {
-	trace := filepath.Join("testdata", "collective-mismatch.trace")
-	for _, extra := range [][]string{nil, {"-islands", "2", "-workers", "2"}} {
-		args := append([]string{"-trace", trace, "-no-fail"}, extra...)
-		_, code, err := run(args...)
-		if code != 1 || !errors.Is(err, coordinator.ErrCollectiveMismatch) || !strings.HasPrefix(err.Error(), "run failed: ") {
-			t.Errorf("manasim %v: exit %d, %v; want exit 1 with run failed: and ErrCollectiveMismatch", args, code, err)
-		}
+	args := []string{"-trace", filepath.Join("testdata", "collective-mismatch.trace"), "-no-fail"}
+	_, code, err := run(args...)
+	if code != 1 || !errors.Is(err, coordinator.ErrCollectiveMismatch) || !strings.HasPrefix(err.Error(), "run failed: ") {
+		t.Errorf("manasim %v: exit %d, %v; want exit 1 with run failed: and ErrCollectiveMismatch", args, code, err)
 	}
 }

@@ -10,21 +10,12 @@
 // and therefore consume zero scheduler work, which is what lets the
 // simulator scale to thousands of mostly idle ranks.
 //
-// Events live on a sharded vtime.IslandQueues: ranks are partitioned
-// into islands (netsim topology groups when configured, contiguous
-// blocks otherwise), each island owning one event-queue lane for its
-// ranks' ready and delivery events, plus one global lane for the
-// events that touch cross-island state (collective completions,
-// checkpoint triggers, failure injection). With Config.Workers <= 1 the
-// lanes are merged into the exact single-queue order and popped one at
-// a time; with Workers > 1 the scheduler interleaves that serial mode
-// with conservative parallel windows (see window.go) in which each
-// island's worker drains its own lane up to a lookahead horizon derived
-// from the minimum cross-island network latency. Cross-island effects
-// are buffered per island and merged at the window barrier in a
-// deterministic order, so reports are byte-identical for any worker
-// count, island count and GOMAXPROCS — the property the 1-vs-N-worker
-// CI smoke pins.
+// Events live on one vtime.EventQueue, popped one at a time in (time,
+// seq) order by the single goroutine that calls Run. The paper's
+// coordinator drives every rank through one protocol — intent, drain to
+// quiescence, cut — and so does this loop: there is one scheduler, and
+// a report depends only on the configuration, never on the host. Runs
+// are parallel across a fleet (internal/fleet), not within one.
 //
 // Checkpoint requests are serviced with the paper's two-phase protocol:
 //
@@ -137,19 +128,10 @@ type Config struct {
 	// self-contained full image is emitted every Nth checkpoint (1 = all
 	// full, 0 = only the first; the chain then grows without bound).
 	FullImageEvery int
-	// Islands is the number of event-queue lanes ranks are partitioned
-	// across (<= 0 means one island, the serial layout). When
-	// Net.GroupSize is set, rank r lands on island (r/GroupSize) mod
-	// Islands so a topology group is never split across islands —
-	// cross-island messages then always pay the cross-group latency the
-	// parallel lookahead is derived from. On a flat fabric the partition
-	// is contiguous blocks. The partition never changes observable
-	// output: island lanes merge into the exact single-queue order.
+	// Islands and Workers configure nothing: the scheduler is one serial
+	// event loop. They stay because bench/traced.go:287 sets both on its
+	// second traced pass, which is now a second serial run.
 	Islands int
-	// Workers is the number of goroutines draining island lanes during
-	// parallel windows (<= 1 disables parallel execution entirely).
-	// Worker count never changes observable output either, only
-	// wall-clock time.
 	Workers int
 	// Seed is the seed the programs were compiled with; the coordinator
 	// only prints it (the scheduler itself is deterministic).
@@ -364,9 +346,7 @@ const (
 	// evFail is the injected failure.
 	evFail
 	// evDrainDone completes one rank's asynchronous burst-buffer→PFS
-	// drain for one committed checkpoint. It lives on the global lane —
-	// it mutates the generation store, cross-island state — so parallel
-	// windows never run past one.
+	// drain for one committed checkpoint.
 	evDrainDone
 )
 
@@ -445,38 +425,17 @@ type Coordinator struct {
 	cfg   Config
 	ranks []*rank.Rank
 	net   *netsim.Network
-	// queues holds islands+1 lanes: lanes [0, islands) carry one
-	// island's ready/delivery events, lane islands (the global lane)
-	// carries collective completions, triggers and the failure event —
-	// everything that mutates cross-island state and therefore only
-	// executes at serial points.
-	queues   *vtime.IslandQueues[event]
-	islands  int
-	workers  int
-	islandOf []int // rank id -> island lane
-	// lookahead is the conservative parallel window width: no event can
-	// influence another island sooner than this far in the future
-	// (netsim.Params.CrossLookahead). Zero disables parallel windows.
-	lookahead vtime.Duration
-	// inWindow marks that worker goroutines currently own the island
-	// lanes; ScheduleDelivery routes through per-island buffers instead
-	// of merge-mode pushes while it is set. Written only while no
-	// workers run.
-	inWindow bool
-	lanebufs []laneBuf
-	// merged is the barrier's scratch for the time-ordered replay of the
-	// lanes' buffered collective arrivals, reused across windows.
-	merged []pendingArrival
+	// queue holds every scheduled event of the run's timeline.
+	queue *vtime.EventQueue[event]
+	// deliveries counts the delivery events queued and not yet popped;
+	// at completion they are counted as dispatched (sweepStaleDeliveries).
+	deliveries uint64
 	// drained is the drain phase's buffer for one rank's messages, reused
 	// from rank to rank and drain to drain.
 	drained []netsim.Message
 
 	triggers []Trigger
 	fired    []bool
-	// unfired counts triggers that have not fired yet; parallel windows
-	// require it to be zero so trigger arming (whose conditions must be
-	// re-checked after every single event) always runs serially.
-	unfired int
 	// armed holds indexes of condition triggers (MidCollective/InFlight)
 	// whose At time has passed; their conditions are re-checked after
 	// every dispatched event.
@@ -562,20 +521,6 @@ func New(cfg Config) *Coordinator {
 	if len(cfg.Programs) != cfg.Ranks {
 		panic(fmt.Sprintf("coordinator: config carries %d programs for %d ranks", len(cfg.Programs), cfg.Ranks))
 	}
-	islands := cfg.Islands
-	if islands <= 0 {
-		islands = 1
-	}
-	if islands > cfg.Ranks {
-		islands = cfg.Ranks
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > islands {
-		workers = islands
-	}
 	world := make([]int, cfg.Ranks)
 	for i := range world {
 		world[i] = i
@@ -587,33 +532,17 @@ func New(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg: cfg,
 		net: netsim.New(cfg.Net),
-		// One lane per island plus the global lane, each preallocated
-		// for its steady-state population (one ready event per rank).
-		queues:     vtime.NewIslandQueues[event](islands+1, cfg.Ranks/islands+16),
-		islands:    islands,
-		workers:    workers,
-		islandOf:   make([]int, cfg.Ranks),
-		lookahead:  cfg.Net.CrossLookahead(),
-		lanebufs:   make([]laneBuf, islands),
+		// Preallocated for the steady-state population: one ready event
+		// per rank.
+		queue:      vtime.NewEventQueueSized[event](cfg.Ranks + 16),
 		triggers:   append([]Trigger(nil), cfg.Triggers...),
 		fired:      make([]bool, len(cfg.Triggers)),
-		unfired:    len(cfg.Triggers),
 		ranks:      make([]*rank.Rank, cfg.Ranks),
 		comms:      []comm{{members: world}},
 		colls:      make(map[int]*forming),
 		inCollComm: make([]int, cfg.Ranks),
 		held:       make(map[int]bool),
 		store:      ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
-	}
-	for id := range c.islandOf {
-		if cfg.Net.GroupSize > 0 {
-			// A topology group is never split across islands, so every
-			// cross-island message pays at least CrossLookahead.
-			c.islandOf[id] = (id / cfg.Net.GroupSize) % islands
-		} else {
-			// Flat fabric: contiguous blocks of Ranks/islands.
-			c.islandOf[id] = id * islands / cfg.Ranks
-		}
 	}
 	for i := range c.inCollComm {
 		c.inCollComm[i] = -1
@@ -643,17 +572,16 @@ func New(cfg Config) *Coordinator {
 
 // seed fills the empty event queue from the job's state, at construction
 // and after every restart: the unfired triggers, the unfired virtual-time
-// faults — on the global lane like the triggers, so parallel windows never
-// run past one — and one ready event per unfinished rank.
+// faults and one ready event per unfinished rank.
 func (c *Coordinator) seed() {
 	for i, t := range c.triggers {
 		if !c.fired[i] {
-			c.queues.Push(c.globalLane(), t.At, indexEvent(evTrigger, i))
+			c.queue.Push(t.At, indexEvent(evTrigger, i))
 		}
 	}
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
-			c.queues.Push(c.globalLane(), f.Time, indexEvent(evFail, i))
+			c.queue.Push(f.Time, indexEvent(evFail, i))
 		}
 	}
 	c.doneCount = 0
@@ -666,38 +594,17 @@ func (c *Coordinator) seed() {
 	}
 }
 
-// globalLane is the lane index of the global (cross-island) event lane.
-func (c *Coordinator) globalLane() int { return c.islands }
-
 // ScheduleDelivery implements netsim.DeliveryScheduler: every injected
-// message becomes a delivery event on the receiver's island lane at its
-// arrival time. In serial mode it is invoked from the scheduler
-// goroutine; during a parallel window it is invoked from the worker
-// goroutine executing the sender, which owns the sender's lane — an
-// intra-island delivery is pushed onto that lane directly, a
-// cross-island one is buffered on the sender's island and merged at the
-// window barrier (its arrival is at or past the horizon by the
-// lookahead argument, so no worker has run past it).
+// message becomes a delivery event at its arrival time.
 func (c *Coordinator) ScheduleDelivery(m *netsim.Message) {
-	lane := c.islandOf[m.Dst]
-	if c.inWindow {
-		src := c.islandOf[m.Src]
-		if src == lane {
-			c.queues.WorkerPush(lane, m.Arrive, deliveryEvent(m))
-		} else {
-			buf := &c.lanebufs[src]
-			buf.deliveries = append(buf.deliveries, pendingDelivery{at: m.Arrive, ev: deliveryEvent(m)})
-		}
-		return
-	}
-	c.queues.Push(lane, m.Arrive, deliveryEvent(m))
+	c.deliveries++
+	c.queue.Push(m.Arrive, deliveryEvent(m))
 }
 
-// scheduleReady queues the rank's next ready event on its island lane,
-// if it has one.
+// scheduleReady queues the rank's next ready event, if it has one.
 func (c *Coordinator) scheduleReady(r *rank.Rank) {
 	if t, ok := r.NextReady(); ok {
-		c.queues.Push(c.islandOf[r.ID()], t, indexEvent(evRankReady, r.ID()))
+		c.queue.Push(t, indexEvent(evRankReady, r.ID()))
 	}
 }
 
@@ -784,7 +691,6 @@ func (c *Coordinator) allDone() bool { return c.doneCount == c.cfg.Ranks }
 // fireTrigger converts trigger i into a pending checkpoint request.
 func (c *Coordinator) fireTrigger(i int) {
 	c.fired[i] = true
-	c.unfired--
 	c.pending = append(c.pending, request{at: c.maxClock, midCollective: c.collectiveInProgress(), trigger: i})
 }
 
@@ -883,7 +789,7 @@ func (c *Coordinator) maybeScheduleCollectiveDone(f *forming) {
 	latest := vtime.MaxStamp(f.stamps)
 	completion := latest.When.Add(c.cfg.Net.CollectiveCost(f.kind, n, f.bytes))
 	f.scheduled, f.completion = true, completion
-	c.queues.Push(c.globalLane(), completion, indexEvent(evCollectiveDone, f.commID))
+	c.queue.Push(completion, indexEvent(evCollectiveDone, f.commID))
 }
 
 // collectiveKindOf maps a collective op onto the network cost model.
@@ -1065,6 +971,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 			return false, c.joinCollective(r, &tr)
 		}
 	case evDelivery:
+		c.deliveries--
 		r := c.ranks[ev.arg]
 		if peer, ok := r.BlockedOn(); ok && peer == ev.rank() {
 			c.rankVisits++
@@ -1097,15 +1004,8 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 // failure injection fires. It may be called again after Restart.
 //
 // Each iteration first services checkpoint state (pending requests at a
-// safe point, drain-plan construction otherwise) — always serially.
-// Then, when the job is in a parallel-eligible phase (workers
-// configured, no pending or draining checkpoint, no armed or unfired
-// trigger), it tries to run one conservative window in which every
-// island lane is drained concurrently up to the lookahead horizon; when
-// the window cannot make progress (the next event is on the global
-// lane) or the phase is not eligible, it falls back to popping a single
-// event in the exact merged (time, seq) order — byte-identical to the
-// single-queue scheduler.
+// safe point, drain-plan construction otherwise), then pops and
+// dispatches the earliest event.
 func (c *Coordinator) Run() (Outcome, error) {
 	c.finalOK = false
 	for {
@@ -1136,15 +1036,6 @@ func (c *Coordinator) Run() (Outcome, error) {
 			c.sweepStaleDeliveries()
 			return Completed, nil
 		}
-		if c.parallelEligible() {
-			ran, err := c.runWindow()
-			if err != nil {
-				return Failed, err
-			}
-			if ran {
-				continue
-			}
-		}
 		t, ev, ok := c.pop()
 		if !ok {
 			// Before reporting the generic stall, check whether the
@@ -1170,41 +1061,22 @@ func (c *Coordinator) Run() (Outcome, error) {
 	}
 }
 
-// sweepStaleDeliveries pops the island-lane events still queued when
-// the last rank finishes. They are all delivery events whose message
-// was already consumed — the receiver reached its receive at or after
-// the arrival time and took the message off the network queue before
-// the wake event's turn came — and dispatching them would be a no-op:
-// every rank is done, so there is no blocked receiver to wake. They are
-// popped and counted anyway so that the events counter equals the total
-// number of island events ever pushed in this timeline. A serial run
-// and a parallel window reach the completion point having popped
-// different subsets of these no-ops (a window drains every lane event
-// below its horizon; the single-event loop stops at the completing
-// event), and sweeping the remainder is what makes the reported event
-// count identical for any island count, worker count and window
-// schedule. Unfired triggers on the global lane are left alone — they
-// are not part of any timeline's event flow.
+// sweepStaleDeliveries counts the delivery events still queued when the
+// last rank finishes as dispatched, so the events counter equals every
+// delivery ever pushed in the timeline plus every other event popped.
+// Each is a no-op: its message was consumed when the receiver reached
+// its receive at or after the arrival time, and every rank is done, so
+// there is no blocked receiver to wake. The queue is left as it is; the
+// unfired triggers, faults and drain completions in it are not part of
+// the timeline's event flow.
 func (c *Coordinator) sweepStaleDeliveries() {
-	for lane := 0; lane < c.islands; lane++ {
-		q := c.queues.Lane(lane)
-		for {
-			_, ev, ok := q.Pop()
-			if !ok {
-				break
-			}
-			if ev.kind() != evDelivery {
-				panic(fmt.Sprintf("coordinator: event kind %d queued on island lane %d after completion", ev.kind(), lane))
-			}
-			c.events++
-		}
-	}
+	c.events += c.deliveries
+	c.deliveries = 0
 }
 
-// pop removes the globally earliest event across all lanes — the exact
-// order the old single-queue scheduler popped in.
+// pop removes the earliest event.
 func (c *Coordinator) pop() (vtime.Time, event, bool) {
-	_, t, ev, ok := c.queues.PopMin()
+	t, ev, ok := c.queue.Pop()
 	if ok {
 		c.events++
 	}
@@ -1372,25 +1244,22 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	// Drain-hop faults damage the durable copy the store is about to
 	// commit. A link is durable once written, or when the last of the
 	// drains the store queued for a staged link lands; each drain's
-	// completion is a global-lane event.
+	// completion is an event.
 	c.applyWriteFaults(faultplan.HopDrain, images, &rec)
 	rec.DurableAt = rec.SafeAt.Add(rec.MaxWriteTime)
 	for _, d := range c.store.Commit(rec.Seq, images, c.net.CountersSnapshot()) {
 		rec.PFSWait += d.Wait
 		rec.DurableAt = max(rec.DurableAt, d.Done)
-		c.queues.Push(c.globalLane(), d.Done, rankEvent(evDrainDone, rec.Seq, d.Rank))
+		c.queue.Push(d.Done, rankEvent(evDrainDone, rec.Seq, d.Rank))
 	}
 	c.records = append(c.records, rec)
 
 	// Checkpoint-commit crashes are events like everything else: each
-	// fires its delay of virtual time after the commit point. They live
-	// on the global lane, so parallel windows never run past one —
-	// exactly the events a serial run would have processed before the
-	// failure are processed before it here.
+	// fires its delay of virtual time after the commit point.
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtCheckpointCommit && f.N == rec.Seq {
 			c.faultFired[i] = true
-			c.queues.Push(c.globalLane(), rec.SafeAt.Add(f.Delay), indexEvent(evFail, i))
+			c.queue.Push(rec.SafeAt.Add(f.Delay), indexEvent(evFail, i))
 		}
 	}
 	return crashed, nil
@@ -1518,13 +1387,13 @@ func (c *Coordinator) Restart() error {
 	// Triggers whose checkpoints committed stay consumed.
 	for _, req := range c.pending {
 		c.fired[req.trigger] = false
-		c.unfired++
 	}
 	c.pending = nil
 	c.armed = c.armed[:0]
 	// Clearing the queue drops the drain-done events too: the store's
 	// rollback forgets the transfers they completed.
-	c.queues.Clear()
+	c.queue.Clear()
+	c.deliveries = 0
 	c.seed()
 	c.maxClock = c.MaxClock()
 	rec := c.store.Rollback(rs)

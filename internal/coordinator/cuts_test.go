@@ -77,7 +77,7 @@ func TestEveryCutIsSafe(t *testing.T) {
 				Kernel: kernelsim.Unpatched, Virtid: virtid.ImplSharded,
 				// Anchored past the end of the job: the fault-free run
 				// takes no checkpoint.
-				CkptAt: math.MaxInt64, FullEvery: 4, Storage: direct, Workers: 1,
+				CkptAt: math.MaxInt64, FullEvery: 4, Storage: direct,
 			}
 			var times []vtime.Time
 			c := newRun(t, eng, job)

@@ -264,13 +264,12 @@ func (c *Coordinator) beginDrain() error {
 	// the crash event lands Delay after the plan was built, killing the
 	// job while the topo order is partially executed. Restart discards
 	// the partial plan (abandonDrain) and the replayed timeline re-plans
-	// from its own collective state. The event lives on the global lane,
-	// so parallel windows never run past it.
+	// from its own collective state.
 	seq := len(c.records) + 1
 	for i, f := range c.faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtDrainStart && f.N == seq {
 			c.faultFired[i] = true
-			c.queues.Push(c.globalLane(), c.maxClock.Add(f.Delay), indexEvent(evFail, i))
+			c.queue.Push(c.maxClock.Add(f.Delay), indexEvent(evFail, i))
 		}
 	}
 	return nil

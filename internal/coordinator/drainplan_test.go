@@ -459,41 +459,28 @@ func TestOverlapReportByteIdentical(t *testing.T) {
 // TestMismatchedCollectiveIsAnError: ranks whose programs disagree on a
 // collective — rank 0 enters a barrier where the others enter an
 // allreduce, as a hand-edited trace can make them — end the run with
-// ErrCollectiveMismatch instead of a panic, whether the arrivals are
-// joined by the serial loop or replayed at a parallel window's barrier.
+// ErrCollectiveMismatch instead of a panic.
 func TestMismatchedCollectiveIsAnError(t *testing.T) {
-	for _, tc := range []struct {
-		name             string
-		islands, workers int
-	}{{"serial", 0, 1}, {"windows", 2, 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := smallConfig(4, 0)
-			cfg.Triggers = nil
-			cfg.Islands, cfg.Workers = tc.islands, tc.workers
-			cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
-				kind := scenario.OpAllreduce
-				if id == 0 {
-					kind = scenario.OpBarrier
-				}
-				return []scenario.Op{
-					{Kind: scenario.OpCompute, Dur: vtime.Duration(10+id) * vtime.Microsecond},
-					{Kind: kind, Comm: 0, Bytes: 8},
-				}
-			})
-			c := New(cfg)
-			serial := 0
-			c.dispatched = func(vtime.Time) { serial++ }
-			outcome, err := c.Run()
-			if outcome != Failed || !errors.Is(err, ErrCollectiveMismatch) {
-				t.Fatalf("Run = %v, %v; want failed with ErrCollectiveMismatch", outcome, err)
+	t.Run("serial", func(t *testing.T) {
+		cfg := smallConfig(4, 0)
+		cfg.Triggers = nil
+		cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+			kind := scenario.OpAllreduce
+			if id == 0 {
+				kind = scenario.OpBarrier
 			}
-			// Rank 0 computes least, so its barrier forms first.
-			if !strings.Contains(err.Error(), "rank 1 arrived at allreduce while barrier is forming on comm 0") {
-				t.Errorf("error does not name the disagreement: %v", err)
-			}
-			if tc.islands > 0 && serial != 0 {
-				t.Errorf("%d events dispatched serially; the arrivals should all meet at a window's barrier", serial)
+			return []scenario.Op{
+				{Kind: scenario.OpCompute, Dur: vtime.Duration(10+id) * vtime.Microsecond},
+				{Kind: kind, Comm: 0, Bytes: 8},
 			}
 		})
-	}
+		outcome, err := New(cfg).Run()
+		if outcome != Failed || !errors.Is(err, ErrCollectiveMismatch) {
+			t.Fatalf("Run = %v, %v; want failed with ErrCollectiveMismatch", outcome, err)
+		}
+		// Rank 0 computes least, so its barrier forms first.
+		if !strings.Contains(err.Error(), "rank 1 arrived at allreduce while barrier is forming on comm 0") {
+			t.Errorf("error does not name the disagreement: %v", err)
+		}
+	})
 }

@@ -250,37 +250,6 @@ func TestVirtualTimeFaultFiresOnce(t *testing.T) {
 	}
 }
 
-// TestFaultPlanDeterministicAcrossWorkers is the parallel-scheduler
-// contract extended to fault plans: the multi-failure recovery path must
-// render byte-identical reports at any islands/workers setting.
-func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
-	plan := []faultplan.Fault{
-		{Anchor: faultplan.AtDrainStart, N: 3, Kind: faultplan.RankCrash, Delay: 10 * vtime.Microsecond},
-		{Anchor: faultplan.AtImageWrite, N: 3, Kind: faultplan.TornWrite},
-		{Anchor: faultplan.AtRestart, N: 2, Kind: faultplan.RankCrash},
-	}
-	run := func(islands, workers int) (string, uint64) {
-		cfg := faultConfig()
-		cfg.Faults = plan
-		cfg.Islands = islands
-		cfg.Workers = workers
-		c := New(cfg)
-		completeWithRecovery(t, c)
-		var buf bytes.Buffer
-		c.WriteReport(&buf)
-		return buf.String(), c.FinalFingerprint()
-	}
-	serial, serialFP := run(0, 1)
-	parallel, parallelFP := run(8, 4)
-	if serial != parallel {
-		t.Errorf("multi-failure report differs between serial and islands=8/workers=4:\n--- serial\n%s\n--- parallel\n%s",
-			serial, parallel)
-	}
-	if serialFP != parallelFP {
-		t.Errorf("fingerprints differ: serial %016x, parallel %016x", serialFP, parallelFP)
-	}
-}
-
 // TestLegacyKnobMatchesPlanEquivalent pins the compatibility contract:
 // the FailAtCheckpoint/FailDelay pair and the two-line plan
 // faultplan.Legacy compiles to must produce byte-identical reports.

@@ -27,7 +27,7 @@ func TestDeferredMarkersMatchEager(t *testing.T) {
 	eng := fleet.NewEngine()
 	base := fleet.Job{
 		Steps: 12, Seed: 42, Kernel: kernelsim.Unpatched, Virtid: virtid.ImplSharded,
-		CkptAt: vtime.Time(vtime.Millisecond), Workers: 1,
+		CkptAt: vtime.Time(vtime.Millisecond),
 	}
 	var jobs []fleet.Job
 	for _, name := range scenario.Names() {

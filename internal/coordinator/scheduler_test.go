@@ -147,13 +147,12 @@ func benchEventLoop(b *testing.B, mk func(length int) Config, length int) {
 
 // TestSteadyStateAllocatesNothing pins the event loop's steady state at
 // no allocation per event. The loop reuses its rendezvous scratch and
-// queue storage, a message is a value in its pair's ring, and a window's
-// cross-island deliveries are values in reused lane buffers, so once
+// queue storage and a message is a value in its pair's ring, so once
 // every rank's lazily built state exists nothing is allocated per event;
 // 0.01 per event leaves room for a queue or table growing late, not for
 // anything done per event. It runs the idle-heavy scenario at 512 ranks,
-// the stencil spec's halo exchange and allreduces, and the
-// island-scaling traffic on 16 lanes.
+// the stencil spec's halo exchange and allreduces, and the grouped ring
+// at 4,096 ranks in 16 topology groups.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	// The stencil spec without its heap growth: an sbrk maps a region,
 	// an allocation the model asks for rather than one the loop makes.
@@ -180,7 +179,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}{
 		{"idle-heavy-512", func(rounds int) Config { return idleHeavyRounds(512, rounds) }, 1},
 		{"stencil-64", stencil, 24},
-		{"islands-4096", func(steps int) Config { return islandBenchConfig(4096, 16, 1, steps) }, islandBenchSteps},
+		{"ring-4096", func(steps int) Config { return groupedRingConfig(4096, 16, steps) }, groupedRingSteps},
 	} {
 		perEvent := steadyAllocsPerEvent(t, tc.mk, tc.length)
 		t.Logf("%s: %.4f allocations/event", tc.name, perEvent)
@@ -299,23 +298,20 @@ func BenchmarkOverlapDrain(b *testing.B) {
 func BenchmarkScheduler512Ranks(b *testing.B)  { benchScheduler(b, 512) }
 func BenchmarkScheduler4096Ranks(b *testing.B) { benchScheduler(b, 4096) }
 
-// islandBenchConfig builds the island-scaling scenario: one topology
-// group per island, a send/recv ring inside each group, and a leader
-// exchange between neighbouring groups every fourth step. Unlike the
-// idle-heavy scenario (whose single busy rank is inherently serial),
-// every island carries equal load, so the workload parallelises across
-// workers while the cross-group lookahead keeps windows wide. The ops
+// groupedRingConfig builds the grouped-ring scenario: the ranks split
+// into the given number of topology groups, a send/recv ring inside each
+// group, and a leader exchange between neighbouring groups every fourth
+// step, across the spine. Unlike the idle-heavy scenario (whose single
+// busy rank does all the work), every group carries equal load. The ops
 // are pure message traffic — no compute phases — so 65536-rank runs do
 // not materialise 4 GiB of per-rank state regions.
-func islandBenchConfig(ranks, islands, workers, steps int) Config {
-	groupSize := ranks / islands
+func groupedRingConfig(ranks, groups, steps int) Config {
+	groupSize := ranks / groups
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
 	cfg.Triggers = nil
 	cfg.Net.GroupSize = groupSize
 	cfg.Net.CrossGroupLatency = 10 * vtime.Microsecond
-	cfg.Islands = islands
-	cfg.Workers = workers
 	nGroups := ranks / groupSize
 	cfg.Programs = scenario.PerRank(ranks, func(id int) []scenario.Op {
 		g := id / groupSize
@@ -342,22 +338,13 @@ func islandBenchConfig(ranks, islands, workers, steps int) Config {
 	return cfg
 }
 
-// islandBenchSteps is the island-scaling scenario's length wherever it
-// is timed or compared; a multiple of four, the leader-exchange period.
-const islandBenchSteps = 8
+// groupedRingSteps is the grouped ring's length wherever it is timed or
+// compared; a multiple of four, the leader-exchange period.
+const groupedRingSteps = 8
 
-// benchIslands measures the island scheduler end to end, serial or
-// parallel.
-func benchIslands(b *testing.B, ranks, islands, workers int) {
-	benchEventLoop(b, func(steps int) Config { return islandBenchConfig(ranks, islands, workers, steps) }, islandBenchSteps)
-}
-
-// BenchmarkScheduler65536Ranks pins the 64Ki-rank scale target; the
-// 4-worker variant records the parallel wall-clock on the same
-// partition.
-func BenchmarkScheduler65536Ranks(b *testing.B) { benchIslands(b, 65536, 16, 1) }
-func BenchmarkScheduler65536Ranks4Workers(b *testing.B) {
-	benchIslands(b, 65536, 16, 4)
+// BenchmarkScheduler65536Ranks pins the 64Ki-rank scale target.
+func BenchmarkScheduler65536Ranks(b *testing.B) {
+	benchEventLoop(b, func(steps int) Config { return groupedRingConfig(65536, 16, steps) }, groupedRingSteps)
 }
 
 // TestEventLayout pins the event's layout: every heap sift copies it, so
@@ -382,15 +369,6 @@ func TestEventLayout(t *testing.T) {
 	}
 	if path := pointerIn(reflect.TypeOf(event{}), "event"); path != "" {
 		t.Errorf("event holds a pointer at %s", path)
-	}
-	// What a window buffers for the barrier is pointer-free too: a
-	// message's ring slot must not outlive its receipt, so a delivery is
-	// its time and event, and an arrival carries its collective by value.
-	for _, v := range []any{pendingDelivery{}, pendingArrival{}} {
-		typ := reflect.TypeOf(v)
-		if path := pointerIn(typ, typ.Name()); path != "" {
-			t.Errorf("%s holds a pointer at %s", typ.Name(), path)
-		}
 	}
 }
 

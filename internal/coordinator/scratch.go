@@ -5,7 +5,7 @@ import "mana/internal/memsim"
 // Scratch is the storage runs share: a pool of full-size page buffers
 // that every rank of a run draws its address-space pages from, and that
 // Coordinator.Release feeds when the run retires. Everything else a run
-// uses — event-queue lanes, per-rank slices, rendezvous instances, the
+// uses — the event queue, per-rank slices, rendezvous instances, the
 // digester — the run allocates for itself in New and drops with the
 // Coordinator.
 //

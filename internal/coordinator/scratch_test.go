@@ -129,8 +129,8 @@ func TestScratchReuseByteIdentical(t *testing.T) {
 // different shapes: a small run after a large one (and vice versa)
 // prints what it prints without a scratch.
 func TestScratchReuseAcrossSizes(t *testing.T) {
-	mk := func(sc *Scratch, ranks, islands int) Config {
-		cfg := islandBenchConfig(ranks, islands, 1, islandBenchSteps)
+	mk := func(sc *Scratch, ranks, groups int) Config {
+		cfg := groupedRingConfig(ranks, groups, groupedRingSteps)
 		cfg.Scratch = sc
 		return cfg
 	}

@@ -90,9 +90,8 @@ type Job struct {
 	// replaces any storage block the spec itself declares. Nil uses the
 	// spec's block, or the direct-to-PFS default when the spec has none.
 	Storage *storage.Spec
-	// Islands <= 0 applies the spec's lane-count hint (or serial);
-	// Workers <= 1 drains serially. Both are pure performance knobs.
-	Islands int
+	// Workers configures nothing: every run is one serial event loop.
+	// It stays because bench/workloads.go:303 and :363 set it.
 	Workers int
 }
 
@@ -298,11 +297,6 @@ func (e *Engine) Config(j Job) (coordinator.Config, error) {
 	if faultplan.AnyDrainHop(cfg.Faults) && !cfg.Storage.Staging {
 		return coordinator.Config{}, fmt.Errorf("fleet: fault plan anchors on \"image-write/drain\" but the job's storage has no burst buffer; drain faults need staging")
 	}
-	cfg.Islands = j.Islands
-	if cfg.Islands <= 0 && j.Spec.Islands > 0 {
-		cfg.Islands = j.Spec.Islands
-	}
-	cfg.Workers = j.Workers
 	return cfg, nil
 }
 

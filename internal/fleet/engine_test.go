@@ -54,9 +54,6 @@ func standalone(t *testing.T, name string, incremental bool) string {
 	cfg.Programs = progs
 	cfg.Triggers = triggers(spec.Checkpoints, j.CkptAt)
 	cfg.FailAtCheckpoint = j.FailAfter
-	if spec.Islands > 0 {
-		cfg.Islands = spec.Islands
-	}
 
 	var out bytes.Buffer
 	c := coordinator.New(cfg)
@@ -244,7 +241,6 @@ func TestSweepAggregateStableAcrossPoolWidths(t *testing.T) {
 			Seed:      42,
 			FailAfter: 2,
 			FullEvery: 4,
-			Workers:   1,
 		},
 	}
 	run := func(pool int) *SweepResult {

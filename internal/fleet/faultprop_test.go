@@ -75,9 +75,7 @@ func recoverableOrNamed(err error) bool {
 // TestRandomFaultPlansPreserveFinalState is the recovery contract as a
 // property: for ~200 random valid fault plans over the whole spec
 // library, every run that recovers must land on the exact final
-// application fingerprint of the fault-free run — at islands=8,
-// workers=4, so the parallel scheduler is under the same contract.
-// Plans that are legitimately unrecoverable must fail with a named
+// application fingerprint of the fault-free run. Plans that are legitimately unrecoverable must fail with a named
 // error, never a wrong answer.
 func TestRandomFaultPlansPreserveFinalState(t *testing.T) {
 	specs := scenario.Names()
@@ -91,13 +89,11 @@ func TestRandomFaultPlansPreserveFinalState(t *testing.T) {
 			return Job{}, err
 		}
 		return Job{
-			Spec:    spec,
-			Ranks:   8,
-			Steps:   10,
-			Seed:    42,
-			CkptAt:  vtime.Time(1 * vtime.Millisecond),
-			Islands: 8,
-			Workers: 4,
+			Spec:   spec,
+			Ranks:  8,
+			Steps:  10,
+			Seed:   42,
+			CkptAt: vtime.Time(1 * vtime.Millisecond),
 		}, nil
 	}
 	baseline := make(map[string]uint64, len(specs))

@@ -15,8 +15,8 @@ import (
 
 // Sweep describes a grid of runs: the cross product of the dimension
 // slices, each cell a full simulation. Base supplies every parameter
-// the grid does not vary (steps, seed, kernel, failure policy, islands,
-// workers-per-run); its Spec, Ranks, Virtid, Incremental and CkptAt
+// the grid does not vary (steps, seed, kernel, failure policy, image
+// cadence, storage); its Spec, Ranks, Virtid, Incremental and CkptAt
 // fields are ignored — the grid sets them per cell.
 type Sweep struct {
 	// Specs are library names or JSON file paths, resolved through the
@@ -35,8 +35,7 @@ type Sweep struct {
 	Storage []string
 	Base    Job
 	// PoolWorkers bounds how many cells run concurrently
-	// (<= 0: GOMAXPROCS). Distinct from Base.Workers, which parallelises
-	// within one run.
+	// (<= 0: GOMAXPROCS).
 	PoolWorkers int
 }
 

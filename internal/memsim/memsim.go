@@ -177,9 +177,8 @@ const (
 //
 // It follows the single-owner rule vtime.Clock documents: an address
 // space belongs to one rank and is touched only by the goroutine
-// currently driving that rank — the scheduler goroutine in serial mode,
-// the owning island's worker inside a parallel window, the coordinator
-// between windows (capture, restore, fingerprint). It therefore carries
+// driving that rank's job: its event loop, capture, restore and
+// fingerprint. It therefore carries
 // no lock, and cmd/isolint rejects a sync or atomic field on it, on
 // Region or on its live regions. What ranks do share is the Pool behind
 // their page buffers, which is locked, and Region descriptors and frozen

@@ -27,8 +27,8 @@ type Pool struct {
 }
 
 // NewPool returns an empty page pool. A Pool is safe for concurrent
-// use: within one run, island workers write regions concurrently, and a
-// fleet engine may share one pool across sequential runs.
+// use: a fleet engine shares one pool across the runs it executes
+// concurrently.
 func NewPool() *Pool {
 	return &Pool{}
 }

@@ -28,7 +28,6 @@ package netsim
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"mana/internal/vtime"
 )
@@ -44,14 +43,10 @@ type Params struct {
 	// GroupSize partitions ranks into contiguous topology groups of this
 	// many ranks each (rank r belongs to group r/GroupSize): the fabric
 	// analogue of an electrical group / leaf switch. Zero means a flat
-	// fabric with no groups. Groups are also the island scheduler's
-	// partition: ranks in the same group share an event-queue lane.
+	// fabric with no groups.
 	GroupSize int
 	// CrossGroupLatency is the EXTRA one-way latency a message pays when
-	// src and dst are in different groups (spine hop). It is the island
-	// scheduler's conservative lookahead: no cross-group message can
-	// arrive sooner than Latency+CrossGroupLatency after it is sent, so
-	// islands may run that far ahead without coordination.
+	// src and dst are in different groups (spine hop).
 	CrossGroupLatency vtime.Duration
 }
 
@@ -89,19 +84,6 @@ func (p Params) WireLatency(src, dst int) vtime.Duration {
 		l += p.CrossGroupLatency
 	}
 	return l
-}
-
-// CrossLookahead returns the minimum one-way latency of any message that
-// crosses a group boundary — the island scheduler's conservative
-// lookahead window. An event executed at time t can only influence
-// another island at t+CrossLookahead or later, so islands may run
-// [t, t+CrossLookahead) concurrently. On a flat fabric every rank pair
-// is potentially one hop apart, so the lookahead is the base Latency.
-func (p Params) CrossLookahead() vtime.Duration {
-	if p.GroupSize > 0 {
-		return p.Latency + p.CrossGroupLatency
-	}
-	return p.Latency
 }
 
 // CollectiveKind identifies a modelled collective operation.
@@ -223,9 +205,9 @@ func (c Counters) InFlight() uint64 {
 // messages, it is handed each message's arrival time at send time and
 // pushes a delivery event onto its queue.
 type DeliveryScheduler interface {
-	// ScheduleDelivery is called once per Send, after the message's
-	// arrival time has been computed and the network lock has been
-	// released, so implementations are free to inspect the Network. m is
+	// ScheduleDelivery is called once per Send, after the message is
+	// queued and counted, so implementations are free to inspect the
+	// Network. m is
 	// the message's ring slot: keep what outlives its receipt by value.
 	ScheduleDelivery(m *Message)
 }
@@ -242,7 +224,7 @@ type DeliveryScheduler interface {
 // fill — so the slot pop just vacated is never the next one push
 // writes. The slot-lifetime contract (see Network) rests on it: a
 // message Recv returned stays intact until its receiver's next receive
-// on the pair, even while the sender pushes from another goroutine.
+// on the pair, even when the sender pushes the next message first.
 type pairState struct {
 	src   int
 	count PairCount
@@ -297,17 +279,14 @@ func (p *pairState) pop() *Message {
 //
 // Never keep a received *Message past that; copy what you need. The
 // ring's one slot of slack (pairState) is what lets a receiver read its
-// message while the sender, on another window worker, pushes the next.
+// message while its sender pushes the next.
 //
-// The Network is the one object a parallel window's workers genuinely
-// share — a rank on one island sends to a rank on another — so, unlike
-// the single-owner per-rank state (see vtime.Clock), it is locked: one
-// mutex covers the tables, including their growth, so no reader ever
-// sees a peer list mid-reallocation.
+// A Network belongs to one run and has no lock: the goroutine driving
+// the run makes every Send, Recv and DrainTo on it, like the per-rank
+// state (see vtime.Clock).
 type Network struct {
 	params Params
 
-	mu      sync.Mutex
 	nextSeq uint64
 	peers   [][]pairState // indexed by destination rank, grown on demand
 	// inflight counts sent-but-not-received messages, maintained
@@ -330,8 +309,6 @@ func (n *Network) Params() Params { return n.params }
 // ScheduleDelivery callback per injected message. Passing nil disables
 // scheduling (the polling-style tests drive Recv directly).
 func (n *Network) SetDeliveryScheduler(s DeliveryScheduler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.scheduler = s
 }
 
@@ -378,19 +355,13 @@ func (n *Network) pair(src, dst int) *pairState {
 func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Message, vtime.Duration) {
 	busy := n.params.SerializeCost(bytes)
 	arrive := sent.When.Add(busy + n.params.WireLatency(src, dst))
-	n.mu.Lock()
 	n.nextSeq++
 	p := n.pair(src, dst)
 	m := p.push(Message{Seq: n.nextSeq, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})
 	p.count.Sent++
 	n.inflight++
-	scheduler := n.scheduler
-	n.mu.Unlock()
-	// The delivery event is scheduled outside the lock: the scheduler
-	// callback pushes onto the coordinator's event queue and must be free
-	// to inspect the network.
-	if scheduler != nil {
-		scheduler.ScheduleDelivery(m)
+	if n.scheduler != nil {
+		n.scheduler.ScheduleDelivery(m)
 	}
 	return m, busy
 }
@@ -398,18 +369,14 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 // Recv pops the oldest in-flight message from src to dst that has
 // arrived by the given virtual time, preserving MPI's per-pair
 // non-overtaking order, and returns its ring slot, which stays intact
-// until dst's next receive from src (see Network). It returns nil if no message from src has both
-// been sent and arrived — a message becomes visible to its receiver at
-// m.Arrive, never earlier. That arrival gate is what makes the island
-// scheduler's lookahead sound: a send can only influence another island
-// once its wire latency has elapsed, so islands may run a full
-// CrossLookahead apart without observing each other's in-progress work.
-// (Per-pair arrival order equals send order: every message on a pair
+// until dst's next receive from src (see Network). It returns nil if
+// no message from src has both been sent and arrived: a message becomes
+// visible to its receiver at m.Arrive, never earlier, so a receive
+// posted before the wire latency has elapsed blocks until the delivery
+// event wakes it. (Per-pair arrival order equals send order: every message on a pair
 // traverses the same wire, so the FIFO head is always the earliest
 // arrival.)
 func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	i, ok := n.find(src, dst)
 	if !ok {
 		return nil
@@ -430,8 +397,6 @@ func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 // coordinator calls this during the drain phase so the messages can be
 // buffered into the receiving rank's checkpoint image.
 func (n *Network) DrainTo(dst int, out []Message) []Message {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	list := n.peersOf(dst)
 	for i := range list {
 		p := &list[i]
@@ -448,15 +413,11 @@ func (n *Network) DrainTo(dst int, out []Message) []Message {
 // It is O(1): the count is maintained incrementally so the scheduler can
 // consult it after every event.
 func (n *Network) InFlight() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.inflight
 }
 
 // InFlightTo returns the number of in-flight messages destined for dst.
 func (n *Network) InFlightTo(dst int) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var total uint64
 	list := n.peersOf(dst)
 	for i := range list {
@@ -469,16 +430,12 @@ func (n *Network) InFlightTo(dst int) uint64 {
 // The drain phase charges dst one counter-comparison probe per such peer
 // (§3.1 compares send/receive counters pairwise).
 func (n *Network) PeersTo(dst int) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.peersOf(dst))
 }
 
 // CountersSnapshot returns the per-pair counters as a map, built fresh
 // from the pair tables.
 func (n *Network) CountersSnapshot() Counters {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	pairs := 0
 	for _, list := range n.peers {
 		pairs += len(list)
@@ -496,8 +453,6 @@ func (n *Network) CountersSnapshot() Counters {
 // discarded (a correct checkpoint drains them to zero first) and the
 // counters are replaced by the snapshot.
 func (n *Network) Restore(c Counters) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for dst, list := range n.peers {
 		clear(list) // drop the abandoned timeline's rings
 		n.peers[dst] = list[:0]
@@ -512,8 +467,6 @@ func (n *Network) Restore(c Counters) {
 
 // TotalSent returns the total number of messages ever sent.
 func (n *Network) TotalSent() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	var total uint64
 	for _, list := range n.peers {
 		for i := range list {

@@ -203,20 +203,14 @@ func TestTopologyGroups(t *testing.T) {
 	if got, want := p.WireLatency(0, 4), p.Latency+p.CrossGroupLatency; got != want {
 		t.Errorf("cross-group WireLatency = %v, want %v", got, want)
 	}
-	if got, want := p.CrossLookahead(), p.Latency+p.CrossGroupLatency; got != want {
-		t.Errorf("CrossLookahead = %v, want %v", got, want)
-	}
 
-	// Flat fabric: no groups, lookahead collapses to the base latency.
+	// Flat fabric: no groups, every pair pays the base latency.
 	flat := Params{Latency: 1000 * vtime.Nanosecond}
 	if got := flat.GroupOf(17); got != 0 {
 		t.Errorf("flat GroupOf = %d, want 0", got)
 	}
 	if got := flat.WireLatency(0, 17); got != flat.Latency {
 		t.Errorf("flat WireLatency = %v, want %v", got, flat.Latency)
-	}
-	if got := flat.CrossLookahead(); got != flat.Latency {
-		t.Errorf("flat CrossLookahead = %v, want %v", got, flat.Latency)
 	}
 }
 

@@ -611,11 +611,9 @@ func (r *Rank) wait() {
 // network by the checkpoint helper and live in the rank's own buffer.
 // Otherwise the network queue is consulted, which only yields messages
 // that have arrived by the given time: a rank can never observe a
-// message before its wire latency has elapsed, which is both the
-// physical semantics and the property the island scheduler's lookahead
-// window relies on. It returns false, leaving the pc unchanged, if no
-// matching message is visible yet — the message's delivery event wakes
-// the rank later.
+// message before its wire latency has elapsed. It returns false,
+// leaving the pc unchanged, if no matching message is visible yet — the
+// message's delivery event wakes the rank later.
 func (r *Rank) tryRecvFrom(net *netsim.Network, peer int, by vtime.Time) bool {
 	for i := range r.inbox {
 		if r.inbox[i].Src == peer {

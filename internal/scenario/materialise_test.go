@@ -351,8 +351,8 @@ func TestCompileSharesOneStreamPerClass(t *testing.T) {
 
 // TestResolveSharedStreamConcurrently pins "shared means read-only":
 // every rank of a job resolves its whole program on its own goroutine
-// at once — the way island lanes and concurrent sweep cells read one
-// cached compilation — each gets exactly the oracle's ops, and the
+// at once — the way concurrent sweep cells read one cached
+// compilation — each gets exactly the oracle's ops, and the
 // shared streams are bit for bit what they were before anyone read
 // them. Under -race a write by Resolve fails the run.
 func TestResolveSharedStreamConcurrently(t *testing.T) {

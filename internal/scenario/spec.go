@@ -33,14 +33,6 @@ type Spec struct {
 	// -ckpt-at time. Empty means the default policy (at, in-flight,
 	// mid-collective).
 	Checkpoints []CheckpointSpec `json:"checkpoints,omitempty"`
-	// Islands hints how many event-queue lanes the scheduler should
-	// partition the ranks across — a workload that clusters its traffic
-	// (ring exchanges over split communicators, say) can name the lane
-	// count that matches its structure. The CLI's -islands flag
-	// overrides it; zero means no preference. It is purely a
-	// performance hint: the island count never changes a run's
-	// observable output, only how much of it can execute in parallel.
-	Islands int `json:"islands,omitempty"`
 	// Faults is the spec's declarative fault-injection plan (see the
 	// faultplan package): an ordered list of one-shot failures at named
 	// protocol points, plus an optional restart budget. The CLI's -faults
@@ -212,9 +204,6 @@ func (s *Spec) Validate() error {
 		if sp.Shift > 0 && sp.ShiftHalfGroup {
 			return s.errf(path+".shift", "cannot combine with shift_half_group")
 		}
-	}
-	if s.Islands < 0 {
-		return s.errf("islands", "must be non-negative (got %d)", s.Islands)
 	}
 	if s.Faults != nil {
 		if err := s.Faults.ValidateNamed(s.errf); err != nil {

@@ -39,7 +39,7 @@ func TestParseErrorsNameOffendingField(t *testing.T) {
 		{"forming-colls without colls", `{"name":"x","phases":[{"name":"p","ops":[{"op":"barrier"}]}],"checkpoints":[{"kind":"forming-colls"}]}`, "checkpoints[0].colls: must be at least 1"},
 		{"colls on plain trigger", `{"name":"x","phases":[{"name":"p","ops":[{"op":"barrier"}]}],"checkpoints":[{"kind":"at","colls":2}]}`, "checkpoints[0].colls: only valid"},
 		{"negative steps", `{"name":"x","phases":[{"name":"p","steps":-1,"ops":[{"op":"barrier"}]}]}`, "phases[0].steps"},
-		{"negative islands", `{"name":"x","islands":-2,"phases":[{"name":"p","ops":[{"op":"barrier"}]}]}`, "islands: must be non-negative"},
+		{"islands hint", `{"name":"x","islands":4,"phases":[{"name":"p","ops":[{"op":"barrier"}]}]}`, `unknown field "islands"`},
 		{"absurd sbrk", `{"name":"x","phases":[{"name":"p","ops":[{"op":"sbrk","bytes":9000000000000000000}]}]}`, `phases[0].ops[0].bytes: must be at most 1099511627776 for op "sbrk" (got 9000000000000000000)`},
 	}
 	for _, tc := range cases {

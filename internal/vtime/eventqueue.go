@@ -35,11 +35,7 @@ import "math/bits"
 // without write barriers, and the collector never scans the heap.
 //
 // The queue is not safe for concurrent use; a deterministic scheduler
-// drives each queue from a single goroutine at a time. In the island
-// scheduler one EventQueue is one island's lane inside an IslandQueues
-// merge layer (see islands.go), which assigns sequence numbers from a
-// shared counter so the lanes still form one global (time, seq) total
-// order.
+// drives each queue from a single goroutine at a time.
 type EventQueue[T any] struct {
 	heap []eventEntry[T]
 	seq  uint64
@@ -77,16 +73,13 @@ func (q *EventQueue[T]) Cap() int { return cap(q.heap) }
 // Push schedules v at virtual time t.
 func (q *EventQueue[T]) Push(t Time, v T) {
 	q.seq++
-	q.PushAt(t, q.seq, v)
+	q.pushAt(t, q.seq, v)
 }
 
-// PushAt schedules v at virtual time t with a caller-assigned sequence
-// number. It is the primitive the IslandQueues merge layer builds on: the
-// caller owns the seq space and guarantees (time, seq) uniqueness and
-// that seq reflects the intended FIFO order at equal times. Mixing PushAt
-// with Push on the same queue is only meaningful if the caller's seqs are
-// coordinated with the internal counter.
-func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
+// pushAt schedules v at virtual time t with a caller-assigned sequence
+// number; the caller guarantees (time, seq) uniqueness. The tests drive
+// it with seqs far from Push's counter.
+func (q *EventQueue[T]) pushAt(t Time, seq uint64, v T) {
 	q.heap = append(q.heap, eventEntry[T]{})
 	h := q.heap
 	i := len(h) - 1
@@ -176,8 +169,7 @@ func (q *EventQueue[T]) PeekTime() (Time, bool) {
 }
 
 // PeekKey returns the (time, seq) ordering key of the earliest event
-// without removing it; false when the queue is empty. The merge layer
-// compares lane heads by this key to pop the globally earliest event.
+// without removing it; false when the queue is empty.
 func (q *EventQueue[T]) PeekKey() (Time, uint64, bool) {
 	if len(q.heap) == 0 {
 		return 0, 0, false

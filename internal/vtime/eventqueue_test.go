@@ -140,3 +140,45 @@ func TestPropertyEventQueueDeterministicOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNewEventQueueSized pins the preallocation contract: the size hint
+// becomes heap capacity, and pushes within the hint never reallocate.
+func TestNewEventQueueSized(t *testing.T) {
+	q := NewEventQueueSized[int](128)
+	if q.Cap() < 128 {
+		t.Fatalf("Cap = %d, want >= 128", q.Cap())
+	}
+	capBefore := q.Cap()
+	for i := 0; i < 128; i++ {
+		q.Push(Time(i), i)
+	}
+	if q.Cap() != capBefore {
+		t.Fatalf("pushing within the hint grew capacity %d -> %d", capBefore, q.Cap())
+	}
+	if q2 := NewEventQueueSized[int](-5); q2.Cap() != 0 || q2.Len() != 0 {
+		t.Fatalf("negative hint: Cap=%d Len=%d, want 0, 0", q2.Cap(), q2.Len())
+	}
+}
+
+// TestEventQueueClearKeepsCapacity pins the satellite fix: Clear must
+// keep the grown heap storage so restart rebuilds reuse it.
+func TestEventQueueClearKeepsCapacity(t *testing.T) {
+	q := NewEventQueue[int]()
+	for i := 0; i < 1000; i++ {
+		q.Push(Time(i), i)
+	}
+	capBefore := q.Cap()
+	if capBefore < 1000 {
+		t.Fatalf("Cap = %d after 1000 pushes, want >= 1000", capBefore)
+	}
+	q.Clear()
+	if q.Cap() != capBefore {
+		t.Fatalf("Clear dropped capacity %d -> %d", capBefore, q.Cap())
+	}
+	for i := 0; i < 1000; i++ {
+		q.Push(Time(i), i)
+	}
+	if q.Cap() != capBefore {
+		t.Fatalf("refill after Clear reallocated: %d -> %d", capBefore, q.Cap())
+	}
+}

@@ -2,7 +2,6 @@ package vtime
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -52,12 +51,11 @@ func (r *refQueue) head() (refEntry, bool) {
 }
 
 // TestEventQueueVsSortedReference drives one EventQueue and the sorted
-// reference with the same random Push/PushAt/Pop/Clear stream. Half the
+// reference with the same random Push/pushAt/Pop/Clear stream. Half the
 // trials use Push (the queue numbers events itself); the other half use
-// PushAt with seqs shaped the way IslandQueues assigns them: a shared
-// counter, and every so often a "window" in which pushes draw from
-// per-lane blocks far above it, out of order across lanes, after which
-// the counter jumps past every block.
+// pushAt with caller-assigned seqs: a counter, and every so often a
+// "window" in which pushes draw from per-lane blocks far above it, out
+// of order across lanes, after which the counter jumps past every block.
 func TestEventQueueVsSortedReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -71,7 +69,7 @@ func TestEventQueueVsSortedReference(t *testing.T) {
 		push := func(s uint64, id int) {
 			tm := Time(rng.Intn(timeRange))
 			if callerSeq {
-				q.PushAt(tm, s, id)
+				q.pushAt(tm, s, id)
 			} else {
 				q.Push(tm, id)
 			}
@@ -122,71 +120,16 @@ func TestEventQueueVsSortedReference(t *testing.T) {
 	}
 }
 
-// TestIslandQueuesVsSortedReference pins the merge layer's order for
-// K in {1, 3, 8} against the same reference, with the seq each event
-// should carry computed here from the documented rule: merge-mode pushes
-// number from one shared counter; a window's pushes number from
-// base + (lane+1)<<windowShift, and EndWindow moves the counter past
-// every block. Pops and Clear are interleaved throughout.
-func TestIslandQueuesVsSortedReference(t *testing.T) {
-	for _, k := range []int{1, 3, 8} {
-		for trial := 0; trial < 60; trial++ {
-			name := fmt.Sprintf("k=%d trial=%d", k, trial)
-			rng := rand.New(rand.NewSource(int64(100*k + trial)))
-			iq := NewIslandQueues[int](k, 0)
-			ref := &refQueue{}
-			var seq uint64
-			id := 0
-			for step := 0; step < 400; step++ {
-				switch op := rng.Intn(20); {
-				case op < 9:
-					seq++
-					tm, lane := Time(rng.Intn(32)), rng.Intn(k)
-					iq.Push(lane, tm, id)
-					ref.push(tm, seq, id)
-					id++
-				case op < 11:
-					iq.BeginWindow()
-					wseq := make([]uint64, k)
-					for n := rng.Intn(16); n > 0; n-- {
-						tm, lane := Time(rng.Intn(32)), rng.Intn(k)
-						wseq[lane]++
-						iq.WorkerPush(lane, tm, id)
-						ref.push(tm, seq+uint64(lane+1)<<windowShift+wseq[lane], id)
-						id++
-					}
-					iq.EndWindow()
-					seq += uint64(k+1) << windowShift
-				case op < 18:
-					want, wantOK := ref.pop()
-					_, gt, gv, ok := iq.PopMin()
-					if ok != wantOK || gt != want.time || gv != want.val {
-						t.Fatalf("%s step %d: PopMin = (%v, %d, %v), reference (%v, %d, %v)",
-							name, step, gt, gv, ok, want.time, want.val, wantOK)
-					}
-				case op == 18:
-					iq.Clear()
-					ref.entries = ref.entries[:0]
-				}
-				if iq.Len() != len(ref.entries) {
-					t.Fatalf("%s step %d: Len = %d, reference holds %d", name, step, iq.Len(), len(ref.entries))
-				}
-			}
-			for len(ref.entries) > 0 {
-				want, _ := ref.pop()
-				if _, gt, gv, ok := iq.PopMin(); !ok || gt != want.time || gv != want.val {
-					t.Fatalf("%s drain: PopMin = (%v, %d, %v), reference (%v, %d)", name, gt, gv, ok, want.time, want.val)
-				}
-			}
-		}
-	}
-}
+// windowShift sizes the seq blocks of the tests' caller-numbered
+// windows: each lane's block starts (lane+1)<<windowShift above the
+// counter, so its seqs need the full 64 bits of the key's low word.
+const windowShift = 32
 
-// FuzzQueueVsSort lets arbitrary bytes drive Push, PushAt, Pop, PeekKey
+// FuzzQueueVsSort lets arbitrary bytes drive Push, pushAt, Pop, PeekKey
 // and Clear against the sorted reference. The first byte picks who
-// numbers the events: the queue itself (Push), or the caller (PushAt)
-// with seqs shaped like IslandQueues' — one shared counter, and windows
-// that draw from per-lane blocks above it, out of order across lanes.
+// numbers the events: the queue itself (Push), or the caller (pushAt)
+// with one counter and windows that draw from per-lane blocks above it,
+// out of order across lanes.
 // Each push then takes its time from one of five shapes: a full 64-bit
 // value (negative times and both extremes included, which the sign flip
 // of the branch-free comparison must order correctly), one of a handful
@@ -244,7 +187,7 @@ func FuzzQueueVsSort(f *testing.F) {
 		push := func(s uint64) {
 			tm := pushTime()
 			if callerSeq {
-				q.PushAt(tm, s, id)
+				q.pushAt(tm, s, id)
 			} else {
 				q.Push(tm, id)
 			}

@@ -10,13 +10,8 @@
 // time (a conservative "piggyback" form of parallel discrete-event
 // simulation).
 //
-// The package also provides the event-scheduling structures the
-// coordinator runs on: EventQueue, a single time-ordered lane, and
-// IslandQueues, which partitions events across per-island lanes so that
-// conservative lookahead windows can be drained by parallel workers.
-// Merged iteration over all lanes reproduces the single-queue pop order
-// exactly, so the lane count is invisible to the simulation's outputs.
-// Because no wall-clock time is ever consulted, all figures regenerated
+// The package also provides the coordinator's event queue, EventQueue,
+// which pops events in (time, seq) order. Because no wall-clock time is ever consulted, all figures regenerated
 // by the benchmark harness are deterministic.
 package vtime
 
@@ -78,11 +73,9 @@ func Max(a, b Time) Time {
 // Clock is a per-rank virtual clock.
 //
 // Ownership rule: a rank's clock — like its address space and handle
-// table — is touched only by the goroutine currently driving that rank.
-// That is the scheduler goroutine in serial mode, the worker that owns
-// the rank's island lane inside a parallel window, and the coordinator
-// between windows (checkpoint, restart, report); the window barrier is
-// the hand-over point that orders them. No goroutine ever observes a
+// table — is touched only by the goroutine currently driving that rank:
+// the one goroutine that runs its job's event loop, checkpoints,
+// restarts and report. No goroutine ever observes a
 // clock from outside, so a Clock carries no lock: it is one word, read
 // and written on every simulated event, and cmd/isolint fails the build
 // if a sync or atomic field is added to it.
