@@ -78,8 +78,9 @@ microbench:
 
 # bench-smoke mirrors CI's bench-smoke job: the repository benchmark
 # (bench/, BENCHMARK.json) at 1/16 of its rank counts, for its checks —
-# byte-identical stdout, fault-free fingerprint after recovery, islands
-# ≡ serial, sweep pools agree — not for its numbers.
+# byte-identical stdout, fault-free fingerprint after recovery, a
+# second traced pass reproduces the first, sweep pools agree — not for
+# its numbers.
 bench-smoke:
 	$(GO) run ./bench -smoke
 
@@ -128,9 +129,7 @@ smoke-wide:
 
 # smoke-matrix mirrors CI's determinism matrix: every combination of
 # handle-table implementation, image mode and library scenario spec runs
-# twice at 512 ranks and must print byte-identical reports — and once
-# more with the sharded parallel scheduler (-islands 8 -workers 4),
-# which must reproduce the serial report byte for byte.
+# twice at 512 ranks and must print byte-identical reports.
 smoke-matrix:
 	$(GO) build -o /tmp/manasim-matrix ./cmd/manasim
 	@set -e; \
@@ -143,10 +142,6 @@ smoke-matrix:
 	      /tmp/manasim-matrix -virtid $$virtid $$inc -spec $$spec \
 	        -ranks 512 -steps 5 -ckpt-at 200us -no-fail > /tmp/manasim-matrix2.txt; \
 	      cmp /tmp/manasim-matrix1.txt /tmp/manasim-matrix2.txt; \
-	      /tmp/manasim-matrix -virtid $$virtid $$inc -spec $$spec \
-	        -ranks 512 -steps 5 -ckpt-at 200us -no-fail \
-	        -islands 8 -workers 4 > /tmp/manasim-matrix3.txt; \
-	      cmp /tmp/manasim-matrix1.txt /tmp/manasim-matrix3.txt; \
 	    done; \
 	  done; \
 	done
@@ -159,22 +154,16 @@ smoke-matrix:
 	  /tmp/manasim-matrix -storage $$st $$inc \
 	    -ranks 512 -steps 5 -ckpt-at 200us -no-fail > /tmp/manasim-matrix2.txt; \
 	  cmp /tmp/manasim-matrix1.txt /tmp/manasim-matrix2.txt; \
-	  /tmp/manasim-matrix -storage $$st $$inc \
-	    -ranks 512 -steps 5 -ckpt-at 200us -no-fail \
-	    -islands 8 -workers 4 > /tmp/manasim-matrix3.txt; \
-	  cmp /tmp/manasim-matrix1.txt /tmp/manasim-matrix3.txt; \
 	done
 
 # smoke-faults mirrors CI's fault-matrix job: every canned fault plan
 # under cmd/manasim/testdata/faults/ — single and multi-failure, torn
 # and corrupt images, restart-time double faults — runs twice and must
-# print byte-identical output, in three modes: serial, the sharded
-# parallel scheduler (-islands 8 -workers 4), and incremental images
-# (-incremental -full-every 2). The parallel run must also reproduce
-# the serial bytes exactly. The staging/ plans then run against the
-# fast-staged storage document: a crash mid-drain must fall back to the
-# newest durable generation and a torn drain must surface at restart,
-# byte-identically serial and parallel.
+# print byte-identical output, in two modes: full images and incremental
+# images (-incremental -full-every 2). The staging/ plans then run
+# against the fast-staged storage document: a crash mid-drain must fall
+# back to the newest durable generation and a torn drain must surface at
+# restart, byte-identically.
 smoke-faults:
 	$(GO) build -o /tmp/manasim-faults ./cmd/manasim
 	@set -e; \
@@ -183,8 +172,6 @@ smoke-faults:
 	  /tmp/manasim-faults -faults $$plan > /tmp/manasim-faults1.txt; \
 	  /tmp/manasim-faults -faults $$plan > /tmp/manasim-faults2.txt; \
 	  cmp /tmp/manasim-faults1.txt /tmp/manasim-faults2.txt; \
-	  /tmp/manasim-faults -faults $$plan -islands 8 -workers 4 > /tmp/manasim-faults3.txt; \
-	  cmp /tmp/manasim-faults1.txt /tmp/manasim-faults3.txt; \
 	  /tmp/manasim-faults -faults $$plan -incremental -full-every 2 > /tmp/manasim-faults4.txt; \
 	  /tmp/manasim-faults -faults $$plan -incremental -full-every 2 > /tmp/manasim-faults5.txt; \
 	  cmp /tmp/manasim-faults4.txt /tmp/manasim-faults5.txt; \
@@ -197,10 +184,6 @@ smoke-faults:
 	  /tmp/manasim-faults -incremental -faults $$plan \
 	    -storage cmd/manasim/testdata/storage/fast-staged.json > /tmp/manasim-faults2.txt; \
 	  cmp /tmp/manasim-faults1.txt /tmp/manasim-faults2.txt; \
-	  /tmp/manasim-faults -incremental -faults $$plan \
-	    -storage cmd/manasim/testdata/storage/fast-staged.json \
-	    -islands 8 -workers 4 > /tmp/manasim-faults3.txt; \
-	  cmp /tmp/manasim-faults1.txt /tmp/manasim-faults3.txt; \
 	done
 
 # smoke-sweep mirrors CI's fleet determinism check: a small -sweep grid

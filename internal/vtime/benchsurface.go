@@ -1,9 +1,9 @@
 package vtime
 
-// IslandQueues is what is left of the island scheduler's lane layer:
-// bench/probes.go times its Push and PopMin as vtime.push_pop_ns. Every
-// lane is one EventQueue, the queue the coordinator runs on, so events
-// pop in (time, seq) order whatever lane they were pushed on.
+// IslandQueues is kept for bench/probes.go:222, which times its Push
+// and PopMin as vtime.push_pop_ns. Every lane is one EventQueue, the
+// queue the coordinator runs on, so events pop in (time, seq) order
+// whatever lane they were pushed on.
 type IslandQueues[T any] struct {
 	q EventQueue[T]
 }

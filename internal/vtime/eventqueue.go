@@ -73,13 +73,15 @@ func (q *EventQueue[T]) Cap() int { return cap(q.heap) }
 // Push schedules v at virtual time t.
 func (q *EventQueue[T]) Push(t Time, v T) {
 	q.seq++
-	q.pushAt(t, q.seq, v)
+	q.PushAt(t, q.seq, v)
 }
 
-// pushAt schedules v at virtual time t with a caller-assigned sequence
-// number; the caller guarantees (time, seq) uniqueness. The tests drive
-// it with seqs far from Push's counter.
-func (q *EventQueue[T]) pushAt(t Time, seq uint64, v T) {
+// PushAt schedules v at virtual time t with a caller-assigned sequence
+// number. The caller owns the seq space and guarantees (time, seq)
+// uniqueness and that seq reflects the intended order at equal times.
+// Mixing PushAt with Push on the same queue is only meaningful if the
+// caller's seqs are coordinated with the internal counter.
+func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
 	q.heap = append(q.heap, eventEntry[T]{})
 	h := q.heap
 	i := len(h) - 1

@@ -51,9 +51,9 @@ func (r *refQueue) head() (refEntry, bool) {
 }
 
 // TestEventQueueVsSortedReference drives one EventQueue and the sorted
-// reference with the same random Push/pushAt/Pop/Clear stream. Half the
+// reference with the same random Push/PushAt/Pop/Clear stream. Half the
 // trials use Push (the queue numbers events itself); the other half use
-// pushAt with caller-assigned seqs: a counter, and every so often a
+// PushAt with caller-assigned seqs: a counter, and every so often a
 // "window" in which pushes draw from per-lane blocks far above it, out
 // of order across lanes, after which the counter jumps past every block.
 func TestEventQueueVsSortedReference(t *testing.T) {
@@ -69,7 +69,7 @@ func TestEventQueueVsSortedReference(t *testing.T) {
 		push := func(s uint64, id int) {
 			tm := Time(rng.Intn(timeRange))
 			if callerSeq {
-				q.pushAt(tm, s, id)
+				q.PushAt(tm, s, id)
 			} else {
 				q.Push(tm, id)
 			}
@@ -125,9 +125,9 @@ func TestEventQueueVsSortedReference(t *testing.T) {
 // counter, so its seqs need the full 64 bits of the key's low word.
 const windowShift = 32
 
-// FuzzQueueVsSort lets arbitrary bytes drive Push, pushAt, Pop, PeekKey
+// FuzzQueueVsSort lets arbitrary bytes drive Push, PushAt, Pop, PeekKey
 // and Clear against the sorted reference. The first byte picks who
-// numbers the events: the queue itself (Push), or the caller (pushAt)
+// numbers the events: the queue itself (Push), or the caller (PushAt)
 // with one counter and windows that draw from per-lane blocks above it,
 // out of order across lanes.
 // Each push then takes its time from one of five shapes: a full 64-bit
@@ -187,7 +187,7 @@ func FuzzQueueVsSort(f *testing.F) {
 		push := func(s uint64) {
 			tm := pushTime()
 			if callerSeq {
-				q.pushAt(tm, s, id)
+				q.PushAt(tm, s, id)
 			} else {
 				q.Push(tm, id)
 			}
