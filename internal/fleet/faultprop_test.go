@@ -75,8 +75,9 @@ func recoverableOrNamed(err error) bool {
 // TestRandomFaultPlansPreserveFinalState is the recovery contract as a
 // property: for ~200 random valid fault plans over the whole spec
 // library, every run that recovers must land on the exact final
-// application fingerprint of the fault-free run. Plans that are legitimately unrecoverable must fail with a named
-// error, never a wrong answer.
+// application fingerprint of the fault-free run. Plans that are
+// legitimately unrecoverable must fail with a named error, never a
+// wrong answer.
 func TestRandomFaultPlansPreserveFinalState(t *testing.T) {
 	specs := scenario.Names()
 	if len(specs) < 6 {

@@ -15,9 +15,9 @@ import (
 
 // Sweep describes a grid of runs: the cross product of the dimension
 // slices, each cell a full simulation. Base supplies every parameter
-// the grid does not vary (steps, seed, kernel, failure policy, image
-// cadence, storage); its Spec, Ranks, Virtid, Incremental and CkptAt
-// fields are ignored — the grid sets them per cell.
+// the grid does not vary (steps, seed, kernel, failure policy); its
+// Spec, Ranks, Virtid, Incremental and CkptAt fields are ignored — the
+// grid sets them per cell.
 type Sweep struct {
 	// Specs are library names or JSON file paths, resolved through the
 	// engine's spec cache.
