@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mana/internal/faultplan"
+	"mana/internal/vtime"
 )
 
 // TestFailFlagValidation covers the failure-flag surface's error paths:
@@ -54,6 +57,21 @@ func TestFaultPlanOverridesSpecPlan(t *testing.T) {
 	}
 	if got, want := cfg.Faults[0].Time, 6*time.Millisecond; time.Duration(got) != want {
 		t.Errorf("fault time = %v, want %v from the CLI plan", got, want)
+	}
+}
+
+// TestSpecPlanOverridesDefaultCrash pins the other half of the
+// precedence contract: without -faults or -no-fail, a spec-declared plan
+// replaces the default scenario's crash after checkpoint #2 instead of
+// running beside it.
+func TestSpecPlanOverridesDefaultCrash(t *testing.T) {
+	cfg, err := configOf("-spec", filepath.Join("testdata", "identity", "spec-plan.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := faultplan.Fault{Anchor: faultplan.AtCheckpointCommit, N: 1, Kind: faultplan.RankCrash, Delay: 10 * vtime.Microsecond}
+	if len(cfg.Faults) != 1 || cfg.Faults[0] != want {
+		t.Errorf("compiled faults = %+v, want only the spec's %+v", cfg.Faults, want)
 	}
 }
 
