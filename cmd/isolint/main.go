@@ -69,6 +69,7 @@ var lockFree = map[string]string{
 	"memsim.Region":       "immutable once handed out; layouts share them across the ranks of a run and the runs of a fleet",
 	"memsim.liveRegion":   "belongs to one AddressSpace; what it shares (its descriptor, frozen pages) is read-only",
 	"memsim.contents":     "a live region's private page table and dirtiness, written on every workload step",
+	"memsim.page":         "written in place only while one live region owns it, and no owned page outlives its run; a frozen page is shared read-only by descriptors and images",
 	"virtid.Table":        "per-rank, translated on every MPI call by the goroutine driving the rank",
 	"virtid.window":       "one kind's slots of a virtid.Table, written on every request post and wait",
 }

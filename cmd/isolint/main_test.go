@@ -146,7 +146,10 @@ type liveRegion struct {
 
 type contents struct{ dataLen uint64 }
 
-type Pool struct{ mu sync.Mutex }
+type page struct {
+	mu sync.Mutex
+	b  []byte
+}
 `,
 		"virtid/table.go": `package virtid
 
@@ -173,6 +176,7 @@ type window struct{ live int }
 		"memsim.AddressSpace:gen sa.Uint64",
 		"memsim.Region:guard *sync.Mutex",
 		"memsim.liveRegion:once sync.Once",
+		"memsim.page:mu sync.Mutex",
 		"netsim.Network:mu sync.Mutex",
 		"virtid.Table:memo atomic.Pointer[int]",
 		"vtime.Clock:mu sync.Mutex",

@@ -14,8 +14,9 @@
 // spec, takes one checkpoint at a fixed virtual time, one while
 // point-to-point traffic is in flight and one deliberately requested in
 // the middle of a collective (exercising the protocol's deferral path),
-// injects a failure after the second checkpoint commits, restarts from
-// the last image and runs to completion. Two consecutive invocations
+// injects a failure after the second checkpoint commits (the one-fault
+// plan faultplan.DefaultCrash), restarts from the last image and runs to
+// completion. Two consecutive invocations
 // with the same flags print byte-identical reports. With -spec overlap
 // the job instead splits MPI_COMM_WORLD into two staggered
 // sub-communicator layouts, so collectives on overlapping communicators
@@ -62,8 +63,7 @@
 // dimension lists (each defaulting to the corresponding single-run
 // flag's value, each entry parsed and range-checked as a value of that
 // flag) runs as a grid of complete simulations on a bounded worker pool
-// inside one process, sharing compiled scenario programs and a pool of
-// page buffers across runs. The output is a JSON aggregate with one
+// inside one process, sharing compiled scenario programs across runs. The output is a JSON aggregate with one
 // cell per run — its parameters, headline metrics and the FNV-64a hash
 // plus byte count of the report that run printed — and fleet totals
 // (runs, wall time, runs/sec, spec compiles). Cell hashes are
@@ -156,11 +156,6 @@ type opts struct {
 	cpuProfile string
 	memProfile string
 }
-
-// defaultFailAfter is the default scenario's crash: a failure injected
-// after the second checkpoint commits, unless -no-fail or a fault plan
-// says otherwise.
-const defaultFailAfter = 2
 
 // newFlagSet registers every manasim flag on a private FlagSet, bound to
 // o's fields. The defaults are the default scenario; the golden tests pin
@@ -422,7 +417,7 @@ func (o *opts) job() (fleet.Job, error) {
 			return j, fmt.Errorf("-faults %s: %w", o.faults, err)
 		}
 	case !o.noFail:
-		j.FailAfter = defaultFailAfter
+		j.Crash = true
 	}
 	j.Storage, err = o.storageSpec()
 	return j, err

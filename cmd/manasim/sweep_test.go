@@ -93,8 +93,8 @@ func TestBuildSweepDefaultsToSingleRunFlags(t *testing.T) {
 	if !reflect.DeepEqual(sw, want) {
 		t.Errorf("-sweep alone builds %+v, want the one default cell %+v", sw, want)
 	}
-	if sw.Base.FailAfter != defaultFailAfter {
-		t.Errorf("Base.FailAfter = %d, want %d", sw.Base.FailAfter, defaultFailAfter)
+	if !sw.Base.Crash {
+		t.Error("Base.Crash = false, want the default scenario's crash")
 	}
 }
 

@@ -133,20 +133,16 @@ type Config struct {
 	// second traced pass, which is now a second serial run.
 	Islands int
 	Workers int
+	// FailAtCheckpoint configures nothing: every failure is a fault in
+	// Faults, the default scenario's crash included
+	// (faultplan.DefaultCrash). It stays because bench/traced.go:259
+	// clears it beside Faults on its bare pass.
+	FailAtCheckpoint int
 	// Seed is the seed the programs were compiled with; the coordinator
 	// only prints it (the scheduler itself is deterministic).
 	Seed uint64
 	// Triggers are the scheduled checkpoint requests.
 	Triggers []Trigger
-	// FailAtCheckpoint, when non-zero, simulates a job failure FailDelay
-	// of virtual time after checkpoint number FailAtCheckpoint commits;
-	// Run then returns Failed and the caller restarts from the last
-	// image. The delay is virtual time, not scheduler iterations: under
-	// event dispatch "iterations" is not a meaningful unit. Internally it
-	// compiles to a one-fault plan appended to Faults — the declarative
-	// engine is the only failure machinery.
-	FailAtCheckpoint int
-	FailDelay        vtime.Duration
 	// Faults is the compiled fault plan: an ordered list of one-shot
 	// injections at named protocol points (faultplan.Compile output).
 	Faults []faultplan.Fault
@@ -161,34 +157,25 @@ type Config struct {
 	// past it. Zero or negative means unbounded. BaseConfig sets 8.
 	MaxRestarts int
 
-	// Scratch, when non-nil, is the page pool the run's ranks draw
-	// their full-size page buffers from and Coordinator.Release returns
-	// them to. Any number of concurrent runs may share one; pooled pages
-	// are zeroed, so a scratch-backed run is byte-identical to a cold
-	// one. Nil builds the ranks unpooled.
+	// Scratch configures nothing (see Scratch). It stays because
+	// bench/traced.go:86 sets it.
 	Scratch *Scratch
 }
 
 // BaseConfig returns the default cost-model parameters — bandwidths,
-// network, failure delay — without compiling any programs. The fleet
-// engine overlays ranks, programs and triggers on top; DefaultConfig adds
-// the default 8-rank workload for tests that want a complete runnable
-// config.
+// network, retained generations — without compiling any programs. The
+// fleet engine overlays ranks, programs, triggers and faults on top;
+// DefaultConfig adds the default 8-rank workload for tests that want a
+// complete runnable config.
 func BaseConfig() Config {
 	return Config{
-		Ranks:          8,
-		Personality:    kernelsim.Unpatched,
-		Virtid:         virtid.ImplSharded,
-		Net:            netsim.DefaultParams(),
-		Storage:        storage.DefaultConfig(),
-		FullImageEvery: 4,
-		Seed:           42,
-		// FailDelay is the deterministic mapping of the old scheduler's
-		// 25-iteration failure countdown: at the default workload
-		// granularity one full-scan iteration advanced virtual time by
-		// roughly one compute phase (~250us), so the failure lands a few
-		// application steps after the checkpoint commits.
-		FailDelay:         250 * vtime.Microsecond,
+		Ranks:             8,
+		Personality:       kernelsim.Unpatched,
+		Virtid:            virtid.ImplSharded,
+		Net:               netsim.DefaultParams(),
+		Storage:           storage.DefaultConfig(),
+		FullImageEvery:    4,
+		Seed:              42,
 		RetainGenerations: 2,
 		MaxRestarts:       8,
 	}
@@ -482,8 +469,7 @@ type Coordinator struct {
 	// is per run, so concurrent fleet runs never share queue state.
 	store *ckptstore.Store
 
-	// Fault-plan state: faults is the compiled plan (legacy
-	// FailAtCheckpoint appended as a one-fault plan), faultFired marks
+	// Fault-plan state: faults is the compiled plan, faultFired marks
 	// each as consumed (every fault is one-shot), and restartAttempts
 	// counts Restart calls (failed ones included) — the ordinal restart
 	// faults key on.
@@ -525,10 +511,6 @@ func New(cfg Config) *Coordinator {
 	for i := range world {
 		world[i] = i
 	}
-	var pool *memsim.Pool
-	if cfg.Scratch != nil {
-		pool = cfg.Scratch.mem
-	}
 	c := &Coordinator{
 		cfg: cfg,
 		net: netsim.New(cfg.Net),
@@ -548,23 +530,12 @@ func New(cfg Config) *Coordinator {
 		c.inCollComm[i] = -1
 	}
 	c.net.SetDeliveryScheduler(c)
-	// The fault plan: the FailAtCheckpoint/FailDelay pair compiles to a
-	// one-fault plan appended after the declarative faults, so the two
-	// mechanisms are one engine.
-	c.faults = append(c.faults, cfg.Faults...)
-	if cfg.FailAtCheckpoint > 0 {
-		c.faults = append(c.faults, faultplan.Fault{
-			Anchor: faultplan.AtCheckpointCommit,
-			N:      cfg.FailAtCheckpoint,
-			Kind:   faultplan.RankCrash,
-			Delay:  cfg.FailDelay,
-		})
-	}
+	c.faults = cfg.Faults
 	if len(c.faults) > 0 {
 		c.faultFired = make([]bool, len(c.faults))
 	}
 	for id := range c.ranks {
-		c.ranks[id] = rank.NewPooled(id, cfg.Personality, cfg.Virtid, cfg.Programs[id], pool)
+		c.ranks[id] = rank.New(id, cfg.Personality, cfg.Virtid, cfg.Programs[id])
 	}
 	c.seed()
 	return c

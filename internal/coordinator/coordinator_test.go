@@ -156,8 +156,7 @@ func TestRestartBitIdenticalToUncheckpointedRun(t *testing.T) {
 		{At: vtime.Time(1 * vtime.Millisecond)},
 		{At: vtime.Time(1 * vtime.Millisecond), MidCollective: true},
 	}
-	withCkpt.FailAtCheckpoint = 2
-	withCkpt.FailDelay = 100 * vtime.Microsecond
+	withCkpt.Faults = crashAfter(2, 100*vtime.Microsecond)
 
 	c := New(withCkpt)
 	outcome, err := c.Run()
@@ -211,8 +210,7 @@ func TestReportByteIdentical(t *testing.T) {
 			{At: vtime.Time(1 * vtime.Millisecond), InFlight: true},
 			{At: vtime.Time(1 * vtime.Millisecond), MidCollective: true},
 		}
-		cfg.FailAtCheckpoint = 3
-		cfg.FailDelay = 100 * vtime.Microsecond
+		cfg.Faults = crashAfter(3, 100*vtime.Microsecond)
 		c := New(cfg)
 		outcome, err := c.Run()
 		if err != nil {
@@ -259,13 +257,12 @@ func TestRestartDiscardsPendingRequests(t *testing.T) {
 		// collective past the failure time).
 		{At: 0, MidCollective: true},
 	}
-	cfg.FailAtCheckpoint = 1
 	// Checkpoint #1 commits at virtual time 0; ranks 1 and 2 enter the
 	// allreduce at exactly 1ms (after their compute phases) while rank 3
 	// is still blocked on its receive (the matching send only arrives at
 	// ~1.0035ms), so a failure at 1.001ms lands mid-collective with the
 	// deferred request still pending.
-	cfg.FailDelay = 1001 * vtime.Microsecond
+	cfg.Faults = crashAfter(1, 1001*vtime.Microsecond)
 	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
 		// Rank 3 blocks on a receive that rank 0 only satisfies after its
 		// own compute phase, so ranks 1 and 2 sit inside the allreduce —
@@ -403,8 +400,7 @@ func TestVirtidTableRebuiltDeterministicallyOnRestart(t *testing.T) {
 
 	cfg := base
 	cfg.Triggers = []Trigger{{At: 0, InFlight: true}}
-	cfg.FailAtCheckpoint = 1
-	cfg.FailDelay = 10 * vtime.Microsecond
+	cfg.Faults = crashAfter(1, 10*vtime.Microsecond)
 
 	c := New(cfg)
 	outcome, err := c.Run()

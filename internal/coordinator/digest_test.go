@@ -216,7 +216,7 @@ func TestOneFingerprintPassPerRun(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.Triggers = []Trigger{{At: vtime.Time(2 * vtime.Millisecond)}}
-	cfg.FailAtCheckpoint = 1
+	cfg.Faults = crashAfter(1, 250*vtime.Microsecond)
 	c = New(cfg)
 	if out, err := c.Run(); err != nil || out != Failed {
 		t.Fatalf("Run = %v, %v; want the injected failure", out, err)

@@ -185,8 +185,7 @@ func TestOverlapDrainCheckpointConsistentCut(t *testing.T) {
 
 	withCkpt := base
 	withCkpt.Triggers = []Trigger{{At: vtime.Time(500 * vtime.Microsecond), FormingColls: 2}}
-	withCkpt.FailAtCheckpoint = 1
-	withCkpt.FailDelay = 100 * vtime.Microsecond
+	withCkpt.Faults = crashAfter(1, 100*vtime.Microsecond)
 
 	c := New(withCkpt)
 	outcome, err := c.Run()
@@ -251,8 +250,7 @@ func TestRestartBeforeSplitsReplaysCommIDs(t *testing.T) {
 
 	withCkpt := base
 	withCkpt.Triggers = []Trigger{{At: 0}}
-	withCkpt.FailAtCheckpoint = 1
-	withCkpt.FailDelay = 50 * vtime.Microsecond
+	withCkpt.Faults = crashAfter(1, 50*vtime.Microsecond)
 
 	c := New(withCkpt)
 	outcome, err := c.Run()
@@ -430,8 +428,7 @@ func TestOverlapReportByteIdentical(t *testing.T) {
 			{At: vtime.Time(500 * vtime.Microsecond)},
 			{At: vtime.Time(500 * vtime.Microsecond), FormingColls: 2},
 		}
-		cfg.FailAtCheckpoint = 2
-		cfg.FailDelay = 100 * vtime.Microsecond
+		cfg.Faults = crashAfter(2, 100*vtime.Microsecond)
 		c := New(cfg)
 		outcome, err := c.Run()
 		if err != nil {

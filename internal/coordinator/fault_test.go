@@ -1,7 +1,6 @@
 package coordinator
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -49,13 +48,18 @@ func completeWithRecovery(t *testing.T, c *Coordinator) {
 	}
 }
 
+// crashAfter is the one-fault plan that crashes the job delay of
+// virtual time after checkpoint #n commits.
+func crashAfter(n int, delay vtime.Duration) []faultplan.Fault {
+	return []faultplan.Fault{{Anchor: faultplan.AtCheckpointCommit, N: n, Kind: faultplan.RankCrash, Delay: delay}}
+}
+
 // faultFreeFingerprint runs the same config without any fault plan and
 // returns its final application-state fingerprint — the recovery
 // contract's reference value.
 func faultFreeFingerprint(t *testing.T, cfg Config) uint64 {
 	t.Helper()
 	cfg.Faults = nil
-	cfg.FailAtCheckpoint = 0
 	c := New(cfg)
 	completeWithRecovery(t, c)
 	return c.FinalFingerprint()
@@ -247,34 +251,6 @@ func TestVirtualTimeFaultFiresOnce(t *testing.T) {
 	}
 	if got, want := c.FinalFingerprint(), faultFreeFingerprint(t, cfg); got != want {
 		t.Errorf("final fingerprint %016x differs from fault-free %016x", got, want)
-	}
-}
-
-// TestLegacyKnobMatchesPlanEquivalent pins the compatibility contract:
-// the FailAtCheckpoint/FailDelay pair and the two-line plan
-// faultplan.Legacy compiles to must produce byte-identical reports.
-func TestLegacyKnobMatchesPlanEquivalent(t *testing.T) {
-	run := func(mut func(*Config)) string {
-		cfg := faultConfig()
-		mut(&cfg)
-		c := New(cfg)
-		completeWithRecovery(t, c)
-		var buf bytes.Buffer
-		c.WriteReport(&buf)
-		return buf.String()
-	}
-	legacy := run(func(cfg *Config) {
-		cfg.FailAtCheckpoint = 2
-		cfg.FailDelay = 250 * vtime.Microsecond
-	})
-	plan := faultplan.Legacy(2, 250*vtime.Microsecond)
-	compiled, err := plan.Compile(8)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	declarative := run(func(cfg *Config) { cfg.Faults = compiled })
-	if legacy != declarative {
-		t.Errorf("legacy knob and its plan equivalent diverge:\n--- legacy\n%s\n--- plan\n%s", legacy, declarative)
 	}
 }
 

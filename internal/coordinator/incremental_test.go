@@ -89,8 +89,7 @@ func TestIncrementalRestartBitIdentical(t *testing.T) {
 			{At: vtime.Time(1 * vtime.Millisecond), MidCollective: true},
 			{At: vtime.Time(2500 * vtime.Microsecond)}, // fires only in the restarted timeline
 		}
-		cfg.FailAtCheckpoint = 3
-		cfg.FailDelay = 100 * vtime.Microsecond
+		cfg.Faults = crashAfter(3, 100*vtime.Microsecond)
 		return cfg
 	}
 
@@ -192,8 +191,7 @@ func TestFullImageCadence(t *testing.T) {
 func TestIncrementalReportByteIdentical(t *testing.T) {
 	run := func() string {
 		cfg := incrementalConfig(8, 12)
-		cfg.FailAtCheckpoint = 2
-		cfg.FailDelay = 100 * vtime.Microsecond
+		cfg.Faults = crashAfter(2, 100*vtime.Microsecond)
 		c := New(cfg)
 		outcome, err := c.Run()
 		if err != nil {

@@ -37,9 +37,9 @@ func TestDeferredMarkersMatchEager(t *testing.T) {
 		}
 		for _, ranks := range []int{3, 8} {
 			for _, incremental := range []bool{false, true} {
-				for _, failAfter := range []int{2, 0} {
+				for _, crash := range []bool{true, false} {
 					j := base
-					j.Spec, j.Ranks, j.FailAfter = spec, ranks, failAfter
+					j.Spec, j.Ranks, j.Crash = spec, ranks, crash
 					if incremental {
 						j.Incremental, j.FullEvery = true, 2
 					}
@@ -54,13 +54,13 @@ func TestDeferredMarkersMatchEager(t *testing.T) {
 	}
 	wrap := base
 	wrap.Spec, wrap.Ranks, wrap.Steps, wrap.CkptAt = stencil, 8, 2000, vtime.Time(800*vtime.Millisecond)
-	wrap.Incremental, wrap.FullEvery, wrap.FailAfter = true, 2, 2
+	wrap.Incremental, wrap.FullEvery, wrap.Crash = true, 2, true
 	jobs = append(jobs, wrap)
 
 	var checkpoints, restarts int
 	for i, j := range jobs {
-		name := fmt.Sprintf("%s ranks=%d steps=%d incremental=%v fail-after=%d",
-			j.Spec.Name, j.Ranks, j.Steps, j.Incremental, j.FailAfter)
+		name := fmt.Sprintf("%s ranks=%d steps=%d incremental=%v crash=%v",
+			j.Spec.Name, j.Ranks, j.Steps, j.Incremental, j.Crash)
 		eager := newRun(t, eng, j)
 		eager.OnDispatch(func(vtime.Time) {
 			for _, r := range eager.Ranks() {

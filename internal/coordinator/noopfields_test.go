@@ -9,10 +9,10 @@ import (
 	"mana/internal/vtime"
 )
 
-// The tests in this file pin the contract of Config.Islands and
-// Config.Workers: both configure nothing, so no value of either may
-// change a report byte or a final fingerprint. bench/traced.go sets
-// them on its second traced pass and compares the two reports.
+// The tests in this file pin the contract of Config.Islands,
+// Config.Workers and Config.FailAtCheckpoint: they configure nothing, so
+// no value of any of them may change a report byte or a final
+// fingerprint. bench/traced.go sets them on its later traced passes.
 
 // groupedPrograms builds a topology-grouped workload: ranks exchange in
 // a ring within their group, group leaders exchange with the
@@ -100,7 +100,7 @@ func TestIslandPartitionInvariance(t *testing.T) {
 
 	ckpt := DefaultConfig()
 	ckpt.Triggers = []Trigger{{At: vtime.Time(300 * vtime.Microsecond)}}
-	ckpt.FailAtCheckpoint = 1
+	ckpt.Faults = crashAfter(1, 250*vtime.Microsecond)
 	wantReport, wantFP = runToCompletion(t, ckpt)
 	ckpt.Islands = 4
 	report, fp := runToCompletion(t, ckpt)
@@ -149,8 +149,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 func TestWorkerDeterminismWithCheckpointRestart(t *testing.T) {
 	base := groupedConfig(64, 8, 8, 1, 10, true)
 	base.Triggers = []Trigger{{At: vtime.Time(20 * vtime.Microsecond)}}
-	base.FailAtCheckpoint = 1
-	base.FailDelay = 100 * vtime.Microsecond
+	base.Faults = crashAfter(1, 100*vtime.Microsecond)
 	wantReport, wantFP := runToCompletion(t, base)
 	par := base
 	par.Workers = 4
@@ -216,5 +215,19 @@ func TestFaultPlanDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if serialFP != otherFP {
 		t.Errorf("fingerprints differ: 0/1 %016x, 8/4 %016x", serialFP, otherFP)
+	}
+}
+
+// TestFailAtCheckpointIsInert: FailAtCheckpoint injects no failure into a
+// fault-free job and adds none to a job that already crashes.
+func TestFailAtCheckpointIsInert(t *testing.T) {
+	for _, faults := range [][]faultplan.Fault{nil, crashAfter(1, 250*vtime.Microsecond)} {
+		cfg := faultConfig()
+		cfg.Faults = faults
+		wantReport, wantFP := runToCompletion(t, cfg)
+		cfg.FailAtCheckpoint = 2
+		if report, fp := runToCompletion(t, cfg); report != wantReport || fp != wantFP {
+			t.Errorf("faults=%v: FailAtCheckpoint=2 changed the run:\n--- with\n%s\n--- without\n%s", faults, report, wantReport)
+		}
 	}
 }

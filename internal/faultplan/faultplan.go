@@ -10,8 +10,8 @@
 // standalone JSON document via the -faults CLI flag. Validation follows the
 // scenario engine's named-field error style: every error names the exact
 // offending field, e.g. `faultplan: faults[1].pages: must be at least 1 for
-// kind "page-corruption"`. The legacy Config.FailAtCheckpoint/FailDelay
-// pair is expressible as a two-line plan via Legacy.
+// kind "page-corruption"`. The default scenario's crash is one such plan,
+// DefaultCrash.
 package faultplan
 
 import (
@@ -29,7 +29,7 @@ type Anchor int
 
 const (
 	// AtCheckpointCommit fires Delay after checkpoint #N commits — the
-	// legacy FailAtCheckpoint/FailDelay failure point.
+	// default scenario's failure point (DefaultCrash).
 	AtCheckpointCommit Anchor = iota
 	// AtDrainStart fires Delay after the drain for upcoming checkpoint #N
 	// begins, killing the job while the topo-ordered drain plan is still
@@ -330,15 +330,11 @@ func (p *Plan) Compile(ranks int) ([]Fault, error) {
 	return out, nil
 }
 
-// Legacy expresses the historical Config.FailAtCheckpoint/FailDelay pair as
-// a plan: one rank crash, delay after checkpoint #n commits.
-func Legacy(n int, delay vtime.Duration) Plan {
-	return Plan{Faults: []Spec{{
-		At:    "checkpoint-commit",
-		N:     n,
-		Kind:  "rank-crash",
-		Delay: time.Duration(delay).String(),
-	}}}
+// DefaultCrash is the default scenario's failure: one rank crash 250us
+// of virtual time after checkpoint #2 commits, so later triggers may
+// commit more checkpoints before it fires.
+func DefaultCrash() *Plan {
+	return &Plan{Faults: []Spec{{At: "checkpoint-commit", N: 2, Kind: "rank-crash", Delay: "250us"}}}
 }
 
 // parseAnchor resolves an anchor spelling, including the optional

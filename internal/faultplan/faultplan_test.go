@@ -182,8 +182,10 @@ func TestHopQualifierRejections(t *testing.T) {
 	}
 }
 
-func TestLegacyPlanRoundTrips(t *testing.T) {
-	p := Legacy(2, 250*vtime.Microsecond)
+// TestDefaultCrashCompiles pins the default scenario's crash: one rank
+// crash 250us after checkpoint #2 commits.
+func TestDefaultCrashCompiles(t *testing.T) {
+	p := DefaultCrash()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -196,6 +198,6 @@ func TestLegacyPlanRoundTrips(t *testing.T) {
 	}
 	f := fs[0]
 	if f.Anchor != AtCheckpointCommit || f.N != 2 || f.Kind != RankCrash || f.Delay != 250*vtime.Microsecond {
-		t.Errorf("legacy fault compiled wrong: %+v", f)
+		t.Errorf("default crash compiled wrong: %+v", f)
 	}
 }

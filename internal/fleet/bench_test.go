@@ -41,13 +41,13 @@ func benchJob(b *testing.B) (*Engine, coordinator.Config) {
 // BenchmarkFleetThroughput measures the fleet engine end to end:
 // complete simulations per second at pool widths 1, 4 and 8 (runs/sec,
 // higher is better), plus allocations per run warm (shared engine,
-// pooled page buffers) versus cold (fresh engine every run), which prices
-// what the pooling buys.
+// cached compiled programs) versus cold (fresh engine every run), which
+// prices what the compile cache buys.
 func BenchmarkFleetThroughput(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			e, cfg := benchJob(b)
-			for i := 0; i < workers+1; i++ { // warm the page pool and compile cache
+			for i := 0; i < workers+1; i++ { // warm the compile cache
 				if _, err := e.Run(cfg, nil); err != nil {
 					b.Fatal(err)
 				}

@@ -3,24 +3,17 @@
 // one-run CLI.
 //
 // The Engine is the multi-run core. Each run is fully isolated: a
-// coordinator, its ranks, network and queues share no mutable state
-// with any other run (the isolation lint in cmd/isolint keeps the
-// audit honest — no package-level mutable state exists under
-// internal/). What runs DO share is page buffers and compiled inputs:
-//
-//   - one coordinator.Scratch, whose locked page pool every run's ranks
-//     draw full-size page buffers from and return them to when the run
-//     retires. A pooled page is zeroed, so a warm run is byte-identical
-//     to a cold one. Everything else a run uses — event-queue lanes,
-//     per-rank slices, rendezvous instances — it allocates for itself;
-//   - a keyed compile cache shares scenario programs: a spec compiled
-//     for a given (spec, ranks, steps, seed, group) is compiled once.
-//     What it holds is small — one rank-parametric op stream per class
-//     of ranks and a slice header per rank, not a copy per rank — and
-//     read-only: a rank reads the op under its pc in place, resolving
-//     its rank-dependent values by value (scenario.Op.Scalars), and
-//     writes nothing back, so any number of concurrent runs can execute
-//     the same compiled workload.
+// coordinator, its ranks, network, queues and page buffers share no
+// mutable state with any other run (the isolation lint in cmd/isolint
+// keeps the audit honest — no package-level mutable state exists under
+// internal/). What runs DO share is compiled inputs: a keyed compile
+// cache shares scenario programs, so a spec compiled for a given (spec,
+// ranks, steps, seed, group) is compiled once. What it holds is small —
+// one rank-parametric op stream per class of ranks and a slice header
+// per rank, not a copy per rank — and read-only: a rank reads the op
+// under its pc in place, resolving its rank-dependent values by value
+// (scenario.Op.Scalars), and writes nothing back, so any number of
+// concurrent runs can execute the same compiled workload.
 //
 // Spec compilation itself is serialised under the engine lock:
 // scenario.Spec.Compile re-validates its receiver in place (parsed
@@ -73,15 +66,13 @@ type Job struct {
 	Virtid virtid.Impl
 	// CkptAt anchors the spec's checkpoint policy in virtual time.
 	CkptAt vtime.Time
-	// FailAfter is the default scenario's crash: a failure injected the
-	// coordinator's FailDelay after this checkpoint commits (0 = never);
-	// the engine's Run restarts and completes the job. Any other failure
-	// is a fault plan.
-	FailAfter int
+	// Crash asks for the default scenario's failure
+	// (faultplan.DefaultCrash) when neither Faults nor the spec declares
+	// a plan; the engine's Run restarts and completes the job.
+	Crash bool
 	// Faults, when non-nil, is a declarative fault plan that replaces
-	// FailAfter (and any plan the spec itself declares).
-	// It is compiled per job because rank counts vary across sweep
-	// cells.
+	// any plan the spec itself declares and the default crash. It is
+	// compiled per job because rank counts vary across sweep cells.
 	Faults      *faultplan.Plan
 	Incremental bool
 	FullEvery   int
@@ -133,29 +124,23 @@ type compileKey struct {
 	seed         uint64
 }
 
-// Engine runs simulations with cross-run reuse of page buffers and
-// compiled specs. The zero Engine is not usable; call NewEngine. An
-// Engine is safe for concurrent use; specs handed to it (via Job.Spec
-// or LoadSpec) must not be compiled or mutated outside the engine while
-// it runs.
+// Engine runs simulations with cross-run reuse of compiled specs. The
+// zero Engine is not usable; call NewEngine. An Engine is safe for
+// concurrent use; specs handed to it (via Job.Spec or LoadSpec) must not
+// be compiled or mutated outside the engine while it runs.
 type Engine struct {
 	mu       sync.Mutex
 	specs    map[string]*scenario.Spec
 	compiled map[compileKey][]scenario.Program
 	compiles uint64
-
-	// scratch is the page pool every run shares, concurrent runs
-	// included.
-	scratch *coordinator.Scratch
 }
 
-// NewEngine returns an empty engine: the first run on it allocates and
-// compiles cold, later runs reuse.
+// NewEngine returns an empty engine: the first run of a compile key
+// compiles cold, later runs reuse its programs.
 func NewEngine() *Engine {
 	return &Engine{
 		specs:    make(map[string]*scenario.Spec),
 		compiled: make(map[compileKey][]scenario.Program),
-		scratch:  coordinator.NewScratch(),
 	}
 }
 
@@ -267,10 +252,12 @@ func (e *Engine) Config(j Job) (coordinator.Config, error) {
 	cfg.FullImageEvery = j.FullEvery
 	cfg.Programs = progs
 	cfg.Triggers = triggers(j.Spec.Checkpoints, j.CkptAt)
-	cfg.FailAtCheckpoint = j.FailAfter
 	plan := j.Faults
 	if plan == nil {
 		plan = j.Spec.Faults
+	}
+	if plan == nil && j.Crash {
+		plan = faultplan.DefaultCrash()
 	}
 	if plan != nil {
 		faults, err := plan.Compile(cfg.Ranks)
@@ -278,9 +265,6 @@ func (e *Engine) Config(j Job) (coordinator.Config, error) {
 			return coordinator.Config{}, err
 		}
 		cfg.Faults = faults
-		// A declarative plan owns failure injection outright; FailAfter
-		// is suppressed rather than layered on top.
-		cfg.FailAtCheckpoint = 0
 		if plan.MaxRestarts > 0 {
 			cfg.MaxRestarts = plan.MaxRestarts
 		}
@@ -303,14 +287,12 @@ func (e *Engine) Config(j Job) (coordinator.Config, error) {
 // Run executes one configuration to completion — including any injected
 // failure and the restarts that recover from it — streaming the full
 // deterministic output (restart notices followed by the report) into w.
-// A nil w discards the output. The run draws its page buffers from the
-// engine's Scratch and returns the ones it still owns when it completes;
-// concurrent Runs are safe and share that Scratch.
+// A nil w discards the output. Concurrent Runs are safe: each allocates
+// its own storage.
 func (e *Engine) Run(cfg coordinator.Config, w io.Writer) (Result, error) {
 	if w == nil {
 		w = io.Discard
 	}
-	cfg.Scratch = e.scratch
 	c := coordinator.New(cfg)
 	outcome, err := c.Run()
 	if err != nil {
@@ -363,7 +345,6 @@ func (e *Engine) Run(cfg coordinator.Config, w io.Writer) (Result, error) {
 		}
 		res.LostWork += rr.LostWork
 	}
-	c.Release()
 	return res, nil
 }
 

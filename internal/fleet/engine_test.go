@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mana/internal/coordinator"
+	"mana/internal/faultplan"
 	"mana/internal/scenario"
 	"mana/internal/virtid"
 	"mana/internal/vtime"
@@ -16,7 +17,7 @@ import (
 
 // testJob is the default-shaped job the fleet tests run: the same
 // parameters cmd/manasim's defaults select, including the injected
-// failure and restart, so the pooled paths cross the full protocol.
+// failure and restart, so the shared paths cross the full protocol.
 func testJob(spec *scenario.Spec, incremental bool) Job {
 	return Job{
 		Spec:        spec,
@@ -25,14 +26,13 @@ func testJob(spec *scenario.Spec, incremental bool) Job {
 		Seed:        42,
 		Virtid:      virtid.ImplSharded,
 		CkptAt:      vtime.Time(5 * time.Millisecond),
-		FailAfter:   2,
+		Crash:       true,
 		Incremental: incremental,
 		FullEvery:   4,
 	}
 }
 
-// standalone runs a job's config cold — fresh coordinator, no scratch,
-// no engine — and returns the exact bytes a standalone manasim run
+// standalone runs a job's config cold — fresh coordinator, no engine — and returns the exact bytes a standalone manasim run
 // prints. The spec is loaded and compiled independently of any engine
 // so the reference shares nothing with the code under test.
 func standalone(t *testing.T, name string, incremental bool) string {
@@ -53,7 +53,9 @@ func standalone(t *testing.T, name string, incremental bool) string {
 	cfg.FullImageEvery = j.FullEvery
 	cfg.Programs = progs
 	cfg.Triggers = triggers(spec.Checkpoints, j.CkptAt)
-	cfg.FailAtCheckpoint = j.FailAfter
+	if j.Crash {
+		cfg.Faults = []faultplan.Fault{{Anchor: faultplan.AtCheckpointCommit, N: 2, Kind: faultplan.RankCrash, Delay: 250 * vtime.Microsecond}}
+	}
 
 	var out bytes.Buffer
 	c := coordinator.New(cfg)
@@ -80,9 +82,9 @@ func standalone(t *testing.T, name string, incremental bool) string {
 // whole spec library: every library spec — checkpoint, failure and
 // restart cells included, plain and incremental — run concurrently on
 // one shared engine must print byte for byte what a cold standalone
-// run prints, across repeated rounds so warm-pool runs are covered
-// too. Run under -race this is also the data-race audit of the pooled
-// state.
+// run prints, across repeated rounds so runs on a warm compile cache are
+// covered too. Run under -race this is also the data-race audit of the
+// shared state.
 func TestFleetConcurrentByteIdentical(t *testing.T) {
 	type cell struct {
 		name        string
@@ -97,7 +99,7 @@ func TestFleetConcurrentByteIdentical(t *testing.T) {
 	}
 
 	e := NewEngine()
-	const rounds = 3 // round 1 exercises cold pools, later rounds warm ones
+	const rounds = 3 // round 1 compiles cold, later rounds hit the cache
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		errs := make([]error, len(cells))
@@ -136,10 +138,10 @@ func TestFleetConcurrentByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetWarmPoolAllocsLess pins the perf claim behind the page pool:
-// a warm run on a used engine must allocate measurably less than the
-// cold first run. Page buffers are the only storage recycled from run
-// to run, so the saving is theirs.
+// TestFleetWarmPoolAllocsLess pins the perf claim behind the compile
+// cache: a warm run on a used engine must allocate measurably less than
+// the cold first run. Compiled programs are the only thing reused from
+// run to run, so the saving is theirs.
 func TestFleetWarmPoolAllocsLess(t *testing.T) {
 	spec, err := scenario.Load("default")
 	if err != nil {
@@ -147,8 +149,6 @@ func TestFleetWarmPoolAllocsLess(t *testing.T) {
 	}
 	e := NewEngine()
 	job := testJob(spec, false)
-	// Long enough for every rank to fill state pages end to end: only
-	// full-size page buffers go through the pool.
 	job.Steps = 400
 	// TotalAlloc is monotonic, so no GC fencing is needed.
 	measure := func() uint64 {
@@ -187,7 +187,7 @@ func TestFleetThroughputScales(t *testing.T) {
 	job := testJob(spec, false)
 	job.Ranks = 512
 	job.Steps = 10
-	job.FailAfter = 0
+	job.Crash = false
 	cfg, err := e.Config(job)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestFleetThroughputScales(t *testing.T) {
 		wg.Wait()
 		return time.Since(start)
 	}
-	batch(4, 8) // warm the compile cache and page pool before timing
+	batch(4, 8) // warm the compile cache before timing
 	serial := batch(1, 16)
 	parallel := batch(4, 16)
 	speedup := float64(serial) / float64(parallel)
@@ -239,7 +239,7 @@ func TestSweepAggregateStableAcrossPoolWidths(t *testing.T) {
 		Base: Job{
 			Steps:     10,
 			Seed:      42,
-			FailAfter: 2,
+			Crash:     true,
 			FullEvery: 4,
 		},
 	}
@@ -268,7 +268,7 @@ func TestSweepAggregateStableAcrossPoolWidths(t *testing.T) {
 			t.Errorf("cell %d carries no report fingerprint: %+v", i, a)
 		}
 		if a.Restarts == 0 {
-			t.Errorf("cell %d took no restart despite FailAfter=2: %+v", i, a)
+			t.Errorf("cell %d took no restart despite Crash: %+v", i, a)
 		}
 	}
 	// 2 specs x 2 rank counts = 4 compile keys, each compiled once no

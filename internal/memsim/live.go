@@ -242,19 +242,10 @@ func (a *AddressSpace) writable(m *contents, idx, need int) []byte {
 		m.owned[idx/64] |= 1 << (uint(idx) % 64)
 	}
 	was := p.buf()
-	fresh := a.newPage(bufClass(max(need, len(was))))
+	fresh := newPage(bufClass(max(need, len(was))))
 	copy(fresh.b, was)
 	m.pages[idx] = fresh
 	return fresh.b
-}
-
-// newPage returns an owned page with a zeroed buffer of the given
-// length, a full-size one recycled from the pool when one is attached.
-func (a *AddressSpace) newPage(size int) *page {
-	if size == PageSize && a.pool != nil {
-		return a.pool.get()
-	}
-	return newPage(size)
 }
 
 // Layout is an immutable memory map — the regions of both halves with
@@ -276,7 +267,7 @@ type Layout struct {
 // being used, or be dropped.
 func (a *AddressSpace) Layout() *Layout {
 	l := &Layout{space: *a}
-	l.space.pool, l.space.lastWrite, l.space.gen, l.space.postRestart = nil, nil, 0, false
+	l.space.lastWrite, l.space.gen, l.space.postRestart = nil, 0, false
 	for half, list := range a.regions {
 		descs := make([]Region, len(list))
 		proto := make([]liveRegion, len(list))
@@ -291,11 +282,9 @@ func (a *AddressSpace) Layout() *Layout {
 
 // NewSpace returns an address space holding the layout's mappings: the
 // space that making the same Mmap calls on a fresh one would build, for
-// one allocation of region state. Its page buffers are drawn from (and
-// returned to, via Release) the given pool, which may be nil.
-func (l *Layout) NewSpace(pool *Pool) *AddressSpace {
+// one allocation of region state.
+func (l *Layout) NewSpace() *AddressSpace {
 	a := l.space
-	a.pool = pool
 	upper, lower := a.regions[UpperHalf], a.regions[LowerHalf]
 	all := make([]liveRegion, len(upper)+len(lower))
 	copy(all, upper)
@@ -309,8 +298,8 @@ func (l *Layout) NewSpace(pool *Pool) *AddressSpace {
 // Bootstrap returns a fresh address space holding only the layout's
 // lower half: the bootstrap program a restart begins in, before
 // RestoreUpperHalf maps a checkpoint image over it.
-func (l *Layout) Bootstrap(pool *Pool) *AddressSpace {
-	a := NewAddressSpacePooled(pool)
+func (l *Layout) Bootstrap() *AddressSpace {
+	a := NewAddressSpace()
 	a.regions[LowerHalf] = slices.Clone(l.space.regions[LowerHalf])
 	a.nextLower = l.space.nextLower
 	return a

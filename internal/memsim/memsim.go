@@ -180,9 +180,8 @@ const (
 // driving that rank's job: its event loop, capture, restore and
 // fingerprint. It therefore carries
 // no lock, and cmd/isolint rejects a sync or atomic field on it, on
-// Region or on its live regions. What ranks do share is the Pool behind
-// their page buffers, which is locked, and Region descriptors and frozen
-// pages, which are immutable.
+// Region or on its live regions. What ranks do share is Region
+// descriptors and frozen pages, which are immutable.
 type AddressSpace struct {
 	// regions holds each half's regions in ascending address order.
 	// Addresses are handed out monotonically per half, so a new mapping
@@ -198,9 +197,6 @@ type AddressSpace struct {
 	// gen counts committed snapshot generations (CommitUpperHalf and
 	// CommitUpperHalfDelta); deltas are always relative to generation gen.
 	gen uint64
-	// pool optionally recycles owned page buffers across address-space
-	// lifetimes (see Pool); nil means plain allocation.
-	pool *Pool
 	// lastWrite is the live region the previous Write resolved its address
 	// to, tried before the search: a workload step writes the same region
 	// over and over. Nil after anything that adds regions to the space or
@@ -211,48 +207,12 @@ type AddressSpace struct {
 // NewAddressSpace returns an empty address space with MANA's sbrk
 // interposition enabled (the default when running under MANA).
 func NewAddressSpace() *AddressSpace {
-	return NewAddressSpacePooled(nil)
-}
-
-// NewAddressSpacePooled returns an empty address space whose page
-// buffers are drawn from (and returned to, via Release) the given pool.
-// A nil pool is equivalent to NewAddressSpace.
-func NewAddressSpacePooled(pool *Pool) *AddressSpace {
 	return &AddressSpace{
 		nextUpper: upperBase,
 		nextLower: lowerBase,
 		brkBase:   upperBase,
 		brk:       upperBase,
 		sbrkInter: true,
-		pool:      pool,
-	}
-}
-
-// Release returns every page buffer a live region still owns to the
-// attached pool and empties the address space. Frozen pages are never
-// recycled — committed checkpoint images reference them and must stay
-// immutable — and buffers shorter than a page are left to the allocator.
-// The space must not be used after Release; callers that
-// captured Regions()/Lookup() copies keep them (those are deep copies).
-// Without an attached pool Release only empties the space.
-func (a *AddressSpace) Release() {
-	a.lastWrite = nil
-	for half := range a.regions {
-		if a.pool != nil {
-			for _, r := range a.regions[half] {
-				m := r.mut
-				if m == nil {
-					continue
-				}
-				for i, p := range m.pages {
-					if p != nil && len(p.b) == PageSize && m.owned.test(i) {
-						a.pool.put(p)
-					}
-				}
-				m.pages = nil
-			}
-		}
-		a.regions[half] = nil
 	}
 }
 

@@ -487,13 +487,6 @@ func TestWriteAfterRegionLeaves(t *testing.T) {
 		a.SbrkShrink(PageSize)
 		unmapped(t, a, r.Addr)
 	})
-	t.Run("Release", func(t *testing.T) {
-		a := NewAddressSpacePooled(NewPool())
-		r := a.Mmap("x", UpperHalf, KindData, PageSize)
-		warm(t, a, r.Addr)
-		a.Release()
-		unmapped(t, a, r.Addr)
-	})
 	t.Run("RestoreUpperHalf", func(t *testing.T) {
 		a := NewAddressSpace()
 		r := a.Mmap("x", UpperHalf, KindData, PageSize)

@@ -27,13 +27,12 @@ import (
 // PageSize.
 //
 // A page is in one of two states. It is owned while exactly one live
-// region references it: that region's owned bit is set, writes inside
-// the buffer go to it in place and Release may hand a full-size one to
-// the Pool. It is frozen once any capture has shared it — with a
-// snapshot, a delta, the region's committed base, a layout or a restored
-// space: nothing writes to it again, the next write to that page copies
-// its prefix first, and it is never pooled. Snapshot and delta values
-// reference frozen pages only.
+// region references it: that region's owned bit is set and writes inside
+// the buffer go to it in place. It is frozen once any capture has shared
+// it — with a snapshot, a delta, the region's committed base, a layout
+// or a restored space: nothing writes to it again and the next write to
+// that page copies its prefix first. Snapshot and delta values reference
+// frozen pages only.
 type page struct {
 	b []byte
 }

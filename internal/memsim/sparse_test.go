@@ -386,11 +386,10 @@ func (p *program) next() int {
 // the newest retained image of each (a full snapshot, kept current by
 // overlaying every delta onto it the way a restart would).
 type harness struct {
-	t    *testing.T
-	p    *program
-	pool *Pool
-	a    *AddressSpace
-	m    *flatSpace
+	t *testing.T
+	p *program
+	a *AddressSpace
+	m *flatSpace
 
 	img      Snapshot
 	flatImg  flatSnap
@@ -737,10 +736,9 @@ func (h *harness) lowerHalfRestart() {
 // with another one built from the layout (nothing committed, all dirty).
 func (h *harness) relayout() {
 	l := h.a.Layout()
-	h.twin, h.twinFlat = l.NewSpace(nil), h.m.snapshot(false)
+	h.twin, h.twinFlat = l.NewSpace(), h.m.snapshot(false)
 	if h.p.next()%2 == 0 {
-		h.a.Release()
-		h.a = l.NewSpace(h.pool)
+		h.a = l.NewSpace()
 		h.m.relayout()
 		h.hasDelta = false
 	}
@@ -798,7 +796,7 @@ func (h *harness) sameSnapshot(what string, s Snapshot, f flatSnap) {
 
 // check compares the live space with the model region by region, and the
 // retained image with the model's: an image must survive whatever the
-// live space and the pool did since it was taken.
+// live space did since it was taken.
 func (h *harness) check() {
 	h.t.Helper()
 	live := h.a.Regions()
@@ -835,7 +833,7 @@ func (h *harness) check() {
 	}
 	// The retained captures were compared with the model when they were
 	// taken; their hash memos now detect any later change to a page they
-	// share with the live space or the pool.
+	// share with the live space.
 	for _, s := range []Snapshot{h.img, h.peek} {
 		if _, err := s.Verify(); err != nil {
 			h.failf("a retained capture changed after it was taken: %v", err)
@@ -974,19 +972,18 @@ func (h *harness) corrupt() {
 }
 
 // restore rebuilds the space from the retained image the way rank.Restore
-// does: the dead space's pages go back to the pool, a fresh space — empty,
-// or the bootstrap of a layout, with its lower half — maps the image. The
-// image itself must come through intact (check, every step).
+// does: a fresh space — empty, or the bootstrap of a layout, with its
+// lower half — maps the image. The image itself must come through intact
+// (check, every step).
 func (h *harness) restore() {
 	if !h.hasImg {
 		return
 	}
 	bootstrap := h.p.next()%2 == 0
-	fresh := NewAddressSpacePooled(h.pool)
+	fresh := NewAddressSpace()
 	if bootstrap {
-		fresh = h.a.Layout().Bootstrap(h.pool)
+		fresh = h.a.Layout().Bootstrap()
 	}
-	h.a.Release()
 	h.a = fresh
 	h.a.RestoreUpperHalf(h.img)
 	h.m.restore(h.flatImg, bootstrap)
@@ -998,10 +995,9 @@ func (h *harness) restore() {
 
 // runDifferential interprets prog against both representations.
 func runDifferential(t *testing.T, prog []byte) {
-	pool := NewPool()
 	h := &harness{
-		t: t, p: &program{b: prog}, pool: pool,
-		a: NewAddressSpacePooled(pool), m: &flatSpace{brk: upperBase},
+		t: t, p: &program{b: prog},
+		a: NewAddressSpace(), m: &flatSpace{brk: upperBase},
 	}
 	for ; !h.p.done() && h.step < 300; h.step++ {
 		switch op := h.p.next() % 25; op {
@@ -1257,8 +1253,7 @@ func TestDenseWriteAllocatesOnce(t *testing.T) {
 // buffer, inside it, or fills the page — and the live space sees its own
 // writes.
 func TestFrozenShortPageNeverGrownInPlace(t *testing.T) {
-	pool := NewPool()
-	a := NewAddressSpacePooled(pool)
+	a := NewAddressSpace()
 	state := a.MmapZero("app.state", UpperHalf, KindData, 64<<10)
 	mustWrite(t, a, state.Addr, 0, marker(0))
 	img := a.CommitUpperHalf()
@@ -1273,13 +1268,6 @@ func TestFrozenShortPageNeverGrownInPlace(t *testing.T) {
 	}
 	if _, err := img.Verify(); err != nil || img.Fingerprint() != fp {
 		t.Errorf("image damaged by writes after the commit: %v", err)
-	}
-	a.Release()
-	if n := len(pool.free); n != 1 {
-		t.Fatalf("Release pooled %d pages, want the one full-size page written since the commit", n)
-	}
-	if pool.free[0] == frozen {
-		t.Fatal("Release pooled the page the image holds")
 	}
 }
 
@@ -1304,7 +1292,7 @@ func TestLayoutSharedAcrossGoroutines(t *testing.T) {
 			}
 		}
 		img := a.CommitUpperHalf()
-		b := l.Bootstrap(nil)
+		b := l.Bootstrap()
 		b.RestoreUpperHalf(img)
 		if err := b.Write(state, 512, marker(99)); err != nil {
 			panic(err)
@@ -1326,7 +1314,7 @@ func TestLayoutSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = work(l.NewSpace(nil))
+			got[g] = work(l.NewSpace())
 		}()
 	}
 	wg.Wait()
@@ -1335,33 +1323,7 @@ func TestLayoutSharedAcrossGoroutines(t *testing.T) {
 			t.Errorf("space %d built from the shared layout ends at %016x, one built by Mmap calls at %016x", g, fp, want)
 		}
 	}
-	if l.NewSpace(nil).Fingerprint() != proto.Fingerprint() {
+	if l.NewSpace().Fingerprint() != proto.Fingerprint() {
 		t.Error("the layout changed while spaces built from it were written")
-	}
-}
-
-// TestFrozenPagesNeverPooled: after a commit the image shares the live
-// space's pages, so Release must hand the pool only pages written since —
-// and reusing those must leave the image intact.
-func TestFrozenPagesNeverPooled(t *testing.T) {
-	pool := NewPool()
-	a := NewAddressSpacePooled(pool)
-	r := a.MmapWithData("state", UpperHalf, KindData, bytes.Repeat([]byte{7}, 3*PageSize))
-	img := a.CommitUpperHalf()
-	fp := img.Fingerprint()
-	mustWrite(t, a, r.Addr, PageSize, []byte{9}) // copies page 1; pages 0 and 2 stay shared
-	a.Release()
-	if n := len(pool.free); n != 1 {
-		t.Fatalf("Release pooled %d pages, want only the one written since the commit", n)
-	}
-	pg := pool.get()
-	for i := range pg.b {
-		pg.b[i] = 0xEE
-	}
-	if pages, err := img.Verify(); err != nil || pages != 3 || img.Fingerprint() != fp {
-		t.Fatalf("image damaged by recycling: %d pages, %v", pages, err)
-	}
-	if !bytes.Equal(flat(&img.Regions[0]), bytes.Repeat([]byte{7}, 3*PageSize)) {
-		t.Fatal("image contents changed")
 	}
 }

@@ -205,11 +205,8 @@ type Rank struct {
 	// clock, kernel and vt are held by value: three small per-rank
 	// objects that would otherwise each be a heap allocation. The zero
 	// clock reads time 0.
-	clock vtime.Clock
-	mem   *memsim.AddressSpace
-	// pool, when non-nil, backs mem's page buffers; Restore threads it
-	// into the rebuilt address space and ReleaseMem recycles into it.
-	pool   *memsim.Pool
+	clock  vtime.Clock
+	mem    *memsim.AddressSpace
 	kernel kernelsim.Kernel
 	script scenario.Program
 	pc     int
@@ -295,19 +292,9 @@ const (
 // virtualisation table exactly as MANA wraps MPI_Init: the application
 // only ever sees their virtual ids.
 func New(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program) *Rank {
-	return NewPooled(id, personality, impl, script, nil)
-}
-
-// NewPooled is New with the rank's address-space page buffers drawn
-// from (and, via ReleaseMem, returned to) a shared memsim.Pool. A nil
-// pool is equivalent to New. Pooled allocation is invisible to the
-// simulation: pages come out zeroed, exactly like fresh ones, so a
-// pooled rank's run is bit-identical to an unpooled one.
-func NewPooled(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program, pool *memsim.Pool) *Rank {
 	r := &Rank{
 		id:     id,
-		mem:    splitProcess.NewSpace(pool),
-		pool:   pool,
+		mem:    splitProcess.NewSpace(),
 		kernel: *kernelsim.NewForTable(personality, impl),
 		script: script,
 		vt:     virtid.New(impl),
@@ -955,11 +942,9 @@ func (r *Rank) RestoreFrom(img *Image) {
 	// fresh one, exactly as the real bootstrap does. Rebuilding from
 	// scratch also keeps the mmap allocation cursor bit-identical to an
 	// uncheckpointed run, so replayed allocations land at the same
-	// addresses. The pages the dead space still owned go back to the pool
-	// first — nothing else references them (images hold frozen pages) —
-	// and the restored space shares the image's pages rather than copying.
-	r.mem.Release()
-	r.mem = splitProcess.Bootstrap(r.pool)
+	// addresses. The restored space shares the image's pages rather than
+	// copying them.
+	r.mem = splitProcess.Bootstrap()
 	r.mem.RestoreUpperHalf(img.Mem)
 	// The virtualisation table is rebuilt from the image, exactly as MANA
 	// repopulates it after the fresh lower half comes up: virtual ids live
@@ -980,11 +965,4 @@ func (r *Rank) RestoreFrom(img *Image) {
 	r.state = Running
 	r.inbox = slices.Clone(img.Inbox)
 	r.stats = img.Stats
-}
-
-// ReleaseMem returns the rank's owned page buffers to the pool it was
-// built with (a no-op for unpooled ranks). The rank must not be used
-// afterwards; a fleet engine calls this when its run retires.
-func (r *Rank) ReleaseMem() {
-	r.mem.Release()
 }
