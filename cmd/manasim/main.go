@@ -16,12 +16,12 @@
 // the middle of a collective (exercising the protocol's deferral path),
 // injects a failure after the second checkpoint commits (the one-fault
 // plan faultplan.DefaultCrash), restarts from the last image and runs to
-// completion. Two consecutive invocations
-// with the same flags print byte-identical reports. With -spec overlap
-// the job instead splits MPI_COMM_WORLD into two staggered
-// sub-communicator layouts, so collectives on overlapping communicators
-// are concurrently in flight and the second checkpoint exercises the
-// dependency-ordered (topological-sort) drain planner.
+// completion. Two consecutive invocations with the same flags print
+// byte-identical reports. With -spec overlap the job instead splits
+// MPI_COMM_WORLD into two staggered sub-communicator layouts, so
+// collectives on overlapping communicators are concurrently in flight
+// and the second checkpoint exercises the dependency-ordered
+// (topological-sort) drain planner.
 //
 // Failure injection is declarative: -faults names a JSON fault plan (see
 // internal/faultplan) whose ordered injections anchor at checkpoint
@@ -63,12 +63,12 @@
 // dimension lists (each defaulting to the corresponding single-run
 // flag's value, each entry parsed and range-checked as a value of that
 // flag) runs as a grid of complete simulations on a bounded worker pool
-// inside one process, sharing compiled scenario programs across runs. The output is a JSON aggregate with one
-// cell per run — its parameters, headline metrics and the FNV-64a hash
-// plus byte count of the report that run printed — and fleet totals
-// (runs, wall time, runs/sec, spec compiles). Cell hashes are
-// byte-identical to the equivalent standalone invocation at any
-// -sweep-workers setting.
+// inside one process, sharing compiled scenario programs across runs.
+// The output is a JSON aggregate with one cell per run — its
+// parameters, headline metrics and the FNV-64a hash plus byte count of
+// the report that run printed — and fleet totals (runs, wall time,
+// runs/sec, spec compiles). Cell hashes are byte-identical to the
+// equivalent standalone invocation at any -sweep-workers setting.
 //
 // Every run, in either mode, is described the same way: the flags are
 // checked against one table (rules: the modes a flag is valid in, what it

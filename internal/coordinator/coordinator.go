@@ -469,11 +469,9 @@ type Coordinator struct {
 	// is per run, so concurrent fleet runs never share queue state.
 	store *ckptstore.Store
 
-	// Fault-plan state: faults is the compiled plan, faultFired marks
-	// each as consumed (every fault is one-shot), and restartAttempts
-	// counts Restart calls (failed ones included) — the ordinal restart
-	// faults key on.
-	faults          []faultplan.Fault
+	// Fault-plan state: faultFired marks each of cfg.Faults as consumed
+	// (every fault is one-shot), and restartAttempts counts Restart
+	// calls (failed ones included) — the ordinal restart faults key on.
 	faultFired      []bool
 	restartAttempts int
 
@@ -530,9 +528,8 @@ func New(cfg Config) *Coordinator {
 		c.inCollComm[i] = -1
 	}
 	c.net.SetDeliveryScheduler(c)
-	c.faults = cfg.Faults
-	if len(c.faults) > 0 {
-		c.faultFired = make([]bool, len(c.faults))
+	if len(cfg.Faults) > 0 {
+		c.faultFired = make([]bool, len(cfg.Faults))
 	}
 	for id := range c.ranks {
 		c.ranks[id] = rank.New(id, cfg.Personality, cfg.Virtid, cfg.Programs[id])
@@ -550,7 +547,7 @@ func (c *Coordinator) seed() {
 			c.queue.Push(t.At, indexEvent(evTrigger, i))
 		}
 	}
-	for i, f := range c.faults {
+	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
 			c.queue.Push(f.Time, indexEvent(evFail, i))
 		}
@@ -1227,7 +1224,7 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 
 	// Checkpoint-commit crashes are events like everything else: each
 	// fires its delay of virtual time after the commit point.
-	for i, f := range c.faults {
+	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtCheckpointCommit && f.N == rec.Seq {
 			c.faultFired[i] = true
 			c.queue.Push(rec.SafeAt.Add(f.Delay), indexEvent(evFail, i))
@@ -1257,7 +1254,7 @@ func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, r
 	if hop == faultplan.HopDrain {
 		torn, corrupt = &rec.DrainTornImages, &rec.DrainCorruptPages
 	}
-	for i, f := range c.faults {
+	for i, f := range c.cfg.Faults {
 		if c.faultFired[i] || f.Anchor != faultplan.AtImageWrite || f.Hop != hop || f.N != rec.Seq {
 			continue
 		}
@@ -1317,7 +1314,7 @@ func (c *Coordinator) Restart() error {
 	if err != nil {
 		return err
 	}
-	for i, f := range c.faults {
+	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtRestart && f.N == c.restartAttempts {
 			// The restart process itself crashes while reading the chosen
 			// link, destroying it: poison the seq so the retry's walk falls

@@ -266,7 +266,7 @@ func (c *Coordinator) beginDrain() error {
 	// the partial plan (abandonDrain) and the replayed timeline re-plans
 	// from its own collective state.
 	seq := len(c.records) + 1
-	for i, f := range c.faults {
+	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtDrainStart && f.N == seq {
 			c.faultFired[i] = true
 			c.queue.Push(c.maxClock.Add(f.Delay), indexEvent(evFail, i))
