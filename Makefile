@@ -30,8 +30,9 @@ identity:
 # the FNV segment fold against the byte loop, the dense netsim pair
 # tables against a map[Pair] model, the ops
 # ranks resolve from shared compiled streams against the per-rank
-# materialising compiler, the branch-free event heap against a sort,
-# and the handle table against a map. -fuzz takes one target in one
+# materialising compiler, the radix event queue against a sort (its
+# committed corpus replays a late-push rebase under plain `go test`), and
+# the handle table against a map. -fuzz takes one target in one
 # package per run.
 # -fuzzminimizetime 1x: minimising every coverage-expanding input is on
 # by default with a 60 s budget and stalls a 10 s run after its first

@@ -338,11 +338,12 @@ const (
 )
 
 // event is one entry on the virtual-time queue. It is 8 bytes and holds
-// no pointer — every heap sift copies it, and a pointer-free queue needs
-// no write barriers and is never scanned by the collector — so it
-// carries two small integers. A collective completion looks the rest up
-// in the forming record of its communicator; a delivery (receiver,
-// sender) and a drain completion (checkpoint, rank) need nothing more.
+// no pointer — every move between the queue's buckets copies it, and a
+// pointer-free queue needs no write barriers and is never scanned by
+// the collector — so it carries two small integers. A collective
+// completion looks the rest up in the forming record of its
+// communicator; a delivery (receiver, sender) and a drain completion
+// (checkpoint, rank) need nothing more.
 type event struct {
 	// arg is the kind's one index: the rank (evRankReady), the receiver
 	// (evDelivery), the communicator id (evCollectiveDone), the index

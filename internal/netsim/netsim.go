@@ -207,8 +207,8 @@ func (c Counters) InFlight() uint64 {
 type DeliveryScheduler interface {
 	// ScheduleDelivery is called once per Send, after the message is
 	// queued and counted, so implementations are free to inspect the
-	// Network. m is
-	// the message's ring slot: keep what outlives its receipt by value.
+	// Network. m is the message's ring slot: keep what outlives its
+	// receipt by value.
 	ScheduleDelivery(m *Message)
 }
 
@@ -373,9 +373,9 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 // no message from src has both been sent and arrived: a message becomes
 // visible to its receiver at m.Arrive, never earlier, so a receive
 // posted before the wire latency has elapsed blocks until the delivery
-// event wakes it. (Per-pair arrival order equals send order: every message on a pair
-// traverses the same wire, so the FIFO head is always the earliest
-// arrival.)
+// event wakes it. (Per-pair arrival order equals send order: every
+// message on a pair traverses the same wire, so the FIFO head is always
+// the earliest arrival.)
 func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 	i, ok := n.find(src, dst)
 	if !ok {

@@ -8,8 +8,8 @@ type IslandQueues[T any] struct {
 	q EventQueue[T]
 }
 
-// NewIslandQueues returns an empty queue with heap storage preallocated
-// for hint events on each of k lanes.
+// NewIslandQueues returns an empty queue with storage preallocated for
+// hint events on each of k lanes.
 func NewIslandQueues[T any](k, hint int) *IslandQueues[T] {
 	return &IslandQueues[T]{q: *NewEventQueueSized[T](max(k, 1) * hint)}
 }

@@ -12,63 +12,131 @@ import "math/bits"
 // Ties are broken FIFO on a monotonically increasing sequence number
 // assigned at Push, which makes the dispatch order a deterministic
 // function of the push order alone: two events at the same virtual time
-// pop in the order they were scheduled, never in map-iteration or heap
-// -internal order. This is what keeps reports byte-identical across runs
-// of the same seed.
+// pop in the order they were scheduled, never in map-iteration or
+// queue-internal order. This is what keeps reports byte-identical across
+// runs of the same seed.
 //
-// The heap is 4-ary: half the depth of a binary heap, and the four
-// children of a node sit in adjacent entries, so a sift touches fewer
-// cache lines. Sifts move a hole instead of swapping — one entry copy
-// per level — and compare against the moving entry's key held in
-// registers. Choosing the least of four children is where a comparison
-// heap loses its time: on a random key the winner is unpredictable, so
-// every level costs branch mispredictions, not cache misses. Pop
-// therefore picks it without branching: (time, seq) compares as one
-// 128-bit unsigned key (time with its sign bit flipped, so negative times
-// order below positive ones) through a borrow chain, and a two-round
-// tournament selects the winner's index with masks. Heap shape is
-// invisible to callers: (time, seq) is a total order, so any correct
-// heap pops the same sequence.
+// The queue is a radix queue (a monotone bucket queue) over the same
+// (time, seq) key. Times compare as unsigned order keys (the sign bit
+// flipped, so negative times order below positive ones), and the queue
+// remembers last, the key of the latest minimum. Bucket i holds the
+// events whose key first differs from last at bit i; the events at
+// exactly last wait in a FIFO in seq order. Pop takes the FIFO's head,
+// or else empties the lowest non-empty bucket: that bucket's least key
+// (kept up to date on every append) becomes last, and every event of the
+// bucket moves into a lower bucket or the FIFO. An event only ever moves
+// down, so it moves at most 64 times and in practice a handful (3.7 to
+// 6.2 moves per event on the benchmark workloads' recorded streams), with
+// no comparison tournament per level as in a heap. (time, seq) is a
+// total order, so the pop sequence is exactly the one any correct
+// priority queue gives.
+//
+// Buckets and the FIFO keep seq order among equal times without
+// comparing seqs: Push numbers events in increasing order, appends go to
+// the end of a chain, and a move reads a chain front to back. A PushAt
+// with a seq at or below one already pushed gives that up; from then on
+// the FIFO is put in seq order explicitly, by insertion, which only
+// caller-numbered streams (the tests) reach.
+//
+// A push below last (the drain's release step re-seeds held ranks at
+// their own earlier ready times) waits on a late list, and the next Pop
+// or Peek rebases once for the whole burst: last drops to the least late
+// key, and only the late list, the FIFO and the buckets below the
+// highest bit where the old and the new last differ are re-filed.
+//
+// Storage is one arena of 32-event chunks. Each bucket, the FIFO and the
+// late list is a chain of chunks, and a chunk returns to a shared free
+// list as soon as a move or a pop has read it. Every chain holds at most
+// one partly filled chunk (a rebase briefly holds two per chain), so
+// with n events queued at most n/32 + 134 chunks are in use, and the
+// arena only doubles when no chunk is free. Retained storage is
+// therefore bounded by the peak population: Cap never exceeds twice the
+// peak plus storageSlack (8,576 events, about 200 KiB of 24-byte
+// entries), or the size hint if that is larger. Once the arena has
+// grown, Push and Pop allocate nothing, and Clear keeps the arena.
 //
 // An entry is the key plus the payload. The scheduler's payload is eight
-// bytes with no pointer, so its entries are 24 bytes, sifts copy them
-// without write barriers, and the collector never scans the heap.
+// bytes with no pointer, so its entries are 24 bytes, moves copy them
+// without write barriers, and the collector never scans the arena.
 //
 // The queue is not safe for concurrent use; a deterministic scheduler
 // drives each queue from a single goroutine at a time.
 type EventQueue[T any] struct {
-	heap []eventEntry[T]
-	seq  uint64
+	arena []eventEntry[T] // chunk c is arena[c*chunkLen : (c+1)*chunkLen]
+	next  []int32         // next[c]: the chunk after c in its chain or in the free list
+	free  int32           // first free chunk; -1 when none is
+	ch    [chains]chain
+	// inv[b] is the complement of the least key on bucket b (0 when it
+	// is empty), kept on every append, so emptying a bucket needs no
+	// search for its minimum.
+	inv [chains]uint64
+	// runEnd is one past the last FIFO index Pop may take without
+	// bookkeeping: the run ends before the FIFO's tail or its head
+	// chunk's last entry, and is 0 while a late push waits.
+	runEnd int32
+	mask   uint64 // bit b set when bucket b holds events
+	// fifoLive and lateLive report whether the FIFO and the late list
+	// hold events.
+	fifoLive, lateLive bool
+	last               uint64 // order key of the latest minimum
+	lateMin            uint64 // least key on the late list
+	n                  int
+	seq                uint64
+	maxSeq             uint64
+	// unordered is set once PushAt brings a seq at or below one already
+	// pushed; only then can the FIFO need an explicit seq order.
+	unordered bool
+	rebases   int // rebases so far, for tests
 }
 
+// chain is one bucket, the FIFO or the late list: the arena index of its
+// first entry, one past its last, and the end of its tail chunk, all 0
+// when it owns no chunk. An emptied chain keeps its tail chunk (hd == tl
+// inside it), so a bucket that fills and empties over and over never
+// returns to the free list.
+type chain struct{ hd, tl, lim int32 }
+
 type eventEntry[T any] struct {
-	time Time
-	seq  uint64
-	val  T
+	key uint64 // orderKey of the event's time
+	seq uint64
+	val T
 }
+
+const (
+	chunkShift = 5
+	chunkLen   = 1 << chunkShift // entries per chunk
+	fifo       = 64              // chain of the events at last
+	lateList   = 65              // chain of the events pushed below last
+	chains     = 66              // 64 buckets, the FIFO and the late list
+	signBit    = 1 << 63
+	// storageSlack bounds the arena beyond twice the peak population;
+	// see the EventQueue doc.
+	storageSlack = 2 * (2*chains + 2) * chunkLen
+)
 
 // NewEventQueue returns an empty queue.
 func NewEventQueue[T any]() *EventQueue[T] {
-	return &EventQueue[T]{}
+	return &EventQueue[T]{free: -1}
 }
 
-// NewEventQueueSized returns an empty queue whose heap storage is
-// preallocated for the given number of events, so a scheduler that knows
-// its steady-state population (one ready event per rank, say) never pays
-// growth reallocations on the hot path.
+// NewEventQueueSized returns an empty queue whose arena is preallocated
+// for the given number of events (rounded up to whole chunks), so a
+// scheduler that knows its steady-state population (one ready event per
+// rank, say) never pays growth reallocations on the hot path.
 func NewEventQueueSized[T any](hint int) *EventQueue[T] {
-	if hint < 0 {
-		hint = 0
+	q := NewEventQueue[T]()
+	if hint > 0 {
+		q.resize((hint + chunkLen - 1) >> chunkShift)
 	}
-	return &EventQueue[T]{heap: make([]eventEntry[T], 0, hint)}
+	return q
 }
 
 // Len returns the number of scheduled events.
-func (q *EventQueue[T]) Len() int { return len(q.heap) }
+func (q *EventQueue[T]) Len() int { return q.n }
 
-// Cap returns the heap storage capacity, for tests that pin capacity
-// reuse across Clear.
-func (q *EventQueue[T]) Cap() int { return cap(q.heap) }
+// Cap returns the arena's capacity in events, for tests that pin
+// capacity reuse across Clear and the storage bound.
+func (q *EventQueue[T]) Cap() int { return len(q.arena) }
 
 // Push schedules v at virtual time t.
 func (q *EventQueue[T]) Push(t Time, v T) {
@@ -82,130 +150,353 @@ func (q *EventQueue[T]) Push(t Time, v T) {
 // Mixing PushAt with Push on the same queue is only meaningful if the
 // caller's seqs are coordinated with the internal counter.
 func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
-	q.heap = append(q.heap, eventEntry[T]{})
-	h := q.heap
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !keyLess(t, seq, h[parent].time, h[parent].seq) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
+	k := orderKey(t)
+	if k <= q.last || seq <= q.maxSeq {
+		q.pushSlow(k, seq, v)
+		return
 	}
-	h[i] = eventEntry[T]{time: t, seq: seq, val: v}
+	q.n++
+	q.maxSeq = seq
+	b := bits.Len64(k^q.last) - 1
+	q.mask |= 1 << b
+	q.inv[b] = max(q.inv[b], ^k)
+	c := &q.ch[b]
+	w := c.tl
+	if w == c.lim {
+		w = q.link(b)
+	}
+	q.arena[w] = eventEntry[T]{key: k, seq: seq, val: v}
+	c.tl = w + 1
+}
+
+// pushSlow is PushAt for an event at or below last, or numbered at or
+// below a seq already pushed.
+func (q *EventQueue[T]) pushSlow(k, seq uint64, v T) {
+	q.n++
+	if seq <= q.maxSeq {
+		q.unordered = true
+	} else {
+		q.maxSeq = seq
+	}
+	e := eventEntry[T]{key: k, seq: seq, val: v}
+	switch {
+	case k > q.last:
+		b := bits.Len64(k^q.last) - 1
+		q.mask |= 1 << b
+		q.inv[b] = max(q.inv[b], ^k)
+		q.append(b, e)
+	case k == q.last:
+		if q.unordered && q.fifoLive {
+			q.insertFIFO(e)
+		} else {
+			q.append(fifo, e)
+		}
+		q.fifoLive = true
+		q.refresh()
+	default:
+		if !q.lateLive || k < q.lateMin {
+			q.lateMin = k
+		}
+		q.append(lateList, e)
+		q.lateLive = true
+		q.runEnd = 0
+	}
+}
+
+// append adds e at the end of chain b.
+func (q *EventQueue[T]) append(b int, e eventEntry[T]) {
+	c := &q.ch[b]
+	w := c.tl
+	if w == c.lim {
+		w = q.link(b)
+	}
+	q.arena[w] = e
+	c.tl = w + 1
 }
 
 // Pop removes and returns the earliest event; ties pop in Push order.
 // The third result is false when the queue is empty.
 func (q *EventQueue[T]) Pop() (Time, T, bool) {
-	h := q.heap
-	n := len(h) - 1
-	if n < 0 {
+	p := q.ch[fifo].hd
+	if p+1 >= q.runEnd {
+		return q.popSlow()
+	}
+	q.ch[fifo].hd = p + 1
+	q.n--
+	e := &q.arena[p]
+	return Time(e.key ^ signBit), e.val, true
+}
+
+// popSlow is Pop when the FIFO's run is over: the FIFO is empty, a late
+// push waits, or the next entry is the last of its chunk or the FIFO.
+func (q *EventQueue[T]) popSlow() (Time, T, bool) {
+	if (!q.fifoLive || q.lateLive) && !q.settle() {
 		var zero T
 		return 0, zero, false
 	}
-	top := h[0]
-	last := h[n]
-	h[n] = eventEntry[T]{} // release the payload for GC
-	h = h[:n]
-	q.heap = h
-	if n == 0 {
-		return top.time, top.val, true
+	c := &q.ch[fifo]
+	p := c.hd
+	e := q.arena[p]
+	q.n--
+	p++
+	if p == c.tl { // that was the last: keep the chunk, empty
+		p = (p - 1) &^ (chunkLen - 1)
+		c.tl = p
+		q.fifoLive = false
+	} else if p&(chunkLen-1) == 0 { // on to the FIFO's next chunk
+		k := p>>chunkShift - 1
+		p = q.next[k] << chunkShift
+		q.release(k)
 	}
-	// Sift the hole at the root down to where last belongs. Every node
-	// above the bottom family has four children: pick the least of them
-	// without a branch.
-	lt, ls := orderKey(last.time), last.seq
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first+heapArity > n {
-			break
-		}
-		c := h[first : first+heapArity : first+heapArity]
-		t0, s0 := orderKey(c[0].time), c[0].seq
-		t1, s1 := orderKey(c[1].time), c[1].seq
-		t2, s2 := orderKey(c[2].time), c[2].seq
-		t3, s3 := orderKey(c[3].time), c[3].seq
-		// Round one: the lesser of children 0/1 and of children 2/3,
-		// each kept as (index, key) by masked select.
-		m := -less128(t1, s1, t0, s0)
-		a, at, as := m&1, t0^((t0^t1)&m), s0^((s0^s1)&m)
-		m = -less128(t3, s3, t2, s2)
-		b, bt, bs := 2+m&1, t2^((t2^t3)&m), s2^((s2^s3)&m)
-		// Round two: the lesser of the two winners.
-		m = -less128(bt, bs, at, as)
-		best, bestT, bestS := a^((a^b)&m), at^((at^bt)&m), as^((as^bs)&m)
-		if less128(bestT, bestS, lt, ls) == 0 {
-			h[i] = last
-			return top.time, top.val, true
-		}
-		h[i] = c[best]
-		i = first + int(best)
-	}
-	// The bottom family may have fewer than four children.
-	if first := heapArity*i + 1; first < n {
-		best := first
-		for c := first + 1; c < n; c++ {
-			if keyLess(h[c].time, h[c].seq, h[best].time, h[best].seq) {
-				best = c
-			}
-		}
-		if keyLess(h[best].time, h[best].seq, last.time, last.seq) {
-			h[i] = h[best]
-			i = best
+	c.hd = p
+	q.refresh()
+	return Time(e.key ^ signBit), e.val, true
+}
+
+// refresh recomputes runEnd after the FIFO or the late list changed.
+func (q *EventQueue[T]) refresh() {
+	q.runEnd = 0
+	if q.fifoLive && !q.lateLive {
+		c := q.ch[fifo]
+		q.runEnd = (c.hd | (chunkLen - 1)) + 1
+		if c.tl > c.hd && c.tl < q.runEnd {
+			q.runEnd = c.tl
 		}
 	}
-	h[i] = last
-	return top.time, top.val, true
 }
 
 // PeekTime returns the virtual time of the earliest event without
 // removing it; false when the queue is empty.
 func (q *EventQueue[T]) PeekTime() (Time, bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.heap[0].time, true
+	t, _, ok := q.PeekKey()
+	return t, ok
 }
 
 // PeekKey returns the (time, seq) ordering key of the earliest event
-// without removing it; false when the queue is empty.
+// without removing it; false when the queue is empty. It may settle the
+// queue (move events between buckets), which Pop would do anyway.
 func (q *EventQueue[T]) PeekKey() (Time, uint64, bool) {
-	if len(q.heap) == 0 {
+	if (!q.fifoLive || q.lateLive) && !q.settle() {
 		return 0, 0, false
 	}
-	return q.heap[0].time, q.heap[0].seq, true
+	q.refresh()
+	e := &q.arena[q.ch[fifo].hd]
+	return Time(e.key ^ signBit), e.seq, true
 }
 
-// Clear discards every scheduled event but keeps the heap storage, so a
-// restart that rebuilds the queue reuses the already-grown capacity
-// instead of reallocating from zero. The sequence counter is NOT reset:
-// events pushed after a Clear still order after everything pushed before
-// it, so the rebuilt queue keeps a globally consistent tie-break order.
+// Clear discards every scheduled event but keeps the arena, so a restart
+// that rebuilds the queue reuses the already-grown capacity instead of
+// reallocating from zero. The sequence counter is NOT reset: events
+// pushed after a Clear still order after everything pushed before it,
+// so the rebuilt queue keeps a globally consistent tie-break order.
 func (q *EventQueue[T]) Clear() {
-	clear(q.heap) // release the payloads for GC, matching Pop
-	q.heap = q.heap[:0]
+	clear(q.arena) // release the payloads for GC
+	q.free = -1
+	for c := len(q.next) - 1; c >= 0; c-- {
+		q.release(int32(c))
+	}
+	q.ch = [chains]chain{}
+	q.inv = [chains]uint64{}
+	q.runEnd = 0
+	q.mask = 0
+	q.fifoLive, q.lateLive = false, false
+	q.last = 0
+	q.n = 0
 }
 
-// heapArity is the heap's branching factor.
-const heapArity = 4
+// settle makes the FIFO hold the earliest events: it first files a burst
+// of late pushes, then, if the FIFO is still empty, empties the lowest
+// non-empty bucket, which keeps its tail chunk. It reports false when the
+// queue is empty.
+func (q *EventQueue[T]) settle() bool {
+	if q.lateLive {
+		q.rebase()
+		if q.fifoLive {
+			return true
+		}
+	}
+	if q.mask == 0 {
+		return false
+	}
+	i := bits.TrailingZeros64(q.mask)
+	q.mask &^= 1 << i
+	src := q.ch[i]
+	home := src.lim - chunkLen
+	q.ch[i] = chain{home, home, src.lim}
+	q.last = ^q.inv[i]
+	q.inv[i] = 0
+	q.distribute(src.hd, src.tl, true)
+	return true
+}
 
-// keyLess is the queue's total order: earlier time first, FIFO seq at
-// equal times.
-func keyLess(t1 Time, s1 uint64, t2 Time, s2 uint64) bool {
-	return less128(orderKey(t1), s1, orderKey(t2), s2) != 0
+// rebase lowers last to the least late key and re-files what that moves:
+// the late list, the FIFO and every bucket below d, the bit above which
+// the old and the new last agree. Buckets from d up keep their events,
+// since those differ from either last first at the same bit. The
+// re-filed chains give up their chunks, since each is both a source and
+// a destination here.
+func (q *EventQueue[T]) rebase() {
+	q.rebases++
+	newLast := q.lateMin
+	d := bits.Len64(q.last ^ newLast)
+	var srcs [chains]chain
+	n := 0
+	take := func(b int, live bool) {
+		switch c := q.ch[b]; {
+		case live:
+			srcs[n] = c
+			n++
+		case c.lim != 0:
+			q.release(c.lim>>chunkShift - 1)
+		}
+		q.ch[b] = chain{}
+	}
+	// The late list goes first: the FIFO's new events all come from it,
+	// in push order.
+	take(lateList, q.lateLive)
+	take(fifo, q.fifoLive)
+	for b := 0; b < d; b++ {
+		take(b, q.mask&(1<<b) != 0)
+		q.inv[b] = 0
+	}
+	q.mask &^= 1<<d - 1
+	q.fifoLive, q.lateLive = false, false
+	q.last = newLast
+	for _, c := range srcs[:n] {
+		q.distribute(c.hd, c.tl, false)
+	}
+}
+
+// distribute moves every entry of the chain from hd to tl onto the chain
+// its key selects against last, front to back, and frees each chunk it
+// has read, except the tail chunk when keepTail is set. The FIFO is
+// empty on entry, and so is every bucket an entry can land in.
+func (q *EventQueue[T]) distribute(p, tl int32, keepTail bool) {
+	m := q.last
+	mask := q.mask
+	hitFIFO := false
+	for {
+		end := (p | (chunkLen - 1)) + 1
+		tail := tl > p && tl <= end
+		if tail {
+			end = tl
+		}
+		for _, e := range q.arena[p:end] {
+			b := bits.Len64(e.key^m) - 1
+			if b < 0 {
+				b = fifo
+				hitFIFO = true
+			} else {
+				mask |= 1 << b
+			}
+			q.inv[b] = max(q.inv[b], ^e.key)
+			c := &q.ch[b]
+			w := c.tl
+			if w == c.lim {
+				w = q.link(b)
+			}
+			q.arena[w] = e
+			c.tl = w + 1
+		}
+		k := (end - 1) >> chunkShift
+		if tail {
+			if !keepTail {
+				q.release(k)
+			}
+			break
+		}
+		p = q.next[k] << chunkShift
+		q.release(k)
+	}
+	q.mask = mask
+	if hitFIFO {
+		q.fifoLive = true
+		if q.unordered {
+			q.sortFIFO()
+		}
+	}
+}
+
+// link gives chain b a new tail chunk and returns its first index.
+func (q *EventQueue[T]) link(b int) int32 {
+	if q.free < 0 {
+		q.resize(max(2*len(q.next), 1))
+	}
+	k := q.free
+	q.free = q.next[k]
+	c := &q.ch[b]
+	if c.lim == 0 {
+		c.hd = k << chunkShift
+	} else {
+		q.next[c.lim>>chunkShift-1] = k
+	}
+	c.lim = (k + 1) << chunkShift
+	return k << chunkShift
+}
+
+// release returns chunk k to the free list.
+func (q *EventQueue[T]) release(k int32) {
+	q.next[k] = q.free
+	q.free = k
+}
+
+// resize grows the arena to n chunks and frees the new ones. Indices
+// stay valid, so no chain notices.
+func (q *EventQueue[T]) resize(n int) {
+	old := len(q.next)
+	arena := make([]eventEntry[T], n<<chunkShift)
+	copy(arena, q.arena)
+	next := make([]int32, n)
+	copy(next, q.next)
+	q.arena, q.next = arena, next
+	for k := n - 1; k >= old; k-- {
+		q.release(int32(k))
+	}
+}
+
+// fifoSlots returns the arena indices of the FIFO's entries, oldest
+// first. It is for the insertion paths only, which caller-numbered seqs
+// alone reach.
+func (q *EventQueue[T]) fifoSlots() []int32 {
+	var slots []int32
+	if !q.fifoLive {
+		return slots
+	}
+	c := q.ch[fifo]
+	for p := c.hd; ; {
+		slots = append(slots, p)
+		if p++; p == c.tl {
+			return slots
+		}
+		if p&(chunkLen-1) == 0 {
+			p = q.next[p>>chunkShift-1] << chunkShift
+		}
+	}
+}
+
+// insertFIFO puts e into the FIFO at its seq position, pushing the later
+// entries one place back.
+func (q *EventQueue[T]) insertFIFO(e eventEntry[T]) {
+	for _, p := range q.fifoSlots() {
+		if q.arena[p].seq > e.seq {
+			e, q.arena[p] = q.arena[p], e
+		}
+	}
+	q.append(fifo, e)
+}
+
+// sortFIFO puts the FIFO in seq order by insertion.
+func (q *EventQueue[T]) sortFIFO() {
+	slots := q.fifoSlots()
+	for i, pi := range slots {
+		for _, pj := range slots[:i] {
+			if q.arena[pi].seq < q.arena[pj].seq {
+				q.arena[pi], q.arena[pj] = q.arena[pj], q.arena[pi]
+			}
+		}
+	}
 }
 
 // orderKey maps a time onto an unsigned key with the same order: flipping
 // the sign bit puts MinInt64 at 0 and MaxInt64 at the top.
-func orderKey(t Time) uint64 { return uint64(t) ^ 1<<63 }
-
-// less128 is 1 when the 128-bit key hi1:lo1 is below hi2:lo2 and 0
-// otherwise: the borrow out of the two-word subtraction, with no branch.
-func less128(hi1, lo1, hi2, lo2 uint64) uint64 {
-	_, borrow := bits.Sub64(lo1, lo2, 0)
-	_, borrow = bits.Sub64(hi1, hi2, borrow)
-	return borrow
-}
+func orderKey(t Time) uint64 { return uint64(t) ^ signBit }

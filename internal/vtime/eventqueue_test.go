@@ -26,7 +26,7 @@ func TestEventQueuePopsInTimeOrder(t *testing.T) {
 
 func TestEventQueueFIFOTieBreak(t *testing.T) {
 	q := NewEventQueue[int]()
-	// All at the same time: must pop in push order, not heap order.
+	// All at the same time: must pop in push order, not bucket order.
 	for i := 0; i < 100; i++ {
 		q.Push(5, i)
 	}
@@ -142,7 +142,7 @@ func TestPropertyEventQueueDeterministicOrder(t *testing.T) {
 }
 
 // TestNewEventQueueSized pins the preallocation contract: the size hint
-// becomes heap capacity, and pushes within the hint never reallocate.
+// becomes arena capacity, and pushes within the hint never reallocate.
 func TestNewEventQueueSized(t *testing.T) {
 	q := NewEventQueueSized[int](128)
 	if q.Cap() < 128 {
@@ -161,7 +161,7 @@ func TestNewEventQueueSized(t *testing.T) {
 }
 
 // TestEventQueueClearKeepsCapacity pins the satellite fix: Clear must
-// keep the grown heap storage so restart rebuilds reuse it.
+// keep the grown arena so restart rebuilds reuse it.
 func TestEventQueueClearKeepsCapacity(t *testing.T) {
 	q := NewEventQueue[int]()
 	for i := 0; i < 1000; i++ {
@@ -180,5 +180,89 @@ func TestEventQueueClearKeepsCapacity(t *testing.T) {
 	}
 	if q.Cap() != capBefore {
 		t.Fatalf("refill after Clear reallocated: %d -> %d", capBefore, q.Cap())
+	}
+}
+
+// TestLatePushBurstRebasesOnce pins the late-push path at scale: after a
+// pop, a burst of 65,536 pushes, each below the one before and all below
+// the popped time, costs one rebase at the next pop, not one per push.
+// The queue then still pops everything in time order.
+func TestLatePushBurstRebasesOnce(t *testing.T) {
+	const n = 1 << 16
+	const base = Time(1 << 40)
+	q := NewEventQueue[int]()
+	for i := 0; i < n; i++ {
+		q.Push(base+Time(3*i), i)
+	}
+	if tm, _, _ := q.Pop(); tm != base {
+		t.Fatalf("first pop at %v, want %v", tm, base)
+	}
+	for i := 1; i <= n; i++ {
+		q.Push(base-Time(i), n+i)
+	}
+	if rebases := q.Rebases(); rebases != 0 {
+		t.Fatalf("%d rebases before the next pop, want 0: pushes must not rebase", rebases)
+	}
+	if tm, _, _ := q.Pop(); tm != base-n {
+		t.Fatalf("pop after the burst at %v, want %v", tm, base-n)
+	}
+	if rebases := q.Rebases(); rebases != 1 {
+		t.Fatalf("burst cost %d rebases, want 1", rebases)
+	}
+	prev, count := base-n, 2
+	for {
+		tm, _, ok := q.Pop()
+		if !ok {
+			break
+		}
+		if tm < prev {
+			t.Fatalf("pop %d at %v after %v", count, tm, prev)
+		}
+		prev = tm
+		count++
+	}
+	if count != 2*n {
+		t.Fatalf("popped %d events, want %d", count, 2*n)
+	}
+	if rebases := q.Rebases(); rebases != 1 {
+		t.Fatalf("%d rebases in all, want 1", rebases)
+	}
+}
+
+// TestEventQueueStorageBound pins the bound in the EventQueue doc: a
+// 65,536-event hold, then a restart-style Clear and refill, and the
+// arena never holds more than twice the peak population plus
+// StorageSlack. The hold's intervals span four decades, so events fill
+// many buckets at once.
+func TestEventQueueStorageBound(t *testing.T) {
+	const n = 1 << 16
+	rng := NewRNG(11)
+	gap := func() Duration { return Duration(1) << rng.Intn(24) }
+	q := NewEventQueue[int]()
+	hold := func(start Time) {
+		for i := 0; i < n; i++ {
+			q.Push(start.Add(gap()), i)
+		}
+		for i := 0; i < 4*n; i++ {
+			tm, v, ok := q.Pop()
+			if !ok {
+				t.Fatal("queue ran dry during the hold")
+			}
+			q.Push(tm.Add(gap()), v)
+		}
+		if q.Len() != n {
+			t.Fatalf("Len = %d after the hold, want %d", q.Len(), n)
+		}
+	}
+	hold(0)
+	grown := q.Cap()
+	t.Logf("Cap = %d after the hold (peak %d)", grown, n)
+	if limit := 2*n + StorageSlack; grown > limit {
+		t.Fatalf("Cap = %d after a %d-event hold, want <= %d", grown, n, limit)
+	}
+	q.Clear()
+	hold(1 << 30) // the restart resumes later in virtual time
+	if q.Cap() != grown {
+		t.Fatalf("Clear and refill moved Cap %d -> %d, want it kept", grown, q.Cap())
 	}
 }

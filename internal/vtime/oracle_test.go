@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// This file checks the 4-ary hole-sifting heap against a reference that
-// has no heap in it: a plain slice of (time, seq, value) entries, kept
-// here and used nowhere else, whose pop sorts and takes the front. The
+// This file checks the radix queue against a reference that has no
+// buckets in it: a plain slice of (time, seq, value) entries, kept here
+// and used nowhere else, whose pop sorts and takes the front. The
 // queue's contract is that it pops exactly the (time, seq) total order,
 // so any random interleaving of pushes, pops and clears must read the
 // same from both.
@@ -132,11 +132,13 @@ const windowShift = 32
 // out of order across lanes.
 // Each push then takes its time from one of five shapes: a full 64-bit
 // value (negative times and both extremes included, which the sign flip
-// of the branch-free comparison must order correctly), one of a handful
-// of boundary values, a small range dense with equal times, a repeat of
-// the previous time, or a time below the last popped one — what the
-// drain's release step does when it re-seeds held ranks at their own
-// clocks.
+// of the order key must order correctly), one of a handful of boundary
+// values, a small range dense with equal times, a repeat of the previous
+// time, or a time below the last popped one — what the drain's release
+// step does when it re-seeds held ranks at their own clocks, and what
+// makes the queue rebase. testdata/fuzz/FuzzQueueVsSort holds a stream
+// shaped like the scheduler's: pushes at or after the last pop,
+// same-instant bursts, then one late burst.
 func FuzzQueueVsSort(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 0, 3, 4, 0, 5, 6, 7})
 	f.Add([]byte{1, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 2, 3, 0, 4, 4})
