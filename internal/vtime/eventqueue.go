@@ -45,9 +45,10 @@ import "math/bits"
 // highest bit where the old and the new last differ are re-filed.
 //
 // Storage is one arena of 32-event chunks. Each bucket, the FIFO and the
-// late list is a chain of chunks, and a chunk returns to a shared free
-// list as soon as a move or a pop has read it. Every chain holds at most
-// one partly filled chunk (a rebase briefly holds two per chain), so
+// late list is a chain of chunks. A chunk that a move or a pop has read
+// returns to a shared free list, except a chain's last chunk, which the
+// chain keeps for its next events. Every chain therefore holds at most
+// one chunk that is not full (a rebase briefly holds two per chain), so
 // with n events queued at most n/32 + 134 chunks are in use, and the
 // arena only doubles when no chunk is free. Retained storage is
 // therefore bounded by the peak population: Cap never exceeds twice the
@@ -69,12 +70,8 @@ type EventQueue[T any] struct {
 	// inv[b] is the complement of the least key on bucket b (0 when it
 	// is empty), kept on every append, so emptying a bucket needs no
 	// search for its minimum.
-	inv [chains]uint64
-	// runEnd is one past the last FIFO index Pop may take without
-	// bookkeeping: the run ends before the FIFO's tail or its head
-	// chunk's last entry, and is 0 while a late push waits.
-	runEnd int32
-	mask   uint64 // bit b set when bucket b holds events
+	inv  [chains]uint64
+	mask uint64 // bit b set when bucket b holds events
 	// fifoLive and lateLive report whether the FIFO and the late list
 	// hold events.
 	fifoLive, lateLive bool
@@ -92,8 +89,8 @@ type EventQueue[T any] struct {
 // chain is one bucket, the FIFO or the late list: the arena index of its
 // first entry, one past its last, and the end of its tail chunk, all 0
 // when it owns no chunk. An emptied chain keeps its tail chunk (hd == tl
-// inside it), so a bucket that fills and empties over and over never
-// returns to the free list.
+// inside it), so a bucket that fills and empties over and over does not
+// go back to the free list for a chunk each time.
 type chain struct{ hd, tl, lim int32 }
 
 type eventEntry[T any] struct {
@@ -151,12 +148,16 @@ func (q *EventQueue[T]) Push(t Time, v T) {
 // caller's seqs are coordinated with the internal counter.
 func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
 	k := orderKey(t)
-	if k <= q.last || seq <= q.maxSeq {
-		q.pushSlow(k, seq, v)
+	q.n++
+	if seq <= q.maxSeq {
+		q.unordered = true
+	} else {
+		q.maxSeq = seq
+	}
+	if k <= q.last {
+		q.pushAtOrBelowLast(eventEntry[T]{key: k, seq: seq, val: v})
 		return
 	}
-	q.n++
-	q.maxSeq = seq
 	b := bits.Len64(k^q.last) - 1
 	q.mask |= 1 << b
 	q.inv[b] = max(q.inv[b], ^k)
@@ -169,38 +170,23 @@ func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
 	c.tl = w + 1
 }
 
-// pushSlow is PushAt for an event at or below last, or numbered at or
-// below a seq already pushed.
-func (q *EventQueue[T]) pushSlow(k, seq uint64, v T) {
-	q.n++
-	if seq <= q.maxSeq {
-		q.unordered = true
-	} else {
-		q.maxSeq = seq
-	}
-	e := eventEntry[T]{key: k, seq: seq, val: v}
-	switch {
-	case k > q.last:
-		b := bits.Len64(k^q.last) - 1
-		q.mask |= 1 << b
-		q.inv[b] = max(q.inv[b], ^k)
-		q.append(b, e)
-	case k == q.last:
+// pushAtOrBelowLast files e at last into the FIFO, or below it onto the
+// late list.
+func (q *EventQueue[T]) pushAtOrBelowLast(e eventEntry[T]) {
+	if e.key == q.last {
 		if q.unordered && q.fifoLive {
 			q.insertFIFO(e)
 		} else {
 			q.append(fifo, e)
 		}
 		q.fifoLive = true
-		q.refresh()
-	default:
-		if !q.lateLive || k < q.lateMin {
-			q.lateMin = k
-		}
-		q.append(lateList, e)
-		q.lateLive = true
-		q.runEnd = 0
+		return
 	}
+	if !q.lateLive || e.key < q.lateMin {
+		q.lateMin = e.key
+	}
+	q.append(lateList, e)
+	q.lateLive = true
 }
 
 // append adds e at the end of chain b.
@@ -217,19 +203,6 @@ func (q *EventQueue[T]) append(b int, e eventEntry[T]) {
 // Pop removes and returns the earliest event; ties pop in Push order.
 // The third result is false when the queue is empty.
 func (q *EventQueue[T]) Pop() (Time, T, bool) {
-	p := q.ch[fifo].hd
-	if p+1 >= q.runEnd {
-		return q.popSlow()
-	}
-	q.ch[fifo].hd = p + 1
-	q.n--
-	e := &q.arena[p]
-	return Time(e.key ^ signBit), e.val, true
-}
-
-// popSlow is Pop when the FIFO's run is over: the FIFO is empty, a late
-// push waits, or the next entry is the last of its chunk or the FIFO.
-func (q *EventQueue[T]) popSlow() (Time, T, bool) {
 	if (!q.fifoLive || q.lateLive) && !q.settle() {
 		var zero T
 		return 0, zero, false
@@ -249,20 +222,7 @@ func (q *EventQueue[T]) popSlow() (Time, T, bool) {
 		q.release(k)
 	}
 	c.hd = p
-	q.refresh()
 	return Time(e.key ^ signBit), e.val, true
-}
-
-// refresh recomputes runEnd after the FIFO or the late list changed.
-func (q *EventQueue[T]) refresh() {
-	q.runEnd = 0
-	if q.fifoLive && !q.lateLive {
-		c := q.ch[fifo]
-		q.runEnd = (c.hd | (chunkLen - 1)) + 1
-		if c.tl > c.hd && c.tl < q.runEnd {
-			q.runEnd = c.tl
-		}
-	}
 }
 
 // PeekTime returns the virtual time of the earliest event without
@@ -279,7 +239,6 @@ func (q *EventQueue[T]) PeekKey() (Time, uint64, bool) {
 	if (!q.fifoLive || q.lateLive) && !q.settle() {
 		return 0, 0, false
 	}
-	q.refresh()
 	e := &q.arena[q.ch[fifo].hd]
 	return Time(e.key ^ signBit), e.seq, true
 }
@@ -297,7 +256,6 @@ func (q *EventQueue[T]) Clear() {
 	}
 	q.ch = [chains]chain{}
 	q.inv = [chains]uint64{}
-	q.runEnd = 0
 	q.mask = 0
 	q.fifoLive, q.lateLive = false, false
 	q.last = 0
