@@ -309,8 +309,8 @@ func (q *EventQueue[T]) rebase() {
 		}
 		q.ch[b] = chain{}
 	}
-	// The late list goes first: the FIFO's new events all come from it,
-	// in push order.
+	// Seq order survives: only the late list holds the new last, and any
+	// other key comes from one chain, which distribute reads in order.
 	take(lateList, q.lateLive)
 	take(fifo, q.fifoLive)
 	for b := 0; b < d; b++ {
