@@ -26,7 +26,9 @@ identity:
 
 # fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
 # `go test` only replays their seed corpus): the sparse page store
-# against a flat []byte model, the zero-run FNV kernel against hash/fnv,
+# against a flat []byte model (its committed corpus replays back-to-back
+# commits of an unchanged space, which share the first commit's region
+# storage, under plain `go test`), the zero-run FNV kernel against hash/fnv,
 # the FNV segment fold against the byte loop, the dense netsim pair
 # tables against a map[Pair] model, the ops
 # ranks resolve from shared compiled streams against the per-rank

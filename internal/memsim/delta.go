@@ -50,6 +50,11 @@ type RegionDelta struct {
 // against. Regions absent from the delta were unmapped since the base and
 // are dropped by the overlay; regions present but without a matching base
 // region were created since and are rebuilt from metadata plus pages.
+//
+// Like a Snapshot, a delta is a read-only payload whose Regions may be
+// shared: back-to-back commits of an unchanged space return one region
+// list. Only a list that carries no page is shared, so CorruptDelta,
+// which damages carried pages alone, never reaches another image.
 type Delta struct {
 	// BaseGen is the committed generation this delta is relative to;
 	// applying it to any other generation is unsound.
@@ -115,11 +120,21 @@ func (d Delta) FullBytes() uint64 {
 // Determinism rules: regions are ordered by ascending address, pages by
 // ascending index.
 //
+// A space that has not changed since its last commit (see
+// CommitUpperHalf) returns the page-less region list a delta of it built
+// before, shared, with the counters a fresh capture would report.
+//
 // The call panics if no generation has been committed yet: the first
 // capture of a space must be a full CommitUpperHalf.
 func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 	if a.gen == 0 {
 		panic("memsim: incremental capture with no committed base generation")
+	}
+	same := a.unchanged()
+	if same && a.last.regions != nil {
+		d := Delta{BaseGen: a.gen, Brk: a.brk, Regions: a.last.regions, ScannedPages: a.last.scanned}
+		a.gen++
+		return d
 	}
 	upper := a.regions[UpperHalf]
 	d := Delta{BaseGen: a.gen, Brk: a.brk, Regions: make([]RegionDelta, len(upper))}
@@ -173,6 +188,14 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 		// would put a hash of every present page back on the O(dirty)
 		// capture path. The next Fingerprint refreshes it lazily.
 		r.rebase()
+	}
+	switch {
+	case same:
+		a.last.regions, a.last.scanned = d.Regions, d.ScannedPages
+	case d.DirtyBytes == d.DedupBytes: // no page carried
+		a.last = &lastCommit{brk: a.brk, regions: d.Regions, scanned: d.ScannedPages}
+	default:
+		a.last = nil
 	}
 	a.gen++
 	return d

@@ -68,6 +68,13 @@ func (r *liveRegion) pages() []*page {
 	return r.desc.pages
 }
 
+// mappedAs reports whether the region is mapped with the given layout
+// and holds dataLen bytes of contents.
+func (r *liveRegion) mappedAs(name string, half Half, kind Kind, addr, size, dataLen uint64) bool {
+	d := r.desc
+	return d.Addr == addr && d.Size == size && r.dataLen() == dataLen && d.Half == half && d.Kind == kind && d.Name == name
+}
+
 // committed returns the page table and data length of the generation a
 // delta dedups against. A region still sharing its descriptor's contents
 // was committed with exactly those, if it was committed at all.
@@ -267,7 +274,7 @@ type Layout struct {
 // being used, or be dropped.
 func (a *AddressSpace) Layout() *Layout {
 	l := &Layout{space: *a}
-	l.space.lastWrite, l.space.gen, l.space.postRestart = nil, 0, false
+	l.space.lastWrite, l.space.last, l.space.gen, l.space.postRestart = nil, nil, 0, false
 	for half, list := range a.regions {
 		descs := make([]Region, len(list))
 		proto := make([]liveRegion, len(list))

@@ -202,6 +202,64 @@ type AddressSpace struct {
 	// over and over. Nil after anything that adds regions to the space or
 	// takes them out (it points into regions).
 	lastWrite *liveRegion
+	// last is what the committed generation's captures built, handed out
+	// again while the space is unchanged (see unchanged); nil until the
+	// first commit, and after a delta commit that carried a page.
+	last *lastCommit
+}
+
+// lastCommit remembers the captures of a space's committed generation: its
+// full snapshot and the region list of a delta that carries no page, each
+// nil until a capture of the generation builds it (a capture's slices are
+// never nil, even with no region). A commit of a space that
+// has not changed since returns them instead of copying the same layout
+// again, so back-to-back checkpoints share one region array.
+type lastCommit struct {
+	brk     uint64
+	snap    Snapshot
+	regions []RegionDelta
+	scanned int // the delta's ScannedPages
+}
+
+// unchanged reports whether the upper half still holds exactly what
+// a.last was captured from: no region dirty (so no page written since the
+// commit), the same regions — name, half, kind, address, size and data
+// length — and the same program break. It compares live state with the
+// remembered capture, one pass over the regions and their dirty bitmaps,
+// so no write, map, sbrk or restore path has to invalidate anything: each
+// of them dirties a region or changes the list.
+func (a *AddressSpace) unchanged() bool {
+	c := a.last
+	if c == nil || c.brk != a.brk {
+		return false
+	}
+	upper := a.regions[UpperHalf]
+	snap, deltas := c.snap.Regions, c.regions
+	n := len(deltas)
+	if snap != nil {
+		n = len(snap)
+	}
+	if snap == nil && deltas == nil || n != len(upper) {
+		return false
+	}
+	for i := range upper {
+		r := &upper[i]
+		if r.allDirty || r.mut != nil && r.mut.dirty.any() {
+			return false
+		}
+		var same bool
+		if snap != nil {
+			s := &snap[i]
+			same = r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen)
+		} else {
+			s := &deltas[i]
+			same = r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen)
+		}
+		if !same {
+			return false
+		}
+	}
+	return true
 }
 
 // NewAddressSpace returns an empty address space with MANA's sbrk
@@ -582,6 +640,12 @@ func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, 
 
 // Snapshot is the set of regions a checkpoint image carries: exactly the
 // upper-half regions (the lower half is discarded).
+//
+// A snapshot is a read-only payload, and its slices may be shared: a
+// capture of a space that has not changed since its last commit returns
+// that commit's snapshot, Regions and RegionHashes backing included, and
+// ApplyDelta shares page tables with its base. Code that edits a snapshot
+// (CorruptSnapshot) copies the slice it edits first.
 type Snapshot struct {
 	Regions []Region
 	// Brk is the saved program break so heap state can be restored.
@@ -598,7 +662,16 @@ type Snapshot struct {
 // are frozen so the live space copies one on its next write to it. When
 // commit is set the captured contents also become the base generation
 // every later delta is relative to, and the dirty bitmaps are cleared.
+// A space unchanged since its last commit returns the snapshot it
+// remembers of it, once one was taken.
 func (a *AddressSpace) capture(commit bool) Snapshot {
+	same := a.unchanged()
+	if same && a.last.snap.Regions != nil {
+		if commit {
+			a.gen++
+		}
+		return a.last.snap
+	}
 	upper := a.regions[UpperHalf]
 	snap := Snapshot{
 		Brk:          a.brk,
@@ -613,6 +686,12 @@ func (a *AddressSpace) capture(commit bool) Snapshot {
 			r.rebase()
 		}
 	}
+	switch {
+	case same:
+		a.last.snap = snap
+	case commit:
+		a.last = &lastCommit{brk: a.brk, snap: snap}
+	}
 	if commit {
 		a.gen++
 	}
@@ -621,7 +700,9 @@ func (a *AddressSpace) capture(commit bool) Snapshot {
 
 // SnapshotUpperHalf captures all upper-half regions without committing:
 // the dirty bitmaps and the committed base are left untouched, so
-// observing the space never perturbs incremental checkpointing.
+// observing the space never perturbs incremental checkpointing. Like
+// CommitUpperHalf it returns the last commit's snapshot, shared, when
+// nothing changed since.
 func (a *AddressSpace) SnapshotUpperHalf() Snapshot {
 	return a.capture(false)
 }
@@ -629,7 +710,10 @@ func (a *AddressSpace) SnapshotUpperHalf() Snapshot {
 // CommitUpperHalf captures all upper-half regions and records the result
 // as the new committed generation: dirty bitmaps are cleared and the next
 // delta (CommitUpperHalfDelta) is relative to this snapshot. This is what
-// MANA's checkpoint helper writes to a full image file.
+// MANA's checkpoint helper writes to a full image file. A space that has
+// not changed since its last commit — no page written, the same regions
+// and program break — returns the snapshot that commit (or a capture
+// since) built: the same Regions and RegionHashes, not a copy.
 func (a *AddressSpace) CommitUpperHalf() Snapshot {
 	return a.capture(true)
 }
@@ -703,14 +787,12 @@ func (s Snapshot) Fingerprint() uint64 {
 // regions must be in ascending address order, as every capture and
 // ApplyDelta produces them.
 func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
-	// A restored region shares the image's contents — its descriptor is a
-	// copy of the image's Region, page table included, and a write copies
-	// table and page first, so the image stays immutable — and starts
-	// entirely dirty with no committed base: restart begins a new
-	// incremental chain. Two allocations, whatever the region count. (The
-	// descriptors are copies because CorruptSnapshot edits an image's
-	// Region values in place.)
-	descs := slices.Clone(s.Regions)
+	// A restored region shares the image's contents — its descriptor is
+	// the image's Region, page table included, and a write copies table
+	// and page first, so the image stays immutable — and starts entirely
+	// dirty with no committed base: restart begins a new incremental
+	// chain. One allocation, whatever the region count.
+	descs := s.Regions
 	upper := make([]liveRegion, len(descs))
 	memoised := len(s.RegionHashes) == len(descs)
 	maxEnd := uint64(upperBase)

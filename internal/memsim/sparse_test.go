@@ -754,6 +754,28 @@ func (h *harness) cycle() {
 	h.commitDelta()
 }
 
+// recommit commits twice back to back, full or incremental. The second
+// commit finds the space as the first left it, so it must hand out the
+// first's region storage again — a delta's only when the first carried no
+// page, since one that did leaves no page-less list to share.
+func (h *harness) recommit() {
+	if h.p.next()%2 == 0 || h.m.gen == 0 || !h.hasImg {
+		h.commitFull()
+		first := h.img
+		h.commitFull()
+		if !sameBacking(first.Regions, h.img.Regions) || !sameBacking(first.RegionHashes, h.img.RegionHashes) {
+			h.failf("a full commit of an unchanged space copied the previous one")
+		}
+		return
+	}
+	h.commitDelta()
+	first := h.lastD
+	h.commitDelta()
+	if carried := first.PayloadBytes() > 0; sameBacking(first.Regions, h.lastD.Regions) == carried {
+		h.failf("delta commit after one carrying %d bytes shares its region list: %v", first.PayloadBytes(), carried)
+	}
+}
+
 func (h *harness) munmap() {
 	if r := h.pick(); r != nil {
 		if !h.a.Munmap(r.Addr) {
@@ -953,8 +975,7 @@ func (h *harness) corrupt() {
 	if !h.hasImg {
 		return
 	}
-	bad := h.img
-	bad.Regions = append([]Region(nil), bad.Regions...)
+	bad := h.img // CorruptSnapshot must copy what it damages
 	flatBad, want := h.flatImg.corrupt(n)
 	if got := CorruptSnapshot(&bad, n); got != want {
 		h.failf("CorruptSnapshot(%d) damaged %d pages, model %d", n, got, want)
@@ -1000,7 +1021,7 @@ func runDifferential(t *testing.T, prog []byte) {
 		a: NewAddressSpace(), m: &flatSpace{brk: upperBase},
 	}
 	for ; !h.p.done() && h.step < 300; h.step++ {
-		switch op := h.p.next() % 25; op {
+		switch op := h.p.next() % 26; op {
 		case 0, 1:
 			h.mmap()
 		case 2, 3, 4, 5, 6:
@@ -1042,6 +1063,8 @@ func runDifferential(t *testing.T, prog []byte) {
 			h.cycle()
 		case 24:
 			h.spanRun()
+		case 25:
+			h.recommit()
 		}
 		h.check()
 	}

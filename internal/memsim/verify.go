@@ -1,6 +1,9 @@
 package memsim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Verify recomputes every region's content digest — rehashing every
 // present page as far as its buffer reaches; an absent page and the tail
@@ -59,10 +62,13 @@ func damaged(src []byte) *page {
 // CorruptSnapshot flips one byte at the start of each of the first n
 // pages of the snapshot's contents, walking regions in order, and returns
 // how many pages were actually damaged. A damaged page — present or not
-// — is materialised as a private copy in a private page table first. The
+// — is materialised as a private copy in a private page table, and
+// s.Regions is replaced by a copy first: other snapshots may share its
+// backing (Snapshot), and the damage must reach this one alone. The
 // RegionHashes memo is left untouched: the stale digests are exactly what
 // Verify later trips over.
 func CorruptSnapshot(s *Snapshot, n int) int {
+	s.Regions = slices.Clone(s.Regions)
 	done := 0
 	for i := range s.Regions {
 		if done >= n {
@@ -86,7 +92,9 @@ func CorruptSnapshot(s *Snapshot, n int) int {
 // CorruptDelta flips one byte at the start of each of the first n carried
 // pages of the delta, walking regions and pages in order, and returns how
 // many pages were actually damaged. The recorded page hashes are left
-// stale for Verify to detect.
+// stale for Verify to detect. It edits d's page lists in place, which is
+// sound because only a delta that carries no page shares its region list
+// (Delta), and such a delta has nothing to damage.
 func CorruptDelta(d *Delta, n int) int {
 	done := 0
 	for ri := range d.Regions {

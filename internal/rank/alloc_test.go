@@ -3,6 +3,7 @@ package rank
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"mana/internal/kernelsim"
 	"mana/internal/scenario"
@@ -47,9 +48,13 @@ func TestNewAllocationBudget(t *testing.T) {
 // The four a capture keeps are the delta's region list, the dirty
 // region's page list and the two communicator slot tables; the handle
 // table's snapshot is shared with the previous capture. A restore is at
-// 6 since the lower half comes from the shared layout, the upper half
+// 5 since the lower half comes from the shared layout, the upper half
 // points at the image's regions and the handle table refills its own
-// slots: the space, its two slices of region state and the small state.
+// slots: the space, its slice of region state and the small state.
+//
+// A capture of a rank that did nothing since its last one, full or
+// incremental, shares that commit's region storage (memsim's recapture)
+// and keeps only the two communicator slot tables.
 func TestCheckpointPathAllocationBudget(t *testing.T) {
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, computeScript(64))
 	net := testNet()
@@ -66,13 +71,33 @@ func TestCheckpointPathAllocationBudget(t *testing.T) {
 	// buffer and its header, made when the capture flushes the marker —
 	// is the workload's allocation, not the capture's.
 	capture -= 2
+	recapture := testing.AllocsPerRun(50, func() {
+		if img := r.CaptureImage(true); img.Full || img.Delta.DirtyPages != 0 {
+			t.Fatalf("recapture is full=%v with %d dirty pages, want a clean delta", img.Full, img.Delta.DirtyPages)
+		}
+	})
+	fullRecapture := testing.AllocsPerRun(50, func() { r.CaptureImage(false) })
 	restore := testing.AllocsPerRun(50, func() { r.Restore(postInit) })
-	t.Logf("incremental capture: %v allocations; restore: %v", capture, restore)
+	t.Logf("incremental capture: %v allocations; clean recapture: %v incremental, %v full; restore: %v",
+		capture, recapture, fullRecapture, restore)
 	if capture > 6 {
 		t.Errorf("incremental capture of a one-page delta allocates %v times, budget 6", capture)
 	}
+	if recapture > 2 || fullRecapture > 2 {
+		t.Errorf("clean recapture allocates %v times incremental and %v full, budget 2: the communicator slot tables",
+			recapture, fullRecapture)
+	}
 	if restore > 8 {
 		t.Errorf("restore of a post-init image allocates %v times, budget 8", restore)
+	}
+}
+
+// TestRankSize pins the Rank at 512 bytes, the top of its size class:
+// a field more moves every rank into the 576-byte class, which wide-idle
+// (65,536 ranks, no checkpoint) pays in peak RSS.
+func TestRankSize(t *testing.T) {
+	if size := unsafe.Sizeof(Rank{}); size > 512 {
+		t.Errorf("Rank is %d bytes, budget 512: the next size class is 576 B per rank of wide-idle's peak RSS", size)
 	}
 }
 

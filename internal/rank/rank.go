@@ -872,7 +872,7 @@ func (r *Rank) CaptureImage(incremental bool) Image {
 func Overlay(base, img Image) Image { return img.OverlayOn(&base) }
 
 // OverlayOn is Overlay(*base, *img) on images in place: the coordinator's
-// stages hand the 520-byte Image around by pointer.
+// stages hand the 544-byte Image around by pointer.
 func (img *Image) OverlayOn(base *Image) Image {
 	if img.Full {
 		return *img
