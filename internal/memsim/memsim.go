@@ -247,15 +247,11 @@ func (a *AddressSpace) unchanged() bool {
 		if r.allDirty || r.mut != nil && r.mut.dirty.any() {
 			return false
 		}
-		var same bool
 		if snap != nil {
-			s := &snap[i]
-			same = r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen)
-		} else {
-			s := &deltas[i]
-			same = r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen)
-		}
-		if !same {
+			if s := &snap[i]; !r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen) {
+				return false
+			}
+		} else if s := &deltas[i]; !r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen) {
 			return false
 		}
 	}
