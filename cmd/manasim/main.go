@@ -39,9 +39,9 @@
 // write stragglers emerge from the queueing), optionally fronted by
 // per-node burst buffers that stage image payloads and drain them
 // asynchronously, and optionally per-page compression of incremental
-// delta payloads. -storage selects a built-in profile or JSON document;
-// -pfs-bandwidth, -bb-bandwidth, -bb-capacity, -compress and
-// -compress-cost overlay individual knobs.
+// delta payloads. A spec may declare the pipeline in its storage block;
+// -storage, a built-in profile name or a JSON storage document, replaces
+// that block whole. There is no other way to set it.
 //
 // Usage:
 //
@@ -51,8 +51,6 @@
 //	                     [-ckpt-at 5ms] [-no-fail] [-faults plan.json]
 //	                     [-incremental] [-full-every 4]
 //	                     [-storage direct|staged|staged-compressed|file.json]
-//	                     [-pfs-bandwidth 16e9] [-bb-bandwidth 8e9] [-bb-capacity 268435456]
-//	                     [-compress] [-compress-cost 0.3]
 //	                     [-cpuprofile cpu.pprof] [-memprofile heap.pprof]
 //	go run ./cmd/manasim -sweep [-sweep-specs default,overlap] [-sweep-ranks 4,8]
 //	                     [-sweep-ckpt 1ms,5ms] [-sweep-virtid sharded,mutex]
@@ -137,12 +135,7 @@ type opts struct {
 	incremental  bool
 	fullEvery    int
 
-	storage      string
-	pfsBandwidth float64
-	bbBandwidth  float64
-	bbCapacity   uint64
-	compress     bool
-	compressCost float64
+	storage string
 
 	sweep        bool
 	sweepSpecs   string
@@ -176,22 +169,14 @@ func newFlagSet(o *opts) *flag.FlagSet {
 	fs.StringVar(&o.faults, "faults", "", "fault-plan JSON file; replaces the default scenario's failure and any plan the spec declares")
 	fs.BoolVar(&o.incremental, "incremental", false, "write incremental (dirty-page delta) checkpoint images after the first full one")
 	fs.IntVar(&o.fullEvery, "full-every", 4, "with -incremental, write a full image every Nth checkpoint (0 = only the first)")
-	// An individual storage flag left unset contributes nothing, but a
-	// half-specified burst buffer (say, -bb-capacity alone) completes
-	// from these defaults, which mirror the model constants.
 	fs.StringVar(&o.storage, "storage", "", "checkpoint I/O pipeline: a built-in profile ("+strings.Join(storage.ProfileNames(), ", ")+") or a JSON storage document; overrides any storage block the spec declares")
-	fs.Float64Var(&o.pfsBandwidth, "pfs-bandwidth", storage.DefaultPFSBandwidth, "aggregate parallel-filesystem bandwidth in bytes/second, contended across all writers (0 = free I/O)")
-	fs.Float64Var(&o.bbBandwidth, "bb-bandwidth", storage.DefaultBBBandwidth, "per-node burst-buffer staging bandwidth in bytes/second (0 = free staging); enables staging")
-	fs.Uint64Var(&o.bbCapacity, "bb-capacity", storage.DefaultBBCapacity, "per-node burst-buffer capacity in bytes; staged bytes beyond it write through to the PFS; enables staging")
-	fs.BoolVar(&o.compress, "compress", false, "compress incremental delta pages per region class before storing (requires -incremental)")
-	fs.Float64Var(&o.compressCost, "compress-cost", storage.DefaultCompressCost, "with -compress: kernel CPU cost per input byte, in ns")
 	fs.BoolVar(&o.sweep, "sweep", false, "run a grid of simulations concurrently and print a JSON aggregate instead of one report")
 	fs.StringVar(&o.sweepSpecs, "sweep-specs", "", "with -sweep: comma-separated spec names/files for the grid (default: -spec)")
 	fs.StringVar(&o.sweepRanks, "sweep-ranks", "", "with -sweep: comma-separated rank counts (default: -ranks)")
 	fs.StringVar(&o.sweepCkpt, "sweep-ckpt", "", "with -sweep: comma-separated first-checkpoint times (default: -ckpt-at)")
 	fs.StringVar(&o.sweepVirtid, "sweep-virtid", "", "with -sweep: comma-separated virtid implementations (default: -virtid)")
 	fs.StringVar(&o.sweepIncr, "sweep-incremental", "", "with -sweep: comma-separated booleans for incremental images (default: -incremental)")
-	fs.StringVar(&o.sweepStorage, "sweep-storage", "", "with -sweep: comma-separated storage profiles/files for the grid (default: the single-run storage flags)")
+	fs.StringVar(&o.sweepStorage, "sweep-storage", "", "with -sweep: comma-separated storage profiles/files for the grid (default: -storage)")
 	fs.IntVar(&o.sweepWorkers, "sweep-workers", 0, "with -sweep: concurrent simulations in the pool (0 = GOMAXPROCS)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the simulator to this file (never part of the report)")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile of the simulator to this file when the run ends (never part of the report)")
@@ -207,13 +192,9 @@ type rule struct {
 	why       string   // reason clause of the conflict message
 }
 
-// storageKnobs are the flags that overlay one field of the storage
-// pipeline, in the order a rejection names the first one given.
-var storageKnobs = []string{"pfs-bandwidth", "bb-bandwidth", "bb-capacity", "compress", "compress-cost"}
-
 // rules is the validation table: one row per registered flag, evaluated
 // by check before anything is loaded. What needs the loaded spec or
-// storage document is checked after loading (checkSpec, storageSpec).
+// storage document is checked after loading (checkSpec, grid).
 var rules = map[string]rule{
 	"ranks":       {modes: single | sweep, min: 1},
 	"steps":       {modes: single | sweep, min: 0},
@@ -229,13 +210,7 @@ var rules = map[string]rule{
 	"faults":      {modes: everywhere},
 	"incremental": {modes: everywhere},
 	"full-every":  {modes: everywhere, min: 0},
-
-	"storage":       {modes: everywhere},
-	"pfs-bandwidth": {modes: everywhere},
-	"bb-bandwidth":  {modes: everywhere},
-	"bb-capacity":   {modes: everywhere},
-	"compress":      {modes: everywhere},
-	"compress-cost": {modes: everywhere},
+	"storage":     {modes: everywhere},
 
 	"sweep":             {modes: everywhere},
 	"sweep-specs":       {modes: sweep},
@@ -243,9 +218,8 @@ var rules = map[string]rule{
 	"sweep-ckpt":        {modes: sweep},
 	"sweep-virtid":      {modes: sweep},
 	"sweep-incremental": {modes: sweep},
-	"sweep-storage": {modes: sweep, conflicts: append([]string{"storage"}, storageKnobs...),
-		why: "the dimension sets each cell's pipeline"},
-	"sweep-workers": {modes: sweep, min: 1},
+	"sweep-storage":     {modes: sweep, conflicts: []string{"storage"}, why: "the dimension sets each cell's pipeline"},
+	"sweep-workers":     {modes: sweep, min: 1},
 
 	"cpuprofile": {modes: everywhere},
 	"memprofile": {modes: everywhere},
@@ -311,76 +285,14 @@ func parseFlags(args []string) (opts, error) {
 	return o, err
 }
 
-// storageSpec turns the storage flags into the job's storage spec; nil
-// leaves the choice to the spec's own block or the direct-to-PFS default.
-// -storage overrides a spec-declared block, and the individual knobs
-// overlay whichever base is in effect (what they may not do is silently
-// reshape a spec-declared block: checkSpec rejects that).
-func (o *opts) storageSpec() (*storage.Spec, error) {
-	base := &storage.Spec{}
-	switch {
-	case o.set["storage"]:
-		var err error
-		if base, err = storage.Load(o.storage); err != nil {
-			return nil, fmt.Errorf("-storage: %w", err)
-		}
-	case o.storageKnob() == "":
-		return nil, nil
+// checkCompression rejects a storage pipeline that compresses when no
+// run it applies to writes incremental images: only delta pages
+// compress. source names where the pipeline came from.
+func checkCompression(source string, st *storage.Spec, incremental []bool) error {
+	if st != nil && st.Compression != nil && st.Compression.Enabled && !slices.Contains(incremental, true) {
+		return fmt.Errorf("%s enables compression, which has no effect without -incremental (only delta pages compress)", source)
 	}
-	if o.set["pfs-bandwidth"] {
-		if base.PFS == nil {
-			base.PFS = &storage.PFSSpec{}
-		}
-		base.PFS.AggregateBandwidth = o.pfsBandwidth
-	}
-	if o.set["bb-bandwidth"] || o.set["bb-capacity"] {
-		if base.BurstBuffer == nil {
-			base.BurstBuffer = &storage.BurstBufferSpec{Bandwidth: o.bbBandwidth, Capacity: o.bbCapacity}
-		} else {
-			if o.set["bb-bandwidth"] {
-				base.BurstBuffer.Bandwidth = o.bbBandwidth
-			}
-			if o.set["bb-capacity"] {
-				base.BurstBuffer.Capacity = o.bbCapacity
-			}
-		}
-	}
-	if o.set["compress"] {
-		if o.compress {
-			if base.Compression == nil {
-				base.Compression = &storage.CompressionSpec{}
-			}
-			base.Compression.Enabled = true
-		} else {
-			// -compress=false drops a profile's compression block whole;
-			// a dangling cost would otherwise fail validation by name.
-			base.Compression = nil
-			base.Compressibility = nil
-		}
-	}
-	if o.set["compress-cost"] {
-		if !compresses(base) {
-			return nil, fmt.Errorf("-compress-cost has no effect without -compress (or a compression-enabled -storage profile)")
-		}
-		base.Compression.CostNsPerByte = o.compressCost
-	}
-	return base, base.Validate()
-}
-
-// storageKnob names the first individual storage knob the user passed,
-// for rejection messages that must name the offender.
-func (o *opts) storageKnob() string {
-	for _, name := range storageKnobs {
-		if o.set[name] {
-			return name
-		}
-	}
-	return ""
-}
-
-// compresses reports whether the storage spec enables compression.
-func compresses(st *storage.Spec) bool {
-	return st != nil && st.Compression != nil && st.Compression.Enabled
+	return nil
 }
 
 // job translates the flags into the fleet.Job they describe, all but its
@@ -419,39 +331,30 @@ func (o *opts) job() (fleet.Job, error) {
 	case !o.noFail:
 		j.Crash = true
 	}
-	j.Storage, err = o.storageSpec()
-	return j, err
+	if o.set["storage"] {
+		if j.Storage, err = storage.Load(o.storage); err != nil {
+			return j, fmt.Errorf("-storage: %w", err)
+		}
+	}
+	return j, nil
 }
 
 // checkSpec holds the rules that need a loaded spec: flags its own
 // declarations would silently override, or that nothing in the run would
-// act on. st is the storage spec the flags resolved to, incremental the
-// image modes the spec will run under.
+// act on. st is the storage spec -storage loaded (nil without it),
+// incremental the image modes the spec will run under.
 func (o *opts) checkSpec(spec *scenario.Spec, st *storage.Spec, incremental []bool) error {
-	knob := o.storageKnob()
 	switch {
-	case spec.Storage != nil && !o.set["storage"] && knob != "":
-		return fmt.Errorf("-%s has no effect on spec %q: it declares its own storage block (override with -storage)", knob, spec.Name)
 	case spec.Faults != nil && o.set["no-fail"]:
 		return fmt.Errorf("-no-fail has no effect on spec %q: it declares its own fault plan (override with -faults)", spec.Name)
 	case o.set["group"] && !spec.UsesGroup():
 		return fmt.Errorf("-group has no effect on spec %q: it declares no communicator splits", spec.Name)
-	}
-	// Only delta pages compress. A -sweep-storage dimension sets each
-	// cell's pipeline itself and is not examined here.
-	source := fmt.Sprintf("-storage %q", o.storage)
-	switch {
+	case st != nil:
+		return checkCompression(fmt.Sprintf("-storage %q", o.storage), st, incremental)
 	case o.set["sweep-storage"]:
-		return nil
-	case st == nil:
-		st, source = spec.Storage, fmt.Sprintf("spec %q", spec.Name)
-	case o.compress:
-		source = "-compress"
+		return nil // the dimension sets each cell's pipeline; not examined here
 	}
-	if compresses(st) && !slices.Contains(incremental, true) {
-		return fmt.Errorf("%s enables compression, which has no effect without -incremental (only delta pages compress)", source)
-	}
-	return nil
+	return checkCompression(fmt.Sprintf("spec %q", spec.Name), spec.Storage, incremental)
 }
 
 // oneRun attaches the single run's workload to the job: the spec -spec

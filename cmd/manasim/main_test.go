@@ -185,8 +185,8 @@ func TestBuildConfigValidation(t *testing.T) {
 		{"trace and ranks", "-ranks cannot be combined with -trace", []string{"-trace", "x.trace", "-ranks", "8"}},
 		{"trace and steps", "-steps cannot be combined with -trace", []string{"-trace", "x.trace", "-steps", "30"}},
 		{"missing trace file", "-trace", []string{"-trace", "testdata/no-such.trace"}},
-		{"compress without incremental", "-compress enables compression", []string{"-compress"}},
-		{"compress-cost without compress", "-compress-cost has no effect without -compress", []string{"-compress-cost", "0.5"}},
+		{"removed compress flag", "flag provided but not defined: -compress", []string{"-compress"}},
+		{"removed compress-cost flag", "flag provided but not defined: -compress-cost", []string{"-compress-cost", "0.5"}},
 		{"unknown storage profile", "-storage", []string{"-storage", "quantum"}},
 		{"compressed profile without incremental", `-storage "staged-compressed" enables compression`, []string{"-storage", "staged-compressed"}},
 		{"sweep-storage without sweep", "-sweep-storage has no effect without -sweep", []string{"-sweep-storage", "direct,staged"}},
@@ -228,7 +228,8 @@ func TestModesAgree(t *testing.T) {
 // TestRuleTableIsComplete keeps the flag set, the rule table and the
 // package doc's usage block describing the same flags: a flag added
 // without a row, a row (or a conflict) naming a flag that is gone, a
-// minimum of the wrong type, or a flag the usage omits all fail here.
+// minimum of the wrong type, a flag the usage omits, or a usage entry
+// naming a flag that is gone all fail here.
 func TestRuleTableIsComplete(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -256,6 +257,11 @@ func TestRuleTableIsComplete(t *testing.T) {
 			t.Errorf("flag -%s is missing from the package doc's usage block", f.Name)
 		}
 	})
+	for _, m := range regexp.MustCompile(`[\s\[]-([a-z][a-z-]*)`).FindAllStringSubmatch(usage, -1) {
+		if fs.Lookup(m[1]) == nil {
+			t.Errorf("the package doc's usage block names -%s, which is not a registered flag", m[1])
+		}
+	}
 	for name, r := range rules {
 		if fs.Lookup(name) == nil {
 			t.Errorf("rules[%q] names no registered flag", name)
@@ -271,9 +277,9 @@ func TestRuleTableIsComplete(t *testing.T) {
 	}
 }
 
-// TestStorageFlagResolution covers the positive half of the storage flag
-// surface: profiles resolve, individual flags overlay them, and a lone
-// burst-buffer flag completes from the model defaults.
+// TestStorageFlagResolution covers the positive half of -storage, the
+// one storage flag: a profile name and a JSON document both resolve, and
+// a document's absent fields take the model defaults.
 func TestStorageFlagResolution(t *testing.T) {
 	cfg, err := configOf("-storage", "staged")
 	if err != nil {
@@ -282,19 +288,13 @@ func TestStorageFlagResolution(t *testing.T) {
 	if !cfg.Storage.Staging || cfg.Storage.BBCapacity != storage.DefaultBBCapacity {
 		t.Errorf("-storage staged compiled wrong: %+v", cfg.Storage)
 	}
-	cfg, err = configOf("-storage", "staged", "-pfs-bandwidth", "2e9")
+	doc := filepath.Join("testdata", "identity", "compress-cost.json")
+	cfg, err = configOf("-incremental", "-storage", doc)
 	if err != nil {
-		t.Fatalf("-storage staged -pfs-bandwidth: %v", err)
+		t.Fatalf("-storage %s: %v", doc, err)
 	}
-	if cfg.Storage.PFSBandwidth != 2e9 || !cfg.Storage.Staging {
-		t.Errorf("-pfs-bandwidth did not overlay the profile: %+v", cfg.Storage)
-	}
-	cfg, err = configOf("-bb-capacity", "1048576")
-	if err != nil {
-		t.Fatalf("-bb-capacity alone: %v", err)
-	}
-	if !cfg.Storage.Staging || cfg.Storage.BBCapacity != 1<<20 || cfg.Storage.BBBandwidth != storage.DefaultBBBandwidth {
-		t.Errorf("lone -bb-capacity did not complete a burst buffer from defaults: %+v", cfg.Storage)
+	if !cfg.Storage.Compression || cfg.Storage.CompressCost != 0.5 || cfg.Storage.Staging || cfg.Storage.PFSBandwidth != storage.DefaultPFSBandwidth {
+		t.Errorf("-storage %s compiled wrong: %+v", doc, cfg.Storage)
 	}
 }
 
@@ -314,8 +314,7 @@ func writeSpec(t *testing.T, name, block string) string {
 }
 
 // TestSpecStorageBlock covers a spec-declared storage block: it
-// resolves, individual flags may not silently reshape it, and -storage
-// overrides it whole.
+// resolves, and -storage overrides it whole.
 func TestSpecStorageBlock(t *testing.T) {
 	spec := writeSpec(t, "st", `"storage": {"burst_buffer": {"bandwidth": 4e9, "capacity": 1048576}}`)
 	cfg, err := configOf("-spec", spec)
@@ -324,10 +323,6 @@ func TestSpecStorageBlock(t *testing.T) {
 	}
 	if !cfg.Storage.Staging || cfg.Storage.BBBandwidth != 4e9 || cfg.Storage.BBCapacity != 1<<20 {
 		t.Errorf("spec storage block not applied: %+v", cfg.Storage)
-	}
-	err = usageError(t, "-spec", spec, "-bb-capacity", "2097152")
-	if !strings.Contains(err.Error(), "-bb-capacity has no effect on spec") {
-		t.Errorf("flag alongside spec block: err = %v, want named rejection", err)
 	}
 	cfg, err = configOf("-spec", spec, "-storage", "direct")
 	if err != nil {

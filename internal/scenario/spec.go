@@ -41,9 +41,8 @@ type Spec struct {
 	Faults *faultplan.Plan `json:"faults,omitempty"`
 	// Storage is the spec's checkpoint I/O configuration (see the storage
 	// package): contended PFS bandwidth, burst-buffer staging, delta-page
-	// compression. The CLI's -storage flag overrides it; individual
-	// storage flags alongside a spec-declared block (without that
-	// override) are rejected by name.
+	// compression. The CLI's -storage flag replaces it whole; there is
+	// no other way to set the pipeline.
 	Storage *storage.Spec `json:"storage,omitempty"`
 }
 
