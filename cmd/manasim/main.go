@@ -352,7 +352,7 @@ func (o *opts) checkSpec(spec *scenario.Spec, st *storage.Spec, incremental []bo
 	case st != nil:
 		return checkCompression(fmt.Sprintf("-storage %q", o.storage), st, incremental)
 	case o.set["sweep-storage"]:
-		return nil // the dimension sets each cell's pipeline; not examined here
+		return nil // every cell runs one of the entries grid checked
 	}
 	return checkCompression(fmt.Sprintf("spec %q", spec.Name), spec.Storage, incremental)
 }
@@ -391,6 +391,15 @@ func (o *opts) grid(eng *fleet.Engine, base fleet.Job) (fleet.Sweep, error) {
 	for _, v := range sw.Virtids {
 		if _, err := virtid.ParseImpl(v); err != nil {
 			return sw, fmt.Errorf("-sweep-virtid: %w", err)
+		}
+	}
+	for _, entry := range sw.Storage {
+		st, err := storage.Load(entry)
+		if err != nil {
+			return sw, fmt.Errorf("-sweep-storage: entry %q: %v", entry, err)
+		}
+		if err := checkCompression(fmt.Sprintf("-sweep-storage entry %q", entry), st, sw.Incremental); err != nil {
+			return sw, err
 		}
 	}
 	for _, name := range sw.Specs {

@@ -15,7 +15,8 @@ import (
 
 // TestBuildSweepValidation covers the sweep flag surface's error paths:
 // single-run-only flags are rejected by name, and malformed dimension
-// lists are refused.
+// lists, or storage entries nothing in the grid would act on, are
+// refused.
 func TestBuildSweepValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -31,6 +32,9 @@ func TestBuildSweepValidation(t *testing.T) {
 		{"negative ckpt entry", "-sweep-ckpt", []string{"-sweep-ckpt", "-1ms"}},
 		{"bad virtid entry", "-sweep-virtid", []string{"-sweep-virtid", "sharded,bogolock"}},
 		{"bad incremental entry", "-sweep-incremental", []string{"-sweep-incremental", "true,maybe"}},
+		{"bad storage entry", `-sweep-storage: entry "quantum"`, []string{"-sweep-storage", "direct,quantum"}},
+		{"compressing storage entry", `-sweep-storage entry "staged-compressed" enables compression`,
+			[]string{"-sweep-storage", "direct,staged-compressed", "-sweep-incremental", "false"}},
 		{"zero sweep workers", "-sweep-workers", []string{"-sweep-workers", "0"}},
 		{"unknown kernel", "-kernel", []string{"-kernel", "plan9"}},
 	}
