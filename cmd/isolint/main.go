@@ -55,7 +55,6 @@ var allowed = map[string]string{
 	"ckptstore.ErrNoVerifiableGeneration": "errors.New sentinel, written once at init and only compared",
 	"coordinator.ErrCollectiveMismatch":   "errors.New sentinel, written once at init and only compared",
 	"fleet.ErrRestartsExhausted":          "errors.New sentinel, written once at init and only compared",
-	"storage.profiles":                    "built-in profile table, initialised once and only read (Profile deep-copies)",
 	"storage.defaultRatios":               "compressibility-default table, initialised once and only read",
 }
 

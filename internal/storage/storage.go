@@ -19,7 +19,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -334,49 +336,30 @@ func (p *PFS) Write(arrive vtime.Time, bytes uint64) (done vtime.Time, wait vtim
 // Restart uses it: transfers of the abandoned timeline die with it.
 func (p *PFS) Reset() { p.busyUntil = 0 }
 
-// profiles are the built-in named configurations for the -storage flag.
-var profiles = map[string]Spec{
-	"direct": {
-		PFS: &PFSSpec{AggregateBandwidth: DefaultPFSBandwidth},
-	},
-	"staged": {
-		PFS:         &PFSSpec{AggregateBandwidth: DefaultPFSBandwidth},
-		BurstBuffer: &BurstBufferSpec{Bandwidth: DefaultBBBandwidth, Capacity: DefaultBBCapacity},
-	},
-	"staged-compressed": {
-		PFS:         &PFSSpec{AggregateBandwidth: DefaultPFSBandwidth},
-		BurstBuffer: &BurstBufferSpec{Bandwidth: DefaultBBBandwidth, Capacity: DefaultBBCapacity},
-		Compression: &CompressionSpec{Enabled: true, CostNsPerByte: DefaultCompressCost},
-	},
+// profiles returns the built-in named configurations for the -storage
+// flag, built afresh on every call so no caller shares one with another.
+func profiles() map[string]*Spec {
+	return map[string]*Spec{
+		"direct": {
+			PFS: &PFSSpec{AggregateBandwidth: DefaultPFSBandwidth},
+		},
+		"staged": {
+			PFS:         &PFSSpec{AggregateBandwidth: DefaultPFSBandwidth},
+			BurstBuffer: &BurstBufferSpec{Bandwidth: DefaultBBBandwidth, Capacity: DefaultBBCapacity},
+		},
+		"staged-compressed": {
+			PFS:         &PFSSpec{AggregateBandwidth: DefaultPFSBandwidth},
+			BurstBuffer: &BurstBufferSpec{Bandwidth: DefaultBBBandwidth, Capacity: DefaultBBCapacity},
+			Compression: &CompressionSpec{Enabled: true, CostNsPerByte: DefaultCompressCost},
+		},
+	}
 }
 
-// Profile returns a deep copy of the named built-in spec, safe for the
-// caller to overlay flag values onto.
+// Profile returns the named built-in spec. It is the caller's own: no
+// other call returns the same pointers.
 func Profile(name string) (*Spec, bool) {
-	p, ok := profiles[name]
-	if !ok {
-		return nil, false
-	}
-	s := &Spec{}
-	if p.PFS != nil {
-		v := *p.PFS
-		s.PFS = &v
-	}
-	if p.BurstBuffer != nil {
-		v := *p.BurstBuffer
-		s.BurstBuffer = &v
-	}
-	if p.Compression != nil {
-		v := *p.Compression
-		s.Compression = &v
-	}
-	for k, r := range p.Compressibility {
-		if s.Compressibility == nil {
-			s.Compressibility = make(map[string]float64, len(p.Compressibility))
-		}
-		s.Compressibility[k] = r
-	}
-	return s, true
+	s, ok := profiles()[name]
+	return s, ok
 }
 
 // Load resolves a -storage argument: a built-in profile name, or the
@@ -396,10 +379,5 @@ func Load(name string) (*Spec, error) {
 // ProfileNames returns the built-in profile names, sorted, for error
 // messages and usage text.
 func ProfileNames() []string {
-	names := make([]string, 0, len(profiles))
-	for name := range profiles {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(profiles()))
 }

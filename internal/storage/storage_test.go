@@ -239,8 +239,8 @@ func TestPFSContention(t *testing.T) {
 }
 
 // TestProfilesAreIsolated checks every built-in profile compiles and that
-// Profile hands out deep copies — overlaying flags on one run must not
-// leak into the next.
+// Profile hands out specs no other call shares — a caller that edits the
+// one it got must not change what the next run loads.
 func TestProfilesAreIsolated(t *testing.T) {
 	for _, name := range ProfileNames() {
 		s, ok := Profile(name)
