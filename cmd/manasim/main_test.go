@@ -278,8 +278,8 @@ func TestRuleTableIsComplete(t *testing.T) {
 }
 
 // TestStorageFlagResolution covers the positive half of -storage, the
-// one storage flag: a profile name and a JSON document both resolve, and
-// a document's absent fields take the model defaults.
+// one storage flag: a profile name resolves to its pipeline. (The
+// identity corpus pins -storage with JSON documents.)
 func TestStorageFlagResolution(t *testing.T) {
 	cfg, err := configOf("-storage", "staged")
 	if err != nil {
@@ -287,14 +287,6 @@ func TestStorageFlagResolution(t *testing.T) {
 	}
 	if !cfg.Storage.Staging || cfg.Storage.BBCapacity != storage.DefaultBBCapacity {
 		t.Errorf("-storage staged compiled wrong: %+v", cfg.Storage)
-	}
-	doc := filepath.Join("testdata", "identity", "compress-cost.json")
-	cfg, err = configOf("-incremental", "-storage", doc)
-	if err != nil {
-		t.Fatalf("-storage %s: %v", doc, err)
-	}
-	if !cfg.Storage.Compression || cfg.Storage.CompressCost != 0.5 || cfg.Storage.Staging || cfg.Storage.PFSBandwidth != storage.DefaultPFSBandwidth {
-		t.Errorf("-storage %s compiled wrong: %+v", doc, cfg.Storage)
 	}
 }
 
