@@ -8,7 +8,8 @@
 // or a copy into the rank's node burst buffer with the overflow written
 // through. Commit installs the written images as a link: a full link
 // starts a generation, a delta extends the newest one, and generations
-// past the retention bound are deleted with the buffer space they held.
+// past the retention bound are deleted with the buffer space they held;
+// Slots hands their image arrays to the next links to capture into.
 // A staged link is durable once DrainDone has seen each of its drains;
 // until then it is a buffer-only copy that dies with the node. Choose
 // picks the newest restore point whose chain is durable, unpoisoned and
@@ -68,7 +69,9 @@ type RestartRecord struct {
 }
 
 // link is one committed checkpoint: the per-rank images and the network
-// counters of its commit point.
+// counters of its commit point. The images array is the link's only while
+// it is retained: once the link retires or is rolled back, the array goes
+// back to the store for a later link to capture into.
 type link struct {
 	seq      int
 	images   []rank.Image
@@ -112,6 +115,11 @@ type Store struct {
 
 	poisoned map[int]int   // checkpoint seq → the restart attempt that destroyed it
 	restart  RestartRecord // Choose's accounting, until Rollback hands it over
+
+	// free holds the image arrays of retired and rolled-back links for
+	// Slots to hand out again, so a run allocates at most one array more
+	// than it retains links.
+	free [][]rank.Image
 }
 
 // New returns an empty store for ranks ranks on the storage pipeline cfg,
@@ -170,14 +178,42 @@ func (s *Store) Write(rank int, start vtime.Time, bytes uint64) Written {
 	return w
 }
 
+// Slots returns an array of n image slots for the next link to capture
+// into: a retired link's array when one is free, else a new one. A reused
+// array still holds the retired link's images; capture overwrites every
+// field (rank.Rank.CaptureInto), so nothing clears it.
+func (s *Store) Slots(n int) []rank.Image {
+	k := len(s.free)
+	if k == 0 {
+		return make([]rank.Image, n)
+	}
+	images := s.free[k-1]
+	s.free = s.free[:k-1]
+	return images[:n]
+}
+
+// retire frees what a dropped generation (or the tail of one) held: its
+// links' undrained buffer space and their image arrays.
+func (s *Store) retire(g []link) {
+	for li := range g {
+		lk := &g[li]
+		for r, b := range lk.staged {
+			s.bbUsed[r] -= b
+		}
+		lk.staged = nil
+		lk.pendingDrains = 0
+		s.free = append(s.free, lk.images)
+	}
+}
+
 // Commit installs checkpoint seq — one image per rank, all full or all
 // delta, and the network counters of its commit point — as the newest
 // committed state. A full link starts a generation and retires those past
-// the retention bound, freeing the buffer space they held; a delta
-// extends the newest generation. The link is durable at once unless the
-// writes since the last Commit staged bytes: then each staging rank's
-// drain is queued on the PFS, in rank order, and returned for DrainDone
-// to complete (the slice is reused by the next Commit).
+// the retention bound, freeing the buffer space and image arrays they
+// held; a delta extends the newest generation. The link is durable at
+// once unless the writes since the last Commit staged bytes: then each
+// staging rank's drain is queued on the PFS, in rank order, and returned
+// for DrainDone to complete (the slice is reused by the next Commit).
 func (s *Store) Commit(seq int, images []rank.Image, counters netsim.Counters) []Drain {
 	for i := range images[1:] {
 		if images[i+1].Full != images[0].Full {
@@ -189,7 +225,7 @@ func (s *Store) Commit(seq int, images []rank.Image, counters netsim.Counters) [
 		s.gens = append(s.gens, []link{l})
 		if drop := len(s.gens) - (s.retain + 1); drop > 0 {
 			for _, old := range s.gens[:drop] {
-				s.releaseStaged(old)
+				s.retire(old)
 			}
 			s.gens = append(s.gens[:0], s.gens[drop:]...)
 		}
@@ -245,18 +281,6 @@ func (s *Store) findLink(seq int) *link {
 	return nil
 }
 
-// releaseStaged frees the buffer space of a generation being deleted.
-func (s *Store) releaseStaged(g []link) {
-	for li := range g {
-		lk := &g[li]
-		for r, b := range lk.staged {
-			s.bbUsed[r] -= b
-		}
-		lk.staged = nil
-		lk.pendingDrains = 0
-	}
-}
-
 // Newest returns the newest committed checkpoint's seq (0 before the
 // first commit).
 func (s *Store) Newest() int {
@@ -277,7 +301,8 @@ func (s *Store) ChainLen() int {
 }
 
 // Images returns retained checkpoint seq's images, only to be read, or
-// nil when it is not retained.
+// nil when it is not retained. The array is valid only until the link
+// retires or is rolled back: then a later link captures into it.
 func (s *Store) Images(seq int) []rank.Image {
 	if lk := s.findLink(seq); lk != nil {
 		return lk.images
@@ -306,7 +331,9 @@ type Restore struct {
 // Image materialises rank i's image at the restore point — the full link
 // overlaid with each delta up to it — and returns it with the time
 // reading the chain off the PFS takes. The result is the store's own
-// image or lives in *scratch; either way it is only to be read.
+// image or lives in *scratch; either way it is only to be read, and a
+// pointer into the store is valid only until the link retires or is
+// rolled back (what the image's fields point at stays valid).
 func (r *Restore) Image(i int, scratch *rank.Image) (*rank.Image, vtime.Duration) {
 	img := &r.links[0].images[i]
 	readBytes := img.Bytes()
@@ -410,6 +437,10 @@ func (s *Store) Rollback(r Restore) RestartRecord {
 	rec := s.restart
 	rec.FromSeq, rec.FallbackDepth = r.Seq, s.Newest()-r.Seq
 	s.restart = RestartRecord{}
+	for _, g := range s.gens[r.gen+1:] {
+		s.retire(g)
+	}
+	s.retire(s.gens[r.gen][len(r.links):])
 	s.gens[r.gen] = r.links
 	s.gens = s.gens[:r.gen+1]
 	s.pfs.Reset()

@@ -34,8 +34,15 @@ func newJob(n int) *job {
 // capture dirties one page of every rank and takes the next checkpoint's
 // images: full, or deltas onto the previous checkpoint.
 func (j *job) capture(incremental bool) []rank.Image {
+	return j.captureInto(make([]rank.Image, len(j.ranks)), incremental)
+}
+
+// captureInto is capture into the slots given — a store's Slots — each
+// rank sharing slot tables with the rank before it, as the coordinator's
+// commit stage captures. The first byte of every rank's app.state is the
+// checkpoint's seq.
+func (j *job) captureInto(images []rank.Image, incremental bool) []rank.Image {
 	j.seq++
-	images := make([]rank.Image, len(j.ranks))
 	for i, r := range j.ranks {
 		for _, rg := range r.Mem().RegionsOf(memsim.UpperHalf) {
 			if rg.Name == "app.state" {
@@ -44,7 +51,11 @@ func (j *job) capture(incremental bool) []rank.Image {
 				}
 			}
 		}
-		images[i] = r.CaptureImage(incremental)
+		var prev *rank.Image
+		if i > 0 {
+			prev = &images[i-1]
+		}
+		r.CaptureInto(&images[i], incremental, prev)
 		images[i].Seq = j.seq
 		if !images[i].Full {
 			images[i].Base = j.seq - 1
@@ -356,5 +367,135 @@ func TestFallbackPicksNewestVerifiablePrefix(t *testing.T) {
 	}
 	if s.restart != (RestartRecord{}) {
 		t.Errorf("rollback left accounting behind: %+v", s.restart)
+	}
+}
+
+// TestRetiredLinkArraysAreRecycled: Slots hands out again the image
+// arrays of the links retention retired and Rollback dropped, so a run
+// allocates at most one array more than it retains links.
+func TestRetiredLinkArraysAreRecycled(t *testing.T) {
+	const ranks = 3
+	j := newJob(ranks)
+	s := New(storage.DefaultConfig(), ranks, 1)
+	commit := func(incremental bool) []rank.Image {
+		images := j.captureInto(s.Slots(ranks), incremental)
+		j.commit(s, 0, images)
+		return images
+	}
+	l1, l2, l3 := commit(false), commit(false), commit(false) // #3 retires #1
+	if &l3[0] == &l1[0] || &l3[0] == &l2[0] {
+		t.Fatal("#3 captured into a retained link's array")
+	}
+	if l4 := commit(true); &l4[0] != &l1[0] {
+		t.Errorf("#4 captured into a new array, want retired #1's")
+	}
+	l5 := commit(false) // retires #2
+	l6 := commit(true)
+	if &l6[0] != &l2[0] {
+		t.Errorf("#6 captured into a new array, want retired #2's")
+	}
+	if got := fmt.Sprint(s.generations()); got != "[[3 4] [5 6]]" {
+		t.Fatalf("generations %s, want [[3 4] [5 6]]", got)
+	}
+
+	// Rolling back to #4 drops #5 and #6; their arrays come back.
+	l5[0].Complete = false
+	rs, err := s.Choose(newCharged(ranks).charge)
+	if err != nil || rs.Seq != 4 {
+		t.Fatalf("with #5 torn: Choose = #%d, %v; want #4", rs.Seq, err)
+	}
+	s.Rollback(rs)
+	dropped := map[*rank.Image]bool{&l5[0]: true, &l6[0]: true}
+	for k := 0; k < 2; k++ {
+		if images := s.Slots(ranks); !dropped[&images[0]] {
+			t.Errorf("Slots after the rollback handed out a new array, want one of #5's and #6's")
+		} else {
+			delete(dropped, &images[0])
+		}
+	}
+
+	// A long run holds two generations of two links: five arrays at most.
+	j, s = newJob(ranks), New(storage.DefaultConfig(), ranks, 1)
+	arrays := map[*rank.Image]bool{}
+	for k := 0; k < 20; k++ {
+		arrays[&commit(k%2 == 1)[0]] = true
+	}
+	if len(arrays) != 5 {
+		t.Errorf("20 commits retaining 4 links used %d image arrays, want 5", len(arrays))
+	}
+}
+
+// imageState renders what restoring from img reads: the memory's content
+// digest and the small state.
+func imageState(img *rank.Image) string {
+	return fmt.Sprintf("%d %d %d %016x %v %v %v %v %+v %s", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(),
+		img.Inbox, img.PendingReqs, img.Comms, img.CommIDs, img.Stats, img.Virt.Text())
+}
+
+// rankState renders a live rank's state the same way, with its first
+// app.state byte — the seq of the checkpoint it was restored from.
+func rankState(r *rank.Rank) string {
+	var first []byte
+	for _, rg := range r.Mem().RegionsOf(memsim.UpperHalf) {
+		if rg.Name == "app.state" {
+			first, _ = r.Mem().Read(rg.Addr, 0, 1)
+		}
+	}
+	comms := make([]int, r.CommCount())
+	for i := range comms {
+		comms[i] = r.CommID(i)
+	}
+	return fmt.Sprintf("%v %d %d %016x %d %v %v %+v", first, r.PC(), r.Clock().Now(), r.Mem().Fingerprint(),
+		r.InboxLen(), r.PendingRequests(), comms, r.Stats())
+}
+
+// TestRestoreOutlivesRecycledArray: neither a rank restored from a link
+// nor the overlay Restore.Image built for it points into the link's
+// image array, so once the array is recycled and captured over, both
+// read what they read before.
+func TestRestoreOutlivesRecycledArray(t *testing.T) {
+	const ranks = 2
+	j := newJob(ranks)
+	s := New(storage.DefaultConfig(), ranks, 0)
+	l1 := j.captureInto(s.Slots(ranks), false)
+	j.commit(s, 0, l1)
+	l2 := j.captureInto(s.Slots(ranks), true)
+	j.commit(s, 0, l2)
+	rs, err := s.Choose(newCharged(ranks).charge)
+	if err != nil || rs.Seq != 2 {
+		t.Fatalf("Choose = #%d, %v; want #2", rs.Seq, err)
+	}
+	var overlaid rank.Image
+	img, _ := rs.Image(1, &overlaid)
+	if img != &overlaid {
+		t.Fatal("rank 1 at delta #2 is not an overlay")
+	}
+	restored := rank.New(1, kernelsim.Unpatched, virtid.ImplSharded, nil)
+	restored.RestoreFrom(img)
+	s.Rollback(rs)
+	wantImage, wantRank := imageState(&overlaid), rankState(restored)
+	if !strings.HasPrefix(wantRank, "[2] ") {
+		t.Fatalf("restored rank reads %s, want app.state's first byte 2", wantRank)
+	}
+
+	// Full link #3 retires the chain; its deltas capture into the chain's
+	// arrays.
+	old := map[*rank.Image]bool{&l1[0]: true, &l2[0]: true}
+	for len(old) > 0 {
+		images := s.Slots(ranks)
+		delete(old, &images[0])
+		j.commit(s, 0, j.captureInto(images, j.seq >= 3))
+		if j.seq > 10 {
+			t.Fatal("the chain's arrays were never recycled")
+		}
+	}
+	if l1[1].Seq == 1 || l2[1].Seq == 2 {
+		t.Fatalf("the arrays hold #%d and #%d, want later captures", l1[1].Seq, l2[1].Seq)
+	}
+	if got := imageState(&overlaid); got != wantImage {
+		t.Errorf("overlay after recycling:\n got %s\nwant %s", got, wantImage)
+	}
+	if got := rankState(restored); got != wantRank {
+		t.Errorf("restored rank after recycling:\n got %s\nwant %s", got, wantRank)
 	}
 }

@@ -1086,12 +1086,13 @@ func (c *Coordinator) wantIncremental() bool {
 	return c.cfg.Incremental && n > 0 && (c.cfg.FullImageEvery <= 0 || n < c.cfg.FullImageEvery)
 }
 
-// captureStage captures one rank's image in the requested mode, charges
-// the capture-side kernel costs (page-table scan over the whole upper
-// half, one content hash per dirty page — only the scan scales with
-// address-space size) and stamps the chain bookkeeping.
-func (c *Coordinator) captureStage(r *rank.Rank, incremental bool, seq int) rank.Image {
-	img := r.CaptureImage(incremental)
+// captureStage captures one rank's image into its slot of the link in the
+// requested mode (prev is the slot captured just before, nil for the
+// first), charges the capture-side kernel costs (page-table scan over the
+// whole upper half, one content hash per dirty page — only the scan
+// scales with address-space size) and stamps the chain bookkeeping.
+func (c *Coordinator) captureStage(r *rank.Rank, img, prev *rank.Image, incremental bool, seq int) {
+	r.CaptureInto(img, incremental, prev)
 	img.Seq = seq
 	if !img.Full {
 		img.Base = seq - 1
@@ -1099,7 +1100,6 @@ func (c *Coordinator) captureStage(r *rank.Rank, incremental bool, seq int) rank
 		r.ChargeCkptOverhead(vtime.Duration(img.Delta.ScannedPages)*k.PageScanCost() +
 			vtime.Duration(img.Delta.DirtyPages)*k.PageHashCost())
 	}
-	return img
 }
 
 // accountStage folds one image's size accounting into the record.
@@ -1193,11 +1193,14 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	// links) can damage the captured payloads before compression,
 	// accounting, write charging and digesting see them; for a clean
 	// checkpoint the split loop is byte-identical to the fused one
-	// (captures do not interact across ranks).
+	// (captures do not interact across ranks). The link's images go into
+	// an array the store hands out, a retired link's when it has one.
 	incremental := c.wantIncremental()
-	images := make([]rank.Image, len(c.ranks))
+	images := c.store.Slots(len(c.ranks))
+	var prev *rank.Image
 	for i, r := range c.ranks {
-		images[i] = c.captureStage(r, incremental, rec.Seq)
+		c.captureStage(r, &images[i], prev, incremental, rec.Seq)
+		prev = &images[i]
 	}
 	crashed = c.applyWriteFaults(faultplan.HopStage, images, &rec)
 	for i, r := range c.ranks {
@@ -1250,6 +1253,14 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 // nothing observes the damage at commit time, the job does not crash, and
 // a torn or corrupted durable copy surfaces only when a later restart's
 // verification walk rehashes the link.
+//
+// The damage is slot-local: it never reaches a slice the slot shares with
+// another slot or link (the request FIFO and communicator tables shared
+// with the previous rank, the handle table, a recaptured region list). A
+// torn write rewrites the slot's own scalar fields; CorruptSnapshot copies
+// the region list and the damaged pages first, and CorruptDelta copies
+// each damaged page into a page list only a delta that carries pages
+// owns.
 func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, rec *CheckpointRecord) (crashed bool) {
 	torn, corrupt := &rec.TornImages, &rec.CorruptPages
 	if hop == faultplan.HopDrain {

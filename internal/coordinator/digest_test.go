@@ -300,6 +300,7 @@ func BenchmarkCheckpointDigest(b *testing.B) {
 	if out, err := c.Run(); err != nil || out != Completed {
 		b.Fatalf("Run = %v, %v", out, err)
 	}
+	// The run is over: no later commit recycles the link's array.
 	var images []rank.Image
 	for seq := 1; seq <= len(c.Records()); seq++ {
 		if link := c.store.Images(seq); link != nil && !link[0].Full {

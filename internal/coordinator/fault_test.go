@@ -2,12 +2,18 @@ package coordinator
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
+	"mana/internal/fnv1a"
+	"mana/internal/netsim"
+	"mana/internal/rank"
 	"mana/internal/scenario"
+	"mana/internal/virtid"
 	"mana/internal/vtime"
 )
 
@@ -305,5 +311,105 @@ func BenchmarkRestartFallback(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// slotTables is a copy of the small slices an image may share with the
+// previous rank's slot or with other links.
+type slotTables struct {
+	comms, reqs []virtid.VID
+	ids         []int
+	inbox       []netsim.Message
+}
+
+func copyTables(img *rank.Image) slotTables {
+	return slotTables{slices.Clone(img.Comms), slices.Clone(img.PendingReqs), slices.Clone(img.CommIDs), slices.Clone(img.Inbox)}
+}
+
+// TestSharedSlotTablesSurviveFaults: images share equal request FIFOs and
+// communicator slot tables with the previous rank's slot, and links
+// capture into retired links' arrays, yet image-write damage stays in the
+// damaged slot. The overlap workload splits communicators; rank 5 takes a
+// torn drain write and two page corruptions while retention recycles
+// arrays. At job end every retained image's slot tables and inbox equal a
+// copy taken at its commit, and every other rank's images verify and
+// digest exactly as in the same run without faults.
+func TestSharedSlotTablesSurviveFaults(t *testing.T) {
+	const damaged = 5
+	cfg := overlapConfig(12, 8)
+	cfg.Incremental = true
+	cfg.RetainGenerations = 1
+	for k := range 12 {
+		cfg.Triggers = append(cfg.Triggers, Trigger{At: vtime.Time(k) * vtime.Time(150*vtime.Microsecond),
+			InFlight: k%3 == 1, FormingColls: 2 * (k % 3 / 2)})
+	}
+	run := func(faults []faultplan.Fault) (*Coordinator, map[int][]slotTables) {
+		cfg.Faults = faults
+		c := New(cfg)
+		atCommit := map[int][]slotTables{}
+		c.OnDispatch(func(vtime.Time) {
+			for seq := range len(c.Records()) + 1 {
+				if images := c.store.Images(seq); images != nil && atCommit[seq] == nil {
+					for i := range images {
+						atCommit[seq] = append(atCommit[seq], copyTables(&images[i]))
+					}
+				}
+			}
+		})
+		if out, err := c.Run(); err != nil || out != Completed {
+			t.Fatalf("Run = %v, %v; want completed", out, err)
+		}
+		return c, atCommit
+	}
+	clean, _ := run(nil)
+	c, atCommit := run([]faultplan.Fault{
+		{Anchor: faultplan.AtImageWrite, Hop: faultplan.HopDrain, N: 6, Kind: faultplan.TornWrite, Rank: damaged},
+		{Anchor: faultplan.AtImageWrite, Hop: faultplan.HopDrain, N: 7, Kind: faultplan.PageCorruption, Rank: damaged, Pages: 1},
+		{Anchor: faultplan.AtImageWrite, N: 9, Kind: faultplan.PageCorruption, Rank: damaged, Pages: 3},
+	})
+	recs := c.Records()
+	if len(recs) != 12 || recs[5].DrainTornImages != 1 || recs[6].DrainCorruptPages != 1 || recs[8].CorruptPages != 3 {
+		t.Fatalf("want 12 checkpoints with the three faults fired, got %d", len(recs))
+	}
+
+	var retained, shared int
+	var d digester
+	for seq := 1; seq <= len(recs); seq++ {
+		images, reference := c.store.Images(seq), clean.store.Images(seq)
+		if images == nil {
+			continue
+		}
+		retained++
+		if atCommit[seq] == nil {
+			t.Fatalf("#%d retained but never copied at its commit", seq)
+		}
+		for i := range images {
+			img := &images[i]
+			if got, want := fmt.Sprint(copyTables(img)), fmt.Sprint(atCommit[seq][i]); got != want {
+				t.Errorf("#%d rank %d slot tables at job end %s, at commit %s", seq, i, got, want)
+			}
+			if i > 0 && len(img.Comms) > 0 && &img.Comms[0] == &images[i-1].Comms[0] {
+				shared++
+			}
+			_, err := img.Verify()
+			if i == damaged {
+				if (seq == 6 || seq == 7 || seq == 9) != (err != nil) {
+					t.Errorf("#%d damaged rank verifies with %v", seq, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("#%d rank %d: %v", seq, i, err)
+			}
+			if got, want := d.image(fnv1a.Offset, img), d.image(fnv1a.Offset, &reference[i]); got != want {
+				t.Errorf("#%d rank %d digests %x, %x without faults", seq, i, got, want)
+			}
+		}
+	}
+	if retained != 8 {
+		t.Errorf("%d links retained at job end, want 8 (#1-#4 retired, their arrays recycled)", retained)
+	}
+	if shared == 0 {
+		t.Error("no image shares its communicator table with the previous rank's")
 	}
 }

@@ -291,7 +291,7 @@ func TestUnrecoverableRestartExplainsEveryLink(t *testing.T) {
 	if len(lines) != 4 {
 		t.Fatalf("error has %d lines, want a summary and one line per link:\n%v", len(lines), err)
 	}
-	img := &c.store.Images(2)[5]
+	img := &c.store.Images(2)[5] // no commit follows, so #2's array stays #2's
 	recs := c.Records()
 	for i, want := range []string{
 		"coordinator: 3 generations retained, newest committed #3: " + ckptstore.ErrNoVerifiableGeneration.Error(),

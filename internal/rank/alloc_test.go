@@ -53,8 +53,12 @@ func TestNewAllocationBudget(t *testing.T) {
 // slots: the space, its slice of region state and the small state.
 //
 // A capture of a rank that did nothing since its last one, full or
-// incremental, shares that commit's region storage (memsim's recapture)
-// and keeps only the two communicator slot tables.
+// incremental, shares that commit's region storage (memsim's recapture).
+// Through CaptureImage it keeps only the two communicator slot tables
+// (2; the Image itself stays on the stack); into a link's slot, after a
+// capture whose slot tables equal the rank's (the previous rank of the
+// link, as the coordinator passes it), it shares those too and allocates
+// nothing (2 -> 0).
 func TestCheckpointPathAllocationBudget(t *testing.T) {
 	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, computeScript(64))
 	net := testNet()
@@ -77,15 +81,28 @@ func TestCheckpointPathAllocationBudget(t *testing.T) {
 		}
 	})
 	fullRecapture := testing.AllocsPerRun(50, func() { r.CaptureImage(false) })
+	var prev, slot Image
+	r.CaptureInto(&prev, true, nil)
+	sharedRecapture := testing.AllocsPerRun(50, func() {
+		r.CaptureInto(&slot, true, &prev)
+		if slot.Full || slot.Delta.DirtyPages != 0 {
+			t.Fatalf("recapture is full=%v with %d dirty pages, want a clean delta", slot.Full, slot.Delta.DirtyPages)
+		}
+	})
+	sharedFullRecapture := testing.AllocsPerRun(50, func() { r.CaptureInto(&slot, false, &prev) })
 	restore := testing.AllocsPerRun(50, func() { r.Restore(postInit) })
-	t.Logf("incremental capture: %v allocations; clean recapture: %v incremental, %v full; restore: %v",
-		capture, recapture, fullRecapture, restore)
+	t.Logf("incremental capture: %v allocations; clean recapture: %v incremental, %v full, into a slot %v and %v; restore: %v",
+		capture, recapture, fullRecapture, sharedRecapture, sharedFullRecapture, restore)
 	if capture > 6 {
 		t.Errorf("incremental capture of a one-page delta allocates %v times, budget 6", capture)
 	}
 	if recapture > 2 || fullRecapture > 2 {
 		t.Errorf("clean recapture allocates %v times incremental and %v full, budget 2: the communicator slot tables",
 			recapture, fullRecapture)
+	}
+	if sharedRecapture != 0 || sharedFullRecapture != 0 {
+		t.Errorf("clean recapture into a slot after equal slot tables allocates %v times incremental and %v full, want 0",
+			sharedRecapture, sharedFullRecapture)
 	}
 	if restore > 8 {
 		t.Errorf("restore of a post-init image allocates %v times, budget 8", restore)
@@ -98,6 +115,15 @@ func TestCheckpointPathAllocationBudget(t *testing.T) {
 func TestRankSize(t *testing.T) {
 	if size := unsafe.Sizeof(Rank{}); size > 512 {
 		t.Errorf("Rank is %d bytes, budget 512: the next size class is 576 B per rank of wide-idle's peak RSS", size)
+	}
+}
+
+// TestImageSize pins the checkpoint image record at 544 bytes: every
+// rank's slot in every retained link is one, so a field more grows the
+// store by ranks × retained links.
+func TestImageSize(t *testing.T) {
+	if size := unsafe.Sizeof(Image{}); size > 544 {
+		t.Errorf("Image is %d bytes, budget 544: one per rank per retained link", size)
 	}
 }
 

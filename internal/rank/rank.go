@@ -828,41 +828,62 @@ func (r *Rank) BufferDrained(m netsim.Message) {
 	r.inbox = append(r.inbox, m)
 }
 
-// CaptureImage produces the rank's checkpoint image and commits the
-// memory generation it captures (freezing the captured pages, clearing
-// dirty bitmaps). With incremental set — and a previously committed
-// generation to delta against — the image carries only the pages dirtied
-// since the last checkpoint; the first capture after construction or
-// restart always falls back to a self-contained full image. An image's
-// memory payload references frozen pages only — the live space copies a
-// page before writing to it again — and the small state is deep-copied,
-// which for an empty inbox or request FIFO allocates nothing.
-func (r *Rank) CaptureImage(incremental bool) Image {
+// CaptureImage produces the rank's checkpoint image: CaptureInto a fresh
+// image, with nothing to share slot tables with.
+func (r *Rank) CaptureImage(incremental bool) (img Image) {
+	r.CaptureInto(&img, incremental, nil)
+	return img
+}
+
+// CaptureInto captures the rank's checkpoint image into *dst and commits
+// the memory generation it captures (freezing the captured pages,
+// clearing dirty bitmaps). With incremental set — and a previously
+// committed generation to delta against — the image carries only the
+// pages dirtied since the last checkpoint; the first capture after
+// construction or restart always falls back to a self-contained full
+// image. An image's memory payload references frozen pages only — the
+// live space copies a page before writing to it again.
+//
+// Every field of *dst is overwritten, so dst may be a slot still holding
+// an older link's image. The small state is copied out of the rank; an
+// empty inbox or request FIFO allocates nothing, and a request FIFO or
+// communicator slot table equal to prev's (the image captured just before
+// in the same link; nil for none) is shared with prev instead — images
+// are read-only.
+func (r *Rank) CaptureInto(dst *Image, incremental bool, prev *Image) {
 	if r.state == InCollective {
 		panic(fmt.Sprintf("rank %d: checkpoint while inside a collective", r.id))
 	}
 	r.flushMarkers()
-	img := Image{
-		RankID:      r.id,
-		PC:          r.pc,
-		Clock:       r.clock.Now(),
-		Inbox:       slices.Clone(r.inbox),
-		Virt:        r.vt.Snapshot(),
-		PendingReqs: slices.Clone(r.pending),
-		Comms:       slices.Clone(r.comms),
-		CommIDs:     slices.Clone(r.commIDs),
-		Stats:       r.stats,
+	var prevReqs, prevComms []virtid.VID
+	var prevIDs []int
+	if prev != nil {
+		prevReqs, prevComms, prevIDs = prev.PendingReqs, prev.Comms, prev.CommIDs
 	}
+	dst.RankID, dst.PC, dst.Clock = r.id, r.pc, r.clock.Now()
+	dst.Seq, dst.Base = 0, 0
 	if incremental && r.mem.Generation() > 0 {
-		img.Delta = r.mem.CommitUpperHalfDelta()
+		dst.Full, dst.Mem, dst.Delta = false, memsim.Snapshot{}, r.mem.CommitUpperHalfDelta()
 	} else {
-		img.Full = true
-		img.Mem = r.mem.CommitUpperHalf()
+		dst.Full, dst.Mem, dst.Delta = true, r.mem.CommitUpperHalf(), memsim.Delta{}
 	}
-	img.Complete = true
-	img.WrittenBytes = img.Bytes()
-	img.StoredBytes = img.WrittenBytes
-	return img
+	dst.Inbox = slices.Clone(r.inbox)
+	dst.Virt = r.vt.Snapshot()
+	dst.PendingReqs = shareOrClone(r.pending, prevReqs)
+	dst.Comms = shareOrClone(r.comms, prevComms)
+	dst.CommIDs = shareOrClone(r.commIDs, prevIDs)
+	dst.Stats = r.stats
+	dst.Complete = true
+	dst.WrittenBytes = dst.Bytes()
+	dst.StoredBytes = dst.WrittenBytes
+}
+
+// shareOrClone returns prev when it holds what s holds, else a copy of s.
+func shareOrClone[S ~[]E, E comparable](s, prev S) S {
+	if len(s) > 0 && slices.Equal(s, prev) {
+		return prev
+	}
+	return slices.Clone(s)
 }
 
 // Overlay materialises an incremental image onto its base: the returned

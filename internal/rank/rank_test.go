@@ -283,6 +283,74 @@ func TestStatsRestoredFromImage(t *testing.T) {
 	}
 }
 
+// TestCaptureIntoOverwritesStaleSlot: a link's slot may still hold a
+// retired link's image of another rank — full, torn or compressed — and
+// CaptureInto leaves nothing of it behind: the result equals a fresh
+// CaptureImage of the same state, in either mode. Slot tables equal to
+// the previous image's are shared with it, unequal ones copied.
+func TestCaptureIntoOverwritesStaleSlot(t *testing.T) {
+	net := testNet()
+	other := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{
+		{Kind: scenario.OpCommSplit, Comm: 0, Color: 3},
+		{Kind: scenario.OpIsend, Peer: 0, Bytes: 64, Tag: 0},
+		{Kind: scenario.OpCompute, Dur: 1 * vtime.Millisecond},
+	})
+	other.Execute(net)
+	other.FinishCommSplit(other.Clock().Now().Add(vtime.Microsecond), 5, RealCommBase+5)
+	other.Execute(net) // isend: a live request
+	other.BufferDrained(netsim.Message{Seq: 4, Src: 2, Dst: 1, Tag: 7, Bytes: 32, Arrive: 9})
+	full := other.CaptureImage(true) // chain start: full
+	full.Seq = 1
+	torn := full
+	torn.Complete, torn.WrittenBytes, torn.StoredBytes = false, full.Bytes()/2, full.Bytes()/2
+	other.Execute(net) // dirties the state page
+	compressed := other.CaptureImage(true)
+	compressed.Seq, compressed.Base = 2, 1
+	compressed.StoredBytes = compressed.WrittenBytes / 2
+	stale := []Image{full, torn, compressed}
+
+	// Every field is set in some stale image, so a field capture does not
+	// overwrite fails the comparison below.
+	fields := reflect.TypeOf(Image{})
+	for f := range fields.NumField() {
+		set := false
+		for i := range stale {
+			set = set || !reflect.ValueOf(stale[i]).Field(f).IsZero()
+		}
+		if !set {
+			t.Errorf("no stale image sets Image.%s", fields.Field(f).Name)
+		}
+	}
+
+	// a and b share one history: a captures into the stale slot, b fresh.
+	a := New(0, kernelsim.Patched, virtid.ImplSharded, computeScript(8))
+	b := New(0, kernelsim.Patched, virtid.ImplSharded, computeScript(8))
+	for i := range stale {
+		for _, incremental := range []bool{false, true} {
+			a.Execute(net)
+			b.Execute(net)
+			slot := stale[i]
+			a.CaptureInto(&slot, incremental, nil)
+			if want := b.CaptureImage(incremental); !reflect.DeepEqual(slot, want) {
+				t.Errorf("capture (incremental=%v) over stale image %d:\n got %+v\nwant %+v", incremental, i, slot, want)
+			}
+		}
+	}
+
+	var first, second Image
+	a.CaptureInto(&first, true, nil)
+	a.CaptureInto(&second, true, &first)
+	if &second.Comms[0] != &first.Comms[0] || &second.CommIDs[0] != &first.CommIDs[0] {
+		t.Error("slot tables equal to the previous image's are copied, want shared")
+	}
+	a.CaptureInto(&second, true, &compressed)
+	if &second.Comms[0] == &compressed.Comms[0] || !reflect.DeepEqual(second.Comms, first.Comms) ||
+		!reflect.DeepEqual(second.CommIDs, first.CommIDs) {
+		t.Errorf("slot tables %v/%v after a previous image of %v/%v, want the rank's own %v/%v",
+			second.Comms, second.CommIDs, compressed.Comms, compressed.CommIDs, first.Comms, first.CommIDs)
+	}
+}
+
 func TestExecuteTransitions(t *testing.T) {
 	net := testNet()
 	r := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{
