@@ -97,7 +97,7 @@ smoke:
 	$(GO) run ./cmd/manasim > /tmp/manasim-run2.txt
 	cmp /tmp/manasim-run1.txt /tmp/manasim-run2.txt
 
-# smoke-wide mirrors CI's three memory smokes; each run prints its peak
+# smoke-wide mirrors CI's four memory smokes; each run prints its peak
 # RSS (ru_maxrss of the child, in KiB on Linux), wall and system time,
 # and holds the RSS under a ceiling. Wide: 65536 ranks that each write
 # 150 bytes, twice, byte-identical, under 450 MiB — memory must follow the
@@ -106,9 +106,15 @@ smoke:
 # ranks, once, under 2 GiB (2.8 GiB and 40 s before). Deep: the
 # benchmark's deep-stencil workload (512 ranks, 800 steps, 2.2 M ops),
 # twice, byte-identical, under 110 MiB — memory must follow the spec, not
-# one private copy of the op stream per rank (217 MiB). The system time
-# is the kernel faulting pages in: the term that grows faster than the
-# rank count when per-rank memory does.
+# one private copy of the op stream per rank (217 MiB). Checkpoint: the
+# benchmark's ckpt-storm invocation (2048 ranks, 48 back-to-back commits,
+# the default phases with ckpt-storm's triggers in
+# cmd/manasim/testdata/identity/ckpt-storm.json), twice, byte-identical,
+# under 37 MiB — an image record must point at the shared memory,
+# handle-table and stats snapshots, not embed copies of them (39 MiB
+# when it embedded them; 28-32 MiB since). The system time is the
+# kernel faulting pages in: the term that grows faster than the rank
+# count when per-rank memory does.
 # RSS_RUN takes: output file, label, ceiling in MiB, manasim arguments.
 RSS_RUN = python3 -c 'import resource, subprocess, sys, time; \
 	out, label, limit = sys.argv[1], sys.argv[2], int(sys.argv[3]); \
@@ -129,6 +135,11 @@ smoke-wide:
 	  $(RSS_RUN) /tmp/manasim-deep$$i.txt "deep run $$i" 110 -spec stencil -ranks 512 -steps 800 -no-fail; \
 	done
 	cmp /tmp/manasim-deep1.txt /tmp/manasim-deep2.txt
+	@set -e; for i in 1 2; do \
+	  $(RSS_RUN) /tmp/manasim-ckpt$$i.txt "checkpoint run $$i" 37 -spec cmd/manasim/testdata/identity/ckpt-storm.json \
+	    -ranks 2048 -steps 40 -ckpt-at 1us -incremental -full-every 4 -storage staged-compressed -no-fail; \
+	done
+	cmp /tmp/manasim-ckpt1.txt /tmp/manasim-ckpt2.txt
 
 # smoke-matrix mirrors CI's determinism matrix: every combination of
 # handle-table implementation, image mode and library scenario spec runs

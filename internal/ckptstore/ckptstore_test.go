@@ -245,9 +245,11 @@ func TestVerifyOutcomes(t *testing.T) {
 			name: "corrupt",
 			cfg:  storage.DefaultConfig(),
 			damage: func(_ *Store, images []rank.Image) {
-				if memsim.CorruptSnapshot(&images[2].Mem, 1) != 1 {
+				mem := *images[2].Mem // the image's snapshot is shared: damage a copy
+				if memsim.CorruptSnapshot(&mem, 1) != 1 {
 					t.Fatal("no page to corrupt")
 				}
+				images[2].Mem = &mem
 			},
 			line:    "  #1: rank 2: image for checkpoint #1 is corrupt: memsim: ",
 			counted: func(r RestartRecord) int { return r.CorruptLinks },

@@ -483,8 +483,10 @@ type Coordinator struct {
 	events     uint64
 	rankVisits uint64
 	// dispatched, when set (tests only, through OnDispatch), is called
-	// with the time of every event the serial loop dispatches.
+	// with the time of every event the serial loop dispatches; committed
+	// (OnCommit) with the seq of every checkpoint the store committed.
 	dispatched func(vtime.Time)
+	committed  func(seq int)
 
 	// digest folds checkpoint images into their fingerprint, keeping the
 	// text they repeat. final memoises FinalFingerprint while finalOK;
@@ -1225,6 +1227,9 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 		c.queue.Push(d.Done, rankEvent(evDrainDone, rec.Seq, d.Rank))
 	}
 	c.records = append(c.records, rec)
+	if c.committed != nil {
+		c.committed(rec.Seq)
+	}
 
 	// Checkpoint-commit crashes are events like everything else: each
 	// fires its delay of virtual time after the commit point.
@@ -1254,13 +1259,14 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 // a torn or corrupted durable copy surfaces only when a later restart's
 // verification walk rehashes the link.
 //
-// The damage is slot-local: it never reaches a slice the slot shares with
-// another slot or link (the request FIFO and communicator tables shared
-// with the previous rank, the handle table, a recaptured region list). A
-// torn write rewrites the slot's own scalar fields; CorruptSnapshot copies
-// the region list and the damaged pages first, and CorruptDelta copies
-// each damaged page into a page list only a delta that carries pages
-// owns.
+// The damage is slot-local: it never reaches a payload the slot shares
+// with another slot or link (the request FIFO and communicator tables
+// shared with the previous rank, the handle table's and the stats
+// records, a recaptured snapshot or region list). A torn write rewrites
+// the slot's own scalar fields; a corruption gives the slot its own copy
+// of the snapshot header, CorruptSnapshot copies the region list and the
+// damaged pages, and CorruptDelta copies each damaged page into a page
+// list only a delta that carries pages owns.
 func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, rec *CheckpointRecord) (crashed bool) {
 	torn, corrupt := &rec.TornImages, &rec.CorruptPages
 	if hop == faultplan.HopDrain {
@@ -1289,7 +1295,9 @@ func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, r
 			crashed = hop == faultplan.HopStage
 		case faultplan.PageCorruption:
 			if img.Full {
-				*corrupt += memsim.CorruptSnapshot(&img.Mem, f.Pages)
+				mem := *img.Mem
+				*corrupt += memsim.CorruptSnapshot(&mem, f.Pages)
+				img.Mem = &mem
 			} else {
 				*corrupt += memsim.CorruptDelta(&img.Delta, f.Pages)
 			}

@@ -194,7 +194,7 @@ func (d *digester) image(h fnv1a.Hash, img *rank.Image) fnv1a.Hash {
 		h = foldHex(h.Str(",brk="), img.Delta.Brk)
 		h = h.Byte(')')
 	}
-	h = foldStats(h.Byte(':'), &img.Stats).Byte(';')
+	h = foldStats(h.Byte(':'), img.Stats).Byte(';')
 	if !img.Full {
 		for i := range img.Delta.Regions {
 			rd := &img.Delta.Regions[i]

@@ -28,10 +28,10 @@ func fmtImageDigest(h io.Writer, img rank.Image) {
 		fmt.Fprintf(h, "torn(%d/%d);", img.WrittenBytes, img.Bytes())
 	}
 	if img.Full {
-		fmt.Fprintf(h, "%d:%d:%d:%x:%+v;", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(), img.Stats)
+		fmt.Fprintf(h, "%d:%d:%d:%x:%+v;", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(), *img.Stats)
 	} else {
 		fmt.Fprintf(h, "%d:%d:%d:delta(%d<-%d,brk=%x):%+v;",
-			img.RankID, img.PC, img.Clock, img.Seq, img.Base, img.Delta.Brk, img.Stats)
+			img.RankID, img.PC, img.Clock, img.Seq, img.Base, img.Delta.Brk, *img.Stats)
 		for _, rd := range img.Delta.Regions {
 			fmt.Fprintf(h, "rd(%q,%d,%d,%x,%d,%d", rd.Name, rd.Half, rd.Kind, rd.Addr, rd.Size, rd.DataLen)
 			for _, p := range rd.Pages {
@@ -61,9 +61,9 @@ func fmtImageDigest(h io.Writer, img rank.Image) {
 // randomStats fills every field of rank.Stats by reflection, so a field
 // added to the struct reaches the fmt reference (which prints all of
 // them) and fails the comparison until appendStats prints it too.
-func randomStats(t *testing.T, rng *rand.Rand) rank.Stats {
-	var st rank.Stats
-	v := reflect.ValueOf(&st).Elem()
+func randomStats(t *testing.T, rng *rand.Rand) *rank.Stats {
+	st := new(rank.Stats)
+	v := reflect.ValueOf(st).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		switch f := v.Field(i); f.Kind() {
 		case reflect.Uint64:
@@ -127,6 +127,7 @@ func randomImage(t *testing.T, rng *rand.Rand) rank.Image {
 		tbl.Snapshot()
 		img.Virt = tbl.Snapshot() // the memoised one
 	} else {
+		img.Virt = new(virtid.Snapshot)
 		for k := 0; k < virtid.NumKinds; k++ {
 			img.Virt.Next[k] = rng.Uint64() >> 50
 			for i := 0; i < rng.Intn(4); i++ {
@@ -154,7 +155,7 @@ func randomImage(t *testing.T, rng *rand.Rand) rank.Image {
 func TestDigestMatchesFmt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var d digester
-	var prev rank.Image
+	prev := rank.Image{Virt: new(virtid.Snapshot), Stats: new(rank.Stats)} // a zero image
 	h := fnv1a.Offset
 	for i := 0; i < 512; i++ {
 		img := randomImage(t, rng)

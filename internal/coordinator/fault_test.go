@@ -3,6 +3,7 @@ package coordinator
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
 	"mana/internal/fnv1a"
+	"mana/internal/memsim"
 	"mana/internal/netsim"
 	"mana/internal/rank"
 	"mana/internal/scenario"
@@ -411,5 +413,117 @@ func TestSharedSlotTablesSurviveFaults(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Error("no image shares its communicator table with the previous rank's")
+	}
+}
+
+// payloadCopy is what one committed image pointed at, and a deep copy of
+// it taken at the commit.
+type payloadCopy struct {
+	mem       *memsim.Snapshot // nil for a delta image
+	memCopy   memsim.Snapshot  // the header, its region list and hashes cloned
+	virt      *virtid.Snapshot
+	virtCopy  virtid.Snapshot // the entry lists cloned
+	virtText  string
+	stats     *rank.Stats
+	statsCopy rank.Stats
+}
+
+func copyPayloads(img *rank.Image) payloadCopy {
+	p := payloadCopy{mem: img.Mem, virt: img.Virt, virtCopy: *img.Virt, virtText: string(img.Virt.Text()),
+		stats: img.Stats, statsCopy: *img.Stats}
+	if img.Mem != nil {
+		p.memCopy = *img.Mem
+		p.memCopy.Regions = slices.Clone(img.Mem.Regions)
+		p.memCopy.RegionHashes = slices.Clone(img.Mem.RegionHashes)
+	}
+	for k := range p.virtCopy.Entries {
+		p.virtCopy.Entries[k] = slices.Clone(img.Virt.Entries[k])
+	}
+	return p
+}
+
+// changed names the payload of p that no longer equals its copy, or is
+// empty.
+func (p *payloadCopy) changed() string {
+	switch {
+	case p.mem != nil && !reflect.DeepEqual(*p.mem, p.memCopy):
+		return "memory snapshot header"
+	case !reflect.DeepEqual(*p.virt, p.virtCopy) || string(p.virt.Text()) != p.virtText:
+		return "handle-table snapshot"
+	case *p.stats != p.statsCopy:
+		return "stats"
+	}
+	return ""
+}
+
+// TestSharedPayloadsStayReadOnly pins the image record's rule: what an
+// image points at — its memory snapshot, its handle-table snapshot, its
+// stats — is shared with other images and links, and nothing writes it.
+// Eight back-to-back checkpoints of the default workload at 16 ranks
+// (-incremental -full-every 4) make #5 a full link whose snapshots are
+// #1's, shared; a page corruption damages rank 3's image of #5, and a
+// crash after #6 makes the restart fall back to #4 (#1 plus three clean
+// deltas), whose restored ranks run on over #1's memory. Every payload
+// of every image committed in the run, retained or recycled since, must
+// end the job equal to its copy taken at the commit and, but for the
+// damaged one, verify; the recovered run must end as a fault-free one.
+func TestSharedPayloadsStayReadOnly(t *testing.T) {
+	const ranks, damaged = 16, 3
+	cfg := smallConfig(ranks, 40)
+	cfg.Incremental, cfg.FullImageEvery = true, 4
+	for range 8 {
+		cfg.Triggers = append(cfg.Triggers, Trigger{At: vtime.Time(vtime.Microsecond)})
+	}
+	cfg.Faults = []faultplan.Fault{
+		{Anchor: faultplan.AtImageWrite, N: 5, Kind: faultplan.PageCorruption, Rank: damaged, Pages: 2},
+		{Anchor: faultplan.AtCheckpointCommit, N: 6, Kind: faultplan.RankCrash, Delay: 100 * vtime.Microsecond},
+	}
+	c := New(cfg)
+	var copies [][]payloadCopy // per commit, per rank
+	c.OnCommit(func(seq int) {
+		images := c.store.Images(seq)
+		link := make([]payloadCopy, len(images))
+		for i := range images {
+			link[i] = copyPayloads(&images[i])
+		}
+		copies = append(copies, link)
+		if seq != 5 {
+			return
+		}
+		first := c.store.Images(1)
+		for i := range images {
+			if i != damaged && images[i].Mem != first[i].Mem {
+				t.Fatalf("#5 rank %d does not share #1's snapshot", i)
+			}
+		}
+		if _, err := first[damaged].Verify(); err != nil {
+			t.Errorf("the damaged image's twin in #1 fails verification at #5's commit: %v", err)
+		}
+	})
+	completeWithRecovery(t, c)
+
+	recs, rst := c.Records(), c.Restarts()
+	if len(copies) < 8 || recs[4].CorruptPages != 2 {
+		t.Fatalf("%d checkpoints with %d pages of #5 damaged, want at least 8 and 2", len(copies), recs[4].CorruptPages)
+	}
+	if len(rst) != 1 || rst[0].FromSeq != 4 || rst[0].CorruptLinks != 1 {
+		t.Fatalf("restarts %+v, want one, from #4 past one corrupt link", rst)
+	}
+	for k, link := range copies {
+		for i := range link {
+			p := &link[i]
+			if what := p.changed(); what != "" {
+				t.Errorf("#%d rank %d: the %s changed after the commit", k+1, i, what)
+			}
+			if p.mem == nil {
+				continue
+			}
+			if _, err := p.mem.Verify(); (err != nil) != (k+1 == 5 && i == damaged) {
+				t.Errorf("#%d rank %d: full snapshot verifies with %v", k+1, i, err)
+			}
+		}
+	}
+	if got, want := c.FinalFingerprint(), faultFreeFingerprint(t, cfg); got != want {
+		t.Errorf("final fingerprint %016x differs from fault-free %016x", got, want)
 	}
 }

@@ -10,13 +10,13 @@ import (
 // applyDeltaByMap is ApplyDelta as it was before it walked the two
 // address-sorted region lists together: base regions are found through a
 // map[uint64]int built per call. Kept as the reference for the join.
-func applyDeltaByMap(base Snapshot, d Delta) Snapshot {
+func applyDeltaByMap(base *Snapshot, d Delta) *Snapshot {
 	baseIdx := make(map[uint64]int, len(base.Regions))
 	for i := range base.Regions {
 		baseIdx[base.Regions[i].Addr] = i
 	}
 	baseHashes := len(base.RegionHashes) == len(base.Regions)
-	out := Snapshot{Brk: d.Brk}
+	out := &Snapshot{Brk: d.Brk}
 	for _, rd := range d.Regions {
 		r := Region{Name: rd.Name, Half: rd.Half, Kind: rd.Kind, Addr: rd.Addr, Size: rd.Size, DataLen: rd.DataLen}
 		var b *Region
@@ -138,4 +138,33 @@ func TestApplyDeltaRejectsUnsortedDelta(t *testing.T) {
 		}
 	}()
 	ApplyDelta(base, d)
+}
+
+// TestApplyDeltaOfNothingIsTheBase: a delta that carries no page over
+// its base's layout and program break materialises as the base itself,
+// while one that carries a page, or changes the layout, builds a new
+// snapshot.
+func TestApplyDeltaOfNothingIsTheBase(t *testing.T) {
+	a := recaptureSpace(t)
+	state := regionNamed(t, a, "app.state")
+	for _, c := range []struct {
+		name   string
+		change func()
+		same   bool
+	}{
+		{"nothing", func() {}, true},
+		{"same-bytes write", func() { mustWrite(t, a, state, PageSize, make([]byte, 40)) }, true},
+		{"write", func() { mustWrite(t, a, state, PageSize, []byte{8}) }, false},
+		{"sbrk", func() { a.Sbrk(PageSize) }, false},
+	} {
+		base := a.CommitUpperHalf()
+		c.change()
+		got := ApplyDelta(base, a.CommitUpperHalfDelta())
+		if (got == base) != c.same {
+			t.Errorf("%s: the overlay is the base %v, want %v", c.name, got == base, c.same)
+		}
+		if !got.Equal(a.SnapshotUpperHalf()) {
+			t.Errorf("%s: the overlay differs from the live space", c.name)
+		}
+	}
 }

@@ -213,13 +213,16 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 // ApplyDelta produces them so — and are joined by walking them together.
 // A delta out of that order is a bug and panics, which also keeps the
 // result a valid base for the next link of a chain.
-func ApplyDelta(base Snapshot, d Delta) Snapshot {
+//
+// A delta that carries no page over base's very layout and program break
+// changes nothing: the result is base itself, not a copy (snapshots are
+// read-only, see Snapshot).
+func ApplyDelta(base *Snapshot, d Delta) *Snapshot {
 	baseHashes := len(base.RegionHashes) == len(base.Regions)
-	out := Snapshot{
-		Brk:          d.Brk,
-		Regions:      make([]Region, len(d.Regions)),
-		RegionHashes: make([]uint64, len(d.Regions)),
+	if baseHashes && changesNothing(base, &d) {
+		return base
 	}
+	out := newSnapshot(d.Brk, len(d.Regions))
 	bi := 0 // the first base region not below the current delta region
 	for i := range d.Regions {
 		rd := &d.Regions[i]
@@ -277,4 +280,20 @@ func ApplyDelta(base Snapshot, d Delta) Snapshot {
 		out.RegionHashes[i] = r.contentHash()
 	}
 	return out
+}
+
+// changesNothing reports whether d, overlaid on base, would rebuild base
+// exactly: the same program break and regions, and no page carried.
+func changesNothing(base *Snapshot, d *Delta) bool {
+	if d.Brk != base.Brk || len(d.Regions) != len(base.Regions) {
+		return false
+	}
+	for i := range d.Regions {
+		rd, b := &d.Regions[i], &base.Regions[i]
+		if len(rd.Pages) > 0 || rd.Addr != b.Addr || rd.Size != b.Size || rd.DataLen != b.DataLen ||
+			rd.Half != b.Half || rd.Kind != b.Kind || rd.Name != b.Name {
+			return false
+		}
+	}
+	return true
 }

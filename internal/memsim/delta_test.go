@@ -76,7 +76,7 @@ func TestDeltaOverlayBitIdenticalToFull(t *testing.T) {
 		t.Errorf("overlay fingerprint %016x != full fingerprint %016x", got.Fingerprint(), want.Fingerprint())
 	}
 	// Cross-check the memoised fingerprint path against a recomputation.
-	bare := got
+	bare := *got
 	bare.RegionHashes = nil
 	if bare.Fingerprint() != got.Fingerprint() {
 		t.Errorf("memoised fingerprint %016x != recomputed %016x", got.Fingerprint(), bare.Fingerprint())

@@ -213,10 +213,11 @@ type AddressSpace struct {
 // nil until a capture of the generation builds it (a capture's slices are
 // never nil, even with no region). A commit of a space that
 // has not changed since returns them instead of copying the same layout
-// again, so back-to-back checkpoints share one region array.
+// again, so back-to-back checkpoints share one snapshot, header and
+// region array alike.
 type lastCommit struct {
 	brk     uint64
-	snap    Snapshot
+	snap    *Snapshot
 	regions []RegionDelta
 	scanned int // the delta's ScannedPages
 }
@@ -234,7 +235,11 @@ func (a *AddressSpace) unchanged() bool {
 		return false
 	}
 	upper := a.regions[UpperHalf]
-	snap, deltas := c.snap.Regions, c.regions
+	var snap []Region
+	if c.snap != nil {
+		snap = c.snap.Regions
+	}
+	deltas := c.regions
 	n := len(deltas)
 	if snap != nil {
 		n = len(snap)
@@ -637,11 +642,12 @@ func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, 
 // Snapshot is the set of regions a checkpoint image carries: exactly the
 // upper-half regions (the lower half is discarded).
 //
-// A snapshot is a read-only payload, and its slices may be shared: a
+// A snapshot is a read-only payload, handed out by pointer and shared: a
 // capture of a space that has not changed since its last commit returns
-// that commit's snapshot, Regions and RegionHashes backing included, and
-// ApplyDelta shares page tables with its base. Code that edits a snapshot
-// (CorruptSnapshot) copies the slice it edits first.
+// that commit's *Snapshot itself, Regions and RegionHashes backing
+// included, and ApplyDelta shares page tables with its base (or returns
+// the base, for a delta that changes nothing). Code that edits a snapshot
+// copies the header first and CorruptSnapshot copies the slice it edits.
 type Snapshot struct {
 	Regions []Region
 	// Brk is the saved program break so heap state can be restored.
@@ -653,27 +659,44 @@ type Snapshot struct {
 	RegionHashes []uint64
 }
 
+// inlineHashes is how many regions a snapshot's header holds the digests
+// of in its own allocation: an upper half maps seven regions, and a heap
+// region more per sbrk.
+const inlineHashes = 16
+
+// newSnapshot returns a snapshot of n zero regions and digests at program
+// break brk. Up to inlineHashes regions, the header and its RegionHashes
+// are one allocation: a snapshot is handed out by pointer, and its header
+// lives exactly as long as its digests.
+func newSnapshot(brk uint64, n int) *Snapshot {
+	if n > inlineHashes {
+		return &Snapshot{Brk: brk, Regions: make([]Region, n), RegionHashes: make([]uint64, n)}
+	}
+	b := &struct {
+		s Snapshot
+		h [inlineHashes]uint64
+	}{}
+	b.s = Snapshot{Brk: brk, Regions: make([]Region, n), RegionHashes: b.h[:n:n]}
+	return &b.s
+}
+
 // capture builds a full snapshot by sharing, not copying: each
 // region contributes a copy of its page table, and the pages themselves
 // are frozen so the live space copies one on its next write to it. When
 // commit is set the captured contents also become the base generation
 // every later delta is relative to, and the dirty bitmaps are cleared.
 // A space unchanged since its last commit returns the snapshot it
-// remembers of it, once one was taken.
-func (a *AddressSpace) capture(commit bool) Snapshot {
+// remembers of it, once one was taken: the same pointer.
+func (a *AddressSpace) capture(commit bool) *Snapshot {
 	same := a.unchanged()
-	if same && a.last.snap.Regions != nil {
+	if same && a.last.snap != nil {
 		if commit {
 			a.gen++
 		}
 		return a.last.snap
 	}
 	upper := a.regions[UpperHalf]
-	snap := Snapshot{
-		Brk:          a.brk,
-		Regions:      make([]Region, len(upper)),
-		RegionHashes: make([]uint64, len(upper)),
-	}
+	snap := newSnapshot(a.brk, len(upper))
 	for i := range upper {
 		r := &upper[i]
 		r.view(&snap.Regions[i])
@@ -699,7 +722,7 @@ func (a *AddressSpace) capture(commit bool) Snapshot {
 // observing the space never perturbs incremental checkpointing. Like
 // CommitUpperHalf it returns the last commit's snapshot, shared, when
 // nothing changed since.
-func (a *AddressSpace) SnapshotUpperHalf() Snapshot {
+func (a *AddressSpace) SnapshotUpperHalf() *Snapshot {
 	return a.capture(false)
 }
 
@@ -709,8 +732,8 @@ func (a *AddressSpace) SnapshotUpperHalf() Snapshot {
 // MANA's checkpoint helper writes to a full image file. A space that has
 // not changed since its last commit — no page written, the same regions
 // and program break — returns the snapshot that commit (or a capture
-// since) built: the same Regions and RegionHashes, not a copy.
-func (a *AddressSpace) CommitUpperHalf() Snapshot {
+// since) built: the same *Snapshot, not a copy.
+func (a *AddressSpace) CommitUpperHalf() *Snapshot {
 	return a.capture(true)
 }
 
@@ -746,7 +769,7 @@ func (a *AddressSpace) DirtyPages(addr uint64) ([]int, bool) {
 
 // TotalBytes returns the number of bytes of memory captured by the
 // snapshot; this is the per-rank checkpoint image payload size.
-func (s Snapshot) TotalBytes() uint64 {
+func (s *Snapshot) TotalBytes() uint64 {
 	var total uint64
 	for i := range s.Regions {
 		total += s.Regions[i].Size
@@ -762,7 +785,7 @@ func (s Snapshot) TotalBytes() uint64 {
 // content digests, reusing the memoised RegionHashes when the capture
 // filled them in — the digest is identical whether or not the memo is
 // present, because the per-region function is the same.
-func (s Snapshot) Fingerprint() uint64 {
+func (s *Snapshot) Fingerprint() uint64 {
 	h := fnv1a.Offset.U64(s.Brk).U64(uint64(len(s.Regions)))
 	memoised := len(s.RegionHashes) == len(s.Regions)
 	for i := range s.Regions {
@@ -782,7 +805,7 @@ func (s Snapshot) Fingerprint() uint64 {
 // they belong to the freshly initialised MPI library. The snapshot's
 // regions must be in ascending address order, as every capture and
 // ApplyDelta produces them.
-func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
+func (a *AddressSpace) RestoreUpperHalf(s *Snapshot) {
 	// A restored region shares the image's contents — its descriptor is
 	// the image's Region, page table included, and a write copies table
 	// and page first, so the image stays immutable — and starts entirely
@@ -819,7 +842,7 @@ func (a *AddressSpace) RestoreUpperHalf(s Snapshot) {
 // (same regions, same data lengths, same logical contents — an absent page
 // equals a page of zeros). Used by tests to prove checkpoint/restore
 // round-trips are lossless.
-func (s Snapshot) Equal(o Snapshot) bool {
+func (s *Snapshot) Equal(o *Snapshot) bool {
 	if len(s.Regions) != len(o.Regions) || s.Brk != o.Brk {
 		return false
 	}

@@ -39,25 +39,29 @@ func sameBacking[T any](x, y []T) bool {
 }
 
 // TestCorruptingASharedImageLeavesItsTwinIntact pins copy-on-write for
-// the images a recapture shares: damaging one of two back-to-back
-// commits of an unchanged space must leave the other, and the space's
-// next recapture, verifying.
+// the images a recapture shares: back-to-back commits of an unchanged
+// space are one snapshot, and damaging a copy of its header must leave
+// the snapshot, and the space's next recapture, verifying.
 func TestCorruptingASharedImageLeavesItsTwinIntact(t *testing.T) {
 	a := recaptureSpace(t)
-	first, second := a.CommitUpperHalf(), a.CommitUpperHalf()
-	if !sameBacking(first.Regions, second.Regions) || !sameBacking(first.RegionHashes, second.RegionHashes) {
-		t.Fatal("two commits of an unchanged space do not share their region storage")
+	first, shared := a.CommitUpperHalf(), a.CommitUpperHalf()
+	if first != shared {
+		t.Fatal("two commits of an unchanged space do not share their snapshot")
 	}
+	second := *shared
 	if got := CorruptSnapshot(&second, 2); got != 2 {
 		t.Fatalf("CorruptSnapshot damaged %d pages, want 2", got)
 	}
 	if _, err := second.Verify(); err == nil {
 		t.Error("the corrupted snapshot still verifies")
 	}
+	if sameBacking(second.Regions, first.Regions) {
+		t.Error("CorruptSnapshot damaged the region list it shares")
+	}
 	if _, err := first.Verify(); err != nil {
 		t.Errorf("corrupting the second commit damaged the first: %v", err)
 	}
-	if third := a.CommitUpperHalf(); !third.Equal(first) || !sameBacking(third.Regions, first.Regions) {
+	if third := a.CommitUpperHalf(); third != first {
 		t.Error("the recapture after the corruption is not the intact first commit")
 	} else if _, err := third.Verify(); err != nil {
 		t.Errorf("the recapture after the corruption does not verify: %v", err)
@@ -181,7 +185,7 @@ func TestRecaptureMatchesFreshCapture(t *testing.T) {
 	}
 }
 
-func sameSnap(t *testing.T, round int, got, want Snapshot) {
+func sameSnap(t *testing.T, round int, got, want *Snapshot) {
 	t.Helper()
 	if !got.Equal(want) || got.Fingerprint() != want.Fingerprint() || !reflect.DeepEqual(got.RegionHashes, want.RegionHashes) {
 		t.Errorf("capture %d: snapshot %016x differs from the never-remembered %016x", round, got.Fingerprint(), want.Fingerprint())

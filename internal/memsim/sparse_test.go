@@ -391,10 +391,10 @@ type harness struct {
 	a *AddressSpace
 	m *flatSpace
 
-	img      Snapshot
+	img      *Snapshot
 	flatImg  flatSnap
 	hasImg   bool
-	peek     Snapshot // the last uncommitted snapshot, retained likewise
+	peek     *Snapshot // the last uncommitted snapshot, retained likewise
 	flatPeek flatSnap
 	lastD    Delta
 	lastFlat flatDelta
@@ -787,7 +787,7 @@ func (h *harness) munmap() {
 
 // sameSnapshot compares a sparse snapshot with a flat one: layout, data
 // lengths, contents, fingerprint (memoised and recomputed) and Verify.
-func (h *harness) sameSnapshot(what string, s Snapshot, f flatSnap) {
+func (h *harness) sameSnapshot(what string, s *Snapshot, f flatSnap) {
 	h.t.Helper()
 	if len(s.Regions) != len(f.Regions) || s.Brk != f.Brk {
 		h.failf("%s: %d regions brk %x, model %d regions brk %x", what, len(s.Regions), s.Brk, len(f.Regions), f.Brk)
@@ -805,7 +805,7 @@ func (h *harness) sameSnapshot(what string, s Snapshot, f flatSnap) {
 	if got := s.Fingerprint(); got != want {
 		h.failf("%s: fingerprint %016x, model %016x", what, got, want)
 	}
-	bare := s
+	bare := *s
 	bare.RegionHashes = nil
 	if got := bare.Fingerprint(); got != want {
 		h.failf("%s: recomputed fingerprint %016x, model %016x", what, got, want)
@@ -856,7 +856,10 @@ func (h *harness) check() {
 	// The retained captures were compared with the model when they were
 	// taken; their hash memos now detect any later change to a page they
 	// share with the live space.
-	for _, s := range []Snapshot{h.img, h.peek} {
+	for _, s := range []*Snapshot{h.img, h.peek} {
+		if s == nil {
+			continue
+		}
 		if _, err := s.Verify(); err != nil {
 			h.failf("a retained capture changed after it was taken: %v", err)
 		}
@@ -975,7 +978,7 @@ func (h *harness) corrupt() {
 	if !h.hasImg {
 		return
 	}
-	bad := h.img // CorruptSnapshot must copy what it damages
+	bad := *h.img // the header is the image's; CorruptSnapshot must copy what it damages
 	flatBad, want := h.flatImg.corrupt(n)
 	if got := CorruptSnapshot(&bad, n); got != want {
 		h.failf("CorruptSnapshot(%d) damaged %d pages, model %d", n, got, want)

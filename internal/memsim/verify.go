@@ -13,7 +13,7 @@ import (
 // first mismatching region. A snapshot without a hash memo cannot be
 // verified — full images always carry one, so a missing memo is itself
 // reported as unverifiable.
-func (s Snapshot) Verify() (pages int, err error) {
+func (s *Snapshot) Verify() (pages int, err error) {
 	if len(s.RegionHashes) != len(s.Regions) {
 		return 0, fmt.Errorf("memsim: snapshot carries no region hash memo (%d hashes for %d regions)",
 			len(s.RegionHashes), len(s.Regions))
@@ -64,7 +64,9 @@ func damaged(src []byte) *page {
 // how many pages were actually damaged. A damaged page — present or not
 // — is materialised as a private copy in a private page table, and
 // s.Regions is replaced by a copy first: other snapshots may share its
-// backing (Snapshot), and the damage must reach this one alone. The
+// backing (Snapshot), and the damage must reach this one alone. It
+// writes s.Regions, so s must be the caller's own header: a snapshot a
+// capture returned is shared, and is copied before it is passed here. The
 // RegionHashes memo is left untouched: the stale digests are exactly what
 // Verify later trips over.
 func CorruptSnapshot(s *Snapshot, n int) int {

@@ -138,7 +138,10 @@ type harness struct {
 	now      vtime.Time // send clock, advanced by the program
 	saved    Counters
 	hasSaved bool
-	step     int
+	// savedCopy is saved as it was taken: the network hands snapshots
+	// out shared, and must never write one afterwards.
+	savedCopy Counters
+	step      int
 	// held is, per pair, the slot the last Recv on it returned and the
 	// message it held then: the slot-lifetime contract says it stays
 	// intact until the pair's next receive, whatever is sent meanwhile.
@@ -232,6 +235,7 @@ func (h *harness) snapshot() {
 		h.drainDst(dst)
 	}
 	h.saved, h.hasSaved = h.n.CountersSnapshot(), true
+	h.savedCopy = h.saved.Clone()
 }
 
 func (h *harness) restore() {
@@ -269,6 +273,9 @@ func (h *harness) check() {
 	snap := h.n.CountersSnapshot()
 	if !reflect.DeepEqual(snap, h.m.counters) {
 		h.failf("CountersSnapshot = %v, model %v", snap, h.m.counters)
+	}
+	if h.hasSaved && !reflect.DeepEqual(h.saved, h.savedCopy) {
+		h.failf("the saved CountersSnapshot changed after it was taken: %v, was %v", h.saved, h.savedCopy)
 	}
 	if got, want := snap.InFlight(), h.m.inFlight(); got != want {
 		h.failf("counters say %d in flight, queues hold %d", got, want)

@@ -177,7 +177,8 @@ type PairCount struct {
 
 // Counters is a snapshot of all per-pair counters, keyed by pair. It is
 // part of the checkpoint image so that restart resumes with consistent
-// bookkeeping.
+// bookkeeping. A snapshot CountersSnapshot returns is shared with every
+// later one taken before the counters change: read it, never write it.
 type Counters map[Pair]PairCount
 
 // Clone returns a deep copy of the counters.
@@ -268,7 +269,8 @@ func (p *pairState) pop() *Message {
 // in-degree rather than a scan of every pair in the job. The
 // map-shaped Counters type exists only at the edges, where the paper's
 // counters are actually compared: CountersSnapshot builds it at a
-// checkpoint commit and Restore consumes it at restart.
+// checkpoint commit, once per change of the counters, and Restore
+// consumes it at restart.
 //
 // Slot lifetime. Messages live by value in their pair's ring, and the
 // pointers the Network hands out are pointers to ring slots:
@@ -293,6 +295,10 @@ type Network struct {
 	// incrementally so the scheduler's per-event trigger checks are O(1)
 	// instead of a scan over every pair.
 	inflight uint64
+	// counters is the last CountersSnapshot, handed out again until a
+	// Send, a Recv or DrainTo that receives, or a Restore changes a
+	// counter; nil when none is current.
+	counters Counters
 
 	scheduler DeliveryScheduler
 }
@@ -360,6 +366,7 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 	m := p.push(Message{Seq: n.nextSeq, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})
 	p.count.Sent++
 	n.inflight++
+	n.counters = nil
 	if n.scheduler != nil {
 		n.scheduler.ScheduleDelivery(m)
 	}
@@ -387,6 +394,7 @@ func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 	}
 	p.count.Received++
 	n.inflight--
+	n.counters = nil
 	return p.pop()
 }
 
@@ -400,8 +408,12 @@ func (n *Network) DrainTo(dst int, out []Message) []Message {
 	list := n.peersOf(dst)
 	for i := range list {
 		p := &list[i]
+		if p.n == 0 {
+			continue
+		}
 		p.count.Received += uint64(p.n)
 		n.inflight -= uint64(p.n)
+		n.counters = nil
 		for p.n > 0 {
 			out = append(out, *p.pop())
 		}
@@ -433,9 +445,14 @@ func (n *Network) PeersTo(dst int) int {
 	return len(n.peersOf(dst))
 }
 
-// CountersSnapshot returns the per-pair counters as a map, built fresh
-// from the pair tables.
+// CountersSnapshot returns the per-pair counters as a map, built from the
+// pair tables when they changed since the last call and otherwise that
+// call's map again: checkpoints committed with no traffic between them
+// share one. The result is read-only.
 func (n *Network) CountersSnapshot() Counters {
+	if n.counters != nil {
+		return n.counters
+	}
 	pairs := 0
 	for _, list := range n.peers {
 		pairs += len(list)
@@ -446,6 +463,7 @@ func (n *Network) CountersSnapshot() Counters {
 			out[Pair{Src: list[i].src, Dst: dst}] = list[i].count
 		}
 	}
+	n.counters = out
 	return out
 }
 
@@ -463,6 +481,7 @@ func (n *Network) Restore(c Counters) {
 	// The queues are the ground truth for deliverable messages, and they
 	// have just been discarded (a correct checkpoint drains to zero).
 	n.inflight = 0
+	n.counters = nil
 }
 
 // TotalSent returns the total number of messages ever sent.

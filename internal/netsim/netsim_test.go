@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 
 	"mana/internal/vtime"
@@ -121,6 +122,54 @@ func TestRestoreResetsQueuesAndCounters(t *testing.T) {
 	n.Send(0, 1, 0, 10, s)
 	if got := saved[Pair{Src: 0, Dst: 1}].Sent; got != 1 {
 		t.Errorf("saved counters mutated by later sends: sent=%d, want 1", got)
+	}
+}
+
+// TestCountersSnapshotSharedUntilTraffic: two snapshots with no traffic
+// between them are the same map, built once; a failed receive and an
+// empty drain keep it, and every call that moves a counter — Send, a
+// receive, a drain that receives, Restore — makes the next snapshot a
+// fresh map.
+func TestCountersSnapshotSharedUntilTraffic(t *testing.T) {
+	n := New(testParams())
+	s := vtime.Stamp{Rank: 0, When: 0}
+	later := vtime.Time(vtime.Millisecond)
+	n.Send(0, 1, 0, 10, s)
+	same := func(a, b Counters) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+	first := n.CountersSnapshot()
+	if !same(first, n.CountersSnapshot()) {
+		t.Fatal("two snapshots with no traffic between them are different maps")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { n.CountersSnapshot() }); allocs != 0 {
+		t.Errorf("a repeated snapshot allocates %v times, want 0", allocs)
+	}
+	n.Recv(0, 1, later) // nothing from 1 to 0: no counter moves
+	n.DrainTo(2, nil)   // nothing to 2
+	if !same(first, n.CountersSnapshot()) {
+		t.Error("a failed receive or an empty drain replaced the snapshot")
+	}
+	saved := n.CountersSnapshot()
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"Send", func() { n.Send(0, 1, 0, 10, s) }},
+		{"Recv", func() { n.Recv(1, 0, later) }},
+		{"DrainTo", func() { n.Send(2, 1, 0, 10, s); n.CountersSnapshot(); n.DrainTo(1, nil) }},
+		{"Restore", func() { n.Restore(saved) }},
+	} {
+		before := n.CountersSnapshot()
+		c.op()
+		after := n.CountersSnapshot()
+		if same(before, after) {
+			t.Errorf("%s: the snapshot taken before it is still served", c.name)
+		}
+		if !same(after, n.CountersSnapshot()) {
+			t.Errorf("%s: the snapshot after it is not shared", c.name)
+		}
+	}
+	if got := saved[Pair{Src: 0, Dst: 1}]; got != (PairCount{Sent: 1}) {
+		t.Errorf("a handed-out snapshot changed: pair (0,1) = %+v, want sent=1", got)
 	}
 }
 

@@ -130,6 +130,13 @@ type Stats struct {
 // while handles minted in the abandoned timeline do not. The small state
 // (PC, Clock, Inbox, Virt, PendingReqs, Stats) is carried in full by
 // every image, delta or not: only memory is worth incrementalising.
+//
+// An image is a read-only record that points at shared payloads: Mem is
+// the snapshot memsim hands out for every capture of an unchanged space,
+// Virt the handle table's memoised snapshot, Stats the rank's counters as
+// its last capture or restore shared them — each the same pointer from
+// image to image while what it describes stays the same. Code that edits
+// an image's payload copies it first.
 type Image struct {
 	RankID int
 	PC     int
@@ -140,15 +147,15 @@ type Image struct {
 	Seq  int
 	Base int
 	// Full reports whether Mem carries a self-contained snapshot; when
-	// false, Delta carries the incremental payload instead.
-	Full  bool
-	Mem   memsim.Snapshot
-	Delta memsim.Delta
+	// false, Mem is nil and Delta carries the incremental payload instead.
+	Full bool
 	// Complete reports whether the image's write to the parallel
 	// filesystem finished. A torn write (injected fault) leaves it false,
 	// with WrittenBytes recording the byte-accurate partial size; restart
 	// verification refuses to restore from a torn link.
 	Complete bool
+	Mem      *memsim.Snapshot
+	Delta    memsim.Delta
 	// WrittenBytes is the payload actually written — Bytes() for a
 	// complete image, less for a torn one.
 	WrittenBytes uint64
@@ -159,7 +166,7 @@ type Image struct {
 	// work on the uncompressed payload.
 	StoredBytes uint64
 	Inbox       []netsim.Message
-	Virt        virtid.Snapshot
+	Virt        *virtid.Snapshot
 	// PendingReqs is the FIFO of request handles posted by nonblocking
 	// operations and not yet retired by a wait — live handles that must
 	// keep resolving after restart.
@@ -170,7 +177,7 @@ type Image struct {
 	// coordinator rebuilds its membership registry from these on restart.
 	Comms   []virtid.VID
 	CommIDs []int
-	Stats   Stats
+	Stats   *Stats
 }
 
 // Bytes returns the payload the image writes to the parallel filesystem:
@@ -222,16 +229,12 @@ type Rank struct {
 	// minted by comm-splits in execution order) with commIDs carrying the
 	// coordinator's global communicator id for each slot; dtype is the
 	// datatype handle registered at init. Every MPI call translates its
-	// handles through the table.
+	// handles through the table. pending is the FIFO of not-yet-waited
+	// request handles (part of the checkpoint image).
 	vt      virtid.Table
 	comms   []virtid.VID
 	commIDs []int
 	dtype   virtid.VID
-	// reqSeq numbers posted requests; it mirrors the table's request
-	// allocation counter and is restored from the image's virtid snapshot
-	// so replayed posts mint identical real handles. pending is the FIFO
-	// of not-yet-waited request handles (part of the checkpoint image).
-	reqSeq  uint64
 	pending []virtid.VID
 
 	// inbox holds messages that the checkpoint drain phase buffered at
@@ -244,6 +247,9 @@ type Rank struct {
 	blockedPeer int
 
 	stats Stats
+	// shared is the Stats the last capture or restore pointed its image
+	// at; a capture while stats still equals it shares it again.
+	shared *Stats
 	// ckptOverhead accumulates virtual time spent on checkpoint/restart
 	// activity (signal delivery, draining, image write/read, lower-half
 	// rebuild). It is deliberately NOT part of the checkpoint image and
@@ -482,18 +488,12 @@ func (r *Rank) translate(k virtid.Kind, v virtid.VID) virtid.Real {
 
 // postRequest registers the request handle a nonblocking operation
 // allocates at post time. The simulated real handle is a deterministic
-// function of the request sequence number so that restart replay
-// re-creates bit-identical mappings.
+// function of the virtual id the table mints — its request allocation
+// counter, which the image's table snapshot restores — so that restart
+// replay re-creates bit-identical mappings.
 func (r *Rank) postRequest() virtid.VID {
-	r.reqSeq++
-	v := r.vt.Register(virtid.Request, realRequestBase+virtid.Real(r.reqSeq))
-	if v != virtid.VID(r.reqSeq) {
-		// reqSeq mirrors the table's request allocation counter; any path
-		// registering requests outside postRequest would silently break the
-		// deterministic real-handle mapping replay depends on.
-		panic(fmt.Sprintf("rank %d: request seq %d desynchronised from table vid %d", r.id, r.reqSeq, v))
-	}
-	return v
+	next := r.vt.Minted(virtid.Request) + 1
+	return r.vt.Register(virtid.Request, realRequestBase+virtid.Real(next))
 }
 
 // completeRequest models the wait half: the request handle is translated
@@ -652,9 +652,10 @@ type Transition struct {
 	Kind TransitionKind
 	// Stamp is the arrival stamp for JoinedCollective.
 	Stamp vtime.Stamp
-	// Coll is the collective a JoinedCollective entered. It is a value
-	// of the transition's own, so it outlives the rank's next step (a
-	// window's collective arrivals are replayed after the window).
+	// Coll is the collective a JoinedCollective entered, resolved for
+	// this rank: its Bytes and Color are the rank's own values, not the
+	// shared program's offsets or means, and the coordinator copies them
+	// into the forming rendezvous as the rank arrives.
 	Coll Collective
 }
 
@@ -845,7 +846,10 @@ func (r *Rank) CaptureImage(incremental bool) (img Image) {
 // live space copies a page before writing to it again.
 //
 // Every field of *dst is overwritten, so dst may be a slot still holding
-// an older link's image. The small state is copied out of the rank; an
+// an older link's image. The image points at shared payloads (Image):
+// memsim's snapshot, the table's memoised snapshot, and the Stats the
+// rank's last capture or restore pointed at while the counters still
+// equal them. The rest of the small state is copied out of the rank; an
 // empty inbox or request FIFO allocates nothing, and a request FIFO or
 // communicator slot table equal to prev's (the image captured just before
 // in the same link; nil for none) is shared with prev instead — images
@@ -863,7 +867,7 @@ func (r *Rank) CaptureInto(dst *Image, incremental bool, prev *Image) {
 	dst.RankID, dst.PC, dst.Clock = r.id, r.pc, r.clock.Now()
 	dst.Seq, dst.Base = 0, 0
 	if incremental && r.mem.Generation() > 0 {
-		dst.Full, dst.Mem, dst.Delta = false, memsim.Snapshot{}, r.mem.CommitUpperHalfDelta()
+		dst.Full, dst.Mem, dst.Delta = false, nil, r.mem.CommitUpperHalfDelta()
 	} else {
 		dst.Full, dst.Mem, dst.Delta = true, r.mem.CommitUpperHalf(), memsim.Delta{}
 	}
@@ -872,7 +876,11 @@ func (r *Rank) CaptureInto(dst *Image, incremental bool, prev *Image) {
 	dst.PendingReqs = shareOrClone(r.pending, prevReqs)
 	dst.Comms = shareOrClone(r.comms, prevComms)
 	dst.CommIDs = shareOrClone(r.commIDs, prevIDs)
-	dst.Stats = r.stats
+	if r.shared == nil || *r.shared != r.stats {
+		st := r.stats
+		r.shared = &st
+	}
+	dst.Stats = r.shared
 	dst.Complete = true
 	dst.WrittenBytes = dst.Bytes()
 	dst.StoredBytes = dst.WrittenBytes
@@ -893,7 +901,9 @@ func shareOrClone[S ~[]E, E comparable](s, prev S) S {
 func Overlay(base, img Image) Image { return img.OverlayOn(&base) }
 
 // OverlayOn is Overlay(*base, *img) on images in place: the coordinator's
-// stages hand the 544-byte Image around by pointer.
+// stages hand the Image record around by pointer. The result points at
+// img's payloads and at a snapshot that shares base's pages — base's own
+// snapshot when the delta changes nothing (memsim.ApplyDelta).
 func (img *Image) OverlayOn(base *Image) Image {
 	if img.Full {
 		return *img
@@ -973,9 +983,9 @@ func (r *Rank) RestoreFrom(img *Image) {
 	// timeline do not, and the restored allocation counters make replayed
 	// registrations bit-identical.
 	r.vt.Restore(img.Virt)
-	r.reqSeq = img.Virt.Next[virtid.Request]
 	// The small state is deep-copied; an empty FIFO or inbox allocates
-	// nothing.
+	// nothing. The counters are copied too, and the image's Stats become
+	// what the next capture shares while they stay the same.
 	r.pending = slices.Clone(img.PendingReqs)
 	r.comms = slices.Clone(img.Comms)
 	r.commIDs = slices.Clone(img.CommIDs)
@@ -985,5 +995,5 @@ func (r *Rank) RestoreFrom(img *Image) {
 	r.pc, r.marked = img.PC, img.PC
 	r.state = Running
 	r.inbox = slices.Clone(img.Inbox)
-	r.stats = img.Stats
+	r.stats, r.shared = *img.Stats, img.Stats
 }

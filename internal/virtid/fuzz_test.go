@@ -24,7 +24,7 @@ func FuzzTableVsMap(f *testing.F) {
 		model := map[Kind]map[VID]Real{Comm: {}, Datatype: {}, Request: {}}
 		var next [NumKinds]uint64
 		var minted [NumKinds][]VID
-		snaps := []Snapshot{{}}
+		snaps := []*Snapshot{{}}
 
 		// pick chooses an id to deregister or look up: zero, MaxUint64,
 		// one not minted yet, or any id minted so far, live or retired.
@@ -91,6 +91,9 @@ func FuzzTableVsMap(f *testing.F) {
 				if got := tab.Len(k); got != len(model[k]) {
 					t.Fatalf("Len(%v) = %d, model %d", k, got, len(model[k]))
 				}
+				if got := tab.Minted(k); got != next[k] {
+					t.Fatalf("Minted(%v) = %d, model %d", k, got, next[k])
+				}
 				// Both ends of a window hold live entries.
 				if w := tab.kinds[k].slots; len(w) > 0 && (w[0].VID == 0 || w[len(w)-1].VID == 0) {
 					t.Fatalf("%v window %v has a hole at an end", k, w)
@@ -102,8 +105,8 @@ func FuzzTableVsMap(f *testing.F) {
 }
 
 // modelSnapshot renders the model as the snapshot a table must produce.
-func modelSnapshot(model map[Kind]map[VID]Real, next [NumKinds]uint64) Snapshot {
-	s := Snapshot{Next: next}
+func modelSnapshot(model map[Kind]map[VID]Real, next [NumKinds]uint64) *Snapshot {
+	s := &Snapshot{Next: next}
 	for k, m := range model {
 		for v, r := range m {
 			s.Entries[k] = append(s.Entries[k], Entry{VID: v, Real: r})

@@ -12,8 +12,8 @@ import (
 // mapSnapshot is a snapshot built without relying on the windows'
 // order: every live slot merged into a map[VID]Real per kind, flattened
 // and sorted. It is the oracle for Snapshot's in-order walk.
-func mapSnapshot(t *Table) Snapshot {
-	var s Snapshot
+func mapSnapshot(t *Table) *Snapshot {
+	s := new(Snapshot)
 	for k := 0; k < NumKinds; k++ {
 		s.Next[k] = t.kinds[k].next
 		merged := make(map[VID]Real)
@@ -32,7 +32,7 @@ func mapSnapshot(t *Table) Snapshot {
 
 // fmtText is the fmt rendering Text must reproduce (the same calls
 // the coordinator's digest oracle makes).
-func fmtText(s Snapshot) string {
+func fmtText(s *Snapshot) string {
 	var b strings.Builder
 	for k := 0; k < NumKinds; k++ {
 		fmt.Fprintf(&b, "vt(%d,%d", k, s.Next[k])
@@ -44,7 +44,7 @@ func fmtText(s Snapshot) string {
 	return b.String()
 }
 
-func sameSnapshot(t *testing.T, what string, got, want Snapshot) {
+func sameSnapshot(t *testing.T, what string, got, want *Snapshot) {
 	t.Helper()
 	if got.Next != want.Next {
 		t.Fatalf("%s: Next = %v, want %v", what, got.Next, want.Next)
@@ -115,27 +115,16 @@ func TestSnapshotRestoreRoundTripRandomTables(t *testing.T) {
 	}
 }
 
-// shared reports whether two snapshots are one memoised capture: same
-// entry storage, not merely equal entries.
-func shared(a, b Snapshot) bool {
-	for k := 0; k < NumKinds; k++ {
-		if len(a.Entries[k]) != len(b.Entries[k]) ||
-			(len(a.Entries[k]) > 0 && &a.Entries[k][0] != &b.Entries[k][0]) {
-			return false
-		}
-	}
-	return a.Next == b.Next
-}
-
 // TestSnapshotMemoInvalidatedByEveryWrite: two snapshots with no write
-// between them are one capture and allocate nothing the second time; a
+// between them are one capture, the same pointer, and allocate nothing
+// the second time; a
 // Register, a Deregister and a Restore each force a fresh, correct one.
 func TestSnapshotMemoInvalidatedByEveryWrite(t *testing.T) {
 	tab := New(ImplSharded)
 	comm := tab.Register(Comm, 0x44000000)
 	tab.Register(Datatype, 0x4c00010d)
 	first := tab.Snapshot()
-	if again := tab.Snapshot(); !shared(first, again) {
+	if again := tab.Snapshot(); again != first {
 		t.Fatal("two snapshots of an unchanged table do not share storage")
 	}
 	if n := testing.AllocsPerRun(20, func() { tab.Snapshot() }); n != 0 {
@@ -154,11 +143,11 @@ func TestSnapshotMemoInvalidatedByEveryWrite(t *testing.T) {
 		before := tab.Snapshot()
 		w.write()
 		after := tab.Snapshot()
-		if shared(before, after) { // the datatype entry is always there to tell storage apart by
+		if before == after {
 			t.Errorf("%s: the snapshot taken before it is still served", w.name)
 		}
 		sameSnapshot(t, "after "+w.name, after, mapSnapshot(&tab))
-		if !shared(after, tab.Snapshot()) {
+		if after != tab.Snapshot() {
 			t.Errorf("%s: the snapshot after it is not memoised", w.name)
 		}
 	}

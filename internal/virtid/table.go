@@ -38,6 +38,10 @@ func (t *Table) Impl() Impl { return t.impl }
 // Len reports the number of live mappings of one kind.
 func (t *Table) Len(k Kind) int { return t.kinds[k].live }
 
+// Minted returns the last virtual id of kind k minted (zero for none):
+// the next Register of k mints Minted(k)+1.
+func (t *Table) Minted(k Kind) uint64 { return t.kinds[k].next }
+
 // Register allocates the next virtual id in the kind's namespace and maps
 // it to the given real handle.
 func (t *Table) Register(k Kind, real Real) VID {
@@ -112,11 +116,12 @@ func (t *Table) Deregister(k Kind, v VID) bool {
 
 // Snapshot captures the table state for a checkpoint image. Walking the
 // windows yields each kind's entries already sorted by virtual id. The
-// result is memoised until the table next changes, so it is shared and
-// must be treated as immutable.
-func (t *Table) Snapshot() Snapshot {
+// result is memoised until the table next changes: every capture until
+// then returns the same pointer, so it is shared and must be treated as
+// immutable.
+func (t *Table) Snapshot() *Snapshot {
 	if t.memo != nil {
-		return *t.memo
+		return t.memo
 	}
 	s := new(Snapshot)
 	total := 0
@@ -140,14 +145,14 @@ func (t *Table) Snapshot() Snapshot {
 	// "vt(k,next);" per kind plus ",vid=real" per entry, generously.
 	s.text = s.appendText(make([]byte, 0, 32*NumKinds+40*total))
 	t.memo = s
-	return *s
+	return s
 }
 
 // Restore replaces the table's contents with a snapshot's. Mappings
 // registered after the snapshot was taken — handles of the dead timeline
 // — no longer resolve afterwards, and the restored counters make replayed
 // registrations mint the same virtual ids.
-func (t *Table) Restore(s Snapshot) {
+func (t *Table) Restore(s *Snapshot) {
 	for k := range t.kinds {
 		w := &t.kinds[k]
 		w.next, w.live, w.slots = s.Next[k], 0, w.slots[:0]

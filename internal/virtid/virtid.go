@@ -218,7 +218,7 @@ func (s *Snapshot) appendText(b []byte) []byte {
 }
 
 // Live returns the total number of mappings in the snapshot.
-func (s Snapshot) Live() int {
+func (s *Snapshot) Live() int {
 	n := 0
 	for k := 0; k < NumKinds; k++ {
 		n += len(s.Entries[k])

@@ -152,7 +152,7 @@ func TestRestoreRebuildsDeterministicallyAndKillsStaleHandles(t *testing.T) {
 			t.Fatalf("replayed registration allocated VID %d, want %d", v, stale1)
 		}
 		// And the restored table must snapshot back to the same bytes.
-		again := tab.Snapshot()
+		again := *tab.Snapshot()                 // a copy: the table's snapshot is shared
 		again.Next[Request] = snap.Next[Request] // undo the replay registration
 		again.Entries[Request] = snap.Entries[Request]
 		if again.Next != snap.Next {
