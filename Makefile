@@ -24,8 +24,8 @@ race:
 identity:
 	$(GO) test -count=1 -v ./cmd/manasim -run '^TestIdentityCorpus$$' -update
 
-# fuzz-smoke runs each differential-oracle fuzz target as a fuzzer (plain
-# `go test` only replays their seed corpus): the sparse page store
+# fuzz-smoke runs each fuzz target as a fuzzer (plain `go test` only
+# replays their seed corpus). The differential oracles: the sparse page store
 # against a flat []byte model (its committed corpus replays back-to-back
 # commits of an unchanged space, which share the first commit's region
 # storage, under plain `go test`), the zero-run FNV kernel against hash/fnv,
@@ -34,7 +34,10 @@ identity:
 # ranks resolve from shared compiled streams against the per-rank
 # materialising compiler, the radix event queue against a sort (its
 # committed corpus replays a late-push rebase under plain `go test`), and
-# the handle table against a map. -fuzz takes one target in one
+# the handle table against a map. The parser targets: the scenario spec,
+# fault plan and storage document parsers on arbitrary bytes (a value or
+# an error, never a panic; what they accept compiles, and a spec
+# round-trips through json.Marshal). -fuzz takes one target in one
 # package per run.
 # -fuzzminimizetime 1x: minimising every coverage-expanding input is on
 # by default with a 60 s budget and stalls a 10 s run after its first
@@ -48,6 +51,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileVsMaterialised$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueVsSort$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/vtime
 	$(GO) test -run='^$$' -fuzz='^FuzzTableVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/virtid
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/faultplan
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/storage
 
 # cuts runs the exhaustive checkpoint-anywhere test at a wider scope
 # than `go test ./...` affords: ranks {2, 3, 5, 8, 13} and 10 steps, about

@@ -6,9 +6,9 @@
 // of compute and communication ops, compiled deterministically into one
 // op stream per rank. A small library of specs ships in the binary
 // (-spec stencil, -spec master-worker, ...); -spec also accepts a path
-// to a JSON spec file, so new workloads need no Go. Alternatively -trace
-// replays a recorded per-rank op stream verbatim, and -record emits one
-// for any job.
+// to a JSON spec file, so new workloads need no Go. A spec is the one
+// way to name a workload: its splits[].group sets the width of every
+// sub-communicator it splits off.
 //
 // The default scenario runs 8 ranks through the "default" halo-exchange
 // spec, takes one checkpoint at a fixed virtual time, one while
@@ -46,8 +46,7 @@
 // Usage:
 //
 //	go run ./cmd/manasim [-ranks 8] [-steps 30] [-seed 42] [-kernel unpatched|patched]
-//	                     [-virtid sharded|mutex] [-spec <name|file.json>] [-group 4]
-//	                     [-trace job.trace] [-record job.trace]
+//	                     [-virtid sharded|mutex] [-spec <name|file.json>]
 //	                     [-ckpt-at 5ms] [-no-fail] [-faults plan.json]
 //	                     [-incremental] [-full-every 4]
 //	                     [-storage direct|staged|staged-compressed|file.json]
@@ -70,7 +69,7 @@
 //
 // Every run, in either mode, is described the same way: the flags are
 // checked against one table (rules: the modes a flag is valid in, what it
-// conflicts with, its least value), translated into one fleet.Job, and
+// conflicts with, its bounds), translated into one fleet.Job, and
 // handed to the fleet engine. A flag that would be silently ignored is
 // rejected instead, naming the flag and the reason.
 //
@@ -102,16 +101,14 @@ import (
 	"mana/internal/vtime"
 )
 
-// mode is a set of the three ways manasim runs.
+// mode is a set of the two ways manasim runs.
 type mode uint8
 
 const (
 	single mode = 1 << iota // one run compiled from a spec
-	replay                  // one run replaying a -trace file
 	sweep                   // a -sweep grid
 
-	oneRun     = single | replay
-	everywhere = oneRun | sweep
+	everywhere = single | sweep
 )
 
 // opts holds the parsed command line: one field per flag, which flags
@@ -126,9 +123,6 @@ type opts struct {
 	kernel       string
 	virtid       string
 	spec         string
-	trace        string
-	record       string
-	group        int
 	ckptAt       time.Duration
 	noFail       bool
 	faults       string
@@ -161,9 +155,6 @@ func newFlagSet(o *opts) *flag.FlagSet {
 	fs.StringVar(&o.kernel, "kernel", "unpatched", "kernel personality: unpatched or patched")
 	fs.StringVar(&o.virtid, "virtid", "sharded", "handle-table design the MPI calls are priced as: sharded (lock-free reads) or mutex (MANA baseline)")
 	fs.StringVar(&o.spec, "spec", "default", "scenario spec: a library name ("+strings.Join(scenario.Names(), ", ")+") or a JSON spec file")
-	fs.StringVar(&o.trace, "trace", "", "replay a recorded per-rank op trace instead of compiling a spec")
-	fs.StringVar(&o.record, "record", "", "write the job's per-rank op streams to this trace file before running")
-	fs.IntVar(&o.group, "group", 4, "sub-communicator group width, for specs that split communicators (e.g. overlap)")
 	fs.DurationVar(&o.ckptAt, "ckpt-at", 5*time.Millisecond, "virtual time of the first checkpoint request")
 	fs.BoolVar(&o.noFail, "no-fail", false, "disable the default scenario's failure after checkpoint #2")
 	fs.StringVar(&o.faults, "faults", "", "fault-plan JSON file; replaces the default scenario's failure and any plan the spec declares")
@@ -188,6 +179,7 @@ func newFlagSet(o *opts) *flag.FlagSet {
 type rule struct {
 	modes     mode     // run modes the flag is accepted in
 	min       any      // least accepted value, typed as the flag's (nil = unbounded)
+	max       int      // greatest accepted value of an int flag (0 = unbounded)
 	conflicts []string // flags it cannot be combined with
 	why       string   // reason clause of the conflict message
 }
@@ -196,15 +188,12 @@ type rule struct {
 // by check before anything is loaded. What needs the loaded spec or
 // storage document is checked after loading (checkSpec, grid).
 var rules = map[string]rule{
-	"ranks":       {modes: single | sweep, min: 1},
-	"steps":       {modes: single | sweep, min: 0},
+	"ranks":       {modes: everywhere, min: 1, max: scenario.MaxRanks},
+	"steps":       {modes: everywhere, min: 0},
 	"seed":        {modes: everywhere},
 	"kernel":      {modes: everywhere},
 	"virtid":      {modes: everywhere},
-	"spec":        {modes: single | sweep},
-	"trace":       {modes: replay},
-	"record":      {modes: oneRun},
-	"group":       {modes: single, min: 2},
+	"spec":        {modes: everywhere},
 	"ckpt-at":     {modes: everywhere, min: time.Duration(0)},
 	"no-fail":     {modes: everywhere, conflicts: []string{"faults"}, why: "run without a plan instead"},
 	"faults":      {modes: everywhere},
@@ -232,31 +221,32 @@ func (o *opts) check(f *flag.Flag) error {
 	case r.modes&o.mode != 0:
 	case r.modes == sweep:
 		return fmt.Errorf("-%s has no effect without -sweep", f.Name)
-	case o.mode == sweep:
-		return fmt.Errorf("-%s cannot be combined with -sweep (it applies to a single run)", f.Name)
 	default:
-		return fmt.Errorf("-%s cannot be combined with -trace (a trace replays exactly the ops it recorded)", f.Name)
+		return fmt.Errorf("-%s cannot be combined with -sweep (it applies to a single run)", f.Name)
 	}
 	for _, other := range r.conflicts {
 		if o.set[other] {
 			return fmt.Errorf("-%s cannot be combined with -%s (%s)", f.Name, other, r.why)
 		}
 	}
-	return checkMin(f, r.min)
+	return checkRange(f, r)
 }
 
-// checkMin rejects a flag value below its row's minimum.
-func checkMin(f *flag.Flag, min any) error {
+// checkRange rejects a flag value outside its row's bounds.
+func checkRange(f *flag.Flag, r rule) error {
 	v := f.Value.(flag.Getter).Get()
 	var below bool
-	switch m := min.(type) {
+	switch m := r.min.(type) {
 	case int:
 		below = v.(int) < m
 	case time.Duration:
 		below = v.(time.Duration) < m
 	}
 	if below {
-		return fmt.Errorf("-%s must be at least %v (got %v)", f.Name, min, v)
+		return fmt.Errorf("-%s must be at least %v (got %v)", f.Name, r.min, v)
+	}
+	if n, ok := v.(int); ok && r.max != 0 && n > r.max {
+		return fmt.Errorf("-%s must be at most %d (got %d)", f.Name, r.max, n)
 	}
 	return nil
 }
@@ -270,11 +260,8 @@ func parseFlags(args []string) (opts, error) {
 		return o, err
 	}
 	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
-	switch {
-	case o.sweep:
+	if o.sweep {
 		o.mode = sweep
-	case o.set["trace"]:
-		o.mode = replay
 	}
 	var err error
 	fs.Visit(func(f *flag.Flag) {
@@ -297,7 +284,7 @@ func checkCompression(source string, st *storage.Spec, incremental []bool) error
 
 // job translates the flags into the fleet.Job they describe, all but its
 // workload: the base of a -sweep grid, or the one run once oneRun
-// attaches its spec or trace. This and fleet.Engine.Config are the whole
+// attaches its spec. This and fleet.Engine.Config are the whole
 // path from a command line to a coordinator configuration.
 func (o *opts) job() (fleet.Job, error) {
 	j := fleet.Job{
@@ -315,9 +302,6 @@ func (o *opts) job() (fleet.Job, error) {
 	var err error
 	if j.Virtid, err = virtid.ParseImpl(o.virtid); err != nil {
 		return j, fmt.Errorf("-virtid: %w", err)
-	}
-	if o.set["group"] {
-		j.Group = o.group
 	}
 	switch {
 	case o.faults != "":
@@ -347,8 +331,6 @@ func (o *opts) checkSpec(spec *scenario.Spec, st *storage.Spec, incremental []bo
 	switch {
 	case spec.Faults != nil && o.set["no-fail"]:
 		return fmt.Errorf("-no-fail has no effect on spec %q: it declares its own fault plan (override with -faults)", spec.Name)
-	case o.set["group"] && !spec.UsesGroup():
-		return fmt.Errorf("-group has no effect on spec %q: it declares no communicator splits", spec.Name)
 	case st != nil:
 		return checkCompression(fmt.Sprintf("-storage %q", o.storage), st, incremental)
 	case o.set["sweep-storage"]:
@@ -357,17 +339,11 @@ func (o *opts) checkSpec(spec *scenario.Spec, st *storage.Spec, incremental []bo
 	return checkCompression(fmt.Sprintf("spec %q", spec.Name), spec.Storage, incremental)
 }
 
-// oneRun attaches the single run's workload to the job: the spec -spec
-// names, or — a replayed trace carries no policy of its own — the
-// programs read from -trace under an empty spec.
+// oneRun attaches the single run's workload, the spec -spec names, to
+// the job.
 func (o *opts) oneRun(eng *fleet.Engine, j fleet.Job) (fleet.Job, error) {
 	var err error
-	if o.mode == replay {
-		j.Spec = &scenario.Spec{}
-		j.Programs, err = readTrace(o.trace)
-	} else {
-		j.Spec, err = eng.LoadSpec(o.spec)
-	}
+	j.Spec, err = eng.LoadSpec(o.spec)
 	if err == nil {
 		err = o.checkSpec(j.Spec, j.Storage, []bool{o.incremental})
 	}
@@ -428,7 +404,7 @@ func dimension[T any](list, listFlag, flagName string, value T) ([]T, error) {
 	for _, entry := range entries {
 		err := f.Value.Set(entry)
 		if err == nil {
-			err = checkMin(f, rules[flagName].min)
+			err = checkRange(f, rules[flagName])
 		}
 		if err != nil {
 			return nil, fmt.Errorf("-%s: entry %q: %v", listFlag, entry, err)
@@ -448,37 +424,6 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// readTrace reads the -trace file's per-rank op streams.
-func readTrace(path string) ([]scenario.Program, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("-trace: %w", err)
-	}
-	defer f.Close()
-	progs, err := scenario.ReadTrace(f)
-	if err != nil {
-		return nil, fmt.Errorf("-trace %s: %w", path, err)
-	}
-	return progs, nil
-}
-
-// recordTrace writes the job's per-rank op streams as a replayable
-// trace file.
-func recordTrace(path string, progs []scenario.Program) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("-record: %w", err)
-	}
-	if err := scenario.WriteTrace(f, progs); err != nil {
-		f.Close()
-		return fmt.Errorf("-record %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("-record %s: %w", path, err)
-	}
-	return nil
 }
 
 func main() {
@@ -550,11 +495,6 @@ func simulate(o *opts, w io.Writer) (int, error) {
 	cfg, err := eng.Config(j)
 	if err != nil {
 		return 2, err
-	}
-	if o.record != "" {
-		if err := recordTrace(o.record, cfg.Programs); err != nil {
-			return 1, err
-		}
 	}
 	if _, err := eng.Run(cfg, w); err != nil {
 		return 1, err

@@ -175,16 +175,18 @@ func TestBuildConfigValidation(t *testing.T) {
 		{"negative steps", "-steps must be at least 0", []string{"-steps", "-1"}},
 		{"unknown kernel", "-kernel", []string{"-kernel", "plan9"}},
 		{"unknown virtid", "-virtid", []string{"-virtid", "bogolock"}},
-		{"tiny overlap group", "-group must be at least 2", []string{"-spec", "overlap", "-group", "1"}},
+		{"absurd ranks", "-ranks must be at most 1048576 (got 2000000)", []string{"-ranks", "2000000"}},
+		{"tiny overlap group", "flag provided but not defined: -group", []string{"-spec", "overlap", "-group", "1"}},
 		{"negative full-every", "-full-every", []string{"-full-every", "-1"}},
-		{"group without splits", `-group has no effect on spec "default"`, []string{"-group", "4"}},
-		{"group on splitless spec", `-group has no effect on spec "stencil"`, []string{"-spec", "stencil", "-group", "4"}},
+		{"group without splits", "flag provided but not defined: -group", []string{"-group", "4"}},
+		{"group on splitless spec", "flag provided but not defined: -group", []string{"-spec", "stencil", "-group", "4"}},
 		{"unknown spec", "no-such-spec.json", []string{"-spec", "no-such-spec.json"}},
-		{"trace and spec", "-spec cannot be combined with -trace", []string{"-trace", "x.trace", "-spec", "stencil"}},
-		{"trace and group", "-group cannot be combined with -trace", []string{"-trace", "x.trace", "-group", "4"}},
-		{"trace and ranks", "-ranks cannot be combined with -trace", []string{"-trace", "x.trace", "-ranks", "8"}},
-		{"trace and steps", "-steps cannot be combined with -trace", []string{"-trace", "x.trace", "-steps", "30"}},
-		{"missing trace file", "-trace", []string{"-trace", "testdata/no-such.trace"}},
+		{"trace and spec", "flag provided but not defined: -trace", []string{"-trace", "x.trace", "-spec", "stencil"}},
+		{"trace and group", "flag provided but not defined: -trace", []string{"-trace", "x.trace", "-group", "4"}},
+		{"trace and ranks", "flag provided but not defined: -trace", []string{"-trace", "x.trace", "-ranks", "8"}},
+		{"trace and steps", "flag provided but not defined: -trace", []string{"-trace", "x.trace", "-steps", "30"}},
+		{"missing trace file", "flag provided but not defined: -trace", []string{"-trace", "testdata/no-such.trace"}},
+		{"removed record flag", "flag provided but not defined: -record", []string{"-record", "out.trace"}},
 		{"removed compress flag", "flag provided but not defined: -compress", []string{"-compress"}},
 		{"removed compress-cost flag", "flag provided but not defined: -compress-cost", []string{"-compress-cost", "0.5"}},
 		{"unknown storage profile", "-storage", []string{"-storage", "quantum"}},
@@ -206,6 +208,7 @@ func TestBuildConfigValidation(t *testing.T) {
 // with -sweep prepended, naming the same flag both times.
 func TestModesAgree(t *testing.T) {
 	for _, invalid := range [][]string{
+		{"-ranks", "2000000"},
 		{"-ckpt-at", "-1ms"},
 		{"-storage", "staged-compressed"}, // with no incremental run or cell
 		{"-full-every", "-1"},
@@ -228,7 +231,7 @@ func TestModesAgree(t *testing.T) {
 // TestRuleTableIsComplete keeps the flag set, the rule table and the
 // package doc's usage block describing the same flags: a flag added
 // without a row, a row (or a conflict) naming a flag that is gone, a
-// minimum of the wrong type, a flag the usage omits, or a usage entry
+// bound of the wrong type, a flag the usage omits, or a usage entry
 // naming a flag that is gone all fail here.
 func TestRuleTableIsComplete(t *testing.T) {
 	src, err := os.ReadFile("main.go")
@@ -250,8 +253,12 @@ func TestRuleTableIsComplete(t *testing.T) {
 		if r.modes == 0 || r.modes&^everywhere != 0 {
 			t.Errorf("rules[%q]: modes %b names no known mode", f.Name, r.modes)
 		}
-		if value := f.Value.(flag.Getter).Get(); r.min != nil && reflect.TypeOf(r.min) != reflect.TypeOf(value) {
+		value := f.Value.(flag.Getter).Get()
+		if r.min != nil && reflect.TypeOf(r.min) != reflect.TypeOf(value) {
 			t.Errorf("rules[%q]: min is a %T, the flag holds a %T", f.Name, r.min, value)
+		}
+		if _, isInt := value.(int); r.max != 0 && !isInt {
+			t.Errorf("rules[%q]: max bounds an int, the flag holds a %T", f.Name, value)
 		}
 		if !regexp.MustCompile(`-` + f.Name + `[ \]]`).MatchString(usage) {
 			t.Errorf("flag -%s is missing from the package doc's usage block", f.Name)

@@ -1,15 +1,11 @@
 package main
 
 import (
-	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
-
-	"mana/internal/coordinator"
-	"mana/internal/scenario"
 )
 
 // TestLibrarySpecReportGoldens pins a report golden for every library
@@ -45,25 +41,6 @@ func TestSpecDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestRecordReplayRoundTrip pins the trace mode end to end: every
-// library spec's job recorded with -record parses and replays with
-// -trace at the recorded rank count, and reproduces the original report
-// byte for byte where the spec's checkpoint policy is the classic one
-// (a trace carries no policy; overlap declares its own).
-func TestRecordReplayRoundTrip(t *testing.T) {
-	for _, name := range scenario.Names() {
-		trace := filepath.Join(t.TempDir(), name+".trace")
-		recorded := report(t, "-spec", name, "-ranks", "6", "-record", trace)
-		replayed := report(t, "-trace", trace)
-		if !strings.Contains(replayed, "manasim: 6 ranks") {
-			t.Errorf("%s: replay did not take its rank count from the trace header:\n%s", name, replayed)
-		}
-		if name != "overlap" && recorded != replayed {
-			t.Errorf("%s: record->replay altered the report:\n--- recorded\n%s\n--- replayed\n%s", name, recorded, replayed)
-		}
-	}
-}
-
 // TestSpecFileEqualsLibrary: a spec loaded from a file on disk behaves
 // exactly like its embedded library twin — the "add a workload without
 // writing Go" path.
@@ -78,17 +55,5 @@ func TestSpecFileEqualsLibrary(t *testing.T) {
 	}
 	if report(t, "-spec", "pipeline") != report(t, "-spec", path) {
 		t.Error("a file copy of the pipeline spec renders a different report than the library spec")
-	}
-}
-
-// TestMismatchedCollectiveTraceFails replays a recorded trace edited so
-// that rank 0 enters a barrier where the others enter an allreduce: the
-// run fails with the coordinator's named error and exit status 1
-// instead of panicking.
-func TestMismatchedCollectiveTraceFails(t *testing.T) {
-	args := []string{"-trace", filepath.Join("testdata", "collective-mismatch.trace"), "-no-fail"}
-	_, code, err := run(args...)
-	if code != 1 || !errors.Is(err, coordinator.ErrCollectiveMismatch) || !strings.HasPrefix(err.Error(), "run failed: ") {
-		t.Errorf("manasim %v: exit %d, %v; want exit 1 with run failed: and ErrCollectiveMismatch", args, code, err)
 	}
 }

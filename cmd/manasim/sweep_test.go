@@ -23,11 +23,12 @@ func TestBuildSweepValidation(t *testing.T) {
 		want string // substring the error must carry (the offending flag)
 		args []string
 	}{
-		{"record with sweep", "-record", []string{"-record", "out.trace"}},
-		{"trace with sweep", "-trace", []string{"-trace", "x.trace"}},
-		{"group with sweep", "-group", []string{"-group", "4"}},
+		{"record with sweep", "flag provided but not defined: -record", []string{"-record", "out.trace"}},
+		{"trace with sweep", "flag provided but not defined: -trace", []string{"-trace", "x.trace"}},
+		{"group with sweep", "flag provided but not defined: -group", []string{"-group", "4"}},
 		{"bad ranks entry", "-sweep-ranks", []string{"-sweep-ranks", "8,zero"}},
 		{"zero ranks entry", "-sweep-ranks", []string{"-sweep-ranks", "0"}},
+		{"absurd ranks entry", `-sweep-ranks: entry "2000000": -ranks must be at most 1048576`, []string{"-sweep-ranks", "4,2000000"}},
 		{"bad ckpt entry", "-sweep-ckpt", []string{"-sweep-ckpt", "5ms,eventually"}},
 		{"negative ckpt entry", "-sweep-ckpt", []string{"-sweep-ckpt", "-1ms"}},
 		{"bad virtid entry", "-sweep-virtid", []string{"-sweep-virtid", "sharded,bogolock"}},

@@ -109,10 +109,9 @@ type Config struct {
 	Net netsim.Params
 	// Programs carries one op stream per rank (index = rank id), compiled
 	// from a scenario spec (ranks of the same shape then share one
-	// stream, which each resolves from its id), read from a recorded
-	// trace, or — in tests — built directly (scenario.PerRank) to stage
-	// precise protocol situations. New panics unless len(Programs) ==
-	// Ranks.
+	// stream, which each resolves from its id) or — in tests — built
+	// directly (scenario.PerRank) to stage precise protocol situations.
+	// New panics unless len(Programs) == Ranks.
 	Programs []scenario.Program
 	// Storage is the checkpoint I/O pipeline (internal/storage): the PFS,
 	// optional burst-buffer staging and delta-page compression. BaseConfig
@@ -781,7 +780,7 @@ func collectiveKindOf(k scenario.OpKind) netsim.CollectiveKind {
 // collective: a rank arrived at a different kind of collective than the
 // one forming on its communicator, or arrived after every live member
 // had and the completion was scheduled. Programs compiled from a spec
-// cannot do that; a hand-edited or foreign trace can.
+// cannot do that; programs built op by op can.
 var ErrCollectiveMismatch = errors.New("coordinator: ranks disagree on a collective")
 
 // joinCollective records one rank's arrival at the collective forming on

@@ -455,7 +455,7 @@ func TestOverlapReportByteIdentical(t *testing.T) {
 
 // TestMismatchedCollectiveIsAnError: ranks whose programs disagree on a
 // collective — rank 0 enters a barrier where the others enter an
-// allreduce, as a hand-edited trace can make them — end the run with
+// allreduce, as hand-built programs can make them — end the run with
 // ErrCollectiveMismatch instead of a panic.
 func TestMismatchedCollectiveIsAnError(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {

@@ -170,7 +170,7 @@ func TestWorkerDeterminismLibrarySpec(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Ranks = 64
 		cfg.Triggers = nil
-		cfg.Programs = scenario.MustPrograms("stencil", scenario.Params{Ranks: 64, Steps: 8, Seed: 7, Group: 8})
+		cfg.Programs = scenario.MustPrograms("stencil", scenario.Params{Ranks: 64, Steps: 8, Seed: 7})
 		cfg.Net.GroupSize = 8
 		cfg.Net.CrossGroupLatency = 5 * vtime.Microsecond
 		cfg.Islands = 8

@@ -241,7 +241,17 @@ func BenchmarkScheduler64Ranks(b *testing.B) { benchScheduler(b, 64) }
 func benchOverlapDrain(b *testing.B, overlap bool) {
 	b.ReportAllocs()
 	const ranks, steps = 64, 6
-	wl := scenario.MustPrograms("overlap", scenario.Params{Ranks: ranks, Steps: steps, Seed: 11, Group: 8})
+	spec, err := scenario.Load("overlap") // a fresh copy, free to edit
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range spec.Splits {
+		spec.Splits[i].Group = 8
+	}
+	wl, err := spec.Compile(scenario.Params{Ranks: ranks, Steps: steps, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
 	mkConfig := func() Config {
 		cfg := DefaultConfig()
 		cfg.Ranks = ranks

@@ -2,6 +2,8 @@ package faultplan
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -200,4 +202,32 @@ func TestDefaultCrashCompiles(t *testing.T) {
 	if f.Anchor != AtCheckpointCommit || f.N != 2 || f.Kind != RankCrash || f.Delay != 250*vtime.Microsecond {
 		t.Errorf("default crash compiled wrong: %+v", f)
 	}
+}
+
+// FuzzParse feeds arbitrary bytes to Parse, seeded with manasim's canned
+// fault plans. Parse returns a plan or an error and never panics, and an
+// accepted plan compiles without a panic for 1, 2 and 5 ranks.
+func FuzzParse(f *testing.F) {
+	dir := filepath.Join("..", "..", "cmd", "manasim", "testdata", "faults")
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	staging, _ := filepath.Glob(filepath.Join(dir, "staging", "*.json"))
+	if paths = append(paths, staging...); len(paths) == 0 {
+		f.Fatalf("no fault plans under %s", dir)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Parse(data)
+		if err != nil {
+			return
+		}
+		for _, ranks := range []int{1, 2, 5} {
+			p.Compile(ranks) // an error is an answer; only a panic fails
+		}
+	})
 }

@@ -8,7 +8,7 @@
 // keeps the audit honest — no package-level mutable state exists under
 // internal/). What runs DO share is compiled inputs: a keyed compile
 // cache shares scenario programs, so a spec compiled for a given (spec,
-// ranks, steps, seed, group) is compiled once. What it holds is small —
+// ranks, steps, seed) is compiled once. What it holds is small —
 // one rank-parametric op stream per class of ranks and a slice header
 // per rank, not a copy per rank — and read-only: a rank reads the op
 // under its pc in place, resolving its rank-dependent values by value
@@ -46,21 +46,17 @@ var ErrRestartsExhausted = errors.New("fleet: restart budget exhausted")
 
 // Job names one simulation the engine can run: the workload spec plus
 // the knobs cmd/manasim exposes as flags, mapped verbatim. It is the only
-// description of a run there is: the CLI's single run, every sweep cell
-// and a replayed trace are all Jobs that Config translates. Note the
-// zero Virtid is virtid.ImplMutex (the MANA baseline), not the sharded
-// table the CLI defaults to.
+// description of a run there is: the CLI's single run and every sweep
+// cell are Jobs that Config translates. Note the zero Virtid is
+// virtid.ImplMutex (the MANA baseline), not the sharded table the CLI
+// defaults to.
 type Job struct {
-	Spec *scenario.Spec
-	// Programs, when non-nil, run as given — a replayed trace — instead
-	// of programs compiled from Spec, and fix the rank count; Spec then
-	// contributes only its policy blocks (an empty one means none).
-	Programs []scenario.Program
-	Ranks    int
-	Steps    int
-	Seed     uint64
-	// Group is the sub-communicator width for specs that split
-	// communicators; 0 uses the spec's own default.
+	Spec  *scenario.Spec
+	Ranks int
+	Steps int
+	Seed  uint64
+	// Group configures nothing: a spec's splits[].group is the one split
+	// width. It stays because bench/traced.go:68 reads it.
 	Group  int
 	Kernel kernelsim.Personality
 	Virtid virtid.Impl
@@ -120,7 +116,6 @@ type Result struct {
 type compileKey struct {
 	spec         *scenario.Spec
 	ranks, steps int
-	group        int
 	seed         uint64
 }
 
@@ -175,7 +170,7 @@ func (e *Engine) LoadSpec(name string) (*scenario.Spec, error) {
 // between runs — are read-only: callers hand them to coordinator.Config
 // verbatim and never mutate them.
 func (e *Engine) Programs(spec *scenario.Spec, p scenario.Params) ([]scenario.Program, error) {
-	key := compileKey{spec: spec, ranks: p.Ranks, steps: p.Steps, group: p.Group, seed: p.Seed}
+	key := compileKey{spec: spec, ranks: p.Ranks, steps: p.Steps, seed: p.Seed}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if progs, ok := e.compiled[key]; ok {
@@ -200,9 +195,8 @@ func (e *Engine) Compiles() uint64 {
 }
 
 // triggers translates a spec's checkpoint policy into coordinator
-// triggers, all anchored at the given virtual time. A spec (or a trace,
-// which carries no policy) without one gets the classic
-// three-checkpoint sequence.
+// triggers, all anchored at the given virtual time. A spec without one
+// gets the classic three-checkpoint sequence.
 func triggers(cks []scenario.CheckpointSpec, at vtime.Time) []coordinator.Trigger {
 	if len(cks) == 0 {
 		return []coordinator.Trigger{
@@ -235,13 +229,9 @@ func (e *Engine) Config(j Job) (coordinator.Config, error) {
 	if j.Spec == nil {
 		return coordinator.Config{}, fmt.Errorf("fleet: job has no spec")
 	}
-	progs := j.Programs
-	if progs == nil {
-		var err error
-		progs, err = e.Programs(j.Spec, scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed, Group: j.Group})
-		if err != nil {
-			return coordinator.Config{}, err
-		}
+	progs, err := e.Programs(j.Spec, scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed})
+	if err != nil {
+		return coordinator.Config{}, err
 	}
 	cfg := coordinator.BaseConfig()
 	cfg.Ranks = len(progs)

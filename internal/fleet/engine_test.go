@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,7 +44,7 @@ func standalone(t *testing.T, name string, incremental bool) string {
 		t.Fatalf("load %q: %v", name, err)
 	}
 	j := testJob(spec, incremental)
-	progs, err := spec.Compile(scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed, Group: j.Group})
+	progs, err := spec.Compile(scenario.Params{Ranks: j.Ranks, Steps: j.Steps, Seed: j.Seed})
 	if err != nil {
 		t.Fatalf("compile %q: %v", name, err)
 	}
@@ -315,5 +317,25 @@ func TestSweepRejectsEmptyDimensions(t *testing.T) {
 		Incremental: []bool{false},
 	}); err == nil {
 		t.Error("RunSweep accepted an unknown spec")
+	}
+}
+
+// TestMismatchedCollectiveFailsRun pins how a job whose ranks disagree
+// on a collective ends: rank 0 enters a barrier where the others enter
+// an allreduce, and Run returns the coordinator's named error under its
+// "run failed: " prefix (the CLI's exit 1) instead of panicking.
+func TestMismatchedCollectiveFailsRun(t *testing.T) {
+	cfg := coordinator.BaseConfig()
+	cfg.Ranks = 4
+	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+		coll := scenario.Op{Kind: scenario.OpAllreduce, Bytes: 8192}
+		if id == 0 {
+			coll = scenario.Op{Kind: scenario.OpBarrier}
+		}
+		return []scenario.Op{{Kind: scenario.OpCompute, Dur: vtime.Duration(200+id) * vtime.Microsecond}, coll}
+	})
+	_, err := NewEngine().Run(cfg, nil)
+	if !errors.Is(err, coordinator.ErrCollectiveMismatch) || !strings.HasPrefix(err.Error(), "run failed: ") {
+		t.Errorf("Run = %v; want \"run failed: \" wrapping ErrCollectiveMismatch", err)
 	}
 }

@@ -83,8 +83,8 @@ type Totals struct {
 	WallMs      float64 `json:"wall_ms"`
 	RunsPerSec  float64 `json:"runs_per_sec"`
 	// SpecCompiles is the compile cache's miss count over the whole
-	// sweep — deterministic: one per distinct (spec, ranks, steps, seed,
-	// group) the grid touches.
+	// sweep — deterministic: one per distinct (spec, ranks, steps, seed)
+	// the grid touches.
 	SpecCompiles uint64 `json:"spec_compiles"`
 }
 

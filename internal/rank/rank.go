@@ -288,10 +288,10 @@ const (
 
 // New returns a rank with an initialised split-process address space,
 // the selected handle-virtualisation table and the given program — the
-// rank's complete op stream, from a compiled scenario spec, a recorded
-// trace, or built directly by a test. Two things a rank holds are shared
-// with the other ranks and never written: the program (one stream per
-// class of ranks; the rank reads it through Op.Scalars with its own id)
+// rank's complete op stream, from a compiled scenario spec or built
+// directly by a test. Two things a rank holds are shared with the other
+// ranks and never written: the program (one stream per class of ranks;
+// the rank reads it through Op.Scalars with its own id)
 // and the memory map (splitProcess: every rank's regions point at the
 // same descriptors, and a rank pays only for the contents it writes). The
 // world communicator and the workload's datatype are registered in the

@@ -15,8 +15,8 @@ type Params struct {
 	// Seed drives the per-rank jitter streams; the same spec, Params and
 	// seed always compile to bit-identical programs.
 	Seed uint64
-	// Group, when non-zero, overrides the group width of every comm-split
-	// in the spec (clamped to Ranks).
+	// Group configures nothing: a spec's splits[].group is the one split
+	// width. It stays because bench/traced.go:68 sets it.
 	Group int
 }
 
@@ -49,9 +49,6 @@ func (s *Spec) Compile(p Params) ([]Program, error) {
 	}
 	if p.Steps < 0 {
 		return nil, fmt.Errorf("scenario: compile %q: steps must be non-negative (got %d)", s.Name, p.Steps)
-	}
-	if p.Group != 0 && p.Group < 2 {
-		return nil, fmt.Errorf("scenario: compile %q: group must be at least 2 (got %d)", s.Name, p.Group)
 	}
 	for pi, ph := range s.Phases {
 		for oi, op := range ph.Ops {
@@ -153,13 +150,7 @@ func (s *Spec) walk(rep int, p Params, emit func(Op)) {
 	right, left := 1, p.Ranks-1
 
 	for _, sp := range s.Splits {
-		g := sp.Group
-		if p.Group > 0 {
-			g = p.Group
-		}
-		if g > p.Ranks {
-			g = p.Ranks
-		}
+		g := min(sp.Group, p.Ranks)
 		shift := sp.Shift
 		if sp.ShiftHalfGroup {
 			shift = g / 2

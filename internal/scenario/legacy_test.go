@@ -154,8 +154,9 @@ func TestDefaultSpecMatchesLegacyGenerator(t *testing.T) {
 }
 
 // TestOverlapSpecMatchesLegacyGenerator pins the shipped overlap spec to
-// the deleted generateOverlapScript, including group-size overrides and
-// the clamp when the group exceeds the rank count.
+// the deleted generateOverlapScript, including other split widths (a
+// copy of the spec with every split's group set) and the clamp when the
+// group exceeds the rank count.
 func TestOverlapSpecMatchesLegacyGenerator(t *testing.T) {
 	spec, err := Load("overlap")
 	if err != nil {
@@ -170,7 +171,11 @@ func TestOverlapSpecMatchesLegacyGenerator(t *testing.T) {
 		{3, 9, 5, 4}, {4, 5, 21, 16}, {512, 5, 42, 0},
 	}
 	for _, tc := range cases {
-		progs, err := spec.Compile(Params{Ranks: tc.ranks, Steps: tc.steps, Seed: tc.seed, Group: tc.group})
+		s := spec
+		if tc.group != 0 {
+			s = withGroup(spec, tc.group)
+		}
+		progs, err := s.Compile(Params{Ranks: tc.ranks, Steps: tc.steps, Seed: tc.seed})
 		if err != nil {
 			t.Fatalf("compile(%+v): %v", tc, err)
 		}

@@ -27,9 +27,6 @@ func (s *Spec) compileRank(id int, p Params) Program {
 	prog := make(Program, 0, s.opCount(id, p))
 	for _, sp := range s.Splits {
 		g := sp.Group
-		if p.Group > 0 {
-			g = p.Group
-		}
 		if g > p.Ranks {
 			g = p.Ranks
 		}
@@ -212,6 +209,17 @@ func (op *OpSpec) payload(rng *vtime.RNG) uint64 {
 	return uint64(float64(op.Bytes) * rng.Jitter(op.BytesJitter))
 }
 
+// withGroup returns a copy of the spec with every split's group width
+// set to g: how a test varies the split width a spec declares.
+func withGroup(s *Spec, g int) *Spec {
+	c := *s
+	c.Splits = slices.Clone(s.Splits)
+	for i := range c.Splits {
+		c.Splits[i].Group = g
+	}
+	return &c
+}
+
 // materialise is Compile as it was: one compileRank per rank.
 func (s *Spec) materialise(p Params) []Program {
 	progs := make([]Program, p.Ranks)
@@ -283,8 +291,8 @@ const asymmetricSpec = `{
 // TestCompileMatchesMaterialised is the tentpole's contract: over every
 // library spec and the asymmetric one, rank counts on both sides of the
 // ranks<2 special cases, empty and short runs, three seeds and the
-// group override, each rank resolves exactly the ops the materialising
-// compiler stored for it.
+// spec's own split widths as well as 2 and 8, each rank resolves exactly
+// the ops the materialising compiler stored for it.
 func TestCompileMatchesMaterialised(t *testing.T) {
 	specs := make([]*Spec, 0, len(Names())+1)
 	for _, name := range Names() {
@@ -306,11 +314,11 @@ func TestCompileMatchesMaterialised(t *testing.T) {
 			}
 			for _, steps := range []int{0, 1, 7} {
 				for _, seed := range []uint64{0, 42, 0xfeedfacecafebeef} {
-					for _, group := range []int{0, 2, 8} {
-						if group != 0 && !spec.UsesGroup() {
-							continue // the override cannot reach a spec without splits
-						}
-						diffAgainstOracle(t, spec, Params{Ranks: ranks, Steps: steps, Seed: seed, Group: group})
+					p := Params{Ranks: ranks, Steps: steps, Seed: seed}
+					diffAgainstOracle(t, spec, p)
+					if len(spec.Splits) > 0 {
+						diffAgainstOracle(t, withGroup(spec, 2), p)
+						diffAgainstOracle(t, withGroup(spec, 8), p)
 					}
 				}
 			}
@@ -360,7 +368,8 @@ func TestResolveSharedStreamConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{Ranks: 12, Steps: 9, Seed: 5, Group: 4}
+	asym = withGroup(asym, 4)
+	p := Params{Ranks: 12, Steps: 9, Seed: 5}
 	progs, err := asym.Compile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +463,8 @@ func randomSpec(rng *rand.Rand, ranks int) *Spec {
 }
 
 // FuzzCompileVsMaterialised drives the same comparison over generated
-// specs: the fuzzer picks the generator seed and the compile parameters.
+// specs: the fuzzer picks the generator seed, the compile parameters and
+// (through group) the width of every split the generated spec declares.
 func FuzzCompileVsMaterialised(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(0), uint64(0), uint8(0))
 	f.Add(uint64(2), uint8(2), uint8(3), uint64(42), uint8(2))
@@ -466,8 +476,8 @@ func FuzzCompileVsMaterialised(f *testing.F) {
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("generator built an invalid spec: %v", err)
 		}
-		if spec.UsesGroup() && group%4 != 0 {
-			p.Group = 2 + int(group)%9
+		if len(spec.Splits) > 0 && group%4 != 0 {
+			spec = withGroup(spec, 2+int(group)%9)
 		}
 		diffAgainstOracle(t, spec, p)
 	})

@@ -13,10 +13,6 @@
 // Compilation and resolution are deterministic (same spec, same Params,
 // same resolved ops, bit for bit), which is what lets the simulator's
 // determinism guarantees extend to data-defined workloads.
-//
-// The package also defines a trace format (WriteTrace/ReadTrace): a
-// recorded per-rank op stream that replays a prior run exactly, without
-// the spec that produced it.
 package scenario
 
 import "mana/internal/vtime"
@@ -79,10 +75,10 @@ func (k OpKind) String() string {
 // sub-communicators in the order the rank's comm-splits created them),
 // and Color is the rank's colour contribution to an OpCommSplit.
 //
-// An op built from these fields alone — by a test, by ReadTrace — is
-// literal: it means the same to every rank. An op in a compiled Program
-// may instead be shared by many ranks, with Peer, Color, Dur or Bytes
-// holding one ingredient of a value that depends on the rank; Scalars
+// An op built from these fields alone, as a test does, is literal: it
+// means the same to every rank. An op in a compiled Program may instead
+// be shared by many ranks, with Peer, Color, Dur or Bytes holding one
+// ingredient of a value that depends on the rank; Scalars
 // (or Resolve, which returns a literal op built on it) is the one way to
 // read those fields of such a program. Kind, Tag and Comm never depend
 // on the rank.
@@ -176,8 +172,8 @@ func (op *Op) Resolve(id int) Op {
 // Program is one rank's op stream — the only script source the rank
 // runtime consumes; len is the rank's op count. Programs come from Spec
 // compilation (where the ranks of a class share one backing array, read
-// through Op.Scalars), from a recorded trace, or from a test building
-// literal ops directly (see PerRank). A Program is never written after
+// through Op.Scalars) or from a test building literal ops directly (see
+// PerRank). A Program is never written after
 // it is built.
 type Program []Op
 

@@ -49,14 +49,14 @@ type Spec struct {
 // SplitSpec describes one MPI_Comm_split of the world communicator into
 // contiguous groups: rank id contributes colour (id+shift)/group.
 type SplitSpec struct {
-	// Group is the sub-communicator width (at least 2). A compile-time
-	// Params.Group override replaces it on every split.
+	// Group is the sub-communicator width (at least 2), clamped to the
+	// rank count at compile time.
 	Group int `json:"group"`
 	// Shift offsets the grouping so the communicators straddle those of
 	// an unshifted split.
 	Shift int `json:"shift,omitempty"`
-	// ShiftHalfGroup sets the shift to half the (possibly overridden,
-	// possibly clamped) group width, whatever it ends up being.
+	// ShiftHalfGroup sets the shift to half the (possibly clamped) group
+	// width, whatever it ends up being.
 	ShiftHalfGroup bool `json:"shift_half_group,omitempty"`
 }
 
@@ -150,7 +150,7 @@ type CheckpointSpec struct {
 }
 
 // Limits on quantities that arrive from outside the program (a spec
-// file, a trace file, a command line) and size an allocation. Each is a
+// file or a command line) and size an allocation. Each is a
 // fixed property of the simulator, checked where the input is read.
 const (
 	// MaxRanks bounds the ranks of one job. Per-rank tables are sized
@@ -359,7 +359,3 @@ func (s *Spec) validateOp(op *OpSpec, path string) error {
 	}
 	return nil
 }
-
-// UsesGroup reports whether a compile-time group override would change
-// the compiled programs — i.e. whether the spec performs comm-splits.
-func (s *Spec) UsesGroup() bool { return len(s.Splits) > 0 }

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -68,9 +71,6 @@ func TestCompileValidatesParams(t *testing.T) {
 	}
 	if _, err := spec.Compile(Params{Ranks: 4, Steps: -1}); err == nil || !strings.Contains(err.Error(), "steps") {
 		t.Errorf("negative steps: err = %v, want a steps error", err)
-	}
-	if _, err := spec.Compile(Params{Ranks: 4, Steps: 5, Group: 1}); err == nil || !strings.Contains(err.Error(), "group") {
-		t.Errorf("tiny group: err = %v, want a group error", err)
 	}
 	mw, err := Load("master-worker")
 	if err != nil {
@@ -173,19 +173,49 @@ func TestLibrarySpecsAreSPMD(t *testing.T) {
 	}
 }
 
-// TestGroupOverrideOnlyAffectsSplitSpecs pins UsesGroup: the CLI uses it
-// to reject -group on specs with no comm-splits.
-func TestGroupOverrideOnlyAffectsSplitSpecs(t *testing.T) {
-	for name, want := range map[string]bool{
-		"default": false, "overlap": true, "stencil": false,
-		"master-worker": false, "bursty-alltoall": false, "pipeline": false,
-	} {
-		spec, err := Load(name)
+// FuzzParse feeds arbitrary bytes to Parse, seeded with the library
+// specs. Parse returns a spec or an error and never panics. An accepted
+// spec compiles without a panic at 1, 2 and 7 ranks, and re-encoded with
+// json.Marshal it parses again to a spec that encodes to the same bytes
+// and compiles to deeply equal programs. (The encodings are compared,
+// not the specs: encoding/json drops an empty list it read, so "splits":
+// [] comes back as a nil slice.)
+func FuzzParse(f *testing.F) {
+	for _, name := range Names() {
+		data, err := libraryFS.ReadFile("specs/" + name + ".json")
 		if err != nil {
-			t.Fatal(err)
+			f.Fatal(err)
 		}
-		if spec.UsesGroup() != want {
-			t.Errorf("spec %q: UsesGroup = %v, want %v", name, spec.UsesGroup(), want)
-		}
+		f.Add(data)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil {
+			return
+		}
+		for _, ph := range s.Phases {
+			if ph.Steps > 64 {
+				return // valid, but too long a job to compile per input
+			}
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("encoding an accepted spec: %v", err)
+		}
+		again, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("re-encoded spec rejected: %v\n%s", err, enc)
+		}
+		if enc2, err := json.Marshal(again); err != nil || !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding changed the spec (%v):\n%s\n%s", err, enc, enc2)
+		}
+		for _, ranks := range []int{1, 2, 7} {
+			p := Params{Ranks: ranks, Steps: 3, Seed: 42}
+			progs, err := s.Compile(p)
+			progs2, err2 := again.Compile(p)
+			if (err == nil) != (err2 == nil) || !reflect.DeepEqual(progs, progs2) {
+				t.Fatalf("%d ranks: the re-encoded spec compiles differently (%v; %v)", ranks, err, err2)
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -280,4 +281,26 @@ func TestLoadResolvesProfileAndFile(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "neither a built-in profile") {
 		t.Errorf("Load(bad) error = %v, want profile-listing error", err)
 	}
+}
+
+// FuzzParse feeds arbitrary bytes to Parse, seeded with the built-in
+// profiles as JSON documents. Parse returns a spec or an error and never
+// panics, and an accepted spec compiles without a panic.
+func FuzzParse(f *testing.F) {
+	for _, name := range ProfileNames() {
+		s, _ := Profile(name)
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := Parse(data); err != nil {
+			f.Fatalf("profile %q as a document: %v", name, err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if s, err := Parse(data); err == nil {
+			Compile(s) // an error is an answer; only a panic fails
+		}
+	})
 }
