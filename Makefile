@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race identity fuzz-smoke cuts lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race identity reach fuzz-smoke cuts lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -23,6 +23,16 @@ race:
 # runs it and fails when the file then differs from the committed one.
 identity:
 	$(GO) test -count=1 -v ./cmd/manasim -run '^TestIdentityCorpus$$' -update
+
+# reach replays the identity corpus (every row, in-process) with
+# coverage of internal/ and prints each internal/ function no row reaches
+# (0.0 % of its statements): what the command line never exercises,
+# whatever the unit tests do. It reports and gates nothing; a simplicity
+# change starts from its list.
+REACH_PROFILE ?= /tmp/manasim-reach.out
+reach:
+	$(GO) test -count=1 ./cmd/manasim -run '^TestIdentityCorpus$$' -coverpkg=./internal/... -coverprofile=$(REACH_PROFILE)
+	$(GO) tool cover -func=$(REACH_PROFILE) | awk '$$NF == "0.0%"'
 
 # fuzz-smoke runs each fuzz target as a fuzzer (plain `go test` only
 # replays their seed corpus). The differential oracles: the sparse page store

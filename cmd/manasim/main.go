@@ -282,6 +282,18 @@ func checkCompression(source string, st *storage.Spec, incremental []bool) error
 	return nil
 }
 
+// checkFullEvery rejects -full-every when no run it applies to writes
+// incremental images: every image of such a run is full anyway.
+func (o *opts) checkFullEvery(incremental []bool) error {
+	switch {
+	case !o.set["full-every"] || slices.Contains(incremental, true):
+		return nil
+	case o.mode == sweep:
+		return errors.New("-full-every has no effect: no cell of the sweep is incremental (every image is full)")
+	}
+	return errors.New("-full-every has no effect without -incremental (every image is full)")
+}
+
 // job translates the flags into the fleet.Job they describe, all but its
 // workload: the base of a -sweep grid, or the one run once oneRun
 // attaches its spec. This and fleet.Engine.Config are the whole
@@ -342,6 +354,9 @@ func (o *opts) checkSpec(spec *scenario.Spec, st *storage.Spec, incremental []bo
 // oneRun attaches the single run's workload, the spec -spec names, to
 // the job.
 func (o *opts) oneRun(eng *fleet.Engine, j fleet.Job) (fleet.Job, error) {
+	if err := o.checkFullEvery([]bool{o.incremental}); err != nil {
+		return j, err
+	}
 	var err error
 	j.Spec, err = eng.LoadSpec(o.spec)
 	if err == nil {
@@ -362,6 +377,9 @@ func (o *opts) grid(eng *fleet.Engine, base fleet.Job) (fleet.Sweep, error) {
 	sw.Virtids, errs[3] = dimension(o.sweepVirtid, "sweep-virtid", "virtid", o.virtid)
 	sw.Incremental, errs[4] = dimension(o.sweepIncr, "sweep-incremental", "incremental", o.incremental)
 	if err := errors.Join(errs[:]...); err != nil {
+		return sw, err
+	}
+	if err := o.checkFullEvery(sw.Incremental); err != nil {
 		return sw, err
 	}
 	for _, v := range sw.Virtids {

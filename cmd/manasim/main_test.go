@@ -178,6 +178,7 @@ func TestBuildConfigValidation(t *testing.T) {
 		{"absurd ranks", "-ranks must be at most 1048576 (got 2000000)", []string{"-ranks", "2000000"}},
 		{"tiny overlap group", "flag provided but not defined: -group", []string{"-spec", "overlap", "-group", "1"}},
 		{"negative full-every", "-full-every", []string{"-full-every", "-1"}},
+		{"full-every without incremental", "-full-every has no effect without -incremental", []string{"-full-every", "2", "-no-fail"}},
 		{"group without splits", "flag provided but not defined: -group", []string{"-group", "4"}},
 		{"group on splitless spec", "flag provided but not defined: -group", []string{"-spec", "stencil", "-group", "4"}},
 		{"unknown spec", "no-such-spec.json", []string{"-spec", "no-such-spec.json"}},

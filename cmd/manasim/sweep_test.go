@@ -36,6 +36,10 @@ func TestBuildSweepValidation(t *testing.T) {
 		{"bad storage entry", `-sweep-storage: entry "quantum"`, []string{"-sweep-storage", "direct,quantum"}},
 		{"compressing storage entry", `-sweep-storage entry "staged-compressed" enables compression`,
 			[]string{"-sweep-storage", "direct,staged-compressed", "-sweep-incremental", "false"}},
+		{"full-every without incremental cells", "-full-every has no effect: no cell of the sweep is incremental",
+			[]string{"-full-every", "2"}},
+		{"full-every over non-incremental cells", "-full-every has no effect: no cell of the sweep is incremental",
+			[]string{"-incremental", "-sweep-incremental", "false", "-full-every", "2"}},
 		{"zero sweep workers", "-sweep-workers", []string{"-sweep-workers", "0"}},
 		{"unknown kernel", "-kernel", []string{"-kernel", "plan9"}},
 	}

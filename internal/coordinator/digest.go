@@ -134,10 +134,11 @@ type regionHead struct {
 // segments, the text that repeats from image to image within a run:
 //
 //   - heads caches delta-region heads by the region's position in its
-//     delta. Every rank of a job lays its upper half out the same way and
-//     a layout changes only on sbrk or resize, so slot i nearly always
-//     holds exactly the head rank after rank asks for; a slot holding
-//     anything else is rendered over and its table starts empty.
+//     delta. Every rank of a job lays its upper half out the same way,
+//     and a layout only grows (an sbrk maps a region, a first write
+//     lengthens one's data), so slot i nearly always holds exactly the
+//     head rank after rank asks for; a slot holding anything else is
+//     rendered over and its table starts empty.
 //   - virt is the last handle-table text seen. Ranks that minted the same
 //     handles share it, and a text that differs replaces it.
 //

@@ -14,11 +14,10 @@ import (
 // no value of any of them may change a report byte or a final
 // fingerprint. bench/traced.go sets them on its later traced passes.
 
-// groupedPrograms builds a topology-grouped workload: ranks exchange in
-// a ring within their group, group leaders exchange with the
-// neighbouring groups' leaders every fourth step (paying the fabric's
-// cross-group latency), and, when barriers is set, the whole world
-// synchronises every fifth step.
+// groupedPrograms builds a grouped workload: ranks exchange in a ring
+// within their group, group leaders exchange with the neighbouring
+// groups' leaders every fourth step, and, when barriers is set, the whole
+// world synchronises every fifth step.
 func groupedPrograms(ranks, groupSize, steps int, barriers bool) []scenario.Program {
 	nGroups := ranks / groupSize
 	return scenario.PerRank(ranks, func(id int) []scenario.Op {
@@ -53,8 +52,6 @@ func groupedConfig(ranks, groupSize, islands, workers, steps int, barriers bool)
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
 	cfg.Triggers = nil
-	cfg.Net.GroupSize = groupSize
-	cfg.Net.CrossGroupLatency = 10 * vtime.Microsecond
 	cfg.Islands = islands
 	cfg.Workers = workers
 	cfg.Programs = groupedPrograms(ranks, groupSize, steps, barriers)
@@ -109,8 +106,8 @@ func TestIslandPartitionInvariance(t *testing.T) {
 	}
 }
 
-// TestWorkerCountDeterminism: no Workers value changes the output, on
-// grouped and flat fabrics, with and without world barriers.
+// TestWorkerCountDeterminism: no Workers value changes the output of a
+// grouped workload, with and without world barriers.
 func TestWorkerCountDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -118,12 +115,6 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}{
 		{"grouped", groupedConfig(128, 16, 8, 1, 12, false)},
 		{"grouped-barriers", groupedConfig(128, 16, 8, 1, 12, true)},
-		{"flat", func() Config {
-			cfg := groupedConfig(128, 16, 8, 1, 12, true)
-			cfg.Net.GroupSize = 0
-			cfg.Net.CrossGroupLatency = 0
-			return cfg
-		}()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,8 +162,6 @@ func TestWorkerDeterminismLibrarySpec(t *testing.T) {
 		cfg.Ranks = 64
 		cfg.Triggers = nil
 		cfg.Programs = scenario.MustPrograms("stencil", scenario.Params{Ranks: 64, Steps: 8, Seed: 7})
-		cfg.Net.GroupSize = 8
-		cfg.Net.CrossGroupLatency = 5 * vtime.Microsecond
 		cfg.Islands = 8
 		cfg.Workers = workers
 		return cfg

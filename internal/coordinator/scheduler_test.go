@@ -152,7 +152,7 @@ func benchEventLoop(b *testing.B, mk func(length int) Config, length int) {
 // 0.01 per event leaves room for a queue or table growing late, not for
 // anything done per event. It runs the idle-heavy scenario at 512 ranks,
 // the stencil spec's halo exchange and allreduces, and the grouped ring
-// at 4,096 ranks in 16 topology groups.
+// at 4,096 ranks in 16 groups.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	// The stencil spec without its heap growth: an sbrk maps a region,
 	// an allocation the model asks for rather than one the loop makes.
@@ -309,9 +309,9 @@ func BenchmarkScheduler512Ranks(b *testing.B)  { benchScheduler(b, 512) }
 func BenchmarkScheduler4096Ranks(b *testing.B) { benchScheduler(b, 4096) }
 
 // groupedRingConfig builds the grouped-ring scenario: the ranks split
-// into the given number of topology groups, a send/recv ring inside each
-// group, and a leader exchange between neighbouring groups every fourth
-// step, across the spine. Unlike the idle-heavy scenario (whose single
+// into the given number of groups, a send/recv ring inside each group,
+// and a leader exchange between neighbouring groups every fourth step.
+// Unlike the idle-heavy scenario (whose single
 // busy rank does all the work), every group carries equal load. The ops
 // are pure message traffic — no compute phases — so 65536-rank runs do
 // not materialise 4 GiB of per-rank state regions.
@@ -320,8 +320,6 @@ func groupedRingConfig(ranks, groups, steps int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
 	cfg.Triggers = nil
-	cfg.Net.GroupSize = groupSize
-	cfg.Net.CrossGroupLatency = 10 * vtime.Microsecond
 	nGroups := ranks / groupSize
 	cfg.Programs = scenario.PerRank(ranks, func(id int) []scenario.Op {
 		g := id / groupSize

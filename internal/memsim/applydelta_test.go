@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// applyDeltaByMap is ApplyDelta as it was before it walked the two
-// address-sorted region lists together: base regions are found through a
-// map[uint64]int built per call. Kept as the reference for the join.
+// applyDeltaByMap is ApplyDelta as it was before it joined base and delta
+// regions by index: base regions are found through a map[uint64]int built
+// per call, and a base region of another shape is ignored. Kept as the
+// reference for the join.
 func applyDeltaByMap(base *Snapshot, d Delta) *Snapshot {
 	baseIdx := make(map[uint64]int, len(base.Regions))
 	for i := range base.Regions {
@@ -57,9 +58,9 @@ func applyDeltaByMap(base *Snapshot, d Delta) *Snapshot {
 }
 
 // TestApplyDeltaJoinVsMap drives a space through random region creation,
-// writes, heap growth, partial and whole shrinks and unmaps, commits a
-// chain of deltas, and requires the merge join to materialise every link
-// exactly as the map-based join does — and both as the live space reads.
+// writes and heap growth, commits a chain of deltas, and requires the
+// index join to materialise every link exactly as the map-based join
+// does — and both as the live space reads.
 func TestApplyDeltaJoinVsMap(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -67,17 +68,17 @@ func TestApplyDeltaJoinVsMap(t *testing.T) {
 		var addrs []uint64
 		mutate := func() {
 			for n := 1 + rng.Intn(8); n > 0; n-- {
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(8); {
 				case op < 2 || len(addrs) == 0:
 					r := a.Mmap(fmt.Sprint("r", rng.Intn(4)), UpperHalf, Kind(rng.Intn(4)), uint64(1+rng.Intn(6*PageSize)))
 					if rng.Intn(2) == 0 {
 						r = a.MmapZero("z", UpperHalf, KindData, uint64(1+rng.Intn(4*PageSize)))
 					}
 					addrs = append(addrs, r.Addr)
-				case op < 6:
+				case op < 7:
 					addr := addrs[rng.Intn(len(addrs))]
 					if r, ok := a.Lookup(addr); ok {
-						buf := make([]byte, min(1+rng.Intn(24), int(r.Size))) // a shrink can leave a few bytes
+						buf := make([]byte, min(1+rng.Intn(24), int(r.Size)))
 						rng.Read(buf)
 						if rng.Intn(4) == 0 {
 							clear(buf) // dirties without changing: dedup
@@ -86,14 +87,8 @@ func TestApplyDeltaJoinVsMap(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-				case op < 7:
-					addrs = append(addrs, a.Sbrk(uint64(1+rng.Intn(5*PageSize))).Region.Addr)
-				case op < 8:
-					a.SbrkShrink(uint64(1 + rng.Intn(6*PageSize))) // resizes one heap region, removes others
 				default:
-					i := rng.Intn(len(addrs))
-					a.Munmap(addrs[i])
-					addrs = slices.Delete(addrs, i, i+1)
+					addrs = append(addrs, a.Sbrk(uint64(1+rng.Intn(5*PageSize))).Region.Addr)
 				}
 			}
 		}
@@ -106,7 +101,7 @@ func TestApplyDeltaJoinVsMap(t *testing.T) {
 			live := a.SnapshotUpperHalf()
 			what := fmt.Sprintf("seed %d link %d", seed, link)
 			if !got.Equal(want) || !got.Equal(live) {
-				t.Fatalf("%s: merge join materialises different contents (equal to map join %v, to live space %v)",
+				t.Fatalf("%s: index join materialises different contents (equal to map join %v, to live space %v)",
 					what, got.Equal(want), got.Equal(live))
 			}
 			if !slices.Equal(got.RegionHashes, want.RegionHashes) || !slices.Equal(got.RegionHashes, live.RegionHashes) {
@@ -123,8 +118,9 @@ func TestApplyDeltaJoinVsMap(t *testing.T) {
 	}
 }
 
-// TestApplyDeltaRejectsUnsortedDelta: the join relies on address order,
-// so a delta out of order must not be materialised silently.
+// TestApplyDeltaRejectsUnsortedDelta: the join pairs regions by index, so
+// a delta whose regions are out of their base's order does not extend it
+// and must not be materialised silently.
 func TestApplyDeltaRejectsUnsortedDelta(t *testing.T) {
 	a := NewAddressSpace()
 	a.MmapZero("x", UpperHalf, KindData, PageSize)
@@ -138,6 +134,51 @@ func TestApplyDeltaRejectsUnsortedDelta(t *testing.T) {
 		}
 	}()
 	ApplyDelta(base, d)
+}
+
+// TestApplyDeltaRejectsDeltaNotExtendingBase reaches the invariant the
+// index join rests on: an address space only grows, so a delta whose
+// region list drops one of its base's, puts another region at its index,
+// or holds shorter data there, was captured against something else.
+func TestApplyDeltaRejectsDeltaNotExtendingBase(t *testing.T) {
+	a := NewAddressSpace()
+	a.MmapZero("x", UpperHalf, KindData, PageSize)
+	a.Mmap("y", UpperHalf, KindData, PageSize)
+	base := a.CommitUpperHalf()
+	// other maps a longer x, so its y lies one page higher than a's.
+	other := NewAddressSpace()
+	other.MmapZero("x", UpperHalf, KindData, 2*PageSize)
+	other.Mmap("y", UpperHalf, KindData, PageSize)
+	other.CommitUpperHalf()
+	for _, c := range []struct {
+		name string
+		d    func() Delta
+		want string
+	}{
+		{"region dropped", func() Delta {
+			d := a.CommitUpperHalfDelta()
+			d.Regions = d.Regions[:1]
+			return d
+		}, "memsim: delta of 1 regions does not extend its base of 2"},
+		{"another address", other.CommitUpperHalfDelta,
+			`memsim: delta region 1 ("y" at 0x400000003000, 0 bytes) does not extend base region "y" at 0x400000002000 (0 bytes)`},
+		{"data shortened", func() Delta {
+			d := a.CommitUpperHalfDelta()
+			d.Regions = slices.Clone(d.Regions)
+			d.Regions[0].DataLen = 0
+			return d
+		}, `memsim: delta region 0 ("x" at 0x400000000000, 0 bytes) does not extend base region "x" at 0x400000000000 (4096 bytes)`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := c.d()
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want {
+					t.Errorf("ApplyDelta panicked with %q, want %q", got, c.want)
+				}
+			}()
+			ApplyDelta(base, d)
+		})
+	}
 }
 
 // TestApplyDeltaOfNothingIsTheBase: a delta that carries no page over

@@ -27,8 +27,8 @@ type PageDelta struct {
 }
 
 // RegionDelta describes one live upper-half region in an incremental
-// snapshot: full layout metadata (so the overlay can create, resize and
-// drop regions) plus only the dirty, non-deduplicated pages.
+// snapshot: full layout metadata (so the overlay can create the regions
+// mapped since the base) plus only the dirty, non-deduplicated pages.
 type RegionDelta struct {
 	Name string
 	Half Half
@@ -47,9 +47,9 @@ type RegionDelta struct {
 
 // Delta is an incremental snapshot: everything needed to reconstruct a
 // full Snapshot by overlaying it onto the base generation it was captured
-// against. Regions absent from the delta were unmapped since the base and
-// are dropped by the overlay; regions present but without a matching base
-// region were created since and are rebuilt from metadata plus pages.
+// against. An address space only grows, so the base's regions are the
+// delta's first ones, in order; the regions past them were mapped since
+// and are rebuilt from metadata plus pages.
 //
 // Like a Snapshot, a delta is a read-only payload whose Regions may be
 // shared: back-to-back commits of an unchanged space return one region
@@ -193,7 +193,7 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 	case same:
 		a.last.regions, a.last.scanned = d.Regions, d.ScannedPages
 	case d.DirtyBytes == d.DedupBytes: // no page carried
-		a.last = &lastCommit{brk: a.brk, regions: d.Regions, scanned: d.ScannedPages}
+		a.last = &lastCommit{n: len(upper), regions: d.Regions, scanned: d.ScannedPages}
 	default:
 		a.last = nil
 	}
@@ -204,46 +204,33 @@ func (a *AddressSpace) CommitUpperHalfDelta() Delta {
 // ApplyDelta overlays an incremental snapshot onto the base generation it
 // was captured against and returns the materialised full snapshot,
 // bit-identical (layout, contents, data lengths, fingerprint) to the full
-// CommitUpperHalf that would have been taken at the same instant. Regions
-// the delta does not mention are dropped; regions without a matching base
-// region are rebuilt from absent pages plus carried ones. The result
-// shares page buffers with both inputs; none is copied.
+// CommitUpperHalf that would have been taken at the same instant. Base
+// region i is delta region i; the delta's regions past the base's were
+// mapped since and are rebuilt from absent pages plus carried ones. The
+// result shares page buffers with both inputs; none is copied.
 //
-// Both region lists ascend by address — every capture and every
-// ApplyDelta produces them so — and are joined by walking them together.
-// A delta out of that order is a bug and panics, which also keeps the
-// result a valid base for the next link of a chain.
+// A delta that does not extend its base — fewer regions, a region at
+// another address, a shorter data length — was captured against another
+// space or generation; it is a bug and panics.
 //
-// A delta that carries no page over base's very layout and program break
-// changes nothing: the result is base itself, not a copy (snapshots are
-// read-only, see Snapshot).
+// A delta that carries no page and lengthens nothing changes nothing: the
+// result is base itself, not a copy (snapshots are read-only, see
+// Snapshot).
 func ApplyDelta(base *Snapshot, d Delta) *Snapshot {
+	mustExtend(base, &d)
 	baseHashes := len(base.RegionHashes) == len(base.Regions)
 	if baseHashes && changesNothing(base, &d) {
 		return base
 	}
 	out := newSnapshot(d.Brk, len(d.Regions))
-	bi := 0 // the first base region not below the current delta region
 	for i := range d.Regions {
 		rd := &d.Regions[i]
-		if i > 0 && rd.Addr <= d.Regions[i-1].Addr {
-			panic(fmt.Sprintf("memsim: delta region %q at 0x%x is out of address order", rd.Name, rd.Addr))
-		}
 		r := &out.Regions[i]
 		r.Name, r.Half, r.Kind = rd.Name, rd.Half, rd.Kind
 		r.Addr, r.Size, r.DataLen = rd.Addr, rd.Size, rd.DataLen
-		for bi < len(base.Regions) && base.Regions[bi].Addr < rd.Addr {
-			bi++
-		}
 		var b *Region
-		if bi < len(base.Regions) && base.Regions[bi].Addr == rd.Addr {
-			b = &base.Regions[bi]
-			if b.Name != rd.Name || b.Size != rd.Size || b.Half != rd.Half || b.Kind != rd.Kind || b.DataLen > rd.DataLen {
-				// The address was reused by a structurally different
-				// region; the capture marked it all-dirty, so rebuilding
-				// from pages alone is lossless.
-				b = nil
-			}
+		if i < len(base.Regions) {
+			b = &base.Regions[i]
 		}
 		switch {
 		case b != nil && b.DataLen == rd.DataLen && len(rd.Pages) == 0:
@@ -251,7 +238,7 @@ func ApplyDelta(base *Snapshot, d Delta) *Snapshot {
 			// immutable image payloads) and reuse its digest.
 			r.pages = b.pages
 			if baseHashes {
-				out.RegionHashes[i] = base.RegionHashes[bi]
+				out.RegionHashes[i] = base.RegionHashes[i]
 				continue
 			}
 		case (b != nil && b.pages != nil) || len(rd.Pages) > 0:
@@ -282,16 +269,29 @@ func ApplyDelta(base *Snapshot, d Delta) *Snapshot {
 	return out
 }
 
-// changesNothing reports whether d, overlaid on base, would rebuild base
-// exactly: the same program break and regions, and no page carried.
+// mustExtend panics unless d extends base: base's regions are d's first
+// ones, at the same addresses, with data no longer than d's.
+func mustExtend(base *Snapshot, d *Delta) {
+	if len(d.Regions) < len(base.Regions) {
+		panic(fmt.Sprintf("memsim: delta of %d regions does not extend its base of %d", len(d.Regions), len(base.Regions)))
+	}
+	for i := range base.Regions {
+		if b, rd := &base.Regions[i], &d.Regions[i]; b.Addr != rd.Addr || b.DataLen > rd.DataLen {
+			panic(fmt.Sprintf("memsim: delta region %d (%q at 0x%x, %d bytes) does not extend base region %q at 0x%x (%d bytes)",
+				i, rd.Name, rd.Addr, rd.DataLen, b.Name, b.Addr, b.DataLen))
+		}
+	}
+}
+
+// changesNothing reports whether d, overlaid on the base it extends,
+// would rebuild base exactly: no region added, none lengthened and no
+// page carried. The program break moves only with a new region.
 func changesNothing(base *Snapshot, d *Delta) bool {
-	if d.Brk != base.Brk || len(d.Regions) != len(base.Regions) {
+	if len(d.Regions) != len(base.Regions) {
 		return false
 	}
 	for i := range d.Regions {
-		rd, b := &d.Regions[i], &base.Regions[i]
-		if len(rd.Pages) > 0 || rd.Addr != b.Addr || rd.Size != b.Size || rd.DataLen != b.DataLen ||
-			rd.Half != b.Half || rd.Kind != b.Kind || rd.Name != b.Name {
+		if rd := &d.Regions[i]; len(rd.Pages) > 0 || rd.DataLen != base.Regions[i].DataLen {
 			return false
 		}
 	}

@@ -113,85 +113,6 @@ func TestDeltaDedupsRewrittenIdenticalPages(t *testing.T) {
 	}
 }
 
-func TestMunmapPartiallyDirtyRegionDroppedByOverlay(t *testing.T) {
-	a := NewAddressSpace()
-	keep := a.MmapWithData("keep", UpperHalf, KindData, make([]byte, 2*PageSize))
-	gone := a.MmapWithData("gone", UpperHalf, KindData, make([]byte, 4*PageSize))
-	base := a.CommitUpperHalf()
-
-	// Dirty half the doomed region, then unmap it mid-epoch.
-	mustWrite(t, a, gone.Addr, 0, []byte("doomed"))
-	mustWrite(t, a, keep.Addr, PageSize, []byte("survivor"))
-	if !a.Munmap(gone.Addr) {
-		t.Fatal("Munmap failed")
-	}
-	d := a.CommitUpperHalfDelta()
-	for _, rd := range d.Regions {
-		if rd.Addr == gone.Addr {
-			t.Fatal("unmapped region still present in the delta layout")
-		}
-	}
-	got := ApplyDelta(base, d)
-	if len(got.Regions) != 1 || got.Regions[0].Addr != keep.Addr {
-		t.Fatalf("overlay regions = %d, want only the surviving region", len(got.Regions))
-	}
-	want := a.SnapshotUpperHalf()
-	if !got.Equal(want) || got.Fingerprint() != want.Fingerprint() {
-		t.Error("overlay after munmap differs from the live space")
-	}
-}
-
-func TestSbrkShrinkThenRegrowAcrossPageBoundary(t *testing.T) {
-	a := NewAddressSpace()
-	a.MmapWithData("anchor", UpperHalf, KindData, make([]byte, PageSize))
-	res := a.Sbrk(4 * PageSize)
-	heap := res.Region
-	mustWrite(t, a, heap.Addr, 0, []byte("heap-head"))
-	base := a.CommitUpperHalf()
-
-	// Shrink by a page and a half — a partial-page truncation — then
-	// regrow across the boundary with fresh content.
-	if released := a.SbrkShrink(PageSize + PageSize/2); released != PageSize+PageSize/2 {
-		t.Fatalf("SbrkShrink released %d bytes, want %d", released, PageSize+PageSize/2)
-	}
-	if got, _ := a.Lookup(heap.Addr); got.Size != 4*PageSize-(PageSize+PageSize/2) {
-		t.Fatalf("shrunk region size = %d", got.Size)
-	}
-	regrow := a.Sbrk(2 * PageSize)
-	mustWrite(t, a, regrow.Region.Addr, PageSize-4, []byte("straddle"))
-
-	d := a.CommitUpperHalfDelta()
-	// The resized region's seal is invalid: its content must be carried
-	// in full (no dedup against stale page offsets).
-	rd := deltaFor(t, d, heap.Addr)
-	if len(rd.Pages) == 0 {
-		t.Error("resized region carried no pages; stale-seal deltas would corrupt the overlay")
-	}
-	got := ApplyDelta(base, d)
-	want := a.SnapshotUpperHalf()
-	if !got.Equal(want) {
-		t.Fatal("overlay after shrink+regrow differs from the live space")
-	}
-	if got.Fingerprint() != want.Fingerprint() {
-		t.Error("overlay fingerprint differs after shrink+regrow")
-	}
-}
-
-func TestSbrkShrinkRemovesWholeRegions(t *testing.T) {
-	a := NewAddressSpace()
-	r1 := a.Sbrk(2 * PageSize).Region
-	r2 := a.Sbrk(PageSize).Region
-	if released := a.SbrkShrink(PageSize); released != PageSize {
-		t.Fatalf("released %d, want %d", released, PageSize)
-	}
-	if _, ok := a.Lookup(r2.Addr); ok {
-		t.Error("top heap region should have been removed entirely")
-	}
-	if _, ok := a.Lookup(r1.Addr); !ok {
-		t.Error("lower heap region should have survived")
-	}
-}
-
 func TestDeltaWithoutBasePanics(t *testing.T) {
 	a := NewAddressSpace()
 	a.Mmap("r", UpperHalf, KindData, PageSize)

@@ -13,18 +13,18 @@ type liveRegion struct {
 	// desc is the region as it was mapped or restored — name, half, kind,
 	// address, size, and the contents it started with. It is never
 	// written: a layout's descriptors are shared by every space built
-	// from it, on any goroutine. A resize replaces the pointer.
+	// from it, on any goroutine.
 	desc *Region
 	// mut holds the region's contents once they differ from desc's; nil
-	// until the first write or resize.
+	// until the first write.
 	mut *contents
 	// hash memoises the region's content digest; hashOK is cleared by
 	// every mutation so Fingerprint never re-hashes clean regions.
 	hash   uint64
 	hashOK bool
 	// allDirty stands for a dirty bitmap of all ones: a newborn,
-	// restored, resized or newly lengthened region, all of which the
-	// next incremental snapshot must carry whole. A bitmap (mut.dirty)
+	// restored or newly lengthened region, all of which the next
+	// incremental snapshot must carry whole. A bitmap (mut.dirty)
 	// exists only once a region is partially dirty, and only means
 	// anything while allDirty is false. Lower-half regions are born
 	// allDirty and stay so — nothing ever commits them — which is all the
@@ -32,8 +32,7 @@ type liveRegion struct {
 	allDirty bool
 }
 
-// contents is the mutable state of a live region that has been written
-// or resized.
+// contents is the mutable state of a live region that has been written.
 type contents struct {
 	// dataLen and pages are the live Region.DataLen and page table; the
 	// descriptor's no longer count.
@@ -49,7 +48,7 @@ type contents struct {
 	// base is the page table of the last committed generation and baseLen
 	// its data length: what a delta commit dedups dirty pages against.
 	// baseLen is zero when the region has not been committed since it was
-	// created, restored or resized.
+	// created or restored.
 	base    []*page
 	baseLen uint64
 }
@@ -66,13 +65,6 @@ func (r *liveRegion) pages() []*page {
 		return r.mut.pages
 	}
 	return r.desc.pages
-}
-
-// mappedAs reports whether the region is mapped with the given layout
-// and holds dataLen bytes of contents.
-func (r *liveRegion) mappedAs(name string, half Half, kind Kind, addr, size, dataLen uint64) bool {
-	d := r.desc
-	return d.Addr == addr && d.Size == size && r.dataLen() == dataLen && d.Half == half && d.Kind == kind && d.Name == name
 }
 
 // committed returns the page table and data length of the generation a
@@ -147,13 +139,6 @@ func (r *liveRegion) markDirty(off, n uint64) {
 	}
 }
 
-// markAllDirty marks every page dirty (newborn, resized, restored or
-// newly lengthened regions).
-func (r *liveRegion) markAllDirty() {
-	r.allDirty = true
-	r.hashOK = false
-}
-
 // dirtyPages returns the region's dirty page indices in ascending order.
 func (r *liveRegion) dirtyPages() []int {
 	switch {
@@ -201,38 +186,6 @@ func (r *liveRegion) rebase() {
 	m.baseLen = m.dataLen
 	clear(m.owned)
 	clear(m.dirty)
-}
-
-// resize gives the region a new size under the same name and address,
-// cutting its contents to fit, and forgets the committed generation:
-// page indices no longer line up with the committed contents, so the next
-// delta must carry the region in full.
-func (a *AddressSpace) resize(r *liveRegion, size uint64) {
-	d := *r.desc
-	d.Size = size
-	if r.dataLen() > size {
-		a.truncate(r.own(), size)
-	}
-	if m := r.mut; m != nil {
-		d.DataLen, d.pages = 0, nil // the contents are m's
-		m.base, m.baseLen, m.dirty = nil, 0, nil
-	}
-	r.desc = &d
-	r.markAllDirty()
-}
-
-// truncate cuts the contents to n bytes, n < dataLen.
-func (a *AddressSpace) truncate(m *contents, n uint64) {
-	keep := pageCount(n)
-	if len(m.pages) > 0 {
-		clear(m.pages[keep:])
-		m.pages = m.pages[:keep]
-		if cut := int(n % PageSize); cut != 0 && len(m.pages[keep-1].buf()) > cut {
-			// Restore the zero tail on a private copy of the cut page.
-			clear(a.writable(m, keep-1, cut)[cut:])
-		}
-	}
-	m.dataLen = n
 }
 
 // writable returns the buffer of page idx as one the region owns and

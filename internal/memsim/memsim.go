@@ -9,10 +9,16 @@
 // regions are written to the image and the entire lower half is discarded.
 //
 // This package reproduces that bookkeeping. An AddressSpace holds Regions,
-// each tagged with a Half and a Kind; it supports Mmap/Munmap/Sbrk with the
+// each tagged with a Half and a Kind; it supports Mmap and Sbrk with the
 // same hazards the paper describes (sbrk after restart would grow the wrong
 // program's data segment unless interposed, §2.1); and it produces
 // Snapshots containing exactly the regions a checkpoint image must carry.
+//
+// An address space only grows. A mapped region keeps its name, tags,
+// address and size, and its data length only rises (from nothing to the
+// region's size, on the first write); nothing unmaps or shrinks one, and
+// interposed sbrk maps a fresh region per growth. Only a restore replaces
+// the upper half.
 //
 // Memory and checkpoint cost are proportional to the bytes a run writes
 // and to what is particular to one space, not to address-space size.
@@ -35,7 +41,6 @@ package memsim
 
 import (
 	"fmt"
-	"slices"
 
 	"mana/internal/fnv1a"
 )
@@ -191,16 +196,15 @@ type AddressSpace struct {
 	nextUpper   uint64
 	nextLower   uint64
 	brk         uint64 // simulated program break (upper-half data segment end)
-	brkBase     uint64
-	sbrkInter   bool // MANA's sbrk interposition active
-	postRestart bool // true once the space has been rebuilt from an image
+	sbrkInter   bool   // MANA's sbrk interposition active
+	postRestart bool   // true once the space has been rebuilt from an image
 	// gen counts committed snapshot generations (CommitUpperHalf and
 	// CommitUpperHalfDelta); deltas are always relative to generation gen.
 	gen uint64
 	// lastWrite is the live region the previous Write resolved its address
 	// to, tried before the search: a workload step writes the same region
 	// over and over. Nil after anything that adds regions to the space or
-	// takes them out (it points into regions).
+	// replaces them (it points into regions).
 	lastWrite *liveRegion
 	// last is what the committed generation's captures built, handed out
 	// again while the space is unchanged (see unchanged); nil until the
@@ -216,47 +220,25 @@ type AddressSpace struct {
 // again, so back-to-back checkpoints share one snapshot, header and
 // region array alike.
 type lastCommit struct {
-	brk     uint64
+	n       int // upper-half regions at the commit
 	snap    *Snapshot
 	regions []RegionDelta
 	scanned int // the delta's ScannedPages
 }
 
 // unchanged reports whether the upper half still holds exactly what
-// a.last was captured from: no region dirty (so no page written since the
-// commit), the same regions — name, half, kind, address, size and data
-// length — and the same program break. It compares live state with the
-// remembered capture, one pass over the regions and their dirty bitmaps,
-// so no write, map, sbrk or restore path has to invalidate anything: each
-// of them dirties a region or changes the list.
+// a.last was captured from: as many regions, none of them dirty. The
+// space only grows, so that is enough: a new region is born all-dirty,
+// the write that lengthens a region's data marks it all-dirty, and the
+// program break moves only with a new region. The one path that replaces
+// regions, a restore, drops the memo.
 func (a *AddressSpace) unchanged() bool {
-	c := a.last
-	if c == nil || c.brk != a.brk {
-		return false
-	}
 	upper := a.regions[UpperHalf]
-	var snap []Region
-	if c.snap != nil {
-		snap = c.snap.Regions
-	}
-	deltas := c.regions
-	n := len(deltas)
-	if snap != nil {
-		n = len(snap)
-	}
-	if snap == nil && deltas == nil || n != len(upper) {
+	if a.last == nil || a.last.n != len(upper) {
 		return false
 	}
 	for i := range upper {
-		r := &upper[i]
-		if r.allDirty || r.mut != nil && r.mut.dirty.any() {
-			return false
-		}
-		if snap != nil {
-			if s := &snap[i]; !r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen) {
-				return false
-			}
-		} else if s := &deltas[i]; !r.mappedAs(s.Name, s.Half, s.Kind, s.Addr, s.Size, s.DataLen) {
+		if r := &upper[i]; r.allDirty || r.mut != nil && r.mut.dirty.any() {
 			return false
 		}
 	}
@@ -269,7 +251,6 @@ func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{
 		nextUpper: upperBase,
 		nextLower: lowerBase,
-		brkBase:   upperBase,
 		brk:       upperBase,
 		sbrkInter: true,
 	}
@@ -305,10 +286,10 @@ func align(n uint64) uint64 {
 	return n
 }
 
-// find returns the live region starting at addr, or nil, and its index
-// in its half's list. The halves occupy disjoint address ranges, so the
-// address picks the list; within it regions are sorted.
-func (a *AddressSpace) find(addr uint64) (*liveRegion, Half, int) {
+// find returns the live region starting at addr, or nil. The halves
+// occupy disjoint address ranges, so the address picks the list; within
+// it regions are sorted.
+func (a *AddressSpace) find(addr uint64) *liveRegion {
 	half := UpperHalf
 	if addr >= lowerBase {
 		half = LowerHalf
@@ -323,9 +304,9 @@ func (a *AddressSpace) find(addr uint64) (*liveRegion, Half, int) {
 		}
 	}
 	if lo < len(list) && list[lo].desc.Addr == addr {
-		return &list[lo], half, lo
+		return &list[lo]
 	}
-	return nil, half, -1
+	return nil
 }
 
 // Mmap creates a new region in the given half and returns its
@@ -381,29 +362,6 @@ func (a *AddressSpace) MmapZero(name string, half Half, kind Kind, n uint64) *Re
 	return a.mmap(name, half, kind, n, n).desc
 }
 
-// Munmap removes the region starting at addr. It reports whether a region
-// was found.
-func (a *AddressSpace) Munmap(addr uint64) bool {
-	r, half, i := a.find(addr)
-	if r == nil {
-		return false
-	}
-	a.regions[half] = slices.Delete(a.regions[half], i, i+1)
-	a.lastWrite = nil
-	return true
-}
-
-// UnmapHalf removes every region belonging to the given half and returns
-// the number of bytes released. MANA uses this to discard the lower half
-// before restoring a checkpoint image, and to model the "ephemeral" MPI
-// library.
-func (a *AddressSpace) UnmapHalf(half Half) uint64 {
-	released := a.BytesOf(half)
-	a.regions[half] = nil
-	a.lastWrite = nil
-	return released
-}
-
 // SbrkResult describes the outcome of a heap-growth request.
 type SbrkResult struct {
 	// Region describes the region that satisfied the request (either the
@@ -439,40 +397,6 @@ func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
 	return SbrkResult{Region: r}
 }
 
-// SbrkShrink releases up to delta bytes from the top of the upper-half
-// heap (most recently allocated heap regions first, mirroring how a real
-// brk retreats) and returns the number of bytes actually released. A
-// region shrunk partially keeps its address but loses its tail; its
-// dirtiness and committed base are reset (resize) so the next incremental
-// snapshot carries the resized region in full.
-func (a *AddressSpace) SbrkShrink(delta uint64) uint64 {
-	upper := a.regions[UpperHalf]
-	a.lastWrite = nil
-	var released uint64
-	for i := len(upper) - 1; i >= 0 && delta > 0; i-- {
-		r := &upper[i]
-		if r.desc.Kind != KindHeap {
-			continue
-		}
-		if size := r.desc.Size; delta >= size {
-			delta -= size
-			released += size
-			upper = slices.Delete(upper, i, i+1)
-			continue
-		}
-		a.resize(r, r.desc.Size-delta)
-		released += delta
-		delta = 0
-	}
-	a.regions[UpperHalf] = upper
-	if a.brk > a.brkBase+released {
-		a.brk -= released
-	} else if a.brk > a.brkBase {
-		a.brk = a.brkBase
-	}
-	return released
-}
-
 // Regions returns a snapshot slice of all regions sorted by address.
 func (a *AddressSpace) Regions() []Region {
 	// The upper half's address range lies below the lower half's.
@@ -503,20 +427,9 @@ func (a *AddressSpace) BytesOf(half Half) uint64 {
 	return total
 }
 
-// BytesOfKind returns the total size of regions of a given half and kind.
-func (a *AddressSpace) BytesOfKind(half Half, kind Kind) uint64 {
-	var total uint64
-	for _, r := range a.regions[half] {
-		if r.desc.Kind == kind {
-			total += r.desc.Size
-		}
-	}
-	return total
-}
-
 // Lookup returns the region starting at addr, if any.
 func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
-	r, _, _ := a.find(addr)
+	r := a.find(addr)
 	if r == nil {
 		return Region{}, false
 	}
@@ -567,7 +480,7 @@ func (a *AddressSpace) WriteSpan(addr uint64, offset, n uint64) ([]byte, error) 
 func (a *AddressSpace) prepareWrite(addr, offset, n uint64) (*liveRegion, error) {
 	r := a.lastWrite
 	if r == nil || r.desc.Addr != addr {
-		if r, _, _ = a.find(addr); r == nil {
+		if r = a.find(addr); r == nil {
 			return nil, fmt.Errorf("memsim: write to unmapped region 0x%x", addr)
 		}
 		a.lastWrite = r
@@ -586,7 +499,7 @@ func (a *AddressSpace) prepareWrite(addr, offset, n uint64) (*liveRegion, error)
 		// data length is part of the checkpointable state, so the whole
 		// region must reach the next incremental image.
 		m.dataLen = size
-		r.markAllDirty()
+		r.allDirty, r.hashOK = true, false
 	}
 	if want := pageCount(size); n > 0 && len(m.pages) < want {
 		m.pages = append(m.pages, make([]*page, want-len(m.pages))...)
@@ -616,7 +529,7 @@ func (a *AddressSpace) span(r *liveRegion, offset uint64, n int) []byte {
 
 // Read copies length bytes from the region starting at addr at offset.
 func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, error) {
-	r, _, _ := a.find(addr)
+	r := a.find(addr)
 	if r == nil {
 		return nil, fmt.Errorf("memsim: read from unmapped region 0x%x", addr)
 	}
@@ -709,7 +622,7 @@ func (a *AddressSpace) capture(commit bool) *Snapshot {
 	case same:
 		a.last.snap = snap
 	case commit:
-		a.last = &lastCommit{brk: a.brk, snap: snap}
+		a.last = &lastCommit{n: len(upper), snap: snap}
 	}
 	if commit {
 		a.gen++
@@ -760,7 +673,7 @@ func (a *AddressSpace) Generation() uint64 {
 // ascending order, and whether the region exists. Tests and diagnostics
 // use it to observe the bitmap without capturing.
 func (a *AddressSpace) DirtyPages(addr uint64) ([]int, bool) {
-	r, _, _ := a.find(addr)
+	r := a.find(addr)
 	if r == nil {
 		return nil, false
 	}
@@ -810,7 +723,9 @@ func (a *AddressSpace) RestoreUpperHalf(s *Snapshot) {
 	// the image's Region, page table included, and a write copies table
 	// and page first, so the image stays immutable — and starts entirely
 	// dirty with no committed base: restart begins a new incremental
-	// chain. One allocation, whatever the region count.
+	// chain. One allocation, whatever the region count. This is the one
+	// path that replaces regions rather than adding them, so it drops
+	// the last-commit memo (see unchanged).
 	descs := s.Regions
 	upper := make([]liveRegion, len(descs))
 	memoised := len(s.RegionHashes) == len(descs)
@@ -827,7 +742,7 @@ func (a *AddressSpace) RestoreUpperHalf(s *Snapshot) {
 		maxEnd = max(maxEnd, d.End())
 	}
 	a.regions[UpperHalf] = upper
-	a.lastWrite = nil
+	a.lastWrite, a.last = nil, nil
 	if a.nextUpper < maxEnd+mmapAlignment {
 		a.nextUpper = maxEnd + mmapAlignment
 	}

@@ -58,52 +58,6 @@ func TestMmapInvalidHalfPanics(t *testing.T) {
 	a.Mmap("bad", Half(7), KindText, 10)
 }
 
-func TestMunmap(t *testing.T) {
-	a := NewAddressSpace()
-	r := a.Mmap("tmp", UpperHalf, KindAnonymous, 4096)
-	if !a.Munmap(r.Addr) {
-		t.Fatalf("Munmap failed for existing region")
-	}
-	if a.Munmap(r.Addr) {
-		t.Errorf("Munmap succeeded for already-removed region")
-	}
-	if _, ok := a.Lookup(r.Addr); ok {
-		t.Errorf("region still visible after Munmap")
-	}
-}
-
-func TestUnmapHalfDiscardsOnlyThatHalf(t *testing.T) {
-	a := NewAddressSpace()
-	a.Mmap("app.data", UpperHalf, KindData, 8192)
-	a.Mmap("libmpi.text", LowerHalf, KindText, 26<<20)
-	a.Mmap("driver.shm", LowerHalf, KindSharedMem, 2<<20)
-	released := a.UnmapHalf(LowerHalf)
-	if released == 0 {
-		t.Fatalf("UnmapHalf released nothing")
-	}
-	if got := a.BytesOf(LowerHalf); got != 0 {
-		t.Errorf("lower half still has %d bytes", got)
-	}
-	if got := a.BytesOf(UpperHalf); got == 0 {
-		t.Errorf("upper half was discarded too")
-	}
-}
-
-func TestBytesOfKind(t *testing.T) {
-	a := NewAddressSpace()
-	a.Mmap("libmpi.text", LowerHalf, KindText, 26<<20)
-	a.Mmap("driver.shm", LowerHalf, KindSharedMem, 40<<20)
-	if got := a.BytesOfKind(LowerHalf, KindSharedMem); got != 40<<20 {
-		t.Errorf("BytesOfKind shm = %d", got)
-	}
-	if got := a.BytesOfKind(LowerHalf, KindText); got != 26<<20 {
-		t.Errorf("BytesOfKind text = %d", got)
-	}
-	if got := a.BytesOfKind(UpperHalf, KindText); got != 0 {
-		t.Errorf("BytesOfKind upper text = %d, want 0", got)
-	}
-}
-
 func TestSbrkInterposedUsesMmap(t *testing.T) {
 	a := NewAddressSpace()
 	res := a.Sbrk(64 << 10)
@@ -449,9 +403,9 @@ func TestSnapshotIsolatedFromLiveSpace(t *testing.T) {
 
 // TestWriteAfterRegionLeaves pins the one thing Write's last-region cache
 // must never do: resolve an address to a region that has left the space.
-// After each way a region can leave, a write to its address fails exactly
-// as it would have without the cache, or lands in the region that now
-// owns the address.
+// A region leaves only when a restore replaces the upper half; after it, a
+// write to the region's address fails exactly as it would have without
+// the cache, or lands in the region that now owns the address.
 func TestWriteAfterRegionLeaves(t *testing.T) {
 	unmapped := func(t *testing.T, a *AddressSpace, addr uint64) {
 		t.Helper()
@@ -466,25 +420,13 @@ func TestWriteAfterRegionLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	t.Run("Munmap", func(t *testing.T) {
+	t.Run("RestoreEarlierSnapshot", func(t *testing.T) {
 		a := NewAddressSpace()
-		r := a.Mmap("x", UpperHalf, KindData, PageSize)
+		a.Mmap("x", UpperHalf, KindData, PageSize)
+		snap := a.CommitUpperHalf()
+		r := a.Mmap("y", UpperHalf, KindData, PageSize) // mapped after the snapshot
 		warm(t, a, r.Addr)
-		a.Munmap(r.Addr)
-		unmapped(t, a, r.Addr)
-	})
-	t.Run("UnmapHalf", func(t *testing.T) {
-		a := NewAddressSpace()
-		r := a.Mmap("x", LowerHalf, KindData, PageSize)
-		warm(t, a, r.Addr)
-		a.UnmapHalf(LowerHalf)
-		unmapped(t, a, r.Addr)
-	})
-	t.Run("SbrkShrink", func(t *testing.T) {
-		a := NewAddressSpace()
-		r := a.Sbrk(PageSize).Region
-		warm(t, a, r.Addr)
-		a.SbrkShrink(PageSize)
+		a.RestoreUpperHalf(snap)
 		unmapped(t, a, r.Addr)
 	})
 	t.Run("RestoreUpperHalf", func(t *testing.T) {

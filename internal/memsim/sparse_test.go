@@ -21,12 +21,13 @@ import (
 // store, with its region-granular seal, transcribed here and used nowhere
 // else. One interpreter turns a byte string into a sequence of
 // address-space operations and applies each to both; after every step
-// everything observable must agree. Besides the general operations it has
-// ones aimed at what the model does not have: page buffers shorter than a
-// page (runs of appended markers, writes past, out of and into short and
-// frozen short pages, cuts inside them) and regions that are a pointer to
-// a shared descriptor until written (layouts, bootstrap-and-restore,
-// commit cycles over regions that never get contents).
+// everything observable must agree, and the upper half must only have
+// grown. Besides the general operations it has ones aimed at what the
+// model does not have: page buffers shorter than a page (runs of appended
+// markers, writes past, out of and into short and frozen short pages) and
+// regions that are a pointer to a shared descriptor until written
+// (layouts, bootstrap-and-restore, commit cycles over regions that never
+// get contents).
 
 // flat materialises a region's logical contents: DataLen bytes, nil when
 // the region has none.
@@ -103,15 +104,6 @@ func (m *flatSpace) add(r *Region, data []byte) {
 	sort.Slice(m.regions, func(i, j int) bool { return m.regions[i].Addr < m.regions[j].Addr })
 }
 
-func (m *flatSpace) remove(addr uint64) {
-	for i, r := range m.regions {
-		if r.Addr == addr {
-			m.regions = append(m.regions[:i:i], m.regions[i+1:]...)
-			return
-		}
-	}
-}
-
 func (m *flatSpace) upper() []*flatRegion {
 	var out []*flatRegion
 	for _, r := range m.regions {
@@ -134,39 +126,6 @@ func (m *flatSpace) write(addr, off uint64, data []byte) {
 	for p := off / PageSize; len(data) > 0 && p <= (off+uint64(len(data))-1)/PageSize; p++ {
 		r.dirty[p] = true
 	}
-}
-
-func (m *flatSpace) shrink(delta uint64) uint64 {
-	heaps := []*flatRegion{}
-	for _, r := range m.upper() {
-		if r.Kind == KindHeap {
-			heaps = append(heaps, r)
-		}
-	}
-	var released uint64
-	for i := len(heaps) - 1; i >= 0 && delta > 0; i-- {
-		r := heaps[i]
-		if delta >= r.Size {
-			delta -= r.Size
-			released += r.Size
-			m.remove(r.Addr)
-			continue
-		}
-		r.Size -= delta
-		if uint64(len(r.Data)) > r.Size {
-			r.Data = r.Data[:r.Size]
-		}
-		r.sealed, r.hasSeal = nil, false
-		r.markAllDirty()
-		released += delta
-		delta = 0
-	}
-	if m.brk > upperBase+released {
-		m.brk -= released
-	} else if m.brk > upperBase {
-		m.brk = upperBase
-	}
-	return released
 }
 
 // flatSnap is the model's full image: deep copies, always.
@@ -407,6 +366,18 @@ type harness struct {
 	// must not change.
 	twin     *AddressSpace
 	twinFlat flatSnap
+
+	// grown is the upper half as the previous check saw it, descriptor
+	// and data length per region; rebuilt is set by the ops that replace
+	// the upper half (restore, and a relayout that swaps the space), the
+	// only ones after which it need not be a prefix of the current one.
+	grown   []grownRegion
+	rebuilt bool
+}
+
+type grownRegion struct {
+	desc    *Region
+	dataLen uint64
 }
 
 func (h *harness) failf(format string, args ...any) {
@@ -492,37 +463,22 @@ func (h *harness) write() {
 	h.m.write(r.Addr, off, data)
 }
 
+// sbrk grows the heap in both representations, unless the live set is
+// full.
 func (h *harness) sbrk() {
-	h.sbrkBy(uint64(1 + h.p.next()*53%(3*PageSize)))
-}
-
-// sbrkBy grows the heap in both representations and returns the model's
-// new region, nil when the live set is full.
-func (h *harness) sbrkBy(delta uint64) *flatRegion {
+	delta := uint64(1 + h.p.next()*53%(3*PageSize))
 	if len(h.m.regions) >= maxRegions {
-		return nil
+		return
 	}
 	res := h.a.Sbrk(delta)
 	h.m.add(res.Region, nil)
 	if !res.UsedMmap && !res.CorruptedLowerHalf {
 		h.m.brk += align(delta)
 	}
-	return h.m.find(res.Region.Addr)
-}
-
-func (h *harness) shrink() {
-	h.shrinkBy(uint64(1 + h.p.next()*61%(2*PageSize)))
-}
-
-func (h *harness) shrinkBy(delta uint64) {
-	if got, want := h.a.SbrkShrink(delta), h.m.shrink(delta); got != want {
-		h.failf("SbrkShrink(%d) released %d, model %d", delta, got, want)
-	}
 }
 
 // put writes data at off into region r of both representations; a write
-// that does not fit (a region can be a few bytes long after a shrink) is
-// skipped.
+// that does not fit is skipped.
 func (h *harness) put(r *flatRegion, off uint64, data []byte) {
 	if off > r.Size || uint64(len(data)) > r.Size-off {
 		return
@@ -602,8 +558,7 @@ func (h *harness) spanRun() {
 		}
 		h.m.write(r.Addr, at, marker(v+i))
 	}
-	x, _, _ := h.a.find(r.Addr)
-	y, _, _ := twin.find(r.Addr)
+	x, y := h.a.find(r.Addr), twin.find(r.Addr)
 	if d := liveDiff(x, y); d != "" {
 		h.failf("a span run into %q at %d (%d slots) differs from eight-byte writes: %s", r.Name, off, n, d)
 	}
@@ -613,7 +568,7 @@ func (h *harness) spanRun() {
 // one at addr in a: the same descriptor, page buffers of the same
 // lengths and bytes, the same owned, dirty and all-dirty state.
 func twinOf(a *AddressSpace, addr uint64) *AddressSpace {
-	r, half, _ := a.find(addr)
+	r := a.find(addr)
 	c := *r
 	if m := r.mut; m != nil {
 		mc := *m
@@ -627,7 +582,7 @@ func twinOf(a *AddressSpace, addr uint64) *AddressSpace {
 		c.mut = &mc
 	}
 	t := NewAddressSpace()
-	t.regions[half] = []liveRegion{c}
+	t.regions[r.desc.Half] = []liveRegion{c}
 	return t
 }
 
@@ -689,48 +644,6 @@ func (h *harness) intoFrozenShortPage() {
 	}
 }
 
-// shrinkInsideShortPage grows the heap by two pages, leaves a 64-byte
-// buffer on the second, cuts the region inside that buffer or just past
-// it, and grows again: over the cut page's tail, then with a new region.
-func (h *harness) shrinkInsideShortPage() {
-	r := h.sbrkBy(2 * PageSize)
-	if r == nil {
-		return
-	}
-	h.put(r, PageSize+16, marker(h.step))
-	keep := uint64(40) // inside the buffer
-	if h.p.next()%2 == 0 {
-		keep = 100 // past it
-	}
-	addr := r.Addr
-	if h.p.next()%3 == 0 {
-		h.commitDelta() // the cut page is frozen
-	}
-	h.shrinkBy(PageSize - keep)
-	if r = h.m.find(addr); r != nil && r.Size >= 8 {
-		h.put(r, r.Size-8, marker(h.step))
-	}
-	h.sbrkBy(PageSize)
-}
-
-// lowerHalfRestart discards the lower half and maps a new one, which is
-// what a restart does to it.
-func (h *harness) lowerHalfRestart() {
-	var want uint64
-	for _, r := range append([]*flatRegion(nil), h.m.regions...) {
-		if r.Half == LowerHalf {
-			want += r.Size
-			h.m.remove(r.Addr)
-		}
-	}
-	if got := h.a.UnmapHalf(LowerHalf); got != want {
-		h.failf("UnmapHalf released %d bytes, model %d", got, want)
-	}
-	for n := 1 + h.p.next()%3; n > 0; n-- {
-		h.mmapIn(LowerHalf)
-	}
-}
-
 // relayout takes a Layout of the space, keeps a twin built from it, and
 // either goes on with the space (its pages are now frozen) or replaces it
 // with another one built from the layout (nothing committed, all dirty).
@@ -740,7 +653,7 @@ func (h *harness) relayout() {
 	if h.p.next()%2 == 0 {
 		h.a = l.NewSpace()
 		h.m.relayout()
-		h.hasDelta = false
+		h.hasDelta, h.rebuilt = false, true
 	}
 }
 
@@ -773,15 +686,6 @@ func (h *harness) recommit() {
 	h.commitDelta()
 	if carried := first.PayloadBytes() > 0; sameBacking(first.Regions, h.lastD.Regions) == carried {
 		h.failf("delta commit after one carrying %d bytes shares its region list: %v", first.PayloadBytes(), carried)
-	}
-}
-
-func (h *harness) munmap() {
-	if r := h.pick(); r != nil {
-		if !h.a.Munmap(r.Addr) {
-			h.failf("Munmap(%q) found nothing", r.Name)
-		}
-		h.m.remove(r.Addr)
 	}
 }
 
@@ -818,9 +722,26 @@ func (h *harness) sameSnapshot(what string, s *Snapshot, f flatSnap) {
 
 // check compares the live space with the model region by region, and the
 // retained image with the model's: an image must survive whatever the
-// live space did since it was taken.
+// live space did since it was taken. Unless the op rebuilt the space, the
+// upper half before it must be a prefix of the one after it: the same
+// descriptors, in order, none holding less data.
 func (h *harness) check() {
 	h.t.Helper()
+	upper := h.a.regions[UpperHalf]
+	if !h.rebuilt {
+		if len(upper) < len(h.grown) {
+			h.failf("the upper half shrank from %d regions to %d", len(h.grown), len(upper))
+		}
+		for i, g := range h.grown {
+			if r := &upper[i]; r.desc != g.desc || r.dataLen() < g.dataLen {
+				h.failf("upper region %d was %q with %d bytes, is %q with %d", i, g.desc.Name, g.dataLen, r.desc.Name, r.dataLen())
+			}
+		}
+	}
+	h.grown, h.rebuilt = h.grown[:0], false
+	for i := range upper {
+		h.grown = append(h.grown, grownRegion{upper[i].desc, upper[i].dataLen()})
+	}
 	live := h.a.Regions()
 	if len(live) != len(h.m.regions) {
 		h.failf("%d live regions, model %d", len(live), len(h.m.regions))
@@ -839,7 +760,7 @@ func (h *harness) check() {
 		if dirty, _ := h.a.DirtyPages(fr.Addr); fmt.Sprint(dirty) != fmt.Sprint(fr.dirtyPages()) {
 			h.failf("region %q dirty pages %v, model %v", fr.Name, dirty, fr.dirtyPages())
 		}
-		r, _, _ := h.a.find(fr.Addr)
+		r := h.a.find(fr.Addr)
 		pages, dataLen := r.pages(), r.dataLen()
 		if n := len(pages); n != 0 && n != pageCount(dataLen) {
 			h.failf("region %q has a %d-slot page table for %d bytes", fr.Name, n, dataLen)
@@ -1011,7 +932,7 @@ func (h *harness) restore() {
 	h.a = fresh
 	h.a.RestoreUpperHalf(h.img)
 	h.m.restore(h.flatImg, bootstrap)
-	h.hasDelta = false
+	h.hasDelta, h.rebuilt = false, true
 	if h.a.Generation() != 0 {
 		h.failf("restored space at generation %d", h.a.Generation())
 	}
@@ -1027,17 +948,13 @@ func runDifferential(t *testing.T, prog []byte) {
 		switch op := h.p.next() % 26; op {
 		case 0, 1:
 			h.mmap()
-		case 2, 3, 4, 5, 6:
+		case 2, 3, 4, 5, 6, 8:
 			h.write()
 		case 7:
 			h.sbrk()
-		case 8:
-			h.shrink()
-		case 9:
-			h.munmap()
 		case 10:
 			h.commitFull()
-		case 11, 12:
+		case 9, 11, 12:
 			h.commitDelta()
 		case 13:
 			h.snapshot()
@@ -1054,12 +971,10 @@ func runDifferential(t *testing.T, prog []byte) {
 			h.appendRun()
 		case 17, 18:
 			h.pastShortPage(op == 18)
-		case 19:
+		case 19, 20:
 			h.intoFrozenShortPage()
-		case 20:
-			h.shrinkInsideShortPage()
 		case 21:
-			h.lowerHalfRestart()
+			h.restore()
 		case 22:
 			h.relayout()
 		case 23:
@@ -1177,8 +1092,7 @@ func TestShortPageDigest(t *testing.T) {
 
 // present counts the materialised pages of the live region at addr.
 func present(a *AddressSpace, addr uint64) (n int) {
-	r, _, _ := a.find(addr)
-	for _, p := range r.pages() {
+	for _, p := range a.find(addr).pages() {
 		if p != nil {
 			n++
 		}
@@ -1229,7 +1143,7 @@ func TestWriteMaterialisesOnlyTouchedPages(t *testing.T) {
 	for i := 1; i < PageSize/8; i++ {
 		mustWrite(t, a, state.Addr, uint64(i)*8, marker(i))
 	}
-	r, _, _ := a.find(state.Addr)
+	r := a.find(state.Addr)
 	if n, p := present(a, state.Addr), r.pages()[0]; n != 1 || len(p.b) != PageSize {
 		t.Errorf("512 appended markers ended in %d pages, the first %d bytes long; want one full-size buffer", n, len(p.b))
 	}

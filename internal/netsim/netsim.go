@@ -40,14 +40,6 @@ type Params struct {
 	// size s occupies the sender for s/Bandwidth seconds before the wire
 	// latency applies.
 	BandwidthBytesPerSec float64
-	// GroupSize partitions ranks into contiguous topology groups of this
-	// many ranks each (rank r belongs to group r/GroupSize): the fabric
-	// analogue of an electrical group / leaf switch. Zero means a flat
-	// fabric with no groups.
-	GroupSize int
-	// CrossGroupLatency is the EXTRA one-way latency a message pays when
-	// src and dst are in different groups (spine hop).
-	CrossGroupLatency vtime.Duration
 }
 
 // DefaultParams resembles a commodity HPC fabric: ~1.5 us latency,
@@ -66,24 +58,6 @@ func (p Params) SerializeCost(bytes uint64) vtime.Duration {
 		return 0
 	}
 	return vtime.DurationOf(float64(bytes) / p.BandwidthBytesPerSec)
-}
-
-// GroupOf returns the topology group of a rank, or 0 on a flat fabric.
-func (p Params) GroupOf(rank int) int {
-	if p.GroupSize <= 0 {
-		return 0
-	}
-	return rank / p.GroupSize
-}
-
-// WireLatency returns the one-way latency between two ranks: the base
-// Latency, plus CrossGroupLatency when they sit in different groups.
-func (p Params) WireLatency(src, dst int) vtime.Duration {
-	l := p.Latency
-	if p.GroupSize > 0 && p.GroupOf(src) != p.GroupOf(dst) {
-		l += p.CrossGroupLatency
-	}
-	return l
 }
 
 // CollectiveKind identifies a modelled collective operation.
@@ -360,7 +334,7 @@ func (n *Network) pair(src, dst int) *pairState {
 // stamp.
 func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Message, vtime.Duration) {
 	busy := n.params.SerializeCost(bytes)
-	arrive := sent.When.Add(busy + n.params.WireLatency(src, dst))
+	arrive := sent.When.Add(busy + n.params.Latency)
 	n.nextSeq++
 	p := n.pair(src, dst)
 	m := p.push(Message{Seq: n.nextSeq, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})

@@ -230,39 +230,6 @@ func TestSerializeCostZeroBandwidth(t *testing.T) {
 	}
 }
 
-func TestTopologyGroups(t *testing.T) {
-	p := Params{
-		Latency:           1000 * vtime.Nanosecond,
-		GroupSize:         4,
-		CrossGroupLatency: 5000 * vtime.Nanosecond,
-	}
-	if got := p.GroupOf(0); got != 0 {
-		t.Errorf("GroupOf(0) = %d, want 0", got)
-	}
-	if got := p.GroupOf(3); got != 0 {
-		t.Errorf("GroupOf(3) = %d, want 0", got)
-	}
-	if got := p.GroupOf(4); got != 1 {
-		t.Errorf("GroupOf(4) = %d, want 1", got)
-	}
-	// Intra-group pays base latency; cross-group pays the spine hop too.
-	if got := p.WireLatency(0, 3); got != p.Latency {
-		t.Errorf("intra-group WireLatency = %v, want %v", got, p.Latency)
-	}
-	if got, want := p.WireLatency(0, 4), p.Latency+p.CrossGroupLatency; got != want {
-		t.Errorf("cross-group WireLatency = %v, want %v", got, want)
-	}
-
-	// Flat fabric: no groups, every pair pays the base latency.
-	flat := Params{Latency: 1000 * vtime.Nanosecond}
-	if got := flat.GroupOf(17); got != 0 {
-		t.Errorf("flat GroupOf = %d, want 0", got)
-	}
-	if got := flat.WireLatency(0, 17); got != flat.Latency {
-		t.Errorf("flat WireLatency = %v, want %v", got, flat.Latency)
-	}
-}
-
 func TestRecvArrivalGate(t *testing.T) {
 	n := New(testParams())
 	s := vtime.Stamp{Rank: 0, When: 0}
@@ -275,24 +242,6 @@ func TestRecvArrivalGate(t *testing.T) {
 	}
 	if got := n.Recv(1, 0, m.Arrive); got == nil || got.Seq != m.Seq {
 		t.Fatalf("Recv at arrival = %+v, want seq %d", got, m.Seq)
-	}
-}
-
-func TestSendCrossGroupArrival(t *testing.T) {
-	p := Params{
-		Latency:           1000 * vtime.Nanosecond,
-		GroupSize:         2,
-		CrossGroupLatency: 9000 * vtime.Nanosecond,
-	}
-	n := New(p)
-	sent := vtime.Stamp{When: vtime.Time(0).Add(100 * vtime.Nanosecond)}
-	intra, _ := n.Send(0, 1, 7, 0, sent)
-	if got, want := intra.Arrive, sent.When.Add(p.Latency); got != want {
-		t.Errorf("intra-group arrival = %v, want %v", got, want)
-	}
-	cross, _ := n.Send(0, 2, 7, 0, sent)
-	if got, want := cross.Arrive, sent.When.Add(p.Latency+p.CrossGroupLatency); got != want {
-		t.Errorf("cross-group arrival = %v, want %v", got, want)
 	}
 }
 
