@@ -56,7 +56,6 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsFlat$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
 	$(GO) test -run='^$$' -fuzz='^FuzzFNVKernel$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/fnv1a
-	$(GO) test -run='^$$' -fuzz='^FuzzSegmentFold$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/fnv1a
 	$(GO) test -run='^$$' -fuzz='^FuzzNetsimVsMap$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/netsim
 	$(GO) test -run='^$$' -fuzz='^FuzzCompileVsMaterialised$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzQueueVsSort$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/vtime

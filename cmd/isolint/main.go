@@ -48,7 +48,6 @@ var allowed = map[string]string{
 	"scenario.libraryFS":                  "embed.FS of the spec library, read-only by construction",
 	"memsim.kindNames":                    "region-kind name table, initialised once and only read",
 	"fnv1a.zeroPow":                       "FNV prime-power table, filled once by init and only read (a pure function of its index)",
-	"coordinator.statLabels":              "fnv1a segments of the rank.Stats labels, tables computed whole at init and only read",
 	"rank.splitProcess":                   "the split-process memory map every rank is built from, immutable once memsim.AddressSpace.Layout returns it",
 	"rank.stateRegion":                    "address of app.state in that map, a pure function of it",
 	"coordinator.ErrRestartFault":         "errors.New sentinel, written once at init and only compared",

@@ -430,8 +430,8 @@ func TestRetiredLinkArraysAreRecycled(t *testing.T) {
 // imageState renders what restoring from img reads: the memory's content
 // digest and the small state.
 func imageState(img *rank.Image) string {
-	return fmt.Sprintf("%d %d %d %016x %v %v %v %v %+v %s", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(),
-		img.Inbox, img.PendingReqs, img.Comms, img.CommIDs, img.Stats, img.Virt.Text())
+	return fmt.Sprintf("%d %d %d %016x %v %v %v %v %+v %v %v", img.RankID, img.PC, img.Clock, img.Mem.Fingerprint(),
+		img.Inbox, img.PendingReqs, img.Comms, img.CommIDs, img.Stats, img.Virt.Next, img.Virt.Entries)
 }
 
 // rankState renders a live rank's state the same way, with its first

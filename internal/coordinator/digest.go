@@ -1,26 +1,28 @@
 package coordinator
 
 import (
-	"bytes"
 	"strconv"
 
 	"mana/internal/fnv1a"
 	"mana/internal/memsim"
 	"mana/internal/rank"
-	"mana/internal/vtime"
 )
 
-// The fingerprint digests are FNV-1a hashes over text. The text is the
-// contract — every recorded fingerprint depends on it byte for byte — but
-// it is never rendered whole: each piece is folded straight into the hash
-// through the shared kernel (internal/fnv1a). Numbers are rendered into a
-// stack buffer (decimal by foldDec, hex by strconv) and folded byte by
-// byte. The strings that repeat from image to image fold as fnv1a
-// Segments, one multiply and one table load each whatever their length:
-// the sixteen rank.Stats labels (statLabels), a delta region's head
-// (digester.heads) and the handle table's text (digester.virt).
-// digest_test.go keeps the fmt rendering as the reference and compares
-// the hashes.
+// A checkpoint's fingerprint folds its link's images in rank order, each
+// as fixed-width words through fnv1a's Word: the image record's scalar
+// fields, then each payload as a 64-bit content hash that was computed
+// once, when the payload was made, and travels with it — the memory
+// snapshot's Fingerprint, the handle table's and the counters' Hash, a
+// delta page's Hash. What repeats from image to image within a run but
+// is carried by no payload, a delta region's head, is hashed once per
+// slot (digester.heads). Every list folds its length first, so the
+// words an image folds decode to that image alone. digest_test.go checks
+// that every field of the image and of what it points at reaches the
+// fingerprint, or is named there as not checkpoint state.
+//
+// The final fingerprint keeps its text contract: foldFinal folds the
+// bytes fmt would render, numbers in decimal by foldDec and in hex by
+// strconv, one byte at a time.
 
 func foldInt[T ~int | ~int64](h fnv1a.Hash, v T) fnv1a.Hash {
 	if v < 0 {
@@ -28,8 +30,6 @@ func foldInt[T ~int | ~int64](h fnv1a.Hash, v T) fnv1a.Hash {
 	}
 	return foldDec(h, uint64(v))
 }
-
-func foldUint[T ~uint64](h fnv1a.Hash, v T) fnv1a.Hash { return foldDec(h, uint64(v)) }
 
 // foldDec folds in v in decimal, as strconv renders it: the digits are
 // produced two at a time from the low end into a stack buffer, then
@@ -72,165 +72,105 @@ func foldHex[T ~uint64](h fnv1a.Hash, v T) fnv1a.Hash {
 	return h.Text(strconv.AppendUint(buf[:0], uint64(v), 16))
 }
 
-func foldDur(h fnv1a.Hash, d vtime.Duration) fnv1a.Hash { return h.Str(d.String()) }
-
-// statLabels are the labels fmt's %+v prints before each field of
-// rank.Stats, in declaration order. Their tables are computed at init and
-// only read after, so every run in the process folds them.
-var statLabels = [...]*fnv1a.Segment{
-	fnv1a.NewSegment("{MPICalls:"),
-	fnv1a.NewSegment(" MsgsSent:"),
-	fnv1a.NewSegment(" MsgsRecvd:"),
-	fnv1a.NewSegment(" BytesSent:"),
-	fnv1a.NewSegment(" BytesRecvd:"),
-	fnv1a.NewSegment(" Collectives:"),
-	fnv1a.NewSegment(" CommSplits:"),
-	fnv1a.NewSegment(" ComputeTime:"),
-	fnv1a.NewSegment(" ManaOverhead:"),
-	fnv1a.NewSegment(" HandleLookups:"),
-	fnv1a.NewSegment(" CommLookups:"),
-	fnv1a.NewSegment(" DatatypeLookups:"),
-	fnv1a.NewSegment(" RequestLookups:"),
-	fnv1a.NewSegment(" HandleWrites:"),
-	fnv1a.NewSegment(" LookupTime:"),
-	fnv1a.NewSegment(" WriteTime:"),
-}
-
-// foldStats folds st in exactly as fmt's %+v renders it: every field of
-// rank.Stats in declaration order, durations through their String method.
-func foldStats(h fnv1a.Hash, st *rank.Stats) fnv1a.Hash {
-	l := &statLabels
-	h = foldUint(h.Fold(l[0]), st.MPICalls)
-	h = foldUint(h.Fold(l[1]), st.MsgsSent)
-	h = foldUint(h.Fold(l[2]), st.MsgsRecvd)
-	h = foldUint(h.Fold(l[3]), st.BytesSent)
-	h = foldUint(h.Fold(l[4]), st.BytesRecvd)
-	h = foldUint(h.Fold(l[5]), st.Collectives)
-	h = foldUint(h.Fold(l[6]), st.CommSplits)
-	h = foldDur(h.Fold(l[7]), st.ComputeTime)
-	h = foldDur(h.Fold(l[8]), st.ManaOverhead)
-	h = foldUint(h.Fold(l[9]), st.HandleLookups)
-	h = foldUint(h.Fold(l[10]), st.CommLookups)
-	h = foldUint(h.Fold(l[11]), st.DatatypeLookups)
-	h = foldUint(h.Fold(l[12]), st.RequestLookups)
-	h = foldUint(h.Fold(l[13]), st.HandleWrites)
-	h = foldDur(h.Fold(l[14]), st.LookupTime)
-	h = foldDur(h.Fold(l[15]), st.WriteTime)
-	return h.Byte('}')
-}
-
-// regionHead is one delta region's digest head —
-// `rd("name",half,kind,addr,size,datalen` — as a segment, beside the
-// values it renders.
+// regionHead is one delta region's layout beside the word it hashes to.
 type regionHead struct {
 	name                string
 	half                memsim.Half
 	kind                memsim.Kind
 	addr, size, dataLen uint64
-	seg                 fnv1a.Segment // empty until the slot is first rendered
+	word                uint64
 }
 
-// digester folds checkpoint images into a fingerprint. It keeps, as
-// segments, the text that repeats from image to image within a run:
-//
-//   - heads caches delta-region heads by the region's position in its
-//     delta. Every rank of a job lays its upper half out the same way,
-//     and a layout only grows (an sbrk maps a region, a first write
-//     lengthens one's data), so slot i nearly always holds exactly the
-//     head rank after rank asks for; a slot holding anything else is
-//     rendered over and its table starts empty.
-//   - virt is the last handle-table text seen. Ranks that minted the same
-//     handles share it, and a text that differs replaces it.
-//
-// Every entry is a pure function of the text stored with it. A
+// digester folds checkpoint images into a fingerprint. heads caches
+// delta-region heads by the region's position in its delta. Every rank
+// of a job lays its upper half out the same way, and a layout only grows
+// (an sbrk maps a region, a first write lengthens one's data), so slot i
+// nearly always holds exactly the head rank after rank asks for; a slot
+// holding anything else is hashed over. Every entry is a pure function
+// of the layout stored with it, and none keeps a payload alive. A
 // digester lives and dies with its run.
 type digester struct {
 	heads []regionHead
-	virt  fnv1a.Segment
-	buf   []byte // where a head is rendered before it is Set
 }
 
-// head folds in the head of rd, the i-th region of its delta.
-func (d *digester) head(h fnv1a.Hash, i int, rd *memsim.RegionDelta) fnv1a.Hash {
-	for i >= len(d.heads) {
+// slots returns the first n head slots, growing the cache to n.
+func (d *digester) slots(n int) []regionHead {
+	for n > len(d.heads) {
 		d.heads = append(d.heads, regionHead{})
 	}
-	e := &d.heads[i]
-	if len(e.seg.Text()) == 0 || e.addr != rd.Addr || e.size != rd.Size || e.dataLen != rd.DataLen ||
-		e.half != rd.Half || e.kind != rd.Kind || e.name != rd.Name {
-		e.name, e.half, e.kind, e.addr, e.size, e.dataLen = rd.Name, rd.Half, rd.Kind, rd.Addr, rd.Size, rd.DataLen
-		b := strconv.AppendQuote(append(d.buf[:0], "rd("...), rd.Name)
-		b = strconv.AppendInt(append(b, ','), int64(rd.Half), 10)
-		b = strconv.AppendInt(append(b, ','), int64(rd.Kind), 10)
-		b = strconv.AppendUint(append(b, ','), rd.Addr, 16)
-		b = strconv.AppendUint(append(b, ','), rd.Size, 10)
-		d.buf = strconv.AppendUint(append(b, ','), rd.DataLen, 10)
-		e.seg.Set(d.buf)
-	}
-	return h.Fold(&e.seg)
+	return d.heads[:n]
+}
+
+// holds reports whether e is the head of rd. It is the hit path, called
+// for every region of every delta image, and small enough to inline.
+func (e *regionHead) holds(rd *memsim.RegionDelta) bool {
+	return e.word != 0 && e.addr == rd.Addr && e.size == rd.Size && e.dataLen == rd.DataLen &&
+		e.half == rd.Half && e.kind == rd.Kind && e.name == rd.Name
+}
+
+// set makes e the head of rd and hashes it.
+func (e *regionHead) set(rd *memsim.RegionDelta) {
+	e.name, e.half, e.kind, e.addr, e.size, e.dataLen = rd.Name, rd.Half, rd.Kind, rd.Addr, rd.Size, rd.DataLen
+	h := fnv1a.Offset.Word(uint64(len(rd.Name))).Str(rd.Name)
+	e.word = uint64(h.Word(uint64(rd.Half)).Word(uint64(rd.Kind)).Word(rd.Addr).Word(rd.Size).Word(rd.DataLen))
 }
 
 // image folds in what one image contributes to its checkpoint's
-// fingerprint. Every payload iterated here is sorted by construction
-// (regions by address, pages by index, virtid entries by virtual id), so
-// the digest is deterministic across runs.
+// fingerprint: the word its record, its memory and its small state hash
+// to, each from the offset basis. The three chains do not depend on each
+// other or on h, so the CPU folds them side by side and runs ahead into
+// the next image; a chain of words is one multiply's latency per word.
+// Every payload iterated here is sorted by construction (regions by
+// address, pages by index), so the digest is deterministic across runs.
+// A torn image folds its flags and partial size, so two runs of the same
+// fault plan fingerprint identically while differing from the clean
+// image; its content hashes are the capture's either way.
 func (d *digester) image(h fnv1a.Hash, img *rank.Image) fnv1a.Hash {
-	if !img.Complete {
-		// A torn image digests its partial size so two runs of the same
-		// fault plan fingerprint identically while differing from the
-		// clean image. Content hashes below come from the capture-time
-		// memos either way.
-		h = foldUint(h.Str("torn("), img.WrittenBytes)
-		h = foldUint(h.Byte('/'), img.Bytes())
-		h = h.Str(");")
-	}
-	h = foldInt(h, img.RankID)
-	h = foldInt(h.Byte(':'), img.PC)
-	h = foldInt(h.Byte(':'), img.Clock)
+	var flags uint64
 	if img.Full {
-		h = foldHex(h.Byte(':'), img.Mem.Fingerprint())
+		flags |= 1
+	}
+	if img.Complete {
+		flags |= 2
+	}
+	rec := fnv1a.Offset.Word(uint64(img.RankID)).Word(uint64(img.PC)).Word(uint64(img.Clock)).
+		Word(uint64(img.Seq)).Word(uint64(img.Base)).Word(flags).Word(img.WrittenBytes)
+	var mem fnv1a.Hash
+	if img.Full {
+		mem = fnv1a.Offset.Word(img.Mem.Fingerprint())
 	} else {
-		h = foldInt(h.Str(":delta("), img.Seq)
-		h = foldInt(h.Str("<-"), img.Base)
-		h = foldHex(h.Str(",brk="), img.Delta.Brk)
-		h = h.Byte(')')
-	}
-	h = foldStats(h.Byte(':'), img.Stats).Byte(';')
-	if !img.Full {
-		for i := range img.Delta.Regions {
-			rd := &img.Delta.Regions[i]
-			h = d.head(h, i, rd)
-			for pi := range rd.Pages {
-				h = foldInt(h.Byte(','), rd.Pages[pi].Index)
-				h = foldHex(h.Byte('='), rd.Pages[pi].Hash)
+		// Region heads and carried pages fold as two chains as well.
+		regions := img.Delta.Regions
+		heads, pages := fnv1a.Offset.Word(img.Delta.Brk).Word(uint64(len(regions))), fnv1a.Offset
+		slots := d.slots(len(regions))
+		for i := range slots {
+			e, rd := &slots[i], &regions[i]
+			if !e.holds(rd) {
+				e.set(rd)
 			}
-			h = h.Str(");")
+			heads = heads.Word(e.word)
+			pages = pages.Word(uint64(len(rd.Pages)))
+			for pi := range rd.Pages {
+				pages = pages.Word(uint64(rd.Pages[pi].Index)).Word(rd.Pages[pi].Hash)
+			}
 		}
+		mem = heads.Word(uint64(pages))
 	}
+	small := fnv1a.Offset.Word(img.Stats.Hash()).Word(img.Virt.Hash()).Word(uint64(len(img.Inbox)))
 	for i := range img.Inbox {
 		m := &img.Inbox[i]
-		h = foldInt(h.Str("in("), m.Src)
-		h = foldInt(h.Byte(','), m.Dst)
-		h = foldInt(h.Byte(','), m.Tag)
-		h = foldUint(h.Byte(','), m.Bytes)
-		h = foldInt(h.Byte(','), m.Arrive)
-		h = h.Str(");")
+		small = small.Word(m.Seq).Word(uint64(m.Src)).Word(uint64(m.Dst)).Word(uint64(m.Tag)).Word(m.Bytes).
+			Word(uint64(m.Sent.Rank)).Word(uint64(m.Sent.When)).Word(uint64(m.Arrive))
 	}
-	if text := img.Virt.Text(); !bytes.Equal(text, d.virt.Text()) {
-		d.virt.Set(text)
-	}
-	h = h.Fold(&d.virt)
+	small = small.Word(uint64(len(img.PendingReqs)))
 	for _, req := range img.PendingReqs {
-		h = foldUint(h.Str("pr("), req)
-		h = h.Str(");")
+		small = small.Word(uint64(req))
 	}
+	small = small.Word(uint64(len(img.Comms)))
 	for i := range img.Comms {
-		h = foldInt(h.Str("cm("), i)
-		h = foldUint(h.Byte(','), img.Comms[i])
-		h = foldInt(h.Byte(','), img.CommIDs[i])
-		h = h.Str(");")
+		small = small.Word(uint64(img.Comms[i])).Word(uint64(img.CommIDs[i]))
 	}
-	return h
+	return h.Word(uint64(rec)).Word(uint64(mem)).Word(uint64(small))
 }
 
 // foldFinal folds in what one rank contributes to the final fingerprint:

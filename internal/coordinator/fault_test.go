@@ -423,13 +423,13 @@ type payloadCopy struct {
 	memCopy   memsim.Snapshot  // the header, its region list and hashes cloned
 	virt      *virtid.Snapshot
 	virtCopy  virtid.Snapshot // the entry lists cloned
-	virtText  string
-	stats     *rank.Stats
-	statsCopy rank.Stats
+	virtHash  uint64
+	stats     *rank.SavedStats
+	statsCopy rank.SavedStats
 }
 
 func copyPayloads(img *rank.Image) payloadCopy {
-	p := payloadCopy{mem: img.Mem, virt: img.Virt, virtCopy: *img.Virt, virtText: string(img.Virt.Text()),
+	p := payloadCopy{mem: img.Mem, virt: img.Virt, virtCopy: *img.Virt, virtHash: img.Virt.Hash(),
 		stats: img.Stats, statsCopy: *img.Stats}
 	if img.Mem != nil {
 		p.memCopy = *img.Mem
@@ -448,7 +448,7 @@ func (p *payloadCopy) changed() string {
 	switch {
 	case p.mem != nil && !reflect.DeepEqual(*p.mem, p.memCopy):
 		return "memory snapshot header"
-	case !reflect.DeepEqual(*p.virt, p.virtCopy) || string(p.virt.Text()) != p.virtText:
+	case !reflect.DeepEqual(*p.virt, p.virtCopy) || p.virt.Hash() != p.virtHash:
 		return "handle-table snapshot"
 	case *p.stats != p.statsCopy:
 		return "stats"

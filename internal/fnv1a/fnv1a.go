@@ -1,13 +1,14 @@
 // Package fnv1a is the one 64-bit FNV-1a implementation every content
 // hash and fingerprint in the simulator goes through. It is written out
-// rather than taken from hash/fnv for what repeats: zero runs, and byte
-// strings that are folded in again and again.
+// rather than taken from hash/fnv for what repeats: zero runs, and
+// records folded as whole words.
 //
 // FNV-1a folds a byte c in as h = (h XOR c) * prime (mod 2^64), so a zero
 // byte is one multiply and a run of n zero bytes is h * prime^n: Bytes
-// and Zeros fold a run of any length as one multiply. A fixed string is
-// one multiply and one table load (Segment). Every result is
-// bit-identical to hashing the same bytes one at a time.
+// and Zeros fold a run of any length as one multiply, bit-identical to
+// hashing the same bytes one at a time. Word is not FNV-1a: it folds a
+// 64-bit value in one step, for digests of fixed-width records rather
+// than of bytes.
 package fnv1a
 
 import "encoding/binary"
@@ -19,6 +20,9 @@ type Hash uint64
 const (
 	Offset Hash = 14695981039346656037
 	prime  Hash = 1099511628211
+	// wordMul is Word's multiplier: odd, with set bits spread across the
+	// word (2^64 over the golden ratio).
+	wordMul Hash = 0x9e3779b97f4a7c15
 )
 
 // zeroPow[n] is prime^n mod 2^64: the factor n zero bytes fold in as, for
@@ -99,6 +103,16 @@ func (h Hash) U64(v uint64) Hash {
 		run--
 	}
 	return h * zeroPow[run]
+}
+
+// Word folds in v as one 64-bit unit: XOR, a multiply by an odd
+// constant, and a shift that carries the high half back down. Each step
+// is a bijection of the state, so two folds that differ in one word end
+// in different states whatever is folded after it, and the high bits of
+// v reach the low bits of the state within a word or two.
+func (h Hash) Word(v uint64) Hash {
+	h = (h ^ Hash(v)) * wordMul
+	return h ^ h>>32
 }
 
 // Zeros folds in n zero bytes: h * prime^n, from the power table for a

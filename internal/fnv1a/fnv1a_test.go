@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"math/rand"
 	"testing"
 )
 
@@ -59,65 +60,35 @@ func FuzzFNVKernel(f *testing.F) {
 	})
 }
 
-// FuzzSegmentFold: folding arbitrary text as a Segment, from an arbitrary
-// state, must equal folding it byte by byte — on a cold table (the entry
-// is computed by this fold), on a warm one (computed by an earlier fold,
-// possibly from a state that shares only its low byte with this one), on
-// a table computed whole by NewSegment, and after Set re-targets a warm
-// segment at other text. From the offset basis it must equal hash/fnv.
-func FuzzSegmentFold(f *testing.F) {
-	f.Add([]byte(nil), []byte("x"), uint64(0), uint64(0))
-	f.Add([]byte(`rd("app.state",0,1,7f0000000000,65536,4096`), []byte(" MsgsSent:"), uint64(Offset), uint64(0xff))
-	f.Add([]byte("vt(0,3,1=a0,2=a1);vt(1,0);vt(2,0);"), []byte{0, 0, 0}, uint64(1<<63), uint64(0x1234_5600))
-	f.Add(bytes.Repeat([]byte{0xa5}, 300), []byte{}, uint64(0xdead_beef), uint64(0xef))
-	f.Fuzz(func(t *testing.T, text, other []byte, h0, h1 uint64) {
-		a, b := Hash(h0), Hash(h1)
-		// c shares b's low byte, so it folds through the entry b computed.
-		c := b ^ a<<8
-		var g Segment
-		g.Set(text)
-		fixed := NewSegment(string(text))
-		for i, h := range []Hash{a, a, b, c} {
-			want := h.Text(text)
-			if got := h.Fold(&g); got != want {
-				t.Fatalf("fold %d of %q from %016x: %016x, byte loop %016x", i, text, uint64(h), uint64(got), uint64(want))
-			}
-			if got := h.Fold(fixed); got != want {
-				t.Fatalf("NewSegment(%q) from %016x: %016x, byte loop %016x", text, uint64(h), uint64(got), uint64(want))
-			}
-		}
-		ref := fnv.New64a()
-		ref.Write(text)
-		if got := Offset.Fold(&g); uint64(got) != ref.Sum64() {
-			t.Fatalf("%q from the offset basis: %016x, hash/fnv %016x", text, uint64(got), ref.Sum64())
-		}
-		g.Set(other)
-		if !bytes.Equal(g.Text(), other) {
-			t.Fatalf("Set(%q) stands for %q", other, g.Text())
-		}
-		for _, h := range []Hash{a, b} {
-			if got, want := h.Fold(&g), h.Text(other); got != want {
-				t.Fatalf("re-targeted fold of %q from %016x: %016x, byte loop %016x", other, uint64(h), uint64(got), uint64(want))
-			}
-		}
-	})
-}
-
-// TestSegmentEveryLowByte folds one segment from 512 states covering
-// every low byte twice with different high bits, so every table entry is
-// computed once and then reused.
-func TestSegmentEveryLowByte(t *testing.T) {
-	text := []byte(" DatatypeLookups:")
-	var g Segment
-	g.Set(text)
-	for i := 0; i < 512; i++ {
-		h := Hash(i) * 0x9e37_79b9_7f4a_7c15
-		if got, want := h.Fold(&g), h.Text(text); got != want {
-			t.Fatalf("state %016x: fold %016x, byte loop %016x", uint64(h), uint64(got), uint64(want))
-		}
+// TestWordIsInvertible undoes Word from its result and v, for states and
+// words with one bit set, every bit set and random ones: Word is a
+// bijection of the state, which is what makes a digest folded from words
+// change whenever any one word does.
+func TestWordIsInvertible(t *testing.T) {
+	// Newton's iteration for the inverse of the odd multiplier mod 2^64:
+	// each step doubles the correct low bits, from 3 (m*m = 1 mod 8).
+	inv := wordMul
+	for i := 0; i < 5; i++ {
+		inv *= 2 - wordMul*inv
 	}
-	if g.filled != [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)} {
-		t.Fatalf("512 states left table bits %x unfilled", g.filled)
+	if wordMul*inv != 1 {
+		t.Fatalf("no inverse found for %016x", uint64(wordMul))
+	}
+	undo := func(h Hash, v uint64) Hash {
+		y := h ^ h>>32
+		return y*inv ^ Hash(v)
+	}
+	rng := rand.New(rand.NewSource(1))
+	values := []uint64{0, ^uint64(0), 1 << 63}
+	for i := 0; i < 64; i++ {
+		values = append(values, 1<<i, rng.Uint64())
+	}
+	for _, h := range values {
+		for _, v := range values {
+			if got := undo(Hash(h).Word(v), v); got != Hash(h) {
+				t.Fatalf("Word(%016x) from %016x undoes to %016x", v, h, uint64(got))
+			}
+		}
 	}
 }
 

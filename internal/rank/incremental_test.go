@@ -155,8 +155,8 @@ func TestIncrementalImageCarriesSmallState(t *testing.T) {
 	if len(d.PendingReqs) != 1 {
 		t.Errorf("delta image pending requests = %d, want 1", len(d.PendingReqs))
 	}
-	if d.Virt.Live() != 3 { // comm + datatype + live request
-		t.Errorf("delta image virt live entries = %d, want 3", d.Virt.Live())
+	if n := liveEntries(d.Virt); n != 3 { // comm + datatype + live request
+		t.Errorf("delta image virt live entries = %d, want 3", n)
 	}
 	if d.Stats.MsgsSent != 1 {
 		t.Errorf("delta image stats MsgsSent = %d, want 1", d.Stats.MsgsSent)

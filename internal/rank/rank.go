@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"slices"
 
+	"mana/internal/fnv1a"
 	"mana/internal/kernelsim"
 	"mana/internal/memsim"
 	"mana/internal/netsim"
@@ -117,6 +118,39 @@ type Stats struct {
 	WriteTime       vtime.Duration
 }
 
+// SavedStats is the Stats record images point at: the counters as a
+// capture saw them, with their content hash computed once, when the
+// capture minted the record.
+type SavedStats struct {
+	Stats
+	// hash is Hash's result; zero for a record assembled any other way.
+	hash uint64
+}
+
+func saveStats(st Stats) *SavedStats {
+	return &SavedStats{Stats: st, hash: st.contentHash()}
+}
+
+// Hash returns the counters' content hash — every field in declaration
+// order, folded as words — which is what a checkpoint fingerprint
+// digests of them. A record a capture minted carries it; any other
+// computes it afresh.
+func (s *SavedStats) Hash() uint64 {
+	if s.hash != 0 {
+		return s.hash
+	}
+	return s.contentHash()
+}
+
+func (st *Stats) contentHash() uint64 {
+	h := fnv1a.Offset.Word(st.MPICalls).Word(st.MsgsSent).Word(st.MsgsRecvd).
+		Word(st.BytesSent).Word(st.BytesRecvd).Word(st.Collectives).Word(st.CommSplits).
+		Word(uint64(st.ComputeTime)).Word(uint64(st.ManaOverhead)).
+		Word(st.HandleLookups).Word(st.CommLookups).Word(st.DatatypeLookups).Word(st.RequestLookups).
+		Word(st.HandleWrites).Word(uint64(st.LookupTime)).Word(uint64(st.WriteTime))
+	return uint64(h)
+}
+
 // Image is one rank's checkpoint image: everything needed to resume the
 // rank bit-identically. A full image carries the complete upper half in
 // Mem (memsim.Snapshot); an incremental image (Full == false) instead
@@ -177,7 +211,7 @@ type Image struct {
 	// coordinator rebuilds its membership registry from these on restart.
 	Comms   []virtid.VID
 	CommIDs []int
-	Stats   *Stats
+	Stats   *SavedStats
 }
 
 // Bytes returns the payload the image writes to the parallel filesystem:
@@ -247,9 +281,9 @@ type Rank struct {
 	blockedPeer int
 
 	stats Stats
-	// shared is the Stats the last capture or restore pointed its image
+	// shared is the record the last capture or restore pointed its image
 	// at; a capture while stats still equals it shares it again.
-	shared *Stats
+	shared *SavedStats
 	// ckptOverhead accumulates virtual time spent on checkpoint/restart
 	// activity (signal delivery, draining, image write/read, lower-half
 	// rebuild). It is deliberately NOT part of the checkpoint image and
@@ -876,9 +910,8 @@ func (r *Rank) CaptureInto(dst *Image, incremental bool, prev *Image) {
 	dst.PendingReqs = shareOrClone(r.pending, prevReqs)
 	dst.Comms = shareOrClone(r.comms, prevComms)
 	dst.CommIDs = shareOrClone(r.commIDs, prevIDs)
-	if r.shared == nil || *r.shared != r.stats {
-		st := r.stats
-		r.shared = &st
+	if r.shared == nil || r.shared.Stats != r.stats {
+		r.shared = saveStats(r.stats)
 	}
 	dst.Stats = r.shared
 	dst.Complete = true
@@ -995,5 +1028,5 @@ func (r *Rank) RestoreFrom(img *Image) {
 	r.pc, r.marked = img.PC, img.PC
 	r.state = Running
 	r.inbox = slices.Clone(img.Inbox)
-	r.stats, r.shared = *img.Stats, img.Stats
+	r.stats, r.shared = img.Stats.Stats, img.Stats
 }

@@ -598,10 +598,21 @@ func TestImageVirtSnapshotMatchesTable(t *testing.T) {
 		if img.Virt.Next != want.Next {
 			t.Errorf("%v: image Next = %v, want %v", impl, img.Virt.Next, want.Next)
 		}
-		if img.Virt.Live() != want.Live() || img.Virt.Live() != 2 {
-			t.Errorf("%v: image live entries = %d, want 2 (comm + datatype)", impl, img.Virt.Live())
+		if n := liveEntries(img.Virt); n != liveEntries(want) || n != 2 {
+			t.Errorf("%v: image live entries = %d, want 2 (comm + datatype)", impl, n)
+		}
+		if img.Virt.Hash() != want.Hash() {
+			t.Errorf("%v: image table hash %016x, table's %016x", impl, img.Virt.Hash(), want.Hash())
 		}
 	}
+}
+
+// liveEntries is the number of mappings in s, over every kind.
+func liveEntries(s *virtid.Snapshot) (n int) {
+	for k := range s.Entries {
+		n += len(s.Entries[k])
+	}
+	return n
 }
 
 // TestCommSplitMintsSlotAndSurvivesImage walks one rank through an

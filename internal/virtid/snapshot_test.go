@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -30,8 +31,23 @@ func mapSnapshot(t *Table) *Snapshot {
 	return s
 }
 
-// fmtText is the fmt rendering Text must reproduce (the same calls
-// the coordinator's digest oracle makes).
+// Text renders the snapshot — per kind, "vt(kind,next,vid=real,...);"
+// with real handles in hex — for comparing snapshots by what they hold.
+func (s *Snapshot) Text() []byte {
+	var b []byte
+	for k := 0; k < NumKinds; k++ {
+		b = strconv.AppendInt(append(b, "vt("...), int64(k), 10)
+		b = strconv.AppendUint(append(b, ','), s.Next[k], 10)
+		for _, e := range s.Entries[k] {
+			b = strconv.AppendUint(append(b, ','), uint64(e.VID), 10)
+			b = strconv.AppendUint(append(b, '='), uint64(e.Real), 16)
+		}
+		b = append(b, ");"...)
+	}
+	return b
+}
+
+// fmtText is the fmt rendering Text must reproduce.
 func fmtText(s *Snapshot) string {
 	var b strings.Builder
 	for k := 0; k < NumKinds; k++ {
@@ -57,6 +73,9 @@ func sameSnapshot(t *testing.T, what string, got, want *Snapshot) {
 	if text := string(got.Text()); text != fmtText(want) {
 		t.Fatalf("%s: text %q, want %q", what, text, fmtText(want))
 	}
+	if got.Hash() != want.contentHash() {
+		t.Fatalf("%s: hash %016x, want %016x", what, got.Hash(), want.contentHash())
+	}
 }
 
 // churn applies n random registrations and retirements.
@@ -74,7 +93,8 @@ func churn(rng *rand.Rand, tab *Table, live *[NumKinds][]VID, n int) {
 }
 
 // TestSnapshotRestoreRoundTripRandomTables: for random tables, the
-// snapshot equals the map-built reference, restoring it into a fresh
+// snapshot equals the map-built reference, its hash changes with further
+// churn exactly when its contents do, restoring it into a fresh
 // table and into the churned original both snapshot back to the same
 // value, every captured handle resolves and every later one is dead.
 func TestSnapshotRestoreRoundTripRandomTables(t *testing.T) {
@@ -96,6 +116,10 @@ func TestSnapshotRestoreRoundTripRandomTables(t *testing.T) {
 			later[k] = slices.Clone(later[k])
 		}
 		churn(rng, &tab, &later, 1+rng.Intn(40))
+		if churned := tab.Snapshot(); (string(churned.Text()) == string(snap.Text())) != (churned.Hash() == snap.Hash()) {
+			t.Fatalf("seed %d: texts equal %v, hashes equal %v\n%s\n%s", seed,
+				string(churned.Text()) == string(snap.Text()), churned.Hash() == snap.Hash(), snap.Text(), churned.Text())
+		}
 		tab.Restore(snap)
 		sameSnapshot(t, "churned table after Restore", tab.Snapshot(), snap)
 		for k := 0; k < NumKinds; k++ {

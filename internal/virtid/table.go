@@ -13,8 +13,8 @@ type Table struct {
 	kinds [NumKinds]window
 	// memo is the last Snapshot taken, dropped by the next Register,
 	// Deregister or Restore: checkpoints between which the rank minted and
-	// retired no handle share one immutable snapshot, entries and digest
-	// text alike.
+	// retired no handle share one immutable snapshot, entries and content
+	// hash alike.
 	memo *Snapshot
 }
 
@@ -142,8 +142,7 @@ func (t *Table) Snapshot() *Snapshot {
 			s.Entries[k] = all[start:len(all):len(all)]
 		}
 	}
-	// "vt(k,next);" per kind plus ",vid=real" per entry, generously.
-	s.text = s.appendText(make([]byte, 0, 32*NumKinds+40*total))
+	s.hash = s.contentHash()
 	t.memo = s
 	return s
 }

@@ -35,8 +35,8 @@ package virtid
 
 import (
 	"fmt"
-	"strconv"
 
+	"mana/internal/fnv1a"
 	"mana/internal/vtime"
 )
 
@@ -187,41 +187,29 @@ type Entry struct {
 type Snapshot struct {
 	Next    [NumKinds]uint64
 	Entries [NumKinds][]Entry
-	// text is Text's result, rendered once when a Table took the
-	// snapshot; empty for a snapshot assembled any other way.
-	text []byte
+	// hash is Hash's result, computed once when a Table took the
+	// snapshot; zero for a snapshot assembled any other way.
+	hash uint64
 }
 
-// Text returns the snapshot's canonical text — per kind,
-// "vt(kind,next,vid=real,...);" with real handles in hex — which is what
-// a checkpoint fingerprint digests of the table. A snapshot that carries
-// the text pre-rendered returns it, shared: the caller must not modify
-// it. Any other snapshot renders it afresh.
-func (s *Snapshot) Text() []byte {
-	if len(s.text) > 0 {
-		return s.text
+// Hash returns the snapshot's content hash — per kind, the counter, the
+// entry count and every entry's virtual and real handle, folded as
+// words — which is what a checkpoint fingerprint digests of the table. A
+// snapshot a Table took carries it; any other computes it afresh.
+func (s *Snapshot) Hash() uint64 {
+	if s.hash != 0 {
+		return s.hash
 	}
-	return s.appendText(nil)
+	return s.contentHash()
 }
 
-func (s *Snapshot) appendText(b []byte) []byte {
+func (s *Snapshot) contentHash() uint64 {
+	h := fnv1a.Offset
 	for k := 0; k < NumKinds; k++ {
-		b = strconv.AppendInt(append(b, "vt("...), int64(k), 10)
-		b = strconv.AppendUint(append(b, ','), s.Next[k], 10)
+		h = h.Word(s.Next[k]).Word(uint64(len(s.Entries[k])))
 		for _, e := range s.Entries[k] {
-			b = strconv.AppendUint(append(b, ','), uint64(e.VID), 10)
-			b = strconv.AppendUint(append(b, '='), uint64(e.Real), 16)
+			h = h.Word(uint64(e.VID)).Word(uint64(e.Real))
 		}
-		b = append(b, ");"...)
 	}
-	return b
-}
-
-// Live returns the total number of mappings in the snapshot.
-func (s *Snapshot) Live() int {
-	n := 0
-	for k := 0; k < NumKinds; k++ {
-		n += len(s.Entries[k])
-	}
-	return n
+	return uint64(h)
 }

@@ -107,8 +107,10 @@ func TestSnapshotSortedAndComplete(t *testing.T) {
 		if s.Next[Request] != 64 {
 			t.Errorf("snapshot Next[Request] = %d, want 64", s.Next[Request])
 		}
-		if s.Live() != 64 {
-			t.Errorf("snapshot Live() = %d, want 64", s.Live())
+		for k := range s.Entries {
+			if k != int(Request) && len(s.Entries[k]) != 0 {
+				t.Errorf("snapshot has %d %v entries, want none", len(s.Entries[k]), Kind(k))
+			}
 		}
 	})
 }
