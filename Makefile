@@ -25,14 +25,30 @@ identity:
 	$(GO) test -count=1 -v ./cmd/manasim -run '^TestIdentityCorpus$$' -update
 
 # reach replays the identity corpus (every row, in-process) with
-# coverage of internal/ and prints each internal/ function no row reaches
-# (0.0 % of its statements): what the command line never exercises,
-# whatever the unit tests do. It reports and gates nothing; a simplicity
-# change starts from its list.
+# coverage of internal/ and checks what no row reaches (0.0 % of a
+# function's statements) against cmd/manasim/testdata/unreached.txt,
+# which names each such function with its reason. It fails when a
+# function is unreached and not listed, when a listed function is
+# reached, and when a listed function no longer exists; a count of
+# entries for a name counts functions of that name in the file.
 REACH_PROFILE ?= /tmp/manasim-reach.out
+REACH_LIST = cmd/manasim/testdata/unreached.txt
 reach:
 	$(GO) test -count=1 ./cmd/manasim -run '^TestIdentityCorpus$$' -coverpkg=./internal/... -coverprofile=$(REACH_PROFILE)
-	$(GO) tool cover -func=$(REACH_PROFILE) | awk '$$NF == "0.0%"'
+	@$(GO) tool cover -func=$(REACH_PROFILE) | awk ' \
+		FNR == NR { if ($$0 !~ /^#/ && NF > 0) listed[$$1 " " $$2]++; next } \
+		$$1 == "total:" { total = $$NF; next } \
+		{ split($$1, at, ":"); sub(/^mana\//, "", at[1]); key = at[1] " " $$2; all[key]++; if ($$NF == "0.0%") { unreached[key]++; n++ } } \
+		END { \
+			for (k in unreached) if (unreached[k] > listed[k]) { print "reach: unreached and not listed: " k; bad = 1 } \
+			for (k in listed) if (listed[k] > unreached[k]) { \
+				if (listed[k] > all[k]) print "reach: listed but no longer exists: " k; \
+				else print "reach: listed but reached: " k; \
+				bad = 1 \
+			} \
+			if (bad) exit 1; \
+			print "reach: " total " of internal/ statements reached; the " n " unreached functions are listed" \
+		}' $(REACH_LIST) -
 
 # fuzz-smoke runs each fuzz target as a fuzzer (plain `go test` only
 # replays their seed corpus). The differential oracles: the sparse page store

@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
@@ -178,13 +177,6 @@ func BaseConfig() Config {
 		RetainGenerations: 2,
 		MaxRestarts:       8,
 	}
-}
-
-// DefaultConfig returns a runnable 8-rank configuration.
-func DefaultConfig() Config {
-	cfg := BaseConfig()
-	cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: 8, Steps: 30, Seed: 42})
-	return cfg
 }
 
 // Outcome reports how a Run ended.
@@ -587,9 +579,6 @@ func (c *Coordinator) noteClock(t vtime.Time) {
 
 // Ranks returns the simulated ranks.
 func (c *Coordinator) Ranks() []*rank.Rank { return c.ranks }
-
-// Net returns the simulated interconnect.
-func (c *Coordinator) Net() *netsim.Network { return c.net }
 
 // Records returns the committed checkpoint records.
 func (c *Coordinator) Records() []CheckpointRecord { return c.records }
@@ -1013,7 +1002,7 @@ func (c *Coordinator) Run() (Outcome, error) {
 			// them is the classic mis-ordered-collectives deadlock, and the
 			// diagnostic can name the ranks involved.
 			if c.collectiveInProgress() {
-				if _, err := topoOrder(c.buildDrainGraph()); err != nil {
+				if err := checkAcyclic(c.buildDrainGraph()); err != nil {
 					return Failed, fmt.Errorf("coordinator: deadlock after %d events: %w", c.events, err)
 				}
 			}
@@ -1452,23 +1441,13 @@ func (c *Coordinator) FinalFingerprint() uint64 {
 	return c.final
 }
 
-// Report renders a deterministic plain-text summary of the run as one
-// string. It is a convenience wrapper over WriteReport for callers that
-// want to retain or compare the whole report.
-func (c *Coordinator) Report() string {
-	var b strings.Builder
-	c.WriteReport(&b)
-	return b.String()
-}
-
 // WriteReport streams the deterministic plain-text summary of the run —
 // per-rank virtual times and accounting, per-checkpoint protocol
 // records, and the final fingerprint — into w, without ever building the
 // whole report in memory. Two identical runs produce byte-identical
 // report streams, whatever the writer: the fleet path feeds a hash (or
 // discards the bytes entirely) and still observes the exact bytes a
-// standalone run prints. Write errors are not reported, matching the
-// best-effort semantics the string path always had.
+// standalone run prints. Write errors are not reported.
 func (c *Coordinator) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "manasim: %d ranks, kernel=%v, virtid=%v, seed=%d\n",
 		c.cfg.Ranks, c.cfg.Personality, c.cfg.Virtid, c.cfg.Seed)

@@ -13,7 +13,7 @@ import (
 func smallConfig(ranks, steps int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
-	cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: ranks, Steps: steps, Seed: 7})
+	cfg.Programs = mustPrograms("default", scenario.Params{Ranks: ranks, Steps: steps, Seed: 7})
 	cfg.Seed = 7
 	return cfg
 }
@@ -25,7 +25,7 @@ func smallConfig(ranks, steps int) Config {
 func TestDrainReachesZeroBeforeSnapshot(t *testing.T) {
 	cfg := smallConfig(2, 0)
 	cfg.Triggers = []Trigger{{At: 0, InFlight: true}}
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
 			return []scenario.Op{{Kind: scenario.OpSend, Peer: 1, Bytes: 4096, Tag: 1}}
 		}
@@ -50,7 +50,7 @@ func TestDrainReachesZeroBeforeSnapshot(t *testing.T) {
 		t.Errorf("drained %d msgs / %d bytes, want 1 / 4096 — the in-flight message must be buffered",
 			recs[0].DrainedMsgs, recs[0].DrainedBytes)
 	}
-	if got := c.Net().InFlight(); got != 0 {
+	if got := c.net.InFlight(); got != 0 {
 		t.Errorf("in-flight after run = %d, want 0", got)
 	}
 	if got := c.Ranks()[1].Stats().MsgsRecvd; got != 1 {
@@ -79,7 +79,7 @@ func TestDrainReachesZeroBeforeSnapshot(t *testing.T) {
 func TestMidCollectiveCheckpointDeferred(t *testing.T) {
 	cfg := smallConfig(4, 0)
 	cfg.Triggers = []Trigger{{At: 0, MidCollective: true}}
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 		return []scenario.Op{
 			// Skewed compute so ranks arrive at the collective at
 			// different times.
@@ -263,7 +263,7 @@ func TestRestartDiscardsPendingRequests(t *testing.T) {
 	// ~1.0035ms), so a failure at 1.001ms lands mid-collective with the
 	// deferred request still pending.
 	cfg.Faults = crashAfter(1, 1001*vtime.Microsecond)
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 		// Rank 3 blocks on a receive that rank 0 only satisfies after its
 		// own compute phase, so ranks 1 and 2 sit inside the allreduce —
 		// partially arrived — when the failure event fires.
@@ -396,7 +396,7 @@ func TestVirtidTableRebuiltDeterministicallyOnRestart(t *testing.T) {
 			{Kind: scenario.OpSend, Peer: 0, Bytes: 2048, Tag: 8},
 		}
 	}
-	base.Programs = scenario.PerRank(base.Ranks, script)
+	base.Programs = perRank(base.Ranks, script)
 
 	cfg := base
 	cfg.Triggers = []Trigger{{At: 0, InFlight: true}}

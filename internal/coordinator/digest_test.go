@@ -416,7 +416,7 @@ func TestWideIdleMemoryBudget(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	cfg := BaseConfig()
 	cfg.Ranks = ranks
-	cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: ranks, Steps: 5, Seed: 42})
+	cfg.Programs = mustPrograms("default", scenario.Params{Ranks: ranks, Steps: 5, Seed: 42})
 	c := New(cfg)
 	if out, err := c.Run(); err != nil || out != Completed {
 		t.Fatalf("Run = %v, %v", out, err)
@@ -446,7 +446,7 @@ func BenchmarkCheckpointDigest(b *testing.B) {
 	const ranks = 2048
 	cfg := BaseConfig()
 	cfg.Ranks = ranks
-	cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: ranks, Steps: 40, Seed: 42})
+	cfg.Programs = mustPrograms("default", scenario.Params{Ranks: ranks, Steps: 40, Seed: 42})
 	cfg.Incremental, cfg.FullImageEvery = true, 4
 	cfg.Triggers = []Trigger{{At: vtime.Time(vtime.Microsecond)}, {At: vtime.Time(vtime.Microsecond)},
 		{At: vtime.Time(vtime.Microsecond), MidCollective: true}}

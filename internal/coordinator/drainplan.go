@@ -13,10 +13,10 @@
 // is also a not-yet-arrived member of collective C, then C' must
 // complete before C can. The planner builds exactly that graph — nodes
 // are in-flight collectives, edges are induced by shared ranks — and
-// topologically sorts it. A cycle means two ranks ordered the same pair
-// of collectives differently, which is an application deadlock with or
-// without a checkpoint, and is reported as such, naming the ranks and
-// collectives involved.
+// checks that it can be topologically sorted. A cycle means two ranks
+// ordered the same pair of collectives differently, which is an
+// application deadlock with or without a checkpoint, and is reported as
+// such, naming the ranks and collectives involved.
 //
 // The drain itself is executed as ordinary scheduler events: ranks the
 // plan still needs keep executing (entering planned collectives,
@@ -39,13 +39,12 @@ import (
 )
 
 // drainNode is one in-flight collective in the dependency graph: the
-// rendezvous forming on communicator comm (instance seq), with the
-// arrived ranks waiting inside it and the live members still expected.
+// rendezvous forming on communicator comm (instance seq), with the live
+// members it still waits for.
 type drainNode struct {
 	comm    int
 	seq     uint64
 	kind    netsim.CollectiveKind
-	arrived []int
 	waiting []int
 }
 
@@ -61,50 +60,41 @@ type drainEdge struct {
 	via      int // the shared rank inducing the edge
 }
 
-// topoOrder returns node indexes in a dependency-respecting order:
-// every edge's from-node appears before its to-node. The order is
-// deterministic — among nodes whose dependencies are satisfied, the
-// oldest collective instance (smallest seq) drains first. A cycle in
-// the graph is an application deadlock; the returned error names the
-// collectives and the ranks whose conflicting arrival orders close the
-// cycle.
-func topoOrder(nodes []drainNode, edges []drainEdge) ([]int, error) {
+// checkAcyclic reports whether the graph can be drained: whether some
+// order completes every edge's from-node before its to-node. It runs
+// Kahn's algorithm and keeps no order, since the drain executes through
+// the plan's needed set rather than a list; the nodes it cannot drain,
+// and so their in-degrees, are the same whatever order it pops them in.
+// A cycle is an application deadlock; the error names the collectives
+// and the ranks whose conflicting arrival orders close the cycle.
+func checkAcyclic(nodes []drainNode, edges []drainEdge) error {
 	indeg := make([]int, len(nodes))
 	succ := make([][]int, len(nodes))
 	for _, e := range edges {
 		indeg[e.to]++
 		succ[e.from] = append(succ[e.from], e.to)
 	}
-	// ready holds the drainable nodes; popping the smallest seq first
-	// keeps the order deterministic and FIFO-fair across instances.
 	var ready []int
 	for i := range nodes {
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	order := make([]int, 0, len(nodes))
+	drained := 0
 	for len(ready) > 0 {
-		best := 0
-		for i := 1; i < len(ready); i++ {
-			if nodes[ready[i]].seq < nodes[ready[best]].seq {
-				best = i
-			}
-		}
-		n := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		order = append(order, n)
+		n := ready[len(ready)-1]
+		ready = ready[:len(ready)-1]
+		drained++
 		for _, s := range succ[n] {
-			indeg[s]--
-			if indeg[s] == 0 {
+			if indeg[s]--; indeg[s] == 0 {
 				ready = append(ready, s)
 			}
 		}
 	}
-	if len(order) == len(nodes) {
-		return order, nil
+	if drained == len(nodes) {
+		return nil
 	}
-	return nil, cycleError(nodes, edges, indeg)
+	return cycleError(nodes, edges, indeg)
 }
 
 // cycleError extracts one cycle among the nodes Kahn's algorithm could
@@ -164,9 +154,9 @@ func cycleError(nodes []drainNode, edges []drainEdge, indeg []int) error {
 }
 
 // drainPlan is the state of one in-progress dependency-ordered drain.
-// The topological sort itself is consumed at plan-build time — it
-// proves the graph acyclic (or yields the deadlock diagnostic); the
-// drain then executes through the needed/waiting sets below, and
+// The graph is only checked at plan-build time — checkAcyclic proves
+// it can be ordered (or yields the deadlock diagnostic); the drain then
+// executes through the needed/waiting sets below, and
 // collectives complete in an order consistent with the graph because
 // every edge's prerequisite releases the shared rank that feeds its
 // dependent.
@@ -215,7 +205,6 @@ func (c *Coordinator) buildDrainGraph() ([]drainNode, []drainEdge) {
 			comm:    f.commID,
 			seq:     f.seq,
 			kind:    f.kind,
-			arrived: append([]int(nil), f.ranks...),
 			waiting: c.waitingMembers(f),
 		})
 		byComm[f.commID] = len(nodes) - 1
@@ -232,12 +221,12 @@ func (c *Coordinator) buildDrainGraph() ([]drainNode, []drainEdge) {
 }
 
 // beginDrain is called when a checkpoint request is pending and the job
-// is not at a safe point: it builds and sorts the dependency graph,
+// is not at a safe point: it builds and checks the dependency graph,
 // fails on a cycle (the deadlock diagnostic), and switches the
 // scheduler into drain mode.
 func (c *Coordinator) beginDrain() error {
 	nodes, edges := c.buildDrainGraph()
-	if _, err := topoOrder(nodes, edges); err != nil {
+	if err := checkAcyclic(nodes, edges); err != nil {
 		return fmt.Errorf("coordinator: checkpoint drain cannot be ordered: %w", err)
 	}
 	c.plan = &drainPlan{

@@ -10,7 +10,7 @@ import (
 	"mana/internal/vtime"
 )
 
-// --- pure topological-sort properties ---------------------------------
+// --- pure drain-graph properties ------------------------------------------
 
 // randomDAG builds a random acyclic drain graph: a hidden permutation
 // fixes a legal completion order and edges are only added along it.
@@ -39,40 +39,34 @@ func randomDAG(rng *vtime.RNG) ([]drainNode, []drainEdge) {
 	return nodes, edges
 }
 
-// TestTopoOrderPropertyDeterministicRespectsEdges is the drain-order
-// property test: across many random acyclic overlap graphs, the
-// topological sort (a) succeeds, (b) is byte-identical when recomputed,
-// and (c) places every edge's prerequisite collective before its
-// dependent one.
-func TestTopoOrderPropertyDeterministicRespectsEdges(t *testing.T) {
+// TestCheckAcyclicProperty is the drain-graph property test: across
+// many random overlap graphs, checkAcyclic accepts every acyclic one and
+// rejects the same graph once a cycle through some of its nodes is
+// added, with the deadlock diagnostic.
+func TestCheckAcyclicProperty(t *testing.T) {
 	rng := vtime.NewRNG(99)
 	for trial := 0; trial < 300; trial++ {
 		nodes, edges := randomDAG(rng)
-		order1, err := topoOrder(nodes, edges)
-		if err != nil {
-			t.Fatalf("trial %d: unexpected cycle in DAG: %v", trial, err)
+		if err := checkAcyclic(nodes, edges); err != nil {
+			t.Fatalf("trial %d: acyclic graph rejected: %v", trial, err)
 		}
-		order2, err := topoOrder(nodes, edges)
-		if err != nil {
-			t.Fatalf("trial %d: second sort failed: %v", trial, err)
+		// Close a cycle through k distinct nodes, in a random order.
+		k := 2 + rng.Intn(len(nodes)-1)
+		cycle := make([]int, len(nodes))
+		for i := range cycle {
+			cycle[i] = i
 		}
-		if len(order1) != len(nodes) {
-			t.Fatalf("trial %d: order covers %d of %d nodes", trial, len(order1), len(nodes))
+		for i := len(cycle) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			cycle[i], cycle[j] = cycle[j], cycle[i]
 		}
-		for i := range order1 {
-			if order1[i] != order2[i] {
-				t.Fatalf("trial %d: topo order not deterministic:\n  %v\n  %v", trial, order1, order2)
-			}
+		cycle = cycle[:k]
+		for i, from := range cycle {
+			edges = append(edges, drainEdge{from: from, to: cycle[(i+1)%k], via: rng.Intn(64)})
 		}
-		pos := make(map[int]int, len(order1))
-		for i, n := range order1 {
-			pos[n] = i
-		}
-		for _, e := range edges {
-			if pos[e.from] >= pos[e.to] {
-				t.Fatalf("trial %d: edge %v->%v (rank %d) violated: positions %d >= %d",
-					trial, nodes[e.from].label(), nodes[e.to].label(), e.via, pos[e.from], pos[e.to])
-			}
+		err := checkAcyclic(nodes, edges)
+		if err == nil || !strings.Contains(err.Error(), "collective dependency cycle between ranks") {
+			t.Fatalf("trial %d: graph with a %d-node cycle: err = %v, want the deadlock diagnostic", trial, k, err)
 		}
 	}
 }
@@ -82,14 +76,14 @@ func TestTopoOrderPropertyDeterministicRespectsEdges(t *testing.T) {
 // ranks whose conflicting arrival orders close the cycle.
 func TestTopoOrderCycleNamesRanks(t *testing.T) {
 	nodes := []drainNode{
-		{comm: 3, seq: 1, arrived: []int{7}, waiting: []int{8}},
-		{comm: 4, seq: 2, arrived: []int{8}, waiting: []int{7}},
+		{comm: 3, seq: 1, waiting: []int{8}},
+		{comm: 4, seq: 2, waiting: []int{7}},
 	}
 	edges := []drainEdge{
 		{from: 0, to: 1, via: 7}, // comm 3 holds rank 7, needed by comm 4
 		{from: 1, to: 0, via: 8}, // comm 4 holds rank 8, needed by comm 3
 	}
-	_, err := topoOrder(nodes, edges)
+	err := checkAcyclic(nodes, edges)
 	if err == nil {
 		t.Fatal("cycle not detected")
 	}
@@ -126,7 +120,7 @@ func splitThenBarriers(id int) []scenario.Op {
 func TestMisorderedCollectivesDeadlockDiagnosed(t *testing.T) {
 	cfg := smallConfig(2, 0)
 	cfg.Triggers = nil
-	cfg.Programs = scenario.PerRank(cfg.Ranks, splitThenBarriers)
+	cfg.Programs = perRank(cfg.Ranks, splitThenBarriers)
 	c := New(cfg)
 	outcome, err := c.Run()
 	if outcome != Failed || err == nil {
@@ -146,7 +140,7 @@ func TestMisorderedCollectivesDeadlockDiagnosed(t *testing.T) {
 func TestCheckpointIntentDetectsCycle(t *testing.T) {
 	cfg := smallConfig(2, 0)
 	cfg.Triggers = []Trigger{{At: vtime.Time(1 * vtime.Millisecond)}}
-	cfg.Programs = scenario.PerRank(cfg.Ranks, splitThenBarriers)
+	cfg.Programs = perRank(cfg.Ranks, splitThenBarriers)
 	c := New(cfg)
 	outcome, err := c.Run()
 	if outcome != Failed || err == nil {
@@ -168,7 +162,7 @@ func TestCheckpointIntentDetectsCycle(t *testing.T) {
 func overlapConfig(ranks, steps int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
-	cfg.Programs = scenario.MustPrograms("overlap", scenario.Params{Ranks: ranks, Steps: steps, Seed: 7})
+	cfg.Programs = mustPrograms("overlap", scenario.Params{Ranks: ranks, Steps: steps, Seed: 7})
 	cfg.Seed = 7
 	cfg.Triggers = nil
 	return cfg
@@ -311,7 +305,7 @@ func TestDrainHoldsUnneededRanks(t *testing.T) {
 		2: 30 * vtime.Microsecond,
 		3: 200 * vtime.Microsecond,
 	}
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 		return []scenario.Op{
 			{Kind: scenario.OpCommSplit, Comm: 0, Color: id / 2},
 			{Kind: scenario.OpCompute, Dur: compute[id]},
@@ -366,7 +360,7 @@ func TestDrainHoldsUnneededRanks(t *testing.T) {
 // holding rank 2 and stalling the drain.
 func TestDrainExtendsPlanThroughBlockedChain(t *testing.T) {
 	cfg := smallConfig(4, 0)
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 		switch id {
 		case 0:
 			return []scenario.Op{
@@ -461,7 +455,7 @@ func TestMismatchedCollectiveIsAnError(t *testing.T) {
 	t.Run("serial", func(t *testing.T) {
 		cfg := smallConfig(4, 0)
 		cfg.Triggers = nil
-		cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+		cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 			kind := scenario.OpAllreduce
 			if id == 0 {
 				kind = scenario.OpBarrier

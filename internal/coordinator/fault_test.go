@@ -271,7 +271,7 @@ func BenchmarkRestartFallback(b *testing.B) {
 	base := DefaultConfig()
 	at := vtime.Time(5 * vtime.Millisecond)
 	base.Triggers = []Trigger{{At: at}, {At: at, InFlight: true}, {At: at, MidCollective: true}}
-	base.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: 8, Steps: 30, Seed: 42})
+	base.Programs = mustPrograms("default", scenario.Params{Ranks: 8, Steps: 30, Seed: 42})
 	for _, tc := range []struct {
 		name   string
 		faults []faultplan.Fault

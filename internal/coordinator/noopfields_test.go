@@ -20,7 +20,7 @@ import (
 // world synchronises every fifth step.
 func groupedPrograms(ranks, groupSize, steps int, barriers bool) []scenario.Program {
 	nGroups := ranks / groupSize
-	return scenario.PerRank(ranks, func(id int) []scenario.Op {
+	return perRank(ranks, func(id int) []scenario.Op {
 		g := id / groupSize
 		base := g * groupSize
 		next := base + (id-base+1)%groupSize
@@ -161,7 +161,7 @@ func TestWorkerDeterminismLibrarySpec(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Ranks = 64
 		cfg.Triggers = nil
-		cfg.Programs = scenario.MustPrograms("stencil", scenario.Params{Ranks: 64, Steps: 8, Seed: 7})
+		cfg.Programs = mustPrograms("stencil", scenario.Params{Ranks: 64, Steps: 8, Seed: 7})
 		cfg.Islands = 8
 		cfg.Workers = workers
 		return cfg

@@ -15,21 +15,20 @@ func completedRun(tb testing.TB) *Coordinator {
 	return c
 }
 
-// TestWriteReportAllocsPinned pins the point of the io.Writer refactor:
-// streaming the report must allocate no more than building the string —
-// rendering straight into a sink (a hash, a file, a pooled buffer)
-// never pays for intermediate string assembly.
+// TestWriteReportAllocsPinned pins the point of streaming the report:
+// rendering into a sink (a hash, a file, a pooled buffer) must allocate
+// no more than assembling the whole report as a string.
 func TestWriteReportAllocsPinned(t *testing.T) {
 	c := completedRun(t)
 	stream := testing.AllocsPerRun(20, func() { c.WriteReport(io.Discard) })
 	str := testing.AllocsPerRun(20, func() { _ = c.Report() })
-	t.Logf("WriteReport(io.Discard): %.0f allocs/op, Report(): %.0f allocs/op", stream, str)
+	t.Logf("WriteReport(io.Discard): %.0f allocs/op, into a string: %.0f allocs/op", stream, str)
 	if stream > str {
-		t.Errorf("WriteReport allocates %.0f/op, more than Report's %.0f/op", stream, str)
+		t.Errorf("WriteReport allocates %.0f/op, more than a string's %.0f/op", stream, str)
 	}
 }
 
-// BenchmarkWriteReport prices both render paths.
+// BenchmarkWriteReport prices rendering into a sink and into a string.
 func BenchmarkWriteReport(b *testing.B) {
 	c := completedRun(b)
 	b.Run("writer", func(b *testing.B) {

@@ -26,7 +26,7 @@ func idleHeavyRounds(ranks, rounds int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = ranks
 	cfg.Triggers = nil
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
 			script := make([]scenario.Op, 0, 2*(ranks-1)*rounds)
 			for round := 0; round < rounds; round++ {
@@ -58,7 +58,7 @@ func TestBlockedRanksConsumeZeroSchedulerWork(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Ranks = 3
 	cfg.Triggers = nil
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 		if id == 0 {
 			script := make([]scenario.Op, 0, computePhases+2)
 			for i := 0; i < computePhases; i++ {
@@ -160,8 +160,8 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Ranks = 64
 		cfg.Triggers = nil
-		progs := scenario.MustPrograms("stencil", scenario.Params{Ranks: cfg.Ranks, Steps: steps, Seed: 42})
-		cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+		progs := mustPrograms("stencil", scenario.Params{Ranks: cfg.Ranks, Steps: steps, Seed: 42})
+		cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
 			var ops []scenario.Op
 			for pc := range progs[id] {
 				if op := progs[id][pc].Resolve(id); op.Kind != scenario.OpSbrk {
@@ -261,7 +261,7 @@ func benchOverlapDrain(b *testing.B, overlap bool) {
 			cfg.Triggers = []Trigger{{At: vtime.Time(300 * vtime.Microsecond), FormingColls: 2}}
 			return cfg
 		}
-		cfg.Programs = scenario.PerRank(ranks, func(id int) []scenario.Op {
+		cfg.Programs = perRank(ranks, func(id int) []scenario.Op {
 			ops := wl[id]
 			serial := make([]scenario.Op, 0, len(ops)-2)
 			for pc := 2; pc < len(ops); pc++ { // drop the comm-splits
@@ -321,7 +321,7 @@ func groupedRingConfig(ranks, groups, steps int) Config {
 	cfg.Ranks = ranks
 	cfg.Triggers = nil
 	nGroups := ranks / groupSize
-	cfg.Programs = scenario.PerRank(ranks, func(id int) []scenario.Op {
+	cfg.Programs = perRank(ranks, func(id int) []scenario.Op {
 		g := id / groupSize
 		base := g * groupSize
 		next := base + (id-base+1)%groupSize

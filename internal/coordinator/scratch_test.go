@@ -52,7 +52,7 @@ func TestScratchReuseByteIdentical(t *testing.T) {
 	type shape struct{ incremental, crash bool }
 	mk := func(sc *Scratch, sh shape) Config {
 		cfg := DefaultConfig()
-		cfg.Programs = scenario.MustPrograms("default", scenario.Params{Ranks: 8, Steps: 400, Seed: 42})
+		cfg.Programs = mustPrograms("default", scenario.Params{Ranks: 8, Steps: 400, Seed: 42})
 		at := vtime.Time(vtime.Millisecond)
 		cfg.Triggers = []Trigger{{At: at}, {At: at, InFlight: true}, {At: at, MidCollective: true}}
 		if sh.crash {
@@ -141,19 +141,5 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 	}
 	if got := runToReport(t, mk(sc, 64, 8)); got != big {
 		t.Fatal("big run on shrunk scratch diverges")
-	}
-}
-
-// TestWriteReportMatchesReport keeps the two render paths in lockstep.
-func TestWriteReportMatchesReport(t *testing.T) {
-	cfg := DefaultConfig()
-	c := New(cfg)
-	if _, err := c.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var buf strings.Builder
-	c.WriteReport(&buf)
-	if buf.String() != c.Report() {
-		t.Fatal("WriteReport and Report render different bytes")
 	}
 }

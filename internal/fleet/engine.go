@@ -15,11 +15,10 @@
 // (scenario.Op.Scalars), and writes nothing back, so any number of
 // concurrent runs can execute the same compiled workload.
 //
-// Spec compilation itself is serialised under the engine lock:
-// scenario.Spec.Compile re-validates its receiver in place (parsed
-// durations are cached on the spec), so two goroutines compiling one
-// *Spec concurrently would race. The cache makes the serialisation
-// cheap — each key compiles exactly once.
+// scenario.Spec.Compile writes nothing into its spec, so compiling one
+// *Spec from several goroutines is safe. The engine still compiles under
+// its lock, so that each key compiles exactly once and Compiles counts
+// the same for a given job set however many runs race for a key.
 package fleet
 
 import (
@@ -122,7 +121,7 @@ type compileKey struct {
 // Engine runs simulations with cross-run reuse of compiled specs. The
 // zero Engine is not usable; call NewEngine. An Engine is safe for
 // concurrent use; specs handed to it (via Job.Spec or LoadSpec) must not
-// be compiled or mutated outside the engine while it runs.
+// be mutated while it runs.
 type Engine struct {
 	mu       sync.Mutex
 	specs    map[string]*scenario.Spec
@@ -336,13 +335,4 @@ func (e *Engine) Run(cfg coordinator.Config, w io.Writer) (Result, error) {
 		res.LostWork += rr.LostWork
 	}
 	return res, nil
-}
-
-// RunJob is Config followed by Run.
-func (e *Engine) RunJob(j Job, w io.Writer) (Result, error) {
-	cfg, err := e.Config(j)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Run(cfg, w)
 }

@@ -327,13 +327,14 @@ func TestSweepRejectsEmptyDimensions(t *testing.T) {
 func TestMismatchedCollectiveFailsRun(t *testing.T) {
 	cfg := coordinator.BaseConfig()
 	cfg.Ranks = 4
-	cfg.Programs = scenario.PerRank(cfg.Ranks, func(id int) []scenario.Op {
+	cfg.Programs = make([]scenario.Program, cfg.Ranks)
+	for id := range cfg.Programs {
 		coll := scenario.Op{Kind: scenario.OpAllreduce, Bytes: 8192}
 		if id == 0 {
 			coll = scenario.Op{Kind: scenario.OpBarrier}
 		}
-		return []scenario.Op{{Kind: scenario.OpCompute, Dur: vtime.Duration(200+id) * vtime.Microsecond}, coll}
-	})
+		cfg.Programs[id] = scenario.Program{{Kind: scenario.OpCompute, Dur: vtime.Duration(200+id) * vtime.Microsecond}, coll}
+	}
 	_, err := NewEngine().Run(cfg, nil)
 	if !errors.Is(err, coordinator.ErrCollectiveMismatch) || !strings.HasPrefix(err.Error(), "run failed: ") {
 		t.Errorf("Run = %v; want \"run failed: \" wrapping ErrCollectiveMismatch", err)

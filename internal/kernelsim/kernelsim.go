@@ -102,21 +102,12 @@ type Kernel struct {
 	writeCost  vtime.Duration
 }
 
-// New returns a kernel model with the given personality, charging the
-// baseline (ImplMutex) virtualisation figures.
-func New(p Personality) *Kernel {
-	return NewForTable(p, virtid.ImplMutex)
-}
-
 // NewForTable returns a kernel model calibrated for the given virtid
 // table implementation — the rank runtime passes whichever one the job
 // selected.
 func NewForTable(p Personality, impl virtid.Impl) *Kernel {
 	return &Kernel{personality: p, lookupCost: impl.LookupCost(), writeCost: impl.WriteCost()}
 }
-
-// Personality reports the kernel variant.
-func (k *Kernel) Personality() Personality { return k.personality }
 
 // FSSwitchCost returns the cost of a single FS-register change. Every
 // upper→lower or lower→upper control transfer in the split process performs
@@ -135,12 +126,6 @@ func (k *Kernel) RoundTripSwitchCost() vtime.Duration {
 	return 2 * k.FSSwitchCost()
 }
 
-// VirtualizationLookupCost returns the cost of translating one opaque MPI
-// handle through the virtualisation table the kernel was calibrated for.
-func (k *Kernel) VirtualizationLookupCost() vtime.Duration {
-	return k.lookupCost
-}
-
 // VirtualizationLookupOverhead returns the lookup component of a call's
 // overhead: one calibrated translation per counted lookup. It is the
 // exact term MANAPerCallOverhead charges, exposed so callers accounting
@@ -154,12 +139,6 @@ func (k *Kernel) VirtualizationLookupOverhead(lookups virtid.LookupCounts) vtime
 // that create and retire request handles.
 func (k *Kernel) HandleWriteCost() vtime.Duration {
 	return k.writeCost
-}
-
-// RecordMetadataCost returns the cost of logging one call for record/replay
-// or message-drain bookkeeping.
-func (k *Kernel) RecordMetadataCost() vtime.Duration {
-	return recordMetadataCost
 }
 
 // SyscallCost returns the generic system-call cost used for memory

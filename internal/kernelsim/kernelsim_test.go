@@ -7,6 +7,10 @@ import (
 	"mana/internal/vtime"
 )
 
+// mutexKernel is the kernel model a rank with the baseline (ImplMutex)
+// handle table runs on.
+func mutexKernel(p Personality) *Kernel { return NewForTable(p, virtid.ImplMutex) }
+
 func TestPersonalityString(t *testing.T) {
 	if Unpatched.String() != "unpatched" {
 		t.Errorf("Unpatched.String() = %q", Unpatched.String())
@@ -20,8 +24,8 @@ func TestPersonalityString(t *testing.T) {
 }
 
 func TestFSSwitchCostPatchedMuchCheaper(t *testing.T) {
-	u := New(Unpatched)
-	p := New(Patched)
+	u := mutexKernel(Unpatched)
+	p := mutexKernel(Patched)
 	if u.FSSwitchCost() <= p.FSSwitchCost() {
 		t.Fatalf("unpatched FS switch (%v) should cost more than patched (%v)",
 			u.FSSwitchCost(), p.FSSwitchCost())
@@ -37,39 +41,33 @@ func TestFSSwitchCostPatchedMuchCheaper(t *testing.T) {
 
 func TestRoundTripIsTwoSwitches(t *testing.T) {
 	for _, pers := range []Personality{Unpatched, Patched} {
-		k := New(pers)
+		k := mutexKernel(pers)
 		if k.RoundTripSwitchCost() != 2*k.FSSwitchCost() {
 			t.Errorf("%v: round trip %v != 2 * switch %v", pers, k.RoundTripSwitchCost(), k.FSSwitchCost())
 		}
 	}
 }
 
-func TestPersonalityAccessor(t *testing.T) {
-	if New(Patched).Personality() != Patched {
-		t.Errorf("Personality() did not round-trip")
-	}
-}
-
 func TestMANAPerCallOverheadComposition(t *testing.T) {
-	k := New(Unpatched)
+	k := mutexKernel(Unpatched)
 	base := k.MANAPerCallOverhead(virtid.LookupCounts{}, false)
 	if base != k.RoundTripSwitchCost() {
 		t.Errorf("no-handle overhead %v != round trip %v", base, k.RoundTripSwitchCost())
 	}
 	// One lookup of each kind: the per-kind counts sum into the charge.
 	withHandles := k.MANAPerCallOverhead(virtid.LookupCounts{Comm: 1, Datatype: 1, Request: 1}, false)
-	if withHandles != base+3*k.VirtualizationLookupCost() {
+	if withHandles != base+3*virtid.MutexLookupCost {
 		t.Errorf("handle overhead not additive: %v", withHandles)
 	}
 	withRecord := k.MANAPerCallOverhead(virtid.LookupCounts{Comm: 1}, true)
-	want := base + k.VirtualizationLookupCost() + k.RecordMetadataCost()
+	want := base + virtid.MutexLookupCost + recordMetadataCost
 	if withRecord != want {
 		t.Errorf("recorded overhead = %v, want %v", withRecord, want)
 	}
 }
 
 func TestOverheadMonotoneInHandles(t *testing.T) {
-	k := New(Patched)
+	k := mutexKernel(Patched)
 	prev := vtime.Duration(-1)
 	for n := uint64(0); n < 10; n++ {
 		d := k.MANAPerCallOverhead(virtid.LookupCounts{Request: n}, false)
@@ -84,10 +82,10 @@ func TestOverheadMonotoneInHandles(t *testing.T) {
 // table implementation and the per-call charge: a kernel calibrated for
 // the sharded table charges cheaper MPI calls than the mutex baseline.
 func TestLookupCostTracksVirtidImpl(t *testing.T) {
-	if New(Unpatched).VirtualizationLookupCost() != virtid.MutexLookupCost {
-		t.Error("New must default to the mutex baseline figure")
-	}
 	mutex := NewForTable(Unpatched, virtid.ImplMutex)
+	if got := mutex.VirtualizationLookupOverhead(virtid.LookupCounts{Comm: 1}); got != virtid.MutexLookupCost {
+		t.Errorf("one lookup on the mutex table costs %v, want %v", got, virtid.MutexLookupCost)
+	}
 	sharded := NewForTable(Unpatched, virtid.ImplSharded)
 	calls := virtid.LookupCounts{Comm: 1, Datatype: 1, Request: 1}
 	if m, s := mutex.MANAPerCallOverhead(calls, true), sharded.MANAPerCallOverhead(calls, true); s >= m {
@@ -101,8 +99,8 @@ func TestLookupCostTracksVirtidImpl(t *testing.T) {
 }
 
 func TestAuxiliaryCostsPositive(t *testing.T) {
-	k := New(Unpatched)
-	if k.VirtualizationLookupCost() <= 0 || k.RecordMetadataCost() <= 0 || k.SyscallCost() <= 0 {
+	k := mutexKernel(Unpatched)
+	if k.HandleWriteCost() <= 0 || recordMetadataCost <= 0 || k.SyscallCost() <= 0 {
 		t.Errorf("auxiliary costs must be positive")
 	}
 	if k.PageScanCost() <= 0 || k.PageHashCost() <= 0 {

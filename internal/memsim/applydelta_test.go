@@ -77,7 +77,7 @@ func TestApplyDeltaJoinVsMap(t *testing.T) {
 					addrs = append(addrs, r.Addr)
 				case op < 7:
 					addr := addrs[rng.Intn(len(addrs))]
-					if r, ok := a.Lookup(addr); ok {
+					if r, ok := regionAt(a, addr); ok {
 						buf := make([]byte, min(1+rng.Intn(24), int(r.Size)))
 						rng.Read(buf)
 						if rng.Intn(4) == 0 {

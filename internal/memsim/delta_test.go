@@ -5,11 +5,19 @@ import (
 	"testing"
 )
 
-// mustWrite is a test helper; it fails the test on write errors.
+// mustWrite stores data at off in the region at addr the way a rank
+// does, one WriteSpan per page the bytes reach, and fails the test on an
+// error.
 func mustWrite(t *testing.T, a *AddressSpace, addr, off uint64, data []byte) {
 	t.Helper()
-	if err := a.Write(addr, off, data); err != nil {
-		t.Fatalf("Write(0x%x, %d, %d bytes): %v", addr, off, len(data), err)
+	for len(data) > 0 {
+		n := min(PageSize-int(off%PageSize), len(data))
+		b, err := a.WriteSpan(addr, off, uint64(n))
+		if err != nil {
+			t.Fatalf("WriteSpan(0x%x, %d, %d bytes): %v", addr, off, n, err)
+		}
+		copy(b, data[:n])
+		data, off = data[n:], off+uint64(n)
 	}
 }
 
@@ -27,14 +35,14 @@ func deltaFor(t *testing.T, d Delta, addr uint64) RegionDelta {
 
 func TestWriteStraddlingTwoPagesMarksBoth(t *testing.T) {
 	a := NewAddressSpace()
-	r := a.MmapWithData("state", UpperHalf, KindData, make([]byte, 4*PageSize))
+	r := mmapWithData(a, "state", UpperHalf, KindData, make([]byte, 4*PageSize))
 	a.CommitUpperHalf() // clear the newborn all-dirty bitmap
-	if pages, _ := a.DirtyPages(r.Addr); len(pages) != 0 {
+	if pages, _ := dirtyPagesAt(a, r.Addr); len(pages) != 0 {
 		t.Fatalf("dirty pages after commit = %v, want none", pages)
 	}
 	// 8 bytes across the page-1/page-2 boundary.
 	mustWrite(t, a, r.Addr, 2*PageSize-4, []byte("12345678"))
-	pages, ok := a.DirtyPages(r.Addr)
+	pages, ok := dirtyPagesAt(a, r.Addr)
 	if !ok {
 		t.Fatal("region vanished")
 	}
@@ -58,7 +66,7 @@ func TestWriteStraddlingTwoPagesMarksBoth(t *testing.T) {
 // memo is used.
 func TestDeltaOverlayBitIdenticalToFull(t *testing.T) {
 	a := NewAddressSpace()
-	state := a.MmapWithData("app.state", UpperHalf, KindData, make([]byte, 8*PageSize))
+	state := mmapWithData(a, "app.state", UpperHalf, KindData, make([]byte, 8*PageSize))
 	a.Mmap("app.text", UpperHalf, KindText, 2<<20) // contentless region
 	a.Mmap("libmpi.text", LowerHalf, KindText, 4<<20)
 	base := a.CommitUpperHalf()
@@ -93,7 +101,7 @@ func TestDeltaOverlayBitIdenticalToFull(t *testing.T) {
 
 func TestDeltaDedupsRewrittenIdenticalPages(t *testing.T) {
 	a := NewAddressSpace()
-	r := a.MmapWithData("state", UpperHalf, KindData, bytes.Repeat([]byte{7}, 2*PageSize))
+	r := mmapWithData(a, "state", UpperHalf, KindData, bytes.Repeat([]byte{7}, 2*PageSize))
 	base := a.CommitUpperHalf()
 	// Rewrite page 0 with its existing contents and page 1 with new ones.
 	mustWrite(t, a, r.Addr, 0, bytes.Repeat([]byte{7}, PageSize))
@@ -130,7 +138,7 @@ func TestDeltaWithoutBasePanics(t *testing.T) {
 // reach captured snapshots.
 func TestCommitAliasesCleanRegions(t *testing.T) {
 	a := NewAddressSpace()
-	r := a.MmapWithData("state", UpperHalf, KindData, bytes.Repeat([]byte{5}, 2*PageSize))
+	r := mmapWithData(a, "state", UpperHalf, KindData, bytes.Repeat([]byte{5}, 2*PageSize))
 	s1 := a.CommitUpperHalf()
 	s2 := a.CommitUpperHalf()
 	if s1.Regions[0].pages[0] != s2.Regions[0].pages[0] {

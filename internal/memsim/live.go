@@ -1,9 +1,6 @@
 package memsim
 
-import (
-	"bytes"
-	"slices"
-)
+import "slices"
 
 // liveRegion is one mapping of a live address space: a pointer to the
 // immutable Region describing it, plus only the state this space has
@@ -94,22 +91,6 @@ func (r *liveRegion) own() *contents {
 	return r.mut
 }
 
-// clone returns a deep copy of the region's checkpointable state
-// (metadata and contents, present pages copied).
-func (r *liveRegion) clone() Region {
-	c := *r.desc
-	c.DataLen, c.pages = r.dataLen(), nil
-	if pages := r.pages(); pages != nil {
-		c.pages = make([]*page, len(pages))
-		for i, p := range pages {
-			if p != nil {
-				c.pages[i] = &page{b: bytes.Clone(p.b)}
-			}
-		}
-	}
-	return c
-}
-
 // contentHashNow returns the region's memoised content digest,
 // refreshing it if a write invalidated the memo.
 func (r *liveRegion) contentHashNow() uint64 {
@@ -137,21 +118,6 @@ func (r *liveRegion) markDirty(off, n uint64) {
 	for p := first; p <= last; p++ {
 		m.dirty[p/64] |= 1 << (uint(p) % 64)
 	}
-}
-
-// dirtyPages returns the region's dirty page indices in ascending order.
-func (r *liveRegion) dirtyPages() []int {
-	switch {
-	case r.allDirty:
-		out := make([]int, pageCount(r.desc.Size))
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	case r.mut != nil:
-		return r.mut.dirty.indices()
-	}
-	return nil
 }
 
 // view fills in *c with the region as a capture carries it: metadata,

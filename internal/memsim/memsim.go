@@ -139,7 +139,7 @@ func KindNames() []string {
 const PageSize = 4096
 
 // Region is one contiguous mapping in the simulated address space, as a
-// capture, Regions, RegionsOf and Lookup hand it out, and as live spaces
+// capture and RegionsOf hand it out, and as live spaces
 // share it to describe a mapping (liveRegion.desc). It is immutable once
 // handed out.
 type Region struct {
@@ -201,7 +201,7 @@ type AddressSpace struct {
 	// gen counts committed snapshot generations (CommitUpperHalf and
 	// CommitUpperHalfDelta); deltas are always relative to generation gen.
 	gen uint64
-	// lastWrite is the live region the previous Write resolved its address
+	// lastWrite is the live region the previous write resolved its address
 	// to, tried before the search: a workload step writes the same region
 	// over and over. Nil after anything that adds regions to the space or
 	// replaces them (it points into regions).
@@ -342,20 +342,7 @@ func (a *AddressSpace) mmap(name string, half Half, kind Kind, size, dataLen uin
 	return &a.regions[half][len(a.regions[half])-1]
 }
 
-// MmapWithData creates a region initialised with the given contents.
-func (a *AddressSpace) MmapWithData(name string, half Half, kind Kind, data []byte) *Region {
-	r := a.mmap(name, half, kind, uint64(len(data)), 0)
-	if len(data) > 0 {
-		m := r.own()
-		m.dataLen = uint64(len(data))
-		m.pages = make([]*page, pageCount(m.dataLen))
-		a.store(r, 0, data)
-	}
-	return r.desc
-}
-
-// MmapZero creates a region whose contents are n zero bytes. It is
-// MmapWithData(make([]byte, n)) without the bytes: no page is
+// MmapZero creates a region whose contents are n zero bytes: no page is
 // materialised until one is written, while the data length — which
 // fingerprints and images record — is n from the start.
 func (a *AddressSpace) MmapZero(name string, half Half, kind Kind, n uint64) *Region {
@@ -397,27 +384,6 @@ func (a *AddressSpace) Sbrk(delta uint64) SbrkResult {
 	return SbrkResult{Region: r}
 }
 
-// Regions returns a snapshot slice of all regions sorted by address.
-func (a *AddressSpace) Regions() []Region {
-	// The upper half's address range lies below the lower half's.
-	out := make([]Region, 0, len(a.regions[UpperHalf])+len(a.regions[LowerHalf]))
-	for _, list := range a.regions {
-		for i := range list {
-			out = append(out, list[i].clone())
-		}
-	}
-	return out
-}
-
-// RegionsOf returns the regions belonging to one half, sorted by address.
-func (a *AddressSpace) RegionsOf(half Half) []Region {
-	out := make([]Region, 0, len(a.regions[half]))
-	for i := range a.regions[half] {
-		out = append(out, a.regions[half][i].clone())
-	}
-	return out
-}
-
 // BytesOf returns the total size in bytes of all regions in one half.
 func (a *AddressSpace) BytesOf(half Half) uint64 {
 	var total uint64
@@ -427,41 +393,20 @@ func (a *AddressSpace) BytesOf(half Half) uint64 {
 	return total
 }
 
-// Lookup returns the region starting at addr, if any.
-func (a *AddressSpace) Lookup(addr uint64) (Region, bool) {
-	r := a.find(addr)
-	if r == nil {
-		return Region{}, false
-	}
-	return r.clone(), true
-}
-
-// Write stores data into the region starting at addr at the given offset.
-// It returns an error if the region does not exist or the write would
-// overflow it. Only the pages the write touches are materialised, and
-// only as far as the write reaches into them.
+// WriteSpan returns the n bytes at offset in the region starting at
+// addr, which must lie within one page, as a buffer the region owns, and
+// marks them written. It is the one way a rank writes its memory. Only
+// the page the span lies in is materialised, and only as far as the span
+// reaches into it. The caller stores the bytes into the buffer before its
+// next call on the space; a byte it leaves alone keeps what the region
+// held. The call allocates nothing but, when the page needs one, its new
+// buffer, and returns an error if the region does not exist or the span
+// would overflow it.
 //
 // Every write to a live region takes one path: prepareWrite (the region,
 // its contents, data length and page table), then span for each page
 // the bytes reach (the page's own buffer, long enough, and its dirty
-// bit). WriteSpan is the same path for one page, filled in place.
-func (a *AddressSpace) Write(addr uint64, offset uint64, data []byte) error {
-	r, err := a.prepareWrite(addr, offset, uint64(len(data)))
-	if err != nil {
-		return err
-	}
-	a.store(r, offset, data)
-	return nil
-}
-
-// WriteSpan is Write for a caller that fills the bytes in place: it
-// returns the n bytes at offset in the region starting at addr, which
-// must lie within one page, as a buffer the region owns. The caller
-// stores into it what Write's data would have held, before its next call
-// on the space; a byte it leaves alone keeps what the region held. The
-// region comes out as Write of those bytes would leave it — contents,
-// data length, dirty page, buffer length — and the call allocates
-// nothing but, when the page needs one, its new buffer.
+// bit).
 func (a *AddressSpace) WriteSpan(addr uint64, offset, n uint64) ([]byte, error) {
 	if n == 0 || offset/PageSize != (offset+n-1)/PageSize {
 		return nil, fmt.Errorf("memsim: span of %d bytes at offset %d is not within one page", n, offset)
@@ -505,16 +450,6 @@ func (a *AddressSpace) prepareWrite(addr, offset, n uint64) (*liveRegion, error)
 		m.pages = append(m.pages, make([]*page, want-len(m.pages))...)
 	}
 	return r, nil
-}
-
-// store copies data into the region's pages at offset, a span per page.
-func (a *AddressSpace) store(r *liveRegion, offset uint64, data []byte) {
-	for len(data) > 0 {
-		n := min(PageSize-int(offset%PageSize), len(data))
-		copy(a.span(r, offset, n), data[:n])
-		data = data[n:]
-		offset += uint64(n)
-	}
 }
 
 // span returns bytes [offset, offset+n) of the region, which lie in one
@@ -630,15 +565,6 @@ func (a *AddressSpace) capture(commit bool) *Snapshot {
 	return snap
 }
 
-// SnapshotUpperHalf captures all upper-half regions without committing:
-// the dirty bitmaps and the committed base are left untouched, so
-// observing the space never perturbs incremental checkpointing. Like
-// CommitUpperHalf it returns the last commit's snapshot, shared, when
-// nothing changed since.
-func (a *AddressSpace) SnapshotUpperHalf() *Snapshot {
-	return a.capture(false)
-}
-
 // CommitUpperHalf captures all upper-half regions and records the result
 // as the new committed generation: dirty bitmaps are cleared and the next
 // delta (CommitUpperHalfDelta) is relative to this snapshot. This is what
@@ -667,17 +593,6 @@ func (a *AddressSpace) Fingerprint() uint64 {
 // capture must fall back to a full one.
 func (a *AddressSpace) Generation() uint64 {
 	return a.gen
-}
-
-// DirtyPages returns the dirty page indices of the region at addr, in
-// ascending order, and whether the region exists. Tests and diagnostics
-// use it to observe the bitmap without capturing.
-func (a *AddressSpace) DirtyPages(addr uint64) ([]int, bool) {
-	r := a.find(addr)
-	if r == nil {
-		return nil, false
-	}
-	return r.dirtyPages(), true
 }
 
 // TotalBytes returns the number of bytes of memory captured by the

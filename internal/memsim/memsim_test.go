@@ -196,7 +196,7 @@ func TestWriteReadBoundsDoNotWrap(t *testing.T) {
 
 func TestSnapshotContainsOnlyUpperHalf(t *testing.T) {
 	a := NewAddressSpace()
-	a.MmapWithData("app.data", UpperHalf, KindData, []byte{1, 2, 3, 4})
+	mmapWithData(a, "app.data", UpperHalf, KindData, []byte{1, 2, 3, 4})
 	a.Mmap("app.heap", UpperHalf, KindHeap, 1<<20)
 	a.Mmap("libmpi.text", LowerHalf, KindText, 26<<20)
 	a.Mmap("aries.pinned", LowerHalf, KindPinned, 8<<20)
@@ -216,7 +216,7 @@ func TestSnapshotContainsOnlyUpperHalf(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	a := NewAddressSpace()
-	a.MmapWithData("app.data", UpperHalf, KindData, []byte("initial state vector"))
+	mmapWithData(a, "app.data", UpperHalf, KindData, []byte("initial state vector"))
 	heap := a.Mmap("app.heap", UpperHalf, KindHeap, 8192)
 	if err := a.Write(heap.Addr, 0, []byte("heap contents")); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestSnapshotEqualDetectsDifferences(t *testing.T) {
 	a := NewAddressSpace()
-	a.MmapWithData("d", UpperHalf, KindData, []byte{1, 2, 3})
+	mmapWithData(a, "d", UpperHalf, KindData, []byte{1, 2, 3})
 	s1 := a.SnapshotUpperHalf()
 	s2 := a.SnapshotUpperHalf()
 	if !s1.Equal(s2) {
@@ -274,7 +274,7 @@ func TestRegionsSorted(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Mmap("r", UpperHalf, KindAnonymous, 4096)
 	}
-	regs := a.Regions()
+	regs := regions(a)
 	for i := 1; i < len(regs); i++ {
 		if regs[i].Addr <= regs[i-1].Addr {
 			t.Fatalf("regions not sorted by address")
@@ -357,7 +357,7 @@ func TestPropertyWriteReadRoundTrip(t *testing.T) {
 
 func TestSnapshotFingerprintTracksEqual(t *testing.T) {
 	a := NewAddressSpace()
-	a.MmapWithData("app.state", UpperHalf, KindData, []byte{1, 2, 3})
+	mmapWithData(a, "app.state", UpperHalf, KindData, []byte{1, 2, 3})
 	a.Mmap("libmpi.so", LowerHalf, KindText, 4096)
 	s1 := a.SnapshotUpperHalf()
 	s2 := a.SnapshotUpperHalf()
@@ -378,7 +378,7 @@ func TestSnapshotFingerprintTracksEqual(t *testing.T) {
 
 func TestSnapshotIsolatedFromLiveSpace(t *testing.T) {
 	a := NewAddressSpace()
-	r := a.MmapWithData("app.state", UpperHalf, KindData, []byte{1, 2, 3, 4})
+	r := mmapWithData(a, "app.state", UpperHalf, KindData, []byte{1, 2, 3, 4})
 	snap := a.SnapshotUpperHalf()
 	fp := snap.Fingerprint()
 	// Snapshots are isolated in both directions although pages are

@@ -151,18 +151,6 @@ func (b bitmap) countBelow(n int) int {
 	return total
 }
 
-// indices returns the set bits in ascending order, for diagnostics; the
-// capture path walks the words in place, in the same order.
-func (b bitmap) indices() []int {
-	var out []int
-	for w, word := range b {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, w*64+bits.TrailingZeros64(word))
-		}
-	}
-	return out
-}
-
 // bitmapWords returns the length of a bitmap covering n pages.
 func bitmapWords(n int) int { return (n + 63) / 64 }
 

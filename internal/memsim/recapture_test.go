@@ -12,7 +12,7 @@ import (
 func recaptureSpace(t *testing.T) *AddressSpace {
 	a := NewAddressSpace()
 	a.Mmap("libmpi.so", LowerHalf, KindText, 8*PageSize)
-	a.MmapWithData("app.data", UpperHalf, KindData, bytes.Repeat([]byte{7}, 3*PageSize+100))
+	mmapWithData(a, "app.data", UpperHalf, KindData, bytes.Repeat([]byte{7}, 3*PageSize+100))
 	a.MmapZero("app.state", UpperHalf, KindData, 2*PageSize)
 	a.Mmap("libc.text", UpperHalf, KindText, 4*PageSize)
 	heap := a.Mmap("[heap]", UpperHalf, KindHeap, 2*PageSize)

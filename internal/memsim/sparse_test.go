@@ -424,7 +424,7 @@ func (h *harness) mmapIn(half Half) {
 		h.m.add(h.a.Mmap(name, half, kind, n), nil)
 	case 1:
 		data := h.payload(int(n))
-		h.m.add(h.a.MmapWithData(name, half, kind, data), bytes.Clone(data))
+		h.m.add(mmapWithData(h.a, name, half, kind, data), bytes.Clone(data))
 	case 2:
 		h.m.add(h.a.MmapZero(name, half, kind, n), make([]byte, n))
 	}
@@ -742,7 +742,7 @@ func (h *harness) check() {
 	for i := range upper {
 		h.grown = append(h.grown, grownRegion{upper[i].desc, upper[i].dataLen()})
 	}
-	live := h.a.Regions()
+	live := regions(h.a)
 	if len(live) != len(h.m.regions) {
 		h.failf("%d live regions, model %d", len(live), len(h.m.regions))
 	}
@@ -757,7 +757,7 @@ func (h *harness) check() {
 		if err != nil || !bytes.Equal(got, want) {
 			h.failf("region %q reads differently from the model (%v)", fr.Name, err)
 		}
-		if dirty, _ := h.a.DirtyPages(fr.Addr); fmt.Sprint(dirty) != fmt.Sprint(fr.dirtyPages()) {
+		if dirty, _ := dirtyPagesAt(h.a, fr.Addr); fmt.Sprint(dirty) != fmt.Sprint(fr.dirtyPages()) {
 			h.failf("region %q dirty pages %v, model %v", fr.Name, dirty, fr.dirtyPages())
 		}
 		r := h.a.find(fr.Addr)
@@ -1125,7 +1125,7 @@ func TestWriteMaterialisesOnlyTouchedPages(t *testing.T) {
 	if n := present(a, pinned.Addr); n != 1 {
 		t.Errorf("one-byte write materialised %d pages, want 1", n)
 	}
-	if r, _ := a.Lookup(pinned.Addr); r.DataLen != 8<<20 {
+	if r, _ := regionAt(a, pinned.Addr); r.DataLen != 8<<20 {
 		t.Errorf("written region has DataLen %d, want its full size", r.DataLen)
 	}
 
@@ -1158,7 +1158,7 @@ func TestWriteMaterialisesOnlyTouchedPages(t *testing.T) {
 	}
 	// Never-written contents and written zeros are the same contents.
 	b := NewAddressSpace()
-	b.MmapWithData("app.state", UpperHalf, KindData, make([]byte, 64<<10))
+	mmapWithData(b, "app.state", UpperHalf, KindData, make([]byte, 64<<10))
 	c := NewAddressSpace()
 	c.MmapZero("app.state", UpperHalf, KindData, 64<<10)
 	if !b.SnapshotUpperHalf().Equal(c.SnapshotUpperHalf()) || b.Fingerprint() != c.Fingerprint() {
@@ -1240,7 +1240,7 @@ func TestLayoutSharedAcrossGoroutines(t *testing.T) {
 		return b.Fingerprint()
 	}
 	alone := NewAddressSpace()
-	for _, r := range proto.Regions() {
+	for _, r := range regions(proto) {
 		if r.DataLen > 0 {
 			alone.MmapZero(r.Name, r.Half, r.Kind, r.DataLen)
 		} else {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -105,7 +106,7 @@ func (m *mapNet) totalSent() (n uint64) {
 
 func (m *mapNet) restore(c Counters) {
 	m.queues = make(map[Pair][]Message)
-	m.counters = c.Clone()
+	m.counters = maps.Clone(c)
 }
 
 // program feeds the interpreter: a byte string read front to back, zeros
@@ -235,7 +236,7 @@ func (h *harness) snapshot() {
 		h.drainDst(dst)
 	}
 	h.saved, h.hasSaved = h.n.CountersSnapshot(), true
-	h.savedCopy = h.saved.Clone()
+	h.savedCopy = maps.Clone(h.saved)
 }
 
 func (h *harness) restore() {
@@ -266,7 +267,7 @@ func (h *harness) check() {
 		if got, want := h.n.PeersTo(dst), h.m.peersTo(dst); got != want {
 			h.failf("PeersTo(%d) = %d, model %d", dst, got, want)
 		}
-		if got, want := h.n.InFlightTo(dst), h.m.inFlightTo(dst); got != want {
+		if got, want := inFlightTo(h.n, dst), h.m.inFlightTo(dst); got != want {
 			h.failf("InFlightTo(%d) = %d, model %d", dst, got, want)
 		}
 	}
@@ -277,7 +278,7 @@ func (h *harness) check() {
 	if h.hasSaved && !reflect.DeepEqual(h.saved, h.savedCopy) {
 		h.failf("the saved CountersSnapshot changed after it was taken: %v, was %v", h.saved, h.savedCopy)
 	}
-	if got, want := snap.InFlight(), h.m.inFlight(); got != want {
+	if got, want := inFlight(snap), h.m.inFlight(); got != want {
 		h.failf("counters say %d in flight, queues hold %d", got, want)
 	}
 }

@@ -26,7 +26,6 @@
 package netsim
 
 import (
-	"fmt"
 	"slices"
 
 	"mana/internal/vtime"
@@ -155,25 +154,6 @@ type PairCount struct {
 // later one taken before the counters change: read it, never write it.
 type Counters map[Pair]PairCount
 
-// Clone returns a deep copy of the counters.
-func (c Counters) Clone() Counters {
-	out := make(Counters, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
-// InFlight returns the total number of sent-but-not-received messages the
-// counters describe.
-func (c Counters) InFlight() uint64 {
-	var n uint64
-	for _, v := range c {
-		n += v.Sent - v.Received
-	}
-	return n
-}
-
 // DeliveryScheduler is notified of every injected message so its arrival
 // can be scheduled as a virtual-time event. The event-driven coordinator
 // registers itself here: instead of polling the network for receivable
@@ -281,9 +261,6 @@ type Network struct {
 func New(params Params) *Network {
 	return &Network{params: params}
 }
-
-// Params returns the cost-model parameters.
-func (n *Network) Params() Params { return n.params }
 
 // SetDeliveryScheduler registers the sink that receives one
 // ScheduleDelivery callback per injected message. Passing nil disables
@@ -402,16 +379,6 @@ func (n *Network) InFlight() uint64 {
 	return n.inflight
 }
 
-// InFlightTo returns the number of in-flight messages destined for dst.
-func (n *Network) InFlightTo(dst int) uint64 {
-	var total uint64
-	list := n.peersOf(dst)
-	for i := range list {
-		total += uint64(list[i].n)
-	}
-	return total
-}
-
 // PeersTo returns the number of source ranks that have ever sent to dst.
 // The drain phase charges dst one counter-comparison probe per such peer
 // (§3.1 compares send/receive counters pairwise).
@@ -467,9 +434,4 @@ func (n *Network) TotalSent() uint64 {
 		}
 	}
 	return total
-}
-
-// String summarises the network state for debugging.
-func (n *Network) String() string {
-	return fmt.Sprintf("netsim.Network{inflight=%d, sent=%d}", n.InFlight(), n.TotalSent())
 }

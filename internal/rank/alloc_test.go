@@ -19,7 +19,14 @@ import (
 // its small slices.
 func TestNewAllocationBudget(t *testing.T) {
 	const ranks = 256
-	progs := scenario.MustPrograms("default", scenario.Params{Ranks: ranks, Steps: 5, Seed: 42})
+	spec, err := scenario.Load("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := spec.Compile(scenario.Params{Ranks: ranks, Steps: 5, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
 	built := make([]*Rank, ranks)
 	var before, after runtime.MemStats
 	runtime.GC()

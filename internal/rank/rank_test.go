@@ -46,8 +46,13 @@ func TestNewRankMaterialisesNoStatePage(t *testing.T) {
 		t.Errorf("rank.New allocated %d bytes in %d allocations per rank, want <= 2.5 KiB in <= 20", per, mallocs)
 	}
 	r := ranks[0]
-	state, ok := r.Mem().Lookup(stateRegion)
-	if !ok || state.Name != "app.state" || state.DataLen != stateRegionSize {
+	var state memsim.Region
+	for _, reg := range r.Mem().RegionsOf(memsim.UpperHalf) {
+		if reg.Addr == stateRegion {
+			state = reg
+		}
+	}
+	if state.Name != "app.state" || state.DataLen != stateRegionSize {
 		t.Fatalf("app.state = %+v, want a %d-byte data length", state, stateRegionSize)
 	}
 	// The zero-filled mapping is the same checkpointable state as the
@@ -55,7 +60,10 @@ func TestNewRankMaterialisesNoStatePage(t *testing.T) {
 	flat := memsim.NewAddressSpace()
 	for _, reg := range r.Mem().RegionsOf(memsim.UpperHalf) {
 		if reg.Name == "app.state" {
-			flat.MmapWithData(reg.Name, reg.Half, reg.Kind, make([]byte, stateRegionSize))
+			z := flat.Mmap(reg.Name, reg.Half, reg.Kind, stateRegionSize)
+			if err := flat.Write(z.Addr, 0, make([]byte, stateRegionSize)); err != nil {
+				t.Fatal(err)
+			}
 		} else {
 			flat.Mmap(reg.Name, reg.Half, reg.Kind, reg.Size)
 		}
@@ -65,16 +73,21 @@ func TestNewRankMaterialisesNoStatePage(t *testing.T) {
 	}
 }
 
+// regions returns deep copies of every region of a, sorted by address.
+func regions(a *memsim.AddressSpace) []memsim.Region {
+	return append(a.RegionsOf(memsim.UpperHalf), a.RegionsOf(memsim.LowerHalf)...)
+}
+
 // TestRanksShareTheLayoutNotTheContents: two ranks describe the same
 // twelve regions — through the same descriptors — and what one writes,
 // commits or restores is invisible in the other.
 func TestRanksShareTheLayoutNotTheContents(t *testing.T) {
 	a := New(0, kernelsim.Unpatched, virtid.ImplSharded, computeScript(8))
 	b := New(1, kernelsim.Unpatched, virtid.ImplSharded, computeScript(8))
-	if ra, rb := a.Mem().Regions(), b.Mem().Regions(); len(ra) != 12 || !reflect.DeepEqual(ra, rb) {
+	if ra, rb := regions(a.Mem()), regions(b.Mem()); len(ra) != 12 || !reflect.DeepEqual(ra, rb) {
 		t.Fatalf("two new ranks map different regions:\n%+v\n%+v", ra, rb)
 	}
-	pristine := b.Mem().Regions()
+	pristine := regions(b.Mem())
 	fp := b.Mem().Fingerprint()
 	net := testNet()
 	for i := 0; i < 4; i++ {
@@ -89,10 +102,10 @@ func TestRanksShareTheLayoutNotTheContents(t *testing.T) {
 	if a.Mem().Fingerprint() == fp {
 		t.Fatal("the written rank's memory did not change")
 	}
-	if got := b.Mem().Regions(); !reflect.DeepEqual(got, pristine) || b.Mem().Fingerprint() != fp {
+	if got := regions(b.Mem()); !reflect.DeepEqual(got, pristine) || b.Mem().Fingerprint() != fp {
 		t.Errorf("writing, capturing and restoring rank 0 changed rank 1's memory:\n%+v", got)
 	}
-	if got := New(2, kernelsim.Unpatched, virtid.ImplSharded, nil).Mem(); !reflect.DeepEqual(got.Regions(), pristine) || got.Fingerprint() != fp {
+	if got := New(2, kernelsim.Unpatched, virtid.ImplSharded, nil).Mem(); !reflect.DeepEqual(regions(got), pristine) || got.Fingerprint() != fp {
 		t.Error("a rank built afterwards does not start from the pristine layout")
 	}
 }

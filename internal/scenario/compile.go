@@ -37,7 +37,7 @@ type Params struct {
 // concurrent runs.
 func (s *Spec) Compile(p Params) ([]Program, error) {
 	// Re-validate so programmatically built specs get the same field-level
-	// errors (and duration parsing) as file-loaded ones.
+	// errors as file-loaded ones.
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func (s *Spec) walk(rep int, p Params, emit func(Op)) {
 					if par.scale = op.Scale; par.scale == 0 {
 						par.scale = 1
 					}
-					emit(Op{Kind: OpCompute, Dur: op.mean, par: par})
+					emit(Op{Kind: OpCompute, Dur: op.meanDuration(), par: par})
 				case "ring":
 					to, from := right, left
 					if op.Dir == "left" {
@@ -260,18 +260,4 @@ func (op *OpSpec) emitFor(id int) bool {
 	default:
 		return true
 	}
-}
-
-// MustPrograms loads a library spec and compiles it, panicking on any
-// error. It exists for defaults and tests, where the spec is known good.
-func MustPrograms(name string, p Params) []Program {
-	spec, err := Load(name)
-	if err != nil {
-		panic(err)
-	}
-	progs, err := spec.Compile(p)
-	if err != nil {
-		panic(err)
-	}
-	return progs
 }

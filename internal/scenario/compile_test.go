@@ -18,7 +18,7 @@ func TestCompileIndependentOfGOMAXPROCS(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		var runs [][]Program
 		for i := 0; i < 2; i++ {
-			runs = append(runs, MustPrograms("bursty-alltoall", Params{Ranks: 24, Steps: 9, Seed: 77}))
+			runs = append(runs, mustPrograms("bursty-alltoall", Params{Ranks: 24, Steps: 9, Seed: 77}))
 		}
 		if !reflect.DeepEqual(runs[0], runs[1]) {
 			t.Fatalf("GOMAXPROCS=%d: two compilations differ", procs)
@@ -33,8 +33,8 @@ func TestCompileIndependentOfGOMAXPROCS(t *testing.T) {
 // TestSeedChangesJitterOnly: a different seed must change compute
 // durations (the jittered part) but not the op structure.
 func TestSeedChangesJitterOnly(t *testing.T) {
-	a := MustPrograms("default", Params{Ranks: 4, Steps: 12, Seed: 1})
-	b := MustPrograms("default", Params{Ranks: 4, Steps: 12, Seed: 2})
+	a := mustPrograms("default", Params{Ranks: 4, Steps: 12, Seed: 1})
+	b := mustPrograms("default", Params{Ranks: 4, Steps: 12, Seed: 2})
 	differed := false
 	for id := range a {
 		if len(a[id]) != len(b[id]) {
@@ -61,7 +61,7 @@ func TestSeedChangesJitterOnly(t *testing.T) {
 // slot 1 followed by a barrier on slot 2.
 func TestOverlapCompiledShape(t *testing.T) {
 	const ranks, steps, group = 12, 6, 4
-	progs := MustPrograms("overlap", Params{Ranks: ranks, Steps: steps, Seed: 3})
+	progs := mustPrograms("overlap", Params{Ranks: ranks, Steps: steps, Seed: 3})
 	for id, prog := range progs {
 		if prog[0].Kind != OpCommSplit || prog[1].Kind != OpCommSplit {
 			t.Fatalf("rank %d: program does not open with two comm-splits", id)
@@ -103,7 +103,7 @@ func TestOverlapCompiledShape(t *testing.T) {
 // the exchange structure matches the documented cadence.
 func TestDefaultCompiledSPMDCollectives(t *testing.T) {
 	const ranks, steps = 5, 21
-	progs := MustPrograms("default", Params{Ranks: ranks, Steps: steps, Seed: 11})
+	progs := mustPrograms("default", Params{Ranks: ranks, Steps: steps, Seed: 11})
 	var ref []OpKind
 	for id, prog := range progs {
 		var colls []OpKind
@@ -134,22 +134,6 @@ func TestDefaultCompiledSPMDCollectives(t *testing.T) {
 	}
 	if len(ref) != steps/3+steps/5 {
 		t.Errorf("collective count = %d, want %d allreduces + %d barriers", len(ref), steps/3, steps/5)
-	}
-}
-
-// TestPerRank pins the programmatic escape hatch used across the
-// coordinator tests.
-func TestPerRank(t *testing.T) {
-	progs := PerRank(3, func(id int) []Op {
-		return []Op{{Kind: OpCompute, Dur: 1}, {Kind: OpSend, Peer: id}}
-	})
-	if len(progs) != 3 {
-		t.Fatalf("PerRank built %d programs, want 3", len(progs))
-	}
-	for id, prog := range progs {
-		if len(prog) != 2 || prog[1].Peer != id {
-			t.Errorf("rank %d program = %+v", id, prog)
-		}
 	}
 }
 
@@ -196,7 +180,7 @@ func TestMultiPhaseSpecs(t *testing.T) {
 func TestCompileSizesProgramsExactly(t *testing.T) {
 	for _, name := range Names() {
 		for _, ranks := range []int{1, 2, 9} {
-			progs := MustPrograms(name, Params{Ranks: ranks, Steps: 7, Seed: 3})
+			progs := mustPrograms(name, Params{Ranks: ranks, Steps: 7, Seed: 3})
 			for id, prog := range progs {
 				if len(prog) != cap(prog) {
 					t.Errorf("%s ranks=%d rank %d: len %d, cap %d — the stream was grown, not sized",
@@ -243,4 +227,18 @@ func TestCompileMemoryFollowsSpecNotRanks(t *testing.T) {
 	if got := compileBytes(t, "bursty-alltoall", Params{Ranks: 4096, Steps: 8, Seed: 1}); got > 8<<20 {
 		t.Errorf("bursty-alltoall at 4096 ranks: compile allocated %d B, want under 8 MiB", got)
 	}
+}
+
+// mustPrograms loads a library spec and compiles it, panicking on any
+// error: the tests name specs known to compile.
+func mustPrograms(name string, p Params) []Program {
+	spec, err := Load(name)
+	if err != nil {
+		panic(err)
+	}
+	progs, err := spec.Compile(p)
+	if err != nil {
+		panic(err)
+	}
+	return progs
 }

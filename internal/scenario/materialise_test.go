@@ -58,7 +58,7 @@ func (s *Spec) compileRank(id int, p Params) Program {
 					if scale == 0 {
 						scale = 1
 					}
-					dur := vtime.Duration(float64(op.mean) * rng.Jitter(op.Jitter) * scale)
+					dur := vtime.Duration(float64(op.meanDuration()) * rng.Jitter(op.Jitter) * scale)
 					prog = append(prog, Op{Kind: OpCompute, Dur: dur})
 				case "ring":
 					if p.Ranks < 2 {
@@ -331,13 +331,13 @@ func TestCompileMatchesMaterialised(t *testing.T) {
 // and a singled-out rank does not.
 func TestCompileSharesOneStreamPerClass(t *testing.T) {
 	same := func(a, b Program) bool { return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0] }
-	progs := MustPrograms("stencil", Params{Ranks: 16, Steps: 5, Seed: 1})
+	progs := mustPrograms("stencil", Params{Ranks: 16, Steps: 5, Seed: 1})
 	for id := range progs {
 		if !same(progs[id], progs[0]) {
 			t.Errorf("stencil: rank %d does not share rank 0's stream", id)
 		}
 	}
-	progs = MustPrograms("master-worker", Params{Ranks: 16, Steps: 5, Seed: 1})
+	progs = mustPrograms("master-worker", Params{Ranks: 16, Steps: 5, Seed: 1})
 	if same(progs[0], progs[1]) {
 		t.Error("master-worker: the root shares the workers' stream")
 	}
@@ -346,7 +346,7 @@ func TestCompileSharesOneStreamPerClass(t *testing.T) {
 			t.Errorf("master-worker: worker %d does not share worker 1's stream", id)
 		}
 	}
-	progs = MustPrograms("pipeline", Params{Ranks: 16, Steps: 5, Seed: 1})
+	progs = mustPrograms("pipeline", Params{Ranks: 16, Steps: 5, Seed: 1})
 	if same(progs[0], progs[1]) || same(progs[15], progs[1]) || same(progs[0], progs[15]) {
 		t.Error("pipeline: the first or last stage shares a stream")
 	}

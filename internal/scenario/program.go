@@ -172,18 +172,6 @@ func (op *Op) Resolve(id int) Op {
 // Program is one rank's op stream — the only script source the rank
 // runtime consumes; len is the rank's op count. Programs come from Spec
 // compilation (where the ranks of a class share one backing array, read
-// through Op.Scalars) or from a test building literal ops directly (see
-// PerRank). A Program is never written after
-// it is built.
+// through Op.Scalars) or from a test building literal ops directly. A
+// Program is never written after it is built.
 type Program []Op
-
-// PerRank builds one Program per rank from a function. It is the
-// programmatic escape hatch tests use to stage precise protocol
-// situations that no declarative spec should have to express.
-func PerRank(ranks int, f func(id int) []Op) []Program {
-	progs := make([]Program, ranks)
-	for id := range progs {
-		progs[id] = f(id)
-	}
-	return progs
-}

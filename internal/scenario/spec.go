@@ -134,8 +134,12 @@ type OpSpec struct {
 	Who string `json:"who,omitempty"`
 	// When gates the op to a periodic subset of steps.
 	When *WhenSpec `json:"when,omitempty"`
+}
 
-	mean vtime.Duration // parsed from Mean during validation
+// meanDuration returns Mean parsed, for an op Validate accepted.
+func (op *OpSpec) meanDuration() vtime.Duration {
+	d, _ := time.ParseDuration(op.Mean)
+	return vtime.Duration(d)
 }
 
 // CheckpointSpec is one armed checkpoint trigger.
@@ -187,7 +191,8 @@ func (s *Spec) errf(path, format string, args ...any) error {
 }
 
 // Validate checks the spec's semantic constraints, naming the offending
-// field in every error, and resolves parsed forms (durations).
+// field in every error. It writes nothing, so any number of goroutines
+// may validate or compile one spec at once.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec: name: required")
@@ -299,11 +304,9 @@ func (s *Spec) validateOp(op *OpSpec, path string) error {
 		if op.Mean == "" {
 			return s.errf(path+".mean", "required for op \"compute\"")
 		}
-		d, err := time.ParseDuration(op.Mean)
-		if err != nil || d <= 0 {
+		if d, err := time.ParseDuration(op.Mean); err != nil || d <= 0 {
 			return s.errf(path+".mean", "not a positive duration: %q", op.Mean)
 		}
-		op.mean = vtime.Duration(d)
 	case "ring":
 		switch op.Mode {
 		case "", "send", "isend":

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -82,6 +83,42 @@ func TestCompileValidatesParams(t *testing.T) {
 	}
 }
 
+// TestConcurrentCompileOfOneSpec compiles one *Spec from several
+// goroutines at once: Validate and Compile write nothing into the spec,
+// so under -race this is silent, and every goroutine gets the same
+// programs.
+func TestConcurrentCompileOfOneSpec(t *testing.T) {
+	spec, err := Load("stencil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{Ranks: 8, Steps: 6, Seed: 42}
+	want, err := spec.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	got := make([][]Program, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w], errs[w] = spec.Compile(p)
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("goroutine %d: %v", w, errs[w])
+		}
+		if !reflect.DeepEqual(got[w], want) {
+			t.Errorf("goroutine %d compiled different programs", w)
+		}
+	}
+}
+
 // TestLibraryShape pins the shipped spec library: the expected set of
 // names, file/name agreement, and that every spec compiles at a spread of
 // job sizes including the smoke-matrix shape (512 ranks).
@@ -144,7 +181,7 @@ func TestLibrarySpecsAreSPMD(t *testing.T) {
 		bytes uint64
 	}
 	for _, name := range Names() {
-		progs := MustPrograms(name, Params{Ranks: 12, Steps: 10, Seed: 9})
+		progs := mustPrograms(name, Params{Ranks: 12, Steps: 10, Seed: 9})
 		var ref []collective
 		for id, prog := range progs {
 			var colls []collective

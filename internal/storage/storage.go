@@ -241,21 +241,13 @@ func (c *Config) Ratio(kind memsim.Kind) float64 {
 	return fallbackRatio
 }
 
-// PageStored returns the stored size of one delta page after compression:
-// an all-zero page collapses to a run-length header, anything else shrinks
-// by its region class's ratio (never below one byte, never above raw).
-func (c *Config) PageStored(kind memsim.Kind, data []byte) uint64 {
-	return c.pageStored(kind, data, uint64(len(data)))
-}
-
-// pageStored is PageStored for a page of raw bytes carried as its written
-// prefix: the bytes past the prefix are zeros, so the prefix alone decides
-// whether the page is a zero page, and the page is priced at its full
-// length either way.
+// pageStored returns the stored size of one delta page of raw bytes,
+// carried as its written prefix, after compression. The bytes past the
+// prefix are zeros, so the prefix alone decides whether the page is a
+// zero page, which collapses to a run-length header (or stays as it is,
+// when shorter than one); anything else shrinks by its region class's
+// ratio, never below one byte and never above raw.
 func (c *Config) pageStored(kind memsim.Kind, prefix []byte, raw uint64) uint64 {
-	if raw == 0 {
-		return 0
-	}
 	zero := true
 	for _, b := range prefix {
 		if b != 0 {
@@ -264,7 +256,7 @@ func (c *Config) pageStored(kind memsim.Kind, prefix []byte, raw uint64) uint64 
 		}
 	}
 	if zero {
-		return zeroStored(raw)
+		return min(raw, zeroPageStored)
 	}
 	stored := uint64(float64(raw)*c.Ratio(kind) + 0.5)
 	if stored < 1 {
@@ -274,12 +266,6 @@ func (c *Config) pageStored(kind memsim.Kind, prefix []byte, raw uint64) uint64 
 		stored = raw
 	}
 	return stored
-}
-
-// zeroStored is the stored size of raw zero bytes: the run-length header,
-// or the bytes themselves when they are shorter than one.
-func zeroStored(raw uint64) uint64 {
-	return min(raw, zeroPageStored)
 }
 
 // CompressDelta runs the page compressor over a delta payload, returning

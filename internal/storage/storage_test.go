@@ -130,8 +130,9 @@ func TestCompileDefaultCompressCost(t *testing.T) {
 	}
 }
 
-// TestPageStored pins the per-page model: zero pages collapse to the
-// run-length header, others shrink by ratio with [1, raw] clamping.
+// TestPageStored pins the per-page model through CompressDelta on a
+// one-page delta: zero pages collapse to the run-length header, others
+// shrink by ratio with [1, raw] clamping.
 func TestPageStored(t *testing.T) {
 	cfg, err := Compile(&Spec{
 		Compression:     &CompressionSpec{Enabled: true},
@@ -140,26 +141,36 @@ func TestPageStored(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	// stored compresses a delta carrying data as one whole page of its
+	// own length.
+	stored := func(kind memsim.Kind, data []byte) uint64 {
+		d := memsim.Delta{Regions: []memsim.RegionDelta{{Kind: kind, Pages: []memsim.PageDelta{{Len: len(data), Data: data}}}}}
+		s, raw := cfg.CompressDelta(&d)
+		if raw != uint64(len(data)) {
+			t.Errorf("a %d-byte page compresses %d raw bytes", len(data), raw)
+		}
+		return s
+	}
 	page := make([]byte, 4096)
-	if got := cfg.PageStored(memsim.KindHeap, page); got != zeroPageStored {
+	if got := stored(memsim.KindHeap, page); got != zeroPageStored {
 		t.Errorf("zero page stored %d bytes, want %d", got, zeroPageStored)
 	}
-	if got := cfg.PageStored(memsim.KindHeap, page[:8]); got != 8 {
+	if got := stored(memsim.KindHeap, page[:8]); got != 8 {
 		t.Errorf("tiny zero page stored %d bytes, want its raw 8", got)
 	}
 	page[100] = 1
 	// Ratio 1 stores raw bytes; the clamp keeps stored <= raw.
-	if got := cfg.PageStored(memsim.KindHeap, page); got != 4096 {
+	if got := stored(memsim.KindHeap, page); got != 4096 {
 		t.Errorf("incompressible page stored %d bytes, want 4096", got)
 	}
 	// Ratio 0.001 rounds to 4 bytes for a 4 KiB page.
-	if got := cfg.PageStored(memsim.KindText, page); got != 4 {
+	if got := stored(memsim.KindText, page); got != 4 {
 		t.Errorf("text page stored %d bytes, want 4", got)
 	}
-	if got := cfg.PageStored(memsim.KindText, page[100:101]); got != 1 {
+	if got := stored(memsim.KindText, page[100:101]); got != 1 {
 		t.Errorf("one-byte page stored %d bytes, want the 1-byte floor", got)
 	}
-	if got := cfg.PageStored(memsim.KindText, nil); got != 0 {
+	if got := stored(memsim.KindText, nil); got != 0 {
 		t.Errorf("empty page stored %d bytes, want 0", got)
 	}
 	// A delta carries a page nothing ever wrote without its bytes; it must

@@ -32,9 +32,6 @@ type window struct {
 // New returns an empty table priced as the selected implementation.
 func New(i Impl) Table { return Table{impl: i} }
 
-// Impl identifies the MANA table design the rank is charged for.
-func (t *Table) Impl() Impl { return t.impl }
-
 // Len reports the number of live mappings of one kind.
 func (t *Table) Len(k Kind) int { return t.kinds[k].live }
 

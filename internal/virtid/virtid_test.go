@@ -206,6 +206,9 @@ func TestParseImpl(t *testing.T) {
 	}
 }
 
+// Impl identifies the MANA table design the rank is charged for.
+func (t *Table) Impl() Impl { return t.impl }
+
 func TestImplMetadata(t *testing.T) {
 	mutex, sharded := New(ImplMutex), New(ImplSharded)
 	if mutex.Impl() != ImplMutex || sharded.Impl() != ImplSharded {

@@ -225,24 +225,6 @@ func (q *EventQueue[T]) Pop() (Time, T, bool) {
 	return Time(e.key ^ signBit), e.val, true
 }
 
-// PeekTime returns the virtual time of the earliest event without
-// removing it; false when the queue is empty.
-func (q *EventQueue[T]) PeekTime() (Time, bool) {
-	t, _, ok := q.PeekKey()
-	return t, ok
-}
-
-// PeekKey returns the (time, seq) ordering key of the earliest event
-// without removing it; false when the queue is empty. It may settle the
-// queue (move events between buckets), which Pop would do anyway.
-func (q *EventQueue[T]) PeekKey() (Time, uint64, bool) {
-	if (!q.fifoLive || q.lateLive) && !q.settle() {
-		return 0, 0, false
-	}
-	e := &q.arena[q.ch[fifo].hd]
-	return Time(e.key ^ signBit), e.seq, true
-}
-
 // Clear discards every scheduled event but keeps the arena, so a restart
 // that rebuilds the queue reuses the already-grown capacity instead of
 // reallocating from zero. The sequence counter is NOT reset: events

@@ -15,6 +15,25 @@ import (
 // so any random interleaving of pushes, pops and clears must read the
 // same from both.
 
+// PeekTime returns the virtual time of the earliest event without
+// removing it; false when the queue is empty. No run peeks (the
+// coordinator only pops), so the queue's peeks live with its tests.
+func (q *EventQueue[T]) PeekTime() (Time, bool) {
+	t, _, ok := q.PeekKey()
+	return t, ok
+}
+
+// PeekKey returns the (time, seq) ordering key of the earliest event
+// without removing it; false when the queue is empty. It may settle the
+// queue (move events between buckets), which Pop would do anyway.
+func (q *EventQueue[T]) PeekKey() (Time, uint64, bool) {
+	if (!q.fifoLive || q.lateLive) && !q.settle() {
+		return 0, 0, false
+	}
+	e := &q.arena[q.ch[fifo].hd]
+	return Time(e.key ^ signBit), e.seq, true
+}
+
 type refEntry struct {
 	time Time
 	seq  uint64

@@ -38,15 +38,6 @@ const (
 	Minute               = 60 * Second
 )
 
-// Seconds reports the duration as floating-point seconds.
-func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
-// Microseconds reports the duration as floating-point microseconds.
-func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
-
-// Milliseconds reports the duration as floating-point milliseconds.
-func (d Duration) Milliseconds() float64 { return float64(d) / float64(Millisecond) }
-
 // String formats the duration using the standard library's formatting.
 func (d Duration) String() string { return time.Duration(d).String() }
 
@@ -62,14 +53,6 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // DurationOf converts floating-point seconds to a virtual Duration.
 func DurationOf(seconds float64) Duration { return Duration(seconds * float64(Second)) }
 
-// Max returns the later of a and b.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Clock is a per-rank virtual clock.
 //
 // Ownership rule: a rank's clock — like its address space and handle
@@ -81,11 +64,6 @@ func Max(a, b Time) Time {
 // if a sync or atomic field is added to it.
 type Clock struct {
 	now Time
-}
-
-// NewClock returns a clock positioned at the given start time.
-func NewClock(start Time) *Clock {
-	return &Clock{now: start}
 }
 
 // Now returns the current virtual time.

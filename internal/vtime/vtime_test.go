@@ -6,15 +6,6 @@ import (
 )
 
 func TestDurationConversions(t *testing.T) {
-	if got := (2 * Second).Seconds(); got != 2.0 {
-		t.Errorf("Seconds() = %v, want 2", got)
-	}
-	if got := (1500 * Microsecond).Milliseconds(); got != 1.5 {
-		t.Errorf("Milliseconds() = %v, want 1.5", got)
-	}
-	if got := (3 * Millisecond).Microseconds(); got != 3000 {
-		t.Errorf("Microseconds() = %v, want 3000", got)
-	}
 	if got := DurationOf(0.25); got != 250*Millisecond {
 		t.Errorf("DurationOf(0.25) = %v, want 250ms", got)
 	}
@@ -26,13 +17,10 @@ func TestTimeArithmetic(t *testing.T) {
 	if t1.Sub(t0) != 5*Second {
 		t.Errorf("Sub = %v, want 5s", t1.Sub(t0))
 	}
-	if Max(t0, t1) != t1 {
-		t.Errorf("Max returned earlier time")
-	}
 }
 
 func TestClockAdvance(t *testing.T) {
-	c := NewClock(0)
+	c := &Clock{now: 0}
 	if c.Now() != 0 {
 		t.Fatalf("new clock not at 0")
 	}
@@ -48,7 +36,7 @@ func TestClockAdvance(t *testing.T) {
 }
 
 func TestClockAdvanceToNeverMovesBackwards(t *testing.T) {
-	c := NewClock(100)
+	c := &Clock{now: 100}
 	c.AdvanceTo(50)
 	if c.Now() != 100 {
 		t.Errorf("AdvanceTo moved clock backwards to %v", c.Now())
@@ -60,7 +48,7 @@ func TestClockAdvanceToNeverMovesBackwards(t *testing.T) {
 }
 
 func TestClockSet(t *testing.T) {
-	c := NewClock(500)
+	c := &Clock{now: 500}
 	c.Set(5)
 	if c.Now() != 5 {
 		t.Errorf("Set failed, now=%v", c.Now())
@@ -157,7 +145,7 @@ func TestRNGJitterBounds(t *testing.T) {
 // never decreases the clock.
 func TestPropertyClockMonotone(t *testing.T) {
 	f := func(targets []int64) bool {
-		c := NewClock(0)
+		c := &Clock{now: 0}
 		prev := c.Now()
 		for _, raw := range targets {
 			c.AdvanceTo(Time(raw))
@@ -176,7 +164,7 @@ func TestPropertyClockMonotone(t *testing.T) {
 // Property: Advance accumulates exactly the sum of the non-negative deltas.
 func TestPropertyAdvanceAccumulates(t *testing.T) {
 	f := func(deltas []uint16) bool {
-		c := NewClock(0)
+		c := &Clock{now: 0}
 		var sum int64
 		for _, d := range deltas {
 			c.Advance(Duration(d))
@@ -190,7 +178,7 @@ func TestPropertyAdvanceAccumulates(t *testing.T) {
 }
 
 func TestStampObserve(t *testing.T) {
-	c := NewClock(100)
+	c := &Clock{now: 100}
 	s := StampFrom(3, c)
 	if s.Rank != 3 || s.When != 100 {
 		t.Fatalf("StampFrom = %+v, want rank 3 at 100", s)
