@@ -136,8 +136,10 @@ smoke:
 # with a 4 KiB page and a private memory map per rank). Very wide: 262144
 # ranks, once, under 2 GiB (2.8 GiB and 40 s before). Deep: the
 # benchmark's deep-stencil workload (512 ranks, 800 steps, 2.2 M ops),
-# twice, byte-identical, under 110 MiB — memory must follow the spec, not
-# one private copy of the op stream per rank (217 MiB). Checkpoint: the
+# twice, byte-identical, under 26 MiB — memory must follow the spec, not
+# one private copy of the op stream per rank (217 MiB), and a finished
+# job is fingerprinted without writing the state markers its ranks owe
+# (35 MiB when it wrote them; 20 MiB since). Checkpoint: the
 # benchmark's ckpt-storm invocation (2048 ranks, 48 back-to-back commits,
 # the default phases with ckpt-storm's triggers in
 # cmd/manasim/testdata/identity/ckpt-storm.json), twice, byte-identical,
@@ -163,7 +165,7 @@ smoke-wide:
 	cmp /tmp/manasim-wide1.txt /tmp/manasim-wide2.txt
 	@$(RSS_RUN) /dev/null "very wide run" 2048 -ranks 262144 -steps 5 -no-fail
 	@set -e; for i in 1 2; do \
-	  $(RSS_RUN) /tmp/manasim-deep$$i.txt "deep run $$i" 110 -spec stencil -ranks 512 -steps 800 -no-fail; \
+	  $(RSS_RUN) /tmp/manasim-deep$$i.txt "deep run $$i" 26 -spec stencil -ranks 512 -steps 800 -no-fail; \
 	done
 	cmp /tmp/manasim-deep1.txt /tmp/manasim-deep2.txt
 	@set -e; for i in 1 2; do \

@@ -1426,14 +1426,17 @@ func bwString(bw float64) string {
 
 // FinalFingerprint digests every rank's final clock and upper-half
 // memory, so two runs can be compared for bit-identical results. The
-// ranks' address spaces are hashed in place, and the result is kept until
-// the job next moves (Run, Restart): a finished run is fingerprinted once
+// ranks' address spaces are hashed in place, without writing the state
+// markers they owe, through one scratch buffer of this call's own (jobs
+// fingerprint concurrently in a fleet), and the result is kept until the
+// job next moves (Run, Restart): a finished run is fingerprinted once
 // however many callers — the report, the fleet result — ask.
 func (c *Coordinator) FinalFingerprint() uint64 {
 	if !c.finalOK {
 		h := fnv1a.Offset
+		var scratch []byte
 		for _, r := range c.ranks {
-			h = foldFinal(h, r)
+			h = foldFinal(h, r, &scratch)
 		}
 		c.final, c.finalOK = uint64(h), true
 		c.fingerprintPasses++

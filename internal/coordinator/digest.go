@@ -174,10 +174,13 @@ func (d *digester) image(h fnv1a.Hash, img *rank.Image) fnv1a.Hash {
 }
 
 // foldFinal folds in what one rank contributes to the final fingerprint:
-// its id, final clock and upper-half memory fingerprint.
-func foldFinal(h fnv1a.Hash, r *rank.Rank) fnv1a.Hash {
+// its id, final clock and upper-half memory fingerprint, taken with the
+// owed state markers laid over *scratch instead of written
+// (rank.MemFingerprint): a finished rank's markers would otherwise
+// materialise pages only to be hashed once.
+func foldFinal(h fnv1a.Hash, r *rank.Rank, scratch *[]byte) fnv1a.Hash {
 	h = foldInt(h, r.ID())
 	h = foldInt(h.Byte(':'), r.Clock().Now())
-	h = foldHex(h.Byte(':'), r.Mem().Fingerprint())
+	h = foldHex(h.Byte(':'), r.MemFingerprint(scratch))
 	return h.Byte(';')
 }

@@ -333,13 +333,20 @@ func TestDigestFoldsContentNotIdentity(t *testing.T) {
 }
 
 // TestFinalDigestMatchesFmt pins the final fingerprint's fold to hash/fnv
-// over the fmt rendering it keeps as its contract.
+// over the fmt rendering it keeps as its contract, on a finished run
+// whose ranks owe markers: foldFinal hashes them unwritten, the
+// rendering after the flush that Mem does.
 func TestFinalDigestMatchesFmt(t *testing.T) {
+	c := New(DefaultConfig())
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
 	ref := fnv.New64a()
 	h := fnv1a.Offset
-	for _, r := range New(DefaultConfig()).ranks {
+	var scratch []byte
+	for _, r := range c.ranks {
+		h = foldFinal(h, r, &scratch)
 		fmt.Fprintf(ref, "%d:%d:%x;", r.ID(), r.Clock().Now(), r.Mem().SnapshotUpperHalf().Fingerprint())
-		h = foldFinal(h, r)
 	}
 	if uint64(h) != ref.Sum64() {
 		t.Fatalf("final digest folds to %016x, hash/fnv over the fmt text to %016x", uint64(h), ref.Sum64())
@@ -388,19 +395,21 @@ func TestOneFingerprintPassPerRun(t *testing.T) {
 }
 
 // wideIdleBudget is the live heap a finished wide-idle rank may hold:
-// the sharded handle table (1.9 KiB, the largest term now), the rank,
-// clock and kernel records, its share of the scheduler and of netsim's
-// pair tables, and of memory: one address-space record, twelve four-word
-// region entries pointing into the job's shared layout, and for the one
-// region it wrote a page table and a 256-byte buffer holding its 18
-// eight-byte markers — measured at 2,845 B, plus 20 %. Not per-rank
+// the rank record (504 B, with its clock, kernel and handle table held
+// by value), the handle table's windows, its share of the scheduler and
+// of netsim's pair tables, and of memory one address-space record and
+// twelve four-word region entries pointing into the job's shared layout
+// — measured at 1,420 B (1,128 B of it right after New), plus 20 %. A
+// finished rank holds no marker page table and buffer: the final
+// fingerprint lays the markers it owes over a scratch copy of app.state
+// instead of writing them, where it used to give each rank a page table
+// and a 256-byte buffer for its 18 markers (1,948 B). Not per-rank
 // costs: the compiled program (every rank holds a slice header onto one
-// shared op stream), the memory map (one immutable layout per process)
-// and the unwritten 3,952 bytes of the touched page (a buffer is as long
-// as the written prefix). A full state page and twelve private region
-// records with bitmaps were 9,189 B; the flat 64 KiB state region alone
-// was twenty times the budget.
-const wideIdleBudget = 2845 * 12 / 10
+// shared op stream) and the memory map (one immutable layout per
+// process). A full state page and twelve private region records with
+// bitmaps were 9,189 B; the flat 64 KiB state region alone was nearly
+// forty times the budget.
+const wideIdleBudget = 1420 * 12 / 10
 
 // TestWideIdleMemoryBudget holds the benchmark's wide-idle workload —
 // many ranks that each touch a few bytes — to a per-rank memory budget in

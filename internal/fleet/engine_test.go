@@ -61,12 +61,21 @@ func standalone(t *testing.T, name string, incremental bool) string {
 
 	var out bytes.Buffer
 	c := coordinator.New(cfg)
+	finish(t, name, c, &out)
+	c.WriteReport(&out)
+	return out.String()
+}
+
+// finish runs c to completion, restarting after every injected failure,
+// and writes the notices a standalone run prints before its report.
+func finish(t *testing.T, name string, c *coordinator.Coordinator, out *bytes.Buffer) {
+	t.Helper()
 	outcome, err := c.Run()
 	if err != nil {
 		t.Fatalf("standalone %q: %v", name, err)
 	}
 	for outcome == coordinator.Failed {
-		fmt.Fprintf(&out, "injected failure after checkpoint #%d; restarting from last image\n",
+		fmt.Fprintf(out, "injected failure after checkpoint #%d; restarting from last image\n",
 			len(c.Records()))
 		if err := c.Restart(); err != nil {
 			t.Fatalf("standalone %q restart: %v", name, err)
@@ -76,8 +85,6 @@ func standalone(t *testing.T, name string, incremental bool) string {
 			t.Fatalf("standalone %q post-restart: %v", name, err)
 		}
 	}
-	c.WriteReport(&out)
-	return out.String()
 }
 
 // TestFleetConcurrentByteIdentical is the isolation statement for the
@@ -284,6 +291,47 @@ func TestSweepAggregateStableAcrossPoolWidths(t *testing.T) {
 	}
 	if concurrent.Totals.RunsPerSec <= 0 {
 		t.Errorf("Totals.RunsPerSec = %v, want > 0", concurrent.Totals.RunsPerSec)
+	}
+}
+
+// TestConcurrentFinalFingerprints finishes two jobs of one engine, then
+// fingerprints them from two goroutines at once — a pool of width 2 with
+// one job per worker — and holds each report to its standalone run's.
+// The final fingerprint lays the markers a rank owes over a scratch copy
+// of its state region; under -race this fails if that scratch is shared
+// between jobs. The runs finish first because whole concurrent jobs are
+// ordered by the formatting they share, which can hide the race.
+func TestConcurrentFinalFingerprints(t *testing.T) {
+	specs := []string{"default", "stencil"}
+	e := NewEngine()
+	jobs := make([]*coordinator.Coordinator, len(specs))
+	out := make([]bytes.Buffer, len(specs))
+	for i, name := range specs {
+		spec, err := e.LoadSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := e.Config(testJob(spec, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = coordinator.New(cfg)
+		finish(t, name, jobs[i], &out[i])
+	}
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			jobs[i].FinalFingerprint()
+			jobs[i].WriteReport(&out[i])
+		}()
+	}
+	wg.Wait()
+	for i, name := range specs {
+		if want := standalone(t, name, false); out[i].String() != want {
+			t.Errorf("%s: concurrently fingerprinted report diverges from standalone\n--- concurrent\n%s\n--- standalone\n%s", name, out[i].String(), want)
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func (r *liveRegion) own() *contents {
 // refreshing it if a write invalidated the memo.
 func (r *liveRegion) contentHashNow() uint64 {
 	if !r.hashOK {
-		r.hash = r.desc.hashWith(r.dataLen(), r.pages())
+		r.hash = r.desc.hashWith(r.dataLen(), r.pages(), nil)
 		r.hashOK = true
 	}
 	return r.hash

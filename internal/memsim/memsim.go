@@ -464,6 +464,16 @@ func (a *AddressSpace) span(r *liveRegion, offset uint64, n int) []byte {
 
 // Read copies length bytes from the region starting at addr at offset.
 func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, error) {
+	if _, err := a.readable(addr, offset, length); err != nil {
+		return nil, err
+	}
+	out := make([]byte, length)
+	return out, a.ReadInto(addr, offset, out)
+}
+
+// readable returns the live region starting at addr if it holds length
+// bytes at offset.
+func (a *AddressSpace) readable(addr, offset, length uint64) (*liveRegion, error) {
 	r := a.find(addr)
 	if r == nil {
 		return nil, fmt.Errorf("memsim: read from unmapped region 0x%x", addr)
@@ -472,19 +482,31 @@ func (a *AddressSpace) Read(addr uint64, offset uint64, length uint64) ([]byte, 
 		return nil, fmt.Errorf("memsim: read of %d bytes at offset %d overflows region %q (size %d)",
 			length, offset, r.desc.Name, size)
 	}
+	return r, nil
+}
+
+// ReadInto copies the len(dst) bytes at offset in the region starting at
+// addr into dst, allocating nothing.
+func (a *AddressSpace) ReadInto(addr uint64, offset uint64, dst []byte) error {
+	length := uint64(len(dst))
+	r, err := a.readable(addr, offset, length)
+	if err != nil {
+		return err
+	}
 	// Absent pages, the tail past a short buffer and everything past the
-	// data length read as zeros — which out already holds.
-	out := make([]byte, length)
+	// data length read as zeros.
 	pages := r.pages()
 	for done := uint64(0); done < length; {
 		at := offset + done
 		n := min(PageSize-at%PageSize, length-done)
+		out, copied := dst[done:done+n], 0
 		if b := pageAt(pages, int(at/PageSize)).buf(); at%PageSize < uint64(len(b)) {
-			copy(out[done:done+n], b[at%PageSize:])
+			copied = copy(out, b[at%PageSize:])
 		}
+		clear(out[copied:])
 		done += n
 	}
-	return out, nil
+	return nil
 }
 
 // Snapshot is the set of regions a checkpoint image carries: exactly the
@@ -579,11 +601,37 @@ func (a *AddressSpace) CommitUpperHalf() *Snapshot {
 // Fingerprint returns SnapshotUpperHalf().Fingerprint() without building
 // the snapshot: the live regions are hashed in place (per-region memo,
 // absent pages skipped), nothing is copied and no page is frozen.
-func (a *AddressSpace) Fingerprint() uint64 {
+func (a *AddressSpace) Fingerprint() uint64 { return a.fingerprint(nil, nil) }
+
+// FingerprintWith returns the Fingerprint the space would have after
+// prefix was written at offset 0 of the region starting at addr, without
+// writing it: the region hashes as prefix, then the rest of its bytes as
+// they stand, at the full data length a first WriteSpan gives it. It
+// allocates no page, sets no dirty bit and memoises nothing for that
+// region. An empty prefix is no write.
+func (a *AddressSpace) FingerprintWith(addr uint64, prefix []byte) (uint64, error) {
+	target := a.find(addr)
+	if target == nil {
+		return 0, fmt.Errorf("memsim: fingerprint over unmapped region 0x%x", addr)
+	}
+	if uint64(len(prefix)) > target.desc.Size {
+		return 0, fmt.Errorf("memsim: %d-byte prefix overflows region %q (size %d)",
+			len(prefix), target.desc.Name, target.desc.Size)
+	}
+	return a.fingerprint(target, prefix), nil
+}
+
+// fingerprint folds the upper half's layout and region digests, with the
+// first len(prefix) bytes of region over taken from prefix.
+func (a *AddressSpace) fingerprint(over *liveRegion, prefix []byte) uint64 {
 	upper := a.regions[UpperHalf]
 	h := fnv1a.Offset.U64(a.brk).U64(uint64(len(upper)))
 	for i := range upper {
-		h = h.U64(upper[i].contentHashNow())
+		if r := &upper[i]; r == over && len(prefix) > 0 {
+			h = h.U64(r.desc.hashWith(r.desc.Size, r.pages(), prefix))
+		} else {
+			h = h.U64(r.contentHashNow())
+		}
 	}
 	return uint64(h)
 }

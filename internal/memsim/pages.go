@@ -165,28 +165,26 @@ func (b bitmap) sized(n int) bitmap {
 	return b
 }
 
-// hashContents folds in the dataLen logical bytes a page table describes,
+// hashContents folds in logical bytes [from, dataLen) of a page table,
 // through the shared FNV-1a kernel, which folds a zero run of any length
 // as one multiply. Present pages go through Bytes, as far as their
 // buffers reach; the zeros a short buffer implies join the run of absent
 // pages after it, and each run costs one Zeros call. Hashing therefore
 // costs what a page holds, not what it could hold.
-func hashContents(h fnv1a.Hash, pages []*page, dataLen uint64) fnv1a.Hash {
-	if pages == nil {
-		return h.Zeros(dataLen)
-	}
+func hashContents(h fnv1a.Hash, pages []*page, from, dataLen uint64) fnv1a.Hash {
 	var run uint64
-	for idx, p := range pages {
+	for idx := int(from / PageSize); idx < len(pages); idx++ {
 		start, end := pageExtent(idx, dataLen)
-		if p == nil {
-			run += end - start
-			continue
+		start, base := max(start, from), uint64(idx)*PageSize
+		b := pages[idx].prefix(end - base)
+		b = b[min(uint64(len(b)), start-base):]
+		if len(b) > 0 {
+			h, run = h.Zeros(run).Bytes(b), 0
 		}
-		b := p.prefix(end - start)
-		h = h.Zeros(run).Bytes(b)
-		run = end - start - uint64(len(b))
+		run += end - start - uint64(len(b))
 	}
-	return h.Zeros(run)
+	// Bytes past the table — all of them, for a nil table — are zeros.
+	return h.Zeros(run + dataLen - min(dataLen, max(from, uint64(len(pages))*PageSize)))
 }
 
 // contentHash digests the region's checkpointable state: layout metadata,
@@ -197,12 +195,13 @@ func hashContents(h fnv1a.Hash, pages []*page, dataLen uint64) fnv1a.Hash {
 // Snapshot.Fingerprint combines these per-region digests, so memoising
 // them per region (invalidated by every write) makes repeated
 // fingerprints of a mostly-clean space cheap.
-func (r *Region) contentHash() uint64 { return r.hashWith(r.DataLen, r.pages) }
+func (r *Region) contentHash() uint64 { return r.hashWith(r.DataLen, r.pages, nil) }
 
 // hashWith is contentHash with the contents given apart from the layout
-// metadata: a live region's own, while r describes only where it is.
-func (r *Region) hashWith(dataLen uint64, pages []*page) uint64 {
+// metadata: a live region's own, while r describes only where it is. The
+// first len(over) bytes are over's instead of the page table's.
+func (r *Region) hashWith(dataLen uint64, pages []*page, over []byte) uint64 {
 	h := fnv1a.Offset.U64(uint64(len(r.Name))).Str(r.Name)
 	h = h.U64(uint64(r.Half)).U64(uint64(r.Kind)).U64(r.Addr).U64(r.Size)
-	return uint64(hashContents(h.U64(dataLen), pages, dataLen))
+	return uint64(hashContents(h.U64(dataLen).Bytes(over), pages, uint64(len(over)), dataLen))
 }

@@ -1040,10 +1040,22 @@ func TestZeroRunIdentity(t *testing.T) {
 	}
 	ref := fnv.New64a()
 	ref.Write(model)
-	if got := uint64(hashContents(fnv1a.Offset, pages, dataLen)); got != ref.Sum64() {
+	if got := uint64(hashContents(fnv1a.Offset, pages, 0, dataLen)); got != ref.Sum64() {
 		t.Errorf("sparse contents hash %016x, flat %016x", got, ref.Sum64())
 	}
-	if got := uint64(hashContents(fnv1a.Offset, nil, dataLen)); got != uint64(fnv1a.Offset.Zeros(dataLen)) {
+	// From an offset: inside an absent page, inside and at the edges of a
+	// present one, and at the end.
+	for _, from := range []uint64{1, PageSize - 1, PageSize, PageSize + 17, 2*PageSize - 1, 4*PageSize + 4000, 6 * PageSize, dataLen - 1, dataLen} {
+		ref := fnv.New64a()
+		ref.Write(model[from:])
+		if got := uint64(hashContents(fnv1a.Offset, pages, from, dataLen)); got != ref.Sum64() {
+			t.Errorf("contents from %d hash %016x, flat %016x", from, got, ref.Sum64())
+		}
+		if got := uint64(hashContents(fnv1a.Offset, nil, from, dataLen)); got != uint64(fnv1a.Offset.Zeros(dataLen-from)) {
+			t.Errorf("nil page table from %d hashes to %016x, want %d zeros", from, got, dataLen-from)
+		}
+	}
+	if got := uint64(hashContents(fnv1a.Offset, nil, 0, dataLen)); got != uint64(fnv1a.Offset.Zeros(dataLen)) {
 		t.Errorf("nil page table hashes to %016x, want %d zeros", got, dataLen)
 	}
 }
@@ -1066,7 +1078,7 @@ func TestShortPageDigest(t *testing.T) {
 		ref := fnv.New64a()
 		ref.Write(whole)
 		short, full := &page{b: prefix}, &page{b: whole}
-		if got := uint64(hashContents(fnv1a.Offset, []*page{short}, uint64(extent))); got != ref.Sum64() {
+		if got := uint64(hashContents(fnv1a.Offset, []*page{short}, 0, uint64(extent))); got != ref.Sum64() {
 			t.Fatalf("prefix %d of extent %d: contents gives %016x, hash/fnv over the bytes %016x", len(prefix), extent, got, ref.Sum64())
 		}
 		pd := PageDelta{Len: extent, Data: prefix}
@@ -1084,7 +1096,7 @@ func TestShortPageDigest(t *testing.T) {
 		ref2.Write(prefix)
 		ref2.Write(make([]byte, PageSize-len(prefix)))
 		ref2.Write(whole)
-		if got := uint64(hashContents(fnv1a.Offset, []*page{short, full}, uint64(PageSize+extent))); got != ref2.Sum64() {
+		if got := uint64(hashContents(fnv1a.Offset, []*page{short, full}, 0, uint64(PageSize+extent))); got != ref2.Sum64() {
 			t.Fatalf("short page %d followed by a %d-byte one: contents gives %016x, want %016x", len(prefix), extent, got, ref2.Sum64())
 		}
 	}

@@ -39,12 +39,15 @@
 // never writes its markers at all. The rule that follows: read
 // rank memory through Mem() every time, and never keep the pointer it
 // returns across the rank's progress — that space lacks every marker
-// written since.
+// written since. MemFingerprint, the final fingerprint's path, hashes
+// the space with the owed markers laid over a copy of app.state instead
+// of writing them.
 package rank
 
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 
 	"mana/internal/fnv1a"
@@ -321,7 +324,8 @@ const (
 )
 
 // New returns a rank with an initialised split-process address space,
-// the selected handle-virtualisation table and the given program — the
+// a handle-virtualisation table whose lookups and writes the kernel
+// prices as the selected implementation, and the given program — the
 // rank's complete op stream, from a compiled scenario spec or built
 // directly by a test. Two things a rank holds are shared with the other
 // ranks and never written: the program (one stream per class of ranks;
@@ -337,7 +341,6 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 		mem:    splitProcess.NewSpace(),
 		kernel: *kernelsim.NewForTable(personality, impl),
 		script: script,
-		vt:     virtid.New(impl),
 	}
 	r.comms = []virtid.VID{r.vt.Register(virtid.Comm, realCommWorld)}
 	r.commIDs = []int{0}
@@ -390,42 +393,90 @@ func (r *Rank) Mem() *memsim.AddressSpace {
 }
 
 // flushMarkers writes the state marker of every op in [marked, pc) that
-// leaves one, a page-run at a time. A page-run is a stretch of
-// consecutive pcs whose marker slots share a page of app.state, cut
-// where the slots wrap at markerSlots. For each run that holds a marker,
-// memsim hands out once the span from its first marker to its last
-// (WriteSpan), and only the markers of marking ops are stored there: the
-// slots of the other ops keep their bytes. Runs go in pc order and so do
-// the markers inside one, so a later pc overwrites an earlier one at the
-// same slot just as eager writes would; only pages that get a marker are
-// touched, so the dirty set is the eager one; and a page's buffer is
-// grown once, straight to the length its furthest marker needs, instead
-// of a size class at a time.
+// leaves one, a page-run at a time (owedRuns). For each run memsim hands
+// out once the span from its first marker to its last (WriteSpan), and
+// only the markers of marking ops are stored there: the slots of the
+// other ops keep their bytes. Runs go in pc order and so do the markers
+// inside one, so a later pc overwrites an earlier one at the same slot
+// just as eager writes would; only pages that get a marker are touched,
+// so the dirty set is the eager one; and a page's buffer is grown once,
+// straight to the length its furthest marker needs, instead of a size
+// class at a time.
 func (r *Rank) flushMarkers() {
-	for r.marked < r.pc {
-		slot := r.marked % markerSlots
-		end := min(r.pc, r.marked+min(slotsPerPage-slot%slotsPerPage, markerSlots-slot))
-		first, last := r.marked, end-1
-		r.marked = end
-		for first <= last && !marksState(r.script[first].Kind) {
-			first++
-		}
-		for last > first && !marksState(r.script[last].Kind) {
-			last--
-		}
-		if first > last {
-			continue // no marker in this run
-		}
+	for first, last := range r.owedRuns() {
 		span, err := r.mem.WriteSpan(stateRegion, uint64(first%markerSlots)*8, uint64(last-first+1)*8)
 		if err != nil {
 			panic(fmt.Sprintf("rank %d: state marker write: %v", r.id, err))
 		}
-		for pc := first; pc <= last; pc++ {
-			if marksState(r.script[pc].Kind) {
-				binary.LittleEndian.PutUint64(span[(pc-first)*8:], uint64(pc)+1)
+		r.putMarkers(span, first, last)
+	}
+	r.marked = r.pc
+}
+
+// owedRuns yields the page-runs of [marked, pc) that hold a marker, as
+// the pcs of their first and last marker, in pc order. A page-run is a
+// stretch of consecutive pcs whose marker slots share a page of
+// app.state, cut where the slots wrap at markerSlots, so the slots of
+// [first, last] are contiguous, from first%markerSlots on. It is the one
+// definition of which markers are owed and where they land, for the
+// flush and for MemFingerprint alike.
+func (r *Rank) owedRuns() iter.Seq2[int, int] {
+	return func(yield func(first, last int) bool) {
+		for from := r.marked; from < r.pc; {
+			slot := from % markerSlots
+			end := min(r.pc, from+min(slotsPerPage-slot%slotsPerPage, markerSlots-slot))
+			first, last := from, end-1
+			from = end
+			for first <= last && !marksState(r.script[first].Kind) {
+				first++
+			}
+			for last > first && !marksState(r.script[last].Kind) {
+				last--
+			}
+			if first <= last && !yield(first, last) {
+				return
 			}
 		}
 	}
+}
+
+// putMarkers stores the markers of the marking ops in [first, last], one
+// owed run, into span, which holds their slots.
+func (r *Rank) putMarkers(span []byte, first, last int) {
+	for pc := first; pc <= last; pc++ {
+		if marksState(r.script[pc].Kind) {
+			binary.LittleEndian.PutUint64(span[(pc-first)*8:], uint64(pc)+1)
+		}
+	}
+}
+
+// MemFingerprint returns Mem().Fingerprint() without writing the owed
+// markers: they are laid, in pc order, into a copy of app.state's prefix
+// up to the furthest owed slot, and memsim hashes the space as if that
+// prefix had been written (FingerprintWith). The owed range and the
+// rank's pages are left as they were. *scratch holds the copy; it is the
+// caller's, grown as needed and reused across calls.
+func (r *Rank) MemFingerprint(scratch *[]byte) uint64 {
+	n := 0
+	for _, last := range r.owedRuns() {
+		n = max(n, (last%markerSlots+1)*8)
+	}
+	if n == 0 {
+		return r.mem.Fingerprint()
+	}
+	buf := slices.Grow((*scratch)[:0], n)[:n]
+	*scratch = buf
+	if err := r.mem.ReadInto(stateRegion, 0, buf); err != nil {
+		panic(fmt.Sprintf("rank %d: state marker read: %v", r.id, err))
+	}
+	for first, last := range r.owedRuns() {
+		r.putMarkers(buf[first%markerSlots*8:], first, last)
+	}
+	fp, err := r.mem.FingerprintWith(stateRegion, buf)
+	if err != nil {
+		panic(fmt.Sprintf("rank %d: state marker fingerprint: %v", r.id, err))
+	}
+	return fp
 }
 
 // Kernel returns the rank's kernel cost model.

@@ -9,7 +9,6 @@ package virtid
 // takes no lock. Which MANA design it stands for (Impl) changes what the
 // rank is charged per lookup and write, not how the table works.
 type Table struct {
-	impl  Impl
 	kinds [NumKinds]window
 	// memo is the last Snapshot taken, dropped by the next Register,
 	// Deregister or Restore: checkpoints between which the rank minted and
@@ -29,8 +28,10 @@ type window struct {
 	slots []Entry
 }
 
-// New returns an empty table priced as the selected implementation.
-func New(i Impl) Table { return Table{impl: i} }
+// New returns an empty table, the zero Table. The implementation prices
+// the rank's lookups and writes (kernelsim) and never reaches the table;
+// the parameter is kept for bench/probes.go:195,201,215.
+func New(Impl) Table { return Table{} }
 
 // Len reports the number of live mappings of one kind.
 func (t *Table) Len(k Kind) int { return t.kinds[k].live }

@@ -206,14 +206,8 @@ func TestParseImpl(t *testing.T) {
 	}
 }
 
-// Impl identifies the MANA table design the rank is charged for.
-func (t *Table) Impl() Impl { return t.impl }
-
+// TestImplMetadata pins each implementation's prices and names.
 func TestImplMetadata(t *testing.T) {
-	mutex, sharded := New(ImplMutex), New(ImplSharded)
-	if mutex.Impl() != ImplMutex || sharded.Impl() != ImplSharded {
-		t.Error("Impl() does not round-trip through New")
-	}
 	if ImplMutex.LookupCost() != MutexLookupCost || ImplSharded.LookupCost() != ShardedLookupCost {
 		t.Error("LookupCost does not match the calibrated constants")
 	}
