@@ -5,13 +5,13 @@
 // state transition in the job — a rank becoming ready to execute its next
 // scripted operation, a point-to-point message arriving, a collective
 // completing, a checkpoint trigger coming due, an injected failure — is
-// an event on a deterministic (time, seq)-ordered queue. Ranks that are
-// blocked in a receive or waiting in a collective have no queued events
-// and therefore consume zero scheduler work, which is what lets the
-// simulator scale to thousands of mostly idle ranks.
+// an event on a deterministic queue ordered by (time, push order). Ranks
+// that are blocked in a receive or waiting in a collective have no queued
+// events and therefore consume zero scheduler work, which is what lets
+// the simulator scale to thousands of mostly idle ranks.
 //
 // Events live on one vtime.EventQueue, popped one at a time in (time,
-// seq) order by the single goroutine that calls Run. The paper's
+// push order) by the single goroutine that calls Run. The paper's
 // coordinator drives every rank through one protocol — intent, drain to
 // quiescence, cut — and so does this loop: there is one scheduler, and
 // a report depends only on the configuration, never on the host. Runs
@@ -109,7 +109,8 @@ type Config struct {
 	// Programs carries one op stream per rank (index = rank id), compiled
 	// from a scenario spec (ranks of the same shape then share one
 	// stream, which each resolves from its id) or — in tests — built
-	// directly (scenario.PerRank) to stage precise protocol situations.
+	// directly, one literal op list per rank, to stage precise protocol
+	// situations.
 	// New panics unless len(Programs) == Ranks.
 	Programs []scenario.Program
 	// Storage is the checkpoint I/O pipeline (internal/storage): the PFS,
@@ -1557,10 +1558,10 @@ func (c *Coordinator) LookupStats() rank.Stats {
 	return total
 }
 
+// memorySummary returns rank 0's upper- and lower-half sizes. Region
+// sizes do not depend on the owed state markers, so it reads them
+// without writing those (rank.BytesOf).
 func (c *Coordinator) memorySummary() [2]uint64 {
 	r := c.ranks[0]
-	return [2]uint64{
-		r.Mem().BytesOf(memsim.UpperHalf),
-		r.Mem().BytesOf(memsim.LowerHalf),
-	}
+	return [2]uint64{r.BytesOf(memsim.UpperHalf), r.BytesOf(memsim.LowerHalf)}
 }

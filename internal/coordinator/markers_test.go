@@ -2,9 +2,11 @@ package coordinator_test
 
 import (
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
+	"mana/internal/coordinator"
 	"mana/internal/fleet"
 	"mana/internal/kernelsim"
 	"mana/internal/scenario"
@@ -99,5 +101,28 @@ func TestDeferredMarkersMatchEager(t *testing.T) {
 	t.Logf("%d jobs, %d checkpoints, %d restarts", len(jobs), checkpoints, restarts)
 	if checkpoints == 0 || restarts == 0 {
 		t.Errorf("%d jobs took %d checkpoints and %d restarts, want some of each", len(jobs), checkpoints, restarts)
+	}
+}
+
+// TestReportLeavesMarkersOwed: the report prints rank 0's region sizes,
+// which the owed state markers cannot change, and its final fingerprint,
+// which lays them over a copy; so rendering it writes none of them. The
+// test keeps rank 0's address space from before the run, against Mem's
+// rule and on purpose: the kept space shows what has been written into
+// it. The report must leave it as the run did, and a Mem call after the
+// report must still have markers to write.
+func TestReportLeavesMarkersOwed(t *testing.T) {
+	c := coordinator.New(coordinator.DefaultConfig())
+	mem := c.Ranks()[0].Mem()
+	if out, err := c.Run(); err != nil || out != coordinator.Completed {
+		t.Fatalf("Run = %v, %v; want a completed run", out, err)
+	}
+	ran := mem.Fingerprint()
+	c.WriteReport(io.Discard)
+	if mem.Fingerprint() != ran {
+		t.Error("WriteReport wrote rank 0's owed state markers")
+	}
+	if c.Ranks()[0].Mem().Fingerprint() == ran {
+		t.Error("rank 0 owed no state markers after the run")
 	}
 }

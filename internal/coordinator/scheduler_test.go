@@ -357,8 +357,8 @@ func BenchmarkScheduler65536Ranks(b *testing.B) {
 
 // TestEventLayout pins the event's layout: every move between the
 // queue's buckets copies it, so a field added carelessly costs every
-// simulated event. It is 8 bytes, its queue entry (time, seq, event) is
-// 24, and it holds no pointer — a pointer would bring back write
+// simulated event. It is 8 bytes, its queue entry (time, event) is 16,
+// and it holds no pointer — a pointer would bring back write
 // barriers on every move and make the collector scan the queue. The fat
 // kinds keep their payload elsewhere (see the event doc comment).
 func TestEventLayout(t *testing.T) {
@@ -372,8 +372,8 @@ func TestEventLayout(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	q := vtime.NewEventQueueSized[event](n)
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != 24 {
-		t.Errorf("queue entry is %d bytes, want 24", per)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != 16 {
+		t.Errorf("queue entry is %d bytes, want 16", per)
 	}
 	if q.Cap() != n {
 		t.Errorf("queue preallocated for %d events, want %d", q.Cap(), n)

@@ -382,15 +382,21 @@ func (r *Rank) ID() int { return r.id }
 func (r *Rank) Clock() *vtime.Clock { return &r.clock }
 
 // Mem returns the rank's simulated address space, with the state markers
-// of every op completed so far written into it. It is, with
-// CaptureImage, the only way to observe rank memory: call it each time,
-// and never keep the pointer across Execute, Wake or a Finish call —
-// that space lacks the markers of the progress made since. Like every
+// of every op completed so far written into it. It is the way to read
+// rank memory outside CaptureImage, MemFingerprint and BytesOf, which
+// account for the owed markers themselves: call it each time, and never
+// keep the pointer across Execute, Wake or a Finish call — that space
+// lacks the markers of the progress made since. Like every
 // per-rank call it belongs to the goroutine that drives the rank.
 func (r *Rank) Mem() *memsim.AddressSpace {
 	r.flushMarkers()
 	return r.mem
 }
+
+// BytesOf returns the total size of the regions of one half of the
+// rank's address space. Sizes do not depend on the state markers, so it
+// writes none of those owed (unlike Mem).
+func (r *Rank) BytesOf(half memsim.Half) uint64 { return r.mem.BytesOf(half) }
 
 // flushMarkers writes the state marker of every op in [marked, pc) that
 // leaves one, a page-run at a time (owedRuns). For each run memsim hands
@@ -453,16 +459,14 @@ func (r *Rank) putMarkers(span []byte, first, last int) {
 // MemFingerprint returns Mem().Fingerprint() without writing the owed
 // markers: they are laid, in pc order, into a copy of app.state's prefix
 // up to the furthest owed slot, and memsim hashes the space as if that
-// prefix had been written (FingerprintWith). The owed range and the
-// rank's pages are left as they were. *scratch holds the copy; it is the
+// prefix had been written (FingerprintWith); with nothing owed the
+// prefix is empty, which is no write. The owed range and the rank's
+// pages are left as they were. *scratch holds the copy; it is the
 // caller's, grown as needed and reused across calls.
 func (r *Rank) MemFingerprint(scratch *[]byte) uint64 {
 	n := 0
 	for _, last := range r.owedRuns() {
 		n = max(n, (last%markerSlots+1)*8)
-	}
-	if n == 0 {
-		return r.mem.Fingerprint()
 	}
 	buf := slices.Grow((*scratch)[:0], n)[:n]
 	*scratch = buf

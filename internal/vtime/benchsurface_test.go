@@ -41,7 +41,7 @@ func TestIslandQueuesVsSortedReference(t *testing.T) {
 			if rng.Intn(3) > 0 {
 				tm := Time(rng.Intn(32))
 				iq.Push(rng.Intn(k), tm, i)
-				ref.push(tm, uint64(i), i)
+				ref.push(tm, i)
 				continue
 			}
 			want, wok := ref.pop()

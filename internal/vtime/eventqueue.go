@@ -9,34 +9,27 @@ import "math/bits"
 // delivery, collective completion, checkpoint trigger, failure) and pops
 // them in virtual-time order, so idle ranks cost nothing.
 //
-// Ties are broken FIFO on a monotonically increasing sequence number
-// assigned at Push, which makes the dispatch order a deterministic
-// function of the push order alone: two events at the same virtual time
-// pop in the order they were scheduled, never in map-iteration or
-// queue-internal order. This is what keeps reports byte-identical across
+// Ties are broken by push order alone: two events at the same virtual
+// time pop in the order they were pushed, never in map-iteration or
+// queue-internal order, so the dispatch order is a deterministic function
+// of the push order. This is what keeps reports byte-identical across
 // runs of the same seed.
 //
-// The queue is a radix queue (a monotone bucket queue) over the same
-// (time, seq) key. Times compare as unsigned order keys (the sign bit
-// flipped, so negative times order below positive ones), and the queue
-// remembers last, the key of the latest minimum. Bucket i holds the
-// events whose key first differs from last at bit i; the events at
-// exactly last wait in a FIFO in seq order. Pop takes the FIFO's head,
-// or else empties the lowest non-empty bucket: that bucket's least key
-// (kept up to date on every append) becomes last, and every event of the
-// bucket moves into a lower bucket or the FIFO. An event only ever moves
-// down, so it moves at most 64 times and in practice a handful (3.7 to
-// 6.2 moves per event on the benchmark workloads' recorded streams), with
-// no comparison tournament per level as in a heap. (time, seq) is a
-// total order, so the pop sequence is exactly the one any correct
-// priority queue gives.
-//
-// Buckets and the FIFO keep seq order among equal times without
-// comparing seqs: Push numbers events in increasing order, appends go to
-// the end of a chain, and a move reads a chain front to back. A PushAt
-// with a seq at or below one already pushed gives that up; from then on
-// the FIFO is put in seq order explicitly, by insertion, which only
-// caller-numbered streams (the tests) reach.
+// The queue is a radix queue (a monotone bucket queue) keyed on time.
+// Times compare as unsigned order keys (the sign bit flipped, so negative
+// times order below positive ones), and the queue remembers last, the key
+// of the latest minimum. Bucket i holds the events whose key first
+// differs from last at bit i; the events at exactly last wait in a FIFO
+// in push order. Pop takes the FIFO's head, or else empties the lowest
+// non-empty bucket: that bucket's least key (kept up to date on every
+// append) becomes last, and every event of the bucket moves into a lower
+// bucket or the FIFO. An event only ever moves down, so it moves at most
+// 64 times and in practice a handful (3.7 to 6.2 moves per event on the
+// benchmark workloads' recorded streams), with no comparison tournament
+// per level as in a heap. Buckets and the FIFO keep push order among
+// equal times without storing it: appends go to the end of a chain, and
+// a move reads a chain front to back. So the pop sequence is exactly the
+// (time, push order) one any stable priority queue gives.
 //
 // A push below last (the drain's release step re-seeds held ranks at
 // their own earlier ready times) waits on a late list, and the next Pop
@@ -52,12 +45,12 @@ import "math/bits"
 // with n events queued at most n/32 + 134 chunks are in use, and the
 // arena only doubles when no chunk is free. Retained storage is
 // therefore bounded by the peak population: Cap never exceeds twice the
-// peak plus storageSlack (8,576 events, about 200 KiB of 24-byte
-// entries), or the size hint if that is larger. Once the arena has
-// grown, Push and Pop allocate nothing, and Clear keeps the arena.
+// peak plus storageSlack (8,576 events, 134 KiB of 16-byte entries), or
+// the size hint if that is larger. Once the arena has grown, Push and
+// Pop allocate nothing, and Clear keeps the arena.
 //
 // An entry is the key plus the payload. The scheduler's payload is eight
-// bytes with no pointer, so its entries are 24 bytes, moves copy them
+// bytes with no pointer, so its entries are 16 bytes, moves copy them
 // without write barriers, and the collector never scans the arena.
 //
 // The queue is not safe for concurrent use; a deterministic scheduler
@@ -78,12 +71,7 @@ type EventQueue[T any] struct {
 	last               uint64 // order key of the latest minimum
 	lateMin            uint64 // least key on the late list
 	n                  int
-	seq                uint64
-	maxSeq             uint64
-	// unordered is set once PushAt brings a seq at or below one already
-	// pushed; only then can the FIFO need an explicit seq order.
-	unordered bool
-	rebases   int // rebases so far, for tests
+	rebases            int // rebases so far, for tests
 }
 
 // chain is one bucket, the FIFO or the late list: the arena index of its
@@ -95,7 +83,6 @@ type chain struct{ hd, tl, lim int32 }
 
 type eventEntry[T any] struct {
 	key uint64 // orderKey of the event's time
-	seq uint64
 	val T
 }
 
@@ -135,27 +122,13 @@ func (q *EventQueue[T]) Len() int { return q.n }
 // capacity reuse across Clear and the storage bound.
 func (q *EventQueue[T]) Cap() int { return len(q.arena) }
 
-// Push schedules v at virtual time t.
+// Push schedules v at virtual time t, after every event already queued
+// at t.
 func (q *EventQueue[T]) Push(t Time, v T) {
-	q.seq++
-	q.PushAt(t, q.seq, v)
-}
-
-// PushAt schedules v at virtual time t with a caller-assigned sequence
-// number. The caller owns the seq space and guarantees (time, seq)
-// uniqueness and that seq reflects the intended order at equal times.
-// Mixing PushAt with Push on the same queue is only meaningful if the
-// caller's seqs are coordinated with the internal counter.
-func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
 	k := orderKey(t)
 	q.n++
-	if seq <= q.maxSeq {
-		q.unordered = true
-	} else {
-		q.maxSeq = seq
-	}
 	if k <= q.last {
-		q.pushAtOrBelowLast(eventEntry[T]{key: k, seq: seq, val: v})
+		q.pushAtOrBelowLast(eventEntry[T]{key: k, val: v})
 		return
 	}
 	b := bits.Len64(k^q.last) - 1
@@ -166,7 +139,7 @@ func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
 	if w == c.lim {
 		w = q.link(b)
 	}
-	q.arena[w] = eventEntry[T]{key: k, seq: seq, val: v}
+	q.arena[w] = eventEntry[T]{key: k, val: v}
 	c.tl = w + 1
 }
 
@@ -174,11 +147,7 @@ func (q *EventQueue[T]) PushAt(t Time, seq uint64, v T) {
 // late list.
 func (q *EventQueue[T]) pushAtOrBelowLast(e eventEntry[T]) {
 	if e.key == q.last {
-		if q.unordered && q.fifoLive {
-			q.insertFIFO(e)
-		} else {
-			q.append(fifo, e)
-		}
+		q.append(fifo, e)
 		q.fifoLive = true
 		return
 	}
@@ -227,9 +196,7 @@ func (q *EventQueue[T]) Pop() (Time, T, bool) {
 
 // Clear discards every scheduled event but keeps the arena, so a restart
 // that rebuilds the queue reuses the already-grown capacity instead of
-// reallocating from zero. The sequence counter is NOT reset: events
-// pushed after a Clear still order after everything pushed before it,
-// so the rebuilt queue keeps a globally consistent tie-break order.
+// reallocating from zero.
 func (q *EventQueue[T]) Clear() {
 	clear(q.arena) // release the payloads for GC
 	q.free = -1
@@ -291,7 +258,7 @@ func (q *EventQueue[T]) rebase() {
 		}
 		q.ch[b] = chain{}
 	}
-	// Seq order survives: only the late list holds the new last, and any
+	// Push order survives: only the late list holds the new last, and any
 	// other key comes from one chain, which distribute reads in order.
 	take(lateList, q.lateLive)
 	take(fifo, q.fifoLive)
@@ -351,9 +318,6 @@ func (q *EventQueue[T]) distribute(p, tl int32, keepTail bool) {
 	q.mask = mask
 	if hitFIFO {
 		q.fifoLive = true
-		if q.unordered {
-			q.sortFIFO()
-		}
 	}
 }
 
@@ -391,49 +355,6 @@ func (q *EventQueue[T]) resize(n int) {
 	q.arena, q.next = arena, next
 	for k := n - 1; k >= old; k-- {
 		q.release(int32(k))
-	}
-}
-
-// fifoSlots returns the arena indices of the FIFO's entries, oldest
-// first. It is for the insertion paths only, which caller-numbered seqs
-// alone reach.
-func (q *EventQueue[T]) fifoSlots() []int32 {
-	var slots []int32
-	if !q.fifoLive {
-		return slots
-	}
-	c := q.ch[fifo]
-	for p := c.hd; ; {
-		slots = append(slots, p)
-		if p++; p == c.tl {
-			return slots
-		}
-		if p&(chunkLen-1) == 0 {
-			p = q.next[p>>chunkShift-1] << chunkShift
-		}
-	}
-}
-
-// insertFIFO puts e into the FIFO at its seq position, pushing the later
-// entries one place back.
-func (q *EventQueue[T]) insertFIFO(e eventEntry[T]) {
-	for _, p := range q.fifoSlots() {
-		if q.arena[p].seq > e.seq {
-			e, q.arena[p] = q.arena[p], e
-		}
-	}
-	q.append(fifo, e)
-}
-
-// sortFIFO puts the FIFO in seq order by insertion.
-func (q *EventQueue[T]) sortFIFO() {
-	slots := q.fifoSlots()
-	for i, pi := range slots {
-		for _, pj := range slots[:i] {
-			if q.arena[pi].seq < q.arena[pj].seq {
-				q.arena[pi], q.arena[pj] = q.arena[pj], q.arena[pi]
-			}
-		}
 	}
 }
 

@@ -93,8 +93,8 @@ func TestEventQueueClearKeepsSeqMonotone(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len after Clear = %d, want 0", q.Len())
 	}
-	// Events pushed after Clear must still tie-break after a fresh push at
-	// the same time in a later epoch — i.e. seq keeps increasing.
+	// Events pushed after Clear tie-break among themselves in push order;
+	// nothing from before the Clear survives to come between them.
 	q.Push(10, "first-after-clear")
 	q.Push(10, "second-after-clear")
 	_, v1, _ := q.Pop()

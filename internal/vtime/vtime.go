@@ -11,8 +11,9 @@
 // simulation).
 //
 // The package also provides the coordinator's event queue, EventQueue,
-// which pops events in (time, seq) order. Because no wall-clock time is ever consulted, all figures regenerated
-// by the benchmark harness are deterministic.
+// which pops events ordered by (time, push order). Because no wall-clock
+// time is ever consulted, all figures regenerated by the benchmark
+// harness are deterministic.
 package vtime
 
 import (
