@@ -30,12 +30,16 @@ identity:
 # which names each such function with its reason. It fails when a
 # function is unreached and not listed, when a listed function is
 # reached, and when a listed function no longer exists; a count of
-# entries for a name counts functions of that name in the file.
-REACH_PROFILE ?= /tmp/manasim-reach.out
+# entries for a name counts functions of that name in the file. The
+# coverage profile goes to a directory of this invocation's own, removed
+# on exit, unless REACH_PROFILE names a file to keep it in.
+REACH_PROFILE ?=
 REACH_LIST = cmd/manasim/testdata/unreached.txt
 reach:
-	$(GO) test -count=1 ./cmd/manasim -run '^TestIdentityCorpus$$' -coverpkg=./internal/... -coverprofile=$(REACH_PROFILE)
-	@$(GO) tool cover -func=$(REACH_PROFILE) | awk ' \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	profile="$(REACH_PROFILE)"; [ -n "$$profile" ] || profile="$$tmp/reach.out"; \
+	$(GO) test -count=1 ./cmd/manasim -run '^TestIdentityCorpus$$' -coverpkg=./internal/... -coverprofile="$$profile"; \
+	$(GO) tool cover -func="$$profile" | awk ' \
 		FNR == NR { if ($$0 !~ /^#/ && NF > 0) listed[$$1 " " $$2]++; next } \
 		$$1 == "total:" { total = $$NF; next } \
 		{ split($$1, at, ":"); sub(/^mana\//, "", at[1]); key = at[1] " " $$2; all[key]++; if ($$NF == "0.0%") { unreached[key]++; n++ } } \
@@ -124,17 +128,26 @@ run:
 # smoke mirrors CI's basic determinism check: the default failure/restart
 # scenario executed twice and compared byte for byte.
 smoke:
-	$(GO) run ./cmd/manasim > /tmp/manasim-run1.txt
-	$(GO) run ./cmd/manasim > /tmp/manasim-run2.txt
-	cmp /tmp/manasim-run1.txt /tmp/manasim-run2.txt
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/manasim > "$$tmp/run1.txt"; \
+	$(GO) run ./cmd/manasim > "$$tmp/run2.txt"; \
+	cmp "$$tmp/run1.txt" "$$tmp/run2.txt"
+
+# Each smoke target below keeps its binaries and outputs in a directory
+# of its own invocation (mktemp -d), removed on exit, so two checkouts can
+# run the same target at once.
 
 # smoke-wide mirrors CI's four memory smokes; each run prints its peak
 # RSS (ru_maxrss of the child, in KiB on Linux), wall and system time,
 # and holds the RSS under a ceiling. Wide: 65536 ranks that each write
-# 150 bytes, twice, byte-identical, under 450 MiB — memory must follow the
+# 150 bytes, twice, byte-identical, under 120 MiB — memory must follow the
 # bytes a run writes, not its address space or its page size (648 MiB
-# with a 4 KiB page and a private memory map per rank). Very wide: 262144
-# ranks, once, under 2 GiB (2.8 GiB and 40 s before). Deep: the
+# with a 4 KiB page and a private memory map per rank; 107 MiB when every
+# rank copied the twelve region entries of the shared map, 80 MiB since
+# a rank reads the job's region table until it changes its map). Very
+# wide: 262144 ranks, once, under 450 MiB (2.8 GiB and 40 s before page
+# buffers followed the written prefix; 427 MiB with per-rank region
+# entries, 296 MiB since). Deep: the
 # benchmark's deep-stencil workload (512 ranks, 800 steps, 2.2 M ops),
 # twice, byte-identical, under 26 MiB — memory must follow the spec, not
 # one private copy of the op stream per rank (217 MiB), and a finished
@@ -145,62 +158,63 @@ smoke:
 # cmd/manasim/testdata/identity/ckpt-storm.json), twice, byte-identical,
 # under 37 MiB — an image record must point at the shared memory,
 # handle-table and stats snapshots, not embed copies of them (39 MiB
-# when it embedded them; 28-32 MiB since). The system time is the
+# when it embedded them; 26-32 MiB since). The system time is the
 # kernel faulting pages in: the term that grows faster than the rank
 # count when per-rank memory does.
-# RSS_RUN takes: output file, label, ceiling in MiB, manasim arguments.
+# RSS_RUN takes: binary, output file, label, ceiling in MiB, manasim
+# arguments.
 RSS_RUN = python3 -c 'import resource, subprocess, sys, time; \
-	out, label, limit = sys.argv[1], sys.argv[2], int(sys.argv[3]); \
+	binary, out, label, limit = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]); \
 	start = time.time(); \
-	subprocess.run(["/tmp/manasim-wide"] + sys.argv[4:], stdout=open(out, "wb"), check=True); \
+	subprocess.run([binary] + sys.argv[5:], stdout=open(out, "wb"), check=True); \
 	wall, ru = time.time() - start, resource.getrusage(resource.RUSAGE_CHILDREN); \
 	mib = ru.ru_maxrss / 1024; \
 	print("smoke-wide: %s peak RSS %.0f MiB, wall %.2f s, sys %.2f s" % (label, mib, wall, ru.ru_stime)); \
 	sys.exit(0 if mib < limit else "smoke-wide: %s peak RSS over %d MiB" % (label, limit))'
 smoke-wide:
-	$(GO) build -o /tmp/manasim-wide ./cmd/manasim
-	@set -e; for i in 1 2; do \
-	  $(RSS_RUN) /tmp/manasim-wide$$i.txt "wide run $$i" 450 -ranks 65536 -steps 5 -no-fail; \
-	done
-	cmp /tmp/manasim-wide1.txt /tmp/manasim-wide2.txt
-	@$(RSS_RUN) /dev/null "very wide run" 2048 -ranks 262144 -steps 5 -no-fail
-	@set -e; for i in 1 2; do \
-	  $(RSS_RUN) /tmp/manasim-deep$$i.txt "deep run $$i" 26 -spec stencil -ranks 512 -steps 800 -no-fail; \
-	done
-	cmp /tmp/manasim-deep1.txt /tmp/manasim-deep2.txt
-	@set -e; for i in 1 2; do \
-	  $(RSS_RUN) /tmp/manasim-ckpt$$i.txt "checkpoint run $$i" 37 -spec cmd/manasim/testdata/identity/ckpt-storm.json \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/manasim" ./cmd/manasim; \
+	for i in 1 2; do \
+	  $(RSS_RUN) "$$tmp/manasim" "$$tmp/wide$$i.txt" "wide run $$i" 120 -ranks 65536 -steps 5 -no-fail; \
+	done; \
+	cmp "$$tmp/wide1.txt" "$$tmp/wide2.txt"; \
+	$(RSS_RUN) "$$tmp/manasim" /dev/null "very wide run" 450 -ranks 262144 -steps 5 -no-fail; \
+	for i in 1 2; do \
+	  $(RSS_RUN) "$$tmp/manasim" "$$tmp/deep$$i.txt" "deep run $$i" 26 -spec stencil -ranks 512 -steps 800 -no-fail; \
+	done; \
+	cmp "$$tmp/deep1.txt" "$$tmp/deep2.txt"; \
+	for i in 1 2; do \
+	  $(RSS_RUN) "$$tmp/manasim" "$$tmp/ckpt$$i.txt" "checkpoint run $$i" 37 -spec cmd/manasim/testdata/identity/ckpt-storm.json \
 	    -ranks 2048 -steps 40 -ckpt-at 1us -incremental -full-every 4 -storage staged-compressed -no-fail; \
-	done
-	cmp /tmp/manasim-ckpt1.txt /tmp/manasim-ckpt2.txt
+	done; \
+	cmp "$$tmp/ckpt1.txt" "$$tmp/ckpt2.txt"
 
 # smoke-matrix mirrors CI's determinism matrix: every combination of
 # handle-table implementation, image mode and library scenario spec runs
 # twice at 512 ranks and must print byte-identical reports.
 smoke-matrix:
-	$(GO) build -o /tmp/manasim-matrix ./cmd/manasim
-	@set -e; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/manasim" ./cmd/manasim; \
 	for virtid in mutex sharded; do \
 	  for inc in "" "-incremental"; do \
 	    for spec in default overlap stencil master-worker bursty-alltoall pipeline; do \
 	      echo "smoke-matrix: -virtid $$virtid $$inc -spec $$spec"; \
-	      /tmp/manasim-matrix -virtid $$virtid $$inc -spec $$spec \
-	        -ranks 512 -steps 5 -ckpt-at 200us -no-fail > /tmp/manasim-matrix1.txt; \
-	      /tmp/manasim-matrix -virtid $$virtid $$inc -spec $$spec \
-	        -ranks 512 -steps 5 -ckpt-at 200us -no-fail > /tmp/manasim-matrix2.txt; \
-	      cmp /tmp/manasim-matrix1.txt /tmp/manasim-matrix2.txt; \
+	      "$$tmp/manasim" -virtid $$virtid $$inc -spec $$spec \
+	        -ranks 512 -steps 5 -ckpt-at 200us -no-fail > "$$tmp/out1.txt"; \
+	      "$$tmp/manasim" -virtid $$virtid $$inc -spec $$spec \
+	        -ranks 512 -steps 5 -ckpt-at 200us -no-fail > "$$tmp/out2.txt"; \
+	      cmp "$$tmp/out1.txt" "$$tmp/out2.txt"; \
 	    done; \
 	  done; \
-	done
-	@set -e; \
+	done; \
 	for st in direct staged staged-compressed; do \
 	  inc=""; if [ $$st = staged-compressed ]; then inc="-incremental"; fi; \
 	  echo "smoke-matrix: storage -storage $$st $$inc"; \
-	  /tmp/manasim-matrix -storage $$st $$inc \
-	    -ranks 512 -steps 5 -ckpt-at 200us -no-fail > /tmp/manasim-matrix1.txt; \
-	  /tmp/manasim-matrix -storage $$st $$inc \
-	    -ranks 512 -steps 5 -ckpt-at 200us -no-fail > /tmp/manasim-matrix2.txt; \
-	  cmp /tmp/manasim-matrix1.txt /tmp/manasim-matrix2.txt; \
+	  "$$tmp/manasim" -storage $$st $$inc \
+	    -ranks 512 -steps 5 -ckpt-at 200us -no-fail > "$$tmp/out1.txt"; \
+	  "$$tmp/manasim" -storage $$st $$inc \
+	    -ranks 512 -steps 5 -ckpt-at 200us -no-fail > "$$tmp/out2.txt"; \
+	  cmp "$$tmp/out1.txt" "$$tmp/out2.txt"; \
 	done
 
 # smoke-faults mirrors CI's fault-matrix job: every canned fault plan
@@ -212,25 +226,24 @@ smoke-matrix:
 # back to the newest durable generation and a torn drain must surface at
 # restart, byte-identically.
 smoke-faults:
-	$(GO) build -o /tmp/manasim-faults ./cmd/manasim
-	@set -e; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/manasim" ./cmd/manasim; \
 	for plan in cmd/manasim/testdata/faults/*.json; do \
 	  echo "smoke-faults: $$plan"; \
-	  /tmp/manasim-faults -faults $$plan > /tmp/manasim-faults1.txt; \
-	  /tmp/manasim-faults -faults $$plan > /tmp/manasim-faults2.txt; \
-	  cmp /tmp/manasim-faults1.txt /tmp/manasim-faults2.txt; \
-	  /tmp/manasim-faults -faults $$plan -incremental -full-every 2 > /tmp/manasim-faults4.txt; \
-	  /tmp/manasim-faults -faults $$plan -incremental -full-every 2 > /tmp/manasim-faults5.txt; \
-	  cmp /tmp/manasim-faults4.txt /tmp/manasim-faults5.txt; \
-	done
-	@set -e; \
+	  "$$tmp/manasim" -faults $$plan > "$$tmp/out1.txt"; \
+	  "$$tmp/manasim" -faults $$plan > "$$tmp/out2.txt"; \
+	  cmp "$$tmp/out1.txt" "$$tmp/out2.txt"; \
+	  "$$tmp/manasim" -faults $$plan -incremental -full-every 2 > "$$tmp/out4.txt"; \
+	  "$$tmp/manasim" -faults $$plan -incremental -full-every 2 > "$$tmp/out5.txt"; \
+	  cmp "$$tmp/out4.txt" "$$tmp/out5.txt"; \
+	done; \
 	for plan in cmd/manasim/testdata/faults/staging/*.json; do \
 	  echo "smoke-faults: $$plan (staged)"; \
-	  /tmp/manasim-faults -incremental -faults $$plan \
-	    -storage cmd/manasim/testdata/storage/fast-staged.json > /tmp/manasim-faults1.txt; \
-	  /tmp/manasim-faults -incremental -faults $$plan \
-	    -storage cmd/manasim/testdata/storage/fast-staged.json > /tmp/manasim-faults2.txt; \
-	  cmp /tmp/manasim-faults1.txt /tmp/manasim-faults2.txt; \
+	  "$$tmp/manasim" -incremental -faults $$plan \
+	    -storage cmd/manasim/testdata/storage/fast-staged.json > "$$tmp/out1.txt"; \
+	  "$$tmp/manasim" -incremental -faults $$plan \
+	    -storage cmd/manasim/testdata/storage/fast-staged.json > "$$tmp/out2.txt"; \
+	  cmp "$$tmp/out1.txt" "$$tmp/out2.txt"; \
 	done
 
 # smoke-sweep mirrors CI's fleet determinism check: a small -sweep grid
@@ -239,15 +252,17 @@ smoke-faults:
 # are stripped. The cell hashes are also what ties each concurrent run
 # to its standalone counterpart (cmd/manasim's sweep tests pin that).
 smoke-sweep:
-	$(GO) build -o /tmp/manasim-sweep ./cmd/manasim
-	/tmp/manasim-sweep -sweep -steps 8 -sweep-specs default,overlap \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/manasim" ./cmd/manasim; \
+	"$$tmp/manasim" -sweep -steps 8 -sweep-specs default,overlap \
 	  -sweep-ranks 4,8 -sweep-ckpt 1ms -sweep-virtid sharded,mutex \
-	  -sweep-incremental false,true -sweep-workers 4 > /tmp/manasim-sweep1.json
-	/tmp/manasim-sweep -sweep -steps 8 -sweep-specs default,overlap \
+	  -sweep-incremental false,true -sweep-workers 4 > "$$tmp/sweep1.json"; \
+	"$$tmp/manasim" -sweep -steps 8 -sweep-specs default,overlap \
 	  -sweep-ranks 4,8 -sweep-ckpt 1ms -sweep-virtid sharded,mutex \
-	  -sweep-incremental false,true -sweep-workers 1 > /tmp/manasim-sweep2.json
+	  -sweep-incremental false,true -sweep-workers 1 > "$$tmp/sweep2.json"; \
 	python3 -c 'import json,sys; \
 	strip=lambda d: {"cells":[{k:v for k,v in c.items() if k!="wall_ms"} for c in d["cells"]], \
 	"totals":{k:v for k,v in d["totals"].items() if k not in ("wall_ms","runs_per_sec","pool_workers")}}; \
-	a=strip(json.load(open("/tmp/manasim-sweep1.json"))); b=strip(json.load(open("/tmp/manasim-sweep2.json"))); \
-	sys.exit(0 if a==b else sys.stderr.write("sweep aggregates diverge across pool widths\n") or 1)'
+	a=strip(json.load(open(sys.argv[1]))); b=strip(json.load(open(sys.argv[2]))); \
+	sys.exit(0 if a==b else sys.stderr.write("sweep aggregates diverge across pool widths\n") or 1)' \
+	  "$$tmp/sweep1.json" "$$tmp/sweep2.json"

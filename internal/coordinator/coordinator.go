@@ -59,6 +59,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 
 	"mana/internal/ckptstore"
 	"mana/internal/faultplan"
@@ -1479,12 +1481,7 @@ func (c *Coordinator) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "\nranks:\n")
 	fmt.Fprintf(w, "  %4s %16s %10s %6s %6s %6s %14s %14s\n",
 		"rank", "vtime", "mpi-calls", "sent", "recvd", "coll", "mana-overhead", "ckpt-overhead")
-	for _, r := range c.ranks {
-		st := r.Stats()
-		fmt.Fprintf(w, "  %4d %16v %10d %6d %6d %6d %14v %14v\n",
-			r.ID(), r.Clock().Now(), st.MPICalls, st.MsgsSent, st.MsgsRecvd,
-			st.Collectives, st.ManaOverhead, r.CkptOverhead())
-	}
+	c.writeRankRows(w)
 
 	fmt.Fprintf(w, "\ncheckpoints: %d committed (incremental=%v, full-every=%d)\n",
 		len(c.records), c.cfg.Incremental, c.cfg.FullImageEvery)
@@ -1538,6 +1535,50 @@ func (c *Coordinator) WriteReport(w io.Writer) {
 	mem := c.memorySummary()
 	fmt.Fprintf(w, "\nmemory (rank 0): upper=%d bytes, lower=%d bytes\n", mem[0], mem[1])
 	fmt.Fprintf(w, "final fingerprint: %016x\n", c.FinalFingerprint())
+}
+
+// reportChunk is the most bytes writeRankRows hands w at once, and
+// maxRankRow more than the longest row it can append: five 20-digit
+// counters, three 25-byte durations, their padding and separators.
+const (
+	reportChunk = 64 << 10
+	maxRankRow  = 256
+)
+
+// writeRankRows writes the report's rank table, one row per rank, with
+// the bytes fmt's "  %4d %16v %10d %6d %6d %6d %14v %14v\n" would print,
+// appended into one buffer and written in chunks of at most reportChunk
+// bytes: the table is most of a wide job's report.
+func (c *Coordinator) writeRankRows(w io.Writer) {
+	buf := make([]byte, 0, min(reportChunk, maxRankRow*len(c.ranks)))
+	var num [20]byte
+	for _, r := range c.ranks {
+		if len(buf) > reportChunk-maxRankRow {
+			w.Write(buf)
+			buf = buf[:0]
+		}
+		st := r.Stats()
+		buf = appendRight(append(buf, "  "...), strconv.AppendInt(num[:0], int64(r.ID()), 10), 4)
+		buf = appendRight(append(buf, ' '), []byte(r.Clock().Now().String()), 16)
+		buf = appendRight(append(buf, ' '), strconv.AppendUint(num[:0], st.MPICalls, 10), 10)
+		buf = appendRight(append(buf, ' '), strconv.AppendUint(num[:0], st.MsgsSent, 10), 6)
+		buf = appendRight(append(buf, ' '), strconv.AppendUint(num[:0], st.MsgsRecvd, 10), 6)
+		buf = appendRight(append(buf, ' '), strconv.AppendUint(num[:0], st.Collectives, 10), 6)
+		buf = appendRight(append(buf, ' '), []byte(st.ManaOverhead.String()), 14)
+		buf = appendRight(append(buf, ' '), []byte(r.CkptOverhead().String()), 14)
+		buf = append(buf, '\n')
+	}
+	w.Write(buf)
+}
+
+// appendRight appends cell right-aligned in width runes: fmt pads a
+// value to its width by rune count, so a cell holding "µ" (two bytes)
+// takes one byte more than its width.
+func appendRight(buf, cell []byte, width int) []byte {
+	for n := utf8.RuneCount(cell); n < width; n++ {
+		buf = append(buf, ' ')
+	}
+	return append(buf, cell...)
 }
 
 // LookupStats aggregates the per-rank handle-virtualisation accounting

@@ -397,19 +397,20 @@ func TestOneFingerprintPassPerRun(t *testing.T) {
 // wideIdleBudget is the live heap a finished wide-idle rank may hold:
 // the rank record (504 B, with its clock, kernel and handle table held
 // by value), the handle table's windows, its share of the scheduler and
-// of netsim's pair tables, and of memory one address-space record and
-// twelve four-word region entries pointing into the job's shared layout
-// — measured at 1,420 B (1,128 B of it right after New), plus 20 %. A
-// finished rank holds no marker page table and buffer: the final
+// of netsim's pair tables, and of memory one address-space record —
+// measured at 1,020 B, plus 20 %. The twelve region entries are not
+// per-rank: a space reads the job's layout's region table in place until
+// it first maps, writes, captures or restores, which no wide-idle rank
+// does, and copying them into every rank was 384 B of it (1,404 B). A
+// finished rank holds no marker page table and buffer either: the final
 // fingerprint lays the markers it owes over a scratch copy of app.state
-// instead of writing them, where it used to give each rank a page table
-// and a 256-byte buffer for its 18 markers (1,948 B). Not per-rank
+// instead of writing them (1,948 B when it wrote them). Not per-rank
 // costs: the compiled program (every rank holds a slice header onto one
 // shared op stream) and the memory map (one immutable layout per
 // process). A full state page and twelve private region records with
-// bitmaps were 9,189 B; the flat 64 KiB state region alone was nearly
-// forty times the budget.
-const wideIdleBudget = 1420 * 12 / 10
+// bitmaps were 9,189 B; the flat 64 KiB state region alone was more
+// than fifty times the budget.
+const wideIdleBudget = 1020 * 12 / 10
 
 // TestWideIdleMemoryBudget holds the benchmark's wide-idle workload —
 // many ranks that each touch a few bytes — to a per-rank memory budget in

@@ -5,7 +5,8 @@ import "slices"
 // liveRegion is one mapping of a live address space: a pointer to the
 // immutable Region describing it, plus only the state this space has
 // added since. A region nothing wrote to costs its space these four
-// words; twelve of them are one allocation (Layout.NewSpace).
+// words, and nothing while the space shares its layout's table; a
+// space's own table of twelve is one allocation (AddressSpace.own).
 type liveRegion struct {
 	// desc is the region as it was mapped or restored — name, half, kind,
 	// address, size, and the contents it started with. It is never
@@ -178,13 +179,14 @@ func (a *AddressSpace) writable(m *contents, idx, need int) []byte {
 // their names, tags, addresses, sizes, starting contents and content
 // digests — from which any number of address spaces can be built without
 // repeating it. MANA's split process gives every rank of a job the same
-// map (§2.1), so a job holds one Layout and a rank holds a pointer per
-// region into it. Nothing writes a Layout after AddressSpace.Layout
-// returns it; spaces built from it on different goroutines share it
-// freely.
+// map (§2.1), so a job holds one Layout, and a rank built from it shares
+// its region table until the rank first changes its map. Nothing writes
+// a Layout after AddressSpace.Layout returns it; spaces built from it on
+// different goroutines share it freely.
 type Layout struct {
 	// space is what NewSpace copies: allocation cursors, program break,
-	// and regions that are nothing but their descriptors.
+	// and regions that are nothing but their descriptors, with their
+	// content digests memoised so no reader writes a memo into them.
 	space AddressSpace
 }
 
@@ -207,10 +209,28 @@ func (a *AddressSpace) Layout() *Layout {
 }
 
 // NewSpace returns an address space holding the layout's mappings: the
-// space that making the same Mmap calls on a fresh one would build, for
-// one allocation of region state.
+// space that making the same Mmap calls on a fresh one would build. It
+// allocates only the space's record: the space reads the layout's region
+// table in place, and copies it, once, when it first edits or appends a
+// region entry (own). A space that never maps, writes, captures or
+// restores costs no region state of its own.
 func (l *Layout) NewSpace() *AddressSpace {
 	a := l.space
+	a.shared = true
+	return &a
+}
+
+// own gives a space sharing its layout's region table a copy of its own,
+// for one allocation holding both halves, before anything edits or
+// appends a region entry; on a space that already owns its table it does
+// nothing. Every such path calls it first: mmap, prepareWrite, capture
+// and RestoreUpperHalf. CommitUpperHalfDelta needs no call: it panics on
+// a space with no committed generation, and a space gets one only from
+// capture.
+func (a *AddressSpace) own() {
+	if !a.shared {
+		return
+	}
 	upper, lower := a.regions[UpperHalf], a.regions[LowerHalf]
 	all := make([]liveRegion, len(upper)+len(lower))
 	copy(all, upper)
@@ -218,7 +238,7 @@ func (l *Layout) NewSpace() *AddressSpace {
 	// Capacities end at the half, so a later Mmap appends to a copy.
 	a.regions[UpperHalf] = all[:len(upper):len(upper)]
 	a.regions[LowerHalf] = all[len(upper):]
-	return &a
+	a.shared, a.lastWrite = false, nil
 }
 
 // Bootstrap returns a fresh address space holding only the layout's

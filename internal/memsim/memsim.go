@@ -186,7 +186,8 @@ const (
 // fingerprint. It therefore carries
 // no lock, and cmd/isolint rejects a sync or atomic field on it, on
 // Region or on its live regions. What ranks do share is Region
-// descriptors and frozen pages, which are immutable.
+// descriptors, frozen pages and, until a space first changes its map,
+// its Layout's region table: all three are immutable while shared.
 type AddressSpace struct {
 	// regions holds each half's regions in ascending address order.
 	// Addresses are handed out monotonically per half, so a new mapping
@@ -198,6 +199,10 @@ type AddressSpace struct {
 	brk         uint64 // simulated program break (upper-half data segment end)
 	sbrkInter   bool   // MANA's sbrk interposition active
 	postRestart bool   // true once the space has been rebuilt from an image
+	// shared is set while regions are a Layout's own table, which
+	// NewSpace hands out as it is: every path that edits or appends a
+	// region entry calls own first, and readers use the table in place.
+	shared bool
 	// gen counts committed snapshot generations (CommitUpperHalf and
 	// CommitUpperHalfDelta); deltas are always relative to generation gen.
 	gen uint64
@@ -320,6 +325,7 @@ func (a *AddressSpace) Mmap(name string, half Half, kind Kind, size uint64) *Reg
 // mmap is Mmap for a region that starts with dataLen zero bytes of
 // contents, returning the live region.
 func (a *AddressSpace) mmap(name string, half Half, kind Kind, size, dataLen uint64) *liveRegion {
+	a.own()
 	size = align(size)
 	var addr uint64
 	switch half {
@@ -423,6 +429,7 @@ func (a *AddressSpace) WriteSpan(addr uint64, offset, n uint64) ([]byte, error) 
 // checks the bytes fit, gives the region contents of its own, their full
 // data length on the first write and a page table covering them.
 func (a *AddressSpace) prepareWrite(addr, offset, n uint64) (*liveRegion, error) {
+	a.own()
 	r := a.lastWrite
 	if r == nil || r.desc.Addr != addr {
 		if r = a.find(addr); r == nil {
@@ -558,6 +565,7 @@ func newSnapshot(brk uint64, n int) *Snapshot {
 // A space unchanged since its last commit returns the snapshot it
 // remembers of it, once one was taken: the same pointer.
 func (a *AddressSpace) capture(commit bool) *Snapshot {
+	a.own()
 	same := a.unchanged()
 	if same && a.last.snap != nil {
 		if commit {
@@ -686,9 +694,12 @@ func (a *AddressSpace) RestoreUpperHalf(s *Snapshot) {
 	// the image's Region, page table included, and a write copies table
 	// and page first, so the image stays immutable — and starts entirely
 	// dirty with no committed base: restart begins a new incremental
-	// chain. One allocation, whatever the region count. This is the one
-	// path that replaces regions rather than adding them, so it drops
-	// the last-commit memo (see unchanged).
+	// chain. One allocation, whatever the region count, after own's copy
+	// on a space that still shares its layout's table (a restart restores
+	// into a Bootstrap space, which never does). This is the one path
+	// that replaces regions rather than adding them, so it drops the
+	// last-commit memo (see unchanged).
+	a.own()
 	descs := s.Regions
 	upper := make([]liveRegion, len(descs))
 	memoised := len(s.RegionHashes) == len(descs)

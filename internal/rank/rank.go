@@ -330,8 +330,9 @@ const (
 // directly by a test. Two things a rank holds are shared with the other
 // ranks and never written: the program (one stream per class of ranks;
 // the rank reads it through Op.Scalars with its own id)
-// and the memory map (splitProcess: every rank's regions point at the
-// same descriptors, and a rank pays only for the contents it writes). The
+// and the memory map (splitProcess: a new rank reads the job's region
+// table in place, pays for a table of its own only once it maps, writes,
+// captures or restores, and then only for the contents it writes). The
 // world communicator and the workload's datatype are registered in the
 // virtualisation table exactly as MANA wraps MPI_Init: the application
 // only ever sees their virtual ids.
@@ -356,7 +357,9 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 // the address of the upper-half data region workload steps write to, so
 // that memory contents — and therefore snapshot fingerprints — evolve
 // over the run. Both are built once, before main starts, and only read
-// afterwards.
+// afterwards: a rank's space shares the layout's region table until the
+// rank first changes its map, so a rank that never does costs no region
+// state of its own.
 var splitProcess, stateRegion = func() (*memsim.Layout, uint64) {
 	m := memsim.NewAddressSpace()
 	m.Mmap("app.text", memsim.UpperHalf, memsim.KindText, 2<<20)
