@@ -31,12 +31,17 @@ func newMapNet() *mapNet {
 	return &mapNet{queues: make(map[Pair][]Message), counters: make(Counters)}
 }
 
-func (m *mapNet) send(msg Message) {
+// send queues msg and returns it as the network must have sent it: its
+// Seq is the pair's send ordinal, one more than the messages the pair
+// counted before it (restored counters included).
+func (m *mapNet) send(msg Message) Message {
 	p := Pair{Src: msg.Src, Dst: msg.Dst}
-	m.queues[p] = append(m.queues[p], msg)
 	pc := m.counters[p]
 	pc.Sent++
 	m.counters[p] = pc
+	msg.Seq = pc.Sent
+	m.queues[p] = append(m.queues[p], msg)
+	return msg
 }
 
 func (m *mapNet) recv(dst, src int, by vtime.Time) (Message, bool) {
@@ -166,8 +171,13 @@ func (h *harness) rank() int { return h.p.next() % maxRank }
 func (h *harness) sendOn(src, dst int) {
 	h.now += vtime.Time(h.p.next() % 4 * 500)
 	bytes := uint64(h.p.next()) * 1000
-	msg, _ := h.n.Send(src, dst, h.step, bytes, vtime.Stamp{Rank: src, When: h.now})
-	h.m.send(*msg)
+	sent := vtime.Stamp{Rank: src, When: h.now}
+	msg, _ := h.n.Send(src, dst, h.step, bytes, sent)
+	params := testParams()
+	arrive := h.now.Add(params.SerializeCost(bytes) + params.Latency)
+	if want := h.m.send(Message{Src: src, Dst: dst, Tag: h.step, Bytes: bytes, Sent: sent, Arrive: arrive}); *msg != want {
+		h.failf("Send(%d, %d) = %+v, model %+v", src, dst, *msg, want)
+	}
 }
 
 func (h *harness) send() { h.sendOn(h.rank(), h.rank()) }

@@ -119,8 +119,12 @@ func log2ceil(n int) int {
 // so the rings that store messages by value are never scanned by the
 // collector.
 type Message struct {
-	// Seq is a globally unique, monotonically increasing send sequence
-	// number; it makes drain ordering deterministic.
+	// Seq is the message's send ordinal on its pair: the pair's Sent
+	// counter once the message is counted, so the first message from Src
+	// to Dst is 1. It depends only on the pair's own history — never on
+	// how sends on other pairs interleave with it — and a restored
+	// network continues it from the restored counters. Drain order does
+	// not read it: DrainTo orders by source rank, then pair FIFO.
 	Seq uint64
 	// Src and Dst are rank IDs.
 	Src, Dst int
@@ -243,8 +247,7 @@ func (p *pairState) pop() *Message {
 type Network struct {
 	params Params
 
-	nextSeq uint64
-	peers   [][]pairState // indexed by destination rank, grown on demand
+	peers [][]pairState // indexed by destination rank, grown on demand
 	// inflight counts sent-but-not-received messages, maintained
 	// incrementally so the scheduler's per-event trigger checks are O(1)
 	// instead of a scan over every pair.
@@ -312,9 +315,8 @@ func (n *Network) pair(src, dst int) *pairState {
 func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Message, vtime.Duration) {
 	busy := n.params.SerializeCost(bytes)
 	arrive := sent.When.Add(busy + n.params.Latency)
-	n.nextSeq++
 	p := n.pair(src, dst)
-	m := p.push(Message{Seq: n.nextSeq, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})
+	m := p.push(Message{Seq: p.count.Sent + 1, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})
 	p.count.Sent++
 	n.inflight++
 	n.counters = nil

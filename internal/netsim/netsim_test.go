@@ -146,6 +146,43 @@ func TestRestoreResetsQueuesAndCounters(t *testing.T) {
 	}
 }
 
+// TestSeqIsThePairsSendOrdinal: a message's Seq counts the sends on its
+// own pair, whatever the other pairs send in between, and a restored
+// network continues each pair's count from the restored counters rather
+// than from what the abandoned timeline sent.
+func TestSeqIsThePairsSendOrdinal(t *testing.T) {
+	n := New(testParams())
+	s := vtime.Stamp{Rank: 0, When: 0}
+	seq := func(src, dst int) uint64 {
+		m, _ := n.Send(src, dst, 0, 10, s)
+		return m.Seq
+	}
+	for i, tc := range []struct {
+		src, dst int
+		want     uint64
+	}{{0, 1, 1}, {2, 1, 1}, {0, 1, 2}, {1, 0, 1}, {0, 2, 1}, {0, 1, 3}, {2, 1, 2}} {
+		if got := seq(tc.src, tc.dst); got != tc.want {
+			t.Errorf("send %d (%d->%d): Seq = %d, want %d", i, tc.src, tc.dst, got, tc.want)
+		}
+	}
+	n.DrainTo(0, nil)
+	n.DrainTo(1, nil)
+	n.DrainTo(2, nil)
+	saved := n.CountersSnapshot()
+	seq(0, 1) // the abandoned timeline sends on, then dies
+	seq(0, 1)
+	seq(1, 2)
+	n.Restore(saved)
+	for _, tc := range []struct {
+		src, dst int
+		want     uint64
+	}{{0, 1, 4}, {1, 2, 1}, {2, 1, 3}, {1, 0, 2}} {
+		if got := seq(tc.src, tc.dst); got != tc.want {
+			t.Errorf("after restore, %d->%d: Seq = %d, want %d", tc.src, tc.dst, got, tc.want)
+		}
+	}
+}
+
 // TestCountersSnapshotSharedUntilTraffic: two snapshots with no traffic
 // between them are the same map, built once; a failed receive and an
 // empty drain keep it, and every call that moves a counter — Send, a
