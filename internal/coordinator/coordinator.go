@@ -11,7 +11,12 @@
 // the simulator scale to thousands of mostly idle ranks.
 //
 // Events live on one vtime.EventQueue, popped one at a time in (time,
-// push order) by the single goroutine that calls Run. The paper's
+// push order) by the single goroutine that calls Run. A rank whose
+// operation completes keeps running its next operations in the same
+// visit while they are local and earlier than every queued trigger and
+// fault (runAhead): nothing any rank observes
+// changes, and each such operation is counted as the event it would
+// have been. The paper's
 // coordinator drives every rank through one protocol — intent, drain to
 // quiescence, cut — and so does this loop: there is one scheduler, and
 // a report depends only on the configuration, never on the host. Runs
@@ -58,6 +63,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"unicode/utf8"
@@ -345,7 +351,9 @@ type event struct {
 	// checkpoint seq (evDrainDone).
 	arg int32
 	// tag is the kind in its low byte and, for evDelivery and
-	// evDrainDone, a rank above it: the sender, the draining rank.
+	// evDrainDone, a rank above it: the sender, the draining rank. Above
+	// an evRankReady's kind is zero, or the receiver plus one of the
+	// delivery the event carries (runAhead).
 	tag uint32
 }
 
@@ -358,8 +366,21 @@ const _ = uint(1<<(32-rankShift) - scenario.MaxRanks)
 
 func (e event) kind() eventKind { return eventKind(e.tag) }
 
+// global reports whether e is a trigger or a fault: an event that can
+// cut the timeline — take a checkpoint, end the run — so that the ranks'
+// state at its time is what it shows. The coordinator keeps the time of
+// each queued global event in its globals heap, and no rank runs ahead
+// past one (runAhead). A drain completion is not global: it changes only
+// the generation store, which no rank operation reads, and it still pops
+// in time order against the triggers and faults that read the store.
+func (e event) global() bool {
+	k := e.kind()
+	return k == evTrigger || k == evFail
+}
+
 // rank is the rank above the kind byte: an evDelivery's sender, an
-// evDrainDone's draining rank.
+// evDrainDone's draining rank, an evRankReady's carried receiver plus
+// one.
 func (e event) rank() int { return int(e.tag >> rankShift) }
 
 // indexEvent is an event of a kind that carries no rank above its kind.
@@ -409,6 +430,9 @@ type Coordinator struct {
 	net   *netsim.Network
 	// queue holds every scheduled event of the run's timeline.
 	queue *vtime.EventQueue[event]
+	// globals holds the time of every queued global event (trigger,
+	// fault): its least is how far a rank may run ahead of the queue.
+	globals timeHeap
 	// deliveries counts the delivery events queued and not yet popped;
 	// at completion they are counted as dispatched (sweepStaleDeliveries).
 	deliveries uint64
@@ -470,17 +494,30 @@ type Coordinator struct {
 	faultFired      []bool
 	restartAttempts int
 
-	// events counts dispatched queue events; rankVisits counts how many
-	// times the scheduler touched a rank (op execution, wake attempt,
-	// collective completion). Under the old full-scan loop the visit
-	// count was iterations x ranks; here it scales with actual work.
+	// events counts dispatched events: every queue event popped, every
+	// operation a rank ran ahead (the ready event it would have been
+	// without run-ahead) and, at completion, the deliveries still queued
+	// (sweepStaleDeliveries). rankVisits counts how many times the
+	// scheduler touched a rank: an op executed (ran ahead or not), a wake
+	// attempt, a collective completion. Under the old full-scan loop the
+	// visit count was iterations x ranks; here it scales with actual
+	// work. Neither depends on how many operations ran ahead.
 	events     uint64
 	rankVisits uint64
 	// dispatched, when set (tests only, through OnDispatch), is called
-	// with the time of every event the serial loop dispatches; committed
+	// with the time of every event the serial loop dispatches, and with
+	// the start time of every operation a rank runs ahead; committed
 	// (OnCommit) with the seq of every checkpoint the store committed.
 	dispatched func(vtime.Time)
 	committed  func(seq int)
+	// stepwise, set only by tests (export_test.go), turns run-ahead off:
+	// every operation is then a queue event of its own. ranAhead counts
+	// the operations run ahead, so events-ranAhead is the queue pops.
+	// carrying is set while a rank runs a send ahead: its delivery is
+	// queued by the rank's next ready event, not by ScheduleDelivery.
+	stepwise bool
+	ranAhead uint64
+	carrying bool
 
 	// digest folds checkpoint images into their fingerprint, keeping the
 	// text they repeat. final memoises FinalFingerprint while finalOK;
@@ -524,6 +561,7 @@ func New(cfg Config) *Coordinator {
 	for i := range c.inCollComm {
 		c.inCollComm[i] = -1
 	}
+	c.net.Reserve(cfg.Ranks)
 	c.net.SetDeliveryScheduler(c)
 	if len(cfg.Faults) > 0 {
 		c.faultFired = make([]bool, len(cfg.Faults))
@@ -541,12 +579,12 @@ func New(cfg Config) *Coordinator {
 func (c *Coordinator) seed() {
 	for i, t := range c.triggers {
 		if !c.fired[i] {
-			c.queue.Push(t.At, indexEvent(evTrigger, i))
+			c.pushGlobal(t.At, indexEvent(evTrigger, i))
 		}
 	}
 	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
-			c.queue.Push(f.Time, indexEvent(evFail, i))
+			c.pushGlobal(f.Time, indexEvent(evFail, i))
 		}
 	}
 	c.doneCount = 0
@@ -560,10 +598,19 @@ func (c *Coordinator) seed() {
 }
 
 // ScheduleDelivery implements netsim.DeliveryScheduler: every injected
-// message becomes a delivery event at its arrival time.
+// message becomes a delivery event at its arrival time — queued now, or,
+// for a send a rank ran ahead, by the rank's next ready event (runAhead).
 func (c *Coordinator) ScheduleDelivery(m *netsim.Message) {
 	c.deliveries++
-	c.queue.Push(m.Arrive, deliveryEvent(m))
+	if !c.carrying {
+		c.queue.Push(m.Arrive, deliveryEvent(m))
+	}
+}
+
+// pushGlobal queues a global event (event.global) and notes its time.
+func (c *Coordinator) pushGlobal(t vtime.Time, ev event) {
+	c.globals.push(t)
+	c.queue.Push(t, ev)
 }
 
 // scheduleReady queues the rank's next ready event, if it has one.
@@ -589,13 +636,17 @@ func (c *Coordinator) Records() []CheckpointRecord { return c.records }
 // Restarts returns the restart records.
 func (c *Coordinator) Restarts() []RestartRecord { return c.restarts }
 
-// EventsDispatched returns the number of queue events popped so far.
+// EventsDispatched returns the number of events dispatched so far: the
+// queue events popped, each operation a rank ran ahead counted as the
+// ready event it replaced (runAhead), and at completion the deliveries
+// still queued. It does not depend on how many operations ran ahead.
 func (c *Coordinator) EventsDispatched() uint64 { return c.events }
 
 // RankVisits returns how many times the scheduler touched a rank: one
-// per executed operation, wake attempt and collective completion. The
-// old full-scan loop visited every rank on every iteration; this counter
-// is what the scaling tests compare against that baseline.
+// per executed operation (run ahead or not), wake attempt and collective
+// completion. The old full-scan loop visited every rank on every
+// iteration; this counter is what the scaling tests compare against that
+// baseline.
 func (c *Coordinator) RankVisits() uint64 { return c.rankVisits }
 
 // MaxClock returns the maximum rank clock — the job's virtual makespan so
@@ -864,12 +915,12 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 
 // afterCollectiveExit updates bookkeeping for one rank leaving a
 // collective: done accounting (which may lower other forming
-// collectives' participation bars) or the next ready event.
+// collectives' participation bars) or its next operations (runAhead).
 func (c *Coordinator) afterCollectiveExit(r *rank.Rank) {
 	if r.State() == rank.Done {
 		c.noteDone()
 	} else {
-		c.scheduleReady(r)
+		c.runAhead(r, false)
 	}
 }
 
@@ -884,16 +935,63 @@ func (c *Coordinator) noteDone() {
 	}
 }
 
-// afterRankProgress updates bookkeeping after a rank moved: the
-// high-water clock, the done count, and — because a rank finishing its
-// script lowers collective participation bars — possible collective
-// completions.
-func (c *Coordinator) afterRankProgress(r *rank.Rank) {
+// afterRankProgress updates bookkeeping after a rank's operation
+// completed: the high-water clock, the done count — a rank finishing its
+// script lowers collective participation bars, possibly completing
+// collectives — or its next operations (runAhead). sent reports that the
+// operation was a send or an isend.
+func (c *Coordinator) afterRankProgress(r *rank.Rank, sent bool) {
 	c.noteClock(r.Clock().Now())
 	if r.State() == rank.Done {
 		c.noteDone()
 	} else {
-		c.scheduleReady(r)
+		c.runAhead(r, sent)
+	}
+}
+
+// runAhead runs r's next operations in this visit, then queues its ready
+// event. It runs an operation only while no rank could tell that it ran
+// early rather than from a ready event of its own: the operation is
+// local (rank.NextLocal: not a receive, a collective or the script's
+// last), it starts before every queued global event, no condition
+// trigger is armed (their conditions are checked after each event) and
+// no drain is in progress. The events at earlier times it runs past —
+// deliveries, collective completions, other ranks' operations — cannot
+// observe it: a message it sends is invisible to its receiver until it
+// arrives.
+//
+// Running ahead grows no storage. A visit runs at most one send, the
+// operation it began with included, and only into a pair ring with room.
+// That send's delivery is not queued beside the ready event, where it
+// would sit for the whole of a compute phase run ahead of it: the ready
+// event carries it and queues it when it pops (dispatch), so the queue
+// never holds more events than if each operation were an event of its
+// own. Each operation counts as the event it replaces: one event, one
+// rank visit and a dispatch at its start time.
+func (c *Coordinator) runAhead(r *rank.Rank, sent bool) {
+	carried := 0
+	for !sent && !c.stepwise && len(c.armed) == 0 && !c.draining {
+		t := r.Clock().Now()
+		peer, send, ok := r.NextLocal()
+		if !ok || t >= c.globals.min() || send && c.net.Room(r.ID(), peer) == 0 {
+			break
+		}
+		c.events++
+		c.rankVisits++
+		c.ranAhead++
+		if c.dispatched != nil {
+			c.dispatched(t)
+		}
+		c.carrying = send
+		r.Execute(c.net)
+		c.carrying = false
+		c.noteClock(r.Clock().Now())
+		if sent = send; send {
+			carried = peer + 1
+		}
+	}
+	if t, ok := r.NextReady(); ok {
+		c.queue.Push(t, rankEvent(evRankReady, r.ID(), carried))
 	}
 }
 
@@ -904,6 +1002,13 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 	switch ev.kind() {
 	case evRankReady:
 		r := c.ranks[ev.arg]
+		if to := ev.rank(); to > 0 {
+			// The visit that queued this event ended with a send run
+			// ahead, and the event carries its delivery (runAhead): the
+			// message arrives one wire latency after the sender's link
+			// frees (netsim.Send), which is now.
+			c.queue.Push(t.Add(c.cfg.Net.Latency), rankEvent(evDelivery, to-1, r.ID()))
+		}
 		if r.State() != rank.Running {
 			return false, nil // stale: the timeline this event belonged to is gone
 		}
@@ -918,7 +1023,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 		tr := r.Execute(c.net)
 		switch tr.Kind {
 		case rank.Advanced:
-			c.afterRankProgress(r)
+			c.afterRankProgress(r, tr.Sent)
 		case rank.BlockedOnRecv:
 			// Zero scheduler work until a delivery event wakes it — but a
 			// rank the drain plan needs must not starve behind a held
@@ -938,7 +1043,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 		if peer, ok := r.BlockedOn(); ok && peer == ev.rank() {
 			c.rankVisits++
 			if r.Wake(c.net, t) {
-				c.afterRankProgress(r)
+				c.afterRankProgress(r, false)
 			}
 		}
 		// Otherwise the receiver is not waiting for this message: it will
@@ -1036,13 +1141,63 @@ func (c *Coordinator) sweepStaleDeliveries() {
 	c.deliveries = 0
 }
 
-// pop removes the earliest event.
+// pop removes the earliest event; a global one takes its time, the least
+// in globals, with it.
 func (c *Coordinator) pop() (vtime.Time, event, bool) {
 	t, ev, ok := c.queue.Pop()
 	if ok {
 		c.events++
+		if ev.global() {
+			c.globals.pop()
+		}
 	}
 	return t, ev, ok
+}
+
+// timeHeap is a binary min-heap of times.
+type timeHeap []vtime.Time
+
+// min returns the least time, or the greatest Time when h is empty.
+func (h timeHeap) min() vtime.Time {
+	if len(h) == 0 {
+		return math.MaxInt64
+	}
+	return h[0]
+}
+
+func (h *timeHeap) push(t vtime.Time) {
+	*h = append(*h, t)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if a[parent] <= a[i] {
+			break
+		}
+		a[parent], a[i] = a[i], a[parent]
+		i = parent
+	}
+}
+
+// pop removes the least time; h is not empty.
+func (h *timeHeap) pop() {
+	a := *h
+	last := len(a) - 1
+	a[0] = a[last]
+	a = a[:last]
+	for i := 0; ; {
+		least := i
+		for _, k := range [2]int{2*i + 1, 2*i + 2} {
+			if k < len(a) && a[k] < a[least] {
+				least = k
+			}
+		}
+		if least == i {
+			break
+		}
+		a[i], a[least] = a[least], a[i]
+		i = least
+	}
+	*h = a
 }
 
 // drain runs phase 1's message drain: every in-flight message is received
@@ -1227,7 +1382,7 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtCheckpointCommit && f.N == rec.Seq {
 			c.faultFired[i] = true
-			c.queue.Push(rec.SafeAt.Add(f.Delay), indexEvent(evFail, i))
+			c.pushGlobal(rec.SafeAt.Add(f.Delay), indexEvent(evFail, i))
 		}
 	}
 	return crashed, nil
@@ -1372,6 +1527,7 @@ func (c *Coordinator) Restart() error {
 	// Clearing the queue drops the drain-done events too: the store's
 	// rollback forgets the transfers they completed.
 	c.queue.Clear()
+	c.globals = c.globals[:0]
 	c.deliveries = 0
 	c.seed()
 	c.maxClock = c.MaxClock()

@@ -258,7 +258,7 @@ func (c *Coordinator) beginDrain() error {
 	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtDrainStart && f.N == seq {
 			c.faultFired[i] = true
-			c.queue.Push(c.maxClock.Add(f.Delay), indexEvent(evFail, i))
+			c.pushGlobal(c.maxClock.Add(f.Delay), indexEvent(evFail, i))
 		}
 	}
 	return nil

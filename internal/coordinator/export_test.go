@@ -12,6 +12,26 @@ import (
 // package.
 func (c *Coordinator) OnDispatch(f func(vtime.Time)) { c.dispatched = f }
 
+// SetStepwise turns run-ahead off (on = true) or back on: with it off,
+// every operation a rank executes is a queue event of its own.
+func (c *Coordinator) SetStepwise(on bool) { c.stepwise = on }
+
+// RanAhead returns how many operations ranks ran ahead of the queue.
+func (c *Coordinator) RanAhead() uint64 { return c.ranAhead }
+
+// QueueCap returns the event queue's arena capacity in events.
+func (c *Coordinator) QueueCap() int { return c.queue.Cap() }
+
+// LongestRing returns the most slots any pair ring of the network holds:
+// per pair, its room, its queued messages and the one slot of slack.
+func (c *Coordinator) LongestRing() int {
+	longest := 0
+	for p, pc := range c.net.CountersSnapshot() {
+		longest = max(longest, c.net.Room(p.Src, p.Dst)+int(pc.Sent-pc.Received)+1)
+	}
+	return longest
+}
+
 // OnCommit installs f as the hook the commit stage calls with the seq of
 // every checkpoint, once the generation store holds its link.
 func (c *Coordinator) OnCommit(f func(seq int)) { c.committed = f }

@@ -1,8 +1,11 @@
 package coordinator
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -222,6 +225,32 @@ func steadyAllocsPerEvent(tb testing.TB, mk func(length int) Config, length int)
 		}
 	}
 	return (float64(allocs[1]) - float64(allocs[0])) / float64(events[1]-events[0])
+}
+
+// TestTimeHeapPopsInOrder drives the globals heap against a sorted
+// slice: after every push and pop its min is the least time held.
+func TestTimeHeapPopsInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h timeHeap
+	var ref []vtime.Time
+	for step := 0; step < 2000; step++ {
+		if len(ref) == 0 || rng.Intn(3) > 0 {
+			at := vtime.Time(rng.Intn(50))
+			h.push(at)
+			ref = append(ref, at)
+		} else {
+			h.pop()
+			ref = ref[1:]
+		}
+		slices.Sort(ref)
+		want := vtime.Time(math.MaxInt64)
+		if len(ref) > 0 {
+			want = ref[0]
+		}
+		if got := h.min(); got != want || len(h) != len(ref) {
+			t.Fatalf("step %d: min %v of %d times, want %v of %d", step, got, len(h), want, len(ref))
+		}
+	}
 }
 
 func benchScheduler(b *testing.B, ranks int) {

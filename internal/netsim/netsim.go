@@ -247,7 +247,7 @@ func (p *pairState) pop() *Message {
 type Network struct {
 	params Params
 
-	peers [][]pairState // indexed by destination rank, grown on demand
+	peers [][]pairState // indexed by destination rank: sized by Reserve, grown on demand
 	// inflight counts sent-but-not-received messages, maintained
 	// incrementally so the scheduler's per-event trigger checks are O(1)
 	// instead of a scan over every pair.
@@ -263,6 +263,17 @@ type Network struct {
 // New returns an empty network with the given parameters.
 func New(params Params) *Network {
 	return &Network{params: params}
+}
+
+// Reserve sizes the destination index of a network nothing has been sent
+// on for ranks destinations, in one allocation, so that no send to a
+// rank below that regrows it. A job calls it once, with its rank count.
+func (n *Network) Reserve(ranks int) {
+	if len(n.peers) < ranks {
+		peers := make([][]pairState, ranks)
+		copy(peers, n.peers)
+		n.peers = peers
+	}
 }
 
 // SetDeliveryScheduler registers the sink that receives one
@@ -310,8 +321,9 @@ func (n *Network) pair(src, dst int) *pairState {
 
 // Send injects a message and returns its ring slot together with the
 // duration the sender's link is busy (charged to the sender's clock by
-// the rank runtime). The arrival time is computed from the piggybacked
-// stamp.
+// the rank runtime). The message arrives one Latency after the link
+// frees: at the piggybacked stamp's time plus the busy duration plus
+// Latency.
 func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Message, vtime.Duration) {
 	busy := n.params.SerializeCost(bytes)
 	arrive := sent.When.Add(busy + n.params.Latency)
@@ -324,6 +336,18 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 		n.scheduler.ScheduleDelivery(m)
 	}
 	return m, busy
+}
+
+// Room returns how many more messages from src to dst fit the pair's
+// ring as it is — its free slots besides the one of slack — so that many
+// sends grow no storage. It is 0 for a pair that has no ring yet.
+func (n *Network) Room(src, dst int) int {
+	i, ok := n.find(src, dst)
+	if !ok {
+		return 0
+	}
+	p := &n.peers[dst][i]
+	return max(0, len(p.buf)-1-p.n)
 }
 
 // Recv pops the oldest in-flight message from src to dst that has

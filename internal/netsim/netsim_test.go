@@ -183,6 +183,54 @@ func TestSeqIsThePairsSendOrdinal(t *testing.T) {
 	}
 }
 
+// TestRoomCountsFreeRingSlots: Room is how many more messages a pair's
+// ring takes before a send grows it — none before the pair's first send,
+// and never the ring's one slot of slack.
+func TestRoomCountsFreeRingSlots(t *testing.T) {
+	n := New(testParams())
+	s := vtime.Stamp{Rank: 0, When: 0}
+	later := vtime.Time(vtime.Millisecond)
+	if got := n.Room(0, 1); got != 0 {
+		t.Errorf("Room before the first send = %d, want 0", got)
+	}
+	n.Send(0, 1, 0, 10, s) // a 2-slot ring, one message queued
+	if got := n.Room(0, 1); got != 0 {
+		t.Errorf("Room with a 2-slot ring holding one message = %d, want 0", got)
+	}
+	n.Recv(1, 0, later)
+	if got := n.Room(0, 1); got != 1 {
+		t.Errorf("Room with an empty 2-slot ring = %d, want 1", got)
+	}
+	n.Send(0, 1, 0, 10, s)
+	n.Send(0, 1, 0, 10, s) // grows to 4 slots, two queued
+	if got := n.Room(0, 1); got != 1 {
+		t.Errorf("Room with a 4-slot ring holding two messages = %d, want 1", got)
+	}
+	if got := n.Room(1, 0); got != 0 {
+		t.Errorf("Room of the reverse pair = %d, want 0", got)
+	}
+}
+
+// TestReserveSizesTheIndexOnce: a reserved network's destination index
+// is the one array sends to every reserved rank use; only a send past it
+// grows the index.
+func TestReserveSizesTheIndexOnce(t *testing.T) {
+	n := New(testParams())
+	n.Reserve(64)
+	index := &n.peers[0]
+	s := vtime.Stamp{Rank: 0, When: 0}
+	for dst := 63; dst >= 1; dst-- {
+		n.Send(0, dst, 0, 10, s)
+	}
+	if len(n.peers) != 64 || &n.peers[0] != index {
+		t.Errorf("sends below the reserved 64 ranks regrew the index to %d entries", len(n.peers))
+	}
+	n.Send(0, 64, 0, 10, s)
+	if len(n.peers) != 65 {
+		t.Errorf("a send to rank 64 left the index at %d entries, want 65", len(n.peers))
+	}
+}
+
 // TestCountersSnapshotSharedUntilTraffic: two snapshots with no traffic
 // between them are the same map, built once; a failed receive and an
 // empty drain keep it, and every call that moves a counter — Send, a

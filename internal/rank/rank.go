@@ -749,6 +749,9 @@ type Transition struct {
 	// shared program's offsets or means, and the coordinator copies them
 	// into the forming rendezvous as the rank arrives.
 	Coll Collective
+	// Sent reports that the operation put a message on the wire (a send
+	// or an isend).
+	Sent bool
 }
 
 // Collective is one collective call as a rank made it: its kind, the
@@ -770,6 +773,28 @@ func (r *Rank) NextReady() (vtime.Time, bool) {
 		return 0, false
 	}
 	return r.clock.Now(), true
+}
+
+// NextLocal reports whether the rank's next operation is local — one
+// that reads nothing another rank writes, so running it ahead of events
+// at earlier virtual times changes nothing any rank observes: a compute,
+// a wait, a heap growth, or a send or isend (a message stays invisible
+// to its receiver until it arrives). For a send or isend it also returns
+// the destination, so the caller can check the pair's ring has room. It
+// is false for a receive or a collective, for the script's last
+// operation (finishing lowers collective participation bars), and for a
+// rank that is not running.
+func (r *Rank) NextLocal() (peer int, send, ok bool) {
+	if r.state != Running || r.pc+1 >= len(r.script) {
+		return 0, false, false
+	}
+	switch op := &r.script[r.pc]; op.Kind {
+	case scenario.OpCompute, scenario.OpWait, scenario.OpSbrk:
+		return 0, false, true
+	case scenario.OpSend, scenario.OpIsend:
+		return op.PeerOf(r.id), true, true
+	}
+	return 0, false, false
 }
 
 // marksState reports whether completing an op of kind k leaves a state
@@ -797,8 +822,10 @@ func (r *Rank) Execute(net *netsim.Network) (tr Transition) {
 		r.compute(v.Dur)
 	case scenario.OpSend:
 		r.send(net, op, v.Peer, v.Bytes)
+		tr.Sent = true
 	case scenario.OpIsend:
 		r.isend(net, op, v.Peer, v.Bytes)
+		tr.Sent = true
 	case scenario.OpWait:
 		r.wait()
 	case scenario.OpRecv:

@@ -137,15 +137,8 @@ type Scalars struct {
 // the op itself. It writes nothing, so any number of ranks, on any
 // goroutines, may resolve the same shared op concurrently.
 func (op *Op) Scalars(id int) Scalars {
-	v := Scalars{Peer: op.Peer, Dur: op.Dur, Bytes: op.Bytes, Color: op.Color}
+	v := Scalars{Peer: op.PeerOf(id), Dur: op.Dur, Bytes: op.Bytes, Color: op.Color}
 	par := &op.par
-	if par.ranks != 0 {
-		// id and the offset are both below ranks: one subtraction is the
-		// modulo.
-		if v.Peer += id; v.Peer >= par.ranks {
-			v.Peer -= par.ranks
-		}
-	}
 	if par.group != 0 {
 		v.Color = (id + op.Color) / par.group
 	}
@@ -159,6 +152,20 @@ func (op *Op) Scalars(id int) Scalars {
 		}
 	}
 	return v
+}
+
+// PeerOf returns the op's peer as rank id resolves it — Scalars(id).Peer
+// — without resolving the other scalars.
+func (op *Op) PeerOf(id int) int {
+	peer := op.Peer
+	if ranks := op.par.ranks; ranks != 0 {
+		// id and the offset are both below ranks: one subtraction is the
+		// modulo.
+		if peer += id; peer >= ranks {
+			peer -= ranks
+		}
+	}
+	return peer
 }
 
 // Resolve returns the op as rank id executes it: a literal op, equal
