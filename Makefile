@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race identity reach fuzz-smoke cuts lint fmt bench microbench bench-smoke run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race identity reach fuzz-smoke cuts lint fmt bench microbench bench-smoke pairs run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -121,6 +121,52 @@ microbench:
 # its numbers.
 bench-smoke:
 	$(GO) run ./bench -smoke
+
+# pairs measures a change the way a benchmark gate judges it: PAIRS
+# pairs of `go run ./bench --workload WORKLOAD --seconds SECONDS --seed
+# SEED`, the BASE ref against the working tree (its uncommitted and
+# untracked files included), each pair run in the other order from the
+# one before. It prints each metric's median on both sides, the change
+# in per cent, the pairs the working tree won and the distance between
+# the base runs' quartiles, with each side's report_fnv64. Both sides
+# run from `git worktree` checkouts in a directory of this invocation's
+# own (mktemp -d), removed on exit, so both build from a fresh checkout
+# and setup_s compares like with like. CI does not run it.
+BASE ?= HEAD
+WORKLOAD ?= deep-stencil
+PAIRS ?= 10
+SECONDS ?= 15
+SEED ?= 42
+PAIRS_SUMMARY = python3 -c 'import json, os, re, statistics, sys; \
+	tmp, n = sys.argv[1], int(sys.argv[2]); \
+	runs = {s: [open(os.path.join(tmp, "%s.%d.out" % (s, i))).read() for i in range(1, n + 1)] for s in ("base", "new")}; \
+	res = {s: [json.loads([l for l in o.splitlines() if l.startswith("{")][-1]) for o in runs[s]] for s in runs}; \
+	fnv = {s: sorted(set(re.findall(r"report_fnv64=(\w+)", "".join(runs[s])))) for s in runs}; \
+	print("pairs: %d of %s; report_fnv64 base %s, new %s" % (n, sys.argv[3], ",".join(fnv["base"]), ",".join(fnv["new"]))); \
+	print("  %-18s %14s %14s %9s %6s %14s" % ("metric", "base", "new", "change", "wins", "base IQR")); \
+	names = sorted(res["base"][0]["metrics"]); \
+	val = lambda s, m: [r["metrics"][m]["value"] for r in res[s]]; \
+	higher = lambda m: m.endswith("_per_s"); \
+	iqr = lambda v: statistics.quantiles(v, n=4)[2] - statistics.quantiles(v, n=4)[0] if len(v) > 1 else 0; \
+	rows = [(m, statistics.median(val("base", m)), statistics.median(val("new", m)), \
+		sum((b < w) if higher(m) else (w < b) for b, w in zip(val("base", m), val("new", m))), iqr(val("base", m))) for m in names]; \
+	[print("  %-18s %14.6g %14.6g %+8.1f%% %3d/%d %14.6g" % (m, b, w, 100 * (w - b) / b if b else 0, k, n, q)) for m, b, w, k, q in rows]; \
+	print("  failed: base %d, new %d" % (sum(r["failed"] for r in res["base"]), sum(r["failed"] for r in res["new"])))'
+pairs:
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; git worktree remove --force "$$tmp/new" 2>/dev/null; git worktree prune; rm -rf "$$tmp"' EXIT; \
+	git worktree add --quiet --detach "$$tmp/base" "$(BASE)"; \
+	git worktree add --quiet --detach "$$tmp/new" HEAD; \
+	git diff --quiet HEAD || git diff --binary HEAD | git -C "$$tmp/new" apply; \
+	git ls-files --others --exclude-standard -z | xargs -0 -r cp --parents -t "$$tmp/new"; \
+	for i in $$(seq 1 $(PAIRS)); do \
+	  order="base new"; [ $$((i % 2)) -eq 1 ] || order="new base"; \
+	  for side in $$order; do \
+	    (cd "$$tmp/$$side" && $(GO) run ./bench --workload $(WORKLOAD) --seconds $(SECONDS) --seed $(SEED)) > "$$tmp/$$side.$$i.out" 2>&1; \
+	  done; \
+	  echo "pairs: pair $$i of $(PAIRS) done"; \
+	done; \
+	$(PAIRS_SUMMARY) "$$tmp" $(PAIRS) "$(WORKLOAD) seed $(SEED) base $(BASE)"
 
 run:
 	$(GO) run ./cmd/manasim
