@@ -66,6 +66,7 @@ var lockFree = map[string]string{
 	"memsim.AddressSpace": "written on every workload step by the goroutine driving the rank",
 	"memsim.Region":       "immutable once handed out; layouts share them across the ranks of a run and the runs of a fleet",
 	"memsim.liveRegion":   "belongs to one AddressSpace; what it shares (its descriptor, frozen pages) is read-only",
+	"memsim.Mappings":     "one per job, read and extended on every mapping by the goroutine driving the job's ranks",
 	"memsim.contents":     "a live region's private page table and dirtiness, written on every workload step",
 	"memsim.page":         "written in place only while one live region owns it, and no owned page outlives its run; a frozen page is shared read-only by descriptors and images",
 	"virtid.Table":        "per-rank, translated on every MPI call by the goroutine driving the rank",

@@ -146,6 +146,11 @@ type liveRegion struct {
 
 type contents struct{ dataLen uint64 }
 
+type Mappings struct {
+	mu    sync.Mutex
+	slots [2][]liveRegion
+}
+
 type page struct {
 	mu sync.Mutex
 	b  []byte
@@ -176,6 +181,7 @@ type window struct{ live int }
 		"memsim.AddressSpace:gen sa.Uint64",
 		"memsim.Region:guard *sync.Mutex",
 		"memsim.liveRegion:once sync.Once",
+		"memsim.Mappings:mu sync.Mutex",
 		"memsim.page:mu sync.Mutex",
 		"netsim.Network:mu sync.Mutex",
 		"virtid.Table:memo atomic.Pointer[int]",

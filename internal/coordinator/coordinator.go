@@ -566,8 +566,12 @@ func New(cfg Config) *Coordinator {
 	if len(cfg.Faults) > 0 {
 		c.faultFired = make([]bool, len(cfg.Faults))
 	}
+	// One mapping table per job: ranks that grow their heaps alike share
+	// the descriptors, and jobs on other goroutines never see them.
+	maps := new(memsim.Mappings)
 	for id := range c.ranks {
 		c.ranks[id] = rank.New(id, cfg.Personality, cfg.Virtid, cfg.Programs[id])
+		c.ranks[id].ShareMappings(maps)
 	}
 	c.seed()
 	return c

@@ -6,12 +6,16 @@ import "slices"
 // immutable Region describing it, plus only the state this space has
 // added since. A region nothing wrote to costs its space these four
 // words, and nothing while the space shares its layout's table; a
-// space's own table of twelve is one allocation (AddressSpace.own).
+// space's own table of twelve is one allocation (AddressSpace.own). A
+// mapping made after the space was built costs its four words and, only
+// when no other space of its job made the same one first, the
+// descriptor (Mappings).
 type liveRegion struct {
 	// desc is the region as it was mapped or restored — name, half, kind,
 	// address, size, and the contents it started with. It is never
 	// written: a layout's descriptors are shared by every space built
-	// from it, on any goroutine.
+	// from it, on any goroutine, and a job table's by the spaces of the
+	// job that mapped alike.
 	desc *Region
 	// mut holds the region's contents once they differ from desc's; nil
 	// until the first write.
@@ -175,6 +179,61 @@ func (a *AddressSpace) writable(m *contents, idx, need int) []byte {
 	return fresh.b
 }
 
+// Mappings is a job's table of the mappings its spaces make after they
+// are built: one slot per region position in each half, holding the
+// first descriptor mapped at that position with its content digest
+// memoised, like a Layout's. Interposed sbrk maps a fresh region per
+// growth, and in an SPMD job every rank grows its heap alike — the same
+// mappings at the same addresses — so a rank's sbrk takes the slot's
+// descriptor instead of allocating one of its own, and the final
+// fingerprint hashes it once per job rather than once per rank. A
+// mapping that differs from its slot's gets a private descriptor and
+// leaves the slot alone. The zero value is an empty table.
+//
+// A table belongs to the goroutine driving its job, as the job's
+// address spaces do (AddressSpace): it has no lock, and spaces of
+// different jobs never share one. The descriptors it hands out are
+// immutable, like every descriptor, so sharing one changes no capture,
+// image or digest.
+type Mappings struct {
+	slots [2][]liveRegion
+}
+
+// ShareMappings makes the space record the mappings it makes from now on
+// in m, and take each one from there when m already holds it (mapping).
+func (a *AddressSpace) ShareMappings(m *Mappings) { a.maps = m }
+
+// Mappings returns the table ShareMappings gave the space, or nil.
+func (a *AddressSpace) Mappings() *Mappings { return a.maps }
+
+// mapping returns the live region a new mapping at the end of half
+// starts as. A newborn region is entirely dirty: the next incremental
+// snapshot must carry it whole (there is no committed base to delta
+// against). Its descriptor is the job table's slot for its position when
+// the slot describes the same mapping (the half is the slot's own);
+// otherwise it is allocated here, and recorded in the slot when the slot
+// is empty. The descriptor's fields are compared one by one, so a hit
+// allocates nothing.
+func (a *AddressSpace) mapping(name string, half Half, kind Kind, addr, size, dataLen uint64) liveRegion {
+	var slot *liveRegion
+	if m, i := a.maps, len(a.regions[half]); m != nil {
+		if n := len(m.slots[half]); i >= n {
+			m.slots[half] = append(m.slots[half], make([]liveRegion, i+1-n)...)
+		}
+		slot = &m.slots[half][i]
+		if d := slot.desc; d != nil && d.Name == name && d.Kind == kind &&
+			d.Addr == addr && d.Size == size && d.DataLen == dataLen {
+			return *slot
+		}
+	}
+	r := liveRegion{desc: &Region{Name: name, Half: half, Kind: kind, Addr: addr, Size: size, DataLen: dataLen}, allDirty: true}
+	if slot != nil && slot.desc == nil {
+		r.hash, r.hashOK = r.desc.contentHash(), true
+		*slot = r
+	}
+	return r
+}
+
 // Layout is an immutable memory map — the regions of both halves with
 // their names, tags, addresses, sizes, starting contents and content
 // digests — from which any number of address spaces can be built without
@@ -182,7 +241,10 @@ func (a *AddressSpace) writable(m *contents, idx, need int) []byte {
 // map (§2.1), so a job holds one Layout, and a rank built from it shares
 // its region table until the rank first changes its map. Nothing writes
 // a Layout after AddressSpace.Layout returns it; spaces built from it on
-// different goroutines share it freely.
+// different goroutines share it freely. It covers the map a space starts
+// with; what the ranks of one job map later is shared through their
+// Mappings table, which a Layout never carries: a space built from one
+// belongs to no job until ShareMappings gives it a table.
 type Layout struct {
 	// space is what NewSpace copies: allocation cursors, program break,
 	// and regions that are nothing but their descriptors, with their
@@ -195,7 +257,7 @@ type Layout struct {
 // being used, or be dropped.
 func (a *AddressSpace) Layout() *Layout {
 	l := &Layout{space: *a}
-	l.space.lastWrite, l.space.last, l.space.gen, l.space.postRestart = nil, nil, 0, false
+	l.space.lastWrite, l.space.last, l.space.gen, l.space.postRestart, l.space.maps = nil, nil, 0, false, nil
 	for half, list := range a.regions {
 		descs := make([]Region, len(list))
 		proto := make([]liveRegion, len(list))
@@ -243,7 +305,10 @@ func (a *AddressSpace) own() {
 
 // Bootstrap returns a fresh address space holding only the layout's
 // lower half: the bootstrap program a restart begins in, before
-// RestoreUpperHalf maps a checkpoint image over it.
+// RestoreUpperHalf maps a checkpoint image over it. Like NewSpace it
+// belongs to no job; a restart gives it the dead space's Mappings, so
+// the heap growths replayed after it share descriptors as the first ones
+// did.
 func (l *Layout) Bootstrap() *AddressSpace {
 	a := NewAddressSpace()
 	a.regions[LowerHalf] = slices.Clone(l.space.regions[LowerHalf])

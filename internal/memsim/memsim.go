@@ -28,8 +28,11 @@
 // (64 B to 4 KiB); an absent page, and the tail past a short buffer, read
 // as zeros and cost nothing to keep, capture, compare or hash. What a
 // region is — name, half, kind, address, size — is an immutable Region
-// that spaces with the same map share (Layout); a live region (live.go)
-// is a pointer to it plus the contents and dirtiness this space added.
+// that spaces with the same map share: the map they are built from
+// (Layout), and the mappings the spaces of one job make alike afterwards,
+// such as every rank's interposed sbrk (Mappings). A live region
+// (live.go) is a pointer to it plus the contents and dirtiness this space
+// added.
 // Captures share pages instead of copying them — a page is owned by its
 // live region until a snapshot, delta or restore references it, and
 // frozen (copied on the next write) from then on. Every write path also
@@ -187,7 +190,9 @@ const (
 // no lock, and cmd/isolint rejects a sync or atomic field on it, on
 // Region or on its live regions. What ranks do share is Region
 // descriptors, frozen pages and, until a space first changes its map,
-// its Layout's region table: all three are immutable while shared.
+// its Layout's region table: all three are immutable while shared. The
+// job's mapping table (Mappings), which does change, belongs to the
+// goroutine driving the job, as its spaces do.
 type AddressSpace struct {
 	// regions holds each half's regions in ascending address order.
 	// Addresses are handed out monotonically per half, so a new mapping
@@ -203,6 +208,10 @@ type AddressSpace struct {
 	// NewSpace hands out as it is: every path that edits or appends a
 	// region entry calls own first, and readers use the table in place.
 	shared bool
+	// maps is the job's mapping table, nil for a space outside a job:
+	// a new mapping takes its descriptor from there when a sibling space
+	// already made the same one (mapping).
+	maps *Mappings
 	// gen counts committed snapshot generations (CommitUpperHalf and
 	// CommitUpperHalfDelta); deltas are always relative to generation gen.
 	gen uint64
@@ -338,12 +347,7 @@ func (a *AddressSpace) mmap(name string, half Half, kind Kind, size, dataLen uin
 	default:
 		panic(fmt.Sprintf("memsim: invalid half %d", half))
 	}
-	// A newborn region is entirely dirty: the next incremental snapshot
-	// must carry it whole (there is no committed base to delta against).
-	a.regions[half] = append(a.regions[half], liveRegion{
-		desc:     &Region{Name: name, Half: half, Kind: kind, Addr: addr, Size: size, DataLen: dataLen},
-		allDirty: true,
-	})
+	a.regions[half] = append(a.regions[half], a.mapping(name, half, kind, addr, size, dataLen))
 	a.lastWrite = nil
 	return &a.regions[half][len(a.regions[half])-1]
 }

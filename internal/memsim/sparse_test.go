@@ -648,10 +648,11 @@ func (h *harness) intoFrozenShortPage() {
 // either goes on with the space (its pages are now frozen) or replaces it
 // with another one built from the layout (nothing committed, all dirty).
 func (h *harness) relayout() {
-	l := h.a.Layout()
+	l, maps := h.a.Layout(), h.a.Mappings()
 	h.twin, h.twinFlat = l.NewSpace(), h.m.snapshot(false)
 	if h.p.next()%2 == 0 {
 		h.a = l.NewSpace()
+		h.a.ShareMappings(maps)
 		h.m.relayout()
 		h.hasDelta, h.rebuilt = false, true
 	}
@@ -929,6 +930,7 @@ func (h *harness) restore() {
 	if bootstrap {
 		fresh = h.a.Layout().Bootstrap()
 	}
+	fresh.ShareMappings(h.a.Mappings())
 	h.a = fresh
 	h.a.RestoreUpperHalf(h.img)
 	h.m.restore(h.flatImg, bootstrap)
@@ -938,53 +940,87 @@ func (h *harness) restore() {
 	}
 }
 
-// runDifferential interprets prog against both representations.
+// runDifferential interprets prog against both representations, twice
+// over: a sibling harness replays each operation right after the first
+// one, on a space that records its mappings in the same table, as the
+// ranks of a job do. Mapping alike, the two share descriptors; the
+// first must still match its model, and the sibling must fingerprint as
+// the first does and hold Equal captures after every step.
 func runDifferential(t *testing.T, prog []byte) {
+	maps := new(Mappings)
+	h, sib := newHarness(t, prog, maps), newHarness(t, prog, maps)
+	for ; !h.p.done() && h.step < 300; h.step++ {
+		h.do()
+		h.check()
+		sib.step = h.step
+		sib.do()
+		h.sameAs(sib)
+	}
+}
+
+func newHarness(t *testing.T, prog []byte, maps *Mappings) *harness {
 	h := &harness{
 		t: t, p: &program{b: prog},
 		a: NewAddressSpace(), m: &flatSpace{brk: upperBase},
 	}
-	for ; !h.p.done() && h.step < 300; h.step++ {
-		switch op := h.p.next() % 26; op {
-		case 0, 1:
-			h.mmap()
-		case 2, 3, 4, 5, 6, 8:
-			h.write()
-		case 7:
-			h.sbrk()
-		case 10:
-			h.commitFull()
-		case 9, 11, 12:
-			h.commitDelta()
-		case 13:
-			h.snapshot()
-		case 14:
-			h.corrupt()
-		case 15:
-			if h.p.next()%4 == 0 {
-				on := h.p.next()%2 == 0
-				h.a.SetSbrkInterposition(on)
-			} else {
-				h.restore()
-			}
-		case 16:
-			h.appendRun()
-		case 17, 18:
-			h.pastShortPage(op == 18)
-		case 19, 20:
-			h.intoFrozenShortPage()
-		case 21:
+	h.a.ShareMappings(maps)
+	return h
+}
+
+// do runs the program's next operation.
+func (h *harness) do() {
+	switch op := h.p.next() % 26; op {
+	case 0, 1:
+		h.mmap()
+	case 2, 3, 4, 5, 6, 8:
+		h.write()
+	case 7:
+		h.sbrk()
+	case 10:
+		h.commitFull()
+	case 9, 11, 12:
+		h.commitDelta()
+	case 13:
+		h.snapshot()
+	case 14:
+		h.corrupt()
+	case 15:
+		if h.p.next()%4 == 0 {
+			on := h.p.next()%2 == 0
+			h.a.SetSbrkInterposition(on)
+		} else {
 			h.restore()
-		case 22:
-			h.relayout()
-		case 23:
-			h.cycle()
-		case 24:
-			h.spanRun()
-		case 25:
-			h.recommit()
 		}
-		h.check()
+	case 16:
+		h.appendRun()
+	case 17, 18:
+		h.pastShortPage(op == 18)
+	case 19, 20:
+		h.intoFrozenShortPage()
+	case 21:
+		h.restore()
+	case 22:
+		h.relayout()
+	case 23:
+		h.cycle()
+	case 24:
+		h.spanRun()
+	case 25:
+		h.recommit()
+	}
+}
+
+// sameAs compares the harness with its sibling: the live spaces must
+// fingerprint alike and the retained captures be Equal.
+func (h *harness) sameAs(sib *harness) {
+	h.t.Helper()
+	if got, want := sib.a.Fingerprint(), h.a.Fingerprint(); got != want {
+		h.failf("the sibling space fingerprints %016x, the first %016x", got, want)
+	}
+	for _, c := range [][2]*Snapshot{{h.img, sib.img}, {h.peek, sib.peek}} {
+		if (c[0] == nil) != (c[1] == nil) || c[0] != nil && (!c[0].Equal(c[1]) || c[0].Fingerprint() != c[1].Fingerprint()) {
+			h.failf("the sibling's retained capture differs from the first's")
+		}
 	}
 }
 

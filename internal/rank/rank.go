@@ -333,6 +333,8 @@ const (
 // and the memory map (splitProcess: a new rank reads the job's region
 // table in place, pays for a table of its own only once it maps, writes,
 // captures or restores, and then only for the contents it writes). The
+// heap it grows later is shared too once ShareMappings gives it its
+// job's mapping table, as coordinator.New does for every rank. The
 // world communicator and the workload's datatype are registered in the
 // virtualisation table exactly as MANA wraps MPI_Init: the application
 // only ever sees their virtual ids.
@@ -348,6 +350,14 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 	r.dtype = r.vt.Register(virtid.Datatype, realDatatypeByte)
 	return r
 }
+
+// ShareMappings gives the rank's address space the job's mapping table,
+// which every rank of the job shares: a heap growth that a sibling
+// already mapped at the same position and address takes its descriptor
+// from there instead of allocating one. The rank keeps the table across
+// Restore. Like every per-rank call it belongs to the goroutine that
+// drives the job.
+func (r *Rank) ShareMappings(m *memsim.Mappings) { r.mem.ShareMappings(m) }
 
 // splitProcess is the memory map of MANA's split process (§2.1), the
 // same in every rank: the upper half models the application, its libc and
@@ -1091,9 +1101,12 @@ func (r *Rank) RestoreFrom(img *Image) {
 	// fresh one, exactly as the real bootstrap does. Rebuilding from
 	// scratch also keeps the mmap allocation cursor bit-identical to an
 	// uncheckpointed run, so replayed allocations land at the same
-	// addresses. The restored space shares the image's pages rather than
-	// copying them.
+	// addresses, and the fresh space keeps the job's mapping table, so
+	// those replayed sbrks share descriptors as the first ones did. The
+	// restored space shares the image's pages rather than copying them.
+	maps := r.mem.Mappings()
 	r.mem = splitProcess.Bootstrap()
+	r.mem.ShareMappings(maps)
 	r.mem.RestoreUpperHalf(img.Mem)
 	// The virtualisation table is rebuilt from the image, exactly as MANA
 	// repopulates it after the fresh lower half comes up: virtual ids live
