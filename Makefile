@@ -71,7 +71,9 @@ reach:
 # package per run.
 # -fuzzminimizetime 1x: minimising every coverage-expanding input is on
 # by default with a 60 s budget and stalls a 10 s run after its first
-# find; a failing input is still reported and saved under testdata/fuzz.
+# find (Go's minimiser tries on the order of n^2 candidates for an n-byte
+# input, and FuzzSparseVsFlat takes milliseconds per run); a failing
+# input is still reported and saved under testdata/fuzz.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSparseVsFlat$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/memsim
@@ -195,12 +197,14 @@ smoke:
 # buffers followed the written prefix; 427 MiB with per-rank region
 # entries, 296 MiB since). Deep: the
 # benchmark's deep-stencil workload (512 ranks, 800 steps, 2.2 M ops),
-# twice, byte-identical, under 20 MiB — memory must follow the spec, not
+# twice, byte-identical, under 14 MiB — memory must follow the spec, not
 # one private copy of the op stream per rank (217 MiB), a finished job
 # is fingerprinted without writing the state markers its ranks owe
-# (35 MiB when it wrote them; 20 MiB after), and ranks that grow their
+# (35 MiB when it wrote them; 20 MiB after), ranks that grow their
 # heaps alike share one descriptor per sbrk (20 MiB with one per rank
-# per sbrk; 15 MiB since). Checkpoint: the
+# per sbrk; 15 MiB after), and each rank's region table is sized once
+# for the sbrks its program makes (15 MiB when it grew by doubling;
+# 10 MiB since). Checkpoint: the
 # benchmark's ckpt-storm invocation (2048 ranks, 48 back-to-back commits,
 # the default phases with ckpt-storm's triggers in
 # cmd/manasim/testdata/identity/ckpt-storm.json), twice, byte-identical,
@@ -228,7 +232,7 @@ smoke-wide:
 	cmp "$$tmp/wide1.txt" "$$tmp/wide2.txt"; \
 	$(RSS_RUN) "$$tmp/manasim" /dev/null "very wide run" 450 -ranks 262144 -steps 5 -no-fail; \
 	for i in 1 2; do \
-	  $(RSS_RUN) "$$tmp/manasim" "$$tmp/deep$$i.txt" "deep run $$i" 20 -spec stencil -ranks 512 -steps 800 -no-fail; \
+	  $(RSS_RUN) "$$tmp/manasim" "$$tmp/deep$$i.txt" "deep run $$i" 14 -spec stencil -ranks 512 -steps 800 -no-fail; \
 	done; \
 	cmp "$$tmp/deep1.txt" "$$tmp/deep2.txt"; \
 	for i in 1 2; do \

@@ -567,14 +567,42 @@ func New(cfg Config) *Coordinator {
 		c.faultFired = make([]bool, len(cfg.Faults))
 	}
 	// One mapping table per job: ranks that grow their heaps alike share
-	// the descriptors, and jobs on other goroutines never see them.
+	// the descriptors, and jobs on other goroutines never see them. Each
+	// rank reserves its program's sbrks in its region table.
 	maps := new(memsim.Mappings)
+	sbrks := sbrkCounts{}
 	for id := range c.ranks {
-		c.ranks[id] = rank.New(id, cfg.Personality, cfg.Virtid, cfg.Programs[id])
-		c.ranks[id].ShareMappings(maps)
+		r := rank.New(id, cfg.Personality, cfg.Virtid, cfg.Programs[id])
+		r.ShareMappings(maps)
+		r.ReserveSbrks(sbrks.of(cfg.Programs[id]))
+		c.ranks[id] = r
 	}
 	c.seed()
 	return c
+}
+
+// sbrkCounts counts the heap growths of each program class once. The
+// ranks of a compiled class hold slice headers onto one backing array,
+// which its first op and its length identify, so a job of many ranks
+// scans each distinct stream once instead of once per rank.
+type sbrkCounts map[programKey]int
+
+type programKey struct {
+	first *scenario.Op
+	n     int
+}
+
+func (c sbrkCounts) of(p scenario.Program) int {
+	if len(p) == 0 {
+		return 0
+	}
+	k := programKey{&p[0], len(p)}
+	n, ok := c[k]
+	if !ok {
+		n = p.Sbrks()
+		c[k] = n
+	}
+	return n
 }
 
 // seed fills the empty event queue from the job's state, at construction

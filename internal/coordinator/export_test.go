@@ -1,8 +1,11 @@
 package coordinator
 
 import (
+	"reflect"
 	"strings"
 
+	"mana/internal/memsim"
+	"mana/internal/rank"
 	"mana/internal/scenario"
 	"mana/internal/vtime"
 )
@@ -30,6 +33,15 @@ func (c *Coordinator) LongestRing() int {
 		longest = max(longest, c.net.Room(p.Src, p.Dst)+int(pc.Sent-pc.Received)+1)
 	}
 	return longest
+}
+
+// upperTable returns the length and capacity of the rank's upper-half
+// region table. memsim exports no observer of it (one no run reaches
+// would join cmd/manasim/testdata/unreached.txt), so this reads
+// AddressSpace.regions[UpperHalf] by reflection, writing nothing.
+func upperTable(r *rank.Rank) (n, capacity int) {
+	upper := reflect.ValueOf(r.Mem()).Elem().FieldByName("regions").Index(int(memsim.UpperHalf))
+	return upper.Len(), upper.Cap()
 }
 
 // OnCommit installs f as the hook the commit stage calls with the seq of

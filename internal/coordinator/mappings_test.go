@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"mana/internal/faultplan"
 	"mana/internal/memsim"
 	"mana/internal/rank"
 	"mana/internal/scenario"
@@ -89,7 +90,8 @@ func TestRestartReplaysSharedSbrk(t *testing.T) {
 // benchmark's deep-stencil job (512 ranks x 800 steps of the stencil
 // spec): its 512 ranks grow their heaps alike, so the job holds one heap
 // descriptor per sbrk position, 133, where each rank used to allocate
-// its own, 68,096.
+// its own, 68,096. Each rank's region table is exactly full, 140 entries
+// in 140, where growing it by append left 140 in 255.
 func TestDeepStencilMapsOneHeapDescriptorPerSbrk(t *testing.T) {
 	const ranks, steps = 512, 800
 	cfg := BaseConfig()
@@ -112,5 +114,50 @@ func TestDeepStencilMapsOneHeapDescriptorPerSbrk(t *testing.T) {
 	if mapped != ranks*133 || len(distinct) != 133 {
 		t.Errorf("%d heap regions over %d ranks hold %d descriptors, want %d regions and 133 descriptors",
 			mapped, ranks, len(distinct), ranks*133)
+	}
+	exactTables(t, c.Ranks())
+}
+
+// exactTables fails unless every rank's upper-half region table is
+// exactly as long as it is large: each rank reserved the sbrks its
+// program made, so heap growth never regrew a table. It returns the
+// entries the ranks hold in all.
+func exactTables(t *testing.T, ranks []*rank.Rank) (entries int) {
+	t.Helper()
+	for _, r := range ranks {
+		n, capacity := upperTable(r)
+		if n != capacity {
+			t.Errorf("rank %d: upper region table holds %d entries in %d", r.ID(), n, capacity)
+		}
+		entries += n
+	}
+	return entries
+}
+
+// TestRestartedTablesAreSizedOnce: a restarted rank's table has room for
+// exactly the sbrks its program makes after the image's pc, so after a
+// job that crashes and recovers several times — a fallback past a
+// restart fault, then a virtual-time crash, as ckpt-recover's plan does
+// — every table is still exactly full, and the recovered fingerprint is
+// the fault-free one.
+func TestRestartedTablesAreSizedOnce(t *testing.T) {
+	cfg := faultConfig()
+	cfg.Programs = mustPrograms("default", scenario.Params{Ranks: cfg.Ranks, Steps: 60, Seed: 42})
+	cfg.Faults = []faultplan.Fault{
+		{Anchor: faultplan.AtCheckpointCommit, N: 2, Kind: faultplan.RankCrash, Delay: 250 * vtime.Microsecond},
+		{Anchor: faultplan.AtRestart, N: 1, Kind: faultplan.RankCrash},
+		{Anchor: faultplan.AtVirtualTime, Time: vtime.Time(12 * vtime.Millisecond), Kind: faultplan.RankCrash},
+	}
+	c := New(cfg)
+	completeWithRecovery(t, c)
+	if n := len(c.Restarts()); n < 2 {
+		t.Fatalf("%d restarts, want 2: the plan did not fire", n)
+	}
+	sbrks := cfg.Programs[0].Sbrks()
+	if got, want := exactTables(t, c.Ranks()), cfg.Ranks*(7+sbrks); got != want {
+		t.Errorf("the ranks hold %d upper entries, want %d (7 + %d sbrks each)", got, want, sbrks)
+	}
+	if got, want := c.FinalFingerprint(), faultFreeFingerprint(t, cfg); got != want {
+		t.Errorf("recovered fingerprint %016x, fault-free %016x", got, want)
 	}
 }

@@ -395,17 +395,18 @@ func TestEventLayout(t *testing.T) {
 		t.Errorf("event is %d bytes, want 8", size)
 	}
 	// The queue's entry type is vtime's own, so it is weighed by what a
-	// preallocated queue of 2^16 events costs.
-	const n = 1 << 16
+	// queue preallocated for 2^16 events costs: the hint plus one 32-event
+	// chunk for each of the queue's 66 chains.
+	const n, chainChunks = 1 << 16, 66 * 32
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	q := vtime.NewEventQueueSized[event](n)
 	runtime.ReadMemStats(&after)
-	if per := (after.TotalAlloc - before.TotalAlloc) / n; per != 16 {
-		t.Errorf("queue entry is %d bytes, want 16", per)
+	if q.Cap() != n+chainChunks {
+		t.Errorf("queue preallocated for %d events, want %d", q.Cap(), n+chainChunks)
 	}
-	if q.Cap() != n {
-		t.Errorf("queue preallocated for %d events, want %d", q.Cap(), n)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(q.Cap()); per != 16 {
+		t.Errorf("queue entry is %d bytes, want 16", per)
 	}
 	if path := pointerIn(reflect.TypeOf(event{}), "event"); path != "" {
 		t.Errorf("event holds a pointer at %s", path)

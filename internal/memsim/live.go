@@ -1,6 +1,9 @@
 package memsim
 
-import "slices"
+import (
+	"math"
+	"slices"
+)
 
 // liveRegion is one mapping of a live address space: a pointer to the
 // immutable Region describing it, plus only the state this space has
@@ -258,6 +261,7 @@ type Layout struct {
 func (a *AddressSpace) Layout() *Layout {
 	l := &Layout{space: *a}
 	l.space.lastWrite, l.space.last, l.space.gen, l.space.postRestart, l.space.maps = nil, nil, 0, false, nil
+	l.space.upperRoom = 0
 	for half, list := range a.regions {
 		descs := make([]Region, len(list))
 		proto := make([]liveRegion, len(list))
@@ -283,25 +287,49 @@ func (l *Layout) NewSpace() *AddressSpace {
 }
 
 // own gives a space sharing its layout's region table a copy of its own,
-// for one allocation holding both halves, before anything edits or
-// appends a region entry; on a space that already owns its table it does
-// nothing. Every such path calls it first: mmap, prepareWrite, capture
-// and RestoreUpperHalf. CommitUpperHalfDelta needs no call: it panics on
-// a space with no committed generation, and a space gets one only from
-// capture.
+// for one allocation holding both halves and the upper-half entries
+// ReserveMappings asked for, before anything edits or appends a region
+// entry; on a space that already owns its table it does nothing. Every
+// such path calls it first: mmap, prepareWrite, capture and
+// RestoreUpperHalf. CommitUpperHalfDelta needs no call: it panics on a
+// space with no committed generation, and a space gets one only from
+// capture. A rank's space is built from its job's Layout and reserves
+// the sbrks its program makes, so its heap grows into the reserve and
+// the table is never copied again.
 func (a *AddressSpace) own() {
 	if !a.shared {
 		return
 	}
 	upper, lower := a.regions[UpperHalf], a.regions[LowerHalf]
-	all := make([]liveRegion, len(upper)+len(lower))
+	room := max(len(upper), int(a.upperRoom))
+	all := make([]liveRegion, room+len(lower))
 	copy(all, upper)
-	copy(all[len(upper):], lower)
-	// Capacities end at the half, so a later Mmap appends to a copy.
-	a.regions[UpperHalf] = all[:len(upper):len(upper)]
-	a.regions[LowerHalf] = all[len(upper):]
+	copy(all[room:], lower)
+	// The upper half's capacity ends at its reserve and the lower half's
+	// at the table's end, so a Mmap past either appends to a copy.
+	a.regions[UpperHalf] = all[:len(upper):room]
+	a.regions[LowerHalf] = all[room:]
 	a.shared, a.lastWrite = false, nil
 }
+
+// ReserveMappings sizes the space's upper-half region tables for n more
+// mappings than its upper half holds now: own's copy of its layout's
+// table, and every table RestoreUpperHalf builds, have room for that
+// many in all, so the Mmap or Sbrk calls that fill them append in place
+// instead of regrowing the table. A table the space already owns is
+// left as it is. A rank reserves the sbrks its program makes; a space
+// given no reserve appends as any slice does.
+func (a *AddressSpace) ReserveMappings(n int) {
+	a.upperRoom = uint32(min(uint64(len(a.regions[UpperHalf])+max(n, 0)), math.MaxUint32))
+}
+
+// ReservedMappings returns how many upper-half mappings ReserveMappings
+// sized the space's tables for in all, or 0. A restarted rank reserves
+// as many in its bootstrap space, whose upper half is empty: the
+// replayed timeline maps what the first one did, so the table
+// RestoreUpperHalf builds has room for exactly the sbrks its program
+// makes after the image's pc.
+func (a *AddressSpace) ReservedMappings() int { return int(a.upperRoom) }
 
 // Bootstrap returns a fresh address space holding only the layout's
 // lower half: the bootstrap program a restart begins in, before

@@ -184,8 +184,8 @@ func TestWriteToSharedMappingStaysPrivate(t *testing.T) {
 }
 
 // TestSiblingSbrkAllocatesNoDescriptor pins the saving: once the job's
-// table holds a mapping, a sibling's sbrk of it allocates nothing — no
-// descriptor — when its region table has room.
+// table holds a mapping, a sibling's sbrk of it within the sibling's
+// reserve allocates nothing — no descriptor, no region table.
 func TestSiblingSbrkAllocatesNoDescriptor(t *testing.T) {
 	const runs = 50
 	spaces, _ := jobSpaces(t, 2)
@@ -193,15 +193,72 @@ func TestSiblingSbrkAllocatesNoDescriptor(t *testing.T) {
 	for range runs + 1 { // AllocsPerRun calls once more, to warm up
 		first.Sbrk(64 << 10)
 	}
+	sibling.ReserveMappings(runs + 1)
 	sibling.own()
-	sibling.regions[UpperHalf] = slices.Grow(sibling.regions[UpperHalf], runs+1)
+	table := &sibling.regions[UpperHalf][:1][0]
 	if n := testing.AllocsPerRun(runs, func() { sibling.Sbrk(64 << 10) }); n != 0 {
 		t.Errorf("a sibling's sbrk of a mapping the table holds makes %v allocations, want 0", n)
+	}
+	if &sibling.regions[UpperHalf][0] != table {
+		t.Error("the sibling's sbrks within its reserve regrew its region table")
 	}
 	for i := range sibling.regions[UpperHalf] {
 		if sibling.regions[UpperHalf][i].desc != first.regions[UpperHalf][i].desc {
 			t.Fatalf("the sibling's region %d is not the first space's descriptor", i)
 		}
+	}
+}
+
+// TestReserveSizesTheTableOnce: a space built from a layout with a
+// reserve of n owns a table whose upper half has room for exactly n more
+// mappings, and the n sbrks fill it in place, leaving the lower half
+// where it was. A space restored from an image taken part way, with the
+// first space's reservation carried over, has room for exactly the sbrks
+// still to come. A space given no reserve owns a table with no room, as
+// before, and one whose reserve is full grows as a slice does.
+func TestReserveSizesTheTableOnce(t *testing.T) {
+	const n, early = 5, 2
+	l, _, _ := sharedLayout(t)
+	a := l.NewSpace()
+	lower := slices.Clone(a.regions[LowerHalf]) // the layout's, still shared
+	a.ReserveMappings(n)
+	var img *Snapshot
+	for i := range n {
+		if i == early {
+			img = a.CommitUpperHalf()
+		}
+		a.Sbrk(4096) // the first one makes own build the table
+	}
+	upper := a.regions[UpperHalf]
+	if len(upper) != len(img.Regions)+n-early || cap(upper) != len(upper) {
+		t.Errorf("a reserve of %d filled by as many sbrks: %d entries in %d, want %d in as many",
+			n, len(upper), cap(upper), len(img.Regions)+n-early)
+	}
+	if got := a.regions[LowerHalf]; len(got) != len(lower) {
+		t.Errorf("the lower half holds %d regions, the layout %d", len(got), len(lower))
+	}
+	for i := range lower {
+		if a.regions[LowerHalf][i].desc != lower[i].desc {
+			t.Errorf("filling the reserve overwrote lower-half region %d", i)
+		}
+	}
+	a.Sbrk(4096) // past the reserve: a copy
+	if got := a.regions[UpperHalf]; &got[0] == &upper[0] {
+		t.Error("an sbrk past the reserve wrote past the upper half's room")
+	}
+
+	b := l.NewSpace()
+	b.own()
+	if u := b.regions[UpperHalf]; cap(u) != len(u) {
+		t.Errorf("a space with no reserve owns %d upper entries with room for %d, want none", len(u), cap(u)-len(u))
+	}
+
+	c := l.Bootstrap()
+	c.ReserveMappings(a.ReservedMappings())
+	c.RestoreUpperHalf(img)
+	if u := c.regions[UpperHalf]; len(u) != len(img.Regions) || cap(u)-len(u) != n-early {
+		t.Errorf("restored at sbrk %d of %d: %d entries with room for %d; want %d with room for %d",
+			early, n, len(u), cap(u)-len(u), len(img.Regions), n-early)
 	}
 }
 

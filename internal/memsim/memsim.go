@@ -208,6 +208,10 @@ type AddressSpace struct {
 	// NewSpace hands out as it is: every path that edits or appends a
 	// region entry calls own first, and readers use the table in place.
 	shared bool
+	// upperRoom is how many upper-half mappings the space's region
+	// tables are sized for (ReserveMappings): own and RestoreUpperHalf
+	// give the upper half that capacity when it holds fewer.
+	upperRoom uint32
 	// maps is the job's mapping table, nil for a space outside a job:
 	// a new mapping takes its descriptor from there when a sibling space
 	// already made the same one (mapping).
@@ -700,12 +704,15 @@ func (a *AddressSpace) RestoreUpperHalf(s *Snapshot) {
 	// dirty with no committed base: restart begins a new incremental
 	// chain. One allocation, whatever the region count, after own's copy
 	// on a space that still shares its layout's table (a restart restores
-	// into a Bootstrap space, which never does). This is the one path
-	// that replaces regions rather than adding them, so it drops the
-	// last-commit memo (see unchanged).
+	// into a Bootstrap space, which never does), sized for the mappings
+	// ReserveMappings asked for: a restarted rank's space is sized as the
+	// dead one was, which leaves room for the sbrks its program makes
+	// after the image's pc. This is the one path that replaces regions
+	// rather than adding them, so it drops the last-commit memo (see
+	// unchanged).
 	a.own()
 	descs := s.Regions
-	upper := make([]liveRegion, len(descs))
+	upper := make([]liveRegion, len(descs), max(len(descs), int(a.upperRoom)))
 	memoised := len(s.RegionHashes) == len(descs)
 	maxEnd := uint64(upperBase)
 	for i := range descs {

@@ -55,6 +55,11 @@ type flatRegion struct {
 	dirty   []bool // one per page of Size
 	sealed  []byte
 	hasSeal bool
+
+	// hash memoises flatContentHash while hashed is set; every change to
+	// Data clears it, so a step rehashes only the regions it wrote.
+	hash   uint64
+	hashed bool
 }
 
 func (r *flatRegion) markAllDirty() {
@@ -123,6 +128,7 @@ func (m *flatSpace) write(addr, off uint64, data []byte) {
 		r.markAllDirty()
 	}
 	copy(r.Data[off:], data)
+	r.hashed = false
 	for p := off / PageSize; len(data) > 0 && p <= (off+uint64(len(data))-1)/PageSize; p++ {
 		r.dirty[p] = true
 	}
@@ -184,6 +190,13 @@ func (m *flatSpace) restore(s flatSnap, keepLower bool) {
 }
 
 func flatContentHash(r *flatRegion) uint64 {
+	if !r.hashed {
+		r.hash, r.hashed = flatContentHashNow(r), true
+	}
+	return r.hash
+}
+
+func flatContentHashNow(r *flatRegion) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	u64 := func(v uint64) {
@@ -264,7 +277,7 @@ func (s flatSnap) corrupt(n int) (flatSnap, int) {
 		if len(r.Data) == 0 {
 			continue
 		}
-		r.Data = bytes.Clone(r.Data)
+		r.Data, r.hashed = bytes.Clone(r.Data), false
 		for off := 0; off < len(r.Data) && done < n; off += PageSize {
 			r.Data[off] ^= 0xFF
 			done++
@@ -366,6 +379,12 @@ type harness struct {
 	// must not change.
 	twin     *AddressSpace
 	twinFlat flatSnap
+
+	// reserve, set on the sibling harness, makes every space it builds
+	// reserve a few upper-half mappings (reserveIn), so its mappings land
+	// in reserved table entries where the first harness's regrow the
+	// table.
+	reserve bool
 
 	// grown is the upper half as the previous check saw it, descriptor
 	// and data length per region; rebuilt is set by the ops that replace
@@ -648,11 +667,13 @@ func (h *harness) intoFrozenShortPage() {
 // either goes on with the space (its pages are now frozen) or replaces it
 // with another one built from the layout (nothing committed, all dirty).
 func (h *harness) relayout() {
+	h.retireTwin()
 	l, maps := h.a.Layout(), h.a.Mappings()
 	h.twin, h.twinFlat = l.NewSpace(), h.m.snapshot(false)
 	if h.p.next()%2 == 0 {
 		h.a = l.NewSpace()
 		h.a.ShareMappings(maps)
+		h.reserveIn(h.a)
 		h.m.relayout()
 		h.hasDelta, h.rebuilt = false, true
 	}
@@ -775,23 +796,44 @@ func (h *harness) check() {
 	if got, want := h.a.Fingerprint(), h.m.fingerprint(); got != want {
 		h.failf("in-place fingerprint %016x, model %016x", got, want)
 	}
-	// The retained captures were compared with the model when they were
-	// taken; their hash memos now detect any later change to a page they
-	// share with the live space.
-	for _, s := range []*Snapshot{h.img, h.peek} {
-		if s == nil {
-			continue
-		}
-		if _, err := s.Verify(); err != nil {
-			h.failf("a retained capture changed after it was taken: %v", err)
-		}
+}
+
+// verifyRetained checks what the harness keeps from earlier steps: the
+// retained captures, compared with the model when they were taken, whose
+// hash memos now detect any later change to a page they share with the
+// live space, and the twin, which must still hold what the model held
+// when it was built. All three are immutable, so damage a step does to
+// one stays until the harness lets go of it: it checks each as it
+// replaces it (retire) and all of them at the end of the run: hashing
+// them after every step was most of the harness's cost.
+func (h *harness) verifyRetained() {
+	h.t.Helper()
+	h.retire(h.img)
+	h.retire(h.peek)
+	h.retireTwin()
+}
+
+// retire verifies a retained capture before the harness replaces it.
+func (h *harness) retire(s *Snapshot) {
+	h.t.Helper()
+	if s == nil {
+		return
 	}
+	if _, err := s.Verify(); err != nil {
+		h.failf("a retained capture changed after it was taken: %v", err)
+	}
+}
+
+// retireTwin checks the twin before the harness replaces it.
+func (h *harness) retireTwin() {
+	h.t.Helper()
 	if h.twin != nil {
 		h.sameSnapshot("twin from a layout of an earlier step", h.twin.SnapshotUpperHalf(), h.twinFlat)
 	}
 }
 
 func (h *harness) snapshot() {
+	h.retire(h.peek)
 	s, f := h.a.SnapshotUpperHalf(), h.m.snapshot(false)
 	h.sameSnapshot("snapshot", s, f)
 	h.peek, h.flatPeek = s, f
@@ -803,6 +845,7 @@ func (h *harness) snapshot() {
 }
 
 func (h *harness) commitFull() {
+	h.retire(h.img)
 	h.img, h.flatImg, h.hasImg = h.a.CommitUpperHalf(), h.m.snapshot(true), true
 	h.hasDelta = false
 	h.sameSnapshot("full commit", h.img, h.flatImg)
@@ -813,6 +856,7 @@ func (h *harness) commitDelta() {
 		h.commitFull()
 		return
 	}
+	h.retire(h.img)
 	d, f := h.a.CommitUpperHalfDelta(), h.m.commitDelta()
 	if d.BaseGen != f.BaseGen || d.Brk != f.Brk || len(d.Regions) != len(f.Regions) {
 		h.failf("delta header %d/%x/%d regions, model %d/%x/%d", d.BaseGen, d.Brk, len(d.Regions), f.BaseGen, f.Brk, len(f.Regions))
@@ -931,6 +975,7 @@ func (h *harness) restore() {
 		fresh = h.a.Layout().Bootstrap()
 	}
 	fresh.ShareMappings(h.a.Mappings())
+	h.reserveIn(fresh)
 	h.a = fresh
 	h.a.RestoreUpperHalf(h.img)
 	h.m.restore(h.flatImg, bootstrap)
@@ -943,12 +988,14 @@ func (h *harness) restore() {
 // runDifferential interprets prog against both representations, twice
 // over: a sibling harness replays each operation right after the first
 // one, on a space that records its mappings in the same table, as the
-// ranks of a job do. Mapping alike, the two share descriptors; the
-// first must still match its model, and the sibling must fingerprint as
-// the first does and hold Equal captures after every step.
+// ranks of a job do, and whose region tables carry a reserve, as a
+// rank's do. Mapping alike, the two share descriptors; the first must
+// still match its model, and the sibling must hold the same map,
+// fingerprint as the first does and hold Equal captures after every
+// step.
 func runDifferential(t *testing.T, prog []byte) {
 	maps := new(Mappings)
-	h, sib := newHarness(t, prog, maps), newHarness(t, prog, maps)
+	h, sib := newHarness(t, prog, maps, false), newHarness(t, prog, maps, true)
 	for ; !h.p.done() && h.step < 300; h.step++ {
 		h.do()
 		h.check()
@@ -956,15 +1003,32 @@ func runDifferential(t *testing.T, prog []byte) {
 		sib.do()
 		h.sameAs(sib)
 	}
+	h.verifyRetained()
 }
 
-func newHarness(t *testing.T, prog []byte, maps *Mappings) *harness {
+// newHarness starts a harness on an empty space; a reserving one starts
+// on a space built from an empty layout, whose first table is own's.
+func newHarness(t *testing.T, prog []byte, maps *Mappings, reserve bool) *harness {
 	h := &harness{
 		t: t, p: &program{b: prog},
 		a: NewAddressSpace(), m: &flatSpace{brk: upperBase},
+		reserve: reserve,
+	}
+	if reserve {
+		h.a = h.a.Layout().NewSpace()
 	}
 	h.a.ShareMappings(maps)
+	h.reserveIn(h.a)
 	return h
+}
+
+// reserveIn gives a space a reserving harness is about to build a table
+// in a reserve of upper-half mappings that varies with the step: none,
+// fewer than the mappings still to come, or more than the live set holds.
+func (h *harness) reserveIn(a *AddressSpace) {
+	if h.reserve {
+		a.ReserveMappings(h.step % (maxRegions + 3))
+	}
 }
 
 // do runs the program's next operation.
@@ -1011,9 +1075,23 @@ func (h *harness) do() {
 }
 
 // sameAs compares the harness with its sibling: the live spaces must
-// fingerprint alike and the retained captures be Equal.
+// map the same regions in both halves, with the same data lengths, and
+// fingerprint alike, and the retained captures be Equal.
 func (h *harness) sameAs(sib *harness) {
 	h.t.Helper()
+	for half, x := range h.a.regions {
+		y := sib.a.regions[half]
+		if len(x) != len(y) {
+			h.failf("the sibling maps %d regions in half %d, the first %d", len(y), half, len(x))
+		}
+		for i := range x {
+			dx, dy := x[i].desc, y[i].desc
+			if dx.Name != dy.Name || dx.Addr != dy.Addr || dx.Size != dy.Size || x[i].dataLen() != y[i].dataLen() {
+				h.failf("the sibling's region %d of half %d is %q at %x (%d bytes, data %d), the first's %q at %x (%d, %d)",
+					i, half, dy.Name, dy.Addr, dy.Size, y[i].dataLen(), dx.Name, dx.Addr, dx.Size, x[i].dataLen())
+			}
+		}
+	}
 	if got, want := sib.a.Fingerprint(), h.a.Fingerprint(); got != want {
 		h.failf("the sibling space fingerprints %016x, the first %016x", got, want)
 	}

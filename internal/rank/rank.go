@@ -359,6 +359,14 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 // drives the job.
 func (r *Rank) ShareMappings(m *memsim.Mappings) { r.mem.ShareMappings(m) }
 
+// ReserveSbrks tells the rank that its program makes n heap growths
+// (OpSbrk ops; Program.Sbrks), so the region table its address space
+// builds when it first changes its map leaves room for every one of
+// them and heap growth never regrows it. coordinator.New counts them once
+// per class of ranks sharing a program. A rank given no reserve grows its
+// table as a slice does. Restore keeps the reserve.
+func (r *Rank) ReserveSbrks(n int) { r.mem.ReserveMappings(n) }
+
 // splitProcess is the memory map of MANA's split process (§2.1), the
 // same in every rank: the upper half models the application, its libc and
 // its link-time MPI library; the lower half models the ephemeral program
@@ -1103,10 +1111,14 @@ func (r *Rank) RestoreFrom(img *Image) {
 	// uncheckpointed run, so replayed allocations land at the same
 	// addresses, and the fresh space keeps the job's mapping table, so
 	// those replayed sbrks share descriptors as the first ones did. The
-	// restored space shares the image's pages rather than copying them.
-	maps := r.mem.Mappings()
+	// restored space shares the image's pages rather than copying them,
+	// and its region table is sized as the dead one's was, which leaves
+	// room for the sbrks the program makes after the image's pc, so
+	// re-execution never regrows it.
+	maps, room := r.mem.Mappings(), r.mem.ReservedMappings()
 	r.mem = splitProcess.Bootstrap()
 	r.mem.ShareMappings(maps)
+	r.mem.ReserveMappings(room)
 	r.mem.RestoreUpperHalf(img.Mem)
 	// The virtualisation table is rebuilt from the image, exactly as MANA
 	// repopulates it after the fresh lower half comes up: virtual ids live

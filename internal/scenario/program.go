@@ -182,3 +182,14 @@ func (op *Op) Resolve(id int) Op {
 // through Op.Scalars) or from a test building literal ops directly. A
 // Program is never written after it is built.
 type Program []Op
+
+// Sbrks returns the number of heap growths (OpSbrk ops) in the program.
+func (p Program) Sbrks() int {
+	n := 0
+	for i := range p {
+		if p[i].Kind == OpSbrk {
+			n++
+		}
+	}
+	return n
+}

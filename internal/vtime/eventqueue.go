@@ -46,8 +46,9 @@ import "math/bits"
 // arena only doubles when no chunk is free. Retained storage is
 // therefore bounded by the peak population: Cap never exceeds twice the
 // peak plus storageSlack (8,576 events, 134 KiB of 16-byte entries), or
-// the size hint if that is larger. Once the arena has grown, Push and
-// Pop allocate nothing, and Clear keeps the arena.
+// what NewEventQueueSized preallocated if that is larger: the size hint
+// plus one chunk per chain. Once the arena has grown, Push and Pop
+// allocate nothing, and Clear keeps the arena.
 //
 // An entry is the key plus the payload. The scheduler's payload is eight
 // bytes with no pointer, so its entries are 16 bytes, moves copy them
@@ -104,13 +105,16 @@ func NewEventQueue[T any]() *EventQueue[T] {
 }
 
 // NewEventQueueSized returns an empty queue whose arena is preallocated
-// for the given number of events (rounded up to whole chunks), so a
-// scheduler that knows its steady-state population (one ready event per
-// rank, say) never pays growth reallocations on the hot path.
+// for the given number of events, rounded up to whole chunks, plus one
+// chunk per chain (2,112 events, 33 KiB) for the tail chunk each chain
+// keeps part full. A scheduler that knows its steady-state population
+// (one ready event per rank, say) then pays no growth reallocation on
+// the hot path while the population stays within the hint; sized for the
+// events alone, the arena would double in the first few pops.
 func NewEventQueueSized[T any](hint int) *EventQueue[T] {
 	q := NewEventQueue[T]()
 	if hint > 0 {
-		q.resize((hint + chunkLen - 1) >> chunkShift)
+		q.resize((hint+chunkLen-1)>>chunkShift + chains)
 	}
 	return q
 }

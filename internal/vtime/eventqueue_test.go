@@ -160,6 +160,30 @@ func TestNewEventQueueSized(t *testing.T) {
 	}
 }
 
+// TestSizedQueueHoldsItsHint pins what the size hint buys: a hold-model
+// stream (pop the earliest event, push it back later) whose population
+// stays at the hint, with intervals from 1 to 2^23 so the events spread
+// over many buckets and every chain keeps a tail chunk, never grows the
+// preallocated arena. An arena sized for the events alone doubles.
+func TestSizedQueueHoldsItsHint(t *testing.T) {
+	for _, hint := range []int{1, 71, 534, 8192, 8649} {
+		rng := NewRNG(uint64(hint))
+		gap := func() Duration { return Duration(1) << rng.Intn(24) }
+		q := NewEventQueueSized[int](hint)
+		want := q.Cap()
+		for i := 0; i < hint; i++ {
+			q.Push(Time(0).Add(gap()), i)
+		}
+		for i := 0; i < 8*hint+1000; i++ {
+			tm, v, _ := q.Pop()
+			q.Push(tm.Add(gap()), v)
+		}
+		if q.Cap() != want {
+			t.Errorf("hint %d: a hold at the hint moved Cap %d -> %d", hint, want, q.Cap())
+		}
+	}
+}
+
 // TestEventQueueClearKeepsCapacity pins the satellite fix: Clear must
 // keep the grown arena so restart rebuilds reuse it.
 func TestEventQueueClearKeepsCapacity(t *testing.T) {
