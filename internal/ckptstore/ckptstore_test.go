@@ -472,8 +472,8 @@ func TestRestoreOutlivesRecycledArray(t *testing.T) {
 	if img != &overlaid {
 		t.Fatal("rank 1 at delta #2 is not an overlay")
 	}
-	restored := rank.New(1, kernelsim.Unpatched, virtid.ImplSharded, nil)
-	restored.RestoreFrom(img)
+	restored := new(rank.Rank)
+	rank.FromImage(restored, img, kernelsim.NewForTable(kernelsim.Unpatched, virtid.ImplSharded), nil, nil, 0)
 	s.Rollback(rs)
 	wantImage, wantRank := imageState(&overlaid), rankState(restored)
 	if !strings.HasPrefix(wantRank, "[2] ") {

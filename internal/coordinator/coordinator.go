@@ -46,17 +46,21 @@
 //	and keeps the committed generations; the coordinator turns the drains
 //	it queues into drain-done events.
 //
-// Restart takes the store's newest verifiable restore point, charging each
-// rank the verification the store reports, then discards every rank's
-// lower half, bootstraps a fresh one, replays the saved upper-half region
-// maps, restores clocks and network counters, clears the event queue
-// (events of the abandoned timeline die with it) and re-seeds ready
-// events from the restored state. Injected faults are the coordinator's:
-// it damages images at their write hops and poisons the link a crashed
-// restart attempt was reading. Because checkpoint activity is accounted
-// outside the application clocks, a restarted run reaches bit-identical
-// virtual-time results to an uncheckpointed one — the property the
-// determinism tests pin down.
+// A Coordinator is a job holding one timeline: the ranks, the network,
+// the event queue and the protocol state of one run from construction or
+// from a restore point. Restart takes the store's newest verifiable
+// restore point, charging each rank the verification the store reports,
+// then builds the next timeline from it, as MANA restarts into a new
+// process: each rank built whole from its image, a fresh lower half
+// bootstrapped under it (rank.FromImage), the network from the link's
+// counters, the event queue seeded from the restored state. Nothing is
+// reset field by field; the dead timeline is dropped, and with it every
+// event, rendezvous and drain it held. Injected faults are the
+// coordinator's: it damages images at their write hops and poisons the
+// link a crashed restart attempt was reading. Because checkpoint
+// activity is accounted outside the application clocks, a restarted run
+// reaches bit-identical virtual-time results to an uncheckpointed one —
+// the property the determinism tests pin down.
 package coordinator
 
 import (
@@ -415,72 +419,28 @@ type forming struct {
 	stamps []vtime.Stamp
 	ranks  []int
 	colors []int // per-arrival colours, comm-splits only
-	// scheduled marks that the completion event is queued, at time
-	// completion; an evCollectiveDone at any other time is stale.
-	scheduled  bool
-	completion vtime.Time
-	planned    bool
-	waiting    map[int]bool
+	// scheduled marks that the completion event is queued.
+	scheduled bool
+	planned   bool
+	waiting   map[int]bool
 }
 
-// Coordinator owns the ranks, the network and the checkpoint protocol.
+// Coordinator is one job: what survives a failure — the configuration,
+// the triggers, the generation store and the records, the fault plan's
+// progress, the counters and the job's mapping table — and the timeline
+// it is running, which a failure destroys. A restart builds the next
+// timeline from the restore point (begin) and drops the dead one.
 type Coordinator struct {
-	cfg   Config
-	ranks []*rank.Rank
-	net   *netsim.Network
-	// queue holds every scheduled event of the run's timeline.
-	queue *vtime.EventQueue[event]
-	// globals holds the time of every queued global event (trigger,
-	// fault): its least is how far a rank may run ahead of the queue.
-	globals timeHeap
-	// deliveries counts the delivery events queued and not yet popped;
-	// at completion they are counted as dispatched (sweepStaleDeliveries).
-	deliveries uint64
+	// timeline is embedded so that the event loop reads the timeline's
+	// fields as its own.
+	*timeline
+
+	cfg      Config
+	triggers []Trigger
+	fired    []bool
 	// drained is the drain phase's buffer for one rank's messages, reused
 	// from rank to rank and drain to drain.
 	drained []netsim.Message
-
-	triggers []Trigger
-	fired    []bool
-	// armed holds indexes of condition triggers (MidCollective/InFlight)
-	// whose At time has passed; their conditions are re-checked after
-	// every dispatched event.
-	armed   []int
-	pending []request
-
-	// Communicator registry: comms[0] is MPI_COMM_WORLD; comm-split
-	// completions append sub-communicators in deterministic order. It is
-	// rebuilt from the restored rank images on restart.
-	comms []comm
-
-	// Collective rendezvous state: one forming instance per communicator
-	// with arrivals outstanding. colls indexes by communicator id;
-	// collList keeps instance order (by seq) so every iteration over the
-	// in-flight set — scheduling re-checks, drain-graph construction,
-	// deadlock diagnostics — is deterministic. collSeq numbers instances;
-	// formingPool recycles completed rendezvous so the steady-state event
-	// loop does not allocate per collective. inCollComm[r] is the
-	// communicator rank r is currently waiting in (-1 when it is not
-	// inside a collective) — the shared-rank information the drain
-	// planner's edges are built from.
-	colls       map[int]*forming
-	collList    []*forming
-	collSeq     uint64
-	formingPool []*forming
-	inCollComm  []int
-
-	// Drain-mode state (see drainplan.go): while draining, ranks the
-	// plan does not need are held at their next collective boundary and
-	// consume no scheduler work until the checkpoint commits.
-	draining         bool
-	plan             *drainPlan
-	held             map[int]bool
-	drainStartEvents uint64
-
-	// doneCount and maxClock are maintained incrementally so the hot
-	// loop never scans all ranks.
-	doneCount int
-	maxClock  vtime.Time
 
 	records  []CheckpointRecord
 	restarts []RestartRecord
@@ -493,6 +453,13 @@ type Coordinator struct {
 	// calls (failed ones included) — the ordinal restart faults key on.
 	faultFired      []bool
 	restartAttempts int
+
+	// maps is the job's mapping table: the ranks of every timeline that
+	// grow their heaps alike share the descriptors, and jobs on other
+	// goroutines never see them. sbrks counts each program class's heap
+	// growths, which every rank's region table is sized for.
+	maps  *memsim.Mappings
+	sbrks sbrkCounts
 
 	// events counts dispatched events: every queue event popped, every
 	// operation a rank ran ahead (the ready event it would have been
@@ -528,10 +495,64 @@ type Coordinator struct {
 	fingerprintPasses int
 }
 
-// New builds a job from the config: one rank per ID with a generated
-// SPMD script, a fresh network wired for event-driven delivery, the
-// configured triggers scheduled, and every rank's first ready event
-// seeded.
+// timeline is one run of the job's ranks from their construction or a
+// restore point: the ranks, the network and every event queued on them,
+// the rendezvous and drain in progress and the requests not yet
+// serviced. Nothing in it outlives a failure.
+type timeline struct {
+	ranks []*rank.Rank
+	net   *netsim.Network
+	// queue holds every scheduled event of the timeline.
+	queue *vtime.EventQueue[event]
+	// globals holds the time of every queued global event (trigger,
+	// fault): its least is how far a rank may run ahead of the queue.
+	globals timeHeap
+	// deliveries counts the delivery events queued and not yet popped;
+	// at completion they are counted as dispatched (sweepStaleDeliveries).
+	deliveries uint64
+
+	// armed holds indexes of condition triggers (MidCollective/InFlight)
+	// whose At time has passed; their conditions are re-checked after
+	// every dispatched event.
+	armed   []int
+	pending []request
+
+	// Communicator registry: comms[0] is MPI_COMM_WORLD; comm-split
+	// completions append sub-communicators in deterministic order.
+	comms []comm
+
+	// Collective rendezvous state: one forming instance per communicator
+	// with arrivals outstanding. colls indexes by communicator id;
+	// collList keeps instance order (by seq) so every iteration over the
+	// in-flight set — scheduling re-checks, drain-graph construction,
+	// deadlock diagnostics — is deterministic. collSeq numbers the
+	// timeline's instances; formingPool recycles completed rendezvous so
+	// the steady-state event loop does not allocate per collective.
+	// inCollComm[r] is the communicator rank r is currently waiting in
+	// (-1 when it is not inside a collective) — the shared-rank
+	// information the drain planner's edges are built from.
+	colls       map[int]*forming
+	collList    []*forming
+	collSeq     uint64
+	formingPool []*forming
+	inCollComm  []int
+
+	// Drain-mode state (see drainplan.go): while draining, ranks the
+	// plan does not need are held at their next collective boundary and
+	// consume no scheduler work until the checkpoint commits.
+	draining         bool
+	plan             *drainPlan
+	held             map[int]bool
+	drainStartEvents uint64
+
+	// doneCount and maxClock are maintained incrementally so the hot
+	// loop never scans all ranks.
+	doneCount int
+	maxClock  vtime.Time
+}
+
+// New builds a job from the config: one rank per ID running its
+// program, and the job's first timeline (begin).
 func New(cfg Config) *Coordinator {
 	if cfg.Ranks <= 0 || cfg.Ranks > scenario.MaxRanks {
 		panic(fmt.Sprintf("coordinator: config needs 1 to %d ranks, has %d", scenario.MaxRanks, cfg.Ranks))
@@ -539,46 +560,91 @@ func New(cfg Config) *Coordinator {
 	if len(cfg.Programs) != cfg.Ranks {
 		panic(fmt.Sprintf("coordinator: config carries %d programs for %d ranks", len(cfg.Programs), cfg.Ranks))
 	}
-	world := make([]int, cfg.Ranks)
-	for i := range world {
-		world[i] = i
-	}
 	c := &Coordinator{
-		cfg: cfg,
-		net: netsim.New(cfg.Net),
-		// Preallocated for the steady-state population: one ready event
-		// per rank.
-		queue:      vtime.NewEventQueueSized[event](cfg.Ranks + 16),
-		triggers:   append([]Trigger(nil), cfg.Triggers...),
-		fired:      make([]bool, len(cfg.Triggers)),
-		ranks:      make([]*rank.Rank, cfg.Ranks),
-		comms:      []comm{{members: world}},
-		colls:      make(map[int]*forming),
-		inCollComm: make([]int, cfg.Ranks),
-		held:       make(map[int]bool),
-		store:      ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
+		cfg:      cfg,
+		triggers: append([]Trigger(nil), cfg.Triggers...),
+		fired:    make([]bool, len(cfg.Triggers)),
+		store:    ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
+		maps:     new(memsim.Mappings),
+		sbrks:    sbrkCounts{},
 	}
-	for i := range c.inCollComm {
-		c.inCollComm[i] = -1
-	}
-	c.net.Reserve(cfg.Ranks)
-	c.net.SetDeliveryScheduler(c)
 	if len(cfg.Faults) > 0 {
 		c.faultFired = make([]bool, len(cfg.Faults))
 	}
-	// One mapping table per job: ranks that grow their heaps alike share
-	// the descriptors, and jobs on other goroutines never see them. Each
-	// rank reserves its program's sbrks in its region table.
-	maps := new(memsim.Mappings)
-	sbrks := sbrkCounts{}
-	for id := range c.ranks {
-		r := rank.New(id, cfg.Personality, cfg.Virtid, cfg.Programs[id])
-		r.ShareMappings(maps)
-		r.ReserveSbrks(sbrks.of(cfg.Programs[id]))
-		c.ranks[id] = r
+	ranks := make([]*rank.Rank, cfg.Ranks)
+	for id, prog := range cfg.Programs {
+		r := rank.New(id, cfg.Personality, cfg.Virtid, prog)
+		r.ShareMappings(c.maps)
+		r.ReserveSbrks(c.sbrks.of(prog))
+		ranks[id] = r
 	}
-	c.seed()
+	c.begin(ranks, nil)
 	return c
+}
+
+// begin gives the job a new timeline of ranks: a network holding the
+// per-pair counters (nil for the job's first timeline), the
+// communicator registry read off the ranks' slot tables, and an event
+// queue seeded with the unfired triggers, the unfired virtual-time
+// faults and one ready event per unfinished rank.
+func (c *Coordinator) begin(ranks []*rank.Rank, counters netsim.Counters) {
+	c.timeline = &timeline{
+		ranks: ranks,
+		net:   netsim.FromCounters(c.cfg.Net, len(ranks), counters),
+		// Preallocated for the steady-state population: one ready event
+		// per rank.
+		queue:      vtime.NewEventQueueSized[event](len(ranks) + 16),
+		comms:      commsOf(ranks),
+		colls:      make(map[int]*forming),
+		inCollComm: make([]int, len(ranks)),
+		held:       make(map[int]bool),
+	}
+	c.net.SetDeliveryScheduler(c)
+	for i := range c.inCollComm {
+		c.inCollComm[i] = -1
+	}
+	for i, t := range c.triggers {
+		if !c.fired[i] {
+			c.pushGlobal(t.At, indexEvent(evTrigger, i))
+		}
+	}
+	for i, f := range c.cfg.Faults {
+		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
+			c.pushGlobal(f.Time, indexEvent(evFail, i))
+		}
+	}
+	for _, r := range ranks {
+		c.noteClock(r.Clock().Now())
+		if r.State() == rank.Done {
+			c.doneCount++
+		} else {
+			c.scheduleReady(r)
+		}
+	}
+}
+
+// commsOf builds the communicator registry from the ranks' slot tables:
+// each communicator's members are the ranks holding a slot for its id.
+// Iterating ranks in id order keeps every member list sorted, matching
+// how comm-split completions build them, and the next split of a
+// restored timeline mints max-id+1 — exactly what the replayed
+// timeline's split would have minted.
+func commsOf(ranks []*rank.Rank) []comm {
+	n := 1
+	for _, r := range ranks {
+		for slot := 1; slot < r.CommCount(); slot++ {
+			n = max(n, r.CommID(slot)+1)
+		}
+	}
+	comms := make([]comm, n)
+	comms[0].members = make([]int, 0, len(ranks)) // every rank is in world
+	for _, r := range ranks {
+		for slot := 0; slot < r.CommCount(); slot++ {
+			id := r.CommID(slot)
+			comms[id].members = append(comms[id].members, r.ID())
+		}
+	}
+	return comms
 }
 
 // sbrkCounts counts the heap growths of each program class once. The
@@ -603,30 +669,6 @@ func (c sbrkCounts) of(p scenario.Program) int {
 		c[k] = n
 	}
 	return n
-}
-
-// seed fills the empty event queue from the job's state, at construction
-// and after every restart: the unfired triggers, the unfired virtual-time
-// faults and one ready event per unfinished rank.
-func (c *Coordinator) seed() {
-	for i, t := range c.triggers {
-		if !c.fired[i] {
-			c.pushGlobal(t.At, indexEvent(evTrigger, i))
-		}
-	}
-	for i, f := range c.cfg.Faults {
-		if !c.faultFired[i] && f.Anchor == faultplan.AtVirtualTime {
-			c.pushGlobal(f.Time, indexEvent(evFail, i))
-		}
-	}
-	c.doneCount = 0
-	for _, r := range c.ranks {
-		if r.State() == rank.Done {
-			c.doneCount++
-		} else {
-			c.scheduleReady(r)
-		}
-	}
 }
 
 // ScheduleDelivery implements netsim.DeliveryScheduler: every injected
@@ -785,14 +827,17 @@ func (c *Coordinator) checkArmedTriggers() {
 }
 
 // newForming starts the rendezvous of a collective on one communicator,
-// recycling a completed instance's storage when one is available.
+// recycling a completed instance's storage when one is available and
+// otherwise sizing it for the communicator's live members: each
+// timeline starts with an empty pool.
 func (c *Coordinator) newForming(commID int, kind netsim.CollectiveKind, bytes uint64) *forming {
 	var f *forming
 	if n := len(c.formingPool); n > 0 {
 		f = c.formingPool[n-1]
 		c.formingPool = c.formingPool[:n-1]
 	} else {
-		f = &forming{}
+		n := c.liveMembers(commID)
+		f = &forming{stamps: make([]vtime.Stamp, 0, n), ranks: make([]int, 0, n)}
 	}
 	f.commID = commID
 	f.seq = c.collSeq
@@ -833,7 +878,7 @@ func (c *Coordinator) maybeScheduleCollectiveDone(f *forming) {
 	}
 	latest := vtime.MaxStamp(f.stamps)
 	completion := latest.When.Add(c.cfg.Net.CollectiveCost(f.kind, n, f.bytes))
-	f.scheduled, f.completion = true, completion
+	f.scheduled = true
 	c.queue.Push(completion, indexEvent(evCollectiveDone, f.commID))
 }
 
@@ -905,9 +950,6 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
 // table — all deterministic, so restart replay re-mints identical ids.
 func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 	f := c.colls[commID]
-	if f == nil || !f.scheduled || f.completion != completion {
-		return // stale event from an abandoned timeline
-	}
 	if f.kind == netsim.CommSplit {
 		byColor := make(map[int][]int, 4)
 		colors := make([]int, 0, 4)
@@ -1040,9 +1082,6 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 			// message arrives one wire latency after the sender's link
 			// frees (netsim.Send), which is now.
 			c.queue.Push(t.Add(c.cfg.Net.Latency), rankEvent(evDelivery, to-1, r.ID()))
-		}
-		if r.State() != rank.Running {
-			return false, nil // stale: the timeline this event belonged to is gone
 		}
 		if c.draining && c.shouldHold(r) {
 			// The rank reached its safe point for the in-progress drain:
@@ -1491,17 +1530,14 @@ func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, r
 // nothing retained verified.
 var ErrRestartFault = errors.New("coordinator: injected restart fault")
 
-// Restart rebuilds the job from the restore point the generation store
-// chooses (ckptstore.Store.Choose), or returns the store's error, which
-// wraps ckptstore.ErrNoVerifiableGeneration, when nothing verifies. Every
-// rank discards its lower half, bootstraps a fresh one, replays the saved
-// upper-half region map and resumes its clock, program counter and
-// drained-message buffer, paying the read of its chain; the network
-// counters are restored and its queues cleared (the image was taken on a
-// quiescent network). The event queue — every event referenced the
-// abandoned timeline — is reseeded from the restored state: one ready
-// event per unfinished rank plus the unfired triggers and virtual-time
-// faults.
+// Restart builds the job's next timeline from the restore point the
+// generation store chooses (ckptstore.Store.Choose), or returns the
+// store's error, which wraps ckptstore.ErrNoVerifiableGeneration, when
+// nothing verifies: each rank built whole from its image over a fresh
+// lower half (rank.FromImage), paying the read of its chain and the
+// lower half's reinitialisation, and the network from the link's
+// counters (the image was taken on a quiescent network). The dead
+// timeline — its events, rendezvous, drain and requests — is dropped.
 func (c *Coordinator) Restart() error {
 	if c.store.Newest() == 0 {
 		return fmt.Errorf("coordinator: no committed checkpoint to restart from")
@@ -1523,46 +1559,31 @@ func (c *Coordinator) Restart() error {
 			return fmt.Errorf("coordinator: restart from checkpoint #%d crashed mid-restore: %w", rs.Seq, ErrRestartFault)
 		}
 	}
-	preClock := c.maxClock
-	var overlaid rank.Image
-	for i, r := range c.ranks {
-		img, readTime := rs.Image(i, &overlaid)
-		r.RestoreFrom(img)
-		r.ChargeCkptOverhead(r.Kernel().RestartReinitCost() + readTime)
-	}
-	c.net.Restore(rs.Counters)
-	// In-flight collectives and any drain in progress belonged to the
-	// abandoned timeline: clear the rendezvous state and rebuild the
-	// communicator registry from the restored images (sub-communicators
-	// minted after the checkpoint die with the timeline; replayed splits
-	// will re-mint them with identical ids).
-	for len(c.collList) > 0 {
-		c.removeForming(c.collList[0])
-	}
-	for i := range c.inCollComm {
-		c.inCollComm[i] = -1
-	}
-	c.abandonDrain()
-	c.rebuildComms()
-	// Checkpoint requests fired in the abandoned timeline die with it: a
-	// request references scheduler state (clocks, collective progress)
-	// that no longer exists after the rollback. But a request whose
-	// checkpoint never committed — the job crashed mid-drain or
-	// mid-write — is still owed: its trigger is un-consumed so the
-	// checkpoint (and its drain plan) is rebuilt in the new timeline.
-	// Triggers whose checkpoints committed stay consumed.
+	// A checkpoint request whose checkpoint never committed — the job
+	// crashed mid-drain or mid-write — is still owed: its trigger is
+	// un-consumed so the checkpoint (and its drain plan) is rebuilt in the
+	// next timeline. Triggers whose checkpoints committed stay consumed.
 	for _, req := range c.pending {
 		c.fired[req.trigger] = false
 	}
-	c.pending = nil
-	c.armed = c.armed[:0]
-	// Clearing the queue drops the drain-done events too: the store's
-	// rollback forgets the transfers they completed.
-	c.queue.Clear()
-	c.globals = c.globals[:0]
-	c.deliveries = 0
-	c.seed()
-	c.maxClock = c.MaxClock()
+	// Only the dead ranks' records are kept: each rank is built over its
+	// dead one, which keeps nothing of it but the checkpoint overhead
+	// carried here, so a restart's garbage is not a record per rank. The
+	// drain-done events die with the timeline: the store's rollback
+	// forgets the transfers they completed.
+	preClock := c.maxClock
+	ranks := c.ranks
+	c.timeline = nil
+	kernel := kernelsim.NewForTable(c.cfg.Personality, c.cfg.Virtid)
+	var overlaid rank.Image
+	for i, r := range ranks {
+		img, readTime := rs.Image(i, &overlaid)
+		prog := c.cfg.Programs[i]
+		overhead := r.CkptOverhead()
+		rank.FromImage(r, img, kernel, prog, c.maps, c.sbrks.of(prog))
+		r.ChargeCkptOverhead(overhead + r.Kernel().RestartReinitCost() + readTime)
+	}
+	c.begin(ranks, rs.Counters)
 	rec := c.store.Rollback(rs)
 	rec.ResumeClock = c.maxClock
 	if preClock > c.maxClock {
@@ -1579,31 +1600,6 @@ func (c *Coordinator) chargeVerify(i, pages int) vtime.Duration {
 	cost := vtime.Duration(pages) * r.Kernel().PageHashCost()
 	r.ChargeCkptOverhead(cost)
 	return cost
-}
-
-// rebuildComms reconstructs the communicator registry from the restored
-// ranks' slot tables. Iterating ranks in id order keeps every member
-// list sorted, matching how comm-split completions build them, and the
-// next split after restart mints max-id+1 — exactly what the replayed
-// timeline's split would have minted.
-func (c *Coordinator) rebuildComms() {
-	maxID := 0
-	for _, r := range c.ranks {
-		for slot := 1; slot < r.CommCount(); slot++ {
-			if id := r.CommID(slot); id > maxID {
-				maxID = id
-			}
-		}
-	}
-	comms := make([]comm, maxID+1)
-	comms[0] = c.comms[0] // world membership never changes
-	for _, r := range c.ranks {
-		for slot := 1; slot < r.CommCount(); slot++ {
-			id := r.CommID(slot)
-			comms[id].members = append(comms[id].members, r.ID())
-		}
-	}
-	c.comms = comms
 }
 
 // bwString renders a storage bandwidth for the report header:

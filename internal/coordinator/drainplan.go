@@ -251,9 +251,9 @@ func (c *Coordinator) beginDrain() error {
 	}
 	// Drain-start faults anchored to the upcoming checkpoint fire now:
 	// the crash event lands Delay after the plan was built, killing the
-	// job while the topo order is partially executed. Restart discards
-	// the partial plan (abandonDrain) and the replayed timeline re-plans
-	// from its own collective state.
+	// job while the topo order is partially executed. The partial plan
+	// dies with its timeline, and the restarted one re-plans from its own
+	// collective state.
 	seq := len(c.records) + 1
 	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtDrainStart && f.N == seq {
@@ -275,16 +275,6 @@ func (c *Coordinator) endDrain() {
 			delete(c.held, id)
 			c.scheduleReady(c.ranks[id])
 		}
-	}
-}
-
-// abandonDrain discards drain state without rescheduling anything; the
-// caller (Restart) re-seeds the event queue wholesale.
-func (c *Coordinator) abandonDrain() {
-	c.draining = false
-	c.plan = nil
-	for id := range c.held {
-		delete(c.held, id)
 	}
 }
 

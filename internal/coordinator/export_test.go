@@ -2,11 +2,14 @@ package coordinator
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 
 	"mana/internal/memsim"
+	"mana/internal/netsim"
 	"mana/internal/rank"
 	"mana/internal/scenario"
+	"mana/internal/virtid"
 	"mana/internal/vtime"
 )
 
@@ -86,4 +89,131 @@ func perRank(ranks int, f func(id int) []scenario.Op) []scenario.Program {
 		progs[id] = f(id)
 	}
 	return progs
+}
+
+// rankView is what a rank exports of its state, as reflect.DeepEqual
+// compares it, plus its upper-half region table's length and capacity.
+type rankView struct {
+	ID, PC       int
+	State        rank.State
+	Clock        vtime.Time
+	Stats        rank.Stats
+	CkptOverhead vtime.Duration
+	CommIDs      []int
+	Requests     []virtid.VID
+	Inbox        int
+	BlockedOn    int // -1 unless blocked in a receive
+	Handles      *virtid.Snapshot
+	Memory       uint64 // MemFingerprint
+	Table        [2]int
+}
+
+func viewRank(r *rank.Rank) rankView {
+	v := rankView{
+		ID: r.ID(), PC: r.PC(), State: r.State(), Clock: r.Clock().Now(),
+		Stats: r.Stats(), CkptOverhead: r.CkptOverhead(),
+		Requests: r.PendingRequests(), Inbox: r.InboxLen(), BlockedOn: -1,
+		Handles: r.Virtid().Snapshot(),
+	}
+	for slot := 0; slot < r.CommCount(); slot++ {
+		v.CommIDs = append(v.CommIDs, r.CommID(slot))
+	}
+	if peer, ok := r.BlockedOn(); ok {
+		v.BlockedOn = peer
+	}
+	var scratch []byte
+	v.Memory = r.MemFingerprint(&scratch)
+	v.Table[0], v.Table[1] = upperTable(r)
+	return v
+}
+
+// queued is one event of a timeline's queue.
+type queued struct {
+	At vtime.Time
+	Ev event
+}
+
+// formingView is one in-flight rendezvous.
+type formingView struct {
+	Comm, Kind int
+	Seq, Bytes uint64
+	Stamps     []vtime.Stamp
+	Ranks      []int
+	Colors     []int
+	Scheduled  bool
+	Planned    bool
+	Waiting    map[int]bool
+}
+
+// netView is what a network exports of its state.
+type netView struct {
+	Counters    map[netsim.Pair]netsim.PairCount
+	InFlight    uint64
+	LongestRing int
+}
+
+// timelineView returns every field of the job's current timeline, keyed
+// by the field's name, as a plain value reflect.DeepEqual compares: the
+// ranks through viewRank, the network through netView, the rendezvous
+// by communicator id and in instance order. It empties the event queue,
+// whose events it lists in pop order, so the timeline cannot run on
+// after it.
+func (c *Coordinator) timelineView() map[string]any {
+	tl := c.timeline
+	ranks := make([]rankView, len(tl.ranks))
+	for i, r := range tl.ranks {
+		ranks[i] = viewRank(r)
+	}
+	var events []queued
+	for {
+		at, ev, ok := tl.queue.Pop()
+		if !ok {
+			break
+		}
+		events = append(events, queued{at, ev})
+	}
+	viewForming := func(f *forming) formingView {
+		return formingView{
+			Comm: f.commID, Kind: int(f.kind), Seq: f.seq, Bytes: f.bytes,
+			Stamps: f.stamps, Ranks: f.ranks, Colors: f.colors,
+			Scheduled: f.scheduled, Planned: f.planned, Waiting: f.waiting,
+		}
+	}
+	colls := make(map[int]formingView, len(tl.colls))
+	for id, f := range tl.colls {
+		colls[id] = viewForming(f)
+	}
+	collList := make([]formingView, len(tl.collList))
+	for i, f := range tl.collList {
+		collList[i] = viewForming(f)
+	}
+	comms := make([][]int, len(tl.comms))
+	for i, m := range tl.comms {
+		comms[i] = m.members
+	}
+	var plan drainPlan
+	if tl.plan != nil {
+		plan = *tl.plan
+	}
+	return map[string]any{
+		"ranks":            ranks,
+		"net":              netView{tl.net.CountersSnapshot(), tl.net.InFlight(), c.LongestRing()},
+		"queue":            events,
+		"globals":          slices.Sorted(slices.Values(tl.globals)),
+		"deliveries":       tl.deliveries,
+		"armed":            tl.armed,
+		"pending":          tl.pending,
+		"comms":            comms,
+		"colls":            colls,
+		"collList":         collList,
+		"collSeq":          tl.collSeq,
+		"formingPool":      len(tl.formingPool),
+		"inCollComm":       tl.inCollComm,
+		"draining":         tl.draining,
+		"plan":             plan,
+		"held":             tl.held,
+		"drainStartEvents": tl.drainStartEvents,
+		"doneCount":        tl.doneCount,
+		"maxClock":         tl.maxClock,
+	}
 }

@@ -206,9 +206,6 @@ type Mappings struct {
 // in m, and take each one from there when m already holds it (mapping).
 func (a *AddressSpace) ShareMappings(m *Mappings) { a.maps = m }
 
-// Mappings returns the table ShareMappings gave the space, or nil.
-func (a *AddressSpace) Mappings() *Mappings { return a.maps }
-
 // mapping returns the live region a new mapping at the end of half
 // starts as. A newborn region is entirely dirty: the next incremental
 // snapshot must carry it whole (there is no committed base to delta
@@ -323,23 +320,29 @@ func (a *AddressSpace) ReserveMappings(n int) {
 	a.upperRoom = uint32(min(uint64(len(a.regions[UpperHalf])+max(n, 0)), math.MaxUint32))
 }
 
-// ReservedMappings returns how many upper-half mappings ReserveMappings
-// sized the space's tables for in all, or 0. A restarted rank reserves
-// as many in its bootstrap space, whose upper half is empty: the
-// replayed timeline maps what the first one did, so the table
-// RestoreUpperHalf builds has room for exactly the sbrks its program
-// makes after the image's pc.
-func (a *AddressSpace) ReservedMappings() int { return int(a.upperRoom) }
-
 // Bootstrap returns a fresh address space holding only the layout's
 // lower half: the bootstrap program a restart begins in, before
 // RestoreUpperHalf maps a checkpoint image over it. Like NewSpace it
-// belongs to no job; a restart gives it the dead space's Mappings, so
-// the heap growths replayed after it share descriptors as the first ones
-// did.
+// belongs to no job.
 func (l *Layout) Bootstrap() *AddressSpace {
 	a := NewAddressSpace()
 	a.regions[LowerHalf] = slices.Clone(l.space.regions[LowerHalf])
 	a.nextLower = l.space.nextLower
+	return a
+}
+
+// Restored returns the space a restart brings up from s: the layout's
+// bootstrap program with s's upper half mapped over it. It records its
+// mappings in maps, the job's table, so the heap growths replayed after
+// it share descriptors as the first ones did. Its upper-half table has
+// room for the layout's upper half and n more mappings, as a space built
+// from the layout that reserved n has: the replayed timeline maps what
+// the first one did, so with n the sbrks the program makes, the table
+// has room for exactly those it makes after s was captured.
+func (l *Layout) Restored(s *Snapshot, maps *Mappings, n int) *AddressSpace {
+	a := l.Bootstrap()
+	a.maps = maps
+	a.ReserveMappings(len(l.space.regions[UpperHalf]) + max(n, 0))
+	a.RestoreUpperHalf(s)
 	return a
 }

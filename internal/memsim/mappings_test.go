@@ -213,8 +213,8 @@ func TestSiblingSbrkAllocatesNoDescriptor(t *testing.T) {
 // reserve of n owns a table whose upper half has room for exactly n more
 // mappings, and the n sbrks fill it in place, leaving the lower half
 // where it was. A space restored from an image taken part way, with the
-// first space's reservation carried over, has room for exactly the sbrks
-// still to come. A space given no reserve owns a table with no room, as
+// same reserve (Layout.Restored), has room for exactly the sbrks still to
+// come. A space given no reserve owns a table with no room, as
 // before, and one whose reserve is full grows as a slice does.
 func TestReserveSizesTheTableOnce(t *testing.T) {
 	const n, early = 5, 2
@@ -253,9 +253,7 @@ func TestReserveSizesTheTableOnce(t *testing.T) {
 		t.Errorf("a space with no reserve owns %d upper entries with room for %d, want none", len(u), cap(u)-len(u))
 	}
 
-	c := l.Bootstrap()
-	c.ReserveMappings(a.ReservedMappings())
-	c.RestoreUpperHalf(img)
+	c := l.Restored(img, nil, n)
 	if u := c.regions[UpperHalf]; len(u) != len(img.Regions) || cap(u)-len(u) != n-early {
 		t.Errorf("restored at sbrk %d of %d: %d entries with room for %d; want %d with room for %d",
 			early, n, len(u), cap(u)-len(u), len(img.Regions), n-early)
@@ -271,7 +269,7 @@ func TestSpaceOutsideAJobMapsPrivately(t *testing.T) {
 	spaces[0].Sbrk(4096)
 	l := spaces[0].Layout()
 	for _, a := range []*AddressSpace{l.NewSpace(), l.Bootstrap(), NewAddressSpace()} {
-		if a.Mappings() != nil {
+		if a.maps != nil {
 			t.Fatal("a space built outside a job has a mapping table")
 		}
 	}

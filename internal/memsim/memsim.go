@@ -705,11 +705,11 @@ func (a *AddressSpace) RestoreUpperHalf(s *Snapshot) {
 	// chain. One allocation, whatever the region count, after own's copy
 	// on a space that still shares its layout's table (a restart restores
 	// into a Bootstrap space, which never does), sized for the mappings
-	// ReserveMappings asked for: a restarted rank's space is sized as the
-	// dead one was, which leaves room for the sbrks its program makes
-	// after the image's pc. This is the one path that replaces regions
-	// rather than adding them, so it drops the last-commit memo (see
-	// unchanged).
+	// ReserveMappings asked for: a restarted rank's space (Restored) is
+	// sized as a new one of its job, which leaves room for the sbrks its
+	// program makes after the image's pc. This is the one path that
+	// replaces regions rather than adding them, so it drops the
+	// last-commit memo (see unchanged).
 	a.own()
 	descs := s.Regions
 	upper := make([]liveRegion, len(descs), max(len(descs), int(a.upperRoom)))

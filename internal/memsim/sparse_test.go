@@ -668,7 +668,7 @@ func (h *harness) intoFrozenShortPage() {
 // with another one built from the layout (nothing committed, all dirty).
 func (h *harness) relayout() {
 	h.retireTwin()
-	l, maps := h.a.Layout(), h.a.Mappings()
+	l, maps := h.a.Layout(), h.a.maps
 	h.twin, h.twinFlat = l.NewSpace(), h.m.snapshot(false)
 	if h.p.next()%2 == 0 {
 		h.a = l.NewSpace()
@@ -974,7 +974,7 @@ func (h *harness) restore() {
 	if bootstrap {
 		fresh = h.a.Layout().Bootstrap()
 	}
-	fresh.ShareMappings(h.a.Mappings())
+	fresh.ShareMappings(h.a.maps)
 	h.reserveIn(fresh)
 	h.a = fresh
 	h.a.RestoreUpperHalf(h.img)

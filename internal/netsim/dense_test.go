@@ -253,7 +253,7 @@ func (h *harness) restore() {
 	if !h.hasSaved {
 		return
 	}
-	h.n.Restore(h.saved)
+	h.n = FromCounters(testParams(), 0, h.saved)
 	h.m.restore(h.saved)
 	clear(h.held)
 }

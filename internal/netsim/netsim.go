@@ -122,9 +122,10 @@ type Message struct {
 	// Seq is the message's send ordinal on its pair: the pair's Sent
 	// counter once the message is counted, so the first message from Src
 	// to Dst is 1. It depends only on the pair's own history — never on
-	// how sends on other pairs interleave with it — and a restored
-	// network continues it from the restored counters. Drain order does
-	// not read it: DrainTo orders by source rank, then pair FIFO.
+	// how sends on other pairs interleave with it — and a network built
+	// FromCounters continues it from the checkpoint's counters. Drain
+	// order does not read it: DrainTo orders by source rank, then pair
+	// FIFO.
 	Seq uint64
 	// Src and Dst are rank IDs.
 	Src, Dst int
@@ -227,7 +228,7 @@ func (p *pairState) pop() *Message {
 // in-degree rather than a scan of every pair in the job. The
 // map-shaped Counters type exists only at the edges, where the paper's
 // counters are actually compared: CountersSnapshot builds it at a
-// checkpoint commit, once per change of the counters, and Restore
+// checkpoint commit, once per change of the counters, and FromCounters
 // consumes it at restart.
 //
 // Slot lifetime. Messages live by value in their pair's ring, and the
@@ -235,7 +236,7 @@ func (p *pairState) pop() *Message {
 //   - the message Send returns, and passes to ScheduleDelivery, stays
 //     intact until it is received (by Recv or DrainTo);
 //   - the message Recv returns stays intact until its receiver's next
-//     Recv or DrainTo on the same pair, or a Restore.
+//     Recv or DrainTo on the same pair.
 //
 // Never keep a received *Message past that; copy what you need. The
 // ring's one slot of slack (pairState) is what lets a receiver read its
@@ -247,14 +248,14 @@ func (p *pairState) pop() *Message {
 type Network struct {
 	params Params
 
-	peers [][]pairState // indexed by destination rank: sized by Reserve, grown on demand
+	peers [][]pairState // indexed by destination rank: sized by FromCounters, grown on demand
 	// inflight counts sent-but-not-received messages, maintained
 	// incrementally so the scheduler's per-event trigger checks are O(1)
 	// instead of a scan over every pair.
 	inflight uint64
 	// counters is the last CountersSnapshot, handed out again until a
-	// Send, a Recv or DrainTo that receives, or a Restore changes a
-	// counter; nil when none is current.
+	// Send, or a Recv or DrainTo that receives, changes a counter; nil
+	// when none is current.
 	counters Counters
 
 	scheduler DeliveryScheduler
@@ -265,15 +266,19 @@ func New(params Params) *Network {
 	return &Network{params: params}
 }
 
-// Reserve sizes the destination index of a network nothing has been sent
-// on for ranks destinations, in one allocation, so that no send to a
-// rank below that regrows it. A job calls it once, with its rank count.
-func (n *Network) Reserve(ranks int) {
-	if len(n.peers) < ranks {
-		peers := make([][]pairState, ranks)
-		copy(peers, n.peers)
-		n.peers = peers
+// FromCounters returns the network of a job of ranks ranks that a
+// checkpoint's counters describe: every pair's counters as c holds them,
+// and no message in flight — a checkpoint drains the network to
+// quiescence first. A nil c is a job's first network. Its destination
+// index is sized for the ranks in one allocation, so that no send to one
+// of them regrows it.
+func FromCounters(params Params, ranks int, c Counters) *Network {
+	n := New(params)
+	n.peers = make([][]pairState, ranks)
+	for pr, pc := range c {
+		n.pair(pr.Src, pr.Dst).count = pc
 	}
+	return n
 }
 
 // SetDeliveryScheduler registers the sink that receives one
@@ -432,23 +437,6 @@ func (n *Network) CountersSnapshot() Counters {
 	}
 	n.counters = out
 	return out
-}
-
-// Restore resets the network to a checkpointed state: all queues are
-// discarded (a correct checkpoint drains them to zero first) and the
-// counters are replaced by the snapshot.
-func (n *Network) Restore(c Counters) {
-	for dst, list := range n.peers {
-		clear(list) // drop the abandoned timeline's rings
-		n.peers[dst] = list[:0]
-	}
-	for pr, pc := range c {
-		n.pair(pr.Src, pr.Dst).count = pc
-	}
-	// The queues are the ground truth for deliverable messages, and they
-	// have just been discarded (a correct checkpoint drains to zero).
-	n.inflight = 0
-	n.counters = nil
 }
 
 // TotalSent returns the total number of messages ever sent.

@@ -124,6 +124,10 @@ func TestDrainToEmptiesAndCounts(t *testing.T) {
 	}
 }
 
+// TestRestoreResetsQueuesAndCounters: the network a restart builds from
+// a checkpoint's counters (FromCounters) holds those counters and none
+// of the abandoned timeline's queued messages, and sending on it leaves
+// the snapshot it was built from as it was.
 func TestRestoreResetsQueuesAndCounters(t *testing.T) {
 	n := New(testParams())
 	s := vtime.Stamp{Rank: 0, When: 0}
@@ -132,12 +136,18 @@ func TestRestoreResetsQueuesAndCounters(t *testing.T) {
 	saved := n.CountersSnapshot()
 	n.Send(0, 1, 0, 10, s)
 	n.Send(1, 0, 0, 10, s)
-	n.Restore(saved)
+	n = FromCounters(testParams(), 2, saved)
 	if got := n.InFlight(); got != 0 {
 		t.Errorf("InFlight after restore = %d, want 0", got)
 	}
 	if got := n.TotalSent(); got != 1 {
 		t.Errorf("TotalSent after restore = %d, want 1", got)
+	}
+	if got := n.Recv(0, 1, vtime.Time(1*vtime.Millisecond)); got != nil {
+		t.Errorf("the restored network delivers %+v, sent in the abandoned timeline", *got)
+	}
+	if got := n.CountersSnapshot(); !reflect.DeepEqual(got, saved) {
+		t.Errorf("restored counters %v, want %v", got, saved)
 	}
 	// The snapshot must be isolated from later mutation of the network.
 	n.Send(0, 1, 0, 10, s)
@@ -147,9 +157,9 @@ func TestRestoreResetsQueuesAndCounters(t *testing.T) {
 }
 
 // TestSeqIsThePairsSendOrdinal: a message's Seq counts the sends on its
-// own pair, whatever the other pairs send in between, and a restored
-// network continues each pair's count from the restored counters rather
-// than from what the abandoned timeline sent.
+// own pair, whatever the other pairs send in between, and a network
+// built from a checkpoint's counters continues each pair's count from
+// them rather than from what the abandoned timeline sent.
 func TestSeqIsThePairsSendOrdinal(t *testing.T) {
 	n := New(testParams())
 	s := vtime.Stamp{Rank: 0, When: 0}
@@ -172,7 +182,7 @@ func TestSeqIsThePairsSendOrdinal(t *testing.T) {
 	seq(0, 1) // the abandoned timeline sends on, then dies
 	seq(0, 1)
 	seq(1, 2)
-	n.Restore(saved)
+	n = FromCounters(testParams(), 3, saved)
 	for _, tc := range []struct {
 		src, dst int
 		want     uint64
@@ -211,12 +221,11 @@ func TestRoomCountsFreeRingSlots(t *testing.T) {
 	}
 }
 
-// TestReserveSizesTheIndexOnce: a reserved network's destination index
-// is the one array sends to every reserved rank use; only a send past it
-// grows the index.
+// TestReserveSizesTheIndexOnce: the destination index of a network
+// built for 64 ranks is the one array sends to every one of them use;
+// only a send past it grows the index.
 func TestReserveSizesTheIndexOnce(t *testing.T) {
-	n := New(testParams())
-	n.Reserve(64)
+	n := FromCounters(testParams(), 64, nil)
 	index := &n.peers[0]
 	s := vtime.Stamp{Rank: 0, When: 0}
 	for dst := 63; dst >= 1; dst-- {
@@ -234,8 +243,7 @@ func TestReserveSizesTheIndexOnce(t *testing.T) {
 // TestCountersSnapshotSharedUntilTraffic: two snapshots with no traffic
 // between them are the same map, built once; a failed receive and an
 // empty drain keep it, and every call that moves a counter — Send, a
-// receive, a drain that receives, Restore — makes the next snapshot a
-// fresh map.
+// receive, a drain that receives — makes the next snapshot a fresh map.
 func TestCountersSnapshotSharedUntilTraffic(t *testing.T) {
 	n := New(testParams())
 	s := vtime.Stamp{Rank: 0, When: 0}
@@ -262,7 +270,6 @@ func TestCountersSnapshotSharedUntilTraffic(t *testing.T) {
 		{"Send", func() { n.Send(0, 1, 0, 10, s) }},
 		{"Recv", func() { n.Recv(1, 0, later) }},
 		{"DrainTo", func() { n.Send(2, 1, 0, 10, s); n.CountersSnapshot(); n.DrainTo(1, nil) }},
-		{"Restore", func() { n.Restore(saved) }},
 	} {
 		before := n.CountersSnapshot()
 		c.op()

@@ -4,3 +4,13 @@ package rank
 // rank's memory goes to the garbage collector with the rank. It stays
 // because bench/probes.go:161 calls it on the ranks its probes build.
 func (r *Rank) ReleaseMem() {}
+
+// Restore makes r the rank FromImage brings up from img, with r's kernel
+// model, program and checkpoint overhead and no mapping table or
+// reserve. It stays because bench/probes.go:157 times it as
+// rank.restore_us_per_rank.
+func (r *Rank) Restore(img Image) {
+	kernel, script, overhead := r.kernel, r.script, r.ckptOverhead
+	FromImage(r, &img, &kernel, script, nil, 0)
+	r.ckptOverhead = overhead
+}

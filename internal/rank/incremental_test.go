@@ -103,7 +103,7 @@ func TestIncrementalOverlayRestoresExactState(t *testing.T) {
 }
 
 // TestRestoreFromDeltaPanics pins the misuse guard: a delta image must be
-// materialised before it can restore a rank.
+// materialised before FromImage can bring a rank up from it.
 func TestRestoreFromDeltaPanics(t *testing.T) {
 	r := New(0, kernelsim.Patched, virtid.ImplSharded, computeScript(2))
 	r.CaptureImage(true) // full
@@ -111,10 +111,10 @@ func TestRestoreFromDeltaPanics(t *testing.T) {
 	delta := r.CaptureImage(true)
 	defer func() {
 		if recover() == nil {
-			t.Error("Restore from a delta image did not panic")
+			t.Error("FromImage of a delta image did not panic")
 		}
 	}()
-	r.Restore(delta)
+	FromImage(new(Rank), &delta, r.Kernel(), r.script, nil, 0)
 }
 
 // TestOverlayChainValidation pins the chain bookkeeping panics.

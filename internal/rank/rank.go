@@ -35,13 +35,13 @@
 // the last read, in pc order and a page at a time, through memsim's one
 // write path (AddressSpace.WriteSpan), so dirty bits, copy-on-write of
 // frozen pages and page contents come out exactly as if each op had
-// written its own, and a timeline that a crash throws away (Restore)
-// never writes its markers at all. The rule that follows: read
-// rank memory through Mem() every time, and never keep the pointer it
-// returns across the rank's progress — that space lacks every marker
-// written since. MemFingerprint, the final fingerprint's path, hashes
-// the space with the owed markers laid over a copy of app.state instead
-// of writing them.
+// written its own, and a timeline that a crash throws away (FromImage
+// builds its successor) never writes its markers at all. The rule that
+// follows: read rank memory through Mem() every time, and never keep the
+// pointer it returns across the rank's progress — that space lacks every
+// marker written since. MemFingerprint, the final fingerprint's path,
+// hashes the space with the owed markers laid over a copy of app.state
+// instead of writing them.
 package rank
 
 import (
@@ -158,8 +158,8 @@ func (st *Stats) contentHash() uint64 {
 // rank bit-identically. A full image carries the complete upper half in
 // Mem (memsim.Snapshot); an incremental image (Full == false) instead
 // carries only the pages dirtied since the previous checkpoint in Delta,
-// and must be overlaid onto its base chain (Overlay) before Restore can
-// consume it. Inbox carries the in-flight messages the drain phase
+// and must be overlaid onto its base chain (Overlay) before FromImage
+// can consume it. Inbox carries the in-flight messages the drain phase
 // buffered at the receiver (§3.1 — drained messages are saved in the
 // image and replayed to the application after restart); Virt carries the
 // handle-virtualisation table state (sorted, deterministic), from which
@@ -334,10 +334,11 @@ const (
 // table in place, pays for a table of its own only once it maps, writes,
 // captures or restores, and then only for the contents it writes). The
 // heap it grows later is shared too once ShareMappings gives it its
-// job's mapping table, as coordinator.New does for every rank. The
-// world communicator and the workload's datatype are registered in the
-// virtualisation table exactly as MANA wraps MPI_Init: the application
-// only ever sees their virtual ids.
+// job's mapping table, as coordinator.New does for every rank (a
+// restarted rank gets it from FromImage). The world communicator and the
+// workload's datatype are registered in the virtualisation table exactly
+// as MANA wraps MPI_Init: the application only ever sees their virtual
+// ids.
 func New(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program) *Rank {
 	r := &Rank{
 		id:     id,
@@ -354,17 +355,16 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 // ShareMappings gives the rank's address space the job's mapping table,
 // which every rank of the job shares: a heap growth that a sibling
 // already mapped at the same position and address takes its descriptor
-// from there instead of allocating one. The rank keeps the table across
-// Restore. Like every per-rank call it belongs to the goroutine that
-// drives the job.
+// from there instead of allocating one. Like every per-rank call it
+// belongs to the goroutine that drives the job.
 func (r *Rank) ShareMappings(m *memsim.Mappings) { r.mem.ShareMappings(m) }
 
 // ReserveSbrks tells the rank that its program makes n heap growths
 // (OpSbrk ops; Program.Sbrks), so the region table its address space
 // builds when it first changes its map leaves room for every one of
 // them and heap growth never regrows it. coordinator.New counts them once
-// per class of ranks sharing a program. A rank given no reserve grows its
-// table as a slice does. Restore keeps the reserve.
+// per class of ranks sharing a program, and gives FromImage the same
+// count. A rank given no reserve grows its table as a slice does.
 func (r *Rank) ReserveSbrks(n int) { r.mem.ReserveMappings(n) }
 
 // splitProcess is the memory map of MANA's split process (§2.1), the
@@ -1089,54 +1089,52 @@ func (img *Image) Verify() (pages int, err error) {
 	return pages, nil
 }
 
-// Restore rebuilds the rank from a checkpoint image, modelling MANA's
-// restart path: discard the dead process's lower half, bootstrap a fresh
-// one (splitProcess's), then map the saved upper-half regions over it and
-// resume the application state. Checkpoint-overhead accounting is
-// preserved across the restore — it describes the run, not the image.
-func (r *Rank) Restore(img Image) { r.RestoreFrom(&img) }
-
-// RestoreFrom is Restore from an image in place; the image is only read.
-func (r *Rank) RestoreFrom(img *Image) {
-	if img.RankID != r.id {
-		panic(fmt.Sprintf("rank %d: restore from image of rank %d", r.id, img.RankID))
-	}
+// FromImage makes *dst the rank a restart brings up from a checkpoint
+// image, modelling MANA's restart path: the dead process is gone, a fresh
+// one bootstraps splitProcess's lower half, maps the saved upper-half
+// regions over it and resumes the application state. It is given what a
+// new rank of the job is given — its kernel cost model, its program, the
+// job's mapping table and the number of sbrks the program makes
+// (ShareMappings, ReserveSbrks) — so the replayed timeline maps at the
+// same addresses as the first, shares its heap descriptors, and grows
+// into a region table that has room for every sbrk after the image's pc.
+// The restored space shares the image's pages rather than copying them;
+// the image is only read. Every field of *dst is overwritten, so dst may
+// be the storage of the dead rank: nothing of it survives, its checkpoint
+// overhead included, which the caller carries over since it describes
+// the run, not the image.
+func FromImage(dst *Rank, img *Image, kernel *kernelsim.Kernel, script scenario.Program, maps *memsim.Mappings, sbrks int) {
 	if !img.Full {
 		panic(fmt.Sprintf("rank %d: restore from unmaterialised delta image (seq %d, base %d) — Overlay it first",
-			r.id, img.Seq, img.Base))
+			img.RankID, img.Seq, img.Base))
 	}
-	// The dead process's address space is gone; restart begins from a
-	// fresh one, exactly as the real bootstrap does. Rebuilding from
-	// scratch also keeps the mmap allocation cursor bit-identical to an
-	// uncheckpointed run, so replayed allocations land at the same
-	// addresses, and the fresh space keeps the job's mapping table, so
-	// those replayed sbrks share descriptors as the first ones did. The
-	// restored space shares the image's pages rather than copying them,
-	// and its region table is sized as the dead one's was, which leaves
-	// room for the sbrks the program makes after the image's pc, so
-	// re-execution never regrows it.
-	maps, room := r.mem.Mappings(), r.mem.ReservedMappings()
-	r.mem = splitProcess.Bootstrap()
-	r.mem.ShareMappings(maps)
-	r.mem.ReserveMappings(room)
-	r.mem.RestoreUpperHalf(img.Mem)
+	*dst = Rank{
+		id:     img.RankID,
+		mem:    splitProcess.Restored(img.Mem, maps, sbrks),
+		kernel: *kernel,
+		script: script,
+		// The image's memory holds every marker up to its pc; those of
+		// the abandoned timeline past it are never written.
+		pc:     img.PC,
+		marked: img.PC,
+		// The small state is deep-copied; an empty FIFO or inbox
+		// allocates nothing.
+		comms:   slices.Clone(img.Comms),
+		commIDs: slices.Clone(img.CommIDs),
+		pending: slices.Clone(img.PendingReqs),
+		inbox:   slices.Clone(img.Inbox),
+		// The image's Stats become what the next capture shares while the
+		// counters stay the same.
+		stats:  img.Stats.Stats,
+		shared: img.Stats,
+	}
+	dst.clock.Set(img.Clock)
 	// The virtualisation table is rebuilt from the image, exactly as MANA
 	// repopulates it after the fresh lower half comes up: virtual ids live
 	// at checkpoint time resolve again, ids minted in the abandoned
 	// timeline do not, and the restored allocation counters make replayed
-	// registrations bit-identical.
-	r.vt.Restore(img.Virt)
-	// The small state is deep-copied; an empty FIFO or inbox allocates
-	// nothing. The counters are copied too, and the image's Stats become
-	// what the next capture shares while they stay the same.
-	r.pending = slices.Clone(img.PendingReqs)
-	r.comms = slices.Clone(img.Comms)
-	r.commIDs = slices.Clone(img.CommIDs)
-	r.clock.Set(img.Clock)
-	// The image's memory holds every marker up to its pc; those of the
-	// abandoned timeline past it are never written.
-	r.pc, r.marked = img.PC, img.PC
-	r.state = Running
-	r.inbox = slices.Clone(img.Inbox)
-	r.stats, r.shared = img.Stats.Stats, img.Stats
+	// registrations bit-identical. The datatype handle the application got
+	// at init is the table's one datatype mapping.
+	dst.vt.Restore(img.Virt)
+	dst.dtype = img.Virt.Entries[virtid.Datatype][0].VID
 }

@@ -48,7 +48,7 @@ import "math/bits"
 // peak plus storageSlack (8,576 events, 134 KiB of 16-byte entries), or
 // what NewEventQueueSized preallocated if that is larger: the size hint
 // plus one chunk per chain. Once the arena has grown, Push and Pop
-// allocate nothing, and Clear keeps the arena.
+// allocate nothing.
 //
 // An entry is the key plus the payload. The scheduler's payload is eight
 // bytes with no pointer, so its entries are 16 bytes, moves copy them
@@ -122,8 +122,8 @@ func NewEventQueueSized[T any](hint int) *EventQueue[T] {
 // Len returns the number of scheduled events.
 func (q *EventQueue[T]) Len() int { return q.n }
 
-// Cap returns the arena's capacity in events, for tests that pin
-// capacity reuse across Clear and the storage bound.
+// Cap returns the arena's capacity in events, for tests that pin the
+// storage bound.
 func (q *EventQueue[T]) Cap() int { return len(q.arena) }
 
 // Push schedules v at virtual time t, after every event already queued
@@ -196,23 +196,6 @@ func (q *EventQueue[T]) Pop() (Time, T, bool) {
 	}
 	c.hd = p
 	return Time(e.key ^ signBit), e.val, true
-}
-
-// Clear discards every scheduled event but keeps the arena, so a restart
-// that rebuilds the queue reuses the already-grown capacity instead of
-// reallocating from zero.
-func (q *EventQueue[T]) Clear() {
-	clear(q.arena) // release the payloads for GC
-	q.free = -1
-	for c := len(q.next) - 1; c >= 0; c-- {
-		q.release(int32(c))
-	}
-	q.ch = [chains]chain{}
-	q.inv = [chains]uint64{}
-	q.mask = 0
-	q.fifoLive, q.lateLive = false, false
-	q.last = 0
-	q.n = 0
 }
 
 // settle makes the FIFO hold the earliest events: it first files a burst

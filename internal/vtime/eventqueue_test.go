@@ -86,24 +86,6 @@ func TestEventQueuePeekAndLen(t *testing.T) {
 	}
 }
 
-func TestEventQueueClearKeepsSeqMonotone(t *testing.T) {
-	q := NewEventQueue[string]()
-	q.Push(10, "old")
-	q.Clear()
-	if q.Len() != 0 {
-		t.Fatalf("Len after Clear = %d, want 0", q.Len())
-	}
-	// Events pushed after Clear tie-break among themselves in push order;
-	// nothing from before the Clear survives to come between them.
-	q.Push(10, "first-after-clear")
-	q.Push(10, "second-after-clear")
-	_, v1, _ := q.Pop()
-	_, v2, _ := q.Pop()
-	if v1 != "first-after-clear" || v2 != "second-after-clear" {
-		t.Errorf("post-Clear order = %q, %q", v1, v2)
-	}
-}
-
 // Property: for any set of (time, id) pushes, popping yields times in
 // non-decreasing order and, within equal times, ids in push order.
 func TestPropertyEventQueueDeterministicOrder(t *testing.T) {
@@ -184,29 +166,6 @@ func TestSizedQueueHoldsItsHint(t *testing.T) {
 	}
 }
 
-// TestEventQueueClearKeepsCapacity pins the satellite fix: Clear must
-// keep the grown arena so restart rebuilds reuse it.
-func TestEventQueueClearKeepsCapacity(t *testing.T) {
-	q := NewEventQueue[int]()
-	for i := 0; i < 1000; i++ {
-		q.Push(Time(i), i)
-	}
-	capBefore := q.Cap()
-	if capBefore < 1000 {
-		t.Fatalf("Cap = %d after 1000 pushes, want >= 1000", capBefore)
-	}
-	q.Clear()
-	if q.Cap() != capBefore {
-		t.Fatalf("Clear dropped capacity %d -> %d", capBefore, q.Cap())
-	}
-	for i := 0; i < 1000; i++ {
-		q.Push(Time(i), i)
-	}
-	if q.Cap() != capBefore {
-		t.Fatalf("refill after Clear reallocated: %d -> %d", capBefore, q.Cap())
-	}
-}
-
 // TestLatePushBurstRebasesOnce pins the late-push path at scale: after a
 // pop, a burst of 65,536 pushes, each below the one before and all below
 // the popped time, costs one rebase at the next pop, not one per push.
@@ -253,40 +212,31 @@ func TestLatePushBurstRebasesOnce(t *testing.T) {
 	}
 }
 
-// TestEventQueueStorageBound pins the bound in the EventQueue doc: a
-// 65,536-event hold, then a restart-style Clear and refill, and the
-// arena never holds more than twice the peak population plus
-// StorageSlack. The hold's intervals span four decades, so events fill
-// many buckets at once.
+// TestEventQueueStorageBound pins the bound in the EventQueue doc: after
+// a 65,536-event hold the arena holds no more than twice the peak
+// population plus StorageSlack. The hold's intervals span four decades,
+// so events fill many buckets at once.
 func TestEventQueueStorageBound(t *testing.T) {
 	const n = 1 << 16
 	rng := NewRNG(11)
 	gap := func() Duration { return Duration(1) << rng.Intn(24) }
 	q := NewEventQueue[int]()
-	hold := func(start Time) {
-		for i := 0; i < n; i++ {
-			q.Push(start.Add(gap()), i)
-		}
-		for i := 0; i < 4*n; i++ {
-			tm, v, ok := q.Pop()
-			if !ok {
-				t.Fatal("queue ran dry during the hold")
-			}
-			q.Push(tm.Add(gap()), v)
-		}
-		if q.Len() != n {
-			t.Fatalf("Len = %d after the hold, want %d", q.Len(), n)
-		}
+	for i := 0; i < n; i++ {
+		q.Push(Time(0).Add(gap()), i)
 	}
-	hold(0)
+	for i := 0; i < 4*n; i++ {
+		tm, v, ok := q.Pop()
+		if !ok {
+			t.Fatal("queue ran dry during the hold")
+		}
+		q.Push(tm.Add(gap()), v)
+	}
+	if q.Len() != n {
+		t.Fatalf("Len = %d after the hold, want %d", q.Len(), n)
+	}
 	grown := q.Cap()
 	t.Logf("Cap = %d after the hold (peak %d)", grown, n)
 	if limit := 2*n + StorageSlack; grown > limit {
 		t.Fatalf("Cap = %d after a %d-event hold, want <= %d", grown, n, limit)
-	}
-	q.Clear()
-	hold(1 << 30) // the restart resumes later in virtual time
-	if q.Cap() != grown {
-		t.Fatalf("Clear and refill moved Cap %d -> %d, want it kept", grown, q.Cap())
 	}
 }

@@ -67,10 +67,10 @@ func (r *refQueue) head() (refEntry, bool) {
 }
 
 // TestEventQueueVsSortedReference drives one EventQueue and the sorted
-// reference with the same random Push/Pop/Clear stream. Times are drawn
-// from one fixed range, so once pops have passed some of it, pushes land
-// below the last popped time too, as the drain's release step does, and
-// the queue rebases.
+// reference with the same random stream of pushes, pops and fresh
+// queues. Times are drawn from one fixed range, so once pops have passed
+// some of it, pushes land below the last popped time too, as the drain's
+// release step does, and the queue rebases.
 func TestEventQueueVsSortedReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -97,8 +97,8 @@ func TestEventQueueVsSortedReference(t *testing.T) {
 					t.Fatalf("trial %d step %d: Pop = (%v, %d, %v), reference (%v, %d, %v)",
 						trial, step, gt, gv, ok, want.time, want.val, wantOK)
 				}
-			case op == 18:
-				q.Clear()
+			case op == 18: // a restart builds a fresh queue
+				q = NewEventQueue[int]()
 				ref.entries = ref.entries[:0]
 			}
 			if q.Len() != len(ref.entries) {
@@ -114,11 +114,11 @@ func TestEventQueueVsSortedReference(t *testing.T) {
 	}
 }
 
-// FuzzQueueVsSort lets arbitrary bytes drive Push, Pop, PeekTime and
-// Clear against the sorted reference. Each push takes its time from one
-// of five shapes: a full 64-bit value (negative times and both extremes
-// included, which the sign flip of the order key must order correctly),
-// one of a handful of boundary values, a small range dense with equal
+// FuzzQueueVsSort lets arbitrary bytes drive Push, Pop, PeekTime and a
+// fresh queue against the sorted reference. Each push takes its time
+// from one of five shapes: a full 64-bit value (negative times and both
+// extremes included, which the sign flip of the order key must order
+// correctly), one of a handful of boundary values, a small range dense with equal
 // times, a repeat of the previous time, or a time below the last popped
 // one — what the drain's release step does when it re-seeds held ranks
 // at their own clocks, and what makes the queue rebase.
@@ -188,8 +188,8 @@ func FuzzQueueVsSort(f *testing.F) {
 				if ok {
 					popped = gt
 				}
-			default:
-				q.Clear()
+			default: // a restart builds a fresh queue
+				q = NewEventQueue[int]()
 				ref.entries = ref.entries[:0]
 			}
 			if q.Len() != len(ref.entries) {
