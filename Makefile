@@ -185,9 +185,9 @@ smoke:
 # of its own invocation (mktemp -d), removed on exit, so two checkouts can
 # run the same target at once.
 
-# smoke-wide mirrors CI's four memory smokes; each run prints its peak
-# RSS (ru_maxrss of the child, in KiB on Linux), wall and system time,
-# and holds the RSS under a ceiling. Wide: 65536 ranks that each write
+# smoke-wide is CI's memory-smoke step: four smokes, each run printing
+# its peak RSS (ru_maxrss of the child, in KiB on Linux), wall and system
+# time, and holding the RSS strictly under a ceiling. Wide: 65536 ranks that each write
 # 150 bytes, twice, byte-identical, under 120 MiB — memory must follow the
 # bytes a run writes, not its address space or its page size (648 MiB
 # with a 4 KiB page and a private memory map per rank; 107 MiB when every

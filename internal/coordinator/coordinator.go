@@ -395,10 +395,6 @@ func rankEvent(k eventKind, arg, rank int) event {
 	return event{arg: int32(arg), tag: uint32(rank)<<rankShift | uint32(k)}
 }
 
-// deliveryEvent is the event that makes m visible at its receiver, due
-// at m.Arrive.
-func deliveryEvent(m *netsim.Message) event { return rankEvent(evDelivery, m.Dst, m.Src) }
-
 // comm is one communicator the job knows: id 0 is MPI_COMM_WORLD,
 // higher ids are minted by comm-split completions in deterministic
 // (colour-sorted) order. Members are sorted rank ids.
@@ -480,11 +476,8 @@ type Coordinator struct {
 	// stepwise, set only by tests (export_test.go), turns run-ahead off:
 	// every operation is then a queue event of its own. ranAhead counts
 	// the operations run ahead, so events-ranAhead is the queue pops.
-	// carrying is set while a rank runs a send ahead: its delivery is
-	// queued by the rank's next ready event, not by ScheduleDelivery.
 	stepwise bool
 	ranAhead uint64
-	carrying bool
 
 	// digest folds checkpoint images into their fingerprint, keeping the
 	// text they repeat. final memoises FinalFingerprint while finalOK;
@@ -552,7 +545,9 @@ type timeline struct {
 }
 
 // New builds a job from the config: one rank per ID running its
-// program, and the job's first timeline (begin).
+// program, each built whole (rank.Build) with the job's kernel model,
+// mapping table and its program's sbrk count, as Restart builds each
+// from its image, and the job's first timeline (begin).
 func New(cfg Config) *Coordinator {
 	if cfg.Ranks <= 0 || cfg.Ranks > scenario.MaxRanks {
 		panic(fmt.Sprintf("coordinator: config needs 1 to %d ranks, has %d", scenario.MaxRanks, cfg.Ranks))
@@ -572,11 +567,9 @@ func New(cfg Config) *Coordinator {
 		c.faultFired = make([]bool, len(cfg.Faults))
 	}
 	ranks := make([]*rank.Rank, cfg.Ranks)
+	kernel := kernelsim.NewForTable(cfg.Personality, cfg.Virtid)
 	for id, prog := range cfg.Programs {
-		r := rank.New(id, cfg.Personality, cfg.Virtid, prog)
-		r.ShareMappings(c.maps)
-		r.ReserveSbrks(c.sbrks.of(prog))
-		ranks[id] = r
+		ranks[id] = rank.Build(id, kernel, prog, c.maps, c.sbrks.of(prog))
 	}
 	c.begin(ranks, nil)
 	return c
@@ -599,7 +592,6 @@ func (c *Coordinator) begin(ranks []*rank.Rank, counters netsim.Counters) {
 		inCollComm: make([]int, len(ranks)),
 		held:       make(map[int]bool),
 	}
-	c.net.SetDeliveryScheduler(c)
 	for i := range c.inCollComm {
 		c.inCollComm[i] = -1
 	}
@@ -671,14 +663,14 @@ func (c sbrkCounts) of(p scenario.Program) int {
 	return n
 }
 
-// ScheduleDelivery implements netsim.DeliveryScheduler: every injected
-// message becomes a delivery event at its arrival time — queued now, or,
-// for a send a rank ran ahead, by the rank's next ready event (runAhead).
-func (c *Coordinator) ScheduleDelivery(m *netsim.Message) {
+// queueDelivery queues the delivery of the message rank from sent to
+// receiver to-1 (rank.Transition.SentTo), due one wire latency after at,
+// the time the sender's link freed: the message's Arrive (netsim.Send).
+// A send dispatch executes is queued as Execute returns; a send a rank
+// ran ahead, by the rank's next ready event (runAhead).
+func (c *Coordinator) queueDelivery(at vtime.Time, to, from int) {
 	c.deliveries++
-	if !c.carrying {
-		c.queue.Push(m.Arrive, deliveryEvent(m))
-	}
+	c.queue.Push(at.Add(c.cfg.Net.Latency), rankEvent(evDelivery, to-1, from))
 }
 
 // pushGlobal queues a global event (event.global) and notes its time.
@@ -724,18 +716,9 @@ func (c *Coordinator) EventsDispatched() uint64 { return c.events }
 func (c *Coordinator) RankVisits() uint64 { return c.rankVisits }
 
 // MaxClock returns the maximum rank clock — the job's virtual makespan so
-// far. It scans all ranks and is intended for reports and checkpoint
-// records, not the per-event hot path (which uses the incremental
-// high-water mark).
-func (c *Coordinator) MaxClock() vtime.Time {
-	var max vtime.Time
-	for _, r := range c.ranks {
-		if t := r.Clock().Now(); t > max {
-			max = t
-		}
-	}
-	return max
-}
+// far: the timeline's high-water mark, which every change of a rank's
+// clock raises (noteClock).
+func (c *Coordinator) MaxClock() vtime.Time { return c.maxClock }
 
 func (c *Coordinator) nonDone() int { return c.cfg.Ranks - c.doneCount }
 
@@ -971,7 +954,7 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 				r := c.ranks[m]
 				c.inCollComm[m] = -1
 				r.FinishCommSplit(completion, id, rank.RealCommBase+virtid.Real(id))
-				c.afterCollectiveExit(r)
+				c.afterRankProgress(r, false)
 			}
 		}
 	} else {
@@ -980,22 +963,10 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 			r := c.ranks[id]
 			c.inCollComm[id] = -1
 			r.FinishCollective(completion)
-			c.afterCollectiveExit(r)
+			c.afterRankProgress(r, false)
 		}
 	}
-	c.noteClock(completion)
 	c.removeForming(f)
-}
-
-// afterCollectiveExit updates bookkeeping for one rank leaving a
-// collective: done accounting (which may lower other forming
-// collectives' participation bars) or its next operations (runAhead).
-func (c *Coordinator) afterCollectiveExit(r *rank.Rank) {
-	if r.State() == rank.Done {
-		c.noteDone()
-	} else {
-		c.runAhead(r, false)
-	}
 }
 
 // noteDone records a rank's script ending and re-checks every forming
@@ -1010,10 +981,10 @@ func (c *Coordinator) noteDone() {
 }
 
 // afterRankProgress updates bookkeeping after a rank's operation
-// completed: the high-water clock, the done count — a rank finishing its
-// script lowers collective participation bars, possibly completing
-// collectives — or its next operations (runAhead). sent reports that the
-// operation was a send or an isend.
+// completed, a collective's included: the high-water clock, the done
+// count — a rank finishing its script lowers collective participation
+// bars, possibly completing collectives — or its next operations
+// (runAhead). sent reports that the operation was a send or an isend.
 func (c *Coordinator) afterRankProgress(r *rank.Rank, sent bool) {
 	c.noteClock(r.Clock().Now())
 	if r.State() == rank.Done {
@@ -1056,9 +1027,7 @@ func (c *Coordinator) runAhead(r *rank.Rank, sent bool) {
 		if c.dispatched != nil {
 			c.dispatched(t)
 		}
-		c.carrying = send
 		r.Execute(c.net)
-		c.carrying = false
 		c.noteClock(r.Clock().Now())
 		if sent = send; send {
 			carried = peer + 1
@@ -1079,9 +1048,8 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 		if to := ev.rank(); to > 0 {
 			// The visit that queued this event ended with a send run
 			// ahead, and the event carries its delivery (runAhead): the
-			// message arrives one wire latency after the sender's link
-			// frees (netsim.Send), which is now.
-			c.queue.Push(t.Add(c.cfg.Net.Latency), rankEvent(evDelivery, to-1, r.ID()))
+			// sender's link frees now.
+			c.queueDelivery(t, to, r.ID())
 		}
 		if c.draining && c.shouldHold(r) {
 			// The rank reached its safe point for the in-progress drain:
@@ -1092,9 +1060,12 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 		}
 		c.rankVisits++
 		tr := r.Execute(c.net)
+		if tr.SentTo > 0 {
+			c.queueDelivery(r.Clock().Now(), tr.SentTo, r.ID())
+		}
 		switch tr.Kind {
 		case rank.Advanced:
-			c.afterRankProgress(r, tr.Sent)
+			c.afterRankProgress(r, tr.SentTo > 0)
 		case rank.BlockedOnRecv:
 			// Zero scheduler work until a delivery event wakes it — but a
 			// rank the drain plan needs must not starve behind a held
@@ -1274,26 +1245,24 @@ func (h *timeHeap) pop() {
 // drain runs phase 1's message drain: every in-flight message is received
 // into its destination rank's buffer, with probe and copy costs charged
 // to the checkpoint-overhead accounts, until the per-pair counters agree
-// the network is quiescent.
-func (c *Coordinator) drain(rec *CheckpointRecord) error {
-	for rounds := 0; c.net.InFlight() > 0; rounds++ {
-		if rounds > c.cfg.Ranks+1 {
-			return fmt.Errorf("coordinator: drain did not converge, %d messages still in flight", c.net.InFlight())
-		}
-		for _, r := range c.ranks {
-			// One counter-comparison probe per peer that has ever sent
-			// to this rank.
-			r.ChargeCkptOverhead(vtime.Duration(c.net.PeersTo(r.ID())) * r.Kernel().DrainProbeCost())
-			c.drained = c.net.DrainTo(r.ID(), c.drained[:0])
-			for _, m := range c.drained {
-				r.BufferDrained(m)
-				r.ChargeCkptOverhead(r.Kernel().DrainBufferCost(m.Bytes))
-				rec.DrainedMsgs++
-				rec.DrainedBytes += m.Bytes
-			}
+// the network is quiescent. One pass does it: each rank's DrainTo empties
+// every pair that ends at it, and nothing sends while the job drains.
+func (c *Coordinator) drain(rec *CheckpointRecord) {
+	if c.net.InFlight() == 0 {
+		return
+	}
+	for _, r := range c.ranks {
+		// One counter-comparison probe per peer that has ever sent to
+		// this rank.
+		r.ChargeCkptOverhead(vtime.Duration(c.net.PeersTo(r.ID())) * r.Kernel().DrainProbeCost())
+		c.drained = c.net.DrainTo(r.ID(), c.drained[:0])
+		for _, m := range c.drained {
+			r.BufferDrained(m)
+			r.ChargeCkptOverhead(r.Kernel().DrainBufferCost(m.Bytes))
+			rec.DrainedMsgs++
+			rec.DrainedBytes += m.Bytes
 		}
 	}
-	return nil
 }
 
 // wantIncremental decides this checkpoint's capture mode: incremental
@@ -1396,9 +1365,7 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	for _, r := range c.ranks {
 		r.ChargeCkptOverhead(r.Kernel().CheckpointSignalCost())
 	}
-	if err := c.drain(&rec); err != nil {
-		return false, err
-	}
+	c.drain(&rec)
 	if got := c.net.InFlight(); got != 0 {
 		return false, fmt.Errorf("coordinator: %d messages in flight after drain", got)
 	}

@@ -491,3 +491,46 @@ func TestLookupStatsAggregation(t *testing.T) {
 		t.Errorf("mutex LookupTime = %v, want %v (lookups x calibrated cost)", ml.LookupTime, wantMutex)
 	}
 }
+
+// TestHighWaterMarkFollowsEveryClock: the timeline's high-water clock —
+// what MaxClock returns, and what a checkpoint request, a safe point and
+// a restart's lost work read — equals the greatest rank clock before
+// every event the loop dispatches, after a restart and when the run
+// ends. overlap splits communicators, and a comm-split charges each
+// member its handle-table write after the completion time, so a mark
+// that noted only the completion fell behind the members' clocks.
+func TestHighWaterMarkFollowsEveryClock(t *testing.T) {
+	cfg := overlapConfig(8, 12)
+	cfg.Triggers = []Trigger{{At: 0}, {At: vtime.Time(vtime.Millisecond)}}
+	cfg.Faults = crashAfter(1, 50*vtime.Microsecond)
+	c := New(cfg)
+	checks := 0
+	check := func(where string) {
+		var scan vtime.Time
+		for _, r := range c.Ranks() {
+			scan = max(scan, r.Clock().Now())
+		}
+		if c.maxClock != scan {
+			t.Fatalf("%s (check %d): high-water mark %v, greatest rank clock %v", where, checks, c.maxClock, scan)
+		}
+		checks++
+	}
+	c.OnDispatch(func(vtime.Time) { check("before an event") })
+	for {
+		out, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("at the end of a run")
+		if out == Completed {
+			break
+		}
+		if err := c.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		check("after a restart")
+	}
+	if len(c.Restarts()) != 1 || len(c.comms) < 2 {
+		t.Fatalf("%d restarts and %d communicators; want a restart and a split", len(c.Restarts()), len(c.comms))
+	}
+}

@@ -78,9 +78,9 @@ func TestSpacesShareTheLayoutTableUntilTheyChangeIt(t *testing.T) {
 		t.Run(step.name, func(t *testing.T) {
 			l, state, data := sharedLayout(t)
 			before := copyTable(l)
-			sibling := l.NewSpace()
+			sibling := l.NewSpace(nil, 0)
 			want := sibling.Fingerprint()
-			a := l.NewSpace()
+			a := l.NewSpace(nil, 0)
 			if !a.shared {
 				t.Fatal("a space fresh from NewSpace does not share its layout's table")
 			}
@@ -94,7 +94,7 @@ func TestSpacesShareTheLayoutTableUntilTheyChangeIt(t *testing.T) {
 			if got := sibling.Fingerprint(); got != want {
 				t.Errorf("%s on one space moved its sibling's fingerprint: %016x, was %016x", step.name, got, want)
 			}
-			if got := l.NewSpace().Fingerprint(); got != want {
+			if got := l.NewSpace(nil, 0).Fingerprint(); got != want {
 				t.Errorf("after %s a new space fingerprints %016x, the layout's spaces %016x", step.name, got, want)
 			}
 		})
@@ -106,7 +106,7 @@ func TestSpacesShareTheLayoutTableUntilTheyChangeIt(t *testing.T) {
 func TestNewSpaceAllocatesOnlyItsRecord(t *testing.T) {
 	l, _, _ := sharedLayout(t)
 	var sink *AddressSpace
-	if n := testing.AllocsPerRun(100, func() { sink = l.NewSpace() }); n != 1 {
+	if n := testing.AllocsPerRun(100, func() { sink = l.NewSpace(nil, 0) }); n != 1 {
 		t.Errorf("NewSpace makes %v allocations, want 1 (the space's record)", n)
 	}
 	_ = sink
@@ -119,11 +119,11 @@ func TestNewSpaceAllocatesOnlyItsRecord(t *testing.T) {
 // owns its table before it edits an entry.
 func TestSharedSpacesReadConcurrently(t *testing.T) {
 	l, state, data := sharedLayout(t)
-	want := l.NewSpace().Fingerprint()
+	want := l.NewSpace(nil, 0).Fingerprint()
 	var wg sync.WaitGroup
 	got := make([]uint64, 2)
 	for g := range got {
-		a := l.NewSpace()
+		a := l.NewSpace(nil, 0)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -135,7 +135,7 @@ func TestSharedSpacesReadConcurrently(t *testing.T) {
 			}
 		}()
 	}
-	writer := l.NewSpace()
+	writer := l.NewSpace(nil, 0)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

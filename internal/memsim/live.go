@@ -202,10 +202,6 @@ type Mappings struct {
 	slots [2][]liveRegion
 }
 
-// ShareMappings makes the space record the mappings it makes from now on
-// in m, and take each one from there when m already holds it (mapping).
-func (a *AddressSpace) ShareMappings(m *Mappings) { a.maps = m }
-
 // mapping returns the live region a new mapping at the end of half
 // starts as. A newborn region is entirely dirty: the next incremental
 // snapshot must carry it whole (there is no committed base to delta
@@ -243,8 +239,8 @@ func (a *AddressSpace) mapping(name string, half Half, kind Kind, addr, size, da
 // a Layout after AddressSpace.Layout returns it; spaces built from it on
 // different goroutines share it freely. It covers the map a space starts
 // with; what the ranks of one job map later is shared through their
-// Mappings table, which a Layout never carries: a space built from one
-// belongs to no job until ShareMappings gives it a table.
+// Mappings table, which a Layout never carries: each space built from
+// one is given its job's table (NewSpace, Restored), or none.
 type Layout struct {
 	// space is what NewSpace copies: allocation cursors, program break,
 	// and regions that are nothing but their descriptors, with their
@@ -273,19 +269,29 @@ func (a *AddressSpace) Layout() *Layout {
 
 // NewSpace returns an address space holding the layout's mappings: the
 // space that making the same Mmap calls on a fresh one would build. It
-// allocates only the space's record: the space reads the layout's region
-// table in place, and copies it, once, when it first edits or appends a
-// region entry (own). A space that never maps, writes, captures or
-// restores costs no region state of its own.
-func (l *Layout) NewSpace() *AddressSpace {
+// records the mappings it makes in maps, the job's table (nil outside a
+// job; see mapping), and its upper-half region table has room for n
+// mappings past the layout's, so that many Mmap or Sbrk calls — a rank
+// reserves the sbrks its program makes — fill it in place. It allocates
+// only the space's record: the space reads the layout's region table in
+// place, and copies it, once, when it first edits or appends a region
+// entry (own). A space that never maps, writes, captures or restores
+// costs no region state of its own.
+func (l *Layout) NewSpace(maps *Mappings, n int) *AddressSpace {
 	a := l.space
-	a.shared = true
+	a.shared, a.maps, a.upperRoom = true, maps, l.room(n)
 	return &a
 }
 
+// room is the upper-half capacity of a space built from the layout with
+// a reserve of n mappings.
+func (l *Layout) room(n int) uint32 {
+	return uint32(min(uint64(len(l.space.regions[UpperHalf])+max(n, 0)), math.MaxUint32))
+}
+
 // own gives a space sharing its layout's region table a copy of its own,
-// for one allocation holding both halves and the upper-half entries
-// ReserveMappings asked for, before anything edits or appends a region
+// for one allocation holding both halves and the upper-half room its
+// reserve asked for (NewSpace), before anything edits or appends a region
 // entry; on a space that already owns its table it does nothing. Every
 // such path calls it first: mmap, prepareWrite, capture and
 // RestoreUpperHalf. CommitUpperHalfDelta needs no call: it panics on a
@@ -309,21 +315,10 @@ func (a *AddressSpace) own() {
 	a.shared, a.lastWrite = false, nil
 }
 
-// ReserveMappings sizes the space's upper-half region tables for n more
-// mappings than its upper half holds now: own's copy of its layout's
-// table, and every table RestoreUpperHalf builds, have room for that
-// many in all, so the Mmap or Sbrk calls that fill them append in place
-// instead of regrowing the table. A table the space already owns is
-// left as it is. A rank reserves the sbrks its program makes; a space
-// given no reserve appends as any slice does.
-func (a *AddressSpace) ReserveMappings(n int) {
-	a.upperRoom = uint32(min(uint64(len(a.regions[UpperHalf])+max(n, 0)), math.MaxUint32))
-}
-
 // Bootstrap returns a fresh address space holding only the layout's
 // lower half: the bootstrap program a restart begins in, before
-// RestoreUpperHalf maps a checkpoint image over it. Like NewSpace it
-// belongs to no job.
+// RestoreUpperHalf maps a checkpoint image over it. It belongs to no job
+// and reserves no room.
 func (l *Layout) Bootstrap() *AddressSpace {
 	a := NewAddressSpace()
 	a.regions[LowerHalf] = slices.Clone(l.space.regions[LowerHalf])
@@ -341,8 +336,7 @@ func (l *Layout) Bootstrap() *AddressSpace {
 // has room for exactly those it makes after s was captured.
 func (l *Layout) Restored(s *Snapshot, maps *Mappings, n int) *AddressSpace {
 	a := l.Bootstrap()
-	a.maps = maps
-	a.ReserveMappings(len(l.space.regions[UpperHalf]) + max(n, 0))
+	a.maps, a.upperRoom = maps, l.room(n)
 	a.RestoreUpperHalf(s)
 	return a
 }

@@ -8,15 +8,15 @@ import (
 )
 
 // jobSpaces returns n spaces built from one rank-like layout that record
-// their mappings in one job table, and the table.
-func jobSpaces(t *testing.T, n int) ([]*AddressSpace, *Mappings) {
+// their mappings in one job table, each reserving room for reserve
+// mappings, and the table.
+func jobSpaces(t *testing.T, n, reserve int) ([]*AddressSpace, *Mappings) {
 	t.Helper()
 	l, _, _ := sharedLayout(t)
 	maps := new(Mappings)
 	spaces := make([]*AddressSpace, n)
 	for i := range spaces {
-		spaces[i] = l.NewSpace()
-		spaces[i].ShareMappings(maps)
+		spaces[i] = l.NewSpace(maps, reserve)
 	}
 	return spaces, maps
 }
@@ -43,9 +43,9 @@ func sameDigests(t *testing.T, who string, a *AddressSpace) {
 // equal to a fresh contentHash, and fingerprint as a space outside any
 // job that made the same calls.
 func TestSiblingsShareMappedDescriptors(t *testing.T) {
-	spaces, maps := jobSpaces(t, 3)
+	spaces, maps := jobSpaces(t, 3, 0)
 	l, _, _ := sharedLayout(t)
-	alone := l.NewSpace()
+	alone := l.NewSpace(nil, 0)
 	grow := func(a *AddressSpace) []*Region {
 		return []*Region{
 			a.Sbrk(128 << 10).Region,
@@ -110,7 +110,7 @@ func TestDifferentMappingGetsPrivateDescriptor(t *testing.T) {
 		}},
 	} {
 		t.Run(differ.name, func(t *testing.T) {
-			spaces, maps := jobSpaces(t, 3)
+			spaces, maps := jobSpaces(t, 3, 0)
 			shared := spaces[0].Sbrk(4096).Region
 			pos := len(spaces[0].regions[UpperHalf]) - 1
 			if pos >= len(maps.slots[UpperHalf]) || maps.slots[UpperHalf][pos].desc != shared {
@@ -142,7 +142,7 @@ func TestDifferentMappingGetsPrivateDescriptor(t *testing.T) {
 // shares with a sibling, and the sibling's bytes, digest and capture, and
 // the shared descriptor, are what they were.
 func TestWriteToSharedMappingStaysPrivate(t *testing.T) {
-	spaces, _ := jobSpaces(t, 2)
+	spaces, _ := jobSpaces(t, 2, 0)
 	a, sibling := spaces[0], spaces[1]
 	heap := a.Sbrk(3 * PageSize).Region
 	if sibling.Sbrk(3*PageSize).Region != heap {
@@ -188,12 +188,11 @@ func TestWriteToSharedMappingStaysPrivate(t *testing.T) {
 // reserve allocates nothing — no descriptor, no region table.
 func TestSiblingSbrkAllocatesNoDescriptor(t *testing.T) {
 	const runs = 50
-	spaces, _ := jobSpaces(t, 2)
+	spaces, _ := jobSpaces(t, 2, runs+1) // AllocsPerRun calls once more, to warm up
 	first, sibling := spaces[0], spaces[1]
-	for range runs + 1 { // AllocsPerRun calls once more, to warm up
+	for range runs + 1 {
 		first.Sbrk(64 << 10)
 	}
-	sibling.ReserveMappings(runs + 1)
 	sibling.own()
 	table := &sibling.regions[UpperHalf][:1][0]
 	if n := testing.AllocsPerRun(runs, func() { sibling.Sbrk(64 << 10) }); n != 0 {
@@ -219,9 +218,8 @@ func TestSiblingSbrkAllocatesNoDescriptor(t *testing.T) {
 func TestReserveSizesTheTableOnce(t *testing.T) {
 	const n, early = 5, 2
 	l, _, _ := sharedLayout(t)
-	a := l.NewSpace()
+	a := l.NewSpace(nil, n)
 	lower := slices.Clone(a.regions[LowerHalf]) // the layout's, still shared
-	a.ReserveMappings(n)
 	var img *Snapshot
 	for i := range n {
 		if i == early {
@@ -247,7 +245,7 @@ func TestReserveSizesTheTableOnce(t *testing.T) {
 		t.Error("an sbrk past the reserve wrote past the upper half's room")
 	}
 
-	b := l.NewSpace()
+	b := l.NewSpace(nil, 0)
 	b.own()
 	if u := b.regions[UpperHalf]; cap(u) != len(u) {
 		t.Errorf("a space with no reserve owns %d upper entries with room for %d, want none", len(u), cap(u)-len(u))
@@ -265,15 +263,15 @@ func TestReserveSizesTheTableOnce(t *testing.T) {
 // mapping as before, and a Layout taken of a space in a job carries no
 // table into the spaces built from it.
 func TestSpaceOutsideAJobMapsPrivately(t *testing.T) {
-	spaces, _ := jobSpaces(t, 1)
+	spaces, _ := jobSpaces(t, 1, 0)
 	spaces[0].Sbrk(4096)
 	l := spaces[0].Layout()
-	for _, a := range []*AddressSpace{l.NewSpace(), l.Bootstrap(), NewAddressSpace()} {
+	for _, a := range []*AddressSpace{l.NewSpace(nil, 0), l.Bootstrap(), NewAddressSpace()} {
 		if a.maps != nil {
 			t.Fatal("a space built outside a job has a mapping table")
 		}
 	}
-	x, y := l.NewSpace(), l.NewSpace()
+	x, y := l.NewSpace(nil, 0), l.NewSpace(nil, 0)
 	if x.Sbrk(4096).Region == y.Sbrk(4096).Region {
 		t.Error("two spaces with no table share a descriptor")
 	}
@@ -286,7 +284,7 @@ func TestSpaceOutsideAJobMapsPrivately(t *testing.T) {
 // coordinator are. Under -race this is the check that nothing a layout hands out
 // leads to a job's table, and the spaces must fingerprint alike.
 func TestJobsMapConcurrently(t *testing.T) {
-	spaces, _ := jobSpaces(t, 1)
+	spaces, _ := jobSpaces(t, 1, 0)
 	spaces[0].Sbrk(4096)
 	l := spaces[0].Layout()
 	var wg sync.WaitGroup
@@ -298,10 +296,11 @@ func TestJobsMapConcurrently(t *testing.T) {
 			maps := new(Mappings)
 			fp := make([]uint64, 4)
 			for n := range 4 {
-				a := l.NewSpace()
+				var table *Mappings
 				if n%2 == 0 {
-					a.ShareMappings(maps)
+					table = maps
 				}
+				a := l.NewSpace(table, 0)
 				for i := range 20 {
 					a.Sbrk(uint64(i+1) * 4096)
 				}

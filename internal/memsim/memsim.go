@@ -209,7 +209,7 @@ type AddressSpace struct {
 	// region entry calls own first, and readers use the table in place.
 	shared bool
 	// upperRoom is how many upper-half mappings the space's region
-	// tables are sized for (ReserveMappings): own and RestoreUpperHalf
+	// tables are sized for (NewSpace, Restored): own and RestoreUpperHalf
 	// give the upper half that capacity when it holds fewer.
 	upperRoom uint32
 	// maps is the job's mapping table, nil for a space outside a job:
@@ -278,18 +278,6 @@ func NewAddressSpace() *AddressSpace {
 // Disabling it exposes the §2.1 hazard, which the tests exercise.
 func (a *AddressSpace) SetSbrkInterposition(on bool) {
 	a.sbrkInter = on
-}
-
-// SbrkInterposed reports whether sbrk interposition is enabled.
-func (a *AddressSpace) SbrkInterposed() bool {
-	return a.sbrkInter
-}
-
-// MarkPostRestart records that the address space has been reconstructed
-// from a checkpoint image, which changes sbrk behaviour (the kernel's brk
-// now refers to the bootstrap program).
-func (a *AddressSpace) MarkPostRestart() {
-	a.postRestart = true
 }
 
 // PostRestart reports whether the space was rebuilt from an image.
@@ -705,7 +693,7 @@ func (a *AddressSpace) RestoreUpperHalf(s *Snapshot) {
 	// chain. One allocation, whatever the region count, after own's copy
 	// on a space that still shares its layout's table (a restart restores
 	// into a Bootstrap space, which never does), sized for the mappings
-	// ReserveMappings asked for: a restarted rank's space (Restored) is
+	// its reserve asked for: a restarted rank's space (Restored) is
 	// sized as a new one of its job, which leaves room for the sbrks its
 	// program makes after the image's pc. This is the one path that
 	// replaces regions rather than adding them, so it drops the

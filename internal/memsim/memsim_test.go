@@ -74,8 +74,8 @@ func TestSbrkInterposedUsesMmap(t *testing.T) {
 
 func TestSbrkHazardAfterRestartWithoutInterposition(t *testing.T) {
 	a := NewAddressSpace()
+	a.RestoreUpperHalf(NewAddressSpace().CommitUpperHalf())
 	a.SetSbrkInterposition(false)
-	a.MarkPostRestart()
 	res := a.Sbrk(4096)
 	if !res.CorruptedLowerHalf {
 		t.Errorf("expected the §2.1 hazard: sbrk after restart without interposition must grow the lower half")
@@ -99,11 +99,11 @@ func TestSbrkBeforeCheckpointWithoutInterposition(t *testing.T) {
 
 func TestSbrkInterpositionFlag(t *testing.T) {
 	a := NewAddressSpace()
-	if !a.SbrkInterposed() {
+	if !a.Sbrk(4096).UsedMmap {
 		t.Errorf("interposition should default to on")
 	}
 	a.SetSbrkInterposition(false)
-	if a.SbrkInterposed() {
+	if a.Sbrk(4096).UsedMmap {
 		t.Errorf("SetSbrkInterposition(false) had no effect")
 	}
 }

@@ -70,18 +70,18 @@ func TestCorruptingASharedImageLeavesItsTwinIntact(t *testing.T) {
 	// A delta that carries a page is the commit's own; the clean ones
 	// after it share one page-less list, which has nothing to damage.
 	mustWrite(t, a, regionNamed(t, a, "app.state"), 16, []byte{9})
-	carrying := a.CommitUpperHalfDelta()
+	paged := a.CommitUpperHalfDelta()
 	d1, d2 := a.CommitUpperHalfDelta(), a.CommitUpperHalfDelta()
 	if !sameBacking(d1.Regions, d2.Regions) {
 		t.Fatal("two delta commits of an unchanged space do not share their region list")
 	}
-	if sameBacking(carrying.Regions, d1.Regions) {
+	if sameBacking(paged.Regions, d1.Regions) {
 		t.Fatal("a delta that carried a page shares its region list with a later commit")
 	}
 	if got := CorruptDelta(&d2, 4); got != 0 {
 		t.Errorf("CorruptDelta damaged %d pages of a delta that carries none", got)
 	}
-	if got := CorruptDelta(&carrying, 1); got != 1 {
+	if got := CorruptDelta(&paged, 1); got != 1 {
 		t.Errorf("CorruptDelta damaged %d pages of a one-page delta, want 1", got)
 	}
 	for i, d := range []Delta{d1, d2, a.CommitUpperHalfDelta()} {
@@ -89,7 +89,7 @@ func TestCorruptingASharedImageLeavesItsTwinIntact(t *testing.T) {
 			t.Errorf("clean delta %d: Verify = %d pages, %v after corrupting its twins", i, pages, err)
 		}
 	}
-	if _, err := carrying.Verify(); err == nil {
+	if _, err := paged.Verify(); err == nil {
 		t.Error("the corrupted delta still verifies")
 	}
 }
@@ -151,7 +151,7 @@ func TestRecaptureMatchesFreshCapture(t *testing.T) {
 			a.RestoreUpperHalf(NewAddressSpace().SnapshotUpperHalf())
 			return a
 		}},
-		{"layout", func(t *testing.T, a *AddressSpace) *AddressSpace { return a.Layout().NewSpace() }},
+		{"layout", func(t *testing.T, a *AddressSpace) *AddressSpace { return a.Layout().NewSpace(nil, 0) }},
 	}
 	for _, c := range changes {
 		for _, kind := range []string{"full", "delta", "snapshot"} {

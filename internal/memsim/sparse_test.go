@@ -381,7 +381,7 @@ type harness struct {
 	twinFlat flatSnap
 
 	// reserve, set on the sibling harness, makes every space it builds
-	// reserve a few upper-half mappings (reserveIn), so its mappings land
+	// reserve a few upper-half mappings (reserveNow), so its mappings land
 	// in reserved table entries where the first harness's regrow the
 	// table.
 	reserve bool
@@ -668,12 +668,10 @@ func (h *harness) intoFrozenShortPage() {
 // with another one built from the layout (nothing committed, all dirty).
 func (h *harness) relayout() {
 	h.retireTwin()
-	l, maps := h.a.Layout(), h.a.maps
-	h.twin, h.twinFlat = l.NewSpace(), h.m.snapshot(false)
+	l := h.a.Layout()
+	h.twin, h.twinFlat = l.NewSpace(nil, 0), h.m.snapshot(false)
 	if h.p.next()%2 == 0 {
-		h.a = l.NewSpace()
-		h.a.ShareMappings(maps)
-		h.reserveIn(h.a)
+		h.a = l.NewSpace(h.a.maps, h.reserveNow())
 		h.m.relayout()
 		h.hasDelta, h.rebuilt = false, true
 	}
@@ -961,23 +959,20 @@ func (h *harness) corrupt() {
 	h.sameSnapshot("image after corrupting a copy", h.img, h.flatImg)
 }
 
-// restore rebuilds the space from the retained image the way rank.Restore
-// does: a fresh space — empty, or the bootstrap of a layout, with its
-// lower half — maps the image. The image itself must come through intact
-// (check, every step).
+// restore rebuilds the space from the retained image the way rank.FromImage
+// does (Layout.Restored): a fresh space — the bootstrap of an empty
+// layout, or of the space's own, with its lower half — maps the image.
+// The image itself must come through intact (check, every step).
 func (h *harness) restore() {
 	if !h.hasImg {
 		return
 	}
 	bootstrap := h.p.next()%2 == 0
-	fresh := NewAddressSpace()
+	l := NewAddressSpace().Layout()
 	if bootstrap {
-		fresh = h.a.Layout().Bootstrap()
+		l = h.a.Layout()
 	}
-	fresh.ShareMappings(h.a.maps)
-	h.reserveIn(fresh)
-	h.a = fresh
-	h.a.RestoreUpperHalf(h.img)
+	h.a = l.Restored(h.img, h.a.maps, h.reserveNow())
 	h.m.restore(h.flatImg, bootstrap)
 	h.hasDelta, h.rebuilt = false, true
 	if h.a.Generation() != 0 {
@@ -1006,29 +1001,26 @@ func runDifferential(t *testing.T, prog []byte) {
 	h.verifyRetained()
 }
 
-// newHarness starts a harness on an empty space; a reserving one starts
-// on a space built from an empty layout, whose first table is own's.
+// newHarness starts a harness on a space built from an empty layout,
+// whose first table is own's, recording its mappings in maps.
 func newHarness(t *testing.T, prog []byte, maps *Mappings, reserve bool) *harness {
 	h := &harness{
 		t: t, p: &program{b: prog},
-		a: NewAddressSpace(), m: &flatSpace{brk: upperBase},
-		reserve: reserve,
+		m: &flatSpace{brk: upperBase}, reserve: reserve,
 	}
-	if reserve {
-		h.a = h.a.Layout().NewSpace()
-	}
-	h.a.ShareMappings(maps)
-	h.reserveIn(h.a)
+	h.a = NewAddressSpace().Layout().NewSpace(maps, h.reserveNow())
 	return h
 }
 
-// reserveIn gives a space a reserving harness is about to build a table
-// in a reserve of upper-half mappings that varies with the step: none,
-// fewer than the mappings still to come, or more than the live set holds.
-func (h *harness) reserveIn(a *AddressSpace) {
-	if h.reserve {
-		a.ReserveMappings(h.step % (maxRegions + 3))
+// reserveNow is the reserve of upper-half mappings a space the harness
+// is about to build is given: none for the first harness, and for a
+// reserving one a count that varies with the step — none, fewer than the
+// mappings still to come, or more than the live set holds.
+func (h *harness) reserveNow() int {
+	if !h.reserve {
+		return 0
 	}
+	return h.step % (maxRegions + 3)
 }
 
 // do runs the program's next operation.
@@ -1380,7 +1372,7 @@ func TestLayoutSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = work(l.NewSpace())
+			got[g] = work(l.NewSpace(nil, 0))
 		}()
 	}
 	wg.Wait()
@@ -1389,7 +1381,7 @@ func TestLayoutSharedAcrossGoroutines(t *testing.T) {
 			t.Errorf("space %d built from the shared layout ends at %016x, one built by Mmap calls at %016x", g, fp, want)
 		}
 	}
-	if l.NewSpace().Fingerprint() != proto.Fingerprint() {
+	if l.NewSpace(nil, 0).Fingerprint() != proto.Fingerprint() {
 		t.Error("the layout changed while spaces built from it were written")
 	}
 }

@@ -10,19 +10,18 @@
 // the per-pair send/receive counters that the coordinator's draining
 // algorithm (paper §3.1) compares to decide when the network is quiescent.
 //
-// Delivery is event-driven: each Send computes the message's arrival time
-// and hands it to the registered DeliveryScheduler, which turns it into a
-// virtual-time event on the coordinator's queue. Receivers are therefore
-// woken exactly when a matching message becomes visible instead of being
-// polled every scheduler iteration.
+// The network is passive: it never calls out. Each Send computes the
+// message's arrival time, one Latency after the sender's link frees, and
+// the caller that charged the link to the sender's clock turns that time
+// into a virtual-time event of its own, so receivers are woken exactly
+// when a matching message becomes visible instead of being polled.
 //
 // The network owns every message. A message is a value in its pair's
-// FIFO ring, never a heap object of its own: Send, Recv and the
-// DeliveryScheduler callback hand out pointers to ring slots, and
-// DrainTo copies messages out into a buffer the caller owns. A slot
-// pointer is good for as long as the Network documents (the
-// slot-lifetime contract); whatever outlives that keeps the fields it
-// needs by value.
+// FIFO ring, never a heap object of its own: Send and Recv hand out
+// pointers to ring slots, and DrainTo copies messages out into a buffer
+// the caller owns. A slot pointer is good for as long as the Network
+// documents (the slot-lifetime contract); whatever outlives that keeps
+// the fields it needs by value.
 package netsim
 
 import (
@@ -159,19 +158,6 @@ type PairCount struct {
 // later one taken before the counters change: read it, never write it.
 type Counters map[Pair]PairCount
 
-// DeliveryScheduler is notified of every injected message so its arrival
-// can be scheduled as a virtual-time event. The event-driven coordinator
-// registers itself here: instead of polling the network for receivable
-// messages, it is handed each message's arrival time at send time and
-// pushes a delivery event onto its queue.
-type DeliveryScheduler interface {
-	// ScheduleDelivery is called once per Send, after the message is
-	// queued and counted, so implementations are free to inspect the
-	// Network. m is the message's ring slot: keep what outlives its
-	// receipt by value.
-	ScheduleDelivery(m *Message)
-}
-
 // pairState is one directed pair's state, kept at its destination: the
 // FIFO of in-flight messages and the §3.1 send/receive counters. The
 // FIFO is a ring of message values over a power-of-two buffer, so a pair
@@ -233,8 +219,8 @@ func (p *pairState) pop() *Message {
 //
 // Slot lifetime. Messages live by value in their pair's ring, and the
 // pointers the Network hands out are pointers to ring slots:
-//   - the message Send returns, and passes to ScheduleDelivery, stays
-//     intact until it is received (by Recv or DrainTo);
+//   - the message Send returns stays intact until it is received (by
+//     Recv or DrainTo);
 //   - the message Recv returns stays intact until its receiver's next
 //     Recv or DrainTo on the same pair.
 //
@@ -257,8 +243,6 @@ type Network struct {
 	// Send, or a Recv or DrainTo that receives, changes a counter; nil
 	// when none is current.
 	counters Counters
-
-	scheduler DeliveryScheduler
 }
 
 // New returns an empty network with the given parameters.
@@ -279,13 +263,6 @@ func FromCounters(params Params, ranks int, c Counters) *Network {
 		n.pair(pr.Src, pr.Dst).count = pc
 	}
 	return n
-}
-
-// SetDeliveryScheduler registers the sink that receives one
-// ScheduleDelivery callback per injected message. Passing nil disables
-// scheduling (the polling-style tests drive Recv directly).
-func (n *Network) SetDeliveryScheduler(s DeliveryScheduler) {
-	n.scheduler = s
 }
 
 // peersOf returns dst's peer list: nil for a rank nobody has sent to.
@@ -337,9 +314,6 @@ func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Mess
 	p.count.Sent++
 	n.inflight++
 	n.counters = nil
-	if n.scheduler != nil {
-		n.scheduler.ScheduleDelivery(m)
-	}
 	return m, busy
 }
 

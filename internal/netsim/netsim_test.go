@@ -364,7 +364,6 @@ func TestRecvArrivalGate(t *testing.T) {
 // reuses.
 func TestMessagePathAllocatesNothing(t *testing.T) {
 	n := New(testParams())
-	n.SetDeliveryScheduler(nopScheduler{})
 	s := vtime.Stamp{Rank: 0, When: 0}
 	var buf []Message
 	for i := 0; i < 3; i++ { // the pair, its ring at three in flight, the drain buffer
@@ -390,7 +389,3 @@ func TestMessagePathAllocatesNothing(t *testing.T) {
 		t.Errorf("DrainTo into a reused buffer allocates %v times, want 0", a)
 	}
 }
-
-type nopScheduler struct{}
-
-func (nopScheduler) ScheduleDelivery(*Message) {}

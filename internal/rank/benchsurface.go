@@ -1,5 +1,18 @@
 package rank
 
+import (
+	"mana/internal/kernelsim"
+	"mana/internal/scenario"
+	"mana/internal/virtid"
+)
+
+// New returns rank id built outside any job: Build with a kernel model
+// of its own, no mapping table and no sbrk reserve. It stays because
+// bench/probes.go:77 times it as rank.new_us_per_rank.
+func New(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program) *Rank {
+	return Build(id, kernelsim.NewForTable(personality, impl), script, nil, 0)
+}
+
 // ReleaseMem does nothing: page buffers are not recycled, so a retired
 // rank's memory goes to the garbage collector with the rank. It stays
 // because bench/probes.go:161 calls it on the ranks its probes build.

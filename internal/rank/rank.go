@@ -323,27 +323,25 @@ const (
 	RealCommBase virtid.Real = 0x44000100
 )
 
-// New returns a rank with an initialised split-process address space,
-// a handle-virtualisation table whose lookups and writes the kernel
-// prices as the selected implementation, and the given program — the
-// rank's complete op stream, from a compiled scenario spec or built
-// directly by a test. Two things a rank holds are shared with the other
-// ranks and never written: the program (one stream per class of ranks;
-// the rank reads it through Op.Scalars with its own id)
-// and the memory map (splitProcess: a new rank reads the job's region
-// table in place, pays for a table of its own only once it maps, writes,
-// captures or restores, and then only for the contents it writes). The
-// heap it grows later is shared too once ShareMappings gives it its
-// job's mapping table, as coordinator.New does for every rank (a
-// restarted rank gets it from FromImage). The world communicator and the
-// workload's datatype are registered in the virtualisation table exactly
+// Build returns rank id of a job, built whole as MANA brings a process
+// up: a split-process address space, a handle-virtualisation table the
+// kernel model prices, and the rank's program. It is given what
+// FromImage is given — the job's kernel model (copied, so one serves
+// every rank), its mapping table and the heap growths the program makes
+// (Program.Sbrks) — so its heap shares its siblings' descriptors and its
+// region table has room for every sbrk; a nil table and no sbrks build a
+// rank outside any job. The program and the memory map (splitProcess)
+// are shared with the other ranks and never written: the rank reads its
+// ops through Op.Scalars with its own id, and the job's region table in
+// place until it first maps, writes, captures or restores. The world
+// communicator and the workload's datatype are registered in the table
 // as MANA wraps MPI_Init: the application only ever sees their virtual
 // ids.
-func New(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program) *Rank {
+func Build(id int, kernel *kernelsim.Kernel, script scenario.Program, maps *memsim.Mappings, sbrks int) *Rank {
 	r := &Rank{
 		id:     id,
-		mem:    splitProcess.NewSpace(),
-		kernel: *kernelsim.NewForTable(personality, impl),
+		mem:    splitProcess.NewSpace(maps, sbrks),
+		kernel: *kernel,
 		script: script,
 	}
 	r.comms = []virtid.VID{r.vt.Register(virtid.Comm, realCommWorld)}
@@ -351,21 +349,6 @@ func New(id int, personality kernelsim.Personality, impl virtid.Impl, script sce
 	r.dtype = r.vt.Register(virtid.Datatype, realDatatypeByte)
 	return r
 }
-
-// ShareMappings gives the rank's address space the job's mapping table,
-// which every rank of the job shares: a heap growth that a sibling
-// already mapped at the same position and address takes its descriptor
-// from there instead of allocating one. Like every per-rank call it
-// belongs to the goroutine that drives the job.
-func (r *Rank) ShareMappings(m *memsim.Mappings) { r.mem.ShareMappings(m) }
-
-// ReserveSbrks tells the rank that its program makes n heap growths
-// (OpSbrk ops; Program.Sbrks), so the region table its address space
-// builds when it first changes its map leaves room for every one of
-// them and heap growth never regrows it. coordinator.New counts them once
-// per class of ranks sharing a program, and gives FromImage the same
-// count. A rank given no reserve grows its table as a slice does.
-func (r *Rank) ReserveSbrks(n int) { r.mem.ReserveMappings(n) }
 
 // splitProcess is the memory map of MANA's split process (§2.1), the
 // same in every rank: the upper half models the application, its libc and
@@ -661,8 +644,8 @@ func (r *Rank) send(net *netsim.Network, op *scenario.Op, peer int, bytes uint64
 }
 
 // inject puts the message on the wire with a piggybacked timestamp and
-// occupies the sender for the serialisation time. The network schedules
-// the message's delivery and owns it from here on.
+// occupies the sender for the serialisation time. The network owns the
+// message from here on; the caller queues its delivery (Transition.SentTo).
 func (r *Rank) inject(net *netsim.Network, tag, peer int, bytes uint64) {
 	stamp := vtime.StampFrom(r.id, &r.clock)
 	_, busy := net.Send(r.id, peer, tag, bytes, stamp)
@@ -767,9 +750,11 @@ type Transition struct {
 	// shared program's offsets or means, and the coordinator copies them
 	// into the forming rendezvous as the rank arrives.
 	Coll Collective
-	// Sent reports that the operation put a message on the wire (a send
-	// or an isend).
-	Sent bool
+	// SentTo is the receiver plus one of the message the operation put on
+	// the wire (a send or an isend), 0 when it sent none. The message
+	// arrives one wire latency after the sender's clock as Execute leaves
+	// it (netsim.Send): the caller queues its delivery then.
+	SentTo int
 }
 
 // Collective is one collective call as a rank made it: its kind, the
@@ -840,10 +825,10 @@ func (r *Rank) Execute(net *netsim.Network) (tr Transition) {
 		r.compute(v.Dur)
 	case scenario.OpSend:
 		r.send(net, op, v.Peer, v.Bytes)
-		tr.Sent = true
+		tr.SentTo = v.Peer + 1
 	case scenario.OpIsend:
 		r.isend(net, op, v.Peer, v.Bytes)
-		tr.Sent = true
+		tr.SentTo = v.Peer + 1
 	case scenario.OpWait:
 		r.wait()
 	case scenario.OpRecv:
@@ -1093,11 +1078,11 @@ func (img *Image) Verify() (pages int, err error) {
 // image, modelling MANA's restart path: the dead process is gone, a fresh
 // one bootstraps splitProcess's lower half, maps the saved upper-half
 // regions over it and resumes the application state. It is given what a
-// new rank of the job is given — its kernel cost model, its program, the
-// job's mapping table and the number of sbrks the program makes
-// (ShareMappings, ReserveSbrks) — so the replayed timeline maps at the
-// same addresses as the first, shares its heap descriptors, and grows
-// into a region table that has room for every sbrk after the image's pc.
+// new rank of the job is given (Build) — its kernel cost model, its
+// program, the job's mapping table and the number of sbrks the program
+// makes — so the replayed timeline maps at the same addresses as the
+// first, shares its heap descriptors, and grows into a region table that
+// has room for every sbrk after the image's pc.
 // The restored space shares the image's pages rather than copying them;
 // the image is only read. Every field of *dst is overwritten, so dst may
 // be the storage of the dead rank: nothing of it survives, its checkpoint

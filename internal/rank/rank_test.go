@@ -13,15 +13,66 @@ import (
 	"mana/internal/vtime"
 )
 
+const testLatency = 1000 * vtime.Nanosecond
+
 func testNet() *netsim.Network {
-	return netsim.New(netsim.Params{Latency: 1000 * vtime.Nanosecond, BandwidthBytesPerSec: 1e9})
+	return netsim.New(netsim.Params{Latency: testLatency, BandwidthBytesPerSec: 1e9})
 }
 
-// lastSent records, by value, the last message a network scheduled for
-// delivery: how a test learns a send's arrival time.
-type lastSent struct{ m netsim.Message }
+// execSend executes r's next op, a send or an isend to peer, and returns
+// the arrival time of its message as the coordinator queues its delivery:
+// the sender's clock as Execute leaves it plus the wire latency.
+func execSend(t *testing.T, r *Rank, net *netsim.Network, peer int) vtime.Time {
+	t.Helper()
+	if tr := r.Execute(net); tr.SentTo != peer+1 {
+		t.Fatalf("send to rank %d: SentTo = %d, want %d", peer, tr.SentTo, peer+1)
+	}
+	return r.Clock().Now().Add(testLatency)
+}
 
-func (l *lastSent) ScheduleDelivery(m *netsim.Message) { l.m = *m }
+// TestSentToArrivesOneLatencyAfterTheSender: a send and an isend, each
+// with a jittered payload, report their receiver in SentTo, and the
+// message's Arrive is the sender's clock after Execute plus the wire
+// latency — the time the coordinator queues the delivery at, whether it
+// does so as Execute returns or from the ready event that carries it
+// (coordinator.queueDelivery). Any other operation reports no receiver.
+func TestSentToArrivesOneLatencyAfterTheSender(t *testing.T) {
+	spec, err := scenario.Parse([]byte(`{
+		"name": "jittered-sends",
+		"phases": [{"name": "p", "ops": [
+			{"op": "ring", "bytes": 5000, "bytes_jitter": 0.5},
+			{"op": "ring", "mode": "isend", "bytes": 5000, "bytes_jitter": 0.5}
+		]}]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs, err := spec.Compile(scenario.Params{Ranks: 2, Steps: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rank 0's send and isend (its program is send, recv, isend, recv,
+	// wait), then a compute.
+	p := progs[0]
+	if p[0].Kind != scenario.OpSend || p[2].Kind != scenario.OpIsend {
+		t.Fatalf("rank 0's program is %v, want a send at 0 and an isend at 2", p)
+	}
+	net := testNet()
+	r := New(0, kernelsim.Unpatched, virtid.ImplSharded, scenario.Program{p[0], p[2], {Kind: scenario.OpCompute, Dur: vtime.Microsecond}})
+	for i := range 2 {
+		arrive := execSend(t, r, net, 1)
+		got := net.DrainTo(1, nil)
+		if len(got) != 1 {
+			t.Fatalf("send %d: %d messages in flight, want 1", i, len(got))
+		}
+		if m := got[0]; m.Arrive != arrive || m.Bytes == 5000 {
+			t.Errorf("send %d: %d bytes arriving at %v, want a jittered payload arriving at %v", i, m.Bytes, m.Arrive, arrive)
+		}
+	}
+	if tr := r.Execute(net); tr.SentTo != 0 {
+		t.Errorf("compute: SentTo = %d, want 0", tr.SentTo)
+	}
+}
 
 // TestNewRankMaterialisesNoStatePage pins construction cost to what is
 // particular to a rank: app.state keeps its 64 KiB data length —
@@ -151,8 +202,7 @@ func TestPatchedKernelCheaperPerCall(t *testing.T) {
 }
 
 func TestRecvObservesPiggybackedArrival(t *testing.T) {
-	net, sent := testNet(), &lastSent{}
-	net.SetDeliveryScheduler(sent)
+	net := testNet()
 	sender := New(0, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpCompute, Dur: 10 * vtime.Millisecond}, {Kind: scenario.OpSend, Peer: 1, Bytes: 1000}})
 	receiver := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpRecv, Peer: 0}})
 
@@ -161,19 +211,18 @@ func TestRecvObservesPiggybackedArrival(t *testing.T) {
 		t.Fatalf("recv with nothing in flight: transition %+v, want BlockedOnRecv", tr)
 	}
 	sender.Execute(net)
-	sender.Execute(net)
-	m := sent.m
+	arrive := execSend(t, sender, net, 1)
 	// The message is in flight but has not arrived: the receiver (clock
 	// near zero) cannot observe it yet.
 	if receiver.Wake(net, receiver.Clock().Now()) {
 		t.Fatal("receive completed before the message's arrival time")
 	}
-	if !receiver.Wake(net, m.Arrive) {
+	if !receiver.Wake(net, arrive) {
 		t.Fatal("receive failed with an arrived message in flight")
 	}
 	// The receiver (clock near zero) must advance to the arrival time.
-	if got := receiver.Clock().Now(); got < m.Arrive {
-		t.Errorf("receiver clock %v behind message arrival %v", got, m.Arrive)
+	if got := receiver.Clock().Now(); got < arrive {
+		t.Errorf("receiver clock %v behind message arrival %v", got, arrive)
 	}
 	if receiver.State() != Done {
 		t.Errorf("receiver state = %v, want done", receiver.State())
@@ -408,11 +457,8 @@ func TestExecuteTransitions(t *testing.T) {
 	}
 
 	// A wake at the matching message's arrival time completes the receive.
-	sent := &lastSent{}
-	net.SetDeliveryScheduler(sent)
 	sender := New(1, kernelsim.Patched, virtid.ImplSharded, []scenario.Op{{Kind: scenario.OpSend, Peer: 0, Bytes: 100}})
-	sender.Execute(net)
-	if !r.Wake(net, sent.m.Arrive) {
+	if !r.Wake(net, execSend(t, sender, net, 0)) {
 		t.Fatal("Wake failed with a matching message arrived")
 	}
 	if r.Stats().MsgsRecvd != 1 {
