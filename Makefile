@@ -185,7 +185,7 @@ smoke:
 # of its own invocation (mktemp -d), removed on exit, so two checkouts can
 # run the same target at once.
 
-# smoke-wide is CI's memory-smoke step: four smokes, each run printing
+# smoke-wide is CI's memory-smoke step: five smokes, each run printing
 # its peak RSS (ru_maxrss of the child, in KiB on Linux), wall and system
 # time, and holding the RSS strictly under a ceiling. Wide: 65536 ranks that each write
 # 150 bytes, twice, byte-identical, under 120 MiB — memory must follow the
@@ -195,7 +195,12 @@ smoke:
 # a rank reads the job's region table until it changes its map). Very
 # wide: 262144 ranks, once, under 450 MiB (2.8 GiB and 40 s before page
 # buffers followed the written prefix; 427 MiB with per-rank region
-# entries, 296 MiB since). Deep: the
+# entries, 296 MiB since). Million: 1048576 ranks, once, under 1536
+# MiB — the scale production MANA reports reaching its limits at, in
+# seconds (54 s at 2,333 MiB before ranks shared their program, layout
+# and heap descriptors; 14.6 s at 1,067 MiB with the send/receive counts
+# in the network, 15.4-15.9 s at 1,138-1,140 MiB with them in the ranks,
+# on a 2-CPU host). Deep: the
 # benchmark's deep-stencil workload (512 ranks, 800 steps, 2.2 M ops),
 # twice, byte-identical, under 14 MiB — memory must follow the spec, not
 # one private copy of the op stream per rank (217 MiB), a finished job
@@ -228,6 +233,7 @@ smoke-wide:
 	done; \
 	cmp "$$tmp/wide1.txt" "$$tmp/wide2.txt"; \
 	$(RSS_RUN) /dev/null "smoke-wide: very wide run" 450 "$$tmp/manasim" -ranks 262144 -steps 5 -no-fail; \
+	$(RSS_RUN) /dev/null "smoke-wide: million-rank run" 1536 "$$tmp/manasim" -ranks 1048576 -steps 5 -no-fail; \
 	for i in 1 2; do \
 	  $(RSS_RUN) "$$tmp/deep$$i.txt" "smoke-wide: deep run $$i" 14 "$$tmp/manasim" -spec stencil -ranks 512 -steps 800 -no-fail; \
 	done; \

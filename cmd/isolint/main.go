@@ -53,6 +53,7 @@ var allowed = map[string]string{
 	"coordinator.ErrRestartFault":         "errors.New sentinel, written once at init and only compared",
 	"ckptstore.ErrNoVerifiableGeneration": "errors.New sentinel, written once at init and only compared",
 	"coordinator.ErrCollectiveMismatch":   "errors.New sentinel, written once at init and only compared",
+	"coordinator.ErrNoCheckpoint":         "errors.New sentinel, written once at init and only compared",
 	"fleet.ErrRestartsExhausted":          "errors.New sentinel, written once at init and only compared",
 	"storage.defaultRatios":               "compressibility-default table, initialised once and only read",
 }

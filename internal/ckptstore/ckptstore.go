@@ -15,8 +15,8 @@
 // picks the newest restore point whose chain is durable, unpoisoned and
 // verifies; Rollback makes it the newest committed state.
 //
-// The store knows ranks only as indexes and network counters only as
-// snapshots to hand back; it never sees the scheduler or the protocol.
+// The store knows ranks only as indexes; it never sees the scheduler,
+// the network or the protocol.
 package ckptstore
 
 import (
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mana/internal/netsim"
 	"mana/internal/rank"
 	"mana/internal/storage"
 	"mana/internal/vtime"
@@ -68,14 +67,13 @@ type RestartRecord struct {
 	BufferOnlyLinks int
 }
 
-// link is one committed checkpoint: the per-rank images and the network
-// counters of its commit point. The images array is the link's only while
-// it is retained: once the link retires or is rolled back, the array goes
-// back to the store for a later link to capture into.
+// link is one committed checkpoint: the per-rank images of its commit
+// point. The images array is the link's only while it is retained: once
+// the link retires or is rolled back, the array goes back to the store
+// for a later link to capture into.
 type link struct {
-	seq      int
-	images   []rank.Image
-	counters netsim.Counters
+	seq    int
+	images []rank.Image
 	// durable marks the images safe on the PFS; durableAt is when a staged
 	// link's last drain is due.
 	durable   bool
@@ -207,20 +205,19 @@ func (s *Store) retire(g []link) {
 }
 
 // Commit installs checkpoint seq — one image per rank, all full or all
-// delta, and the network counters of its commit point — as the newest
-// committed state. A full link starts a generation and retires those past
-// the retention bound, freeing the buffer space and image arrays they
-// held; a delta extends the newest generation. The link is durable at
-// once unless the writes since the last Commit staged bytes: then each
-// staging rank's drain is queued on the PFS, in rank order, and returned
-// for DrainDone to complete (the slice is reused by the next Commit).
-func (s *Store) Commit(seq int, images []rank.Image, counters netsim.Counters) []Drain {
+// delta — as the newest committed state. A full link starts a generation
+// and retires those past the retention bound, freeing the buffer space
+// and image arrays they held; a delta extends the newest generation. The
+// link is durable at once unless the writes since the last Commit staged
+// bytes: then each staging rank's drain is queued on the PFS, in rank
+// order, and returned for DrainDone to complete (the next Commit reuses it).
+func (s *Store) Commit(seq int, images []rank.Image) []Drain {
 	for i := range images[1:] {
 		if images[i+1].Full != images[0].Full {
 			panic(fmt.Sprintf("ckptstore: checkpoint #%d mixes full and delta images", seq))
 		}
 	}
-	l := link{seq: seq, images: images, counters: counters}
+	l := link{seq: seq, images: images}
 	if images[0].Full || len(s.gens) == 0 {
 		s.gens = append(s.gens, []link{l})
 		if drop := len(s.gens) - (s.retain + 1); drop > 0 {
@@ -319,13 +316,11 @@ func (s *Store) Poison(seq, attempt int) {
 	s.poisoned[seq] = attempt
 }
 
-// Restore is the restore point Choose picked: checkpoint Seq and the
-// network counters of its commit point.
+// Restore is the restore point Choose picked: checkpoint Seq.
 type Restore struct {
-	Seq      int
-	Counters netsim.Counters
-	links    []link // the verified chain of generation gen, ending at Seq
-	gen      int
+	Seq   int
+	links []link // the verified chain of generation gen, ending at Seq
+	gen   int
 }
 
 // Image materialises rank i's image at the restore point — the full link
@@ -371,8 +366,7 @@ func (s *Store) Choose(charge func(rank, pages int) vtime.Duration) (Restore, er
 			len(s.gens), newest, ErrNoVerifiableGeneration, s.rejectedLinks(rejected))
 	}
 	links := s.gens[gi][:prefix]
-	lk := &links[prefix-1]
-	return Restore{Seq: lk.seq, Counters: lk.counters, links: links, gen: gi}, nil
+	return Restore{Seq: links[prefix-1].seq, links: links, gen: gi}, nil
 }
 
 // verifyPrefix returns how many of the generation's links are usable, up

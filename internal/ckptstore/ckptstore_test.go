@@ -69,7 +69,7 @@ func (j *job) commit(s *Store, start vtime.Time, images []rank.Image) []Drain {
 	for i := range images {
 		s.Write(i, start, images[i].StoredBytes)
 	}
-	return append([]Drain(nil), s.Commit(images[0].Seq, images, nil)...)
+	return append([]Drain(nil), s.Commit(images[0].Seq, images)...)
 }
 
 // staged is a burst-buffer pipeline roomy enough never to spill, over a

@@ -29,10 +29,10 @@
 //	events are dispatched past a pending request). If any rank is
 //	inside a collective, all ranks keep executing until that collective
 //	completes — a checkpoint never lands mid-collective. Then the
-//	in-flight point-to-point messages are drained: the per-pair
-//	send/receive counters are compared and every outstanding message is
-//	received into the destination rank's buffer, until the counters
-//	agree that the network is quiescent.
+//	in-flight point-to-point messages are drained: the per-peer
+//	send/receive counts the ranks keep are compared and every
+//	outstanding message is received into the destination rank's buffer,
+//	until the counts agree that the network is quiescent.
 //
 //	Phase 2 (commit): a per-rank pipeline — capture, compress, account,
 //	write. Each rank captures its image (full on the first checkpoint and
@@ -52,8 +52,8 @@
 // restore point, charging each rank the verification the store reports,
 // then builds the next timeline from it, as MANA restarts into a new
 // process: each rank built whole from its image, a fresh lower half
-// bootstrapped under it (rank.FromImage), the network from the link's
-// counters, the event queue seeded from the restored state. Nothing is
+// bootstrapped under it (rank.FromImage), an empty network, the event
+// queue seeded from the restored state. Nothing is
 // reset field by field; the dead timeline is dropped, and with it every
 // event, rendezvous and drain it held. Injected faults are the
 // coordinator's: it damages images at their write hops and poisons the
@@ -568,22 +568,22 @@ func New(cfg Config) *Coordinator {
 	}
 	ranks := make([]*rank.Rank, cfg.Ranks)
 	kernel := kernelsim.NewForTable(cfg.Personality, cfg.Virtid)
+	counts := make([]rank.CountTable, cfg.Ranks)
 	for id, prog := range cfg.Programs {
-		ranks[id] = rank.Build(id, kernel, prog, c.maps, c.sbrks.of(prog))
+		ranks[id] = rank.Build(id, kernel, prog, c.maps, c.sbrks.of(prog), &counts[id])
 	}
-	c.begin(ranks, nil)
+	c.begin(ranks)
 	return c
 }
 
-// begin gives the job a new timeline of ranks: a network holding the
-// per-pair counters (nil for the job's first timeline), the
-// communicator registry read off the ranks' slot tables, and an event
-// queue seeded with the unfired triggers, the unfired virtual-time
-// faults and one ready event per unfinished rank.
-func (c *Coordinator) begin(ranks []*rank.Rank, counters netsim.Counters) {
+// begin gives the job a new timeline of ranks: an empty network built
+// for them, the communicator registry read off the ranks' slot tables,
+// and an event queue seeded with the unfired triggers, the unfired
+// virtual-time faults and one ready event per unfinished rank.
+func (c *Coordinator) begin(ranks []*rank.Rank) {
 	c.timeline = &timeline{
 		ranks: ranks,
-		net:   netsim.FromCounters(c.cfg.Net, len(ranks), counters),
+		net:   netsim.Build(c.cfg.Net, len(ranks)),
 		// Preallocated for the steady-state population: one ready event
 		// per rank.
 		queue:      vtime.NewEventQueueSized[event](len(ranks) + 16),
@@ -1244,23 +1244,29 @@ func (h *timeHeap) pop() {
 
 // drain runs phase 1's message drain: every in-flight message is received
 // into its destination rank's buffer, with probe and copy costs charged
-// to the checkpoint-overhead accounts, until the per-pair counters agree
-// the network is quiescent. One pass does it: each rank's DrainTo empties
-// every pair that ends at it, and nothing sends while the job drains.
+// to the checkpoint-overhead accounts, until the ranks' per-peer counts
+// agree the network is quiescent. One pass does it: each rank's DrainTo
+// empties every pair that ends at it, and nothing sends while the job
+// drains.
 func (c *Coordinator) drain(rec *CheckpointRecord) {
 	if c.net.InFlight() == 0 {
 		return
 	}
 	for _, r := range c.ranks {
-		// One counter-comparison probe per peer that has ever sent to
-		// this rank.
-		r.ChargeCkptOverhead(vtime.Duration(c.net.PeersTo(r.ID())) * r.Kernel().DrainProbeCost())
 		c.drained = c.net.DrainTo(r.ID(), c.drained[:0])
 		for _, m := range c.drained {
 			r.BufferDrained(m)
 			r.ChargeCkptOverhead(r.Kernel().DrainBufferCost(m.Bytes))
 			rec.DrainedMsgs++
 			rec.DrainedBytes += m.Bytes
+		}
+		// One counter-comparison probe per peer that has ever sent to
+		// this rank: with its pairs drained, those are the peers it has
+		// received from.
+		for _, pc := range r.Counts() {
+			if pc.Received > 0 {
+				r.ChargeCkptOverhead(r.Kernel().DrainProbeCost())
+			}
 		}
 	}
 }
@@ -1405,7 +1411,7 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 	// completion is an event.
 	c.applyWriteFaults(faultplan.HopDrain, images, &rec)
 	rec.DurableAt = rec.SafeAt.Add(rec.MaxWriteTime)
-	for _, d := range c.store.Commit(rec.Seq, images, c.net.CountersSnapshot()) {
+	for _, d := range c.store.Commit(rec.Seq, images) {
 		rec.PFSWait += d.Wait
 		rec.DurableAt = max(rec.DurableAt, d.Done)
 		c.queue.Push(d.Done, rankEvent(evDrainDone, rec.Seq, d.Rank))
@@ -1497,17 +1503,23 @@ func (c *Coordinator) applyWriteFaults(hop faultplan.Hop, images []rank.Image, r
 // nothing retained verified.
 var ErrRestartFault = errors.New("coordinator: injected restart fault")
 
+// ErrNoCheckpoint means a restart found nothing committed to restart
+// from: the job failed before its first checkpoint committed.
+var ErrNoCheckpoint = errors.New("coordinator: no committed checkpoint to restart from")
+
 // Restart builds the job's next timeline from the restore point the
-// generation store chooses (ckptstore.Store.Choose), or returns the
-// store's error, which wraps ckptstore.ErrNoVerifiableGeneration, when
-// nothing verifies: each rank built whole from its image over a fresh
-// lower half (rank.FromImage), paying the read of its chain and the
-// lower half's reinitialisation, and the network from the link's
-// counters (the image was taken on a quiescent network). The dead
-// timeline — its events, rendezvous, drain and requests — is dropped.
+// generation store chooses (ckptstore.Store.Choose), or returns
+// ErrNoCheckpoint when nothing was committed and the store's error, which
+// wraps ckptstore.ErrNoVerifiableGeneration, when nothing verifies: each
+// rank built whole from its image over a fresh lower half
+// (rank.FromImage), paying the read of its chain and the lower half's
+// reinitialisation, and an empty network (the images were taken on a
+// quiescent network, and each carries its rank's per-peer counts). The
+// dead timeline — its events, rendezvous, drain and requests — is
+// dropped.
 func (c *Coordinator) Restart() error {
 	if c.store.Newest() == 0 {
-		return fmt.Errorf("coordinator: no committed checkpoint to restart from")
+		return ErrNoCheckpoint
 	}
 	c.finalOK = false
 	c.restartAttempts++
@@ -1550,7 +1562,7 @@ func (c *Coordinator) Restart() error {
 		rank.FromImage(r, img, kernel, prog, c.maps, c.sbrks.of(prog))
 		r.ChargeCkptOverhead(overhead + r.Kernel().RestartReinitCost() + readTime)
 	}
-	c.begin(ranks, rs.Counters)
+	c.begin(ranks)
 	rec := c.store.Rollback(rs)
 	rec.ResumeClock = c.maxClock
 	if preClock > c.maxClock {
@@ -1608,12 +1620,13 @@ func (c *Coordinator) FinalFingerprint() uint64 {
 func (c *Coordinator) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "manasim: %d ranks, kernel=%v, virtid=%v, seed=%d\n",
 		c.cfg.Ranks, c.cfg.Personality, c.cfg.Virtid, c.cfg.Seed)
-	fmt.Fprintf(w, "job: makespan=%v, events=%d, rank-visits=%d, messages sent=%d\n",
-		c.MaxClock(), c.events, c.rankVisits, c.net.TotalSent())
-	var splits uint64
+	var sent, splits uint64
 	for _, r := range c.ranks {
+		sent += r.Stats().MsgsSent
 		splits += r.Stats().CommSplits
 	}
+	fmt.Fprintf(w, "job: makespan=%v, events=%d, rank-visits=%d, messages sent=%d\n",
+		c.MaxClock(), c.events, c.rankVisits, sent)
 	fmt.Fprintf(w, "comms: %d (1 world + %d split), comm-splits executed=%d\n",
 		len(c.comms), len(c.comms)-1, splits)
 	sc := &c.cfg.Storage

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -325,11 +326,12 @@ func TestRestartDiscardsPendingRequests(t *testing.T) {
 	}
 }
 
-// TestRestartWithoutCheckpointFails covers the error path.
+// TestRestartWithoutCheckpointFails covers the error path: a restart
+// with nothing committed returns the named ErrNoCheckpoint.
 func TestRestartWithoutCheckpointFails(t *testing.T) {
 	c := New(smallConfig(2, 2))
-	if err := c.Restart(); err == nil {
-		t.Error("Restart with no committed checkpoint should fail")
+	if err := c.Restart(); !errors.Is(err, ErrNoCheckpoint) {
+		t.Errorf("Restart with no committed checkpoint = %v, want ErrNoCheckpoint", err)
 	}
 }
 

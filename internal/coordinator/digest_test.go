@@ -48,6 +48,9 @@ func randomImage(t *testing.T, rng *rand.Rand, full bool) rank.Image {
 		WrittenBytes: 1 + rng.Uint64()>>30, StoredBytes: 1 + rng.Uint64()>>30,
 		Stats: &rank.SavedStats{Stats: randomStats(t, rng)},
 	}
+	for i := 0; i < 1+rng.Intn(3); i++ {
+		img.Stats.Peers = append(img.Stats.Peers, rank.PeerCount{Peer: rng.Intn(100), Sent: rng.Uint64() >> 40, Received: rng.Uint64() >> 40})
+	}
 	a := memsim.NewAddressSpace()
 	names := []string{"app.state", "[heap]", `q"uote\`, "naïve\x00\n", ""}
 	var regions []*memsim.Region
@@ -107,7 +110,7 @@ func cloneImage(img *rank.Image) rank.Image {
 		v.Entries[k] = slices.Clone(img.Virt.Entries[k])
 	}
 	c.Virt = &v
-	c.Stats = &rank.SavedStats{Stats: img.Stats.Stats}
+	c.Stats = &rank.SavedStats{Stats: img.Stats.Stats, Peers: slices.Clone(img.Stats.Peers)}
 	c.PendingReqs, c.Comms, c.CommIDs = slices.Clone(img.PendingReqs), slices.Clone(img.Comms), slices.Clone(img.CommIDs)
 	return c
 }
@@ -127,6 +130,7 @@ func foldLink(d *digester, link []rank.Image) uint64 {
 // exempt too. Changing any of them must leave the fingerprint as it is.
 var notState = map[string]string{
 	"rank.Image.StoredBytes":    "storage accounting: what compression moved, not what restore reads",
+	"rank.SavedStats.Peers":     "the §3.1 per-peer counts the drain compares, left out so that carrying them in the image moved no fp=",
 	"memsim.Snapshot.Regions":   "digested through RegionHashes, which memsim's tests pin to the regions' contents",
 	"memsim.Delta.BaseGen":      "memsim's generation counter; the link the delta applies to is folded as Image.Base",
 	"memsim.Delta.ScannedPages": "capture cost accounting",
@@ -139,7 +143,7 @@ var notState = map[string]string{
 
 // payloadTypes are the records the sensitivity walk must reach: the
 // image and every payload it points at.
-var payloadTypes = []string{"rank.Image", "rank.SavedStats", "rank.Stats", "virtid.Snapshot", "virtid.Entry",
+var payloadTypes = []string{"rank.Image", "rank.SavedStats", "rank.Stats", "rank.PeerCount", "virtid.Snapshot", "virtid.Entry",
 	"memsim.Snapshot", "memsim.Delta", "memsim.RegionDelta", "memsim.PageDelta", "netsim.Message", "vtime.Stamp"}
 
 // mutation is one leaf of an image changed in place, named by its field.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"mana/internal/memsim"
-	"mana/internal/netsim"
 	"mana/internal/rank"
 	"mana/internal/scenario"
 	"mana/internal/virtid"
@@ -29,13 +28,31 @@ func (c *Coordinator) RanAhead() uint64 { return c.ranAhead }
 func (c *Coordinator) QueueCap() int { return c.queue.Cap() }
 
 // LongestRing returns the most slots any pair ring of the network holds:
-// per pair, its room, its queued messages and the one slot of slack.
+// per pair a rank has sent on, its room, its queued messages — what the
+// sender counts sent less what the receiver counts received — and the
+// one slot of slack.
 func (c *Coordinator) LongestRing() int {
 	longest := 0
-	for p, pc := range c.net.CountersSnapshot() {
-		longest = max(longest, c.net.Room(p.Src, p.Dst)+int(pc.Sent-pc.Received)+1)
+	for _, r := range c.ranks {
+		for _, pc := range r.Counts() {
+			if pc.Sent == 0 {
+				continue
+			}
+			queued := pc.Sent - received(c.ranks[pc.Peer], r.ID())
+			longest = max(longest, c.net.Room(r.ID(), pc.Peer)+int(queued)+1)
+		}
 	}
 	return longest
+}
+
+// received returns how many messages r counts received from peer.
+func received(r *rank.Rank, peer int) uint64 {
+	for _, pc := range r.Counts() {
+		if pc.Peer == peer {
+			return pc.Received
+		}
+	}
+	return 0
 }
 
 // upperTable returns the length and capacity of the rank's upper-half
@@ -98,6 +115,7 @@ type rankView struct {
 	State        rank.State
 	Clock        vtime.Time
 	Stats        rank.Stats
+	Counts       []rank.PeerCount
 	CkptOverhead vtime.Duration
 	CommIDs      []int
 	Requests     []virtid.VID
@@ -111,7 +129,7 @@ type rankView struct {
 func viewRank(r *rank.Rank) rankView {
 	v := rankView{
 		ID: r.ID(), PC: r.PC(), State: r.State(), Clock: r.Clock().Now(),
-		Stats: r.Stats(), CkptOverhead: r.CkptOverhead(),
+		Stats: r.Stats(), Counts: r.Counts(), CkptOverhead: r.CkptOverhead(),
 		Requests: r.PendingRequests(), Inbox: r.InboxLen(), BlockedOn: -1,
 		Handles: r.Virtid().Snapshot(),
 	}
@@ -147,7 +165,6 @@ type formingView struct {
 
 // netView is what a network exports of its state.
 type netView struct {
-	Counters    map[netsim.Pair]netsim.PairCount
 	InFlight    uint64
 	LongestRing int
 }
@@ -197,7 +214,7 @@ func (c *Coordinator) timelineView() map[string]any {
 	}
 	return map[string]any{
 		"ranks":            ranks,
-		"net":              netView{tl.net.CountersSnapshot(), tl.net.InFlight(), c.LongestRing()},
+		"net":              netView{tl.net.InFlight(), c.LongestRing()},
 		"queue":            events,
 		"globals":          slices.Sorted(slices.Values(tl.globals)),
 		"deliveries":       tl.deliveries,

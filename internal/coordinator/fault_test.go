@@ -439,6 +439,7 @@ func copyPayloads(img *rank.Image) payloadCopy {
 	for k := range p.virtCopy.Entries {
 		p.virtCopy.Entries[k] = slices.Clone(img.Virt.Entries[k])
 	}
+	p.statsCopy.Peers = slices.Clone(img.Stats.Peers)
 	return p
 }
 
@@ -450,7 +451,7 @@ func (p *payloadCopy) changed() string {
 		return "memory snapshot header"
 	case !reflect.DeepEqual(*p.virt, p.virtCopy) || p.virt.Hash() != p.virtHash:
 		return "handle-table snapshot"
-	case *p.stats != p.statsCopy:
+	case !reflect.DeepEqual(*p.stats, p.statsCopy):
 		return "stats"
 	}
 	return ""

@@ -12,6 +12,7 @@ import (
 
 	"mana/internal/coordinator"
 	"mana/internal/faultplan"
+	"mana/internal/kernelsim"
 	"mana/internal/scenario"
 	"mana/internal/virtid"
 	"mana/internal/vtime"
@@ -386,5 +387,27 @@ func TestMismatchedCollectiveFailsRun(t *testing.T) {
 	_, err := NewEngine().Run(cfg, nil)
 	if !errors.Is(err, coordinator.ErrCollectiveMismatch) || !strings.HasPrefix(err.Error(), "run failed: ") {
 		t.Errorf("Run = %v; want \"run failed: \" wrapping ErrCollectiveMismatch", err)
+	}
+}
+
+// TestCrashBeforeFirstCommitNamesNoCheckpoint: a fault plan that crashes
+// the job before its first checkpoint commits leaves nothing to restart
+// from, and Run returns coordinator.ErrNoCheckpoint under its "restart
+// failed: " prefix (the CLI's exit 1).
+func TestCrashBeforeFirstCommitNamesNoCheckpoint(t *testing.T) {
+	e := NewEngine()
+	spec, err := e.LoadSpec("default")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := e.Config(Job{Spec: spec, Ranks: 4, Steps: 10, Seed: 42, CkptAt: vtime.Time(5 * vtime.Millisecond),
+		Kernel: kernelsim.Unpatched, Virtid: virtid.ImplSharded})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = []faultplan.Fault{{Anchor: faultplan.AtVirtualTime, Time: vtime.Time(vtime.Microsecond), Kind: faultplan.RankCrash}}
+	_, err = e.Run(cfg, nil)
+	if !errors.Is(err, coordinator.ErrNoCheckpoint) || !strings.HasPrefix(err.Error(), "restart failed: ") {
+		t.Errorf("Run = %v; want \"restart failed: \" wrapping ErrNoCheckpoint", err)
 	}
 }

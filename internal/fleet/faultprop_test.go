@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"mana/internal/ckptstore"
+	"mana/internal/coordinator"
 	"mana/internal/faultplan"
 	"mana/internal/scenario"
 	"mana/internal/vtime"
@@ -69,7 +69,7 @@ func randomFaultPlan(rng *rand.Rand) *faultplan.Plan {
 func recoverableOrNamed(err error) bool {
 	return errors.Is(err, ErrRestartsExhausted) ||
 		errors.Is(err, ckptstore.ErrNoVerifiableGeneration) ||
-		strings.Contains(err.Error(), "no committed checkpoint to restart from")
+		errors.Is(err, coordinator.ErrNoCheckpoint)
 }
 
 // TestRandomFaultPlansPreserveFinalState is the recovery contract as a

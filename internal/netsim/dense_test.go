@@ -2,9 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -14,64 +12,59 @@ import (
 
 // This file drives the dense per-destination pair tables against a
 // reference model that keeps pair state the way the package did before
-// them — a map[Pair] of FIFO slices and a map[Pair] of counters —
-// transcribed here and used nowhere else. One interpreter turns a byte
-// string into a sequence of network operations and applies each to
-// both; after every step everything observable must agree.
+// them — a map of FIFO slices keyed by pair — transcribed here and used
+// nowhere else. One interpreter turns a byte string into a sequence of
+// network operations and applies each to both; after every step
+// everything observable must agree.
+
+// pair identifies a directed rank pair.
+type pair struct{ src, dst int }
 
 // mapNet is the reference model. It keeps messages by value, as the
 // network's rings do, so "the same message came out" is equality of
-// every field.
+// every field. seqs counts each pair's sends, as the sending rank does
+// to stamp Message.Seq; a restart's network starts empty, and the ranks
+// keep their counts.
 type mapNet struct {
-	queues   map[Pair][]Message
-	counters Counters
+	queues map[pair][]Message
+	seqs   map[pair]uint64
 }
 
 func newMapNet() *mapNet {
-	return &mapNet{queues: make(map[Pair][]Message), counters: make(Counters)}
+	return &mapNet{queues: make(map[pair][]Message), seqs: make(map[pair]uint64)}
 }
 
-// send queues msg and returns it as the network must have sent it: its
-// Seq is the pair's send ordinal, one more than the messages the pair
-// counted before it (restored counters included).
+// send queues msg, stamped with its pair's send ordinal, and returns it
+// as the network must hold it once the sender has stamped it.
 func (m *mapNet) send(msg Message) Message {
-	p := Pair{Src: msg.Src, Dst: msg.Dst}
-	pc := m.counters[p]
-	pc.Sent++
-	m.counters[p] = pc
-	msg.Seq = pc.Sent
+	p := pair{msg.Src, msg.Dst}
+	m.seqs[p]++
+	msg.Seq = m.seqs[p]
 	m.queues[p] = append(m.queues[p], msg)
 	return msg
 }
 
 func (m *mapNet) recv(dst, src int, by vtime.Time) (Message, bool) {
-	p := Pair{Src: src, Dst: dst}
+	p := pair{src, dst}
 	q := m.queues[p]
 	if len(q) == 0 || q[0].Arrive > by {
 		return Message{}, false
 	}
 	m.queues[p] = q[1:]
-	pc := m.counters[p]
-	pc.Received++
-	m.counters[p] = pc
 	return q[0], true
 }
 
 func (m *mapNet) drainTo(dst int) []Message {
-	var pairs []Pair
+	var pairs []pair
 	for p, q := range m.queues {
-		if p.Dst == dst && len(q) > 0 {
+		if p.dst == dst && len(q) > 0 {
 			pairs = append(pairs, p)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Src < pairs[j].Src })
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].src < pairs[j].src })
 	var out []Message
 	for _, p := range pairs {
-		q := m.queues[p]
-		out = append(out, q...)
-		pc := m.counters[p]
-		pc.Received += uint64(len(q))
-		m.counters[p] = pc
+		out = append(out, m.queues[p]...)
 		delete(m.queues, p)
 	}
 	return out
@@ -86,32 +79,11 @@ func (m *mapNet) inFlight() (n uint64) {
 
 func (m *mapNet) inFlightTo(dst int) (n uint64) {
 	for p, q := range m.queues {
-		if p.Dst == dst {
+		if p.dst == dst {
 			n += uint64(len(q))
 		}
 	}
 	return n
-}
-
-func (m *mapNet) peersTo(dst int) (n int) {
-	for p := range m.counters {
-		if p.Dst == dst {
-			n++
-		}
-	}
-	return n
-}
-
-func (m *mapNet) totalSent() (n uint64) {
-	for _, pc := range m.counters {
-		n += pc.Sent
-	}
-	return n
-}
-
-func (m *mapNet) restore(c Counters) {
-	m.queues = make(map[Pair][]Message)
-	m.counters = maps.Clone(c)
 }
 
 // program feeds the interpreter: a byte string read front to back, zeros
@@ -137,21 +109,16 @@ func (p *program) next() int {
 const maxRank = 12
 
 type harness struct {
-	t        *testing.T
-	p        *program
-	n        *Network
-	m        *mapNet
-	now      vtime.Time // send clock, advanced by the program
-	saved    Counters
-	hasSaved bool
-	// savedCopy is saved as it was taken: the network hands snapshots
-	// out shared, and must never write one afterwards.
-	savedCopy Counters
-	step      int
+	t    *testing.T
+	p    *program
+	n    *Network
+	m    *mapNet
+	now  vtime.Time // send clock, advanced by the program
+	step int
 	// held is, per pair, the slot the last Recv on it returned and the
 	// message it held then: the slot-lifetime contract says it stays
 	// intact until the pair's next receive, whatever is sent meanwhile.
-	held map[Pair]heldSlot
+	held map[pair]heldSlot
 	// drained is the buffer DrainTo appends into, reused call to call.
 	drained []Message
 }
@@ -168,14 +135,34 @@ func (h *harness) failf(format string, args ...any) {
 
 func (h *harness) rank() int { return h.p.next() % maxRank }
 
+// ring returns pair (src, dst)'s ring buffer, nil before its first send.
+func (h *harness) ring(src, dst int) []Message {
+	if i, ok := h.n.find(src, dst); ok {
+		return h.n.peers[dst][i].buf
+	}
+	return nil
+}
+
+// sendOn sends on a pair and stamps the slot Send returns with the
+// pair's send ordinal, as the sending rank does. Room must have said
+// whether the send grows the ring: a ring with room keeps its buffer.
 func (h *harness) sendOn(src, dst int) {
 	h.now += vtime.Time(h.p.next() % 4 * 500)
 	bytes := uint64(h.p.next()) * 1000
 	sent := vtime.Stamp{Rank: src, When: h.now}
+	room, before := h.n.Room(src, dst), h.ring(src, dst)
 	msg, _ := h.n.Send(src, dst, h.step, bytes, sent)
+	if after := h.ring(src, dst); (room > 0) != (len(after) == len(before) && &after[0] == &before[0]) {
+		h.failf("Send(%d, %d) with Room %d: ring of %d slots became %d", src, dst, room, len(before), len(after))
+	}
 	params := testParams()
 	arrive := h.now.Add(params.SerializeCost(bytes) + params.Latency)
-	if want := h.m.send(Message{Src: src, Dst: dst, Tag: h.step, Bytes: bytes, Sent: sent, Arrive: arrive}); *msg != want {
+	want := h.m.send(Message{Src: src, Dst: dst, Tag: h.step, Bytes: bytes, Sent: sent, Arrive: arrive})
+	if msg.Seq != 0 {
+		h.failf("Send(%d, %d) stamped Seq %d, want it left to the sender", src, dst, msg.Seq)
+	}
+	msg.Seq = want.Seq
+	if *msg != want {
 		h.failf("Send(%d, %d) = %+v, model %+v", src, dst, *msg, want)
 	}
 }
@@ -188,15 +175,15 @@ func (h *harness) send() { h.sendOn(h.rank(), h.rank()) }
 func (h *harness) recv() {
 	dst, src := h.rank(), h.rank()
 	by := h.now + vtime.Time(h.p.next()%8*400)
-	pair := Pair{Src: src, Dst: dst}
-	delete(h.held, pair)
+	p := pair{src, dst}
+	delete(h.held, p)
 	got := h.n.Recv(dst, src, by)
 	want, ok := h.m.recv(dst, src, by)
 	if (got != nil) != ok || (ok && *got != want) {
 		h.failf("Recv(dst=%d, src=%d, by=%v) = %+v, model %+v (%v)", dst, src, by, got, want, ok)
 	}
 	if ok {
-		h.held[pair] = heldSlot{slot: got, want: want}
+		h.held[p] = heldSlot{slot: got, want: want}
 	}
 }
 
@@ -207,18 +194,17 @@ func (h *harness) flood() {
 	if len(h.held) == 0 {
 		return
 	}
-	pairs := make([]Pair, 0, len(h.held))
+	pairs := make([]pair, 0, len(h.held))
 	for p := range h.held {
 		pairs = append(pairs, p)
 	}
 	sort.Slice(pairs, func(i, j int) bool {
-		return pairs[i].Src < pairs[j].Src || pairs[i].Src == pairs[j].Src && pairs[i].Dst < pairs[j].Dst
+		return pairs[i].src < pairs[j].src || pairs[i].src == pairs[j].src && pairs[i].dst < pairs[j].dst
 	})
-	pair := pairs[h.p.next()%len(pairs)]
-	i, _ := h.n.find(pair.Src, pair.Dst)
-	start := len(h.n.peers[pair.Dst][i].buf)
-	for len(h.n.peers[pair.Dst][i].buf) < 4*start {
-		h.sendOn(pair.Src, pair.Dst)
+	p := pairs[h.p.next()%len(pairs)]
+	start := len(h.ring(p.src, p.dst))
+	for len(h.ring(p.src, p.dst)) < 4*start {
+		h.sendOn(p.src, p.dst)
 		h.check()
 	}
 }
@@ -229,7 +215,7 @@ func (h *harness) drainTo() { h.drainDst(h.rank()) }
 
 func (h *harness) drainDst(dst int) {
 	for p := range h.held {
-		if p.Dst == dst {
+		if p.dst == dst {
 			delete(h.held, p)
 		}
 	}
@@ -239,22 +225,18 @@ func (h *harness) drainDst(dst int) {
 	}
 }
 
-// snapshot takes the counters the way a checkpoint commit does; the
-// network must be drained first, as the coordinator guarantees.
-func (h *harness) snapshot() {
+// quiesce drains every destination, as a checkpoint's drain does.
+func (h *harness) quiesce() {
 	for dst := 0; dst < maxRank; dst++ {
 		h.drainDst(dst)
 	}
-	h.saved, h.hasSaved = h.n.CountersSnapshot(), true
-	h.savedCopy = maps.Clone(h.saved)
 }
 
-func (h *harness) restore() {
-	if !h.hasSaved {
-		return
-	}
-	h.n = FromCounters(testParams(), 0, h.saved)
-	h.m.restore(h.saved)
+// restart replaces the network with the empty one a restart builds: what
+// the dead one held in flight is gone, and the senders' ordinals go on.
+func (h *harness) restart() {
+	h.n = Build(testParams(), maxRank)
+	clear(h.m.queues)
 	clear(h.held)
 }
 
@@ -270,32 +252,16 @@ func (h *harness) check() {
 	if got, want := h.n.InFlight(), h.m.inFlight(); got != want {
 		h.failf("InFlight = %d, model %d", got, want)
 	}
-	if got, want := h.n.TotalSent(), h.m.totalSent(); got != want {
-		h.failf("TotalSent = %d, model %d", got, want)
-	}
 	for dst := 0; dst < maxRank; dst++ {
-		if got, want := h.n.PeersTo(dst), h.m.peersTo(dst); got != want {
-			h.failf("PeersTo(%d) = %d, model %d", dst, got, want)
-		}
 		if got, want := inFlightTo(h.n, dst), h.m.inFlightTo(dst); got != want {
 			h.failf("InFlightTo(%d) = %d, model %d", dst, got, want)
 		}
-	}
-	snap := h.n.CountersSnapshot()
-	if !reflect.DeepEqual(snap, h.m.counters) {
-		h.failf("CountersSnapshot = %v, model %v", snap, h.m.counters)
-	}
-	if h.hasSaved && !reflect.DeepEqual(h.saved, h.savedCopy) {
-		h.failf("the saved CountersSnapshot changed after it was taken: %v, was %v", h.saved, h.savedCopy)
-	}
-	if got, want := inFlight(snap), h.m.inFlight(); got != want {
-		h.failf("counters say %d in flight, queues hold %d", got, want)
 	}
 }
 
 // runDifferential interprets prog against both representations.
 func runDifferential(t *testing.T, prog []byte) {
-	h := &harness{t: t, p: &program{b: prog}, n: New(testParams()), m: newMapNet(), held: make(map[Pair]heldSlot)}
+	h := &harness{t: t, p: &program{b: prog}, n: New(testParams()), m: newMapNet(), held: make(map[pair]heldSlot)}
 	for ; !h.p.done() && h.step < 400; h.step++ {
 		switch op := h.p.next() % 17; op {
 		case 0, 1, 2, 3, 4, 5, 6:
@@ -305,9 +271,9 @@ func runDifferential(t *testing.T, prog []byte) {
 		case 12, 13:
 			h.drainTo()
 		case 14:
-			h.snapshot()
+			h.quiesce()
 		case 15:
-			h.restore()
+			h.restart()
 		case 16:
 			h.flood()
 		}

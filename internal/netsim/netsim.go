@@ -1,14 +1,17 @@
 // Package netsim models the point-to-point interconnect of the simulated
-// MPI job in virtual time.
+// MPI job in virtual time: MANA's lower-half network, which a checkpoint
+// discards and a restart builds anew.
 //
 // The model is deliberately simple — a latency plus bandwidth-serialisation
 // cost per message — because MANA is network-agnostic: the checkpointing
 // algorithm only needs to know *when* a message becomes visible to its
 // receiver and *how many* messages are in flight between each pair of
 // ranks. Every message piggybacks the sender's virtual timestamp
-// (vtime.Stamp) so the receiver can advance causally, and the network keeps
-// the per-pair send/receive counters that the coordinator's draining
-// algorithm (paper §3.1) compares to decide when the network is quiescent.
+// (vtime.Stamp) so the receiver can advance causally. The per-peer
+// send/receive counts the draining algorithm (paper §3.1) compares are
+// kept by the ranks, as MANA's upper-half wrappers keep them; the
+// network holds only the messages in flight and how many there are, so
+// a restart's network is built from its Params and the rank count alone.
 //
 // The network is passive: it never calls out. Each Send computes the
 // message's arrival time, one Latency after the sender's link frees, and
@@ -118,13 +121,13 @@ func log2ceil(n int) int {
 // so the rings that store messages by value are never scanned by the
 // collector.
 type Message struct {
-	// Seq is the message's send ordinal on its pair: the pair's Sent
-	// counter once the message is counted, so the first message from Src
-	// to Dst is 1. It depends only on the pair's own history — never on
-	// how sends on other pairs interleave with it — and a network built
-	// FromCounters continues it from the checkpoint's counters. Drain
-	// order does not read it: DrainTo orders by source rank, then pair
-	// FIFO.
+	// Seq is the message's send ordinal on its pair, so the first message
+	// from Src to Dst is 1. The network leaves it 0: the sender stamps the
+	// slot Send returns from its own count of the messages it sent Dst,
+	// which a restarted rank continues from its image. It depends only on
+	// the pair's own history — never on how sends on other pairs
+	// interleave with it. Drain order does not read it: DrainTo orders by
+	// source rank, then pair FIFO.
 	Seq uint64
 	// Src and Dst are rank IDs.
 	Src, Dst int
@@ -139,32 +142,12 @@ type Message struct {
 	Arrive vtime.Time
 }
 
-// Pair identifies a directed rank pair.
-type Pair struct {
-	Src, Dst int
-}
-
-// PairCount holds the send/receive counters for one directed pair. The
-// draining algorithm is exactly "wait until Sent == Received for every
-// pair" (§3.1).
-type PairCount struct {
-	Sent     uint64
-	Received uint64
-}
-
-// Counters is a snapshot of all per-pair counters, keyed by pair. It is
-// part of the checkpoint image so that restart resumes with consistent
-// bookkeeping. A snapshot CountersSnapshot returns is shared with every
-// later one taken before the counters change: read it, never write it.
-type Counters map[Pair]PairCount
-
-// pairState is one directed pair's state, kept at its destination: the
-// FIFO of in-flight messages and the §3.1 send/receive counters. The
-// FIFO is a ring of message values over a power-of-two buffer, so a pair
-// that is never fully drained still reuses its storage instead of
-// creeping through a slice, and a send into a ring that is large enough
-// allocates nothing. A Message holds no pointer, so neither does the
-// ring: the collector never scans it.
+// pairState is one directed pair's FIFO of in-flight messages, kept at
+// its destination. The FIFO is a ring of message values over a
+// power-of-two buffer, so a pair that is never fully drained still reuses
+// its storage instead of creeping through a slice, and a send into a
+// ring that is large enough allocates nothing. A Message holds no
+// pointer, so neither does the ring: the collector never scans it.
 //
 // The ring keeps one slot of slack — push grows it before it would
 // fill — so the slot pop just vacated is never the next one push
@@ -172,11 +155,10 @@ type Counters map[Pair]PairCount
 // message Recv returned stays intact until its receiver's next receive
 // on the pair, even when the sender pushes the next message first.
 type pairState struct {
-	src   int
-	count PairCount
-	buf   []Message
-	head  int // index of the oldest message in buf
-	n     int // messages queued
+	src  int
+	buf  []Message
+	head int // index of the oldest message in buf
+	n    int // messages queued
 }
 
 // push appends m to the FIFO and returns its slot.
@@ -203,19 +185,15 @@ func (p *pairState) pop() *Message {
 	return m
 }
 
-// Network is the simulated interconnect: per-pair FIFO queues plus the
-// send/receive counters the drain protocol uses.
+// Network is the simulated interconnect: per-pair FIFO rings and a count
+// of the messages in them, and nothing a restart must carry over.
 //
 // Pair state is indexed, never hashed: peers[dst] lists the pairs that
 // end at dst, sorted by source rank, each created by the first send on
 // it. A rank talks to a handful of peers (2–4 in a stencil), so finding
-// a pair is a search over a few entries, and everything the drain phase
-// asks about one destination — PeersTo, InFlightTo, DrainTo — costs its
-// in-degree rather than a scan of every pair in the job. The
-// map-shaped Counters type exists only at the edges, where the paper's
-// counters are actually compared: CountersSnapshot builds it at a
-// checkpoint commit, once per change of the counters, and FromCounters
-// consumes it at restart.
+// a pair is a search over a few entries, and a drain of one destination
+// (DrainTo) costs its in-degree rather than a scan of every pair in the
+// job.
 //
 // Slot lifetime. Messages live by value in their pair's ring, and the
 // pointers the Network hands out are pointers to ring slots:
@@ -234,15 +212,11 @@ func (p *pairState) pop() *Message {
 type Network struct {
 	params Params
 
-	peers [][]pairState // indexed by destination rank: sized by FromCounters, grown on demand
+	peers [][]pairState // indexed by destination rank: sized by Build, grown on demand
 	// inflight counts sent-but-not-received messages, maintained
 	// incrementally so the scheduler's per-event trigger checks are O(1)
 	// instead of a scan over every pair.
 	inflight uint64
-	// counters is the last CountersSnapshot, handed out again until a
-	// Send, or a Recv or DrainTo that receives, changes a counter; nil
-	// when none is current.
-	counters Counters
 }
 
 // New returns an empty network with the given parameters.
@@ -250,18 +224,13 @@ func New(params Params) *Network {
 	return &Network{params: params}
 }
 
-// FromCounters returns the network of a job of ranks ranks that a
-// checkpoint's counters describe: every pair's counters as c holds them,
-// and no message in flight — a checkpoint drains the network to
-// quiescence first. A nil c is a job's first network. Its destination
-// index is sized for the ranks in one allocation, so that no send to one
-// of them regrows it.
-func FromCounters(params Params, ranks int, c Counters) *Network {
+// Build returns the empty network of a job of ranks ranks, as the job's
+// start and every restart bring one up: nothing in flight and no pair
+// yet. Its destination index is sized for the ranks in one allocation,
+// so that no send to one of them regrows it.
+func Build(params Params, ranks int) *Network {
 	n := New(params)
 	n.peers = make([][]pairState, ranks)
-	for pr, pc := range c {
-		n.pair(pr.Src, pr.Dst).count = pc
-	}
 	return n
 }
 
@@ -301,19 +270,16 @@ func (n *Network) pair(src, dst int) *pairState {
 	return &n.peers[dst][i]
 }
 
-// Send injects a message and returns its ring slot together with the
-// duration the sender's link is busy (charged to the sender's clock by
-// the rank runtime). The message arrives one Latency after the link
-// frees: at the piggybacked stamp's time plus the busy duration plus
-// Latency.
+// Send injects a message and returns its ring slot, whose Seq the sender
+// stamps (Message.Seq), together with the duration the sender's link is
+// busy (charged to the sender's clock by the rank runtime). The message
+// arrives one Latency after the link frees: at the piggybacked stamp's
+// time plus the busy duration plus Latency.
 func (n *Network) Send(src, dst, tag int, bytes uint64, sent vtime.Stamp) (*Message, vtime.Duration) {
 	busy := n.params.SerializeCost(bytes)
 	arrive := sent.When.Add(busy + n.params.Latency)
-	p := n.pair(src, dst)
-	m := p.push(Message{Seq: p.count.Sent + 1, Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})
-	p.count.Sent++
+	m := n.pair(src, dst).push(Message{Src: src, Dst: dst, Tag: tag, Bytes: bytes, Sent: sent, Arrive: arrive})
 	n.inflight++
-	n.counters = nil
 	return m, busy
 }
 
@@ -348,18 +314,17 @@ func (n *Network) Recv(dst, src int, by vtime.Time) *Message {
 	if p.n == 0 || p.buf[p.head].Arrive > by {
 		return nil
 	}
-	p.count.Received++
 	n.inflight--
-	n.counters = nil
 	return p.pop()
 }
 
 // DrainTo pops every in-flight message destined for dst, in deterministic
-// order (by source rank, then send sequence), marking each as received,
-// and appends them by value to out, which it returns: a caller that
-// passes the same buffer back, emptied, drains without allocating. The
-// coordinator calls this during the drain phase so the messages can be
-// buffered into the receiving rank's checkpoint image.
+// order (by source rank, then send order), and appends them by value to
+// out, which it returns: a caller that passes the same buffer back,
+// emptied, drains without allocating. The coordinator calls this during
+// the drain phase so the messages can be buffered into the receiving
+// rank's checkpoint image, where they count as received
+// (rank.Rank.BufferDrained).
 func (n *Network) DrainTo(dst int, out []Message) []Message {
 	list := n.peersOf(dst)
 	for i := range list {
@@ -367,9 +332,7 @@ func (n *Network) DrainTo(dst int, out []Message) []Message {
 		if p.n == 0 {
 			continue
 		}
-		p.count.Received += uint64(p.n)
 		n.inflight -= uint64(p.n)
-		n.counters = nil
 		for p.n > 0 {
 			out = append(out, *p.pop())
 		}
@@ -382,44 +345,4 @@ func (n *Network) DrainTo(dst int, out []Message) []Message {
 // consult it after every event.
 func (n *Network) InFlight() uint64 {
 	return n.inflight
-}
-
-// PeersTo returns the number of source ranks that have ever sent to dst.
-// The drain phase charges dst one counter-comparison probe per such peer
-// (§3.1 compares send/receive counters pairwise).
-func (n *Network) PeersTo(dst int) int {
-	return len(n.peersOf(dst))
-}
-
-// CountersSnapshot returns the per-pair counters as a map, built from the
-// pair tables when they changed since the last call and otherwise that
-// call's map again: checkpoints committed with no traffic between them
-// share one. The result is read-only.
-func (n *Network) CountersSnapshot() Counters {
-	if n.counters != nil {
-		return n.counters
-	}
-	pairs := 0
-	for _, list := range n.peers {
-		pairs += len(list)
-	}
-	out := make(Counters, pairs)
-	for dst, list := range n.peers {
-		for i := range list {
-			out[Pair{Src: list[i].src, Dst: dst}] = list[i].count
-		}
-	}
-	n.counters = out
-	return out
-}
-
-// TotalSent returns the total number of messages ever sent.
-func (n *Network) TotalSent() uint64 {
-	var total uint64
-	for _, list := range n.peers {
-		for i := range list {
-			total += list[i].count.Sent
-		}
-	}
-	return total
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"reflect"
 	"testing"
 
 	"mana/internal/vtime"
@@ -34,14 +33,14 @@ func TestSendArrivalTime(t *testing.T) {
 func TestRecvFIFOPerPair(t *testing.T) {
 	n := New(testParams())
 	s := vtime.Stamp{Rank: 0, When: 0}
-	m1, _ := n.Send(0, 1, 0, 10, s)
-	m2, _ := n.Send(0, 1, 1, 10, s)
+	n.Send(0, 1, 0, 10, s)
+	n.Send(0, 1, 1, 10, s)
 	by := vtime.Time(1 * vtime.Millisecond)
-	if got := n.Recv(1, 0, by); got.Seq != m1.Seq {
-		t.Errorf("first recv got seq %d, want %d (non-overtaking order)", got.Seq, m1.Seq)
+	if got := n.Recv(1, 0, by); got.Tag != 0 {
+		t.Errorf("first recv got tag %d, want 0 (non-overtaking order)", got.Tag)
 	}
-	if got := n.Recv(1, 0, by); got.Seq != m2.Seq {
-		t.Errorf("second recv got seq %d, want %d", got.Seq, m2.Seq)
+	if got := n.Recv(1, 0, by); got.Tag != 1 {
+		t.Errorf("second recv got tag %d, want 1", got.Tag)
 	}
 	if got := n.Recv(1, 0, by); got != nil {
 		t.Errorf("empty queue recv = %+v, want nil", got)
@@ -57,16 +56,6 @@ func inFlightTo(n *Network, dst int) uint64 {
 		total += uint64(list[i].n)
 	}
 	return total
-}
-
-// inFlight returns the number of sent-but-not-received messages the
-// counters describe.
-func inFlight(c Counters) uint64 {
-	var n uint64
-	for _, v := range c {
-		n += v.Sent - v.Received
-	}
-	return n
 }
 
 func TestCountersTrackInFlight(t *testing.T) {
@@ -85,13 +74,8 @@ func TestCountersTrackInFlight(t *testing.T) {
 	if got := n.InFlight(); got != 2 {
 		t.Fatalf("InFlight after recv = %d, want 2", got)
 	}
-	c := n.CountersSnapshot()
-	if got := inFlight(c); got != 2 {
-		t.Fatalf("Counters.InFlight = %d, want 2", got)
-	}
-	pc := c[Pair{Src: 0, Dst: 1}]
-	if pc.Sent != 2 || pc.Received != 1 {
-		t.Errorf("pair (0,1) = %+v, want sent=2 received=1", pc)
+	if got := inFlightTo(n, 1); got != 2 {
+		t.Errorf("InFlightTo(1) after recv = %d, want 2", got)
 	}
 }
 
@@ -110,86 +94,14 @@ func TestDrainToEmptiesAndCounts(t *testing.T) {
 	if msgs[0].Src != 0 || msgs[1].Src != 0 || msgs[2].Src != 3 {
 		t.Errorf("drain order by src = %d,%d,%d, want 0,0,3", msgs[0].Src, msgs[1].Src, msgs[2].Src)
 	}
-	if msgs[0].Seq > msgs[1].Seq {
-		t.Errorf("drain order within pair not FIFO: %d then %d", msgs[0].Seq, msgs[1].Seq)
+	if msgs[0].Tag != 0 || msgs[1].Tag != 1 {
+		t.Errorf("drain order within pair not FIFO: tag %d then %d", msgs[0].Tag, msgs[1].Tag)
 	}
 	if got := inFlightTo(n, 1); got != 0 {
 		t.Errorf("InFlightTo(1) after drain = %d, want 0", got)
 	}
 	if got := n.InFlight(); got != 1 {
 		t.Errorf("InFlight after drain = %d, want 1 (the 0->2 message)", got)
-	}
-	if got := inFlight(n.CountersSnapshot()); got != 1 {
-		t.Errorf("counters disagree with queues after drain: %d in flight", got)
-	}
-}
-
-// TestRestoreResetsQueuesAndCounters: the network a restart builds from
-// a checkpoint's counters (FromCounters) holds those counters and none
-// of the abandoned timeline's queued messages, and sending on it leaves
-// the snapshot it was built from as it was.
-func TestRestoreResetsQueuesAndCounters(t *testing.T) {
-	n := New(testParams())
-	s := vtime.Stamp{Rank: 0, When: 0}
-	n.Send(0, 1, 0, 10, s)
-	n.Recv(1, 0, vtime.Time(1*vtime.Millisecond))
-	saved := n.CountersSnapshot()
-	n.Send(0, 1, 0, 10, s)
-	n.Send(1, 0, 0, 10, s)
-	n = FromCounters(testParams(), 2, saved)
-	if got := n.InFlight(); got != 0 {
-		t.Errorf("InFlight after restore = %d, want 0", got)
-	}
-	if got := n.TotalSent(); got != 1 {
-		t.Errorf("TotalSent after restore = %d, want 1", got)
-	}
-	if got := n.Recv(0, 1, vtime.Time(1*vtime.Millisecond)); got != nil {
-		t.Errorf("the restored network delivers %+v, sent in the abandoned timeline", *got)
-	}
-	if got := n.CountersSnapshot(); !reflect.DeepEqual(got, saved) {
-		t.Errorf("restored counters %v, want %v", got, saved)
-	}
-	// The snapshot must be isolated from later mutation of the network.
-	n.Send(0, 1, 0, 10, s)
-	if got := saved[Pair{Src: 0, Dst: 1}].Sent; got != 1 {
-		t.Errorf("saved counters mutated by later sends: sent=%d, want 1", got)
-	}
-}
-
-// TestSeqIsThePairsSendOrdinal: a message's Seq counts the sends on its
-// own pair, whatever the other pairs send in between, and a network
-// built from a checkpoint's counters continues each pair's count from
-// them rather than from what the abandoned timeline sent.
-func TestSeqIsThePairsSendOrdinal(t *testing.T) {
-	n := New(testParams())
-	s := vtime.Stamp{Rank: 0, When: 0}
-	seq := func(src, dst int) uint64 {
-		m, _ := n.Send(src, dst, 0, 10, s)
-		return m.Seq
-	}
-	for i, tc := range []struct {
-		src, dst int
-		want     uint64
-	}{{0, 1, 1}, {2, 1, 1}, {0, 1, 2}, {1, 0, 1}, {0, 2, 1}, {0, 1, 3}, {2, 1, 2}} {
-		if got := seq(tc.src, tc.dst); got != tc.want {
-			t.Errorf("send %d (%d->%d): Seq = %d, want %d", i, tc.src, tc.dst, got, tc.want)
-		}
-	}
-	n.DrainTo(0, nil)
-	n.DrainTo(1, nil)
-	n.DrainTo(2, nil)
-	saved := n.CountersSnapshot()
-	seq(0, 1) // the abandoned timeline sends on, then dies
-	seq(0, 1)
-	seq(1, 2)
-	n = FromCounters(testParams(), 3, saved)
-	for _, tc := range []struct {
-		src, dst int
-		want     uint64
-	}{{0, 1, 4}, {1, 2, 1}, {2, 1, 3}, {1, 0, 2}} {
-		if got := seq(tc.src, tc.dst); got != tc.want {
-			t.Errorf("after restore, %d->%d: Seq = %d, want %d", tc.src, tc.dst, got, tc.want)
-		}
 	}
 }
 
@@ -225,7 +137,7 @@ func TestRoomCountsFreeRingSlots(t *testing.T) {
 // built for 64 ranks is the one array sends to every one of them use;
 // only a send past it grows the index.
 func TestReserveSizesTheIndexOnce(t *testing.T) {
-	n := FromCounters(testParams(), 64, nil)
+	n := Build(testParams(), 64)
 	index := &n.peers[0]
 	s := vtime.Stamp{Rank: 0, When: 0}
 	for dst := 63; dst >= 1; dst-- {
@@ -237,73 +149,6 @@ func TestReserveSizesTheIndexOnce(t *testing.T) {
 	n.Send(0, 64, 0, 10, s)
 	if len(n.peers) != 65 {
 		t.Errorf("a send to rank 64 left the index at %d entries, want 65", len(n.peers))
-	}
-}
-
-// TestCountersSnapshotSharedUntilTraffic: two snapshots with no traffic
-// between them are the same map, built once; a failed receive and an
-// empty drain keep it, and every call that moves a counter — Send, a
-// receive, a drain that receives — makes the next snapshot a fresh map.
-func TestCountersSnapshotSharedUntilTraffic(t *testing.T) {
-	n := New(testParams())
-	s := vtime.Stamp{Rank: 0, When: 0}
-	later := vtime.Time(vtime.Millisecond)
-	n.Send(0, 1, 0, 10, s)
-	same := func(a, b Counters) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
-	first := n.CountersSnapshot()
-	if !same(first, n.CountersSnapshot()) {
-		t.Fatal("two snapshots with no traffic between them are different maps")
-	}
-	if allocs := testing.AllocsPerRun(20, func() { n.CountersSnapshot() }); allocs != 0 {
-		t.Errorf("a repeated snapshot allocates %v times, want 0", allocs)
-	}
-	n.Recv(0, 1, later) // nothing from 1 to 0: no counter moves
-	n.DrainTo(2, nil)   // nothing to 2
-	if !same(first, n.CountersSnapshot()) {
-		t.Error("a failed receive or an empty drain replaced the snapshot")
-	}
-	saved := n.CountersSnapshot()
-	for _, c := range []struct {
-		name string
-		op   func()
-	}{
-		{"Send", func() { n.Send(0, 1, 0, 10, s) }},
-		{"Recv", func() { n.Recv(1, 0, later) }},
-		{"DrainTo", func() { n.Send(2, 1, 0, 10, s); n.CountersSnapshot(); n.DrainTo(1, nil) }},
-	} {
-		before := n.CountersSnapshot()
-		c.op()
-		after := n.CountersSnapshot()
-		if same(before, after) {
-			t.Errorf("%s: the snapshot taken before it is still served", c.name)
-		}
-		if !same(after, n.CountersSnapshot()) {
-			t.Errorf("%s: the snapshot after it is not shared", c.name)
-		}
-	}
-	if got := saved[Pair{Src: 0, Dst: 1}]; got != (PairCount{Sent: 1}) {
-		t.Errorf("a handed-out snapshot changed: pair (0,1) = %+v, want sent=1", got)
-	}
-}
-
-func TestPeersTo(t *testing.T) {
-	n := New(testParams())
-	s := vtime.Stamp{Rank: 0, When: 0}
-	if got := n.PeersTo(1); got != 0 {
-		t.Fatalf("PeersTo on empty network = %d, want 0", got)
-	}
-	n.Send(0, 1, 0, 10, s)
-	n.Send(0, 1, 0, 10, s)
-	n.Send(2, 1, 0, 10, s)
-	n.Send(0, 2, 0, 10, s)
-	if got := n.PeersTo(1); got != 2 {
-		t.Errorf("PeersTo(1) = %d, want 2 (ranks 0 and 2 have history)", got)
-	}
-	// History persists after the queues empty: counters, not queues,
-	// drive the drain probes.
-	n.DrainTo(1, nil)
-	if got := n.PeersTo(1); got != 2 {
-		t.Errorf("PeersTo(1) after drain = %d, want 2", got)
 	}
 }
 
@@ -353,8 +198,8 @@ func TestRecvArrivalGate(t *testing.T) {
 	if got := n.InFlight(); got != 1 {
 		t.Fatalf("gated recv consumed the message: in flight = %d, want 1", got)
 	}
-	if got := n.Recv(1, 0, m.Arrive); got == nil || got.Seq != m.Seq {
-		t.Fatalf("Recv at arrival = %+v, want seq %d", got, m.Seq)
+	if got := n.Recv(1, 0, m.Arrive); got != m {
+		t.Fatalf("Recv at arrival = %+v, want the slot Send filled", got)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // New returns rank id built outside any job: Build with a kernel model
-// of its own, no mapping table and no sbrk reserve. It stays because
-// bench/probes.go:77 times it as rank.new_us_per_rank.
+// and a count table of its own, no mapping table and no sbrk reserve. It
+// stays because bench/probes.go:77 times it as rank.new_us_per_rank.
 func New(id int, personality kernelsim.Personality, impl virtid.Impl, script scenario.Program) *Rank {
-	return Build(id, kernelsim.NewForTable(personality, impl), script, nil, 0)
+	return Build(id, kernelsim.NewForTable(personality, impl), script, nil, 0, new(CountTable))
 }
 
 // ReleaseMem does nothing: page buffers are not recycled, so a retired

@@ -121,17 +121,29 @@ type Stats struct {
 	WriteTime       vtime.Duration
 }
 
-// SavedStats is the Stats record images point at: the counters as a
-// capture saw them, with their content hash computed once, when the
-// capture minted the record.
-type SavedStats struct {
-	Stats
-	// hash is Hash's result; zero for a record assembled any other way.
-	hash uint64
+// PeerCount is what a rank has counted of its traffic with one peer:
+// the messages it sent the peer and those it received from it, drained
+// ones included — the §3.1 counters MANA's upper-half wrappers keep. At
+// a checkpoint, once the network is drained, every rank's Sent to p
+// equals p's Received from it.
+type PeerCount struct {
+	Peer           int
+	Sent, Received uint64
 }
 
-func saveStats(st Stats) *SavedStats {
-	return &SavedStats{Stats: st, hash: st.contentHash()}
+// SavedStats is the record images point at: the counters as a capture
+// saw them, with their content hash computed once, when the capture
+// minted the record, and the rank's per-peer counts, which neither that
+// hash nor the checkpoint fingerprint folds.
+type SavedStats struct {
+	Stats
+	// Peers is the rank's PeerCounts, sorted by peer.
+	Peers []PeerCount
+	// hash is Hash's result; zero for a record assembled any other way.
+	hash uint64
+	// room holds Peers for a rank of up to two peers, so that a capture
+	// mints the record and its copy of the counts in one allocation.
+	room [2]PeerCount
 }
 
 // Hash returns the counters' content hash — every field in declaration
@@ -164,9 +176,10 @@ func (st *Stats) contentHash() uint64 {
 // image and replayed to the application after restart); Virt carries the
 // handle-virtualisation table state (sorted, deterministic), from which
 // restart rebuilds the table so that live virtual handles keep resolving
-// while handles minted in the abandoned timeline do not. The small state
-// (PC, Clock, Inbox, Virt, PendingReqs, Stats) is carried in full by
-// every image, delta or not: only memory is worth incrementalising.
+// while handles minted in the abandoned timeline do not; Stats carries
+// the accounting and the per-peer §3.1 counts. The small state (PC,
+// Clock, Inbox, Virt, PendingReqs, Stats) is carried in full by every
+// image, delta or not: only memory is worth incrementalising.
 //
 // An image is a read-only record that points at shared payloads: Mem is
 // the snapshot memsim hands out for every capture of an unchanged space,
@@ -278,6 +291,10 @@ type Rank struct {
 	// this rank before the application posted the matching receive.
 	// Receives consume the inbox (per-sender FIFO) before the network.
 	inbox []netsim.Message
+	// peers holds the rank's PeerCounts, one per peer it has sent to or
+	// received from; a restore over the rank (FromImage) keeps the table.
+	// It is a pointer so the Rank stays within its size class.
+	peers *CountTable
 
 	// blockedPeer is the source rank of the receive this rank is blocked
 	// on, meaningful only while state == BlockedRecv.
@@ -285,7 +302,7 @@ type Rank struct {
 
 	stats Stats
 	// shared is the record the last capture or restore pointed its image
-	// at; a capture while stats still equals it shares it again.
+	// at; a capture while stats and peers still equal it shares it again.
 	shared *SavedStats
 	// ckptOverhead accumulates virtual time spent on checkpoint/restart
 	// activity (signal delivery, draining, image write/read, lower-half
@@ -336,13 +353,15 @@ const (
 // place until it first maps, writes, captures or restores. The world
 // communicator and the workload's datatype are registered in the table
 // as MANA wraps MPI_Init: the application only ever sees their virtual
-// ids.
-func Build(id int, kernel *kernelsim.Kernel, script scenario.Program, maps *memsim.Mappings, sbrks int) *Rank {
+// ids. counts, an empty table, becomes the rank's own.
+func Build(id int, kernel *kernelsim.Kernel, script scenario.Program, maps *memsim.Mappings, sbrks int, counts *CountTable) *Rank {
+	counts.list = counts.room[:0]
 	r := &Rank{
 		id:     id,
 		mem:    splitProcess.NewSpace(maps, sbrks),
 		kernel: *kernel,
 		script: script,
+		peers:  counts,
 	}
 	r.comms = []virtid.VID{r.vt.Register(virtid.Comm, realCommWorld)}
 	r.commIDs = []int{0}
@@ -532,6 +551,38 @@ func (r *Rank) PC() int { return r.pc }
 // Stats returns a copy of the rank's accounting.
 func (r *Rank) Stats() Stats { return r.stats }
 
+// Counts returns the rank's per-peer counts, sorted by peer. The slice is
+// the rank's own: read it before the rank's next send or receive, and
+// never write it.
+func (r *Rank) Counts() []PeerCount { return r.peers.list }
+
+// A CountTable is where a rank keeps its PeerCounts, sorted by peer, with
+// room inline for the two peers of a ring. A job makes its ranks' tables
+// in one allocation and hands Build one each.
+type CountTable struct {
+	list []PeerCount
+	room [2]PeerCount
+}
+
+// count returns peer's entry in the rank's counts, adding it on first
+// use: a binary search, since a master or an all-to-all rank talks to
+// every rank of the job.
+func (r *Rank) count(peer int) *PeerCount {
+	t := r.peers
+	lo, hi := 0, len(t.list)
+	for lo < hi {
+		if mid := (lo + hi) / 2; t.list[mid].Peer < peer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(t.list) || t.list[lo].Peer != peer {
+		t.list = slices.Insert(t.list, lo, PeerCount{Peer: peer})
+	}
+	return &t.list[lo]
+}
+
 // CkptOverhead returns virtual time spent on checkpoint/restart activity,
 // which is accounted separately from the application clock.
 func (r *Rank) CkptOverhead() vtime.Duration { return r.ckptOverhead }
@@ -643,12 +694,16 @@ func (r *Rank) send(net *netsim.Network, op *scenario.Op, peer int, bytes uint64
 	r.inject(net, op.Tag, peer, bytes)
 }
 
-// inject puts the message on the wire with a piggybacked timestamp and
-// occupies the sender for the serialisation time. The network owns the
-// message from here on; the caller queues its delivery (Transition.SentTo).
+// inject puts the message on the wire with a piggybacked timestamp,
+// counts it and stamps its Seq with the count, and occupies the sender
+// for the serialisation time. The network owns the message from here on;
+// the caller queues its delivery (Transition.SentTo).
 func (r *Rank) inject(net *netsim.Network, tag, peer int, bytes uint64) {
 	stamp := vtime.StampFrom(r.id, &r.clock)
-	_, busy := net.Send(r.id, peer, tag, bytes, stamp)
+	m, busy := net.Send(r.id, peer, tag, bytes, stamp)
+	c := r.count(peer)
+	c.Sent++
+	m.Seq = c.Sent
 	r.clock.Advance(busy)
 	r.stats.MsgsSent++
 	r.stats.BytesSent += bytes
@@ -707,6 +762,7 @@ func (r *Rank) tryRecvFrom(net *netsim.Network, peer int, by vtime.Time) bool {
 	if m == nil {
 		return false
 	}
+	r.count(peer).Received++
 	r.completeRecv(m)
 	return true
 }
@@ -945,10 +1001,13 @@ func (r *Rank) sbrk(bytes uint64) {
 }
 
 // BufferDrained appends a message delivered by the checkpoint drain phase
-// to the rank's inbox. The coordinator charges the buffering cost
-// separately via ChargeCkptOverhead.
+// to the rank's inbox and counts it received from its sender; the
+// application's receive that later consumes it counts nothing more. The
+// coordinator charges the buffering cost separately via
+// ChargeCkptOverhead.
 func (r *Rank) BufferDrained(m netsim.Message) {
 	r.inbox = append(r.inbox, m)
+	r.count(m.Src).Received++
 }
 
 // CaptureImage produces the rank's checkpoint image: CaptureInto a fresh
@@ -998,8 +1057,9 @@ func (r *Rank) CaptureInto(dst *Image, incremental bool, prev *Image) {
 	dst.PendingReqs = shareOrClone(r.pending, prevReqs)
 	dst.Comms = shareOrClone(r.comms, prevComms)
 	dst.CommIDs = shareOrClone(r.commIDs, prevIDs)
-	if r.shared == nil || r.shared.Stats != r.stats {
-		r.shared = saveStats(r.stats)
+	if peers := r.Counts(); r.shared == nil || r.shared.Stats != r.stats || !slices.Equal(r.shared.Peers, peers) {
+		r.shared = &SavedStats{Stats: r.stats, hash: r.stats.contentHash()}
+		r.shared.Peers = append(r.shared.room[:0], peers...)
 	}
 	dst.Stats = r.shared
 	dst.Complete = true
@@ -1087,14 +1147,21 @@ func (img *Image) Verify() (pages int, err error) {
 // the image is only read. Every field of *dst is overwritten, so dst may
 // be the storage of the dead rank: nothing of it survives, its checkpoint
 // overhead included, which the caller carries over since it describes
-// the run, not the image.
+// the run, not the image. Only its count table's storage is kept, filled
+// with the image's counts.
 func FromImage(dst *Rank, img *Image, kernel *kernelsim.Kernel, script scenario.Program, maps *memsim.Mappings, sbrks int) {
 	if !img.Full {
 		panic(fmt.Sprintf("rank %d: restore from unmaterialised delta image (seq %d, base %d) — Overlay it first",
 			img.RankID, img.Seq, img.Base))
 	}
+	peers := dst.peers
+	if peers == nil {
+		peers = new(CountTable)
+	}
+	peers.list = append(peers.list[:0], img.Stats.Peers...)
 	*dst = Rank{
 		id:     img.RankID,
+		peers:  peers,
 		mem:    splitProcess.Restored(img.Mem, maps, sbrks),
 		kernel: *kernel,
 		script: script,
