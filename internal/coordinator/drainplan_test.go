@@ -475,3 +475,45 @@ func TestMismatchedCollectiveIsAnError(t *testing.T) {
 		}
 	})
 }
+
+// TestFinishedMemberLowersSubCommBar: a sub-communicator's collective
+// waits only for its live members. Ranks split into {0,1} and {2,3}, and
+// ranks 0 and 2 each enter a barrier on their group's communicator.
+// Rank 1's script ends before rank 0 arrives, so rank 0's arrival must
+// complete the barrier alone; rank 3's script ends while rank 2 waits,
+// so rank 3 finishing must complete rank 2's barrier.
+func TestFinishedMemberLowersSubCommBar(t *testing.T) {
+	cfg := smallConfig(4, 0)
+	cfg.Triggers = nil
+	compute := map[int]vtime.Duration{
+		0: 50 * vtime.Microsecond,
+		1: 10 * vtime.Microsecond,
+		2: 10 * vtime.Microsecond,
+		3: 50 * vtime.Microsecond,
+	}
+	cfg.Programs = perRank(cfg.Ranks, func(id int) []scenario.Op {
+		ops := []scenario.Op{
+			{Kind: scenario.OpCommSplit, Comm: 0, Color: id / 2},
+			{Kind: scenario.OpCompute, Dur: compute[id]},
+		}
+		switch id {
+		case 0, 2:
+			ops = append(ops, scenario.Op{Kind: scenario.OpBarrier, Comm: 1})
+		case 3:
+			// A script's last op runs when its ready event pops, so
+			// rank 3 ends 60 us after the split, while rank 2 (there
+			// since 10 us) waits.
+			ops = append(ops, scenario.Op{Kind: scenario.OpCompute, Dur: 10 * vtime.Microsecond})
+		}
+		return ops
+	})
+	c := New(cfg)
+	if outcome, err := c.Run(); err != nil || outcome != Completed {
+		t.Fatalf("Run = %v, %v; want completed", outcome, err)
+	}
+	for id, want := range []uint64{1, 0, 1, 0} {
+		if got := c.Ranks()[id].Stats().Collectives; got != want {
+			t.Errorf("rank %d completed %d collectives, want %d", id, got, want)
+		}
+	}
+}
