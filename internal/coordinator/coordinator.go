@@ -397,28 +397,29 @@ func rankEvent(k eventKind, arg, rank int) event {
 
 // comm is one communicator the job knows: id 0 is MPI_COMM_WORLD,
 // higher ids are minted by comm-split completions in deterministic
-// (colour-sorted) order. Members are sorted rank ids.
+// (colour-sorted) order. Members are sorted rank ids; live counts the
+// members whose scripts are not exhausted — the participation bar a
+// collective on the communicator must reach — and forming is the
+// collective in flight on it, if any.
 type comm struct {
 	members []int
+	live    int
+	forming *forming
 }
 
 // forming is the rendezvous of one in-flight collective: the ranks that
 // have arrived at the collective currently forming on one communicator,
-// in arrival order. planned and waiting are drain-mode state: whether
-// the collective is part of the current drain plan, and which live
-// members the plan still expects to arrive.
+// in arrival order, and the latest of their arrival times.
 type forming struct {
 	commID int
 	seq    uint64 // global collective-instance number (deterministic)
 	kind   netsim.CollectiveKind
 	bytes  uint64
-	stamps []vtime.Stamp
+	latest vtime.Time
 	ranks  []int
 	colors []int // per-arrival colours, comm-splits only
 	// scheduled marks that the completion event is queued.
 	scheduled bool
-	planned   bool
-	waiting   map[int]bool
 }
 
 // Coordinator is one job: what survives a failure — the configuration,
@@ -515,16 +516,16 @@ type timeline struct {
 	comms []comm
 
 	// Collective rendezvous state: one forming instance per communicator
-	// with arrivals outstanding. colls indexes by communicator id;
-	// collList keeps instance order (by seq) so every iteration over the
-	// in-flight set — scheduling re-checks, drain-graph construction,
-	// deadlock diagnostics — is deterministic. collSeq numbers the
-	// timeline's instances; formingPool recycles completed rendezvous so
-	// the steady-state event loop does not allocate per collective.
+	// with arrivals outstanding (comm.forming). collList keeps them in
+	// instance order (by seq) so every iteration over the in-flight set
+	// — scheduling re-checks, drain-graph construction, deadlock
+	// diagnostics — is deterministic. collSeq numbers the timeline's
+	// instances; formingPool recycles completed rendezvous so the
+	// steady-state event loop does not allocate per collective.
 	// inCollComm[r] is the communicator rank r is currently waiting in
-	// (-1 when it is not inside a collective) — the shared-rank
-	// information the drain planner's edges are built from.
-	colls       map[int]*forming
+	// (-1 when it is not inside a collective): a member has arrived at
+	// its communicator's forming collective exactly when it names that
+	// communicator, and the drain planner's edges are built from it.
 	collList    []*forming
 	collSeq     uint64
 	formingPool []*forming
@@ -532,10 +533,11 @@ type timeline struct {
 
 	// Drain-mode state (see drainplan.go): while draining, ranks the
 	// plan does not need are held at their next collective boundary and
-	// consume no scheduler work until the checkpoint commits.
+	// consume no scheduler work until the checkpoint commits. held is
+	// indexed by rank id, and nil unless a drain is in progress.
 	draining         bool
 	plan             *drainPlan
-	held             map[int]bool
+	held             []bool
 	drainStartEvents uint64
 
 	// doneCount and maxClock are maintained incrementally so the hot
@@ -588,9 +590,7 @@ func (c *Coordinator) begin(ranks []*rank.Rank) {
 		// per rank.
 		queue:      vtime.NewEventQueueSized[event](len(ranks) + 16),
 		comms:      commsOf(ranks),
-		colls:      make(map[int]*forming),
 		inCollComm: make([]int, len(ranks)),
-		held:       make(map[int]bool),
 	}
 	for i := range c.inCollComm {
 		c.inCollComm[i] = -1
@@ -616,7 +616,8 @@ func (c *Coordinator) begin(ranks []*rank.Rank) {
 }
 
 // commsOf builds the communicator registry from the ranks' slot tables:
-// each communicator's members are the ranks holding a slot for its id.
+// each communicator's members are the ranks holding a slot for its id,
+// and its live members those whose scripts are not exhausted.
 // Iterating ranks in id order keeps every member list sorted, matching
 // how comm-split completions build them, and the next split of a
 // restored timeline mints max-id+1 — exactly what the replayed
@@ -634,6 +635,9 @@ func commsOf(ranks []*rank.Rank) []comm {
 		for slot := 0; slot < r.CommCount(); slot++ {
 			id := r.CommID(slot)
 			comms[id].members = append(comms[id].members, r.ID())
+			if r.State() != rank.Done {
+				comms[id].live++
+			}
 		}
 	}
 	return comms
@@ -741,21 +745,6 @@ func (c *Coordinator) collectiveInProgress() bool { return len(c.collList) > 0 }
 // sits out until they have).
 func (c *Coordinator) atSafePoint() bool { return !c.collectiveInProgress() }
 
-// liveMembers counts a communicator's members whose scripts are not
-// exhausted — the participation bar a forming collective must reach.
-func (c *Coordinator) liveMembers(commID int) int {
-	if commID == 0 {
-		return c.nonDone()
-	}
-	n := 0
-	for _, id := range c.comms[commID].members {
-		if c.ranks[id].State() != rank.Done {
-			n++
-		}
-	}
-	return n
-}
-
 func (c *Coordinator) allDone() bool { return c.doneCount == c.cfg.Ranks }
 
 // fireTrigger converts trigger i into a pending checkpoint request.
@@ -819,34 +808,31 @@ func (c *Coordinator) newForming(commID int, kind netsim.CollectiveKind, bytes u
 		f = c.formingPool[n-1]
 		c.formingPool = c.formingPool[:n-1]
 	} else {
-		n := c.liveMembers(commID)
-		f = &forming{stamps: make([]vtime.Stamp, 0, n), ranks: make([]int, 0, n)}
+		f = &forming{ranks: make([]int, 0, c.comms[commID].live)}
 	}
 	f.commID = commID
 	f.seq = c.collSeq
 	c.collSeq++
 	f.kind = kind
 	f.bytes = bytes
-	c.colls[commID] = f
+	c.comms[commID].forming = f
 	c.collList = append(c.collList, f)
 	return f
 }
 
 // removeForming retires a completed rendezvous and recycles its storage.
 func (c *Coordinator) removeForming(f *forming) {
-	delete(c.colls, f.commID)
+	c.comms[f.commID].forming = nil
 	for i, g := range c.collList {
 		if g == f {
 			c.collList = append(c.collList[:i], c.collList[i+1:]...)
 			break
 		}
 	}
-	f.stamps = f.stamps[:0]
+	f.latest = 0
 	f.ranks = f.ranks[:0]
 	f.colors = f.colors[:0]
 	f.scheduled = false
-	f.planned = false
-	f.waiting = nil
 	c.formingPool = append(c.formingPool, f)
 }
 
@@ -856,11 +842,10 @@ func (c *Coordinator) removeForming(f *forming) {
 // collective cost.
 func (c *Coordinator) maybeScheduleCollectiveDone(f *forming) {
 	n := len(f.ranks)
-	if f.scheduled || n == 0 || n < c.liveMembers(f.commID) {
+	if f.scheduled || n == 0 || n < c.comms[f.commID].live {
 		return
 	}
-	latest := vtime.MaxStamp(f.stamps)
-	completion := latest.When.Add(c.cfg.Net.CollectiveCost(f.kind, n, f.bytes))
+	completion := f.latest.Add(c.cfg.Net.CollectiveCost(f.kind, n, f.bytes))
 	f.scheduled = true
 	c.queue.Push(completion, indexEvent(evCollectiveDone, f.commID))
 }
@@ -890,14 +875,17 @@ var ErrCollectiveMismatch = errors.New("coordinator: ranks disagree on a collect
 // its target communicator, starting the rendezvous if this is the first
 // arrival. While a drain is in progress, a newly started collective
 // joins the plan (only ranks the plan needs reach this point — everyone
-// else is held at the boundary), and a planned collective's waiting set
-// shrinks with each arrival.
+// else is held at the boundary); an arrival at a collective already
+// forming is one the plan waited for, since the rank had not arrived
+// and was live when the plan took the collective, so the rank's need
+// drops by one.
 func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
 	commID := r.CommID(tr.Coll.Comm)
 	kind := collectiveKindOf(tr.Coll.Kind)
-	f := c.colls[commID]
+	f := c.comms[commID].forming
+	started := f == nil
 	switch {
-	case f == nil:
+	case started:
 		f = c.newForming(commID, kind, tr.Coll.Bytes)
 	case f.scheduled:
 		return fmt.Errorf("%w: rank %d arrived at %v on comm %d after its completion was scheduled",
@@ -906,17 +894,16 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
 		return fmt.Errorf("%w: rank %d arrived at %v while %v is forming on comm %d",
 			ErrCollectiveMismatch, r.ID(), kind, f.kind, commID)
 	}
-	f.stamps = append(f.stamps, tr.Stamp)
+	f.latest = max(f.latest, tr.Stamp.When)
 	f.ranks = append(f.ranks, r.ID())
 	if kind == netsim.CommSplit {
 		f.colors = append(f.colors, tr.Coll.Color)
 	}
 	c.inCollComm[r.ID()] = commID
 	if c.draining {
-		if !f.planned {
+		if started {
 			c.extendPlan(f)
-		} else if f.waiting[r.ID()] {
-			delete(f.waiting, r.ID())
+		} else {
 			c.plan.needed[r.ID()]--
 		}
 	}
@@ -932,7 +919,7 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
 // id, and every member registers the new handle in its virtualisation
 // table — all deterministic, so restart replay re-mints identical ids.
 func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
-	f := c.colls[commID]
+	f := c.comms[commID].forming
 	if f.kind == netsim.CommSplit {
 		byColor := make(map[int][]int, 4)
 		colors := make([]int, 0, 4)
@@ -948,7 +935,7 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 			members := byColor[color]
 			sort.Ints(members)
 			id := len(c.comms)
-			c.comms = append(c.comms, comm{members: members})
+			c.comms = append(c.comms, comm{members: members, live: len(members)})
 			for _, m := range members {
 				c.rankVisits++
 				r := c.ranks[m]
@@ -969,12 +956,16 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 	c.removeForming(f)
 }
 
-// noteDone records a rank's script ending and re-checks every forming
-// collective: a finished rank lowers its communicators' participation
-// bars, possibly making their completions schedulable. collList order
-// keeps the re-check — and thus queue push order — deterministic.
-func (c *Coordinator) noteDone() {
+// noteDone records r's script ending and re-checks every forming
+// collective: a finished rank lowers the participation bar of each
+// communicator it holds a slot for, possibly making their completions
+// schedulable. collList order keeps the re-check — and thus queue push
+// order — deterministic.
+func (c *Coordinator) noteDone(r *rank.Rank) {
 	c.doneCount++
+	for slot := 0; slot < r.CommCount(); slot++ {
+		c.comms[r.CommID(slot)].live--
+	}
 	for _, f := range c.collList {
 		c.maybeScheduleCollectiveDone(f)
 	}
@@ -988,7 +979,7 @@ func (c *Coordinator) noteDone() {
 func (c *Coordinator) afterRankProgress(r *rank.Rank, sent bool) {
 	c.noteClock(r.Clock().Now())
 	if r.State() == rank.Done {
-		c.noteDone()
+		c.noteDone(r)
 	} else {
 		c.runAhead(r, sent)
 	}

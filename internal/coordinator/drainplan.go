@@ -156,7 +156,7 @@ func cycleError(nodes []drainNode, edges []drainEdge, indeg []int) error {
 // drainPlan is the state of one in-progress dependency-ordered drain.
 // The graph is only checked at plan-build time — checkAcyclic proves
 // it can be ordered (or yields the deadlock diagnostic); the drain then
-// executes through the needed/waiting sets below, and
+// executes through the needed counts below, and
 // collectives complete in an order consistent with the graph because
 // every edge's prerequisite releases the shared rank that feeds its
 // dependent.
@@ -165,8 +165,9 @@ type drainPlan struct {
 	// waiting for that rank to arrive; a rank with a positive count must
 	// keep executing. Needed-ness also propagates (sticky) through
 	// blocked-receive chains: a rank a needed rank is blocked on is
-	// itself needed, whatever its own collective membership.
-	needed map[int]int
+	// itself needed, whatever its own collective membership. It is
+	// indexed by rank id.
+	needed []int
 	// planned counts every collective the plan has covered, including
 	// ones that entered while the drain ran; width is the number of
 	// simultaneously in-flight collectives when the plan was built.
@@ -180,13 +181,9 @@ type drainPlan struct {
 // waits for" — the drain graph, the plan's needed set and drain-time
 // plan extensions all derive from it.
 func (c *Coordinator) waitingMembers(f *forming) []int {
-	arrived := make(map[int]bool, len(f.ranks))
-	for _, id := range f.ranks {
-		arrived[id] = true
-	}
 	var waiting []int
 	for _, m := range c.comms[f.commID].members {
-		if arrived[m] || c.ranks[m].State() == rank.Done {
+		if c.inCollComm[m] == f.commID || c.ranks[m].State() == rank.Done {
 			continue
 		}
 		waiting = append(waiting, m)
@@ -230,20 +227,13 @@ func (c *Coordinator) beginDrain() error {
 		return fmt.Errorf("coordinator: checkpoint drain cannot be ordered: %w", err)
 	}
 	c.plan = &drainPlan{
-		needed:  make(map[int]int),
+		needed:  make([]int, len(c.ranks)),
 		planned: len(nodes),
 		width:   len(nodes),
 	}
+	c.held = make([]bool, len(c.ranks))
 	c.draining = true
 	c.drainStartEvents = c.events
-	for i := range nodes {
-		f := c.colls[nodes[i].comm]
-		f.planned = true
-		f.waiting = make(map[int]bool, len(nodes[i].waiting))
-		for _, m := range nodes[i].waiting {
-			f.waiting[m] = true
-		}
-	}
 	for i := range nodes {
 		for _, m := range nodes[i].waiting {
 			c.markNeeded(m)
@@ -270,12 +260,12 @@ func (c *Coordinator) beginDrain() error {
 func (c *Coordinator) endDrain() {
 	c.draining = false
 	c.plan = nil
-	for id := 0; id < c.cfg.Ranks; id++ {
-		if c.held[id] {
-			delete(c.held, id)
+	for id, held := range c.held {
+		if held {
 			c.scheduleReady(c.ranks[id])
 		}
 	}
+	c.held = nil
 }
 
 // markNeeded records that the drain cannot finish until this rank makes
@@ -291,7 +281,7 @@ func (c *Coordinator) markNeeded(id int) {
 		return
 	}
 	if c.held[id] {
-		delete(c.held, id)
+		c.held[id] = false
 		c.scheduleReady(c.ranks[id])
 	}
 	if peer, ok := c.ranks[id].BlockedOn(); ok && c.plan.needed[peer] == 0 {
@@ -314,7 +304,7 @@ func (c *Coordinator) shouldHold(r *rank.Rank) bool {
 	if !ok {
 		return false
 	}
-	if f := c.colls[r.CommID(slot)]; f != nil && f.planned {
+	if c.comms[r.CommID(slot)].forming != nil {
 		return false
 	}
 	return c.plan.needed[r.ID()] == 0
@@ -325,12 +315,8 @@ func (c *Coordinator) shouldHold(r *rank.Rank) bool {
 // one, so it too must complete before the checkpoint can land. Its
 // not-yet-arrived live members become needed in turn.
 func (c *Coordinator) extendPlan(f *forming) {
-	f.planned = true
 	c.plan.planned++
-	waiting := c.waitingMembers(f)
-	f.waiting = make(map[int]bool, len(waiting))
-	for _, m := range waiting {
-		f.waiting[m] = true
+	for _, m := range c.waitingMembers(f) {
 		c.markNeeded(m)
 	}
 }

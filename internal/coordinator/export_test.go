@@ -155,12 +155,18 @@ type queued struct {
 type formingView struct {
 	Comm, Kind int
 	Seq, Bytes uint64
-	Stamps     []vtime.Stamp
+	Latest     vtime.Time
 	Ranks      []int
 	Colors     []int
 	Scheduled  bool
-	Planned    bool
-	Waiting    map[int]bool
+}
+
+// commView is one communicator: its members, its live count and the
+// rendezvous forming on it, if any.
+type commView struct {
+	Members []int
+	Live    int
+	Forming *formingView
 }
 
 // netView is what a network exports of its state.
@@ -172,7 +178,7 @@ type netView struct {
 // timelineView returns every field of the job's current timeline, keyed
 // by the field's name, as a plain value reflect.DeepEqual compares: the
 // ranks through viewRank, the network through netView, the rendezvous
-// by communicator id and in instance order. It empties the event queue,
+// on its communicator and in instance order. It empties the event queue,
 // whose events it lists in pop order, so the timeline cannot run on
 // after it.
 func (c *Coordinator) timelineView() map[string]any {
@@ -192,21 +198,21 @@ func (c *Coordinator) timelineView() map[string]any {
 	viewForming := func(f *forming) formingView {
 		return formingView{
 			Comm: f.commID, Kind: int(f.kind), Seq: f.seq, Bytes: f.bytes,
-			Stamps: f.stamps, Ranks: f.ranks, Colors: f.colors,
-			Scheduled: f.scheduled, Planned: f.planned, Waiting: f.waiting,
+			Latest: f.latest, Ranks: f.ranks, Colors: f.colors,
+			Scheduled: f.scheduled,
 		}
-	}
-	colls := make(map[int]formingView, len(tl.colls))
-	for id, f := range tl.colls {
-		colls[id] = viewForming(f)
 	}
 	collList := make([]formingView, len(tl.collList))
 	for i, f := range tl.collList {
 		collList[i] = viewForming(f)
 	}
-	comms := make([][]int, len(tl.comms))
+	comms := make([]commView, len(tl.comms))
 	for i, m := range tl.comms {
-		comms[i] = m.members
+		comms[i] = commView{Members: m.members, Live: m.live}
+		if m.forming != nil {
+			f := viewForming(m.forming)
+			comms[i].Forming = &f
+		}
 	}
 	var plan drainPlan
 	if tl.plan != nil {
@@ -221,7 +227,6 @@ func (c *Coordinator) timelineView() map[string]any {
 		"armed":            tl.armed,
 		"pending":          tl.pending,
 		"comms":            comms,
-		"colls":            colls,
 		"collList":         collList,
 		"collSeq":          tl.collSeq,
 		"formingPool":      len(tl.formingPool),

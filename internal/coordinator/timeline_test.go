@@ -49,9 +49,15 @@ func TestRestartBuildsTheTimelineOfItsLink(t *testing.T) {
 		k:     1,
 		crash: []faultplan.Fault{{Anchor: faultplan.AtDrainStart, N: 2, Kind: faultplan.RankCrash, Delay: 5 * vtime.Microsecond}},
 		dead: func(t *testing.T, dead, _ *Coordinator) {
-			if !dead.draining || len(dead.held) == 0 || len(dead.pending) == 0 {
+			held := 0
+			for _, h := range dead.held {
+				if h {
+					held++
+				}
+			}
+			if !dead.draining || held == 0 || len(dead.pending) == 0 {
 				t.Fatalf("the dead timeline crashed with draining=%v, %d ranks held, %d requests pending; want a drain holding ranks for a request",
-					dead.draining, len(dead.held), len(dead.pending))
+					dead.draining, held, len(dead.pending))
 			}
 		},
 	}, {

@@ -116,19 +116,6 @@ func (c *Clock) Observe(s Stamp) Time {
 	return c.AdvanceTo(s.When)
 }
 
-// MaxStamp returns the latest of the given stamps; with no stamps it
-// returns the zero Stamp. Coordinators use this to compute the completion
-// time of an operation that must wait for every participant.
-func MaxStamp(stamps []Stamp) Stamp {
-	var max Stamp
-	for i, s := range stamps {
-		if i == 0 || s.When > max.When {
-			max = s
-		}
-	}
-	return max
-}
-
 // RNG is a small deterministic pseudo-random number generator
 // (SplitMix64). It is used wherever the simulation needs variability —
 // compute jitter, message sizes — while remaining reproducible for a

@@ -191,13 +191,3 @@ func TestStampObserve(t *testing.T) {
 		t.Errorf("Observe(50) = %v, want 500 (piggyback must not rewind)", got)
 	}
 }
-
-func TestMaxStamp(t *testing.T) {
-	stamps := []Stamp{{Rank: 0, When: 10}, {Rank: 2, When: 300}, {Rank: 1, When: 200}}
-	if got := MaxStamp(stamps); got.Rank != 2 || got.When != 300 {
-		t.Errorf("MaxStamp = %+v, want rank 2 at 300", got)
-	}
-	if got := MaxStamp(nil); got != (Stamp{}) {
-		t.Errorf("MaxStamp(nil) = %+v, want zero", got)
-	}
-}
