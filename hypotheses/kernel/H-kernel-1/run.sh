@@ -50,8 +50,8 @@ for spec in $specs; do
 	set -- $(totals "$tmp/$spec.unpatched.txt")
 	calls=$1 vt=$2 base=$3
 	set -- $(totals "$tmp/$spec.patched.txt")
-	if [ "$1" != "$calls" ] || [ "$2" != "$vt" ]; then
-		echo "run.sh: $spec: calls or virtual time differ between kernels" >&2
+	if [ "$1" != "$calls" ]; then
+		echo "run.sh: $spec: the two kernels' runs make different numbers of MPI calls" >&2
 		exit 1
 	fi
 	awk -v s="$spec" -v c="$calls" -v vt="$vt" -v b="$base" -v p="$3" \
