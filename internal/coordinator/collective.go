@@ -1,4 +1,12 @@
-// Drain planner: the topological-sort collective drain of
+// Collective layer: the rendezvous of in-flight collectives, one per
+// communicator, and the dependency-ordered drain that finishes them
+// before a checkpoint is cut (paper §3.2).
+//
+// A collective forms on its communicator as members arrive and completes
+// once every live member has: a member whose script ends lowers the
+// communicator's bar, possibly completing a collective already waiting.
+//
+// The drain planner is the topological-sort collective drain of
 // arXiv:2408.02218 ("Enabling Practical Transparent Checkpointing for
 // MPI: A Topological Sort Approach", §4), applied to the simulator's
 // event-driven coordinator.
@@ -29,6 +37,7 @@
 package coordinator
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,7 +45,257 @@ import (
 	"mana/internal/faultplan"
 	"mana/internal/netsim"
 	"mana/internal/rank"
+	"mana/internal/scenario"
+	"mana/internal/virtid"
+	"mana/internal/vtime"
 )
+
+// comm is one communicator the job knows: id 0 is MPI_COMM_WORLD,
+// higher ids are minted by comm-split completions in deterministic
+// (colour-sorted) order. Members are sorted rank ids; live counts the
+// members whose scripts are not exhausted — the participation bar a
+// collective on the communicator must reach — and forming is the
+// collective in flight on it, if any.
+type comm struct {
+	members []int
+	live    int
+	forming *forming
+}
+
+// forming is the rendezvous of one in-flight collective: the ranks that
+// have arrived at the collective currently forming on one communicator,
+// in arrival order, and the latest of their arrival times.
+type forming struct {
+	commID int
+	seq    uint64 // global collective-instance number (deterministic)
+	kind   netsim.CollectiveKind
+	bytes  uint64
+	latest vtime.Time
+	ranks  []int
+	colors []int // per-arrival colours, comm-splits only
+	// scheduled marks that the completion event is queued.
+	scheduled bool
+}
+
+// commsOf builds the communicator registry from the ranks' slot tables:
+// each communicator's members are the ranks holding a slot for its id,
+// and its live members those whose scripts are not exhausted.
+// Iterating ranks in id order keeps every member list sorted, matching
+// how comm-split completions build them, and the next split of a
+// restored timeline mints max-id+1 — exactly what the replayed
+// timeline's split would have minted.
+func commsOf(ranks []*rank.Rank) []comm {
+	n := 1
+	for _, r := range ranks {
+		for slot := 1; slot < r.CommCount(); slot++ {
+			n = max(n, r.CommID(slot)+1)
+		}
+	}
+	comms := make([]comm, n)
+	comms[0].members = make([]int, 0, len(ranks)) // every rank is in world
+	for _, r := range ranks {
+		for slot := 0; slot < r.CommCount(); slot++ {
+			id := r.CommID(slot)
+			comms[id].members = append(comms[id].members, r.ID())
+			if r.State() != rank.Done {
+				comms[id].live++
+			}
+		}
+	}
+	return comms
+}
+
+// inCollective counts the ranks currently waiting inside any forming
+// collective.
+func (c *Coordinator) inCollective() int {
+	n := 0
+	for _, f := range c.collList {
+		n += len(f.ranks)
+	}
+	return n
+}
+
+// collectiveInProgress reports whether any collective is in flight.
+func (c *Coordinator) collectiveInProgress() bool { return len(c.collList) > 0 }
+
+// atSafePoint reports whether a checkpoint may proceed: no collective is
+// in flight on any communicator (paper §3.2 — a checkpoint either
+// completes the in-flight collectives first, in dependency order, or
+// sits out until they have).
+func (c *Coordinator) atSafePoint() bool { return !c.collectiveInProgress() }
+
+// newForming starts the rendezvous of a collective on one communicator,
+// recycling a completed instance's storage when one is available and
+// otherwise sizing it for the communicator's live members: each
+// timeline starts with an empty pool.
+func (c *Coordinator) newForming(commID int, kind netsim.CollectiveKind, bytes uint64) *forming {
+	var f *forming
+	if n := len(c.formingPool); n > 0 {
+		f = c.formingPool[n-1]
+		c.formingPool = c.formingPool[:n-1]
+	} else {
+		f = &forming{ranks: make([]int, 0, c.comms[commID].live)}
+	}
+	f.commID = commID
+	f.seq = c.collSeq
+	c.collSeq++
+	f.kind = kind
+	f.bytes = bytes
+	c.comms[commID].forming = f
+	c.collList = append(c.collList, f)
+	return f
+}
+
+// removeForming retires a completed rendezvous and recycles its storage.
+func (c *Coordinator) removeForming(f *forming) {
+	c.comms[f.commID].forming = nil
+	for i, g := range c.collList {
+		if g == f {
+			c.collList = append(c.collList[:i], c.collList[i+1:]...)
+			break
+		}
+	}
+	f.latest = 0
+	f.ranks = f.ranks[:0]
+	f.colors = f.colors[:0]
+	f.scheduled = false
+	c.formingPool = append(c.formingPool, f)
+}
+
+// maybeScheduleCollectiveDone schedules one collective's completion
+// event once every live member of its communicator has arrived:
+// completion time is the latest arrival stamp plus the modelled
+// collective cost.
+func (c *Coordinator) maybeScheduleCollectiveDone(f *forming) {
+	n := len(f.ranks)
+	if f.scheduled || n == 0 || n < c.comms[f.commID].live {
+		return
+	}
+	completion := f.latest.Add(c.cfg.Net.CollectiveCost(f.kind, n, f.bytes))
+	f.scheduled = true
+	c.queue.Push(completion, indexEvent(evCollectiveDone, f.commID))
+}
+
+// collectiveKindOf maps a collective op onto the network cost model.
+func collectiveKindOf(k scenario.OpKind) netsim.CollectiveKind {
+	switch k {
+	case scenario.OpBarrier:
+		return netsim.Barrier
+	case scenario.OpAllreduce:
+		return netsim.Allreduce
+	case scenario.OpCommSplit:
+		return netsim.CommSplit
+	default:
+		panic(fmt.Sprintf("coordinator: op %v is not a collective", k))
+	}
+}
+
+// ErrCollectiveMismatch means the ranks' programs disagree on a
+// collective: a rank arrived at a different kind of collective than the
+// one forming on its communicator, or arrived after every live member
+// had and the completion was scheduled. Programs compiled from a spec
+// cannot do that; programs built op by op can.
+var ErrCollectiveMismatch = errors.New("coordinator: ranks disagree on a collective")
+
+// joinCollective records one rank's arrival at the collective forming on
+// its target communicator, starting the rendezvous if this is the first
+// arrival. While a drain is in progress, a newly started collective
+// joins the plan (only ranks the plan needs reach this point — everyone
+// else is held at the boundary); an arrival at a collective already
+// forming is one the plan waited for, since the rank had not arrived
+// and was live when the plan took the collective, so the rank's need
+// drops by one.
+func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
+	commID := r.CommID(tr.Coll.Comm)
+	kind := collectiveKindOf(tr.Coll.Kind)
+	f := c.comms[commID].forming
+	started := f == nil
+	switch {
+	case started:
+		f = c.newForming(commID, kind, tr.Coll.Bytes)
+	case f.scheduled:
+		return fmt.Errorf("%w: rank %d arrived at %v on comm %d after its completion was scheduled",
+			ErrCollectiveMismatch, r.ID(), kind, commID)
+	case f.kind != kind:
+		return fmt.Errorf("%w: rank %d arrived at %v while %v is forming on comm %d",
+			ErrCollectiveMismatch, r.ID(), kind, f.kind, commID)
+	}
+	f.latest = max(f.latest, tr.Stamp.When)
+	f.ranks = append(f.ranks, r.ID())
+	if kind == netsim.CommSplit {
+		f.colors = append(f.colors, tr.Coll.Color)
+	}
+	c.inCollComm[r.ID()] = commID
+	if c.draining {
+		if started {
+			c.extendPlan(f)
+		} else {
+			c.plan.needed[r.ID()]--
+		}
+	}
+	c.maybeScheduleCollectiveDone(f)
+	return nil
+}
+
+// completeCollective finishes one communicator's collective for every
+// participant: each advances to the completion time and its next ready
+// event is scheduled. A comm-split additionally mints the new
+// sub-communicators: arrivals are grouped by colour (colours ascending,
+// members sorted), each group is assigned the next global communicator
+// id, and every member registers the new handle in its virtualisation
+// table — all deterministic, so restart replay re-mints identical ids.
+func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
+	f := c.comms[commID].forming
+	if f.kind == netsim.CommSplit {
+		byColor := make(map[int][]int, 4)
+		colors := make([]int, 0, 4)
+		for i, id := range f.ranks {
+			color := f.colors[i]
+			if _, ok := byColor[color]; !ok {
+				colors = append(colors, color)
+			}
+			byColor[color] = append(byColor[color], id)
+		}
+		sort.Ints(colors)
+		for _, color := range colors {
+			members := byColor[color]
+			sort.Ints(members)
+			id := len(c.comms)
+			c.comms = append(c.comms, comm{members: members, live: len(members)})
+			for _, m := range members {
+				c.rankVisits++
+				r := c.ranks[m]
+				c.inCollComm[m] = -1
+				r.FinishCommSplit(completion, id, rank.RealCommBase+virtid.Real(id))
+				c.afterRankProgress(r, false)
+			}
+		}
+	} else {
+		for _, id := range f.ranks {
+			c.rankVisits++
+			r := c.ranks[id]
+			c.inCollComm[id] = -1
+			r.FinishCollective(completion)
+			c.afterRankProgress(r, false)
+		}
+	}
+	c.removeForming(f)
+}
+
+// noteDone records r's script ending and re-checks every forming
+// collective: a finished rank lowers the participation bar of each
+// communicator it holds a slot for, possibly making their completions
+// schedulable. collList order keeps the re-check — and thus queue push
+// order — deterministic.
+func (c *Coordinator) noteDone(r *rank.Rank) {
+	c.doneCount++
+	for slot := 0; slot < r.CommCount(); slot++ {
+		c.comms[r.CommID(slot)].live--
+	}
+	for _, f := range c.collList {
+		c.maybeScheduleCollectiveDone(f)
+	}
+}
 
 // drainNode is one in-flight collective in the dependency graph: the
 // rendezvous forming on communicator comm (instance seq), with the live
