@@ -288,7 +288,6 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 // schedulable. collList order keeps the re-check — and thus queue push
 // order — deterministic.
 func (c *Coordinator) noteDone(r *rank.Rank) {
-	c.doneCount++
 	for slot := 0; slot < r.CommCount(); slot++ {
 		c.comms[r.CommID(slot)].live--
 	}

@@ -512,10 +512,9 @@ type timeline struct {
 	held             []bool
 	drainStartEvents uint64
 
-	// doneCount and maxClock are maintained incrementally so the hot
-	// loop never scans all ranks.
-	doneCount int
-	maxClock  vtime.Time
+	// maxClock is maintained incrementally so the hot loop never scans
+	// all ranks.
+	maxClock vtime.Time
 }
 
 // New builds a job from the config: one rank per ID running its
@@ -579,9 +578,7 @@ func (c *Coordinator) begin(ranks []*rank.Rank) {
 	}
 	for _, r := range ranks {
 		c.noteClock(r.Clock().Now())
-		if r.State() == rank.Done {
-			c.doneCount++
-		} else {
+		if r.State() != rank.Done {
 			c.scheduleReady(r)
 		}
 	}
@@ -668,9 +665,9 @@ func (c *Coordinator) RankVisits() uint64 { return c.rankVisits }
 // clock raises (noteClock).
 func (c *Coordinator) MaxClock() vtime.Time { return c.maxClock }
 
-func (c *Coordinator) nonDone() int { return c.cfg.Ranks - c.doneCount }
-
-func (c *Coordinator) allDone() bool { return c.doneCount == c.cfg.Ranks }
+// nonDone counts the ranks whose scripts are not exhausted: the world
+// communicator's live members.
+func (c *Coordinator) nonDone() int { return c.comms[0].live }
 
 // fireTrigger converts trigger i into a pending checkpoint request.
 func (c *Coordinator) fireTrigger(i int) {
@@ -724,10 +721,10 @@ func (c *Coordinator) checkArmedTriggers() {
 }
 
 // afterRankProgress updates bookkeeping after a rank's operation
-// completed, a collective's included: the high-water clock, the done
-// count — a rank finishing its script lowers collective participation
-// bars, possibly completing collectives — or its next operations
-// (runAhead). sent reports that the operation was a send or an isend.
+// completed, a collective's included: the high-water clock, then the
+// live counts of its communicators if it finished its script — which
+// lowers collective participation bars, possibly completing collectives
+// (noteDone) — or its next operations (runAhead). sent reports that the operation was a send or an isend.
 func (c *Coordinator) afterRankProgress(r *rank.Rank, sent bool) {
 	c.noteClock(r.Clock().Now())
 	if r.State() == rank.Done {
@@ -881,7 +878,7 @@ func (c *Coordinator) Run() (Outcome, error) {
 				return Failed, err
 			}
 		}
-		if c.allDone() {
+		if c.nonDone() == 0 {
 			if got := c.net.InFlight(); got != 0 {
 				return Failed, fmt.Errorf("coordinator: job done with %d unreceived messages", got)
 			}

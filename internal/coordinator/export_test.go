@@ -235,7 +235,6 @@ func (c *Coordinator) timelineView() map[string]any {
 		"plan":             plan,
 		"held":             tl.held,
 		"drainStartEvents": tl.drainStartEvents,
-		"doneCount":        tl.doneCount,
 		"maxClock":         tl.maxClock,
 	}
 }
