@@ -226,7 +226,7 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
 		f.colors = append(f.colors, tr.Coll.Color)
 	}
 	c.inCollComm[r.ID()] = commID
-	if c.draining {
+	if c.draining() {
 		if started {
 			c.extendPlan(f)
 		} else {
@@ -426,11 +426,17 @@ type drainPlan struct {
 	// itself needed, whatever its own collective membership. It is
 	// indexed by rank id.
 	needed []int
+	// held marks, per rank id, the ranks the plan does not need that
+	// reached their next collective boundary — their safe point — and
+	// wait there, with no ready event, until the checkpoint commits.
+	held []bool
 	// planned counts every collective the plan has covered, including
 	// ones that entered while the drain ran; width is the number of
-	// simultaneously in-flight collectives when the plan was built.
-	planned int
-	width   int
+	// simultaneously in-flight collectives when the plan was built, and
+	// startEvents the events dispatched by then.
+	planned     int
+	width       int
+	startEvents uint64
 }
 
 // waitingMembers returns the live members of a forming collective's
@@ -485,13 +491,12 @@ func (c *Coordinator) beginDrain() error {
 		return fmt.Errorf("coordinator: checkpoint drain cannot be ordered: %w", err)
 	}
 	c.plan = &drainPlan{
-		needed:  make([]int, len(c.ranks)),
-		planned: len(nodes),
-		width:   len(nodes),
+		needed:      make([]int, len(c.ranks)),
+		held:        make([]bool, len(c.ranks)),
+		planned:     len(nodes),
+		width:       len(nodes),
+		startEvents: c.events,
 	}
-	c.held = make([]bool, len(c.ranks))
-	c.draining = true
-	c.drainStartEvents = c.events
 	for i := range nodes {
 		for _, m := range nodes[i].waiting {
 			c.markNeeded(m)
@@ -516,15 +521,17 @@ func (c *Coordinator) beginDrain() error {
 // every rank held at its collective boundary (in rank order, so the
 // re-seeded ready events keep deterministic FIFO order).
 func (c *Coordinator) endDrain() {
-	c.draining = false
+	held := c.plan.held
 	c.plan = nil
-	for id, held := range c.held {
-		if held {
+	for id, h := range held {
+		if h {
 			c.scheduleReady(c.ranks[id])
 		}
 	}
-	c.held = nil
 }
+
+// draining reports whether a drain is in progress.
+func (t *timeline) draining() bool { return t.plan != nil }
 
 // markNeeded records that the drain cannot finish until this rank makes
 // progress. On the first mark the need propagates: a held rank is
@@ -538,8 +545,8 @@ func (c *Coordinator) markNeeded(id int) {
 	if !first {
 		return
 	}
-	if c.held[id] {
-		c.held[id] = false
+	if c.plan.held[id] {
+		c.plan.held[id] = false
 		c.scheduleReady(c.ranks[id])
 	}
 	if peer, ok := c.ranks[id].BlockedOn(); ok && c.plan.needed[peer] == 0 {

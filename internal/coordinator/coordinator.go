@@ -503,14 +503,11 @@ type timeline struct {
 	formingPool []*forming
 	inCollComm  []int
 
-	// Drain-mode state (see collective.go): while draining, ranks the
-	// plan does not need are held at their next collective boundary and
-	// consume no scheduler work until the checkpoint commits. held is
-	// indexed by rank id, and nil unless a drain is in progress.
-	draining         bool
-	plan             *drainPlan
-	held             []bool
-	drainStartEvents uint64
+	// plan is the drain in progress (see collective.go), nil when there
+	// is none: while draining, ranks the plan does not need are held at
+	// their next collective boundary and consume no scheduler work until
+	// the checkpoint commits.
+	plan *drainPlan
 
 	// maxClock is maintained incrementally so the hot loop never scans
 	// all ranks.
@@ -755,7 +752,7 @@ func (c *Coordinator) afterRankProgress(r *rank.Rank, sent bool) {
 // rank visit and a dispatch at its start time.
 func (c *Coordinator) runAhead(r *rank.Rank, sent bool) {
 	carried := 0
-	for !sent && !c.stepwise && len(c.armed) == 0 && !c.draining {
+	for !sent && !c.stepwise && len(c.armed) == 0 && !c.draining() {
 		t := r.Clock().Now()
 		peer, send, ok := r.NextLocal()
 		if !ok || t >= c.globals.min() || send && c.net.Room(r.ID(), peer) == 0 {
@@ -791,11 +788,11 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 			// sender's link frees now.
 			c.queueDelivery(t, to, r.ID())
 		}
-		if c.draining && c.shouldHold(r) {
+		if c.draining() && c.shouldHold(r) {
 			// The rank reached its safe point for the in-progress drain:
 			// it is held (no ready event) until the checkpoint commits or
 			// the plan turns out to need it.
-			c.held[r.ID()] = true
+			c.plan.held[r.ID()] = true
 			return false, nil
 		}
 		c.rankVisits++
@@ -810,7 +807,7 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 			// Zero scheduler work until a delivery event wakes it — but a
 			// rank the drain plan needs must not starve behind a held
 			// sender, so its blocked peer becomes needed (and released).
-			if c.draining && c.plan.needed[r.ID()] > 0 {
+			if c.draining() && c.plan.needed[r.ID()] > 0 {
 				if peer, ok := r.BlockedOn(); ok && c.plan.needed[peer] == 0 {
 					c.markNeeded(peer)
 				}
@@ -870,7 +867,7 @@ func (c *Coordinator) Run() (Outcome, error) {
 				return Failed, nil
 			}
 		}
-		if len(c.pending) > 0 && !c.draining {
+		if len(c.pending) > 0 && !c.draining() {
 			// Checkpoint intent with collectives in flight: build the
 			// dependency-ordered drain plan (a cycle here is the
 			// application's own deadlock, diagnosed rather than hung).
@@ -1097,13 +1094,13 @@ func (c *Coordinator) checkpoint() (crashed bool, err error) {
 		RequestedAt:   req.at,
 		MidCollective: req.midCollective,
 	}
-	if c.draining {
+	if c.draining() {
 		// The dependency-ordered collective drain just completed: record
 		// its shape and release the ranks held at their safe points once
 		// the images are committed.
 		rec.DrainPlanned = c.plan.planned
 		rec.OverlapWidth = c.plan.width
-		rec.DrainEvents = c.events - c.drainStartEvents
+		rec.DrainEvents = c.events - c.plan.startEvents
 		defer c.endDrain()
 	}
 

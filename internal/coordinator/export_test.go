@@ -214,27 +214,20 @@ func (c *Coordinator) timelineView() map[string]any {
 			comms[i].Forming = &f
 		}
 	}
-	var plan drainPlan
-	if tl.plan != nil {
-		plan = *tl.plan
-	}
 	return map[string]any{
-		"ranks":            ranks,
-		"net":              netView{tl.net.InFlight(), c.LongestRing()},
-		"queue":            events,
-		"globals":          slices.Sorted(slices.Values(tl.globals)),
-		"deliveries":       tl.deliveries,
-		"armed":            tl.armed,
-		"pending":          tl.pending,
-		"comms":            comms,
-		"collList":         collList,
-		"collSeq":          tl.collSeq,
-		"formingPool":      len(tl.formingPool),
-		"inCollComm":       tl.inCollComm,
-		"draining":         tl.draining,
-		"plan":             plan,
-		"held":             tl.held,
-		"drainStartEvents": tl.drainStartEvents,
-		"maxClock":         tl.maxClock,
+		"ranks":       ranks,
+		"net":         netView{tl.net.InFlight(), c.LongestRing()},
+		"queue":       events,
+		"globals":     slices.Sorted(slices.Values(tl.globals)),
+		"deliveries":  tl.deliveries,
+		"armed":       tl.armed,
+		"pending":     tl.pending,
+		"comms":       comms,
+		"collList":    collList,
+		"collSeq":     tl.collSeq,
+		"formingPool": len(tl.formingPool),
+		"inCollComm":  tl.inCollComm,
+		"plan":        tl.plan,
+		"maxClock":    tl.maxClock,
 	}
 }

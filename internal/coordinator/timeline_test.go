@@ -50,14 +50,16 @@ func TestRestartBuildsTheTimelineOfItsLink(t *testing.T) {
 		crash: []faultplan.Fault{{Anchor: faultplan.AtDrainStart, N: 2, Kind: faultplan.RankCrash, Delay: 5 * vtime.Microsecond}},
 		dead: func(t *testing.T, dead, _ *Coordinator) {
 			held := 0
-			for _, h := range dead.held {
-				if h {
-					held++
+			if dead.draining() {
+				for _, h := range dead.plan.held {
+					if h {
+						held++
+					}
 				}
 			}
-			if !dead.draining || held == 0 || len(dead.pending) == 0 {
+			if !dead.draining() || held == 0 || len(dead.pending) == 0 {
 				t.Fatalf("the dead timeline crashed with draining=%v, %d ranks held, %d requests pending; want a drain holding ranks for a request",
-					dead.draining, held, len(dead.pending))
+					dead.draining(), held, len(dead.pending))
 			}
 		},
 	}, {
