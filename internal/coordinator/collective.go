@@ -164,7 +164,7 @@ func (c *Coordinator) removeForming(f *forming) {
 
 // maybeScheduleCollectiveDone schedules one collective's completion
 // event once every live member of its communicator has arrived:
-// completion time is the latest arrival stamp plus the modelled
+// completion time is the latest arrival time plus the modelled
 // collective cost.
 func (c *Coordinator) maybeScheduleCollectiveDone(f *forming) {
 	n := len(f.ranks)
@@ -460,7 +460,7 @@ func (c *Coordinator) waitingMembers(f *forming) []int {
 // and everything derived from it — is deterministic.
 func (c *Coordinator) buildDrainGraph() ([]drainNode, []drainEdge) {
 	nodes := make([]drainNode, 0, len(c.collList))
-	byComm := make(map[int]int, len(c.collList))
+	byComm := make([]int, len(c.comms)) // node index of each forming comm
 	for _, f := range c.collList {
 		nodes = append(nodes, drainNode{
 			comm:    f.commID,
