@@ -59,10 +59,11 @@ reach:
 # against a flat []byte model (its committed corpus replays back-to-back
 # commits of an unchanged space, which share the first commit's region
 # storage, under plain `go test`), the zero-run FNV kernel against hash/fnv,
-# the dense netsim pair tables against a map[Pair] model, the ops ranks
-# resolve from shared compiled streams against the per-rank materialising
-# compiler, the radix event queue on Push-only streams against a sort that
-# orders ties by its own push count (its committed corpus replays a
+# the netsim pair rings against a map of FIFO queues keyed by the test's
+# own (sender, receiver) pair, the ops ranks resolve from shared compiled
+# streams against the per-rank materialising compiler, the radix event
+# queue on Push-only streams against a sort that orders ties by its own
+# push count (its committed corpus replays a
 # late-push rebase under plain `go test`), and the handle table against a
 # map. The parser targets: the scenario spec,
 # fault plan and storage document parsers on arbitrary bytes (a value or
