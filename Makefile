@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race identity reach fuzz-smoke cuts lint fmt bench microbench bench-smoke pairs run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
+.PHONY: all build test race identity reach fuzz-smoke cuts hypotheses lint fmt bench microbench bench-smoke pairs run smoke smoke-wide smoke-matrix smoke-sweep smoke-faults
 
 all: build lint test
 
@@ -93,6 +93,13 @@ fuzz-smoke:
 # fault-matrix job runs it.
 cuts:
 	$(GO) test -count=1 -run='^TestEveryCutIsSafe$$' ./internal/coordinator -args -cuts.wide
+
+# hypotheses runs every entry of the hypothesis ledger
+# (hypotheses/<family>/<id>/run.sh, ROADMAP item 7). Each script builds
+# manasim once, prints its table and exits non-zero when a precondition
+# its FINDINGS.md names fails; the first failing script stops the target.
+hypotheses:
+	@set -e; for s in hypotheses/*/*/run.sh; do echo "hypotheses: $$s"; sh "$$s"; done
 
 lint:
 	$(GO) vet ./...

@@ -168,7 +168,7 @@ func newFlagSet(o *opts) *flag.FlagSet {
 	fs.StringVar(&o.sweepVirtid, "sweep-virtid", "", "with -sweep: comma-separated virtid implementations (default: -virtid)")
 	fs.StringVar(&o.sweepIncr, "sweep-incremental", "", "with -sweep: comma-separated booleans for incremental images (default: -incremental)")
 	fs.StringVar(&o.sweepStorage, "sweep-storage", "", "with -sweep: comma-separated storage profiles/files for the grid (default: -storage)")
-	fs.IntVar(&o.sweepWorkers, "sweep-workers", 0, "with -sweep: concurrent simulations in the pool (0 = GOMAXPROCS)")
+	fs.IntVar(&o.sweepWorkers, "sweep-workers", 0, "with -sweep: concurrent simulations in the pool, at least 1 (unset: GOMAXPROCS)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the simulator to this file (never part of the report)")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile of the simulator to this file when the run ends (never part of the report)")
 	return fs

@@ -52,12 +52,11 @@ import (
 
 // comm is one communicator the job knows: id 0 is MPI_COMM_WORLD,
 // higher ids are minted by comm-split completions in deterministic
-// (colour-sorted) order. Members are sorted rank ids; live counts the
-// members whose scripts are not exhausted — the participation bar a
-// collective on the communicator must reach — and forming is the
-// collective in flight on it, if any.
+// (colour-sorted) order. Its members are the ranks holding a slot for its
+// id; live counts those whose scripts are not exhausted — the
+// participation bar a collective on the communicator must reach — and
+// forming is the collective in flight on it, if any.
 type comm struct {
-	members []int
 	live    int
 	forming *forming
 }
@@ -78,12 +77,10 @@ type forming struct {
 }
 
 // commsOf builds the communicator registry from the ranks' slot tables:
-// each communicator's members are the ranks holding a slot for its id,
-// and its live members those whose scripts are not exhausted.
-// Iterating ranks in id order keeps every member list sorted, matching
-// how comm-split completions build them, and the next split of a
-// restored timeline mints max-id+1 — exactly what the replayed
-// timeline's split would have minted.
+// each communicator's live count is the number of unfinished ranks
+// holding a slot for its id, and the next split of a restored timeline
+// mints max-id+1 — exactly what the replayed timeline's split would have
+// minted.
 func commsOf(ranks []*rank.Rank) []comm {
 	n := 1
 	for _, r := range ranks {
@@ -92,17 +89,26 @@ func commsOf(ranks []*rank.Rank) []comm {
 		}
 	}
 	comms := make([]comm, n)
-	comms[0].members = make([]int, 0, len(ranks)) // every rank is in world
 	for _, r := range ranks {
+		if r.State() == rank.Done {
+			continue
+		}
 		for slot := 0; slot < r.CommCount(); slot++ {
-			id := r.CommID(slot)
-			comms[id].members = append(comms[id].members, r.ID())
-			if r.State() != rank.Done {
-				comms[id].live++
-			}
+			comms[r.CommID(slot)].live++
 		}
 	}
 	return comms
+}
+
+// waitingIn returns the communicator r is waiting in, or -1 when it is
+// not inside a collective: an arrived rank's pc stays on its collective
+// until the completion finishes it.
+func waitingIn(r *rank.Rank) int {
+	if r.State() != rank.InCollective {
+		return -1
+	}
+	slot, _ := r.AtCollective()
+	return r.CommID(slot)
 }
 
 // inCollective counts the ranks currently waiting inside any forming
@@ -225,7 +231,6 @@ func (c *Coordinator) joinCollective(r *rank.Rank, tr *rank.Transition) error {
 	if kind == netsim.CommSplit {
 		f.colors = append(f.colors, tr.Coll.Color)
 	}
-	c.inCollComm[r.ID()] = commID
 	if c.draining() {
 		if started {
 			c.extendPlan(f)
@@ -261,11 +266,10 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 			members := byColor[color]
 			sort.Ints(members)
 			id := len(c.comms)
-			c.comms = append(c.comms, comm{members: members, live: len(members)})
+			c.comms = append(c.comms, comm{live: len(members)})
 			for _, m := range members {
 				c.rankVisits++
 				r := c.ranks[m]
-				c.inCollComm[m] = -1
 				r.FinishCommSplit(completion, id, rank.RealCommBase+virtid.Real(id))
 				c.afterRankProgress(r, false)
 			}
@@ -274,7 +278,6 @@ func (c *Coordinator) completeCollective(commID int, completion vtime.Time) {
 		for _, id := range f.ranks {
 			c.rankVisits++
 			r := c.ranks[id]
-			c.inCollComm[id] = -1
 			r.FinishCollective(completion)
 			c.afterRankProgress(r, false)
 		}
@@ -439,18 +442,28 @@ type drainPlan struct {
 	startEvents uint64
 }
 
-// waitingMembers returns the live members of a forming collective's
-// communicator that have not yet arrived, in member (sorted rank)
-// order. This is the single definition of "whom a collective still
-// waits for" — the drain graph, the plan's needed set and drain-time
-// plan extensions all derive from it.
-func (c *Coordinator) waitingMembers(f *forming) []int {
-	var waiting []int
-	for _, m := range c.comms[f.commID].members {
-		if c.inCollComm[m] == f.commID || c.ranks[m].State() == rank.Done {
+// waitingMembers returns, for each forming collective of fs, the live
+// members of its communicator that have not yet arrived, in rank order.
+// It reads them in one pass over the ranks' slot tables, however many
+// collectives it is asked about. This is the single definition of "whom
+// a collective still waits for" — the drain graph, the plan's needed set
+// and drain-time plan extensions all derive from it.
+func (c *Coordinator) waitingMembers(fs ...*forming) [][]int {
+	node := make([]int, len(c.comms)) // per comm id: 1 + its collective's index in fs, or 0
+	for i, f := range fs {
+		node[f.commID] = i + 1
+	}
+	waiting := make([][]int, len(fs))
+	for _, r := range c.ranks {
+		if r.State() == rank.Done {
 			continue
 		}
-		waiting = append(waiting, m)
+		in := waitingIn(r)
+		for slot := 0; slot < r.CommCount(); slot++ {
+			if id := r.CommID(slot); id != in && node[id] > 0 {
+				waiting[node[id]-1] = append(waiting[node[id]-1], r.ID())
+			}
+		}
 	}
 	return waiting
 }
@@ -459,21 +472,22 @@ func (c *Coordinator) waitingMembers(f *forming) []int {
 // graph form. Nodes follow collList (instance order), so the graph —
 // and everything derived from it — is deterministic.
 func (c *Coordinator) buildDrainGraph() ([]drainNode, []drainEdge) {
+	waiting := c.waitingMembers(c.collList...)
 	nodes := make([]drainNode, 0, len(c.collList))
 	byComm := make([]int, len(c.comms)) // node index of each forming comm
-	for _, f := range c.collList {
+	for i, f := range c.collList {
 		nodes = append(nodes, drainNode{
 			comm:    f.commID,
 			seq:     f.seq,
 			kind:    f.kind,
-			waiting: c.waitingMembers(f),
+			waiting: waiting[i],
 		})
-		byComm[f.commID] = len(nodes) - 1
+		byComm[f.commID] = i
 	}
 	var edges []drainEdge
 	for to := range nodes {
 		for _, m := range nodes[to].waiting {
-			if k := c.inCollComm[m]; k >= 0 && k != nodes[to].comm {
+			if k := waitingIn(c.ranks[m]); k >= 0 && k != nodes[to].comm {
 				edges = append(edges, drainEdge{from: byComm[k], to: to, via: m})
 			}
 		}
@@ -511,7 +525,7 @@ func (c *Coordinator) beginDrain() error {
 	for i, f := range c.cfg.Faults {
 		if !c.faultFired[i] && f.Anchor == faultplan.AtDrainStart && f.N == seq {
 			c.faultFired[i] = true
-			c.pushGlobal(c.maxClock.Add(f.Delay), indexEvent(evFail, i))
+			c.pushGlobal(c.MaxClock().Add(f.Delay), indexEvent(evFail, i))
 		}
 	}
 	return nil
@@ -581,7 +595,7 @@ func (c *Coordinator) shouldHold(r *rank.Rank) bool {
 // not-yet-arrived live members become needed in turn.
 func (c *Coordinator) extendPlan(f *forming) {
 	c.plan.planned++
-	for _, m := range c.waitingMembers(f) {
+	for _, m := range c.waitingMembers(f)[0] {
 		c.markNeeded(m)
 	}
 }

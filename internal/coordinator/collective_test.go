@@ -317,9 +317,23 @@ func TestDrainHoldsUnneededRanks(t *testing.T) {
 	// (from ~20us) and before rank 2 reaches the {2,3} barrier (~36us).
 	cfg.Triggers = []Trigger{{At: vtime.Time(25 * vtime.Microsecond)}}
 	c := New(cfg)
+	// Rank 0 arrived at the {0,1} barrier before the plan was made, so
+	// the plan never waits for it.
+	drained := 0
+	c.OnDispatch(func(vtime.Time) {
+		if c.draining() {
+			drained++
+			if n := c.plan.needed[0]; n != 0 {
+				t.Fatalf("the plan waits %d times for rank 0, which had arrived at the planned barrier", n)
+			}
+		}
+	})
 	outcome, err := c.Run()
 	if err != nil || outcome != Completed {
 		t.Fatalf("Run = %v, %v", outcome, err)
+	}
+	if drained == 0 {
+		t.Fatal("no event was dispatched while draining")
 	}
 	recs := c.Records()
 	if len(recs) != 1 {

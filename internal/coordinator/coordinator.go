@@ -395,7 +395,7 @@ func rankEvent(k eventKind, arg, rank int) event {
 }
 
 // Coordinator is one job: what survives a failure — the configuration,
-// the triggers, the generation store and the records, the fault plan's
+// the triggers fired, the generation store and the records, the fault plan's
 // progress, the counters and the job's mapping table — and the timeline
 // it is running, which a failure destroys. A restart builds the next
 // timeline from the restore point (begin) and drops the dead one.
@@ -404,9 +404,8 @@ type Coordinator struct {
 	// fields as its own.
 	*timeline
 
-	cfg      Config
-	triggers []Trigger
-	fired    []bool
+	cfg   Config
+	fired []bool
 	// drained is the drain phase's buffer for one rank's messages, reused
 	// from rank to rank and drain to drain.
 	drained []netsim.Message
@@ -473,9 +472,6 @@ type timeline struct {
 	// globals holds the time of every queued global event (trigger,
 	// fault): its least is how far a rank may run ahead of the queue.
 	globals timeHeap
-	// deliveries counts the delivery events queued and not yet popped;
-	// at completion they are counted as dispatched (sweepStaleDeliveries).
-	deliveries uint64
 
 	// armed holds indexes of condition triggers (MidCollective/InFlight)
 	// whose At time has passed; their conditions are re-checked after
@@ -494,24 +490,15 @@ type timeline struct {
 	// diagnostics — is deterministic. collSeq numbers the timeline's
 	// instances; formingPool recycles completed rendezvous so the
 	// steady-state event loop does not allocate per collective.
-	// inCollComm[r] is the communicator rank r is currently waiting in
-	// (-1 when it is not inside a collective): a member has arrived at
-	// its communicator's forming collective exactly when it names that
-	// communicator, and the drain planner's edges are built from it.
 	collList    []*forming
 	collSeq     uint64
 	formingPool []*forming
-	inCollComm  []int
 
 	// plan is the drain in progress (see collective.go), nil when there
 	// is none: while draining, ranks the plan does not need are held at
 	// their next collective boundary and consume no scheduler work until
 	// the checkpoint commits.
 	plan *drainPlan
-
-	// maxClock is maintained incrementally so the hot loop never scans
-	// all ranks.
-	maxClock vtime.Time
 }
 
 // New builds a job from the config: one rank per ID running its
@@ -526,12 +513,11 @@ func New(cfg Config) *Coordinator {
 		panic(fmt.Sprintf("coordinator: config carries %d programs for %d ranks", len(cfg.Programs), cfg.Ranks))
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		triggers: append([]Trigger(nil), cfg.Triggers...),
-		fired:    make([]bool, len(cfg.Triggers)),
-		store:    ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
-		maps:     new(memsim.Mappings),
-		sbrks:    sbrkCounts{},
+		cfg:   cfg,
+		fired: make([]bool, len(cfg.Triggers)),
+		store: ckptstore.New(cfg.Storage, cfg.Ranks, cfg.RetainGenerations),
+		maps:  new(memsim.Mappings),
+		sbrks: sbrkCounts{},
 	}
 	if len(cfg.Faults) > 0 {
 		c.faultFired = make([]bool, len(cfg.Faults))
@@ -556,14 +542,10 @@ func (c *Coordinator) begin(ranks []*rank.Rank) {
 		net:   netsim.Build(c.cfg.Net, len(ranks)),
 		// Preallocated for the steady-state population: one ready event
 		// per rank.
-		queue:      vtime.NewEventQueueSized[event](len(ranks) + 16),
-		comms:      commsOf(ranks),
-		inCollComm: make([]int, len(ranks)),
+		queue: vtime.NewEventQueueSized[event](len(ranks) + 16),
+		comms: commsOf(ranks),
 	}
-	for i := range c.inCollComm {
-		c.inCollComm[i] = -1
-	}
-	for i, t := range c.triggers {
+	for i, t := range c.cfg.Triggers {
 		if !c.fired[i] {
 			c.pushGlobal(t.At, indexEvent(evTrigger, i))
 		}
@@ -574,7 +556,6 @@ func (c *Coordinator) begin(ranks []*rank.Rank) {
 		}
 	}
 	for _, r := range ranks {
-		c.noteClock(r.Clock().Now())
 		if r.State() != rank.Done {
 			c.scheduleReady(r)
 		}
@@ -611,7 +592,6 @@ func (c sbrkCounts) of(p scenario.Program) int {
 // A send dispatch executes is queued as Execute returns; a send a rank
 // ran ahead, by the rank's next ready event (runAhead).
 func (c *Coordinator) queueDelivery(at vtime.Time, to, from int) {
-	c.deliveries++
 	c.queue.Push(at.Add(c.cfg.Net.Latency), rankEvent(evDelivery, to-1, from))
 }
 
@@ -625,13 +605,6 @@ func (c *Coordinator) pushGlobal(t vtime.Time, ev event) {
 func (c *Coordinator) scheduleReady(r *rank.Rank) {
 	if t, ok := r.NextReady(); ok {
 		c.queue.Push(t, indexEvent(evRankReady, r.ID()))
-	}
-}
-
-// noteClock raises the job's virtual-time high-water mark.
-func (c *Coordinator) noteClock(t vtime.Time) {
-	if t > c.maxClock {
-		c.maxClock = t
 	}
 }
 
@@ -658,9 +631,15 @@ func (c *Coordinator) EventsDispatched() uint64 { return c.events }
 func (c *Coordinator) RankVisits() uint64 { return c.rankVisits }
 
 // MaxClock returns the maximum rank clock — the job's virtual makespan so
-// far: the timeline's high-water mark, which every change of a rank's
-// clock raises (noteClock).
-func (c *Coordinator) MaxClock() vtime.Time { return c.maxClock }
+// far, and its high-water mark, since no clock runs backwards. It scans
+// the ranks, so the per-event loop never calls it.
+func (c *Coordinator) MaxClock() vtime.Time {
+	var t vtime.Time
+	for _, r := range c.ranks {
+		t = max(t, r.Clock().Now())
+	}
+	return t
+}
 
 // nonDone counts the ranks whose scripts are not exhausted: the world
 // communicator's live members.
@@ -669,7 +648,7 @@ func (c *Coordinator) nonDone() int { return c.comms[0].live }
 // fireTrigger converts trigger i into a pending checkpoint request.
 func (c *Coordinator) fireTrigger(i int) {
 	c.fired[i] = true
-	c.pending = append(c.pending, request{at: c.maxClock, midCollective: c.collectiveInProgress(), trigger: i})
+	c.pending = append(c.pending, request{at: c.MaxClock(), midCollective: c.collectiveInProgress(), trigger: i})
 }
 
 // armTrigger handles trigger i's At time coming due: plain virtual-time
@@ -679,7 +658,7 @@ func (c *Coordinator) armTrigger(i int) {
 	if c.fired[i] {
 		return
 	}
-	t := c.triggers[i]
+	t := c.cfg.Triggers[i]
 	if !t.MidCollective && !t.InFlight && t.FormingColls == 0 {
 		c.fireTrigger(i)
 		return
@@ -697,7 +676,7 @@ func (c *Coordinator) checkArmedTriggers() {
 	}
 	kept := c.armed[:0]
 	for _, i := range c.armed {
-		t := c.triggers[i]
+		t := c.cfg.Triggers[i]
 		due := false
 		switch {
 		case t.MidCollective:
@@ -718,12 +697,11 @@ func (c *Coordinator) checkArmedTriggers() {
 }
 
 // afterRankProgress updates bookkeeping after a rank's operation
-// completed, a collective's included: the high-water clock, then the
-// live counts of its communicators if it finished its script — which
-// lowers collective participation bars, possibly completing collectives
-// (noteDone) — or its next operations (runAhead). sent reports that the operation was a send or an isend.
+// completed, a collective's included: the live counts of its communicators
+// if it finished its script — which lowers collective participation bars,
+// possibly completing collectives (noteDone) — or its next operations
+// (runAhead). sent reports that the operation was a send or an isend.
 func (c *Coordinator) afterRankProgress(r *rank.Rank, sent bool) {
-	c.noteClock(r.Clock().Now())
 	if r.State() == rank.Done {
 		c.noteDone(r)
 	} else {
@@ -765,7 +743,6 @@ func (c *Coordinator) runAhead(r *rank.Rank, sent bool) {
 			c.dispatched(t)
 		}
 		r.Execute(c.net)
-		c.noteClock(r.Clock().Now())
 		if sent = send; send {
 			carried = peer + 1
 		}
@@ -813,11 +790,9 @@ func (c *Coordinator) dispatch(t vtime.Time, ev event) (failed bool, err error) 
 				}
 			}
 		case rank.JoinedCollective:
-			c.noteClock(r.Clock().Now())
 			return false, c.joinCollective(r, &tr)
 		}
 	case evDelivery:
-		c.deliveries--
 		r := c.ranks[ev.arg]
 		if peer, ok := r.BlockedOn(); ok && peer == ev.rank() {
 			c.rankVisits++
@@ -907,17 +882,20 @@ func (c *Coordinator) Run() (Outcome, error) {
 	}
 }
 
-// sweepStaleDeliveries counts the delivery events still queued when the
-// last rank finishes as dispatched, so the events counter equals every
-// delivery ever pushed in the timeline plus every other event popped.
-// Each is a no-op: its message was consumed when the receiver reached
-// its receive at or after the arrival time, and every rank is done, so
-// there is no blocked receiver to wake. The queue is left as it is; the
-// unfired triggers, faults and drain completions in it are not part of
-// the timeline's event flow.
+// sweepStaleDeliveries empties the finished timeline's queue and counts
+// the delivery events in it as dispatched, so the events counter equals
+// every delivery ever pushed in the timeline plus every other event
+// popped. Each is a no-op: its message was consumed when the receiver
+// reached its receive at or after the arrival time, and every rank is
+// done, so there is no blocked receiver to wake. The unfired triggers,
+// faults and drain completions popped with them are not part of the
+// timeline's event flow and are not counted.
 func (c *Coordinator) sweepStaleDeliveries() {
-	c.events += c.deliveries
-	c.deliveries = 0
+	for _, ev, ok := c.queue.Pop(); ok; _, ev, ok = c.queue.Pop() {
+		if ev.kind() == evDelivery {
+			c.events++
+		}
+	}
 }
 
 // pop removes the earliest event; a global one takes its time, the least
@@ -1287,7 +1265,7 @@ func (c *Coordinator) Restart() error {
 	// carried here, so a restart's garbage is not a record per rank. The
 	// drain-done events die with the timeline: the store's rollback
 	// forgets the transfers they completed.
-	preClock := c.maxClock
+	preClock := c.MaxClock()
 	ranks := c.ranks
 	c.timeline = nil
 	kernel := kernelsim.NewForTable(c.cfg.Personality, c.cfg.Virtid)
@@ -1301,10 +1279,8 @@ func (c *Coordinator) Restart() error {
 	}
 	c.begin(ranks)
 	rec := c.store.Rollback(rs)
-	rec.ResumeClock = c.maxClock
-	if preClock > c.maxClock {
-		rec.LostWork = preClock.Sub(c.maxClock)
-	}
+	rec.ResumeClock = c.MaxClock()
+	rec.LostWork = max(0, preClock.Sub(rec.ResumeClock))
 	c.restarts = append(c.restarts, rec)
 	return nil
 }

@@ -2,9 +2,11 @@ package coordinator
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"mana/internal/faultplan"
 	"mana/internal/kernelsim"
 	"mana/internal/scenario"
 	"mana/internal/virtid"
@@ -494,45 +496,37 @@ func TestLookupStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestHighWaterMarkFollowsEveryClock: the timeline's high-water clock —
-// what MaxClock returns, and what a checkpoint request, a safe point and
-// a restart's lost work read — equals the greatest rank clock before
-// every event the loop dispatches, after a restart and when the run
-// ends. overlap splits communicators, and a comm-split charges each
-// member its handle-table write after the completion time, so a mark
-// that noted only the completion fell behind the members' clocks.
-func TestHighWaterMarkFollowsEveryClock(t *testing.T) {
-	cfg := overlapConfig(8, 12)
-	cfg.Triggers = []Trigger{{At: 0}, {At: vtime.Time(vtime.Millisecond)}}
-	cfg.Faults = crashAfter(1, 50*vtime.Microsecond)
-	c := New(cfg)
-	checks := 0
-	check := func(where string) {
-		var scan vtime.Time
-		for _, r := range c.Ranks() {
-			scan = max(scan, r.Clock().Now())
-		}
-		if c.maxClock != scan {
-			t.Fatalf("%s (check %d): high-water mark %v, greatest rank clock %v", where, checks, c.maxClock, scan)
-		}
-		checks++
-	}
-	c.OnDispatch(func(vtime.Time) { check("before an event") })
-	for {
-		out, err := c.Run()
+// TestUnfiredTriggersAreInvisible: triggers and virtual-time faults due
+// after the job's makespan never fire, so a job that carries them prints
+// the report of the same job without them — events= included, which
+// counts the deliveries left queued at completion but none of the
+// triggers and faults queued beside them. The job restarts once, so the
+// late events are queued in both of its timelines.
+func TestUnfiredTriggersAreInvisible(t *testing.T) {
+	base := overlapConfig(8, 12)
+	base.Triggers = []Trigger{{At: 0}, {At: vtime.Time(vtime.Millisecond)}}
+	base.Faults = crashAfter(1, 50*vtime.Microsecond)
+	c := New(base)
+	for out, err := c.Run(); out != Completed; out, err = c.Run() {
 		if err != nil {
 			t.Fatal(err)
-		}
-		check("at the end of a run")
-		if out == Completed {
-			break
 		}
 		if err := c.Restart(); err != nil {
 			t.Fatal(err)
 		}
-		check("after a restart")
 	}
-	if len(c.Restarts()) != 1 || len(c.comms) < 2 {
-		t.Fatalf("%d restarts and %d communicators; want a restart and a split", len(c.Restarts()), len(c.comms))
+	want := c.Report()
+	if !strings.Contains(want, "\nrestarts: 1\n") {
+		t.Fatalf("the job without late events did not restart once:\n%s", want)
+	}
+	late := c.MaxClock().Add(vtime.Millisecond)
+	cfg := base
+	cfg.Triggers = append(slices.Clone(base.Triggers),
+		Trigger{At: late}, Trigger{At: late, MidCollective: true},
+		Trigger{At: late, InFlight: true}, Trigger{At: late, FormingColls: 2})
+	cfg.Faults = append(slices.Clone(base.Faults),
+		faultplan.Fault{Anchor: faultplan.AtVirtualTime, Time: late, Kind: faultplan.RankCrash})
+	if got, _ := runToCompletion(t, cfg); got != want {
+		t.Errorf("late triggers and faults moved the report:\n got %s\nwant %s", got, want)
 	}
 }

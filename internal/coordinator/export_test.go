@@ -161,10 +161,9 @@ type formingView struct {
 	Scheduled  bool
 }
 
-// commView is one communicator: its members, its live count and the
-// rendezvous forming on it, if any.
+// commView is one communicator: its live count and the rendezvous
+// forming on it, if any.
 type commView struct {
-	Members []int
 	Live    int
 	Forming *formingView
 }
@@ -208,7 +207,7 @@ func (c *Coordinator) timelineView() map[string]any {
 	}
 	comms := make([]commView, len(tl.comms))
 	for i, m := range tl.comms {
-		comms[i] = commView{Members: m.members, Live: m.live}
+		comms[i] = commView{Live: m.live}
 		if m.forming != nil {
 			f := viewForming(m.forming)
 			comms[i].Forming = &f
@@ -219,15 +218,12 @@ func (c *Coordinator) timelineView() map[string]any {
 		"net":         netView{tl.net.InFlight(), c.LongestRing()},
 		"queue":       events,
 		"globals":     slices.Sorted(slices.Values(tl.globals)),
-		"deliveries":  tl.deliveries,
 		"armed":       tl.armed,
 		"pending":     tl.pending,
 		"comms":       comms,
 		"collList":    collList,
 		"collSeq":     tl.collSeq,
 		"formingPool": len(tl.formingPool),
-		"inCollComm":  tl.inCollComm,
 		"plan":        tl.plan,
-		"maxClock":    tl.maxClock,
 	}
 }
